@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short test-fault trace-demo incident-demo bench bench-json bench-check bench-transport load-check adapt-check collusion-check fuzz reproduce examples clean
+.PHONY: all build vet lint test test-short test-fault trace-demo incident-demo bench bench-json bench-check bench-transport bench-e2e load-check adapt-check collusion-check fuzz reproduce examples clean
 
 all: build vet lint test
 
@@ -23,8 +23,11 @@ lint: vet
 		echo "lint: staticcheck not installed; skipped (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
+# -timeout 180s: a hung package (the open P0 kernel-pool deadlock on
+# multicore hosts) fails in minutes with a goroutine dump, not after the
+# default 10.
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 180s ./...
 
 test-short:
 	$(GO) test -short ./...
@@ -80,13 +83,17 @@ bench-check:
 	$(GO) run ./cmd/experiments -fig bench -check
 	$(GO) test -race ./internal/matrix/
 
-# Transport microbench: v3 wire protocol vs the legacy gob codec — in-memory
-# frame round trips, single-stream loopback RTT (ping + coded-block store),
-# and 64-way multiplexed QPS on one pooled connection — merged into
-# results/bench.json, with the CheckTransportBench regression guard (frame
-# overhead, v3-vs-gob ratio, mux QPS floor).
+# Transport microbench: in-memory frame round trips, single-stream loopback
+# RTT (ping + coded-block store), and 64-way multiplexed QPS on one pooled
+# connection — merged into results/bench.json, with the CheckTransportBench
+# regression guard (frame overhead, bulk-store RTT budget, mux QPS floor).
 bench-transport:
 	$(GO) run ./cmd/experiments -fig bench-transport -check -out results
+
+# End-to-end served-query benchmark (BENCHMARK.json): builds ./benchmark
+# from source and runs every workload; see benchmark/README.md.
+bench-e2e:
+	bash benchmark/run.sh
 
 # Security-tier regression guard: sweep the collusion threshold t = 1..4
 # (plus the Eq. (8) structured baseline) on one deterministic fleet, write

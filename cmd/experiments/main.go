@@ -144,7 +144,7 @@ func run(args []string, out io.Writer) error {
 				if err := experiments.CheckTransportBench(rep); err != nil {
 					return err
 				}
-				fmt.Fprintf(out, "transport bench check ok: frame overhead, v3-vs-gob RTT and mux QPS within bounds\n")
+				fmt.Fprintf(out, "transport bench check ok: frame overhead, bulk store RTT and mux QPS within budget\n")
 			}
 			return experiments.WriteBenchJSON(w, experiments.MergeBench(benchBase, rep))
 		}},

@@ -52,13 +52,8 @@ func runFleet(args []string, out io.Writer) error {
 		incidentSum  = fs.String("incident-summary", "", "validate the captured incident bundle and write a JSON summary to this file; non-zero exit when the bundle is incomplete (with -incident-dir)")
 		injectOne    = fs.Bool("inject-one", false, "kill every replica of coded block 0 mid-stream: a full single-block outage only a rehost can cure")
 		noRepair     = fs.Bool("no-repair", false, "disable standby self-repair, so outage recovery must come from the adaptive control plane")
-		protoName    = protoFlag(fs)
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	proto, err := transport.ParseProto(*protoName)
-	if err != nil {
 		return err
 	}
 	if *replicas < 1 || *standbys < 0 {
@@ -159,7 +154,6 @@ func runFleet(args []string, out io.Writer) error {
 			HedgeAfter: *hedgeAfter,
 			MaxRetries: *maxRetries,
 			Tracer:     tr,
-			Proto:      proto,
 			// Demo-paced health policy: notice a dead replica within a few
 			// hundred milliseconds and keep it quarantined for the whole run.
 			ProbeInterval:    150 * time.Millisecond,

@@ -45,13 +45,8 @@ func runLoad(args []string, out io.Writer) error {
 		outPath     = fs.String("out", "results/load.json", "JSON report path (empty to skip)")
 		mdPath      = fs.String("md", "results/load.md", "markdown report path (empty to skip)")
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics plus /debug/slo (live sweep state) on this address")
-		protoName   = protoFlag(fs)
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	proto, err := transport.ParseProto(*protoName)
-	if err != nil {
 		return err
 	}
 	arrival, err := loadgen.ParseArrival(*arrivalSpec)
@@ -94,7 +89,6 @@ func runLoad(args []string, out io.Writer) error {
 		Replicas:      make([][]string, dep.Devices()),
 		RPCTimeout:    *timeout,
 		ProbeInterval: -1,
-		Proto:         proto,
 	}
 	for j := range cfg.Replicas {
 		for range max(*replicas, 1) {

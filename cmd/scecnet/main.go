@@ -129,12 +129,6 @@ func exportTraces(out io.Writer, t *trace.Tracer, path string) error {
 	return nil
 }
 
-// protoFlag registers the wire-protocol selector shared by every role that
-// dials devices (servers answer both protocols unconditionally).
-func protoFlag(fs *flag.FlagSet) *string {
-	return fs.String("proto", "auto", "wire protocol: auto (negotiate v3, fall back to gob), v3, or gob")
-}
-
 // writeStageTable prints the per-stage timing table when any stage ran.
 func writeStageTable(out io.Writer) error {
 	fmt.Fprintln(out, "stage timings:")
@@ -190,13 +184,8 @@ func runDrive(args []string, out io.Writer) error {
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /healthz, and /debug endpoints on this address")
 		timeout     = fs.Duration("timeout", transport.DefaultTimeout, "per-round-trip bound for store and compute requests")
 		traceFile   = fs.String("trace-export", "", "record a distributed trace per query and write the JSON export here on completion")
-		protoName   = protoFlag(fs)
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	proto, err := transport.ParseProto(*protoName)
-	if err != nil {
 		return err
 	}
 	addrs := splitAddrs(*devices)
@@ -216,7 +205,7 @@ func runDrive(args []string, out io.Writer) error {
 	if ms != nil {
 		defer ms.Close()
 	}
-	if err := drive(out, addrs, *m, *l, *batch, *t, *seed, *timeout, proto, tr); err != nil {
+	if err := drive(out, addrs, *m, *l, *batch, *t, *seed, *timeout, tr); err != nil {
 		return err
 	}
 	return exportTraces(out, tr, *traceFile)
@@ -234,13 +223,8 @@ func runDemo(args []string, out io.Writer) error {
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /healthz, and /debug endpoints on this address")
 		timeout     = fs.Duration("timeout", transport.DefaultTimeout, "per-round-trip bound for store and compute requests")
 		traceFile   = fs.String("trace-export", "", "record a distributed trace per query and write the JSON export here on completion")
-		protoName   = protoFlag(fs)
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	proto, err := transport.ParseProto(*protoName)
-	if err != nil {
 		return err
 	}
 	var tr, devTr *trace.Tracer
@@ -270,7 +254,7 @@ func runDemo(args []string, out io.Writer) error {
 		addrs[j] = srv.Addr()
 	}
 	fmt.Fprintf(out, "launched %d loopback devices\n", *k)
-	if err := drive(out, addrs, *m, *l, *batch, *t, *seed, *timeout, proto, tr); err != nil {
+	if err := drive(out, addrs, *m, *l, *batch, *t, *seed, *timeout, tr); err != nil {
 		return err
 	}
 	return exportTraces(out, tr, *traceFile)
@@ -282,7 +266,7 @@ func runDemo(args []string, out io.Writer) error {
 // verified end to end. Completion prints the per-stage timing table. A
 // non-nil tracer roots one trace per query; the transport layer carries it
 // to the devices and adopts their server-side spans back.
-func drive(out io.Writer, addrs []string, m, l, batch, t int, seed uint64, timeout time.Duration, proto transport.Proto, tr *trace.Tracer) error {
+func drive(out io.Writer, addrs []string, m, l, batch, t int, seed uint64, timeout time.Duration, tr *trace.Tracer) error {
 	f := scec.PrimeField()
 	rng := rand.New(rand.NewPCG(seed, 0xd21fe))
 	in := workload.Instance(rng, m, len(addrs), workload.Uniform{Max: 5})
@@ -304,12 +288,12 @@ func drive(out io.Writer, addrs []string, m, l, batch, t int, seed uint64, timeo
 	fmt.Fprintf(out, "plan: %s r=%d t=%d, %d of %d devices selected, cost %.2f\n",
 		dep.Plan.Algorithm, dep.Plan.R, dep.Code.T(), dep.Devices(), len(addrs), dep.Cost())
 
-	if err := (transport.Cloud[uint64]{Timeout: timeout, Proto: proto}).Distribute(context.Background(), selected, dep.Encoding); err != nil {
+	if err := (transport.Cloud[uint64]{Timeout: timeout}).Distribute(context.Background(), selected, dep.Encoding); err != nil {
 		return fmt.Errorf("distribute: %w", err)
 	}
 	fmt.Fprintf(out, "cloud distributed %d coded rows across the fleet\n", m+dep.Plan.R)
 
-	client := transport.Client[uint64]{F: f, Code: dep.Code, Timeout: timeout, Proto: proto}
+	client := transport.Client[uint64]{F: f, Code: dep.Code, Timeout: timeout}
 	x := scec.RandomVector(f, rng, l)
 	vctx, vsp := tr.StartRoot(context.Background(), trace.SpanQueryVec, trace.A(trace.AttrKind, "vec"))
 	got, err := client.MulVec(vctx, selected, x)

@@ -47,9 +47,9 @@ type BlockDebug struct {
 type DeviceDebug struct {
 	Addr    string `json:"addr"`
 	Breaker string `json:"breaker"`
-	// Conn is the transport pool's view of this device: negotiated
-	// protocol, in-flight streams, idle pooled connections, and when the
-	// device was last heard from over the persistent connection.
+	// Conn is the transport pool's view of this device: in-flight streams,
+	// the last measured round trip, and when the device was last heard from
+	// over the persistent connection.
 	Conn transport.ConnDebug `json:"conn,omitzero"`
 }
 

@@ -125,11 +125,6 @@ type Config struct {
 	BreakerCooldown time.Duration
 	// DisableRepair turns off background standby promotion.
 	DisableRepair bool
-	// Proto selects the wire protocol for every device round trip:
-	// transport.ProtoAuto (the default) negotiates the multiplexed v3
-	// protocol with transparent gob fallback, ProtoGob forces legacy
-	// frames, ProtoV3 refuses to fall back.
-	Proto transport.Proto
 	// Metrics receives the session's telemetry; nil means obs.Default().
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records a span tree per query (gather → block
@@ -279,9 +274,9 @@ func Serve[E comparable](f field.Field[E], enc *coding.Encoding[E], cfg Config) 
 		cfg:     cfg,
 		reg:     reg,
 		cols:    enc.Blocks[0].Cols(),
-		client:  transport.Client[E]{F: f, Code: code, Timeout: cfg.RPCTimeout, Metrics: reg, Proto: cfg.Proto},
-		probe:   transport.Client[E]{F: f, Timeout: cfg.ProbeTimeout, Metrics: reg, Proto: cfg.Proto},
-		cloud:   transport.Cloud[E]{Timeout: cfg.RPCTimeout, Metrics: reg, Proto: cfg.Proto},
+		client:  transport.Client[E]{F: f, Code: code, Timeout: cfg.RPCTimeout, Metrics: reg},
+		probe:   transport.Client[E]{F: f, Timeout: cfg.ProbeTimeout, Metrics: reg},
+		cloud:   transport.Cloud[E]{Timeout: cfg.RPCTimeout, Metrics: reg},
 		devices: make(map[string]*device),
 		lat:     newLatencyRing(),
 		trc:     cfg.Tracer,

@@ -133,6 +133,13 @@ func (s *Session[E]) GatherBatch(x *matrix.Dense[E]) (*matrix.Dense[E], error) {
 // GatherBatchContext is GatherBatch bounded by the caller's context in
 // addition to the session's query timeout; a span carried in ctx parents the
 // fleet.gather span.
+//
+// The gather works on one private x.Clone(): a race does not await its
+// cancelled losers, so a hedged or timed-out attempt may still be writing X
+// to its socket after the gather has returned, and the caller is free to
+// reuse x by then. The clone goes on the wire uncopied and each replica's
+// block comes back as one contiguous matrix, stacked with no row-slice
+// round trip.
 func (s *Session[E]) GatherBatchContext(ctx context.Context, x *matrix.Dense[E]) (*matrix.Dense[E], error) {
 	if x.Rows() != s.cols {
 		return nil, fmt.Errorf("fleet: input matrix has %d rows, want %d", x.Rows(), s.cols)
@@ -144,10 +151,7 @@ func (s *Session[E]) GatherBatchContext(ctx context.Context, x *matrix.Dense[E])
 		trace.A(trace.AttrKind, kindMat), trace.A("blocks", strconv.Itoa(len(s.blocks))))
 	defer gsp.End()
 
-	xRows := make([][]E, x.Rows())
-	for i := range xRows {
-		xRows[i] = x.Row(i)
-	}
+	x = x.Clone()
 	gather := obs.StartStage(s.reg, obs.StageGather)
 	parts := make([]*matrix.Dense[E], len(s.blocks))
 	errs := make([]error, len(s.blocks))
@@ -156,18 +160,13 @@ func (s *Session[E]) GatherBatchContext(ctx context.Context, x *matrix.Dense[E])
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rows, err := fetchBlock(s, qctx, b, func(ctx context.Context, addr string) ([][]E, error) {
-				rows, err := s.client.ComputeBatch(ctx, addr, xRows)
-				if err == nil && len(rows) != b.want {
-					err = fmt.Errorf("fleet: replica %s returned %d rows for block %d, want %d", addr, len(rows), b.index, b.want)
+			parts[j], errs[j] = fetchBlock(s, qctx, b, func(ctx context.Context, addr string) (*matrix.Dense[E], error) {
+				y, err := s.client.ComputeBatch(ctx, addr, x)
+				if err == nil && y.Rows() != b.want {
+					err = fmt.Errorf("fleet: replica %s returned %d rows for block %d, want %d", addr, y.Rows(), b.index, b.want)
 				}
-				return rows, err
+				return y, err
 			})
-			if err != nil {
-				errs[j] = err
-				return
-			}
-			parts[j] = matrix.FromRows(rows)
 		}()
 	}
 	wg.Wait()

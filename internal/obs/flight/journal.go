@@ -69,11 +69,10 @@ const (
 	// plan / held the incumbent. Detail carries the planner's reason.
 	KindReplanAdopt
 	KindReplanHold
-	// KindNegotiateV3 / KindNegotiateLegacy / KindNegotiateError: a transport
-	// protocol negotiation resolved to v3, fell back to the legacy gob
-	// protocol, or failed. Actor is the peer address.
+	// KindNegotiateV3 / KindNegotiateError: the hello handshake on a freshly
+	// dialed transport connection succeeded or failed. Actor is the peer
+	// address.
 	KindNegotiateV3
-	KindNegotiateLegacy
 	KindNegotiateError
 	// KindShed: the load generator's MaxInFlight backstop refused a launch.
 	// A is the in-flight count at refusal.
@@ -110,7 +109,6 @@ var kindNames = [numKinds]string{
 	KindReplanAdopt:     "replan-adopt",
 	KindReplanHold:      "replan-hold",
 	KindNegotiateV3:     "negotiate-v3",
-	KindNegotiateLegacy: "negotiate-legacy",
 	KindNegotiateError:  "negotiate-error",
 	KindShed:            "shed",
 	KindTimeout:         "timeout",

@@ -148,12 +148,11 @@ const (
 
 	// Wire-protocol (internal/transport v3) metrics. Device labels range over
 	// the fixed fleet (the MetricFleetBreakerState convention), role over
-	// {client, server}, proto over {v3, gob}, and outcome over small fixed
-	// sets, so cardinality stays bounded.
+	// {client, server}, and outcome over small fixed sets, so cardinality
+	// stays bounded.
 
 	// MetricTransportConnsOpen is a gauge of currently open transport
-	// connections, labelled role=client|server, proto=v3|gob, and (on the
-	// client role) device=<addr>.
+	// connections, labelled role=client|server and device=<addr>.
 	MetricTransportConnsOpen = "scec_transport_conns_open"
 	// MetricTransportStreamsInflight is a gauge of v3 streams currently
 	// awaiting a response, labelled role=client|server and device=<addr>.
@@ -163,9 +162,8 @@ const (
 	// role=client|server. Size-1 flushes are the idle case; larger batches
 	// are the group-commit effect under concurrent streams.
 	MetricTransportFlushFrames = "scec_transport_flush_frames"
-	// MetricTransportNegotiations counts v3 protocol negotiations, labelled
-	// outcome=v3|legacy|error (legacy = the peer only speaks the gob
-	// protocol and the client fell back transparently).
+	// MetricTransportNegotiations counts hello handshakes on freshly dialed
+	// connections, labelled outcome=v3|error.
 	MetricTransportNegotiations = "scec_transport_negotiations_total"
 	// MetricTransportHeartbeats counts piggybacked heartbeat pings sent on
 	// idle multiplexed connections, labelled outcome=ok|failed.

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 	"time"
@@ -160,6 +161,9 @@ func TestDeviceStats(t *testing.T) {
 	}
 }
 
+// TestDeviceElementCap drives the store and compute-batch caps with raw
+// frames: an over-cap request is answered with the cap error on its own
+// stream, its payload is drained, and the same connection keeps serving.
 func TestDeviceElementCap(t *testing.T) {
 	f := field.Prime{}
 	srv, err := NewDeviceServerLimited(f, "127.0.0.1:0", 8)
@@ -167,27 +171,55 @@ func TestDeviceElementCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	conn := rawV3Conn(t, srv.Addr(), 1)
+
+	// matFrame builds a store (op 2) or compute-batch (op 4) request frame
+	// carrying a rows×cols all-zero matrix.
+	matFrame := func(stream, op byte, rows, cols int) []byte {
+		payload := 1 + 8 + rows*cols*8 // tpLen | rows | cols | slab
+		b := binary.LittleEndian.AppendUint32(nil, uint32(5+payload))
+		b = append(b, stream, 0, 0, 0, op, 0)
+		b = binary.LittleEndian.AppendUint32(b, uint32(rows))
+		b = binary.LittleEndian.AppendUint32(b, uint32(cols))
+		return append(b, make([]byte, rows*cols*8)...)
+	}
+	// exchange writes one frame and returns the response's status byte and,
+	// for a failure, its message.
+	exchange := func(frame []byte) (byte, string) {
+		t.Helper()
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		resp := readRawFrame(t, conn)
+		if resp[4] != frame[4] || resp[8] != frame[8]|opResponseBit {
+			t.Fatalf("response header % x does not answer stream %d op %d", resp[:9], frame[4], frame[8])
+		}
+		if resp[9] == 0 {
+			return 0, ""
+		}
+		n := binary.LittleEndian.Uint32(resp[10:14])
+		return resp[9], string(resp[14 : 14+n])
+	}
 
 	// A 3×3 block (9 elements) exceeds the cap of 8.
-	big := make([][]uint64, 3)
-	for i := range big {
-		big[i] = make([]uint64, 3)
+	if st, msg := exchange(matFrame(1, opStore, 3, 3)); st == 0 || msg != "store: block of 9 elements exceeds the device cap of 8" {
+		t.Fatalf("oversized store: status %d, message %q", st, msg)
 	}
-	if _, err := roundTrip[uint64](t.Context(), srv.Addr(), time.Second, nil, request[uint64]{Kind: kindStore, Block: big}); !errors.Is(err, ErrRemote) {
-		t.Fatalf("oversized store err = %v, want ErrRemote", err)
+	// A 2×3 block (6 elements) fits, on the connection that just drained 72
+	// over-cap bytes.
+	if st, msg := exchange(matFrame(2, opStore, 2, 3)); st != 0 {
+		t.Fatalf("in-cap store rejected: %q", msg)
 	}
-	// A 2×3 block (6 elements) fits.
-	small := big[:2]
-	if _, err := roundTrip[uint64](t.Context(), srv.Addr(), time.Second, nil, request[uint64]{Kind: kindStore, Block: small}); err != nil {
-		t.Fatalf("in-cap store rejected: %v", err)
+	if got := srv.StoredRows(); got != 2 {
+		t.Fatalf("stored rows = %d, want 2", got)
 	}
 	// An oversized batch request is rejected too.
-	xm := make([][]uint64, 3)
-	for i := range xm {
-		xm[i] = make([]uint64, 4)
+	if st, msg := exchange(matFrame(3, opComputeBatch, 3, 4)); st == 0 || msg != "compute-batch: X of 12 elements exceeds the device cap of 8" {
+		t.Fatalf("oversized batch: status %d, message %q", st, msg)
 	}
-	if _, err := roundTrip[uint64](t.Context(), srv.Addr(), time.Second, nil, request[uint64]{Kind: kindComputeBatch, XMat: xm}); !errors.Is(err, ErrRemote) {
-		t.Fatalf("oversized batch err = %v, want ErrRemote", err)
+	// And an in-cap one is served: a 3×2 X against the stored 2×3 block.
+	if st, msg := exchange(matFrame(4, opComputeBatch, 3, 2)); st != 0 {
+		t.Fatalf("in-cap batch rejected: %q", msg)
 	}
 
 	if _, err := NewDeviceServerLimited(f, "127.0.0.1:0", 0); err == nil {

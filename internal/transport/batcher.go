@@ -126,11 +126,8 @@ func tuneConn(conn net.Conn) {
 }
 
 // peerClosed reports whether err is the signature of the far side closing
-// or resetting the connection — how a gob-only server reacts to a v3
-// hello (its decoder fails on the 0x00 magic byte and the handler closes).
-// Timeouts and dial failures are deliberately excluded: a dead or
-// black-holed device should surface its real error, not a misleading
-// gob fallback attempt doubling the latency.
+// or resetting the connection: ordinary teardown of a pooled connection,
+// which the server does not count as a malformed frame.
 func peerClosed(err error) bool {
 	return errors.Is(err, io.EOF) ||
 		errors.Is(err, io.ErrUnexpectedEOF) ||

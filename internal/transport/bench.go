@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"bytes"
-	"encoding/gob"
 	"fmt"
 )
 
@@ -13,15 +12,15 @@ import (
 // or reflection involved. The bench harness runs it to pin the
 // serialization floor under the loopback RTT numbers.
 func FrameBench(n int) (func() error, error) {
-	cod, ok := codecFor[uint64]()
-	if !ok {
-		return nil, fmt.Errorf("transport: no codec for uint64")
+	cod, err := codecFor[uint64]()
+	if err != nil {
+		return nil, err
 	}
 	x := make([]uint64, n)
 	for i := range x {
 		x[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
 	}
-	req := request[uint64]{Kind: kindCompute, X: x}
+	req := request[uint64]{op: opCompute, x: x}
 	var buf bytes.Buffer
 	bw := bufio.NewWriterSize(&buf, wireWriterBuf)
 	br := bufio.NewReaderSize(&buf, wireWriterBuf)
@@ -41,34 +40,6 @@ func FrameBench(n int) (func() error, error) {
 		}
 		if len(dec.x) != n {
 			return fmt.Errorf("transport: frame bench decoded %d elements, want %d", len(dec.x), n)
-		}
-		return nil
-	}, nil
-}
-
-// GobFrameBench is FrameBench's baseline twin: the same compute request
-// through the legacy gob codec, with the encoder/decoder pair reused across
-// calls exactly as the pooled legacy path reuses them.
-func GobFrameBench(n int) (func() error, error) {
-	x := make([]uint64, n)
-	for i := range x {
-		x[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
-	}
-	req := request[uint64]{V: FrameV2, Kind: kindCompute, X: x}
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	dec := gob.NewDecoder(&buf)
-	return func() error {
-		if err := enc.Encode(&req); err != nil {
-			return err
-		}
-		var got request[uint64]
-		got.X = nil
-		if err := dec.Decode(&got); err != nil {
-			return err
-		}
-		if len(got.X) != n {
-			return fmt.Errorf("transport: gob bench decoded %d elements, want %d", len(got.X), n)
 		}
 		return nil
 	}, nil

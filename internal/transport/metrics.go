@@ -34,21 +34,11 @@ func metricsOrDefault(r *obs.Registry) *obs.Registry {
 	return r
 }
 
-// knownKind collapses attacker-controlled request kinds to a bounded label
-// set so a misbehaving peer cannot explode metric cardinality.
-func knownKind(kind string) string {
-	switch kind {
-	case kindStore, kindCompute, kindComputeBatch, kindPing:
-		return kind
-	default:
-		return "unknown"
-	}
-}
-
-// recordClient accounts one user/cloud-side round trip.
+// recordClient accounts one user/cloud-side round trip; kind comes from
+// opToKind, so the label set is bounded.
 func recordClient(reg *obs.Registry, kind string, d time.Duration, sent, received int64, err error) {
 	reg = metricsOrDefault(reg)
-	l := obs.L("kind", knownKind(kind))
+	l := obs.L("kind", kind)
 	reg.Counter(obs.MetricRPCClientRequests, "RPC round trips issued by the user/cloud role, by request kind.", l).Inc()
 	if err != nil {
 		reg.Counter(obs.MetricRPCClientErrors, "Failed RPC round trips (dial, deadline, transport, or remote errors), by request kind.", l).Inc()

@@ -139,27 +139,12 @@ func TestRemoteErrorPropagation(t *testing.T) {
 // accepts connections and then never answers: the configured timeout must
 // bound the round trip and be reported as an error.
 func TestClientTimeoutOnHangingDevice(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			// Hold the connection open without reading or writing; the
-			// client's deadline has to fire.
-			defer conn.Close()
-		}
-	}()
-
+	addr := blackHole(t)
 	reg := obs.New()
 	const timeout = 150 * time.Millisecond
+	client := Client[uint64]{F: field.Prime{}, Timeout: timeout, Metrics: reg, Pool: NewPool[uint64]()}
 	start := time.Now()
-	_, err = roundTrip(t.Context(), ln.Addr().String(), timeout, reg, request[uint64]{Kind: kindPing})
+	err := client.Ping(t.Context(), addr)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("round trip against a hanging device succeeded, want timeout error")

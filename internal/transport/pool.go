@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -17,28 +16,18 @@ import (
 	"github.com/scec/scec/internal/obs/trace"
 )
 
-// Pool defaults.
-const (
-	// DefaultLegacyTTL is how long a device that failed v3 negotiation is
-	// remembered as gob-only before auto-protocol clients re-probe it.
-	DefaultLegacyTTL = 10 * time.Second
-	// DefaultHeartbeatEvery is the idle interval after which a pooled v3
-	// connection sends a piggybacked heartbeat ping. It is well under the
-	// device's default request timeout, so idle pooled connections stay
-	// alive, and under the fleet's probe interval, so the prober can trust
-	// LastContact instead of dialing its own pings.
-	DefaultHeartbeatEvery = time.Second
-	// maxIdleGobConns caps the per-device freelist of legacy connections.
-	maxIdleGobConns = 4
-)
+// DefaultHeartbeatEvery is the idle interval after which a pooled
+// connection sends a piggybacked heartbeat ping. It is well under the
+// device's default request timeout, so idle pooled connections stay alive,
+// and under the fleet's probe interval, so the prober can trust LastContact
+// instead of dialing its own pings.
+const DefaultHeartbeatEvery = time.Second
 
 // Pool owns the persistent client-side connections to a set of devices:
-// one multiplexed v3 connection per address (shared by every in-flight
-// request), or a small freelist of legacy gob connections for peers that
-// only speak the old protocol. Clients share the per-element-type package
-// pool by default; tests that need connection isolation set Client.Pool.
+// one multiplexed connection per address, shared by every in-flight
+// request. Clients share the per-element-type package pool by default;
+// tests that need connection isolation set Client.Pool.
 type Pool[E comparable] struct {
-	legacyTTL time.Duration
 	heartbeat time.Duration
 
 	mu      sync.Mutex
@@ -48,7 +37,6 @@ type Pool[E comparable] struct {
 // NewPool returns an empty pool with default tuning.
 func NewPool[E comparable]() *Pool[E] {
 	return &Pool[E]{
-		legacyTTL: DefaultLegacyTTL,
 		heartbeat: DefaultHeartbeatEvery,
 		entries:   make(map[string]*poolEntry[E]),
 	}
@@ -61,7 +49,7 @@ var (
 
 // SharedPool returns the process-wide pool for element type E. All
 // default-configured clients and clouds share it, so one device gets one
-// v3 connection no matter how many Client values talk to it.
+// connection no matter how many Client values talk to it.
 func SharedPool[E comparable]() *Pool[E] {
 	var z E
 	sharedPoolMu.Lock()
@@ -75,11 +63,9 @@ func SharedPool[E comparable]() *Pool[E] {
 }
 
 type poolEntry[E comparable] struct {
-	mu          sync.Mutex
-	connecting  chan struct{} // non-nil while one caller negotiates
-	mux         *muxConn[E]
-	legacyUntil time.Time
-	free        []*gobConn
+	mu         sync.Mutex
+	connecting chan struct{} // non-nil while one caller negotiates
+	mux        *muxConn[E]
 }
 
 func (p *Pool[E]) entry(addr string) *poolEntry[E] {
@@ -93,14 +79,26 @@ func (p *Pool[E]) entry(addr string) *poolEntry[E] {
 	return e
 }
 
+// liveMux returns addr's pooled connection, or nil when there is none. It
+// never creates a pool entry: read-only accessors are asked about standbys
+// and quarantined devices that were never dialed.
+func (p *Pool[E]) liveMux(addr string) *muxConn[E] {
+	p.mu.Lock()
+	e := p.entries[addr]
+	p.mu.Unlock()
+	if e == nil {
+		return nil
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.mux
+}
+
 // LastContact reports when addr was last heard from on a live multiplexed
 // connection (a response or heartbeat frame). The fleet prober treats a
 // recent LastContact as a successful health check and skips its ping.
 func (p *Pool[E]) LastContact(addr string) (time.Time, bool) {
-	e := p.entry(addr)
-	e.mu.Lock()
-	m := e.mux
-	e.mu.Unlock()
+	m := p.liveMux(addr)
 	if m == nil {
 		return time.Time{}, false
 	}
@@ -116,10 +114,7 @@ func (p *Pool[E]) LastContact(addr string) (time.Time, bool) {
 // every timed idle heartbeat. It is the estimator's cheap per-device
 // network-health signal — no extra RPCs are spent on it.
 func (p *Pool[E]) LastRTT(addr string) (time.Duration, bool) {
-	e := p.entry(addr)
-	e.mu.Lock()
-	m := e.mux
-	e.mu.Unlock()
+	m := p.liveMux(addr)
 	if m == nil {
 		return 0, false
 	}
@@ -133,101 +128,71 @@ func (p *Pool[E]) LastRTT(addr string) (time.Duration, bool) {
 // ConnDebug is a point-in-time snapshot of the pool's state toward one
 // device, surfaced through /debug/fleet.
 type ConnDebug struct {
-	// Proto is the wire protocol of the live connection(s): "v3", "gob",
-	// or "" when nothing is pooled.
-	Proto string `json:"proto,omitempty"`
-	// InFlight counts v3 streams currently awaiting a response.
+	// InFlight counts streams currently awaiting a response.
 	InFlight int `json:"in_flight,omitempty"`
-	// IdleConns counts pooled idle legacy connections.
-	IdleConns int `json:"idle_conns,omitempty"`
-	// LastContact is when the device was last heard from over v3.
+	// LastContact is when the device was last heard from; zero when no
+	// connection is pooled.
 	LastContact time.Time `json:"last_contact,omitzero"`
-	// RTT is the last measured round trip on the v3 connection (handshake
-	// or timed heartbeat); zero when nothing has been measured.
+	// RTT is the last measured round trip on the connection (handshake or
+	// timed heartbeat); zero when nothing has been measured.
 	RTT time.Duration `json:"rtt_ns,omitempty"`
 }
 
 // Debug snapshots the pool state for addr.
 func (p *Pool[E]) Debug(addr string) ConnDebug {
-	e := p.entry(addr)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	d := ConnDebug{IdleConns: len(e.free)}
-	if e.mux != nil {
-		d.Proto = "v3"
-		e.mux.mu.Lock()
-		d.InFlight = len(e.mux.streams)
-		e.mux.mu.Unlock()
-		if t := e.mux.lastIn.Load(); t != 0 {
-			d.LastContact = time.Unix(0, t)
-		}
-		d.RTT = time.Duration(e.mux.rtt.Load())
-	} else if len(e.free) > 0 || time.Now().Before(e.legacyUntil) {
-		d.Proto = "gob"
+	var d ConnDebug
+	m := p.liveMux(addr)
+	if m == nil {
+		return d
 	}
+	m.mu.Lock()
+	d.InFlight = len(m.streams)
+	m.mu.Unlock()
+	if t := m.lastIn.Load(); t != 0 {
+		d.LastContact = time.Unix(0, t)
+	}
+	d.RTT = time.Duration(m.rtt.Load())
 	return d
 }
 
-// roundTrip is the pooled counterpart of the package-level roundTrip: it
-// routes one request over the negotiated protocol, multiplexing v3
-// requests onto the device's persistent connection and reusing pooled
-// gob connections otherwise, with the same tracing, metrics, deadline,
-// and cancellation semantics.
-func (p *Pool[E]) roundTrip(ctx context.Context, addr string, timeout time.Duration, reg *obs.Registry, proto Proto, req request[E]) (resp response[E], err error) {
+// roundTrip sends one request to addr on the device's persistent
+// connection (dialing it on first use) and waits for the matching response,
+// recording the round trip (count, latency, bytes, outcome) into reg and,
+// inside a trace, an rpc.client span. The exchange is bounded by both
+// timeout and ctx: cancelling ctx aborts an in-flight dial or wait promptly
+// (the fleet runtime relies on this to cancel the losers of a hedged race
+// instead of leaking them until the deadline), and the returned error then
+// wraps ctx.Err(). A remote failure returns the response (for its spans)
+// together with an ErrRemote error.
+func (p *Pool[E]) roundTrip(ctx context.Context, addr string, timeout time.Duration, reg *obs.Registry, req request[E]) (resp *response[E], err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	reg = metricsOrDefault(reg)
-	req.V = FrameV2
-	var finish func(response[E], error)
-	ctx, finish = startClientSpan(ctx, addr, &req)
+	kind := opToKind(req.op)
+	var finish func(*response[E], error)
+	ctx, finish = startClientSpan(ctx, addr, kind, &req)
 	defer func() { finish(resp, err) }()
 	start := time.Now()
 	var sent, recv int64
 	defer func() {
-		recordClient(reg, req.Kind, time.Since(start), sent, recv, err)
+		recordClient(reg, kind, time.Since(start), sent, recv, err)
 	}()
-
-	cod, codOK := codecFor[E]()
-	_ = cod
-	useV3 := codOK && proto != ProtoGob
-	if !codOK && proto == ProtoV3 {
-		return resp, fmt.Errorf("transport: element type %T has no v3 wire codec", *new(E))
-	}
-	if useV3 && proto == ProtoAuto && p.legacyFresh(addr) {
-		useV3 = false
-	}
-	if useV3 {
-		for attempt := 0; ; attempt++ {
-			m, fresh, gerr := p.getMux(ctx, addr, timeout, reg)
-			if gerr != nil {
-				if errors.Is(gerr, errLegacyPeer) && proto == ProtoAuto {
-					useV3 = false
-					break // transparent gob fallback
-				}
-				return resp, gerr
-			}
-			r, s, rc, derr := m.do(ctx, timeout, &req)
-			sent, recv = sent+s, recv+rc
-			if derr != nil && errors.Is(derr, errConnBroken) && !fresh && attempt == 0 && ctx.Err() == nil {
-				// The reused connection died under this request (device
-				// restart, idle cut): all protocol requests are
-				// idempotent, so retry once on a fresh connection.
-				continue
-			}
-			return r, derr
+	for attempt := 0; ; attempt++ {
+		m, fresh, err := p.getMux(ctx, addr, timeout, reg)
+		if err != nil {
+			return nil, err
 		}
+		r, s, rc, err := m.do(ctx, timeout, &req)
+		sent, recv = sent+s, recv+rc
+		if err != nil && errors.Is(err, errConnBroken) && !fresh && attempt == 0 && ctx.Err() == nil {
+			// The reused connection died under this request (device
+			// restart, idle cut): all protocol requests are
+			// idempotent, so retry once on a fresh connection.
+			continue
+		}
+		return r, err
 	}
-	r, s, rc, gerr := p.gobExchange(ctx, addr, timeout, &req)
-	sent, recv = sent+s, recv+rc
-	return r, gerr
-}
-
-func (p *Pool[E]) legacyFresh(addr string) bool {
-	e := p.entry(addr)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return time.Now().Before(e.legacyUntil)
 }
 
 // getMux returns the live multiplexed connection for addr, negotiating a
@@ -247,10 +212,6 @@ func (p *Pool[E]) getMux(ctx context.Context, addr string, timeout time.Duration
 			// connection); dial fresh instead.
 			e.mux = nil
 		}
-		if time.Now().Before(e.legacyUntil) {
-			e.mu.Unlock()
-			return nil, false, fmt.Errorf("%w (recently negotiated)", errLegacyPeer)
-		}
 		if e.connecting == nil {
 			ch := make(chan struct{})
 			e.connecting = ch
@@ -260,8 +221,6 @@ func (p *Pool[E]) getMux(ctx context.Context, addr string, timeout time.Duration
 			e.connecting = nil
 			if err == nil {
 				e.mux = m
-			} else if errors.Is(err, errLegacyPeer) {
-				e.legacyUntil = time.Now().Add(p.legacyTTL)
 			}
 			close(ch)
 			e.mu.Unlock()
@@ -271,20 +230,21 @@ func (p *Pool[E]) getMux(ctx context.Context, addr string, timeout time.Duration
 		e.mu.Unlock()
 		select {
 		case <-ch:
-			// Re-check: the negotiator installed a connection, marked the
-			// peer legacy, or failed (in which case we dial ourselves).
+			// Re-check: the negotiator installed a connection or failed (in
+			// which case we dial ourselves).
 		case <-ctx.Done():
 			return nil, false, ctxErr(ctx, fmt.Errorf("transport: dial %s: %w", addr, ctx.Err()))
 		}
 	}
 }
 
-// dialMux dials addr and performs the v3 handshake. Negotiation failures
-// where the peer closed on our hello classify as errLegacyPeer; timeouts
-// and refusals surface as themselves so dead devices are not retried over
-// gob (doubling the failure latency).
+// dialMux dials addr and performs the hello handshake. An element type
+// with no wire codec fails here, before any dial.
 func (p *Pool[E]) dialMux(ctx context.Context, addr string, timeout time.Duration, reg *obs.Registry) (*muxConn[E], error) {
-	cod, _ := codecFor[E]()
+	cod, err := codecFor[E]()
+	if err != nil {
+		return nil, err
+	}
 	dialer := net.Dialer{Timeout: timeout}
 	conn, err := dialer.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -307,13 +267,10 @@ func (p *Pool[E]) dialMux(ctx context.Context, addr string, timeout time.Duratio
 	}()
 	outcome := "error"
 	defer func() {
-		reg.Counter(obs.MetricTransportNegotiations, "v3 protocol negotiations, by outcome (legacy = gob-only peer, fallback engaged).", obs.L("outcome", outcome)).Inc()
+		reg.Counter(obs.MetricTransportNegotiations, "Hello handshakes on freshly dialed connections, by outcome.", obs.L("outcome", outcome)).Inc()
 		kind := flight.KindNegotiateError
-		switch outcome {
-		case "v3":
+		if outcome == "v3" {
 			kind = flight.KindNegotiateV3
-		case "legacy":
-			kind = flight.KindNegotiateLegacy
 		}
 		flight.Default().Publish(kind, addr, 0, 0)
 	}()
@@ -321,19 +278,11 @@ func (p *Pool[E]) dialMux(ctx context.Context, addr string, timeout time.Duratio
 	helloStart := time.Now()
 	if _, err := conn.Write(h[:]); err != nil {
 		_ = conn.Close()
-		if peerClosed(err) {
-			outcome = "legacy"
-			return nil, fmt.Errorf("%w (%v)", errLegacyPeer, err)
-		}
 		return nil, ctxErr(ctx, fmt.Errorf("transport: send to %s: %w", addr, err))
 	}
 	br := bufio.NewReaderSize(conn, wireWriterBuf)
 	if err := readServerHello(br, cod.code); err != nil {
 		_ = conn.Close()
-		if errors.Is(err, errLegacyPeer) {
-			outcome = "legacy"
-			return nil, err
-		}
 		return nil, ctxErr(ctx, fmt.Errorf("transport: negotiate with %s: %w", addr, err))
 	}
 	_ = conn.SetDeadline(time.Time{})
@@ -344,12 +293,12 @@ func (p *Pool[E]) dialMux(ctx context.Context, addr string, timeout time.Duratio
 		cod:     cod,
 		conn:    conn,
 		timeout: timeout,
-		streams: make(map[uint32]chan *wireResponse[E]),
+		streams: make(map[uint32]chan *response[E]),
 		done:    make(chan struct{}),
 	}
 	role := obs.L("role", "client")
 	dev := obs.L("device", addr)
-	m.conns = reg.Gauge(obs.MetricTransportConnsOpen, connsHelp, role, obs.L("proto", "v3"), dev)
+	m.conns = reg.Gauge(obs.MetricTransportConnsOpen, connsHelp, role, dev)
 	m.inflight = reg.Gauge(obs.MetricTransportStreamsInflight, streamsHelp, role, dev)
 	m.hbCounterOK = reg.Counter(obs.MetricTransportHeartbeats, heartbeatHelp, obs.L("outcome", "ok"))
 	m.hbCounterFail = reg.Counter(obs.MetricTransportHeartbeats, heartbeatHelp, obs.L("outcome", "failed"))
@@ -365,7 +314,7 @@ func (p *Pool[E]) dialMux(ctx context.Context, addr string, timeout time.Duratio
 
 const heartbeatHelp = "Piggybacked heartbeat pings on idle multiplexed connections, by outcome."
 
-// muxConn is one live multiplexed v3 connection: many in-flight requests
+// muxConn is one live multiplexed connection: many in-flight requests
 // share it, matched to responses by stream ID.
 type muxConn[E comparable] struct {
 	pool    *Pool[E]
@@ -381,7 +330,7 @@ type muxConn[E comparable] struct {
 	hbCounterFail *obs.Counter
 
 	mu      sync.Mutex
-	streams map[uint32]chan *wireResponse[E]
+	streams map[uint32]chan *response[E]
 	nextID  uint32
 	closed  bool
 
@@ -401,7 +350,7 @@ func (m *muxConn[E]) alive() bool {
 func (m *muxConn[E]) readLoop(br *bufio.Reader) {
 	defer m.wg.Done()
 	for {
-		stream, wr, err := readResponseFrame[E](br, m.cod)
+		stream, r, err := readResponseFrame[E](br, m.cod)
 		if err != nil {
 			m.teardown()
 			return
@@ -412,7 +361,7 @@ func (m *muxConn[E]) readLoop(br *bufio.Reader) {
 		delete(m.streams, stream)
 		m.mu.Unlock()
 		if ch != nil {
-			ch <- wr // buffered; never blocks
+			ch <- r // buffered; never blocks
 		}
 	}
 }
@@ -441,12 +390,12 @@ func (m *muxConn[E]) teardown() {
 
 // do issues one request on its own stream and waits for the matching
 // response, bounded by ctx and timeout.
-func (m *muxConn[E]) do(ctx context.Context, timeout time.Duration, req *request[E]) (resp response[E], sent, recv int64, err error) {
-	ch := make(chan *wireResponse[E], 1)
+func (m *muxConn[E]) do(ctx context.Context, timeout time.Duration, req *request[E]) (resp *response[E], sent, recv int64, err error) {
+	ch := make(chan *response[E], 1)
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		return resp, 0, 0, fmt.Errorf("%w: send to %s", errConnBroken, m.addr)
+		return nil, 0, 0, fmt.Errorf("%w: send to %s", errConnBroken, m.addr)
 	}
 	m.nextID++
 	if m.nextID == 0 {
@@ -466,49 +415,44 @@ func (m *muxConn[E]) do(ctx context.Context, timeout time.Duration, req *request
 	if werr != nil {
 		unregister()
 		m.teardown()
-		return resp, 0, 0, fmt.Errorf("%w: send to %s: %v", errConnBroken, m.addr, werr)
+		return nil, 0, 0, fmt.Errorf("%w: send to %s: %v", errConnBroken, m.addr, werr)
 	}
 	m.lastOut.Store(time.Now().UnixNano())
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
-	case wr := <-ch:
-		resp, err = m.finish(wr)
-		return resp, sent, wr.size, err
+	case r := <-ch:
+		return r, sent, r.size, m.verdict(req.op, r)
 	case <-m.done:
 		// Prefer a response that raced the teardown.
 		select {
-		case wr := <-ch:
-			resp, err = m.finish(wr)
-			return resp, sent, wr.size, err
+		case r := <-ch:
+			return r, sent, r.size, m.verdict(req.op, r)
 		default:
 		}
-		return resp, sent, 0, fmt.Errorf("%w: receive from %s", errConnBroken, m.addr)
+		return nil, sent, 0, fmt.Errorf("%w: receive from %s", errConnBroken, m.addr)
 	case <-ctx.Done():
 		unregister()
-		return resp, sent, 0, ctxErr(ctx, fmt.Errorf("transport: receive from %s: %w", m.addr, ctx.Err()))
+		return nil, sent, 0, ctxErr(ctx, fmt.Errorf("transport: receive from %s: %w", m.addr, ctx.Err()))
 	case <-timer.C:
 		unregister()
-		return resp, sent, 0, fmt.Errorf("transport: receive from %s: %w", m.addr, os.ErrDeadlineExceeded)
+		return nil, sent, 0, fmt.Errorf("transport: receive from %s: %w", m.addr, os.ErrDeadlineExceeded)
 	}
 }
 
-// finish converts a decoded wire response into the internal envelope,
-// preserving the device's re-emitted spans on both outcomes (so failed
-// requests still stitch their server side into the trace).
-func (m *muxConn[E]) finish(wr *wireResponse[E]) (response[E], error) {
-	if wr.errMsg != "" {
-		return response[E]{Spans: wr.spans}, fmt.Errorf("%w: %s: %s", ErrRemote, m.addr, wr.errMsg)
+// verdict turns a decoded response into the request's error: the device's
+// own failure as ErrRemote, or a protocol error when the device answered a
+// different op than it was asked (the callers index resp.y / resp.m by the
+// op they sent). The response travels with either error so a failed traced
+// request still stitches its server side into the trace.
+func (m *muxConn[E]) verdict(op byte, r *response[E]) error {
+	if r.err != "" {
+		return fmt.Errorf("%w: %s: %s", ErrRemote, m.addr, r.err)
 	}
-	resp := response[E]{V: FrameV2, Spans: wr.spans, Y: wr.y, yMat: wr.yMat}
-	if wr.yMat != nil {
-		rows := make([][]E, wr.yMat.Rows())
-		for i := range rows {
-			rows[i] = wr.yMat.RowView(i)
-		}
-		resp.YMat = rows
+	if r.op != op|opResponseBit {
+		return fmt.Errorf("transport: %s answered op %#x to a %s request", m.addr, r.op, opToKind(op))
 	}
-	return resp, nil
+	return nil
 }
 
 // heartbeatLoop pings the device whenever the connection has been idle
@@ -535,7 +479,7 @@ func (m *muxConn[E]) heartbeatLoop(every time.Duration) {
 			if time.Since(time.Unix(0, last)) < every {
 				continue
 			}
-			req := request[E]{V: FrameV2, Kind: kindPing}
+			req := request[E]{op: opPing}
 			sentAt := time.Now()
 			_, _, _, err := m.do(context.Background(), m.timeout, &req)
 			if err != nil {
@@ -552,127 +496,25 @@ func (m *muxConn[E]) heartbeatLoop(every time.Duration) {
 // startClientSpan opens the rpc.client span when the caller is tracing,
 // injecting its traceparent into the request. The returned finish must be
 // called exactly once with the outcome; it adopts the device's re-emitted
-// spans into this trace.
-func startClientSpan[E comparable](ctx context.Context, addr string, req *request[E]) (context.Context, func(response[E], error)) {
+// spans (resp may be nil) into this trace.
+func startClientSpan[E comparable](ctx context.Context, addr, kind string, req *request[E]) (context.Context, func(*response[E], error)) {
 	parent := trace.SpanFromContext(ctx)
 	if parent == nil {
-		return ctx, func(response[E], error) {}
+		return ctx, func(*response[E], error) {}
 	}
 	tracer := parent.Tracer()
 	ctx, rsp := tracer.StartSpan(ctx, trace.SpanRPCClient,
-		trace.A(trace.AttrKind, req.Kind), trace.A(trace.AttrDevice, addr))
-	req.Traceparent = rsp.Traceparent()
-	return ctx, func(resp response[E], err error) {
+		trace.A(trace.AttrKind, kind), trace.A(trace.AttrDevice, addr))
+	req.tp = rsp.Traceparent()
+	return ctx, func(resp *response[E], err error) {
 		if err != nil {
 			rsp.SetError(err)
 		}
 		rsp.End()
-		for _, sd := range resp.Spans {
-			tracer.Record(sd)
-		}
-	}
-}
-
-// gobConn is one pooled legacy connection with its persistent gob codec
-// state (the stream's type descriptors transmit once per connection, not
-// once per request).
-type gobConn struct {
-	conn net.Conn
-	cc   *countingConn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-}
-
-func (g *gobConn) close() { _ = g.conn.Close() }
-
-// getGob returns an idle pooled legacy connection or dials a new one.
-func (p *Pool[E]) getGob(ctx context.Context, addr string, timeout time.Duration) (g *gobConn, fromPool bool, err error) {
-	e := p.entry(addr)
-	e.mu.Lock()
-	if n := len(e.free); n > 0 {
-		g = e.free[n-1]
-		e.free = e.free[:n-1]
-		e.mu.Unlock()
-		return g, true, nil
-	}
-	e.mu.Unlock()
-	dialer := net.Dialer{Timeout: timeout}
-	conn, err := dialer.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, false, ctxErr(ctx, fmt.Errorf("transport: dial %s: %w", addr, err))
-	}
-	tuneConn(conn)
-	cc := &countingConn{Conn: conn}
-	return &gobConn{conn: conn, cc: cc, enc: gob.NewEncoder(cc), dec: gob.NewDecoder(cc)}, false, nil
-}
-
-// putGob returns a healthy connection to the freelist.
-func (p *Pool[E]) putGob(addr string, g *gobConn) {
-	e := p.entry(addr)
-	e.mu.Lock()
-	if len(e.free) < maxIdleGobConns {
-		e.free = append(e.free, g)
-		g = nil
-	}
-	e.mu.Unlock()
-	if g != nil {
-		g.close()
-	}
-}
-
-// gobExchange performs one legacy round trip over a pooled connection. A
-// transport failure on a reused connection (the server may have cut it
-// while idle) retries once on a freshly dialed one.
-func (p *Pool[E]) gobExchange(ctx context.Context, addr string, timeout time.Duration, req *request[E]) (resp response[E], sent, recv int64, err error) {
-	for attempt := 0; attempt < 2; attempt++ {
-		g, fromPool, derr := p.getGob(ctx, addr, timeout)
-		if derr != nil {
-			return resp, sent, recv, derr
-		}
-		var r response[E]
-		s, rc, xerr := gobDo(ctx, g, addr, timeout, req, &r)
-		sent, recv = sent+s, recv+rc
-		if xerr == nil {
-			p.putGob(addr, g)
-			if r.Err != "" {
-				return response[E]{Spans: r.Spans}, sent, recv, fmt.Errorf("%w: %s: %s", ErrRemote, addr, r.Err)
+		if resp != nil {
+			for _, sd := range resp.spans {
+				tracer.Record(sd)
 			}
-			return r, sent, recv, nil
 		}
-		g.close()
-		if fromPool && attempt == 0 && ctx.Err() == nil {
-			continue // stale pooled connection: retry on a fresh dial
-		}
-		return resp, sent, recv, xerr
 	}
-	return resp, sent, recv, err // unreachable
-}
-
-// gobDo runs one request/response exchange on g with the deadline and
-// cancellation semantics of the one-shot roundTrip.
-func gobDo[E comparable](ctx context.Context, g *gobConn, addr string, timeout time.Duration, req *request[E], resp *response[E]) (sent, recv int64, err error) {
-	r0, w0 := g.cc.read, g.cc.written
-	deadline := time.Now().Add(timeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	if err := g.conn.SetDeadline(deadline); err != nil {
-		return 0, 0, fmt.Errorf("transport: deadline %s: %w", addr, err)
-	}
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			_ = g.conn.SetDeadline(time.Now())
-		case <-watchDone:
-		}
-	}()
-	if err := g.enc.Encode(req); err != nil {
-		return g.cc.written - w0, g.cc.read - r0, ctxErr(ctx, fmt.Errorf("transport: send to %s: %w", addr, err))
-	}
-	if err := g.dec.Decode(resp); err != nil {
-		return g.cc.written - w0, g.cc.read - r0, ctxErr(ctx, fmt.Errorf("transport: receive from %s: %w", addr, err))
-	}
-	return g.cc.written - w0, g.cc.read - r0, nil
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"github.com/scec/scec/internal/field"
+	"github.com/scec/scec/internal/matrix"
 	"github.com/scec/scec/internal/obs"
 )
 
@@ -24,9 +26,13 @@ func TestMuxManyStreamsOneConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	storeBlock(t, srv.Addr(), []uint64{2, 3})
+	// The store rides the same pool, so it shares the one connection too.
+	pool := NewPool[uint64]()
+	if err := (Cloud[uint64]{Timeout: 5 * time.Second, Pool: pool}).Store(t.Context(), srv.Addr(), matrix.FromSlice(1, 2, []uint64{2, 3})); err != nil {
+		t.Fatal(err)
+	}
 
-	client := Client[uint64]{F: f, Timeout: 5 * time.Second, Pool: NewPool[uint64]()}
+	client := Client[uint64]{F: f, Timeout: 5 * time.Second, Pool: pool}
 	const parallel = 64
 	var wg sync.WaitGroup
 	errs := make([]error, parallel)
@@ -47,11 +53,11 @@ func TestMuxManyStreamsOneConnection(t *testing.T) {
 			t.Fatalf("stream %d: %v", i, err)
 		}
 	}
-	if got := srv.connsV3.Value(); got != 1 {
-		t.Fatalf("server v3 connections = %v, want 1 (all streams share one)", got)
+	if got := srv.connsOpen.Value(); got != 1 {
+		t.Fatalf("server connections = %v, want 1 (all streams share one)", got)
 	}
-	if d := client.ConnDebug(srv.Addr()); d.Proto != "v3" {
-		t.Fatalf("pool debug = %+v, want live v3 connection", d)
+	if d := client.ConnDebug(srv.Addr()); d.LastContact.IsZero() {
+		t.Fatalf("pool debug = %+v, want a live connection", d)
 	}
 	if got := srv.Stats().Computes; got != parallel {
 		t.Fatalf("server computes = %d, want %d", got, parallel)
@@ -183,5 +189,92 @@ func TestSharedPoolIsPerElementType(t *testing.T) {
 	}
 	if any(SharedPool[uint64]()) == any(SharedPool[float64]()) {
 		t.Fatal("pools for distinct element types must be distinct")
+	}
+}
+
+// TestPoolAccessorsDoNotMintEntries: the fleet prober and /debug/fleet ask
+// LastContact / LastRTT / Debug about standbys and quarantined devices that
+// were never dialed; asking must not grow the pool, and a dialed address
+// must still report.
+func TestPoolAccessorsDoNotMintEntries(t *testing.T) {
+	pool := NewPool[uint64]()
+	for i := 0; i < 100; i++ {
+		addr := fmt.Sprintf("127.0.0.1:%d", 40000+i)
+		if _, ok := pool.LastContact(addr); ok {
+			t.Fatalf("LastContact(%s) reported contact with a never-dialed address", addr)
+		}
+		if _, ok := pool.LastRTT(addr); ok {
+			t.Fatalf("LastRTT(%s) reported an RTT for a never-dialed address", addr)
+		}
+		if d := pool.Debug(addr); d != (ConnDebug{}) {
+			t.Fatalf("Debug(%s) = %+v, want zero", addr, d)
+		}
+	}
+	if n := len(pool.entries); n != 0 {
+		t.Fatalf("read-only accessors minted %d pool entries, want 0", n)
+	}
+
+	srv, err := NewDeviceServer[uint64](field.Prime{}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client := Client[uint64]{F: field.Prime{}, Timeout: 2 * time.Second, Pool: pool}
+	if err := client.Ping(t.Context(), srv.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := pool.LastContact(srv.Addr()); !ok {
+		t.Fatal("no LastContact for a dialed address")
+	}
+	if rtt, ok := pool.LastRTT(srv.Addr()); !ok || rtt <= 0 {
+		t.Fatalf("LastRTT for a dialed address = %v, %v", rtt, ok)
+	}
+	if d := pool.Debug(srv.Addr()); d.LastContact.IsZero() || d.RTT <= 0 {
+		t.Fatalf("Debug for a dialed address = %+v", d)
+	}
+	if n := len(pool.entries); n != 1 {
+		t.Fatalf("pool holds %d entries after one dial, want 1", n)
+	}
+}
+
+// noCodec is a comparable element type the wire format cannot carry.
+type noCodec struct{ v int32 }
+
+// TestNoWireCodecFailsFast: an element type with no wire codec is refused
+// by the server constructor and by every client and cloud call, with the
+// same message and before any dial (the target address refuses connections,
+// so a dial would surface a different error).
+func TestNoWireCodecFailsFast(t *testing.T) {
+	const addr = "127.0.0.1:1"
+	const want = "transport: element type transport.noCodec has no wire codec"
+	client := Client[noCodec]{Timeout: time.Second, Pool: NewPool[noCodec]()}
+	cloud := Cloud[noCodec]{Timeout: time.Second, Pool: NewPool[noCodec]()}
+	x := matrix.FromSlice(1, 1, []noCodec{{1}})
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"server", func() error {
+			srv, err := NewDeviceServerOptions[noCodec](nil, "127.0.0.1:0", Options{})
+			if err == nil {
+				_ = srv.Close()
+			}
+			return err
+		}},
+		{"ping", func() error { return client.Ping(t.Context(), addr) }},
+		{"compute", func() error { _, err := client.Compute(t.Context(), addr, []noCodec{{1}}); return err }},
+		{"compute-batch", func() error { _, err := client.ComputeBatch(t.Context(), addr, x); return err }},
+		{"store", func() error { return cloud.Store(t.Context(), addr, x) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			start := time.Now()
+			err := tc.call()
+			if err == nil || err.Error() != want {
+				t.Fatalf("err = %v, want %q", err, want)
+			}
+			if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
+				t.Fatalf("codec error took %v, want immediate", elapsed)
+			}
+		})
 	}
 }

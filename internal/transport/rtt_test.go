@@ -48,7 +48,7 @@ func TestLastRTTMeasured(t *testing.T) {
 	if dbg.RTT != rtt2 {
 		t.Fatalf("ConnDebug.RTT = %v, LastRTT = %v; must agree", dbg.RTT, rtt2)
 	}
-	if dbg.Proto != "v3" {
-		t.Fatalf("proto = %q, want v3", dbg.Proto)
+	if dbg.LastContact.IsZero() {
+		t.Fatal("ConnDebug reports no contact on a live connection")
 	}
 }

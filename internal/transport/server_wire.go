@@ -19,35 +19,48 @@ import (
 // Metric help strings shared by both roles.
 const (
 	flushHelp   = "Frames pushed to the socket per write-batcher flush syscall, by role."
-	connsHelp   = "Open transport connections, by role, wire protocol, and device."
-	streamsHelp = "v3 streams currently awaiting a response, by role and device."
+	connsHelp   = "Open transport connections, by role and device."
+	streamsHelp = "Streams currently awaiting a response, by role and device."
 )
 
-// serveV3 answers binary-protocol frames on one persistent connection:
-// it completes the hello handshake, then reads request frames and
-// dispatches each to its own goroutine, so slow computes do not block the
-// stream — responses multiplex back through the shared write batcher in
-// completion order, matched by stream ID.
-func (s *DeviceServer[E]) serveV3(conn net.Conn, cc *countingConn, br *bufio.Reader) {
+// handleConn serves one accepted connection: it completes the hello
+// handshake, then reads request frames and dispatches each to its own
+// goroutine, so slow computes do not block the stream — responses
+// multiplex back through the shared write batcher in completion order,
+// matched by stream ID. A connection that does not open with a valid hello
+// within the timeout (an idle peer, garbage, another protocol or wire
+// version) is counted kind="malformed" and closed.
+func (s *DeviceServer[E]) handleConn(conn net.Conn) {
+	defer conn.Close()
+	tuneConn(conn)
+	if !s.trackConn(conn) {
+		return
+	}
+	defer s.untrackConn(conn)
+	start := time.Now()
+	cc := &countingConn{Conn: conn}
+	br := bufio.NewReaderSize(cc, wireWriterBuf)
+	if err := conn.SetReadDeadline(time.Now().Add(s.timeout)); err != nil {
+		return
+	}
 	code, err := readClientHello(br)
 	if err != nil {
-		recordServer(s.metrics, "malformed", 0, cc.read, cc.written, true)
+		recordServer(s.metrics, "malformed", time.Since(start), cc.read, cc.written, true)
 		return
 	}
-	cod, ok := codecFor[E]()
 	_ = conn.SetWriteDeadline(time.Now().Add(s.timeout))
-	if !ok || code != cod.code {
-		h := serverHello(cod.code, helloRejectElem)
+	if code != s.cod.code {
+		h := serverHello(s.cod.code, helloRejectElem)
 		_, _ = conn.Write(h[:])
-		recordServer(s.metrics, "malformed", 0, cc.read, cc.written, true)
+		recordServer(s.metrics, "malformed", time.Since(start), cc.read, cc.written, true)
 		return
 	}
-	h := serverHello(cod.code, helloOK)
+	h := serverHello(s.cod.code, helloOK)
 	if _, err := conn.Write(h[:]); err != nil {
 		return
 	}
-	s.connsV3.Add(1)
-	defer s.connsV3.Add(-1)
+	s.connsOpen.Add(1)
+	defer s.connsOpen.Add(-1)
 	w := newWireWriter(conn, s.timeout, s.flushHist)
 	defer w.close()
 	var handlers sync.WaitGroup
@@ -61,7 +74,7 @@ func (s *DeviceServer[E]) serveV3(conn net.Conn, cc *countingConn, br *bufio.Rea
 			return
 		default:
 		}
-		req, err := readRequestFrame[E](br, cod, s.maxElements)
+		req, err := readRequestFrame[E](br, s.cod, s.maxElements)
 		if err != nil {
 			var ne net.Error
 			if !errors.Is(err, io.EOF) && !(errors.As(err, &ne) && ne.Timeout()) && !peerClosed(err) {
@@ -75,47 +88,42 @@ func (s *DeviceServer[E]) serveV3(conn net.Conn, cc *countingConn, br *bufio.Rea
 		go func() {
 			defer handlers.Done()
 			defer s.streamsOpen.Add(-1)
-			s.handleWire(w, cod, req)
+			s.handleWire(w, req)
 		}()
 	}
 }
 
-// handleWire serves one decoded v3 request frame end to end.
-func (s *DeviceServer[E]) handleWire(w *wireWriter, cod elemCodec, req *wireRequest[E]) {
+// handleWire serves one decoded request frame end to end.
+func (s *DeviceServer[E]) handleWire(w *wireWriter, req *request[E]) {
 	start := time.Now()
 	kind := opToKind(req.op)
 	ctx, bag, sp := s.startServerSpan(kind, req.tp)
-	var (
-		errMsg string
-		y      []E
-		yMat   *matrix.Dense[E]
-	)
+	var resp response[E]
 	switch {
 	case req.capErr != "":
-		errMsg = req.capErr
+		resp.err = req.capErr
 	case req.op == opPing:
 	case req.op == opStore:
-		if req.block.Rows() == 0 {
-			errMsg = "store: empty coded block"
+		if req.m.Rows() == 0 {
+			resp.err = "store: empty coded block"
 		} else {
-			s.installBlock(req.block)
+			s.installBlock(req.m)
 		}
 	case req.op == opCompute:
-		y, errMsg = s.mulVec(ctx, bag, req.x)
+		resp.y, resp.err = s.mulVec(ctx, bag, req.x)
 	case req.op == opComputeBatch:
-		yMat, errMsg = s.mulMat(ctx, bag, req.xmat)
+		resp.m, resp.err = s.mulMat(ctx, bag, req.m)
 	}
-	errored := errMsg != ""
-	var spans []byte
+	errored := resp.err != ""
 	if sp != nil {
 		if errored {
-			sp.SetError(errors.New(errMsg))
+			sp.SetError(errors.New(resp.err))
 		}
 		sp.End()
 		bag.add(sp)
-		spans = encodeSpans(bag.spans)
+		resp.spans = bag.spans
 	}
-	written, _ := writeResponseFrame(w, cod, req.stream, req.op, errMsg, y, yMat, spans)
+	written, _ := writeResponseFrame(w, s.cod, req.stream, req.op, &resp)
 	recordServer(s.metrics, kind, time.Since(start), req.size, written, errored)
 }
 
@@ -128,15 +136,16 @@ func (s *DeviceServer[E]) handleWire(w *wireWriter, cod elemCodec, req *wireRequ
 //	| u32 spansLen | gob([]trace.SpanData)
 //
 // and returns the frame's full wire size.
-func writeResponseFrame[E comparable](w *wireWriter, cod elemCodec, stream uint32, op byte, errMsg string, y []E, yMat *matrix.Dense[E], spans []byte) (int64, error) {
+func writeResponseFrame[E comparable](w *wireWriter, cod elemCodec, stream uint32, op byte, resp *response[E]) (int64, error) {
+	spans := encodeSpans(resp.spans)
 	payload := 1 + 4 + len(spans) // status byte + spans trailer
 	switch {
-	case errMsg != "":
-		payload += 4 + len(errMsg)
+	case resp.err != "":
+		payload += 4 + len(resp.err)
 	case op == opCompute:
-		payload += 4 + len(y)*cod.size
+		payload += 4 + len(resp.y)*cod.size
 	case op == opComputeBatch:
-		payload += 8 + yMat.Rows()*yMat.Cols()*cod.size
+		payload += 8 + resp.m.Rows()*resp.m.Cols()*cod.size
 	}
 	size := int64(frameOverhead + payload)
 	err := w.writeFrame(func(bw *bufio.Writer) error {
@@ -144,7 +153,7 @@ func writeResponseFrame[E comparable](w *wireWriter, cod elemCodec, stream uint3
 		binary.LittleEndian.PutUint32(hdr[0:4], uint32(5+payload))
 		binary.LittleEndian.PutUint32(hdr[4:8], stream)
 		hdr[8] = op | opResponseBit
-		if errMsg != "" {
+		if resp.err != "" {
 			hdr[9] = 1
 		}
 		if _, err := bw.Write(hdr[:]); err != nil {
@@ -152,29 +161,29 @@ func writeResponseFrame[E comparable](w *wireWriter, cod elemCodec, stream uint3
 		}
 		var u [8]byte
 		switch {
-		case errMsg != "":
-			binary.LittleEndian.PutUint32(u[:4], uint32(len(errMsg)))
+		case resp.err != "":
+			binary.LittleEndian.PutUint32(u[:4], uint32(len(resp.err)))
 			if _, err := bw.Write(u[:4]); err != nil {
 				return err
 			}
-			if _, err := bw.WriteString(errMsg); err != nil {
+			if _, err := bw.WriteString(resp.err); err != nil {
 				return err
 			}
 		case op == opCompute:
-			binary.LittleEndian.PutUint32(u[:4], uint32(len(y)))
+			binary.LittleEndian.PutUint32(u[:4], uint32(len(resp.y)))
 			if _, err := bw.Write(u[:4]); err != nil {
 				return err
 			}
-			if _, err := bw.Write(elemWireBytes(y, cod.size)); err != nil {
+			if _, err := bw.Write(elemWireBytes(resp.y, cod.size)); err != nil {
 				return err
 			}
 		case op == opComputeBatch:
-			binary.LittleEndian.PutUint32(u[:4], uint32(yMat.Rows()))
-			binary.LittleEndian.PutUint32(u[4:8], uint32(yMat.Cols()))
+			binary.LittleEndian.PutUint32(u[:4], uint32(resp.m.Rows()))
+			binary.LittleEndian.PutUint32(u[4:8], uint32(resp.m.Cols()))
 			if _, err := bw.Write(u[:8]); err != nil {
 				return err
 			}
-			slab := yMat.RowsView(0, yMat.Rows())
+			slab := resp.m.RowsView(0, resp.m.Rows())
 			if _, err := bw.Write(elemWireBytes(slab, cod.size)); err != nil {
 				return err
 			}
@@ -220,11 +229,6 @@ func decodeSpans(b []byte) []trace.SpanData {
 // traceparent prefix, then the op-specific dimensions and the raw
 // little-endian element slab) and returns its full wire size.
 func writeRequestFrame[E comparable](w *wireWriter, cod elemCodec, stream uint32, req *request[E]) (int64, error) {
-	if _, ok := kindToOp(req.Kind); !ok {
-		// Reject before writeFrame: a sticky writer error would poison the
-		// shared connection for an error that wrote no bytes.
-		return 0, fmt.Errorf("transport: kind %q has no v3 encoding", req.Kind)
-	}
 	var size int64
 	err := w.writeFrame(func(bw *bufio.Writer) error {
 		var ferr error
@@ -241,11 +245,7 @@ func writeRequestFrame[E comparable](w *wireWriter, cod elemCodec, stream uint32
 // on-wire size. Split from writeRequestFrame so the bench harness can
 // measure pure encode cost against an in-memory buffer.
 func encodeRequestFrame[E comparable](bw *bufio.Writer, cod elemCodec, stream uint32, req *request[E]) (int64, error) {
-	op, ok := kindToOp(req.Kind)
-	if !ok {
-		return 0, fmt.Errorf("transport: kind %q has no v3 encoding", req.Kind)
-	}
-	tp := req.Traceparent
+	op, tp := req.op, req.tp
 	if len(tp) > 255 {
 		tp = "" // cannot happen with W3C traceparents; degrade to untraced
 	}
@@ -253,21 +253,10 @@ func encodeRequestFrame[E comparable](bw *bufio.Writer, cod elemCodec, stream ui
 	var rows, cols int
 	switch op {
 	case opCompute:
-		vec = req.X
-	case opStore:
-		m := req.blockM
-		if m == nil {
-			m = matrix.FromRows(req.Block)
-		}
-		rows, cols = m.Rows(), m.Cols()
-		slab = m.RowsView(0, rows)
-	case opComputeBatch:
-		m := req.xmatM
-		if m == nil {
-			m = matrix.FromRows(req.XMat)
-		}
-		rows, cols = m.Rows(), m.Cols()
-		slab = m.RowsView(0, rows)
+		vec = req.x
+	case opStore, opComputeBatch:
+		rows, cols = req.m.Rows(), req.m.Cols()
+		slab = req.m.RowsView(0, rows)
 	}
 	payload := 1 + len(tp)
 	switch op {
@@ -313,19 +302,9 @@ func encodeRequestFrame[E comparable](bw *bufio.Writer, cod elemCodec, stream ui
 	return size, nil
 }
 
-// wireResponse is one decoded v3 response frame on the client side.
-type wireResponse[E comparable] struct {
-	op     byte
-	errMsg string
-	y      []E
-	yMat   *matrix.Dense[E]
-	spans  []trace.SpanData
-	size   int64
-}
-
 // readResponseFrame decodes one response frame, returning its stream ID
 // for mux dispatch.
-func readResponseFrame[E comparable](br *bufio.Reader, cod elemCodec) (uint32, *wireResponse[E], error) {
+func readResponseFrame[E comparable](br *bufio.Reader, cod elemCodec) (uint32, *response[E], error) {
 	var hdr [frameOverhead]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return 0, nil, err
@@ -335,7 +314,7 @@ func readResponseFrame[E comparable](br *bufio.Reader, cod elemCodec) (uint32, *
 		return 0, nil, fmt.Errorf("transport: bad response frame length %d", length)
 	}
 	stream := binary.LittleEndian.Uint32(hdr[4:8])
-	wr := &wireResponse[E]{op: hdr[8], size: int64(4 + length)}
+	wr := &response[E]{op: hdr[8], size: int64(4 + length)}
 	if wr.op&opResponseBit == 0 {
 		return 0, nil, fmt.Errorf("transport: request op %#x in response frame", wr.op)
 	}
@@ -369,9 +348,9 @@ func readResponseFrame[E comparable](br *bufio.Reader, cod elemCodec) (uint32, *
 			return 0, nil, err
 		}
 		body -= n
-		wr.errMsg = string(msg)
-		if wr.errMsg == "" {
-			wr.errMsg = "unspecified remote error"
+		wr.err = string(msg)
+		if wr.err == "" {
+			wr.err = "unspecified remote error"
 		}
 	} else {
 		switch wr.op &^ opResponseBit {
@@ -410,7 +389,7 @@ func readResponseFrame[E comparable](br *bufio.Reader, cod elemCodec) (uint32, *
 				return 0, nil, err
 			}
 			body -= int(total) * cod.size
-			wr.yMat = matrix.FromSlice(rows, cols, data)
+			wr.m = matrix.FromSlice(rows, cols, data)
 		default:
 			return 0, nil, fmt.Errorf("transport: unknown response op %#x", wr.op)
 		}

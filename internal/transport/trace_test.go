@@ -2,136 +2,23 @@ package transport
 
 import (
 	"context"
-	"encoding/gob"
-	"net"
 	"testing"
 	"time"
 
 	"github.com/scec/scec/internal/field"
+	"github.com/scec/scec/internal/matrix"
 	"github.com/scec/scec/internal/obs/trace"
 )
 
-// legacyRequest/legacyResponse mirror the FrameV1 wire layout: the envelope
-// before the version byte and trace fields existed. gob matches fields by
-// name, so exchanging these against current peers reproduces a mixed-version
-// fleet exactly.
-type legacyRequest[E comparable] struct {
-	Kind  string
-	Block [][]E
-	X     []E
-	XMat  [][]E
-}
-
-type legacyResponse[E comparable] struct {
-	Err  string
-	Y    []E
-	YMat [][]E
-}
-
-// storeBlock installs a 1×len(x) coded block so compute requests succeed.
+// storeBlock installs a 1×len(row) coded block so compute requests succeed.
 func storeBlock(t *testing.T, addr string, row []uint64) {
 	t.Helper()
-	resp, err := roundTrip(context.Background(), addr, time.Second, nil,
-		request[uint64]{Kind: kindStore, Block: [][]uint64{row}})
-	if err != nil || resp.Err != "" {
-		t.Fatalf("store: %v %q", err, resp.Err)
+	if err := (Cloud[uint64]{Timeout: time.Second}).Store(context.Background(), addr, matrix.FromSlice(1, len(row), row)); err != nil {
+		t.Fatalf("store: %v", err)
 	}
 }
 
-// TestLegacyClientAgainstTracedServer sends a FrameV1 request (no version
-// byte, no traceparent) to a tracer-enabled server: the device must answer
-// correctly, emit no server span, and attach no spans to the response.
-func TestLegacyClientAgainstTracedServer(t *testing.T) {
-	f := field.Prime{}
-	tr := trace.New(trace.Options{Service: "device"})
-	srv, err := NewDeviceServerOptions[uint64](f, "127.0.0.1:0", Options{Tracer: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	storeBlock(t, srv.Addr(), []uint64{2, 3})
-
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
-	if err := gob.NewEncoder(conn).Encode(legacyRequest[uint64]{Kind: kindCompute, X: []uint64{5, 7}}); err != nil {
-		t.Fatal(err)
-	}
-	var resp legacyResponse[uint64]
-	if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err != "" {
-		t.Fatalf("remote error: %s", resp.Err)
-	}
-	if want := uint64(2*5 + 3*7); len(resp.Y) != 1 || resp.Y[0] != want {
-		t.Fatalf("got %v, want [%d]", resp.Y, want)
-	}
-	if spans := tr.Snapshot(); len(spans) != 0 {
-		t.Fatalf("untraced V1 request produced %d server spans", len(spans))
-	}
-}
-
-// TestTracedClientAgainstLegacyServer runs the current traced client against
-// a server speaking the FrameV1 layout: the query must succeed and the
-// client's trace must contain its rpc.client span but no adopted device
-// spans.
-func TestTracedClientAgainstLegacyServer(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				// A legacy decoder ignores the stream's V and Traceparent
-				// fields — gob drops fields the receiver's struct lacks.
-				var req legacyRequest[uint64]
-				if err := gob.NewDecoder(conn).Decode(&req); err != nil {
-					return
-				}
-				resp := legacyResponse[uint64]{}
-				if req.Kind == kindCompute {
-					resp.Y = []uint64{41}
-				}
-				_ = gob.NewEncoder(conn).Encode(resp)
-			}()
-		}
-	}()
-
-	tr := trace.New(trace.Options{Service: "user"})
-	ctx, root := tr.StartRoot(context.Background(), "query")
-	y, err := (Client[uint64]{F: field.Prime{}, Timeout: 2 * time.Second}).Compute(ctx, ln.Addr().String(), []uint64{1})
-	root.End()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(y) != 1 || y[0] != 41 {
-		t.Fatalf("got %v, want [41]", y)
-	}
-	names := map[string]int{}
-	for _, sd := range tr.Snapshot() {
-		names[sd.Name]++
-	}
-	if names[trace.SpanRPCClient] != 1 {
-		t.Fatalf("rpc.client spans = %d, want 1 (spans: %v)", names[trace.SpanRPCClient], names)
-	}
-	if names[trace.SpanRPCServer] != 0 || names[trace.SpanDeviceCompute] != 0 {
-		t.Fatalf("legacy server leaked device spans: %v", names)
-	}
-}
-
-// TestTracedRoundTripStitchesDeviceSpans is the both-sides-current case: the
-// device's rpc.server and device.compute spans come back in the response
+// TestTracedRoundTripStitchesDeviceSpans: the device's rpc.server and device.compute spans come back in the response
 // frame and land in the client tracer under the same trace ID with correct
 // parentage.
 func TestTracedRoundTripStitchesDeviceSpans(t *testing.T) {
@@ -187,8 +74,8 @@ func TestTracedRoundTripStitchesDeviceSpans(t *testing.T) {
 }
 
 // TestUntracedClientCurrentServer pins the no-tracer fast path: neither side
-// records anything and the exchange still works (V2 frames, empty trace
-// fields).
+// records anything and the exchange still works (empty traceparent, empty
+// spans trailer).
 func TestUntracedClientCurrentServer(t *testing.T) {
 	f := field.Prime{}
 	srv, err := NewDeviceServer[uint64](f, "127.0.0.1:0")

@@ -1,6 +1,5 @@
-// Package transport runs the SCEC protocol over real TCP connections using
-// encoding/gob framing. It implements the three roles of the paper's system
-// model (§II-A):
+// Package transport runs the SCEC protocol over real TCP connections. It
+// implements the three roles of the paper's system model (§II-A):
 //
 //   - the cloud pre-processes A (package coding) and pushes each device's
 //     coded block B_j·T to it (Store),
@@ -10,30 +9,21 @@
 //     gathers the intermediate results in device order, and decodes Ax with
 //     m subtractions.
 //
-// The package speaks two wire protocols and is generic over the field
-// element type:
-//
-//   - v3 (default): one persistent connection per device multiplexes many
-//     in-flight requests as length-prefixed binary frames with stream IDs;
-//     field-element slabs travel as raw little-endian bytes (zero copy on
-//     little-endian hosts), small writes batch through a group-commit
-//     flusher, and idle connections carry piggybacked heartbeats that the
-//     fleet runtime reads instead of dialing separate pings.
-//   - gob (legacy): one request per exchange in an encoding/gob envelope
-//     (FrameV1/FrameV2), kept for mixed fleets and debuggability.
-//
-// Clients negotiate on connect (see wire.go) and fall back to gob
-// transparently, and servers accept both, so mixed-version fleets keep
-// working in both directions.
+// The package speaks one wire protocol (v3, see wire.go) and is generic
+// over the field element type: one persistent connection per device
+// multiplexes many in-flight requests as length-prefixed binary frames with
+// stream IDs; field-element slabs travel as raw little-endian bytes (zero
+// copy on little-endian hosts), small writes batch through a group-commit
+// flusher, and idle connections carry piggybacked heartbeats that the fleet
+// runtime reads instead of dialing separate pings. A connection opens with
+// a 12-byte versioned hello in each direction; a peer that does not answer
+// it is a dial error like any other.
 package transport
 
 import (
-	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -45,79 +35,52 @@ import (
 	"github.com/scec/scec/internal/obs/trace"
 )
 
-// Message kinds.
-const (
-	kindStore        = "store"
-	kindCompute      = "compute"
-	kindComputeBatch = "compute-batch"
-	kindPing         = "ping"
-)
-
-// Frame versions. The version rides inside the gob envelope, so mixed
-// fleets interoperate in both directions: gob ignores stream fields the
-// receiver's struct lacks (an old server skips V/Traceparent) and
-// zero-fills struct fields the stream lacks (a new server reads V==0 from
-// an old client and treats it as FrameV1).
-const (
-	// FrameV1 is the pre-tracing frame layout (requests carry no version
-	// field at all; it decodes as 0 and is normalized to 1).
-	FrameV1 byte = 1
-	// FrameV2 adds trace propagation: requests may carry a W3C-style
-	// traceparent, and responses to traced V2 requests carry the device's
-	// server-side spans so the client can stitch one end-to-end trace.
-	FrameV2 byte = 2
-)
-
 // DefaultTimeout bounds every network round trip.
 const DefaultTimeout = 10 * time.Second
 
 // ErrRemote wraps an error string reported by the peer.
 var ErrRemote = errors.New("transport: remote error")
 
-// request is the single envelope both roles send to a device.
+// request is the protocol's one request envelope: what a client hands the
+// frame encoder and what the device's frame decoder yields.
 type request[E comparable] struct {
-	// V is the frame version (FrameV2 for current clients; absent — hence
-	// zero — on frames from pre-versioning clients).
-	V byte
-	// Kind selects the operation: kindStore, kindCompute, or kindPing.
-	Kind string
-	// Traceparent carries the caller's span context in the W3C header
-	// shape when the request is part of a trace (FrameV2+); empty
-	// otherwise.
-	Traceparent string
-	// Block carries the coded rows for a store request.
-	Block [][]E
-	// X carries the input vector for a compute request.
-	X []E
-	// XMat carries the input matrix (rows) for a batch compute request.
-	XMat [][]E
+	// op selects the operation (opPing, opStore, opCompute, opComputeBatch).
+	op byte
+	// tp carries the caller's span context in the W3C traceparent shape
+	// when the request is part of a trace; empty otherwise.
+	tp string
+	// x is the input vector of a compute request.
+	x []E
+	// m is the coded block of a store request or the input matrix X of a
+	// batch compute; its backing slab goes on the wire uncopied.
+	m *matrix.Dense[E]
 
-	// blockM/xmatM are the contiguous zero-copy forms of Block/XMat for
-	// the v3 binary protocol. Unexported, so gob never sees them; when
-	// set, the v3 encoder writes the backing slab directly instead of
-	// walking row slices.
-	blockM *matrix.Dense[E]
-	xmatM  *matrix.Dense[E]
+	// The remaining fields are filled by the device-side decoder only.
+	stream uint32
+	// capErr carries a request-level validation failure detected during
+	// decode (an element count over the device cap): the payload was
+	// drained, the connection stays healthy, and the server answers this
+	// error string instead of dispatching.
+	capErr string
+	// size is the full on-wire frame size in bytes, for byte accounting.
+	size int64
 }
 
-// response is the device's answer.
+// response is the device's answer: y for a compute, m for a batch compute,
+// neither for ping and store.
 type response[E comparable] struct {
-	// V is the frame version the device answered with.
-	V byte
-	// Err is non-empty when the request failed remotely.
-	Err string
-	// Spans carries the device's finished server-side spans for a traced
-	// request (FrameV2+), re-emitted into the caller's trace so one user
-	// query assembles into a single cross-process waterfall.
-	Spans []trace.SpanData
-	// Y carries the intermediate results of a compute request.
-	Y []E
-	// YMat carries the intermediate result rows of a batch compute request.
-	YMat [][]E
-
-	// yMat is the contiguous form of YMat filled in by the v3 decoder;
-	// when set, YMat holds row views into it.
-	yMat *matrix.Dense[E]
+	// err is non-empty when the request failed remotely.
+	err string
+	y   []E
+	m   *matrix.Dense[E]
+	// spans carries the device's finished server-side spans for a traced
+	// request, re-emitted into the caller's trace so one user query
+	// assembles into a single cross-process waterfall.
+	spans []trace.SpanData
+	// op and size are set by the client-side decoder: the frame's op byte
+	// (request op | opResponseBit) and its full on-wire size.
+	op   byte
+	size int64
 }
 
 // DefaultMaxElements bounds the number of field elements a device accepts
@@ -131,7 +94,7 @@ type DeviceServer[E comparable] struct {
 	f           field.Field[E]
 	timeout     time.Duration
 	maxElements int
-	proto       Proto
+	cod         elemCodec
 	metrics     *obs.Registry
 	tracer      *trace.Tracer
 
@@ -142,8 +105,7 @@ type DeviceServer[E comparable] struct {
 
 	// Telemetry for the persistent-connection machinery.
 	flushHist   *obs.Histogram
-	connsV3     *obs.Gauge
-	connsGob    *obs.Gauge
+	connsOpen   *obs.Gauge
 	streamsOpen *obs.Gauge
 
 	connMu sync.Mutex
@@ -182,11 +144,6 @@ type Options struct {
 	// the response frame. Nil disables device-side tracing; traced clients
 	// still work, they just see no device spans from this server.
 	Tracer *trace.Tracer
-	// Proto restricts the wire protocols the server accepts: ProtoAuto
-	// (the default) serves both, ProtoGob emulates a legacy gob-only
-	// device (v3 hellos fail like any undecodable gob stream), and
-	// ProtoV3 rejects gob connections.
-	Proto Proto
 }
 
 // NewDeviceServer starts an edge device listening on addr (use "127.0.0.1:0"
@@ -219,6 +176,10 @@ func NewDeviceServerOptions[E comparable](f field.Field[E], addr string, opts Op
 	if opts.MaxElements < 1 {
 		return nil, fmt.Errorf("transport: max elements %d, need >= 1", opts.MaxElements)
 	}
+	cod, err := codecFor[E]()
+	if err != nil {
+		return nil, err
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
@@ -227,7 +188,7 @@ func NewDeviceServerOptions[E comparable](f field.Field[E], addr string, opts Op
 		f:           f,
 		timeout:     opts.Timeout,
 		maxElements: opts.MaxElements,
-		proto:       opts.Proto,
+		cod:         cod,
 		metrics:     metricsOrDefault(opts.Metrics),
 		tracer:      opts.Tracer,
 		ln:          ln,
@@ -237,8 +198,7 @@ func NewDeviceServerOptions[E comparable](f field.Field[E], addr string, opts Op
 	role := obs.L("role", "server")
 	dev := obs.L("device", s.Addr())
 	s.flushHist = s.metrics.Histogram(obs.MetricTransportFlushFrames, flushHelp, flushBuckets, role)
-	s.connsV3 = s.metrics.Gauge(obs.MetricTransportConnsOpen, connsHelp, role, obs.L("proto", "v3"), dev)
-	s.connsGob = s.metrics.Gauge(obs.MetricTransportConnsOpen, connsHelp, role, obs.L("proto", "gob"), dev)
+	s.connsOpen = s.metrics.Gauge(obs.MetricTransportConnsOpen, connsHelp, role, dev)
 	s.streamsOpen = s.metrics.Gauge(obs.MetricTransportStreamsInflight, streamsHelp, role, dev)
 	s.wg.Add(1)
 	go s.serve()
@@ -327,96 +287,6 @@ func (s *DeviceServer[E]) untrackConn(conn net.Conn) {
 	s.connMu.Unlock()
 }
 
-// handleConn routes one accepted connection to the protocol it speaks: a
-// leading 0x00 byte is the v3 hello magic (no gob stream starts with
-// 0x00), anything else is a legacy gob client.
-func (s *DeviceServer[E]) handleConn(conn net.Conn) {
-	defer conn.Close()
-	tuneConn(conn)
-	if !s.trackConn(conn) {
-		return
-	}
-	defer s.untrackConn(conn)
-	start := time.Now()
-	cc := &countingConn{Conn: conn}
-	br := bufio.NewReaderSize(cc, wireWriterBuf)
-	if err := conn.SetReadDeadline(time.Now().Add(s.timeout)); err != nil {
-		return
-	}
-	first, err := br.Peek(1)
-	if err != nil {
-		// Nothing decodable arrived (idle peer cut by the deadline, or an
-		// immediate close): the legacy behavior counted this malformed.
-		recordServer(s.metrics, "malformed", time.Since(start), cc.read, cc.written, true)
-		return
-	}
-	if first[0] == v3Magic[0] && s.proto != ProtoGob {
-		s.serveV3(conn, cc, br)
-		return
-	}
-	if s.proto == ProtoV3 {
-		recordServer(s.metrics, "malformed", time.Since(start), cc.read, cc.written, true)
-		return
-	}
-	s.serveGob(conn, cc, br)
-}
-
-// serveGob answers gob-envelope requests sequentially on one connection
-// until the peer closes or goes idle past the timeout. The decoder and
-// encoder persist across requests (gob streams amortize their type
-// descriptors), so a pooled legacy client pays the reflection walk but
-// not a fresh type handshake per call.
-func (s *DeviceServer[E]) serveGob(conn net.Conn, cc *countingConn, br *bufio.Reader) {
-	s.connsGob.Add(1)
-	defer s.connsGob.Add(-1)
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(cc)
-	served := 0
-	for {
-		if err := conn.SetReadDeadline(time.Now().Add(s.timeout)); err != nil {
-			return
-		}
-		select {
-		case <-s.done:
-			return
-		default:
-		}
-		start := time.Now()
-		readStart, writtenStart := cc.read, cc.written
-		var req request[E]
-		if err := dec.Decode(&req); err != nil {
-			if served == 0 || !errors.Is(err, io.EOF) {
-				// First-exchange failures and mid-stream garbage count as
-				// malformed; EOF on an idle reused connection is normal
-				// teardown.
-				recordServer(s.metrics, "malformed", time.Since(start), cc.read-readStart, cc.written-writtenStart, true)
-			}
-			return
-		}
-		kind := knownKind(req.Kind)
-		ctx, bag, sp := s.startServerSpan(knownKind(req.Kind), req.Traceparent)
-		resp := s.dispatch(ctx, bag, req)
-		resp.V = FrameV2
-		errored := resp.Err != ""
-		if sp != nil {
-			if errored {
-				sp.SetError(errors.New(resp.Err))
-			}
-			sp.End()
-			bag.add(sp)
-			resp.Spans = bag.spans
-		}
-		_ = conn.SetWriteDeadline(time.Now().Add(s.timeout))
-		err := enc.Encode(resp)
-		recordServer(s.metrics, kind, time.Since(start), cc.read-readStart, cc.written-writtenStart, errored)
-		if err != nil {
-			// The client observes the broken connection; nothing more to do.
-			return
-		}
-		served++
-	}
-}
-
 // spanBag collects the finished server-side spans of one request for
 // re-emission through the response frame. A request is handled by one
 // goroutine, so no locking is needed; a nil bag (untraced request) absorbs
@@ -438,7 +308,6 @@ func (b *spanBag) add(sp *trace.Span) {
 // frame's traceparent parents it, so the client's and device's spans share
 // one trace ID across the process boundary. Untraced requests (no tracer
 // configured, no traceparent, or a malformed one) get a nil span and bag.
-// kind must already be collapsed through knownKind.
 func (s *DeviceServer[E]) startServerSpan(kind, traceparent string) (context.Context, *spanBag, *trace.Span) {
 	if s.tracer == nil || traceparent == "" {
 		return context.Background(), nil, nil
@@ -462,59 +331,6 @@ func (s *DeviceServer[E]) startComputeSpan(ctx context.Context, bag *spanBag, ki
 	return csp
 }
 
-func (s *DeviceServer[E]) dispatch(ctx context.Context, bag *spanBag, req request[E]) response[E] {
-	switch req.Kind {
-	case kindPing:
-		return response[E]{}
-	case kindStore:
-		if len(req.Block) == 0 {
-			return response[E]{Err: "store: empty coded block"}
-		}
-		for i, row := range req.Block {
-			if len(row) != len(req.Block[0]) {
-				return response[E]{Err: fmt.Sprintf("store: ragged block (row %d)", i)}
-			}
-		}
-		if total := len(req.Block) * len(req.Block[0]); total > s.maxElements {
-			return response[E]{Err: fmt.Sprintf("store: block of %d elements exceeds the device cap of %d", total, s.maxElements)}
-		}
-		s.installBlock(matrix.FromRows(req.Block))
-		return response[E]{}
-	case kindCompute:
-		y, msg := s.mulVec(ctx, bag, req.X)
-		if msg != "" {
-			return response[E]{Err: msg}
-		}
-		return response[E]{Y: y}
-	case kindComputeBatch:
-		for i, row := range req.XMat {
-			if len(row) != len(req.XMat[0]) {
-				return response[E]{Err: fmt.Sprintf("compute-batch: ragged X (row %d)", i)}
-			}
-		}
-		var xm *matrix.Dense[E]
-		if len(req.XMat) > 0 && len(req.XMat[0]) > 0 {
-			if total := len(req.XMat) * len(req.XMat[0]); total > s.maxElements {
-				return response[E]{Err: fmt.Sprintf("compute-batch: X of %d elements exceeds the device cap of %d", total, s.maxElements)}
-			}
-			xm = matrix.FromRows(req.XMat)
-		} else {
-			xm = matrix.FromSlice[E](len(req.XMat), 0, nil)
-		}
-		y, msg := s.mulMat(ctx, bag, xm)
-		if msg != "" {
-			return response[E]{Err: msg}
-		}
-		rows := make([][]E, y.Rows())
-		for i := range rows {
-			rows[i] = y.RowView(i)
-		}
-		return response[E]{YMat: rows}
-	default:
-		return response[E]{Err: fmt.Sprintf("unknown request kind %q", req.Kind)}
-	}
-}
-
 // installBlock stores a validated coded block.
 func (s *DeviceServer[E]) installBlock(block *matrix.Dense[E]) {
 	s.mu.Lock()
@@ -524,9 +340,7 @@ func (s *DeviceServer[E]) installBlock(block *matrix.Dense[E]) {
 }
 
 // mulVec validates and executes one vector compute against the stored
-// block, returning the result or the remote-error string. Both wire
-// protocols dispatch through here, so validation messages, the compute
-// stage span, and the stats counters stay identical across them.
+// block, returning the result or the remote-error string.
 func (s *DeviceServer[E]) mulVec(ctx context.Context, bag *spanBag, x []E) ([]E, string) {
 	s.mu.Lock()
 	block := s.block
@@ -577,85 +391,6 @@ func (s *DeviceServer[E]) mulMat(ctx context.Context, bag *spanBag, x *matrix.De
 	return y, ""
 }
 
-// roundTrip dials addr, sends req, and decodes the response, recording the
-// round trip (count, latency, bytes, outcome) into reg. The exchange is
-// bounded by both timeout and ctx: cancelling ctx aborts an in-flight dial,
-// send, or receive promptly (the fleet runtime relies on this to cancel the
-// losers of a hedged race instead of leaking them until the deadline), and
-// the returned error then wraps ctx.Err().
-func roundTrip[E comparable](ctx context.Context, addr string, timeout time.Duration, reg *obs.Registry, req request[E]) (resp response[E], err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	req.V = FrameV2
-	// A client span is opened only inside an existing trace: the caller's
-	// span rides in ctx, and its traceparent is injected into the frame so
-	// the device parents its server span under this one.
-	if parent := trace.SpanFromContext(ctx); parent != nil {
-		var rsp *trace.Span
-		ctx, rsp = parent.Tracer().StartSpan(ctx, trace.SpanRPCClient,
-			trace.A(trace.AttrKind, req.Kind), trace.A(trace.AttrDevice, addr))
-		req.Traceparent = rsp.Traceparent()
-		tracer := parent.Tracer()
-		defer func() {
-			if err != nil {
-				rsp.SetError(err)
-			}
-			rsp.End()
-			for _, sd := range resp.Spans {
-				tracer.Record(sd)
-			}
-		}()
-	}
-	start := time.Now()
-	var cc *countingConn
-	defer func() {
-		var sent, received int64
-		if cc != nil {
-			sent, received = cc.written, cc.read
-		}
-		recordClient(reg, req.Kind, time.Since(start), sent, received, err)
-	}()
-	dialer := net.Dialer{Timeout: timeout}
-	conn, err := dialer.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return response[E]{}, ctxErr(ctx, fmt.Errorf("transport: dial %s: %w", addr, err))
-	}
-	defer conn.Close()
-	cc = &countingConn{Conn: conn}
-	deadline := time.Now().Add(timeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	if err := conn.SetDeadline(deadline); err != nil {
-		return response[E]{}, fmt.Errorf("transport: deadline %s: %w", addr, err)
-	}
-	// Unblock in-flight reads/writes the moment ctx is cancelled; expiring
-	// the deadline (rather than closing) keeps the teardown race-free with
-	// the deferred Close.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			_ = conn.SetDeadline(time.Now())
-		case <-watchDone:
-		}
-	}()
-	if err := gob.NewEncoder(cc).Encode(req); err != nil {
-		return response[E]{}, ctxErr(ctx, fmt.Errorf("transport: send to %s: %w", addr, err))
-	}
-	if err := gob.NewDecoder(cc).Decode(&resp); err != nil {
-		return response[E]{}, ctxErr(ctx, fmt.Errorf("transport: receive from %s: %w", addr, err))
-	}
-	if resp.Err != "" {
-		// Keep the device's re-emitted spans so the deferred trace adoption
-		// above still stitches the failed server side into the trace.
-		return response[E]{Spans: resp.Spans}, fmt.Errorf("%w: %s: %s", ErrRemote, addr, resp.Err)
-	}
-	return resp, nil
-}
-
 // ctxErr attributes an I/O error provoked by context cancellation back to
 // the context, so callers can distinguish a cancelled attempt (errors.Is
 // context.Canceled/DeadlineExceeded) from a genuine device failure.
@@ -673,10 +408,6 @@ type Cloud[E comparable] struct {
 	// Metrics receives RPC and store-stage telemetry; nil means
 	// obs.Default().
 	Metrics *obs.Registry
-	// Proto selects the wire protocol: ProtoAuto (default) negotiates v3
-	// and falls back to gob, ProtoGob forces legacy frames, ProtoV3
-	// refuses to fall back.
-	Proto Proto
 	// Pool holds the persistent device connections; nil means the shared
 	// per-element-type pool.
 	Pool *Pool[E]
@@ -730,13 +461,7 @@ func (c Cloud[E]) Store(ctx context.Context, addr string, block *matrix.Dense[E]
 }
 
 func (c Cloud[E]) store(ctx context.Context, addr string, block *matrix.Dense[E], timeout time.Duration, reg *obs.Registry) error {
-	// Block (row views, read-only) feeds the gob fallback; blockM lets the
-	// v3 encoder write the backing slab without touching the rows at all.
-	rows := make([][]E, block.Rows())
-	for i := range rows {
-		rows[i] = block.RowView(i)
-	}
-	_, err := c.pool().roundTrip(ctx, addr, timeout, reg, c.Proto, request[E]{Kind: kindStore, Block: rows, blockM: block})
+	_, err := c.pool().roundTrip(ctx, addr, timeout, reg, request[E]{op: opStore, m: block})
 	return err
 }
 
@@ -752,10 +477,6 @@ type Client[E comparable] struct {
 	// Metrics receives RPC and gather/decode-stage telemetry; nil means
 	// obs.Default().
 	Metrics *obs.Registry
-	// Proto selects the wire protocol: ProtoAuto (default) negotiates v3
-	// and falls back to gob, ProtoGob forces legacy frames, ProtoV3
-	// refuses to fall back.
-	Proto Proto
 	// Pool holds the persistent device connections; nil means the shared
 	// per-element-type pool.
 	Pool *Pool[E]
@@ -801,36 +522,37 @@ func (c Client[E]) Gather(ctx context.Context, addrs []string, rowsOn []int, x [
 	}
 	reg := metricsOrDefault(c.Metrics)
 	defer obs.StartStage(reg, obs.StageGather).End()
-	parts := make([][]E, len(addrs))
+	total := 0
+	for _, n := range rowsOn {
+		total += n
+	}
+	y := make([]E, total)
 	errs := make([]error, len(addrs))
 	var wg sync.WaitGroup
+	lo := 0
 	for j, addr := range addrs {
+		part := y[lo : lo+rowsOn[j]] // device j's slot of the result
+		lo += rowsOn[j]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := c.pool().roundTrip(ctx, addr, timeout, reg, c.Proto, request[E]{Kind: kindCompute, X: x})
+			resp, err := c.pool().roundTrip(ctx, addr, timeout, reg, request[E]{op: opCompute, x: x})
 			if err != nil {
 				errs[j] = err
 				return
 			}
-			if len(resp.Y) != rowsOn[j] {
-				errs[j] = fmt.Errorf("transport: device %d returned %d values, want %d", j, len(resp.Y), rowsOn[j])
+			if len(resp.y) != len(part) {
+				errs[j] = fmt.Errorf("transport: device %d returned %d values, want %d", j, len(resp.y), len(part))
 				return
 			}
-			parts[j] = resp.Y
+			copy(part, resp.y)
 		}()
 	}
 	wg.Wait()
-	total := 0
-	for j, err := range errs {
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		total += rowsOn[j]
-	}
-	y := make([]E, 0, total)
-	for _, p := range parts {
-		y = append(y, p...)
 	}
 	return y, nil
 }
@@ -861,25 +583,27 @@ func (c Client[E]) Compute(ctx context.Context, addr string, x []E) ([]E, error)
 	if timeout == 0 {
 		timeout = DefaultTimeout
 	}
-	resp, err := c.pool().roundTrip(ctx, addr, timeout, metricsOrDefault(c.Metrics), c.Proto, request[E]{Kind: kindCompute, X: x})
+	resp, err := c.pool().roundTrip(ctx, addr, timeout, metricsOrDefault(c.Metrics), request[E]{op: opCompute, x: x})
 	if err != nil {
 		return nil, err
 	}
-	return resp.Y, nil
+	return resp.y, nil
 }
 
-// ComputeBatch sends the input rows X to one device and returns its
-// intermediate result rows B_j·T·X — the batch counterpart of Compute.
-func (c Client[E]) ComputeBatch(ctx context.Context, addr string, xRows [][]E) ([][]E, error) {
+// ComputeBatch sends the l×n input matrix X to one device and returns its
+// intermediate result B_j·T·X — the batch counterpart of Compute. X's
+// backing slab is written to the socket uncopied, so the caller must not
+// mutate it until the call returns.
+func (c Client[E]) ComputeBatch(ctx context.Context, addr string, x *matrix.Dense[E]) (*matrix.Dense[E], error) {
 	timeout := c.Timeout
 	if timeout == 0 {
 		timeout = DefaultTimeout
 	}
-	resp, err := c.pool().roundTrip(ctx, addr, timeout, metricsOrDefault(c.Metrics), c.Proto, request[E]{Kind: kindComputeBatch, XMat: xRows})
+	resp, err := c.pool().roundTrip(ctx, addr, timeout, metricsOrDefault(c.Metrics), request[E]{op: opComputeBatch, m: x})
 	if err != nil {
 		return nil, err
 	}
-	return resp.YMat, nil
+	return resp.m, nil
 }
 
 // Ping checks a device is reachable using the client's timeout and metrics
@@ -889,7 +613,7 @@ func (c Client[E]) Ping(ctx context.Context, addr string) error {
 	if timeout == 0 {
 		timeout = DefaultTimeout
 	}
-	_, err := c.pool().roundTrip(ctx, addr, timeout, metricsOrDefault(c.Metrics), c.Proto, request[E]{Kind: kindPing})
+	_, err := c.pool().roundTrip(ctx, addr, timeout, metricsOrDefault(c.Metrics), request[E]{op: opPing})
 	return err
 }
 
@@ -907,12 +631,6 @@ func (c Client[E]) MulMat(ctx context.Context, addrs []string, x *matrix.Dense[E
 	}
 	reg := metricsOrDefault(c.Metrics)
 	gather := obs.StartStage(reg, obs.StageGather)
-	// Row views feed the gob fallback; xmatM lets the v3 encoder write the
-	// backing slab directly.
-	xRows := make([][]E, x.Rows())
-	for i := range xRows {
-		xRows[i] = x.RowView(i)
-	}
 	parts := make([]*matrix.Dense[E], len(addrs))
 	errs := make([]error, len(addrs))
 	var wg sync.WaitGroup
@@ -920,20 +638,16 @@ func (c Client[E]) MulMat(ctx context.Context, addrs []string, x *matrix.Dense[E
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := c.pool().roundTrip(ctx, addr, timeout, reg, c.Proto, request[E]{Kind: kindComputeBatch, XMat: xRows, xmatM: x})
+			resp, err := c.pool().roundTrip(ctx, addr, timeout, reg, request[E]{op: opComputeBatch, m: x})
 			if err != nil {
 				errs[j] = err
 				return
 			}
-			if len(resp.YMat) != rowsOn[j] {
-				errs[j] = fmt.Errorf("transport: device %d returned %d rows, want %d", j, len(resp.YMat), rowsOn[j])
+			if resp.m.Rows() != rowsOn[j] {
+				errs[j] = fmt.Errorf("transport: device %d returned %d rows, want %d", j, resp.m.Rows(), rowsOn[j])
 				return
 			}
-			if resp.yMat != nil {
-				parts[j] = resp.yMat // v3: already a contiguous matrix
-			} else {
-				parts[j] = matrix.FromRows(resp.YMat)
-			}
+			parts[j] = resp.m
 		}()
 	}
 	wg.Wait()
@@ -969,6 +683,6 @@ func Ping[E comparable](ctx context.Context, addr string, timeout time.Duration)
 	if timeout == 0 {
 		timeout = DefaultTimeout
 	}
-	_, err := SharedPool[E]().roundTrip(ctx, addr, timeout, nil, ProtoAuto, request[E]{Kind: kindPing})
+	_, err := SharedPool[E]().roundTrip(ctx, addr, timeout, nil, request[E]{op: opPing})
 	return err
 }

@@ -185,21 +185,40 @@ func TestClientValidation(t *testing.T) {
 	}
 }
 
+// TestPingAndUnknownKind: a ping is answered; an empty store is a remote
+// error; a frame with an op outside the protocol is a framing error — the
+// device drops that connection, counts it kind="malformed", and keeps
+// serving everyone else.
 func TestPingAndUnknownKind(t *testing.T) {
 	f := field.Prime{}
-	srv, err := NewDeviceServer(f, "127.0.0.1:0")
+	reg := obs.New()
+	srv, err := NewDeviceServerOptions[uint64](f, "127.0.0.1:0", Options{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if err := Ping[uint64](t.Context(), srv.Addr(), time.Second); err != nil {
+	client := Client[uint64]{F: f, Timeout: time.Second, Pool: NewPool[uint64]()}
+	if err := client.Ping(t.Context(), srv.Addr()); err != nil {
 		t.Fatalf("ping: %v", err)
 	}
-	if _, err := roundTrip[uint64](t.Context(), srv.Addr(), time.Second, nil, request[uint64]{Kind: "bogus"}); !errors.Is(err, ErrRemote) {
-		t.Fatalf("unknown kind err = %v, want ErrRemote", err)
+	err = (Cloud[uint64]{Timeout: time.Second, Pool: NewPool[uint64]()}).Store(t.Context(), srv.Addr(), matrix.New[uint64](0, 0))
+	if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "store: empty coded block") {
+		t.Fatalf("empty store err = %v, want ErrRemote (empty coded block)", err)
 	}
-	if _, err := roundTrip[uint64](t.Context(), srv.Addr(), time.Second, nil, request[uint64]{Kind: kindStore}); !errors.Is(err, ErrRemote) {
-		t.Fatalf("empty store err = %v, want ErrRemote", err)
+
+	conn := rawV3Conn(t, srv.Addr(), 1)
+	// Op 9 on stream 1: length=6 | stream=1 | op=9 | tpLen=0.
+	if _, err := conn.Write([]byte{6, 0, 0, 0, 1, 0, 0, 0, 9, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatalf("device answered %d bytes to an unknown op, want the connection dropped", n)
+	}
+	if got := reg.Counter(obs.MetricRPCServerErrors, "", obs.L("kind", "malformed")).Value(); got != 1 {
+		t.Fatalf("malformed errors = %d, want 1", got)
+	}
+	if err := client.Ping(t.Context(), srv.Addr()); err != nil {
+		t.Fatalf("ping after an unknown op elsewhere: %v", err)
 	}
 }
 
@@ -265,11 +284,10 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestContextCancelAbortsRoundTrip points a round trip at a listener that
-// accepts and never answers, then cancels the context mid-flight: the call
-// must return promptly (well before the 10s timeout) with an error that
-// wraps context.Canceled.
-func TestContextCancelAbortsRoundTrip(t *testing.T) {
+// blackHole listens on loopback, accepts every connection and never reads
+// or writes: a device that is up at the TCP layer and dead above it.
+func blackHole(t *testing.T) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -284,14 +302,20 @@ func TestContextCancelAbortsRoundTrip(t *testing.T) {
 			defer conn.Close() // hold open, never answer
 		}
 	}()
+	return ln.Addr().String()
+}
 
+// TestContextCancelAbortsRoundTrip points a round trip at a black-hole
+// listener (the hello is never answered), then cancels the context
+// mid-flight: the call must return promptly (well before the 10s timeout)
+// with an error that wraps context.Canceled.
+func TestContextCancelAbortsRoundTrip(t *testing.T) {
+	addr := blackHole(t)
+	client := Client[uint64]{F: field.Prime{}, Timeout: 10 * time.Second, Metrics: obs.New(), Pool: NewPool[uint64]()}
 	ctx, cancel := context.WithCancel(t.Context())
 	done := make(chan error, 1)
 	start := time.Now()
-	go func() {
-		_, err := roundTrip[uint64](ctx, ln.Addr().String(), 10*time.Second, obs.New(), request[uint64]{Kind: kindPing})
-		done <- err
-	}()
+	go func() { done <- client.Ping(ctx, addr) }()
 	time.Sleep(50 * time.Millisecond)
 	cancel()
 	select {

@@ -12,50 +12,6 @@ import (
 	"github.com/scec/scec/internal/matrix"
 )
 
-// Proto selects the wire protocol a client speaks to a device. The v3
-// protocol multiplexes many in-flight requests over one persistent
-// connection using length-prefixed binary frames with zero-copy
-// field-element payloads; the gob protocol is the original
-// one-request-per-exchange encoding/gob framing (FrameV1/FrameV2).
-type Proto int
-
-const (
-	// ProtoAuto negotiates v3 on first contact and falls back to gob
-	// transparently when the peer closes on the v3 hello (a gob-only
-	// device). This is the default.
-	ProtoAuto Proto = iota
-	// ProtoV3 requires the binary protocol; peers that do not speak it
-	// produce an error instead of a fallback.
-	ProtoV3
-	// ProtoGob forces the legacy gob protocol.
-	ProtoGob
-)
-
-func (p Proto) String() string {
-	switch p {
-	case ProtoAuto:
-		return "auto"
-	case ProtoV3:
-		return "v3"
-	case ProtoGob:
-		return "gob"
-	}
-	return fmt.Sprintf("proto(%d)", int(p))
-}
-
-// ParseProto parses a -proto CLI value.
-func ParseProto(s string) (Proto, error) {
-	switch s {
-	case "", "auto":
-		return ProtoAuto, nil
-	case "v3":
-		return ProtoV3, nil
-	case "gob":
-		return ProtoGob, nil
-	}
-	return ProtoAuto, fmt.Errorf("transport: unknown protocol %q (want auto, v3, or gob)", s)
-}
-
 // The v3 wire format.
 //
 // Connections open with a 12-byte hello in each direction:
@@ -63,12 +19,10 @@ func ParseProto(s string) (Proto, error) {
 //	client: magic[8] | version | elemCode | reserved[2]
 //	server: magic[8] | version | elemCode | status | reserved[1]
 //
-// where magic is {0x00, 'S', 'C', 'E', 'C', 'v', '3', '\n'}. The leading
-// 0x00 byte is deliberate: no gob stream begins with 0x00 (gob messages
-// start with a non-zero length byte), so a v3 hello makes a gob-only
-// server fail its decode and close the connection — which the client
-// detects and treats as "peer speaks gob" — while a v3 server can peek
-// one byte to route each accepted connection to the right protocol.
+// where magic is {0x00, 'S', 'C', 'E', 'C', 'v', '3', '\n'}. The hello is
+// the whole negotiation: a server closes on a wrong magic or version byte,
+// answers an element-type mismatch with an explicit rejection status, and
+// a client treats anything but an accepting hello as a failed dial.
 //
 // After the handshake both directions carry frames:
 //
@@ -105,39 +59,24 @@ const frameOverhead = 4 + 5
 // gated on the receiver's element cap.
 const maxFrameLen = 1<<31 - 1
 
-// errLegacyPeer classifies a failed v3 negotiation where the peer closed
-// or answered garbage — the signature of a gob-only device.
-var errLegacyPeer = errors.New("transport: peer does not speak v3")
-
 // errConnBroken reports that a multiplexed connection died with the
 // request in flight; the pool retries such requests once on a fresh
 // connection when they were issued on a reused one.
 var errConnBroken = errors.New("transport: connection broken")
 
-func kindToOp(kind string) (byte, bool) {
-	switch kind {
-	case kindPing:
-		return opPing, true
-	case kindStore:
-		return opStore, true
-	case kindCompute:
-		return opCompute, true
-	case kindComputeBatch:
-		return opComputeBatch, true
-	}
-	return 0, false
-}
-
+// opToKind names an op for metric and span labels; anything outside the
+// protocol collapses to "unknown", so a misbehaving peer cannot explode
+// label cardinality.
 func opToKind(op byte) string {
 	switch op &^ opResponseBit {
 	case opPing:
-		return kindPing
+		return "ping"
 	case opStore:
-		return kindStore
+		return "store"
 	case opCompute:
-		return kindCompute
+		return "compute"
 	case opComputeBatch:
-		return kindComputeBatch
+		return "compute-batch"
 	}
 	return "unknown"
 }
@@ -150,19 +89,19 @@ type elemCodec struct {
 
 // codecFor resolves the wire codec for E. The three concrete element
 // types of the repo's fields (Prime → uint64, GF256 → byte, Real →
-// float64) are supported; anything else reports false and the transport
-// stays on the gob protocol for that type.
-func codecFor[E comparable]() (elemCodec, bool) {
+// float64) are supported; anything else is an error, reported by the
+// server constructor and by a client's first request before any dial.
+func codecFor[E comparable]() (elemCodec, error) {
 	var z E
 	switch any(z).(type) {
 	case uint64:
-		return elemCodec{code: 1, size: 8}, true
+		return elemCodec{code: 1, size: 8}, nil
 	case byte:
-		return elemCodec{code: 2, size: 1}, true
+		return elemCodec{code: 2, size: 1}, nil
 	case float64:
-		return elemCodec{code: 3, size: 8}, true
+		return elemCodec{code: 3, size: 8}, nil
 	}
-	return elemCodec{}, false
+	return elemCodec{}, fmt.Errorf("transport: element type %T has no wire codec", z)
 }
 
 // hostLittleEndian reports whether the running machine stores integers
@@ -265,9 +204,8 @@ func serverHello(code, status byte) [helloLen]byte {
 	return h
 }
 
-// readClientHello consumes and validates a client hello (the peeked 0x00
-// magic byte included). A malformed hello is a protocol error; the caller
-// closes the connection.
+// readClientHello consumes and validates a client hello. A malformed hello
+// is a protocol error; the caller closes the connection.
 func readClientHello(r io.Reader) (code byte, err error) {
 	var h [helloLen]byte
 	if _, err := io.ReadFull(r, h[:]); err != nil {
@@ -282,19 +220,14 @@ func readClientHello(r io.Reader) (code byte, err error) {
 	return h[9], nil
 }
 
-// readServerHello consumes and validates the server's hello. Short reads
-// and bad magic classify as errLegacyPeer (the far side never spoke v3);
-// an explicit rejection status surfaces as a hard error.
+// readServerHello consumes and validates the server's hello.
 func readServerHello(r io.Reader, wantCode byte) error {
 	var h [helloLen]byte
 	if _, err := io.ReadFull(r, h[:]); err != nil {
-		if peerClosed(err) {
-			return fmt.Errorf("%w (%v)", errLegacyPeer, err)
-		}
 		return fmt.Errorf("transport: read v3 server hello: %w", err)
 	}
 	if [8]byte(h[:8]) != v3Magic || h[8] != wireVersion {
-		return errLegacyPeer
+		return errors.New("transport: peer does not speak v3")
 	}
 	if h[10] != helloOK {
 		return fmt.Errorf("transport: device rejected v3 handshake (status %d, element code %d, ours %d)", h[10], h[9], wantCode)
@@ -305,23 +238,6 @@ func readServerHello(r io.Reader, wantCode byte) error {
 	return nil
 }
 
-// wireRequest is one decoded v3 request frame on the server side.
-type wireRequest[E comparable] struct {
-	stream uint32
-	op     byte
-	tp     string // traceparent, "" when untraced
-	x      []E    // compute input vector
-	block  *matrix.Dense[E]
-	xmat   *matrix.Dense[E]
-	// capErr carries a request-level validation failure detected during
-	// decode (an element count over the device cap): the payload was
-	// drained, the connection stays healthy, and the server answers this
-	// error string instead of dispatching.
-	capErr string
-	// size is the full on-wire frame size in bytes, for byte accounting.
-	size int64
-}
-
 // readRequestFrame decodes one request frame from br. It validates every
 // declared dimension against the frame length before allocating, so a
 // forged frame can never allocate more than maxElements field elements;
@@ -330,7 +246,7 @@ type wireRequest[E comparable] struct {
 // A nil request with a nil error never happens; io.EOF before the first
 // header byte surfaces unchanged so callers can distinguish clean
 // connection teardown.
-func readRequestFrame[E comparable](br *bufio.Reader, cod elemCodec, maxElements int) (*wireRequest[E], error) {
+func readRequestFrame[E comparable](br *bufio.Reader, cod elemCodec, maxElements int) (*request[E], error) {
 	var hdr [frameOverhead]byte
 	if _, err := io.ReadFull(br, hdr[:1]); err != nil {
 		return nil, err // io.EOF here = clean close between frames
@@ -342,7 +258,7 @@ func readRequestFrame[E comparable](br *bufio.Reader, cod elemCodec, maxElements
 	if length < 5 || length > maxFrameLen {
 		return nil, fmt.Errorf("transport: bad frame length %d", length)
 	}
-	req := &wireRequest[E]{
+	req := &request[E]{
 		stream: binary.LittleEndian.Uint32(hdr[4:8]),
 		op:     hdr[8],
 		size:   int64(4 + length),
@@ -445,12 +361,7 @@ func readRequestFrame[E comparable](br *bufio.Reader, cod elemCodec, maxElements
 			return nil, err
 		}
 		if req.capErr == "" {
-			m := matrix.FromSlice(int(rows), int(cols), data)
-			if req.op == opStore {
-				req.block = m
-			} else {
-				req.xmat = m
-			}
+			req.m = matrix.FromSlice(int(rows), int(cols), data)
 		}
 	default:
 		return nil, fmt.Errorf("transport: unknown request op %#x", req.op)

@@ -65,11 +65,8 @@ func FuzzWireFrame(f *testing.F) {
 			if len(req.x) > fuzzMaxElements {
 				t.Fatalf("decoder allocated %d elements over the %d cap", len(req.x), fuzzMaxElements)
 			}
-			if req.block != nil && req.block.Rows()*req.block.Cols() > fuzzMaxElements {
-				t.Fatal("block over the element cap")
-			}
-			if req.xmat != nil && req.xmat.Rows()*req.xmat.Cols() > fuzzMaxElements {
-				t.Fatal("xmat over the element cap")
+			if req.m != nil && req.m.Rows()*req.m.Cols() > fuzzMaxElements {
+				t.Fatal("matrix over the element cap")
 			}
 		}
 		// Response decoder over the same bytes.

@@ -3,8 +3,11 @@ package transport
 import (
 	"context"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -153,83 +156,100 @@ func TestWireV3RejectsWrongElemCode(t *testing.T) {
 	}
 }
 
-// TestV3ClientFallsBackToGobOnlyServer runs a default (auto) client against
-// a server emulating a legacy gob-only device: the first request must
-// negotiate, detect the legacy peer, transparently retry over gob, and the
-// pool must remember the verdict so later requests skip the probe.
-func TestV3ClientFallsBackToGobOnlyServer(t *testing.T) {
-	f := field.Prime{}
-	srv, err := NewDeviceServerOptions[uint64](f, "127.0.0.1:0", Options{Proto: ProtoGob})
+// badHello writes raw first bytes at a device and reports what the device
+// did: it must close the connection within its timeout without ever
+// answering a hello.
+func badHello(t *testing.T, addr string, first []byte) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	storeBlock(t, srv.Addr(), []uint64{2, 3})
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write(first); err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(conn) // EOF or a reset; only our own deadline means "still open"
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("device did not close the connection: %v", err)
+	}
+	if len(got) != 0 {
+		t.Fatalf("device answered % x to a bad hello, want silence", got)
+	}
+}
 
+// TestHandshakeRejectsOtherProtocols: a first byte that is not the magic
+// (what a gob client of the deleted protocol sends) and a hello whose
+// version byte is not 3 are both closed within the server timeout, counted
+// kind="malformed", never served, and never hang the listener.
+func TestHandshakeRejectsOtherProtocols(t *testing.T) {
+	f := field.Prime{}
 	reg := obs.New()
-	client := Client[uint64]{F: f, Timeout: 2 * time.Second, Metrics: reg, Pool: NewPool[uint64]()}
-	for i := 0; i < 3; i++ {
-		y, err := client.Compute(t.Context(), srv.Addr(), []uint64{5, 7})
-		if err != nil {
-			t.Fatalf("compute %d: %v", i, err)
-		}
-		if len(y) != 1 || y[0] != 31 {
-			t.Fatalf("compute %d: got %v, want [31]", i, y)
-		}
-	}
-	if d := client.ConnDebug(srv.Addr()); d.Proto != "gob" {
-		t.Fatalf("pool debug proto = %q, want gob (%+v)", d.Proto, d)
-	}
-	legacy := reg.Counter(obs.MetricTransportNegotiations, "", obs.L("outcome", "legacy")).Value()
-	if legacy != 1 {
-		t.Fatalf("legacy negotiations = %d, want exactly 1 (verdict must be cached)", legacy)
-	}
-}
-
-// TestForcedGobClientAgainstAutoServer forces the legacy protocol against a
-// dual-protocol server — the downgrade direction of mixed-version interop.
-func TestForcedGobClientAgainstAutoServer(t *testing.T) {
-	f := field.Prime{}
-	srv, err := NewDeviceServer[uint64](f, "127.0.0.1:0")
+	srv, err := NewDeviceServerOptions[uint64](f, "127.0.0.1:0", Options{Timeout: 300 * time.Millisecond, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	storeBlock(t, srv.Addr(), []uint64{2, 3})
 
-	client := Client[uint64]{F: f, Timeout: 2 * time.Second, Proto: ProtoGob, Pool: NewPool[uint64]()}
-	y, err := client.Compute(t.Context(), srv.Addr(), []uint64{5, 7})
-	if err != nil {
-		t.Fatal(err)
+	// A gob stream opens with a non-zero length byte followed by a type
+	// descriptor; the device waits for 12 bytes, then refuses the magic.
+	gobish := []byte{0x2f, 0xff, 0x81, 0x03, 0x01, 0x01, 0x07, 'r', 'e', 'q', 'u', 'e', 's', 't'}
+	// A short non-magic prefix is cut by the read deadline instead.
+	short := []byte{0x2f, 0xff}
+	v2 := []byte{0x00, 'S', 'C', 'E', 'C', 'v', '3', '\n', 2, 1, 0, 0}
+	v4 := []byte{0x00, 'S', 'C', 'E', 'C', 'v', '3', '\n', 4, 1, 0, 0}
+	cases := [][]byte{gobish, short, v2, v4}
+	for _, first := range cases {
+		start := time.Now()
+		badHello(t, srv.Addr(), first)
+		if elapsed := time.Since(start); elapsed > 3*time.Second {
+			t.Fatalf("hello % x closed after %v, want within the server timeout", first, elapsed)
+		}
 	}
-	if len(y) != 1 || y[0] != 31 {
-		t.Fatalf("got %v, want [31]", y)
+	malformed := obs.L("kind", "malformed")
+	if got := reg.Counter(obs.MetricRPCServerRequests, "", malformed).Value(); got != int64(len(cases)) {
+		t.Fatalf("malformed requests = %d, want %d", got, len(cases))
 	}
-	if d := client.ConnDebug(srv.Addr()); d.Proto != "gob" || d.IdleConns != 1 {
-		t.Fatalf("pool debug = %+v, want one idle gob conn", d)
+	if got := reg.Counter(obs.MetricRPCServerErrors, "", malformed).Value(); got != int64(len(cases)) {
+		t.Fatalf("malformed errors = %d, want %d", got, len(cases))
+	}
+	if st := srv.Stats(); st != (Stats{}) {
+		t.Fatalf("a refused hello was served: %+v", st)
+	}
+	// The listener is alive: a real client still gets through.
+	client := Client[uint64]{F: f, Timeout: 2 * time.Second, Pool: NewPool[uint64]()}
+	if err := client.Ping(t.Context(), srv.Addr()); err != nil {
+		t.Fatalf("ping after refused hellos: %v", err)
 	}
 }
 
-// TestProtoV3RefusesGobOnlyServer: with fallback disabled the client must
-// surface the negotiation failure instead of silently downgrading.
-func TestProtoV3RefusesGobOnlyServer(t *testing.T) {
-	f := field.Prime{}
-	srv, err := NewDeviceServerOptions[uint64](f, "127.0.0.1:0", Options{Proto: ProtoGob})
-	if err != nil {
-		t.Fatal(err)
+// sameVec and sameMat require exact (==) equality, element for element.
+func sameVec[E comparable](t *testing.T, label string, got, want []E) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", label, len(got), len(want))
 	}
-	defer srv.Close()
-	client := Client[uint64]{F: f, Timeout: 2 * time.Second, Proto: ProtoV3, Pool: NewPool[uint64]()}
-	if err := client.Ping(t.Context(), srv.Addr()); err == nil {
-		t.Fatal("ProtoV3 client succeeded against a gob-only server")
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s[%d]: wire %v != local %v", label, i, got[i], want[i])
+		}
 	}
 }
 
-// diffProtocols runs the full pipeline (distribute, MulVec, MulMat) over
-// both wire protocols against the same fleet and requires bit-identical
-// results: the zero-copy binary codec must not change a single element for
+func sameMat[E comparable](t *testing.T, label string, got, want *matrix.Dense[E]) {
+	t.Helper()
+	if got.Rows() != want.Rows() || got.Cols() != want.Cols() {
+		t.Fatalf("%s shape: wire %dx%d != local %dx%d", label, got.Rows(), got.Cols(), want.Rows(), want.Cols())
+	}
+	sameVec(t, label, got.RowsView(0, got.Rows()), want.RowsView(0, want.Rows()))
+}
+
+// diffLoopbackLocal runs the full pipeline (distribute, MulVec, MulMat)
+// over loopback and requires results bit-identical to the in-process
+// kernels: the zero-copy binary codec must not change a single element for
 // any field.
-func diffProtocols[E comparable](t *testing.T, f field.Field[E]) {
+func diffLoopbackLocal[E comparable](t *testing.T, f field.Field[E]) {
 	rng := testRNG()
 	const m, l, r = 8, 5, 4
 	s, err := coding.New(m, r)
@@ -242,76 +262,121 @@ func diffProtocols[E comparable](t *testing.T, f field.Field[E]) {
 		t.Fatal(err)
 	}
 	addrs, _ := startFleet[E](t, f, s.Devices())
-
-	protos := []Proto{ProtoGob, ProtoV3}
-	vecs := make([][]E, len(protos))
-	mats := make([]*matrix.Dense[E], len(protos))
 	x := matrix.RandomVec[E](f, rng, l)
 	xm := matrix.Random[E](f, rng, l, 3)
-	for i, proto := range protos {
-		pool := NewPool[E]()
-		cloud := Cloud[E]{Timeout: 2 * time.Second, Proto: proto, Pool: pool}
-		if err := cloud.Distribute(t.Context(), addrs, enc); err != nil {
-			t.Fatalf("%v distribute: %v", proto, err)
-		}
-		client := Client[E]{F: f, Code: coding.BindScheme(f, s), Timeout: 2 * time.Second, Proto: proto, Pool: pool}
-		if vecs[i], err = client.MulVec(t.Context(), addrs, x); err != nil {
-			t.Fatalf("%v MulVec: %v", proto, err)
-		}
-		if mats[i], err = client.MulMat(t.Context(), addrs, xm); err != nil {
-			t.Fatalf("%v MulMat: %v", proto, err)
-		}
+
+	pool := NewPool[E]()
+	cloud := Cloud[E]{Timeout: 2 * time.Second, Pool: pool}
+	if err := cloud.Distribute(t.Context(), addrs, enc); err != nil {
+		t.Fatalf("distribute: %v", err)
 	}
-	for i := range vecs[0] {
-		if vecs[0][i] != vecs[1][i] {
-			t.Fatalf("MulVec[%d]: gob %v != v3 %v", i, vecs[0][i], vecs[1][i])
+	client := Client[E]{F: f, Code: coding.BindScheme(f, s), Timeout: 2 * time.Second, Pool: pool}
+	// Undecoded: every device's B_j·T·x and B_j·T·X must equal the local
+	// kernel on its block.
+	local := make([]*matrix.Dense[E], len(addrs))
+	for j, addr := range addrs {
+		y, err := client.Compute(t.Context(), addr, x)
+		if err != nil {
+			t.Fatalf("Compute[%d]: %v", j, err)
 		}
-	}
-	if mats[0].Rows() != mats[1].Rows() || mats[0].Cols() != mats[1].Cols() {
-		t.Fatalf("MulMat shape: gob %dx%d != v3 %dx%d", mats[0].Rows(), mats[0].Cols(), mats[1].Rows(), mats[1].Cols())
-	}
-	for i := 0; i < mats[0].Rows(); i++ {
-		for j := 0; j < mats[0].Cols(); j++ {
-			if mats[0].At(i, j) != mats[1].At(i, j) {
-				t.Fatalf("MulMat[%d,%d]: gob %v != v3 %v", i, j, mats[0].At(i, j), mats[1].At(i, j))
-			}
+		sameVec(t, fmt.Sprintf("Compute[%d]", j), y, matrix.MulVec(f, enc.Blocks[j], x))
+		ym, err := client.ComputeBatch(t.Context(), addr, xm)
+		if err != nil {
+			t.Fatalf("ComputeBatch[%d]: %v", j, err)
 		}
+		local[j] = matrix.Mul(f, enc.Blocks[j], xm)
+		sameMat(t, fmt.Sprintf("ComputeBatch[%d]", j), ym, local[j])
 	}
+	// Decoded: the pipeline over the wire equals decoding the local
+	// executor's intermediate results.
+	got, err := client.MulVec(t.Context(), addrs, x)
+	if err != nil {
+		t.Fatalf("MulVec: %v", err)
+	}
+	want, err := client.Code.Decode(enc.ComputeAll(f, x))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameVec(t, "MulVec", got, want)
+	gotM, err := client.MulMat(t.Context(), addrs, xm)
+	if err != nil {
+		t.Fatalf("MulMat: %v", err)
+	}
+	wantM, err := client.Code.DecodeBatch(matrix.VStack(local...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameMat(t, "MulMat", gotM, wantM)
 }
 
 // TestProtocolsBitIdentical covers all three concrete element types; the
-// comparisons are exact (==), not tolerance-based, pinning that the two
-// protocols move identical bits end to end.
+// comparisons are exact (==), not tolerance-based, pinning that the wire
+// moves identical bits end to end. The in-process kernels are the
+// reference.
 func TestProtocolsBitIdentical(t *testing.T) {
-	t.Run("prime", func(t *testing.T) { diffProtocols[uint64](t, field.Prime{}) })
-	t.Run("gf256", func(t *testing.T) { diffProtocols[byte](t, field.GF256{}) })
-	t.Run("real", func(t *testing.T) { diffProtocols[float64](t, field.Real{Tol: 1e-9}) })
+	t.Run("prime", func(t *testing.T) { diffLoopbackLocal[uint64](t, field.Prime{}) })
+	t.Run("gf256", func(t *testing.T) { diffLoopbackLocal[byte](t, field.GF256{}) })
+	t.Run("real", func(t *testing.T) { diffLoopbackLocal[float64](t, field.Real{Tol: 1e-9}) })
 }
 
-// TestV3RemoteErrorStrings pins that validation failures arrive with the
-// same error text over v3 as over gob (shared validation cores).
+// TestV3RemoteErrorStrings pins every validation failure a client can see
+// to its literal text, so remote error strings stay stable for callers that
+// match on them.
 func TestV3RemoteErrorStrings(t *testing.T) {
 	f := field.Prime{}
-	srv, err := NewDeviceServer[uint64](f, "127.0.0.1:0")
+	srv, err := NewDeviceServerLimited[uint64](f, "127.0.0.1:0", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-
-	gobC := Client[uint64]{F: f, Timeout: 2 * time.Second, Proto: ProtoGob, Pool: NewPool[uint64]()}
-	v3C := Client[uint64]{F: f, Timeout: 2 * time.Second, Proto: ProtoV3, Pool: NewPool[uint64]()}
-	_, gobErr := gobC.Compute(t.Context(), srv.Addr(), []uint64{1})
-	_, v3Err := v3C.Compute(t.Context(), srv.Addr(), []uint64{1})
-	if gobErr == nil || v3Err == nil {
-		t.Fatalf("compute before store: gob=%v v3=%v, want remote errors", gobErr, v3Err)
+	pool := NewPool[uint64]()
+	client := Client[uint64]{F: f, Timeout: 2 * time.Second, Pool: pool}
+	cloud := Cloud[uint64]{Timeout: 2 * time.Second, Pool: pool}
+	ctx, addr := t.Context(), srv.Addr()
+	compute := func(n int) func() error {
+		return func() error { _, err := client.Compute(ctx, addr, make([]uint64, n)); return err }
 	}
-	if gobErr.Error() != v3Err.Error() {
-		t.Fatalf("error text diverges:\n  gob: %s\n  v3:  %s", gobErr, v3Err)
+	batch := func(rows, cols int) func() error {
+		return func() error { _, err := client.ComputeBatch(ctx, addr, matrix.New[uint64](rows, cols)); return err }
+	}
+	store := func(rows, cols int) func() error {
+		return func() error { return cloud.Store(ctx, addr, matrix.New[uint64](rows, cols)) }
+	}
+	for _, tc := range []struct {
+		call func() error
+		want string // "" = must succeed
+	}{
+		{compute(1), "compute: no coded block stored"},
+		{batch(1, 1), "compute-batch: no coded block stored"},
+		{store(0, 0), "store: empty coded block"},
+		{store(3, 3), "store: block of 9 elements exceeds the device cap of 8"},
+		{store(2, 3), ""},
+		{compute(2), "compute: x has 2 entries, coded rows have 3 columns"},
+		{compute(9), "compute: x of 9 elements exceeds the device cap of 8"},
+		{batch(2, 2), "compute-batch: X has 2 rows, coded rows have 3 columns"},
+		{batch(3, 0), "compute-batch: X has no columns"},
+		{batch(3, 3), "compute-batch: X of 9 elements exceeds the device cap of 8"},
+		{compute(3), ""},
+		{batch(3, 2), ""},
+	} {
+		err := tc.call()
+		if tc.want == "" {
+			if err != nil {
+				t.Fatalf("valid request failed: %v", err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrRemote) {
+			t.Fatalf("err = %v, want ErrRemote (%s)", err, tc.want)
+		}
+		if got, want := err.Error(), "transport: remote error: "+addr+": "+tc.want; got != want {
+			t.Fatalf("remote error text changed:\n  got:  %s\n  want: %s", got, want)
+		}
 	}
 }
 
-// TestV3ElementCap: an over-cap store over v3 must fail with the same
-// message as gob and leave the connection healthy for the next request.
+// TestV3ElementCap: an over-cap store must fail with the cap message and
+// leave the connection healthy for the next request.
 func TestV3ElementCap(t *testing.T) {
 	f := field.Prime{}
 	srv, err := NewDeviceServerLimited[uint64](f, "127.0.0.1:0", 4)
@@ -320,7 +385,7 @@ func TestV3ElementCap(t *testing.T) {
 	}
 	defer srv.Close()
 	pool := NewPool[uint64]()
-	cloud := Cloud[uint64]{Timeout: 2 * time.Second, Proto: ProtoV3, Pool: pool}
+	cloud := Cloud[uint64]{Timeout: 2 * time.Second, Pool: pool}
 	big := matrix.FromSlice(3, 2, make([]uint64, 6))
 	err = cloud.Store(t.Context(), srv.Addr(), big)
 	if err == nil {
@@ -340,8 +405,8 @@ func TestV3ElementCap(t *testing.T) {
 	}
 }
 
-// TestV3TracedExchange: spans must ride the v3 response trailer exactly as
-// they ride the gob envelope.
+// TestV3TracedExchange: the device's spans ride the response trailer into
+// the caller's trace.
 func TestV3TracedExchange(t *testing.T) {
 	f := field.Prime{}
 	devTr := trace.New(trace.Options{Service: "device"})
@@ -351,13 +416,13 @@ func TestV3TracedExchange(t *testing.T) {
 	}
 	defer srv.Close()
 	pool := NewPool[uint64]()
-	cloud := Cloud[uint64]{Timeout: 2 * time.Second, Proto: ProtoV3, Pool: pool}
+	cloud := Cloud[uint64]{Timeout: 2 * time.Second, Pool: pool}
 	if err := cloud.Store(t.Context(), srv.Addr(), matrix.FromSlice(1, 2, []uint64{1, 1})); err != nil {
 		t.Fatal(err)
 	}
 	tr := trace.New(trace.Options{Service: "user"})
 	ctx, root := tr.StartRoot(context.Background(), "query")
-	client := Client[uint64]{F: f, Timeout: 2 * time.Second, Proto: ProtoV3, Pool: pool}
+	client := Client[uint64]{F: f, Timeout: 2 * time.Second, Pool: pool}
 	if _, err := client.Compute(ctx, srv.Addr(), []uint64{4, 9}); err != nil {
 		t.Fatal(err)
 	}
