@@ -1,0 +1,77 @@
+package scec_test
+
+import (
+	"context"
+	"math/rand/v2"
+	"runtime"
+	"testing"
+
+	"github.com/scec/scec"
+	"github.com/scec/scec/internal/obs"
+	"github.com/scec/scec/internal/testenv"
+	"github.com/scec/scec/internal/transport"
+)
+
+// servedQueryAllocBudget is the heap-allocation ceiling for one warm query
+// through the whole stack, counted process-wide (caller, fleet goroutines,
+// and the in-process device servers), as the benchmark's allocs_per_query
+// counts it. The stack measured 119 when the budget was set and 300 before
+// metrics lookups, untraced spans and hedge bookkeeping stopped allocating;
+// the slack absorbs runtime noise, not a new per-query allocation site.
+const servedQueryAllocBudget = 150
+
+// TestServedQueryAllocBudget serves the benchmark's fleet_small_seq shape
+// (m=40, l=64, three single-replica devices on loopback sockets, one caller,
+// tracing off) and fails when a warm Served.MulVecContext costs more than
+// the budget.
+func TestServedQueryAllocBudget(t *testing.T) {
+	testenv.SkipAllocsUnderRace(t)
+	f := scec.PrimeField()
+	rng := rand.New(rand.NewPCG(15, 40))
+	const m, l, queries = 40, 64, 2000
+	a := scec.RandomMatrix(f, rng, m, l)
+	reg := obs.New()
+	dep, err := scec.Deploy(f, a, []float64{1, 1, 1}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = dep.Close() })
+	cfg := scec.FleetConfig{
+		Replicas:      make([][]string, dep.Devices()),
+		ProbeInterval: -1,
+		Metrics:       reg,
+	}
+	for j := range cfg.Replicas {
+		srv, err := transport.NewDeviceServerOptions(f, "127.0.0.1:0", transport.Options{Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = srv.Close() })
+		cfg.Replicas[j] = []string{srv.Addr()}
+	}
+	s, err := scec.Serve(dep, cfg, scec.WithEngineMetrics[uint64](reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+
+	ctx := context.Background()
+	x := scec.RandomVector(f, rng, l)
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := s.MulVecContext(ctx, x); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(200) // connections dialed, series registered, latency ring full
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(queries)
+	runtime.ReadMemStats(&after)
+	perQuery := float64(after.Mallocs-before.Mallocs) / queries
+	t.Logf("%.1f allocs per served query (budget %d)", perQuery, servedQueryAllocBudget)
+	if perQuery > servedQueryAllocBudget {
+		t.Fatalf("%.1f allocs per served query, budget is %d", perQuery, servedQueryAllocBudget)
+	}
+}

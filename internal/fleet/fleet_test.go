@@ -3,6 +3,8 @@ package fleet
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -465,6 +467,87 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 	if v := counterValue(t, reg, obs.MetricFleetBreakerState, map[string]string{"device": "test"}); v != float64(BreakerClosed) {
 		t.Fatalf("breaker gauge = %g, want %d", v, BreakerClosed)
+	}
+}
+
+// TestCandidatesOrder pins the routing order races and failovers rely on:
+// healthy replicas first, then admissible trials (half-open, or open past
+// the cooldown), each group in replica order; breakers still cooling down
+// are left out.
+func TestCandidatesOrder(t *testing.T) {
+	reg := obs.New()
+	now := time.Now()
+	const cooldown = time.Minute
+	// One letter per replica: c closed, h half-open, o open inside the
+	// cooldown, x open past it (expired).
+	mk := func(i int, kind byte) *device {
+		addr := strconv.Itoa(i)
+		d := &device{addr: addr, gauge: reg.Gauge(obs.MetricFleetBreakerState, breakerHelp, obs.L("device", addr))}
+		switch kind {
+		case 'h':
+			d.state = BreakerHalfOpen
+		case 'o':
+			d.state, d.openedAt = BreakerOpen, now
+		case 'x':
+			d.state, d.openedAt = BreakerOpen, now.Add(-2*cooldown)
+		}
+		return d
+	}
+	for _, tc := range []struct {
+		replicas string
+		want     []string
+	}{
+		{"", nil},
+		{"c", []string{"0"}},
+		{"o", nil},
+		{"ccc", []string{"0", "1", "2"}},
+		{"hc", []string{"1", "0"}},
+		{"xhc", []string{"2", "0", "1"}},
+		{"hcoxc", []string{"1", "4", "0", "3"}},
+		{"chxcohc", []string{"0", "3", "6", "1", "2", "5"}},
+		{"oxoh", []string{"1", "3"}},
+	} {
+		b := &blockState[uint64]{}
+		for i := range tc.replicas {
+			b.replicas = append(b.replicas, mk(i, tc.replicas[i]))
+		}
+		snapshot := append([]*device(nil), b.replicas...)
+		var got []string
+		for _, d := range b.candidates(now, cooldown) {
+			got = append(got, d.addr)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("replicas %q: candidates %v, want %v", tc.replicas, got, tc.want)
+		}
+		if !slices.Equal(b.replicas, snapshot) {
+			t.Errorf("replicas %q: candidates reordered the block's replica set", tc.replicas)
+		}
+		for i, d := range b.replicas {
+			if tc.replicas[i] == 'x' && d.State() != BreakerHalfOpen {
+				t.Errorf("replicas %q: expired breaker %d is %v, want half-open after being offered a trial", tc.replicas, i, d.State())
+			}
+		}
+	}
+}
+
+// TestSingleCandidateRaceNeverHedges: with one replica per block there is
+// nobody to hedge to, so a leader slower than the hedge delay must still win
+// with the hedges counter untouched.
+func TestSingleCandidateRaceNeverHedges(t *testing.T) {
+	env := newTestEnv(t, 1, 0)
+	env.cfg.HedgeAfter = time.Millisecond
+	s := env.serve(t)
+	for _, ps := range env.proxies {
+		ps[0].SetDelay(20 * time.Millisecond)
+		ps[0].SetMode(FaultDelay)
+	}
+	got, err := s.MulVec(env.x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkResult(t, env.want, got)
+	if v := counterValue(t, env.reg, obs.MetricFleetHedgesTotal, nil); v != 0 {
+		t.Fatalf("hedges counter = %g, want 0 with a single candidate", v)
 	}
 }
 

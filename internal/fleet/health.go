@@ -151,18 +151,27 @@ func (d *device) State() BreakerState {
 // Devices inside an open breaker's cooldown are excluded entirely.
 func (b *blockState[E]) candidates(now time.Time, cooldown time.Duration) []*device {
 	b.mu.Lock()
-	replicas := make([]*device, len(b.replicas))
-	copy(replicas, b.replicas)
+	out := make([]*device, len(b.replicas))
+	copy(out, b.replicas)
 	b.mu.Unlock()
-	var closed, trial []*device
-	for _, d := range replicas {
-		if d.healthy() {
-			closed = append(closed, d)
-		} else if d.admissible(now, cooldown) {
-			trial = append(trial, d)
+	// Stable partition inside the copy: out[:h] are the healthy devices and
+	// out[h:t] the trials seen so far, t never ahead of the read index. Each
+	// device is classified once (admissible moves an open breaker to
+	// half-open, so it must not be asked twice).
+	h, t := 0, 0
+	for _, d := range out {
+		switch {
+		case d.healthy():
+			copy(out[h+1:t+1], out[h:t])
+			out[h] = d
+			h++
+			t++
+		case d.admissible(now, cooldown):
+			out[t] = d
+			t++
 		}
 	}
-	return append(closed, trial...)
+	return out[:t]
 }
 
 // probeLoop pings the whole physical fleet (replicas and standbys) every

@@ -1,7 +1,7 @@
 package fleet
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -107,17 +107,15 @@ func (r *latencyRing) observe(d time.Duration) {
 }
 
 // percentile returns the p-quantile of the retained latencies; ok is false
-// until minAdaptiveSamples observations accumulated.
+// until minAdaptiveSamples observations accumulated. It sorts a by-value
+// stack copy of the ring, so arming a hedge timer allocates nothing.
 func (r *latencyRing) percentile(p float64) (time.Duration, bool) {
 	r.mu.Lock()
-	n := r.n
-	tmp := make([]time.Duration, n)
-	copy(tmp, r.buf[:n])
+	n, tmp := r.n, r.buf
 	r.mu.Unlock()
 	if n < minAdaptiveSamples {
 		return 0, false
 	}
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	i := int(p * float64(n-1))
-	return tmp[i], true
+	slices.Sort(tmp[:n])
+	return tmp[int(p*float64(n-1))], true
 }

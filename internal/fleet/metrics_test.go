@@ -2,12 +2,15 @@ package fleet
 
 import (
 	"math/rand/v2"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/scec/scec/internal/matrix"
 	"github.com/scec/scec/internal/obs"
+	"github.com/scec/scec/internal/testenv"
 )
 
 // TestFleetMetricsEagerlyRegistered: a scrape of a freshly provisioned
@@ -140,5 +143,70 @@ func TestFleetMetricsBoundedCardinality(t *testing.T) {
 	// The per-query vec counter must track exactly.
 	if v := counterValue(t, env.reg, obs.MetricFleetQueriesTotal, map[string]string{"kind": kindVec}); v != 4 {
 		t.Fatalf("vec queries = %g, want 4", v)
+	}
+}
+
+// TestLatencyRingPercentileMatchesReference replays random observation
+// sequences — shorter than the warm-up gate, partly filled, and wrapped
+// around the 64-entry ring several times — against a sort-based reference
+// over the last 64 observations.
+func TestLatencyRingPercentileMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(15, 2))
+	for trial := 0; trial < 200; trial++ {
+		r := newLatencyRing()
+		var seen []time.Duration
+		for i, n := 0, rng.IntN(4*len(r.buf)); i < n; i++ {
+			d := time.Duration(rng.IntN(50)) * time.Millisecond // ties included
+			r.observe(d)
+			seen = append(seen, d)
+		}
+		if len(seen) > len(r.buf) {
+			seen = seen[len(seen)-len(r.buf):]
+		}
+		for _, p := range []float64{0, 0.5, 0.95, 1} {
+			got, ok := r.percentile(p)
+			if len(seen) < minAdaptiveSamples {
+				if ok {
+					t.Fatalf("trial %d: percentile ok with %d < %d samples", trial, len(seen), minAdaptiveSamples)
+				}
+				continue
+			}
+			ref := append([]time.Duration(nil), seen...)
+			sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
+			if want := ref[int(p*float64(len(ref)-1))]; !ok || got != want {
+				t.Fatalf("trial %d: p%g of %d samples = %v (ok=%v), want %v", trial, p*100, len(seen), got, ok, want)
+			}
+		}
+	}
+}
+
+// TestLatencyRingPercentileAllocs: the adaptive hedge delay is evaluated
+// once per block per query, so it must not allocate. It fails if percentile
+// goes back to a heap copy or a reflection-based sort.
+func TestLatencyRingPercentileAllocs(t *testing.T) {
+	testenv.SkipAllocsUnderRace(t)
+	r := fullLatencyRing()
+	if n := testing.AllocsPerRun(100, func() { r.percentile(0.95) }); n != 0 {
+		t.Fatalf("percentile = %g allocs, want 0", n)
+	}
+}
+
+func fullLatencyRing() *latencyRing {
+	rng := rand.New(rand.NewPCG(15, 3))
+	r := newLatencyRing()
+	for range r.buf {
+		r.observe(time.Duration(rng.IntN(1000)) * time.Microsecond)
+	}
+	return r
+}
+
+// BenchmarkHedgeDelay prices the adaptive hedge delay over a full ring — the
+// cost of arming one hedge timer.
+func BenchmarkHedgeDelay(b *testing.B) {
+	s := &Session[uint64]{lat: fullLatencyRing()}
+	s.cfg = Config{RPCTimeout: time.Second, QueryTimeout: time.Minute}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.hedgeDelay()
 	}
 }

@@ -317,8 +317,16 @@ func raceReplicas[E comparable, T any](s *Session[E], ctx context.Context, b *bl
 	launch(cands[next], false)
 	next++
 	pending := 1
-	hedge := time.NewTimer(s.hedgeDelay())
-	defer hedge.Stop()
+	// The hedge timer exists only while a candidate is left to hedge to; a
+	// nil channel never fires, so a single-replica race pays for neither the
+	// timer nor the delay estimate.
+	var hedge *time.Timer
+	var hedgeC <-chan time.Time
+	if next < len(cands) {
+		hedge = time.NewTimer(s.hedgeDelay())
+		defer hedge.Stop()
+		hedgeC = hedge.C
+	}
 	bsp := trace.SpanFromContext(ctx)
 	var lastErr error
 	for {
@@ -353,13 +361,16 @@ func raceReplicas[E comparable, T any](s *Session[E], ctx context.Context, b *bl
 			} else if pending == 0 {
 				return zero, lastErr
 			}
-		case <-hedge.C:
+		case <-hedgeC:
+			// A failover may have taken the last candidate since arming.
 			if next < len(cands) {
 				s.met.hedges.Inc()
 				bsp.AddEvent(trace.EventHedge, trace.A(trace.AttrDevice, cands[next].addr))
 				launch(cands[next], true)
 				next++
 				pending++
+			}
+			if next < len(cands) {
 				hedge.Reset(s.hedgeDelay())
 			}
 		case <-rctx.Done():

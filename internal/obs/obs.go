@@ -5,9 +5,11 @@
 // bundle (/metrics, /healthz, /debug/pprof/*, /debug/vars).
 //
 // The repo is deliberately dependency-free, so everything here is standard
-// library only. All metric updates are lock-free atomics; registration
-// (get-or-create of a named series) takes a mutex but callers cache the
-// returned handle, so hot paths never contend.
+// library only. All metric updates are lock-free atomics. Get-or-create of
+// a named series is cheap enough to call on every update: a lookup of an
+// existing series is two read-locked map hits and no allocation (the label
+// key is rendered into a stack buffer), and the write locks are taken once
+// per family and once per series, to register them.
 //
 // Real runs (internal/transport) and simulated runs (internal/sim) record
 // the same metric names — see names.go — so a Prometheus scrape of a live
@@ -19,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -264,21 +265,43 @@ type family struct {
 	typ     metricType
 	buckets []float64
 
-	mu     sync.Mutex
+	mu     sync.RWMutex
 	series map[string]*series
 	order  []string
 }
 
+// get returns the series for labels, registering it on first use.
 func (f *family) get(labels []Label) *series {
-	key := canonical(labels)
+	if s := f.find(labels); s != nil {
+		return s
+	}
+	return f.register(labels)
+}
+
+// find returns the series for labels if it exists, without creating it. It
+// is the path every bump of an existing series takes: a read-locked map hit
+// keyed by a stack-rendered key, so it allocates nothing and readers never
+// serialize.
+func (f *family) find(labels []Label) *series {
+	var buf [keyBufSize]byte
+	key := appendKey(buf[:0], labels)
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return f.series[string(key)]
+}
+
+// register mints the series under the write lock, unless a concurrent first
+// touch got there first.
+func (f *family) register(labels []Label) *series {
+	ls := make([]Label, len(labels))
+	copy(ls, labels)
+	sortLabels(ls)
+	key := string(appendKey(nil, ls))
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if s, ok := f.series[key]; ok {
 		return s
 	}
-	ls := make([]Label, len(labels))
-	copy(ls, labels)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
 	s := &series{labels: ls}
 	switch f.typ {
 	case typeCounter:
@@ -293,24 +316,44 @@ func (f *family) get(labels []Label) *series {
 	return s
 }
 
-// canonical renders labels as a stable sorted key.
-func canonical(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
+// Stack sizes of the key renderer: a label set with more labels, or a longer
+// rendered key, falls back to the heap. Every series this repo records has
+// at most three short labels.
+const (
+	keyBufSize     = 256
+	keyStackLabels = 8
+)
+
+// sortLabels orders ls by key. Label sets are a handful of entries, so an
+// insertion sort is the fast path, and it needs no closure or reflection
+// swapper, so it allocates nothing.
+func sortLabels(ls []Label) {
+	for i := 1; i < len(ls); i++ {
+		for j := i; j > 0 && ls[j].Key < ls[j-1].Key; j-- {
+			ls[j], ls[j-1] = ls[j-1], ls[j]
+		}
 	}
-	ls := make([]Label, len(labels))
-	copy(ls, labels)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	var b strings.Builder
+}
+
+// appendKey appends the canonical series key of labels to dst: "k=v" pairs
+// in key order, comma-separated. labels is not modified and does not escape.
+func appendKey(dst []byte, labels []Label) []byte {
+	var stack [keyStackLabels]Label
+	ls := stack[:0]
+	if len(labels) > len(stack) {
+		ls = make([]Label, 0, len(labels))
+	}
+	ls = append(ls, labels...)
+	sortLabels(ls)
 	for i, l := range ls {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(l.Value)
+		dst = append(dst, l.Key...)
+		dst = append(dst, '=')
+		dst = append(dst, l.Value...)
 	}
-	return b.String()
+	return dst
 }
 
 // Registry holds named metric families. The zero value is not usable; call
@@ -318,7 +361,7 @@ func canonical(labels []Label) string {
 type Registry struct {
 	start time.Time
 
-	mu       sync.Mutex
+	mu       sync.RWMutex
 	families map[string]*family
 	order    []string
 }
@@ -336,17 +379,21 @@ var std = New()
 func Default() *Registry { return std }
 
 func (r *Registry) family(name, help string, t metricType, buckets []float64) *family {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f, ok := r.families[name]; ok {
-		if f.typ != t {
-			panic(fmt.Sprintf("obs: metric %q registered as %s, requested as %s", name, f.typ, t))
+	r.mu.RLock()
+	f := r.families[name]
+	r.mu.RUnlock()
+	if f == nil {
+		r.mu.Lock()
+		if f = r.families[name]; f == nil {
+			f = &family{name: name, help: help, typ: t, buckets: buckets, series: make(map[string]*series)}
+			r.families[name] = f
+			r.order = append(r.order, name)
 		}
-		return f
+		r.mu.Unlock()
 	}
-	f := &family{name: name, help: help, typ: t, buckets: buckets, series: make(map[string]*series)}
-	r.families[name] = f
-	r.order = append(r.order, name)
+	if f.typ != t {
+		panic(fmt.Sprintf("obs: metric %q registered as %s, requested as %s", name, f.typ, t))
+	}
 	return f
 }
 
@@ -371,16 +418,13 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 // find returns the series for name+labels if it exists, without creating
 // it (reads must not mint empty series into the export).
 func (r *Registry) find(name string, labels []Label) *series {
-	r.mu.Lock()
+	r.mu.RLock()
 	f := r.families[name]
-	r.mu.Unlock()
+	r.mu.RUnlock()
 	if f == nil {
 		return nil
 	}
-	key := canonical(labels)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.series[key]
+	return f.find(labels)
 }
 
 // Uptime reports how long the registry has existed.
@@ -388,23 +432,23 @@ func (r *Registry) Uptime() time.Duration { return time.Since(r.start) }
 
 // visit walks families and series in registration order under the locks.
 func (r *Registry) visit(fn func(f *family, s *series)) {
-	r.mu.Lock()
+	r.mu.RLock()
 	names := make([]string, len(r.order))
 	copy(names, r.order)
 	fams := make([]*family, len(names))
 	for i, n := range names {
 		fams[i] = r.families[n]
 	}
-	r.mu.Unlock()
+	r.mu.RUnlock()
 	for _, f := range fams {
-		f.mu.Lock()
+		f.mu.RLock()
 		keys := make([]string, len(f.order))
 		copy(keys, f.order)
 		ss := make([]*series, len(keys))
 		for i, k := range keys {
 			ss[i] = f.series[k]
 		}
-		f.mu.Unlock()
+		f.mu.RUnlock()
 		for _, s := range ss {
 			fn(f, s)
 		}

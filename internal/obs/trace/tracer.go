@@ -128,6 +128,9 @@ func (t *Tracer) StartRemote(ctx context.Context, parent SpanContext, name strin
 	return t.start(ctx, parent, name, attrs)
 }
 
+// start copies attrs rather than retaining the caller's slice, so the
+// Start* variadics stay on the caller's stack and cost nothing when the
+// tracer is nil.
 func (t *Tracer) start(ctx context.Context, parent SpanContext, name string, attrs []Attr) (context.Context, *Span) {
 	s := &Span{
 		tracer: t,
@@ -138,7 +141,7 @@ func (t *Tracer) start(ctx context.Context, parent SpanContext, name string, att
 		parent: parent.SpanID,
 		name:   name,
 		start:  t.clock.Now(),
-		attrs:  attrs,
+		attrs:  append([]Attr(nil), attrs...),
 	}
 	t.started.Add(1)
 	return ContextWithSpan(ctx, s), s
@@ -243,7 +246,7 @@ func (s *Span) AddEvent(name string, attrs ...Attr) {
 	now := s.tracer.clock.Now()
 	s.mu.Lock()
 	if !s.done {
-		s.events = append(s.events, Event{Name: name, Time: now, Attrs: attrs})
+		s.events = append(s.events, Event{Name: name, Time: now, Attrs: append([]Attr(nil), attrs...)})
 	}
 	s.mu.Unlock()
 }

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/scec/scec/internal/testenv"
 )
 
 func TestTraceparentRoundTrip(t *testing.T) {
@@ -83,6 +85,41 @@ func TestNilTracerAndSpanAreNoOps(t *testing.T) {
 	}
 	if tr.Enabled() {
 		t.Fatalf("nil tracer reports enabled")
+	}
+}
+
+// TestUntracedStartAllocs: instrumentation sites pass attributes
+// unconditionally, so with tracing off (nil tracer, bare context) opening a
+// span — and annotating the nil span it returns — must allocate nothing. It
+// fails if start or AddEvent goes back to retaining the caller's variadic
+// slice, which makes every call site heap-allocate it.
+func TestUntracedStartAllocs(t *testing.T) {
+	testenv.SkipAllocsUnderRace(t)
+	var tr *Tracer
+	ctx := context.Background()
+	if n := testing.AllocsPerRun(100, func() {
+		_, root := tr.StartRoot(ctx, "x", A("kind", "vec"), A("blocks", "3"))
+		_, sp := tr.StartSpan(ctx, "y", A("device", "d0"), A("hedged", "false"))
+		sp.AddEvent("hedge", A("device", "d1"))
+		sp.End()
+		root.End()
+	}); n != 0 {
+		t.Fatalf("untraced StartRoot+StartSpan+AddEvent = %g allocs, want 0", n)
+	}
+}
+
+// TestSpanOwnsItsAttrs: spans copy the attributes they are started with, so
+// a caller reusing its slice afterwards cannot rewrite a recorded span.
+func TestSpanOwnsItsAttrs(t *testing.T) {
+	tr := New(Options{Service: "t"})
+	attrs := []Attr{A("k", "v")}
+	_, sp := tr.StartRoot(context.Background(), "x", attrs...)
+	sp.AddEvent("e", attrs...)
+	attrs[0].Value = "reused"
+	sp.End()
+	sd, ok := sp.Data()
+	if !ok || sd.Attr("k") != "v" || sd.Events[0].Attrs[0].Value != "v" {
+		t.Fatalf("span data %+v follows the caller's slice, want k=v on span and event", sd)
 	}
 }
 

@@ -313,13 +313,15 @@ func readRequestFrame[E comparable](br *bufio.Reader, cod elemCodec, maxElements
 		return err
 	}
 	// slab validates total elements against the remaining payload and the
-	// device cap, then reads them zero-copy into a fresh slab.
-	slab := func(total uint64, capMsg string) ([]E, error) {
+	// device cap, then reads them zero-copy into a fresh slab. what names the
+	// operand ("compute: x") for the over-cap message, which is only built
+	// when the cap is exceeded.
+	slab := func(total uint64, what string) ([]E, error) {
 		if total != uint64(body)/uint64(cod.size) || total*uint64(cod.size) != uint64(body) {
 			return nil, fmt.Errorf("transport: %d elements do not match %d payload bytes", total, body)
 		}
 		if total > uint64(maxElements) {
-			req.capErr = capMsg
+			req.capErr = fmt.Sprintf("%s of %d elements exceeds the device cap of %d", what, total, maxElements)
 			return nil, drain()
 		}
 		dst := make([]E, total)
@@ -340,8 +342,7 @@ func readRequestFrame[E comparable](br *bufio.Reader, cod elemCodec, maxElements
 		if err != nil {
 			return nil, err
 		}
-		n := uint64(dims[0])
-		x, err := slab(n, fmt.Sprintf("compute: x of %d elements exceeds the device cap of %d", n, maxElements))
+		x, err := slab(uint64(dims[0]), "compute: x")
 		if err != nil {
 			return nil, err
 		}
@@ -352,11 +353,11 @@ func readRequestFrame[E comparable](br *bufio.Reader, cod elemCodec, maxElements
 			return nil, err
 		}
 		rows, cols := uint64(dims[0]), uint64(dims[1])
-		noun, capNoun := "store", "block"
+		what := "store: block"
 		if req.op == opComputeBatch {
-			noun, capNoun = "compute-batch", "X"
+			what = "compute-batch: X"
 		}
-		data, err := slab(rows*cols, fmt.Sprintf("%s: %s of %d elements exceeds the device cap of %d", noun, capNoun, rows*cols, maxElements))
+		data, err := slab(rows*cols, what)
 		if err != nil {
 			return nil, err
 		}
