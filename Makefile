@@ -23,10 +23,13 @@ lint: vet
 		echo "lint: staticcheck not installed; skipped (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-# -timeout 180s: a hung package (the open P0 kernel-pool deadlock on
-# multicore hosts) fails in minutes with a goroutine dump, not after the
-# default 10.
+# A hang must fail fast, with a goroutine dump, not after go test's default
+# 10 minutes: the kernel layer and its first caller — where a sharding bug
+# would block — get 30 s of their own, everything else 180 s. CI runs both
+# steps at GOMAXPROCS 1, 2, 4 and 8 (GOMAXPROCS=n make test does the same
+# here).
 test:
+	$(GO) test -timeout 30s ./internal/matrix/ ./internal/coding/
 	$(GO) test -timeout 180s ./...
 
 test-short:
@@ -77,8 +80,8 @@ bench-json:
 
 # Bench smoke guard: run the pipeline micro-benchmarks and fail on NaN or
 # zero throughput (a hung or broken kernel path), then give the kernel
-# dispatch layer a full (un-short) race pass — the worker pool and the
-# atomic tuning knobs live in internal/matrix.
+# dispatch layer a full (un-short) race pass — the sharding cursor, the
+# helper cap and the atomic tuning knobs live in internal/matrix.
 bench-check:
 	$(GO) run ./cmd/experiments -fig bench -check
 	$(GO) test -race ./internal/matrix/
@@ -129,6 +132,7 @@ adapt-check:
 # Short fuzzing passes over every fuzz target (CI-friendly budgets).
 fuzz:
 	$(GO) test -fuzz FuzzPrimeArithmetic -fuzztime 10s ./internal/field/
+	$(GO) test -fuzz FuzzPrimeDotVec -fuzztime 10s ./internal/field/
 	$(GO) test -fuzz FuzzGF256Arithmetic -fuzztime 10s ./internal/field/
 	$(GO) test -fuzz FuzzTA1TA2Agreement -fuzztime 10s ./internal/alloc/
 	$(GO) test -fuzz FuzzEncodeDecodeGF256 -fuzztime 10s ./internal/coding/

@@ -23,9 +23,9 @@ func (e *Encoding[E]) ComputeDeviceBatch(f field.Field[E], j int, x *matrix.Dens
 }
 
 // ComputeAllBatch stacks every device's batch result in device order,
-// yielding B·T·X ((m+r)×n). Devices run in parallel across the shared
-// kernel pool; each per-device product dispatches to the field-specialized
-// matrix kernels.
+// yielding B·T·X ((m+r)×n). Devices run in parallel through
+// matrix.ParallelFor; each per-device product dispatches to the
+// field-specialized matrix kernels and may itself shard.
 func (e *Encoding[E]) ComputeAllBatch(f field.Field[E], x *matrix.Dense[E]) *matrix.Dense[E] {
 	blocks := make([]*matrix.Dense[E], len(e.Blocks))
 	rows := 0

@@ -74,8 +74,8 @@ func EncodeWithRandom[E comparable](f field.Field[E], s *Scheme, a, random *matr
 		blocks[j] = matrix.FromSlice(to-from, l, slab[off:off+n:off+n])
 		off += n
 	}
-	// Devices are independent: shard the fleet across the kernel worker
-	// pool (total work is one vector add per coded row). Within a device,
+	// Devices are independent: shard the fleet with matrix.ParallelFor
+	// (total work is one vector add per coded row). Within a device,
 	// consecutive global rows map to consecutive data rows and — until
 	// p mod r wraps — consecutive random rows, so each run of rows is one
 	// contiguous vector-add (or copy, for the raw random rows) instead of
@@ -117,8 +117,8 @@ func (e *Encoding[E]) ComputeDevice(f field.Field[E], j int, x []E) []E {
 // ComputeAll runs every device and concatenates the intermediate results in
 // device order, i.e. it returns B·T·x. The in-process simulator and tests
 // use it; the transport package does the same over TCP. Devices run in
-// parallel across the shared kernel pool, each multiplying directly into
-// its slot of the result.
+// parallel through matrix.ParallelFor, each multiplying directly into its
+// slot of the result (and sharding its own product when it is large enough).
 func (e *Encoding[E]) ComputeAll(f field.Field[E], x []E) []E {
 	offsets := make([]int, len(e.Blocks)+1)
 	for j, b := range e.Blocks {

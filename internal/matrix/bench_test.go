@@ -1,7 +1,9 @@
 package matrix
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"sync"
 	"testing"
 
 	"github.com/scec/scec/internal/field"
@@ -225,4 +227,76 @@ func BenchmarkSolvePrime(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkParallelForOverhead is the fixed price of one sharded call: an
+// empty fn at threshold 1, so everything measured is the state allocation,
+// the helper start and wake-up, the chunk claims, and the wait.
+func BenchmarkParallelForOverhead(b *testing.B) {
+	defer SetParallelThreshold(SetParallelThreshold(1))
+	withKernelConfig(b, true, true, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ParallelFor(1024, 1024, func(lo, hi int) {})
+		}
+	})
+}
+
+// BenchmarkMulVecCrossover is the measurement DefaultParallelThreshold is
+// derived from (table in EXPERIMENTS.md, "Parallel-kernel crossover"): the
+// Prime MulVecInto at a ladder of element-op counts, serial against sharded
+// at threshold 1, plus the fleet shape — five device products of 1000×256
+// running at once, where sharding competes with the other devices for the
+// same cores.
+func BenchmarkMulVecCrossover(b *testing.B) {
+	defer SetParallelThreshold(SetParallelThreshold(1))
+	f := field.Prime{}
+	rng := benchRNG()
+	// run times fn serial and sharded as two sub-benchmarks of name.
+	run := func(name string, fn func()) {
+		for _, mode := range []struct {
+			name string
+			par  bool
+		}{{"serial", false}, {"sharded", true}} {
+			b.Run(name+"/"+mode.name, func(b *testing.B) {
+				withKernelConfig(b, true, mode.par, func(b *testing.B) {
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						fn()
+					}
+				})
+			})
+		}
+	}
+	for _, shape := range []struct{ rows, cols int }{
+		{512, 64}, {1250, 64}, {2048, 64}, {2304, 64}, {2500, 64}, {4096, 64}, {5000, 64}, {1000, 256},
+	} {
+		a := Random[uint64](f, rng, shape.rows, shape.cols)
+		x := RandomVec[uint64](f, rng, shape.cols)
+		dst := make([]uint64, shape.rows)
+		run(fmt.Sprintf("ops=%d/%dx%d", shape.rows*shape.cols, shape.rows, shape.cols), func() {
+			MulVecInto[uint64](f, a, x, dst)
+		})
+	}
+
+	const devices, rows, cols = 5, 1000, 256
+	x := RandomVec[uint64](f, rng, cols)
+	var blocks [devices]*Dense[uint64]
+	var outs [devices][]uint64
+	for j := range blocks {
+		blocks[j] = Random[uint64](f, rng, rows, cols)
+		outs[j] = make([]uint64, rows)
+	}
+	run(fmt.Sprintf("concurrent=%dx%dx%d", devices, rows, cols), func() {
+		var wg sync.WaitGroup
+		for j := range blocks {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				MulVecInto[uint64](f, blocks[j], x, outs[j])
+			}()
+		}
+		wg.Wait()
+	})
 }

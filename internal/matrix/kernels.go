@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"math/bits"
 	"sync"
 
 	"github.com/scec/scec/internal/field"
@@ -58,14 +59,7 @@ func initCounters() {
 				}
 			}
 		}
-		setPoolGauge(0) // publish the gauge even before the pool starts
 	})
-}
-
-// setPoolGauge records the worker-pool size (0 until the pool has started).
-func setPoolGauge(n int) {
-	obs.Default().Gauge(obs.MetricKernelPoolSize,
-		"Workers in the shared dense-kernel pool (0 until first parallel dispatch).").Set(float64(n))
 }
 
 func recordDispatch(op int, specialized, parallel bool) {
@@ -191,10 +185,17 @@ func mulRows[E comparable](f field.Field[E], a, b, out *Dense[E], lo, hi int) bo
 	return false
 }
 
+// slabProducts is how many raw products a column's 128-bit (accHi, accLo)
+// accumulator may absorb between reductions: each product of canonical
+// residues is below 2^122, and a reduced accumulator restarts below 2^61, so
+// 32 products keep it below 2^61 + 2^127 < 2^128.
+const slabProducts = 32
+
 // mulRowsPrime is the Mersenne-61 matrix-product kernel: per output row it
-// keeps a 128-bit column accumulator pair, folds each 122-bit product once,
-// and reduces each output element exactly once at the end of the row —
-// turning ~2 reductions per element-op into 1/cols.
+// keeps a 128-bit accumulator per column in the (accHi, accLo) slabs, adds
+// each raw 122-bit product into it with no per-element fold, and reduces the
+// slabs in place every slabProducts non-zero k — so a reduction runs once
+// per 32 element-ops instead of twice per element-op.
 func mulRowsPrime(ff field.Prime, ad, bd, od []uint64, acols, bcols, lo, hi int) {
 	if bcols == 0 {
 		return
@@ -204,22 +205,36 @@ func mulRowsPrime(ff field.Prime, ad, bd, od []uint64, acols, bcols, lo, hi int)
 	for i := lo; i < hi; i++ {
 		clear(accHi)
 		clear(accLo)
-		arow := ad[i*acols : (i+1)*acols]
-		for k, aik := range arow {
+		pending := 0
+		for k, aik := range ad[i*acols : (i+1)*acols] {
 			if aik == 0 {
 				continue
 			}
-			brow := bd[k*bcols : (k+1)*bcols]
-			for j, bv := range brow {
-				var carry uint64
-				accLo[j], carry = field.FoldMulAdd64(accLo[j], aik, bv)
-				accHi[j] += carry
+			if pending == slabProducts {
+				for j, h := range accHi {
+					accHi[j], accLo[j] = 0, ff.Reduce128(h, accLo[j])
+				}
+				pending = 0
 			}
+			mulAddSlabs(accHi, accLo, aik, bd[k*bcols:(k+1)*bcols])
+			pending++
 		}
-		orow := od[i*bcols : (i+1)*bcols]
-		for j := range orow {
-			orow[j] = ff.Reduce128(accHi[j], accLo[j])
+		for j := range accHi {
+			od[i*bcols+j] = ff.Reduce128(accHi[j], accLo[j])
 		}
+	}
+}
+
+// mulAddSlabs adds the raw 128-bit products s·src[j] into the per-column
+// accumulators (accHi[j], accLo[j]): one MULQ, one ADDQ, one ADCQ per
+// element. All three slices have equal length.
+func mulAddSlabs(accHi, accLo []uint64, s uint64, src []uint64) {
+	accHi, accLo = accHi[:len(src)], accLo[:len(src)]
+	for j, v := range src {
+		ph, pl := bits.Mul64(s, v)
+		lo, c := bits.Add64(accLo[j], pl, 0)
+		accLo[j] = lo
+		accHi[j], _ = bits.Add64(accHi[j], ph, c)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 
 // TestKernelDispatchMetricsBoundedCardinality drives every op across every
 // dispatch configuration and checks the kernel metrics stay within their
-// fixed label sets: at most 4 ops × 2 impls × 2 modes = 16 counter series
-// plus one pool-size gauge, no matter how many operations run. This matches
+// fixed label sets: at most 4 ops × 2 impls × 2 modes = 16 counter series,
+// no matter how many operations run. This matches
 // the PR-1 convention of collapsing labels to bounded sets so hot paths can
 // never explode /metrics.
 func TestKernelDispatchMetricsBoundedCardinality(t *testing.T) {
@@ -42,10 +42,9 @@ func TestKernelDispatchMetricsBoundedCardinality(t *testing.T) {
 		"mode": {"serial": true, "parallel": true},
 	}
 	snap := obs.Default().Snapshot()
-	foundDispatch, foundPool := false, false
+	foundDispatch := false
 	for _, fam := range snap.Metrics {
-		switch fam.Name {
-		case obs.MetricKernelDispatchTotal:
+		if fam.Name == obs.MetricKernelDispatchTotal {
 			foundDispatch = true
 			if len(fam.Series) > 16 {
 				t.Fatalf("%s has %d series, want <= 16", fam.Name, len(fam.Series))
@@ -65,44 +64,9 @@ func TestKernelDispatchMetricsBoundedCardinality(t *testing.T) {
 			if total < 4*4*3 { // 4 configs × 4 ops × 3 reps, plus whatever other tests recorded
 				t.Fatalf("dispatch counters sum to %g, want >= 48", total)
 			}
-		case obs.MetricKernelPoolSize:
-			foundPool = true
-			if len(fam.Series) != 1 {
-				t.Fatalf("%s has %d series, want 1 (no labels)", fam.Name, len(fam.Series))
-			}
-			if v := fam.Series[0].Value; v < 0 {
-				t.Fatalf("pool size gauge = %g, want >= 0", v)
-			}
 		}
 	}
-	if !foundDispatch || !foundPool {
-		t.Fatalf("kernel metrics missing from registry: dispatch=%v pool=%v", foundDispatch, foundPool)
+	if !foundDispatch {
+		t.Fatal("kernel dispatch metrics missing from registry")
 	}
-}
-
-// TestKernelPoolGaugeReflectsStartedPool checks the gauge reports the
-// worker count once a parallel dispatch has started the pool.
-func TestKernelPoolGaugeReflectsStartedPool(t *testing.T) {
-	restoreKernelConfig(t)
-	f := field.Prime{}
-	rng := rand.New(rand.NewPCG(71, 73))
-	a := Random(f, rng, 16, 16)
-	SetParallelKernels(true)
-	SetParallelThreshold(1)
-	_ = Add(f, a, a) // forces a parallelFor with work >= threshold
-	if poolSize.Load() == 0 {
-		// A 1-core machine never shards (shards < 2), so the pool may
-		// legitimately never start; nothing more to assert.
-		t.Skip("pool did not start (single-core shard cutoff)")
-	}
-	snap := obs.Default().Snapshot()
-	for _, fam := range snap.Metrics {
-		if fam.Name == obs.MetricKernelPoolSize {
-			if got, want := fam.Series[0].Value, float64(poolSize.Load()); got != want {
-				t.Fatalf("pool gauge = %g, want %g", got, want)
-			}
-			return
-		}
-	}
-	t.Fatal("pool size gauge not registered")
 }

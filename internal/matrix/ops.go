@@ -8,8 +8,8 @@ import (
 )
 
 // Add returns a + b. It panics on shape mismatch. Large matrices over the
-// concrete fields run the specialized vector kernels, sharded across the
-// worker pool.
+// concrete fields run the specialized vector kernels, sharded across
+// goroutines (see parallel.go).
 func Add[E comparable](f field.Field[E], a, b *Dense[E]) *Dense[E] {
 	shapeMatch("Add", a, b)
 	out := New[E](a.rows, a.cols)
@@ -57,7 +57,7 @@ func Scale[E comparable](f field.Field[E], s E, a *Dense[E]) *Dense[E] {
 // row-major and is the cache-friendly choice for a dense product; over the
 // concrete fields the inner loop runs a monomorphized AXPY (Mersenne-61
 // lazy reduction, GF(256) table lookups, raw float64), and large products
-// are row-sharded across the worker pool.
+// are row-sharded across goroutines.
 func Mul[E comparable](f field.Field[E], a, b *Dense[E]) *Dense[E] {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("matrix: Mul shape mismatch %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
@@ -100,7 +100,7 @@ func MulVec[E comparable](f field.Field[E], a *Dense[E], x []E) []E {
 // the allocation-free variant of MulVec that coding.ComputeAll uses to run
 // every device's product directly into its slot of the gathered result.
 // Rows are dispatched to the field-specialized dot-product kernels and
-// sharded across the worker pool above the parallel threshold.
+// sharded across goroutines above the parallel threshold.
 func MulVecInto[E comparable](f field.Field[E], a *Dense[E], x []E, dst []E) {
 	if len(x) != a.cols {
 		panic(fmt.Sprintf("matrix: MulVec shape mismatch %dx%d · %d", a.rows, a.cols, len(x)))

@@ -8,28 +8,36 @@ import (
 
 // Row-blocked parallelism for the dense kernels.
 //
-// A single package-level bounded worker pool shards large operations across
-// cores; small operations never touch it and stay on the fast serial path.
-// The pool is sized to runtime.GOMAXPROCS(0) at first use and spawns no
-// goroutines per call. Submission is non-blocking: a shard that cannot be
-// queued runs inline on the submitting goroutine, which makes nested
-// parallel operations (a parallel ComputeAll whose per-device MulVec is
-// itself above the threshold) deadlock-free by construction.
+// Small operations stay on the serial path. A large one is cut into chunks
+// behind an atomic cursor; the calling goroutine starts up to GOMAXPROCS−1
+// helper goroutines and then claims chunks from the cursor itself until none
+// are left. There is no pool and no queue: a helper is always a goroutine
+// that has been started, never a task waiting for a worker, so the caller
+// only ever waits on chunks that are already running. One process-wide
+// counter caps the helpers in flight at GOMAXPROCS−1; a call that finds no
+// free slot — nested inside another sharded call, or beside saturating
+// concurrent ones — starts none and runs its range serially, allocation
+// free. Waiting therefore always bottoms out in running code, which is why
+// nested use (a sharded ComputeAll whose per-device MulVec is itself above
+// the threshold) cannot deadlock.
 
 // DefaultParallelThreshold is the element-operation count below which an
-// operation stays serial. At roughly a nanosecond per element operation the
-// threshold corresponds to tens of microseconds of serial work, the scale at
-// which sharding overhead starts to pay for itself.
-const DefaultParallelThreshold = 32 * 1024
+// operation stays serial. It is the measured crossover, not a guess: in the
+// serial-vs-sharded table in EXPERIMENTS.md ("Parallel-kernel crossover",
+// GOMAXPROCS 2) sharding loses at 80 K element-ops and below, because one
+// helper wake-up costs as much as tens of thousands of ~1 ns multiply-adds,
+// wins at 147 K and above, and 131,072 falls on either side with the load
+// on the host.
+const DefaultParallelThreshold = 128 * 1024
 
 var (
 	parallelEnabled    atomic.Bool
 	specializedEnabled atomic.Bool
 	parallelThreshold  atomic.Int64
 
-	poolOnce  sync.Once
-	poolSize  atomic.Int64 // set once by startPool
-	poolTasks chan func()
+	// helpersInFlight counts the helper goroutines of every sharded call in
+	// the process; parallelFor keeps it at or below GOMAXPROCS−1.
+	helpersInFlight atomic.Int64
 )
 
 func init() {
@@ -50,7 +58,7 @@ func SetParallelKernels(on bool) (prev bool) { return parallelEnabled.Swap(on) }
 func SetSpecializedKernels(on bool) (prev bool) { return specializedEnabled.Swap(on) }
 
 // SetParallelThreshold sets the element-operation count at or above which
-// Mul, MulVec, Add, Sub, and ParallelFor shard work across the pool, and
+// Mul, MulVec, Add, Sub, and ParallelFor shard work across goroutines, and
 // returns the previous threshold. Values below 1 are clamped to 1 (always
 // shard when the parallel paths are enabled and there are at least two
 // items).
@@ -61,50 +69,68 @@ func SetParallelThreshold(ops int) (prev int) {
 	return int(parallelThreshold.Swap(int64(ops)))
 }
 
-// PoolSize returns the number of workers the shared kernel pool runs (the
-// GOMAXPROCS value observed when the pool started, or the current value if
-// it has not started yet).
-func PoolSize() int {
-	if n := poolSize.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
+// PoolSize returns the shard-width bound: a sharded call runs on at most
+// this many goroutines (the caller plus GOMAXPROCS−1 helpers). The name
+// predates the removal of the worker pool; benchmark reports record it.
+func PoolSize() int { return runtime.GOMAXPROCS(0) }
+
+// chunksPerWorker is how many chunks a sharded call cuts per goroutine it
+// could run on. More than one lets the caller keep working through the
+// range while a helper is still being woken, and evens out rows of unequal
+// cost; claiming a chunk is one atomic add, so the extra chunks cost nothing
+// measurable.
+const chunksPerWorker = 4
+
+// shardState is the one allocation of a sharded call: the chunk cursor the
+// caller and its helpers claim from, and the group the caller waits on.
+type shardState struct {
+	next     atomic.Int64 // start of the next unclaimed chunk
+	wg       sync.WaitGroup
+	n, chunk int
+	fn       func(lo, hi int)
 }
 
-// startPool spins up the workers on first parallel use.
-func startPool() {
-	poolOnce.Do(func() {
-		n := runtime.GOMAXPROCS(0)
-		poolTasks = make(chan func(), 4*n)
-		for i := 0; i < n; i++ {
-			go func() {
-				for fn := range poolTasks {
-					fn()
-				}
-			}()
+// run claims chunks from the cursor and runs fn on each until none is left.
+func (s *shardState) run() {
+	for {
+		lo := int(s.next.Add(int64(s.chunk))) - s.chunk
+		if lo >= s.n {
+			return
 		}
-		poolSize.Store(int64(n))
-		setPoolGauge(n)
-	})
-}
-
-// trySubmit queues fn on the pool without blocking; the caller runs fn
-// inline when the queue is full. Workers therefore never wait on other
-// shards, so saturated or nested use degrades to serial execution instead
-// of deadlocking.
-func trySubmit(fn func()) bool {
-	select {
-	case poolTasks <- fn:
-		return true
-	default:
-		return false
+		s.fn(lo, min(lo+s.chunk, s.n))
 	}
 }
 
-// parallelFor runs fn over the half-open index ranges that partition
-// [0, n), sharding across the pool when the parallel paths are on, work
-// (an element-operation estimate for the whole call) meets the threshold,
-// and there is more than one item and one worker. It reports whether the
+// help is the body of a helper goroutine. It frees its slot as soon as it
+// finds the cursor exhausted, before the caller is released, so the slot is
+// never held by a goroutine that has nothing left to do. A panic in fn is
+// not recovered here: as with any goroutine, it ends the process.
+func (s *shardState) help() {
+	s.run()
+	helpersInFlight.Add(-1)
+	s.wg.Done()
+}
+
+// acquireHelpers reserves up to want helper slots without blocking, keeping
+// the process-wide count at or below limit, and returns how many it got,
+// possibly none.
+func acquireHelpers(want, limit int) int {
+	for {
+		cur := helpersInFlight.Load()
+		got := min(int64(want), int64(limit)-cur)
+		if got <= 0 {
+			return 0
+		}
+		if helpersInFlight.CompareAndSwap(cur, cur+got) {
+			return int(got)
+		}
+	}
+}
+
+// parallelFor runs fn over half-open index ranges that partition [0, n),
+// on several goroutines when the parallel paths are on, work (an
+// element-operation estimate for the whole call) meets the threshold, there
+// is more than one item, and a helper slot is free. It reports whether the
 // call actually sharded; either way every index has been processed when it
 // returns.
 func parallelFor(n int, work int, fn func(lo, hi int)) (sharded bool) {
@@ -115,43 +141,31 @@ func parallelFor(n int, work int, fn func(lo, hi int)) (sharded bool) {
 		fn(0, n)
 		return false
 	}
-	startPool()
-	shards := int(poolSize.Load())
-	if shards > n {
-		shards = n
-	}
-	if shards < 2 {
+	procs := runtime.GOMAXPROCS(0)
+	workers := min(procs, n)
+	helpers := acquireHelpers(workers-1, procs-1)
+	if helpers == 0 {
 		fn(0, n)
 		return false
 	}
-	chunk := (n + shards - 1) / shards
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		lo, hi := lo, hi
-		wg.Add(1)
-		task := func() {
-			defer wg.Done()
-			fn(lo, hi)
-		}
-		if !trySubmit(task) {
-			task()
-		}
+	chunks := min(chunksPerWorker*workers, n)
+	s := &shardState{n: n, chunk: (n + chunks - 1) / chunks, fn: fn}
+	s.wg.Add(helpers)
+	for i := 0; i < helpers; i++ {
+		go s.help()
 	}
-	wg.Wait()
+	s.run()
+	s.wg.Wait()
 	return true
 }
 
-// ParallelFor shards fn across the package's bounded worker pool: fn is
-// called with disjoint half-open ranges covering [0, n), concurrently when
-// n and the work estimate (total element operations for the call) clear the
-// parallel threshold, serially otherwise. fn must be safe to run
-// concurrently on disjoint ranges. Sibling packages (coding) use it to
-// parallelize across devices with the same pool, threshold, and tuning
-// knobs as the in-package kernels.
+// ParallelFor shards fn across goroutines: fn is called with disjoint
+// half-open ranges covering [0, n), concurrently when n and the work
+// estimate (total element operations for the call) clear the parallel
+// threshold, serially otherwise. fn must be safe to run concurrently on
+// disjoint ranges, and may itself call ParallelFor. Sibling packages
+// (coding) use it to parallelize across devices with the same helper cap,
+// threshold, and tuning knobs as the in-package kernels.
 func ParallelFor(n int, work int, fn func(lo, hi int)) {
 	parallelFor(n, work, fn)
 }

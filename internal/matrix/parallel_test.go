@@ -1,0 +1,169 @@
+package matrix
+
+import (
+	"fmt"
+	"math/rand/v2"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"github.com/scec/scec/internal/field"
+)
+
+// TestParallelForNestedSaturated is the guard on the class of bug the worker
+// pool had, not on one instance of it: 4×GOMAXPROCS goroutines at once each
+// run ParallelFor → ParallelFor → MulVecInto with every level above the
+// threshold, at GOMAXPROCS 1, 2, 4 and 8. Every call must return (a hang
+// fails the package's -timeout), visit every index exactly once, compute the
+// serial answer, never run more than GOMAXPROCS−1 helpers at once, and leave
+// no helper slot taken.
+func TestParallelForNestedSaturated(t *testing.T) {
+	restoreKernelConfig(t)
+	f := field.Prime{}
+	rng := rand.New(rand.NewPCG(83, 89))
+	a := Random(f, rng, 48, 32)
+	x := RandomVec(f, rng, 32)
+	SetParallelKernels(false)
+	want := MulVec(f, a, x)
+	SetParallelKernels(true)
+	SetParallelThreshold(1)
+
+	const outer, inner, rounds = 6, 12, 3
+	for _, procs := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			var maxHelpers atomic.Int64
+			observe := func() {
+				h := helpersInFlight.Load()
+				for {
+					m := maxHelpers.Load()
+					if h <= m || maxHelpers.CompareAndSwap(m, h) {
+						return
+					}
+				}
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 4*procs; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					dst := make([]uint64, outer*inner*a.Rows())
+					for round := 0; round < rounds; round++ {
+						hits := make([]atomic.Int32, outer*inner)
+						ParallelFor(outer, 1<<20, func(lo, hi int) {
+							observe()
+							for i := lo; i < hi; i++ {
+								ParallelFor(inner, 1<<20, func(lo2, hi2 int) {
+									observe()
+									for k := lo2; k < hi2; k++ {
+										at := i*inner + k
+										hits[at].Add(1)
+										MulVecInto(f, a, x, dst[at*a.Rows():(at+1)*a.Rows()])
+									}
+								})
+							}
+						})
+						for at := range hits {
+							if n := hits[at].Load(); n != 1 {
+								t.Errorf("index %d visited %d times", at, n)
+								return
+							}
+							if !VecEqual(f, dst[at*a.Rows():(at+1)*a.Rows()], want) {
+								t.Errorf("nested MulVecInto at %d differs from the serial product", at)
+								return
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if got := maxHelpers.Load(); got > int64(procs-1) {
+				t.Errorf("saw %d helpers in flight, cap is GOMAXPROCS-1 = %d", got, procs-1)
+			}
+			if got := helpersInFlight.Load(); got != 0 {
+				t.Errorf("%d helper slots still taken after every call returned", got)
+			}
+		})
+	}
+}
+
+// TestParallelForSaturatedRunsSerial checks the degraded path: with every
+// helper slot taken the call runs its whole range on the caller, in one
+// piece, and reports that it did not shard.
+func TestParallelForSaturatedRunsSerial(t *testing.T) {
+	restoreKernelConfig(t)
+	SetParallelKernels(true)
+	SetParallelThreshold(1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	if got := acquireHelpers(100, 3); got != 3 {
+		t.Fatalf("acquireHelpers(100, 3) = %d, want 3", got)
+	}
+	defer helpersInFlight.Add(-3)
+	calls := 0
+	sharded := parallelFor(100, 1<<20, func(lo, hi int) {
+		calls++
+		if lo != 0 || hi != 100 {
+			t.Errorf("saturated call got range [%d, %d), want [0, 100)", lo, hi)
+		}
+	})
+	if sharded || calls != 1 {
+		t.Fatalf("saturated call: sharded=%v after %d calls of fn, want false after 1", sharded, calls)
+	}
+}
+
+// TestKernelDifferentialAtDefaultThreshold runs the shapes that straddle
+// DefaultParallelThreshold (2047..2049 rows of 64 columns around 128 Ki
+// element-ops) through the default configuration and compares against the
+// generic serial reference, so the serial/sharded switch itself is covered
+// at the value it ships with.
+func TestKernelDifferentialAtDefaultThreshold(t *testing.T) {
+	restoreKernelConfig(t)
+	f := field.Prime{}
+	rng := rand.New(rand.NewPCG(97, 101))
+	for _, rows := range []int{2047, 2048, 2049} {
+		a := Random(f, rng, rows, 64)
+		a2 := Random(f, rng, rows, 64)
+		x := RandomVec(f, rng, 64)
+
+		SetSpecializedKernels(false)
+		SetParallelKernels(false)
+		wantVec, wantAdd, wantSub := MulVec(f, a, x), Add(f, a, a2), Sub(f, a, a2)
+
+		SetSpecializedKernels(true)
+		SetParallelKernels(true)
+		SetParallelThreshold(DefaultParallelThreshold)
+		label := fmt.Sprintf("default config %dx64", rows)
+		checkSame(t, label+" MulVec", wantVec, MulVec(f, a, x))
+		checkSame(t, label+" Add", wantAdd.data, Add(f, a, a2).data)
+		checkSame(t, label+" Sub", wantSub.data, Sub(f, a, a2).data)
+	}
+}
+
+// TestMulPrimeSlabReductionEdges drives mulRowsPrime across its in-place
+// slab reduction (every 32 non-zero k) with the values that would overflow
+// a 128-bit accumulator first: every entry p−1, inner dimensions on both
+// sides of 32 and 64 non-zero entries, and interior zeros that must not
+// count towards the 32. The reference is the per-element Mul/Add loop.
+func TestMulPrimeSlabReductionEdges(t *testing.T) {
+	restoreKernelConfig(t)
+	SetParallelKernels(false)
+	f := field.Prime{}
+	for _, inner := range []int{1, 31, 32, 33, 63, 64, 65, 97, 200} {
+		for _, zeroEvery := range []int{0, 2, 5} {
+			a, b := New[uint64](3, inner), New[uint64](inner, 5)
+			for i := range a.data {
+				if zeroEvery == 0 || i%zeroEvery != 1 {
+					a.data[i] = field.Modulus - 1
+				}
+			}
+			for i := range b.data {
+				b.data[i] = field.Modulus - 1
+			}
+			SetSpecializedKernels(false)
+			want := Mul(f, a, b)
+			SetSpecializedKernels(true)
+			checkSame(t, fmt.Sprintf("Mul inner=%d zeroEvery=%d", inner, zeroEvery), want.data, Mul(f, a, b).data)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 
 	"github.com/scec/scec/internal/obs"
 	"github.com/scec/scec/internal/obs/trace"
+	"github.com/scec/scec/internal/testenv"
 )
 
 func TestKindNamesRoundTrip(t *testing.T) {
@@ -199,6 +200,19 @@ func TestEventCounters(t *testing.T) {
 	}
 	if open != 2 || hedge != 1 {
 		t.Fatalf("event counters open=%v hedge=%v, want 2 and 1", open, hedge)
+	}
+}
+
+// TestPublishAllocs is the deterministic half of the journal's cost guard:
+// a publish on the hot path (kind counter already registered) allocates
+// nothing. The ns/op half is CheckBench's journal/publish budget in
+// internal/experiments, which can only catch steps far larger than jitter.
+func TestPublishAllocs(t *testing.T) {
+	testenv.SkipAllocsUnderRace(t)
+	j := New(Options{Capacity: 8, Metrics: obs.New()})
+	j.Publish(KindRetry, "warm", 0, 0) // registers the per-kind counter
+	if n := testing.AllocsPerRun(100, func() { j.Publish(KindRetry, "bench", 1, 2) }); n != 0 {
+		t.Fatalf("Journal.Publish allocates %v times per event, want 0", n)
 	}
 }
 

@@ -41,10 +41,6 @@ const (
 	// monomorphized code vs. the generic Field fallback, sharded vs.
 	// single-core) are directly observable on /metrics.
 	MetricKernelDispatchTotal = "scec_kernel_dispatch_total"
-	// MetricKernelPoolSize is a gauge holding the worker count of the
-	// shared dense-kernel pool (GOMAXPROCS at pool start; 0 until the
-	// first parallel dispatch spins it up).
-	MetricKernelPoolSize = "scec_kernel_pool_size"
 
 	// Fleet-runtime (internal/fleet) metrics. Label sets are bounded by
 	// construction, following the scec_kernel_dispatch_total convention:
