@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short test-fault trace-demo incident-demo bench bench-json bench-check bench-transport bench-e2e load-check adapt-check collusion-check fuzz reproduce examples clean
+.PHONY: all build vet lint test test-short test-fault trace-demo incident-demo bench bench-e2e load-check adapt-check collusion-check fuzz reproduce examples clean
 
 all: build vet lint test
 
@@ -70,28 +70,10 @@ incident-demo:
 		-watch "journal:replan-adopt>=1/60s" \
 		-incident-summary results/incident-demo.json
 
+# Kernels and codecs in isolation (testing.B); the served query and its
+# per-layer rows are bench-e2e below.
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Machine-readable pipeline micro-benchmarks (results/bench.json), so the
-# performance trajectory can be tracked commit over commit.
-bench-json:
-	$(GO) run ./cmd/experiments -fig bench -out results
-
-# Bench smoke guard: run the pipeline micro-benchmarks and fail on NaN or
-# zero throughput (a hung or broken kernel path), then give the kernel
-# dispatch layer a full (un-short) race pass — the sharding cursor, the
-# helper cap and the atomic tuning knobs live in internal/matrix.
-bench-check:
-	$(GO) run ./cmd/experiments -fig bench -check
-	$(GO) test -race ./internal/matrix/
-
-# Transport microbench: in-memory frame round trips, single-stream loopback
-# RTT (ping + coded-block store), and 64-way multiplexed QPS on one pooled
-# connection — merged into results/bench.json, with the CheckTransportBench
-# regression guard (frame overhead, bulk-store RTT budget, mux QPS floor).
-bench-transport:
-	$(GO) run ./cmd/experiments -fig bench-transport -check -out results
 
 # End-to-end served-query benchmark (BENCHMARK.json): builds ./benchmark
 # from source and runs every workload; see benchmark/README.md.

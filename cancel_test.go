@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/scec/scec"
-	"github.com/scec/scec/internal/transport"
 )
 
 // queryable is the MulVec surface shared by Deployment and Served.
@@ -110,30 +109,6 @@ func TestCancellationSimBackend(t *testing.T) {
 }
 
 func TestCancellationFleetBackend(t *testing.T) {
-	f := scec.PrimeField()
-	rng := rand.New(rand.NewPCG(37, 41))
-	const m, l = 40, 10
-	a := scec.RandomMatrix(f, rng, m, l)
-	dep, err := scec.Deploy(f, a, []float64{1.1, 2.5, 0.9, 1.8}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := scec.FleetConfig{
-		Replicas:      make([][]string, dep.Devices()),
-		ProbeInterval: -1,
-	}
-	for j := range cfg.Replicas {
-		srv, err := transport.NewDeviceServer[uint64](f, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = srv.Close() })
-		cfg.Replicas[j] = []string{srv.Addr()}
-	}
-	s, err := scec.Serve(dep, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
-	checkCancellation(t, s, l)
+	dep, l := deployBackend(t)
+	checkCancellation(t, serveLoopback(t, dep, scec.FleetConfig{}), l)
 }

@@ -31,12 +31,12 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		fig       = fs.String("fig", "all", "figure to regenerate: 2a|2b|2c|2d|2e|all|rsweep|delay|comparison|dist|bench|bench-transport|collusion")
+		fig       = fs.String("fig", "all", "figure to regenerate: 2a|2b|2c|2d|2e|all|rsweep|delay|comparison|dist|collusion")
 		claims    = fs.Bool("claims", true, "also evaluate the headline claims (requires -fig all)")
 		outDir    = fs.String("out", "", "directory for CSV + markdown output (empty: stdout only)")
 		instances = fs.Int("instances", 0, "instances per sweep point (0: paper default of 1000)")
 		seed      = fs.Uint64("seed", 0, "random seed (0: fixed default)")
-		check     = fs.Bool("check", false, "with -fig bench: fail on NaN or zero throughput (CI smoke guard)")
+		check     = fs.Bool("check", false, "with -fig collusion: fail unless plan cost is monotone in t and t=1 matches the TA1 baseline")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -51,44 +51,38 @@ func run(args []string, out io.Writer) error {
 	}
 
 	start := time.Now()
-	// bench-transport merges into the existing results file rather than
-	// replacing it, so the baseline must be loaded before os.Create
-	// truncates it.
-	var benchBase experiments.BenchReport
-	if *fig == "bench-transport" && *outDir != "" {
-		var err error
-		if benchBase, err = experiments.LoadBenchJSON(filepath.Join(*outDir, "bench.json")); err != nil {
-			return err
-		}
-	}
 	// The special (non-Fig.-2) studies share one render-to-stdout +
 	// optional-file pattern.
 	specials := map[string]struct {
-		file   string
-		render func(io.Writer) error
+		file string
+		// summarises: render prints its own summary to out and writes only
+		// the file's content to w; the others render identical content to
+		// stdout and to the file.
+		summarises bool
+		render     func(io.Writer) error
 	}{
-		"comparison": {"comparison.md", func(w io.Writer) error {
+		"comparison": {"comparison.md", false, func(w io.Writer) error {
 			res, err := experiments.Comparison(cfg)
 			if err != nil {
 				return err
 			}
 			return experiments.WriteComparisonMarkdown(w, res)
 		}},
-		"delay": {"delay.md", func(w io.Writer) error {
+		"delay": {"delay.md", false, func(w io.Writer) error {
 			res, err := experiments.DelaySweep(cfg)
 			if err != nil {
 				return err
 			}
 			return experiments.WriteDelayMarkdown(w, res)
 		}},
-		"dist": {"dist.md", func(w io.Writer) error {
+		"dist": {"dist.md", false, func(w io.Writer) error {
 			res, err := experiments.DistSweep(cfg)
 			if err != nil {
 				return err
 			}
 			return experiments.WriteDistMarkdown(w, res)
 		}},
-		"rsweep": {"rsweep.csv", func(w io.Writer) error {
+		"rsweep": {"rsweep.csv", true, func(w io.Writer) error {
 			res, err := experiments.RSweep(cfg)
 			if err != nil {
 				return err
@@ -98,23 +92,7 @@ func run(args []string, out io.Writer) error {
 			}
 			return experiments.WriteRSweepCSV(w, res)
 		}},
-		"bench": {"bench.json", func(w io.Writer) error {
-			rep, err := experiments.Bench(cfg)
-			if err != nil {
-				return err
-			}
-			for _, r := range rep.Results {
-				fmt.Fprintf(out, "%-50s %8d iters %14.0f ns/op\n", r.Name, r.Iters, r.NsPerOp)
-			}
-			if *check {
-				if err := experiments.CheckBench(rep); err != nil {
-					return err
-				}
-				fmt.Fprintf(out, "bench check ok: %d cases, all finite non-zero throughput\n", len(rep.Results))
-			}
-			return experiments.WriteBenchJSON(w, rep)
-		}},
-		"collusion": {"collusion.json", func(w io.Writer) error {
+		"collusion": {"collusion.json", true, func(w io.Writer) error {
 			rep, err := experiments.CollusionSweep(cfg)
 			if err != nil {
 				return err
@@ -132,27 +110,9 @@ func run(args []string, out io.Writer) error {
 			}
 			return experiments.WriteCollusionJSON(w, rep)
 		}},
-		"bench-transport": {"bench.json", func(w io.Writer) error {
-			rep, err := experiments.BenchTransport(cfg)
-			if err != nil {
-				return err
-			}
-			for _, r := range rep.Results {
-				fmt.Fprintf(out, "%-50s %8d iters %14.0f ns/op %12.0f ops/s\n", r.Name, r.Iters, r.NsPerOp, r.OpsPerS)
-			}
-			if *check {
-				if err := experiments.CheckTransportBench(rep); err != nil {
-					return err
-				}
-				fmt.Fprintf(out, "transport bench check ok: frame overhead, bulk store RTT and mux QPS within budget\n")
-			}
-			return experiments.WriteBenchJSON(w, experiments.MergeBench(benchBase, rep))
-		}},
 	}
 	if sp, special := specials[*fig]; special {
-		if *fig != "rsweep" && *fig != "bench" && *fig != "bench-transport" && *fig != "collusion" {
-			// rsweep, bench, and collusion write their own stdout summaries;
-			// the others render identical content to stdout and to the file.
+		if !sp.summarises {
 			if err := sp.render(out); err != nil {
 				return err
 			}
@@ -172,7 +132,7 @@ func run(args []string, out io.Writer) error {
 			if werr != nil {
 				return werr
 			}
-		} else if *fig == "rsweep" || *fig == "bench" || *fig == "bench-transport" || *fig == "collusion" {
+		} else if sp.summarises {
 			if err := sp.render(io.Discard); err != nil {
 				return err
 			}

@@ -109,35 +109,14 @@ func TestRunRSweepWithoutOutDir(t *testing.T) {
 	}
 }
 
-func TestRunBench(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark run takes ~100ms of pure timing loops")
-	}
-	dir := t.TempDir()
-	var out strings.Builder
-	if err := run([]string{"-fig", "bench", "-out", dir}, &out); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"allocate/ta1", "encode/", "compute/", "decode/", "ns/op"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("bench summary missing %q:\n%s", want, out.String())
-		}
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "bench.json"))
-	if err != nil {
-		t.Fatalf("missing bench.json: %v", err)
-	}
-	for _, want := range []string{`"ns_per_op"`, `"go_version"`, `"results"`} {
-		if !strings.Contains(string(data), want) {
-			t.Errorf("bench.json missing %s", want)
-		}
-	}
-}
-
 func TestRunUnknownFigure(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-fig", "9z", "-instances", "3"}, &out); err == nil {
-		t.Fatal("unknown figure should error")
+	// "bench" was a figure until the results-file harness was deleted; it
+	// must fail like any other unknown name, not fall through to a default.
+	for _, fig := range []string{"9z", "bench"} {
+		var out strings.Builder
+		if err := run([]string{"-fig", fig, "-instances", "3"}, &out); err == nil {
+			t.Errorf("-fig %s should error as an unknown figure", fig)
+		}
 	}
 }
 

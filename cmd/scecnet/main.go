@@ -263,9 +263,11 @@ func runDemo(args []string, out io.Writer) error {
 // drive plays cloud + user against a running fleet: the fleet's unit costs
 // are sampled (a real deployment would read device price sheets), the
 // cheapest plan.I devices are provisioned, and one multiplication is
-// verified end to end. Completion prints the per-stage timing table. A
-// non-nil tracer roots one trace per query; the transport layer carries it
-// to the devices and adopts their server-side spans back.
+// verified end to end. Completion prints the per-stage timing table. It
+// serves through scec.Serve with one replica per block — the path
+// production and the benchmark use. A non-nil tracer records one trace per
+// query; the transport layer carries it to the devices and adopts their
+// server-side spans back.
 func drive(out io.Writer, addrs []string, m, l, batch, t int, seed uint64, timeout time.Duration, tr *trace.Tracer) error {
 	f := scec.PrimeField()
 	rng := rand.New(rand.NewPCG(seed, 0xd21fe))
@@ -280,25 +282,27 @@ func drive(out io.Writer, addrs []string, m, l, batch, t int, seed uint64, timeo
 	if err != nil {
 		return err
 	}
+	cfg := scec.FleetConfig{
+		Replicas:      make([][]string, dep.Devices()),
+		RPCTimeout:    timeout,
+		ProbeInterval: -1,
+	}
 	// The plan's assignments are cheapest-first device indexes into addrs.
-	selected := make([]string, dep.Devices())
 	for j, as := range dep.Plan.Assignments {
-		selected[j] = addrs[as.Device]
+		cfg.Replicas[j] = []string{addrs[as.Device]}
 	}
 	fmt.Fprintf(out, "plan: %s r=%d t=%d, %d of %d devices selected, cost %.2f\n",
 		dep.Plan.Algorithm, dep.Plan.R, dep.Code.T(), dep.Devices(), len(addrs), dep.Cost())
 
-	if err := (transport.Cloud[uint64]{Timeout: timeout}).Distribute(context.Background(), selected, dep.Encoding); err != nil {
+	served, err := scec.Serve(dep, cfg, scec.WithTracing[uint64](tr))
+	if err != nil {
 		return fmt.Errorf("distribute: %w", err)
 	}
+	defer served.Close()
 	fmt.Fprintf(out, "cloud distributed %d coded rows across the fleet\n", m+dep.Plan.R)
 
-	client := transport.Client[uint64]{F: f, Code: dep.Code, Timeout: timeout}
 	x := scec.RandomVector(f, rng, l)
-	vctx, vsp := tr.StartRoot(context.Background(), trace.SpanQueryVec, trace.A(trace.AttrKind, "vec"))
-	got, err := client.MulVec(vctx, selected, x)
-	vsp.SetError(err)
-	vsp.End()
+	got, err := served.MulVec(x)
 	if err != nil {
 		return fmt.Errorf("gather: %w", err)
 	}
@@ -312,10 +316,7 @@ func drive(out io.Writer, addrs []string, m, l, batch, t int, seed uint64, timeo
 
 	if batch > 0 {
 		xm := scec.RandomMatrix(f, rng, l, batch)
-		mctx, msp := tr.StartRoot(context.Background(), trace.SpanQueryMat, trace.A(trace.AttrKind, "mat"))
-		gotM, err := client.MulMat(mctx, selected, xm)
-		msp.SetError(err)
-		msp.End()
+		gotM, err := served.MulMat(xm)
 		if err != nil {
 			return fmt.Errorf("batch gather: %w", err)
 		}

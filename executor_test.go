@@ -472,3 +472,108 @@ func TestProvisionedParity(t *testing.T) {
 		}
 	}
 }
+
+// serveLoopback serves dep over one fresh loopback device per block, with
+// probing off and cfg's remaining fields as given.
+func serveLoopback(t *testing.T, dep *scec.Deployment[uint64], cfg scec.FleetConfig, opts ...scec.DeployOption[uint64]) *scec.Served[uint64] {
+	t.Helper()
+	cfg.Replicas = make([][]string, dep.Devices())
+	cfg.ProbeInterval = -1
+	for j := range cfg.Replicas {
+		srv, err := transport.NewDeviceServer(dep.F, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = srv.Close() })
+		cfg.Replicas[j] = []string{srv.Addr()}
+	}
+	s, err := scec.Serve(dep, cfg, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	return s
+}
+
+// familyTotal sums one metric family's series values in reg; found is false
+// when the family was never registered there.
+func familyTotal(reg *obs.Registry, name string) (total float64, found bool) {
+	for _, fam := range reg.Snapshot().Metrics {
+		if fam.Name == name {
+			found = true
+			for _, s := range fam.Series {
+				total += s.Value
+			}
+		}
+	}
+	return total, found
+}
+
+// TestZeroColumnBatchRejectedBeforeDispatch: an l×0 MulMat is refused by the
+// engine with the same error on every backend and dispatches nothing. On the
+// fleet that matters beyond the one call: a device refuses an empty batch,
+// the refusals used to count against every replica's breaker, and the next
+// valid query then failed with "every breaker open" for the cooldown.
+func TestZeroColumnBatchRejectedBeforeDispatch(t *testing.T) {
+	f := scec.PrimeField()
+	local, l := deployBackend(t)
+	sim, _ := deployBackend(t, scec.WithExecutor(scec.SimExecutor[uint64](scec.SimExecutorConfig{Metrics: obs.New()})))
+	reg := obs.New()
+	fleetDep, _ := deployBackend(t)
+	served := serveLoopback(t, fleetDep, scec.FleetConfig{Metrics: reg})
+
+	rng := rand.New(rand.NewPCG(6, 60))
+	x := scec.RandomVector(f, rng, l)
+	if _, err := served.MulVec(x); err != nil { // dial, so the RPC series exist
+		t.Fatal(err)
+	}
+	rpcsBefore, ok := familyTotal(reg, obs.MetricRPCClientRequests)
+	if !ok || rpcsBefore == 0 {
+		t.Fatalf("no %s recorded by the warm-up query", obs.MetricRPCClientRequests)
+	}
+
+	empty := scec.NewMatrix[uint64](l, 0)
+	const want = "scec: engine: input matrix has 0 columns, want at least 1"
+	backends := []struct {
+		name string
+		q    queryable
+	}{{"local", local}, {"sim", sim}, {"fleet", served}}
+	for _, b := range backends {
+		y, err := b.q.MulMatContext(t.Context(), empty)
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: MulMat(l×0) = %v, %v; want error %q", b.name, y, err, want)
+		}
+	}
+	if rpcs, _ := familyTotal(reg, obs.MetricRPCClientRequests); rpcs != rpcsBefore {
+		t.Errorf("rejected batch sent %g RPCs, want 0", rpcs-rpcsBefore)
+	}
+	for _, b := range backends {
+		if _, err := b.q.MulVecContext(t.Context(), x); err != nil {
+			t.Errorf("%s: valid query after the rejected batch: %v", b.name, err)
+		}
+	}
+}
+
+// TestServeSharesRegistry: like the tracer, one registry given to Serve —
+// on the fleet config or as the engine option — receives both layers'
+// series, instead of the other layer's falling through to obs.Default().
+func TestServeSharesRegistry(t *testing.T) {
+	for _, via := range []string{"FleetConfig.Metrics", "WithEngineMetrics"} {
+		dep, l := deployBackend(t)
+		reg := obs.New()
+		var s *scec.Served[uint64]
+		if via == "WithEngineMetrics" {
+			s = serveLoopback(t, dep, scec.FleetConfig{}, scec.WithEngineMetrics[uint64](reg))
+		} else {
+			s = serveLoopback(t, dep, scec.FleetConfig{Metrics: reg})
+		}
+		if _, err := s.MulVec(make([]uint64, l)); err != nil {
+			t.Fatalf("%s: %v", via, err)
+		}
+		for _, fam := range []string{obs.MetricEngineDispatchTotal, obs.MetricFleetQueriesTotal, obs.MetricRPCClientRequests} {
+			if n, _ := familyTotal(reg, fam); n < 1 {
+				t.Errorf("%s: %s = %g in the given registry, want >= 1", via, fam, n)
+			}
+		}
+	}
+}

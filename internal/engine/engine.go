@@ -180,6 +180,12 @@ func (q *Query[E]) MulMatContext(ctx context.Context, x *matrix.Dense[E]) (y *ma
 	if x.Rows() != q.cols {
 		return nil, fmt.Errorf("engine: input matrix has %d rows, want %d", x.Rows(), q.cols)
 	}
+	// Rejected here, before dispatch: a fleet device refuses a zero-column
+	// batch, and the fleet would count that refusal against every replica's
+	// breaker — one malformed call would lock out the valid ones after it.
+	if x.Cols() < 1 {
+		return nil, fmt.Errorf("engine: input matrix has %d columns, want at least 1", x.Cols())
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"errors"
 	"math/rand/v2"
 	"slices"
@@ -123,6 +124,17 @@ func (e *testEnv) serve(t *testing.T) *Session[uint64] {
 	return s
 }
 
+// mulVec is the tests' stand-in for the engine's query layer, which owns
+// decode in production: gather through the fleet, decode through the
+// session's code.
+func mulVec(s *Session[uint64], x []uint64) ([]uint64, error) {
+	y, err := s.GatherContext(context.Background(), x)
+	if err != nil {
+		return nil, err
+	}
+	return s.Code().Decode(y)
+}
+
 // counterValue reads one counter series from the registry snapshot.
 func counterValue(t *testing.T, reg *obs.Registry, name string, labels map[string]string) float64 {
 	t.Helper()
@@ -166,7 +178,7 @@ func TestFaultOneReplicaOfEachBlockDown(t *testing.T) {
 	for j := range env.proxies {
 		env.proxies[j][0].SetMode(FaultDrop)
 	}
-	got, err := s.MulVec(env.x)
+	got, err := mulVec(s, env.x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +199,11 @@ func TestFaultOneReplicaOfEachBlockDown(t *testing.T) {
 			xm.Set(i, j, env.f.Rand(rng))
 		}
 	}
-	ym, err := s.MulMat(xm)
+	gm, err := s.GatherBatchContext(t.Context(), xm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ym, err := s.Code().DecodeBatch(gm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +228,7 @@ func TestFaultTruncatedResponseFailsOver(t *testing.T) {
 	s := env.serve(t)
 	env.proxies[0][0].SetTruncate(10)
 	env.proxies[0][0].SetMode(FaultTruncate)
-	got, err := s.MulVec(env.x)
+	got, err := mulVec(s, env.x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +248,7 @@ func TestFaultAllReplicasDownTypedError(t *testing.T) {
 		p.SetMode(FaultDrop)
 	}
 	start := time.Now()
-	_, err := s.MulVec(env.x)
+	_, err := mulVec(s, env.x)
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrBlockUnavailable) {
 		t.Fatalf("err = %v, want errors.Is ErrBlockUnavailable", err)
@@ -265,7 +281,7 @@ func TestFaultBlackholeHedgedRequestWins(t *testing.T) {
 	s := env.serve(t)
 	env.proxies[0][0].SetMode(FaultBlackhole)
 	start := time.Now()
-	got, err := s.MulVec(env.x)
+	got, err := mulVec(s, env.x)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +304,7 @@ func TestFaultDelayedLeaderHedgeStillCorrect(t *testing.T) {
 	env.proxies[0][0].SetDelay(60 * time.Millisecond)
 	env.proxies[0][0].SetMode(FaultDelay)
 	for i := 0; i < 3; i++ {
-		got, err := s.MulVec(env.x)
+		got, err := mulVec(s, env.x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,7 +335,7 @@ func TestFaultProbeOpensBreakerAndStandbyRepairs(t *testing.T) {
 	if n := s.Standbys(); n != 0 {
 		t.Fatalf("standby pool has %d devices after promotion, want 0", n)
 	}
-	got, err := s.MulVec(env.x)
+	got, err := mulVec(s, env.x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +369,7 @@ func TestFaultConcurrentQueriesSurviveKillAndRepair(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for q := 0; q < queries; q++ {
-				got, err := s.MulVec(env.x)
+				got, err := mulVec(s, env.x)
 				if err != nil {
 					errs[w] = err
 					return
@@ -426,8 +442,16 @@ func TestServeValidation(t *testing.T) {
 	}
 
 	s := env.serve(t)
-	if _, err := s.MulVec(make([]uint64, 99)); err == nil {
+	if _, err := mulVec(s, make([]uint64, 99)); err == nil {
 		t.Fatal("MulVec accepted a wrong-length input")
+	}
+	// A zero-column batch is refused before any replica sees it: a device's
+	// refusal would count against its breaker.
+	if _, err := s.GatherBatchContext(t.Context(), matrix.New[uint64](env.a.Cols(), 0)); err == nil {
+		t.Fatal("GatherBatchContext accepted a zero-column input")
+	}
+	if v := counterValue(t, env.reg, obs.MetricFleetQueriesTotal, map[string]string{"kind": "mat"}); v != 0 {
+		t.Fatalf("mat queries counter = %g after a rejected input, want 0", v)
 	}
 }
 
@@ -541,7 +565,7 @@ func TestSingleCandidateRaceNeverHedges(t *testing.T) {
 		ps[0].SetDelay(20 * time.Millisecond)
 		ps[0].SetMode(FaultDelay)
 	}
-	got, err := s.MulVec(env.x)
+	got, err := mulVec(s, env.x)
 	if err != nil {
 		t.Fatal(err)
 	}

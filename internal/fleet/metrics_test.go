@@ -63,10 +63,10 @@ func TestFleetMetricsBoundedCardinality(t *testing.T) {
 		}
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := s.MulVec(env.x); err != nil {
+		if _, err := mulVec(s, env.x); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.MulMat(xm); err != nil {
+		if _, err := s.GatherBatchContext(t.Context(), xm); err != nil {
 			t.Fatal(err)
 		}
 	}

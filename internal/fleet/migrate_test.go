@@ -11,7 +11,7 @@ import (
 
 func checkAnswer(t *testing.T, env *testEnv, s *Session[uint64]) {
 	t.Helper()
-	got, err := s.MulVec(env.x)
+	got, err := mulVec(s, env.x)
 	if err != nil {
 		t.Fatalf("MulVec: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestRehostUnderConcurrentQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				got, err := s.MulVec(env.x)
+				got, err := mulVec(s, env.x)
 				if err != nil {
 					errs <- err
 					return

@@ -24,97 +24,29 @@ func traceIDOf(sp *trace.Span) string {
 	return ""
 }
 
-// MulVec computes A·x through the replicated fleet: every logical block is
-// fetched from its replica set concurrently (racing, hedging, and retrying
-// as needed), the intermediate results are concatenated in code device
-// order, and the result decodes through the session's code — bit-identical
-// to the unreplicated pipeline, since every replica of block j returns the
-// same B_j·T·x.
-func (s *Session[E]) MulVec(x []E) ([]E, error) {
-	return s.MulVecContext(context.Background(), x)
-}
-
-// MulVecContext is MulVec bounded by the caller's context in addition to the
-// session's query timeout; a span carried in ctx parents the fleet's trace.
-func (s *Session[E]) MulVecContext(ctx context.Context, x []E) ([]E, error) {
-	y, err := s.GatherContext(ctx, x)
-	if err != nil {
-		return nil, err
-	}
-	_, dsp := s.startSpan(ctx, trace.SpanDecode, trace.A(trace.AttrKind, kindVec))
-	defer dsp.End()
-	defer obs.StartStage(s.reg, obs.StageDecode).End()
-	return s.code.Decode(y)
-}
-
-// MulMat computes A·X for an l×n input matrix through the fleet — the batch
-// generalization, with the same per-block fault tolerance as MulVec.
-func (s *Session[E]) MulMat(x *matrix.Dense[E]) (*matrix.Dense[E], error) {
-	return s.MulMatContext(context.Background(), x)
-}
-
-// MulMatContext is MulMat bounded by the caller's context in addition to the
-// session's query timeout; a span carried in ctx parents the fleet's trace.
-func (s *Session[E]) MulMatContext(ctx context.Context, x *matrix.Dense[E]) (*matrix.Dense[E], error) {
-	y, err := s.GatherBatchContext(ctx, x)
-	if err != nil {
-		return nil, err
-	}
-	_, dsp := s.startSpan(ctx, trace.SpanDecode, trace.A(trace.AttrKind, kindMat))
-	defer dsp.End()
-	defer obs.StartStage(s.reg, obs.StageDecode).End()
-	return s.code.DecodeBatch(y)
-}
-
-// Gather fetches the full intermediate result B·T·x from the fleet without
-// decoding it: every logical block races its replica set and the parts
-// concatenate in scheme device order, m+r values total. Decoding is owned by
-// the caller (MulVec, or the execution engine's query layer).
-func (s *Session[E]) Gather(x []E) ([]E, error) {
-	return s.GatherContext(context.Background(), x)
-}
-
-// GatherContext is Gather bounded by the caller's context in addition to the
-// session's query timeout: cancelling ctx cancels the in-flight block races.
-// A span carried in ctx parents the fleet.gather span (else the session's
-// tracer, if any, starts a fresh trace).
+// GatherContext fetches the full intermediate result B·T·x from the fleet
+// without decoding it: every logical block is fetched from its replica set
+// concurrently (racing, hedging, and retrying as needed) and the parts
+// concatenate in code device order, m+r values total — bit-identical to the
+// unreplicated pipeline, since every replica of block j returns the same
+// B_j·T·x. Decoding is owned by the caller (the execution engine's query
+// layer). The gather is bounded by ctx in addition to the session's query
+// timeout: cancelling ctx cancels the in-flight block races. A span carried
+// in ctx parents the fleet.gather span (else the session's tracer, if any,
+// starts a fresh trace).
 func (s *Session[E]) GatherContext(ctx context.Context, x []E) ([]E, error) {
 	if len(x) != s.cols {
 		return nil, fmt.Errorf("fleet: input vector has %d entries, want %d", len(x), s.cols)
 	}
-	s.met.queries(kindVec).Inc()
-	qctx, cancel := s.queryContext(ctx)
-	defer cancel()
-	qctx, gsp := s.startSpan(qctx, trace.SpanFleetGather,
-		trace.A(trace.AttrKind, kindVec), trace.A("blocks", strconv.Itoa(len(s.blocks))))
-	defer gsp.End()
-
-	gather := obs.StartStage(s.reg, obs.StageGather)
-	parts := make([][]E, len(s.blocks))
-	errs := make([]error, len(s.blocks))
-	var wg sync.WaitGroup
-	for j, b := range s.blocks {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			parts[j], errs[j] = fetchBlock(s, qctx, b, func(ctx context.Context, addr string) ([]E, error) {
-				y, err := s.client.Compute(ctx, addr, x)
-				if err == nil && len(y) != b.want {
-					err = fmt.Errorf("fleet: replica %s returned %d values for block %d, want %d", addr, len(y), b.index, b.want)
-				}
-				return y, err
-			})
-		}()
-	}
-	wg.Wait()
-	gather.End()
-	for _, err := range errs {
-		if err != nil {
-			s.met.queryErrors(kindVec).Inc()
-			s.jr.PublishDetail(flight.KindQueryError, "", err.Error(), 0, 0)
-			gsp.SetError(err)
-			return nil, err
+	parts, err := gather(s, ctx, kindVec, func(ctx context.Context, b *blockState[E], addr string) ([]E, error) {
+		y, err := s.client.Compute(ctx, addr, x)
+		if err == nil && len(y) != b.want {
+			err = fmt.Errorf("fleet: replica %s returned %d values for block %d, want %d", addr, len(y), b.index, b.want)
 		}
+		return y, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	y := make([]E, 0, s.code.M()+s.code.R())
 	for _, p := range parts {
@@ -123,16 +55,9 @@ func (s *Session[E]) GatherContext(ctx context.Context, x []E) ([]E, error) {
 	return y, nil
 }
 
-// GatherBatch is Gather for an l×n input matrix: it returns the stacked
-// (m+r)×n intermediate result B·T·X, undecoded, with the same per-block
-// fault tolerance.
-func (s *Session[E]) GatherBatch(x *matrix.Dense[E]) (*matrix.Dense[E], error) {
-	return s.GatherBatchContext(context.Background(), x)
-}
-
-// GatherBatchContext is GatherBatch bounded by the caller's context in
-// addition to the session's query timeout; a span carried in ctx parents the
-// fleet.gather span.
+// GatherBatchContext is GatherContext for an l×n input matrix: it returns
+// the stacked (m+r)×n intermediate result B·T·X, undecoded, with the same
+// per-block fault tolerance.
 //
 // The gather works on one private x.Clone(): a race does not await its
 // cancelled losers, so a hedged or timed-out attempt may still be writing X
@@ -144,42 +69,60 @@ func (s *Session[E]) GatherBatchContext(ctx context.Context, x *matrix.Dense[E])
 	if x.Rows() != s.cols {
 		return nil, fmt.Errorf("fleet: input matrix has %d rows, want %d", x.Rows(), s.cols)
 	}
-	s.met.queries(kindMat).Inc()
+	// A device refuses a zero-column batch, and that refusal would count
+	// against every replica's breaker; refuse it here instead.
+	if x.Cols() < 1 {
+		return nil, fmt.Errorf("fleet: input matrix has %d columns, want at least 1", x.Cols())
+	}
+	x = x.Clone()
+	parts, err := gather(s, ctx, kindMat, func(ctx context.Context, b *blockState[E], addr string) (*matrix.Dense[E], error) {
+		y, err := s.client.ComputeBatch(ctx, addr, x)
+		if err == nil && y.Rows() != b.want {
+			err = fmt.Errorf("fleet: replica %s returned %d rows for block %d, want %d", addr, y.Rows(), b.index, b.want)
+		}
+		return y, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return matrix.VStack(parts...), nil
+}
+
+// gather is one query's fan-out, shared by the vector and batch paths:
+// every logical block is fetched from its replica set on its own goroutine
+// and the parts return in code device order for the caller to join. call is
+// one replica request including its width check against the block; it is
+// built once per query and shared by every block, attempt and retry.
+func gather[E comparable, T any](s *Session[E], ctx context.Context, kind string, call func(context.Context, *blockState[E], string) (T, error)) ([]T, error) {
+	s.met.queries(kind).Inc()
 	qctx, cancel := s.queryContext(ctx)
 	defer cancel()
 	qctx, gsp := s.startSpan(qctx, trace.SpanFleetGather,
-		trace.A(trace.AttrKind, kindMat), trace.A("blocks", strconv.Itoa(len(s.blocks))))
+		trace.A(trace.AttrKind, kind), trace.A("blocks", strconv.Itoa(len(s.blocks))))
 	defer gsp.End()
 
-	x = x.Clone()
-	gather := obs.StartStage(s.reg, obs.StageGather)
-	parts := make([]*matrix.Dense[E], len(s.blocks))
+	stage := obs.StartStage(s.reg, obs.StageGather)
+	parts := make([]T, len(s.blocks))
 	errs := make([]error, len(s.blocks))
 	var wg sync.WaitGroup
 	for j, b := range s.blocks {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			parts[j], errs[j] = fetchBlock(s, qctx, b, func(ctx context.Context, addr string) (*matrix.Dense[E], error) {
-				y, err := s.client.ComputeBatch(ctx, addr, x)
-				if err == nil && y.Rows() != b.want {
-					err = fmt.Errorf("fleet: replica %s returned %d rows for block %d, want %d", addr, y.Rows(), b.index, b.want)
-				}
-				return y, err
-			})
+			parts[j], errs[j] = fetchBlock(s, qctx, b, call)
 		}()
 	}
 	wg.Wait()
-	gather.End()
+	stage.End()
 	for _, err := range errs {
 		if err != nil {
-			s.met.queryErrors(kindMat).Inc()
+			s.met.queryErrors(kind).Inc()
 			s.jr.PublishDetail(flight.KindQueryError, "", err.Error(), 0, 0)
 			gsp.SetError(err)
 			return nil, err
 		}
 	}
-	return matrix.VStack(parts...), nil
+	return parts, nil
 }
 
 // queryContext derives one query's context: bounded by the session lifetime
@@ -214,7 +157,7 @@ func (s *Session[E]) startSpan(ctx context.Context, name string, attrs ...trace.
 // failover), and re-runs the race up to MaxRetries extra rounds with
 // exponential backoff plus full jitter. Every failure path returns a
 // *BlockUnavailableError.
-func fetchBlock[E comparable, T any](s *Session[E], ctx context.Context, b *blockState[E], call func(context.Context, string) (T, error)) (v T, err error) {
+func fetchBlock[E comparable, T any](s *Session[E], ctx context.Context, b *blockState[E], call func(context.Context, *blockState[E], string) (T, error)) (v T, err error) {
 	var zero T
 	ctx, bsp := s.startSpan(ctx, trace.SpanFleetBlock, trace.A(trace.AttrBlock, strconv.Itoa(b.index)))
 	defer func() {
@@ -279,7 +222,7 @@ type attempt[T any] struct {
 // fails over to the next candidate. The first success wins and cancels the
 // losers (the transport aborts their in-flight I/O); per-candidate at most
 // one attempt launches per round.
-func raceReplicas[E comparable, T any](s *Session[E], ctx context.Context, b *blockState[E], cands []*device, call func(context.Context, string) (T, error)) (T, error) {
+func raceReplicas[E comparable, T any](s *Session[E], ctx context.Context, b *blockState[E], cands []*device, call func(context.Context, *blockState[E], string) (T, error)) (T, error) {
 	var zero T
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -292,7 +235,7 @@ func raceReplicas[E comparable, T any](s *Session[E], ctx context.Context, b *bl
 		actx, asp := s.startSpan(rctx, trace.SpanFleetAttempt,
 			trace.A(trace.AttrDevice, d.addr), trace.A(trace.AttrHedged, strconv.FormatBool(hedged)))
 		go func() {
-			v, err := call(actx, d.addr)
+			v, err := call(actx, b, d.addr)
 			switch {
 			case err == nil:
 				d.recordSuccess()

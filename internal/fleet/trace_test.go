@@ -8,8 +8,7 @@ import (
 	"github.com/scec/scec/internal/obs/trace"
 )
 
-// gatherTrace returns the assembled trace containing the fleet.gather span
-// (the query trace; a bare fleet MulVec also roots a separate decode trace).
+// gatherTrace returns the assembled trace containing the fleet.gather span.
 func gatherTrace(t *testing.T, tr *trace.Tracer) trace.TraceView {
 	t.Helper()
 	for _, v := range tr.Assemble() {
@@ -72,7 +71,7 @@ func TestTraceFaultInjectionFailover(t *testing.T) {
 	for j := range env.proxies {
 		env.proxies[j][0].SetMode(FaultDrop)
 	}
-	got, err := s.MulVec(env.x)
+	got, err := mulVec(s, env.x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +151,7 @@ func TestTraceHedgeWinAttribution(t *testing.T) {
 
 	env.proxies[0][0].SetDelay(400 * time.Millisecond)
 	env.proxies[0][0].SetMode(FaultDelay)
-	got, err := s.MulVec(env.x)
+	got, err := mulVec(s, env.x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +204,7 @@ func TestTraceRetryEvents(t *testing.T) {
 	for k := range env.proxies[0] {
 		env.proxies[0][k].SetMode(FaultDrop)
 	}
-	_, err := s.MulVec(env.x)
+	_, err := mulVec(s, env.x)
 	if !errors.Is(err, ErrBlockUnavailable) {
 		t.Fatalf("err = %v, want ErrBlockUnavailable", err)
 	}
@@ -248,7 +247,7 @@ func TestDebugSnapshotLive(t *testing.T) {
 	for j := range env.proxies {
 		env.proxies[j][0].SetMode(FaultDrop)
 	}
-	if _, err := s.MulVec(env.x); err != nil {
+	if _, err := mulVec(s, env.x); err != nil {
 		t.Fatal(err)
 	}
 	d := s.Debug()

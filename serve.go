@@ -80,12 +80,19 @@ func Serve[E comparable](dep *Deployment[E], cfg FleetConfig, opts ...DeployOpti
 		return nil, errors.New("scec: Serve executes over the given fleet; WithExecutor is not applicable")
 	}
 	// One WithTracing (or one FleetConfig.Tracer) is enough: engine and
-	// fleet layers share whichever tracer was provided.
+	// fleet layers share whichever tracer was provided. Likewise the
+	// registry, so one handle's series never split across two.
 	if c.opts.Tracer == nil {
 		c.opts.Tracer = cfg.Tracer
 	}
 	if cfg.Tracer == nil {
 		cfg.Tracer = c.opts.Tracer
+	}
+	if c.opts.Metrics == nil {
+		c.opts.Metrics = cfg.Metrics
+	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = c.opts.Metrics
 	}
 	if c.adaptive == nil {
 		s, err := fleet.Serve(dep.F, dep.Encoding, cfg)
