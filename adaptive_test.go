@@ -12,18 +12,16 @@ import (
 	"github.com/scec/scec/internal/transport"
 )
 
-// serveAdaptiveEnv provisions a real loopback fleet and serves it with the
-// adaptive control plane enabled.
-func serveAdaptiveEnv(t *testing.T, aCfg scec.AdaptiveConfig) (*scec.Served[uint64], []uint64, []uint64) {
+// adaptiveEnv provisions a real loopback fleet (one device per block plus two
+// standbys) and binds it with the adaptive control plane enabled, through
+// either entry point of the one fleet bind: Serve on a local deployment, or
+// Deploy over a FleetExecutor.
+func adaptiveEnv(t *testing.T, viaDeploy bool, aCfg scec.AdaptiveConfig) (*scec.Served[uint64], []uint64, []uint64) {
 	t.Helper()
 	f := scec.PrimeField()
 	rng := rand.New(rand.NewPCG(29, 31))
 	a := scec.RandomMatrix(f, rng, 40, 10)
 	costs := []float64{1.1, 2.5, 0.9, 1.8}
-	dep, err := scec.Deploy(f, a, costs, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	newSrv := func() string {
 		srv, err := transport.NewDeviceServer[uint64](f, "127.0.0.1:0")
@@ -33,16 +31,28 @@ func serveAdaptiveEnv(t *testing.T, aCfg scec.AdaptiveConfig) (*scec.Served[uint
 		t.Cleanup(func() { _ = srv.Close() })
 		return srv.Addr()
 	}
-	cfg := scec.FleetConfig{
-		Replicas:      make([][]string, dep.Devices()),
-		ProbeInterval: -1,
+	provision := func(blocks int) ([][]string, []string, error) {
+		replicas := make([][]string, blocks)
+		for j := range replicas {
+			replicas[j] = []string{newSrv()}
+		}
+		return replicas, []string{newSrv(), newSrv()}, nil
 	}
-	for j := range cfg.Replicas {
-		cfg.Replicas[j] = []string{newSrv()}
-	}
-	cfg.Standbys = []string{newSrv(), newSrv()}
+	cfg := scec.FleetConfig{ProbeInterval: -1}
 
-	s, err := scec.Serve(dep, cfg, scec.WithAdaptive[uint64](aCfg))
+	var s *scec.Served[uint64]
+	var err error
+	if viaDeploy {
+		s, err = scec.Deploy(f, a, costs, rng, scec.WithAdaptive[uint64](aCfg),
+			scec.WithExecutor(scec.FleetExecutor[uint64](scec.FleetExecutorConfig{Session: cfg, Provision: provision})))
+	} else {
+		var dep *scec.Deployment[uint64]
+		if dep, err = scec.Deploy(f, a, costs, rng); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Replicas, cfg.Standbys, _ = provision(dep.Devices())
+		s, err = scec.Serve(dep, cfg, scec.WithAdaptive[uint64](aCfg))
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +62,17 @@ func serveAdaptiveEnv(t *testing.T, aCfg scec.AdaptiveConfig) (*scec.Served[uint
 	return s, x, scec.MulVec(f, a, x)
 }
 
-// TestServeAdaptiveEndToEnd exercises the public adaptive path: queries stay
-// exact while the background control loop runs, the controller is reachable
-// through the handle, and /debug/adapt serves the live snapshot.
+// TestServeAdaptiveEndToEnd exercises the public adaptive path through both
+// entry points: queries stay exact while the background control loop runs,
+// the controller is reachable through the handle, and /debug/adapt serves
+// the live snapshot.
 func TestServeAdaptiveEndToEnd(t *testing.T) {
-	s, x, want := serveAdaptiveEnv(t, scec.AdaptiveConfig{ReplanEvery: 10 * time.Millisecond})
+	t.Run("Serve", func(t *testing.T) { testAdaptiveEndToEnd(t, false) })
+	t.Run("DeployFleet", func(t *testing.T) { testAdaptiveEndToEnd(t, true) })
+}
+
+func testAdaptiveEndToEnd(t *testing.T, viaDeploy bool) {
+	s, x, want := adaptiveEnv(t, viaDeploy, scec.AdaptiveConfig{ReplanEvery: 10 * time.Millisecond})
 
 	ctrl := s.Adaptive()
 	if ctrl == nil {
@@ -128,7 +144,8 @@ func TestServeAdaptiveEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDeployRejectsAdaptive pins that the static facade refuses the option.
+// TestDeployRejectsAdaptive pins that the in-process backends, which have no
+// fleet to migrate, refuse the option.
 func TestDeployRejectsAdaptive(t *testing.T) {
 	f := scec.PrimeField()
 	rng := rand.New(rand.NewPCG(3, 5))

@@ -10,7 +10,7 @@ func TestDeployChunkedMatchesMonolithic(t *testing.T) {
 	a := RandomMatrix(f, rng, 25, 17) // 17 columns → chunks of 5,5,5,2
 	costs := []float64{1.2, 0.7, 2.1, 1.5}
 
-	cd, err := DeployChunked(f, a, 5, costs, rng)
+	cd, err := Deploy(f, a, costs, rng, WithChunking[uint64](5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,27 +38,42 @@ func TestDeployChunkedMatchesMonolithic(t *testing.T) {
 	}
 }
 
+// TestDeployChunkedSingleChunkEqualsDeploy: chunking splits the columns of
+// one shared plan, so for every chunk count the deployment reports the
+// monolithic plan's cost and logical device count — and, from the same seed,
+// the very same encoding.
 func TestDeployChunkedSingleChunkEqualsDeploy(t *testing.T) {
 	f := PrimeField()
-	rng1 := testRNG()
-	rng2 := testRNG()
-	a := RandomMatrix(f, rng1, 10, 6)
-	a2 := RandomMatrix(f, rng2, 10, 6) // identical draw
 	costs := []float64{1, 2, 3}
-
-	cd, err := DeployChunked(f, a, 100, costs, rng1)
-	if err != nil {
-		t.Fatal(err)
+	build := func(opts ...DeployOption[uint64]) *Deployment[uint64] {
+		rng := testRNG()
+		dep, err := Deploy(f, RandomMatrix(f, rng, 10, 6), costs, rng, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = dep.Close() })
+		return dep
 	}
-	if cd.Chunks() != 1 {
-		t.Fatalf("chunks = %d, want 1", cd.Chunks())
+	dep := build()
+	if dep.Chunks() != 1 {
+		t.Fatalf("unchunked deployment reports %d chunks", dep.Chunks())
 	}
-	dep, err := Deploy(f, a2, costs, rng2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cd.Cost() != dep.Cost() {
-		t.Fatalf("single-chunk cost %g != monolithic %g", cd.Cost(), dep.Cost())
+	for width, chunks := range map[int]int{1: 6, 2: 3, 4: 2, 6: 1, 100: 1} {
+		cd := build(WithChunking[uint64](width))
+		if cd.Chunks() != chunks {
+			t.Fatalf("width %d: chunks = %d, want %d", width, cd.Chunks(), chunks)
+		}
+		if cd.Cost() != dep.Cost() {
+			t.Fatalf("width %d: cost %g != monolithic %g", width, cd.Cost(), dep.Cost())
+		}
+		if cd.Devices() != dep.Devices() {
+			t.Fatalf("width %d: devices %d != monolithic %d", width, cd.Devices(), dep.Devices())
+		}
+		for j, block := range cd.Encoding.Blocks {
+			if !MatrixEqual(f, block, dep.Encoding.Blocks[j]) {
+				t.Fatalf("width %d: block %d differs from the monolithic encoding", width, j)
+			}
+		}
 	}
 }
 
@@ -66,13 +81,13 @@ func TestDeployChunkedValidation(t *testing.T) {
 	f := PrimeField()
 	rng := testRNG()
 	a := RandomMatrix(f, rng, 5, 4)
-	if _, err := DeployChunked(f, a, 0, []float64{1, 2}, rng); err == nil {
+	if _, err := Deploy(f, a, []float64{1, 2}, rng, WithChunking[uint64](0)); err == nil {
 		t.Error("chunk width 0 should be rejected")
 	}
-	if _, err := DeployChunked(f, NewMatrix[uint64](5, 0), 2, []float64{1, 2}, rng); err == nil {
+	if _, err := Deploy(f, NewMatrix[uint64](5, 0), []float64{1, 2}, rng, WithChunking[uint64](2)); err == nil {
 		t.Error("zero-column matrix should be rejected")
 	}
-	cd, err := DeployChunked(f, a, 2, []float64{1, 2}, rng)
+	cd, err := Deploy(f, a, []float64{1, 2}, rng, WithChunking[uint64](2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +101,7 @@ func TestDeployChunkedMulMatMatchesMonolithic(t *testing.T) {
 	rng := testRNG()
 	a := RandomMatrix(f, rng, 14, 11)
 	costs := []float64{1.2, 0.7, 2.1}
-	cd, err := DeployChunked(f, a, 4, costs, rng)
+	cd, err := Deploy(f, a, costs, rng, WithChunking[uint64](4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +141,7 @@ func TestDeployChunkedRealField(t *testing.T) {
 	f := RealField(1e-6)
 	rng := testRNG()
 	a := RandomMatrix(f, rng, 12, 9)
-	cd, err := DeployChunked(f, a, 4, []float64{1, 1, 1}, rng)
+	cd, err := Deploy(f, a, []float64{1, 1, 1}, rng, WithChunking[float64](4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,14 +3,19 @@ package scec
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"net/http"
 	"sort"
+	"sync/atomic"
+	"time"
 
+	"github.com/scec/scec/internal/adapt"
 	"github.com/scec/scec/internal/alloc"
 	"github.com/scec/scec/internal/coding"
 	"github.com/scec/scec/internal/cost"
 	"github.com/scec/scec/internal/engine"
+	"github.com/scec/scec/internal/fleet"
 	"github.com/scec/scec/internal/obs"
 )
 
@@ -36,8 +41,10 @@ func AmortizedUnitCosts(l, queries int, comps []CostComponents) ([]float64, erro
 }
 
 // Deployment is a fully provisioned secure multiplication service for one
-// confidential matrix: the optimal plan, the coding design it induces, and
-// every device's coded block.
+// confidential matrix: the optimal plan, the coding design it induces, every
+// device's coded block, and the query engine bound to an execution backend.
+// Deploy and Serve both return it (Served is an alias); its fleet accessors
+// (serve.go) report nil/zero when no single fleet session is bound.
 type Deployment[E comparable] struct {
 	// F is the arithmetic field.
 	F Field[E]
@@ -57,7 +64,15 @@ type Deployment[E comparable] struct {
 	// caller's cost slice.
 	Encoding *Encoding[E]
 
-	q *engine.Query[E]
+	q      *engine.Query[E]
+	chunks int
+
+	// s is the provisioning-time session when one serves the whole encoding
+	// (nil off-fleet and under WithChunking); adapter and ctrl are
+	// WithAdaptive's.
+	s       *fleet.Session[E]
+	adapter *adapt.FleetAdapter[E]
+	ctrl    *adapt.Controller
 }
 
 // Deploy provisions secure coded multiplication for the confidential matrix
@@ -67,19 +82,16 @@ type Deployment[E comparable] struct {
 // assignments refer back to those indexes.
 //
 // Queries execute over the in-process kernels by default; pass WithExecutor
-// to run them over the simulator or a real fleet instead, WithCoalescing to
-// merge concurrent MulVec callers into batch rounds, and WithCollusion(t)
-// (or WithCode) to deploy the t-collusion-secure coding tier instead of the
-// single-attacker Eq. (8) scheme.
+// to run them over the simulator or a real fleet instead, WithChunking to
+// split a wide matrix column-wise over several backend instances,
+// WithCoalescing to merge concurrent MulVec callers into batch rounds, and
+// WithCollusion(t) (or WithCode) to deploy the t-collusion-secure coding
+// tier instead of the single-attacker Eq. (8) scheme.
 func Deploy[E comparable](f Field[E], a *Matrix[E], unitCosts []float64, rng *rand.Rand, opts ...DeployOption[E]) (*Deployment[E], error) {
-	cfg := newDeployConfig(opts)
-	if cfg.adaptive != nil {
-		return nil, fmt.Errorf("scec: WithAdaptive applies to Serve, not Deploy: the control plane needs a live fleet to migrate")
+	cfg, err := newDeployConfig(opts, false)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.code != nil && cfg.collusionT > 0 {
-		return nil, fmt.Errorf("scec: WithCode and WithCollusion are mutually exclusive (the code fixes its own threshold)")
-	}
-
 	plan, code, err := planAndCode(f, a, unitCosts, cfg)
 	if err != nil {
 		return nil, err
@@ -90,20 +102,133 @@ func Deploy[E comparable](f Field[E], a *Matrix[E], unitCosts []float64, rng *ra
 	if err != nil {
 		return nil, fmt.Errorf("scec: encode: %w", err)
 	}
-	exec, err := cfg.backend(f, enc)
+	return bind(&Deployment[E]{F: f, Plan: plan, Code: code, Scheme: enc.Scheme, Encoding: enc}, cfg)
+}
+
+// bind turns d's encoding into a live query engine. It is the facade's one
+// seam between an encoding and the substrate that serves it: Deploy calls it
+// on the encoding it just produced, Serve on an existing deployment's, so
+// every executor, fleet session and control loop is created here.
+func bind[E comparable](d *Deployment[E], c deployConfig[E]) (*Deployment[E], error) {
+	var backend ExecutorBackend[E]
+	if c.backend != nil {
+		backend = *c.backend
+	}
+	var fc FleetExecutorConfig
+	if backend.fleet != nil {
+		fc = *backend.fleet
+		// One WithTracing (or one FleetConfig.Tracer) is enough: engine and
+		// fleet layers share whichever tracer was provided. Likewise the
+		// registry, so one handle's series never split across two.
+		shareDefault(&c.opts.Tracer, &fc.Session.Tracer)
+		shareDefault(&c.opts.Metrics, &fc.Session.Metrics)
+	}
+	bindOne := func(enc *Encoding[E]) (engine.Executor[E], error) {
+		switch {
+		case backend.fleet != nil:
+			return d.bindFleet(enc, fc, c.adaptive)
+		case backend.sim != nil:
+			return engine.NewSim(d.F, enc, *backend.sim)
+		}
+		return engine.NewLocal(d.F, enc, c.opts.Metrics), nil
+	}
+
+	width := math.MaxInt // one chunk
+	if c.chunkCols != nil {
+		width = *c.chunkCols
+	}
+	exec, chunks, err := engine.NewChunked(d.F, d.Encoding, width, bindOne)
 	if err != nil {
 		return nil, fmt.Errorf("scec: bind executor: %w", err)
 	}
-	q, err := engine.New(f, enc, exec, cfg.opts)
+	d.chunks = chunks
+	d.q, err = engine.New(d.F, d.Encoding, exec, c.opts)
 	if err != nil {
 		_ = exec.Close()
 		return nil, fmt.Errorf("scec: bind executor: %w", err)
 	}
-	d := &Deployment[E]{F: f, Plan: plan, Code: code, Encoding: enc, q: q}
-	if sc, ok := code.(*coding.StructuredCode[E]); ok {
-		d.Scheme = sc.Scheme()
+	if d.ctrl != nil {
+		d.ctrl.Start()
 	}
 	return d, nil
+}
+
+// shareDefault fills whichever of *a and *b is unset from the other.
+func shareDefault[T comparable](a, b *T) {
+	var unset T
+	if *a == unset {
+		*a = *b
+	}
+	if *b == unset {
+		*b = *a
+	}
+}
+
+// bindFleet provisions one fleet session for enc and returns the executor
+// that owns it. Under WithAdaptive the session feeds winning-attempt
+// latencies into the controller through OnWin, and the executor is a
+// Swappable so a reshape can replace the whole session behind a drain; bind
+// starts the control loop once the engine exists.
+func (d *Deployment[E]) bindFleet(enc *Encoding[E], fc FleetExecutorConfig, aCfg *adapt.Config) (engine.Executor[E], error) {
+	cfg := fc.Session
+	if fc.Provision != nil {
+		replicas, standbys, err := fc.Provision(len(enc.Blocks))
+		if err != nil {
+			return nil, err
+		}
+		cfg.Replicas, cfg.Standbys = replicas, standbys
+	}
+	// The controller does not exist yet when the session starts serving, so
+	// OnWin routes through an atomic pointer; a caller-provided OnWin still
+	// sees every win.
+	var ctrl atomic.Pointer[adapt.Controller]
+	if aCfg != nil {
+		userOnWin := cfg.OnWin
+		cfg.OnWin = func(device string, block int, latency time.Duration) {
+			if cc := ctrl.Load(); cc != nil {
+				cc.ObserveWin(device, block, latency)
+			}
+			if userOnWin != nil {
+				userOnWin(device, block, latency)
+			}
+		}
+	}
+	s, err := fleet.Serve(d.F, enc, cfg)
+	if err != nil {
+		return nil, err
+	}
+	exec := engine.WrapSession(s, true)
+	if enc == d.Encoding { // not a chunk's column slice: s speaks for the deployment
+		d.s = s
+	}
+	if aCfg == nil {
+		return exec, nil
+	}
+
+	sw, err := engine.NewSwappable[E](exec, d.Code)
+	if err != nil {
+		_ = exec.Close()
+		return nil, err
+	}
+	ac := *aCfg
+	if ac.Tracer == nil {
+		ac.Tracer = cfg.Tracer
+	}
+	if ac.Metrics == nil {
+		ac.Metrics = cfg.Metrics
+	}
+	var controller *adapt.Controller
+	adapter, err := adapt.NewFleetAdapter(d.F, enc, s, sw, cfg, rand.New(rand.NewPCG(rand.Uint64(), rand.Uint64())))
+	if err == nil {
+		controller, err = adapt.New(ac, adapter)
+	}
+	if err != nil {
+		_ = sw.Close()
+		return nil, err
+	}
+	ctrl.Store(controller)
+	d.adapter, d.ctrl = adapter, controller
+	return sw, nil
 }
 
 // planAndCode solves the allocation and builds the coding design for the
@@ -239,9 +364,15 @@ func (d *Deployment[E]) Executor() Executor[E] { return d.q.Executor() }
 // snapshot as JSON — mount it as /debug/engine on the obs telemetry server.
 func (d *Deployment[E]) EngineDebugHandler() http.Handler { return d.q.DebugHandler() }
 
-// Close flushes the query engine and releases the backend (a fleet backend
-// closes its session). Safe to call more than once.
-func (d *Deployment[E]) Close() error { return d.q.Close() }
+// Close stops the adaptive control loop when one runs (in-flight migrations
+// finish first), flushes the query engine, and releases the backend (a fleet
+// backend closes its sessions). Safe to call more than once.
+func (d *Deployment[E]) Close() error {
+	if d.ctrl != nil {
+		d.ctrl.Stop()
+	}
+	return d.q.Close()
+}
 
 // wrapEngineErr rebrands engine-layer validation messages under the public
 // package's prefix while leaving backend errors (which already carry their
@@ -253,8 +384,20 @@ func wrapEngineErr(err error) error {
 // Cost returns the plan's variable cost Σ_j V(B_j)·c_j.
 func (d *Deployment[E]) Cost() float64 { return d.Plan.Cost }
 
-// Devices returns the number of participating edge devices.
-func (d *Deployment[E]) Devices() int { return d.Code.Devices() }
+// Devices returns the number of logical coded blocks served. Under
+// WithAdaptive this tracks the current plan: a reshape to a different r
+// changes it. Under WithChunking every chunk's backend instance hosts this
+// many blocks (a chunked fleet runs Chunks()·Devices() device slots).
+func (d *Deployment[E]) Devices() int {
+	if s := d.Session(); s != nil {
+		return s.Devices()
+	}
+	return d.Code.Devices()
+}
+
+// Chunks returns the number of column chunks the deployment is split into:
+// 1 unless WithChunking chose a width narrower than the matrix.
+func (d *Deployment[E]) Chunks() int { return d.chunks }
 
 // Audit runs the attack harness against every device and returns the
 // per-device leak dimensions (all zero for this construction).

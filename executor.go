@@ -1,6 +1,8 @@
 package scec
 
 import (
+	"errors"
+	"fmt"
 	"time"
 
 	"github.com/scec/scec/internal/adapt"
@@ -16,9 +18,15 @@ import (
 // simulator, or the fault-tolerant TCP fleet. See internal/engine.
 type Executor[E comparable] = engine.Executor[E]
 
-// ExecutorBackend constructs an Executor for a freshly encoded deployment.
-// Pass one to a facade with WithExecutor to choose the execution substrate.
-type ExecutorBackend[E comparable] = engine.Backend[E]
+// ExecutorBackend names the execution substrate a deployment binds its
+// encoding to, as data: the zero value is the in-process kernels, SimExecutor
+// and FleetExecutor carry their configuration. Pass one to Deploy with
+// WithExecutor; the facade's single bind step turns it into a running
+// Executor, so every backend composes with every option the same way.
+type ExecutorBackend[E comparable] struct {
+	sim   *SimExecutorConfig   // non-nil: the virtual-clock simulator
+	fleet *FleetExecutorConfig // non-nil: a replicated device fleet
+}
 
 // SimProfile models one simulated edge device's performance (compute rate,
 // link rates, latency, straggling, failure probability).
@@ -34,16 +42,23 @@ type SimExecutorConfig = engine.SimConfig
 
 // FleetExecutorConfig configures a fleet-backed executor: the fleet session
 // policy plus an optional Provision hook that supplies replica addresses
-// once the deployment's block count is known (chunked deployments provision
-// one fleet per chunk through it).
-type FleetExecutorConfig = engine.FleetConfig
+// once the deployment's block count is known.
+type FleetExecutorConfig struct {
+	// Session is the fleet runtime configuration. Its Replicas (and
+	// optionally Standbys) must be set unless Provision is non-nil.
+	Session FleetConfig
+	// Provision, when non-nil, is called at bind time with the encoding's
+	// block count and must return the replica address sets (and optional
+	// standbys) to provision. It lets one backend value serve deployments
+	// whose device counts aren't known up front; under WithChunking it is
+	// called once per chunk, since every chunk runs its own fleet session.
+	Provision func(blocks int) (replicas [][]string, standbys []string, err error)
+}
 
 // LocalExecutor returns the default backend: the in-process
-// field-specialized kernels. Facades use it when no WithExecutor option is
+// field-specialized kernels. Deploy uses it when no WithExecutor option is
 // given.
-func LocalExecutor[E comparable]() ExecutorBackend[E] {
-	return engine.LocalBackend[E](nil)
-}
+func LocalExecutor[E comparable]() ExecutorBackend[E] { return ExecutorBackend[E]{} }
 
 // SimExecutor returns a backend that evaluates queries on internal/sim's
 // virtual clock: results are computed by the same coding code paths as the
@@ -51,23 +66,26 @@ func LocalExecutor[E comparable]() ExecutorBackend[E] {
 // per-round report via the deployment's Executor() — it is a
 // *engine.SimExecutor.
 func SimExecutor[E comparable](cfg SimExecutorConfig) ExecutorBackend[E] {
-	return engine.SimBackend[E](cfg)
+	return ExecutorBackend[E]{sim: &cfg}
 }
 
 // FleetExecutor returns a backend that serves queries from the replicated,
-// hedged, self-repairing device fleet described by cfg.
+// hedged, self-repairing device fleet described by cfg. Deploy binds it
+// through the same path as Serve, so the handle exposes the same fleet
+// accessors and accepts WithAdaptive.
 func FleetExecutor[E comparable](cfg FleetExecutorConfig) ExecutorBackend[E] {
-	return engine.FleetBackend[E](cfg)
+	return ExecutorBackend[E]{fleet: &cfg}
 }
 
-// deployConfig collects the facade options shared by Deploy, DeployChunked,
-// and DeployQuantized.
+// deployConfig collects the facade options shared by Deploy,
+// DeployQuantized and Serve.
 type deployConfig[E comparable] struct {
-	backend    engine.Backend[E]
+	backend    *ExecutorBackend[E] // nil until WithExecutor (Deploy defaults to local)
 	opts       engine.Options
-	adaptive   *adapt.Config  // non-nil when WithAdaptive was given (Serve only)
+	adaptive   *adapt.Config  // non-nil when WithAdaptive was given (fleet backends only)
 	collusionT int            // > 0 when WithCollusion selected the Cauchy tier
 	code       coding.Code[E] // non-nil when WithCode supplied a prebuilt code
+	chunkCols  *int           // non-nil when WithChunking was given
 }
 
 // DeployOption customizes how a deployment executes queries.
@@ -76,7 +94,24 @@ type DeployOption[E comparable] func(*deployConfig[E])
 // WithExecutor selects the execution backend for a deployment's queries.
 // The default is LocalExecutor.
 func WithExecutor[E comparable](b ExecutorBackend[E]) DeployOption[E] {
-	return func(c *deployConfig[E]) { c.backend = b }
+	return func(c *deployConfig[E]) { c.backend = &b }
+}
+
+// WithChunking splits the deployment column-wise into chunks at most n
+// columns wide: A = [A_1 | … | A_c] is planned and encoded once, each
+// column slice of the coded blocks is bound to its own instance of the
+// chosen backend (a FleetExecutor provisions one fleet per chunk through its
+// Provision hook), and a query fans x's slices out and sums the raw coded
+// results before the single decode — exact, because every code is linear.
+// Use it for matrices so wide that full-width coded rows exceed per-device
+// storage: each device then holds V(B_j)×n values instead of V(B_j)×l.
+//
+// Chunking does not loosen DeployQuantized's fixed-point overflow bound: the
+// partial sums are added in F_p before decode, so the bound still scales
+// with the full dot-product length l. A per-chunk dequantize that would is
+// future work.
+func WithChunking[E comparable](n int) DeployOption[E] {
+	return func(c *deployConfig[E]) { c.chunkCols = &n }
 }
 
 // WithCoalescing enables adaptive request coalescing on the deployment's
@@ -131,43 +166,51 @@ func WithCode[E comparable](code coding.Code[E]) DeployOption[E] {
 	return func(c *deployConfig[E]) { c.code = code }
 }
 
-// WithAdaptive enables the closed-loop adaptive control plane on a Serve
-// deployment: a background controller learns per-device costs from the
-// fleet's own query traffic, re-plans with TA2, and rehosts or reshapes the
-// deployment live — without failing a single query. Only Serve accepts it;
-// Deploy's static backends have nothing to adapt.
+// WithAdaptive enables the closed-loop adaptive control plane wherever a
+// fleet is bound — Serve, or Deploy over a FleetExecutor: a background
+// controller learns per-device costs from the fleet's own query traffic,
+// re-plans with TA2, and rehosts or reshapes the deployment live — without
+// failing a single query. The in-process backends have nothing to adapt and
+// reject it, and so does a chunked deployment (see newDeployConfig).
 func WithAdaptive[E comparable](cfg AdaptiveConfig) DeployOption[E] {
 	return func(c *deployConfig[E]) { c.adaptive = &cfg }
 }
 
-// newDeployConfig applies opts over the local-backend default.
-func newDeployConfig[E comparable](opts []DeployOption[E]) deployConfig[E] {
-	cfg := deployConfig[E]{}
+// ErrOptionNotApplicable reports a DeployOption given where it cannot take
+// effect; test with errors.Is. The message names the option.
+var ErrOptionNotApplicable = errors.New("option not applicable")
+
+func notApplicable(option, why string) error {
+	return fmt.Errorf("scec: %s: %w: %s", option, ErrOptionNotApplicable, why)
+}
+
+// newDeployConfig applies opts and rejects the combinations the entry point
+// cannot honour. rebind is Serve: the deployment's code and encoding already
+// exist, so every option that would have shaped them is an error rather than
+// a silent no-op.
+func newDeployConfig[E comparable](opts []DeployOption[E], rebind bool) (deployConfig[E], error) {
+	c := deployConfig[E]{}
 	for _, o := range opts {
-		o(&cfg)
+		o(&c)
 	}
-	if cfg.backend == nil {
-		cfg.backend = engine.LocalBackend[E](cfg.opts.Metrics)
+	const fixed = "Serve re-binds an existing deployment, whose plan, code and encoding are already fixed"
+	switch {
+	case rebind && c.backend != nil:
+		return c, notApplicable("WithExecutor", "Serve executes over the fleet it is given")
+	case rebind && c.collusionT > 0:
+		return c, notApplicable("WithCollusion", fixed)
+	case rebind && c.code != nil:
+		return c, notApplicable("WithCode", fixed)
+	case rebind && c.chunkCols != nil:
+		return c, notApplicable("WithChunking", fixed+"; deploy with FleetExecutor to chunk over fleets")
+	case c.code != nil && c.collusionT > 0:
+		return c, fmt.Errorf("scec: WithCode and WithCollusion are mutually exclusive (the code fixes its own threshold)")
+	case c.adaptive != nil && !rebind && (c.backend == nil || c.backend.fleet == nil):
+		return c, notApplicable("WithAdaptive", "the control plane needs a live fleet to migrate; deploy over a FleetExecutor or use Serve")
+	case c.adaptive != nil && c.chunkCols != nil:
+		// Summing raw coded results needs every chunk to share one code; a
+		// per-chunk reshape would change r under the sum.
+		return c, notApplicable("WithAdaptive with WithChunking", "chunks must share one code, and a reshape would change one chunk's")
 	}
-	return cfg
+	return c, nil
 }
-
-// Provisioned is the interface every deployment facade satisfies:
-// Deployment, ChunkedDeployment, and QuantizedDeployment all expose the
-// plan cost, fleet size, security audit, and engine lifecycle the same way.
-type Provisioned interface {
-	// Cost is the plan's variable provisioning cost.
-	Cost() float64
-	// Devices is the number of participating edge devices.
-	Devices() int
-	// Audit returns per-device leak dimensions (all zero when sound).
-	Audit() []int
-	// Close releases the execution engine (and any fleet it owns).
-	Close() error
-}
-
-var (
-	_ Provisioned = (*Deployment[uint64])(nil)
-	_ Provisioned = (*ChunkedDeployment[uint64])(nil)
-	_ Provisioned = (*QuantizedDeployment)(nil)
-)

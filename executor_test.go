@@ -1,7 +1,10 @@
 package scec_test
 
 import (
+	"errors"
 	"math/rand/v2"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,9 +16,9 @@ import (
 )
 
 // fleetHarness provisions FaultProxy-fronted loopback device fleets for the
-// fleet executor's Provision hook. It is safe for the concurrent Provision
-// calls a parallel chunked deploy makes; each call's proxies are recorded
-// as one group so tests can fail specific chunks.
+// fleet executor's Provision hook. A chunked deploy calls it once per chunk;
+// each call's proxies are recorded as one group so tests can fail specific
+// chunks.
 type fleetHarness struct {
 	t        *testing.T
 	f        scec.Field[uint64]
@@ -137,17 +140,19 @@ func TestChunkedOverFleetSurvivesChunkFaults(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 7))
 	a := scec.RandomMatrix(f, rng, m, l)
 	h := newFleetHarness(t, 2)
-	cd, err := scec.DeployChunked(f, a, chunkCols, costs, rng,
+	cd, err := scec.Deploy(f, a, costs, rng, scec.WithChunking[uint64](chunkCols),
 		scec.WithExecutor(scec.FleetExecutor[uint64](h.config())))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = cd.Close() })
-	if got, want := h.groupCount(), cd.Chunks(); got != want {
-		t.Fatalf("provisioned %d fleets for %d chunks", got, want)
+	if got, want := h.groupCount(), cd.Chunks(); got != want || want != 3 {
+		t.Fatalf("provisioned %d fleets for %d chunks, want 3 of each", got, want)
 	}
-	if cd.Devices() <= 0 {
-		t.Fatal("chunked deployment reports no devices")
+	// Every chunk's fleet hosts the one shared plan's blocks; no single
+	// session speaks for the deployment.
+	if cd.Devices() != cd.Plan.I || cd.Session() != nil {
+		t.Fatalf("chunked deployment reports %d devices (plan: %d), session %v", cd.Devices(), cd.Plan.I, cd.Session())
 	}
 	for _, leak := range cd.Audit() {
 		if leak != 0 {
@@ -201,8 +206,14 @@ func TestChunkedOverFleetSurvivesChunkFaults(t *testing.T) {
 }
 
 // TestQuantizedOverFleetSurvivesFaults: the quantized facade serves float
-// queries over a replicated fleet with a dead replica per block.
+// queries over a replicated fleet with a dead replica per block — as one
+// fleet, and (it only forwards its options) column-chunked over three.
 func TestQuantizedOverFleetSurvivesFaults(t *testing.T) {
+	t.Run("monolithic", func(t *testing.T) { testQuantizedOverFleet(t, 1) })
+	t.Run("chunked", func(t *testing.T) { testQuantizedOverFleet(t, 3, scec.WithChunking[uint64](2)) })
+}
+
+func testQuantizedOverFleet(t *testing.T, fleets int, opts ...scec.DeployOption[uint64]) {
 	const m, l = 12, 6
 	rng := rand.New(rand.NewPCG(3, 77))
 	a := scec.NewMatrix[float64](m, l)
@@ -214,11 +225,14 @@ func TestQuantizedOverFleetSurvivesFaults(t *testing.T) {
 	costs := []float64{1.2, 0.9, 1.7}
 	h := newFleetHarness(t, 2)
 	qd, err := scec.DeployQuantized(a, 12, 16, costs, rng,
-		scec.WithExecutor(scec.FleetExecutor[uint64](h.config())))
+		append(opts, scec.WithExecutor(scec.FleetExecutor[uint64](h.config())))...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = qd.Close() })
+	if got := h.groupCount(); got != fleets || qd.Chunks() != fleets {
+		t.Fatalf("provisioned %d fleets for %d chunks, want %d", got, qd.Chunks(), fleets)
+	}
 	if qd.Devices() <= 0 {
 		t.Fatal("quantized deployment reports no devices")
 	}
@@ -274,17 +288,17 @@ func TestQuantizedOverFleetSurvivesFaults(t *testing.T) {
 	}
 }
 
-// TestChunkedDeployDeterministic: the parallel per-chunk deploys draw from
-// deterministic RNG streams, so the same seed reproduces identical
-// deployments (same coded blocks, same query answers) run after run.
+// TestChunkedDeployDeterministic: a chunked deploy encodes once from the
+// caller's RNG, so the same seed reproduces identical deployments (same
+// coded blocks, same query answers) run after run.
 func TestChunkedDeployDeterministic(t *testing.T) {
 	f := scec.PrimeField()
 	const m, l, chunkCols = 18, 9, 2
 	costs := []float64{1.4, 0.8, 2.1, 1.3}
-	build := func() *scec.ChunkedDeployment[uint64] {
+	build := func() *scec.Deployment[uint64] {
 		rng := rand.New(rand.NewPCG(101, 202))
 		a := scec.RandomMatrix(f, rng, m, l)
-		cd, err := scec.DeployChunked(f, a, chunkCols, costs, rng)
+		cd, err := scec.Deploy(f, a, costs, rng, scec.WithChunking[uint64](chunkCols))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,6 +318,11 @@ func TestChunkedDeployDeterministic(t *testing.T) {
 	for i := range y1 {
 		if y1[i] != y2[i] {
 			t.Fatal("same seed produced diverging chunked deployments")
+		}
+	}
+	for j, block := range cd1.Encoding.Blocks {
+		if !scec.MatrixEqual(f, block, cd2.Encoding.Blocks[j]) {
+			t.Fatalf("same seed produced diverging coded block %d", j)
 		}
 	}
 }
@@ -430,8 +449,8 @@ func TestServeCoalescing(t *testing.T) {
 	}
 }
 
-// TestProvisionedParity: every deployment facade satisfies the shared
-// Provisioned interface with sound audits.
+// TestProvisionedParity: every way of deploying exposes the plan cost, fleet
+// size, security audit, and engine lifecycle the same way, with sound audits.
 func TestProvisionedParity(t *testing.T) {
 	f := scec.PrimeField()
 	rng := rand.New(rand.NewPCG(71, 3))
@@ -441,7 +460,7 @@ func TestProvisionedParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cd, err := scec.DeployChunked(f, a, 3, costs, rng)
+	cd, err := scec.Deploy(f, a, costs, rng, scec.WithChunking[uint64](3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +474,13 @@ func TestProvisionedParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, p := range map[string]scec.Provisioned{"deploy": dep, "chunked": cd, "quantized": qd} {
+	type provisioned interface {
+		Cost() float64
+		Devices() int
+		Audit() []int
+		Close() error
+	}
+	for name, p := range map[string]provisioned{"deploy": dep, "chunked": cd, "quantized": qd} {
 		if p.Devices() <= 0 {
 			t.Fatalf("%s: no devices", name)
 		}
@@ -554,26 +579,138 @@ func TestZeroColumnBatchRejectedBeforeDispatch(t *testing.T) {
 	}
 }
 
-// TestServeSharesRegistry: like the tracer, one registry given to Serve —
-// on the fleet config or as the engine option — receives both layers'
-// series, instead of the other layer's falling through to obs.Default().
+// TestServeSharesRegistry: like the tracer, one registry given to a fleet
+// bind — on the fleet config or as the engine option, through Serve or
+// through Deploy over a FleetExecutor — receives both layers' series,
+// instead of the other layer's falling through to obs.Default().
 func TestServeSharesRegistry(t *testing.T) {
-	for _, via := range []string{"FleetConfig.Metrics", "WithEngineMetrics"} {
-		dep, l := deployBackend(t)
-		reg := obs.New()
-		var s *scec.Served[uint64]
-		if via == "WithEngineMetrics" {
-			s = serveLoopback(t, dep, scec.FleetConfig{}, scec.WithEngineMetrics[uint64](reg))
-		} else {
-			s = serveLoopback(t, dep, scec.FleetConfig{Metrics: reg})
-		}
-		if _, err := s.MulVec(make([]uint64, l)); err != nil {
-			t.Fatalf("%s: %v", via, err)
-		}
-		for _, fam := range []string{obs.MetricEngineDispatchTotal, obs.MetricFleetQueriesTotal, obs.MetricRPCClientRequests} {
-			if n, _ := familyTotal(reg, fam); n < 1 {
-				t.Errorf("%s: %s = %g in the given registry, want >= 1", via, fam, n)
+	type binder func(cfg scec.FleetConfig, opts ...scec.DeployOption[uint64]) (*scec.Served[uint64], int)
+	entryPoints := map[string]binder{
+		"Serve": func(cfg scec.FleetConfig, opts ...scec.DeployOption[uint64]) (*scec.Served[uint64], int) {
+			dep, l := deployBackend(t)
+			return serveLoopback(t, dep, cfg, opts...), l
+		},
+		"Deploy": func(cfg scec.FleetConfig, opts ...scec.DeployOption[uint64]) (*scec.Served[uint64], int) {
+			fc := newFleetHarness(t, 1).config()
+			fc.Session.Metrics = cfg.Metrics
+			return deployBackend(t, append(opts, scec.WithExecutor(scec.FleetExecutor[uint64](fc)))...)
+		},
+	}
+	for entry, bind := range entryPoints {
+		for _, via := range []string{"FleetConfig.Metrics", "WithEngineMetrics"} {
+			reg := obs.New()
+			var s *scec.Served[uint64]
+			var l int
+			if via == "WithEngineMetrics" {
+				s, l = bind(scec.FleetConfig{}, scec.WithEngineMetrics[uint64](reg))
+			} else {
+				s, l = bind(scec.FleetConfig{Metrics: reg})
 			}
+			if _, err := s.MulVec(make([]uint64, l)); err != nil {
+				t.Fatalf("%s via %s: %v", entry, via, err)
+			}
+			for _, fam := range []string{obs.MetricEngineDispatchTotal, obs.MetricFleetQueriesTotal, obs.MetricRPCClientRequests} {
+				if n, _ := familyTotal(reg, fam); n < 1 {
+					t.Errorf("%s via %s: %s = %g in the given registry, want >= 1", entry, via, fam, n)
+				}
+			}
+		}
+	}
+}
+
+// TestOptionApplicability is the accept/reject table of the one bind path:
+// every DeployOption against every entry point. An option that cannot take
+// effect where it is given fails with ErrOptionNotApplicable naming it —
+// Serve used to accept and ignore the planning options — and everything
+// else deploys and answers a query.
+func TestOptionApplicability(t *testing.T) {
+	f := scec.PrimeField()
+	const m, l = 18, 6
+	costs := []float64{1.4, 0.8, 2.1, 1.0, 3.2, 0.9, 1.7, 2.6, 1.2, 1.9, 2.3, 0.95, 3.0, 1.6, 2.8, 1.05, 2.2, 1.8, 0.85, 2.9, 1.35}
+	a := scec.RandomMatrix(f, rand.New(rand.NewPCG(3, 5)), m, l)
+	x := scec.RandomVector(f, rand.New(rand.NewPCG(7, 9)), l)
+	want := scec.MulVec(f, a, x)
+	rows, r, err := scec.CollusionRows(m, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := scec.NewCollusionScheme(f, m, r, 2, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type opts = []scec.DeployOption[uint64]
+	entryPoints := []string{"Deploy/local", "Deploy/sim", "Deploy/fleet", "Serve"}
+	const planning, fleetOnly, never = "---x", "xx--", "xxxx" // x = rejected at that entry point
+	table := []struct {
+		name   string
+		opts   opts
+		reject string
+	}{
+		// Deploy's columns pass their own WithExecutor; only Serve gets this one.
+		{"WithExecutor", nil, planning},
+		{"WithCoalescing", opts{scec.WithCoalescing[uint64](time.Millisecond, 4)}, "----"},
+		{"WithEngineMetrics", opts{scec.WithEngineMetrics[uint64](obs.New())}, "----"},
+		{"WithTracing", opts{scec.WithTracing[uint64](scec.NewTracer(scec.TracerOptions{}))}, "----"},
+		{"WithCollusion", opts{scec.WithCollusion[uint64](2)}, planning},
+		{"WithCode", opts{scec.WithCode[uint64](code)}, planning},
+		{"WithChunking", opts{scec.WithChunking[uint64](4)}, planning},
+		{"WithAdaptive", opts{scec.WithAdaptive[uint64](scec.AdaptiveConfig{})}, fleetOnly},
+		{"WithAdaptive with WithChunking", opts{scec.WithAdaptive[uint64](scec.AdaptiveConfig{}), scec.WithChunking[uint64](4)}, never},
+	}
+	for _, row := range table {
+		for col, entry := range entryPoints {
+			t.Run(row.name+"/"+entry, func(t *testing.T) {
+				rng := rand.New(rand.NewPCG(41, 97))
+				var h *scec.Deployment[uint64]
+				var err error
+				switch entry {
+				case "Deploy/local":
+					h, err = scec.Deploy(f, a, costs, rng, append(opts{scec.WithExecutor(scec.LocalExecutor[uint64]())}, row.opts...)...)
+				case "Deploy/sim":
+					h, err = scec.Deploy(f, a, costs, rng, append(opts{scec.WithExecutor(scec.SimExecutor[uint64](scec.SimExecutorConfig{Metrics: obs.New()}))}, row.opts...)...)
+				case "Deploy/fleet":
+					h, err = scec.Deploy(f, a, costs, rng, append(opts{scec.WithExecutor(scec.FleetExecutor[uint64](newFleetHarness(t, 1).config()))}, row.opts...)...)
+				case "Serve":
+					dep, derr := scec.Deploy(f, a, costs, rng)
+					if derr != nil {
+						t.Fatal(derr)
+					}
+					t.Cleanup(func() { _ = dep.Close() })
+					cfg := newFleetHarness(t, 1).config()
+					cfg.Session.Replicas, _, _ = cfg.Provision(dep.Devices())
+					serveOpts := row.opts
+					if row.name == "WithExecutor" {
+						serveOpts = opts{scec.WithExecutor(scec.LocalExecutor[uint64]())}
+					}
+					h, err = scec.Serve(dep, cfg.Session, serveOpts...)
+				}
+				if h != nil {
+					t.Cleanup(func() { _ = h.Close() })
+				}
+				if row.reject[col] == 'x' {
+					// The combined row may be refused for either of its options.
+					named := err != nil && slices.ContainsFunc(strings.Split(row.name, " with "), func(o string) bool {
+						return strings.Contains(err.Error(), o)
+					})
+					if !errors.Is(err, scec.ErrOptionNotApplicable) || !named {
+						t.Fatalf("err = %v, want ErrOptionNotApplicable naming %s", err, row.name)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := h.MulVec(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("entry %d decoded %d, want %d", i, got[i], want[i])
+					}
+				}
+			})
 		}
 	}
 }

@@ -40,11 +40,6 @@ type Executor[E comparable] interface {
 	Close() error
 }
 
-// Backend constructs an Executor for an encoding at deployment-bind time.
-// It is the factory shape the facade options (scec.WithExecutor) traffic
-// in: a Deployment binds its encoding to a backend once, after encode.
-type Backend[E comparable] func(f field.Field[E], enc *coding.Encoding[E]) (Executor[E], error)
-
 // DefaultCoalesceMaxBatch caps a coalesced round's width when Options
 // enables coalescing without a bound of its own.
 const DefaultCoalesceMaxBatch = 16

@@ -62,32 +62,27 @@ func newCase[E comparable](t *testing.T, f field.Field[E], randE func(*rand.Rand
 // fleet executor over them.
 func serveFleet[E comparable](t *testing.T, f field.Field[E], enc *coding.Encoding[E]) Executor[E] {
 	t.Helper()
-	cfg := FleetConfig{
-		Session: fleet.Config{
-			QueryTimeout:  10 * time.Second,
-			RPCTimeout:    2 * time.Second,
-			HedgeAfter:    -1,
-			ProbeInterval: -1,
-			Metrics:       obs.New(),
-		},
-		Provision: func(blocks int) ([][]string, []string, error) {
-			replicas := make([][]string, blocks)
-			for j := range replicas {
-				srv, err := transport.NewDeviceServer(f, "127.0.0.1:0")
-				if err != nil {
-					return nil, nil, err
-				}
-				t.Cleanup(func() { _ = srv.Close() })
-				replicas[j] = []string{srv.Addr()}
-			}
-			return replicas, nil, nil
-		},
+	cfg := fleet.Config{
+		Replicas:      make([][]string, len(enc.Blocks)),
+		QueryTimeout:  10 * time.Second,
+		RPCTimeout:    2 * time.Second,
+		HedgeAfter:    -1,
+		ProbeInterval: -1,
+		Metrics:       obs.New(),
 	}
-	exec, err := NewFleet(f, enc, cfg)
+	for j := range cfg.Replicas {
+		srv, err := transport.NewDeviceServer(f, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = srv.Close() })
+		cfg.Replicas[j] = []string{srv.Addr()}
+	}
+	s, err := fleet.Serve(f, enc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return exec
+	return WrapSession(s, true)
 }
 
 // backends returns a named executor of every kind over the same encoding.

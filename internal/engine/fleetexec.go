@@ -2,59 +2,15 @@ package engine
 
 import (
 	"context"
-	"errors"
 
-	"github.com/scec/scec/internal/coding"
-	"github.com/scec/scec/internal/field"
 	"github.com/scec/scec/internal/fleet"
 	"github.com/scec/scec/internal/matrix"
 )
-
-// FleetConfig configures the fleet-backed executor.
-type FleetConfig struct {
-	// Session is the fleet runtime configuration. Its Replicas (and
-	// optionally Standbys) must be set unless Provision is non-nil.
-	Session fleet.Config
-	// Provision, when non-nil, is called at bind time with the encoding's
-	// block count and must return the replica address sets (and optional
-	// standbys) to provision. It lets one Backend value serve deployments
-	// whose device counts aren't known up front — chunked deployments
-	// provision a fleet per chunk this way.
-	Provision func(blocks int) (replicas [][]string, standbys []string, err error)
-}
 
 // fleetExecutor adapts a fleet.Session to the Executor interface.
 type fleetExecutor[E comparable] struct {
 	s     *fleet.Session[E]
 	owned bool
-}
-
-// NewFleet provisions a fleet session for the encoding and wraps it as an
-// Executor that owns (and will Close) the session.
-func NewFleet[E comparable](f field.Field[E], enc *coding.Encoding[E], cfg FleetConfig) (Executor[E], error) {
-	if enc == nil || enc.Code == nil {
-		return nil, errors.New("engine: encoding has no code attached")
-	}
-	if cfg.Provision != nil {
-		replicas, standbys, err := cfg.Provision(len(enc.Blocks))
-		if err != nil {
-			return nil, err
-		}
-		cfg.Session.Replicas = replicas
-		cfg.Session.Standbys = standbys
-	}
-	s, err := fleet.Serve(f, enc, cfg.Session)
-	if err != nil {
-		return nil, err
-	}
-	return &fleetExecutor[E]{s: s, owned: true}, nil
-}
-
-// FleetBackend returns the Backend factory for the fleet executor.
-func FleetBackend[E comparable](cfg FleetConfig) Backend[E] {
-	return func(f field.Field[E], enc *coding.Encoding[E]) (Executor[E], error) {
-		return NewFleet(f, enc, cfg)
-	}
 }
 
 // WrapSession adapts an existing fleet session to the Executor interface.

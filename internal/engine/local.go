@@ -26,14 +26,6 @@ func NewLocal[E comparable](f field.Field[E], enc *coding.Encoding[E], reg *obs.
 	return &LocalExecutor[E]{f: f, enc: enc, reg: reg}
 }
 
-// LocalBackend returns the Backend factory for the local executor,
-// recording stage timings into reg (nil means obs.Default()).
-func LocalBackend[E comparable](reg *obs.Registry) Backend[E] {
-	return func(f field.Field[E], enc *coding.Encoding[E]) (Executor[E], error) {
-		return NewLocal(f, enc, reg), nil
-	}
-}
-
 // Name implements Executor.
 func (e *LocalExecutor[E]) Name() string { return "local" }
 

@@ -76,13 +76,6 @@ func NewSim[E comparable](f field.Field[E], enc *coding.Encoding[E], cfg SimConf
 	}, nil
 }
 
-// SimBackend returns the Backend factory for the simulator executor.
-func SimBackend[E comparable](cfg SimConfig) Backend[E] {
-	return func(f field.Field[E], enc *coding.Encoding[E]) (Executor[E], error) {
-		return NewSim(f, enc, cfg)
-	}
-}
-
 // Name implements Executor.
 func (e *SimExecutor[E]) Name() string { return "sim" }
 

@@ -34,7 +34,9 @@ type QuantizedDeployment struct {
 // and deploys it over the prime field. maxX must bound the absolute value
 // of every future input entry; it is checked now (against the static
 // overflow bound of the 61-bit modulus) and again on every query. Options
-// select the execution backend for the underlying exact deployment.
+// are forwarded to the underlying exact Deploy, so every backend and
+// WithChunking compose with it — though chunking does not loosen the
+// overflow bound, which is always checked against the full row length.
 func DeployQuantized(a *Matrix[float64], fracBits uint, maxX float64, unitCosts []float64, rng *rand.Rand, opts ...DeployOption[uint64]) (*QuantizedDeployment, error) {
 	q, err := quant.NewQuantizer(fracBits)
 	if err != nil {
@@ -66,9 +68,6 @@ func (d *QuantizedDeployment) MulVec(x []float64) ([]float64, error) {
 // MulVecContext is MulVec bounded by ctx; a span carried in ctx continues
 // into the exact pipeline's trace.
 func (d *QuantizedDeployment) MulVecContext(ctx context.Context, x []float64) ([]float64, error) {
-	if len(x) != d.l {
-		return nil, fmt.Errorf("scec: input vector has %d entries, want %d", len(x), d.l)
-	}
 	if err := d.q.CheckMatVec(d.l, d.maxA, quant.MaxAbsVec(x)); err != nil {
 		return nil, fmt.Errorf("scec: input would overflow the field: %w", err)
 	}
@@ -92,9 +91,6 @@ func (d *QuantizedDeployment) MulMat(x *Matrix[float64]) (*Matrix[float64], erro
 
 // MulMatContext is MulMat bounded by ctx; see MulVecContext.
 func (d *QuantizedDeployment) MulMatContext(ctx context.Context, x *Matrix[float64]) (*Matrix[float64], error) {
-	if x.Rows() != d.l {
-		return nil, fmt.Errorf("scec: input matrix has %d rows, want %d", x.Rows(), d.l)
-	}
 	if err := d.q.CheckMatVec(d.l, d.maxA, quant.MaxAbs(x)); err != nil {
 		return nil, fmt.Errorf("scec: input would overflow the field: %w", err)
 	}

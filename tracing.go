@@ -15,10 +15,10 @@ type Tracer = trace.Tracer
 // clock). The zero value selects every default.
 type TracerOptions = trace.Options
 
-// NewTracer builds a tracer. Wire it into a deployment with WithTracing,
-// into a fleet session via FleetConfig.Tracer, and into device servers via
-// transport Options.Tracer; sharing one tracer per process is the normal
-// setup.
+// NewTracer builds a tracer. Wire it into a deployment with WithTracing (or
+// a fleet session's FleetConfig.Tracer; a fleet bind shares either with the
+// other layer) and into device servers via transport Options.Tracer; sharing
+// one tracer per process is the normal setup.
 func NewTracer(o TracerOptions) *Tracer { return trace.New(o) }
 
 // DeviceStats is one device's straggler digest: rolling win-latency
@@ -27,8 +27,9 @@ type DeviceStats = trace.DeviceStats
 
 // WithTracing routes the deployment engine's query/coalesce/round/decode
 // spans (and, through context propagation, every substrate span below them)
-// to t. The fleet backend additionally needs FleetConfig.Tracer set to the
-// same tracer for its race/hedge spans and straggler analytics.
+// to t. Every fleet bind (Serve, or Deploy over a FleetExecutor) shares it
+// with the session when FleetConfig.Tracer is unset — and vice versa — so
+// one of the two is enough for the race/hedge spans and straggler analytics.
 func WithTracing[E comparable](t *Tracer) DeployOption[E] {
 	return func(c *deployConfig[E]) { c.opts.Tracer = t }
 }
