@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"github.com/scec/scec"
+	"github.com/scec/scec/internal/attack"
+	"github.com/scec/scec/internal/matrix"
 	"github.com/scec/scec/internal/transport"
 )
 
@@ -62,6 +64,42 @@ func adaptiveEnv(t *testing.T, viaDeploy bool, aCfg scec.AdaptiveConfig) (*scec.
 	return s, x, scec.MulVec(f, a, x)
 }
 
+// auditLifetime asserts the lifetime-secrecy invariant for one session (one
+// encoding): no address was ever sent two different blocks — replica sets plus
+// bindings cover current hosts, vacated hosts and failed pushes — and the
+// stacked coefficients of each address's whole view leak nothing.
+func auditLifetime(t *testing.T, s *scec.Session[uint64]) {
+	t.Helper()
+	sent := map[string]map[int]bool{}
+	add := func(addr string, block int) {
+		if sent[addr] == nil {
+			sent[addr] = map[int]bool{}
+		}
+		sent[addr][block] = true
+	}
+	for j, group := range s.BlockHosts() {
+		for _, addr := range group {
+			add(addr, j)
+		}
+	}
+	for addr, j := range s.Bindings() {
+		add(addr, j)
+	}
+	code := s.Code()
+	for addr, blocks := range sent {
+		if len(blocks) > 1 {
+			t.Errorf("%s was sent %d blocks of one encoding: %v", addr, len(blocks), blocks)
+		}
+		var stack []*matrix.Dense[uint64]
+		for j := range blocks {
+			stack = append(stack, code.DeviceCoefficients(j))
+		}
+		if leak := attack.Leakage(scec.PrimeField(), matrix.VStack(stack...), code.M()); leak != 0 {
+			t.Errorf("%s: lifetime view %v leaks %d combinations of A's rows", addr, blocks, leak)
+		}
+	}
+}
+
 // TestServeAdaptiveEndToEnd exercises the public adaptive path through both
 // entry points: queries stay exact while the background control loop runs,
 // the controller is reachable through the handle, and /debug/adapt serves
@@ -78,6 +116,7 @@ func testAdaptiveEndToEnd(t *testing.T, viaDeploy bool) {
 	if ctrl == nil {
 		t.Fatal("Adaptive() = nil on a WithAdaptive handle")
 	}
+	provisioned := s.Session()
 	check := func() {
 		t.Helper()
 		got, err := s.MulVec(x)
@@ -141,6 +180,12 @@ func testAdaptiveEndToEnd(t *testing.T, viaDeploy bool) {
 	}
 	if err := s.Close(); err != nil { // idempotent, and the loop is stopped
 		t.Fatal(err)
+	}
+	// Whatever the loop did — rehosts within the provisioned session, or a
+	// reshape onto a fresh one — each encoding kept one block per device.
+	auditLifetime(t, provisioned)
+	if cur := s.Session(); cur != provisioned {
+		auditLifetime(t, cur)
 	}
 }
 

@@ -414,7 +414,7 @@ func runFleet(args []string, out io.Writer) error {
 		incidents := wd.Incidents()
 		fmt.Fprintf(out, "flight recorder: %d incident bundle(s) under %s\n", len(incidents), *incidentDir)
 		if *incidentSum != "" {
-			if err := writeIncidentSummary(out, *incidentSum, *incidentDir, incidents, outageAddrs, *adaptive); err != nil {
+			if err := writeIncidentSummary(out, *incidentSum, *incidentDir, incidents, outageAddrs, *adaptive, served); err != nil {
 				return err
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"github.com/scec/scec"
 	"github.com/scec/scec/internal/obs/flight"
 )
 
@@ -34,9 +35,11 @@ type incidentSummary struct {
 
 // writeIncidentSummary validates the first captured bundle end to end and
 // writes the summary JSON to path. adaptive selects the recovery events the
-// journal must show (replan adopt + rehost vs. standby repair). A missing
-// or incomplete bundle is an error, so the incident demo fails loudly.
-func writeIncidentSummary(out io.Writer, path, dir string, incidents []flight.IncidentMeta, outageAddrs []string, adaptive bool) error {
+// journal must show (replan adopt + rehost vs. standby repair); served, when
+// it has a fleet session, is the live handle whose placement history is
+// audited. A missing or incomplete bundle is an error, so the incident demo
+// fails loudly.
+func writeIncidentSummary(out io.Writer, path, dir string, incidents []flight.IncidentMeta, outageAddrs []string, adaptive bool, served *scec.Served[uint64]) error {
 	if len(incidents) == 0 {
 		return fmt.Errorf("incident summary: no bundle was captured under %s", dir)
 	}
@@ -99,6 +102,22 @@ func writeIncidentSummary(out io.Writer, path, dir string, incidents []flight.In
 	} else {
 		check("journal-repair-ok", s.JournalEvents[flight.KindRepairOK.String()] > 0,
 			"no repair-ok event: standby self-repair never landed")
+	}
+
+	// Lifetime secrecy over the whole run, not per block: the bindings record
+	// every address ever sent a block (vacated hosts and failed pushes
+	// included), so a replica serving any other block has seen two.
+	if served != nil && served.Session() != nil {
+		session, oneBlock := served.Session(), true
+		bound := session.Bindings()
+		for j, group := range session.BlockHosts() {
+			for _, addr := range group {
+				if b, ok := bound[addr]; !ok || b != j {
+					oneBlock = false
+				}
+			}
+		}
+		check("one-block-per-device", oneBlock, "a device was sent two different blocks of one encoding")
 	}
 
 	// Trace rings: at least one retained span must belong to a device the

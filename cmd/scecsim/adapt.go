@@ -26,7 +26,8 @@ type adaptConfig struct {
 // Acceptance bounds for -adapt-check (and the committed results/adapt.json):
 // the adaptive arm's steady-state p99 must recover to within 1.5× the
 // instant-replanning oracle, the frozen baseline must remain at least 2×
-// worse than adaptive, and no arm may fail a single query.
+// worse than adaptive, no arm may fail a single query, and over the whole
+// adaptive run no device may be sent two blocks of one encoding.
 const (
 	adaptMaxOverOracle   = 1.5
 	adaptMinFrozenFactor = 2.0
@@ -63,6 +64,7 @@ func runAdaptScenario(out io.Writer, cfg adaptConfig) error {
 	}
 	fmt.Fprintf(out, "adaptive/oracle steady p99 = %.2fx (bound ≤ %.1fx); frozen/adaptive = %.2fx (bound ≥ %.1fx)\n",
 		rep.AdaptiveOverOracleP99, adaptMaxOverOracle, rep.FrozenOverAdaptiveP99, adaptMinFrozenFactor)
+	fmt.Fprintf(out, "most blocks any device was sent under one encoding: %d (bound = 1)\n", rep.MaxBlocksPerDevice)
 	for _, ev := range rep.Events {
 		fmt.Fprintf(out, "  %s\n", ev)
 	}
@@ -98,6 +100,10 @@ func checkAdaptReport(rep *adapt.RecoveryReport) error {
 	if rep.AdaptiveOverOracleP99 > adaptMaxOverOracle {
 		return fmt.Errorf("adapt-check: adaptive steady p99 is %.2fx the oracle's (bound %.1fx)",
 			rep.AdaptiveOverOracleP99, adaptMaxOverOracle)
+	}
+	if rep.MaxBlocksPerDevice != 1 {
+		return fmt.Errorf("adapt-check: a device was sent %d different blocks of one encoding; Def. 2 covers one",
+			rep.MaxBlocksPerDevice)
 	}
 	if rep.FrozenOverAdaptiveP99 < adaptMinFrozenFactor {
 		return fmt.Errorf("adapt-check: frozen baseline is only %.2fx worse than adaptive (bound %.1fx): the control plane bought too little",

@@ -2,6 +2,7 @@ package scec
 
 import (
 	"context"
+	crand "crypto/rand"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -81,6 +82,10 @@ type Deployment[E comparable] struct {
 // rows from rng. Costs are per device in the caller's order; the plan's
 // assignments refer back to those indexes.
 //
+// A nil rng draws the masking rows from ChaCha8 keyed with 32 bytes of
+// crypto/rand — what a deployment whose secrecy matters should use; pass a
+// seeded generator only to reproduce a run.
+//
 // Queries execute over the in-process kernels by default; pass WithExecutor
 // to run them over the simulator or a real fleet instead, WithChunking to
 // split a wide matrix column-wise over several backend instances,
@@ -95,6 +100,9 @@ func Deploy[E comparable](f Field[E], a *Matrix[E], unitCosts []float64, rng *ra
 	plan, code, err := planAndCode(f, a, unitCosts, cfg)
 	if err != nil {
 		return nil, err
+	}
+	if rng == nil {
+		rng = secureRand()
 	}
 	encode := obs.StartStage(nil, obs.StageEncode)
 	enc, err := code.Encode(a, rng)
@@ -151,6 +159,16 @@ func bind[E comparable](d *Deployment[E], c deployConfig[E]) (*Deployment[E], er
 		d.ctrl.Start()
 	}
 	return d, nil
+}
+
+// secureRand returns an unpredictable generator for masking rows: ChaCha8
+// under a key from the operating system. The ITS argument needs R uniformly
+// random, and a reshape's "new epoch" needs it independent of every earlier
+// R; a PCG seeded from 64 guessable bits gives neither.
+func secureRand() *rand.Rand {
+	var key [32]byte
+	crand.Read(key[:]) // cannot fail: since Go 1.24 it aborts the program instead
+	return rand.New(rand.NewChaCha8(key))
 }
 
 // shareDefault fills whichever of *a and *b is unset from the other.
@@ -218,7 +236,7 @@ func (d *Deployment[E]) bindFleet(enc *Encoding[E], fc FleetExecutorConfig, aCfg
 		ac.Metrics = cfg.Metrics
 	}
 	var controller *adapt.Controller
-	adapter, err := adapt.NewFleetAdapter(d.F, enc, s, sw, cfg, rand.New(rand.NewPCG(rand.Uint64(), rand.Uint64())))
+	adapter, err := adapt.NewFleetAdapter(d.F, enc, s, sw, cfg, secureRand())
 	if err == nil {
 		controller, err = adapt.New(ac, adapter)
 	}

@@ -17,20 +17,27 @@
 //     hysteresis — a candidate plan is adopted only when it beats the
 //     incumbent, evaluated at the same learned costs, by a configurable
 //     margin, outside a cooldown window — so noise cannot flap the fleet;
-//   - a Controller executes adopted plans live. A plan with the same r is a
-//     set of block moves: each block is re-pushed to its new device and the
-//     replica sets swap atomically (fleet.Rehost), with moves scheduled so a
-//     destination is always free. A plan with a different r reshapes the
-//     whole deployment: new rounds park on a gate, in-flight rounds drain,
-//     the data matrix is reconstructed and re-encoded at the new r, and the
-//     fresh fleet session swaps in (engine.Swappable.SwapDrained) — no
-//     query is ever failed by a migration.
+//   - a Controller executes adopted plans live. A plan the current encoding
+//     can reach is a set of independent block moves: each block is re-pushed
+//     to its new device and the replica sets swap atomically (fleet.Rehost).
+//     Any other plan — a different r, or the same r with a block landing on
+//     a device that already saw another one — reshapes the whole deployment:
+//     new rounds park on a gate, in-flight rounds drain, the data matrix is
+//     reconstructed and re-encoded under fresh masking rows, and the fresh
+//     fleet session swaps in (engine.Swappable.SwapDrained) — no query is
+//     ever failed by a migration.
 //
-// Security is preserved by construction. A rehost moves B_j·T verbatim, so
-// every device's view stays the single-block view of Def. 2 (the fleet layer
-// additionally refuses a destination that already hosts another block). A
-// reshape generates a fresh Eq. (8) encoding with fresh randomness, which is
-// exactly a new deployment.
+// Security rests on one placement invariant: within one encoding (one R, one
+// fleet.Session) an address is bound to at most one block index, from the
+// first Store attempted toward it until the session ends. Def. 2 / Theorem 3
+// bound what a device learns from a single block B_j·T, and a passive device
+// keeps everything it was ever sent, so its lifetime view must stay that
+// single block — a rehost moves B_j·T verbatim, but only onto a device that
+// has seen nothing else of this R. Planner.Decide is the one place that
+// decides which moves that admits (given the substrate's Bindings) and
+// fleet's device.bind the one place that enforces it. A reshape draws an
+// independent R, so views from different encodings share no randomness: the
+// union over epochs is safe exactly when each epoch is.
 package adapt
 
 import (

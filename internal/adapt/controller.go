@@ -14,24 +14,31 @@ import (
 )
 
 // Substrate is what the controller drives: the live placement, the devices
-// eligible to receive a block, health and network signals, and the two
-// migration mechanisms. internal/adapt ships the fleet-backed implementation
-// (FleetAdapter); tests and the virtual-clock scenario substitute models.
+// eligible to receive a block, which block each used device is bound to,
+// health and network signals, and the two migration mechanisms.
+// internal/adapt ships the fleet-backed implementation (FleetAdapter); tests
+// and the virtual-clock scenario substitute models.
 type Substrate interface {
 	// Placements snapshots every block's serving device (the replica the
 	// planner accounts for) in scheme order.
 	Placements() []BlockHost
-	// Free lists devices currently eligible to receive a block (warm
-	// standbys outside any quarantine).
+	// Free lists devices currently eligible to receive any block (healthy
+	// standbys that were never sent one under the current encoding).
 	Free() []string
+	// Bindings maps every address that was sent a block under the current
+	// encoding — current hosts, vacated hosts, failed pushes — to that block.
+	// An address is bound to at most one block until the next Reshape.
+	Bindings() map[string]int
 	// Healthy reports whether the device's breaker is closed.
 	Healthy(addr string) bool
 	// RTT reports the last transport heartbeat round trip toward addr.
 	RTT(addr string) (time.Duration, bool)
-	// Rehost moves one block to a free device without interrupting queries.
+	// Rehost moves one block, without interrupting queries, to a device that
+	// is unbound or bound to that block; it refuses any other destination.
 	Rehost(ctx context.Context, block int, from, to string) error
-	// Reshape re-encodes the deployment at a new r and swaps it in behind a
-	// drain; target is the per-block host assignment of the new scheme.
+	// Reshape re-encodes the deployment at r (new or unchanged) under fresh
+	// masking rows and swaps it in behind a drain; target is the per-block
+	// host assignment of the new scheme. Every earlier binding ends with it.
 	Reshape(ctx context.Context, target []string, r int) error
 }
 
@@ -223,7 +230,7 @@ func (c *Controller) Step(ctx context.Context, now time.Duration) (Decision, err
 		ctx, span = c.cfg.Tracer.StartSpan(ctx, trace.SpanAdaptReplan)
 		defer span.End()
 	}
-	d, err := c.planner.Decide(now, factors, current, urgent)
+	d, err := c.planner.Decide(now, factors, current, c.sub.Bindings(), urgent)
 	c.mu.Lock()
 	c.replans++
 	if d.Adopt {
@@ -271,7 +278,11 @@ func factorOr1(factors map[string]float64, addr string) float64 {
 	return 1
 }
 
-// execute realizes an adopted decision against the substrate.
+// execute realizes an adopted decision against the substrate: one reshape,
+// or one rehost per move the planner emitted. The moves are independent —
+// every destination is unbound or bound to the block it receives, so none is
+// another move's source — and a failed one is left for a later cycle to
+// re-decide.
 func (c *Controller) execute(ctx context.Context, now time.Duration, d Decision) {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.MigrateTimeout)
 	defer cancel()
@@ -280,140 +291,37 @@ func (c *Controller) execute(ctx context.Context, now time.Duration, d Decision)
 		ctx, span = c.cfg.Tracer.StartSpan(ctx, trace.SpanAdaptMigrate, trace.A(trace.AttrKind, adoptKind(d)))
 		defer span.End()
 	}
-	reg := c.cfg.Metrics
 	if d.Reshape {
 		err := c.sub.Reshape(ctx, d.Target, d.R)
-		ev := MigrationEvent{At: now, Kind: "reshape", Block: -1}
-		outcome := "ok"
 		if err != nil {
-			ev.Err = err.Error()
-			outcome = "failed"
 			c.cfg.Journal.PublishDetail(flight.KindReshapeFailed, "", err.Error(), int64(d.R), 0)
 		} else {
 			c.cfg.Journal.Publish(flight.KindReshapeOK, "", int64(d.R), int64(len(d.Target)))
 		}
-		reg.Counter(obs.MetricAdaptMigrationsTotal, migrationsHelp, obs.L("kind", "reshape"), obs.L("outcome", outcome)).Inc()
-		if err == nil {
-			reg.Counter(obs.MetricAdaptBlocksMovedTotal, movedHelp).Add(int64(len(d.Target)))
-			c.mu.Lock()
-			c.moved += len(d.Target)
-			c.mu.Unlock()
-		}
-		c.record(ev)
+		c.record(MigrationEvent{At: now, Kind: "reshape", Block: -1}, err, len(d.Target))
 		return
 	}
-	c.rehostAll(ctx, now, d)
-}
-
-// rehostAll executes a same-r adoption as a sequence of single-block
-// rehosts, always moving into a device that is currently free: moving a
-// block frees its source, so a chain of displacements unwinds from the free
-// end. A genuine cycle (no free device at all) is broken by bouncing one
-// block through a scratch standby; if none exists the remaining moves are
-// deferred to a later cycle and recorded as such — they are cost-neutral
-// permutations by construction (equal row counts), so nothing is lost.
-func (c *Controller) rehostAll(ctx context.Context, now time.Duration, d Decision) {
-	reg := c.cfg.Metrics
-	occupied := make(map[string]int) // device → block it currently serves
-	cur := make(map[int]string)      // block → current device
-	for _, b := range c.sub.Placements() {
-		occupied[b.Addr] = b.Block
-		cur[b.Block] = b.Addr
-	}
-	target := make(map[int]string, len(d.Moves))
-	pending := make([]int, 0, len(d.Moves))
 	for _, mv := range d.Moves {
-		if cur[mv.Block] != mv.From {
-			// Placement changed under us (concurrent repair); skip.
-			continue
-		}
-		target[mv.Block] = mv.To
-		pending = append(pending, mv.Block)
-	}
-	move := func(block int, to string) bool {
-		from := cur[block]
-		err := c.sub.Rehost(ctx, block, from, to)
-		ev := MigrationEvent{At: now, Kind: "rehost", Block: block, From: from, To: to}
-		outcome := "ok"
-		if err != nil {
-			ev.Err = err.Error()
-			outcome = "failed"
-		}
-		reg.Counter(obs.MetricAdaptMigrationsTotal, migrationsHelp, obs.L("kind", "rehost"), obs.L("outcome", outcome)).Inc()
-		c.record(ev)
-		if err != nil {
-			return false
-		}
-		delete(occupied, from)
-		occupied[to] = block
-		cur[block] = to
-		reg.Counter(obs.MetricAdaptBlocksMovedTotal, movedHelp).Inc()
-		c.mu.Lock()
-		c.moved++
-		c.mu.Unlock()
-		return true
-	}
-	for len(pending) > 0 {
-		if ctx.Err() != nil {
-			c.deferMoves(now, pending, target, cur, ctx.Err().Error())
-			return
-		}
-		progressed := false
-		next := pending[:0]
-		for _, block := range pending {
-			to := target[block]
-			if _, busy := occupied[to]; busy {
-				next = append(next, block)
-				continue
-			}
-			move(block, to) // failure drops the move; a later cycle retries
-			progressed = true
-		}
-		pending = next
-		if progressed || len(pending) == 0 {
-			continue
-		}
-		// Every pending target is occupied by another pending block: a pure
-		// displacement cycle. Bounce one block through a free scratch device.
-		scratch := c.scratchDevice(occupied, target)
-		if scratch == "" {
-			c.deferMoves(now, pending, target, cur, "no free device to break displacement cycle")
-			return
-		}
-		if !move(pending[0], scratch) {
-			pending = pending[1:]
-		}
+		err := c.sub.Rehost(ctx, mv.Block, mv.From, mv.To)
+		c.record(MigrationEvent{At: now, Kind: "rehost", Block: mv.Block, From: mv.From, To: mv.To}, err, 1)
 	}
 }
 
-// scratchDevice picks a free device that is not anyone's target.
-func (c *Controller) scratchDevice(occupied map[string]int, target map[int]string) string {
-	wanted := make(map[string]bool, len(target))
-	for _, to := range target {
-		wanted[to] = true
+// record accounts for one attempted migration of `blocks` blocks: the
+// outcome counter, the bounded event history, and — on success — the moved
+// tallies.
+func (c *Controller) record(ev MigrationEvent, err error, blocks int) {
+	reg := c.cfg.Metrics
+	outcome := "ok"
+	if err != nil {
+		ev.Err, outcome, blocks = err.Error(), "failed", 0
 	}
-	for _, addr := range c.sub.Free() {
-		if _, busy := occupied[addr]; !busy && !wanted[addr] {
-			return addr
-		}
+	reg.Counter(obs.MetricAdaptMigrationsTotal, migrationsHelp, obs.L("kind", ev.Kind), obs.L("outcome", outcome)).Inc()
+	if err == nil {
+		reg.Counter(obs.MetricAdaptBlocksMovedTotal, movedHelp).Add(int64(blocks))
 	}
-	return ""
-}
-
-// deferMoves records the moves this cycle could not execute.
-func (c *Controller) deferMoves(now time.Duration, pending []int, target map[int]string, cur map[int]string, why string) {
-	for _, block := range pending {
-		c.record(MigrationEvent{
-			At: now, Kind: "rehost", Block: block,
-			From: cur[block], To: target[block],
-			Err: "deferred: " + why,
-		})
-	}
-}
-
-// record appends a migration event to the bounded history.
-func (c *Controller) record(ev MigrationEvent) {
 	c.mu.Lock()
+	c.moved += blocks
 	c.events = append(c.events, ev)
 	if len(c.events) > c.cfg.History {
 		c.events = c.events[len(c.events)-c.cfg.History:]

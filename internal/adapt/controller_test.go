@@ -10,16 +10,22 @@ import (
 	"testing"
 	"time"
 
+	"github.com/scec/scec/internal/coding"
+	"github.com/scec/scec/internal/field"
 	"github.com/scec/scec/internal/obs"
 )
 
 // fakeSub is an in-memory Substrate: a placement, a free list, health and RTT
 // maps, and scripted failures. It is safe for concurrent use so Start/Stop
-// can run against it.
+// can run against it. It records every block sent to every address per
+// encoding epoch and refuses nothing, so a controller that breaks the
+// one-block-per-device rule shows up in audit rather than as an error.
 type fakeSub struct {
 	mu        sync.Mutex
 	placement []BlockHost
 	free      []string
+	epochs    []views // epochs[len-1] is the current encoding's history
+	epochR    []int   // the r each epoch was encoded at
 	unhealthy map[string]bool
 	rtt       map[string]time.Duration
 	rehostErr map[int]error
@@ -41,6 +47,32 @@ func (f *fakeSub) Free() []string {
 	return append([]string(nil), f.free...)
 }
 
+func (f *fakeSub) Bindings() map[string]int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	bound := map[string]int{}
+	for addr, blocks := range f.epochs[len(f.epochs)-1] {
+		for b := range blocks {
+			bound[addr] = b
+		}
+	}
+	return bound
+}
+
+// audit checks the lifetime invariant over every epoch of the m=4 deployment.
+func (f *fakeSub) audit(t *testing.T) {
+	t.Helper()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for e, v := range f.epochs {
+		code, err := coding.NewStructured[uint64](field.Prime{}, 4, f.epochR[e])
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.audit(t, code)
+	}
+}
+
 func (f *fakeSub) Healthy(addr string) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -60,6 +92,7 @@ func (f *fakeSub) Rehost(_ context.Context, block int, from, to string) error {
 	if err := f.rehostErr[block]; err != nil {
 		return err
 	}
+	f.epochs[len(f.epochs)-1].add(to, block)
 	for i, b := range f.placement {
 		if b.Block == block && b.Addr == from {
 			f.placement[i].Addr = to
@@ -82,6 +115,11 @@ func (f *fakeSub) Reshape(_ context.Context, target []string, r int) error {
 	defer f.mu.Unlock()
 	f.reshapes++
 	f.reshapeR = r
+	v := views{}
+	for b, addr := range target {
+		v.add(addr, b)
+	}
+	f.epochs, f.epochR = append(f.epochs, v), append(f.epochR, r)
 	return nil
 }
 
@@ -90,6 +128,8 @@ func (f *fakeSub) Reshape(_ context.Context, target []string, r int) error {
 // straggler evictions stay same-r rehosts.
 func newFakeSub() *fakeSub {
 	return &fakeSub{
+		epochs: []views{{"a": {0: true}, "b": {1: true}, "c": {2: true}}},
+		epochR: []int{2},
 		placement: []BlockHost{
 			{Block: 0, Addr: "a", Rows: 2},
 			{Block: 1, Addr: "b", Rows: 2},
@@ -168,6 +208,7 @@ func TestControllerEvictsStraggler(t *testing.T) {
 	if d2.Adopt {
 		t.Fatalf("post-migration cycle adopted again: %+v", d2)
 	}
+	sub.audit(t)
 }
 
 func TestControllerUrgentOnUnhealthyHost(t *testing.T) {

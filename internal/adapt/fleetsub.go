@@ -18,8 +18,10 @@ import (
 // engine.Swappable executor.
 //
 // Rehosts delegate to the session (push-then-swap, no re-encode: replicas of
-// one block are security-equivalent). A reshape is a full redeployment at a
-// new r: the confidential matrix is reconstructed from the *initial*
+// one block are security-equivalent, and the session binds every address to
+// one block for its lifetime). A reshape is a full redeployment — at a new r,
+// or at the same r when the plan needs a used device to hold a different
+// block: the confidential matrix is reconstructed from the *initial*
 // encoding (A is recoverable from any complete encoding, exactly the user's
 // own decode path), re-encoded with fresh randomness under a code of the
 // same kind (coding.Reshaped preserves the deployment's scheme — structured
@@ -101,8 +103,12 @@ func (a *FleetAdapter[E]) Placements() []BlockHost {
 	return out
 }
 
-// Free lists standbys eligible to receive a block right now.
+// Free lists standbys eligible to receive any block right now.
 func (a *FleetAdapter[E]) Free() []string { return a.Session().StandbyAddrs() }
+
+// Bindings reports the serving session's address → block bindings; a reshape
+// installs a new session, which starts with only its provisioned hosts bound.
+func (a *FleetAdapter[E]) Bindings() map[string]int { return a.Session().Bindings() }
 
 // Healthy reports the device's breaker state.
 func (a *FleetAdapter[E]) Healthy(addr string) bool { return a.Session().DeviceHealthy(addr) }

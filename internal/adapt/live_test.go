@@ -162,6 +162,22 @@ func (env *liveEnv) checkAnswer(t *testing.T) {
 	}
 }
 
+// auditLifetime checks the one-block-per-device rule over the run: once for
+// the provisioning-time session and once for the session a reshape swapped
+// in, each against its own code (a fresh encoding is a fresh epoch).
+func (env *liveEnv) auditLifetime(t *testing.T) {
+	t.Helper()
+	sessions := []*fleet.Session[uint64]{env.session}
+	if cur := env.adapter.Session(); cur != env.session {
+		sessions = append(sessions, cur)
+	}
+	for _, s := range sessions {
+		v := views{}
+		v.observe(s)
+		v.audit(t, s.Code())
+	}
+}
+
 // TestLiveControllerEvictsDelayedDevice runs the whole loop against real
 // sockets: a fault proxy delays one device, winning-attempt latencies feed
 // the estimator through fleet.Config.OnWin, and a control step migrates the
@@ -204,6 +220,7 @@ func TestLiveControllerEvictsDelayedDevice(t *testing.T) {
 		t.Fatalf("stats = %d/%d/%d", replans, adopts, blocks)
 	}
 	env.checkAnswer(t)
+	env.auditLifetime(t)
 }
 
 // TestLiveReshapeUnderLoad drives concurrent queries through a full
@@ -268,4 +285,5 @@ func TestLiveReshapeUnderLoad(t *testing.T) {
 		t.Fatalf("free pool after reshape = %v, want the unused standby", free)
 	}
 	env.checkAnswer(t)
+	env.auditLifetime(t)
 }

@@ -3,6 +3,7 @@ package adapt
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/scec/scec/internal/alloc"
@@ -46,14 +47,17 @@ type Decision struct {
 	// Adopt is the verdict; Reason explains it either way.
 	Adopt  bool   `json:"adopt"`
 	Reason string `json:"reason"`
-	// Reshape is set when adoption requires changing r (a drain-and-swap of
-	// the whole deployment rather than per-block rehosts).
+	// Reshape is set when adoption requires a fresh encoding (a drain-and-
+	// swap of the whole deployment rather than per-block rehosts): r changes,
+	// or the target puts a block on a device that was sent a different one.
 	Reshape bool `json:"reshape,omitempty"`
 	// Target is the adopted per-block host assignment in scheme order
 	// (length = candidate I); nil when not adopted.
 	Target []string `json:"target,omitempty"`
 	// Moves lists the block rehosts that realize Target from the current
 	// placement (empty for a reshape, which moves everything by definition).
+	// Every move is admissible: its destination is unbound, or bound to the
+	// very block it receives.
 	Moves []Move `json:"moves,omitempty"`
 	// Learned is the per-host learned unit cost, in pool order.
 	Learned []float64 `json:"-"`
@@ -128,7 +132,11 @@ func (p *Planner) Learned(factors map[string]float64) []float64 {
 // Decide runs one control cycle: TA2 on the learned costs, then hysteresis
 // against the live placement priced at the same costs. urgent (an unhealthy
 // incumbent device) bypasses the cooldown, never the improvement margin.
-func (p *Planner) Decide(now time.Duration, factors map[string]float64, current []BlockHost, urgent bool) (Decision, error) {
+// bound is the substrate's placement history under the current encoding:
+// every address ever sent a block (current hosts included) → that block. Move
+// admissibility is decided here and nowhere else (fleet's device.bind
+// enforces it).
+func (p *Planner) Decide(now time.Duration, factors map[string]float64, current []BlockHost, bound map[string]int, urgent bool) (Decision, error) {
 	d := Decision{At: now}
 	d.Learned = p.Learned(factors)
 	in := alloc.Instance{M: p.m, Costs: d.Learned}
@@ -167,7 +175,7 @@ func (p *Planner) Decide(now time.Duration, factors map[string]float64, current 
 	if len(current) == 0 {
 		d.Adopt = true
 		d.Reason = "initial plan"
-		d.Target = p.match(cand, current)
+		d.Target, _ = p.match(cand, nil)
 		p.lastAdopt, p.adopted = now, true
 		return d, nil
 	}
@@ -186,15 +194,27 @@ func (p *Planner) Decide(now time.Duration, factors map[string]float64, current 
 		return d, nil
 	}
 
-	d.Target = p.match(cand, current)
+	why := ""
 	if !d.Reshape {
+		var ok bool
+		if d.Target, ok = p.match(cand, bound); !ok {
+			// A swap between occupied hosts, a displacement cycle, a target
+			// on another block's vacated host: the plan is only reachable
+			// under fresh masking rows, i.e. by re-encoding at the same r.
+			d.Reshape = true
+			why = ", re-encoding: a target host was already sent another block"
+		}
+	}
+	if d.Reshape {
+		// A new encoding is a new epoch: nothing is bound under it.
+		d.Target, _ = p.match(cand, nil)
+	} else {
 		for _, b := range current {
 			if d.Target[b.Block] != b.Addr {
 				d.Moves = append(d.Moves, Move{Block: b.Block, From: b.Addr, To: d.Target[b.Block]})
 			}
 		}
 		if len(d.Moves) == 0 {
-			d.Adopt = false
 			d.Target = nil
 			d.Reason = "held: placement already optimal"
 			return d, nil
@@ -202,65 +222,46 @@ func (p *Planner) Decide(now time.Duration, factors map[string]float64, current 
 	}
 	d.Adopt = true
 	if urgent {
-		d.Reason = fmt.Sprintf("adopted: %.1f%% improvement (urgent: unhealthy host)", 100*(1-d.CandidateCost/currentCost))
-	} else {
-		d.Reason = fmt.Sprintf("adopted: %.1f%% improvement", 100*(1-d.CandidateCost/currentCost))
+		why += " (urgent: unhealthy host)"
 	}
+	d.Reason = fmt.Sprintf("adopted: %.1f%% improvement%s", 100*(1-d.CandidateCost/currentCost), why)
 	p.lastAdopt, p.adopted = now, true
 	return d, nil
 }
 
-// match maps the candidate plan's blocks onto pool addresses while moving as
-// few blocks as possible. Blocks holding the same row count are
-// interchangeable across the plan's hosts (any bijection realizes the same
-// cost, and Def. 2 security only needs one block per device), so each block
-// keeps its current device whenever that device appears in the candidate
-// plan with a matching row count; only the remainder moves. The result is in
-// scheme block order.
-func (p *Planner) match(cand alloc.Plan, current []BlockHost) []string {
-	target := make([]string, len(cand.Assignments))
-	// wanted[rows] lists candidate hosts for that row count, plan order.
-	wanted := make(map[int][]int, 2)
+// match maps the candidate plan's blocks onto pool addresses, in scheme block
+// order, under the one-block-per-device-per-encoding rule: a wanted host that
+// is bound can only take the block it was sent, and must be wanted at that
+// block's row count; the remaining blocks go to the remaining — unbound —
+// wanted hosts of their row class in plan (cheapest-first) order. Blocks of
+// one row count are interchangeable across the plan's hosts (any bijection
+// realizes the same cost), so this also moves as few blocks as possible:
+// every live host the plan still wants keeps its block. ok is false when no
+// such matching exists.
+func (p *Planner) match(cand alloc.Plan, bound map[string]int) (target []string, ok bool) {
+	target = make([]string, len(cand.Assignments))
+	var free []alloc.Assignment // wanted hosts nothing is bound to
 	for _, a := range cand.Assignments {
-		wanted[a.Rows] = append(wanted[a.Rows], a.Device)
-	}
-	curAddr := make(map[int]string, len(current)) // block → live host
-	for _, b := range current {
-		curAddr[b.Block] = b.Addr
-	}
-	// First pass: keep blocks in place where the live host is wanted at the
-	// same row count.
-	taken := make(map[int]bool, len(cand.Assignments))
-	for b, a := range cand.Assignments {
-		addr, ok := curAddr[b]
-		if !ok {
-			continue
-		}
-		j, known := p.index[addr]
-		if !known {
-			continue
-		}
-		for _, dev := range wanted[a.Rows] {
-			if dev == j && !taken[j] {
-				target[b] = addr
-				taken[j] = true
-				break
-			}
+		addr := p.hosts[a.Device].Addr
+		b, isBound := bound[addr]
+		switch {
+		case !isBound:
+			free = append(free, a)
+		case b < len(target) && target[b] == "" && cand.Assignments[b].Rows == a.Rows:
+			target[b] = addr
+		default:
+			return nil, false
 		}
 	}
-	// Second pass: assign the remaining blocks to the remaining wanted
-	// hosts of their row class, in plan (cheapest-first) order.
 	for b, a := range cand.Assignments {
 		if target[b] != "" {
 			continue
 		}
-		for _, dev := range wanted[a.Rows] {
-			if !taken[dev] {
-				target[b] = p.hosts[dev].Addr
-				taken[dev] = true
-				break
-			}
-		}
+		// Hosts and blocks are the same list of row counts, and every bound
+		// pair above removed one of each at equal rows, so a host remains.
+		i := slices.IndexFunc(free, func(h alloc.Assignment) bool { return h.Rows == a.Rows })
+		target[b] = p.hosts[free[i].Device].Addr
+		free = slices.Delete(free, i, i+1)
 	}
-	return target
+	return target, true
 }

@@ -45,7 +45,7 @@ func TestPlannerInitialPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := p.Decide(0, nil, nil, false)
+	d, err := p.Decide(0, nil, nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +87,21 @@ func currentFrom(t *testing.T, p *Planner, d Decision) []BlockHost {
 	return cur
 }
 
+// boundOf is the bindings a substrate reports when the placement has never
+// changed under the current encoding: every host bound to the block it holds.
+func boundOf(cur []BlockHost) map[string]int {
+	bound := make(map[string]int, len(cur))
+	for _, b := range cur {
+		bound[b.Addr] = b.Block
+	}
+	return bound
+}
+
 func TestPlannerSteadyStateHolds(t *testing.T) {
 	p, _ := NewPlanner(100, uniformPool(12), 0.05, 5*time.Second)
-	d0, _ := p.Decide(0, nil, nil, false)
+	d0, _ := p.Decide(0, nil, nil, nil, false)
 	cur := currentFrom(t, p, d0)
-	d1, err := p.Decide(time.Second, nil, cur, false)
+	d1, err := p.Decide(time.Second, nil, cur, boundOf(cur), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +115,11 @@ func TestPlannerSteadyStateHolds(t *testing.T) {
 
 func TestPlannerStragglerSingleMove(t *testing.T) {
 	p, _ := NewPlanner(100, uniformPool(12), 0.05, 5*time.Second)
-	d0, _ := p.Decide(0, nil, nil, false)
+	d0, _ := p.Decide(0, nil, nil, nil, false)
 	cur := currentFrom(t, p, d0)
 	slow := cur[0].Addr
 	// Decide after the initial adoption's cooldown has expired.
-	d1, err := p.Decide(10*time.Second, map[string]float64{slow: 10}, cur, false)
+	d1, err := p.Decide(10*time.Second, map[string]float64{slow: 10}, cur, boundOf(cur), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +146,11 @@ func TestPlannerStragglerSingleMove(t *testing.T) {
 
 func TestPlannerHysteresisBelowThreshold(t *testing.T) {
 	p, _ := NewPlanner(100, uniformPool(12), 0.05, 5*time.Second)
-	d0, _ := p.Decide(0, nil, nil, false)
+	d0, _ := p.Decide(0, nil, nil, nil, false)
 	cur := currentFrom(t, p, d0)
 	// A 4% slowdown on one 10-row block moves the objective well under the
 	// 5% adoption margin: 110.4 vs the 110 optimum.
-	d1, err := p.Decide(time.Second, map[string]float64{cur[0].Addr: 1.04}, cur, false)
+	d1, err := p.Decide(time.Second, map[string]float64{cur[0].Addr: 1.04}, cur, boundOf(cur), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,10 +161,10 @@ func TestPlannerHysteresisBelowThreshold(t *testing.T) {
 
 func TestPlannerCooldownAndUrgentBypass(t *testing.T) {
 	p, _ := NewPlanner(100, uniformPool(12), 0.05, 10*time.Second)
-	d0, _ := p.Decide(0, nil, nil, false)
+	d0, _ := p.Decide(0, nil, nil, nil, false)
 	cur := currentFrom(t, p, d0)
 
-	d1, _ := p.Decide(20*time.Second, map[string]float64{cur[0].Addr: 10}, cur, false)
+	d1, _ := p.Decide(20*time.Second, map[string]float64{cur[0].Addr: 10}, cur, boundOf(cur), false)
 	if !d1.Adopt {
 		t.Fatalf("first eviction held: %+v", d1)
 	}
@@ -163,13 +173,13 @@ func TestPlannerCooldownAndUrgentBypass(t *testing.T) {
 	// A second fault inside the cooldown window: improvement passes, the
 	// cooldown holds it...
 	factors := map[string]float64{cur[1].Addr: 10}
-	d2, _ := p.Decide(22*time.Second, factors, cur, false)
+	d2, _ := p.Decide(22*time.Second, factors, cur, boundOf(cur), false)
 	if d2.Adopt || !strings.Contains(d2.Reason, "cooldown") {
 		t.Fatalf("cooldown did not hold: %+v", d2)
 	}
 	// ...unless the incumbent host is unhealthy (urgent bypasses cooldown,
 	// never the margin).
-	d3, _ := p.Decide(23*time.Second, factors, cur, true)
+	d3, _ := p.Decide(23*time.Second, factors, cur, boundOf(cur), true)
 	if !d3.Adopt || !strings.Contains(d3.Reason, "urgent") {
 		t.Fatalf("urgent replan held: %+v", d3)
 	}
@@ -177,8 +187,76 @@ func TestPlannerCooldownAndUrgentBypass(t *testing.T) {
 
 func TestPlannerUnknownHostErrors(t *testing.T) {
 	p, _ := NewPlanner(100, uniformPool(12), 0.05, time.Second)
-	_, err := p.Decide(0, nil, []BlockHost{{Block: 0, Addr: "stranger", Rows: 10}}, false)
+	_, err := p.Decide(0, nil, []BlockHost{{Block: 0, Addr: "stranger", Rows: 10}}, nil, false)
 	if err == nil {
 		t.Fatal("placement outside the pool accepted")
+	}
+}
+
+// unevenPlanner plans m=7 over exactly four hosts: r=3, blocks of 3, 3, 3 and
+// 1 rows. With no spare host, re-pricing can only permute who holds what.
+func unevenPlanner(t *testing.T) (*Planner, []BlockHost) {
+	t.Helper()
+	p, err := NewPlanner(7, uniformPool(4), 0.05, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d0, err := p.Decide(0, nil, nil, nil, false)
+	if err != nil || d0.R != 3 || d0.I != 4 {
+		t.Fatalf("initial plan = %+v (err %v), want r=3 over 4 hosts", d0, err)
+	}
+	return p, currentFrom(t, p, d0)
+}
+
+// TestPlannerSwapBecomesReshape pins the one placement rule on the decision
+// side: when the cheaper plan exchanges the blocks of two occupied hosts,
+// either rehost would hand a device a second block of the same encoding, so
+// the planner must ask for a re-encode at the same r instead of emitting moves.
+func TestPlannerSwapBecomesReshape(t *testing.T) {
+	p, cur := unevenPlanner(t)
+	// The host of a 3-row block becomes 2× dearer (13 → 11 at r=3; dropping
+	// it for r=4 over three hosts also costs 11, and same-r wins ties): the
+	// optimum gives it the 1-row block and that block's host its 3 rows — a
+	// pure swap.
+	d, err := p.Decide(10*time.Second, map[string]float64{cur[0].Addr: 2}, cur, boundOf(cur), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Adopt || !d.Reshape || d.R != 3 || len(d.Moves) != 0 {
+		t.Fatalf("swap decision = %+v, want an adopted reshape at r=3 with no moves", d)
+	}
+	if d.Target[3] != cur[0].Addr || d.Target[0] == cur[0].Addr {
+		t.Fatalf("reshape target %v does not give the dear host %s the 1-row block", d.Target, cur[0].Addr)
+	}
+	if !strings.Contains(d.Reason, "re-encoding") {
+		t.Fatalf("reason %q does not say why a same-r plan reshapes", d.Reason)
+	}
+}
+
+// TestPlannerRespectsVacatedBindings covers the other inadmissible target: a
+// free host that was sent a block earlier in this encoding takes that block
+// back or nothing.
+func TestPlannerRespectsVacatedBindings(t *testing.T) {
+	p, _ := NewPlanner(100, uniformPool(12), 0.05, time.Second)
+	d0, _ := p.Decide(0, nil, nil, nil, false)
+	cur := currentFrom(t, p, d0)
+	spare := p.Hosts()[11].Addr // the one pool host the initial plan left out
+
+	bound := boundOf(cur)
+	bound[spare] = 3 // block 3 once lived there
+	d, err := p.Decide(10*time.Second, map[string]float64{cur[3].Addr: 10}, cur, bound, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Move{{Block: 3, From: cur[3].Addr, To: spare}}; !d.Adopt || d.Reshape || len(d.Moves) != 1 || d.Moves[0] != want[0] {
+		t.Fatalf("decision = %+v, want block 3 moved back onto its former host", d)
+	}
+
+	d, err = p.Decide(20*time.Second, map[string]float64{cur[5].Addr: 10}, cur, bound, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Adopt || !d.Reshape || d.R != d0.R || len(d.Moves) != 0 {
+		t.Fatalf("decision = %+v, want a same-r reshape: the only spare host is bound to block 3", d)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -193,6 +194,11 @@ type RecoveryReport struct {
 	AdaptiveOverOracleP99 float64 `json:"adaptiveOverOracleP99"`
 	FrozenOverAdaptiveP99 float64 `json:"frozenOverAdaptiveP99"`
 
+	// MaxBlocksPerDevice is the most distinct blocks any address was sent
+	// under one encoding over the adaptive arm's whole run. Def. 2 covers a
+	// single block, so the acceptance bound is exactly 1.
+	MaxBlocksPerDevice int `json:"maxBlocksPerDevice"`
+
 	// Events is the adaptive arm's decision/migration log.
 	Events []string `json:"events"`
 }
@@ -251,6 +257,7 @@ func RunScenario(cfg ScenarioConfig) (*RecoveryReport, error) {
 	rep.Oracle = oracle.run(arrivals)
 	rep.Adaptive = adaptive.run(arrivals)
 	rep.Events = adaptive.events
+	rep.MaxBlocksPerDevice = adaptive.maxSent
 	if rep.Oracle.SteadyP99Ms > 0 {
 		rep.AdaptiveOverOracleP99 = rep.Adaptive.SteadyP99Ms / rep.Oracle.SteadyP99Ms
 	}
@@ -270,6 +277,10 @@ type arm struct {
 
 	placement []BlockHost // live assignment, scheme block order
 	devOf     map[string]int
+	// sent[addr] lists the distinct blocks pushed to addr under the current
+	// encoding (the model's bindings); maxSent is the longest list ever seen.
+	sent    map[string][]int
+	maxSent int
 
 	// adaptive state
 	est       *Estimator
@@ -297,6 +308,8 @@ func newArm(cfg ScenarioConfig, name string, hosts []Host, base []float64, plan0
 	a.placement = placementOf(plan0, hosts)
 	switch name {
 	case "adaptive":
+		a.sent = make(map[string][]int)
+		a.store(a.placement)
 		a.est = NewEstimator(cfg.Alpha, cfg.MinSamples, cfg.MaxFactor)
 		a.planner, _ = NewPlanner(cfg.M, hosts, cfg.MinImprovement, cfg.Cooldown)
 		a.nextTick = cfg.ReplanEvery
@@ -328,6 +341,16 @@ func placementOf(p alloc.Plan, hosts []Host) []BlockHost {
 		out[b] = BlockHost{Block: b, Addr: hosts[as.Device].Addr, Rows: as.Rows}
 	}
 	return out
+}
+
+// store models pushing each block to its host under the current encoding.
+func (a *arm) store(blocks []BlockHost) {
+	for _, b := range blocks {
+		if !slices.Contains(a.sent[b.Addr], b.Block) {
+			a.sent[b.Addr] = append(a.sent[b.Addr], b.Block)
+		}
+		a.maxSent = max(a.maxSent, len(a.sent[b.Addr]))
+	}
 }
 
 // trueFactor is the device's real slowdown at virtual time t.
@@ -458,7 +481,11 @@ func (a *arm) tick(t time.Duration) {
 			factors[oAddr] = a.cfg.OutageFactor
 		}
 	}
-	d, err := a.planner.Decide(t, factors, a.placement, urgent)
+	bound := make(map[string]int, len(a.sent))
+	for addr, blocks := range a.sent {
+		bound[addr] = blocks[0]
+	}
+	d, err := a.planner.Decide(t, factors, a.placement, bound, urgent)
 	a.replans++
 	if err != nil || !d.Adopt {
 		return
@@ -483,6 +510,8 @@ func (a *arm) tick(t time.Duration) {
 		}
 		a.pending, a.pendingAt, a.havePend = next, t+push, true
 		a.moved += len(next)
+		clear(a.sent) // fresh masking rows: a new epoch
+		a.store(next)
 		a.events = append(a.events, fmt.Sprintf("t=%.2fs reshape to r=%d over %d devices (ready %.2fs)", t.Seconds(), d.R, len(next), (t+push).Seconds()))
 		return
 	}
@@ -490,6 +519,7 @@ func (a *arm) tick(t time.Duration) {
 	var push time.Duration
 	for _, mv := range d.Moves {
 		next[mv.Block].Addr = mv.To
+		a.store(next[mv.Block : mv.Block+1])
 		rows := next[mv.Block].Rows
 		// Rehost pushes run one after another in the controller.
 		push += prof.Latency + time.Duration(float64(rows*a.cfg.Cols)/prof.UplinkRate*float64(time.Second))

@@ -15,7 +15,7 @@ import (
 type DebugInfo struct {
 	// Blocks holds one entry per logical coded block, in scheme order.
 	Blocks []BlockDebug `json:"blocks"`
-	// Standbys lists the warm standby pool (devices holding no block).
+	// Standbys lists the warm standby pool (devices serving no block).
 	Standbys []DeviceDebug `json:"standbys"`
 	// HedgeDelay is the speculative-request delay a race started now would
 	// use (fixed, or the current adaptive p95).
@@ -42,11 +42,16 @@ type BlockDebug struct {
 	Replicas  []DeviceDebug `json:"replicas"`
 }
 
-// DeviceDebug is one physical device's breaker position and pooled
-// transport connection state.
+// DeviceDebug is one physical device's breaker position, block binding and
+// pooled transport connection state.
 type DeviceDebug struct {
 	Addr    string `json:"addr"`
 	Breaker string `json:"breaker"`
+	// Block is the one block this address may hold under the session's
+	// encoding (-1: never sent one). A healthy standby with Block >= 0 is
+	// eligible for that block only — which is why repair or a rehost of any
+	// other block passes it over.
+	Block int `json:"block"`
 	// Conn is the transport pool's view of this device: in-flight streams,
 	// the last measured round trip, and when the device was last heard from
 	// over the persistent connection.
@@ -81,7 +86,7 @@ func (s *Session[E]) Debug() DebugInfo {
 			if st == BreakerClosed {
 				bd.Healthy++
 			}
-			bd.Replicas = append(bd.Replicas, DeviceDebug{Addr: d.addr, Breaker: st.String(), Conn: s.client.ConnDebug(d.addr)})
+			bd.Replicas = append(bd.Replicas, DeviceDebug{Addr: d.addr, Breaker: st.String(), Block: d.bound(), Conn: s.client.ConnDebug(d.addr)})
 		}
 		info.Blocks = append(info.Blocks, bd)
 	}
@@ -90,7 +95,7 @@ func (s *Session[E]) Debug() DebugInfo {
 	copy(standbys, s.standbys)
 	s.standbyMu.Unlock()
 	for _, d := range standbys {
-		info.Standbys = append(info.Standbys, DeviceDebug{Addr: d.addr, Breaker: d.State().String(), Conn: s.client.ConnDebug(d.addr)})
+		info.Standbys = append(info.Standbys, DeviceDebug{Addr: d.addr, Breaker: d.State().String(), Block: d.bound(), Conn: s.client.ConnDebug(d.addr)})
 	}
 	return info
 }

@@ -28,6 +28,11 @@
 //     target, the runtime re-pushes the block to a standby in the
 //     background. No re-encode is needed: replicas of the same block are
 //     security-equivalent by construction.
+//
+// That argument covers a device's lifetime only if it never sees a second
+// block of the same encoding, so every address is bound to at most one block
+// from the first Store attempted toward it until the session ends
+// (device.bind — the one rule Serve, repair and Rehost place blocks by).
 package fleet
 
 import (
@@ -302,6 +307,7 @@ func Serve[E comparable](f field.Field[E], enc *coding.Encoding[E], cfg Config) 
 		}
 		for _, addr := range group {
 			d := s.newDevice(addr)
+			d.block = j // provision is about to Store block j here
 			b.replicas = append(b.replicas, d)
 		}
 		s.blocks[j] = b
@@ -332,6 +338,7 @@ func (s *Session[E]) newDevice(addr string) *device {
 	}
 	d := &device{
 		addr:  addr,
+		block: -1,
 		gauge: s.reg.Gauge(obs.MetricFleetBreakerState, breakerHelp, obs.L("device", addr)),
 		rtt: s.reg.Gauge(obs.MetricTransportHeartbeatRTT,
 			"Most recent heartbeat round-trip time per device in seconds (transport.Client.LastRTT).",

@@ -50,26 +50,32 @@ type device struct {
 	state    BreakerState
 	fails    int       // consecutive failures
 	openedAt time.Time // when the breaker last opened
-	// vacatedAt is when a rehost removed this device from its replica set.
-	// Until one RPC timeout has passed, in-flight attempts that snapshotted
-	// the old replica set may still be reading the old block, so the device
-	// must not receive a different block yet.
-	vacatedAt time.Time
+	// block is the one logical block this address is bound to for the whole
+	// session (one encoding, one R): set before the first Store attempted
+	// toward it and never changed; -1 while nothing has been sent. Def. 2 /
+	// Theorem 3 bound what a device learns from one block B_j·T, and a passive
+	// device keeps everything it was ever sent, so a second block of the same
+	// encoding would hand it [B_i; B_j]·T.
+	block int
 }
 
-// markVacated starts the post-rehost quarantine window.
-func (d *device) markVacated(now time.Time) {
-	d.mu.Lock()
-	d.vacatedAt = now
-	d.mu.Unlock()
-}
-
-// vacatedWithin reports whether the device vacated a block less than window
-// ago (and so must not be handed a new one yet).
-func (d *device) vacatedWithin(now time.Time, window time.Duration) bool {
+// bind ties the device to block for the rest of the session — the fleet's
+// one placement rule. It succeeds when the device is unbound or already bound
+// to this same block (a re-push of the same rows) and refuses any other.
+func (d *device) bind(block int) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return !d.vacatedAt.IsZero() && now.Sub(d.vacatedAt) < window
+	if d.block == -1 {
+		d.block = block
+	}
+	return d.block == block
+}
+
+// bound returns the block the device is bound to, or -1.
+func (d *device) bound() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.block
 }
 
 // recordSuccess closes the breaker.

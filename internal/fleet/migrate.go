@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/scec/scec/internal/coding"
@@ -14,19 +15,20 @@ import (
 // (internal/adapt) decides *when* a block should move; Rehost is the fleet
 // mechanism that moves it without interrupting service:
 //
-//  1. the block's retained coded rows are pushed to the destination device
-//     (exactly the self-repair push — replicas of the same block are
-//     security-equivalent by Def. 2, so no re-encode is needed);
-//  2. under the block's lock, the destination joins the replica set and the
+//  1. the destination is bound to the block (device.bind) — before the push,
+//     because a Store that times out may still have landed;
+//  2. the block's retained coded rows are pushed to it (the self-repair push:
+//     replicas of one block are security-equivalent by Def. 2, no re-encode);
+//  3. under the block's lock, the destination joins the replica set and the
 //     vacated source leaves it, atomically from any query's point of view
-//     (candidates snapshot the set under the same lock);
-//  3. the source returns to the standby pool behind a quarantine: attempts
-//     that snapshotted the old replica set may still be reading the old
-//     block from it for up to one RPC timeout, so a Store of a *different*
-//     block must not overwrite it until they cannot exist.
+//     (candidates snapshot the set under the same lock).
 //
-// Changing r is not a rehost — that reshapes every block and swaps the whole
-// session through engine.Swappable; see internal/adapt.
+// The vacated source returns to the standby pool still bound to its block: it
+// may be promoted again for that block (the same rows, so attempts still
+// reading the old replica set from it are unaffected) and never for another.
+// Putting a different block on a used device needs a fresh R, and so does
+// changing r — both re-encode every block and swap the whole session through
+// engine.Swappable; see internal/adapt.
 
 // Code exposes the session's coding code (the adaptive planner needs the
 // per-block row counts it implies).
@@ -48,19 +50,33 @@ func (s *Session[E]) BlockHosts() [][]string {
 	return hosts
 }
 
-// StandbyAddrs lists the standby devices currently eligible to receive a
-// block: healthy breakers, outside the post-vacate quarantine.
+// StandbyAddrs lists the standby devices eligible to receive any block:
+// healthy breakers, not yet bound to one.
 func (s *Session[E]) StandbyAddrs() []string {
 	s.standbyMu.Lock()
 	defer s.standbyMu.Unlock()
-	now := time.Now()
 	var addrs []string
 	for _, d := range s.standbys {
-		if d.healthy() && !d.vacatedWithin(now, s.cfg.RPCTimeout) {
+		if d.healthy() && d.bound() == -1 {
 			addrs = append(addrs, d.addr)
 		}
 	}
 	return addrs
+}
+
+// Bindings reports every address that has been sent a block under this
+// session's encoding and which one: current replicas, vacated hosts, and
+// standbys whose push failed (it may have landed).
+func (s *Session[E]) Bindings() map[string]int {
+	s.devMu.Lock()
+	defer s.devMu.Unlock()
+	bound := make(map[string]int, len(s.devices))
+	for addr, d := range s.devices {
+		if b := d.bound(); b != -1 {
+			bound[addr] = b
+		}
+	}
+	return bound
 }
 
 // DeviceHealthy reports whether addr's circuit breaker is fully closed.
@@ -85,8 +101,8 @@ const rehostHelp = "Live block migrations (adaptive rehost pushes), by outcome."
 // without interrupting queries: push first, then an atomic replica swap.
 // `to` is normally a warm standby; an address the session has never seen is
 // registered on the fly (the caller vouches a device server runs there).
-// The vacated `from` joins the standby pool after its quarantine, so a
-// sequence of rehosts recycles devices instead of consuming them.
+// Either way it must be unbound or bound to this same block, so a block can
+// walk across fresh devices and back onto its former hosts, and nothing else.
 func (s *Session[E]) Rehost(ctx context.Context, block int, from, to string) error {
 	if block < 0 || block >= len(s.blocks) {
 		return fmt.Errorf("fleet: rehost block %d of %d", block, len(s.blocks))
@@ -95,89 +111,35 @@ func (s *Session[E]) Rehost(ctx context.Context, block int, from, to string) err
 		return fmt.Errorf("fleet: rehost block %d onto its own host %s", block, to)
 	}
 	b := s.blocks[block]
-	// One device stores exactly one block (the Serve invariant Def. 2's
-	// per-device view relies on): refuse a destination that already hosts
-	// any block.
-	for _, other := range s.blocks {
-		other.mu.Lock()
-		for _, d := range other.replicas {
-			if d.addr == to {
-				other.mu.Unlock()
-				return fmt.Errorf("fleet: rehost destination %s already hosts block %d", to, other.index)
-			}
-		}
-		other.mu.Unlock()
+	if !b.hosts(from) {
+		return fmt.Errorf("fleet: rehost: %s does not host block %d", from, block)
 	}
-	dest, err := s.claimStandby(to)
-	if err != nil {
-		return err
+	// The registered device (standby or not), or a new registration; bound
+	// and taken out of the pool in one step, so self-repair cannot claim it
+	// in between.
+	dest := s.newDevice(to)
+	s.standbyMu.Lock()
+	ok := dest.bind(block) && !b.hosts(to)
+	if i := slices.Index(s.standbys, dest); ok && i >= 0 {
+		s.standbys = slices.Delete(s.standbys, i, i+1)
 	}
-
-	ctx, cancel := mergeSessionCtx(ctx, s.ctx, s.cfg.RPCTimeout)
-	defer cancel()
-	sp := obs.StartStage(s.reg, obs.StageStore) // a rehost re-runs the store stage
-	err = s.cloud.Store(ctx, to, b.rows)
-	sp.End()
-	if err != nil {
+	s.standbyMu.Unlock()
+	if !ok {
+		return fmt.Errorf("fleet: rehost destination %s already hosts, or was once sent, block %d of this encoding", to, dest.bound())
+	}
+	if err := s.promote(ctx, b, dest, from); err != nil {
 		s.reg.Counter(obs.MetricFleetRehostsTotal, rehostHelp, obs.L("outcome", outcomeFailed)).Inc()
 		s.jr.PublishDetail(flight.KindRehostFailed, to, err.Error(), int64(block), 0)
-		if s.ctx.Err() == nil {
-			dest.recordFailure(s.cfg.BreakerThreshold)
-		}
-		s.returnStandby(dest)
 		return fmt.Errorf("fleet: rehost block %d to %s: %w", block, to, err)
-	}
-	dest.recordSuccess()
-
-	var vacated *device
-	b.mu.Lock()
-	b.replicas = append(b.replicas, dest)
-	for i, d := range b.replicas {
-		if d.addr == from {
-			vacated = d
-			b.replicas = append(b.replicas[:i], b.replicas[i+1:]...)
-			break
-		}
-	}
-	b.mu.Unlock()
-	if vacated != nil {
-		vacated.markVacated(time.Now())
-		s.returnStandby(vacated)
 	}
 	s.reg.Counter(obs.MetricFleetRehostsTotal, rehostHelp, obs.L("outcome", outcomeOK)).Inc()
 	s.jr.PublishDetail(flight.KindRehostOK, to, from, int64(block), 0)
 	return nil
 }
 
-// claimStandby removes the named device from the standby pool, or registers
-// a brand-new device when the address is unknown. Quarantined standbys are
-// refused: a Store could overwrite a block that straggling in-flight
-// attempts are still reading.
-func (s *Session[E]) claimStandby(addr string) (*device, error) {
-	s.standbyMu.Lock()
-	for i, d := range s.standbys {
-		if d.addr != addr {
-			continue
-		}
-		if d.vacatedWithin(time.Now(), s.cfg.RPCTimeout) {
-			s.standbyMu.Unlock()
-			return nil, fmt.Errorf("fleet: standby %s is quarantined after vacating its block; retry shortly", addr)
-		}
-		s.standbys = append(s.standbys[:i], s.standbys[i+1:]...)
-		s.standbyMu.Unlock()
-		return d, nil
-	}
-	s.standbyMu.Unlock()
-	return s.newDevice(addr), nil
-}
-
-// mergeSessionCtx bounds an operation by the caller's context, the session
-// lifetime, and the RPC timeout.
-func mergeSessionCtx(ctx context.Context, session context.Context, timeout time.Duration) (context.Context, context.CancelFunc) {
-	merged, cancel := context.WithTimeout(session, timeout)
-	if ctx == nil {
-		return merged, cancel
-	}
-	stop := context.AfterFunc(ctx, cancel)
-	return merged, func() { stop(); cancel() }
+// hosts reports whether addr is in the block's replica set.
+func (b *blockState[E]) hosts(addr string) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return slices.ContainsFunc(b.replicas, func(d *device) bool { return d.addr == addr })
 }

@@ -2,7 +2,7 @@ package fleet
 
 import (
 	"context"
-	"time"
+	"slices"
 
 	"github.com/scec/scec/internal/obs"
 	"github.com/scec/scec/internal/obs/flight"
@@ -29,7 +29,7 @@ func (s *Session[E]) checkRepairs() {
 		if !start {
 			continue
 		}
-		sb := s.takeStandby()
+		sb := s.takeStandby(b.index)
 		if sb == nil {
 			b.mu.Lock()
 			b.repairing = false
@@ -41,54 +41,76 @@ func (s *Session[E]) checkRepairs() {
 	}
 }
 
-// repair pushes the block's retained coded rows to the standby and promotes
-// it into the replica set. Replicas of the same block are security-
-// equivalent (the standby's view is exactly L(B_j), Def. 2), so no
-// re-encode of the deployment is needed. A failed push counts against the
-// standby's breaker and returns it to the pool for a later attempt.
+// repair promotes the standby into the block's replica set. A failed push
+// leaves it in the pool — still bound to this block — for a later attempt.
 func (s *Session[E]) repair(b *blockState[E], sb *device) {
 	defer s.wg.Done()
-	ctx, cancel := context.WithTimeout(s.ctx, s.cfg.RPCTimeout)
-	defer cancel()
-	sp := obs.StartStage(s.reg, obs.StageStore) // a repair re-runs the pipeline's store stage
-	err := s.cloud.Store(ctx, sb.addr, b.rows)
-	sp.End()
+	err := s.promote(context.Background(), b, sb, "")
 	b.mu.Lock()
 	b.repairing = false
-	if err == nil {
-		b.replicas = append(b.replicas, sb)
-	}
 	b.mu.Unlock()
 	if err != nil {
 		s.met.repairs(outcomeFailed).Inc()
 		s.jr.PublishDetail(flight.KindRepairFailed, sb.addr, err.Error(), int64(b.index), 0)
-		if s.ctx.Err() == nil {
-			sb.recordFailure(s.cfg.BreakerThreshold)
-		}
-		s.returnStandby(sb)
 		return
 	}
-	sb.recordSuccess()
 	s.met.repairs(outcomeOK).Inc()
 	s.jr.Publish(flight.KindRepairOK, sb.addr, int64(b.index), 0)
 }
 
-// takeStandby pops the first healthy standby outside the post-vacate
-// quarantine, or nil.
-func (s *Session[E]) takeStandby() *device {
+// promote is the one way a device joins a replica set after provisioning,
+// shared by self-repair and Rehost: push the block's retained coded rows to d
+// — which the caller has already bound to b, so its lifetime view stays
+// exactly L(B_j) (Def. 2) without a re-encode — and on success add it to the
+// replica set, taking `from` (if any) out in the same critical section and
+// back into the standby pool. A failed push counts against d's breaker and
+// returns it to the pool. The push is bounded by ctx, the session lifetime,
+// and the RPC timeout.
+func (s *Session[E]) promote(ctx context.Context, b *blockState[E], d *device, from string) error {
+	push, cancel := context.WithTimeout(s.ctx, s.cfg.RPCTimeout)
+	defer cancel()
+	defer context.AfterFunc(ctx, cancel)()
+	sp := obs.StartStage(s.reg, obs.StageStore) // a promotion re-runs the pipeline's store stage
+	err := s.cloud.Store(push, d.addr, b.rows)
+	sp.End()
+	if err != nil {
+		if s.ctx.Err() == nil {
+			d.recordFailure(s.cfg.BreakerThreshold)
+		}
+		s.returnStandby(d)
+		return err
+	}
+	d.recordSuccess()
+	var vacated *device
+	b.mu.Lock()
+	b.replicas = append(b.replicas, d)
+	if i := slices.IndexFunc(b.replicas, func(r *device) bool { return r.addr == from }); i >= 0 {
+		vacated = b.replicas[i]
+		b.replicas = slices.Delete(b.replicas, i, i+1)
+	}
+	b.mu.Unlock()
+	if vacated != nil {
+		s.returnStandby(vacated)
+	}
+	return nil
+}
+
+// takeStandby pops the first healthy standby that may hold block — unbound,
+// or bound to it by an earlier promotion — binding it.
+func (s *Session[E]) takeStandby(block int) *device {
 	s.standbyMu.Lock()
 	defer s.standbyMu.Unlock()
-	now := time.Now()
 	for i, d := range s.standbys {
-		if d.healthy() && !d.vacatedWithin(now, s.cfg.RPCTimeout) {
-			s.standbys = append(s.standbys[:i], s.standbys[i+1:]...)
+		if d.healthy() && d.bind(block) {
+			s.standbys = slices.Delete(s.standbys, i, i+1)
 			return d
 		}
 	}
 	return nil
 }
 
-// returnStandby puts a standby back into the pool after a failed repair.
+// returnStandby puts a device into the standby pool: a failed promotion, or
+// a host a rehost vacated.
 func (s *Session[E]) returnStandby(d *device) {
 	s.standbyMu.Lock()
 	s.standbys = append(s.standbys, d)

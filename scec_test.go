@@ -41,6 +41,41 @@ func TestDeployEndToEndPrime(t *testing.T) {
 	}
 }
 
+// TestDeployNilRandDrawsFreshMasks pins the nil-rng contract: Deploy keys its
+// own generator from crypto/rand, so two deployments of the same matrix decode
+// alike and share no masking rows.
+func TestDeployNilRandDrawsFreshMasks(t *testing.T) {
+	f := PrimeField()
+	rng := testRNG()
+	a := RandomMatrix(f, rng, 20, 8)
+	costs := []float64{1.5, 0.7, 2.2, 1.1}
+	x := RandomVector(f, rng, 8)
+	want := MulVec(f, a, x)
+	var masks [2][]uint64
+	for i := range masks {
+		dep, err := Deploy(f, a, costs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dep.MulVec(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range got {
+			if got[j] != want[j] {
+				t.Fatalf("deployment %d, entry %d: %d != %d", i, j, got[j], want[j])
+			}
+		}
+		masks[i] = dep.Encoding.Blocks[0].Row(0) // block 0 is R itself
+	}
+	for j := range masks[0] {
+		if masks[0][j] != masks[1][j] {
+			return
+		}
+	}
+	t.Fatalf("two nil-rng deployments drew the same masking row %v", masks[0])
+}
+
 func TestDeployRealField(t *testing.T) {
 	f := RealField(1e-6)
 	rng := testRNG()
