@@ -106,8 +106,11 @@ load-check:
 # by the adaptive control plane vs a frozen baseline vs an instant-replan
 # oracle. Writes results/adapt.json and fails unless the adaptive arm
 # recovers to within 1.5x the oracle's steady-state p99, stays >=2x better
-# than frozen, and drops zero queries — everything on the virtual clock and
-# one seeded RNG, so the committed report is bit-reproducible.
+# than frozen, drops zero queries, binds every address to one block and
+# sees no migration fail — everything on the virtual clock and one seeded
+# RNG, so the committed report is bit-reproducible (CI follows this target
+# with `git diff --exit-code results/adapt.json`;
+# TestScenarioMatchesCommittedReport pins it in go test).
 adapt-check:
 	$(GO) run ./cmd/scecsim -adaptive -adapt-check -adapt-out results/adapt.json
 

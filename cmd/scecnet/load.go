@@ -184,7 +184,7 @@ func runLoad(args []string, out io.Writer) error {
 			return err
 		}
 		simScenario.Steps = vSteps
-		simScenario.KneeQPS = loadgen.DetectKnee(vSteps, 0, 0)
+		simScenario.KneeQPS = stats.KneeQPS
 		simScenario.ChurnEvents = stats.ChurnEvents
 		simScenario.Outages = stats.Outages
 		if err := simScenario.CheckSLOs(simSLOs); err != nil && sloErr == nil {

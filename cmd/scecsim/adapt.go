@@ -11,23 +11,12 @@ import (
 	"github.com/scec/scec/internal/adapt"
 )
 
-// adaptConfig carries the -adaptive flags into runAdaptScenario.
-type adaptConfig struct {
-	devices  int
-	m        int
-	qps      float64
-	duration time.Duration
-	seed     uint64
-	initialR int
-	out      string
-	check    bool
-}
-
 // Acceptance bounds for -adapt-check (and the committed results/adapt.json):
 // the adaptive arm's steady-state p99 must recover to within 1.5× the
 // instant-replanning oracle, the frozen baseline must remain at least 2×
 // worse than adaptive, no arm may fail a single query, and over the whole
-// adaptive run no device may be sent two blocks of one encoding.
+// adaptive run no device may be sent two blocks of one encoding and no
+// migration the controller attempted may fail.
 const (
 	adaptMaxOverOracle   = 1.5
 	adaptMinFrozenFactor = 2.0
@@ -38,16 +27,10 @@ const (
 // and a transient outage, and three regimes serve the same Poisson arrivals —
 // adaptive (the internal/adapt control plane), frozen (never re-plans), and
 // oracle (re-plans instantly on the true factors). The report is
-// deterministic for a given seed.
-func runAdaptScenario(out io.Writer, cfg adaptConfig) error {
-	rep, err := adapt.RunScenario(adapt.ScenarioConfig{
-		Devices:  cfg.devices,
-		M:        cfg.m,
-		QPS:      cfg.qps,
-		Duration: cfg.duration,
-		Seed:     cfg.seed,
-		InitialR: cfg.initialR,
-	})
+// deterministic for a given seed; outPath, when set, receives it as JSON, and
+// check enforces the acceptance bounds.
+func runAdaptScenario(out io.Writer, cfg adapt.ScenarioConfig, outPath string, check bool) error {
+	rep, err := adapt.RunScenario(cfg)
 	if err != nil {
 		return err
 	}
@@ -64,13 +47,14 @@ func runAdaptScenario(out io.Writer, cfg adaptConfig) error {
 	}
 	fmt.Fprintf(out, "adaptive/oracle steady p99 = %.2fx (bound ≤ %.1fx); frozen/adaptive = %.2fx (bound ≥ %.1fx)\n",
 		rep.AdaptiveOverOracleP99, adaptMaxOverOracle, rep.FrozenOverAdaptiveP99, adaptMinFrozenFactor)
-	fmt.Fprintf(out, "most blocks any device was sent under one encoding: %d (bound = 1)\n", rep.MaxBlocksPerDevice)
+	fmt.Fprintf(out, "most blocks any device was sent under one encoding: %d (bound = 1); failed migrations: %d (bound = 0)\n",
+		rep.MaxBlocksPerDevice, rep.FailedMigrations)
 	for _, ev := range rep.Events {
 		fmt.Fprintf(out, "  %s\n", ev)
 	}
 
-	if cfg.out != "" {
-		if dir := filepath.Dir(cfg.out); dir != "." {
+	if outPath != "" {
+		if dir := filepath.Dir(outPath); dir != "." {
 			if err := os.MkdirAll(dir, 0o755); err != nil {
 				return err
 			}
@@ -79,12 +63,12 @@ func runAdaptScenario(out io.Writer, cfg adaptConfig) error {
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(cfg.out, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "report written to %s\n", cfg.out)
+		fmt.Fprintf(out, "report written to %s\n", outPath)
 	}
-	if cfg.check {
+	if check {
 		return checkAdaptReport(rep)
 	}
 	return nil
@@ -104,6 +88,9 @@ func checkAdaptReport(rep *adapt.RecoveryReport) error {
 	if rep.MaxBlocksPerDevice != 1 {
 		return fmt.Errorf("adapt-check: a device was sent %d different blocks of one encoding; Def. 2 covers one",
 			rep.MaxBlocksPerDevice)
+	}
+	if rep.FailedMigrations != 0 {
+		return fmt.Errorf("adapt-check: %d migration(s) the controller attempted failed; the model substrate refuses none", rep.FailedMigrations)
 	}
 	if rep.FrozenOverAdaptiveP99 < adaptMinFrozenFactor {
 		return fmt.Errorf("adapt-check: frozen baseline is only %.2fx worse than adaptive (bound %.1fx): the control plane bought too little",

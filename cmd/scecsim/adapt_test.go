@@ -55,3 +55,17 @@ func TestRunAdaptiveRejectsConflictingModes(t *testing.T) {
 		}
 	}
 }
+
+// TestAdaptCheckRejectsFailedMigration: a report that is otherwise within
+// every bound still fails -adapt-check when the controller recorded a failed
+// migration.
+func TestAdaptCheckRejectsFailedMigration(t *testing.T) {
+	rep := &adapt.RecoveryReport{AdaptiveOverOracleP99: 1, FrozenOverAdaptiveP99: 10, MaxBlocksPerDevice: 1}
+	if err := checkAdaptReport(rep); err != nil {
+		t.Fatalf("clean report rejected: %v", err)
+	}
+	rep.FailedMigrations = 1
+	if err := checkAdaptReport(rep); err == nil || !strings.Contains(err.Error(), "migration") {
+		t.Fatalf("a failed migration passed -adapt-check: %v", err)
+	}
+}

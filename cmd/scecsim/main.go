@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"github.com/scec/scec"
+	"github.com/scec/scec/internal/adapt"
 	"github.com/scec/scec/internal/engine"
 	"github.com/scec/scec/internal/loadgen"
 	"github.com/scec/scec/internal/obs"
@@ -90,11 +91,10 @@ func run(args []string, out io.Writer) error {
 		if *tFlag >= 2 {
 			return fmt.Errorf("-adaptive re-plans with the t = 1 allocators; the t-collusion tier (-t %d) is static for now", *tFlag)
 		}
-		return runAdaptScenario(out, adaptConfig{
-			devices: *adaptDevices, m: *adaptM, qps: *adaptQPS,
-			duration: *adaptDuration, seed: *seed, initialR: *adaptInitialR,
-			out: *adaptOut, check: *adaptCheck,
-		})
+		return runAdaptScenario(out, adapt.ScenarioConfig{
+			Devices: *adaptDevices, M: *adaptM, QPS: *adaptQPS,
+			Duration: *adaptDuration, Seed: *seed, InitialR: *adaptInitialR,
+		}, *adaptOut, *adaptCheck)
 	}
 	if *load {
 		if *straggler != "" || *failDev >= 0 || *replicas > 1 || *traceFile != "" || *backend != "sim" {
@@ -320,8 +320,7 @@ func runSimLoad(out io.Writer, cfg simLoadConfig) error {
 		return err
 	}
 	sc.Steps = steps
-	sc.KneeQPS = loadgen.DetectKnee(steps, 0, 0)
-	sc.ChurnEvents, sc.Outages = stats.ChurnEvents, stats.Outages
+	sc.KneeQPS, sc.ChurnEvents, sc.Outages = stats.KneeQPS, stats.ChurnEvents, stats.Outages
 	sloErr := sc.CheckSLOs(slos)
 	col.FinishScenario(sc)
 	sc.WriteText(out)

@@ -55,6 +55,21 @@ func TestRunWithReplication(t *testing.T) {
 	}
 }
 
+// TestRunWithReplicationUnderCollusion is the -t 2 -replicas 2 row: replicas
+// hold the same B_j·T whatever the code, so the Cauchy tier replicates too.
+func TestRunWithReplicationUnderCollusion(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-m", "60", "-l", "8", "-k", "6", "-t", "2", "-replicas", "2"}, &out); err != nil {
+		t.Fatalf("%v\n%s", err, out.String())
+	}
+	got := out.String()
+	for _, want := range []string{"t=2", "replication x2", "storage overhead 2.0x", "decoded result verified"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("output missing %q:\n%s", want, got)
+		}
+	}
+}
+
 func TestRunFlagErrors(t *testing.T) {
 	cases := [][]string{
 		{"-m", "60", "-l", "8", "-k", "5", "-fail", "99"},

@@ -1,7 +1,7 @@
 package adapt
 
 import (
-	"container/heap"
+	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -13,8 +13,15 @@ import (
 	"github.com/scec/scec/internal/alloc"
 	"github.com/scec/scec/internal/coding"
 	"github.com/scec/scec/internal/loadgen"
+	"github.com/scec/scec/internal/obs"
+	"github.com/scec/scec/internal/obs/flight"
 	"github.com/scec/scec/internal/sim"
 )
+
+// The recovery scenario is the virtual-clock driver controller.go and the
+// Substrate godoc promise: its adaptive arm is a model Substrate and the
+// Controller that ships is stepped over it — no copy of the control cycle
+// lives here, and everything the model prices or queues is internal/sim's.
 
 // ScenarioConfig describes the virtual-clock recovery study: a large fleet
 // deployed by TA2 on base costs, hit mid-run by a chronic straggler and a
@@ -23,33 +30,22 @@ import (
 // instantly on the true factors. Everything runs on the virtual clock with
 // one seeded RNG, so a given config yields a bit-identical report.
 type ScenarioConfig struct {
-	// Devices is the candidate pool size (default 1000); M×Cols the data
-	// matrix shape (default 4096×256).
-	Devices, M, Cols int
-	// Concurrency is how many rounds the user keeps in flight (default 16);
-	// QPS the open-loop offered load (default 100); Duration the virtual run
-	// length (default 60s).
-	Concurrency int
-	QPS         float64
-	Duration    time.Duration
+	// Devices is the candidate pool size (default 1000); M the data matrix's
+	// row count (default 4096).
+	Devices, M int
+	// QPS is the open-loop offered load (default 100); Duration the virtual
+	// run length (default 60s).
+	QPS      float64
+	Duration time.Duration
 	// Seed drives the Poisson arrivals (default 1).
 	Seed uint64
-	// Profile is the nominal device (zero: 1 MF/s compute, 10M values/s
-	// links, 2 ms latency — compute-dominated, so straggling is visible).
-	Profile sim.DeviceProfile
-	// CostSpread shapes base costs: device j costs 1 + CostSpread·j/(k−1)
-	// (default 1), so TA2 uses a cheap prefix and leaves the expensive tail
-	// as migration headroom.
-	CostSpread float64
 
-	// StragglerAt injects a chronic StragglerFactor× slowdown (default 5×)
-	// into the device hosting block 0, at 10s by default; negative disables.
-	StragglerAt     time.Duration
-	StragglerFactor float64
-	// OutageAt takes the device hosting block 1 down for OutageDuration
-	// (defaults 20s and 8s); negative disables.
-	OutageAt       time.Duration
-	OutageDuration time.Duration
+	// StragglerAt injects a chronic scenarioStragglerFactor× slowdown into
+	// the device hosting block 0, at 10s by default; negative disables.
+	StragglerAt time.Duration
+	// OutageAt takes the device hosting block 1 down for
+	// scenarioOutageDuration (default 20s); negative disables.
+	OutageAt time.Duration
 	// Replay, when non-nil, replaces the built-in chronic straggler with a
 	// recorded per-device factor timeline (loadgen.ReplayFromStragglers);
 	// Devices[j] follows pool device j.
@@ -60,22 +56,47 @@ type ScenarioConfig struct {
 	// the control plane discover a better r and reshape. Zero starts
 	// optimal.
 	InitialR int
+}
 
-	// Control-loop knobs; zero values select the adapt defaults, except
-	// ReplanEvery (default 500ms), MinImprovement (default 0.03), and
-	// Cooldown (default 2s), which run tighter than the wall-clock defaults
-	// to match the virtual timescale.
-	ReplanEvery    time.Duration
-	MinImprovement float64
-	Cooldown       time.Duration
-	Alpha          float64
-	MinSamples     int
-	OutageFactor   float64
-	MaxFactor      float64
+// The scenario's fixed shape, with the reason for each value.
+const (
+	// scenarioCols is the data matrix's column count: a 91-row block of 256
+	// columns is ~46k field operations, so a round is compute-dominated.
+	scenarioCols = 256
+	// scenarioConcurrency is how many rounds the user keeps in flight — the
+	// virtual load sweep's default, so the two studies queue alike.
+	scenarioConcurrency = 16
+	// scenarioCostSpread shapes base costs: device j costs
+	// 1 + spread·j/(k−1), so TA2 uses a cheap prefix and leaves the expensive
+	// tail as migration headroom.
+	scenarioCostSpread = 1.0
+	// scenarioStragglerFactor is the chronic slowdown: at 5× a round takes
+	// ~240 ms, 16 in flight serve ~68 QPS against 100 offered, and a plan
+	// that keeps the straggler queues without bound.
+	scenarioStragglerFactor = 5.0
+	// scenarioOutageDuration spans many control periods and still ends before
+	// the steady-state window opens.
+	scenarioOutageDuration = 8 * time.Second
+	// scenarioMeasureFrom is where the steady-state window starts, as a
+	// fraction of Duration — after both faults and the recovery transient.
+	scenarioMeasureFrom = 0.6
+	// The control loop runs tighter than the wall-clock defaults to match the
+	// virtual timescale; MinSamples, MaxFactor and OutageFactor stay at the
+	// adapt defaults.
+	scenarioReplanEvery    = 500 * time.Millisecond
+	scenarioMinImprovement = 0.03
+	scenarioCooldown       = 2 * time.Second
+	scenarioAlpha          = 0.35
+)
 
-	// MeasureFrom is where the steady-state window starts (default
-	// 0.6×Duration — after both faults and the recovery transient).
-	MeasureFrom time.Duration
+// scenarioProfile is the nominal device: 1 MF/s compute, 10M values/s links,
+// 2 ms latency — compute-dominated, so straggling is visible.
+var scenarioProfile = sim.DeviceProfile{
+	ComputeRate:     1e6,
+	UplinkRate:      10e6,
+	DownlinkRate:    10e6,
+	Latency:         2 * time.Millisecond,
+	StragglerFactor: 1,
 }
 
 func (c ScenarioConfig) withDefaults() ScenarioConfig {
@@ -84,12 +105,6 @@ func (c ScenarioConfig) withDefaults() ScenarioConfig {
 	}
 	if c.M <= 0 {
 		c.M = 4096
-	}
-	if c.Cols <= 0 {
-		c.Cols = 256
-	}
-	if c.Concurrency <= 0 {
-		c.Concurrency = 16
 	}
 	if c.QPS <= 0 {
 		c.QPS = 100
@@ -100,53 +115,11 @@ func (c ScenarioConfig) withDefaults() ScenarioConfig {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Profile == (sim.DeviceProfile{}) {
-		c.Profile = sim.DeviceProfile{
-			ComputeRate:     1e6,
-			UplinkRate:      10e6,
-			DownlinkRate:    10e6,
-			Latency:         2 * time.Millisecond,
-			StragglerFactor: 1,
-		}
-	}
-	if c.CostSpread <= 0 {
-		c.CostSpread = 1
-	}
 	if c.StragglerAt == 0 {
 		c.StragglerAt = 10 * time.Second
 	}
-	if c.StragglerFactor <= 1 {
-		c.StragglerFactor = 5
-	}
 	if c.OutageAt == 0 {
 		c.OutageAt = 20 * time.Second
-	}
-	if c.OutageDuration <= 0 {
-		c.OutageDuration = 8 * time.Second
-	}
-	if c.ReplanEvery <= 0 {
-		c.ReplanEvery = 500 * time.Millisecond
-	}
-	if c.MinImprovement <= 0 {
-		c.MinImprovement = 0.03
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 2 * time.Second
-	}
-	if c.Alpha <= 0 {
-		c.Alpha = 0.35
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = DefaultMinSamples
-	}
-	if c.OutageFactor <= 1 {
-		c.OutageFactor = DefaultOutageFactor
-	}
-	if c.MaxFactor <= 1 {
-		c.MaxFactor = DefaultMaxFactor
-	}
-	if c.MeasureFrom <= 0 {
-		c.MeasureFrom = time.Duration(0.6 * float64(c.Duration))
 	}
 	return c
 }
@@ -158,13 +131,14 @@ type ArmResult struct {
 	// FailedQueries is always 0 by construction — migrations never drop a
 	// request — and reported so the invariant is pinned in results files.
 	FailedQueries int `json:"failedQueries"`
-	// Steady* are quantiles over requests arriving after MeasureFrom;
+	// Steady* are quantiles over requests arriving after MeasureFromMs;
 	// OverallP99 covers the whole run (fault transients included).
 	SteadyP50Ms  float64 `json:"steadyP50Ms"`
 	SteadyP95Ms  float64 `json:"steadyP95Ms"`
 	SteadyP99Ms  float64 `json:"steadyP99Ms"`
 	OverallP99Ms float64 `json:"overallP99Ms"`
-	// Replans/Adopts/BlocksMoved count control activity (adaptive arm only).
+	// Replans/Adopts/BlocksMoved are the controller's Stats() (adaptive arm
+	// only).
 	Replans     int `json:"replans,omitempty"`
 	Adopts      int `json:"adopts,omitempty"`
 	BlocksMoved int `json:"blocksMoved,omitempty"`
@@ -176,13 +150,13 @@ type ArmResult struct {
 
 // RecoveryReport is the scenario's deterministic output.
 type RecoveryReport struct {
-	Devices, M, Cols int     `json:"-"`
-	QPS              float64 `json:"qps"`
-	Seed             uint64  `json:"seed"`
-	DurationMs       int64   `json:"durationMs"`
-	MeasureFromMs    int64   `json:"measureFromMs"`
-	StragglerDevice  int     `json:"stragglerDevice"`
-	OutageDevice     int     `json:"outageDevice"`
+	Devices, M      int     `json:"-"`
+	QPS             float64 `json:"qps"`
+	Seed            uint64  `json:"seed"`
+	DurationMs      int64   `json:"durationMs"`
+	MeasureFromMs   int64   `json:"measureFromMs"`
+	StragglerDevice int     `json:"stragglerDevice"`
+	OutageDevice    int     `json:"outageDevice"`
 
 	Adaptive ArmResult `json:"adaptive"`
 	Frozen   ArmResult `json:"frozen"`
@@ -198,6 +172,9 @@ type RecoveryReport struct {
 	// under one encoding over the adaptive arm's whole run. Def. 2 covers a
 	// single block, so the acceptance bound is exactly 1.
 	MaxBlocksPerDevice int `json:"maxBlocksPerDevice"`
+	// FailedMigrations counts the controller's migration events that carry an
+	// error. The model refuses nothing, so the acceptance bound is 0.
+	FailedMigrations int `json:"failedMigrations"`
 
 	// Events is the adaptive arm's decision/migration log.
 	Events []string `json:"events"`
@@ -205,17 +182,20 @@ type RecoveryReport struct {
 
 // RunScenario runs the three arms and compares them.
 func RunScenario(cfg ScenarioConfig) (*RecoveryReport, error) {
+	return runScenario(cfg, func(model Substrate) Substrate { return model })
+}
+
+// runScenario is RunScenario with a seam: the controller drives wrap(model),
+// so a test can interpose on the model substrate.
+func runScenario(cfg ScenarioConfig, wrap func(Substrate) Substrate) (*RecoveryReport, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Profile.Validate(); err != nil {
-		return nil, err
-	}
 	if err := cfg.Replay.Validate(); err != nil {
 		return nil, err
 	}
 	base := make([]float64, cfg.Devices)
 	hosts := make([]Host, cfg.Devices)
 	for j := range base {
-		base[j] = 1 + cfg.CostSpread*float64(j)/float64(cfg.Devices-1)
+		base[j] = 1 + scenarioCostSpread*float64(j)/float64(cfg.Devices-1)
 		hosts[j] = Host{Addr: "dev-" + strconv.Itoa(j), Base: base[j]}
 	}
 	var plan0 alloc.Plan
@@ -231,7 +211,7 @@ func RunScenario(cfg ScenarioConfig) (*RecoveryReport, error) {
 	if plan0.I < 2 {
 		return nil, fmt.Errorf("adapt: scenario: degenerate initial plan (i=%d)", plan0.I)
 	}
-	sDev, oDev := plan0.Assignments[0].Device, plan0.Assignments[1].Device
+	measureFrom := time.Duration(scenarioMeasureFrom * float64(cfg.Duration))
 
 	// One arrival schedule shared by every arm: Poisson at QPS until
 	// Duration.
@@ -243,21 +223,23 @@ func RunScenario(cfg ScenarioConfig) (*RecoveryReport, error) {
 	}
 
 	rep := &RecoveryReport{
-		Devices: cfg.Devices, M: cfg.M, Cols: cfg.Cols,
+		Devices: cfg.Devices, M: cfg.M,
 		QPS: cfg.QPS, Seed: cfg.Seed,
 		DurationMs:      cfg.Duration.Milliseconds(),
-		MeasureFromMs:   cfg.MeasureFrom.Milliseconds(),
-		StragglerDevice: sDev,
-		OutageDevice:    oDev,
+		MeasureFromMs:   measureFrom.Milliseconds(),
+		StragglerDevice: plan0.Assignments[0].Device,
+		OutageDevice:    plan0.Assignments[1].Device,
 	}
-	frozen := newArm(cfg, "frozen", hosts, base, plan0, sDev, oDev)
-	oracle := newArm(cfg, "oracle", hosts, base, plan0, sDev, oDev)
-	adaptive := newArm(cfg, "adaptive", hosts, base, plan0, sDev, oDev)
-	rep.Frozen = frozen.run(arrivals)
-	rep.Oracle = oracle.run(arrivals)
-	rep.Adaptive = adaptive.run(arrivals)
+	adaptive := newArm(cfg, "adaptive", hosts, plan0)
+	if err := adaptive.control(wrap(adaptive)); err != nil {
+		return nil, err
+	}
+	rep.Frozen = newArm(cfg, "frozen", hosts, plan0).run(arrivals, measureFrom)
+	rep.Oracle = newArm(cfg, "oracle", hosts, plan0).run(arrivals, measureFrom)
+	rep.Adaptive = adaptive.run(arrivals, measureFrom)
 	rep.Events = adaptive.events
 	rep.MaxBlocksPerDevice = adaptive.maxSent
+	rep.FailedMigrations = adaptive.failed
 	if rep.Oracle.SteadyP99Ms > 0 {
 		rep.AdaptiveOverOracleP99 = rep.Adaptive.SteadyP99Ms / rep.Oracle.SteadyP99Ms
 	}
@@ -267,71 +249,91 @@ func RunScenario(cfg ScenarioConfig) (*RecoveryReport, error) {
 	return rep, nil
 }
 
-// arm is one serving regime's simulation state.
+// arm is one serving regime's simulation state. The adaptive arm is also the
+// model Substrate its controller drives.
 type arm struct {
 	cfg        ScenarioConfig
 	name       string
 	hosts      []Host
-	base       []float64
 	sDev, oDev int
 
 	placement []BlockHost // live assignment, scheme block order
 	devOf     map[string]int
+
+	// adaptive state
+	ctl      *Controller
+	now      time.Duration // virtual time of the control cycle in progress
+	nextTick time.Duration
+	// pending is the placement a migration in flight installs at pendingAt
+	// (nil when none); the controller is not stepped until it lands.
+	pending   []BlockHost
+	pendingAt time.Duration
 	// sent[addr] lists the distinct blocks pushed to addr under the current
 	// encoding (the model's bindings); maxSent is the longest list ever seen.
 	sent    map[string][]int
 	maxSent int
+	failed  int // controller migration events that carried an error
+	events  []string
 
-	// adaptive state
-	est       *Estimator
-	planner   *Planner
-	nextTick  time.Duration
-	pending   []BlockHost // migration in flight, applied at pendingAt
-	pendingAt time.Duration
-	havePend  bool
-	replans   int
-	adopts    int
-	moved     int
-	events    []string
-
-	// oracle state
+	// oracle state: when the true factors change, and how many were handled
 	oracleAt []time.Duration
 	oracleIx int
 }
 
-func newArm(cfg ScenarioConfig, name string, hosts []Host, base []float64, plan0 alloc.Plan, sDev, oDev int) *arm {
-	a := &arm{cfg: cfg, name: name, hosts: hosts, base: base, sDev: sDev, oDev: oDev}
-	a.devOf = make(map[string]int, len(hosts))
+var _ Substrate = (*arm)(nil)
+
+func newArm(cfg ScenarioConfig, name string, hosts []Host, plan0 alloc.Plan) *arm {
+	a := &arm{
+		cfg: cfg, name: name, hosts: hosts, placement: placementOf(plan0, hosts),
+		sDev: plan0.Assignments[0].Device, oDev: plan0.Assignments[1].Device,
+		devOf: make(map[string]int, len(hosts)),
+	}
 	for j, h := range hosts {
 		a.devOf[h.Addr] = j
 	}
-	a.placement = placementOf(plan0, hosts)
 	switch name {
 	case "adaptive":
 		a.sent = make(map[string][]int)
 		a.store(a.placement)
-		a.est = NewEstimator(cfg.Alpha, cfg.MinSamples, cfg.MaxFactor)
-		a.planner, _ = NewPlanner(cfg.M, hosts, cfg.MinImprovement, cfg.Cooldown)
-		a.nextTick = cfg.ReplanEvery
+		a.nextTick = scenarioReplanEvery
 	case "oracle":
-		times := []time.Duration{}
 		if cfg.StragglerAt >= 0 && cfg.Replay == nil {
-			times = append(times, cfg.StragglerAt)
+			a.oracleAt = append(a.oracleAt, cfg.StragglerAt)
 		}
 		if cfg.OutageAt >= 0 {
-			times = append(times, cfg.OutageAt, cfg.OutageAt+cfg.OutageDuration)
+			a.oracleAt = append(a.oracleAt, cfg.OutageAt, cfg.OutageAt+scenarioOutageDuration)
 		}
 		if cfg.Replay != nil {
 			for _, steps := range cfg.Replay.Devices {
 				for _, s := range steps {
-					times = append(times, s.At)
+					a.oracleAt = append(a.oracleAt, s.At)
 				}
 			}
 		}
-		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-		a.oracleAt = times
+		sort.Slice(a.oracleAt, func(i, j int) bool { return a.oracleAt[i] < a.oracleAt[j] })
 	}
 	return a
+}
+
+// control builds the arm's controller over sub with private telemetry, so a
+// thousand model devices mint no series in the process-wide registry.
+func (a *arm) control(sub Substrate) (err error) {
+	base := make(map[string]float64, len(a.hosts))
+	for _, h := range a.hosts {
+		base[h.Addr] = h.Base
+	}
+	a.ctl, err = New(Config{
+		ReplanEvery:    scenarioReplanEvery,
+		Alpha:          scenarioAlpha,
+		MinImprovement: scenarioMinImprovement,
+		Cooldown:       scenarioCooldown,
+		// step reads a cycle's events back: at most one per device.
+		History:   len(a.hosts),
+		BaseCosts: base,
+		Metrics:   obs.New(),
+		Journal:   flight.New(flight.Options{}),
+	}, sub)
+	return err
 }
 
 // placementOf maps a plan onto host addresses in scheme block order.
@@ -356,22 +358,10 @@ func (a *arm) store(blocks []BlockHost) {
 // trueFactor is the device's real slowdown at virtual time t.
 func (a *arm) trueFactor(dev int, t time.Duration) float64 {
 	if a.cfg.Replay != nil {
-		f := 1.0
-		if dev < len(a.cfg.Replay.Devices) {
-			for _, s := range a.cfg.Replay.Devices[dev] {
-				if s.At > t {
-					break
-				}
-				f = s.Factor
-			}
-		}
-		if f < 1 {
-			f = 1
-		}
-		return f
+		return a.cfg.Replay.FactorAt(dev, t)
 	}
 	if dev == a.sDev && a.cfg.StragglerAt >= 0 && t >= a.cfg.StragglerAt {
-		return a.cfg.StragglerFactor
+		return scenarioStragglerFactor
 	}
 	return 1
 }
@@ -381,7 +371,7 @@ func (a *arm) downUntil(dev int, t time.Duration) time.Duration {
 	if a.cfg.OutageAt < 0 || dev != a.oDev {
 		return 0
 	}
-	end := a.cfg.OutageAt + a.cfg.OutageDuration
+	end := a.cfg.OutageAt + scenarioOutageDuration
 	if t >= a.cfg.OutageAt && t < end {
 		return end
 	}
@@ -390,22 +380,16 @@ func (a *arm) downUntil(dev int, t time.Duration) time.Duration {
 
 // contribution prices one device's share of a round starting at t.
 func (a *arm) contribution(dev, rows int, t time.Duration) time.Duration {
-	p := a.cfg.Profile
-	p.StragglerFactor *= a.trueFactor(dev, t)
-	d := sim.DeviceRoundTime(rows, a.cfg.Cols, 1, p)
-	if end := a.downUntil(dev, t); end > t {
-		d += end - t
-	}
-	return d
+	return sim.PerturbedRoundTime(rows, scenarioCols, scenarioProfile, a.trueFactor(dev, t), a.downUntil(dev, t), t)
 }
 
-// service prices one round at t: the slowest participating device.
+// service prices one round at t — the slowest participating device — after
+// running the arm's control machinery up to t.
 func (a *arm) service(t time.Duration) time.Duration {
+	a.advance(t)
 	var worst time.Duration
 	for _, b := range a.placement {
-		if d := a.contribution(a.devOf[b.Addr], b.Rows, t); d > worst {
-			worst = d
-		}
+		worst = max(worst, a.contribution(a.devOf[b.Addr], b.Rows, t))
 	}
 	return worst
 }
@@ -422,14 +406,13 @@ func (a *arm) advance(t time.Duration) {
 		for {
 			// Interleave control ticks and migration completions in time
 			// order.
-			if a.havePend && a.pendingAt <= t && a.pendingAt <= a.nextTick {
-				a.placement = a.pending
-				a.havePend = false
+			if a.pending != nil && a.pendingAt <= t && a.pendingAt <= a.nextTick {
+				a.placement, a.pending = a.pending, nil
 				continue
 			}
 			if a.nextTick <= t {
-				a.tick(a.nextTick)
-				a.nextTick += a.cfg.ReplanEvery
+				a.step(a.nextTick)
+				a.nextTick += scenarioReplanEvery
 				continue
 			}
 			return
@@ -439,13 +422,13 @@ func (a *arm) advance(t time.Duration) {
 
 // oracleReplan re-runs TA2 on the true factors, applied instantly and free.
 func (a *arm) oracleReplan(t time.Duration) {
-	costs := make([]float64, len(a.base))
-	for j := range costs {
+	costs := make([]float64, len(a.hosts))
+	for j, h := range a.hosts {
 		f := a.trueFactor(j, t)
 		if a.downUntil(j, t) > t {
-			f = math.Max(f, a.cfg.OutageFactor)
+			f = math.Max(f, DefaultOutageFactor)
 		}
-		costs[j] = a.base[j] * f
+		costs[j] = h.Base * f
 	}
 	plan, err := alloc.TA2(alloc.Instance{M: a.cfg.M, Costs: costs})
 	if err != nil {
@@ -454,8 +437,9 @@ func (a *arm) oracleReplan(t time.Duration) {
 	a.placement = placementOf(plan, a.hosts)
 }
 
-// tick is one adaptive control cycle at virtual time t.
-func (a *arm) tick(t time.Duration) {
+// step is one control period at virtual time t: feed the estimator, then —
+// unless a migration is in flight — run the controller's cycle and log it.
+func (a *arm) step(t time.Duration) {
 	// Feed the estimator what the straggler digest would have seen: each
 	// participating device's winning-attempt latency at its true speed.
 	for _, b := range a.placement {
@@ -463,90 +447,110 @@ func (a *arm) tick(t time.Duration) {
 		if a.downUntil(dev, t) > t {
 			continue // a down device wins no attempts
 		}
-		a.est.ObserveLatency(b.Addr, t, a.contribution(dev, b.Rows, t), b.Rows)
+		a.ctl.Estimator().ObserveLatency(b.Addr, t, a.contribution(dev, b.Rows, t), b.Rows)
 	}
-	if a.havePend {
+	if a.pending != nil {
 		return // one migration at a time
 	}
-	factors := a.est.Factors()
-	urgent := false
-	for _, b := range a.placement {
-		if a.downUntil(a.devOf[b.Addr], t) > t {
-			urgent = true
+	a.now = t
+	d, err := a.ctl.Step(context.Background(), t)
+	if err != nil || !d.Adopt {
+		return
+	}
+	a.events = append(a.events, fmt.Sprintf("t=%.2fs %s", t.Seconds(), d.Reason))
+	for _, ev := range a.ctl.Debug().Events {
+		if ev.At != t {
+			continue // an earlier cycle's
+		}
+		what := fmt.Sprintf("rehost block %d %s → %s", ev.Block, ev.From, ev.To)
+		if ev.Kind == "reshape" {
+			what = fmt.Sprintf("reshape to r=%d over %d devices", d.R, len(d.Target))
+		}
+		switch {
+		case ev.Err != "":
+			a.failed++
+			what += " failed: " + ev.Err
+		case ev.Kind == "reshape":
+			what += fmt.Sprintf(" (ready %.2fs)", a.pendingAt.Seconds())
+		}
+		a.events = append(a.events, fmt.Sprintf("t=%.2fs %s", t.Seconds(), what))
+	}
+}
+
+// Placements implements Substrate.
+func (a *arm) Placements() []BlockHost { return slices.Clone(a.placement) }
+
+// Free implements Substrate: reachable devices never sent a block under the
+// current encoding, in pool order.
+func (a *arm) Free() []string {
+	var free []string
+	for _, h := range a.hosts {
+		if _, used := a.sent[h.Addr]; !used && a.Healthy(h.Addr) {
+			free = append(free, h.Addr)
 		}
 	}
-	if a.cfg.OutageAt >= 0 {
-		oAddr := a.hosts[a.oDev].Addr
-		if a.downUntil(a.oDev, t) > t && factors[oAddr] < a.cfg.OutageFactor {
-			factors[oAddr] = a.cfg.OutageFactor
-		}
-	}
+	return free
+}
+
+// Bindings implements Substrate.
+func (a *arm) Bindings() map[string]int {
 	bound := make(map[string]int, len(a.sent))
 	for addr, blocks := range a.sent {
 		bound[addr] = blocks[0]
 	}
-	d, err := a.planner.Decide(t, factors, a.placement, bound, urgent)
-	a.replans++
-	if err != nil || !d.Adopt {
-		return
-	}
-	a.adopts++
-	a.events = append(a.events, fmt.Sprintf("t=%.2fs %s", t.Seconds(), d.Reason))
-
-	prof := a.cfg.Profile
-	if d.Reshape {
-		scheme, err := coding.New(a.cfg.M, d.R)
-		if err != nil || scheme.Devices() != len(d.Target) {
-			return
-		}
-		next := make([]BlockHost, len(d.Target))
-		var push time.Duration
-		for b, addr := range d.Target {
-			rows := scheme.RowsOn(b)
-			next[b] = BlockHost{Block: b, Addr: addr, Rows: rows}
-			if p := prof.Latency + time.Duration(float64(rows*a.cfg.Cols)/prof.UplinkRate*float64(time.Second)); p > push {
-				push = p
-			}
-		}
-		a.pending, a.pendingAt, a.havePend = next, t+push, true
-		a.moved += len(next)
-		clear(a.sent) // fresh masking rows: a new epoch
-		a.store(next)
-		a.events = append(a.events, fmt.Sprintf("t=%.2fs reshape to r=%d over %d devices (ready %.2fs)", t.Seconds(), d.R, len(next), (t+push).Seconds()))
-		return
-	}
-	next := append([]BlockHost(nil), a.placement...)
-	var push time.Duration
-	for _, mv := range d.Moves {
-		next[mv.Block].Addr = mv.To
-		a.store(next[mv.Block : mv.Block+1])
-		rows := next[mv.Block].Rows
-		// Rehost pushes run one after another in the controller.
-		push += prof.Latency + time.Duration(float64(rows*a.cfg.Cols)/prof.UplinkRate*float64(time.Second))
-		a.events = append(a.events, fmt.Sprintf("t=%.2fs rehost block %d %s → %s", t.Seconds(), mv.Block, mv.From, mv.To))
-	}
-	a.pending, a.pendingAt, a.havePend = next, t+push, true
-	a.moved += len(d.Moves)
+	return bound
 }
 
-// run drives the arrival schedule through the arm and summarizes it.
-func (a *arm) run(arrivals []time.Duration) ArmResult {
-	servers := make(durHeap, a.cfg.Concurrency)
-	heap.Init(&servers)
+// Healthy implements Substrate: a device in its outage window is not.
+func (a *arm) Healthy(addr string) bool { return a.downUntil(a.devOf[addr], a.now) <= a.now }
+
+// RTT implements Substrate; the model has no heartbeat signal.
+func (a *arm) RTT(string) (time.Duration, bool) { return 0, false }
+
+// Rehost implements Substrate. The controller's pushes run one after another,
+// so each move extends the migration in flight by its block's push time.
+func (a *arm) Rehost(_ context.Context, block int, _, to string) error {
+	if a.pending == nil {
+		a.pending, a.pendingAt = slices.Clone(a.placement), a.now
+	}
+	a.pending[block].Addr = to
+	a.store(a.pending[block : block+1])
+	a.pendingAt += sim.PushTime(a.pending[block].Rows, scenarioCols, scenarioProfile)
+	return nil
+}
+
+// Reshape implements Substrate: every block of the fresh encoding is pushed
+// in parallel, and the new epoch starts with nothing bound.
+func (a *arm) Reshape(_ context.Context, target []string, r int) error {
+	scheme, err := coding.New(a.cfg.M, r)
+	if err != nil {
+		return err
+	}
+	if scheme.Devices() != len(target) {
+		return fmt.Errorf("adapt: scenario: r=%d codes %d blocks, the plan places %d", r, scheme.Devices(), len(target))
+	}
+	next := make([]BlockHost, len(target))
+	var push time.Duration
+	for b, addr := range target {
+		next[b] = BlockHost{Block: b, Addr: addr, Rows: scheme.RowsOn(b)}
+		push = max(push, sim.PushTime(next[b].Rows, scenarioCols, scenarioProfile))
+	}
+	a.pending, a.pendingAt = next, a.now+push
+	clear(a.sent)
+	a.store(next)
+	return nil
+}
+
+// run drives the arrival schedule through the arm and summarizes it; the
+// steady-state window opens at measureFrom.
+func (a *arm) run(arrivals []time.Duration, measureFrom time.Duration) ArmResult {
+	queue := sim.NewRoundQueue(scenarioConcurrency)
 	var overall, steady []time.Duration
 	for _, arrive := range arrivals {
-		free := heap.Pop(&servers).(time.Duration)
-		start := arrive
-		if free > start {
-			start = free
-		}
-		a.advance(start)
-		finish := start + a.service(start)
-		heap.Push(&servers, finish)
-		lat := finish - arrive
-		overall = append(overall, lat)
-		if arrive >= a.cfg.MeasureFrom {
-			steady = append(steady, lat)
+		finish := queue.Serve(arrive, a.service)
+		overall = append(overall, finish-arrive)
+		if arrive >= measureFrom {
+			steady = append(steady, finish-arrive)
 		}
 	}
 	res := ArmResult{
@@ -556,28 +560,18 @@ func (a *arm) run(arrivals []time.Duration) ArmResult {
 		SteadyP95Ms:  msOf(quantileDur(steady, 0.95)),
 		SteadyP99Ms:  msOf(quantileDur(steady, 0.99)),
 		OverallP99Ms: msOf(quantileDur(overall, 0.99)),
-		Replans:      a.replans,
-		Adopts:       a.adopts,
-		BlocksMoved:  a.moved,
+	}
+	if a.ctl != nil {
+		res.Replans, res.Adopts, res.BlocksMoved = a.ctl.Stats()
 	}
 	for _, b := range a.placement {
-		res.FinalBaseCost += float64(b.Rows) * a.base[a.devOf[b.Addr]]
-		if b.Rows > res.FinalR {
-			res.FinalR = b.Rows
-		}
+		res.FinalBaseCost += float64(b.Rows) * a.hosts[a.devOf[b.Addr]].Base
+		res.FinalR = max(res.FinalR, b.Rows)
 	}
 	return res
 }
 
-// durHeap is a min-heap of server free times.
-type durHeap []time.Duration
-
-func (h durHeap) Len() int           { return len(h) }
-func (h durHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h durHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *durHeap) Push(x any)        { *h = append(*h, x.(time.Duration)) }
-func (h *durHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
-func msOf(d time.Duration) float64   { return float64(d.Nanoseconds()) / 1e6 }
+func msOf(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 func quantileDur(v []time.Duration, q float64) time.Duration {
 	if len(v) == 0 {
 		return 0

@@ -1,7 +1,11 @@
 package adapt
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -172,5 +176,97 @@ func TestScenarioRejectsInvalidReplay(t *testing.T) {
 	}}})
 	if err == nil {
 		t.Error("out-of-order replay accepted")
+	}
+}
+
+// TestScenarioMatchesCommittedReport pins results/adapt.json in tier-1: the
+// default scenario, marshalled exactly as `scecsim -adapt-out` writes it, is
+// the committed file byte for byte (make adapt-check overwrites the file, so
+// only a test can notice it moving).
+func TestScenarioMatchesCommittedReport(t *testing.T) {
+	rep, err := RunScenario(ScenarioConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("../../results/adapt.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(append(got, '\n')) != string(want) {
+		t.Fatalf("default scenario no longer reproduces results/adapt.json:\n%s", got)
+	}
+}
+
+// refuseOnce interposes on the scenario's model substrate and refuses the
+// first rehost the controller attempts.
+type refuseOnce struct {
+	Substrate
+	refused []Move
+}
+
+func (r *refuseOnce) Rehost(ctx context.Context, block int, from, to string) error {
+	if len(r.refused) == 0 {
+		r.refused = append(r.refused, Move{Block: block, From: from, To: to})
+		return errors.New("model: push refused")
+	}
+	return r.Substrate.Rehost(ctx, block, from, to)
+}
+
+// TestScenarioRunsController pins that the adaptive arm is the real
+// Controller over a Substrate, not a copy of its cycle: a substrate that
+// refuses one rehost produces a failed MigrationEvent — counted in the
+// report, logged, and not counted as a moved block — and the controller
+// re-decides the refused move on a later cycle.
+func TestScenarioRunsController(t *testing.T) {
+	clean, err := RunScenario(ScenarioConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean.FailedMigrations != 0 {
+		t.Fatalf("the unwrapped model refused %d migrations", clean.FailedMigrations)
+	}
+
+	var sub *refuseOnce
+	rep, err := runScenario(ScenarioConfig{}, func(model Substrate) Substrate {
+		sub = &refuseOnce{Substrate: model}
+		return sub
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sub.refused) != 1 {
+		t.Fatalf("the wrapper saw no rehost to refuse; events:\n%s", strings.Join(rep.Events, "\n"))
+	}
+	if rep.FailedMigrations != 1 {
+		t.Errorf("FailedMigrations = %d, want 1; events:\n%s", rep.FailedMigrations, strings.Join(rep.Events, "\n"))
+	}
+	mv := sub.refused[0]
+	wantLine := fmt.Sprintf("rehost block %d %s → %s failed: model: push refused", mv.Block, mv.From, mv.To)
+	moved := 0
+	logged := false
+	for _, ev := range rep.Events {
+		logged = logged || strings.Contains(ev, wantLine)
+		if strings.Contains(ev, "rehost block") && !strings.Contains(ev, "failed") {
+			moved++
+		}
+	}
+	if !logged {
+		t.Errorf("no %q line in the log:\n%s", wantLine, strings.Join(rep.Events, "\n"))
+	}
+	// The refused move is not a moved block, and the controller re-decides it
+	// on a later cycle, past the cooldown: one more adoption than the clean
+	// run, and the same steady state in the end.
+	if rep.Adaptive.BlocksMoved != moved {
+		t.Errorf("BlocksMoved = %d, the log shows %d successful rehosts:\n%s", rep.Adaptive.BlocksMoved, moved, strings.Join(rep.Events, "\n"))
+	}
+	if rep.Adaptive.Adopts != clean.Adaptive.Adopts+1 {
+		t.Errorf("adopts = %d, clean run %d; want exactly one retry:\n%s", rep.Adaptive.Adopts, clean.Adaptive.Adopts, strings.Join(rep.Events, "\n"))
+	}
+	if rep.AdaptiveOverOracleP99 > 1.5 || rep.MaxBlocksPerDevice != 1 {
+		t.Errorf("after the retry: %.2f× oracle, %d blocks per device", rep.AdaptiveOverOracleP99, rep.MaxBlocksPerDevice)
 	}
 }

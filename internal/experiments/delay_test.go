@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -59,5 +60,25 @@ func TestWriteDelayMarkdown(t *testing.T) {
 	}
 	if strings.Count(md.String(), "\n| ") < 9 {
 		t.Fatalf("markdown should contain 9 data rows:\n%s", md.String())
+	}
+}
+
+// TestDelayMatchesCommittedMarkdown pins results/delay.md in tier-1: the
+// default-config study renders the committed file byte for byte.
+func TestDelayMatchesCommittedMarkdown(t *testing.T) {
+	res, err := DelaySweep(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var md strings.Builder
+	if err := WriteDelayMarkdown(&md, res); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("../../results/delay.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if md.String() != string(want) {
+		t.Fatalf("delay study no longer reproduces results/delay.md:\n%s", md.String())
 	}
 }

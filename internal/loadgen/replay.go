@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"github.com/scec/scec/internal/obs/trace"
@@ -43,6 +44,21 @@ func (r *Replay) Validate() error {
 		}
 	}
 	return nil
+}
+
+// FactorAt is device j's slowdown at virtual time t: the factor of its last
+// step at or before t, and nominal (1) before the first step, for a device
+// without a schedule, on a nil replay, and wherever the recording says ≤ 1.
+func (r *Replay) FactorAt(j int, t time.Duration) float64 {
+	if r == nil || j >= len(r.Devices) {
+		return 1
+	}
+	steps := r.Devices[j] // sorted by At (Validate)
+	i := sort.Search(len(steps), func(i int) bool { return steps[i].At > t })
+	if i == 0 {
+		return 1
+	}
+	return max(steps[i-1].Factor, 1)
 }
 
 // ReplayFromStragglers converts a live fleet's straggler digest into a

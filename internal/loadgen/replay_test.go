@@ -108,3 +108,32 @@ func TestVirtualSweepReplayDegradesTail(t *testing.T) {
 		t.Fatal("invalid replay accepted by VirtualSweep")
 	}
 }
+
+// TestReplayFactorAt pins the one factor-at-time lookup the virtual sweep and
+// the recovery scenario share.
+func TestReplayFactorAt(t *testing.T) {
+	r := &Replay{Devices: [][]ReplayStep{
+		0: {{At: time.Second, Factor: 3}, {At: 2 * time.Second, Factor: 0.5}, {At: 3 * time.Second, Factor: 2}, {At: 3 * time.Second, Factor: 7}},
+		1: nil,
+	}}
+	for _, c := range []struct {
+		dev  int
+		at   time.Duration
+		want float64
+	}{
+		{0, 0, 1},                       // before the first step
+		{0, time.Second, 3},             // a step applies from its own instant
+		{0, 1500 * time.Millisecond, 3}, // and until the next
+		{0, 2 * time.Second, 1},         // recorded ≤ 1 is nominal
+		{0, time.Hour, 7},               // the last of two steps at one instant wins
+		{1, time.Second, 1},             // no schedule
+		{5, time.Second, 1},             // beyond the recording
+	} {
+		if got := r.FactorAt(c.dev, c.at); got != c.want {
+			t.Errorf("FactorAt(%d, %v) = %g, want %g", c.dev, c.at, got, c.want)
+		}
+	}
+	if got := (*Replay)(nil).FactorAt(0, time.Second); got != 1 {
+		t.Errorf("nil replay: %g, want 1", got)
+	}
+}

@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand/v2"
 	"time"
@@ -14,11 +13,11 @@ import (
 // event simulation over thousands of modelled devices. Requests arrive per
 // the schedule on the virtual clock; each round's service time is priced by
 // internal/sim's device timeline (the slowest device bounds the round, as in
-// the real gather), and the user sustains Concurrency rounds in flight, so
-// offered load beyond Concurrency/serviceTime queues — which is exactly the
-// saturation knee the sweep detects. Latency is measured from the intended
-// virtual arrival time, the same coordinated-omission-safe rule as the real
-// generator.
+// the real gather), and the user sustains Concurrency rounds in flight
+// (sim.RoundQueue), so offered load beyond Concurrency/serviceTime queues —
+// which is exactly the saturation knee the sweep detects. Latency is
+// measured from the intended virtual arrival time, the same coordinated-
+// omission-safe rule as the real generator.
 type VirtualOptions struct {
 	// Devices is the fleet size; RowsPerDevice the coded rows each holds;
 	// Cols the input-vector length. All must be positive.
@@ -32,9 +31,6 @@ type VirtualOptions struct {
 	// Concurrency is how many rounds the user drives in parallel (the
 	// service capacity of the queueing model). Zero means 16.
 	Concurrency int
-	// Profile is the nominal device profile; churn perturbs copies of it.
-	// The zero value means sim.DefaultProfile().
-	Profile sim.DeviceProfile
 	// ChurnEvery is the mean virtual interval between churn events (a device
 	// transiently slowing down, or dropping out and re-provisioning). Zero
 	// disables churn.
@@ -43,30 +39,37 @@ type VirtualOptions struct {
 	// device leaves and its replacement must receive the coded block before
 	// rounds can complete. The rest are slowdowns. Zero means 0.25.
 	OutageFrac float64
-	// SlowFactorMax bounds the straggler factor churn applies (sampled
-	// uniformly from [2, SlowFactorMax]). Zero means 8.
-	SlowFactorMax float64
-	// SlowDuration is the mean length of a churn slowdown. Zero means
-	// 10×ChurnEvery.
-	SlowDuration time.Duration
 	// Replay, when non-nil, drives per-device straggler factors from a
 	// recorded timeline (e.g. ReplayFromStragglers over a live fleet's
 	// straggler digest) instead of — or on top of — random churn.
 	Replay *Replay
 
-	// Rates, RequestsPerStep, Arrival, Seed, KneeFactor, MinAchievedRatio,
-	// and Collector mirror SweepOptions on the virtual clock.
-	Rates            []float64
-	RequestsPerStep  int
-	Arrival          Arrival
-	Seed             uint64
-	KneeFactor       float64
-	MinAchievedRatio float64
-	Collector        *Collector
+	// Rates, RequestsPerStep, Arrival, Seed, and Collector mirror
+	// SweepOptions on the virtual clock; the knee is detected at DetectKnee's
+	// defaults.
+	Rates           []float64
+	RequestsPerStep int
+	Arrival         Arrival
+	Seed            uint64
+	Collector       *Collector
 }
 
-// VirtualStats aggregates the churn activity a virtual sweep generated.
+// The churn model's fixed shape. Every device is sim.DefaultProfile(), the
+// nominal edge device the single-run simulator and EXPERIMENTS.md's 10.07 ms
+// round are stated for. A churn slowdown multiplies a device's compute time
+// by a factor drawn uniformly from [2, churnSlowFactorMax] — a transient
+// straggler, not an outage — for an exponential time of mean
+// churnSlowSpan×ChurnEvery, so how many devices straggle at once (~7) does
+// not depend on the churn rate.
+const (
+	churnSlowFactorMax = 8.0
+	churnSlowSpan      = 10
+)
+
+// VirtualStats aggregates what a virtual sweep found and generated.
 type VirtualStats struct {
+	// KneeQPS is the saturation knee DetectKnee found on the curve.
+	KneeQPS float64
 	// ChurnEvents counts all churn events; Outages the subset that took a
 	// device out entirely.
 	ChurnEvents, Outages int
@@ -95,18 +98,7 @@ func (o *VirtualOptions) validate() error {
 	if len(o.Rates) == 0 {
 		return fmt.Errorf("loadgen: virtual sweep needs at least one rate step")
 	}
-	p := o.profile()
-	if err := p.Validate(); err != nil {
-		return err
-	}
 	return o.Replay.Validate()
-}
-
-func (o *VirtualOptions) profile() sim.DeviceProfile {
-	if o.Profile == (sim.DeviceProfile{}) {
-		return sim.DefaultProfile()
-	}
-	return o.Profile
 }
 
 // rowsOn returns device j's coded row count under either layout.
@@ -117,7 +109,7 @@ func (o *VirtualOptions) rowsOn(j int) int {
 	return o.RowsPerDevice
 }
 
-// deviceState is one virtual device's current perturbation.
+// deviceState is one virtual device's current churn perturbation.
 type deviceState struct {
 	// slowUntil bounds the straggler window; slowFactor applies within it.
 	slowUntil  time.Duration
@@ -125,24 +117,12 @@ type deviceState struct {
 	// outageUntil is when the device's replacement finishes re-provisioning;
 	// rounds starting before it wait for it.
 	outageUntil time.Duration
-	// replayFactor is the recorded timeline's current factor (≤ 1 nominal);
-	// it composes multiplicatively with an active churn slowdown.
-	replayFactor float64
 }
 
-// serverHeap is a min-heap of server (round-slot) free times.
-type serverHeap []time.Duration
-
-func (h serverHeap) Len() int           { return len(h) }
-func (h serverHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h serverHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *serverHeap) Push(x any)        { *h = append(*h, x.(time.Duration)) }
-func (h *serverHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
-
 // VirtualSweep runs the stepped sweep on the virtual clock and returns the
-// per-step curve (Saturated flags set by DetectKnee) plus churn statistics.
-// Runs are deterministic in the options: the same seed yields the same
-// curve, bit for bit, at any fleet size.
+// per-step curve (Saturated flags set by DetectKnee) plus the knee and churn
+// statistics. Runs are deterministic in the options: the same seed yields
+// the same curve, bit for bit, at any fleet size.
 func VirtualSweep(o VirtualOptions) ([]StepResult, VirtualStats, error) {
 	if err := o.validate(); err != nil {
 		return nil, VirtualStats{}, err
@@ -159,7 +139,7 @@ func VirtualSweep(o VirtualOptions) ([]StepResult, VirtualStats, error) {
 		steps = append(steps, step)
 		o.Collector.stepDone(step)
 	}
-	DetectKnee(steps, o.KneeFactor, o.MinAchievedRatio)
+	stats.KneeQPS = DetectKnee(steps, 0, 0)
 	return steps, stats, nil
 }
 
@@ -173,63 +153,22 @@ func (o *VirtualOptions) runStep(rate float64, arrival Arrival, seed uint64, sta
 	if concurrency <= 0 {
 		concurrency = 16
 	}
-	base := o.profile()
-	rng := rand.New(rand.NewPCG(seed, 0x71a7c10c))
-	churnRNG := rand.New(rand.NewPCG(seed, 0xc402a))
-
-	states := make([]deviceState, o.Devices)
-	servers := make(serverHeap, concurrency)
-	heap.Init(&servers)
-
-	// nominals holds each device's unperturbed round time (they differ only
-	// under a DeviceRows layout); nominal is the slowest of them, the healthy
-	// round bound, so pricing a round over thousands of devices remains a
-	// cheap scan with repricing only for the perturbed few.
-	// reprovisions price an outage per device: the replacement receives that
-	// device's coded block over its uplink before it can serve.
-	nominals := make([]time.Duration, o.Devices)
-	reprovisions := make([]time.Duration, o.Devices)
-	var nominal time.Duration
-	for j := range nominals {
-		rows := o.rowsOn(j)
-		nominals[j] = sim.DeviceRoundTime(rows, o.Cols, 1, base)
-		reprovisions[j] = base.Latency + time.Duration(float64(rows*o.Cols)/base.UplinkRate*float64(time.Second))
-		if nominals[j] > nominal {
-			nominal = nominals[j]
-		}
-	}
 	outageFrac := o.OutageFrac
 	if outageFrac <= 0 {
 		outageFrac = 0.25
 	}
-	slowMax := o.SlowFactorMax
-	if slowMax < 2 {
-		slowMax = 8
-	}
-	slowMean := o.SlowDuration
-	if slowMean <= 0 {
-		slowMean = 10 * o.ChurnEvery
-	}
+	base := sim.DefaultProfile()
+	rng := rand.New(rand.NewPCG(seed, 0x71a7c10c))
+	churnRNG := rand.New(rand.NewPCG(seed, 0xc402a))
+	states := make([]deviceState, o.Devices)
 
-	// replayAdvance walks each recorded timeline's cursor up to the virtual
-	// clock; round starts are nondecreasing, so cursors only move forward.
-	var cursors []int
-	if o.Replay != nil {
-		cursors = make([]int, len(o.Replay.Devices))
-	}
-	replayAdvance := func(now time.Duration) {
-		if o.Replay == nil {
-			return
-		}
-		for j, steps := range o.Replay.Devices {
-			if j >= len(states) {
-				break
-			}
-			for cursors[j] < len(steps) && steps[cursors[j]].At <= now {
-				states[j].replayFactor = steps[cursors[j]].Factor
-				cursors[j]++
-			}
-		}
+	// nominal is the slowest device's unperturbed round time (devices differ
+	// only under a DeviceRows layout) — the healthy round bound, so pricing a
+	// round over thousands of devices remains a cheap scan with repricing
+	// only for the perturbed few.
+	var nominal time.Duration
+	for j := range states {
+		nominal = max(nominal, sim.DeviceRoundTime(o.rowsOn(j), o.Cols, 1, base))
 	}
 
 	nextChurn := time.Duration(-1)
@@ -240,73 +179,50 @@ func (o *VirtualOptions) runStep(rate float64, arrival Arrival, seed uint64, sta
 		for nextChurn >= 0 && nextChurn <= now {
 			at := nextChurn
 			j := churnRNG.IntN(o.Devices)
+			st := &states[j]
 			stats.ChurnEvents++
 			if churnRNG.Float64() < outageFrac {
+				// The replacement receives the device's coded block before it
+				// can serve.
 				stats.Outages++
-				if end := at + reprovisions[j]; end > states[j].outageUntil {
-					states[j].outageUntil = end
-				}
+				st.outageUntil = max(st.outageUntil, at+sim.PushTime(o.rowsOn(j), o.Cols, base))
 			} else {
-				states[j].slowFactor = 2 + churnRNG.Float64()*(slowMax-2)
-				states[j].slowUntil = at + time.Duration(churnRNG.ExpFloat64()*float64(slowMean))
+				st.slowFactor = 2 + churnRNG.Float64()*(churnSlowFactorMax-2)
+				st.slowUntil = at + time.Duration(churnRNG.ExpFloat64()*float64(churnSlowSpan*o.ChurnEvery))
 			}
 			nextChurn = at + time.Duration(churnRNG.ExpFloat64()*float64(o.ChurnEvery))
 		}
 	}
 
-	// service prices one round starting at virtual time t: the slowest
-	// device's contribution given its state at t.
+	// service prices one round starting at virtual time t: churn caught up to
+	// t, then the slowest device's contribution given its state at t (a
+	// replayed factor composes multiplicatively with a churn slowdown).
 	service := func(t time.Duration) time.Duration {
+		churn(t)
 		worst := nominal
 		for j := range states {
 			st := &states[j]
-			if st.outageUntil <= t && st.slowUntil <= t && st.replayFactor <= 1 {
-				continue
+			factor := o.Replay.FactorAt(j, t)
+			if st.slowUntil > t {
+				factor *= st.slowFactor
 			}
-			d := nominals[j]
-			factor := 1.0
-			if st.slowUntil > t && st.slowFactor > 1 {
-				factor = st.slowFactor
-			}
-			if st.replayFactor > 1 {
-				factor *= st.replayFactor
-			}
-			if factor > 1 {
-				p := base
-				p.StragglerFactor = base.StragglerFactor * factor
-				d = sim.DeviceRoundTime(o.rowsOn(j), o.Cols, 1, p)
-			}
-			if st.outageUntil > t {
-				d += st.outageUntil - t
-			}
-			if d > worst {
-				worst = d
+			if factor > 1 || st.outageUntil > t {
+				worst = max(worst, sim.PerturbedRoundTime(o.rowsOn(j), o.Cols, base, factor, st.outageUntil, t))
 			}
 		}
 		return worst
 	}
 
 	rec := NewRecorder()
+	queue := sim.NewRoundQueue(concurrency)
 	var offset, lastFinish time.Duration
 	for i := 0; i < requests; i++ {
 		if i > 0 {
 			offset += arrival.Gap(rng, rate)
 		}
-		arrivalAt := offset
-		free := heap.Pop(&servers).(time.Duration)
-		start := arrivalAt
-		if free > start {
-			start = free
-		}
-		churn(start)
-		replayAdvance(start)
-		svc := service(start)
-		finish := start + svc
-		heap.Push(&servers, finish)
-		rec.Record(finish - arrivalAt)
-		if finish > lastFinish {
-			lastFinish = finish
-		}
+		finish := queue.Serve(offset, service)
+		rec.Record(finish - offset)
+		lastFinish = max(lastFinish, finish)
 	}
 
 	res := Result{

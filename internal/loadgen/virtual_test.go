@@ -1,6 +1,8 @@
 package loadgen
 
 import (
+	"encoding/json"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -58,7 +60,7 @@ func TestVirtualSweepThousandDevicesWithChurn(t *testing.T) {
 			t.Errorf("step %d: quantiles out of order: %+v", i, s)
 		}
 	}
-	knee := DetectKnee(steps, 0, 0)
+	knee := stats.KneeQPS
 	// The model's service time (~10ms/round, 16 rounds in flight) caps
 	// sustainable throughput well under the top offered rate, so the sweep
 	// must find a knee strictly inside the swept range.
@@ -127,5 +129,49 @@ func TestCollectorLifecycle(t *testing.T) {
 	nc.FinishScenario(sc)
 	if got := nc.Report(); len(got.Scenarios) != 0 {
 		t.Fatalf("nil collector report: %+v", got)
+	}
+}
+
+// TestVirtualSweepMatchesCommittedLoadReport pins the virtual half of `make
+// load-check` in tier-1: the same options must reproduce the
+// sim-1000dev-churn scenario of results/load.json exactly (the make target
+// overwrites the file, so only a test can notice it moving).
+func TestVirtualSweepMatchesCommittedLoadReport(t *testing.T) {
+	data, err := os.ReadFile("../../results/load.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	var want *Scenario
+	for i := range rep.Scenarios {
+		if rep.Scenarios[i].Name == "sim-1000dev-churn" {
+			want = &rep.Scenarios[i]
+		}
+	}
+	if want == nil {
+		t.Fatal("results/load.json has no sim-1000dev-churn scenario")
+	}
+	steps, stats, err := VirtualSweep(VirtualOptions{
+		Devices:         1000,
+		RowsPerDevice:   1,
+		Cols:            64,
+		ChurnEvery:      200 * time.Millisecond,
+		Rates:           []float64{500, 1000, 2000, 4000},
+		RequestsPerStep: 2000,
+		Arrival:         Poisson{},
+		Seed:            1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(steps, want.Steps) {
+		t.Errorf("steps moved:\n got %+v\nwant %+v", steps, want.Steps)
+	}
+	if stats.ChurnEvents != want.ChurnEvents || stats.Outages != want.Outages {
+		t.Errorf("churn moved: got %d events / %d outages, want %d / %d",
+			stats.ChurnEvents, stats.Outages, want.ChurnEvents, want.Outages)
 	}
 }

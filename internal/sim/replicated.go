@@ -66,12 +66,12 @@ type ReplicatedReport struct {
 
 // RunReplicated simulates the replicated protocol: every replica of every
 // block computes independently; per block the earliest non-failed result is
-// consumed; decoding proceeds once every block has a survivor.
+// consumed; decoding proceeds once every block has a survivor. Replicas are
+// priced and the result decoded exactly as in Run, whatever the code.
 func RunReplicated[E comparable](f field.Field[E], enc *coding.Encoding[E], x []E, cfg ReplicatedConfig) ([]E, ReplicatedReport, error) {
-	if enc.Scheme == nil {
-		return nil, ReplicatedReport{}, errors.New("sim: encoding has no structured scheme attached")
+	if enc.Code == nil {
+		return nil, ReplicatedReport{}, errors.New("sim: encoding has no code attached")
 	}
-	s := enc.Scheme
 	if len(cfg.Replicas) != len(enc.Blocks) {
 		return nil, ReplicatedReport{}, fmt.Errorf("sim: %d replica groups for %d blocks", len(cfg.Replicas), len(enc.Blocks))
 	}
@@ -85,7 +85,8 @@ func RunReplicated[E comparable](f field.Field[E], enc *coding.Encoding[E], x []
 
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x3e911ca))
 	rep := ReplicatedReport{}
-	y := make([]E, 0, s.M()+s.R())
+	coded := enc.Code.M() + enc.Code.R()
+	y := make([]E, 0, coded)
 	var latest time.Duration
 	provisionedRows := 0
 
@@ -102,10 +103,7 @@ func RunReplicated[E comparable](f field.Field[E], enc *coding.Encoding[E], x []
 				return nil, ReplicatedReport{}, fmt.Errorf("sim: block %d replica %d: %w", j, rIdx, err)
 			}
 			provisionedRows += rows
-			fieldOps := int64(rows) * int64(2*l-1)
-			arrive := p.Latency + seconds(float64(l)/p.UplinkRate) +
-				seconds(float64(fieldOps)/p.ComputeRate*p.StragglerFactor) +
-				p.Latency + seconds(float64(rows)/p.DownlinkRate)
+			arrive := DeviceRoundTime(rows, l, 1, p)
 			failed := rng.Float64() < p.FailProb
 			rep.Replicas = append(rep.Replicas, ReplicaReport{
 				Block: j, Replica: rIdx, ResultArrives: arrive, Failed: failed,
@@ -127,11 +125,11 @@ func RunReplicated[E comparable](f field.Field[E], enc *coding.Encoding[E], x []
 		}
 	}
 
-	ax, err := coding.Decode(f, s, y)
+	ax, err := enc.Code.Decode(y)
 	if err != nil {
 		return nil, rep, fmt.Errorf("sim: decode: %w", err)
 	}
-	rep.CompletionTime = latest + seconds(float64(s.M())/cfg.UserComputeRate)
-	rep.StorageOverhead = float64(provisionedRows) / float64(s.M()+s.R())
+	rep.CompletionTime = latest + seconds(float64(DecodeOps(enc))/cfg.UserComputeRate)
+	rep.StorageOverhead = float64(provisionedRows) / float64(coded)
 	return ax, rep, nil
 }

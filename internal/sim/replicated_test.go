@@ -5,8 +5,48 @@ import (
 	"testing"
 	"time"
 
+	"github.com/scec/scec/internal/coding"
+	"github.com/scec/scec/internal/field"
 	"github.com/scec/scec/internal/matrix"
 )
+
+// setupCollusion is setup under the Cauchy t = 2 code (m=6, l=4, one row per
+// device, r=2): an encoding with no structured scheme attached.
+func setupCollusion(t *testing.T) (field.Prime, *coding.Encoding[uint64], *matrix.Dense[uint64], []uint64) {
+	t.Helper()
+	f := field.Prime{}
+	rng := testRNG()
+	rows, r, err := coding.UniformCollusionRows(6, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := coding.NewCollusion[uint64](f, 6, r, 2, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := matrix.Random[uint64](f, rng, 6, 4)
+	enc, err := code.Encode(a, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, enc, a, matrix.RandomVec[uint64](f, rng, 4)
+}
+
+// bothCodes runs a check under the Eq. (8) scheme and the Cauchy t = 2 code:
+// replication is orthogonal to the code.
+func bothCodes(t *testing.T, check func(t *testing.T, f field.Prime, enc *coding.Encoding[uint64], a *matrix.Dense[uint64], x []uint64)) {
+	t.Run("structured", func(t *testing.T) {
+		f, enc, a, x := setup(t)
+		check(t, f, enc, a, x)
+	})
+	t.Run("cauchy-t2", func(t *testing.T) {
+		f, enc, a, x := setupCollusion(t)
+		if enc.Scheme != nil {
+			t.Fatal("the collusion encoding should carry no structured scheme")
+		}
+		check(t, f, enc, a, x)
+	})
+}
 
 func replicatedConfig(blocks, replicas int) ReplicatedConfig {
 	groups := make([][]DeviceProfile, blocks)
@@ -20,7 +60,10 @@ func replicatedConfig(blocks, replicas int) ReplicatedConfig {
 }
 
 func TestRunReplicatedDecodes(t *testing.T) {
-	f, enc, a, x := setup(t)
+	bothCodes(t, testRunReplicatedDecodes)
+}
+
+func testRunReplicatedDecodes(t *testing.T, f field.Prime, enc *coding.Encoding[uint64], a *matrix.Dense[uint64], x []uint64) {
 	cfg := replicatedConfig(len(enc.Blocks), 2)
 	got, rep, err := RunReplicated(f, enc, x, cfg)
 	if err != nil {
@@ -148,24 +191,29 @@ func TestRunReplicatedValidation(t *testing.T) {
 }
 
 func TestSingleReplicaMatchesBaseRunResult(t *testing.T) {
-	f, enc, _, x := setup(t)
-	base := uniformConfig(len(enc.Blocks))
-	wantVec, _, err := Run(f, enc, x, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := replicatedConfig(len(enc.Blocks), 1)
-	got, rep, err := RunReplicated(f, enc, x, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != wantVec[i] {
-			t.Fatal("single-replica result differs from base run")
+	bothCodes(t, func(t *testing.T, f field.Prime, enc *coding.Encoding[uint64], _ *matrix.Dense[uint64], x []uint64) {
+		base := uniformConfig(len(enc.Blocks))
+		wantVec, wantRep, err := Run(f, enc, x, base)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if rep.StorageOverhead != 1 {
-		t.Fatalf("single replica overhead = %g, want 1", rep.StorageOverhead)
-	}
-
+		cfg := replicatedConfig(len(enc.Blocks), 1)
+		got, rep, err := RunReplicated(f, enc, x, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if got[i] != wantVec[i] {
+				t.Fatal("single-replica result differs from base run")
+			}
+		}
+		if rep.StorageOverhead != 1 {
+			t.Fatalf("single replica overhead = %g, want 1", rep.StorageOverhead)
+		}
+		// One replica per block is the base protocol: same device timelines,
+		// same decode price.
+		if rep.CompletionTime != wantRep.CompletionTime {
+			t.Fatalf("single-replica completion %v, base run %v", rep.CompletionTime, wantRep.CompletionTime)
+		}
+	})
 }

@@ -10,9 +10,24 @@
 // measurable: completion time is the maximum over device timelines, and a
 // failed device aborts the run with ErrDeviceFailed, demonstrating why the
 // availability assumption (or straggler-tolerant redundancy) matters.
+//
+// The package is also the one place the virtual fleet is priced and queued.
+// Every virtual study drives four primitives, so each of Eq. (1)'s unit costs
+// has one function to calibrate:
+//
+//   - DeviceRoundTime — a device's x-delivery + compute + result-return round
+//     (c^m, c^d): Run/Gather, RunReplicated, and PerturbedRoundTime;
+//   - PushTime — a coded block delivered to a device (c^s): Gather's store
+//     stage, loadgen.VirtualSweep's churn re-provisioning, and the rehost and
+//     reshape of the recovery scenario (adapt.RunScenario);
+//   - PerturbedRoundTime — a round under a slowdown factor and an outage:
+//     VirtualSweep's churned devices, the scenario's straggler and outage;
+//   - RoundQueue — the G/G/c queue of rounds in flight: VirtualSweep's steps
+//     and every arm of the scenario.
 package sim
 
 import (
+	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -265,6 +280,60 @@ func DeviceRoundTime(rows, l, n int, p DeviceProfile) time.Duration {
 	return d.ResultArrives
 }
 
+// PushTime prices delivering one rows×l coded block to a device: provisioning,
+// a rehost, a reshape or a churn replacement all pay it before the device can
+// serve. The block travels cloud→device over the same uplink direction x does.
+func PushTime(rows, l int, p DeviceProfile) time.Duration {
+	return p.Latency + seconds(float64(rows*l)/p.UplinkRate)
+}
+
+// PerturbedRoundTime prices a device's vector-query round starting at t when
+// its compute runs factor× slower than p says (factor ≤ 1 is nominal) and it
+// is unreachable until outageUntil: the round waits out the rest of the
+// outage, then runs at the slowed rate.
+func PerturbedRoundTime(rows, l int, p DeviceProfile, factor float64, outageUntil, t time.Duration) time.Duration {
+	if factor > 1 {
+		p.StragglerFactor *= factor
+	}
+	d := DeviceRoundTime(rows, l, 1, p)
+	if outageUntil > t {
+		d += outageUntil - t
+	}
+	return d
+}
+
+// RoundQueue is the G/G/c queue the virtual studies serve rounds through: the
+// user keeps a fixed number of rounds in flight, so offered load beyond
+// slots/serviceTime queues.
+type RoundQueue struct{ free slotHeap }
+
+// NewRoundQueue returns a queue of `slots` round slots, all free at time 0
+// (an all-equal slice already is a heap).
+func NewRoundQueue(slots int) *RoundQueue {
+	return &RoundQueue{free: make(slotHeap, slots)}
+}
+
+// Serve admits a round arriving at `arrival` in FIFO order and returns when
+// it finishes: it takes the earliest-free slot, starts at max(arrival, free),
+// and holds the slot for service(start). Arrivals must be nondecreasing, which
+// makes starts nondecreasing too — service may advance model state up to
+// start.
+func (q *RoundQueue) Serve(arrival time.Duration, service func(start time.Duration) time.Duration) (finish time.Duration) {
+	start := max(arrival, heap.Pop(&q.free).(time.Duration))
+	finish = start + service(start)
+	heap.Push(&q.free, finish)
+	return finish
+}
+
+// slotHeap is a min-heap of slot free times.
+type slotHeap []time.Duration
+
+func (h slotHeap) Len() int           { return len(h) }
+func (h slotHeap) Less(i, j int) bool { return h[i] < h[j] }
+func (h slotHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *slotHeap) Push(x any)        { *h = append(*h, x.(time.Duration)) }
+func (h *slotHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
+
 // deviceTimeline prices one device's share of a width-n round on the
 // virtual clock: rows·l·n multiplications plus rows·(l−1)·n additions,
 // l·n values up, rows·n values down (n = 1 is the vector query).
@@ -298,11 +367,8 @@ func gatherCore[E comparable](ctx context.Context, enc *coding.Encoding[E], l, n
 		rows := block.Rows()
 		d, compute := deviceTimeline(j, rows, l, n, p)
 
-		// Provisioning: the coded block travels cloud→device over the same
-		// uplink direction x does; the slowest push bounds the store stage.
-		if push := p.Latency + seconds(float64(rows*l)/p.UplinkRate); push > rep.StoreTime {
-			rep.StoreTime = push
-		}
+		// Provisioning: the slowest push bounds the store stage.
+		rep.StoreTime = max(rep.StoreTime, PushTime(rows, l, p))
 		d.Failed = rng.Float64() < p.FailProb
 
 		rep.Devices[j] = d
