@@ -21,24 +21,27 @@ import (
 	"github.com/scec/scec/internal/workload"
 )
 
-// runFleet launches a replicated loopback fleet, serves a stream of queries
-// through the fault-tolerant session, and — with -inject-faults — kills the
-// first replica of every coded block mid-stream to demonstrate that hedging,
-// failover, breakers, and standby self-repair keep every answer exact.
+// runFleet is the cloud + user role. It plans and encodes A, serves it on a
+// replicated loopback fleet (or, with -devices, on running external devices),
+// streams queries through the fault-tolerant session and verifies every
+// answer. With -inject-faults it kills the first replica of every coded block
+// mid-stream to demonstrate that hedging, failover, breakers, and standby
+// self-repair keep every answer exact.
 func runFleet(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("scecnet fleet", flag.ContinueOnError)
 	var (
 		m            = fs.Int("m", 100, "rows of the confidential matrix A")
 		l            = fs.Int("l", 32, "columns of A")
 		k            = fs.Int("k", 8, "candidate devices offered to the allocator")
+		devices      = fs.String("devices", "", "comma-separated addresses of running devices to serve on instead of a loopback fleet; they are the candidate pool, and each selected device hosts one block")
 		replicas     = fs.Int("replicas", 2, "replicas per coded block")
 		standbys     = fs.Int("standbys", 1, "warm standby devices for self-repair")
 		queries      = fs.Int("queries", 8, "MulVec queries to stream through the session")
-		hedgeAfter   = fs.Duration("hedge-after", 0, "hedge delay before a speculative replica request (0 adaptive, negative off)")
+		batch        = fs.Int("batch", 0, "after the query stream, verify one A·X with this many columns through MulMat (0 skips it)")
 		maxRetries   = fs.Int("max-retries", fleet.DefaultMaxRetries, "extra replica-selection rounds per block fetch (negative for none)")
 		injectFaults = fs.Bool("inject-faults", false, "kill the first replica of every block mid-stream")
 		tFlag        = fs.Int("t", 1, "collusion threshold: t >= 2 deploys the Cauchy-masked coding tier secure against t colluding devices")
-		seed         = fs.Uint64("seed", 1, "random seed")
+		seed         = fs.Uint64("seed", 1, "workload seed (costs, A, x); the masking rows R come from it only when -seed is given, otherwise from crypto/rand")
 		metricsAddr  = fs.String("metrics-addr", "", "serve /metrics, /healthz, and /debug endpoints on this address")
 		timeout      = fs.Duration("timeout", transport.DefaultTimeout, "per-round-trip bound for store and compute requests")
 		backend      = fs.String("backend", "fleet", "execution backend: fleet (replicated TCP devices) or local (in-process engine baseline)")
@@ -62,8 +65,12 @@ func runFleet(args []string, out io.Writer) error {
 	if *tFlag < 1 {
 		return fmt.Errorf("-t %d: the collusion threshold must be at least 1", *tFlag)
 	}
-	if *adaptive && *tFlag >= 2 {
-		return fmt.Errorf("-adaptive re-plans with the t = 1 allocators; the t-collusion tier (-t %d) is static for now", *tFlag)
+	addrs := splitAddrs(*devices)
+	if *devices != "" {
+		if err := checkExternal(fs, addrs); err != nil {
+			return err
+		}
+		*k = len(addrs)
 	}
 	switch *backend {
 	case "fleet":
@@ -119,7 +126,7 @@ func runFleet(args []string, out io.Writer) error {
 	if *tFlag >= 2 {
 		deployOpts = append(deployOpts, scec.WithCollusion[uint64](*tFlag))
 	}
-	dep, err := scec.Deploy(f, a, in.Costs, rng, deployOpts...)
+	dep, err := scec.Deploy(f, a, in.Costs, maskRNG(fs, rng), deployOpts...)
 	if err != nil {
 		return err
 	}
@@ -127,7 +134,7 @@ func runFleet(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "plan: %s r=%d t=%d, %d coded blocks, cost %.2f\n",
 		dep.Plan.Algorithm, dep.Plan.R, dep.Code.T(), dep.Devices(), dep.Cost())
 
-	query := dep.MulVec
+	query, queryMat := dep.MulVec, dep.MulMat
 	injectNow := func() {}
 	var served *scec.Served[uint64]
 	var outageAddrs []string
@@ -151,7 +158,6 @@ func runFleet(args []string, out io.Writer) error {
 		cfg := scec.FleetConfig{
 			Replicas:   make([][]string, dep.Devices()),
 			RPCTimeout: *timeout,
-			HedgeAfter: *hedgeAfter,
 			MaxRetries: *maxRetries,
 			Tracer:     tr,
 			// Demo-paced health policy: notice a dead replica within a few
@@ -161,27 +167,35 @@ func runFleet(args []string, out io.Writer) error {
 			BreakerCooldown:  time.Minute,
 			DisableRepair:    *noRepair,
 		}
-		for j := range proxies {
-			for range *replicas {
+		if len(addrs) > 0 {
+			// The plan's assignments are cheapest-first indexes into addrs.
+			for j, as := range dep.Plan.Assignments {
+				cfg.Replicas[j] = []string{addrs[as.Device]}
+			}
+			fmt.Fprintf(out, "serving on %d of %d external devices (one replica per block)\n", dep.Devices(), len(addrs))
+		} else {
+			for j := range proxies {
+				for range *replicas {
+					p, err := newProxied()
+					if err != nil {
+						return err
+					}
+					defer p.Close()
+					proxies[j] = append(proxies[j], p)
+					cfg.Replicas[j] = append(cfg.Replicas[j], p.Addr())
+				}
+			}
+			for range *standbys {
 				p, err := newProxied()
 				if err != nil {
 					return err
 				}
 				defer p.Close()
-				proxies[j] = append(proxies[j], p)
-				cfg.Replicas[j] = append(cfg.Replicas[j], p.Addr())
+				cfg.Standbys = append(cfg.Standbys, p.Addr())
 			}
+			fmt.Fprintf(out, "launched %d loopback devices (%d replicas per block + %d standbys)\n",
+				dep.Devices()**replicas+*standbys, *replicas, *standbys)
 		}
-		for range *standbys {
-			p, err := newProxied()
-			if err != nil {
-				return err
-			}
-			defer p.Close()
-			cfg.Standbys = append(cfg.Standbys, p.Addr())
-		}
-		fmt.Fprintf(out, "launched %d loopback devices (%d replicas per block + %d standbys)\n",
-			dep.Devices()**replicas+*standbys, *replicas, *standbys)
 
 		serveOpts := engineOpts
 		if *adaptive {
@@ -196,7 +210,7 @@ func runFleet(args []string, out io.Writer) error {
 		}
 		defer s.Close()
 		served = s
-		query = s.MulVec
+		query, queryMat = s.MulVec, s.MulMat
 		if *injectOne {
 			// A full outage of one block: every replica of block 0 dies, so
 			// no failover target remains and recovery needs a rehost (standby
@@ -297,6 +311,10 @@ func runFleet(args []string, out io.Writer) error {
 		xs[q] = scec.RandomVector(f, rng, *l)
 		wants[q] = scec.MulVec(f, a, xs[q])
 	}
+	var xm *scec.Matrix[uint64]
+	if *batch > 0 {
+		xm = scec.RandomMatrix(f, rng, *l, *batch)
+	}
 	outageFailures := 0
 	checkOne := func(q int, got []uint64, err error) error {
 		if err != nil {
@@ -379,6 +397,17 @@ func runFleet(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "served %d queries; %d failed during the block-0 outage, all others verified exactly\n", *queries, outageFailures)
 	} else {
 		fmt.Fprintf(out, "served %d queries; every decoded A·x verified exactly\n", *queries)
+	}
+
+	if xm != nil {
+		got, err := queryMat(xm)
+		if err != nil {
+			return fmt.Errorf("batch query: %w", err)
+		}
+		if !scec.MatrixEqual(f, got, scec.Mul(f, a, xm)) {
+			return fmt.Errorf("batch verification failed")
+		}
+		fmt.Fprintf(out, "verified the batch A·X (%d columns) exactly\n", *batch)
 	}
 
 	if served != nil && *injectFaults && *replicas > 1 && *standbys > 0 {
@@ -489,4 +518,29 @@ func writeFleetSummary(out io.Writer) error {
 		totals[obs.MetricFleetQueriesTotal], totals[obs.MetricFleetHedgesTotal],
 		totals[obs.MetricFleetRetriesTotal], totals[obs.MetricFleetRepairsTotal])
 	return err
+}
+
+// checkExternal validates -devices: at least two addresses, and no flag that
+// only shapes a launched loopback fleet. Each conflicting flag is an error
+// naming it rather than being silently ignored.
+func checkExternal(fs *flag.FlagSet, addrs []string) error {
+	if len(addrs) < 2 {
+		return fmt.Errorf("-devices: need at least two device addresses, got %d", len(addrs))
+	}
+	set := flagsSet(fs)
+	for _, c := range []struct{ flag, why string }{
+		{"k", "the listed addresses are the candidate pool"},
+		{"replicas", "each selected device hosts the one replica of its block"},
+		{"standbys", "external devices get no standby pool"},
+		{"inject-faults", "external devices sit behind no fault proxy"},
+		{"inject-one", "external devices sit behind no fault proxy"},
+	} {
+		if set[c.flag] {
+			return fmt.Errorf("-%s does not apply with -devices: %s", c.flag, c.why)
+		}
+	}
+	if fs.Lookup("backend").Value.String() == "local" {
+		return fmt.Errorf("-backend local does not apply with -devices: the local engine serves no devices")
+	}
+	return nil
 }

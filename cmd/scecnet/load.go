@@ -33,7 +33,7 @@ func runLoad(args []string, out io.Writer) error {
 		stepReqs    = fs.Int("step-requests", 0, "requests per sweep step (0 derives from -step-duration)")
 		stepDur     = fs.Duration("step-duration", 2*time.Second, "nominal step length when -step-requests is 0")
 		arrivalSpec = fs.String("arrival", "poisson", "arrival schedule: poisson, uniform, or bursty[:FxL]")
-		seed        = fs.Uint64("seed", 1, "random seed")
+		seed        = fs.Uint64("seed", 1, "workload and arrival seed; the masking rows R come from it only when -seed is given, otherwise from crypto/rand")
 		timeout     = fs.Duration("timeout", transport.DefaultTimeout, "per-request deadline")
 		maxInFlight = fs.Int("max-inflight", 0, "outstanding-request backstop (0 for the generator default)")
 		sloSpec     = fs.String("slo", "", "comma-separated SLOs for the fleet sweep, e.g. p99<=50ms@100")
@@ -77,7 +77,7 @@ func runLoad(args []string, out io.Writer) error {
 	f := scec.PrimeField()
 	rng := rand.New(rand.NewPCG(*seed, 0x10ad))
 	a := scec.RandomMatrix(f, rng, *m, *l)
-	dep, err := scec.Deploy(f, a, []float64{1, 1, 1}, rng)
+	dep, err := scec.Deploy(f, a, []float64{1, 1, 1}, maskRNG(fs, rng))
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -8,37 +9,131 @@ import (
 	"github.com/scec/scec/internal/transport"
 )
 
+// TestDemoEndToEnd is the smallest end-to-end run: one loopback device per
+// coded block, one verified A·x and one verified A·X.
 func TestDemoEndToEnd(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"demo", "-m", "40", "-l", "8", "-k", "5", "-seed", "4"}, &out); err != nil {
+	args := []string{"fleet", "-replicas", "1", "-standbys", "0", "-queries", "1", "-batch", "4",
+		"-m", "40", "-l", "8", "-k", "5", "-seed", "4"}
+	if err := run(args, &out); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
-	for _, want := range []string{"launched 5 loopback devices", "plan:", "verified all 40 entries"} {
+	for _, want := range []string{"loopback devices (1 replicas per block + 0 standbys)", "plan:",
+		"served 1 queries; every decoded A·x verified exactly", "verified the batch A·X (4 columns) exactly"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}
 	}
 }
 
-func TestDriveAgainstManagedFleet(t *testing.T) {
-	f := scec.PrimeField()
+// startDevices launches n external devices the way `scecnet device` does.
+func startDevices(t *testing.T, n int) []string {
+	t.Helper()
 	var addrs []string
-	for j := 0; j < 4; j++ {
-		srv, err := transport.NewDeviceServer[uint64](f, "127.0.0.1:0")
+	for range n {
+		srv, err := transport.NewDeviceServer[uint64](scec.PrimeField(), "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = srv.Close() })
 		addrs = append(addrs, srv.Addr())
 	}
+	return addrs
+}
+
+func TestDriveAgainstManagedFleet(t *testing.T) {
 	var out strings.Builder
-	args := []string{"drive", "-devices", strings.Join(addrs, ","), "-m", "30", "-l", "6"}
+	args := []string{"fleet", "-devices", strings.Join(startDevices(t, 4), ","), "-m", "30", "-l", "6", "-batch", "3"}
 	if err := run(args, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "verified all 30 entries") {
-		t.Fatalf("drive did not verify:\n%s", out.String())
+	for _, want := range []string{"external devices (one replica per block)",
+		"every decoded A·x verified exactly", "verified the batch A·X (3 columns) exactly"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestFleetExternalDevicesCollusion serves the t = 2 tier on running
+// devices and verifies both the vector stream and the batch.
+func TestFleetExternalDevicesCollusion(t *testing.T) {
+	var out strings.Builder
+	args := []string{"fleet", "-devices", strings.Join(startDevices(t, 4), ","), "-m", "30", "-l", "6",
+		"-t", "2", "-batch", "3", "-queries", "2"}
+	if err := run(args, &out); err != nil {
+		t.Fatalf("%v\n%s", err, out.String())
+	}
+	for _, want := range []string{"t=2", "served 2 queries; every decoded A·x verified exactly",
+		"verified the batch A·X (3 columns) exactly"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestFleetDevicesFlagConflicts: a flag that only shapes a launched loopback
+// fleet is an error naming it under -devices, never silently ignored.
+func TestFleetDevicesFlagConflicts(t *testing.T) {
+	devices := "127.0.0.1:1,127.0.0.1:2"
+	for _, tc := range []struct{ args []string }{
+		{[]string{"-k", "4"}},
+		{[]string{"-replicas", "2"}},
+		{[]string{"-standbys", "0"}},
+		{[]string{"-inject-faults"}},
+		{[]string{"-inject-one"}},
+		{[]string{"-backend", "local"}},
+	} {
+		var out strings.Builder
+		err := run(append([]string{"fleet", "-devices", devices}, tc.args...), &out)
+		if err == nil || !strings.Contains(err.Error(), tc.args[0]+" ") || !strings.Contains(err.Error(), "-devices") {
+			t.Errorf("%v: err = %v, want an error naming %s", tc.args, err, tc.args[0])
+		}
+	}
+}
+
+// TestRetiredRoles: demo and drive are spellings of fleet now, not roles.
+func TestRetiredRoles(t *testing.T) {
+	for _, role := range []string{"demo", "drive"} {
+		var out strings.Builder
+		err := run([]string{role}, &out)
+		if err == nil || !strings.Contains(err.Error(), "unknown role") || !strings.Contains(err.Error(), "device, fleet, load, or debug") {
+			t.Errorf("%s: err = %v, want the unknown-role error listing device, fleet, load, debug", role, err)
+		}
+	}
+}
+
+// TestUnseededFleetMasksDiffer: without -seed the masking rows come from
+// crypto/rand, so two runs over the same devices store different coded
+// blocks; with -seed they store the same ones, bit for bit. The workload
+// (costs, A) comes from the seed either way, so the plan does not move.
+func TestUnseededFleetMasksDiffer(t *testing.T) {
+	addrs := startDevices(t, 4)
+	client := transport.Client[uint64]{F: scec.PrimeField()}
+	// stored reads column 0 of every stored block B_j·T back off the devices.
+	stored := func(extra ...string) string {
+		var out strings.Builder
+		args := append([]string{"fleet", "-devices", strings.Join(addrs, ","), "-m", "20", "-l", "4", "-queries", "1"}, extra...)
+		if err := run(args, &out); err != nil {
+			t.Fatalf("%v\n%s", err, out.String())
+		}
+		var cols []string
+		for _, addr := range addrs {
+			if y, err := client.Compute(t.Context(), addr, []uint64{1, 0, 0, 0}); err == nil {
+				cols = append(cols, fmt.Sprint(y))
+			}
+		}
+		if len(cols) < 2 {
+			t.Fatalf("only %d devices hold a block", len(cols))
+		}
+		return strings.Join(cols, " ")
+	}
+	if a, b := stored(), stored(); a == b {
+		t.Errorf("two unseeded runs stored identical coded blocks %s", a)
+	}
+	if a, b := stored("-seed", "1"), stored("-seed", "1"); a != b {
+		t.Errorf("two -seed 1 runs stored different coded blocks:\n%s\n%s", a, b)
 	}
 }
 
@@ -77,8 +172,8 @@ func TestRunUsageErrors(t *testing.T) {
 	if err := run([]string{"bogus"}, &out); err == nil {
 		t.Error("unknown role should error")
 	}
-	if err := run([]string{"drive", "-devices", "only-one:1"}, &out); err == nil {
-		t.Error("single-device drive should error")
+	if err := run([]string{"fleet", "-devices", "only-one:1"}, &out); err == nil {
+		t.Error("single-device -devices should error")
 	}
 }
 

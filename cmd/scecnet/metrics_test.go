@@ -9,22 +9,23 @@ import (
 	"github.com/scec/scec/internal/obs"
 )
 
-// TestDemoMetricsEndpoint runs one demo round trip and asserts the wired
-// metric names are served on a live /metrics endpoint with non-zero RPC
+// TestDemoMetricsEndpoint runs the smallest fleet round trip and asserts the
+// wired metric names are served on a live /metrics endpoint with non-zero RPC
 // latency histograms and stage-span durations.
 func TestDemoMetricsEndpoint(t *testing.T) {
 	var out strings.Builder
-	args := []string{"demo", "-m", "40", "-l", "8", "-k", "5", "-seed", "4", "-metrics-addr", "127.0.0.1:0"}
+	args := []string{"fleet", "-replicas", "1", "-standbys", "0", "-queries", "1", "-batch", "4",
+		"-m", "40", "-l", "8", "-k", "5", "-seed", "4", "-metrics-addr", "127.0.0.1:0"}
 	if err := run(args, &out); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"serving telemetry on http://", "stage timings:", "allocate", "gather"} {
 		if !strings.Contains(out.String(), want) {
-			t.Errorf("demo output missing %q:\n%s", want, out.String())
+			t.Errorf("fleet output missing %q:\n%s", want, out.String())
 		}
 	}
 
-	// The demo's ephemeral server shuts down with the run; serve the same
+	// The run's ephemeral server shuts down with it; serve the same
 	// process-wide registry again for the endpoint smoke test.
 	srv, err := obs.StartServer(nil, "127.0.0.1:0")
 	if err != nil {

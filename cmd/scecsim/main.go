@@ -51,7 +51,7 @@ func run(args []string, out io.Writer) error {
 		k         = fs.Int("k", 10, "edge devices in the candidate fleet")
 		cmax      = fs.Float64("cmax", 5, "fleet costs sampled from U(1, c_max)")
 		tFlag     = fs.Int("t", 1, "collusion threshold: t >= 2 deploys the Cauchy-masked coding tier secure against t colluding devices")
-		seed      = fs.Uint64("seed", 1, "random seed")
+		seed      = fs.Uint64("seed", 1, "workload seed (costs, A, x, simulator draws); the masking rows R come from it only when -seed is given, otherwise from crypto/rand")
 		straggler = fs.String("straggler", "", "per-device slowdowns, e.g. 0=10,2=3")
 		failDev   = fs.Int("fail", -1, "force this device (scheme order) to fail")
 		replicas  = fs.Int("replicas", 1, "copies of each coded block (replication masks stragglers/failures)")
@@ -81,6 +81,8 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	seeded := false
+	fs.Visit(func(f *flag.Flag) { seeded = seeded || f.Name == "seed" })
 	if *tFlag < 1 {
 		return fmt.Errorf("-t %d: the collusion threshold must be at least 1", *tFlag)
 	}
@@ -101,7 +103,7 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("-load sweeps a homogeneous virtual fleet under churn; -straggler, -fail, -replicas, -trace-export, and -backend configure single pipeline runs")
 		}
 		return runSimLoad(out, simLoadConfig{
-			m: *m, l: *l, k: *k, cmax: *cmax, t: *tFlag, seed: *seed,
+			m: *m, l: *l, k: *k, cmax: *cmax, t: *tFlag, seed: *seed, seeded: seeded,
 			devices: *loadDevices, rates: *loadRates, requests: *loadReqs,
 			churn: *loadChurn, arrival: *loadArrival, slo: *loadSLO,
 			out: *loadOut, md: *loadMD, metricsPath: *metrics,
@@ -151,7 +153,7 @@ func run(args []string, out io.Writer) error {
 	in := workload.Instance(rng, *m, *k, workload.Uniform{Max: *cmax})
 
 	a := scec.RandomMatrix(f, rng, *m, *l)
-	dep, err := scec.Deploy(f, a, in.Costs, rng, opts...)
+	dep, err := scec.Deploy(f, a, in.Costs, maskRNG(seeded, rng), opts...)
 	if err != nil {
 		return err
 	}
@@ -231,6 +233,7 @@ type simLoadConfig struct {
 	m, l, k, t  int
 	cmax        float64
 	seed        uint64
+	seeded      bool // -seed was given: draw R from seed's stream too
 	devices     int
 	rates       string
 	requests    int
@@ -272,7 +275,7 @@ func runSimLoad(out io.Writer, cfg simLoadConfig) error {
 		}
 		opts = append(opts, scec.WithCollusion[uint64](cfg.t))
 	}
-	dep, err := scec.Deploy(f, a, in.Costs, rng, opts...)
+	dep, err := scec.Deploy(f, a, in.Costs, maskRNG(cfg.seeded, rng), opts...)
 	if err != nil {
 		return err
 	}
@@ -420,18 +423,14 @@ func parseStragglers(spec string) (map[int]float64, error) {
 	return factors, nil
 }
 
-// applyStragglers parses "dev=factor" pairs and applies them to a profile
-// slice.
-func applyStragglers(profiles []sim.DeviceProfile, spec string) error {
-	factors, err := parseStragglers(spec)
-	if err != nil {
-		return err
-	}
-	for dev, fac := range factors {
-		if dev >= len(profiles) {
-			return fmt.Errorf("straggler device %d out of range (deployment has %d devices)", dev, len(profiles))
-		}
-		profiles[dev].StragglerFactor = fac
+// maskRNG is the rng Deploy draws the masking rows R from: the seeded
+// workload stream when -seed was given, so the run reproduces bit for bit,
+// and nil otherwise, so Deploy keys R from crypto/rand. The -seed default is
+// public; R drawn from it would let anyone regenerate R and unmask every
+// coded block.
+func maskRNG(seeded bool, rng *rand.Rand) *rand.Rand {
+	if seeded {
+		return rng
 	}
 	return nil
 }

@@ -1,10 +1,9 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
-
-	"github.com/scec/scec/internal/sim"
 )
 
 func TestRunVerifiesPipeline(t *testing.T) {
@@ -86,15 +85,37 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 }
 
+// TestApplyStragglers drives -straggler through run: an in-range device is
+// slowed (its result arrives later than in the same run without it) and an
+// out-of-range one is refused once the deployment's device count is known.
 func TestApplyStragglers(t *testing.T) {
-	profiles := []sim.DeviceProfile{sim.DefaultProfile(), sim.DefaultProfile()}
-	if err := applyStragglers(profiles, "1=4.5"); err != nil {
+	base := []string{"-m", "60", "-l", "8", "-k", "5", "-seed", "3"}
+	var plain, slowed strings.Builder
+	if err := run(base, &plain); err != nil {
 		t.Fatal(err)
 	}
-	if profiles[1].StragglerFactor != 4.5 || profiles[0].StragglerFactor != 1 {
-		t.Fatalf("profiles = %+v", profiles)
+	if err := run(append(base, "-straggler", "1=4.5"), &slowed); err != nil {
+		t.Fatal(err)
 	}
-	if err := applyStragglers(profiles, ""); err != nil {
-		t.Fatal("empty spec should be a no-op")
+	if !strings.Contains(slowed.String(), "decoded result verified") {
+		t.Fatalf("straggler run should still verify:\n%s", slowed.String())
+	}
+	// row returns device dev's line of the printed timeline.
+	row := func(out string, dev int) string {
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, fmt.Sprintf("%6d ", dev)) {
+				return line
+			}
+		}
+		t.Fatalf("no timeline row for device %d:\n%s", dev, out)
+		return ""
+	}
+	if row(slowed.String(), 1) == row(plain.String(), 1) || row(slowed.String(), 0) != row(plain.String(), 0) {
+		t.Fatalf("-straggler 1=4.5 should slow device 1 only:\n%s\n%s", plain.String(), slowed.String())
+	}
+	var out strings.Builder
+	err := run(append(base, "-straggler", "99=2"), &out)
+	if err == nil || !strings.Contains(err.Error(), "straggler device 99 out of range") {
+		t.Fatalf("out-of-range straggler: err = %v", err)
 	}
 }

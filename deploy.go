@@ -118,6 +118,11 @@ func Deploy[E comparable](f Field[E], a *Matrix[E], unitCosts []float64, rng *ra
 // on the encoding it just produced, Serve on an existing deployment's, so
 // every executor, fleet session and control loop is created here.
 func bind[E comparable](d *Deployment[E], c deployConfig[E]) (*Deployment[E], error) {
+	// Decided on the bound code, not the option list: Serve of a collusion
+	// deployment carries no WithCollusion, and WithCode may bring any t.
+	if c.adaptive != nil && d.Code.T() > 1 {
+		return nil, notApplicable("WithAdaptive", fmt.Sprintf("the control plane re-plans with the t = 1 allocators, and this code is secure against t = %d colluders", d.Code.T()))
+	}
 	var backend ExecutorBackend[E]
 	if c.backend != nil {
 		backend = *c.backend

@@ -171,7 +171,9 @@ func WithCode[E comparable](code coding.Code[E]) DeployOption[E] {
 // controller learns per-device costs from the fleet's own query traffic,
 // re-plans with TA2, and rehosts or reshapes the deployment live — without
 // failing a single query. The in-process backends have nothing to adapt and
-// reject it, and so does a chunked deployment (see newDeployConfig).
+// reject it, and so does a chunked deployment (see newDeployConfig) and one
+// whose code guards against t >= 2 colluders (see bind): the control plane
+// re-plans with the t = 1 allocators.
 func WithAdaptive[E comparable](cfg AdaptiveConfig) DeployOption[E] {
 	return func(c *deployConfig[E]) { c.adaptive = &cfg }
 }

@@ -643,36 +643,45 @@ func TestOptionApplicability(t *testing.T) {
 	entryPoints := []string{"Deploy/local", "Deploy/sim", "Deploy/fleet", "Serve"}
 	const planning, fleetOnly, never = "---x", "xx--", "xxxx" // x = rejected at that entry point
 	table := []struct {
-		name   string
-		opts   opts
-		reject string
+		name string
+		// planned shapes the code: Deploy gets it with opts, Serve's
+		// deployment is made with it and then served with opts.
+		planned opts
+		opts    opts
+		reject  string
 	}{
 		// Deploy's columns pass their own WithExecutor; only Serve gets this one.
-		{"WithExecutor", nil, planning},
-		{"WithCoalescing", opts{scec.WithCoalescing[uint64](time.Millisecond, 4)}, "----"},
-		{"WithEngineMetrics", opts{scec.WithEngineMetrics[uint64](obs.New())}, "----"},
-		{"WithTracing", opts{scec.WithTracing[uint64](scec.NewTracer(scec.TracerOptions{}))}, "----"},
-		{"WithCollusion", opts{scec.WithCollusion[uint64](2)}, planning},
-		{"WithCode", opts{scec.WithCode[uint64](code)}, planning},
-		{"WithChunking", opts{scec.WithChunking[uint64](4)}, planning},
-		{"WithAdaptive", opts{scec.WithAdaptive[uint64](scec.AdaptiveConfig{})}, fleetOnly},
-		{"WithAdaptive with WithChunking", opts{scec.WithAdaptive[uint64](scec.AdaptiveConfig{}), scec.WithChunking[uint64](4)}, never},
+		{"WithExecutor", nil, nil, planning},
+		{"WithCoalescing", nil, opts{scec.WithCoalescing[uint64](time.Millisecond, 4)}, "----"},
+		{"WithEngineMetrics", nil, opts{scec.WithEngineMetrics[uint64](obs.New())}, "----"},
+		{"WithTracing", nil, opts{scec.WithTracing[uint64](scec.NewTracer(scec.TracerOptions{}))}, "----"},
+		{"WithCollusion", nil, opts{scec.WithCollusion[uint64](2)}, planning},
+		{"WithCode", nil, opts{scec.WithCode[uint64](code)}, planning},
+		{"WithChunking", nil, opts{scec.WithChunking[uint64](4)}, planning},
+		{"WithAdaptive", nil, opts{scec.WithAdaptive[uint64](scec.AdaptiveConfig{})}, fleetOnly},
+		{"WithAdaptive with WithChunking", nil, opts{scec.WithAdaptive[uint64](scec.AdaptiveConfig{}), scec.WithChunking[uint64](4)}, never},
+		// The control plane re-plans with the t = 1 allocators, so a t = 2
+		// code refuses it at every entry point — Serve included, though the
+		// deployment it re-binds carries no WithCollusion option.
+		{"WithAdaptive with WithCollusion", opts{scec.WithCollusion[uint64](2)}, opts{scec.WithAdaptive[uint64](scec.AdaptiveConfig{})}, never},
+		{"WithAdaptive with WithCode", opts{scec.WithCode[uint64](code)}, opts{scec.WithAdaptive[uint64](scec.AdaptiveConfig{})}, never},
 	}
 	for _, row := range table {
 		for col, entry := range entryPoints {
 			t.Run(row.name+"/"+entry, func(t *testing.T) {
 				rng := rand.New(rand.NewPCG(41, 97))
+				deployOpts := append(slices.Clone(row.planned), row.opts...)
 				var h *scec.Deployment[uint64]
 				var err error
 				switch entry {
 				case "Deploy/local":
-					h, err = scec.Deploy(f, a, costs, rng, append(opts{scec.WithExecutor(scec.LocalExecutor[uint64]())}, row.opts...)...)
+					h, err = scec.Deploy(f, a, costs, rng, append(opts{scec.WithExecutor(scec.LocalExecutor[uint64]())}, deployOpts...)...)
 				case "Deploy/sim":
-					h, err = scec.Deploy(f, a, costs, rng, append(opts{scec.WithExecutor(scec.SimExecutor[uint64](scec.SimExecutorConfig{Metrics: obs.New()}))}, row.opts...)...)
+					h, err = scec.Deploy(f, a, costs, rng, append(opts{scec.WithExecutor(scec.SimExecutor[uint64](scec.SimExecutorConfig{Metrics: obs.New()}))}, deployOpts...)...)
 				case "Deploy/fleet":
-					h, err = scec.Deploy(f, a, costs, rng, append(opts{scec.WithExecutor(scec.FleetExecutor[uint64](newFleetHarness(t, 1).config()))}, row.opts...)...)
+					h, err = scec.Deploy(f, a, costs, rng, append(opts{scec.WithExecutor(scec.FleetExecutor[uint64](newFleetHarness(t, 1).config()))}, deployOpts...)...)
 				case "Serve":
-					dep, derr := scec.Deploy(f, a, costs, rng)
+					dep, derr := scec.Deploy(f, a, costs, rng, row.planned...)
 					if derr != nil {
 						t.Fatal(derr)
 					}

@@ -68,9 +68,17 @@ func TestIntegrationDeployOverTCP(t *testing.T) {
 	if err := (transport.Cloud[uint64]{}).Distribute(t.Context(), addrs, dep.Encoding); err != nil {
 		t.Fatal(err)
 	}
-	client := transport.Client[uint64]{F: f, Code: dep.Code}
+	// The user role: gather B_j·T·x in code device order, then decode.
+	rowsOn := make([]int, dep.Code.Devices())
+	for j := range rowsOn {
+		rowsOn[j] = dep.Code.RowsOn(j)
+	}
 	x := scec.RandomVector(f, rng, 10)
-	got, err := client.MulVec(t.Context(), addrs, x)
+	y, err := (transport.Client[uint64]{F: f}).Gather(t.Context(), addrs, rowsOn, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := dep.Code.Decode(y)
 	if err != nil {
 		t.Fatal(err)
 	}

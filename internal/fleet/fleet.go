@@ -279,7 +279,7 @@ func Serve[E comparable](f field.Field[E], enc *coding.Encoding[E], cfg Config) 
 		cfg:     cfg,
 		reg:     reg,
 		cols:    enc.Blocks[0].Cols(),
-		client:  transport.Client[E]{F: f, Code: code, Timeout: cfg.RPCTimeout, Metrics: reg},
+		client:  transport.Client[E]{F: f, Timeout: cfg.RPCTimeout, Metrics: reg},
 		probe:   transport.Client[E]{F: f, Timeout: cfg.ProbeTimeout, Metrics: reg},
 		cloud:   transport.Cloud[E]{Timeout: cfg.RPCTimeout, Metrics: reg},
 		devices: make(map[string]*device),

@@ -30,9 +30,8 @@ func TestMulMatEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	client := Client[uint64]{F: f, Code: coding.BindScheme(f, s)}
 	x := matrix.Random[uint64](f, rng, l, n)
-	got, err := client.MulMat(t.Context(), addrs, x)
+	got, err := userMulMat(t.Context(), Client[uint64]{F: f}, coding.BindScheme(f, s), addrs, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,13 +57,13 @@ func TestMulMatRemoteValidation(t *testing.T) {
 	if err := (Cloud[uint64]{}).Distribute(t.Context(), addrs, enc); err != nil {
 		t.Fatal(err)
 	}
-	client := Client[uint64]{F: f, Code: coding.BindScheme(f, s)}
+	client, code := Client[uint64]{F: f}, coding.BindScheme(f, s)
 	// Wrong X row count (needs l = 5 rows).
-	if _, err := client.MulMat(t.Context(), addrs, matrix.New[uint64](3, 2)); !errors.Is(err, ErrRemote) {
+	if _, err := userMulMat(t.Context(), client, code, addrs, matrix.New[uint64](3, 2)); !errors.Is(err, ErrRemote) {
 		t.Fatalf("err = %v, want ErrRemote", err)
 	}
 	// Zero-column X.
-	if _, err := client.MulMat(t.Context(), addrs, matrix.New[uint64](5, 0)); !errors.Is(err, ErrRemote) {
+	if _, err := userMulMat(t.Context(), client, code, addrs, matrix.New[uint64](5, 0)); !errors.Is(err, ErrRemote) {
 		t.Fatalf("zero-column err = %v, want ErrRemote", err)
 	}
 }
@@ -76,8 +75,7 @@ func TestMulMatBeforeStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	addrs, _ := startFleet[uint64](t, f, s.Devices())
-	client := Client[uint64]{F: f, Code: coding.BindScheme(f, s)}
-	if _, err := client.MulMat(t.Context(), addrs, matrix.New[uint64](5, 2)); !errors.Is(err, ErrRemote) {
+	if _, err := userMulMat(t.Context(), Client[uint64]{F: f}, coding.BindScheme(f, s), addrs, matrix.New[uint64](5, 2)); !errors.Is(err, ErrRemote) {
 		t.Fatalf("err = %v, want ErrRemote", err)
 	}
 }
@@ -141,12 +139,12 @@ func TestDeviceStats(t *testing.T) {
 	if err := (Cloud[uint64]{}).Distribute(t.Context(), addrs, enc); err != nil {
 		t.Fatal(err)
 	}
-	client := Client[uint64]{F: f, Code: coding.BindScheme(f, s)}
+	client, code := Client[uint64]{F: f}, coding.BindScheme(f, s)
 	x := matrix.RandomVec[uint64](f, rng, 3)
-	if _, err := client.MulVec(t.Context(), addrs, x); err != nil {
+	if _, err := userMulVec(t.Context(), client, code, addrs, x); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.MulMat(t.Context(), addrs, matrix.Random[uint64](f, rng, 3, 2)); err != nil {
+	if _, err := userMulMat(t.Context(), client, code, addrs, matrix.Random[uint64](f, rng, 3, 2)); err != nil {
 		t.Fatal(err)
 	}
 	for j, srv := range servers {
@@ -166,7 +164,7 @@ func TestDeviceStats(t *testing.T) {
 // stream, its payload is drained, and the same connection keeps serving.
 func TestDeviceElementCap(t *testing.T) {
 	f := field.Prime{}
-	srv, err := NewDeviceServerLimited(f, "127.0.0.1:0", 8)
+	srv, err := NewDeviceServerOptions(f, "127.0.0.1:0", Options{MaxElements: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,8 +220,8 @@ func TestDeviceElementCap(t *testing.T) {
 		t.Fatalf("in-cap batch rejected: %q", msg)
 	}
 
-	if _, err := NewDeviceServerLimited(f, "127.0.0.1:0", 0); err == nil {
-		t.Fatal("zero cap should be rejected")
+	if _, err := NewDeviceServerOptions(f, "127.0.0.1:0", Options{MaxElements: -1}); err == nil {
+		t.Fatal("negative cap should be rejected")
 	}
 }
 

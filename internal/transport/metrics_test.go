@@ -62,9 +62,9 @@ func TestMetricsWired(t *testing.T) {
 	if err := (Cloud[uint64]{Metrics: reg}).Distribute(t.Context(), addrs, enc); err != nil {
 		t.Fatal(err)
 	}
-	client := Client[uint64]{F: f, Code: coding.BindScheme(f, s), Metrics: reg}
+	client := Client[uint64]{F: f, Metrics: reg}
 	x := matrix.RandomVec[uint64](f, rng, l)
-	if _, err := client.MulVec(t.Context(), addrs, x); err != nil {
+	if _, err := userMulVec(t.Context(), client, coding.BindScheme(f, s), addrs, x); err != nil {
 		t.Fatal(err)
 	}
 
@@ -121,8 +121,8 @@ func TestRemoteErrorPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := Client[uint64]{F: f, Code: coding.BindScheme(f, s), Metrics: reg}
-	_, err = client.MulVec(t.Context(), []string{srv.Addr(), srv.Addr()}, []uint64{1, 2, 3})
+	client := Client[uint64]{F: f, Metrics: reg}
+	_, err = userMulVec(t.Context(), client, coding.BindScheme(f, s), []string{srv.Addr(), srv.Addr()}, []uint64{1, 2, 3})
 	if !errors.Is(err, ErrRemote) {
 		t.Fatalf("MulVec against an unprovisioned device: err = %v, want ErrRemote", err)
 	}

@@ -5,9 +5,10 @@
 //     coded block B_j·T to it (Store),
 //   - each edge device is a DeviceServer that stores its block and answers
 //     compute requests with B_j·T·x,
-//   - the user is a Client that broadcasts x to the selected devices,
-//     gathers the intermediate results in device order, and decodes Ax with
-//     m subtractions.
+//   - the user's network half is a Client that sends x to the devices and
+//     returns their intermediate results B_j·T·x undecoded; decoding Ax is
+//     the caller's, through the deployment's coding.Code (the fleet runtime
+//     races Client.Compute per replica and the engine above it decodes).
 //
 // The package speaks one wire protocol (v3, see wire.go) and is generic
 // over the field element type: one persistent connection per device
@@ -151,15 +152,6 @@ type Options struct {
 // DefaultMaxElements as its request-size cap.
 func NewDeviceServer[E comparable](f field.Field[E], addr string) (*DeviceServer[E], error) {
 	return NewDeviceServerOptions(f, addr, Options{})
-}
-
-// NewDeviceServerLimited is NewDeviceServer with an explicit cap on the
-// number of field elements accepted per store or batch-compute request.
-func NewDeviceServerLimited[E comparable](f field.Field[E], addr string, maxElements int) (*DeviceServer[E], error) {
-	if maxElements < 1 {
-		return nil, fmt.Errorf("transport: max elements %d, need >= 1", maxElements)
-	}
-	return NewDeviceServerOptions(f, addr, Options{MaxElements: maxElements})
 }
 
 // NewDeviceServerOptions is NewDeviceServer with explicit Options.
@@ -465,12 +457,14 @@ func (c Cloud[E]) store(ctx context.Context, addr string, block *matrix.Dense[E]
 	return err
 }
 
-// Client is the user role: it queries the fleet and decodes the result.
+// Client is the user role's network half: it sends inputs to devices and
+// returns their raw intermediate results. It never decodes.
 type Client[E comparable] struct {
 	// F is the arithmetic field shared with the fleet.
 	F field.Field[E]
-	// Code is the coding design the fleet was provisioned with — the
-	// structured Eq. (8) scheme or any other coding.Code (t-collusion).
+	// Code is read by nothing: the client returns B_j·T·x undecoded and the
+	// caller decodes. It remains only because the benchmark module's ladder
+	// still sets it in a composite literal; leave it unset.
 	Code coding.Code[E]
 	// Timeout bounds each device round trip; zero means DefaultTimeout.
 	Timeout time.Duration
@@ -509,9 +503,8 @@ func (c Client[E]) ConnDebug(addr string) ConnDebug {
 
 // Gather sends x to every device concurrently and concatenates the
 // intermediate results in device order, returning the raw vector B·T·x
-// without decoding. rowsOn[j] gives the expected result length of device j.
-// Callers with a structured scheme use MulVec instead; Gather exists for
-// custom decoders (e.g. the collusion scheme's Gaussian decoding).
+// without decoding. rowsOn[j] gives the expected result length of device j;
+// the caller decodes the result through its coding.Code.
 func (c Client[E]) Gather(ctx context.Context, addrs []string, rowsOn []int, x []E) ([]E, error) {
 	if len(addrs) != len(rowsOn) {
 		return nil, fmt.Errorf("transport: %d addresses for %d row counts", len(addrs), len(rowsOn))
@@ -557,27 +550,10 @@ func (c Client[E]) Gather(ctx context.Context, addrs []string, rowsOn []int, x [
 	return y, nil
 }
 
-// MulVec computes Ax through the fleet: it sends x to every device
-// concurrently, concatenates the intermediate results in device order, and
-// decodes through the client's code. addrs must list the fleet in code
-// device order.
-func (c Client[E]) MulVec(ctx context.Context, addrs []string, x []E) ([]E, error) {
-	rowsOn, err := c.codeRows(addrs)
-	if err != nil {
-		return nil, err
-	}
-	y, err := c.Gather(ctx, addrs, rowsOn, x)
-	if err != nil {
-		return nil, err
-	}
-	defer obs.StartStage(c.Metrics, obs.StageDecode).End()
-	return c.Code.Decode(y)
-}
-
 // Compute sends x to one device and returns its intermediate result B_j·T·x
 // without validation against a scheme. It is the single-replica primitive
 // the fleet runtime races across a replica set; scheme-order callers use
-// Gather or MulVec instead.
+// Gather instead.
 func (c Client[E]) Compute(ctx context.Context, addr string, x []E) ([]E, error) {
 	timeout := c.Timeout
 	if timeout == 0 {
@@ -607,82 +583,12 @@ func (c Client[E]) ComputeBatch(ctx context.Context, addr string, x *matrix.Dens
 }
 
 // Ping checks a device is reachable using the client's timeout and metrics
-// registry (the package-level Ping uses the default registry).
+// registry.
 func (c Client[E]) Ping(ctx context.Context, addr string) error {
 	timeout := c.Timeout
 	if timeout == 0 {
 		timeout = DefaultTimeout
 	}
 	_, err := c.pool().roundTrip(ctx, addr, timeout, metricsOrDefault(c.Metrics), request[E]{op: opPing})
-	return err
-}
-
-// MulMat computes A·X through the fleet for an l×n input matrix — the batch
-// generalization (§II-A): each device returns its V(B_j)×n block and the
-// user decodes with m·n subtractions.
-func (c Client[E]) MulMat(ctx context.Context, addrs []string, x *matrix.Dense[E]) (*matrix.Dense[E], error) {
-	rowsOn, err := c.codeRows(addrs)
-	if err != nil {
-		return nil, err
-	}
-	timeout := c.Timeout
-	if timeout == 0 {
-		timeout = DefaultTimeout
-	}
-	reg := metricsOrDefault(c.Metrics)
-	gather := obs.StartStage(reg, obs.StageGather)
-	parts := make([]*matrix.Dense[E], len(addrs))
-	errs := make([]error, len(addrs))
-	var wg sync.WaitGroup
-	for j, addr := range addrs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := c.pool().roundTrip(ctx, addr, timeout, reg, request[E]{op: opComputeBatch, m: x})
-			if err != nil {
-				errs[j] = err
-				return
-			}
-			if resp.m.Rows() != rowsOn[j] {
-				errs[j] = fmt.Errorf("transport: device %d returned %d rows, want %d", j, resp.m.Rows(), rowsOn[j])
-				return
-			}
-			parts[j] = resp.m
-		}()
-	}
-	wg.Wait()
-	gather.End()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	y := matrix.VStack(parts...)
-	defer obs.StartStage(reg, obs.StageDecode).End()
-	return c.Code.DecodeBatch(y)
-}
-
-// codeRows validates the client configuration and returns per-device
-// expected row counts.
-func (c Client[E]) codeRows(addrs []string) ([]int, error) {
-	if c.Code == nil {
-		return nil, errors.New("transport: client has no coding code")
-	}
-	if len(addrs) != c.Code.Devices() {
-		return nil, fmt.Errorf("transport: %d addresses for %d devices", len(addrs), c.Code.Devices())
-	}
-	rowsOn := make([]int, len(addrs))
-	for j := range rowsOn {
-		rowsOn[j] = c.Code.RowsOn(j)
-	}
-	return rowsOn, nil
-}
-
-// Ping checks a device is reachable.
-func Ping[E comparable](ctx context.Context, addr string, timeout time.Duration) error {
-	if timeout == 0 {
-		timeout = DefaultTimeout
-	}
-	_, err := SharedPool[E]().roundTrip(ctx, addr, timeout, nil, request[E]{op: opPing})
 	return err
 }

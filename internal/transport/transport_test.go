@@ -35,6 +35,36 @@ func startFleet[E comparable](t *testing.T, f field.Field[E], n int) ([]string, 
 	return addrs, servers
 }
 
+// userMulVec plays the user role over a plain fleet listed in code device
+// order: gather every device's B_j·T·x, then decode Ax through code, timing
+// the decode on the client's registry as the engine does when it serves.
+func userMulVec[E comparable](ctx context.Context, c Client[E], code coding.Code[E], addrs []string, x []E) ([]E, error) {
+	rowsOn := make([]int, code.Devices())
+	for j := range rowsOn {
+		rowsOn[j] = code.RowsOn(j)
+	}
+	y, err := c.Gather(ctx, addrs, rowsOn, x)
+	if err != nil {
+		return nil, err
+	}
+	defer obs.StartStage(c.Metrics, obs.StageDecode).End()
+	return code.Decode(y)
+}
+
+// userMulMat is userMulVec's batch counterpart: ComputeBatch on every device,
+// stack the V(B_j)×n parts in device order, decode A·X.
+func userMulMat[E comparable](ctx context.Context, c Client[E], code coding.Code[E], addrs []string, x *matrix.Dense[E]) (*matrix.Dense[E], error) {
+	parts := make([]*matrix.Dense[E], len(addrs))
+	for j, addr := range addrs {
+		part, err := c.ComputeBatch(ctx, addr, x)
+		if err != nil {
+			return nil, err
+		}
+		parts[j] = part
+	}
+	return code.DecodeBatch(matrix.VStack(parts...))
+}
+
 func TestEndToEndPrime(t *testing.T) {
 	f := field.Prime{}
 	rng := testRNG()
@@ -60,9 +90,8 @@ func TestEndToEndPrime(t *testing.T) {
 		}
 	}
 
-	client := Client[uint64]{F: f, Code: coding.BindScheme(f, s)}
 	x := matrix.RandomVec[uint64](f, rng, l)
-	got, err := client.MulVec(t.Context(), addrs, x)
+	got, err := userMulVec(t.Context(), Client[uint64]{F: f}, coding.BindScheme(f, s), addrs, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,9 +118,8 @@ func TestEndToEndReal(t *testing.T) {
 	if err := (Cloud[float64]{}).Distribute(t.Context(), addrs, enc); err != nil {
 		t.Fatal(err)
 	}
-	client := Client[float64]{F: f, Code: coding.BindScheme(f, s)}
 	x := matrix.RandomVec[float64](f, rng, l)
-	got, err := client.MulVec(t.Context(), addrs, x)
+	got, err := userMulVec(t.Context(), Client[float64]{F: f}, coding.BindScheme(f, s), addrs, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +135,7 @@ func TestComputeBeforeStoreFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	addrs, _ := startFleet[uint64](t, f, s.Devices())
-	client := Client[uint64]{F: f, Code: coding.BindScheme(f, s)}
-	if _, err := client.MulVec(t.Context(), addrs, make([]uint64, 3)); !errors.Is(err, ErrRemote) {
+	if _, err := userMulVec(t.Context(), Client[uint64]{F: f}, coding.BindScheme(f, s), addrs, make([]uint64, 3)); !errors.Is(err, ErrRemote) {
 		t.Fatalf("err = %v, want ErrRemote (no block stored)", err)
 	}
 }
@@ -129,8 +156,7 @@ func TestWrongInputLengthRejectedRemotely(t *testing.T) {
 	if err := (Cloud[uint64]{}).Distribute(t.Context(), addrs, enc); err != nil {
 		t.Fatal(err)
 	}
-	client := Client[uint64]{F: f, Code: coding.BindScheme(f, s)}
-	if _, err := client.MulVec(t.Context(), addrs, make([]uint64, 2)); !errors.Is(err, ErrRemote) {
+	if _, err := userMulVec(t.Context(), Client[uint64]{F: f}, coding.BindScheme(f, s), addrs, make([]uint64, 2)); !errors.Is(err, ErrRemote) {
 		t.Fatalf("err = %v, want ErrRemote (bad x length)", err)
 	}
 }
@@ -141,13 +167,13 @@ func TestUnreachableDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := Client[uint64]{F: f, Code: coding.BindScheme(f, s), Timeout: 500 * time.Millisecond}
+	client := Client[uint64]{F: f, Timeout: 500 * time.Millisecond}
 	// Reserve ports that nothing is listening on by binding and closing.
 	addrs, servers := startFleet[uint64](t, f, s.Devices())
 	for _, srv := range servers {
 		_ = srv.Close()
 	}
-	if _, err := client.MulVec(t.Context(), addrs, make([]uint64, 3)); err == nil {
+	if _, err := userMulVec(t.Context(), client, coding.BindScheme(f, s), addrs, make([]uint64, 3)); err == nil {
 		t.Fatal("expected a dial error against a closed fleet")
 	}
 }
@@ -175,13 +201,14 @@ func TestClientValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := Client[uint64]{F: f, Code: coding.BindScheme(f, s)}
-	if _, err := c.MulVec(t.Context(), []string{"127.0.0.1:1"}, make([]uint64, 3)); err == nil {
+	c := Client[uint64]{F: f}
+	if _, err := userMulVec(t.Context(), c, coding.BindScheme(f, s), []string{"127.0.0.1:1"}, make([]uint64, 3)); err == nil {
 		t.Fatal("address count mismatch should error")
 	}
-	c.Code = nil
-	if _, err := c.MulVec(t.Context(), nil, nil); err == nil {
-		t.Fatal("missing code should error")
+	// The client never decodes, so it needs no code: an empty gather is an
+	// empty result, not a configuration error.
+	if y, err := c.Gather(t.Context(), nil, nil, nil); err != nil || len(y) != 0 {
+		t.Fatalf("codeless empty gather = %v, %v; want an empty result", y, err)
 	}
 }
 
@@ -232,7 +259,7 @@ func TestServerCloseIsIdempotentForRequests(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := Ping[uint64](t.Context(), addr, 300*time.Millisecond); err == nil {
+	if err := (Client[uint64]{F: f, Timeout: 300 * time.Millisecond}).Ping(t.Context(), addr); err == nil {
 		t.Fatal("closed server should not answer")
 	}
 }
@@ -254,7 +281,8 @@ func TestConcurrentClients(t *testing.T) {
 	if err := (Cloud[uint64]{}).Distribute(t.Context(), addrs, enc); err != nil {
 		t.Fatal(err)
 	}
-	client := Client[uint64]{F: f, Code: coding.BindScheme(f, s)}
+	client := Client[uint64]{F: f}
+	code := coding.BindScheme(f, s)
 
 	const parallel = 8
 	xs := make([][]uint64, parallel)
@@ -266,7 +294,7 @@ func TestConcurrentClients(t *testing.T) {
 	done := make(chan int, parallel)
 	for i := 0; i < parallel; i++ {
 		go func() {
-			results[i], errs[i] = client.MulVec(t.Context(), addrs, xs[i])
+			results[i], errs[i] = userMulVec(t.Context(), client, code, addrs, xs[i])
 			done <- i
 		}()
 	}

@@ -270,7 +270,8 @@ func diffLoopbackLocal[E comparable](t *testing.T, f field.Field[E]) {
 	if err := cloud.Distribute(t.Context(), addrs, enc); err != nil {
 		t.Fatalf("distribute: %v", err)
 	}
-	client := Client[E]{F: f, Code: coding.BindScheme(f, s), Timeout: 2 * time.Second, Pool: pool}
+	client := Client[E]{F: f, Timeout: 2 * time.Second, Pool: pool}
+	code := coding.BindScheme(f, s)
 	// Undecoded: every device's B_j·T·x and B_j·T·X must equal the local
 	// kernel on its block.
 	local := make([]*matrix.Dense[E], len(addrs))
@@ -289,20 +290,20 @@ func diffLoopbackLocal[E comparable](t *testing.T, f field.Field[E]) {
 	}
 	// Decoded: the pipeline over the wire equals decoding the local
 	// executor's intermediate results.
-	got, err := client.MulVec(t.Context(), addrs, x)
+	got, err := userMulVec(t.Context(), client, code, addrs, x)
 	if err != nil {
 		t.Fatalf("MulVec: %v", err)
 	}
-	want, err := client.Code.Decode(enc.ComputeAll(f, x))
+	want, err := code.Decode(enc.ComputeAll(f, x))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameVec(t, "MulVec", got, want)
-	gotM, err := client.MulMat(t.Context(), addrs, xm)
+	gotM, err := userMulMat(t.Context(), client, code, addrs, xm)
 	if err != nil {
 		t.Fatalf("MulMat: %v", err)
 	}
-	wantM, err := client.Code.DecodeBatch(matrix.VStack(local...))
+	wantM, err := code.DecodeBatch(matrix.VStack(local...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +325,7 @@ func TestProtocolsBitIdentical(t *testing.T) {
 // match on them.
 func TestV3RemoteErrorStrings(t *testing.T) {
 	f := field.Prime{}
-	srv, err := NewDeviceServerLimited[uint64](f, "127.0.0.1:0", 8)
+	srv, err := NewDeviceServerOptions[uint64](f, "127.0.0.1:0", Options{MaxElements: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +380,7 @@ func TestV3RemoteErrorStrings(t *testing.T) {
 // leave the connection healthy for the next request.
 func TestV3ElementCap(t *testing.T) {
 	f := field.Prime{}
-	srv, err := NewDeviceServerLimited[uint64](f, "127.0.0.1:0", 4)
+	srv, err := NewDeviceServerOptions[uint64](f, "127.0.0.1:0", Options{MaxElements: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
