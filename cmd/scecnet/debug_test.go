@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"github.com/scec/scec"
-	"github.com/scec/scec/internal/loadgen"
 	"github.com/scec/scec/internal/obs"
 	"github.com/scec/scec/internal/obs/flight"
 	"github.com/scec/scec/internal/obs/trace"
@@ -20,7 +19,7 @@ import (
 )
 
 // startFullDebugServer stands up a Served adaptive fleet with every debug
-// surface the binary can mount — fleet, engine, adapt, traces, SLO, journal,
+// surface the binary can mount — fleet, engine, adapt, traces, journal,
 // incidents — on one telemetry server, and returns its base URL.
 func startFullDebugServer(t *testing.T) (string, []obs.Route) {
 	t.Helper()
@@ -73,13 +72,11 @@ func startFullDebugServer(t *testing.T) (string, []obs.Route) {
 		t.Fatal(err)
 	}
 
-	col := loadgen.NewCollector()
-	routes := append([]obs.Route{}, traceRoutes(tr, served.Session().Stragglers())...)
+	routes := append([]obs.Route{}, traceRoutes(tr)...)
 	routes = append(routes,
 		obs.Route{Pattern: "/debug/fleet", Handler: served.FleetDebugHandler(), Desc: "fleet snapshot"},
 		obs.Route{Pattern: "/debug/engine", Handler: served.EngineDebugHandler(), Desc: "engine snapshot"},
 		obs.Route{Pattern: "/debug/adapt", Handler: served.AdaptDebugHandler(), Desc: "adapt snapshot"},
-		obs.Route{Pattern: "/debug/slo", Handler: col.DebugHandler(), Desc: "SLO snapshot"},
 	)
 	routes = append(routes, flight.Routes(jr, incidentDir)...)
 	srv, err := obs.StartServer(nil, "127.0.0.1:0", routes...)
@@ -109,7 +106,6 @@ func TestDebugHeaderSweep(t *testing.T) {
 		"/debug/fleet",
 		"/debug/engine",
 		"/debug/adapt",
-		"/debug/slo",
 		"/debug/traces",
 		"/debug/journal",
 		"/debug/incidents",

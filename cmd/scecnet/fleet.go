@@ -278,15 +278,11 @@ func runFleet(args []string, out io.Writer) error {
 	// adds /debug/journal (+ /debug/incidents when armed).
 	var routes []obs.Route
 	if tr != nil {
-		var an *trace.Stragglers
-		if served != nil {
-			an = served.Session().Stragglers()
-		}
-		routes = traceRoutes(tr, an)
+		routes = traceRoutes(tr)
 	}
 	if served != nil {
 		routes = append(routes,
-			obs.Route{Pattern: "/debug/fleet", Handler: served.FleetDebugHandler(), Desc: "fleet session snapshot: blocks, replicas, breakers, standbys"},
+			obs.Route{Pattern: "/debug/fleet", Handler: served.FleetDebugHandler(), Desc: "fleet session snapshot: blocks, replicas, breakers, standbys, straggler records"},
 			obs.Route{Pattern: "/debug/engine", Handler: served.EngineDebugHandler(), Desc: "engine dispatch and coalescer snapshot"})
 		if *adaptive {
 			routes = append(routes, obs.Route{Pattern: "/debug/adapt", Handler: served.AdaptDebugHandler(), Desc: "adaptive control plane: learned factors, decisions, migrations"})

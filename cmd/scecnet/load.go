@@ -44,7 +44,7 @@ func runLoad(args []string, out io.Writer) error {
 		simSloSpec  = fs.String("sim-slo", "", "comma-separated SLOs for the virtual sweep")
 		outPath     = fs.String("out", "results/load.json", "JSON report path (empty to skip)")
 		mdPath      = fs.String("md", "results/load.md", "markdown report path (empty to skip)")
-		metricsAddr = fs.String("metrics-addr", "", "serve /metrics plus /debug/slo (live sweep state) on this address")
+		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /debug/engine and /debug/fleet on this address while the sweeps run")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -69,7 +69,7 @@ func runLoad(args []string, out io.Writer) error {
 		return fmt.Errorf("-m must be positive and even (uniform costs then yield r=m/2 and a 3-device fleet), got %d", *m)
 	}
 
-	col := loadgen.NewCollector()
+	report := loadgen.Report{Version: loadgen.ReportVersion}
 
 	// --- Scenario 1: real-socket loopback fleet, exactly three devices. ---
 	// With k=3 candidates at uniform unit cost, TA1's optimum is r=m/2, so
@@ -109,9 +109,8 @@ func runLoad(args []string, out io.Writer) error {
 		max(*replicas, 1), *m, *l, dep.Plan.R)
 
 	routes := []obs.Route{
-		{Pattern: "/debug/slo", Handler: col.DebugHandler(), Desc: "live SLO snapshot of the current load step, with histogram exemplars"},
 		{Pattern: "/debug/engine", Handler: served.EngineDebugHandler(), Desc: "engine dispatch and coalescer snapshot"},
-		{Pattern: "/debug/fleet", Handler: served.FleetDebugHandler(), Desc: "fleet session snapshot: blocks, replicas, breakers, standbys"},
+		{Pattern: "/debug/fleet", Handler: served.FleetDebugHandler(), Desc: "fleet session snapshot: blocks, replicas, breakers, standbys, straggler records"},
 	}
 	ms, err := startMetrics(out, *metricsAddr, routes...)
 	if err != nil {
@@ -128,7 +127,6 @@ func runLoad(args []string, out io.Writer) error {
 		Arrival: arrival.Name(),
 		Devices: 3,
 	}
-	col.StartScenario(fleetScenario)
 	x := scec.RandomVector(f, rng, *l)
 	fmt.Fprintf(out, "sweeping fleet at %s QPS (%s arrivals, open loop)...\n", *rates, arrival.Name())
 	steps, err := loadgen.Sweep(context.Background(), served.LoadTarget(x), loadgen.SweepOptions{
@@ -139,15 +137,14 @@ func runLoad(args []string, out io.Writer) error {
 		Seed:            *seed,
 		Timeout:         *timeout,
 		MaxInFlight:     *maxInFlight,
-		Collector:       col,
 	})
 	if err != nil {
 		return err
 	}
 	fleetScenario.Steps = steps
-	fleetScenario.KneeQPS = loadgen.DetectKnee(steps, 0, 0)
+	fleetScenario.KneeQPS = loadgen.DetectKnee(steps)
 	sloErr := fleetScenario.CheckSLOs(fleetSLOs)
-	col.FinishScenario(fleetScenario)
+	report.Scenarios = append(report.Scenarios, fleetScenario)
 	fleetScenario.WriteText(out)
 
 	// --- Scenario 2: virtual-clock simulation at fleet scale with churn. ---
@@ -167,7 +164,6 @@ func runLoad(args []string, out io.Writer) error {
 			Arrival: vArrival.Name(),
 			Devices: *simDevices,
 		}
-		col.StartScenario(simScenario)
 		fmt.Fprintf(out, "sweeping %d virtual devices at %s QPS (churn every ~%v)...\n", *simDevices, *simRates, *simChurn)
 		vSteps, stats, err := loadgen.VirtualSweep(loadgen.VirtualOptions{
 			Devices:         *simDevices,
@@ -178,7 +174,6 @@ func runLoad(args []string, out io.Writer) error {
 			RequestsPerStep: *simReqs,
 			Arrival:         vArrival,
 			Seed:            *seed,
-			Collector:       col,
 		})
 		if err != nil {
 			return err
@@ -190,11 +185,10 @@ func runLoad(args []string, out io.Writer) error {
 		if err := simScenario.CheckSLOs(simSLOs); err != nil && sloErr == nil {
 			sloErr = err
 		}
-		col.FinishScenario(simScenario)
+		report.Scenarios = append(report.Scenarios, simScenario)
 		simScenario.WriteText(out)
 	}
 
-	report := col.Report()
 	if *outPath != "" {
 		if err := os.MkdirAll(filepath.Dir(*outPath), 0o755); err != nil {
 			return err

@@ -28,21 +28,23 @@
 //	    thousand-device virtual-clock simulation with churn, writing the
 //	    latency-vs-load curves, saturation knees, and SLO verdicts to
 //	    results/load.json + load.md (non-zero exit on any SLO violation);
-//	    -metrics-addr adds a live /debug/slo route
+//	    the sweep in flight shows on /metrics as scec_load_offered_qps,
+//	    scec_load_inflight and scec_load_requests_total
 //
 // Every role accepts -metrics-addr to serve the telemetry bundle
 // (/metrics, /metrics.json, /healthz, /debug/pprof/*, /debug/vars) while it
-// runs; fleet prints a per-stage timing table on completion, and device,
-// fleet and load accept -timeout to override the 10s round-trip bound.
-// Without -seed the deploying roles draw the masking rows from crypto/rand.
+// runs; fleet and load add /debug/fleet (blocks, breakers and every device's
+// straggler record) and /debug/engine. fleet prints a per-stage timing table
+// on completion, and device, fleet and load accept -timeout to override the
+// 10s round-trip bound. Without -seed the deploying roles draw the masking
+// rows from crypto/rand.
 //
 // Tracing: fleet accepts -trace-export FILE to record one distributed trace
 // per query (engine, coalescer, fleet racing/hedging, transport round trips,
 // and device-side compute spans stitched under one trace ID) and write the
 // JSON export on completion; with -metrics-addr the live traces are also
-// served at /debug/traces and /debug/traces/{id}, next to /debug/fleet and
-// /debug/engine. A device started with -trace records server-side spans and
-// returns them to traced clients.
+// served at /debug/traces and /debug/traces/{id}. A device started with
+// -trace records server-side spans and returns them to traced clients.
 package main
 
 import (
@@ -102,9 +104,9 @@ func startMetrics(out io.Writer, addr string, extra ...obs.Route) (io.Closer, er
 	return srv, nil
 }
 
-// traceRoutes mounts the tracer's waterfall endpoints; an is optional.
-func traceRoutes(t *trace.Tracer, an *trace.Stragglers) []obs.Route {
-	h := trace.DebugHandler(t, an)
+// traceRoutes mounts the tracer's waterfall endpoints.
+func traceRoutes(t *trace.Tracer) []obs.Route {
+	h := trace.DebugHandler(t)
 	return []obs.Route{
 		{Pattern: "/debug/traces", Handler: h, Desc: "retained distributed traces, most recent first"},
 		{Pattern: "/debug/traces/{id}", Handler: h, Desc: "one trace's span waterfall by trace ID"},
@@ -149,7 +151,7 @@ func runDevice(args []string, out io.Writer) error {
 	var routes []obs.Route
 	if *traced {
 		tr = trace.New(trace.Options{Service: "scecnet-device"})
-		routes = traceRoutes(tr, nil)
+		routes = traceRoutes(tr)
 	}
 	if *metricsAddr != "" {
 		srv, err := obs.StartServerContext(ctx, nil, *metricsAddr, routes...)

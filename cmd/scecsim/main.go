@@ -298,7 +298,6 @@ func runSimLoad(out io.Writer, cfg simLoadConfig) error {
 	fmt.Fprintf(out, "plan: %s r=%d t=%d devices=%d cost=%.2f; sweeping %d virtual device(s) at %s QPS (%s arrivals, churn every ~%v)\n",
 		dep.Plan.Algorithm, dep.Plan.R, dep.Code.T(), dep.Plan.I, dep.Cost(), devices, cfg.rates, arrival.Name(), cfg.churn)
 
-	col := loadgen.NewCollector()
 	sc := loadgen.Scenario{
 		Name:    fmt.Sprintf("scecsim-%ddev", devices),
 		Backend: "sim",
@@ -306,7 +305,6 @@ func runSimLoad(out io.Writer, cfg simLoadConfig) error {
 		Arrival: arrival.Name(),
 		Devices: devices,
 	}
-	col.StartScenario(sc)
 	steps, stats, err := loadgen.VirtualSweep(loadgen.VirtualOptions{
 		Devices:         devices,
 		RowsPerDevice:   rows,
@@ -317,7 +315,6 @@ func runSimLoad(out io.Writer, cfg simLoadConfig) error {
 		RequestsPerStep: cfg.requests,
 		Arrival:         arrival,
 		Seed:            cfg.seed,
-		Collector:       col,
 	})
 	if err != nil {
 		return err
@@ -325,7 +322,6 @@ func runSimLoad(out io.Writer, cfg simLoadConfig) error {
 	sc.Steps = steps
 	sc.KneeQPS, sc.ChurnEvents, sc.Outages = stats.KneeQPS, stats.ChurnEvents, stats.Outages
 	sloErr := sc.CheckSLOs(slos)
-	col.FinishScenario(sc)
 	sc.WriteText(out)
 
 	if cfg.out != "" {
@@ -333,7 +329,7 @@ func runSimLoad(out io.Writer, cfg simLoadConfig) error {
 			return err
 		}
 	}
-	report := col.Report()
+	report := loadgen.Report{Version: loadgen.ReportVersion, Scenarios: []loadgen.Scenario{sc}}
 	if err := report.WriteFiles(cfg.out, cfg.md); err != nil {
 		return err
 	}

@@ -19,12 +19,10 @@ type DebugInfo struct {
 	// (coalesced rounds count once).
 	DispatchVec int64 `json:"dispatchVec"`
 	DispatchMat int64 `json:"dispatchMat"`
-	// Coalescing is present when request coalescing is enabled.
+	// Coalescing is present when request coalescing is enabled. Stage
+	// latency tails are not repeated here: /metrics.json reports them as the
+	// quantiles of scec_stage_duration_seconds.
 	Coalescing *CoalesceDebug `json:"coalescing,omitempty"`
-	// Stages holds the interpolated p50/p95/p99 latency (seconds) of every
-	// pipeline stage recorded in the engine's registry; absent until a
-	// query has run.
-	Stages map[string]obs.Tails `json:"stages,omitempty"`
 }
 
 // CoalesceDebug is the coalescer's configuration and occupancy.
@@ -47,7 +45,6 @@ func (q *Query[E]) Debug() DebugInfo {
 		Cols:        q.cols,
 		DispatchVec: q.vec.Value(),
 		DispatchMat: q.mat.Value(),
-		Stages:      obs.StageTails(q.reg),
 	}
 	if q.co != nil {
 		info.Coalescing = &CoalesceDebug{

@@ -31,19 +31,11 @@ type epoch[E comparable] struct {
 // in flight. It is the engine-side seam of the adaptive control plane: the
 // fleet adapter re-provisions a session under a new plan (possibly with a
 // different r, hence a different scheme) and swaps it in without failing a
-// single query.
-//
-// Two swap modes cover the two migration shapes:
-//
-//   - Swap installs the next epoch immediately and lets rounds already
-//     inside the old epoch finish against the old substrate in the
-//     background — correct when old and new substrates can serve
-//     concurrently (same code, disjoint or superset device sets).
-//   - SwapDrained parks new rounds (they wait, they never fail), drains the
-//     rounds in flight, builds the replacement while the world is quiet,
-//     installs it, and releases the parked rounds into the new epoch —
-//     required when the code changes, since a round decoded under the old
-//     code must never race a device re-provisioned under the new one.
+// single query. SwapDrained parks new rounds (they wait, they never fail),
+// drains the rounds in flight, builds the replacement while the world is
+// quiet, installs it, and releases the parked rounds into the new epoch — a
+// round decoded under the old code must never race a device re-provisioned
+// under the new one.
 type Swappable[E comparable] struct {
 	mu     sync.Mutex
 	cur    *epoch[E]
@@ -52,7 +44,6 @@ type Swappable[E comparable] struct {
 
 	closeOnce sync.Once
 	closeErr  error
-	bg        sync.WaitGroup // background drains started by Swap
 }
 
 // NewSwappable wraps exec as the first epoch. The Swappable owns exec (and
@@ -97,13 +88,6 @@ func (s *Swappable[E]) acquire(ctx context.Context) (*epoch[E], func(), error) {
 	}
 }
 
-// Current returns the live (substrate, code) pair, for introspection.
-func (s *Swappable[E]) Current() (Executor[E], coding.Code[E]) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cur.exec, s.cur.code
-}
-
 // Compute runs one vector round against whichever epoch is current when the
 // round starts.
 func (s *Swappable[E]) Compute(ctx context.Context, x []E) ([]E, error) {
@@ -123,31 +107,6 @@ func (s *Swappable[E]) ComputeBatch(ctx context.Context, x *matrix.Dense[E]) (*m
 	}
 	defer release()
 	return ep.exec.ComputeBatch(ctx, x)
-}
-
-// Swap installs next as the new epoch immediately. Rounds already inside the
-// old epoch finish against the old substrate, which is closed in the
-// background once they drain; new rounds dispatch to next without waiting.
-// The code must be unchanged — a code change needs SwapDrained.
-func (s *Swappable[E]) Swap(next Executor[E], code coding.Code[E]) error {
-	if next == nil || code == nil {
-		return errors.New("engine: swap needs a substrate and a code")
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errSwappableClosed
-	}
-	old := s.cur
-	s.cur = &epoch[E]{exec: next, code: code}
-	s.bg.Add(1)
-	s.mu.Unlock()
-	go func() {
-		defer s.bg.Done()
-		old.wg.Wait()
-		_ = old.exec.Close()
-	}()
-	return nil
 }
 
 // SwapDrained performs a full drain-and-swap: new rounds park on the gate
@@ -209,8 +168,7 @@ func (s *Swappable[E]) SwapDrained(ctx context.Context, build func(context.Conte
 	return old.exec.Close()
 }
 
-// Close closes the current substrate and waits for background drains from
-// earlier Swap calls. Idempotent.
+// Close closes the current substrate. Idempotent.
 func (s *Swappable[E]) Close() error {
 	s.closeOnce.Do(func() {
 		s.mu.Lock()
@@ -218,7 +176,6 @@ func (s *Swappable[E]) Close() error {
 		cur := s.cur
 		s.mu.Unlock()
 		s.closeErr = cur.exec.Close()
-		s.bg.Wait()
 	})
 	return s.closeErr
 }

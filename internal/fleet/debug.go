@@ -3,10 +3,11 @@ package fleet
 import (
 	"encoding/json"
 	"net/http"
+	"slices"
+	"strings"
 	"time"
 
 	"github.com/scec/scec/internal/obs"
-	"github.com/scec/scec/internal/obs/trace"
 	"github.com/scec/scec/internal/transport"
 )
 
@@ -25,9 +26,30 @@ type DebugInfo struct {
 	Retries     int64 `json:"retries"`
 	Queries     int64 `json:"queries"`
 	QueryErrors int64 `json:"queryErrors"`
-	// Stragglers is the per-device latency/hedge-win digest; present only
-	// when the session has a tracer.
-	Stragglers []trace.DeviceStats `json:"stragglers,omitempty"`
+	// Stragglers is every known device's straggler record (Session.Stragglers).
+	Stragglers []DeviceStats `json:"stragglers"`
+}
+
+// DeviceStats is one device's straggler record: how its replica attempts
+// ended and the nearest-rank percentiles of its last 64 winning latencies,
+// each the winning attempt's own call time. Every launched attempt ends
+// exactly one way, so Attempts = Wins + Losses + Errors. Percentiles are
+// zero until the device has won a race.
+type DeviceStats struct {
+	Device   string `json:"device"`
+	Attempts int64  `json:"attempts"`
+	Wins     int64  `json:"wins"`
+	// HedgeWins counts wins by attempts launched speculatively — races this
+	// device rescued after the leader straggled.
+	HedgeWins int64 `json:"hedgeWins"`
+	// Losses counts attempts that answered after another replica won or were
+	// cancelled when their race ended; Errors counts attempts that failed.
+	Losses  int64         `json:"losses"`
+	Errors  int64         `json:"errors"`
+	Samples int           `json:"samples"`
+	P50     time.Duration `json:"p50Ns"`
+	P95     time.Duration `json:"p95Ns"`
+	P99     time.Duration `json:"p99Ns"`
 }
 
 // BlockDebug is one logical block's replica-set state.
@@ -59,8 +81,8 @@ type DeviceDebug struct {
 }
 
 // Debug snapshots the session's runtime state: per-block replica health,
-// breaker positions, the standby pool, the live hedge delay, and the
-// lifetime hedge/retry/query counters.
+// breaker positions, the standby pool, the live hedge delay, the lifetime
+// hedge/retry/query counters, and the per-device straggler records.
 func (s *Session[E]) Debug() DebugInfo {
 	info := DebugInfo{
 		HedgeDelay:  s.hedgeDelay(),
@@ -68,7 +90,7 @@ func (s *Session[E]) Debug() DebugInfo {
 		Retries:     s.met.retries.Value(),
 		Queries:     s.met.queriesVec.Value() + s.met.queriesMat.Value(),
 		QueryErrors: s.met.qErrorsVec.Value() + s.met.qErrorsMat.Value(),
-		Stragglers:  s.strag.Snapshot(),
+		Stragglers:  s.Stragglers(),
 	}
 	for _, b := range s.blocks {
 		b.mu.Lock()
@@ -100,9 +122,23 @@ func (s *Session[E]) Debug() DebugInfo {
 	return info
 }
 
-// Stragglers returns the session's per-device latency/hedge-win analytics
-// (nil when the session is untraced).
-func (s *Session[E]) Stragglers() *trace.Stragglers { return s.strag }
+// Stragglers snapshots the straggler record of every device the session
+// knows — replicas, standbys and rehost targets — sorted by address. The
+// session keeps it whether or not it is traced.
+func (s *Session[E]) Stragglers() []DeviceStats {
+	s.devMu.Lock()
+	devices := make([]*device, 0, len(s.devices))
+	for _, d := range s.devices {
+		devices = append(devices, d)
+	}
+	s.devMu.Unlock()
+	out := make([]DeviceStats, len(devices))
+	for i, d := range devices {
+		out[i] = d.stats()
+	}
+	slices.SortFunc(out, func(a, b DeviceStats) int { return strings.Compare(a.Device, b.Device) })
+	return out
+}
 
 // DebugHandler serves the Debug snapshot as JSON — mount it as /debug/fleet
 // via the obs handler's extra-route hook.

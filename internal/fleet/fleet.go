@@ -133,9 +133,10 @@ type Config struct {
 	// Metrics receives the session's telemetry; nil means obs.Default().
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records a span tree per query (gather → block
-	// races → replica attempts, with hedges/failovers/retries as events),
-	// adopts device-side spans re-emitted over the transport, and feeds the
-	// per-device straggler analytics. Nil disables fleet tracing.
+	// races → replica attempts, with hedges/failovers/retries as events) and
+	// adopts device-side spans re-emitted over the transport. Nil disables
+	// fleet tracing; the per-device straggler records (Session.Stragglers)
+	// are kept either way.
 	Tracer *trace.Tracer
 	// OnWin, when non-nil, is called for every winning replica attempt with
 	// the device address, logical block index, and attempt latency. The
@@ -195,13 +196,12 @@ type blockState[E comparable] struct {
 
 // Session is a live fleet runtime serving queries for one deployment.
 type Session[E comparable] struct {
-	f     field.Field[E]
-	code  coding.Code[E]
-	cfg   Config
-	reg   *obs.Registry
-	trc   *trace.Tracer
-	strag *trace.Stragglers
-	cols  int
+	f    field.Field[E]
+	code coding.Code[E]
+	cfg  Config
+	reg  *obs.Registry
+	trc  *trace.Tracer
+	cols int
 
 	client transport.Client[E]
 	probe  transport.Client[E]
@@ -289,13 +289,6 @@ func Serve[E comparable](f field.Field[E], enc *coding.Encoding[E], cfg Config) 
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.met.init(reg)
-	if s.trc != nil {
-		// The straggler analytics consume every finished fleet.attempt span
-		// (including device spans adopted from response frames, which the
-		// filter ignores).
-		s.strag = trace.NewStragglers()
-		s.trc.Subscribe(s.strag.Observe)
-	}
 
 	s.blocks = make([]*blockState[E], len(enc.Blocks))
 	for j, group := range cfg.Replicas {

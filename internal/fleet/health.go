@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/scec/scec/internal/obs"
@@ -57,7 +58,27 @@ type device struct {
 	// device keeps everything it was ever sent, so a second block of the same
 	// encoding would hand it [B_i; B_j]·T.
 	block int
+
+	// The straggler record: how the device's replica attempts ended, one
+	// outcome each (see recordAttempt), and its recent winning latencies.
+	// The counters are atomic so recording an outcome never waits on the
+	// breaker lock every race already takes.
+	wins, hedgeWins, losses, errors atomic.Int64
+	winLat                          latencyRing
 }
+
+// attemptOutcome is how one replica attempt ended.
+type attemptOutcome uint8
+
+const (
+	// attemptWin answered first; its value is the one the race returns.
+	attemptWin attemptOutcome = iota
+	// attemptLoss answered after another replica won, or was cancelled
+	// because its race ended.
+	attemptLoss
+	// attemptError failed on its own: a device verdict the breaker counts.
+	attemptError
+)
 
 // bind ties the device to block for the rest of the session — the fleet's
 // one placement rule. It succeeds when the device is unbound or already bound
@@ -108,6 +129,42 @@ func (d *device) recordFailure(threshold int) {
 	if opened {
 		d.jr.Publish(flight.KindBreakerOpen, d.addr, int64(fails), 0)
 	}
+}
+
+// recordAttempt files one finished replica attempt on the straggler record;
+// lat, the attempt's own latency, enters the window only for a win. It
+// writes into storage the device was allocated with, so it allocates
+// nothing.
+func (d *device) recordAttempt(o attemptOutcome, hedged bool, lat time.Duration) {
+	switch o {
+	case attemptWin:
+		d.winLat.observe(lat)
+		d.wins.Add(1)
+		if hedged {
+			d.hedgeWins.Add(1)
+		}
+	case attemptLoss:
+		d.losses.Add(1)
+	default:
+		d.errors.Add(1)
+	}
+}
+
+// stats snapshots the device's straggler record. Attempts is the sum of the
+// outcomes read, so the invariant holds in every snapshot; hedgeWins is read
+// before wins, the reverse of recordAttempt's order, so HedgeWins never
+// exceeds Wins.
+func (d *device) stats() DeviceStats {
+	st := DeviceStats{Device: d.addr, HedgeWins: d.hedgeWins.Load(), Wins: d.wins.Load(), Losses: d.losses.Load(), Errors: d.errors.Load()}
+	st.Attempts = st.Wins + st.Losses + st.Errors
+	var buf [latencyWindow]time.Duration
+	n := d.winLat.sorted(&buf)
+	st.Samples = n
+	if n > 0 {
+		win := buf[:n]
+		st.P50, st.P95, st.P99 = nearestRank(win, 0.50), nearestRank(win, 0.95), nearestRank(win, 0.99)
+	}
+	return st
 }
 
 // admissible reports whether a request may route to the device now. An open

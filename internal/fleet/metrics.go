@@ -82,10 +82,14 @@ func (m *sessionMetrics) winner(block int) *obs.Histogram {
 		obs.DefLatencyBuckets, obs.L("block", strconv.Itoa(block)))
 }
 
-// latencyRing keeps the last winner latencies for the adaptive hedge delay.
+// latencyWindow is how many latencies a latencyRing retains.
+const latencyWindow = 64
+
+// latencyRing keeps the last winner latencies: the session's for the
+// adaptive hedge delay, and each device's for its straggler record.
 type latencyRing struct {
 	mu   sync.Mutex
-	buf  [64]time.Duration
+	buf  [latencyWindow]time.Duration
 	n    int // filled entries
 	next int // write cursor
 }
@@ -106,16 +110,31 @@ func (r *latencyRing) observe(d time.Duration) {
 	r.mu.Unlock()
 }
 
-// percentile returns the p-quantile of the retained latencies; ok is false
-// until minAdaptiveSamples observations accumulated. It sorts a by-value
-// stack copy of the ring, so arming a hedge timer allocates nothing.
-func (r *latencyRing) percentile(p float64) (time.Duration, bool) {
+// sorted copies the retained latencies into dst, ascending, and returns how
+// many there are. dst is the caller's stack array, so reading a percentile
+// allocates nothing; returning the array by value instead doubles the frame
+// and makes the per-block goroutines grow their stacks on every race.
+func (r *latencyRing) sorted(dst *[latencyWindow]time.Duration) int {
 	r.mu.Lock()
-	n, tmp := r.n, r.buf
+	n := r.n
+	*dst = r.buf
 	r.mu.Unlock()
+	slices.Sort(dst[:n])
+	return n
+}
+
+// percentile returns the p-quantile of the retained latencies; ok is false
+// until minAdaptiveSamples observations accumulated.
+func (r *latencyRing) percentile(p float64) (time.Duration, bool) {
+	var tmp [latencyWindow]time.Duration
+	n := r.sorted(&tmp)
 	if n < minAdaptiveSamples {
 		return 0, false
 	}
-	slices.Sort(tmp[:n])
-	return tmp[int(p*float64(n-1))], true
+	return nearestRank(tmp[:n], p), true
+}
+
+// nearestRank reads the p-quantile of a non-empty ascending sample.
+func nearestRank(sorted []time.Duration, p float64) time.Duration {
+	return sorted[int(p*float64(len(sorted)-1))]
 }

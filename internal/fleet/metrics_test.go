@@ -191,6 +191,21 @@ func TestLatencyRingPercentileAllocs(t *testing.T) {
 	}
 }
 
+// TestRecordAttemptAllocs: every replica attempt files its outcome on its
+// device's straggler record on the query path, so recording one must not
+// allocate. It fails if the record grows a heap-backed window or a map.
+func TestRecordAttemptAllocs(t *testing.T) {
+	testenv.SkipAllocsUnderRace(t)
+	d := &device{addr: "d"}
+	if n := testing.AllocsPerRun(100, func() {
+		d.recordAttempt(attemptWin, true, time.Millisecond)
+		d.recordAttempt(attemptLoss, false, 0)
+		d.recordAttempt(attemptError, false, 0)
+	}); n != 0 {
+		t.Fatalf("recordAttempt = %g allocs, want 0", n)
+	}
+}
+
 func fullLatencyRing() *latencyRing {
 	rng := rand.New(rand.NewPCG(15, 3))
 	r := newLatencyRing()

@@ -206,14 +206,38 @@ func (b *blockState[E]) replicaCount() int {
 type attempt[T any] struct {
 	v   T
 	err error
-	// sp is the attempt's span, still open on success so the race loop can
-	// stamp the winner; failed attempts arrive with sp already ended.
+	// sp is the attempt's span. A success arrives with it still open, for
+	// the race to settle as its win or as a loss; every other attempt
+	// arrives settled.
 	sp *trace.Span
 	// d is the replica the attempt ran against.
 	d *device
 	// hedged marks a speculative attempt (launched by the hedge timer, not
 	// as the leader or a failover), so a winning hedge can be journaled.
 	hedged bool
+	// lat is the attempt's own latency: how long its call took.
+	lat time.Duration
+}
+
+// settle files the attempt's outcome on its device's straggler record and
+// ends its span. Every launched attempt is settled exactly once.
+func (a attempt[T]) settle(o attemptOutcome) {
+	if o == attemptWin {
+		a.sp.SetAttr(trace.AttrWin, "true")
+	}
+	a.d.recordAttempt(o, a.hedged, a.lat)
+	a.sp.End()
+}
+
+// settleLosers waits out a returned race's attempts still in flight: a
+// success that answers after the race returned is a loss, and failed
+// attempts have settled themselves.
+func settleLosers[T any](results <-chan attempt[T], pending int) {
+	for ; pending > 0; pending-- {
+		if r := <-results; r.err == nil {
+			r.settle(attemptLoss)
+		}
+	}
 }
 
 // raceReplicas runs one first-winner round over the candidate replicas:
@@ -230,36 +254,41 @@ func raceReplicas[E comparable, T any](s *Session[E], ctx context.Context, b *bl
 	start := time.Now()
 	launch := func(d *device, hedged bool) {
 		// The attempt span is created here (not in the goroutine) so its
-		// start time precedes the dial; each goroutine owns its span until it
-		// lands on the results channel.
+		// start time precedes the dial.
 		actx, asp := s.startSpan(rctx, trace.SpanFleetAttempt,
 			trace.A(trace.AttrDevice, d.addr), trace.A(trace.AttrHedged, strconv.FormatBool(hedged)))
 		go func() {
+			launched := time.Now()
 			v, err := call(actx, b, d.addr)
+			r := attempt[T]{v, err, asp, d, hedged, time.Since(launched)}
 			switch {
 			case err == nil:
 				d.recordSuccess()
 			case errors.Is(err, context.Canceled) && rctx.Err() != nil:
-				// Cancelled loser, not a device verdict. The span ends clean
-				// (no error) so the straggler analytics count it as a loss,
-				// not a fault.
+				// Cancelled loser, not a device verdict: a loss, not a fault.
+				r.settle(attemptLoss)
 			default:
 				d.recordFailure(s.cfg.BreakerThreshold)
 				asp.SetError(err)
 				if errors.Is(err, context.DeadlineExceeded) {
 					s.jr.Publish(flight.KindTimeout, d.addr, int64(b.index), 0)
 				}
+				r.settle(attemptError)
 			}
-			if err != nil {
-				asp.End()
-			}
-			results <- attempt[T]{v, err, asp, d, hedged}
+			results <- r
 		}()
 	}
 	next := 0
 	launch(cands[next], false)
 	next++
 	pending := 1
+	// A race that returns with attempts in flight leaves them to a drainer;
+	// one that heard from every attempt starts no goroutine.
+	defer func() {
+		if pending > 0 {
+			go settleLosers(results, pending)
+		}
+	}()
 	// The hedge timer exists only while a candidate is left to hedge to; a
 	// nil channel never fires, so a single-replica race pays for neither the
 	// timer nor the delay estimate.
@@ -289,8 +318,7 @@ func raceReplicas[E comparable, T any](s *Session[E], ctx context.Context, b *bl
 				if r.hedged {
 					s.jr.Publish(flight.KindHedgeWin, r.d.addr, int64(b.index), 0)
 				}
-				r.sp.SetAttr(trace.AttrWin, "true")
-				r.sp.End()
+				r.settle(attemptWin)
 				return r.v, nil
 			}
 			lastErr = r.err

@@ -140,8 +140,8 @@ func TestTraceFaultInjectionFailover(t *testing.T) {
 
 // TestTraceHedgeWinAttribution delays block 0's leader so the hedged second
 // replica wins: the trace must carry the hedge event naming the speculative
-// replica, the winner must be marked hedged, and the straggler analytics
-// must attribute the hedge win to that device.
+// replica, the winner must be marked hedged, and the session's straggler
+// record must attribute the hedge win to that device.
 func TestTraceHedgeWinAttribution(t *testing.T) {
 	env := newTestEnv(t, 2, 0)
 	tr := trace.New(trace.Options{Service: "fleet-test"})
@@ -177,16 +177,16 @@ func TestTraceHedgeWinAttribution(t *testing.T) {
 		t.Errorf("no winning hedged attempt attributed to %s", hedgeTarget)
 	}
 
-	var stats []trace.DeviceStats
-	// The analytics subscriber runs synchronously on span End, so the
-	// snapshot is already consistent here.
-	for _, ds := range s.Stragglers().Snapshot() {
+	var stats []DeviceStats
+	// The winner is settled before its race returns, so the record is
+	// already current here.
+	for _, ds := range s.Stragglers() {
 		if ds.Device == hedgeTarget {
 			stats = append(stats, ds)
 		}
 	}
 	if len(stats) != 1 || stats[0].HedgeWins < 1 {
-		t.Errorf("straggler analytics do not credit %s with a hedge win: %+v", hedgeTarget, stats)
+		t.Errorf("straggler record does not credit %s with a hedge win: %+v", hedgeTarget, stats)
 	}
 }
 
@@ -236,7 +236,7 @@ func TestTraceRetryEvents(t *testing.T) {
 }
 
 // TestDebugSnapshotLive asserts Session.Debug reflects breaker state and
-// straggler analytics after a faulted query (the /debug/fleet payload).
+// the straggler records after a faulted query (the /debug/fleet payload).
 func TestDebugSnapshotLive(t *testing.T) {
 	env := newTestEnv(t, 2, 1)
 	tr := trace.New(trace.Options{Service: "fleet-test"})
@@ -272,6 +272,6 @@ func TestDebugSnapshotLive(t *testing.T) {
 		t.Errorf("no open breaker in debug snapshot after killing replicas: %+v", d.Blocks)
 	}
 	if len(d.Stragglers) == 0 {
-		t.Errorf("debug snapshot has no straggler analytics despite traced queries")
+		t.Errorf("debug snapshot has no straggler records after a query")
 	}
 }

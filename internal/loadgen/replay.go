@@ -5,7 +5,7 @@ import (
 	"sort"
 	"time"
 
-	"github.com/scec/scec/internal/obs/trace"
+	"github.com/scec/scec/internal/fleet"
 )
 
 // ReplayStep is one change point in a device's recorded slowdown timeline:
@@ -61,12 +61,13 @@ func (r *Replay) FactorAt(j int, t time.Duration) float64 {
 	return max(steps[i-1].Factor, 1)
 }
 
-// ReplayFromStragglers converts a live fleet's straggler digest into a
-// replay profile: each device's factor is its p95 winning-attempt latency
-// relative to the fleet-median p50, clamped to at least 1 — i.e. "make the
-// virtual fleet straggle the way the real one just did". Devices appear in
-// digest order; devices without samples stay nominal.
-func ReplayFromStragglers(digest []trace.DeviceStats) *Replay {
+// ReplayFromStragglers converts a live fleet's straggler records
+// (fleet.Session.Stragglers) into a replay profile: each device's factor is
+// its p95 winning-attempt latency relative to the fleet-median p50, clamped
+// to at least 1 — i.e. "make the virtual fleet straggle the way the real one
+// just did". Devices appear in digest order; devices without samples stay
+// nominal.
+func ReplayFromStragglers(digest []fleet.DeviceStats) *Replay {
 	var p50s []time.Duration
 	for _, d := range digest {
 		if d.Samples > 0 && d.P50 > 0 {

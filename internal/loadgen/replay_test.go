@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/scec/scec/internal/obs/trace"
+	"github.com/scec/scec/internal/fleet"
 )
 
 func TestReplayValidate(t *testing.T) {
@@ -34,7 +34,7 @@ func TestReplayValidate(t *testing.T) {
 }
 
 func TestReplayFromStragglers(t *testing.T) {
-	digest := []trace.DeviceStats{
+	digest := []fleet.DeviceStats{
 		{Device: "a", Samples: 100, P50: 10 * time.Millisecond, P95: 12 * time.Millisecond},
 		{Device: "b", Samples: 100, P50: 10 * time.Millisecond, P95: 50 * time.Millisecond},
 		{Device: "c", Samples: 0}, // never won an attempt: stays nominal

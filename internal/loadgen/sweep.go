@@ -60,14 +60,6 @@ type SweepOptions struct {
 	Timeout     time.Duration
 	MaxInFlight int
 	Metrics     *obs.Registry
-	// KneeFactor is the saturation threshold: a step whose p99 exceeds
-	// KneeFactor× the first step's p99 is saturated. Zero means 3.
-	KneeFactor float64
-	// MinAchievedRatio marks a step saturated when it completes less than
-	// this fraction of its offered load. Zero means 0.9.
-	MinAchievedRatio float64
-	// Collector, when non-nil, receives live step progress for /debug/slo.
-	Collector *Collector
 }
 
 // stepRequests resolves a step's request budget.
@@ -99,7 +91,6 @@ func Sweep(ctx context.Context, target Target, o SweepOptions) ([]StepResult, er
 		if err := ctx.Err(); err != nil {
 			return steps, err
 		}
-		o.Collector.stepStarted(rate)
 		res, err := Run(ctx, target, Options{
 			Rate:        rate,
 			Requests:    o.stepRequests(rate),
@@ -112,20 +103,24 @@ func Sweep(ctx context.Context, target Target, o SweepOptions) ([]StepResult, er
 		if err != nil {
 			return steps, err
 		}
-		step := summarize(res)
-		steps = append(steps, step)
-		o.Collector.stepDone(step)
+		steps = append(steps, summarize(res))
 	}
-	DetectKnee(steps, o.KneeFactor, o.MinAchievedRatio)
+	DetectKnee(steps)
 	return steps, nil
 }
+
+// DetectKnee's saturation thresholds; its doc states the rule.
+const (
+	kneeP99Factor   = 3
+	kneeMinAchieved = 0.9
+)
 
 // DetectKnee classifies each step's Saturated flag in place and returns the
 // saturation knee: the highest offered load the target sustains. A step is
 // saturated when any of
 //
-//   - its p99 exceeds factor× the first (lightest) step's p99,
-//   - it completed less than minAchieved of its offered load, or
+//   - its p99 exceeds kneeP99Factor (3)× the first (lightest) step's p99,
+//   - it completed less than kneeMinAchieved (90%) of its offered load, or
 //   - more than 1% of its requests errored or were shed,
 //
 // and every step after the first saturated one is saturated too (a knee is
@@ -133,16 +128,10 @@ func Sweep(ctx context.Context, target Target, o SweepOptions) ([]StepResult, er
 // make it worse — an accidental dip back under the latency threshold at a
 // higher rate is measurement noise, not recovered capacity). The returned
 // knee is the last unsaturated step's offered rate, or 0 when even the
-// first step saturates. factor ≤ 0 means 3; minAchieved ≤ 0 means 0.9.
-func DetectKnee(steps []StepResult, factor, minAchieved float64) float64 {
+// first step saturates.
+func DetectKnee(steps []StepResult) float64 {
 	if len(steps) == 0 {
 		return 0
-	}
-	if factor <= 0 {
-		factor = 3
-	}
-	if minAchieved <= 0 {
-		minAchieved = 0.9
 	}
 	base := steps[0].P99
 	knee := 0.0
@@ -150,8 +139,8 @@ func DetectKnee(steps []StepResult, factor, minAchieved float64) float64 {
 	for i := range steps {
 		s := &steps[i]
 		bad := s.Requests > 0 && float64(s.Errors+s.Shed) > 0.01*float64(s.Requests)
-		slow := base > 0 && float64(s.P99) > factor*float64(base)
-		starved := s.AchievedQPS < minAchieved*s.OfferedQPS
+		slow := base > 0 && float64(s.P99) > kneeP99Factor*float64(base)
+		starved := s.AchievedQPS < kneeMinAchieved*s.OfferedQPS
 		if saturated || slow || starved || bad {
 			saturated = true
 			s.Saturated = true

@@ -18,7 +18,7 @@ func TestDetectKneeSyntheticCurve(t *testing.T) {
 		mk(400, 50*time.Millisecond, 390), // p99 > 3× base: saturated
 		mk(800, 500*time.Millisecond, 420),
 	}
-	knee := DetectKnee(steps, 0, 0)
+	knee := DetectKnee(steps)
 	if knee != 200 {
 		t.Fatalf("knee = %g, want 200", knee)
 	}
@@ -38,7 +38,7 @@ func TestDetectKneeMonotone(t *testing.T) {
 		mk(200, 100*time.Millisecond), // saturated
 		mk(400, 15*time.Millisecond),  // noise dip — still past the knee
 	}
-	knee := DetectKnee(steps, 3, 0.9)
+	knee := DetectKnee(steps)
 	if knee != 100 {
 		t.Fatalf("knee = %g, want 100 (saturation is monotone)", knee)
 	}
@@ -52,29 +52,26 @@ func TestDetectKneeStarvedAndErrors(t *testing.T) {
 		{OfferedQPS: 100, AchievedQPS: 100, Requests: 1000, P99: time.Millisecond},
 		{OfferedQPS: 200, AchievedQPS: 150, Requests: 1000, P99: time.Millisecond}, // achieved < 0.9×offered
 	}
-	if knee := DetectKnee(steps, 3, 0.9); knee != 100 {
+	if knee := DetectKnee(steps); knee != 100 {
 		t.Fatalf("starved step: knee = %g, want 100", knee)
 	}
 	steps = []StepResult{
 		{OfferedQPS: 100, AchievedQPS: 100, Requests: 1000, P99: time.Millisecond, Errors: 50},
 	}
-	if knee := DetectKnee(steps, 3, 0.9); knee != 0 {
+	if knee := DetectKnee(steps); knee != 0 {
 		t.Fatalf("5%% errors on the first step: knee = %g, want 0", knee)
 	}
-	if DetectKnee(nil, 0, 0) != 0 {
+	if DetectKnee(nil) != 0 {
 		t.Fatal("empty sweep must have no knee")
 	}
 }
 
 func TestSweepRunsAllSteps(t *testing.T) {
-	col := NewCollector()
-	col.StartScenario(Scenario{Name: "test"})
 	steps, err := Sweep(context.Background(), func(ctx context.Context) error { return nil }, SweepOptions{
 		Rates:           []float64{500, 1000},
 		RequestsPerStep: 100,
 		Arrival:         Uniform{},
 		Metrics:         obs.New(),
-		Collector:       col,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -41,17 +41,15 @@ type VirtualOptions struct {
 	OutageFrac float64
 	// Replay, when non-nil, drives per-device straggler factors from a
 	// recorded timeline (e.g. ReplayFromStragglers over a live fleet's
-	// straggler digest) instead of — or on top of — random churn.
+	// straggler records) instead of — or on top of — random churn.
 	Replay *Replay
 
-	// Rates, RequestsPerStep, Arrival, Seed, and Collector mirror
-	// SweepOptions on the virtual clock; the knee is detected at DetectKnee's
-	// defaults.
+	// Rates, RequestsPerStep, Arrival, and Seed mirror SweepOptions on the
+	// virtual clock.
 	Rates           []float64
 	RequestsPerStep int
 	Arrival         Arrival
 	Seed            uint64
-	Collector       *Collector
 }
 
 // The churn model's fixed shape. Every device is sim.DefaultProfile(), the
@@ -134,12 +132,9 @@ func VirtualSweep(o VirtualOptions) ([]StepResult, VirtualStats, error) {
 	var stats VirtualStats
 	steps := make([]StepResult, 0, len(o.Rates))
 	for i, rate := range o.Rates {
-		o.Collector.stepStarted(rate)
-		step := o.runStep(rate, arrival, o.Seed+uint64(i), &stats)
-		steps = append(steps, step)
-		o.Collector.stepDone(step)
+		steps = append(steps, o.runStep(rate, arrival, o.Seed+uint64(i), &stats))
 	}
-	stats.KneeQPS = DetectKnee(steps, 0, 0)
+	stats.KneeQPS = DetectKnee(steps)
 	return steps, stats, nil
 }
 

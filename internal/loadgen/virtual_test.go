@@ -110,28 +110,6 @@ func TestVirtualSweepValidation(t *testing.T) {
 	}
 }
 
-func TestCollectorLifecycle(t *testing.T) {
-	c := NewCollector()
-	c.StartScenario(Scenario{Name: "live"})
-	c.stepStarted(100)
-	c.stepDone(StepResult{OfferedQPS: 100})
-	sc := Scenario{Name: "live", KneeQPS: 100, Steps: []StepResult{{OfferedQPS: 100}}}
-	c.FinishScenario(sc)
-	rep := c.Report()
-	if len(rep.Scenarios) != 1 || rep.Scenarios[0].Name != "live" {
-		t.Fatalf("collector report: %+v", rep)
-	}
-	// Nil collector: every hook is a no-op, no panics.
-	var nc *Collector
-	nc.StartScenario(sc)
-	nc.stepStarted(1)
-	nc.stepDone(StepResult{})
-	nc.FinishScenario(sc)
-	if got := nc.Report(); len(got.Scenarios) != 0 {
-		t.Fatalf("nil collector report: %+v", got)
-	}
-}
-
 // TestVirtualSweepMatchesCommittedLoadReport pins the virtual half of `make
 // load-check` in tier-1: the same options must reproduce the
 // sim-1000dev-churn scenario of results/load.json exactly (the make target

@@ -179,36 +179,3 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
 }
-
-// SeriesExemplars is one histogram series' retained exemplars, keyed by its
-// label set — the shape ExemplarsOf returns for tail-to-trace links in
-// /debug/slo.
-type SeriesExemplars struct {
-	Labels    map[string]string `json:"labels,omitempty"`
-	Exemplars []BucketExemplar  `json:"exemplars"`
-}
-
-// ExemplarsOf collects the retained exemplars of every series in the named
-// histogram family, in registration order; series without exemplars are
-// omitted. Returns nil for unknown or non-histogram families.
-func (r *Registry) ExemplarsOf(name string) []SeriesExemplars {
-	var out []SeriesExemplars
-	r.visit(func(f *family, s *series) {
-		if f.name != name || s.hist == nil {
-			return
-		}
-		ex := s.hist.Exemplars()
-		if len(ex) == 0 {
-			return
-		}
-		se := SeriesExemplars{Exemplars: ex}
-		if len(s.labels) > 0 {
-			se.Labels = make(map[string]string, len(s.labels))
-			for _, l := range s.labels {
-				se.Labels[l.Key] = l.Value
-			}
-		}
-		out = append(out, se)
-	})
-	return out
-}

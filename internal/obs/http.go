@@ -80,7 +80,7 @@ func JSONHeaders(w http.ResponseWriter) {
 // double-register.
 var builtinRoutes = []Route{
 	{Pattern: "/debug", Desc: "this index: every mounted debug/metrics route"},
-	{Pattern: "/metrics", Desc: "Prometheus text exposition (?format=json for a snapshot)"},
+	{Pattern: "/metrics", Desc: "Prometheus text exposition"},
 	{Pattern: "/metrics.json", Desc: "JSON metrics snapshot with quantiles and exemplars"},
 	{Pattern: "/healthz", Desc: "liveness probe: status, uptime, build identity"},
 	{Pattern: "/debug/vars", Desc: "expvar: Go runtime memstats and cmdline"},
@@ -114,7 +114,7 @@ func debugIndex(routes []RouteInfo) http.Handler {
 
 // Handler returns the runtime-introspection handler bundle:
 //
-//	/metrics        Prometheus text exposition (?format=json for a snapshot)
+//	/metrics        Prometheus text exposition
 //	/metrics.json   JSON snapshot
 //	/healthz        liveness probe: JSON status, uptime, and build identity
 //	/debug          JSON index of every mounted debug/metrics route
@@ -135,11 +135,6 @@ func (r *Registry) Handler(extra ...Route) http.Handler {
 		L("go_version", bi.GoVersion), L("module", bi.Module), L("version", bi.Version)).Set(1)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Query().Get("format") == "json" {
-			JSONHeaders(w)
-			_ = r.WriteJSON(w)
-			return
-		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.Header().Set("Cache-Control", "no-store")
 		_ = r.WritePrometheus(w)

@@ -25,9 +25,6 @@ func TestHandlerBundle(t *testing.T) {
 	if code, body := get(t, h, "/metrics"); code != 200 || !strings.Contains(body, "bundle_total 1") {
 		t.Fatalf("/metrics: code %d body %q", code, body)
 	}
-	if code, body := get(t, h, "/metrics?format=json"); code != 200 || !strings.Contains(body, `"bundle_total"`) {
-		t.Fatalf("/metrics?format=json: code %d body %q", code, body)
-	}
 	if code, body := get(t, h, "/metrics.json"); code != 200 || !strings.Contains(body, `"uptime_seconds"`) {
 		t.Fatalf("/metrics.json: code %d body %q", code, body)
 	}

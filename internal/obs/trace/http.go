@@ -11,13 +11,11 @@ import (
 type tracesResponse struct {
 	Service string `json:"service"`
 	// Started/Ended/Adopted/Retained are the tracer's lifetime counters.
-	Started  int64 `json:"started"`
-	Ended    int64 `json:"ended"`
-	Adopted  int64 `json:"adopted"`
-	Retained int64 `json:"retained"`
-	// Stragglers is present when analytics are attached to the handler.
-	Stragglers []DeviceStats `json:"stragglers,omitempty"`
-	Traces     []TraceView   `json:"traces"`
+	Started  int64       `json:"started"`
+	Ended    int64       `json:"ended"`
+	Adopted  int64       `json:"adopted"`
+	Retained int64       `json:"retained"`
+	Traces   []TraceView `json:"traces"`
 }
 
 // DebugHandler serves the tracer's retained traces as waterfall-ready
@@ -26,9 +24,8 @@ type tracesResponse struct {
 //	GET /debug/traces            most recent traces (?limit=N, ?spans=1)
 //	GET /debug/traces/{id}       one full trace by 32-hex-digit ID
 //
-// Mount both patterns on the obs handler via its extra-route hook. A nil
-// *Stragglers omits the analytics section.
-func DebugHandler(t *Tracer, an *Stragglers) http.Handler {
+// Mount both patterns on the obs handler via its extra-route hook.
+func DebugHandler(t *Tracer) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, req *http.Request) {
 		limit := 20
@@ -40,7 +37,6 @@ func DebugHandler(t *Tracer, an *Stragglers) http.Handler {
 		wantSpans := req.URL.Query().Get("spans") == "1"
 		resp := tracesResponse{Service: t.Service()}
 		resp.Started, resp.Ended, resp.Adopted, resp.Retained = t.Stats()
-		resp.Stragglers = an.Snapshot()
 		views := t.Assemble()
 		if len(views) > limit {
 			views = views[:limit]

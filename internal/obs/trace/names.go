@@ -1,8 +1,8 @@
 package trace
 
 // Span names and attribute keys wired through the stack. Instrumentation
-// sites and the analytics/tests agree on these the same way metric names
-// are shared through internal/obs/names.go.
+// sites and tests agree on these the same way metric names are shared
+// through internal/obs/names.go.
 const (
 	// SpanQueryVec / SpanQueryMat are the engine query layer's root spans,
 	// one per user MulVec / MulMat.
@@ -23,8 +23,9 @@ const (
 	// its hedges, failovers, and retry rounds as events.
 	SpanFleetBlock = "fleet.block"
 	// SpanFleetAttempt is a single replica attempt inside a race. Its
-	// AttrDevice/AttrHedged/AttrWin attributes feed the straggler
-	// analytics.
+	// AttrDevice/AttrHedged/AttrWin attributes say which device ran it, how
+	// it was launched and whether it won; the fleet session keeps the same
+	// outcomes on its per-device straggler records without a tracer.
 	SpanFleetAttempt = "fleet.attempt"
 
 	// SpanRPCClient wraps one transport round trip on the client side.

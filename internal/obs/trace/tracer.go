@@ -41,9 +41,6 @@ type Tracer struct {
 	clock   Clock
 	buf     *buffer
 
-	mu   sync.Mutex
-	subs []func(SpanData)
-
 	started atomic.Int64
 	ended   atomic.Int64
 	adopted atomic.Int64
@@ -79,21 +76,6 @@ func (t *Tracer) Service() string {
 		return ""
 	}
 	return t.service
-}
-
-// Enabled reports whether spans will actually be recorded.
-func (t *Tracer) Enabled() bool { return t != nil }
-
-// Subscribe registers fn to run on every finished or adopted span (the
-// straggler analytics feed from here). fn must be fast and must not call
-// back into the tracer.
-func (t *Tracer) Subscribe(fn func(SpanData)) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.subs = append(t.subs, fn)
-	t.mu.Unlock()
 }
 
 // StartRoot opens a new trace and returns its root span along with a
@@ -158,17 +140,7 @@ func (t *Tracer) Record(sd SpanData) {
 		return
 	}
 	t.adopted.Add(1)
-	t.keep(sd)
-}
-
-func (t *Tracer) keep(sd SpanData) {
 	t.buf.put(sd)
-	t.mu.Lock()
-	subs := t.subs
-	t.mu.Unlock()
-	for _, fn := range subs {
-		fn(sd)
-	}
 }
 
 // Snapshot returns the retained spans — pinned head, error reserve, and
@@ -293,7 +265,7 @@ func (s *Span) End() {
 	s.data = sd
 	s.mu.Unlock()
 	s.tracer.ended.Add(1)
-	s.tracer.keep(sd)
+	s.tracer.buf.put(sd)
 }
 
 // Data returns the finished span's immutable record; ok is false before

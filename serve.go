@@ -29,6 +29,11 @@ var ErrBlockUnavailable = fleet.ErrBlockUnavailable
 // returns when no replica of one coded block could serve it in time.
 type BlockUnavailableError = fleet.BlockUnavailableError
 
+// DeviceStats is one device's straggler record — attempt outcomes, hedge
+// wins and the p50/p95/p99 of its last 64 winning latencies — as returned by
+// Session.Stragglers, traced or not.
+type DeviceStats = fleet.DeviceStats
+
 // Served is the handle Serve returns: the same type as Deployment, named
 // for the case where the bound backend is a fault-tolerant fleet session.
 // With WithAdaptive the session underneath may be replaced live by a

@@ -21,15 +21,12 @@ type TracerOptions = trace.Options
 // one tracer per process is the normal setup.
 func NewTracer(o TracerOptions) *Tracer { return trace.New(o) }
 
-// DeviceStats is one device's straggler digest: rolling win-latency
-// percentiles plus hedge-win attribution. See Session.Stragglers.
-type DeviceStats = trace.DeviceStats
-
 // WithTracing routes the deployment engine's query/coalesce/round/decode
 // spans (and, through context propagation, every substrate span below them)
 // to t. Every fleet bind (Serve, or Deploy over a FleetExecutor) shares it
 // with the session when FleetConfig.Tracer is unset — and vice versa — so
-// one of the two is enough for the race/hedge spans and straggler analytics.
+// one of the two is enough for the race/hedge spans. The session's
+// per-device straggler records (Session.Stragglers) need no tracer.
 func WithTracing[E comparable](t *Tracer) DeployOption[E] {
 	return func(c *deployConfig[E]) { c.opts.Tracer = t }
 }

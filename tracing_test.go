@@ -229,7 +229,7 @@ func TestTraceDebugEndpointsLiveJSON(t *testing.T) {
 	e := newTracedFleet(t)
 	e.proxies[1][0].SetMode(fleet.FaultDrop) // keep failovers happening mid-flight
 
-	h := trace.DebugHandler(e.tr, e.served.Session().Stragglers())
+	h := trace.DebugHandler(e.tr)
 	srv := httptest.NewServer(obs.New().Handler(
 		obs.Route{Pattern: "/debug/traces", Handler: h},
 		obs.Route{Pattern: "/debug/traces/{id}", Handler: h},
