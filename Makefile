@@ -56,15 +56,15 @@ trace-demo:
 # disabled loses every replica of block 0 mid-stream; the adaptive control
 # plane replans and rehosts the block onto the standby, and the flight-
 # recorder watchdog — armed on the replan-adopt journal event — captures an
-# incident bundle (goroutine + heap profiles, metrics snapshot with
-# exemplars, trace rings, journal tail, adapt history) under
-# results/incidents/. The committed results/incident-demo.json validates
+# incident bundle (the process's debug surface captured in-process: metrics
+# with exemplars, fleet, engine and adapt state, traces, journal, goroutine
+# dump, heap profile) under results/incidents/. The committed results/incident-demo.json validates
 # the bundle: the profiles parse, the journal carries the breaker-open →
 # replan-adopt → rehost-ok arc, and a retained trace shows the failing
 # device's span. Exits non-zero if any check fails.
 incident-demo:
 	$(GO) run ./cmd/scecnet fleet -m 40 -l 16 -k 2 -replicas 1 -standbys 1 \
-		-queries 12 -timeout 500ms -max-retries 2 -seed 2 \
+		-queries 12 -timeout 500ms -seed 2 \
 		-adaptive -replan-every 100ms -no-repair -inject-one \
 		-incident-dir results/incidents \
 		-watch "journal:replan-adopt>=1/60s" \

@@ -5,22 +5,20 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"mime"
 	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"github.com/scec/scec/internal/obs"
 )
 
-// runDebug implements `scecnet debug snapshot`: pull every debug/metrics
-// route a running scecnet process serves (its -metrics-addr) into a local
-// directory, for offline triage or attaching to a ticket. The route list is
-// discovered live from the process's own /debug index, so a snapshot always
-// covers exactly what that build mounts — including /debug/journal and
-// /debug/incidents when the flight recorder is armed.
+// runDebug implements `scecnet debug snapshot`: capture the debug surface a
+// running scecnet process serves (its -metrics-addr) into a local
+// directory, for offline triage or attaching to a ticket. The routes come
+// from the process's own /debug index, so a snapshot covers exactly what
+// that build mounts, and obs.CaptureDebug names the files — a snapshot and
+// an incident bundle of the same process hold the same files.
 func runDebug(args []string, out io.Writer) error {
 	if len(args) == 0 || args[0] != "snapshot" {
 		return fmt.Errorf("usage: scecnet debug snapshot -addr HOST:PORT [-out DIR]")
@@ -41,142 +39,28 @@ func runDebug(args []string, out io.Writer) error {
 	if dir == "" {
 		dir = filepath.Join("results", "snapshot-"+time.Now().UTC().Format("20060102T150405Z"))
 	}
-	return snapshotDebug(out, *addr, dir, *timeout)
-}
-
-// snapshotRoute is one fetched route in the snapshot manifest.
-type snapshotRoute struct {
-	Pattern string `json:"pattern"`
-	Desc    string `json:"desc,omitempty"`
-	File    string `json:"file,omitempty"`
-	Bytes   int    `json:"bytes,omitempty"`
-	Err     string `json:"err,omitempty"`
-	Skipped string `json:"skipped,omitempty"`
-}
-
-func snapshotDebug(out io.Writer, addr, dir string, timeout time.Duration) error {
-	client := &http.Client{Timeout: timeout}
-	base := "http://" + addr
-
-	// The /debug index is the source of truth for what this process mounts.
-	var index struct {
-		Routes []obs.RouteInfo `json:"routes"`
-	}
-	body, _, err := fetch(client, base+"/debug")
+	captured, err := obs.CaptureDebug(&http.Client{Timeout: *timeout}, "http://"+*addr, dir)
 	if err != nil {
-		return fmt.Errorf("scecnet debug snapshot: %s has no /debug index: %w", addr, err)
+		return fmt.Errorf("scecnet debug snapshot: %w", err)
 	}
-	if err := json.Unmarshal(body, &index); err != nil {
-		return fmt.Errorf("scecnet debug snapshot: parse /debug index from %s: %w", addr, err)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-
-	manifest := make([]snapshotRoute, 0, len(index.Routes)+1)
-	fetched := 0
-	for _, rt := range index.Routes {
-		sr := snapshotRoute{Pattern: rt.Pattern, Desc: rt.Desc}
-		switch {
-		case rt.Pattern == "/debug":
-			sr.Skipped = "index itself (saved as snapshot.json)"
-		case strings.Contains(rt.Pattern, "{"):
-			sr.Skipped = "parameterized route; fetch ids via its listing route"
-		case strings.HasPrefix(rt.Pattern, "/debug/pprof"):
-			// Profiles are on-demand and some block (profile, trace); take
-			// only the cheap instantaneous goroutine dump.
-			if rt.Pattern != "/debug/pprof/" {
-				sr.Skipped = "pprof profile; use go tool pprof against the live process"
-				break
-			}
-			sr.Pattern = "/debug/pprof/goroutine?debug=2"
-			b, _, err := fetch(client, base+sr.Pattern)
-			if err != nil {
-				sr.Err = err.Error()
-				break
-			}
-			sr.File = "goroutines.txt"
-			sr.Bytes = len(b)
-			if err := os.WriteFile(filepath.Join(dir, sr.File), b, 0o644); err != nil {
-				return err
-			}
-			fetched++
-		default:
-			b, ctype, err := fetch(client, base+rt.Pattern)
-			if err != nil {
-				sr.Err = err.Error()
-				break
-			}
-			sr.File = snapshotFileName(rt.Pattern, ctype)
-			sr.Bytes = len(b)
-			if err := os.WriteFile(filepath.Join(dir, sr.File), b, 0o644); err != nil {
-				return err
-			}
-			fetched++
-		}
-		manifest = append(manifest, sr)
-	}
-
 	mf, err := json.MarshalIndent(struct {
-		Addr   string          `json:"addr"`
-		At     string          `json:"at"`
-		Routes []snapshotRoute `json:"routes"`
-	}{addr, time.Now().UTC().Format(time.RFC3339), manifest}, "", "  ")
+		Addr   string              `json:"addr"`
+		At     string              `json:"at"`
+		Routes []obs.CapturedRoute `json:"routes"`
+	}{*addr, time.Now().UTC().Format(time.RFC3339), captured}, "", "  ")
 	if err != nil {
 		return err
 	}
 	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), append(mf, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "snapshot: pulled %d of %d routes from %s into %s\n", fetched, len(index.Routes), addr, dir)
-	for _, sr := range manifest {
-		switch {
-		case sr.Err != "":
-			fmt.Fprintf(out, "  %-28s ERROR %s\n", sr.Pattern, sr.Err)
-		case sr.Skipped != "":
-			fmt.Fprintf(out, "  %-28s skipped: %s\n", sr.Pattern, sr.Skipped)
-		default:
-			fmt.Fprintf(out, "  %-28s -> %s (%d bytes)\n", sr.Pattern, sr.File, sr.Bytes)
+	fmt.Fprintf(out, "snapshot: captured %d routes from %s into %s\n", len(captured), *addr, dir)
+	for _, c := range captured {
+		if c.Err != "" {
+			fmt.Fprintf(out, "  %-28s ERROR %s\n", c.Pattern, c.Err)
+		} else {
+			fmt.Fprintf(out, "  %-28s -> %s (%d bytes)\n", c.Pattern, c.File, c.Bytes)
 		}
 	}
 	return nil
-}
-
-// fetch GETs url and returns the body and Content-Type; non-200 is an error.
-func fetch(client *http.Client, url string) ([]byte, string, error) {
-	resp, err := client.Get(url)
-	if err != nil {
-		return nil, "", err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, "", fmt.Errorf("%s: %s", url, resp.Status)
-	}
-	return body, resp.Header.Get("Content-Type"), nil
-}
-
-// snapshotFileName maps a route pattern to a flat file name with an
-// extension matching the served Content-Type.
-func snapshotFileName(pattern, ctype string) string {
-	name := strings.Trim(pattern, "/")
-	name = strings.ReplaceAll(name, "/", "-")
-	if name == "" {
-		name = "root"
-	}
-	if strings.HasSuffix(name, ".json") || strings.HasSuffix(name, ".txt") {
-		return name
-	}
-	if mt, _, err := mime.ParseMediaType(ctype); err == nil {
-		switch mt {
-		case "application/json":
-			return name + ".json"
-		case "text/plain":
-			return name + ".txt"
-		}
-	}
-	return name + ".txt"
 }

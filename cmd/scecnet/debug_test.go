@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -18,10 +19,16 @@ import (
 	"github.com/scec/scec/internal/transport"
 )
 
-// startFullDebugServer stands up a Served adaptive fleet with every debug
-// surface the binary can mount — fleet, engine, adapt, traces, journal,
-// incidents — on one telemetry server, and returns its base URL.
-func startFullDebugServer(t *testing.T) (string, []obs.Route) {
+// debugServer is a Served adaptive fleet with every debug surface the
+// binary can mount — fleet, engine, adapt, traces, journal, incidents — on
+// one telemetry mux, served over HTTP and captured by a watchdog in-process.
+type debugServer struct {
+	base   string      // the served mux's base URL
+	routes []obs.Route // the extra routes mounted on the mux
+	wd     *flight.Watchdog
+}
+
+func startFullDebugServer(t *testing.T) debugServer {
 	t.Helper()
 	f := scec.PrimeField()
 	rng := rand.New(rand.NewPCG(7, 9))
@@ -57,13 +64,18 @@ func startFullDebugServer(t *testing.T) (string, []obs.Route) {
 		t.Fatal(err)
 	}
 
-	// One captured incident so /debug/incidents has content to serve.
 	incidentDir := t.TempDir()
 	jr := flight.Default()
+	routes := append(traceRoutes(tr), servedRoutes(served)...)
+	routes = append(routes, flight.Routes(jr, incidentDir)...)
+	mux := obs.Default().Handler(routes...)
+
+	// One captured incident so /debug/incidents has content to serve.
 	jr.Publish(flight.KindShed, "debug-test", 1, 0)
 	wd, err := flight.NewWatchdog(flight.Config{
-		Dir:   incidentDir,
-		Rules: mustRules(t, "journal:shed>=1/10m"),
+		Dir:     incidentDir,
+		Rules:   mustRules(t, "journal:shed>=1/10m"),
+		Handler: mux,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,19 +84,12 @@ func startFullDebugServer(t *testing.T) (string, []obs.Route) {
 		t.Fatal(err)
 	}
 
-	routes := append([]obs.Route{}, traceRoutes(tr)...)
-	routes = append(routes,
-		obs.Route{Pattern: "/debug/fleet", Handler: served.FleetDebugHandler(), Desc: "fleet snapshot"},
-		obs.Route{Pattern: "/debug/engine", Handler: served.EngineDebugHandler(), Desc: "engine snapshot"},
-		obs.Route{Pattern: "/debug/adapt", Handler: served.AdaptDebugHandler(), Desc: "adapt snapshot"},
-	)
-	routes = append(routes, flight.Routes(jr, incidentDir)...)
-	srv, err := obs.StartServer(nil, "127.0.0.1:0", routes...)
+	srv, err := obs.StartServer(mux, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	return "http://" + srv.Addr(), routes
+	return debugServer{base: "http://" + srv.Addr(), routes: routes, wd: wd}
 }
 
 func mustRules(t *testing.T, csv string) []flight.Rule {
@@ -100,7 +105,7 @@ func mustRules(t *testing.T, csv string) []flight.Rule {
 // asserts the response contract: 200, application/json, and no-store — no
 // stale snapshots out of intermediary caches, no content sniffing.
 func TestDebugHeaderSweep(t *testing.T) {
-	base, _ := startFullDebugServer(t)
+	base := startFullDebugServer(t).base
 	jsonRoutes := []string{
 		"/debug",
 		"/debug/fleet",
@@ -153,8 +158,8 @@ func TestDebugHeaderSweep(t *testing.T) {
 // TestDebugIndexListsAllRoutes asserts the /debug index enumerates every
 // mounted route, each with a description.
 func TestDebugIndexListsAllRoutes(t *testing.T) {
-	base, extra := startFullDebugServer(t)
-	resp, err := http.Get(base + "/debug")
+	ds := startFullDebugServer(t)
+	resp, err := http.Get(ds.base + "/debug")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +176,7 @@ func TestDebugIndexListsAllRoutes(t *testing.T) {
 	}
 	// Every extra route mounted on the server plus the builtin bundle.
 	want := []string{"/debug", "/metrics", "/metrics.json", "/healthz", "/debug/vars", "/debug/pprof/"}
-	for _, r := range extra {
+	for _, r := range ds.routes {
 		want = append(want, r.Pattern)
 	}
 	for _, pattern := range want {
@@ -189,14 +194,13 @@ func TestDebugIndexListsAllRoutes(t *testing.T) {
 // TestDebugSnapshotSubcommand pulls a full snapshot from the live server via
 // the CLI and checks the manifest plus a couple of pulled artifacts.
 func TestDebugSnapshotSubcommand(t *testing.T) {
-	base, _ := startFullDebugServer(t)
-	addr := strings.TrimPrefix(base, "http://")
+	addr := strings.TrimPrefix(startFullDebugServer(t).base, "http://")
 	dir := filepath.Join(t.TempDir(), "snap")
 	var out strings.Builder
 	if err := run([]string{"debug", "snapshot", "-addr", addr, "-out", dir}, &out); err != nil {
 		t.Fatalf("snapshot failed: %v\n%s", err, out.String())
 	}
-	for _, want := range []string{"snapshot.json", "metrics.json", "debug-journal.json", "debug-fleet.json", "goroutines.txt"} {
+	for _, want := range []string{"snapshot.json", "metrics.json", "journal.json", "fleet.json", "pprof-goroutine.txt"} {
 		if _, err := os.Stat(filepath.Join(dir, want)); err != nil {
 			t.Errorf("snapshot missing %s: %v", want, err)
 		}
@@ -228,5 +232,44 @@ func TestDebugSnapshotSubcommand(t *testing.T) {
 	}
 	if err := run([]string{"debug", "snapshot"}, io.Discard); err == nil {
 		t.Error("snapshot without -addr must error")
+	}
+}
+
+// TestIncidentBundleMatchesSnapshot captures one telemetry mux twice — in
+// process through Watchdog.Capture, and over HTTP through `scecnet debug
+// snapshot` — and asserts both write the same files, covering the live
+// fleet, engine and adapt state as well as the journal, traces, metrics,
+// goroutine dump and heap profile.
+func TestIncidentBundleMatchesSnapshot(t *testing.T) {
+	ds := startFullDebugServer(t)
+	meta, err := ds.wd.Capture("manual", "bundle vs snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundle := slices.DeleteFunc(slices.Clone(meta.Files), func(f string) bool { return f == "meta.json" })
+
+	dir := filepath.Join(t.TempDir(), "snap")
+	if err := run([]string{"debug", "snapshot", "-addr", strings.TrimPrefix(ds.base, "http://"), "-out", dir}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap []string
+	for _, e := range ents {
+		if e.Name() != "snapshot.json" {
+			snap = append(snap, e.Name())
+		}
+	}
+	slices.Sort(bundle)
+	if !slices.Equal(bundle, snap) {
+		t.Fatalf("bundle files %v differ from snapshot files %v", bundle, snap)
+	}
+	for _, want := range []string{"fleet.json", "engine.json", "adapt.json", "journal.json", "traces.json",
+		"metrics.json", "pprof-goroutine.txt", "pprof-heap.bin"} {
+		if !slices.Contains(bundle, want) {
+			t.Errorf("capture lacks %s: %v", want, bundle)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -38,7 +37,6 @@ func runFleet(args []string, out io.Writer) error {
 		standbys     = fs.Int("standbys", 1, "warm standby devices for self-repair")
 		queries      = fs.Int("queries", 8, "MulVec queries to stream through the session")
 		batch        = fs.Int("batch", 0, "after the query stream, verify one A·X with this many columns through MulMat (0 skips it)")
-		maxRetries   = fs.Int("max-retries", fleet.DefaultMaxRetries, "extra replica-selection rounds per block fetch (negative for none)")
 		injectFaults = fs.Bool("inject-faults", false, "kill the first replica of every block mid-stream")
 		tFlag        = fs.Int("t", 1, "collusion threshold: t >= 2 deploys the Cauchy-masked coding tier secure against t colluding devices")
 		seed         = fs.Uint64("seed", 1, "workload seed (costs, A, x); the masking rows R come from it only when -seed is given, otherwise from crypto/rand")
@@ -110,7 +108,7 @@ func runFleet(args []string, out io.Writer) error {
 		devTr = trace.New(trace.Options{Service: "scecnet-device"})
 		engineOpts = append(engineOpts, scec.WithTracing[uint64](tr))
 	}
-	// The telemetry server starts after the session is up so /debug/fleet
+	// The telemetry mux is built after the session is up so /debug/fleet
 	// and /debug/engine can snapshot the live runtime.
 
 	f := scec.PrimeField()
@@ -158,7 +156,6 @@ func runFleet(args []string, out io.Writer) error {
 		cfg := scec.FleetConfig{
 			Replicas:   make([][]string, dep.Devices()),
 			RPCTimeout: *timeout,
-			MaxRetries: *maxRetries,
 			Tracer:     tr,
 			// Demo-paced health policy: notice a dead replica within a few
 			// hundred milliseconds and keep it quarantined for the whole run.
@@ -234,6 +231,23 @@ func runFleet(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "backend local: queries run on the in-process engine (no devices launched)\n")
 	}
 
+	// Telemetry + live introspection: /debug/engine and (fleet backend)
+	// /debug/fleet and /debug/adapt join /metrics and /debug/pprof on one
+	// mux; the tracer adds /debug/traces, and the flight recorder adds
+	// /debug/journal (+ /debug/incidents when armed). The mux is served only
+	// with -metrics-addr; an armed watchdog captures it in-process.
+	var routes []obs.Route
+	if tr != nil {
+		routes = traceRoutes(tr)
+	}
+	if served != nil {
+		routes = append(routes, servedRoutes(served)...)
+	} else {
+		routes = append(routes, engineRoute(dep))
+	}
+	routes = append(routes, flight.Routes(flight.Default(), *incidentDir)...)
+	mux := obs.Default().Handler(routes...)
+
 	// An armed flight recorder evaluates the -watch rules against the event
 	// journal and captures incident bundles while queries flow.
 	var wd *flight.Watchdog
@@ -242,28 +256,7 @@ func runFleet(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		wcfg := flight.Config{
-			Dir:   *incidentDir,
-			Rules: rules,
-			// Let the recovery events (replan, rehost, repair) land in the
-			// journal before the bundle freezes its tail.
-			CaptureDelay: 250 * time.Millisecond,
-		}
-		if tr != nil {
-			wcfg.Tracers = append(wcfg.Tracers, tr)
-		}
-		if devTr != nil {
-			wcfg.Tracers = append(wcfg.Tracers, devTr)
-		}
-		if served != nil && *adaptive {
-			ctrl := served.Adaptive()
-			wcfg.Extra = map[string]func() ([]byte, error){
-				"adapt.json": func() ([]byte, error) {
-					return json.MarshalIndent(ctrl.Debug(), "", "  ")
-				},
-			}
-		}
-		wd, err = flight.NewWatchdog(wcfg)
+		wd, err = flight.NewWatchdog(flight.Config{Dir: *incidentDir, Rules: rules, Handler: mux})
 		if err != nil {
 			return err
 		}
@@ -272,26 +265,7 @@ func runFleet(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "flight recorder armed: rules %s, bundles under %s\n", *watchRules, *incidentDir)
 	}
 
-	// Telemetry + live introspection: /debug/engine and (fleet backend)
-	// /debug/fleet join /metrics and /debug/pprof on one mux; the tracer
-	// adds /debug/traces when -trace-export is on, and the flight recorder
-	// adds /debug/journal (+ /debug/incidents when armed).
-	var routes []obs.Route
-	if tr != nil {
-		routes = traceRoutes(tr)
-	}
-	if served != nil {
-		routes = append(routes,
-			obs.Route{Pattern: "/debug/fleet", Handler: served.FleetDebugHandler(), Desc: "fleet session snapshot: blocks, replicas, breakers, standbys, straggler records"},
-			obs.Route{Pattern: "/debug/engine", Handler: served.EngineDebugHandler(), Desc: "engine dispatch and coalescer snapshot"})
-		if *adaptive {
-			routes = append(routes, obs.Route{Pattern: "/debug/adapt", Handler: served.AdaptDebugHandler(), Desc: "adaptive control plane: learned factors, decisions, migrations"})
-		}
-	} else {
-		routes = append(routes, obs.Route{Pattern: "/debug/engine", Handler: dep.EngineDebugHandler(), Desc: "engine dispatch and coalescer snapshot"})
-	}
-	routes = append(routes, flight.Routes(flight.Default(), *incidentDir)...)
-	ms, err := startMetrics(out, *metricsAddr, routes...)
+	ms, err := startMetrics(out, *metricsAddr, mux)
 	if err != nil {
 		return err
 	}

@@ -60,13 +60,13 @@ func writeIncidentSummary(out io.Writer, path, dir string, incidents []flight.In
 	}
 
 	// Goroutine dump: non-empty and recognizably a stack dump.
-	gs, err := os.ReadFile(filepath.Join(bundle, "goroutines.txt"))
+	gs, err := os.ReadFile(filepath.Join(bundle, "pprof-goroutine.txt"))
 	check("goroutine-profile", err == nil && strings.Contains(string(gs), "goroutine "),
-		fmt.Sprintf("goroutines.txt unreadable or empty: %v", err))
+		fmt.Sprintf("pprof-goroutine.txt unreadable or empty: %v", err))
 
 	// Heap profile: present and non-empty (a binary pprof protobuf).
-	hs, err := os.Stat(filepath.Join(bundle, "heap.pprof"))
-	check("heap-profile", err == nil && hs.Size() > 0, fmt.Sprintf("heap.pprof missing: %v", err))
+	hs, err := os.Stat(filepath.Join(bundle, "pprof-heap.bin"))
+	check("heap-profile", err == nil && hs.Size() > 0, fmt.Sprintf("pprof-heap.bin missing: %v", err))
 
 	// Metrics snapshot: valid JSON with at least one metric family.
 	var metrics struct {
@@ -120,17 +120,10 @@ func writeIncidentSummary(out io.Writer, path, dir string, incidents []flight.In
 		check("one-block-per-device", oneBlock, "a device was sent two different blocks of one encoding")
 	}
 
-	// Trace rings: at least one retained span must belong to a device the
+	// Traces: at least one retained span must belong to a device the
 	// outage killed, proving the bundle can attribute the incident.
 	var traced bool
-	for _, f := range meta.Files {
-		if !strings.HasPrefix(f, "traces-") {
-			continue
-		}
-		tb, err := os.ReadFile(filepath.Join(bundle, f))
-		if err != nil {
-			continue
-		}
+	if tb, err := os.ReadFile(filepath.Join(bundle, "traces.json")); err == nil {
 		for _, addr := range outageAddrs {
 			if strings.Contains(string(tb), addr) {
 				traced = true

@@ -20,7 +20,7 @@ func TestFleetIncidentDemo(t *testing.T) {
 	summary := filepath.Join(dir, "incident-demo.json")
 	var out strings.Builder
 	args := []string{"fleet", "-m", "30", "-l", "8", "-k", "2", "-replicas", "1", "-standbys", "1",
-		"-queries", "8", "-timeout", "500ms", "-max-retries", "2", "-seed", "2",
+		"-queries", "8", "-timeout", "500ms", "-seed", "2",
 		"-adaptive", "-replan-every", "100ms", "-no-repair", "-inject-one",
 		"-incident-dir", filepath.Join(dir, "incidents"),
 		"-watch", "journal:replan-adopt>=1/60s",

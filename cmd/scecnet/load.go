@@ -108,11 +108,7 @@ func runLoad(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "fleet: 3 real-socket devices (%d replica(s) per block), m=%d l=%d r=%d\n",
 		max(*replicas, 1), *m, *l, dep.Plan.R)
 
-	routes := []obs.Route{
-		{Pattern: "/debug/engine", Handler: served.EngineDebugHandler(), Desc: "engine dispatch and coalescer snapshot"},
-		{Pattern: "/debug/fleet", Handler: served.FleetDebugHandler(), Desc: "fleet session snapshot: blocks, replicas, breakers, standbys, straggler records"},
-	}
-	ms, err := startMetrics(out, *metricsAddr, routes...)
+	ms, err := startMetrics(out, *metricsAddr, obs.Default().Handler(servedRoutes(served)...))
 	if err != nil {
 		return err
 	}

@@ -18,9 +18,10 @@
 //	    candidate pool and each device the plan selects hosts one block
 //
 //	scecnet debug snapshot -addr 127.0.0.1:9090 -out DIR
-//	    pull every debug/metrics route a running scecnet process serves
-//	    (discovered from its /debug index) into a local directory for
-//	    offline triage — metrics, journal, traces, incidents, goroutines
+//	    capture a running scecnet process's debug surface into a local
+//	    directory for offline triage: every route its /debug index marks as
+//	    captured (metrics, fleet, engine, adapt, journal, traces, goroutine
+//	    dump, heap profile), the same files an incident bundle holds
 //
 //	scecnet load -rates 50,100,200 -slo p99<=250ms@100
 //	    heavy-traffic SLO harness: open-loop, coordinated-omission-safe
@@ -53,6 +54,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand/v2"
+	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -89,14 +91,13 @@ func run(args []string, out io.Writer) error {
 	}
 }
 
-// startMetrics serves the telemetry bundle on addr when non-empty, with any
-// extra debug routes mounted on the same mux; the returned closer is nil
-// when no server was requested.
-func startMetrics(out io.Writer, addr string, extra ...obs.Route) (io.Closer, error) {
+// startMetrics serves the telemetry mux h on addr when addr is non-empty;
+// the returned closer is nil when no server was requested.
+func startMetrics(out io.Writer, addr string, h http.Handler) (io.Closer, error) {
 	if addr == "" {
 		return nil, nil
 	}
-	srv, err := obs.StartServer(nil, addr, extra...)
+	srv, err := obs.StartServer(h, addr)
 	if err != nil {
 		return nil, err
 	}
@@ -104,13 +105,36 @@ func startMetrics(out io.Writer, addr string, extra ...obs.Route) (io.Closer, er
 	return srv, nil
 }
 
-// traceRoutes mounts the tracer's waterfall endpoints.
+// traceRoutes mounts the tracer's waterfall endpoints; a capture takes
+// every retained trace with its spans.
 func traceRoutes(t *trace.Tracer) []obs.Route {
 	h := trace.DebugHandler(t)
 	return []obs.Route{
-		{Pattern: "/debug/traces", Handler: h, Desc: "retained distributed traces, most recent first"},
+		{Pattern: "/debug/traces", Handler: h, Desc: "retained distributed traces, most recent first",
+			Capture: "/debug/traces?spans=1&limit=0"},
 		{Pattern: "/debug/traces/{id}", Handler: h, Desc: "one trace's span waterfall by trace ID"},
 	}
+}
+
+// servedRoutes mounts a served deployment's live introspection:
+// /debug/fleet, /debug/engine, and /debug/adapt when its control plane runs.
+func servedRoutes(s *scec.Served[uint64]) []obs.Route {
+	routes := []obs.Route{
+		{Pattern: "/debug/fleet", Handler: s.FleetDebugHandler(), Capture: "/debug/fleet",
+			Desc: "fleet session snapshot: blocks, replicas, breakers, standbys, straggler records"},
+		engineRoute(s),
+	}
+	if s.Adaptive() != nil {
+		routes = append(routes, obs.Route{Pattern: "/debug/adapt", Handler: s.AdaptDebugHandler(), Capture: "/debug/adapt",
+			Desc: "adaptive control plane: learned factors, decisions, migrations"})
+	}
+	return routes
+}
+
+// engineRoute mounts a deployment's engine dispatch snapshot.
+func engineRoute(d *scec.Deployment[uint64]) obs.Route {
+	return obs.Route{Pattern: "/debug/engine", Handler: d.EngineDebugHandler(), Capture: "/debug/engine",
+		Desc: "engine dispatch and coalescer snapshot"}
 }
 
 // exportTraces writes the tracer's retained traces to path on completion.
@@ -154,7 +178,7 @@ func runDevice(args []string, out io.Writer) error {
 		routes = traceRoutes(tr)
 	}
 	if *metricsAddr != "" {
-		srv, err := obs.StartServerContext(ctx, nil, *metricsAddr, routes...)
+		srv, err := obs.StartServerContext(ctx, obs.Default().Handler(routes...), *metricsAddr)
 		if err != nil {
 			return err
 		}

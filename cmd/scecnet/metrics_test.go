@@ -27,7 +27,7 @@ func TestDemoMetricsEndpoint(t *testing.T) {
 
 	// The run's ephemeral server shuts down with it; serve the same
 	// process-wide registry again for the endpoint smoke test.
-	srv, err := obs.StartServer(nil, "127.0.0.1:0")
+	srv, err := obs.StartServer(obs.Default().Handler(), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,7 +141,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 func Routes(j *Journal, dir string) []obs.Route {
 	routes := []obs.Route{
 		{Pattern: "/debug/journal", Handler: JournalHandler(j),
-			Desc: "flight-recorder event journal (?limit=N, ?kind=<name>)"},
+			Desc: "flight-recorder event journal (?limit=N, ?kind=<name>)", Capture: "/debug/journal"},
 	}
 	if dir != "" {
 		h := IncidentsHandler(dir)

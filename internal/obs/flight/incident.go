@@ -1,15 +1,14 @@
 package flight
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime/pprof"
 	"sort"
-	"strings"
 	"time"
+
+	"github.com/scec/scec/internal/obs"
 )
 
 // IncidentMeta is the metadata record written as meta.json in each bundle
@@ -29,32 +28,20 @@ type IncidentMeta struct {
 	Files []string `json:"files"`
 }
 
-// journalDump is the journal.json artifact shape.
-type journalDump struct {
-	Seq      uint64  `json:"seq"`
-	Capacity int     `json:"capacity"`
-	Events   []Event `json:"events"`
-}
-
 // Capture writes one incident bundle under cfg.Dir and enforces retention.
 // It is exported so CLIs can force a capture (rule = "manual") without a
 // rule firing.
 //
-// Bundle layout (all under Dir/<id>/):
-//
-//	meta.json        IncidentMeta (written last, so a listed bundle is complete)
-//	goroutines.txt   full goroutine dump (pprof debug=2)
-//	heap.pprof       heap profile (binary pprof proto)
-//	metrics.json     registry JSON snapshot
-//	journal.json     journal ring contents at capture
-//	traces-<svc>.json  per-tracer retained span export
-//	<extra>          each Config.Extra producer's output
+// A bundle is the process's debug surface captured in-process: every route
+// the telemetry mux's /debug index marks as captured, fetched through
+// cfg.Handler by obs.CaptureDebug and named by its one rule (metrics.json,
+// journal.json, fleet.json, traces.json, pprof-goroutine.txt,
+// pprof-heap.bin, ...) — the same files `scecnet debug snapshot` pulls from
+// a live process over HTTP. meta.json (IncidentMeta) is written last, so a
+// listed bundle is complete.
 func (w *Watchdog) Capture(rule, detail string) (*IncidentMeta, error) {
 	id := time.Now().UTC().Format("20060102T150405.000000000Z")
 	dir := filepath.Join(w.cfg.Dir, id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("flight: incident dir: %w", err)
-	}
 	meta := IncidentMeta{
 		ID:         id,
 		At:         time.Now().UTC(),
@@ -62,84 +49,37 @@ func (w *Watchdog) Capture(rule, detail string) (*IncidentMeta, error) {
 		Detail:     detail,
 		JournalSeq: w.cfg.Journal.Seq(),
 	}
-
-	write := func(name string, render func() ([]byte, error)) {
-		b, err := render()
-		if err != nil {
-			b = []byte(fmt.Sprintf("capture failed: %v\n", err))
-			name += ".err"
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-			return
-		}
-		meta.Files = append(meta.Files, name)
+	captured, err := obs.CaptureDebug(w.client, "http://in-process", dir)
+	if err != nil {
+		return nil, fmt.Errorf("flight: incident capture: %w", err)
 	}
-
-	write("goroutines.txt", func() ([]byte, error) {
-		var b bytes.Buffer
-		if err := pprof.Lookup("goroutine").WriteTo(&b, 2); err != nil {
-			return nil, err
-		}
-		return b.Bytes(), nil
-	})
-	write("heap.pprof", func() ([]byte, error) {
-		var b bytes.Buffer
-		if err := pprof.Lookup("heap").WriteTo(&b, 0); err != nil {
-			return nil, err
-		}
-		return b.Bytes(), nil
-	})
-	write("metrics.json", func() ([]byte, error) {
-		var b bytes.Buffer
-		if err := w.cfg.Metrics.WriteJSON(&b); err != nil {
-			return nil, err
-		}
-		return b.Bytes(), nil
-	})
-	write("journal.json", func() ([]byte, error) {
-		j := w.cfg.Journal
-		return json.MarshalIndent(journalDump{Seq: j.Seq(), Capacity: j.Capacity(), Events: j.Snapshot()}, "", "  ")
-	})
-	for i, t := range w.cfg.Tracers {
-		if t == nil {
-			continue
-		}
-		name := fmt.Sprintf("traces-%s.json", sanitizeName(t.Service(), fmt.Sprintf("tracer%d", i)))
-		write(name, func() ([]byte, error) {
-			var b bytes.Buffer
-			if err := t.WriteJSON(&b); err != nil {
-				return nil, err
-			}
-			return b.Bytes(), nil
-		})
+	for _, c := range captured {
+		meta.Files = append(meta.Files, c.File)
 	}
-	extraNames := make([]string, 0, len(w.cfg.Extra))
-	for name := range w.cfg.Extra {
-		extraNames = append(extraNames, name)
+	meta.Files = append(meta.Files, "meta.json")
+	b, err := json.MarshalIndent(meta, "", "  ")
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(extraNames)
-	for _, name := range extraNames {
-		write(sanitizeName(name, "extra"), w.cfg.Extra[name])
+	if err := os.WriteFile(filepath.Join(dir, "meta.json"), b, 0o644); err != nil {
+		return nil, fmt.Errorf("flight: incident meta: %w", err)
 	}
-
-	write("meta.json", func() ([]byte, error) { return json.MarshalIndent(meta, "", "  ") })
 
 	w.mu.Lock()
 	w.incidents = append(w.incidents, meta)
 	w.mu.Unlock()
-	w.captures.Inc()
 	w.cfg.Journal.PublishDetail(KindIncident, rule, id, int64(len(meta.Files)), 0)
 	w.prune()
 	return &meta, nil
 }
 
-// prune deletes the oldest bundle directories beyond MaxIncidents.
+// prune deletes the oldest bundle directories beyond maxIncidents.
 func (w *Watchdog) prune() {
 	ids, err := bundleIDs(w.cfg.Dir)
-	if err != nil || len(ids) <= w.cfg.MaxIncidents {
+	if err != nil || len(ids) <= maxIncidents {
 		return
 	}
-	for _, id := range ids[:len(ids)-w.cfg.MaxIncidents] {
+	for _, id := range ids[:len(ids)-maxIncidents] {
 		_ = os.RemoveAll(filepath.Join(w.cfg.Dir, id))
 	}
 }
@@ -181,25 +121,4 @@ func ListIncidents(root string) []IncidentMeta {
 		}
 	}
 	return out
-}
-
-// sanitizeName reduces a caller-supplied artifact name to a safe flat file
-// name (no separators, no dot-prefixed names); fallback is used when
-// nothing survives.
-func sanitizeName(name, fallback string) string {
-	var b strings.Builder
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '_', r == '.':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('-')
-		}
-	}
-	s := strings.Trim(b.String(), ".-")
-	if s == "" {
-		return fallback
-	}
-	return s
 }

@@ -136,15 +136,6 @@ func ParseKind(s string) (Kind, bool) {
 	return 0, false
 }
 
-// Kinds lists every event kind in declaration order (for docs and tests).
-func Kinds() []Kind {
-	out := make([]Kind, numKinds)
-	for i := range out {
-		out[i] = Kind(i)
-	}
-	return out
-}
-
 // MarshalJSON renders the kind as its wire name.
 func (k Kind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
 
@@ -299,20 +290,45 @@ func (j *Journal) Capacity() int {
 }
 
 // Snapshot copies the retained events in sequence order (oldest first).
-// Writers racing the snapshot may overwrite the oldest cells mid-copy; such
-// torn positions are detected by their sequence numbers and dropped, so the
-// result is always a gap-tolerant, strictly increasing sequence.
 func (j *Journal) Snapshot() []Event {
 	if j == nil {
 		return nil
 	}
+	out := make([]Event, 0, min(j.cursor.Load(), uint64(len(j.slots))))
+	j.scan(func(ev Event) { out = append(out, ev) })
+	return out
+}
+
+// CountSince counts retained events of the given kind stamped at or after
+// the cutoff (nanoseconds on the journal's clock) — the primitive the
+// watchdog's journal rules evaluate. It counts in place, allocating
+// nothing.
+func (j *Journal) CountSince(kind Kind, cutoffNs int64) int {
+	if j == nil {
+		return 0
+	}
+	n := 0
+	j.scan(func(ev Event) {
+		if ev.Kind == kind && ev.At >= cutoffNs {
+			n++
+		}
+	})
+	return n
+}
+
+// scan visits the retained events in sequence order, each copied out of its
+// slot under the slot lock. Writers racing the scan may overwrite the
+// oldest cells mid-walk; such torn positions are detected by their sequence
+// numbers and skipped, so the visited events are always a gap-tolerant,
+// strictly increasing sequence.
+func (j *Journal) scan(visit func(Event)) {
 	head := j.cursor.Load()
 	n := uint64(len(j.slots))
 	lo := uint64(1)
 	if head > n {
 		lo = head - n + 1
 	}
-	out := make([]Event, 0, head-lo+1)
+	var last uint64
 	for seq := lo; seq <= head; seq++ {
 		s := &j.slots[(seq-1)%n]
 		s.mu.Lock()
@@ -320,41 +336,16 @@ func (j *Journal) Snapshot() []Event {
 		s.mu.Unlock()
 		// A slot claimed but not yet written shows a stale or zero event;
 		// keep only cells whose stamped Seq matches the position we expect
-		// or a newer wrap of it (a concurrent writer lapped the snapshot).
-		if ev.Seq == 0 {
+		// or a newer wrap of it (a concurrent writer lapped the scan).
+		if ev.Seq == 0 || ev.Seq <= last {
 			continue
 		}
 		if ev.Seq != seq && (ev.Seq-seq)%n != 0 {
 			continue
 		}
-		if len(out) > 0 && ev.Seq <= out[len(out)-1].Seq {
-			continue
-		}
-		out = append(out, ev)
+		last = ev.Seq
+		visit(ev)
 	}
-	return out
-}
-
-// Tail returns the most recent n retained events in sequence order.
-func (j *Journal) Tail(n int) []Event {
-	all := j.Snapshot()
-	if n <= 0 || n >= len(all) {
-		return all
-	}
-	return all[len(all)-n:]
-}
-
-// CountSince counts retained events of the given kind stamped at or after
-// the cutoff (nanoseconds on the journal's clock) — the primitive the
-// watchdog's journal rules evaluate.
-func (j *Journal) CountSince(kind Kind, cutoffNs int64) int {
-	n := 0
-	for _, ev := range j.Snapshot() {
-		if ev.Kind == kind && ev.At >= cutoffNs {
-			n++
-		}
-	}
-	return n
 }
 
 // Now returns the current time on the journal's clock (used by the watchdog

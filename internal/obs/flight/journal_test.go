@@ -12,7 +12,7 @@ import (
 )
 
 func TestKindNamesRoundTrip(t *testing.T) {
-	for _, k := range Kinds() {
+	for k := Kind(0); int(k) < numKinds; k++ {
 		name := k.String()
 		if name == "" {
 			t.Fatalf("kind %d has no wire name", k)
@@ -55,10 +55,6 @@ func TestPublishSnapshotTail(t *testing.T) {
 	if evs[1].Kind != KindRehostOK || evs[1].Detail != "dev-a" || evs[1].A != 7 {
 		t.Fatalf("second event mangled: %+v", evs[1])
 	}
-	tail := j.Tail(1)
-	if len(tail) != 1 || tail[0].Kind != KindRehostOK {
-		t.Fatalf("Tail(1) = %+v, want the rehost event", tail)
-	}
 	if j.Seq() != 2 {
 		t.Fatalf("Seq = %d, want 2", j.Seq())
 	}
@@ -89,6 +85,43 @@ func TestWraparound(t *testing.T) {
 	}
 	if last := evs[len(evs)-1]; last.Seq != total {
 		t.Fatalf("newest retained seq = %d, want %d", last.Seq, total)
+	}
+}
+
+// TestCountSinceMatchesSnapshot: counting in place gives the count a filter
+// over Snapshot gives, for every kind and cutoff, on a wrapped ring.
+func TestCountSinceMatchesSnapshot(t *testing.T) {
+	vc := trace.NewVirtualClock(time.Unix(1000, 0))
+	j := New(Options{Capacity: 16, Clock: vc, Metrics: obs.New()})
+	for i := range 100 {
+		vc.Set(time.Duration(i) * time.Millisecond)
+		j.Publish(Kind(i%3), "dev", int64(i), 0)
+	}
+	evs := j.Snapshot()
+	for k := Kind(0); k < 4; k++ {
+		for _, ev := range evs {
+			want := 0
+			for _, e := range evs {
+				if e.Kind == k && e.At >= ev.At {
+					want++
+				}
+			}
+			if got := j.CountSince(k, ev.At); got != want {
+				t.Fatalf("CountSince(%v, seq %d) = %d, want %d", k, ev.Seq, got, want)
+			}
+		}
+	}
+}
+
+// TestCountSinceAllocs: a journal rule evaluation allocates nothing.
+func TestCountSinceAllocs(t *testing.T) {
+	testenv.SkipAllocsUnderRace(t)
+	j := New(Options{Capacity: 64, Metrics: obs.New()})
+	for i := range 100 {
+		j.Publish(KindRetry, "dev", int64(i), 0)
+	}
+	if n := testing.AllocsPerRun(100, func() { j.CountSince(KindRetry, 0) }); n != 0 {
+		t.Fatalf("Journal.CountSince allocates %v times per call, want 0", n)
 	}
 }
 

@@ -2,13 +2,14 @@ package flight
 
 import (
 	"fmt"
+	"net/http"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/scec/scec/internal/obs"
-	"github.com/scec/scec/internal/obs/trace"
 )
 
 // Rule is one declarative incident trigger evaluated by the watchdog each
@@ -175,36 +176,41 @@ func ParseRules(csv string) ([]Rule, error) {
 	return rules, nil
 }
 
+// The watchdog's cadence and bounds. No caller tunes them, so they are
+// constants rather than Config fields.
+const (
+	// interval is the rule evaluation cadence.
+	interval = 250 * time.Millisecond
+	// captureDelay is how long after a rule fires the capture waits, so the
+	// bundle includes the immediate aftermath (the recovery replan after a
+	// breaker storm, not just the storm).
+	captureDelay = 250 * time.Millisecond
+	// minGap rate-limits captures: once one bundle is written the watchdog
+	// stays quiet for this long.
+	minGap = 30 * time.Second
+	// maxIncidents bounds retention under Dir; the oldest bundles beyond it
+	// are deleted after each capture.
+	maxIncidents = 8
+	// captureTimeout bounds each route fetch of a capture, so a route that
+	// blocks costs the bundle one file, not the bundle.
+	captureTimeout = 5 * time.Second
+)
+
 // Config configures a Watchdog.
 type Config struct {
 	// Dir is the incident root; bundles land in Dir/<timestamp>/. Required.
 	Dir string
 	// Rules are the triggers; at least one is required.
 	Rules []Rule
-	// Journal feeds journal rules and the bundle's journal tail; Default()
-	// when nil.
+	// Journal feeds journal rules; Default() when nil.
 	Journal *Journal
-	// Metrics feeds counter rules and the bundle's metrics snapshot;
-	// obs.Default() when nil.
+	// Metrics feeds counter rules; obs.Default() when nil.
 	Metrics *obs.Registry
-	// Tracers contribute their retained span buffers to the bundle, one
-	// traces-<service>.json each.
-	Tracers []*trace.Tracer
-	// Extra adds bundle files: name → content producer (e.g. "adapt.json" →
-	// the controller's decision history). Producers run at capture time.
-	Extra map[string]func() ([]byte, error)
-	// Interval is the rule evaluation cadence; 250ms when zero.
-	Interval time.Duration
-	// CaptureDelay is how long after a rule fires the capture waits, so the
-	// bundle includes the immediate aftermath (the recovery replan after a
-	// breaker storm, not just the storm). Zero captures immediately.
-	CaptureDelay time.Duration
-	// MinGap rate-limits captures; once one bundle is written the watchdog
-	// stays quiet for this long. 30s when zero.
-	MinGap time.Duration
-	// MaxIncidents bounds retention under Dir; the oldest bundles beyond it
-	// are deleted after each capture. 8 when zero.
-	MaxIncidents int
+	// Handler is the process's telemetry mux (obs.Registry.Handler with its
+	// debug routes); a bundle is its /debug index captured in-process by
+	// obs.CaptureDebug. Nil means Metrics' handler with Journal's
+	// /debug/journal route.
+	Handler http.Handler
 }
 
 func (c Config) withDefaults() Config {
@@ -214,14 +220,8 @@ func (c Config) withDefaults() Config {
 	if c.Metrics == nil {
 		c.Metrics = obs.Default()
 	}
-	if c.Interval <= 0 {
-		c.Interval = 250 * time.Millisecond
-	}
-	if c.MinGap <= 0 {
-		c.MinGap = 30 * time.Second
-	}
-	if c.MaxIncidents <= 0 {
-		c.MaxIncidents = 8
+	if c.Handler == nil {
+		c.Handler = c.Metrics.Handler(Routes(c.Journal, "")...)
 	}
 	return c
 }
@@ -231,17 +231,17 @@ func (c Config) withDefaults() Config {
 // with Stop; CheckNow evaluates one tick synchronously (tests and CLIs use
 // it for deterministic capture).
 type Watchdog struct {
-	cfg Config
-
-	captures *obs.Counter
+	cfg    Config
+	client *http.Client // serves capture requests from cfg.Handler
 
 	mu          sync.Mutex
 	lastCapture time.Time
 	incidents   []IncidentMeta // this process's captures, oldest first
 
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
+	started atomic.Bool
+	stop    chan struct{}
+	done    chan struct{}
+	once    sync.Once
 }
 
 // NewWatchdog validates cfg and returns a stopped watchdog.
@@ -253,21 +253,20 @@ func NewWatchdog(cfg Config) (*Watchdog, error) {
 		return nil, fmt.Errorf("flight: watchdog needs at least one rule")
 	}
 	cfg = cfg.withDefaults()
-	w := &Watchdog{
-		cfg:  cfg,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-		captures: cfg.Metrics.Counter(obs.MetricFlightIncidentsTotal,
-			"Incident bundles captured by the flight-recorder watchdog."),
-	}
-	return w, nil
+	return &Watchdog{
+		cfg:    cfg,
+		client: &http.Client{Transport: obs.HandlerTransport{Handler: cfg.Handler}, Timeout: captureTimeout},
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
+	}, nil
 }
 
 // Start launches the background evaluation loop.
 func (w *Watchdog) Start() {
+	w.started.Store(true)
 	go func() {
 		defer close(w.done)
-		t := time.NewTicker(w.cfg.Interval)
+		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {
 			select {
@@ -280,14 +279,12 @@ func (w *Watchdog) Start() {
 	}()
 }
 
-// Stop halts the loop and waits for it to exit. Safe to call twice and
-// without Start (the loop channel close is idempotent; done only closes
-// once the goroutine exits, so Stop after Start blocks until then).
+// Stop halts the loop and waits for it to exit. Safe to call twice, and
+// without Start, in which case it returns at once.
 func (w *Watchdog) Stop() {
 	w.once.Do(func() { close(w.stop) })
-	select {
-	case <-w.done:
-	case <-time.After(2 * time.Second):
+	if w.started.Load() {
+		<-w.done
 	}
 }
 
@@ -301,7 +298,7 @@ func (w *Watchdog) CheckNow() (*IncidentMeta, error) {
 			continue
 		}
 		w.mu.Lock()
-		limited := !w.lastCapture.IsZero() && time.Since(w.lastCapture) < w.cfg.MinGap
+		limited := !w.lastCapture.IsZero() && time.Since(w.lastCapture) < minGap
 		if !limited {
 			w.lastCapture = time.Now()
 		}
@@ -309,17 +306,11 @@ func (w *Watchdog) CheckNow() (*IncidentMeta, error) {
 		if limited {
 			return nil, nil
 		}
-		if d := w.cfg.CaptureDelay; d > 0 {
-			select {
-			case <-w.stop:
-			case <-time.After(d):
-			}
+		select {
+		case <-w.stop:
+		case <-time.After(captureDelay):
 		}
-		meta, err := w.Capture(r.Name(), detail)
-		if err != nil {
-			return nil, err
-		}
-		return meta, nil
+		return w.Capture(r.Name(), detail)
 	}
 	return nil, nil
 }

@@ -2,9 +2,11 @@ package flight
 
 import (
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -91,10 +93,15 @@ func TestJournalRuleCapturesBundle(t *testing.T) {
 	sp.End()
 	var w *Watchdog
 	w, j := newTestWatchdog(t, "journal:breaker-open>=2/10s", func(c *Config) {
-		c.Tracers = []*trace.Tracer{tracer}
-		c.Extra = map[string]func() ([]byte, error){
-			"extra.json": func() ([]byte, error) { return []byte(`{"hello":1}`), nil },
-		}
+		extra := http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
+			obs.JSONHeaders(rw)
+			_, _ = rw.Write([]byte(`{"hello":1}`))
+		})
+		c.Handler = c.Metrics.Handler(append(Routes(c.Journal, ""),
+			obs.Route{Pattern: "/debug/traces", Handler: trace.DebugHandler(tracer), Capture: "/debug/traces?spans=1&limit=0"},
+			obs.Route{Pattern: "/debug/extra", Handler: extra, Capture: "/debug/extra"},
+			obs.Route{Pattern: "/debug/uncaptured", Handler: extra},
+		)...)
 	})
 
 	// Below threshold: no capture.
@@ -114,16 +121,22 @@ func TestJournalRuleCapturesBundle(t *testing.T) {
 		t.Fatalf("incident rule = %q", meta.Rule)
 	}
 	bundle := filepath.Join(w.cfg.Dir, meta.ID)
-	for _, want := range []string{"goroutines.txt", "heap.pprof", "metrics.json", "journal.json", "traces-flight-test.json", "extra.json", "meta.json"} {
-		if _, err := os.Stat(filepath.Join(bundle, want)); err != nil {
-			t.Errorf("bundle missing %s: %v", want, err)
+	// Index (pattern) order, then meta.json; /debug/uncaptured is absent.
+	want := []string{"extra.json", "journal.json", "pprof-goroutine.txt", "pprof-heap.bin",
+		"traces.json", "vars.json", "healthz.json", "metrics.json", "meta.json"}
+	if !slices.Equal(meta.Files, want) {
+		t.Errorf("bundle files = %v, want %v", meta.Files, want)
+	}
+	for _, f := range want {
+		if _, err := os.Stat(filepath.Join(bundle, f)); err != nil {
+			t.Errorf("bundle missing %s: %v", f, err)
 		}
 	}
-	gs, err := os.ReadFile(filepath.Join(bundle, "goroutines.txt"))
+	gs, err := os.ReadFile(filepath.Join(bundle, "pprof-goroutine.txt"))
 	if err != nil || !strings.Contains(string(gs), "goroutine ") {
-		t.Errorf("goroutines.txt is not a stack dump (err=%v)", err)
+		t.Errorf("pprof-goroutine.txt is not a stack dump (err=%v)", err)
 	}
-	var dump journalDump
+	var dump journalResponse
 	jb, err := os.ReadFile(filepath.Join(bundle, "journal.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +147,7 @@ func TestJournalRuleCapturesBundle(t *testing.T) {
 	if len(dump.Events) != 2 || dump.Events[0].Kind != KindBreakerOpen {
 		t.Fatalf("journal.json events = %+v", dump.Events)
 	}
-	tb, err := os.ReadFile(filepath.Join(bundle, "traces-flight-test.json"))
+	tb, err := os.ReadFile(filepath.Join(bundle, "traces.json"))
 	if err != nil || !strings.Contains(string(tb), "unit.query") {
 		t.Errorf("trace ring not in bundle (err=%v)", err)
 	}
@@ -144,9 +157,9 @@ func TestJournalRuleCapturesBundle(t *testing.T) {
 		t.Error("capture did not publish a flight incident event")
 	}
 
-	// Rate limit: the rule still fires but MinGap suppresses a second bundle.
+	// Rate limit: the rule still fires but minGap suppresses a second bundle.
 	if meta2, err := w.CheckNow(); err != nil || meta2 != nil {
-		t.Fatalf("MinGap did not rate-limit: meta=%v err=%v", meta2, err)
+		t.Fatalf("minGap did not rate-limit: meta=%v err=%v", meta2, err)
 	}
 	if got := len(w.Incidents()); got != 1 {
 		t.Fatalf("Incidents() = %d, want 1", got)
@@ -166,10 +179,8 @@ func TestJournalRuleCapturesBundle(t *testing.T) {
 }
 
 func TestRetentionPrunesOldest(t *testing.T) {
-	w, _ := newTestWatchdog(t, "journal:shed>=1/1s", func(c *Config) {
-		c.MaxIncidents = 2
-	})
-	for i := 0; i < 4; i++ {
+	w, _ := newTestWatchdog(t, "journal:shed>=1/1s", nil)
+	for range maxIncidents + 2 {
 		if _, err := w.Capture("manual", "retention test"); err != nil {
 			t.Fatal(err)
 		}
@@ -178,12 +189,24 @@ func TestRetentionPrunesOldest(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	listed := ListIncidents(w.cfg.Dir)
-	if len(listed) != 2 {
-		t.Fatalf("retention kept %d bundles, want 2", len(listed))
+	if len(listed) != maxIncidents {
+		t.Fatalf("retention kept %d bundles, want %d", len(listed), maxIncidents)
 	}
 	all := w.Incidents()
 	if want := all[len(all)-1].ID; listed[len(listed)-1].ID != want {
 		t.Fatalf("newest bundle %q not retained (have %q)", want, listed[len(listed)-1].ID)
+	}
+}
+
+// TestStopWithoutStartReturnsAtOnce: a watchdog that never ran its loop has
+// nothing to wait for.
+func TestStopWithoutStartReturnsAtOnce(t *testing.T) {
+	w, _ := newTestWatchdog(t, "journal:shed>=1/1s", nil)
+	start := time.Now()
+	w.Stop()
+	w.Stop()
+	if d := time.Since(start); d >= 100*time.Millisecond {
+		t.Fatalf("Stop without Start took %v, want < 100ms", d)
 	}
 }
 
@@ -252,7 +275,7 @@ func TestIncidentsHandlerServesAndRefusesTraversal(t *testing.T) {
 	if code, body, ctype := get("/debug/incidents/" + meta.ID + "/journal.json"); code != 200 || !strings.Contains(body, "shed") || !strings.HasPrefix(ctype, "application/json") {
 		t.Fatalf("artifact: code=%d ctype=%q", code, ctype)
 	}
-	if code, _, ctype := get("/debug/incidents/" + meta.ID + "/goroutines.txt"); code != 200 || !strings.HasPrefix(ctype, "text/plain") {
+	if code, _, ctype := get("/debug/incidents/" + meta.ID + "/pprof-goroutine.txt"); code != 200 || !strings.HasPrefix(ctype, "text/plain") {
 		t.Fatalf("text artifact: code=%d ctype=%q", code, ctype)
 	}
 	for _, path := range []string{

@@ -63,6 +63,10 @@ type Route struct {
 	Handler http.Handler
 	// Desc is the one-line description the /debug index lists for the route.
 	Desc string
+	// Capture is the URL CaptureDebug fetches for this route (usually the
+	// pattern itself); empty means the route is not captured — it blocks,
+	// takes a parameter, or repeats another route's content.
+	Capture string
 }
 
 // JSONHeaders stamps the response headers every JSON debug/metrics endpoint
@@ -77,24 +81,29 @@ func JSONHeaders(w http.ResponseWriter) {
 // builtinRoutes describe the endpoints Handler always registers, for the
 // /debug index. Extra routes are audited against these patterns (and each
 // other) so a typo'd pattern cannot silently shadow /debug/pprof/ or
-// double-register.
+// double-register. The goroutine and heap entries are served by the
+// /debug/pprof/ prefix handler; they are listed so a capture takes them.
 var builtinRoutes = []Route{
 	{Pattern: "/debug", Desc: "this index: every mounted debug/metrics route"},
 	{Pattern: "/metrics", Desc: "Prometheus text exposition"},
-	{Pattern: "/metrics.json", Desc: "JSON metrics snapshot with quantiles and exemplars"},
-	{Pattern: "/healthz", Desc: "liveness probe: status, uptime, build identity"},
-	{Pattern: "/debug/vars", Desc: "expvar: Go runtime memstats and cmdline"},
+	{Pattern: "/metrics.json", Desc: "JSON metrics snapshot with quantiles and exemplars", Capture: "/metrics.json"},
+	{Pattern: "/healthz", Desc: "liveness probe: status, uptime, build identity", Capture: "/healthz"},
+	{Pattern: "/debug/vars", Desc: "expvar: Go runtime memstats and cmdline", Capture: "/debug/vars"},
 	{Pattern: "/debug/pprof/", Desc: "pprof profile index"},
+	{Pattern: "/debug/pprof/goroutine", Desc: "pprof: goroutine stacks (?debug=2 for the full dump)", Capture: "/debug/pprof/goroutine?debug=2"},
+	{Pattern: "/debug/pprof/heap", Desc: "pprof: heap profile", Capture: "/debug/pprof/heap"},
 	{Pattern: "/debug/pprof/cmdline", Desc: "pprof: process command line"},
 	{Pattern: "/debug/pprof/profile", Desc: "pprof: CPU profile (?seconds=N)"},
 	{Pattern: "/debug/pprof/symbol", Desc: "pprof: symbol lookup"},
 	{Pattern: "/debug/pprof/trace", Desc: "pprof: execution trace (?seconds=N)"},
 }
 
-// RouteInfo is one /debug index entry.
+// RouteInfo is one /debug index entry. Capture is the URL a capture fetches
+// for the route, absent when the route is not captured.
 type RouteInfo struct {
 	Pattern string `json:"pattern"`
 	Desc    string `json:"desc,omitempty"`
+	Capture string `json:"capture,omitempty"`
 }
 
 // debugIndex serves the route catalogue as JSON, sorted by pattern.
@@ -167,7 +176,7 @@ func (r *Registry) Handler(extra ...Route) http.Handler {
 	seen := make(map[string]bool, len(builtinRoutes)+len(extra))
 	for _, rt := range builtinRoutes {
 		seen[rt.Pattern] = true
-		index = append(index, RouteInfo{Pattern: rt.Pattern, Desc: rt.Desc})
+		index = append(index, RouteInfo{Pattern: rt.Pattern, Desc: rt.Desc, Capture: rt.Capture})
 	}
 	for _, rt := range extra {
 		if rt.Handler == nil || rt.Pattern == "" {
@@ -177,7 +186,7 @@ func (r *Registry) Handler(extra ...Route) http.Handler {
 			panic(fmt.Sprintf("obs: debug route %q collides with an already registered pattern", rt.Pattern))
 		}
 		seen[rt.Pattern] = true
-		index = append(index, RouteInfo{Pattern: rt.Pattern, Desc: rt.Desc})
+		index = append(index, RouteInfo{Pattern: rt.Pattern, Desc: rt.Desc, Capture: rt.Capture})
 		mux.Handle(rt.Pattern, rt.Handler)
 	}
 	mux.Handle("/debug", debugIndex(index))
@@ -190,18 +199,15 @@ type Server struct {
 	srv *http.Server
 }
 
-// StartServer serves the registry's Handler (plus any extra debug routes)
-// on addr (use "127.0.0.1:0" for an ephemeral port; Addr reports the bound
-// address) in a background goroutine. A nil registry serves Default().
-func StartServer(r *Registry, addr string, extra ...Route) (*Server, error) {
-	if r == nil {
-		r = Default()
-	}
+// StartServer serves h — normally a Registry's Handler — on addr (use
+// "127.0.0.1:0" for an ephemeral port; Addr reports the bound address) in a
+// background goroutine.
+func StartServer(h http.Handler, addr string) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	s := &Server{ln: ln, srv: &http.Server{Handler: r.Handler(extra...)}}
+	s := &Server{ln: ln, srv: &http.Server{Handler: h}}
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
 }
@@ -214,8 +220,8 @@ const shutdownGrace = 2 * time.Second
 // cancelled the server shuts down gracefully (in-flight requests get
 // shutdownGrace to finish, then the listener hard-closes). Close remains
 // safe to call as well.
-func StartServerContext(ctx context.Context, r *Registry, addr string, extra ...Route) (*Server, error) {
-	s, err := StartServer(r, addr, extra...)
+func StartServerContext(ctx context.Context, h http.Handler, addr string) (*Server, error) {
+	s, err := StartServer(h, addr)
 	if err != nil {
 		return nil, err
 	}

@@ -48,7 +48,7 @@ func TestHandlerBundle(t *testing.T) {
 func TestStartServer(t *testing.T) {
 	r := New()
 	r.Gauge("live_gauge", "h").Set(7)
-	srv, err := StartServer(r, "127.0.0.1:0")
+	srv, err := StartServer(r.Handler(), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,11 +174,9 @@ const (
 	// over the fixed event-kind enumeration, so cardinality is bounded.
 
 	// MetricFlightEventsTotal counts events published to the flight-recorder
-	// journal, labelled kind=<event kind wire name>.
+	// journal, labelled kind=<event kind wire name>; kind="incident" counts
+	// the watchdog's captured bundles.
 	MetricFlightEventsTotal = "scec_flight_events_total"
-	// MetricFlightIncidentsTotal counts incident bundles captured by the
-	// flight-recorder watchdog.
-	MetricFlightIncidentsTotal = "scec_flight_incidents_total"
 )
 
 // Pipeline stage names, the values of the stage label on

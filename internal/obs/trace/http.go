@@ -21,7 +21,8 @@ type tracesResponse struct {
 // DebugHandler serves the tracer's retained traces as waterfall-ready
 // JSON:
 //
-//	GET /debug/traces            most recent traces (?limit=N, ?spans=1)
+//	GET /debug/traces            most recent traces (?limit=N, 20 by default
+//	                             and 0 for every retained trace; ?spans=1)
 //	GET /debug/traces/{id}       one full trace by 32-hex-digit ID
 //
 // Mount both patterns on the obs handler via its extra-route hook.
@@ -30,7 +31,7 @@ func DebugHandler(t *Tracer) http.Handler {
 	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, req *http.Request) {
 		limit := 20
 		if v := req.URL.Query().Get("limit"); v != "" {
-			if n, err := strconv.Atoi(v); err == nil && n > 0 {
+			if n, err := strconv.Atoi(v); err == nil && n >= 0 {
 				limit = n
 			}
 		}
@@ -38,7 +39,7 @@ func DebugHandler(t *Tracer) http.Handler {
 		resp := tracesResponse{Service: t.Service()}
 		resp.Started, resp.Ended, resp.Adopted, resp.Retained = t.Stats()
 		views := t.Assemble()
-		if len(views) > limit {
+		if limit > 0 && len(views) > limit {
 			views = views[:limit]
 		}
 		if !wantSpans {

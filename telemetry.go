@@ -44,7 +44,7 @@ func StageTails() map[string]Tails { return obs.StageTails(nil) }
 // an ephemeral port) in a background goroutine and returns the bound
 // address plus a closer that stops the server.
 func ServeMetrics(addr string) (string, io.Closer, error) {
-	srv, err := obs.StartServer(nil, addr)
+	srv, err := obs.StartServer(MetricsHandler(), addr)
 	if err != nil {
 		return "", nil, err
 	}
