@@ -73,8 +73,8 @@ func (c *coalescer[E]) occupancy() int {
 }
 
 // submit parks the caller in the current batch (opening one if needed) and
-// blocks until the batch executes. ctx carries the caller's query span; the
-// round executes under the leader's context.
+// blocks until the batch executes or ctx ends. ctx carries the caller's
+// query span; a merged round runs under roundContext.
 func (c *coalescer[E]) submit(ctx context.Context, x []E) ([]E, error) {
 	_, wsp := c.q.startSpan(ctx, trace.SpanCoalesceWait)
 	w := &waiter[E]{ctx: ctx, x: x, out: make(chan outcome[E], 1), sp: wsp}
@@ -135,14 +135,27 @@ func (c *coalescer[E]) drain() {
 	c.execute(b.waiters)
 }
 
-// execute runs one coalesced round and fans results back. A singleton batch
-// takes the plain vector path; a merged batch stacks inputs as columns of
-// one l×n matrix, runs a single batch dispatch, and hands column i of the
-// decoded A·X to caller i. The round runs under the leader's (first
-// waiter's) context and span; followers from other traces see an
-// "coalesced" event on their wait spans instead, since one round cannot
-// belong to two traces.
+// execute runs one coalesced round and fans results back. Waiters whose
+// context has already ended get their own error and stay out of the round.
+// A lone live waiter takes the plain vector path under its own context; a
+// merged batch stacks inputs as columns of one l×n matrix, runs a single
+// batch dispatch under roundContext, and hands column i of the decoded A·X
+// to caller i. The round carries the leader's (first live waiter's) span;
+// followers from other traces see a "coalesced" event on their wait spans
+// instead, since one round cannot belong to two traces.
 func (c *coalescer[E]) execute(ws []*waiter[E]) {
+	live := ws[:0]
+	for _, w := range ws {
+		if err := w.ctx.Err(); err != nil {
+			w.out <- outcome[E]{nil, err}
+			continue
+		}
+		live = append(live, w)
+	}
+	ws = live
+	if len(ws) == 0 {
+		return
+	}
 	c.hist.Observe(float64(len(ws)))
 	c.rounds.Add(1)
 	c.merged.Add(int64(len(ws)))
@@ -155,7 +168,9 @@ func (c *coalescer[E]) execute(ws []*waiter[E]) {
 		ws[0].out <- outcome[E]{ax, err}
 		return
 	}
-	rctx, rsp := c.q.startSpan(ws[0].ctx, trace.SpanEngineRound)
+	rctx, cancel := roundContext(ws)
+	defer cancel()
+	rctx, rsp := c.q.startSpan(rctx, trace.SpanEngineRound)
 	rsp.SetAttr(trace.AttrBatch, batch)
 	x := matrix.New[E](c.q.cols, len(ws))
 	for i, w := range ws {
@@ -179,4 +194,25 @@ func (c *coalescer[E]) execute(ws []*waiter[E]) {
 		}
 		w.out <- outcome[E]{col, nil}
 	}
+}
+
+// roundContext is a merged round's context. It keeps the leader's values
+// (its span among them) but no caller's cancellation, so a leader that
+// cancels or times out cannot fail the followers' shared round; each waiter
+// still returns on its own context. Its deadline is the latest in the
+// batch, or none when some waiter has none, since that waiter would wait
+// out any bound.
+func roundContext[E comparable](ws []*waiter[E]) (context.Context, context.CancelFunc) {
+	ctx := context.WithoutCancel(ws[0].ctx)
+	var latest time.Time
+	for _, w := range ws {
+		d, ok := w.ctx.Deadline()
+		if !ok {
+			return ctx, noop
+		}
+		if d.After(latest) {
+			latest = d
+		}
+	}
+	return context.WithDeadline(ctx, latest)
 }

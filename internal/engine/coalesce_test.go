@@ -1,12 +1,16 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/scec/scec/internal/field"
+	"github.com/scec/scec/internal/matrix"
 	"github.com/scec/scec/internal/obs"
 )
 
@@ -190,6 +194,127 @@ func TestCoalescingDrainOnClose(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("Close left the parked caller waiting")
+	}
+}
+
+// gatedExec holds every batch round until the test releases it, honouring
+// the round's context meanwhile, as a fleet executor cancels its replica
+// races when its context ends.
+type gatedExec[E comparable] struct {
+	Executor[E]
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedExec[E]) ComputeBatch(ctx context.Context, x *matrix.Dense[E]) (*matrix.Dense[E], error) {
+	g.entered <- struct{}{}
+	select {
+	case <-g.release:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	return g.Executor.ComputeBatch(ctx, x)
+}
+
+// TestCoalescedLeaderCancelLeavesFollowersExact: the caller that opened a
+// batch leaves — mid-round, or while still parked — and every follower must
+// still get exactly A·x for its own x, with the leader's error confined to
+// the leader. A waiter gone before the round runs is not stacked into it.
+func TestCoalescedLeaderCancelLeavesFollowersExact(t *testing.T) {
+	f := field.Prime{}
+	tc := newCase[uint64](t, f, func(rng *rand.Rand) uint64 { return f.Rand(rng) })
+	const followers = 3
+	for _, midRound := range []bool{true, false} {
+		name := "while parked"
+		if midRound {
+			name = "mid-round"
+		}
+		t.Run(name, func(t *testing.T) {
+			reg := obs.New()
+			exec := &gatedExec[uint64]{Executor: NewLocal(f, tc.enc, reg), entered: make(chan struct{}, 1), release: make(chan struct{})}
+			q, err := New[uint64](f, tc.enc, exec, Options{
+				CoalesceWindow:   time.Hour,
+				CoalesceMaxBatch: followers + 1,
+				Metrics:          reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = q.Close() })
+			parked := func(n int) {
+				t.Helper()
+				for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+					q.co.mu.Lock()
+					got := 0
+					if q.co.cur != nil {
+						got = len(q.co.cur.waiters)
+					}
+					q.co.mu.Unlock()
+					if got == n {
+						return
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("%d callers parked, want %d", got, n)
+					}
+				}
+			}
+
+			lctx, cancelLeader := context.WithCancel(t.Context())
+			defer cancelLeader()
+			leader := make(chan error, 1)
+			go func() {
+				_, err := q.MulVecContext(lctx, tc.x)
+				leader <- err
+			}()
+			parked(1)
+			if !midRound {
+				cancelLeader()
+				if err := <-leader; !errors.Is(err, context.Canceled) {
+					t.Fatalf("leader err = %v, want context.Canceled", err)
+				}
+			}
+
+			rng := rand.New(rand.NewPCG(5, 8))
+			xs := make([][]uint64, followers)
+			got := make([][]uint64, followers)
+			errs := make([]error, followers)
+			var wg sync.WaitGroup
+			for i := range xs {
+				xs[i] = matrix.RandomVec[uint64](f, rng, len(tc.x))
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[i], errs[i] = q.MulVecContext(t.Context(), xs[i])
+				}()
+				if i < followers-1 {
+					parked(i + 2) // the last follower fills the batch and runs the round
+				}
+			}
+			<-exec.entered
+			if midRound {
+				cancelLeader()
+				if err := <-leader; !errors.Is(err, context.Canceled) {
+					t.Fatalf("leader err = %v, want context.Canceled", err)
+				}
+			}
+			close(exec.release)
+			wg.Wait()
+			for i := range xs {
+				if errs[i] != nil {
+					t.Fatalf("follower %d failed with the leader's cancel: %v", i, errs[i])
+				}
+				if want := matrix.MulVec[uint64](f, tc.a, xs[i]); !slices.Equal(got[i], want) {
+					t.Fatalf("follower %d: got %v, want %v", i, got[i], want)
+				}
+			}
+			stacked := followers + 1
+			if !midRound {
+				stacked = followers
+			}
+			if h := coalesceHist(reg, "local"); h.Count() != 1 || h.Sum() != float64(stacked) {
+				t.Fatalf("rounds=%d callers=%g, want one round of %d", h.Count(), h.Sum(), stacked)
+			}
+		})
 	}
 }
 

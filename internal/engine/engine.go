@@ -225,8 +225,13 @@ func (q *Query[E]) beginRound(ctx context.Context) (roundExec[E], error) {
 		}
 		return roundExec[E]{exec: ep.exec, code: ep.code, release: release}, nil
 	}
-	return roundExec[E]{exec: q.exec, code: q.code, release: func() {}}, nil
+	return roundExec[E]{exec: q.exec, code: q.code, release: noop}, nil
 }
+
+// noop is the package's do-nothing release and cancel function. It is
+// declared once at package level because a func literal in generic code
+// captures the type dictionary and allocates a closure on every call.
+func noop() {}
 
 // mulVecDirect runs one uncoalesced vector round: dispatch, then decode
 // under a stage span.

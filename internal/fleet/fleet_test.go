@@ -537,7 +537,7 @@ func TestCandidatesOrder(t *testing.T) {
 		}
 		snapshot := append([]*device(nil), b.replicas...)
 		var got []string
-		for _, d := range b.candidates(now, cooldown) {
+		for _, d := range b.candidates(now, cooldown, make([]*device, 0, 2)) {
 			got = append(got, d.addr)
 		}
 		if !slices.Equal(got, tc.want) {

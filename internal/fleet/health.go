@@ -208,14 +208,19 @@ func (d *device) State() BreakerState {
 	return d.state
 }
 
+// candidateBuf is the replica-set size a block fetch snapshots into a stack
+// array; a larger set spills to the heap.
+const candidateBuf = 4
+
 // candidates snapshots the block's replica set in routing order: closed
 // breakers first (provisioning order preserved — replica 0 is the default
 // leader), then half-open and cooled-down-open devices as trial fallbacks.
-// Devices inside an open breaker's cooldown are excluded entirely.
-func (b *blockState[E]) candidates(now time.Time, cooldown time.Duration) []*device {
+// Devices inside an open breaker's cooldown are excluded entirely. The
+// snapshot is appended to buf[:0], a caller's stack array, so it allocates
+// only for a replica set larger than buf's capacity.
+func (b *blockState[E]) candidates(now time.Time, cooldown time.Duration, buf []*device) []*device {
 	b.mu.Lock()
-	out := make([]*device, len(b.replicas))
-	copy(out, b.replicas)
+	out := append(buf[:0], b.replicas...)
 	b.mu.Unlock()
 	// Stable partition inside the copy: out[:h] are the healthy devices and
 	// out[h:t] the trials seen so far, t never ahead of the read index. Each

@@ -138,6 +138,9 @@ func (s *Session[E]) queryContext(ctx context.Context) (context.Context, context
 	if parent := trace.SpanFromContext(ctx); parent != nil {
 		qctx = trace.ContextWithSpan(qctx, parent)
 	}
+	if ctx.Done() == nil {
+		return qctx, cancel // ctx can never be cancelled: nothing to propagate
+	}
 	stop := context.AfterFunc(ctx, cancel)
 	return qctx, func() { stop(); cancel() }
 }
@@ -166,8 +169,9 @@ func fetchBlock[E comparable, T any](s *Session[E], ctx context.Context, b *bloc
 	}()
 	backoff := s.cfg.RetryBackoff
 	var lastErr error
+	var buf [candidateBuf]*device
 	for round := 0; ; round++ {
-		cands := b.candidates(time.Now(), s.cfg.BreakerCooldown)
+		cands := b.candidates(time.Now(), s.cfg.BreakerCooldown, buf[:0])
 		if skipped := b.replicaCount() - len(cands); skipped > 0 {
 			bsp.AddEvent(trace.EventBreakerSkip, trace.A("skipped", strconv.Itoa(skipped)))
 		}
@@ -221,7 +225,7 @@ type attempt[T any] struct {
 
 // settle files the attempt's outcome on its device's straggler record and
 // ends its span. Every launched attempt is settled exactly once.
-func (a attempt[T]) settle(o attemptOutcome) {
+func (a *attempt[T]) settle(o attemptOutcome) {
 	if o == attemptWin {
 		a.sp.SetAttr(trace.AttrWin, "true")
 	}
@@ -240,41 +244,50 @@ func settleLosers[T any](results <-chan attempt[T], pending int) {
 	}
 }
 
-// raceReplicas runs one first-winner round over the candidate replicas:
-// the leader launches immediately, a hedged attempt launches whenever the
-// hedge delay elapses with no verdict, and a failed attempt immediately
-// fails over to the next candidate. The first success wins and cancels the
-// losers (the transport aborts their in-flight I/O); per-candidate at most
-// one attempt launches per round.
+// raceReplicas runs one first-winner round over the candidate replicas. A
+// round with one candidate has nothing to hedge or fail over to, so its
+// attempt runs on the calling goroutine — no race context, results channel
+// or attempt goroutine — and files its outcome through the same tryReplica,
+// won and failed the race uses. Any other round races. The race loop is a
+// function of its own so that the lone attempt, which runs the whole
+// transport call on this short-lived goroutine's stack, does not also carry
+// the race's frame: that stack would outgrow its starting size every query.
 func raceReplicas[E comparable, T any](s *Session[E], ctx context.Context, b *blockState[E], cands []*device, call func(context.Context, *blockState[E], string) (T, error)) (T, error) {
+	if len(cands) > 1 {
+		return race(s, ctx, b, cands, call)
+	}
+	start := time.Now()
+	actx, asp := startAttempt(s, ctx, cands[0], false)
+	r := attempt[T]{sp: asp, d: cands[0]}
+	tryReplica(s, ctx, actx, b, &r, call)
+	if r.err != nil {
+		var zero T
+		return zero, r.err
+	}
+	won(s, b, trace.SpanFromContext(ctx), &r, time.Since(start))
+	return r.v, nil
+}
+
+// race runs a first-winner round over two or more candidates: the leader
+// launches immediately, a hedged attempt launches whenever the hedge delay
+// elapses with no verdict, and a failed attempt immediately fails over to
+// the next candidate. The first success wins and cancels the losers (the
+// transport aborts their in-flight I/O); per-candidate at most one attempt
+// launches per round.
+func race[E comparable, T any](s *Session[E], ctx context.Context, b *blockState[E], cands []*device, call func(context.Context, *blockState[E], string) (T, error)) (T, error) {
 	var zero T
+	start := time.Now()
+	bsp := trace.SpanFromContext(ctx)
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make(chan attempt[T], len(cands))
-	start := time.Now()
 	launch := func(d *device, hedged bool) {
 		// The attempt span is created here (not in the goroutine) so its
 		// start time precedes the dial.
-		actx, asp := s.startSpan(rctx, trace.SpanFleetAttempt,
-			trace.A(trace.AttrDevice, d.addr), trace.A(trace.AttrHedged, strconv.FormatBool(hedged)))
+		actx, asp := startAttempt(s, rctx, d, hedged)
 		go func() {
-			launched := time.Now()
-			v, err := call(actx, b, d.addr)
-			r := attempt[T]{v, err, asp, d, hedged, time.Since(launched)}
-			switch {
-			case err == nil:
-				d.recordSuccess()
-			case errors.Is(err, context.Canceled) && rctx.Err() != nil:
-				// Cancelled loser, not a device verdict: a loss, not a fault.
-				r.settle(attemptLoss)
-			default:
-				d.recordFailure(s.cfg.BreakerThreshold)
-				asp.SetError(err)
-				if errors.Is(err, context.DeadlineExceeded) {
-					s.jr.Publish(flight.KindTimeout, d.addr, int64(b.index), 0)
-				}
-				r.settle(attemptError)
-			}
+			r := attempt[T]{sp: asp, d: d, hedged: hedged}
+			tryReplica(s, rctx, actx, b, &r, call)
 			results <- r
 		}()
 	}
@@ -289,36 +302,16 @@ func raceReplicas[E comparable, T any](s *Session[E], ctx context.Context, b *bl
 			go settleLosers(results, pending)
 		}
 	}()
-	// The hedge timer exists only while a candidate is left to hedge to; a
-	// nil channel never fires, so a single-replica race pays for neither the
-	// timer nor the delay estimate.
-	var hedge *time.Timer
-	var hedgeC <-chan time.Time
-	if next < len(cands) {
-		hedge = time.NewTimer(s.hedgeDelay())
-		defer hedge.Stop()
-		hedgeC = hedge.C
-	}
-	bsp := trace.SpanFromContext(ctx)
+	// The hedge timer is re-armed only while a candidate is left to hedge to.
+	hedge := time.NewTimer(s.hedgeDelay())
+	defer hedge.Stop()
 	var lastErr error
 	for {
 		select {
 		case r := <-results:
 			pending--
 			if r.err == nil {
-				d := time.Since(start)
-				s.lat.observe(d)
-				// The winner histogram keeps the trace ID + device as its
-				// bucket exemplar, so a tail bucket on /metrics.json links
-				// straight to /debug/traces/{id}.
-				s.met.winner(b.index).ObserveDurationExemplar(d, traceIDOf(bsp), r.d.addr)
-				if s.cfg.OnWin != nil {
-					s.cfg.OnWin(r.d.addr, b.index, d)
-				}
-				if r.hedged {
-					s.jr.Publish(flight.KindHedgeWin, r.d.addr, int64(b.index), 0)
-				}
-				r.settle(attemptWin)
+				won(s, b, bsp, &r, time.Since(start))
 				return r.v, nil
 			}
 			lastErr = r.err
@@ -332,7 +325,7 @@ func raceReplicas[E comparable, T any](s *Session[E], ctx context.Context, b *bl
 			} else if pending == 0 {
 				return zero, lastErr
 			}
-		case <-hedgeC:
+		case <-hedge.C:
 			// A failover may have taken the last candidate since arming.
 			if next < len(cands) {
 				s.met.hedges.Inc()
@@ -351,6 +344,66 @@ func raceReplicas[E comparable, T any](s *Session[E], ctx context.Context, b *bl
 			return zero, lastErr
 		}
 	}
+}
+
+// startAttempt opens one replica attempt's span under the race context.
+func startAttempt[E comparable](s *Session[E], rctx context.Context, d *device, hedged bool) (context.Context, *trace.Span) {
+	return s.startSpan(rctx, trace.SpanFleetAttempt,
+		trace.A(trace.AttrDevice, d.addr), trace.A(trace.AttrHedged, strconv.FormatBool(hedged)))
+}
+
+// tryReplica makes the attempt r describes (its device, span and hedge
+// flag set) on the calling goroutine under actx, and fills in its outcome. A
+// success closes the device's breaker and keeps the span open, for the race
+// to settle as its win or as a loss; a failure is filed and settled here.
+// rctx is the race's context: its end is what turns a cancelled attempt into
+// a loss instead of a fault. r is the caller's, not a return value, because
+// this runs under the whole transport call on a short-lived goroutine's
+// stack, where every copy of it is frame space.
+func tryReplica[E comparable, T any](s *Session[E], rctx, actx context.Context, b *blockState[E], r *attempt[T], call func(context.Context, *blockState[E], string) (T, error)) {
+	launched := time.Now()
+	r.v, r.err = call(actx, b, r.d.addr)
+	r.lat = time.Since(launched)
+	if r.err == nil {
+		r.d.recordSuccess()
+	} else {
+		failed(s, rctx, b, r)
+	}
+}
+
+// won files a race's winning attempt: the winner latency (race start to
+// verdict) feeds the adaptive hedge delay, the block's winner histogram with
+// the trace ID + device as its bucket exemplar (so a tail bucket on
+// /metrics.json links straight to /debug/traces/{id}), and OnWin; a hedge
+// win is journaled; and the attempt settles as the win.
+func won[E comparable, T any](s *Session[E], b *blockState[E], bsp *trace.Span, r *attempt[T], latency time.Duration) {
+	s.lat.observe(latency)
+	s.met.winner(b.index).ObserveDurationExemplar(latency, traceIDOf(bsp), r.d.addr)
+	if s.cfg.OnWin != nil {
+		s.cfg.OnWin(r.d.addr, b.index, latency)
+	}
+	if r.hedged {
+		s.jr.Publish(flight.KindHedgeWin, r.d.addr, int64(b.index), 0)
+	}
+	r.settle(attemptWin)
+}
+
+// failed files an attempt that returned an error. An attempt cancelled
+// because its race — or the caller — ended is a loss, not a device verdict.
+// Anything else counts against the device's breaker, marks the span, is
+// journaled as a timeout when the deadline ran out, and settles as the
+// device's error.
+func failed[E comparable, T any](s *Session[E], rctx context.Context, b *blockState[E], r *attempt[T]) {
+	if errors.Is(r.err, context.Canceled) && rctx.Err() != nil {
+		r.settle(attemptLoss)
+		return
+	}
+	r.d.recordFailure(s.cfg.BreakerThreshold)
+	r.sp.SetError(r.err)
+	if errors.Is(r.err, context.DeadlineExceeded) {
+		s.jr.Publish(flight.KindTimeout, r.d.addr, int64(b.index), 0)
+	}
+	r.settle(attemptError)
 }
 
 // hedgeDelay resolves the speculative-request delay: the configured fixed

@@ -3,12 +3,14 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/scec/scec/internal/obs/flight"
 	"github.com/scec/scec/internal/obs/trace"
 )
 
@@ -59,7 +61,7 @@ func TestRaceSettlesLateLoser(t *testing.T) {
 		running.Wait()
 		return addr, nil
 	}
-	got, err := raceReplicas(s, context.Background(), b, b.candidates(time.Now(), s.cfg.BreakerCooldown), call)
+	got, err := raceReplicas(s, context.Background(), b, b.candidates(time.Now(), s.cfg.BreakerCooldown, nil), call)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,6 +103,140 @@ func TestRaceSettlesLateLoser(t *testing.T) {
 			t.Errorf("record %+v does not match one attempt each, won by %s", st, got)
 		}
 	}
+}
+
+// TestSingleReplicaAttemptSettlesOnce: a race with one candidate runs its
+// attempt on the calling goroutine, and must file every outcome exactly as
+// the racing path does — one settlement per attempt, the win's bookkeeping
+// on a win, the breaker and a timeout event on a device failure, and
+// neither on a caller's cancel.
+func TestSingleReplicaAttemptSettlesOnce(t *testing.T) {
+	type win struct {
+		device string
+		block  int
+	}
+	setup := func(t *testing.T) (*Session[uint64], *trace.Tracer, *flight.Journal, *[]win) {
+		env := newTestEnv(t, 1, 0)
+		tr := trace.New(trace.Options{Service: "fleet-test"})
+		jr := flight.New(flight.Options{Capacity: 64})
+		var wins []win
+		env.cfg.Tracer, env.cfg.Journal = tr, jr
+		env.cfg.OnWin = func(device string, block int, latency time.Duration) {
+			if latency <= 0 {
+				t.Errorf("OnWin latency %v, want > 0", latency)
+			}
+			wins = append(wins, win{device, block})
+		}
+		return env.serve(t), tr, jr, &wins
+	}
+	// race runs block 0's one-candidate race with call standing in for the
+	// replica request, returning the block's one device.
+	race := func(t *testing.T, s *Session[uint64], ctx context.Context, call func(context.Context) error) (*device, error) {
+		b := s.blocks[0]
+		cands := b.candidates(time.Now(), s.cfg.BreakerCooldown, nil)
+		if len(cands) != 1 {
+			t.Fatalf("%d candidates, want 1", len(cands))
+		}
+		_, err := raceReplicas(s, ctx, b, cands, func(ctx context.Context, _ *blockState[uint64], _ string) (int, error) {
+			return 7, call(ctx)
+		})
+		return cands[0], err
+	}
+	attemptSpans := func(tr *trace.Tracer) []trace.SpanData {
+		var out []trace.SpanData
+		for _, sd := range tr.Snapshot() {
+			if sd.Name == trace.SpanFleetAttempt {
+				out = append(out, sd)
+			}
+		}
+		return out
+	}
+	check := func(t *testing.T, d *device, want DeviceStats, fails int) {
+		t.Helper()
+		st := d.stats()
+		if st.Attempts != want.Attempts || st.Wins != want.Wins || st.Losses != want.Losses || st.Errors != want.Errors {
+			t.Errorf("record %+v, want attempts=%d wins=%d losses=%d errors=%d", st, want.Attempts, want.Wins, want.Losses, want.Errors)
+		}
+		d.mu.Lock()
+		got := d.fails
+		d.mu.Unlock()
+		if got != fails {
+			t.Errorf("breaker counted %d failures, want %d", got, fails)
+		}
+	}
+
+	t.Run("win", func(t *testing.T) {
+		s, tr, _, wins := setup(t)
+		d, err := race(t, s, context.Background(), func(context.Context) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, d, DeviceStats{Attempts: 1, Wins: 1}, 0)
+		spans := attemptSpans(tr)
+		if len(spans) != 1 || spans[0].Attr(trace.AttrWin) != "true" || spans[0].Error != "" {
+			t.Errorf("attempt spans %+v, want one ended with win=true", spans)
+		}
+		if len(*wins) != 1 || (*wins)[0] != (win{d.addr, 0}) {
+			t.Errorf("OnWin calls %+v, want one for %s block 0", *wins, d.addr)
+		}
+	})
+	t.Run("device error", func(t *testing.T) {
+		s, tr, _, wins := setup(t)
+		d, err := race(t, s, context.Background(), func(context.Context) error { return errors.New("device says no") })
+		if err == nil {
+			t.Fatal("race succeeded over a failing replica")
+		}
+		check(t, d, DeviceStats{Attempts: 1, Errors: 1}, 1)
+		if spans := attemptSpans(tr); len(spans) != 1 || spans[0].Error == "" || spans[0].Attr(trace.AttrWin) != "" {
+			t.Errorf("attempt spans %+v, want one ended with the device error", spans)
+		}
+		if len(*wins) != 0 {
+			t.Errorf("OnWin fired for a failed attempt: %+v", *wins)
+		}
+	})
+	t.Run("caller cancel", func(t *testing.T) {
+		s, _, jr, _ := setup(t)
+		ctx, cancel := context.WithCancel(context.Background())
+		d, err := race(t, s, ctx, func(ctx context.Context) error {
+			cancel() // the caller leaves while the request is in flight
+			<-ctx.Done()
+			return ctx.Err()
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		check(t, d, DeviceStats{Attempts: 1, Losses: 1}, 0)
+		for _, ev := range jr.Snapshot() {
+			if ev.Kind == flight.KindTimeout {
+				t.Errorf("a caller's cancel was journaled as a timeout: %+v", ev)
+			}
+		}
+	})
+	t.Run("deadline", func(t *testing.T) {
+		s, _, jr, _ := setup(t)
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		defer cancel()
+		d, err := race(t, s, ctx, func(ctx context.Context) error {
+			<-ctx.Done()
+			return ctx.Err()
+		})
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+		}
+		check(t, d, DeviceStats{Attempts: 1, Errors: 1}, 1)
+		timeouts := 0
+		for _, ev := range jr.Snapshot() {
+			if ev.Kind == flight.KindTimeout {
+				timeouts++
+				if ev.Actor != d.addr || ev.A != 0 {
+					t.Errorf("timeout event %+v, want actor %s block 0", ev, d.addr)
+				}
+			}
+		}
+		if timeouts != 1 {
+			t.Errorf("%d timeout events, want 1", timeouts)
+		}
+	})
 }
 
 // TestUntracedDebugCarriesStragglers: the straggler record needs no tracer.

@@ -109,20 +109,34 @@ func MulVecInto[E comparable](f field.Field[E], a *Dense[E], x []E, dst []E) {
 		panic(fmt.Sprintf("matrix: MulVecInto dst length %d != rows %d", len(dst), a.rows))
 	}
 	spec := specializedField(f)
-	par := parallelFor(a.rows, a.rows*a.cols, func(lo, hi int) {
-		if spec && mulVecRows(f, a, x, dst, lo, hi) {
-			return
-		}
-		for i := lo; i < hi; i++ {
-			arow := a.rowView(i)
-			acc := f.Zero()
-			for j, xv := range x {
-				acc = f.Add(acc, f.Mul(arow[j], xv))
-			}
-			dst[i] = acc
-		}
-	})
+	// The sharding closure is built only when the call may shard: it escapes
+	// to the helpers, so building it on the serial path would allocate per
+	// call.
+	par := false
+	if shardable(a.rows, a.rows*a.cols) {
+		par = parallelFor(a.rows, a.rows*a.cols, func(lo, hi int) {
+			mulVecRange(f, a, x, dst, spec, lo, hi)
+		})
+	} else {
+		mulVecRange(f, a, x, dst, spec, 0, a.rows)
+	}
 	recordDispatch(opMulVec, spec, par)
+}
+
+// mulVecRange computes rows [lo, hi) of a·x into dst, through the
+// field-specialized kernel when spec allows one.
+func mulVecRange[E comparable](f field.Field[E], a *Dense[E], x, dst []E, spec bool, lo, hi int) {
+	if spec && mulVecRows(f, a, x, dst, lo, hi) {
+		return
+	}
+	for i := lo; i < hi; i++ {
+		arow := a.rowView(i)
+		acc := f.Zero()
+		for j, xv := range x {
+			acc = f.Add(acc, f.Mul(arow[j], xv))
+		}
+		dst[i] = acc
+	}
 }
 
 // Transpose returns aᵀ.

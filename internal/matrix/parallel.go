@@ -127,6 +127,14 @@ func acquireHelpers(want, limit int) int {
 	}
 }
 
+// shardable reports whether a call over n items with the given work
+// estimate may shard: the parallel paths are on, there is more than one
+// item, and the work meets the threshold. A caller whose range function is
+// a closure can test it first and build the closure only when it may shard.
+func shardable(n int, work int) bool {
+	return n > 1 && parallelEnabled.Load() && int64(work) >= parallelThreshold.Load()
+}
+
 // parallelFor runs fn over half-open index ranges that partition [0, n),
 // on several goroutines when the parallel paths are on, work (an
 // element-operation estimate for the whole call) meets the threshold, there
@@ -137,7 +145,7 @@ func parallelFor(n int, work int, fn func(lo, hi int)) (sharded bool) {
 	if n <= 0 {
 		return false
 	}
-	if n == 1 || !parallelEnabled.Load() || int64(work) < parallelThreshold.Load() {
+	if !shardable(n, work) {
 		fn(0, n)
 		return false
 	}

@@ -55,6 +55,45 @@ func TestObserveExemplarUntracedDoesNotEvict(t *testing.T) {
 	}
 }
 
+// TestObserveExemplarUntracedRefresh: a device-only observation fills an
+// empty bucket, a traced one replaces the bucket's exemplar at once, and
+// device-only traffic replaces an exemplar only once it is exemplarRefresh
+// old — so steady untraced traffic does not mint one per observation.
+func TestObserveExemplarUntracedRefresh(t *testing.T) {
+	h := New().Histogram("unit_seconds", "test", []float64{1})
+	only := func() Exemplar {
+		t.Helper()
+		ex := h.Exemplars()
+		if len(ex) != 1 {
+			t.Fatalf("got %d bucket exemplars, want 1: %+v", len(ex), ex)
+		}
+		return ex[0].Exemplar
+	}
+	h.ObserveExemplar(0.1, "", "dev-1")
+	if e := only(); e.Device != "dev-1" || e.TraceID != "" {
+		t.Fatalf("device-only observation left %+v in an empty bucket", e)
+	}
+	h.ObserveExemplar(0.2, "trace-a", "dev-2")
+	if e := only(); e.TraceID != "trace-a" || e.Device != "dev-2" {
+		t.Fatalf("traced observation did not replace the exemplar: %+v", e)
+	}
+	h.ObserveExemplar(0.3, "", "dev-3")
+	if e := only(); e.TraceID != "trace-a" {
+		t.Fatalf("fresh traced exemplar evicted by untraced traffic: %+v", e)
+	}
+	// Age the retained exemplar past the refresh interval.
+	old := *h.ex[0].Load()
+	old.AtUnixNano -= int64(2 * exemplarRefresh)
+	h.ex[0].Store(&old)
+	h.ObserveExemplar(0.4, "", "dev-4")
+	if e := only(); e.Device != "dev-4" || e.TraceID != "" || e.Value != 0.4 {
+		t.Fatalf("stale exemplar not refreshed by untraced traffic: %+v", e)
+	}
+	if h.Count() != 4 {
+		t.Fatalf("Count = %d, want 4", h.Count())
+	}
+}
+
 func TestSnapshotAndExemplarsOfCarryExemplars(t *testing.T) {
 	r := New()
 	h := r.Histogram("unit_seconds", "test", []float64{1}, L("block", "0"))

@@ -13,8 +13,9 @@ import (
 
 // TestRegistryHitAllocs is the budget the query path relies on: bumping a
 // series that already exists allocates nothing, however the caller orders
-// its labels. It fails if the lookup goes back to copying, sorting, or
-// building a key string on the heap.
+// its labels, and neither does a steady untraced exemplar observation. It
+// fails if the lookup goes back to copying, sorting, or building a key
+// string on the heap, or if untraced wins mint an exemplar each.
 func TestRegistryHitAllocs(t *testing.T) {
 	testenv.SkipAllocsUnderRace(t)
 	r := New()
@@ -50,6 +51,15 @@ func TestRegistryHitAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { hit(tc.labels) }); n != 0 {
 			t.Errorf("%s: warm Counter+Gauge+Histogram lookup = %g allocs, want 0", tc.name, n)
 		}
+	}
+	// The served query's winner histogram records an untraced exemplar on
+	// every win; once the bucket holds one, that allocates nothing either.
+	h := r.Histogram("hit_winner_seconds", "help", DefLatencyBuckets, b)
+	h.ObserveExemplar(0.001, "", "127.0.0.1:39402")
+	if n := testing.AllocsPerRun(100, func() {
+		r.Histogram("hit_winner_seconds", "help", DefLatencyBuckets, b).ObserveExemplar(0.001, "", "127.0.0.1:39402")
+	}); n != 0 {
+		t.Errorf("warm untraced ObserveExemplar = %g allocs, want 0", n)
 	}
 }
 

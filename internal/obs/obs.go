@@ -120,17 +120,32 @@ type BucketExemplar struct {
 	Exemplar
 }
 
-// ObserveExemplar is Observe plus exemplar retention: the observation's
-// bucket keeps this trace ID + device as its most recent exemplar.
-// Observations with neither a trace ID nor a device degrade to plain
-// Observe so untraced traffic never evicts an attributable exemplar.
+// exemplarRefresh is the age at which untraced traffic may replace a
+// bucket's exemplar.
+const exemplarRefresh = time.Second
+
+// ObserveExemplar is Observe plus exemplar retention. A traced observation
+// (non-empty traceID) replaces its bucket's exemplar at once. An untraced
+// observation that names a device fills a bucket with no exemplar, and
+// otherwise replaces the bucket's exemplar only once that is
+// exemplarRefresh old, traced or not. So every hit bucket names a device,
+// a traced exemplar stays at least exemplarRefresh before untraced traffic
+// evicts it, and steady untraced traffic allocates at most one exemplar per
+// bucket per exemplarRefresh instead of one per observation. An
+// observation with neither a trace ID nor a device is plain Observe.
 func (h *Histogram) ObserveExemplar(v float64, traceID, device string) {
 	h.Observe(v)
 	if traceID == "" && device == "" {
 		return
 	}
 	i := sort.SearchFloat64s(h.bounds, v)
-	h.ex[i].Store(&Exemplar{Value: v, TraceID: traceID, Device: device, AtUnixNano: time.Now().UnixNano()})
+	now := time.Now().UnixNano()
+	if traceID == "" {
+		if e := h.ex[i].Load(); e != nil && now-e.AtUnixNano < int64(exemplarRefresh) {
+			return
+		}
+	}
+	h.ex[i].Store(&Exemplar{Value: v, TraceID: traceID, Device: device, AtUnixNano: now})
 }
 
 // ObserveDurationExemplar records a duration in seconds with an exemplar.

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"bytes"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -39,9 +41,13 @@ func BenchmarkMuxPing(b *testing.B) {
 }
 
 // TestFrameRoundTripAllocs pins the allocation count of one in-memory v3
-// compute-frame encode + decode. A protocol-overhead regression (a buffer
-// that stops being reused, a new per-frame struct) moves this count; a
-// nanosecond budget on the same closure measured the host instead.
+// compute-frame encode + decode at exactly one: the decoded x slab, which
+// leaves the codec with the request. Headers, dimensions and the request
+// itself are written into and read out of the buffered reader and writer
+// (it was 8 while each had a heap array or struct of its own). A
+// protocol-overhead regression (a buffer that stops being reused, a new
+// per-frame struct) moves this count; a nanosecond budget on the same
+// closure measured the host instead.
 func TestFrameRoundTripAllocs(t *testing.T) {
 	testenv.SkipAllocsUnderRace(t)
 	for _, n := range []int{64, 256} {
@@ -58,8 +64,56 @@ func TestFrameRoundTripAllocs(t *testing.T) {
 		if frameErr != nil {
 			t.Fatalf("n=%d: %v", n, frameErr)
 		}
-		if got != 8 {
-			t.Errorf("n=%d: frame round trip = %v allocs, want 8", n, got)
+		if got != 1 {
+			t.Errorf("n=%d: frame round trip = %v allocs, want 1", n, got)
 		}
+	}
+}
+
+// TestReadElemsChunkedAllocs: a result over one read chunk (a 1000×256
+// ComputeBatch answer is four) is read straight into the destination's
+// tail, so the read allocates once per growth step of the destination and
+// nowhere else — no bounce buffer beside it.
+func TestReadElemsChunkedAllocs(t *testing.T) {
+	testenv.SkipAllocsUnderRace(t)
+	const total = 3*readChunk + 5
+	want := make([]uint64, total)
+	for i := range want {
+		want[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
+	}
+	wire := bytes.Clone(elemWireBytes(want, 8))
+	// The growth steps of a slice extended one chunk at a time under
+	// append's capacity policy: the allocations the read may make.
+	steps := 0
+	var grown []uint64
+	for len(grown) < total {
+		before := cap(grown)
+		grown = append(grown, make([]uint64, min(total-len(grown), readChunk))...)
+		if cap(grown) != before {
+			steps++
+		}
+	}
+	if chunks := (total + readChunk - 1) / readChunk; steps > chunks {
+		t.Fatalf("%d growth steps for %d chunks", steps, chunks)
+	}
+	r := bytes.NewReader(wire)
+	var got []uint64
+	var readErr error
+	allocs := testing.AllocsPerRun(10, func() {
+		r.Reset(wire)
+		got, readErr = readElemsChunked[uint64](r, total, 8)
+	})
+	if readErr != nil {
+		t.Fatal(readErr)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatal("chunked read returned different elements")
+	}
+	if allocs > float64(steps) {
+		t.Fatalf("chunked read of %d elements = %v allocs, want at most its %d growth steps", total, allocs, steps)
+	}
+	// A stream that ends early fails without reading past what arrived.
+	if _, err := readElemsChunked[uint64](bytes.NewReader(wire[:8*readChunk+3]), total, 8); err == nil {
+		t.Fatal("truncated element stream read without error")
 	}
 }

@@ -162,17 +162,21 @@ func (p *Pool[E]) Debug(addr string) ConnDebug {
 // timeout and ctx: cancelling ctx aborts an in-flight dial or wait promptly
 // (the fleet runtime relies on this to cancel the losers of a hedged race
 // instead of leaking them until the deadline), and the returned error then
-// wraps ctx.Err(). A remote failure returns the response (for its spans)
-// together with an ErrRemote error.
-func (p *Pool[E]) roundTrip(ctx context.Context, addr string, timeout time.Duration, reg *obs.Registry, req request[E]) (resp *response[E], err error) {
+// wraps ctx.Err(). The answer lands in *resp, which the caller owns: a
+// response is a dozen words, and returning it by value would copy it into a
+// frame at every level of a call chain that already runs deep on the fleet's
+// short-lived per-block goroutines. A remote failure fills *resp (for its
+// spans) and returns an ErrRemote error.
+func (p *Pool[E]) roundTrip(ctx context.Context, addr string, timeout time.Duration, reg *obs.Registry, req *request[E], resp *response[E]) (err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	reg = metricsOrDefault(reg)
 	kind := opToKind(req.op)
-	var finish func(*response[E], error)
-	ctx, finish = startClientSpan(ctx, addr, kind, &req)
-	defer func() { finish(resp, err) }()
+	var finish func([]trace.SpanData, error)
+	if ctx, finish = startClientSpan(ctx, addr, kind, req); finish != nil {
+		defer func() { finish(resp.spans, err) }()
+	}
 	start := time.Now()
 	var sent, recv int64
 	defer func() {
@@ -181,9 +185,10 @@ func (p *Pool[E]) roundTrip(ctx context.Context, addr string, timeout time.Durat
 	for attempt := 0; ; attempt++ {
 		m, fresh, err := p.getMux(ctx, addr, timeout, reg)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		r, s, rc, err := m.do(ctx, timeout, &req)
+		var s, rc int64
+		s, rc, err = m.do(ctx, timeout, req, resp)
 		sent, recv = sent+s, recv+rc
 		if err != nil && errors.Is(err, errConnBroken) && !fresh && attempt == 0 && ctx.Err() == nil {
 			// The reused connection died under this request (device
@@ -191,7 +196,7 @@ func (p *Pool[E]) roundTrip(ctx context.Context, addr string, timeout time.Durat
 			// idempotent, so retry once on a fresh connection.
 			continue
 		}
-		return r, err
+		return err
 	}
 }
 
@@ -293,7 +298,7 @@ func (p *Pool[E]) dialMux(ctx context.Context, addr string, timeout time.Duratio
 		cod:     cod,
 		conn:    conn,
 		timeout: timeout,
-		streams: make(map[uint32]chan *response[E]),
+		streams: make(map[uint32]chan response[E]),
 		done:    make(chan struct{}),
 	}
 	role := obs.L("role", "client")
@@ -330,9 +335,18 @@ type muxConn[E comparable] struct {
 	hbCounterFail *obs.Counter
 
 	mu      sync.Mutex
-	streams map[uint32]chan *response[E]
+	streams map[uint32]chan response[E]
 	nextID  uint32
 	closed  bool
+
+	// chans recycles the one-slot stream channels. A channel goes back only
+	// after its own waiter received from it: readLoop had already removed it
+	// from streams before its single send, so nothing can write to it again.
+	// A channel abandoned on cancel, timeout or teardown is dropped instead:
+	// readLoop may have looked it up just before the waiter unregistered and
+	// still deliver the late response into it, and reused, that channel
+	// would hand another stream's request this one's answer.
+	chans sync.Pool
 
 	lastIn  atomic.Int64 // unixnano of the last inbound frame
 	lastOut atomic.Int64 // unixnano of the last outbound frame
@@ -361,7 +375,7 @@ func (m *muxConn[E]) readLoop(br *bufio.Reader) {
 		delete(m.streams, stream)
 		m.mu.Unlock()
 		if ch != nil {
-			ch <- r // buffered; never blocks
+			ch <- r // one slot, and this is its one send: never blocks
 		}
 	}
 }
@@ -389,13 +403,17 @@ func (m *muxConn[E]) teardown() {
 }
 
 // do issues one request on its own stream and waits for the matching
-// response, bounded by ctx and timeout.
-func (m *muxConn[E]) do(ctx context.Context, timeout time.Duration, req *request[E]) (resp *response[E], sent, recv int64, err error) {
-	ch := make(chan *response[E], 1)
+// response, received into *resp, bounded by ctx and timeout.
+func (m *muxConn[E]) do(ctx context.Context, timeout time.Duration, req *request[E], resp *response[E]) (sent, recv int64, err error) {
+	ch, _ := m.chans.Get().(chan response[E])
+	if ch == nil {
+		ch = make(chan response[E], 1)
+	}
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		return nil, 0, 0, fmt.Errorf("%w: send to %s", errConnBroken, m.addr)
+		m.chans.Put(ch) // never registered, so never written to
+		return 0, 0, fmt.Errorf("%w: send to %s", errConnBroken, m.addr)
 	}
 	m.nextID++
 	if m.nextID == 0 {
@@ -415,29 +433,50 @@ func (m *muxConn[E]) do(ctx context.Context, timeout time.Duration, req *request
 	if werr != nil {
 		unregister()
 		m.teardown()
-		return nil, 0, 0, fmt.Errorf("%w: send to %s: %v", errConnBroken, m.addr, werr)
+		return 0, 0, fmt.Errorf("%w: send to %s: %v", errConnBroken, m.addr, werr)
 	}
 	m.lastOut.Store(time.Now().UnixNano())
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	timer := acquireTimer(timeout)
+	defer releaseTimer(timer)
 	select {
-	case r := <-ch:
-		return r, sent, r.size, m.verdict(req.op, r)
+	case *resp = <-ch:
+		m.chans.Put(ch)
 	case <-m.done:
 		// Prefer a response that raced the teardown.
 		select {
-		case r := <-ch:
-			return r, sent, r.size, m.verdict(req.op, r)
+		case *resp = <-ch:
 		default:
+			return sent, 0, fmt.Errorf("%w: receive from %s", errConnBroken, m.addr)
 		}
-		return nil, sent, 0, fmt.Errorf("%w: receive from %s", errConnBroken, m.addr)
 	case <-ctx.Done():
 		unregister()
-		return nil, sent, 0, ctxErr(ctx, fmt.Errorf("transport: receive from %s: %w", m.addr, ctx.Err()))
+		return sent, 0, ctxErr(ctx, fmt.Errorf("transport: receive from %s: %w", m.addr, ctx.Err()))
 	case <-timer.C:
 		unregister()
-		return nil, sent, 0, fmt.Errorf("transport: receive from %s: %w", m.addr, os.ErrDeadlineExceeded)
+		return sent, 0, fmt.Errorf("transport: receive from %s: %w", m.addr, os.ErrDeadlineExceeded)
 	}
+	return sent, resp.size, m.verdict(req.op, resp)
+}
+
+// timers recycles the per-request receive timers. Reuse is safe under the
+// timer semantics of Go 1.23 and later, which this module's go directive
+// selects: after Stop or Reset returns, no tick from an earlier arming can
+// be received, so a recycled timer never fires for the request before.
+var timers sync.Pool
+
+// acquireTimer returns a timer armed to fire after d.
+func acquireTimer(d time.Duration) *time.Timer {
+	if t, ok := timers.Get().(*time.Timer); ok {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+// releaseTimer stops t and keeps it for the next acquireTimer.
+func releaseTimer(t *time.Timer) {
+	t.Stop()
+	timers.Put(t)
 }
 
 // verdict turns a decoded response into the request's error: the device's
@@ -481,7 +520,7 @@ func (m *muxConn[E]) heartbeatLoop(every time.Duration) {
 			}
 			req := request[E]{op: opPing}
 			sentAt := time.Now()
-			_, _, _, err := m.do(context.Background(), m.timeout, &req)
+			_, _, err := m.do(context.Background(), m.timeout, &req, &response[E]{})
 			if err != nil {
 				m.hbCounterFail.Inc()
 				m.teardown()
@@ -496,25 +535,24 @@ func (m *muxConn[E]) heartbeatLoop(every time.Duration) {
 // startClientSpan opens the rpc.client span when the caller is tracing,
 // injecting its traceparent into the request. The returned finish must be
 // called exactly once with the outcome; it adopts the device's re-emitted
-// spans (resp may be nil) into this trace.
-func startClientSpan[E comparable](ctx context.Context, addr, kind string, req *request[E]) (context.Context, func(*response[E], error)) {
+// spans into this trace. An untraced caller gets a nil finish: there is
+// nothing to end, and a no-op closure would cost an allocation per request.
+func startClientSpan[E comparable](ctx context.Context, addr, kind string, req *request[E]) (context.Context, func([]trace.SpanData, error)) {
 	parent := trace.SpanFromContext(ctx)
 	if parent == nil {
-		return ctx, func(*response[E], error) {}
+		return ctx, nil
 	}
 	tracer := parent.Tracer()
 	ctx, rsp := tracer.StartSpan(ctx, trace.SpanRPCClient,
 		trace.A(trace.AttrKind, kind), trace.A(trace.AttrDevice, addr))
 	req.tp = rsp.Traceparent()
-	return ctx, func(resp *response[E], err error) {
+	return ctx, func(spans []trace.SpanData, err error) {
 		if err != nil {
 			rsp.SetError(err)
 		}
 		rsp.End()
-		if resp != nil {
-			for _, sd := range resp.spans {
-				tracer.Record(sd)
-			}
+		for _, sd := range spans {
+			tracer.Record(sd)
 		}
 	}
 }

@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -178,6 +181,155 @@ func TestPooledContextCancelPrompt(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("pooled request ignored context cancellation")
+	}
+}
+
+// startDelayProxy fronts addr with a proxy that holds each chunk of the
+// device's response stream for a random delay below max, so responses land
+// after the contexts of the requests they answer have ended. Closing the
+// test severs every proxied connection.
+func startDelayProxy(t *testing.T, addr string, max time.Duration) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var conns []net.Conn
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		_ = ln.Close()
+		mu.Lock()
+		for _, c := range conns {
+			_ = c.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for seed := uint64(1); ; seed++ {
+			down, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			up, err := net.Dial("tcp", addr)
+			if err != nil {
+				_ = down.Close()
+				continue
+			}
+			mu.Lock()
+			conns = append(conns, down, up)
+			mu.Unlock()
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				_, _ = io.Copy(up, down)
+				_ = up.Close()
+			}()
+			go func() {
+				defer wg.Done()
+				defer down.Close()
+				rng := rand.New(rand.NewPCG(seed, 7))
+				buf := make([]byte, 4096)
+				for {
+					n, err := up.Read(buf)
+					if n > 0 {
+						time.Sleep(time.Duration(rng.Int64N(int64(max))))
+						if _, err := down.Write(buf[:n]); err != nil {
+							return
+						}
+					}
+					if err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestCancelledStreamNeverFeedsNextRequest: over one pooled connection to a
+// slow device, requests cancelled mid-flight interleave with fresh requests,
+// each with its own x. A cancelled request's response still arrives, late;
+// the stream channel it was meant for must never be handed to a later
+// request, so every answer that comes back — fresh or from a request that
+// beat its own cancel — is exactly B·x for the x that was sent.
+func TestCancelledStreamNeverFeedsNextRequest(t *testing.T) {
+	f := field.Prime{}
+	srv, err := NewDeviceServer[uint64](f, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	const rows, cols = 3, 4
+	rng := testRNG()
+	block := matrix.Random[uint64](f, rng, rows, cols)
+	const maxDelay = 300 * time.Microsecond
+	addr := startDelayProxy(t, srv.Addr(), maxDelay)
+	// The store dials the pooled connection every request below shares.
+	pool := NewPool[uint64]()
+	if err := (Cloud[uint64]{Timeout: 5 * time.Second, Pool: pool}).Store(t.Context(), addr, block); err != nil {
+		t.Fatal(err)
+	}
+	client := Client[uint64]{F: f, Timeout: 10 * time.Second, Pool: pool}
+
+	const workers, rounds = 8, 150
+	var wg sync.WaitGroup
+	var cancelled atomic.Int64
+	errs := make(chan error, workers)
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(uint64(w), 11))
+			exact := func(x, y []uint64) error {
+				if want := matrix.MulVec[uint64](f, block, x); !slices.Equal(y, want) {
+					return fmt.Errorf("worker %d: answer %v for x=%v, want %v", w, y, x, want)
+				}
+				return nil
+			}
+			for range rounds {
+				x := matrix.RandomVec[uint64](f, rng, cols)
+				ctx, cancel := context.WithTimeout(t.Context(), time.Duration(rng.Int64N(int64(2*maxDelay))))
+				y, err := client.Compute(ctx, addr, x)
+				cancel()
+				switch {
+				case err == nil:
+					if err := exact(x, y); err != nil {
+						errs <- err
+						return
+					}
+				case errors.Is(err, context.DeadlineExceeded):
+					cancelled.Add(1)
+				default:
+					errs <- fmt.Errorf("worker %d: doomed request: %v", w, err)
+					return
+				}
+				x = matrix.RandomVec[uint64](f, rng, cols)
+				y, err = client.Compute(t.Context(), addr, x)
+				if err == nil {
+					err = exact(x, y)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if cancelled.Load() == 0 {
+		t.Fatal("no request was cancelled in flight; the test exercised nothing")
+	}
+	if n := srv.connsOpen.Value(); n != 1 {
+		t.Fatalf("device saw %v connections, want the one pooled connection", n)
 	}
 }
 

@@ -85,6 +85,8 @@ func (s *DeviceServer[E]) handleConn(conn net.Conn) {
 		}
 		handlers.Add(1)
 		s.streamsOpen.Add(1)
+		// req is captured by value: the goroutine's closure is the request's
+		// only heap copy.
 		go func() {
 			defer handlers.Done()
 			defer s.streamsOpen.Add(-1)
@@ -94,7 +96,7 @@ func (s *DeviceServer[E]) handleConn(conn net.Conn) {
 }
 
 // handleWire serves one decoded request frame end to end.
-func (s *DeviceServer[E]) handleWire(w *wireWriter, req *request[E]) {
+func (s *DeviceServer[E]) handleWire(w *wireWriter, req request[E]) {
 	start := time.Now()
 	kind := opToKind(req.op)
 	ctx, bag, sp := s.startServerSpan(kind, req.tp)
@@ -149,47 +151,33 @@ func writeResponseFrame[E comparable](w *wireWriter, cod elemCodec, stream uint3
 	}
 	size := int64(frameOverhead + payload)
 	err := w.writeFrame(func(bw *bufio.Writer) error {
-		var hdr [frameOverhead + 1]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(5+payload))
-		binary.LittleEndian.PutUint32(hdr[4:8], stream)
-		hdr[8] = op | opResponseBit
+		status := byte(0)
 		if resp.err != "" {
-			hdr[9] = 1
+			status = 1
 		}
-		if _, err := bw.Write(hdr[:]); err != nil {
-			return err
-		}
-		var u [8]byte
+		h := appendFrameHeader(bw.AvailableBuffer(), uint32(5+payload), stream, op|opResponseBit, status)
+		var elems []byte
 		switch {
 		case resp.err != "":
-			binary.LittleEndian.PutUint32(u[:4], uint32(len(resp.err)))
-			if _, err := bw.Write(u[:4]); err != nil {
-				return err
-			}
-			if _, err := bw.WriteString(resp.err); err != nil {
-				return err
-			}
+			h = binary.LittleEndian.AppendUint32(h, uint32(len(resp.err)))
 		case op == opCompute:
-			binary.LittleEndian.PutUint32(u[:4], uint32(len(resp.y)))
-			if _, err := bw.Write(u[:4]); err != nil {
-				return err
-			}
-			if _, err := bw.Write(elemWireBytes(resp.y, cod.size)); err != nil {
-				return err
-			}
+			h = binary.LittleEndian.AppendUint32(h, uint32(len(resp.y)))
+			elems = elemWireBytes(resp.y, cod.size)
 		case op == opComputeBatch:
-			binary.LittleEndian.PutUint32(u[:4], uint32(resp.m.Rows()))
-			binary.LittleEndian.PutUint32(u[4:8], uint32(resp.m.Cols()))
-			if _, err := bw.Write(u[:8]); err != nil {
-				return err
-			}
-			slab := resp.m.RowsView(0, resp.m.Rows())
-			if _, err := bw.Write(elemWireBytes(slab, cod.size)); err != nil {
-				return err
-			}
+			h = binary.LittleEndian.AppendUint32(h, uint32(resp.m.Rows()))
+			h = binary.LittleEndian.AppendUint32(h, uint32(resp.m.Cols()))
+			elems = elemWireBytes(resp.m.RowsView(0, resp.m.Rows()), cod.size)
 		}
-		binary.LittleEndian.PutUint32(u[:4], uint32(len(spans)))
-		if _, err := bw.Write(u[:4]); err != nil {
+		if _, err := bw.Write(h); err != nil {
+			return err
+		}
+		if _, err := bw.WriteString(resp.err); err != nil {
+			return err
+		}
+		if _, err := bw.Write(elems); err != nil {
+			return err
+		}
+		if _, err := bw.Write(binary.LittleEndian.AppendUint32(bw.AvailableBuffer(), uint32(len(spans)))); err != nil {
 			return err
 		}
 		_, err := bw.Write(spans)
@@ -266,62 +254,54 @@ func encodeRequestFrame[E comparable](bw *bufio.Writer, cod elemCodec, stream ui
 		payload += 8 + len(slab)*cod.size
 	}
 	size := int64(frameOverhead + payload)
-	var hdr [frameOverhead + 1]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(5+payload))
-	binary.LittleEndian.PutUint32(hdr[4:8], stream)
-	hdr[8] = op
-	hdr[9] = byte(len(tp))
-	if _, err := bw.Write(hdr[:]); err != nil {
+	if _, err := bw.Write(appendFrameHeader(bw.AvailableBuffer(), uint32(5+payload), stream, op, byte(len(tp)))); err != nil {
 		return 0, err
 	}
-	if len(tp) > 0 {
-		if _, err := bw.WriteString(tp); err != nil {
-			return 0, err
-		}
+	if _, err := bw.WriteString(tp); err != nil {
+		return 0, err
 	}
-	var u [8]byte
+	dims := bw.AvailableBuffer()
+	var elems []byte
 	switch op {
 	case opCompute:
-		binary.LittleEndian.PutUint32(u[:4], uint32(len(vec)))
-		if _, err := bw.Write(u[:4]); err != nil {
-			return 0, err
-		}
-		if _, err := bw.Write(elemWireBytes(vec, cod.size)); err != nil {
-			return 0, err
-		}
+		dims = binary.LittleEndian.AppendUint32(dims, uint32(len(vec)))
+		elems = elemWireBytes(vec, cod.size)
 	case opStore, opComputeBatch:
-		binary.LittleEndian.PutUint32(u[:4], uint32(rows))
-		binary.LittleEndian.PutUint32(u[4:8], uint32(cols))
-		if _, err := bw.Write(u[:8]); err != nil {
-			return 0, err
-		}
-		if _, err := bw.Write(elemWireBytes(slab, cod.size)); err != nil {
-			return 0, err
-		}
+		dims = binary.LittleEndian.AppendUint32(dims, uint32(rows))
+		dims = binary.LittleEndian.AppendUint32(dims, uint32(cols))
+		elems = elemWireBytes(slab, cod.size)
+	}
+	if _, err := bw.Write(dims); err != nil {
+		return 0, err
+	}
+	if _, err := bw.Write(elems); err != nil {
+		return 0, err
 	}
 	return size, nil
 }
 
 // readResponseFrame decodes one response frame, returning its stream ID
-// for mux dispatch.
-func readResponseFrame[E comparable](br *bufio.Reader, cod elemCodec) (uint32, *response[E], error) {
+// for mux dispatch. The response comes back by value, the shape the stream
+// channels carry it in.
+func readResponseFrame[E comparable](br *bufio.Reader, cod elemCodec) (uint32, response[E], error) {
+	var wr response[E]
 	var hdr [frameOverhead]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return 0, nil, err
+	if err := readFull(br, hdr[:]); err != nil {
+		return 0, wr, err
 	}
 	length := binary.LittleEndian.Uint32(hdr[0:4])
 	if length < 6 || length > maxFrameLen {
-		return 0, nil, fmt.Errorf("transport: bad response frame length %d", length)
+		return 0, wr, fmt.Errorf("transport: bad response frame length %d", length)
 	}
 	stream := binary.LittleEndian.Uint32(hdr[4:8])
-	wr := &response[E]{op: hdr[8], size: int64(4 + length)}
+	wr.op, wr.size = hdr[8], int64(4+length)
 	if wr.op&opResponseBit == 0 {
-		return 0, nil, fmt.Errorf("transport: request op %#x in response frame", wr.op)
+		return 0, wr, fmt.Errorf("transport: request op %#x in response frame", wr.op)
 	}
 	body := int(length) - 5
 	var u [8]byte
-	if _, err := io.ReadFull(br, u[:1]); err != nil {
-		return 0, nil, err
+	if err := readFull(br, u[:1]); err != nil {
+		return 0, wr, err
 	}
 	status := u[0]
 	body--
@@ -329,7 +309,7 @@ func readResponseFrame[E comparable](br *bufio.Reader, cod elemCodec) (uint32, *
 		if body < 4 {
 			return 0, errors.New("transport: truncated response payload")
 		}
-		if _, err := io.ReadFull(br, u[:4]); err != nil {
+		if err := readFull(br, u[:4]); err != nil {
 			return 0, err
 		}
 		body -= 4
@@ -338,14 +318,14 @@ func readResponseFrame[E comparable](br *bufio.Reader, cod elemCodec) (uint32, *
 	if status != 0 {
 		n, err := readU32()
 		if err != nil {
-			return 0, nil, err
+			return 0, wr, err
 		}
 		if n > body {
-			return 0, nil, errors.New("transport: error message overruns frame")
+			return 0, wr, errors.New("transport: error message overruns frame")
 		}
 		msg := make([]byte, n)
 		if _, err := io.ReadFull(br, msg); err != nil {
-			return 0, nil, err
+			return 0, wr, err
 		}
 		body -= n
 		wr.err = string(msg)
@@ -358,53 +338,53 @@ func readResponseFrame[E comparable](br *bufio.Reader, cod elemCodec) (uint32, *
 		case opCompute:
 			n, err := readU32()
 			if err != nil {
-				return 0, nil, err
+				return 0, wr, err
 			}
 			// The spans trailer still follows (≥ 4 bytes), bounding the
 			// element count — and with it the allocation — by the frame.
 			if body < 4 || n*cod.size > body-4 {
-				return 0, nil, fmt.Errorf("transport: %d response elements do not fit frame", n)
+				return 0, wr, fmt.Errorf("transport: %d response elements do not fit frame", n)
 			}
 			if wr.y, err = readElemsChunked[E](br, n, cod.size); err != nil {
-				return 0, nil, err
+				return 0, wr, err
 			}
 			body -= n * cod.size
 		case opComputeBatch:
 			rows, err := readU32()
 			if err != nil {
-				return 0, nil, err
+				return 0, wr, err
 			}
 			cols, err := readU32()
 			if err != nil {
-				return 0, nil, err
+				return 0, wr, err
 			}
 			// Division, not multiplication: rows·cols·size can overflow
 			// uint64 on forged dimensions and sneak past a product check.
 			total := uint64(rows) * uint64(cols)
 			if body < 4 || rows < 0 || cols < 0 || total > uint64(body-4)/uint64(cod.size) {
-				return 0, nil, fmt.Errorf("transport: %dx%d response does not fit frame", rows, cols)
+				return 0, wr, fmt.Errorf("transport: %dx%d response does not fit frame", rows, cols)
 			}
 			data, err := readElemsChunked[E](br, int(total), cod.size)
 			if err != nil {
-				return 0, nil, err
+				return 0, wr, err
 			}
 			body -= int(total) * cod.size
 			wr.m = matrix.FromSlice(rows, cols, data)
 		default:
-			return 0, nil, fmt.Errorf("transport: unknown response op %#x", wr.op)
+			return 0, wr, fmt.Errorf("transport: unknown response op %#x", wr.op)
 		}
 	}
 	n, err := readU32()
 	if err != nil {
-		return 0, nil, err
+		return 0, wr, err
 	}
 	if n != body {
-		return 0, nil, fmt.Errorf("transport: spans trailer of %d bytes in %d remaining", n, body)
+		return 0, wr, fmt.Errorf("transport: spans trailer of %d bytes in %d remaining", n, body)
 	}
 	if n > 0 {
 		b := make([]byte, n)
 		if _, err := io.ReadFull(br, b); err != nil {
-			return 0, nil, err
+			return 0, wr, err
 		}
 		wr.spans = decodeSpans(b)
 	}

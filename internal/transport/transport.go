@@ -453,8 +453,7 @@ func (c Cloud[E]) Store(ctx context.Context, addr string, block *matrix.Dense[E]
 }
 
 func (c Cloud[E]) store(ctx context.Context, addr string, block *matrix.Dense[E], timeout time.Duration, reg *obs.Registry) error {
-	_, err := c.pool().roundTrip(ctx, addr, timeout, reg, request[E]{op: opStore, m: block})
-	return err
+	return c.pool().roundTrip(ctx, addr, timeout, reg, &request[E]{op: opStore, m: block}, &response[E]{})
 }
 
 // Client is the user role's network half: it sends inputs to devices and
@@ -529,8 +528,8 @@ func (c Client[E]) Gather(ctx context.Context, addrs []string, rowsOn []int, x [
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := c.pool().roundTrip(ctx, addr, timeout, reg, request[E]{op: opCompute, x: x})
-			if err != nil {
+			var resp response[E]
+			if err := c.pool().roundTrip(ctx, addr, timeout, reg, &request[E]{op: opCompute, x: x}, &resp); err != nil {
 				errs[j] = err
 				return
 			}
@@ -559,8 +558,8 @@ func (c Client[E]) Compute(ctx context.Context, addr string, x []E) ([]E, error)
 	if timeout == 0 {
 		timeout = DefaultTimeout
 	}
-	resp, err := c.pool().roundTrip(ctx, addr, timeout, metricsOrDefault(c.Metrics), request[E]{op: opCompute, x: x})
-	if err != nil {
+	var resp response[E]
+	if err := c.pool().roundTrip(ctx, addr, timeout, metricsOrDefault(c.Metrics), &request[E]{op: opCompute, x: x}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.y, nil
@@ -575,8 +574,8 @@ func (c Client[E]) ComputeBatch(ctx context.Context, addr string, x *matrix.Dens
 	if timeout == 0 {
 		timeout = DefaultTimeout
 	}
-	resp, err := c.pool().roundTrip(ctx, addr, timeout, metricsOrDefault(c.Metrics), request[E]{op: opComputeBatch, m: x})
-	if err != nil {
+	var resp response[E]
+	if err := c.pool().roundTrip(ctx, addr, timeout, metricsOrDefault(c.Metrics), &request[E]{op: opComputeBatch, m: x}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.m, nil
@@ -589,6 +588,5 @@ func (c Client[E]) Ping(ctx context.Context, addr string) error {
 	if timeout == 0 {
 		timeout = DefaultTimeout
 	}
-	_, err := c.pool().roundTrip(ctx, addr, timeout, metricsOrDefault(c.Metrics), request[E]{op: opPing})
-	return err
+	return c.pool().roundTrip(ctx, addr, timeout, metricsOrDefault(c.Metrics), &request[E]{op: opPing}, &response[E]{})
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"unsafe"
 
 	"github.com/scec/scec/internal/matrix"
@@ -53,6 +54,18 @@ const (
 // frameOverhead is the per-frame byte count besides the payload: the u32
 // length prefix plus the u32 streamID and u8 op it counts.
 const frameOverhead = 4 + 5
+
+// appendFrameHeader appends a frame's fixed prefix — u32 length | u32
+// streamID | u8 op — and the op's first payload byte (a request's
+// traceparent length, a response's status). Writers append into
+// bufio.Writer.AvailableBuffer and pass the result to the Write that
+// immediately follows: bufio's idiom for writing small fields without a
+// scratch array of one's own, which would escape to the heap through Write.
+func appendFrameHeader(b []byte, length, stream uint32, op, first byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, length)
+	b = binary.LittleEndian.AppendUint32(b, stream)
+	return append(b, op, first)
+}
 
 // maxFrameLen bounds the declared frame length so a garbage length prefix
 // cannot drive pathological reads; real payload allocation is separately
@@ -168,21 +181,43 @@ func readElems[E comparable](r io.Reader, dst []E, size int) error {
 	return nil
 }
 
+// readChunk is how many elements readElemsChunked reads per step.
+const readChunk = 1 << 16
+
 // readElemsChunked reads total elements, growing the destination in
 // bounded chunks so a forged frame header cannot provoke a huge upfront
-// allocation: memory grows only as fast as bytes actually arrive.
+// allocation: memory grows only as fast as bytes actually arrive. Each step
+// extends dst by at most one chunk (append's growth policy sets the
+// capacity) and reads straight into the new tail, so every element is
+// copied once and a result that fits one chunk costs one allocation.
 func readElemsChunked[E comparable](r io.Reader, total int, size int) ([]E, error) {
-	const chunk = 1 << 16
-	dst := make([]E, 0, min(total, chunk))
-	buf := make([]E, min(total, chunk))
+	var dst []E
 	for len(dst) < total {
-		n := min(total-len(dst), chunk)
-		if err := readElems(r, buf[:n], size); err != nil {
+		lo := len(dst)
+		n := min(total-lo, readChunk)
+		dst = slices.Grow(dst, n)[:lo+n]
+		if err := readElems(r, dst[lo:], size); err != nil {
 			return nil, err
 		}
-		dst = append(dst, buf[:n]...)
 	}
 	return dst, nil
+}
+
+// readFull is io.ReadFull for the small fixed-size fields of a frame. It
+// copies out of br's buffer with Peek and Discard, so dst — a local array
+// at every call site — stays on the stack instead of escaping through the
+// io.Reader interface. len(dst) must not exceed br's buffer size.
+func readFull(br *bufio.Reader, dst []byte) error {
+	b, err := br.Peek(len(dst))
+	if err != nil {
+		if err == io.EOF && len(b) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return err
+	}
+	copy(dst, b)
+	_, _ = br.Discard(len(dst))
+	return nil
 }
 
 // Hello encoding.
@@ -243,63 +278,64 @@ func readServerHello(r io.Reader, wantCode byte) error {
 // forged frame can never allocate more than maxElements field elements;
 // dimension counts over maxElements drain the (bounded) payload and
 // report a request-level capErr rather than poisoning the connection.
-// A nil request with a nil error never happens; io.EOF before the first
-// header byte surfaces unchanged so callers can distinguish clean
-// connection teardown.
-func readRequestFrame[E comparable](br *bufio.Reader, cod elemCodec, maxElements int) (*request[E], error) {
+// io.EOF before the first header byte surfaces unchanged so callers can
+// distinguish clean connection teardown. The request comes back by value:
+// the server hands it to its handler goroutine as a copy, not as a
+// per-frame heap object.
+func readRequestFrame[E comparable](br *bufio.Reader, cod elemCodec, maxElements int) (request[E], error) {
+	var req request[E]
 	var hdr [frameOverhead]byte
-	if _, err := io.ReadFull(br, hdr[:1]); err != nil {
-		return nil, err // io.EOF here = clean close between frames
+	if err := readFull(br, hdr[:1]); err != nil {
+		return req, err // io.EOF here = clean close between frames
 	}
-	if _, err := io.ReadFull(br, hdr[1:]); err != nil {
-		return nil, fmt.Errorf("transport: short frame header: %w", err)
+	if err := readFull(br, hdr[1:]); err != nil {
+		return req, fmt.Errorf("transport: short frame header: %w", err)
 	}
 	length := binary.LittleEndian.Uint32(hdr[0:4])
 	if length < 5 || length > maxFrameLen {
-		return nil, fmt.Errorf("transport: bad frame length %d", length)
+		return req, fmt.Errorf("transport: bad frame length %d", length)
 	}
-	req := &request[E]{
-		stream: binary.LittleEndian.Uint32(hdr[4:8]),
-		op:     hdr[8],
-		size:   int64(4 + length),
-	}
+	req.stream = binary.LittleEndian.Uint32(hdr[4:8])
+	req.op = hdr[8]
+	req.size = int64(4 + length)
 	body := int(length) - 5 // payload bytes still on the wire
 	if req.op&opResponseBit != 0 {
-		return nil, fmt.Errorf("transport: response op %#x in request frame", req.op)
+		return req, fmt.Errorf("transport: response op %#x in request frame", req.op)
 	}
 
 	// Traceparent prefix: u8 len | bytes.
 	var tl [1]byte
 	if body < 1 {
-		return nil, errors.New("transport: truncated request payload")
+		return req, errors.New("transport: truncated request payload")
 	}
-	if _, err := io.ReadFull(br, tl[:]); err != nil {
-		return nil, fmt.Errorf("transport: read traceparent length: %w", err)
+	if err := readFull(br, tl[:]); err != nil {
+		return req, fmt.Errorf("transport: read traceparent length: %w", err)
 	}
 	body--
 	if int(tl[0]) > body {
-		return nil, errors.New("transport: traceparent overruns frame")
+		return req, errors.New("transport: traceparent overruns frame")
 	}
 	if tl[0] > 0 {
 		tp := make([]byte, tl[0])
 		if _, err := io.ReadFull(br, tp); err != nil {
-			return nil, fmt.Errorf("transport: read traceparent: %w", err)
+			return req, fmt.Errorf("transport: read traceparent: %w", err)
 		}
 		body -= len(tp)
 		req.tp = string(tp)
 	}
 
-	readDims := func(n int) ([]uint32, error) {
+	// readDims reads n ≤ 2 u32 dimensions.
+	readDims := func(n int) ([2]uint32, error) {
+		var dims [2]uint32
 		var b [8]byte
 		if body < 4*n {
-			return nil, errors.New("transport: truncated request dimensions")
+			return dims, errors.New("transport: truncated request dimensions")
 		}
-		if _, err := io.ReadFull(br, b[:4*n]); err != nil {
-			return nil, fmt.Errorf("transport: read dimensions: %w", err)
+		if err := readFull(br, b[:4*n]); err != nil {
+			return dims, fmt.Errorf("transport: read dimensions: %w", err)
 		}
 		body -= 4 * n
-		dims := make([]uint32, n)
-		for i := range dims {
+		for i := range n {
 			dims[i] = binary.LittleEndian.Uint32(b[4*i:])
 		}
 		return dims, nil
@@ -335,22 +371,22 @@ func readRequestFrame[E comparable](br *bufio.Reader, cod elemCodec, maxElements
 	switch req.op {
 	case opPing:
 		if body != 0 {
-			return nil, fmt.Errorf("transport: ping frame carries %d payload bytes", body)
+			return req, fmt.Errorf("transport: ping frame carries %d payload bytes", body)
 		}
 	case opCompute:
 		dims, err := readDims(1)
 		if err != nil {
-			return nil, err
+			return req, err
 		}
 		x, err := slab(uint64(dims[0]), "compute: x")
 		if err != nil {
-			return nil, err
+			return req, err
 		}
 		req.x = x
 	case opStore, opComputeBatch:
 		dims, err := readDims(2)
 		if err != nil {
-			return nil, err
+			return req, err
 		}
 		rows, cols := uint64(dims[0]), uint64(dims[1])
 		what := "store: block"
@@ -359,16 +395,16 @@ func readRequestFrame[E comparable](br *bufio.Reader, cod elemCodec, maxElements
 		}
 		data, err := slab(rows*cols, what)
 		if err != nil {
-			return nil, err
+			return req, err
 		}
 		if req.capErr == "" {
 			req.m = matrix.FromSlice(int(rows), int(cols), data)
 		}
 	default:
-		return nil, fmt.Errorf("transport: unknown request op %#x", req.op)
+		return req, fmt.Errorf("transport: unknown request op %#x", req.op)
 	}
 	if body != 0 {
-		return nil, fmt.Errorf("transport: %d trailing payload bytes", body)
+		return req, fmt.Errorf("transport: %d trailing payload bytes", body)
 	}
 	return req, nil
 }

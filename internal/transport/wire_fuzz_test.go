@@ -14,8 +14,8 @@ const fuzzMaxElements = 1 << 12
 
 // FuzzWireFrame throws arbitrary bytes at both v3 frame decoders. The
 // invariants: they never panic, never allocate beyond the declared caps,
-// and on malformed input they return an error (a nil frame with a nil
-// error must be impossible).
+// and on malformed input they return an error (a decoded frame always
+// carries a request or response op).
 func FuzzWireFrame(f *testing.F) {
 	// A valid ping, compute, store, and compute-batch frame, plus broken
 	// variants: truncated payload, oversized length prefix, response bit in
@@ -59,8 +59,8 @@ func FuzzWireFrame(f *testing.F) {
 			if err != nil {
 				break
 			}
-			if req == nil {
-				t.Fatal("nil request with nil error")
+			if req.op == 0 || req.op&opResponseBit != 0 {
+				t.Fatalf("decoded request carries op %#x", req.op)
 			}
 			if len(req.x) > fuzzMaxElements {
 				t.Fatalf("decoder allocated %d elements over the %d cap", len(req.x), fuzzMaxElements)
@@ -76,8 +76,8 @@ func FuzzWireFrame(f *testing.F) {
 			if err != nil {
 				break
 			}
-			if wr == nil {
-				t.Fatal("nil response with nil error")
+			if wr.op&opResponseBit == 0 {
+				t.Fatalf("decoded response carries op %#x", wr.op)
 			}
 		}
 	})
