@@ -86,6 +86,9 @@ func run(args []string, out io.Writer) error {
 	if *tFlag < 1 {
 		return fmt.Errorf("-t %d: the collusion threshold must be at least 1", *tFlag)
 	}
+	if *replicas < 1 {
+		return fmt.Errorf("-replicas %d: every coded block needs at least one copy", *replicas)
+	}
 	if *adaptive {
 		if *load || *straggler != "" || *failDev >= 0 || *replicas > 1 || *traceFile != "" {
 			return fmt.Errorf("-adaptive runs its own three-arm recovery scenario; -load, -straggler, -fail, -replicas, and -trace-export configure other modes")
@@ -114,7 +117,8 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	profile := func(j int) sim.DeviceProfile {
+	// Every replica of block j carries device j's straggler and failure.
+	profiles := func(j int) []sim.DeviceProfile {
 		p := sim.DefaultProfile()
 		if fac, ok := strag[j]; ok {
 			p.StragglerFactor = fac
@@ -122,7 +126,11 @@ func run(args []string, out io.Writer) error {
 		if j == *failDev {
 			p.FailProb = 1
 		}
-		return p
+		group := make([]sim.DeviceProfile, *replicas)
+		for r := range group {
+			group[r] = p
+		}
+		return group
 	}
 	var tr *trace.Tracer
 	var opts []scec.DeployOption[uint64]
@@ -136,9 +144,8 @@ func run(args []string, out io.Writer) error {
 	switch *backend {
 	case "sim":
 		opts = append(opts, scec.WithExecutor(scec.SimExecutor[uint64](scec.SimExecutorConfig{
-			Profile:         profile,
-			UserComputeRate: 1e9,
-			Seed:            *seed,
+			Profiles: profiles,
+			Seed:     *seed,
 		})))
 	case "local":
 		if *straggler != "" || *failDev >= 0 || *replicas > 1 {
@@ -172,41 +179,14 @@ func run(args []string, out io.Writer) error {
 	x := scec.RandomVector(f, rng, *l)
 	want := scec.MulVec(f, a, x)
 
-	if *replicas > 1 {
-		rcfg := sim.ReplicatedConfig{
-			Replicas:        make([][]sim.DeviceProfile, dep.Devices()),
-			UserComputeRate: 1e9,
-			Seed:            *seed,
-		}
-		for j := range rcfg.Replicas {
-			group := make([]sim.DeviceProfile, *replicas)
-			for rIdx := range group {
-				group[rIdx] = profile(j)
-			}
-			rcfg.Replicas[j] = group
-		}
-		got, rrep, err := sim.RunReplicated(f, dep.Encoding, x, rcfg)
-		if err != nil {
-			return err
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return fmt.Errorf("verification failed at entry %d", i)
-			}
-		}
-		fmt.Fprintf(out, "replication x%d: completion %.3fms, storage overhead %.1fx\n",
-			*replicas, float64(rrep.CompletionTime.Microseconds())/1000, rrep.StorageOverhead)
-		fmt.Fprintf(out, "decoded result verified against plaintext A·x (%d entries)\n", len(got))
-		if *traceFile != "" {
-			fmt.Fprintln(out, "note: -trace-export records nothing for -replicas > 1 (the replicated run bypasses the traced engine)")
-		}
-		return finish(out, *metrics)
-	}
-
 	got, qerr := dep.MulVec(x)
 	if simExec, ok := dep.Executor().(*engine.SimExecutor[uint64]); ok {
-		if rep, reported := simExec.LastReport(); reported {
+		if rep, reported := simExec.LastReport(); reported && len(rep.Devices) > 0 {
 			printReport(out, rep)
+			if *replicas > 1 {
+				fmt.Fprintf(out, "replication x%d: completion %.3fms, storage overhead %.1fx\n",
+					*replicas, float64(rep.CompletionTime.Microseconds())/1000, rep.StorageOverhead)
+			}
 		}
 	}
 	if qerr != nil {
@@ -373,14 +353,17 @@ func finish(out io.Writer, metricsPath string) error {
 }
 
 func printReport(out io.Writer, rep sim.Report) {
-	fmt.Fprintln(out, "device  rows  field-ops      sent  storage  result-at")
+	fmt.Fprintln(out, "device  copy  rows  field-ops      sent  storage  result-at")
 	for _, d := range rep.Devices {
 		status := fmt.Sprintf("%9.3fms", float64(d.ResultArrives.Microseconds())/1000)
-		if d.Failed {
+		switch {
+		case d.Failed:
 			status = "   FAILED"
+		case !d.Used:
+			status += " (unused)"
 		}
-		fmt.Fprintf(out, "%6d %5d %10d %9d %8d %s\n",
-			d.Device, d.Rows, d.FieldOps, d.ValuesSent, d.StorageValues, status)
+		fmt.Fprintf(out, "%6d %5d %5d %10d %9d %8d %s\n",
+			d.Device, d.Replica, d.Rows, d.FieldOps, d.ValuesSent, d.StorageValues, status)
 	}
 	fmt.Fprintf(out, "totals: %d field ops, %d values sent, %d values stored\n",
 		rep.TotalFieldOps, rep.TotalValuesSent, rep.TotalStorageValues)

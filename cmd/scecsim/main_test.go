@@ -76,6 +76,10 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-m", "60", "-l", "8", "-k", "5", "-straggler", "99=2"},
 		{"-m", "60", "-l", "8", "-k", "5", "-straggler", "x=2"},
 		{"-m", "60", "-l", "8", "-k", "5", "-straggler", "0=x"},
+		{"-m", "60", "-l", "8", "-k", "5", "-straggler", "0=NaN"},
+		{"-m", "60", "-l", "8", "-k", "5", "-straggler", "0=+Inf"},
+		{"-m", "60", "-l", "8", "-k", "5", "-replicas", "0"},
+		{"-m", "60", "-l", "8", "-k", "5", "-replicas", "-3"},
 	}
 	for _, args := range cases {
 		var out strings.Builder

@@ -35,9 +35,9 @@ type SimProfile = sim.DeviceProfile
 // DefaultSimProfile is a nominal simulated edge device.
 func DefaultSimProfile() SimProfile { return sim.DefaultProfile() }
 
-// SimExecutorConfig configures a simulator-backed executor: per-device
-// profiles, the user's decode rate, the failure-sampling seed, and the
-// registry receiving virtual-clock telemetry.
+// SimExecutorConfig configures a simulator-backed executor: the replica
+// group of device profiles hosting each coded block, the failure-sampling
+// seed, and the registry receiving virtual-clock telemetry.
 type SimExecutorConfig = engine.SimConfig
 
 // FleetExecutorConfig configures a fleet-backed executor: the fleet session

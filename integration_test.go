@@ -6,7 +6,8 @@ import (
 	"testing/quick"
 
 	"github.com/scec/scec"
-	"github.com/scec/scec/internal/sim"
+	"github.com/scec/scec/internal/engine"
+	"github.com/scec/scec/internal/obs"
 	"github.com/scec/scec/internal/transport"
 )
 
@@ -17,21 +18,18 @@ func TestIntegrationDeployOverSimulator(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 13))
 	a := scec.RandomMatrix(f, rng, 120, 24)
 	costs := []float64{2.3, 0.8, 1.4, 3.1, 1.9, 0.6}
-	dep, err := scec.Deploy(f, a, costs, rng)
+	dep, err := scec.Deploy(f, a, costs, rng,
+		scec.WithExecutor(scec.SimExecutor[uint64](scec.SimExecutorConfig{Seed: 1, Metrics: obs.New()})))
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiles := make([]sim.DeviceProfile, dep.Devices())
-	for j := range profiles {
-		profiles[j] = sim.DefaultProfile()
-	}
+	defer func() { _ = dep.Close() }()
 	x := scec.RandomVector(f, rng, 24)
-	got, rep, err := sim.Run(f, dep.Encoding, x, sim.Config{
-		Profiles: profiles, UserComputeRate: 1e9, Seed: 1,
-	})
+	got, err := dep.MulVec(x)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep, _ := dep.Executor().(*engine.SimExecutor[uint64]).LastReport()
 	want := scec.MulVec(f, a, x)
 	for i := range got {
 		if got[i] != want[i] {

@@ -11,6 +11,7 @@ import (
 	"github.com/scec/scec/internal/fleet"
 	"github.com/scec/scec/internal/matrix"
 	"github.com/scec/scec/internal/obs"
+	"github.com/scec/scec/internal/obs/trace"
 	"github.com/scec/scec/internal/sim"
 	"github.com/scec/scec/internal/transport"
 )
@@ -221,12 +222,12 @@ func TestSimExecutorFailurePropagates(t *testing.T) {
 	f := field.Prime{}
 	tc := newCase[uint64](t, f, func(rng *rand.Rand) uint64 { return f.Rand(rng) })
 	exec, err := NewSim(f, tc.enc, SimConfig{
-		Profile: func(j int) sim.DeviceProfile {
+		Profiles: func(j int) []sim.DeviceProfile {
 			p := sim.DefaultProfile()
 			if j == 0 {
 				p.FailProb = 1
 			}
-			return p
+			return []sim.DeviceProfile{p}
 		},
 		Metrics: obs.New(),
 	})
@@ -251,15 +252,18 @@ func TestSimExecutorFailurePropagates(t *testing.T) {
 }
 
 // TestSimExecutorReportAccounting: the retained report carries the virtual
-// decode cost and batch queries scale the traffic totals by the width.
+// decode cost — completion is the last consumed arrival plus DecodeOps at
+// 1e9 ops/s — the engine records the one decode stage, and batch queries
+// scale the traffic totals by the width.
 func TestSimExecutorReportAccounting(t *testing.T) {
 	f := field.Prime{}
 	tc := newCase[uint64](t, f, func(rng *rand.Rand) uint64 { return f.Rand(rng) })
-	exec, err := NewSim(f, tc.enc, SimConfig{Metrics: obs.New()})
+	reg := obs.New()
+	exec, err := NewSim(f, tc.enc, SimConfig{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := New[uint64](f, tc.enc, exec, Options{Metrics: obs.New()})
+	q, err := New[uint64](f, tc.enc, exec, Options{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,6 +287,18 @@ func TestSimExecutorReportAccounting(t *testing.T) {
 	if rep.TotalValuesSent != m+r {
 		t.Fatalf("vector TotalValuesSent = %d, want %d", rep.TotalValuesSent, m+r)
 	}
+	var lastArrival time.Duration
+	for _, d := range rep.Devices {
+		if d.Used {
+			lastArrival = max(lastArrival, d.ResultArrives)
+		}
+	}
+	if want := lastArrival + time.Duration(float64(m)/1e9*float64(time.Second)); rep.CompletionTime != want {
+		t.Fatalf("vector CompletionTime = %v, want the last arrival %v plus %d decode ops at 1e9/s", rep.CompletionTime, lastArrival, m)
+	}
+	if got := stageCount(reg, obs.StageDecode); got != 1 {
+		t.Fatalf("decode stage observed %d times after one query, want 1 (the engine's)", got)
+	}
 	if _, err := q.MulMat(tc.xm); err != nil {
 		t.Fatal(err)
 	}
@@ -293,6 +309,98 @@ func TestSimExecutorReportAccounting(t *testing.T) {
 	}
 	if rep.TotalValuesSent != (m+r)*n {
 		t.Fatalf("batch TotalValuesSent = %d, want %d", rep.TotalValuesSent, (m+r)*n)
+	}
+}
+
+// stageCount returns how many observations reg holds for a pipeline stage.
+func stageCount(reg *obs.Registry, stage string) int64 {
+	for _, fam := range reg.Snapshot().Metrics {
+		if fam.Name != obs.MetricStageSeconds {
+			continue
+		}
+		for _, sr := range fam.Series {
+			if sr.Labels["stage"] == stage {
+				return sr.Count
+			}
+		}
+	}
+	return 0
+}
+
+// TestSimExecutorTrace: a traced query over 2-replica blocks, one replica of
+// block 0 failing, fabricates one sim.run trace with a sim.device span per
+// replica — each naming its replica, the failed one marked as an error — and
+// the query span links to it through its sim-trace event.
+func TestSimExecutorTrace(t *testing.T) {
+	f := field.Prime{}
+	tc := newCase[uint64](t, f, func(rng *rand.Rand) uint64 { return f.Rand(rng) })
+	exec, err := NewSim(f, tc.enc, SimConfig{
+		Profiles: func(j int) []sim.DeviceProfile {
+			group := []sim.DeviceProfile{sim.DefaultProfile(), sim.DefaultProfile()}
+			if j == 0 {
+				group[0].FailProb = 1
+			}
+			return group
+		},
+		Metrics: obs.New(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.New(trace.Options{Service: "sim-test"})
+	q, err := New[uint64](f, tc.enc, exec, Options{Metrics: obs.New(), Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = q.Close() })
+	got, err := q.MulVec(tc.x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if got[i] != tc.want[i] {
+			t.Fatalf("MulVec[%d] = %d, want %d", i, got[i], tc.want[i])
+		}
+	}
+
+	var runs, devices []trace.SpanData
+	var linked string
+	for _, sd := range tr.Snapshot() {
+		switch sd.Name {
+		case trace.SpanSimRun:
+			runs = append(runs, sd)
+		case trace.SpanSimDevice:
+			devices = append(devices, sd)
+		case trace.SpanQueryVec:
+			for _, ev := range sd.Events {
+				if ev.Name == "sim-trace" && len(ev.Attrs) == 1 {
+					linked = ev.Attrs[0].Value
+				}
+			}
+		}
+	}
+	if len(runs) != 1 {
+		t.Fatalf("%d sim.run spans, want 1", len(runs))
+	}
+	if linked != runs[0].TraceID {
+		t.Fatalf("query span's sim-trace event carries %q, want the sim.run trace %q", linked, runs[0].TraceID)
+	}
+	if want := 2 * len(tc.enc.Blocks); len(devices) != want {
+		t.Fatalf("%d sim.device spans, want one per replica (%d)", len(devices), want)
+	}
+	for _, sd := range devices {
+		if sd.TraceID != runs[0].TraceID {
+			t.Fatalf("sim.device span in trace %s, want %s", sd.TraceID, runs[0].TraceID)
+		}
+		replica := sd.Attr(trace.AttrReplica)
+		if replica != "0" && replica != "1" {
+			t.Fatalf("sim.device span replica attribute %q, want 0 or 1", replica)
+		}
+		failed := sd.Attr(trace.AttrDevice) == "0" && replica == "0"
+		if failed != (sd.Error != "") {
+			t.Fatalf("device %s replica %s: error %q, want an error only on the failed replica",
+				sd.Attr(trace.AttrDevice), replica, sd.Error)
+		}
 	}
 }
 

@@ -17,12 +17,10 @@ import (
 
 // SimConfig configures the simulator-backed executor.
 type SimConfig struct {
-	// Profile returns device j's performance profile. Nil applies
-	// sim.DefaultProfile() to every device.
-	Profile func(j int) sim.DeviceProfile
-	// UserComputeRate is the user's field-ops/second rate for virtual decode
-	// accounting in the retained report. Zero means 1e9.
-	UserComputeRate float64
+	// Profiles returns the replica group hosting coded block j: one profile
+	// per device holding a copy. Nil, or an empty group, means one
+	// sim.DefaultProfile() device — the paper's unreplicated protocol.
+	Profiles func(j int) []sim.DeviceProfile
 	// Seed drives the simulator's failure sampling.
 	Seed uint64
 	// Metrics receives the simulator's virtual-clock telemetry. Nil means
@@ -30,16 +28,19 @@ type SimConfig struct {
 	Metrics *obs.Registry
 }
 
+// userComputeRate is the user's field-ops/second rate: the retained report
+// prices the virtual decode at it.
+const userComputeRate = 1e9
+
 // SimExecutor evaluates the compute round on internal/sim's virtual clock:
 // numerically it produces exactly what the local kernels produce (the same
 // coding code paths run), while the retained report prices the round
-// against the configured device profiles. It retains the most recent run's
+// against the configured replica groups. It retains the most recent run's
 // report — including failed runs — for introspection.
 type SimExecutor[E comparable] struct {
 	f   field.Field[E]
 	enc *coding.Encoding[E]
 	cfg sim.Config
-	ucr float64
 
 	mu   sync.Mutex
 	last sim.Report
@@ -51,28 +52,19 @@ func NewSim[E comparable](f field.Field[E], enc *coding.Encoding[E], cfg SimConf
 	if enc == nil || enc.Code == nil {
 		return nil, errors.New("engine: encoding has no code attached")
 	}
-	profile := cfg.Profile
-	if profile == nil {
-		profile = func(int) sim.DeviceProfile { return sim.DefaultProfile() }
-	}
-	ucr := cfg.UserComputeRate
-	if ucr == 0 {
-		ucr = 1e9
-	}
-	profiles := make([]sim.DeviceProfile, len(enc.Blocks))
-	for j := range profiles {
-		profiles[j] = profile(j)
+	groups := make([][]sim.DeviceProfile, len(enc.Blocks))
+	for j := range groups {
+		if cfg.Profiles != nil {
+			groups[j] = cfg.Profiles(j)
+		}
+		if len(groups[j]) == 0 {
+			groups[j] = []sim.DeviceProfile{sim.DefaultProfile()}
+		}
 	}
 	return &SimExecutor[E]{
 		f:   f,
 		enc: enc,
-		cfg: sim.Config{
-			Profiles:        profiles,
-			UserComputeRate: ucr,
-			Seed:            cfg.Seed,
-			Metrics:         cfg.Metrics,
-		},
-		ucr: ucr,
+		cfg: sim.Config{Profiles: groups, Seed: cfg.Seed, Metrics: cfg.Metrics},
 	}, nil
 }
 
@@ -97,13 +89,12 @@ func (e *SimExecutor[E]) ComputeBatch(ctx context.Context, x *matrix.Dense[E]) (
 }
 
 // retain stores the run's report. On success it folds the virtual decode
-// cost in (the code's per-column decode work priced at the user's compute
-// rate), matching sim.Run's accounting; the wall-clock decode itself
-// happens in the Query layer.
+// cost in: the code's per-column decode work priced at the user's compute
+// rate. The wall-clock decode itself happens once, in the Query layer.
 func (e *SimExecutor[E]) retain(rep sim.Report, err error, n int) {
 	if err == nil {
 		rep.DecodeOps = sim.DecodeOps(e.enc) * int64(n)
-		rep.CompletionTime += time.Duration(float64(rep.DecodeOps) / e.ucr * float64(time.Second))
+		rep.CompletionTime += time.Duration(float64(rep.DecodeOps) / userComputeRate * float64(time.Second))
 	}
 	e.mu.Lock()
 	e.last, e.ran = rep, true
@@ -111,7 +102,7 @@ func (e *SimExecutor[E]) retain(rep sim.Report, err error, n int) {
 }
 
 // emitTrace fabricates the round's virtual-clock trace when the caller is
-// tracing: a sim.run root with one sim.device span per device timeline,
+// tracing: a sim.run root with one sim.device span per replica timeline,
 // stamped at offsets from the Unix epoch so the exported trace reads as the
 // simulator's t=0-based schedule. Virtual durations cannot nest inside the
 // wall-clock query span without lying about time, so the fabricated spans
@@ -136,8 +127,11 @@ func (e *SimExecutor[E]) emitTrace(ctx context.Context, rep sim.Report, err erro
 			Service:  t.Service(),
 			Start:    base.Add(d.XArrives),
 			End:      base.Add(d.ResultArrives),
-			Attrs:    []trace.Attr{trace.A(trace.AttrDevice, strconv.Itoa(d.Device))},
-			Events:   []trace.Event{{Name: "compute-done", Time: base.Add(d.ComputeDone)}},
+			Attrs: []trace.Attr{
+				trace.A(trace.AttrDevice, strconv.Itoa(d.Device)),
+				trace.A(trace.AttrReplica, strconv.Itoa(d.Replica)),
+			},
+			Events: []trace.Event{{Name: "compute-done", Time: base.Add(d.ComputeDone)}},
 		}
 		if d.Failed {
 			sd.Error = "device failed"

@@ -1,14 +1,17 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
 
 	"github.com/scec/scec/internal/alloc"
 	"github.com/scec/scec/internal/coding"
+	"github.com/scec/scec/internal/engine"
 	"github.com/scec/scec/internal/field"
 	"github.com/scec/scec/internal/matrix"
+	"github.com/scec/scec/internal/obs"
 	"github.com/scec/scec/internal/sim"
 	"github.com/scec/scec/internal/workload"
 )
@@ -75,6 +78,7 @@ func DelaySweep(cfg Config) (DelayResult, error) {
 	want := matrix.MulVec(f, a, x)
 
 	res := DelayResult{M: delayM, L: delayL, R: plan.R}
+	reg := obs.New()
 	for _, replicas := range []int{1, 2, 3} {
 		for _, pStraggle := range []float64{0, 0.2, 0.5} {
 			pt := DelayPoint{Replicas: replicas, StragglerProb: pStraggle}
@@ -82,29 +86,29 @@ func DelaySweep(cfg Config) (DelayResult, error) {
 			var totalCompletion time.Duration
 			for trial := 0; trial < delayTrialCount; trial++ {
 				trialRNG := workload.RNG(cfg.Seed^saltDelay, replicas*1000+int(pStraggle*10), trial)
-				rcfg := sim.ReplicatedConfig{
-					Replicas:        make([][]sim.DeviceProfile, scheme.Devices()),
-					UserComputeRate: 1e9,
-					Seed:            trialRNG.Uint64(),
-				}
-				for j := range rcfg.Replicas {
-					group := make([]sim.DeviceProfile, replicas)
-					for rIdx := range group {
+				seed := trialRNG.Uint64()
+				groups := make([][]sim.DeviceProfile, scheme.Devices())
+				for j := range groups {
+					groups[j] = make([]sim.DeviceProfile, replicas)
+					for r := range groups[j] {
 						p := sim.DefaultProfile()
 						p.FailProb = delayFailProb
 						if trialRNG.Float64() < pStraggle {
 							p.StragglerFactor = delayStraggle
 						}
-						group[rIdx] = p
+						groups[j][r] = p
 					}
-					rcfg.Replicas[j] = group
 				}
-				got, rep, err := sim.RunReplicated(f, enc, x, rcfg)
-				if err != nil {
+				rep, err := delayTrial(f, enc, x, want, engine.SimConfig{
+					Profiles: func(j int) []sim.DeviceProfile { return groups[j] },
+					Seed:     seed,
+					Metrics:  reg,
+				})
+				if errors.Is(err, sim.ErrDeviceFailed) {
 					continue // all replicas of some block failed
 				}
-				if !matrix.VecEqual(f, got, want) {
-					return DelayResult{}, fmt.Errorf("experiments: delay trial decoded the wrong result")
+				if err != nil {
+					return DelayResult{}, err
 				}
 				successes++
 				totalCompletion += rep.CompletionTime
@@ -118,6 +122,30 @@ func DelaySweep(cfg Config) (DelayResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// delayTrial answers one query through the execution engine over the
+// simulator — the path every simulated query takes — checks the decoded
+// answer against the plaintext product, and returns the round's report.
+func delayTrial(f field.Prime, enc *coding.Encoding[uint64], x, want []uint64, cfg engine.SimConfig) (sim.Report, error) {
+	exec, err := engine.NewSim(f, enc, cfg)
+	if err != nil {
+		return sim.Report{}, err
+	}
+	q, err := engine.New(f, enc, exec, engine.Options{Metrics: cfg.Metrics})
+	if err != nil {
+		return sim.Report{}, err
+	}
+	defer func() { _ = q.Close() }()
+	got, err := q.MulVec(x)
+	if err != nil {
+		return sim.Report{}, err
+	}
+	if !matrix.VecEqual(f, got, want) {
+		return sim.Report{}, fmt.Errorf("experiments: delay trial decoded the wrong result")
+	}
+	rep, _ := exec.LastReport()
+	return rep, nil
 }
 
 // WriteDelayMarkdown renders the delay study as a markdown table.

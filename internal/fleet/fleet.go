@@ -1,6 +1,6 @@
 // Package fleet is a fault-tolerant, long-lived client-side runtime for the
 // SCEC protocol over the real transport: the production counterpart of the
-// virtual-clock study in internal/sim/replicated.go.
+// virtual-clock replica groups internal/sim prices.
 //
 // The paper's §VI and Remark 1 leave stragglers and faults to future work;
 // the mechanism productionized here is block replication, which leaves the

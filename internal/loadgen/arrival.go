@@ -2,7 +2,6 @@ package loadgen
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"strings"
 	"time"
@@ -99,7 +98,7 @@ func ParseArrival(spec string) (Arrival, error) {
 		if _, err := fmt.Sscanf(spec, "bursty:%gx%d", &factor, &length); err != nil {
 			return nil, fmt.Errorf("loadgen: bad bursty spec %q (want bursty:FACTORxLENGTH)", spec)
 		}
-		if factor <= 1 || length <= 0 || math.IsNaN(factor) {
+		if factor <= 1 || length <= 0 || !finitePositive(factor) {
 			return nil, fmt.Errorf("loadgen: bursty factor must be > 1 and length > 0, got %q", spec)
 		}
 		return &Bursty{Factor: factor, Length: length}, nil

@@ -83,6 +83,8 @@ func TestParseArrival(t *testing.T) {
 		{"bursty:8x32", "bursty", true},
 		{"bursty:1x32", "", false},
 		{"bursty:8x0", "", false},
+		{"bursty:NaNx8", "", false},
+		{"bursty:Infx8", "", false},
 		{"bursty:nonsense", "", false},
 		{"weibull", "", false},
 	}

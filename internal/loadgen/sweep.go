@@ -3,6 +3,7 @@ package loadgen
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -161,7 +162,7 @@ func ParseRates(csv string) ([]float64, error) {
 			continue
 		}
 		r, err := strconv.ParseFloat(part, 64)
-		if err != nil || r <= 0 {
+		if err != nil || !finitePositive(r) {
 			return nil, fmt.Errorf("loadgen: bad rate %q (want a positive QPS list like 50,100,200)", part)
 		}
 		if len(rates) > 0 && r <= rates[len(rates)-1] {
@@ -208,11 +209,14 @@ func ParseSLO(spec string) (SLO, error) {
 		return SLO{}, fmt.Errorf("loadgen: bad SLO bound %q: %v", boundStr, err)
 	}
 	var qps float64
-	if _, err := fmt.Sscanf(qpsStr, "%g", &qps); err != nil || qps <= 0 {
+	if _, err := fmt.Sscanf(qpsStr, "%g", &qps); err != nil || !finitePositive(qps) {
 		return SLO{}, fmt.Errorf("loadgen: bad SLO rate %q", qpsStr)
 	}
 	return SLO{Quantile: q, Bound: bound, AtQPS: qps}, nil
 }
+
+// finitePositive reports whether v is a usable rate: > 0, not NaN or ±Inf.
+func finitePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // ParseSLOs parses a comma-separated SLO list ("" yields none).
 func ParseSLOs(spec string) ([]SLO, error) {

@@ -126,7 +126,7 @@ func TestParseSLO(t *testing.T) {
 	if s.String() != "p99<=50ms@200" {
 		t.Fatalf("String() = %q, not round-trippable", s.String())
 	}
-	for _, bad := range []string{"", "p99<=50ms", "p98<=50ms@200", "p99<=zzz@200", "p99<=50ms@-1", "p99<=-5ms@200"} {
+	for _, bad := range []string{"", "p99<=50ms", "p98<=50ms@200", "p99<=zzz@200", "p99<=50ms@-1", "p99<=-5ms@200", "p99<=50ms@NaN", "p99<=50ms@+Inf"} {
 		if _, err := ParseSLO(bad); err == nil {
 			t.Errorf("ParseSLO(%q) accepted", bad)
 		}
@@ -137,6 +137,18 @@ func TestParseSLO(t *testing.T) {
 	}
 	if slos, err := ParseSLOs("  "); err != nil || slos != nil {
 		t.Fatalf("blank SLO list: %v, %v", slos, err)
+	}
+}
+
+func TestParseRates(t *testing.T) {
+	rates, err := ParseRates(" 50, 100,200 ")
+	if err != nil || len(rates) != 3 || rates[0] != 50 || rates[2] != 200 {
+		t.Fatalf("ParseRates = %v, %v", rates, err)
+	}
+	for _, bad := range []string{"", " , ", "0", "-5", "zzz", "200,100", "NaN", "100,Inf", "+Inf", "100,NaN"} {
+		if _, err := ParseRates(bad); err == nil {
+			t.Errorf("ParseRates(%q) accepted", bad)
+		}
 	}
 }
 

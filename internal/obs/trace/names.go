@@ -37,7 +37,7 @@ const (
 	SpanDeviceCompute = "device.compute"
 
 	// SpanSimRun / SpanSimDevice are the simulator's virtual-clock trace:
-	// one run root and one span per simulated device timeline.
+	// one run root and one span per simulated replica timeline.
 	SpanSimRun    = "sim.run"
 	SpanSimDevice = "sim.device"
 
@@ -56,6 +56,9 @@ const (
 	AttrDevice = "device"
 	// AttrBlock is a logical coded-block index in scheme order.
 	AttrBlock = "block"
+	// AttrReplica is a simulated device's copy index within its block's
+	// replica group.
+	AttrReplica = "replica"
 	// AttrKind is a transport request kind (store|compute|compute-batch|ping)
 	// or a query kind (vec|mat).
 	AttrKind = "kind"

@@ -10,9 +10,10 @@ import (
 	"github.com/scec/scec/internal/obs"
 )
 
-// TestRunRecordsStageMetrics checks a simulated run reports the pipeline
+// TestRunRecordsStageMetrics checks a simulated round reports the pipeline
 // stages under the same metric names a real transport run uses, on the
-// virtual clock, plus per-device result gauges.
+// virtual clock, plus per-block result gauges. Every surviving replica
+// records its compute stage; the decode stage is the engine's.
 func TestRunRecordsStageMetrics(t *testing.T) {
 	f := field.Prime{}
 	rng := rand.New(rand.NewPCG(7, 9))
@@ -27,57 +28,57 @@ func TestRunRecordsStageMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	reg := obs.New()
-	cfg := Config{UserComputeRate: 1e9, Seed: 1, Metrics: reg}
-	cfg.Profiles = make([]DeviceProfile, s.Devices())
-	for j := range cfg.Profiles {
-		cfg.Profiles[j] = DefaultProfile()
-	}
 	x := matrix.RandomVec[uint64](f, rng, l)
-	_, rep, err := Run(f, enc, x, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.StoreTime <= 0 {
-		t.Fatalf("StoreTime = %v, want > 0", rep.StoreTime)
-	}
 
-	snap := reg.Snapshot()
-	stages := map[string]int64{}
-	devices := 0
-	var simRuns float64
-	for _, fam := range snap.Metrics {
-		switch fam.Name {
-		case obs.MetricStageSeconds:
-			for _, sr := range fam.Series {
-				stages[sr.Labels["stage"]] += sr.Count
-			}
-		case obs.MetricSimDeviceResultSeconds:
-			for _, sr := range fam.Series {
-				if sr.Value <= 0 {
-					t.Errorf("device %s result gauge = %g, want > 0", sr.Labels["device"], sr.Value)
-				}
-				devices++
-			}
-		case obs.MetricSimRuns:
-			simRuns = fam.Series[0].Value
+	for _, replicas := range []int{1, 2} {
+		reg := obs.New()
+		cfg := groupConfig(s.Devices(), replicas)
+		cfg.Metrics = reg
+		_, rep, err := GatherContext(t.Context(), f, enc, x, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The simulator must export the stages it models: store, one compute
-	// per device, gather, and decode (allocate/encode happen before Run and
-	// are recorded by scec.Deploy against the same names).
-	if stages[obs.StageStore] != 1 || stages[obs.StageGather] != 1 || stages[obs.StageDecode] != 1 {
-		t.Errorf("store/gather/decode counts = %v, want 1 each", stages)
-	}
-	if got := stages[obs.StageCompute]; got != int64(s.Devices()) {
-		t.Errorf("compute stage observed %d times, want one per device (%d)", got, s.Devices())
-	}
-	if devices != s.Devices() {
-		t.Errorf("result gauges for %d devices, want %d", devices, s.Devices())
-	}
-	if simRuns != 1 {
-		t.Errorf("%s = %g, want 1", obs.MetricSimRuns, simRuns)
+		if rep.StoreTime <= 0 {
+			t.Fatalf("StoreTime = %v, want > 0", rep.StoreTime)
+		}
+
+		snap := reg.Snapshot()
+		stages := map[string]int64{}
+		devices := 0
+		var simRuns float64
+		for _, fam := range snap.Metrics {
+			switch fam.Name {
+			case obs.MetricStageSeconds:
+				for _, sr := range fam.Series {
+					stages[sr.Labels["stage"]] += sr.Count
+				}
+			case obs.MetricSimDeviceResultSeconds:
+				for _, sr := range fam.Series {
+					if sr.Value <= 0 {
+						t.Errorf("device %s result gauge = %g, want > 0", sr.Labels["device"], sr.Value)
+					}
+					devices++
+				}
+			case obs.MetricSimRuns:
+				simRuns = fam.Series[0].Value
+			}
+		}
+		// The simulator must export the stages it models: store, one compute
+		// per replica, and gather (allocate/encode happen before the round
+		// and are recorded by scec.Deploy against the same names; decode is
+		// the engine's).
+		if stages[obs.StageStore] != 1 || stages[obs.StageGather] != 1 || stages[obs.StageDecode] != 0 {
+			t.Errorf("%d replicas: store/gather/decode counts = %v, want 1/1/0", replicas, stages)
+		}
+		if got := stages[obs.StageCompute]; got != int64(replicas*s.Devices()) {
+			t.Errorf("compute stage observed %d times, want one per replica (%d)", got, replicas*s.Devices())
+		}
+		if devices != s.Devices() {
+			t.Errorf("result gauges for %d blocks, want %d", devices, s.Devices())
+		}
+		if simRuns != 1 {
+			t.Errorf("%s = %g, want 1", obs.MetricSimRuns, simRuns)
+		}
 	}
 }
 
@@ -96,13 +97,10 @@ func TestFailedRunSkipsAggregateStages(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.New()
-	cfg := Config{UserComputeRate: 1e9, Seed: 1, Metrics: reg}
-	cfg.Profiles = make([]DeviceProfile, s.Devices())
-	for j := range cfg.Profiles {
-		cfg.Profiles[j] = DefaultProfile()
-	}
-	cfg.Profiles[0].FailProb = 1
-	if _, _, err := Run(f, enc, matrix.RandomVec[uint64](f, rng, 4), cfg); err == nil {
+	cfg := groupConfig(s.Devices(), 1)
+	cfg.Metrics = reg
+	cfg.Profiles[0][0].FailProb = 1
+	if _, _, err := GatherContext(t.Context(), f, enc, matrix.RandomVec[uint64](f, rng, 4), cfg); err == nil {
 		t.Fatal("run with a guaranteed failure succeeded")
 	}
 	for _, fam := range reg.Snapshot().Metrics {

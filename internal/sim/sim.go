@@ -1,14 +1,19 @@
 // Package sim is an event-level simulator of the SCEC protocol on an edge
-// network. It executes the real encoding/compute/decode code paths from
-// package coding, while modelling — on a virtual clock, deterministically —
-// the performance dimensions the cost model abstracts away: compute rates,
-// up/downlink rates, network latency, stragglers, and device failures.
+// network. It executes the real encoding and compute code paths from package
+// coding, while modelling — on a virtual clock, deterministically — the
+// performance dimensions the cost model abstracts away: compute rates,
+// up/downlink rates, network latency, stragglers, and device failures. It
+// never decodes: every simulated query runs through the execution engine's
+// SimExecutor (internal/engine), which decodes like any other backend.
 //
 // The paper assumes every selected device responds correctly and in time
 // (§II-A) and remarks (Remark 1) that because Lemma 1 caps per-device work
 // at r rows, completion time is bounded. The simulator makes both points
-// measurable: completion time is the maximum over device timelines, and a
-// failed device aborts the run with ErrDeviceFailed, demonstrating why the
+// measurable. Each coded block is hosted by a replica group — one device in
+// the paper's protocol, several when redundancy buys a delay guarantee — and
+// the user consumes each block's earliest surviving replica. Completion time
+// is the maximum over the consumed timelines, and a block whose replicas all
+// fail aborts the round with ErrDeviceFailed, demonstrating why the
 // availability assumption (or straggler-tolerant redundancy) matters.
 //
 // The package is also the one place the virtual fleet is priced and queued.
@@ -16,8 +21,8 @@
 // has one function to calibrate:
 //
 //   - DeviceRoundTime — a device's x-delivery + compute + result-return round
-//     (c^m, c^d): Run/Gather, RunReplicated, and PerturbedRoundTime;
-//   - PushTime — a coded block delivered to a device (c^s): Gather's store
+//     (c^m, c^d): every replica GatherContext prices, and PerturbedRoundTime;
+//   - PushTime — a coded block delivered to a device (c^s): the gather's store
 //     stage, loadgen.VirtualSweep's churn re-provisioning, and the rehost and
 //     reshape of the recovery scenario (adapt.RunScenario);
 //   - PerturbedRoundTime — a round under a slowdown factor and an outage:
@@ -31,6 +36,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"strconv"
 	"time"
@@ -41,8 +47,8 @@ import (
 	"github.com/scec/scec/internal/obs"
 )
 
-// ErrDeviceFailed is returned when a device configured to fail never
-// delivers its intermediate results, so the user cannot decode.
+// ErrDeviceFailed is returned when every replica of some coded block failed
+// to deliver its intermediate results, so the user cannot decode.
 var ErrDeviceFailed = errors.New("sim: device failed; decoding impossible")
 
 // DeviceProfile models one edge device's performance characteristics.
@@ -67,6 +73,11 @@ type DeviceProfile struct {
 
 // Validate reports whether the profile is usable.
 func (p DeviceProfile) Validate() error {
+	for _, v := range [...]float64{p.ComputeRate, p.UplinkRate, p.DownlinkRate, p.StragglerFactor, p.FailProb} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("sim: profile fields must be finite, got %+v", p)
+		}
+	}
 	if p.ComputeRate <= 0 || p.UplinkRate <= 0 || p.DownlinkRate <= 0 {
 		return fmt.Errorf("sim: rates must be positive, got %+v", p)
 	}
@@ -94,15 +105,16 @@ func DefaultProfile() DeviceProfile {
 	}
 }
 
-// Config configures one simulated run.
+// Config configures one simulated round.
 type Config struct {
-	// Profiles holds one profile per participating device, in scheme device
-	// order. len(Profiles) must equal the number of coded blocks.
-	Profiles []DeviceProfile
-	// UserComputeRate is the user device's field-operations-per-second rate,
-	// used for the decode step. Must be > 0.
-	UserComputeRate float64
-	// Seed drives failure sampling.
+	// Profiles holds one replica group per coded block, in scheme order:
+	// Profiles[j] lists the devices hosting a copy of B_j·T. A group of one
+	// is the paper's protocol; a larger group buys Remark 1's delay
+	// guarantee, because the user consumes each block's earliest surviving
+	// replica. len(Profiles) must equal the number of coded blocks, and no
+	// group may be empty.
+	Profiles [][]DeviceProfile
+	// Seed drives failure sampling: one draw per replica, block by block.
 	Seed uint64
 	// Metrics receives the run's telemetry on the virtual clock, under the
 	// same metric names a real transport run records (see internal/obs), so
@@ -111,10 +123,11 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// DeviceReport is the per-device outcome.
+// DeviceReport is the outcome of one device: one replica of one block.
 type DeviceReport struct {
-	// Device is the scheme-order device index.
-	Device int
+	// Device is the scheme-order index of the coded block the device holds;
+	// Replica is which copy of that block it is (0 without replication).
+	Device, Replica int
 	// Rows is V(B_j), the coded rows the device held and multiplied.
 	Rows int
 	// FieldOps counts the multiply and add operations the device performed.
@@ -130,64 +143,47 @@ type DeviceReport struct {
 	XArrives, ComputeDone, ResultArrives time.Duration
 	// Failed reports whether the device was sampled to fail.
 	Failed bool
+	// Used reports whether the user consumed this device's result: it is
+	// its block's earliest surviving replica.
+	Used bool
 }
 
-// Report summarizes a run.
+// Report summarizes a round.
 type Report struct {
-	// Devices holds one report per device.
+	// Devices holds one report per replica, grouped by block in scheme
+	// order.
 	Devices []DeviceReport
-	// CompletionTime is the virtual time at which the user finished
-	// decoding: last result arrival plus decode time.
+	// CompletionTime is the virtual time at which the user finished: the
+	// last consumed result arrival, plus the decode time once the engine's
+	// SimExecutor has priced it.
 	CompletionTime time.Duration
 	// StoreTime is the virtual duration of the provisioning push: the
-	// slowest device's coded block delivered over its uplink. Like the real
+	// slowest replica's coded block delivered over its uplink. Like the real
 	// pipeline's store stage it happens once, before the compute round, and
 	// is not part of CompletionTime.
 	StoreTime time.Duration
-	// DecodeOps is the user-side operation count (m subtractions for the
-	// structured scheme).
+	// DecodeOps is the user-side operation count (m subtractions per column
+	// for the structured scheme). The simulator does not decode, so it
+	// leaves this zero for the engine to fill in.
 	DecodeOps int64
+	// StorageOverhead is the ratio of provisioned coded rows, across every
+	// replica, to the m+r rows the base scheme stores.
+	StorageOverhead float64
 	// TotalFieldOps, TotalValuesSent, and TotalStorageValues aggregate the
-	// device columns.
+	// device columns over every replica.
 	TotalFieldOps      int64
 	TotalValuesSent    int
 	TotalStorageValues int
 }
 
-// Run simulates the full protocol for an encoding produced by
-// coding.Encode: broadcast x, compute every device's block, return
-// intermediate results, decode. It returns the decoded Ax together with the
-// report. A failed device yields ErrDeviceFailed (with the partial report's
-// Failed flags set).
-func Run[E comparable](f field.Field[E], enc *coding.Encoding[E], x []E, cfg Config) ([]E, Report, error) {
-	y, rep, err := Gather(f, enc, x, cfg)
-	if err != nil {
-		return nil, rep, err
-	}
-	reg := cfg.registry()
-	ax, err := enc.Code.Decode(y)
-	if err != nil {
-		return nil, rep, fmt.Errorf("sim: decode: %w", err)
-	}
-	rep.DecodeOps = DecodeOps(enc)
-	decode := seconds(float64(rep.DecodeOps) / cfg.UserComputeRate)
-	rep.CompletionTime += decode
-	obs.ObserveStage(reg, obs.StageDecode, decode)
-	return ax, rep, nil
-}
-
-// Gather simulates the protocol up to (and including) the user holding
-// every intermediate result: broadcast x, per-device compute on the virtual
-// clock, collect B_j·T·x in scheme device order. It performs no decoding —
-// the execution engine (or Run) owns that — so the returned report's
-// CompletionTime covers only the last result arrival and DecodeOps is zero.
-func Gather[E comparable](f field.Field[E], enc *coding.Encoding[E], x []E, cfg Config) ([]E, Report, error) {
-	return GatherContext(context.Background(), f, enc, x, cfg)
-}
-
-// GatherContext is Gather with cancellation: the per-device loop checks ctx
-// between devices, so a caller abandoning a large simulated round (thousands
-// of devices, wide batches) gets control back promptly with ctx.Err().
+// GatherContext simulates one compute round up to the user holding every
+// intermediate result: broadcast x to every replica, per-replica compute on
+// the virtual clock, and collect each block's earliest surviving B_j·T·x in
+// scheme order. It performs no decoding — the execution engine owns that —
+// so the report's CompletionTime covers only the last consumed arrival and
+// DecodeOps is zero. The loop checks ctx between blocks, so a caller
+// abandoning a large simulated round (thousands of devices, wide batches)
+// gets control back promptly with ctx.Err().
 func GatherContext[E comparable](ctx context.Context, f field.Field[E], enc *coding.Encoding[E], x []E, cfg Config) ([]E, Report, error) {
 	l := len(x)
 	if err := checkRun(enc, l, cfg); err != nil {
@@ -203,16 +199,11 @@ func GatherContext[E comparable](ctx context.Context, f field.Field[E], enc *cod
 	return y, rep, nil
 }
 
-// GatherBatch is Gather for the paper's batch generalization: the input is
-// an l×n matrix X and the result is the stacked B·T·X ((m+r)×n). Device
-// timelines scale with n: every device receives l·n input values, performs
-// n times the field operations, and returns V(B_j)·n intermediate values.
-func GatherBatch[E comparable](f field.Field[E], enc *coding.Encoding[E], x *matrix.Dense[E], cfg Config) (*matrix.Dense[E], Report, error) {
-	return GatherBatchContext(context.Background(), f, enc, x, cfg)
-}
-
-// GatherBatchContext is GatherBatch with cancellation, checking ctx between
-// device computations like GatherContext.
+// GatherBatchContext is GatherContext for the paper's batch generalization:
+// the input is an l×n matrix X and the result is the stacked B·T·X
+// ((m+r)×n). Device timelines scale with n: every replica receives l·n input
+// values, performs n times the field operations, and returns V(B_j)·n
+// intermediate values.
 func GatherBatchContext[E comparable](ctx context.Context, f field.Field[E], enc *coding.Encoding[E], x *matrix.Dense[E], cfg Config) (*matrix.Dense[E], Report, error) {
 	if err := checkRun(enc, x.Rows(), cfg); err != nil {
 		return nil, Report{}, err
@@ -234,14 +225,16 @@ func checkRun[E comparable](enc *coding.Encoding[E], l int, cfg Config) error {
 		return errors.New("sim: encoding has no code attached")
 	}
 	if len(cfg.Profiles) != len(enc.Blocks) {
-		return fmt.Errorf("sim: %d profiles for %d devices", len(cfg.Profiles), len(enc.Blocks))
+		return fmt.Errorf("sim: %d replica groups for %d blocks", len(cfg.Profiles), len(enc.Blocks))
 	}
-	if cfg.UserComputeRate <= 0 {
-		return fmt.Errorf("sim: user compute rate %g must be positive", cfg.UserComputeRate)
-	}
-	for j, p := range cfg.Profiles {
-		if err := p.Validate(); err != nil {
-			return fmt.Errorf("sim: device %d: %w", j, err)
+	for j, group := range cfg.Profiles {
+		if len(group) == 0 {
+			return fmt.Errorf("sim: block %d has no replicas", j)
+		}
+		for r, p := range group {
+			if err := p.Validate(); err != nil {
+				return fmt.Errorf("sim: block %d replica %d: %w", j, r, err)
+			}
 		}
 	}
 	if l != enc.Blocks[0].Cols() {
@@ -349,45 +342,55 @@ func deviceTimeline(j, rows, l, n int, p DeviceProfile) (DeviceReport, time.Dura
 	return d, compute
 }
 
-// gatherCore runs the shared virtual-clock loop: it fills the report, calls
-// emit(j) for every surviving device in scheme order, and records the
-// store/compute/gather stage metrics. A sampled failure yields
+// gatherCore runs the virtual-clock round every simulated query shares: it
+// prices every replica of every block, consumes each block's earliest
+// surviving replica — calling emit(j) for it, in scheme order — and records
+// the store/compute/gather stage metrics. A block with no survivor yields
 // ErrDeviceFailed with the partial report's Failed flags set.
 func gatherCore[E comparable](ctx context.Context, enc *coding.Encoding[E], l, n int, cfg Config, emit func(j int)) (Report, error) {
 	reg := cfg.registry()
-	rng := rand.New(rand.NewPCG(cfg.Seed, 0x5cec^uint64(enc.Code.M())))
-	rep := Report{Devices: make([]DeviceReport, len(enc.Blocks))}
+	rng := rand.New(rand.NewPCG(cfg.Seed, 0x3e911ca))
+	rep := Report{Devices: make([]DeviceReport, 0, len(enc.Blocks))}
 	failed := false
+	provisioned := 0
 
 	for j, block := range enc.Blocks {
 		if err := ctx.Err(); err != nil {
 			return rep, err
 		}
-		p := cfg.Profiles[j]
 		rows := block.Rows()
-		d, compute := deviceTimeline(j, rows, l, n, p)
-
-		// Provisioning: the slowest push bounds the store stage.
-		rep.StoreTime = max(rep.StoreTime, PushTime(rows, l, p))
-		d.Failed = rng.Float64() < p.FailProb
-
-		rep.Devices[j] = d
-		rep.TotalFieldOps += d.FieldOps
-		rep.TotalValuesSent += d.ValuesSent
-		rep.TotalStorageValues += d.StorageValues
-		if d.Failed {
+		used := -1
+		for r, p := range cfg.Profiles[j] {
+			d, compute := deviceTimeline(j, rows, l, n, p)
+			d.Replica = r
+			// Provisioning: the slowest push bounds the store stage.
+			rep.StoreTime = max(rep.StoreTime, PushTime(rows, l, p))
+			d.Failed = rng.Float64() < p.FailProb
+			provisioned += rows
+			rep.TotalFieldOps += d.FieldOps
+			rep.TotalValuesSent += d.ValuesSent
+			rep.TotalStorageValues += d.StorageValues
+			if !d.Failed {
+				obs.ObserveStage(reg, obs.StageCompute, compute)
+				if used < 0 || d.ResultArrives < rep.Devices[used].ResultArrives {
+					used = len(rep.Devices)
+				}
+			}
+			rep.Devices = append(rep.Devices, d)
+		}
+		if used < 0 {
 			failed = true
 			continue
 		}
-		obs.ObserveStage(reg, obs.StageCompute, compute)
+		d := &rep.Devices[used]
+		d.Used = true
 		reg.Gauge(obs.MetricSimDeviceResultSeconds,
 			"Virtual time at which each simulated device's results reached the user, in seconds.",
 			obs.L("device", strconv.Itoa(j))).Set(d.ResultArrives.Seconds())
 		emit(j)
-		if d.ResultArrives > rep.CompletionTime {
-			rep.CompletionTime = d.ResultArrives
-		}
+		rep.CompletionTime = max(rep.CompletionTime, d.ResultArrives)
 	}
+	rep.StorageOverhead = float64(provisioned) / float64(enc.Code.M()+enc.Code.R())
 	if failed {
 		return rep, ErrDeviceFailed
 	}
