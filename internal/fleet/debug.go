@@ -19,7 +19,7 @@ type DebugInfo struct {
 	// Standbys lists the warm standby pool (devices serving no block).
 	Standbys []DeviceDebug `json:"standbys"`
 	// HedgeDelay is the speculative-request delay a race started now would
-	// use (fixed, or the current adaptive p95).
+	// use (fixed, or the current adaptive p95); zero when hedging is off.
 	HedgeDelay time.Duration `json:"hedgeDelayNs"`
 	// Hedges/Retries/Queries/QueryErrors are the session's lifetime counters.
 	Hedges      int64 `json:"hedges"`
@@ -84,8 +84,9 @@ type DeviceDebug struct {
 // breaker positions, the standby pool, the live hedge delay, the lifetime
 // hedge/retry/query counters, and the per-device straggler records.
 func (s *Session[E]) Debug() DebugInfo {
+	hedge, _ := s.hedgeDelay()
 	info := DebugInfo{
-		HedgeDelay:  s.hedgeDelay(),
+		HedgeDelay:  hedge,
 		Hedges:      s.met.hedges.Value(),
 		Retries:     s.met.retries.Value(),
 		Queries:     s.met.queriesVec.Value() + s.met.queriesMat.Value(),

@@ -19,8 +19,9 @@
 //     hedged second request launches if the leader outlives the hedge delay
 //     (fixed, or adaptive from a winner-latency percentile), failures fail
 //     over to the next replica, and whole rounds retry with exponential
-//     backoff plus jitter — all under one query deadline, with losers
-//     cancelled through the transport's context plumbing;
+//     backoff plus jitter — all under one query deadline, as one loop on the
+//     caller's goroutine that collects every reply on one channel, with
+//     losers cancelled by unregistering their transport streams;
 //   - a ping prober feeds a per-device circuit breaker
 //     (closed → open → half-open) so queries stop routing to dead replicas
 //     and notice recoveries;
@@ -149,6 +150,31 @@ type Config struct {
 	Journal *flight.Journal
 }
 
+// validate rejects the negative values that have no meaning. A negative
+// timeout, backoff or cooldown would fail or mistime every query and strike
+// healthy devices' breakers for it; HedgeAfter, MaxRetries and
+// ProbeInterval give negative values a documented meaning instead.
+func (c Config) validate() error {
+	for _, d := range []struct {
+		name string
+		v    time.Duration
+	}{
+		{"QueryTimeout", c.QueryTimeout},
+		{"RPCTimeout", c.RPCTimeout},
+		{"RetryBackoff", c.RetryBackoff},
+		{"ProbeTimeout", c.ProbeTimeout},
+		{"BreakerCooldown", c.BreakerCooldown},
+	} {
+		if d.v < 0 {
+			return fmt.Errorf("fleet: negative %s %v", d.name, d.v)
+		}
+	}
+	if c.BreakerThreshold < 0 {
+		return fmt.Errorf("fleet: negative BreakerThreshold %d", c.BreakerThreshold)
+	}
+	return nil
+}
+
 // withDefaults resolves zero values.
 func (c Config) withDefaults() Config {
 	if c.QueryTimeout == 0 {
@@ -222,6 +248,9 @@ type Session[E comparable] struct {
 	met sessionMetrics
 	jr  *flight.Journal
 
+	// queries recycles query states (see query).
+	queries sync.Pool
+
 	ctx       context.Context
 	cancel    context.CancelFunc
 	wg        sync.WaitGroup
@@ -262,6 +291,9 @@ func Serve[E comparable](f field.Field[E], enc *coding.Encoding[E], cfg Config) 
 			return nil, fmt.Errorf("fleet: standby %s already hosts a block", addr)
 		}
 		seen[addr] = true
+	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	reg := cfg.Metrics

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -32,6 +33,8 @@ type testEnv struct {
 	// proxies[j][k] fronts replica k of block j; standbys[k] fronts standby k.
 	proxies  [][]*FaultProxy
 	standbys []*FaultProxy
+	// servers are the honest devices behind the proxies.
+	servers []*transport.DeviceServer[uint64]
 
 	cfg Config
 }
@@ -71,6 +74,7 @@ func newTestEnv(t *testing.T, replicas, standbys int) *testEnv {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = srv.Close() })
+		env.servers = append(env.servers, srv)
 		p, err := NewFaultProxy(srv.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -441,6 +445,41 @@ func TestServeValidation(t *testing.T) {
 		t.Fatal("Serve accepted a fleet it could not provision")
 	}
 
+	// Negative durations and thresholds would fail or mistime every query
+	// and open healthy devices' breakers for it: Serve refuses them, naming
+	// the field. Negative HedgeAfter, MaxRetries and ProbeInterval keep
+	// their documented meanings.
+	for _, tc := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"QueryTimeout", func(c *Config) { c.QueryTimeout = -1 }},
+		{"RPCTimeout", func(c *Config) { c.RPCTimeout = -time.Second }},
+		{"RetryBackoff", func(c *Config) { c.RetryBackoff = -time.Millisecond }},
+		{"ProbeTimeout", func(c *Config) { c.ProbeTimeout = -1 }},
+		{"BreakerCooldown", func(c *Config) { c.BreakerCooldown = -time.Minute }},
+		{"BreakerThreshold", func(c *Config) { c.BreakerThreshold = -3 }},
+	} {
+		cfg = base
+		tc.set(&cfg)
+		_, err := Serve[uint64](env.f, env.enc, cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("Serve with a negative %s: err = %v, want an error naming the field", tc.field, err)
+		}
+	}
+	cfg = base
+	cfg.HedgeAfter, cfg.MaxRetries, cfg.ProbeInterval = -1, -1, -1
+	neg, err := Serve[uint64](env.f, env.enc, cfg)
+	if err != nil {
+		t.Fatalf("Serve refused the documented negative HedgeAfter/MaxRetries/ProbeInterval: %v", err)
+	}
+	got, err := mulVec(neg, env.x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkResult(t, env.want, got)
+	_ = neg.Close()
+
 	s := env.serve(t)
 	if _, err := mulVec(s, make([]uint64, 99)); err == nil {
 		t.Fatal("MulVec accepted a wrong-length input")
@@ -580,27 +619,27 @@ func TestSingleCandidateRaceNeverHedges(t *testing.T) {
 func TestHedgeDelayPolicy(t *testing.T) {
 	s := &Session[uint64]{lat: newLatencyRing()}
 	s.cfg = Config{HedgeAfter: 7 * time.Millisecond, RPCTimeout: time.Second, QueryTimeout: time.Minute}
-	if got := s.hedgeDelay(); got != 7*time.Millisecond {
-		t.Fatalf("fixed hedge delay = %v, want 7ms", got)
+	if got, ok := s.hedgeDelay(); !ok || got != 7*time.Millisecond {
+		t.Fatalf("fixed hedge delay = %v, %v, want 7ms", got, ok)
 	}
 	s.cfg.HedgeAfter = -1
-	if got := s.hedgeDelay(); got < s.cfg.RPCTimeout {
-		t.Fatalf("disabled hedge delay = %v, must exceed the RPC timeout", got)
+	if got, ok := s.hedgeDelay(); ok {
+		t.Fatalf("disabled hedge delay = %v, want hedging off", got)
 	}
 	s.cfg.HedgeAfter = 0
-	if got := s.hedgeDelay(); got != DefaultHedgeAfter {
-		t.Fatalf("pre-warmup adaptive delay = %v, want %v", got, DefaultHedgeAfter)
+	if got, ok := s.hedgeDelay(); !ok || got != DefaultHedgeAfter {
+		t.Fatalf("pre-warmup adaptive delay = %v, %v, want %v", got, ok, DefaultHedgeAfter)
 	}
 	for i := 0; i < minAdaptiveSamples; i++ {
 		s.lat.observe(20 * time.Millisecond)
 	}
-	if got := s.hedgeDelay(); got != 20*time.Millisecond {
-		t.Fatalf("adaptive delay = %v, want the 20ms p95", got)
+	if got, ok := s.hedgeDelay(); !ok || got != 20*time.Millisecond {
+		t.Fatalf("adaptive delay = %v, %v, want the 20ms p95", got, ok)
 	}
 	for i := 0; i < 64; i++ {
 		s.lat.observe(time.Hour) // absurd latencies clamp to the RPC timeout
 	}
-	if got := s.hedgeDelay(); got != s.cfg.RPCTimeout {
-		t.Fatalf("clamped adaptive delay = %v, want %v", got, s.cfg.RPCTimeout)
+	if got, ok := s.hedgeDelay(); !ok || got != s.cfg.RPCTimeout {
+		t.Fatalf("clamped adaptive delay = %v, %v, want %v", got, ok, s.cfg.RPCTimeout)
 	}
 }

@@ -112,8 +112,8 @@ func (r *latencyRing) observe(d time.Duration) {
 
 // sorted copies the retained latencies into dst, ascending, and returns how
 // many there are. dst is the caller's stack array, so reading a percentile
-// allocates nothing; returning the array by value instead doubles the frame
-// and makes the per-block goroutines grow their stacks on every race.
+// allocates nothing; returning the array by value instead doubles the
+// caller's frame.
 func (r *latencyRing) sorted(dst *[latencyWindow]time.Duration) int {
 	r.mu.Lock()
 	n := r.n

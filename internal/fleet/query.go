@@ -5,14 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"os"
 	"strconv"
-	"sync"
 	"time"
 
 	"github.com/scec/scec/internal/matrix"
 	"github.com/scec/scec/internal/obs"
 	"github.com/scec/scec/internal/obs/flight"
 	"github.com/scec/scec/internal/obs/trace"
+	"github.com/scec/scec/internal/transport"
 )
 
 // traceIDOf renders a span's trace ID for exemplar attribution ("" when
@@ -24,47 +25,52 @@ func traceIDOf(sp *trace.Span) string {
 	return ""
 }
 
+// Causes a query gives the attempts it withdraws. A cancellation is a loss,
+// not a device verdict; a deadline strikes the device's breaker and is
+// journaled as a timeout.
+var (
+	errQueryOver     = fmt.Errorf("fleet: query over: %w", context.Canceled)
+	errSessionClosed = fmt.Errorf("fleet: session closed: %w", context.Canceled)
+	errQueryTimeout  = fmt.Errorf("fleet: QueryTimeout elapsed: %w", context.DeadlineExceeded)
+	errNoAdmissible  = errors.New("no admissible replicas (every breaker open)")
+)
+
 // GatherContext fetches the full intermediate result B·T·x from the fleet
 // without decoding it: every logical block is fetched from its replica set
-// concurrently (racing, hedging, and retrying as needed) and the parts
+// at once (racing, hedging, and retrying as needed) and the parts
 // concatenate in code device order, m+r values total — bit-identical to the
 // unreplicated pipeline, since every replica of block j returns the same
 // B_j·T·x. Decoding is owned by the caller (the execution engine's query
 // layer). The gather is bounded by ctx in addition to the session's query
-// timeout: cancelling ctx cancels the in-flight block races. A span carried
+// timeout: cancelling ctx withdraws the requests in flight. A span carried
 // in ctx parents the fleet.gather span (else the session's tracer, if any,
 // starts a fresh trace).
 func (s *Session[E]) GatherContext(ctx context.Context, x []E) ([]E, error) {
 	if len(x) != s.cols {
 		return nil, fmt.Errorf("fleet: input vector has %d entries, want %d", len(x), s.cols)
 	}
-	parts, err := gather(s, ctx, kindVec, func(ctx context.Context, b *blockState[E], addr string) ([]E, error) {
-		y, err := s.client.Compute(ctx, addr, x)
-		if err == nil && len(y) != b.want {
-			err = fmt.Errorf("fleet: replica %s returned %d values for block %d, want %d", addr, len(y), b.index, b.want)
-		}
-		return y, err
-	})
-	if err != nil {
+	q := s.acquire(ctx, kindVec)
+	defer s.release(q)
+	q.x = x
+	if err := q.run(); err != nil {
 		return nil, err
 	}
 	y := make([]E, 0, s.code.M()+s.code.R())
-	for _, p := range parts {
-		y = append(y, p...)
+	for j := range q.blocks {
+		y = append(y, q.blocks[j].y...)
 	}
 	return y, nil
 }
 
 // GatherBatchContext is GatherContext for an l×n input matrix: it returns
 // the stacked (m+r)×n intermediate result B·T·X, undecoded, with the same
-// per-block fault tolerance.
-//
-// The gather works on one private x.Clone(): a race does not await its
-// cancelled losers, so a hedged or timed-out attempt may still be writing X
-// to its socket after the gather has returned, and the caller is free to
-// reuse x by then. The clone goes on the wire uncopied and each replica's
-// block comes back as one contiguous matrix, stacked with no row-slice
-// round trip.
+// per-block fault tolerance. X goes on the wire uncopied by the fleet: every
+// request frame is on its way before its send returns (see
+// transport.Client.Go), and a request still waiting for its dial is
+// withdrawn before the gather returns, so the caller may reuse x as soon as
+// it does. Each
+// replica's block comes back as one contiguous matrix, stacked with no
+// row-slice round trip.
 func (s *Session[E]) GatherBatchContext(ctx context.Context, x *matrix.Dense[E]) (*matrix.Dense[E], error) {
 	if x.Rows() != s.cols {
 		return nil, fmt.Errorf("fleet: input matrix has %d rows, want %d", x.Rows(), s.cols)
@@ -74,75 +80,175 @@ func (s *Session[E]) GatherBatchContext(ctx context.Context, x *matrix.Dense[E])
 	if x.Cols() < 1 {
 		return nil, fmt.Errorf("fleet: input matrix has %d columns, want at least 1", x.Cols())
 	}
-	x = x.Clone()
-	parts, err := gather(s, ctx, kindMat, func(ctx context.Context, b *blockState[E], addr string) (*matrix.Dense[E], error) {
-		y, err := s.client.ComputeBatch(ctx, addr, x)
-		if err == nil && y.Rows() != b.want {
-			err = fmt.Errorf("fleet: replica %s returned %d rows for block %d, want %d", addr, y.Rows(), b.index, b.want)
-		}
-		return y, err
-	})
-	if err != nil {
+	q := s.acquire(ctx, kindMat)
+	defer s.release(q)
+	q.xm = x
+	if err := q.run(); err != nil {
 		return nil, err
 	}
+	parts := q.parts[:0]
+	for j := range q.blocks {
+		parts = append(parts, q.blocks[j].m)
+	}
+	q.parts = parts
 	return matrix.VStack(parts...), nil
 }
 
-// gather is one query's fan-out, shared by the vector and batch paths:
-// every logical block is fetched from its replica set on its own goroutine
-// and the parts return in code device order for the caller to join. call is
-// one replica request including its width check against the block; it is
-// built once per query and shared by every block, attempt and retry.
-func gather[E comparable, T any](s *Session[E], ctx context.Context, kind string, call func(context.Context, *blockState[E], string) (T, error)) ([]T, error) {
-	s.met.queries(kind).Inc()
-	qctx, cancel := s.queryContext(ctx)
-	defer cancel()
-	qctx, gsp := s.startSpan(qctx, trace.SpanFleetGather,
-		trace.A(trace.AttrKind, kind), trace.A("blocks", strconv.Itoa(len(s.blocks))))
-	defer gsp.End()
+// query is one gather's state: the whole fan-out runs as one loop on the
+// caller's goroutine. It sends every block's leader, then waits on one
+// channel, where the transport delivers each reply tagged with its attempt,
+// on one timer armed to the earliest deadline (a hedge, a retry backoff, an
+// attempt's RPCTimeout, the query's QueryTimeout), and on the caller's and
+// the session's contexts. Sessions recycle query states, so a warm query
+// allocates none of this.
+type query[E comparable] struct {
+	s    *Session[E]
+	ctx  context.Context
+	kind string
+	x    []E              // a vector query's input
+	xm   *matrix.Dense[E] // a batch query's input
 
-	stage := obs.StartStage(s.reg, obs.StageGather)
-	parts := make([]T, len(s.blocks))
-	errs := make([]error, len(s.blocks))
-	var wg sync.WaitGroup
-	for j, b := range s.blocks {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			parts[j], errs[j] = fetchBlock(s, qctx, b, call)
-		}()
-	}
-	wg.Wait()
-	stage.End()
-	for _, err := range errs {
-		if err != nil {
-			s.met.queryErrors(kind).Inc()
-			s.jr.PublishDetail(flight.KindQueryError, "", err.Error(), 0, 0)
-			gsp.SetError(err)
-			return nil, err
-		}
-	}
-	return parts, nil
+	blocks []fetch[E]
+	// atts holds every attempt this state ever made, indexed by the Tag of
+	// its call; free lists the idle ones and live the ones in flight.
+	atts []*attempt[E]
+	free []int
+	live []*attempt[E]
+	// ch receives the calls. Its capacity covers every attempt a query can
+	// have in flight (each block's round launches at most its replica
+	// budget), so the transport never blocks delivering into it.
+	ch    chan *transport.Call[E]
+	timer *time.Timer
+	parts []*matrix.Dense[E]
+
+	deadline time.Time
+	open     int   // blocks neither won nor failed
+	err      error // the first block failure, in block order
 }
 
-// queryContext derives one query's context: bounded by the session lifetime
-// and QueryTimeout, cancelled early when the caller's ctx ends, and carrying
-// the caller's span (if any) so the fleet's spans parent under it. The
-// session context is the base — a query must not outlive Close — so the
-// caller's values do not propagate; only its span and its cancellation do.
-func (s *Session[E]) queryContext(ctx context.Context) (context.Context, context.CancelFunc) {
-	qctx, cancel := context.WithTimeout(s.ctx, s.cfg.QueryTimeout)
+// fetch is one logical block's state within a query.
+type fetch[E comparable] struct {
+	b   *blockState[E]
+	ctx context.Context // carries the block span
+	sp  *trace.Span
+	// cands is this round's candidate snapshot, in buf unless it spills;
+	// next indexes the next one to launch.
+	buf   [candidateBuf]*device
+	cands []*device
+	next  int
+	// budget caps a round's candidates at the replica count the query's
+	// channel was sized for.
+	budget  int
+	pending int // attempts in flight
+	round   int
+	backoff time.Duration
+	lastErr error
+	// roundStart starts the winner latency; hedgeAt and retryAt are the
+	// block's armed deadlines (zero: none).
+	roundStart, hedgeAt, retryAt time.Time
+	done                         bool
+	y                            []E
+	m                            *matrix.Dense[E]
+}
+
+// attempt is one replica request of a query.
+type attempt[E comparable] struct {
+	call  transport.Call[E]
+	block int
+	// d is the replica the attempt ran against, and sp its span.
+	d  *device
+	sp *trace.Span
+	// hedged marks a speculative attempt (launched by the hedge deadline,
+	// not as the leader or a failover), so a winning hedge can be journaled.
+	hedged bool
+	// launched and lat time the attempt's own call; deadline is when
+	// RPCTimeout withdraws it.
+	launched, deadline time.Time
+	lat                time.Duration
+}
+
+// acquire takes a recycled query state, or builds one.
+func (s *Session[E]) acquire(ctx context.Context, kind string) *query[E] {
+	q, _ := s.queries.Get().(*query[E])
+	if q == nil {
+		q = &query[E]{s: s, blocks: make([]fetch[E], len(s.blocks)), timer: time.NewTimer(time.Hour)}
+		q.timer.Stop()
+	}
 	if ctx == nil {
-		return qctx, cancel
+		ctx = context.Background()
 	}
-	if parent := trace.SpanFromContext(ctx); parent != nil {
-		qctx = trace.ContextWithSpan(qctx, parent)
+	q.ctx, q.kind, q.err, q.open = ctx, kind, nil, 0
+	return q
+}
+
+// release drops the query's references to inputs, results and spans and
+// keeps the state for the next query. run has withdrawn or received every
+// call, so nothing can still arrive on the channel.
+func (s *Session[E]) release(q *query[E]) {
+	q.ctx, q.x, q.xm = nil, nil, nil
+	for j := range q.blocks {
+		q.blocks[j] = fetch[E]{}
 	}
-	if ctx.Done() == nil {
-		return qctx, cancel // ctx can never be cancelled: nothing to propagate
+	clear(q.parts)
+	s.queries.Put(q)
+}
+
+// run executes the query's gather. Every failure path returns a
+// *BlockUnavailableError for the first failed block.
+func (q *query[E]) run() error {
+	s := q.s
+	s.met.queries(q.kind).Inc()
+	ctx, gsp := s.startSpan(q.ctx, trace.SpanFleetGather,
+		trace.A(trace.AttrKind, q.kind), trace.A("blocks", strconv.Itoa(len(s.blocks))))
+	defer gsp.End()
+	stage := obs.StartStage(s.reg, obs.StageGather)
+	now := time.Now()
+	q.deadline = now.Add(s.cfg.QueryTimeout)
+	need := 0
+	for j, b := range s.blocks {
+		q.blocks[j].budget = b.replicaCount()
+		need += q.blocks[j].budget
 	}
-	stop := context.AfterFunc(ctx, cancel)
-	return qctx, func() { stop(); cancel() }
+	if cap(q.ch) < need {
+		q.ch = make(chan *transport.Call[E], need)
+	}
+	for j, b := range s.blocks {
+		f := &q.blocks[j]
+		f.b, f.backoff = b, s.cfg.RetryBackoff
+		f.ctx, f.sp = s.startSpan(ctx, trace.SpanFleetBlock, trace.A(trace.AttrBlock, strconv.Itoa(b.index)))
+		q.open++
+		q.startRound(f, now)
+		if q.err != nil {
+			break
+		}
+	}
+	callerDone := q.ctx.Done()
+	for q.open > 0 && q.err == nil {
+		next := q.tick(time.Now())
+		if q.open == 0 || q.err != nil {
+			break
+		}
+		q.timer.Reset(time.Until(next))
+		select {
+		case c := <-q.ch:
+			q.arrive(c)
+		case <-q.timer.C:
+		case <-callerDone:
+			q.abort(q.ctx.Err())
+		case <-s.ctx.Done():
+			q.abort(errSessionClosed)
+		}
+	}
+	q.timer.Stop()
+	q.finish()
+	stage.End()
+	if q.err != nil {
+		s.met.queryErrors(q.kind).Inc()
+		s.jr.PublishDetail(flight.KindQueryError, "", q.err.Error(), 0, 0)
+		gsp.SetError(q.err)
+		return q.err
+	}
+	return nil
 }
 
 // startSpan opens a fleet-side span: a child when ctx carries a span (on
@@ -155,48 +261,375 @@ func (s *Session[E]) startSpan(ctx context.Context, name string, attrs ...trace.
 	return s.trc.StartRoot(ctx, name, attrs...)
 }
 
-// fetchBlock obtains one logical block's intermediate result from its
-// replica set: it races the admissible replicas (with hedging and in-race
-// failover), and re-runs the race up to MaxRetries extra rounds with
-// exponential backoff plus full jitter. Every failure path returns a
-// *BlockUnavailableError.
-func fetchBlock[E comparable, T any](s *Session[E], ctx context.Context, b *blockState[E], call func(context.Context, *blockState[E], string) (T, error)) (v T, err error) {
-	var zero T
-	ctx, bsp := s.startSpan(ctx, trace.SpanFleetBlock, trace.A(trace.AttrBlock, strconv.Itoa(b.index)))
-	defer func() {
-		bsp.SetError(err)
-		bsp.End()
-	}()
-	backoff := s.cfg.RetryBackoff
-	var lastErr error
-	var buf [candidateBuf]*device
-	for round := 0; ; round++ {
-		cands := b.candidates(time.Now(), s.cfg.BreakerCooldown, buf[:0])
-		if skipped := b.replicaCount() - len(cands); skipped > 0 {
-			bsp.AddEvent(trace.EventBreakerSkip, trace.A("skipped", strconv.Itoa(skipped)))
+// startRound snapshots the block's admissible replicas and launches the
+// leader, arming the hedge when there is somebody to hedge to. A round with
+// no candidate fails at once.
+func (q *query[E]) startRound(f *fetch[E], now time.Time) {
+	s := q.s
+	f.retryAt, f.hedgeAt = time.Time{}, time.Time{}
+	f.cands = f.b.candidates(now, s.cfg.BreakerCooldown, f.buf[:0])
+	if skipped := f.b.replicaCount() - len(f.cands); skipped > 0 {
+		f.sp.AddEvent(trace.EventBreakerSkip, trace.A("skipped", strconv.Itoa(skipped)))
+	}
+	if len(f.cands) > f.budget {
+		f.cands = f.cands[:f.budget]
+	}
+	f.next = 0
+	if len(f.cands) == 0 {
+		if f.lastErr == nil {
+			f.lastErr = errNoAdmissible
 		}
-		if len(cands) > 0 {
-			v, err := raceReplicas(s, ctx, b, cands, call)
-			if err == nil {
-				return v, nil
-			}
-			lastErr = err
-		} else if lastErr == nil {
-			lastErr = errors.New("no admissible replicas (every breaker open)")
-		}
-		if ctx.Err() != nil || round >= s.cfg.MaxRetries {
-			return zero, &BlockUnavailableError{Block: b.index, Attempts: round + 1, Err: lastErr}
-		}
-		s.met.retries.Inc()
-		s.jr.Publish(flight.KindRetry, "", int64(b.index), int64(round+1))
-		bsp.AddEvent(trace.EventRetry, trace.A(trace.AttrRound, strconv.Itoa(round+1)))
-		if !sleepCtx(ctx, jitter(backoff)) {
-			return zero, &BlockUnavailableError{Block: b.index, Attempts: round + 1, Err: ctx.Err()}
-		}
-		if backoff *= 2; backoff > time.Second {
-			backoff = time.Second
+		q.roundFailed(f, now)
+		return
+	}
+	f.roundStart = now
+	q.launch(f, false, now)
+	q.armHedge(f, now)
+}
+
+// armHedge sets the block's hedge deadline while a candidate is left to
+// hedge to and hedging is on.
+func (q *query[E]) armHedge(f *fetch[E], now time.Time) {
+	f.hedgeAt = time.Time{}
+	if f.next < len(f.cands) {
+		if d, ok := q.s.hedgeDelay(); ok {
+			f.hedgeAt = now.Add(d)
 		}
 	}
+}
+
+// launch sends the block's next candidate an attempt.
+func (q *query[E]) launch(f *fetch[E], hedged bool, now time.Time) {
+	s := q.s
+	d := f.cands[f.next]
+	f.next++
+	a := q.slot()
+	a.block, a.d, a.hedged = f.b.index, d, hedged
+	a.launched, a.deadline, a.lat = now, now.Add(s.cfg.RPCTimeout), 0
+	var actx context.Context
+	actx, a.sp = s.startSpan(f.ctx, trace.SpanFleetAttempt,
+		trace.A(trace.AttrDevice, d.addr), trace.A(trace.AttrHedged, strconv.FormatBool(hedged)))
+	f.pending++
+	q.live = append(q.live, a)
+	if q.xm != nil {
+		s.client.GoBatch(actx, d.addr, q.xm, &a.call, q.ch)
+	} else {
+		s.client.Go(actx, d.addr, q.x, &a.call, q.ch)
+	}
+}
+
+// slot returns an idle attempt, making one when every attempt is busy.
+func (q *query[E]) slot() *attempt[E] {
+	if n := len(q.free); n > 0 {
+		a := q.atts[q.free[n-1]]
+		q.free = q.free[:n-1]
+		return a
+	}
+	a := &attempt[E]{}
+	a.call.Tag = len(q.atts)
+	q.atts = append(q.atts, a)
+	return a
+}
+
+// unlive removes a from the attempts in flight.
+func (q *query[E]) unlive(a *attempt[E]) {
+	for i, l := range q.live {
+		if l == a {
+			last := len(q.live) - 1
+			q.live[i] = q.live[last]
+			q.live[last] = nil
+			q.live = q.live[:last]
+			return
+		}
+	}
+}
+
+// tick fires every deadline that has passed by now — the query's, each
+// attempt's RPCTimeout, each block's retry and hedge — and returns the
+// earliest one still armed.
+func (q *query[E]) tick(now time.Time) time.Time {
+	s := q.s
+	if !now.Before(q.deadline) {
+		q.abort(errQueryTimeout)
+		return now
+	}
+	next := q.deadline
+	for i := 0; i < len(q.live); {
+		a := q.live[i]
+		if now.Before(a.deadline) {
+			next = earliest(next, a.deadline)
+			i++
+			continue
+		}
+		err := fmt.Errorf("fleet: replica %s: no answer within RPCTimeout %v: %w", a.d.addr, s.cfg.RPCTimeout, context.DeadlineExceeded)
+		if !a.call.Cancel(err) {
+			// The answer is already queued: take it when it arrives.
+			a.deadline = q.deadline
+			i++
+			continue
+		}
+		q.unlive(a)
+		f := &q.blocks[a.block]
+		f.pending--
+		a.lat = now.Sub(a.launched)
+		q.fail(f, a, err, now)
+		if q.err != nil {
+			return now
+		}
+	}
+	for j := range q.blocks {
+		f := &q.blocks[j]
+		if f.done {
+			continue
+		}
+		if !f.retryAt.IsZero() && !now.Before(f.retryAt) {
+			q.startRound(f, now)
+			if q.err != nil {
+				return now
+			}
+		}
+		if !f.hedgeAt.IsZero() && !now.Before(f.hedgeAt) {
+			if f.next < len(f.cands) {
+				s.met.hedges.Inc()
+				f.sp.AddEvent(trace.EventHedge, trace.A(trace.AttrDevice, f.cands[f.next].addr))
+				q.launch(f, true, now)
+			}
+			q.armHedge(f, now)
+		}
+		for _, t := range [2]time.Time{f.retryAt, f.hedgeAt} {
+			if !t.IsZero() {
+				next = earliest(next, t)
+			}
+		}
+	}
+	for _, a := range q.live {
+		next = earliest(next, a.deadline)
+	}
+	return next
+}
+
+func earliest(a, b time.Time) time.Time {
+	if b.Before(a) {
+		return b
+	}
+	return a
+}
+
+// arrive handles one call the transport delivered.
+func (q *query[E]) arrive(c *transport.Call[E]) {
+	if !c.Receive() {
+		return // sent again on a fresh connection
+	}
+	a := q.atts[c.Tag]
+	q.unlive(a)
+	f := &q.blocks[a.block]
+	f.pending--
+	now := time.Now()
+	a.lat = now.Sub(a.launched)
+	err := c.Err
+	if err == nil {
+		if q.xm != nil && c.M.Rows() != f.b.want {
+			err = fmt.Errorf("fleet: replica %s returned %d rows for block %d, want %d", a.d.addr, c.M.Rows(), f.b.index, f.b.want)
+		} else if q.xm == nil && len(c.Y) != f.b.want {
+			err = fmt.Errorf("fleet: replica %s returned %d values for block %d, want %d", a.d.addr, len(c.Y), f.b.index, f.b.want)
+		}
+	}
+	switch {
+	case err != nil:
+		q.fail(f, a, err, now)
+	case f.done:
+		a.d.recordSuccess()
+		q.settle(a, attemptLoss) // answered after the block was decided
+	default:
+		a.d.recordSuccess()
+		q.win(f, a, now)
+	}
+}
+
+// win files the block's first success and withdraws its other attempts.
+func (q *query[E]) win(f *fetch[E], a *attempt[E], now time.Time) {
+	f.done = true
+	q.open--
+	f.y, f.m = a.call.Y, a.call.M
+	q.won(f, a, now.Sub(f.roundStart))
+	for i := 0; i < len(q.live); {
+		l := q.live[i]
+		if l.block != f.b.index || !l.call.Cancel(errQueryOver) {
+			i++
+			continue
+		}
+		q.unlive(l)
+		f.pending--
+		q.settle(l, attemptLoss)
+	}
+	f.sp.End()
+}
+
+// fail files an attempt that ended in err and moves the block on: the next
+// candidate when one is left, or — once the round has heard from every
+// attempt — a retry round or the block's failure.
+func (q *query[E]) fail(f *fetch[E], a *attempt[E], err error, now time.Time) {
+	s := q.s
+	addr := a.d.addr
+	q.failed(a, err) // frees a
+	if f.done {
+		return
+	}
+	f.lastErr = err
+	if f.next < len(f.cands) {
+		s.met.retries.Inc()
+		s.jr.Publish(flight.KindFailover, addr, int64(f.b.index), 0)
+		f.sp.AddEvent(trace.EventFailover, trace.A(trace.AttrDevice, f.cands[f.next].addr))
+		q.launch(f, false, now)
+		if f.next == len(f.cands) {
+			f.hedgeAt = time.Time{}
+		}
+		return
+	}
+	if f.pending == 0 {
+		q.roundFailed(f, now)
+	}
+}
+
+// roundFailed starts the backoff before the block's next round, with full
+// jitter, or fails the block once MaxRetries extra rounds have run.
+func (q *query[E]) roundFailed(f *fetch[E], now time.Time) {
+	s := q.s
+	if f.round >= s.cfg.MaxRetries {
+		q.blockFailed(f, &BlockUnavailableError{Block: f.b.index, Attempts: f.round + 1, Err: f.lastErr})
+		return
+	}
+	f.round++
+	s.met.retries.Inc()
+	s.jr.Publish(flight.KindRetry, "", int64(f.b.index), int64(f.round))
+	f.sp.AddEvent(trace.EventRetry, trace.A(trace.AttrRound, strconv.Itoa(f.round)))
+	f.hedgeAt = time.Time{}
+	f.retryAt = now.Add(jitter(f.backoff))
+	if f.backoff *= 2; f.backoff > time.Second {
+		f.backoff = time.Second
+	}
+}
+
+// blockFailed ends an undecided block with err, the query's error when it
+// is the first.
+func (q *query[E]) blockFailed(f *fetch[E], err error) {
+	f.done = true
+	q.open--
+	f.sp.SetError(err)
+	f.sp.End()
+	if q.err == nil {
+		q.err = err
+	}
+}
+
+// abort ends the query early with cause: the caller's context, the
+// session's, or the query deadline. Attempts in flight are withdrawn —
+// losses when cause is a cancellation, device timeouts when it is a
+// deadline — and every undecided block fails with cause.
+func (q *query[E]) abort(cause error) {
+	loss := errors.Is(cause, context.Canceled)
+	for i := 0; i < len(q.live); {
+		a := q.live[i]
+		if !a.call.Cancel(cause) {
+			i++
+			continue
+		}
+		q.unlive(a)
+		q.blocks[a.block].pending--
+		if loss {
+			q.settle(a, attemptLoss)
+		} else {
+			q.failed(a, cause)
+		}
+	}
+	for j := range q.blocks {
+		if f := &q.blocks[j]; !f.done {
+			q.blockFailed(f, &BlockUnavailableError{Block: f.b.index, Attempts: f.round + 1, Err: cause})
+		}
+	}
+}
+
+// finish ends a query's loop: undecided blocks close their spans, attempts
+// still in flight are withdrawn as losses, and the answers already queued
+// for them are received and settled, so the channel is empty for the next
+// query that reuses this state and no late answer can reach it.
+func (q *query[E]) finish() {
+	for j := range q.blocks {
+		if f := &q.blocks[j]; !f.done {
+			f.done = true
+			f.sp.End()
+		}
+	}
+	for i := 0; i < len(q.live); {
+		a := q.live[i]
+		if !a.call.Cancel(errQueryOver) {
+			i++
+			continue
+		}
+		q.unlive(a)
+		q.settle(a, attemptLoss)
+	}
+	for len(q.live) > 0 {
+		q.arrive(<-q.ch)
+	}
+}
+
+// settle files the attempt's outcome on its device's straggler record, ends
+// its span and frees its slot. Every launched attempt is settled exactly
+// once.
+func (q *query[E]) settle(a *attempt[E], o attemptOutcome) {
+	if o == attemptWin {
+		a.sp.SetAttr(trace.AttrWin, "true")
+	}
+	a.d.recordAttempt(o, a.hedged, a.lat)
+	a.sp.End()
+	a.d, a.sp = nil, nil
+	a.call.Y, a.call.M, a.call.Err = nil, nil, nil
+	q.free = append(q.free, a.call.Tag)
+}
+
+// won files a block's winning attempt: the winner latency (round start to
+// verdict) feeds the adaptive hedge delay, the block's winner histogram with
+// the trace ID + device as its bucket exemplar (so a tail bucket on
+// /metrics.json links straight to /debug/traces/{id}), and OnWin; a hedge
+// win is journaled; and the attempt settles as the win.
+func (q *query[E]) won(f *fetch[E], a *attempt[E], latency time.Duration) {
+	s := q.s
+	s.lat.observe(latency)
+	s.met.winner(f.b.index).ObserveDurationExemplar(latency, traceIDOf(f.sp), a.d.addr)
+	if s.cfg.OnWin != nil {
+		s.cfg.OnWin(a.d.addr, f.b.index, latency)
+	}
+	if a.hedged {
+		s.jr.Publish(flight.KindHedgeWin, a.d.addr, int64(f.b.index), 0)
+	}
+	q.settle(a, attemptWin)
+}
+
+// failed files an attempt that ended in err. An attempt cancelled because
+// the caller left or the session closed is a loss, not a device verdict.
+// Anything else — a deadline included — counts against the device's
+// breaker, marks the span, is journaled as a timeout when a deadline ran
+// out, and settles as the device's error.
+func (q *query[E]) failed(a *attempt[E], err error) {
+	if errors.Is(err, context.Canceled) && (q.ctx.Err() != nil || q.s.ctx.Err() != nil) {
+		q.settle(a, attemptLoss)
+		return
+	}
+	s := q.s
+	a.d.recordFailure(s.cfg.BreakerThreshold)
+	a.sp.SetError(err)
+	if isTimeout(err) {
+		s.jr.Publish(flight.KindTimeout, a.d.addr, int64(a.block), 0)
+	}
+	q.settle(a, attemptError)
+}
+
+// isTimeout reports whether err is a deadline running out: the query's,
+// the caller's, an attempt's RPCTimeout, or the transport's own I/O
+// deadline on a dial or handshake bounded by the same RPCTimeout.
+func isTimeout(err error) bool {
+	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, os.ErrDeadlineExceeded)
 }
 
 // replicaCount snapshots the block's current replica-set size.
@@ -206,228 +639,22 @@ func (b *blockState[E]) replicaCount() int {
 	return len(b.replicas)
 }
 
-// attempt is one replica request's outcome inside a race.
-type attempt[T any] struct {
-	v   T
-	err error
-	// sp is the attempt's span. A success arrives with it still open, for
-	// the race to settle as its win or as a loss; every other attempt
-	// arrives settled.
-	sp *trace.Span
-	// d is the replica the attempt ran against.
-	d *device
-	// hedged marks a speculative attempt (launched by the hedge timer, not
-	// as the leader or a failover), so a winning hedge can be journaled.
-	hedged bool
-	// lat is the attempt's own latency: how long its call took.
-	lat time.Duration
-}
-
-// settle files the attempt's outcome on its device's straggler record and
-// ends its span. Every launched attempt is settled exactly once.
-func (a *attempt[T]) settle(o attemptOutcome) {
-	if o == attemptWin {
-		a.sp.SetAttr(trace.AttrWin, "true")
-	}
-	a.d.recordAttempt(o, a.hedged, a.lat)
-	a.sp.End()
-}
-
-// settleLosers waits out a returned race's attempts still in flight: a
-// success that answers after the race returned is a loss, and failed
-// attempts have settled themselves.
-func settleLosers[T any](results <-chan attempt[T], pending int) {
-	for ; pending > 0; pending-- {
-		if r := <-results; r.err == nil {
-			r.settle(attemptLoss)
-		}
-	}
-}
-
-// raceReplicas runs one first-winner round over the candidate replicas. A
-// round with one candidate has nothing to hedge or fail over to, so its
-// attempt runs on the calling goroutine — no race context, results channel
-// or attempt goroutine — and files its outcome through the same tryReplica,
-// won and failed the race uses. Any other round races. The race loop is a
-// function of its own so that the lone attempt, which runs the whole
-// transport call on this short-lived goroutine's stack, does not also carry
-// the race's frame: that stack would outgrow its starting size every query.
-func raceReplicas[E comparable, T any](s *Session[E], ctx context.Context, b *blockState[E], cands []*device, call func(context.Context, *blockState[E], string) (T, error)) (T, error) {
-	if len(cands) > 1 {
-		return race(s, ctx, b, cands, call)
-	}
-	start := time.Now()
-	actx, asp := startAttempt(s, ctx, cands[0], false)
-	r := attempt[T]{sp: asp, d: cands[0]}
-	tryReplica(s, ctx, actx, b, &r, call)
-	if r.err != nil {
-		var zero T
-		return zero, r.err
-	}
-	won(s, b, trace.SpanFromContext(ctx), &r, time.Since(start))
-	return r.v, nil
-}
-
-// race runs a first-winner round over two or more candidates: the leader
-// launches immediately, a hedged attempt launches whenever the hedge delay
-// elapses with no verdict, and a failed attempt immediately fails over to
-// the next candidate. The first success wins and cancels the losers (the
-// transport aborts their in-flight I/O); per-candidate at most one attempt
-// launches per round.
-func race[E comparable, T any](s *Session[E], ctx context.Context, b *blockState[E], cands []*device, call func(context.Context, *blockState[E], string) (T, error)) (T, error) {
-	var zero T
-	start := time.Now()
-	bsp := trace.SpanFromContext(ctx)
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan attempt[T], len(cands))
-	launch := func(d *device, hedged bool) {
-		// The attempt span is created here (not in the goroutine) so its
-		// start time precedes the dial.
-		actx, asp := startAttempt(s, rctx, d, hedged)
-		go func() {
-			r := attempt[T]{sp: asp, d: d, hedged: hedged}
-			tryReplica(s, rctx, actx, b, &r, call)
-			results <- r
-		}()
-	}
-	next := 0
-	launch(cands[next], false)
-	next++
-	pending := 1
-	// A race that returns with attempts in flight leaves them to a drainer;
-	// one that heard from every attempt starts no goroutine.
-	defer func() {
-		if pending > 0 {
-			go settleLosers(results, pending)
-		}
-	}()
-	// The hedge timer is re-armed only while a candidate is left to hedge to.
-	hedge := time.NewTimer(s.hedgeDelay())
-	defer hedge.Stop()
-	var lastErr error
-	for {
-		select {
-		case r := <-results:
-			pending--
-			if r.err == nil {
-				won(s, b, bsp, &r, time.Since(start))
-				return r.v, nil
-			}
-			lastErr = r.err
-			if next < len(cands) {
-				s.met.retries.Inc()
-				s.jr.Publish(flight.KindFailover, r.d.addr, int64(b.index), 0)
-				bsp.AddEvent(trace.EventFailover, trace.A(trace.AttrDevice, cands[next].addr))
-				launch(cands[next], false)
-				next++
-				pending++
-			} else if pending == 0 {
-				return zero, lastErr
-			}
-		case <-hedge.C:
-			// A failover may have taken the last candidate since arming.
-			if next < len(cands) {
-				s.met.hedges.Inc()
-				bsp.AddEvent(trace.EventHedge, trace.A(trace.AttrDevice, cands[next].addr))
-				launch(cands[next], true)
-				next++
-				pending++
-			}
-			if next < len(cands) {
-				hedge.Reset(s.hedgeDelay())
-			}
-		case <-rctx.Done():
-			if lastErr == nil {
-				lastErr = rctx.Err()
-			}
-			return zero, lastErr
-		}
-	}
-}
-
-// startAttempt opens one replica attempt's span under the race context.
-func startAttempt[E comparable](s *Session[E], rctx context.Context, d *device, hedged bool) (context.Context, *trace.Span) {
-	return s.startSpan(rctx, trace.SpanFleetAttempt,
-		trace.A(trace.AttrDevice, d.addr), trace.A(trace.AttrHedged, strconv.FormatBool(hedged)))
-}
-
-// tryReplica makes the attempt r describes (its device, span and hedge
-// flag set) on the calling goroutine under actx, and fills in its outcome. A
-// success closes the device's breaker and keeps the span open, for the race
-// to settle as its win or as a loss; a failure is filed and settled here.
-// rctx is the race's context: its end is what turns a cancelled attempt into
-// a loss instead of a fault. r is the caller's, not a return value, because
-// this runs under the whole transport call on a short-lived goroutine's
-// stack, where every copy of it is frame space.
-func tryReplica[E comparable, T any](s *Session[E], rctx, actx context.Context, b *blockState[E], r *attempt[T], call func(context.Context, *blockState[E], string) (T, error)) {
-	launched := time.Now()
-	r.v, r.err = call(actx, b, r.d.addr)
-	r.lat = time.Since(launched)
-	if r.err == nil {
-		r.d.recordSuccess()
-	} else {
-		failed(s, rctx, b, r)
-	}
-}
-
-// won files a race's winning attempt: the winner latency (race start to
-// verdict) feeds the adaptive hedge delay, the block's winner histogram with
-// the trace ID + device as its bucket exemplar (so a tail bucket on
-// /metrics.json links straight to /debug/traces/{id}), and OnWin; a hedge
-// win is journaled; and the attempt settles as the win.
-func won[E comparable, T any](s *Session[E], b *blockState[E], bsp *trace.Span, r *attempt[T], latency time.Duration) {
-	s.lat.observe(latency)
-	s.met.winner(b.index).ObserveDurationExemplar(latency, traceIDOf(bsp), r.d.addr)
-	if s.cfg.OnWin != nil {
-		s.cfg.OnWin(r.d.addr, b.index, latency)
-	}
-	if r.hedged {
-		s.jr.Publish(flight.KindHedgeWin, r.d.addr, int64(b.index), 0)
-	}
-	r.settle(attemptWin)
-}
-
-// failed files an attempt that returned an error. An attempt cancelled
-// because its race — or the caller — ended is a loss, not a device verdict.
-// Anything else counts against the device's breaker, marks the span, is
-// journaled as a timeout when the deadline ran out, and settles as the
-// device's error.
-func failed[E comparable, T any](s *Session[E], rctx context.Context, b *blockState[E], r *attempt[T]) {
-	if errors.Is(r.err, context.Canceled) && rctx.Err() != nil {
-		r.settle(attemptLoss)
-		return
-	}
-	r.d.recordFailure(s.cfg.BreakerThreshold)
-	r.sp.SetError(r.err)
-	if errors.Is(r.err, context.DeadlineExceeded) {
-		s.jr.Publish(flight.KindTimeout, r.d.addr, int64(b.index), 0)
-	}
-	r.settle(attemptError)
-}
-
 // hedgeDelay resolves the speculative-request delay: the configured fixed
 // value, or — when adaptive — the p95 of recent winner latencies, clamped
-// to [1ms, RPCTimeout]. A negative HedgeAfter disables hedging by pushing
-// the delay past the per-attempt timeout.
-func (s *Session[E]) hedgeDelay() time.Duration {
+// to [1ms, RPCTimeout]. ok is false when a negative HedgeAfter disables
+// hedging.
+func (s *Session[E]) hedgeDelay() (d time.Duration, ok bool) {
 	if s.cfg.HedgeAfter > 0 {
-		return s.cfg.HedgeAfter
+		return s.cfg.HedgeAfter, true
 	}
 	if s.cfg.HedgeAfter < 0 {
-		return s.cfg.RPCTimeout + s.cfg.QueryTimeout
+		return 0, false
 	}
-	d, ok := s.lat.percentile(0.95)
+	d, ok = s.lat.percentile(0.95)
 	if !ok {
-		return DefaultHedgeAfter
+		return DefaultHedgeAfter, true
 	}
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	if d > s.cfg.RPCTimeout {
-		d = s.cfg.RPCTimeout
-	}
-	return d
+	return min(max(d, time.Millisecond), s.cfg.RPCTimeout), true
 }
 
 // jitter draws a full-jitter delay: uniform in [d/2, d].
@@ -436,17 +663,4 @@ func jitter(d time.Duration) time.Duration {
 		return d
 	}
 	return d/2 + rand.N(d/2)
-}
-
-// sleepCtx sleeps for d unless ctx ends first; it reports whether the full
-// sleep completed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }

@@ -41,200 +41,217 @@ func TestStragglerAttribution(t *testing.T) {
 	}
 }
 
-// TestRaceSettlesLateLoser: both replicas of a block answer, so the race has
-// a winner and a loser that answers after the race returns. Every launched
-// attempt must end its span once with one outcome, the value returned must
-// be the one from the attempt marked win, and the device records must agree.
+// attemptSpans returns the ended fleet.attempt spans, by device.
+func attemptSpans(tr *trace.Tracer) map[string][]trace.SpanData {
+	out := map[string][]trace.SpanData{}
+	for _, sd := range tr.Snapshot() {
+		if sd.Name == trace.SpanFleetAttempt {
+			dev := sd.Attr(trace.AttrDevice)
+			out[dev] = append(out[dev], sd)
+		}
+	}
+	return out
+}
+
+// TestRaceSettlesLateLoser: block 0's leader is held at its dial while the
+// 1 ms hedge answers, so the race has a winner and a loser still in flight
+// when it is decided. Every launched attempt must end its span once with
+// one outcome, each raced block must have exactly one attempt marked win,
+// and the device records must agree with the spans — whatever the other
+// blocks' hedges did.
 func TestRaceSettlesLateLoser(t *testing.T) {
 	env := newTestEnv(t, 2, 0)
 	tr := trace.New(trace.Options{Service: "fleet-test"})
 	env.cfg.Tracer = tr
 	env.cfg.HedgeAfter = time.Millisecond
 	s := env.serve(t)
-	b := s.blocks[0]
+	// Held far longer than the hedge needs, so the hedge wins even on a
+	// loaded host.
+	env.proxies[0][0].SetDelay(time.Second)
+	env.proxies[0][0].SetMode(FaultDelay)
 
-	// Each call holds until both attempts run, then answers with its address.
-	var running sync.WaitGroup
-	running.Add(2)
-	call := func(_ context.Context, _ *blockState[uint64], addr string) (string, error) {
-		running.Done()
-		running.Wait()
-		return addr, nil
-	}
-	got, err := raceReplicas(s, context.Background(), b, b.candidates(time.Now(), s.cfg.BreakerCooldown, nil), call)
+	got, err := mulVec(s, env.x)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkResult(t, env.want, got)
 
-	var attempts []trace.SpanData
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		attempts = attempts[:0]
-		for _, sd := range tr.Snapshot() {
-			if sd.Name == trace.SpanFleetAttempt {
-				attempts = append(attempts, sd)
+	spans := attemptSpans(tr)
+	records := map[string]DeviceStats{}
+	for _, st := range s.Stragglers() {
+		records[st.Device] = st
+	}
+	for j, group := range env.proxies {
+		winners := 0
+		for _, p := range group {
+			var wins, losses int64
+			for _, sd := range spans[p.Addr()] {
+				if sd.Error != "" {
+					t.Errorf("attempt on %s ended with error %q", p.Addr(), sd.Error)
+				}
+				if sd.Attr(trace.AttrWin) == "true" {
+					wins++
+				} else {
+					losses++
+				}
+			}
+			winners += int(wins)
+			st := records[p.Addr()]
+			if st.Attempts != wins+losses || st.Wins != wins || st.Losses != losses || st.Errors != 0 || st.Samples != int(wins) {
+				t.Errorf("block %d: record %+v does not match %d won and %d lost attempt spans", j, st, wins, losses)
 			}
 		}
-		if len(attempts) >= 2 || time.Now().After(deadline) {
-			break
+		if winners != 1 {
+			t.Errorf("block %d: %d attempts marked win, want 1", j, winners)
 		}
 	}
-	if len(attempts) != 2 {
-		t.Fatalf("%d of 2 launched attempts ended their span", len(attempts))
-	}
-	var winners []string
-	for _, sd := range attempts {
-		if sd.Error != "" {
-			t.Errorf("attempt on %s ended with error %q", sd.Attr(trace.AttrDevice), sd.Error)
-		}
-		if sd.Attr(trace.AttrWin) == "true" {
-			winners = append(winners, sd.Attr(trace.AttrDevice))
-		}
-	}
-	if len(winners) != 1 || winners[0] != got {
-		t.Fatalf("attempts marked win: %v; race returned %s's value", winners, got)
-	}
-	raced := map[string]bool{env.proxies[0][0].Addr(): true, env.proxies[0][1].Addr(): true}
-	for _, st := range s.Stragglers() {
-		if !raced[st.Device] {
-			continue
-		}
-		won := st.Device == got
-		if st.Attempts != 1 || won && (st.Wins != 1 || st.Samples != 1) || !won && st.Losses != 1 {
-			t.Errorf("record %+v does not match one attempt each, won by %s", st, got)
-		}
+	leader, hedge := records[env.proxies[0][0].Addr()], records[env.proxies[0][1].Addr()]
+	if leader.Attempts != 1 || leader.Losses != 1 || hedge.Wins != 1 || hedge.HedgeWins != 1 {
+		t.Errorf("block 0: held leader %+v, hedge %+v; want the leader's one attempt lost and the hedge won", leader, hedge)
 	}
 }
 
-// TestSingleReplicaAttemptSettlesOnce: a race with one candidate runs its
-// attempt on the calling goroutine, and must file every outcome exactly as
-// the racing path does — one settlement per attempt, the win's bookkeeping
-// on a win, the breaker and a timeout event on a device failure, and
-// neither on a caller's cancel.
+// TestSingleReplicaAttemptSettlesOnce: a block with one replica has nothing
+// to hedge or fail over to, and its one attempt must be filed exactly as a
+// raced one — one settlement, the win's bookkeeping on a win, the breaker
+// and a timeout event on a device failure or deadline, and neither on a
+// caller's cancel. Block 0's proxy decides the outcome; blocks 1 and 2
+// answer normally.
 func TestSingleReplicaAttemptSettlesOnce(t *testing.T) {
 	type win struct {
 		device string
 		block  int
 	}
-	setup := func(t *testing.T) (*Session[uint64], *trace.Tracer, *flight.Journal, *[]win) {
+	type fixture struct {
+		s    *Session[uint64]
+		env  *testEnv
+		d    *device
+		tr   *trace.Tracer
+		jr   *flight.Journal
+		wins *[]win
+	}
+	setup := func(t *testing.T, mode FaultMode, tune func(*Config)) fixture {
 		env := newTestEnv(t, 1, 0)
 		tr := trace.New(trace.Options{Service: "fleet-test"})
 		jr := flight.New(flight.Options{Capacity: 64})
+		var mu sync.Mutex
 		var wins []win
 		env.cfg.Tracer, env.cfg.Journal = tr, jr
+		env.cfg.MaxRetries = -1 // one round: one attempt per block
 		env.cfg.OnWin = func(device string, block int, latency time.Duration) {
 			if latency <= 0 {
 				t.Errorf("OnWin latency %v, want > 0", latency)
 			}
+			mu.Lock()
 			wins = append(wins, win{device, block})
+			mu.Unlock()
 		}
-		return env.serve(t), tr, jr, &wins
-	}
-	// race runs block 0's one-candidate race with call standing in for the
-	// replica request, returning the block's one device.
-	race := func(t *testing.T, s *Session[uint64], ctx context.Context, call func(context.Context) error) (*device, error) {
-		b := s.blocks[0]
-		cands := b.candidates(time.Now(), s.cfg.BreakerCooldown, nil)
-		if len(cands) != 1 {
-			t.Fatalf("%d candidates, want 1", len(cands))
+		if tune != nil {
+			tune(&env.cfg)
 		}
-		_, err := raceReplicas(s, ctx, b, cands, func(ctx context.Context, _ *blockState[uint64], _ string) (int, error) {
-			return 7, call(ctx)
-		})
-		return cands[0], err
+		s := env.serve(t)
+		env.proxies[0][0].SetMode(mode)
+		return fixture{s, env, s.devices[env.cfg.Replicas[0][0]], tr, jr, &wins}
 	}
-	attemptSpans := func(tr *trace.Tracer) []trace.SpanData {
-		var out []trace.SpanData
-		for _, sd := range tr.Snapshot() {
-			if sd.Name == trace.SpanFleetAttempt {
-				out = append(out, sd)
-			}
-		}
-		return out
-	}
-	check := func(t *testing.T, d *device, want DeviceStats, fails int) {
+	check := func(t *testing.T, f fixture, want DeviceStats, fails int) {
 		t.Helper()
-		st := d.stats()
+		st := f.d.stats()
 		if st.Attempts != want.Attempts || st.Wins != want.Wins || st.Losses != want.Losses || st.Errors != want.Errors {
 			t.Errorf("record %+v, want attempts=%d wins=%d losses=%d errors=%d", st, want.Attempts, want.Wins, want.Losses, want.Errors)
 		}
-		d.mu.Lock()
-		got := d.fails
-		d.mu.Unlock()
+		f.d.mu.Lock()
+		got := f.d.fails
+		f.d.mu.Unlock()
 		if got != fails {
 			t.Errorf("breaker counted %d failures, want %d", got, fails)
 		}
-	}
-
-	t.Run("win", func(t *testing.T) {
-		s, tr, _, wins := setup(t)
-		d, err := race(t, s, context.Background(), func(context.Context) error { return nil })
-		if err != nil {
-			t.Fatal(err)
+		if spans := attemptSpans(f.tr)[f.d.addr]; len(spans) != 1 {
+			t.Errorf("%d attempt spans ended for block 0, want 1", len(spans))
 		}
-		check(t, d, DeviceStats{Attempts: 1, Wins: 1}, 0)
-		spans := attemptSpans(tr)
-		if len(spans) != 1 || spans[0].Attr(trace.AttrWin) != "true" || spans[0].Error != "" {
-			t.Errorf("attempt spans %+v, want one ended with win=true", spans)
-		}
-		if len(*wins) != 1 || (*wins)[0] != (win{d.addr, 0}) {
-			t.Errorf("OnWin calls %+v, want one for %s block 0", *wins, d.addr)
-		}
-	})
-	t.Run("device error", func(t *testing.T) {
-		s, tr, _, wins := setup(t)
-		d, err := race(t, s, context.Background(), func(context.Context) error { return errors.New("device says no") })
-		if err == nil {
-			t.Fatal("race succeeded over a failing replica")
-		}
-		check(t, d, DeviceStats{Attempts: 1, Errors: 1}, 1)
-		if spans := attemptSpans(tr); len(spans) != 1 || spans[0].Error == "" || spans[0].Attr(trace.AttrWin) != "" {
-			t.Errorf("attempt spans %+v, want one ended with the device error", spans)
-		}
-		if len(*wins) != 0 {
-			t.Errorf("OnWin fired for a failed attempt: %+v", *wins)
-		}
-	})
-	t.Run("caller cancel", func(t *testing.T) {
-		s, _, jr, _ := setup(t)
-		ctx, cancel := context.WithCancel(context.Background())
-		d, err := race(t, s, ctx, func(ctx context.Context) error {
-			cancel() // the caller leaves while the request is in flight
-			<-ctx.Done()
-			return ctx.Err()
-		})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-		check(t, d, DeviceStats{Attempts: 1, Losses: 1}, 0)
-		for _, ev := range jr.Snapshot() {
-			if ev.Kind == flight.KindTimeout {
-				t.Errorf("a caller's cancel was journaled as a timeout: %+v", ev)
+		for _, w := range *f.wins {
+			if w.block == 0 && want.Wins == 0 {
+				t.Errorf("OnWin fired for block 0's failed attempt: %+v", w)
 			}
 		}
-	})
-	t.Run("deadline", func(t *testing.T) {
-		s, _, jr, _ := setup(t)
-		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-		defer cancel()
-		d, err := race(t, s, ctx, func(ctx context.Context) error {
-			<-ctx.Done()
-			return ctx.Err()
-		})
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-		}
-		check(t, d, DeviceStats{Attempts: 1, Errors: 1}, 1)
-		timeouts := 0
-		for _, ev := range jr.Snapshot() {
+	}
+	timeouts := func(t *testing.T, f fixture) int {
+		t.Helper()
+		n := 0
+		for _, ev := range f.jr.Snapshot() {
 			if ev.Kind == flight.KindTimeout {
-				timeouts++
-				if ev.Actor != d.addr || ev.A != 0 {
-					t.Errorf("timeout event %+v, want actor %s block 0", ev, d.addr)
+				n++
+				if ev.Actor != f.d.addr || ev.A != 0 {
+					t.Errorf("timeout event %+v, want actor %s block 0", ev, f.d.addr)
 				}
 			}
 		}
-		if timeouts != 1 {
-			t.Errorf("%d timeout events, want 1", timeouts)
+		return n
+	}
+
+	t.Run("win", func(t *testing.T) {
+		f := setup(t, FaultNone, nil)
+		got, err := mulVec(f.s, f.env.x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkResult(t, f.env.want, got)
+		check(t, f, DeviceStats{Attempts: 1, Wins: 1}, 0)
+		if spans := attemptSpans(f.tr)[f.d.addr]; len(spans) != 1 || spans[0].Attr(trace.AttrWin) != "true" || spans[0].Error != "" {
+			t.Errorf("attempt spans %+v, want one ended with win=true", spans)
+		}
+		perBlock := map[int][]string{}
+		for _, w := range *f.wins {
+			perBlock[w.block] = append(perBlock[w.block], w.device)
+		}
+		for j := range f.env.proxies {
+			if got := perBlock[j]; len(got) != 1 || got[0] != f.env.cfg.Replicas[j][0] {
+				t.Errorf("OnWin calls for block %d: %v, want one for %s", j, got, f.env.cfg.Replicas[j][0])
+			}
+		}
+	})
+	t.Run("device error", func(t *testing.T) {
+		f := setup(t, FaultDrop, nil)
+		if _, err := mulVec(f.s, f.env.x); !errors.Is(err, ErrBlockUnavailable) {
+			t.Fatalf("err = %v, want ErrBlockUnavailable over a failing replica", err)
+		}
+		check(t, f, DeviceStats{Attempts: 1, Errors: 1}, 1)
+		if spans := attemptSpans(f.tr)[f.d.addr]; len(spans) != 1 || spans[0].Error == "" || spans[0].Attr(trace.AttrWin) != "" {
+			t.Errorf("attempt spans %+v, want one ended with the device error", spans)
+		}
+	})
+	t.Run("caller cancel", func(t *testing.T) {
+		f := setup(t, FaultBlackhole, nil)
+		ctx, cancel := context.WithCancel(t.Context())
+		time.AfterFunc(20*time.Millisecond, cancel) // the caller leaves while block 0 is in flight
+		if _, err := f.s.GatherContext(ctx, f.env.x); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		check(t, f, DeviceStats{Attempts: 1, Losses: 1}, 0)
+		if n := timeouts(t, f); n != 0 {
+			t.Errorf("a caller's cancel was journaled as %d timeouts", n)
+		}
+	})
+	t.Run("deadline", func(t *testing.T) {
+		f := setup(t, FaultBlackhole, nil)
+		ctx, cancel := context.WithTimeout(t.Context(), 100*time.Millisecond)
+		defer cancel()
+		if _, err := f.s.GatherContext(ctx, f.env.x); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+		}
+		check(t, f, DeviceStats{Attempts: 1, Errors: 1}, 1)
+		if n := timeouts(t, f); n != 1 {
+			t.Errorf("%d timeout events, want 1", n)
+		}
+	})
+	t.Run("rpc timeout", func(t *testing.T) {
+		f := setup(t, FaultBlackhole, func(c *Config) { c.RPCTimeout = 100 * time.Millisecond })
+		_, err := mulVec(f.s, f.env.x)
+		if !errors.Is(err, ErrBlockUnavailable) || !isTimeout(err) {
+			t.Fatalf("err = %v, want ErrBlockUnavailable wrapping a deadline", err)
+		}
+		check(t, f, DeviceStats{Attempts: 1, Errors: 1}, 1)
+		if n := timeouts(t, f); n != 1 {
+			t.Errorf("%d timeout events, want 1", n)
 		}
 	})
 }

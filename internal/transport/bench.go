@@ -21,19 +21,13 @@ func FrameBench(n int) (func() error, error) {
 		x[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
 	}
 	req := request[uint64]{op: opCompute, x: x}
-	var buf bytes.Buffer
-	bw := bufio.NewWriterSize(&buf, wireWriterBuf)
-	br := bufio.NewReaderSize(&buf, wireWriterBuf)
+	var buf []byte
+	var rd bytes.Reader
+	br := bufio.NewReaderSize(&rd, wireWriterBuf)
 	return func() error {
-		buf.Reset()
-		bw.Reset(&buf)
-		if _, err := encodeRequestFrame(bw, cod, 1, &req); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		br.Reset(&buf)
+		buf, _ = appendRequestFrame(buf[:0], cod, 1, &req)
+		rd.Reset(buf)
+		br.Reset(&rd)
 		dec, err := readRequestFrame[uint64](br, cod, n)
 		if err != nil {
 			return err

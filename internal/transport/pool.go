@@ -3,14 +3,13 @@ package transport
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"github.com/scec/scec/internal/matrix"
 	"github.com/scec/scec/internal/obs"
 	"github.com/scec/scec/internal/obs/flight"
 	"github.com/scec/scec/internal/obs/trace"
@@ -32,6 +31,9 @@ type Pool[E comparable] struct {
 
 	mu      sync.Mutex
 	entries map[string]*poolEntry[E]
+
+	// calls recycles the Calls of blocking round trips.
+	calls sync.Pool
 }
 
 // NewPool returns an empty pool with default tuning.
@@ -158,46 +160,49 @@ func (p *Pool[E]) Debug(addr string) ConnDebug {
 // roundTrip sends one request to addr on the device's persistent
 // connection (dialing it on first use) and waits for the matching response,
 // recording the round trip (count, latency, bytes, outcome) into reg and,
-// inside a trace, an rpc.client span. The exchange is bounded by both
-// timeout and ctx: cancelling ctx aborts an in-flight dial or wait promptly
-// (the fleet runtime relies on this to cancel the losers of a hedged race
-// instead of leaking them until the deadline), and the returned error then
-// wraps ctx.Err(). The answer lands in *resp, which the caller owns: a
-// response is a dozen words, and returning it by value would copy it into a
-// frame at every level of a call chain that already runs deep on the fleet's
-// short-lived per-block goroutines. A remote failure fills *resp (for its
-// spans) and returns an ErrRemote error.
-func (p *Pool[E]) roundTrip(ctx context.Context, addr string, timeout time.Duration, reg *obs.Registry, req *request[E], resp *response[E]) (err error) {
+// inside a trace, an rpc.client span. It is Call's send and receive halves
+// back to back on a recycled Call: the exchange is bounded by both timeout
+// and ctx, and cancelling ctx aborts an in-flight dial or wait promptly, the
+// returned error then wrapping ctx.Err(). A remote failure returns an
+// ErrRemote error.
+func (p *Pool[E]) roundTrip(ctx context.Context, addr string, timeout time.Duration, reg *obs.Registry, req request[E]) ([]E, *matrix.Dense[E], error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	reg = metricsOrDefault(reg)
-	kind := opToKind(req.op)
-	var finish func([]trace.SpanData, error)
-	if ctx, finish = startClientSpan(ctx, addr, kind, req); finish != nil {
-		defer func() { finish(resp.spans, err) }()
+	c := p.call()
+	c.mu.Lock()
+	c.prepare(ctx, p, addr, timeout, metricsOrDefault(reg), req, c.private)
+	c.launch()
+	c.mu.Unlock()
+	err := c.await(timeout)
+	y, m := c.Y, c.M
+	p.release(c)
+	return y, m, err
+}
+
+// call returns a Call for one blocking round trip, recycled from earlier
+// ones.
+func (p *Pool[E]) call() *Call[E] {
+	if c, ok := p.calls.Get().(*Call[E]); ok {
+		return c
 	}
-	start := time.Now()
-	var sent, recv int64
-	defer func() {
-		recordClient(reg, kind, time.Since(start), sent, recv, err)
-	}()
-	for attempt := 0; ; attempt++ {
-		m, fresh, err := p.getMux(ctx, addr, timeout, reg)
-		if err != nil {
-			return err
-		}
-		var s, rc int64
-		s, rc, err = m.do(ctx, timeout, req, resp)
-		sent, recv = sent+s, recv+rc
-		if err != nil && errors.Is(err, errConnBroken) && !fresh && attempt == 0 && ctx.Err() == nil {
-			// The reused connection died under this request (device
-			// restart, idle cut): all protocol requests are
-			// idempotent, so retry once on a fresh connection.
-			continue
-		}
-		return err
+	return &Call[E]{private: make(chan *Call[E], 1)}
+}
+
+// release keeps a finished round trip's Call for the next one. Any Call is
+// reusable once finished or withdrawn (see Call), and await always drains
+// the private channel before it returns.
+func (p *Pool[E]) release(c *Call[E]) {
+	c.Y, c.M, c.Err = nil, nil, nil
+	p.calls.Put(c)
+}
+
+// live returns addr's pooled connection when it is alive, else nil.
+func (p *Pool[E]) live(addr string) *muxConn[E] {
+	if m := p.liveMux(addr); m != nil && m.alive() {
+		return m
 	}
+	return nil
 }
 
 // getMux returns the live multiplexed connection for addr, negotiating a
@@ -256,20 +261,22 @@ func (p *Pool[E]) dialMux(ctx context.Context, addr string, timeout time.Duratio
 		return nil, ctxErr(ctx, fmt.Errorf("transport: dial %s: %w", addr, err))
 	}
 	tuneConn(conn)
-	deadline := time.Now().Add(timeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	_ = conn.SetDeadline(deadline)
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
+	_ = conn.SetDeadline(time.Now().Add(timeout))
+	// ctx ending — its deadline included — expires the deadline of a
+	// handshake in progress, so that failure reports ctx's error. The
+	// watcher must not touch the connection once the handshake is through:
+	// a caller that cancels ctx right after a successful dial would
+	// otherwise kill the pooled connection.
+	var watchMu sync.Mutex
+	negotiating := true
+	stopWatch := context.AfterFunc(ctx, func() {
+		watchMu.Lock()
+		defer watchMu.Unlock()
+		if negotiating {
 			_ = conn.SetDeadline(time.Now())
-		case <-watchDone:
 		}
-	}()
+	})
+	defer stopWatch()
 	outcome := "error"
 	defer func() {
 		reg.Counter(obs.MetricTransportNegotiations, "Hello handshakes on freshly dialed connections, by outcome.", obs.L("outcome", outcome)).Inc()
@@ -290,6 +297,9 @@ func (p *Pool[E]) dialMux(ctx context.Context, addr string, timeout time.Duratio
 		_ = conn.Close()
 		return nil, ctxErr(ctx, fmt.Errorf("transport: negotiate with %s: %w", addr, err))
 	}
+	watchMu.Lock()
+	negotiating = false
+	watchMu.Unlock()
 	_ = conn.SetDeadline(time.Time{})
 	outcome = "v3"
 	m := &muxConn[E]{
@@ -298,7 +308,7 @@ func (p *Pool[E]) dialMux(ctx context.Context, addr string, timeout time.Duratio
 		cod:     cod,
 		conn:    conn,
 		timeout: timeout,
-		streams: make(map[uint32]chan response[E]),
+		streams: make(map[uint32]*Call[E]),
 		done:    make(chan struct{}),
 	}
 	role := obs.L("role", "client")
@@ -334,19 +344,13 @@ type muxConn[E comparable] struct {
 	hbCounterOK   *obs.Counter
 	hbCounterFail *obs.Counter
 
+	// mu guards the stream table. A call leaves it exactly once: delivered
+	// by readLoop or teardown, or withdrawn by unregister, so after
+	// unregister succeeds no late reply can land in the call.
 	mu      sync.Mutex
-	streams map[uint32]chan response[E]
+	streams map[uint32]*Call[E]
 	nextID  uint32
 	closed  bool
-
-	// chans recycles the one-slot stream channels. A channel goes back only
-	// after its own waiter received from it: readLoop had already removed it
-	// from streams before its single send, so nothing can write to it again.
-	// A channel abandoned on cancel, timeout or teardown is dropped instead:
-	// readLoop may have looked it up just before the waiter unregistered and
-	// still deliver the late response into it, and reused, that channel
-	// would hand another stream's request this one's answer.
-	chans sync.Pool
 
 	lastIn  atomic.Int64 // unixnano of the last inbound frame
 	lastOut atomic.Int64 // unixnano of the last outbound frame
@@ -371,17 +375,21 @@ func (m *muxConn[E]) readLoop(br *bufio.Reader) {
 		}
 		m.lastIn.Store(time.Now().UnixNano())
 		m.mu.Lock()
-		ch := m.streams[stream]
-		delete(m.streams, stream)
+		c := m.streams[stream]
+		if c != nil {
+			delete(m.streams, stream)
+			c.resp = r
+			c.deliver()
+		}
 		m.mu.Unlock()
-		if ch != nil {
-			ch <- r // one slot, and this is its one send: never blocks
+		if c != nil {
+			m.inflight.Add(-1)
 		}
 	}
 }
 
-// teardown closes the connection and detaches it from the pool; waiters
-// observe done and fail with errConnBroken. Idempotent.
+// teardown closes the connection and detaches it from the pool; every call
+// still registered on it is delivered lost (errConnBroken). Idempotent.
 func (m *muxConn[E]) teardown() {
 	m.mu.Lock()
 	if m.closed {
@@ -389,6 +397,12 @@ func (m *muxConn[E]) teardown() {
 		return
 	}
 	m.closed = true
+	for id, c := range m.streams {
+		delete(m.streams, id)
+		c.lost = true
+		c.deliver()
+		m.inflight.Add(-1)
+	}
 	m.mu.Unlock()
 	close(m.done)
 	_ = m.conn.Close()
@@ -402,96 +416,67 @@ func (m *muxConn[E]) teardown() {
 	e.mu.Unlock()
 }
 
-// do issues one request on its own stream and waits for the matching
-// response, received into *resp, bounded by ctx and timeout.
-func (m *muxConn[E]) do(ctx context.Context, timeout time.Duration, req *request[E], resp *response[E]) (sent, recv int64, err error) {
-	ch, _ := m.chans.Get().(chan response[E])
-	if ch == nil {
-		ch = make(chan response[E], 1)
-	}
+// send is the send half of a round trip: it registers c on its own stream,
+// so readLoop delivers the matching response into c and c onto its done
+// channel, and writes the request frame through the connection's batcher,
+// which is done with it on return. A connection already closed delivers c lost
+// at once; a failed write tears the connection down, which delivers c lost
+// too. The caller holds c.mu.
+func (m *muxConn[E]) send(c *Call[E]) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		m.chans.Put(ch) // never registered, so never written to
-		return 0, 0, fmt.Errorf("%w: send to %s", errConnBroken, m.addr)
+		c.lost = true
+		c.deliver()
+		return
 	}
 	m.nextID++
 	if m.nextID == 0 {
 		m.nextID = 1
 	}
 	id := m.nextID
-	m.streams[id] = ch
-	m.mu.Unlock()
+	m.streams[id] = c
+	c.mux, c.stream = m, id
 	m.inflight.Add(1)
-	defer m.inflight.Add(-1)
-	unregister := func() {
-		m.mu.Lock()
-		delete(m.streams, id)
-		m.mu.Unlock()
-	}
-	sent, werr := writeRequestFrame(m.w, m.cod, id, req)
-	if werr != nil {
-		unregister()
+	m.mu.Unlock()
+	sent, err := writeRequestFrame(m.w, m.cod, id, &c.req)
+	if err != nil {
 		m.teardown()
-		return 0, 0, fmt.Errorf("%w: send to %s: %v", errConnBroken, m.addr, werr)
+		return
 	}
+	c.sent += sent
 	m.lastOut.Store(time.Now().UnixNano())
-	timer := acquireTimer(timeout)
-	defer releaseTimer(timer)
-	select {
-	case *resp = <-ch:
-		m.chans.Put(ch)
-	case <-m.done:
-		// Prefer a response that raced the teardown.
-		select {
-		case *resp = <-ch:
-		default:
-			return sent, 0, fmt.Errorf("%w: receive from %s", errConnBroken, m.addr)
-		}
-	case <-ctx.Done():
-		unregister()
-		return sent, 0, ctxErr(ctx, fmt.Errorf("transport: receive from %s: %w", m.addr, ctx.Err()))
-	case <-timer.C:
-		unregister()
-		return sent, 0, fmt.Errorf("transport: receive from %s: %w", m.addr, os.ErrDeadlineExceeded)
-	}
-	return sent, resp.size, m.verdict(req.op, resp)
 }
 
-// timers recycles the per-request receive timers. Reuse is safe under the
-// timer semantics of Go 1.23 and later, which this module's go directive
-// selects: after Stop or Reset returns, no tick from an earlier arming can
-// be received, so a recycled timer never fires for the request before.
-var timers sync.Pool
-
-// acquireTimer returns a timer armed to fire after d.
-func acquireTimer(d time.Duration) *time.Timer {
-	if t, ok := timers.Get().(*time.Timer); ok {
-		t.Reset(d)
-		return t
+// unregister withdraws c from stream id, reporting whether it was still
+// waiting there (false: it has been delivered).
+func (m *muxConn[E]) unregister(id uint32, c *Call[E]) bool {
+	m.mu.Lock()
+	ok := m.streams[id] == c
+	if ok {
+		delete(m.streams, id)
 	}
-	return time.NewTimer(d)
+	m.mu.Unlock()
+	if ok {
+		m.inflight.Add(-1)
+	}
+	return ok
 }
 
-// releaseTimer stops t and keeps it for the next acquireTimer.
-func releaseTimer(t *time.Timer) {
-	t.Stop()
-	timers.Put(t)
-}
-
-// verdict turns a decoded response into the request's error: the device's
-// own failure as ErrRemote, or a protocol error when the device answered a
-// different op than it was asked (the callers index resp.y / resp.m by the
-// op they sent). The response travels with either error so a failed traced
-// request still stitches its server side into the trace.
-func (m *muxConn[E]) verdict(op byte, r *response[E]) error {
-	if r.err != "" {
-		return fmt.Errorf("%w: %s: %s", ErrRemote, m.addr, r.err)
-	}
-	if r.op != op|opResponseBit {
-		return fmt.Errorf("transport: %s answered op %#x to a %s request", m.addr, r.op, opToKind(op))
-	}
-	return nil
+// do is a round trip on this one connection: send, then the receive half
+// waiting on the call's private channel, bounded by timeout. It records no
+// client observation and never retries elsewhere, since it judges this
+// connection (the heartbeat's use).
+func (m *muxConn[E]) do(timeout time.Duration, req request[E]) error {
+	c := m.pool.call()
+	c.mu.Lock()
+	c.prepare(context.Background(), m.pool, m.addr, timeout, nil, req, c.private)
+	c.final = true
+	m.send(c)
+	c.mu.Unlock()
+	err := c.await(timeout)
+	m.pool.release(c)
+	return err
 }
 
 // heartbeatLoop pings the device whenever the connection has been idle
@@ -518,9 +503,8 @@ func (m *muxConn[E]) heartbeatLoop(every time.Duration) {
 			if time.Since(time.Unix(0, last)) < every {
 				continue
 			}
-			req := request[E]{op: opPing}
 			sentAt := time.Now()
-			_, _, err := m.do(context.Background(), m.timeout, &req, &response[E]{})
+			err := m.do(m.timeout, request[E]{op: opPing})
 			if err != nil {
 				m.hbCounterFail.Inc()
 				m.teardown()

@@ -430,3 +430,86 @@ func TestNoWireCodecFailsFast(t *testing.T) {
 		})
 	}
 }
+
+// TestTeardownDeliversEveryCall: calls sent with Go on one pooled connection
+// share one done channel. When the device drops the connection with all of
+// them in flight, teardown must deliver every one — each retried once on a
+// fresh connection, whose dial the device refuses — and each must be
+// recorded as exactly one failed round trip.
+func TestTeardownDeliversEveryCall(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	drop := make(chan struct{})
+	go func() {
+		for first := true; ; first = false {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if !first {
+				_ = conn.Close() // later dials fail their handshake
+				continue
+			}
+			go func() {
+				defer conn.Close()
+				buf := make([]byte, helloLen)
+				if _, err := io.ReadFull(conn, buf); err != nil {
+					return
+				}
+				h := serverHello(1, helloOK)
+				_, _ = conn.Write(h[:])
+				go func() { _, _ = io.Copy(io.Discard, conn) }()
+				<-drop
+			}()
+		}
+	}()
+	addr := ln.Addr().String()
+	reg := obs.New()
+	pool := NewPool[uint64]()
+	client := Client[uint64]{F: field.Prime{}, Timeout: 5 * time.Second, Metrics: reg, Pool: pool}
+	// Pool the connection: the silent device never answers this ping.
+	ctx, cancel := context.WithTimeout(t.Context(), 100*time.Millisecond)
+	_ = client.Ping(ctx, addr)
+	cancel()
+
+	const n = 8
+	calls := make([]Call[uint64], n)
+	done := make(chan *Call[uint64], n)
+	for i := range calls {
+		calls[i].Tag = i
+		client.Go(t.Context(), addr, []uint64{uint64(i)}, &calls[i], done)
+	}
+	for deadline := time.Now().Add(5 * time.Second); pool.Debug(addr).InFlight != n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d calls registered on the pooled connection", pool.Debug(addr).InFlight, n)
+		}
+	}
+	close(drop)
+	seen := make([]bool, n)
+	for finished := 0; finished < n; {
+		select {
+		case c := <-done:
+			if !c.Receive() {
+				continue // retried on a fresh connection
+			}
+			if c.Err == nil || seen[c.Tag] {
+				t.Fatalf("call %d finished with err %v (seen before: %v)", c.Tag, c.Err, seen[c.Tag])
+			}
+			seen[c.Tag] = true
+			finished++
+		case <-time.After(10 * time.Second):
+			t.Fatalf("teardown delivered %v, want every call", seen)
+		}
+	}
+	snap := reg.Snapshot()
+	// n computes plus the ping that pooled the connection.
+	if got := snapshotValue(snap, obs.MetricRPCClientRequests); got != n+1 {
+		t.Errorf("%s = %g, want %d: one observation per call, retry included", obs.MetricRPCClientRequests, got, n+1)
+	}
+	if got := snapshotValue(snap, obs.MetricRPCClientErrors); got != n+1 {
+		t.Errorf("%s = %g, want %d", obs.MetricRPCClientErrors, got, n+1)
+	}
+}

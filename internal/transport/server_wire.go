@@ -140,53 +140,48 @@ func (s *DeviceServer[E]) handleWire(w *wireWriter, req request[E]) {
 // and returns the frame's full wire size.
 func writeResponseFrame[E comparable](w *wireWriter, cod elemCodec, stream uint32, op byte, resp *response[E]) (int64, error) {
 	spans := encodeSpans(resp.spans)
-	payload := 1 + 4 + len(spans) // status byte + spans trailer
+	var slab []byte
+	switch {
+	case resp.err != "":
+	case op == opCompute:
+		slab = elemWireBytes(resp.y, cod.size)
+	case op == opComputeBatch:
+		slab = elemWireBytes(resp.m.RowsView(0, resp.m.Rows()), cod.size)
+	}
+	payload := 1 + len(slab) + 4 + len(spans) // status, elements, spans trailer
 	switch {
 	case resp.err != "":
 		payload += 4 + len(resp.err)
 	case op == opCompute:
-		payload += 4 + len(resp.y)*cod.size
+		payload += 4
 	case op == opComputeBatch:
-		payload += 8 + resp.m.Rows()*resp.m.Cols()*cod.size
+		payload += 8
 	}
-	size := int64(frameOverhead + payload)
-	err := w.writeFrame(func(bw *bufio.Writer) error {
+	err := w.writeFrame(func(b []byte) []byte {
 		status := byte(0)
 		if resp.err != "" {
 			status = 1
 		}
-		h := appendFrameHeader(bw.AvailableBuffer(), uint32(5+payload), stream, op|opResponseBit, status)
-		var elems []byte
+		b = appendFrameHeader(b, uint32(5+payload), stream, op|opResponseBit, status)
 		switch {
 		case resp.err != "":
-			h = binary.LittleEndian.AppendUint32(h, uint32(len(resp.err)))
+			b = binary.LittleEndian.AppendUint32(b, uint32(len(resp.err)))
+			b = append(b, resp.err...)
 		case op == opCompute:
-			h = binary.LittleEndian.AppendUint32(h, uint32(len(resp.y)))
-			elems = elemWireBytes(resp.y, cod.size)
+			b = binary.LittleEndian.AppendUint32(b, uint32(len(resp.y)))
 		case op == opComputeBatch:
-			h = binary.LittleEndian.AppendUint32(h, uint32(resp.m.Rows()))
-			h = binary.LittleEndian.AppendUint32(h, uint32(resp.m.Cols()))
-			elems = elemWireBytes(resp.m.RowsView(0, resp.m.Rows()), cod.size)
+			b = binary.LittleEndian.AppendUint32(b, uint32(resp.m.Rows()))
+			b = binary.LittleEndian.AppendUint32(b, uint32(resp.m.Cols()))
 		}
-		if _, err := bw.Write(h); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(resp.err); err != nil {
-			return err
-		}
-		if _, err := bw.Write(elems); err != nil {
-			return err
-		}
-		if _, err := bw.Write(binary.LittleEndian.AppendUint32(bw.AvailableBuffer(), uint32(len(spans)))); err != nil {
-			return err
-		}
-		_, err := bw.Write(spans)
-		return err
+		return b
+	}, slab, func(b []byte) []byte {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(spans)))
+		return append(b, spans...)
 	})
 	if err != nil {
 		return 0, err
 	}
-	return size, nil
+	return int64(frameOverhead + payload), nil
 }
 
 // encodeSpans gob-encodes a span batch for the response trailer; spans are
@@ -218,66 +213,63 @@ func decodeSpans(b []byte) []trace.SpanData {
 // little-endian element slab) and returns its full wire size.
 func writeRequestFrame[E comparable](w *wireWriter, cod elemCodec, stream uint32, req *request[E]) (int64, error) {
 	var size int64
-	err := w.writeFrame(func(bw *bufio.Writer) error {
-		var ferr error
-		size, ferr = encodeRequestFrame(bw, cod, stream, req)
-		return ferr
-	})
+	slab := requestSlab(cod, req)
+	err := w.writeFrame(func(b []byte) []byte {
+		b, size = appendRequestHead(b, cod, stream, req, len(slab))
+		return b
+	}, slab, nil)
 	if err != nil {
 		return 0, err
 	}
 	return size, nil
 }
 
-// encodeRequestFrame writes exactly one request frame to bw and returns its
-// on-wire size. Split from writeRequestFrame so the bench harness can
-// measure pure encode cost against an in-memory buffer.
-func encodeRequestFrame[E comparable](bw *bufio.Writer, cod elemCodec, stream uint32, req *request[E]) (int64, error) {
+// appendRequestFrame appends exactly one request frame to b and returns the
+// extended buffer and the frame's on-wire size: the bench harness's pure
+// encode cost against an in-memory buffer.
+func appendRequestFrame[E comparable](b []byte, cod elemCodec, stream uint32, req *request[E]) ([]byte, int64) {
+	slab := requestSlab(cod, req)
+	b, size := appendRequestHead(b, cod, stream, req, len(slab))
+	return append(b, slab...), size
+}
+
+// requestSlab is the wire image of a request's element slab: x for a
+// compute, the matrix for a store or batch compute, nothing for a ping.
+func requestSlab[E comparable](cod elemCodec, req *request[E]) []byte {
+	switch req.op {
+	case opCompute:
+		return elemWireBytes(req.x, cod.size)
+	case opStore, opComputeBatch:
+		return elemWireBytes(req.m.RowsView(0, req.m.Rows()), cod.size)
+	}
+	return nil
+}
+
+// appendRequestHead appends everything of a request frame that precedes its
+// slab of slabLen bytes — header, traceparent, dimensions — and returns the
+// whole frame's on-wire size.
+func appendRequestHead[E comparable](b []byte, cod elemCodec, stream uint32, req *request[E], slabLen int) ([]byte, int64) {
 	op, tp := req.op, req.tp
 	if len(tp) > 255 {
 		tp = "" // cannot happen with W3C traceparents; degrade to untraced
 	}
-	var vec, slab []E
-	var rows, cols int
+	payload := 1 + len(tp) + slabLen
 	switch op {
 	case opCompute:
-		vec = req.x
+		payload += 4
 	case opStore, opComputeBatch:
-		rows, cols = req.m.Rows(), req.m.Cols()
-		slab = req.m.RowsView(0, rows)
+		payload += 8
 	}
-	payload := 1 + len(tp)
+	b = appendFrameHeader(b, uint32(5+payload), stream, op, byte(len(tp)))
+	b = append(b, tp...)
 	switch op {
 	case opCompute:
-		payload += 4 + len(vec)*cod.size
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(req.x)))
 	case opStore, opComputeBatch:
-		payload += 8 + len(slab)*cod.size
+		b = binary.LittleEndian.AppendUint32(b, uint32(req.m.Rows()))
+		b = binary.LittleEndian.AppendUint32(b, uint32(req.m.Cols()))
 	}
-	size := int64(frameOverhead + payload)
-	if _, err := bw.Write(appendFrameHeader(bw.AvailableBuffer(), uint32(5+payload), stream, op, byte(len(tp)))); err != nil {
-		return 0, err
-	}
-	if _, err := bw.WriteString(tp); err != nil {
-		return 0, err
-	}
-	dims := bw.AvailableBuffer()
-	var elems []byte
-	switch op {
-	case opCompute:
-		dims = binary.LittleEndian.AppendUint32(dims, uint32(len(vec)))
-		elems = elemWireBytes(vec, cod.size)
-	case opStore, opComputeBatch:
-		dims = binary.LittleEndian.AppendUint32(dims, uint32(rows))
-		dims = binary.LittleEndian.AppendUint32(dims, uint32(cols))
-		elems = elemWireBytes(slab, cod.size)
-	}
-	if _, err := bw.Write(dims); err != nil {
-		return 0, err
-	}
-	if _, err := bw.Write(elems); err != nil {
-		return 0, err
-	}
-	return size, nil
+	return b, int64(frameOverhead + payload)
 }
 
 // readResponseFrame decodes one response frame, returning its stream ID

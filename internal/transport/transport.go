@@ -8,7 +8,8 @@
 //   - the user's network half is a Client that sends x to the devices and
 //     returns their intermediate results B_j·T·x undecoded; decoding Ax is
 //     the caller's, through the deployment's coding.Code (the fleet runtime
-//     races Client.Compute per replica and the engine above it decodes).
+//     races replicas with Client.Go, collecting every reply of a query on
+//     one channel, and the engine above it decodes).
 //
 // The package speaks one wire protocol (v3, see wire.go) and is generic
 // over the field element type: one persistent connection per device
@@ -26,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -453,7 +455,8 @@ func (c Cloud[E]) Store(ctx context.Context, addr string, block *matrix.Dense[E]
 }
 
 func (c Cloud[E]) store(ctx context.Context, addr string, block *matrix.Dense[E], timeout time.Duration, reg *obs.Registry) error {
-	return c.pool().roundTrip(ctx, addr, timeout, reg, &request[E]{op: opStore, m: block}, &response[E]{})
+	_, _, err := c.pool().roundTrip(ctx, addr, timeout, reg, request[E]{op: opStore, m: block})
+	return err
 }
 
 // Client is the user role's network half: it sends inputs to devices and
@@ -500,93 +503,138 @@ func (c Client[E]) ConnDebug(addr string) ConnDebug {
 	return c.pool().Debug(addr)
 }
 
-// Gather sends x to every device concurrently and concatenates the
-// intermediate results in device order, returning the raw vector B·T·x
-// without decoding. rowsOn[j] gives the expected result length of device j;
-// the caller decodes the result through its coding.Code.
+// timeout resolves the client's per-round-trip bound.
+func (c Client[E]) timeout() time.Duration {
+	if c.Timeout == 0 {
+		return DefaultTimeout
+	}
+	return c.Timeout
+}
+
+// Gather sends x to every device at once and concatenates the intermediate
+// results in device order, returning the raw vector B·T·x without decoding.
+// rowsOn[j] gives the expected result length of device j; the caller
+// decodes the result through its coding.Code. It is one fan-out collected on
+// the calling goroutine: every request is sent with Go and the replies
+// arrive on one channel. The first failure, ctx ending or the timeout
+// withdraws the requests still in flight and is returned.
 func (c Client[E]) Gather(ctx context.Context, addrs []string, rowsOn []int, x []E) ([]E, error) {
 	if len(addrs) != len(rowsOn) {
 		return nil, fmt.Errorf("transport: %d addresses for %d row counts", len(addrs), len(rowsOn))
 	}
-	timeout := c.Timeout
-	if timeout == 0 {
-		timeout = DefaultTimeout
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	reg := metricsOrDefault(c.Metrics)
 	defer obs.StartStage(reg, obs.StageGather).End()
-	total := 0
-	for _, n := range rowsOn {
-		total += n
+	offs := make([]int, len(addrs)+1)
+	for j, n := range rowsOn {
+		offs[j+1] = offs[j] + n
 	}
-	y := make([]E, total)
-	errs := make([]error, len(addrs))
-	var wg sync.WaitGroup
-	lo := 0
+	y := make([]E, offs[len(addrs)])
+	calls := make([]Call[E], len(addrs))
+	done := make(chan *Call[E], len(addrs))
 	for j, addr := range addrs {
-		part := y[lo : lo+rowsOn[j]] // device j's slot of the result
-		lo += rowsOn[j]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var resp response[E]
-			if err := c.pool().roundTrip(ctx, addr, timeout, reg, &request[E]{op: opCompute, x: x}, &resp); err != nil {
-				errs[j] = err
-				return
-			}
-			if len(resp.y) != len(part) {
-				errs[j] = fmt.Errorf("transport: device %d returned %d values, want %d", j, len(resp.y), len(part))
-				return
-			}
-			copy(part, resp.y)
-		}()
+		calls[j].Tag = j
+		c.Go(ctx, addr, x, &calls[j], done)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	timer := time.NewTimer(c.timeout())
+	defer timer.Stop()
+	var err error
+	finished := make([]bool, len(addrs))
+	pending := len(addrs)
+	ctxDone, expired := ctx.Done(), timer.C
+	withdraw := func(cause error) {
+		if err == nil {
+			err = cause
 		}
+		ctxDone, expired = nil, nil
+		for j := range calls {
+			if !finished[j] && calls[j].Cancel(cause) {
+				finished[j] = true
+				pending--
+			}
+		}
+	}
+	for pending > 0 {
+		select {
+		case call := <-done:
+			if !call.Receive() {
+				continue
+			}
+			j := call.Tag
+			finished[j] = true
+			pending--
+			part := y[offs[j]:offs[j+1]]
+			switch {
+			case err != nil:
+			case call.Err != nil:
+				withdraw(call.Err)
+			case len(call.Y) != len(part):
+				withdraw(fmt.Errorf("transport: device %d returned %d values, want %d", j, len(call.Y), len(part)))
+			default:
+				copy(part, call.Y)
+			}
+		case <-ctxDone:
+			withdraw(ctxErr(ctx, fmt.Errorf("transport: gather: %w", ctx.Err())))
+		case <-expired:
+			withdraw(fmt.Errorf("transport: gather: %w", os.ErrDeadlineExceeded))
+		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	return y, nil
 }
 
+// Go sends x to addr as one compute request and returns at once: call
+// arrives on done when the device answers, the connection breaks or the
+// dial fails, and the caller then finishes it with call.Receive (see Call).
+// done must have room for every call sent on it and not yet received. The
+// request frame is written — copied into the connection's buffer, or to the
+// socket when large — before Go returns or, when the connection is still
+// being dialed, before the dial delivers or Cancel withdraws the call, so x
+// may be reused once the call is finished or withdrawn. A trace
+// span in ctx parents the request's rpc.client span; ctx ending aborts a
+// dial in flight.
+func (c Client[E]) Go(ctx context.Context, addr string, x []E, call *Call[E], done chan *Call[E]) {
+	c.send(ctx, addr, request[E]{op: opCompute, x: x}, call, done)
+}
+
+// GoBatch is Go for a batch compute of the l×n input matrix X.
+func (c Client[E]) GoBatch(ctx context.Context, addr string, x *matrix.Dense[E], call *Call[E], done chan *Call[E]) {
+	c.send(ctx, addr, request[E]{op: opComputeBatch, m: x}, call, done)
+}
+
+func (c Client[E]) send(ctx context.Context, addr string, req request[E], call *Call[E], done chan *Call[E]) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	call.mu.Lock()
+	call.prepare(ctx, c.pool(), addr, c.timeout(), metricsOrDefault(c.Metrics), req, done)
+	call.launch()
+	call.mu.Unlock()
+}
+
 // Compute sends x to one device and returns its intermediate result B_j·T·x
-// without validation against a scheme. It is the single-replica primitive
-// the fleet runtime races across a replica set; scheme-order callers use
-// Gather instead.
+// without validation against a scheme: Go and its receive back to back.
+// Scheme-order callers use Gather instead.
 func (c Client[E]) Compute(ctx context.Context, addr string, x []E) ([]E, error) {
-	timeout := c.Timeout
-	if timeout == 0 {
-		timeout = DefaultTimeout
-	}
-	var resp response[E]
-	if err := c.pool().roundTrip(ctx, addr, timeout, metricsOrDefault(c.Metrics), &request[E]{op: opCompute, x: x}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.y, nil
+	y, _, err := c.pool().roundTrip(ctx, addr, c.timeout(), c.Metrics, request[E]{op: opCompute, x: x})
+	return y, err
 }
 
 // ComputeBatch sends the l×n input matrix X to one device and returns its
-// intermediate result B_j·T·X — the batch counterpart of Compute. X's
-// backing slab is written to the socket uncopied, so the caller must not
-// mutate it until the call returns.
+// intermediate result B_j·T·X — the batch counterpart of Compute. X is
+// copied onto the wire before the call returns.
 func (c Client[E]) ComputeBatch(ctx context.Context, addr string, x *matrix.Dense[E]) (*matrix.Dense[E], error) {
-	timeout := c.Timeout
-	if timeout == 0 {
-		timeout = DefaultTimeout
-	}
-	var resp response[E]
-	if err := c.pool().roundTrip(ctx, addr, timeout, metricsOrDefault(c.Metrics), &request[E]{op: opComputeBatch, m: x}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.m, nil
+	_, m, err := c.pool().roundTrip(ctx, addr, c.timeout(), c.Metrics, request[E]{op: opComputeBatch, m: x})
+	return m, err
 }
 
 // Ping checks a device is reachable using the client's timeout and metrics
 // registry.
 func (c Client[E]) Ping(ctx context.Context, addr string) error {
-	timeout := c.Timeout
-	if timeout == 0 {
-		timeout = DefaultTimeout
-	}
-	return c.pool().roundTrip(ctx, addr, timeout, metricsOrDefault(c.Metrics), &request[E]{op: opPing}, &response[E]{})
+	_, _, err := c.pool().roundTrip(ctx, addr, c.timeout(), c.Metrics, request[E]{op: opPing})
+	return err
 }

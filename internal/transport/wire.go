@@ -57,10 +57,9 @@ const frameOverhead = 4 + 5
 
 // appendFrameHeader appends a frame's fixed prefix — u32 length | u32
 // streamID | u8 op — and the op's first payload byte (a request's
-// traceparent length, a response's status). Writers append into
-// bufio.Writer.AvailableBuffer and pass the result to the Write that
-// immediately follows: bufio's idiom for writing small fields without a
-// scratch array of one's own, which would escape to the heap through Write.
+// traceparent length, a response's status). Frames are appended straight
+// into the connection's outbound buffer, so no field needs a scratch array
+// of its own.
 func appendFrameHeader(b []byte, length, stream uint32, op, first byte) []byte {
 	b = binary.LittleEndian.AppendUint32(b, length)
 	b = binary.LittleEndian.AppendUint32(b, stream)
