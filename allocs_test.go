@@ -16,16 +16,18 @@ import (
 // servedQueryAllocBudget is the heap-allocation ceiling for one warm query
 // through the whole stack, counted process-wide (caller, connection
 // goroutines, and the in-process device servers), as the benchmark's
-// allocs_per_query counts it. The stack measures 14: per block the device's
-// request goroutine, its x slab and y slab, and the client's y slab (12),
-// plus the concatenated result and the decode output. The gather itself
-// allocates nothing: one loop on the caller's goroutine over a recycled
-// query state. It measured 27 while each query started a goroutine per
-// block under its own context, 117 before frame headers, stream channels
-// and receive timers stopped allocating, and 300 before metrics lookups,
-// untraced spans and hedge bookkeeping did; the slack absorbs runtime
-// noise, not a new per-query allocation site.
-const servedQueryAllocBudget = 25
+// allocs_per_query counts it. The stack measures 8: per block the device's
+// request goroutine and the client's y slab (6), plus the concatenated
+// result and the decode output. The device reads x into, and computes y
+// into, slabs its connection recycles, and the gather allocates nothing:
+// one loop on the caller's goroutine over a recycled query state. It
+// measured 14 while the device allocated both slabs per request, 27 while
+// each query started a goroutine per block under its own context, 117
+// before frame headers, stream channels and receive timers stopped
+// allocating, and 300 before metrics lookups, untraced spans and hedge
+// bookkeeping did; the slack absorbs runtime noise, not a new per-query
+// allocation site.
+const servedQueryAllocBudget = 12
 
 // TestServedQueryAllocBudget serves the benchmark's fleet_small_seq shape
 // (m=40, l=64, three single-replica devices on loopback sockets, one caller,

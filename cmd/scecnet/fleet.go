@@ -43,8 +43,8 @@ func runFleet(args []string, out io.Writer) error {
 		metricsAddr  = fs.String("metrics-addr", "", "serve /metrics, /healthz, and /debug endpoints on this address")
 		timeout      = fs.Duration("timeout", transport.DefaultTimeout, "per-round-trip bound for store and compute requests")
 		backend      = fs.String("backend", "fleet", "execution backend: fleet (replicated TCP devices) or local (in-process engine baseline)")
-		coalesceWin  = fs.Duration("coalesce-window", 0, "merge concurrent MulVec queries within this window into one batch round (0 off; queries run concurrently when on)")
-		coalesceMax  = fs.Int("coalesce-max", 0, "max queries per coalesced round (0 for the engine default)")
+		coalesceWin  = fs.Duration("coalesce-window", 0, "merge concurrent MulVec queries arriving within this window into one batch round (0: group commit, which the fleet backend always runs: queries that arrive while a round is in flight share the next one); the query stream runs concurrently when this or -coalesce-max is set")
+		coalesceMax  = fs.Int("coalesce-max", 0, "max queries per coalesced round, windowed or group commit (0 for the engine default); on the local backend it turns group commit on")
 		traceFile    = fs.String("trace-export", "", "record a distributed trace per query and write the JSON export here on completion")
 		adaptive     = fs.Bool("adaptive", false, "run the closed-loop adaptive control plane: learn per-device costs from live traffic, re-plan with TA2, and migrate blocks without dropping queries")
 		replanEvery  = fs.Duration("replan-every", 500*time.Millisecond, "adaptive control period (with -adaptive)")
@@ -88,14 +88,17 @@ func runFleet(args []string, out io.Writer) error {
 	if *injectOne && *injectFaults {
 		return fmt.Errorf("-inject-one and -inject-faults are mutually exclusive")
 	}
-	if *injectOne && *coalesceWin > 0 {
-		return fmt.Errorf("-inject-one needs the sequential query stream (drop -coalesce-window)")
+	// Either coalescing flag runs the query stream concurrently: coalescing
+	// only merges queries that are in flight together.
+	coalesce := *coalesceWin > 0 || *coalesceMax > 0
+	if *injectOne && coalesce {
+		return fmt.Errorf("-inject-one needs the sequential query stream (drop -coalesce-window and -coalesce-max)")
 	}
 	if *incidentSum != "" && *incidentDir == "" {
 		return fmt.Errorf("-incident-summary needs -incident-dir")
 	}
 	var engineOpts []scec.DeployOption[uint64]
-	if *coalesceWin > 0 {
+	if coalesce {
 		engineOpts = append(engineOpts, scec.WithCoalescing[uint64](*coalesceWin, *coalesceMax))
 	}
 	var tr, devTr *trace.Tracer
@@ -300,7 +303,7 @@ func runFleet(args []string, out io.Writer) error {
 		}
 		return nil
 	}
-	if *coalesceWin > 0 {
+	if coalesce {
 		// Coalescing only merges queries that are in flight together, so the
 		// stream launches concurrently; faults are injected up front.
 		if *injectFaults {

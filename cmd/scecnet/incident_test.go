@@ -65,6 +65,7 @@ func TestFleetIncidentFlagValidation(t *testing.T) {
 		{"fleet", "-backend", "local", "-inject-one"},
 		{"fleet", "-inject-one", "-inject-faults"},
 		{"fleet", "-inject-one", "-coalesce-window", "5ms"},
+		{"fleet", "-inject-one", "-coalesce-max", "4"},
 		{"fleet", "-incident-summary", "x.json"},
 		{"fleet", "-incident-dir", "/tmp/x", "-watch", "journal:bogus>=1/10s", "-m", "10", "-l", "4", "-k", "2", "-queries", "0"},
 	}

@@ -204,6 +204,21 @@ func TestFleetLocalBackendWithCoalescing(t *testing.T) {
 	}
 }
 
+// TestFleetCoalesceMaxAppliesToGroupCommit: -coalesce-max without a window
+// is no longer dropped: it bounds the fleet's group commit and runs the
+// query stream concurrently, and every answer still verifies.
+func TestFleetCoalesceMaxAppliesToGroupCommit(t *testing.T) {
+	var out strings.Builder
+	args := []string{"fleet", "-m", "24", "-l", "6", "-k", "4", "-replicas", "1", "-standbys", "0",
+		"-queries", "16", "-coalesce-max", "4", "-seed", "7"}
+	if err := run(args, &out); err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); !strings.Contains(got, "served 16 queries; every decoded A·x verified exactly") {
+		t.Fatalf("output:\n%s", got)
+	}
+}
+
 func TestFleetBackendValidation(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"fleet", "-backend", "bogus"}, &out); err == nil {

@@ -129,6 +129,12 @@ func bind[E comparable](d *Deployment[E], c deployConfig[E]) (*Deployment[E], er
 	}
 	var fc FleetExecutorConfig
 	if backend.fleet != nil {
+		// A merged round saves every caller's round trip but one, so
+		// fleet-served queries group-commit by default. The in-process
+		// backends have no round trip to save, and a batch kernel costs
+		// more per query than parallel MulVecs: they coalesce only under
+		// WithCoalescing.
+		c.opts.GroupCommit = true
 		fc = *backend.fleet
 		// One WithTracing (or one FleetConfig.Tracer) is enough: engine and
 		// fleet layers share whichever tracer was provided. Likewise the

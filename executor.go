@@ -114,15 +114,22 @@ func WithChunking[E comparable](n int) DeployOption[E] {
 	return func(c *deployConfig[E]) { c.chunkCols = &n }
 }
 
-// WithCoalescing enables adaptive request coalescing on the deployment's
-// query engine: concurrent MulVec callers arriving within the window (up to
-// maxBatch of them; 0 means the engine default) merge into one batch round
-// and each receives its own decoded column. The type parameter matches the
-// deployment's element type, e.g. scec.WithCoalescing[uint64](2*time.Millisecond, 8).
+// WithCoalescing sets request coalescing on the deployment's query engine:
+// concurrent MulVec callers merge into one batch round (up to maxBatch of
+// them; 0 means the engine default) and each receives its own decoded
+// column. A positive window merges the callers that arrive within it after
+// the first. A zero window is group commit: a caller that finds no round in
+// flight runs alone, and the callers that arrive while one is in flight
+// share the next. Fleet-served deployments group-commit without this
+// option, so there it picks a window or the bound; the in-process backends,
+// which have no round trip to amortise, coalesce only with it. The type
+// parameter matches the deployment's element type, e.g.
+// scec.WithCoalescing[uint64](2*time.Millisecond, 8).
 func WithCoalescing[E comparable](window time.Duration, maxBatch int) DeployOption[E] {
 	return func(c *deployConfig[E]) {
 		c.opts.CoalesceWindow = window
 		c.opts.CoalesceMaxBatch = maxBatch
+		c.opts.GroupCommit = true
 	}
 }
 

@@ -1,8 +1,10 @@
 package scec_test
 
 import (
+	"encoding/json"
 	"errors"
 	"math/rand/v2"
+	"net/http/httptest"
 	"slices"
 	"strings"
 	"sync"
@@ -490,6 +492,75 @@ func TestServeCoalescing(t *testing.T) {
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128}, obs.L("backend", "fleet"))
 	if h.Sum() != callers {
 		t.Fatalf("histogram served %g callers, want %d", h.Sum(), callers)
+	}
+}
+
+// TestGroupCommitOnlyOnFleet: fleet-served deployments group-commit by
+// default, and the in-process backends stay uncoalesced unless
+// WithCoalescing asks. After 16 concurrent callers, /debug/engine on Local
+// and Sim carries no coalescing block and counts no batch dispatch; Serve's
+// block reports group commit (windowNs 0) at the default bound, and
+// WithCoalescing(0, 4) turns group commit on for Local at bound 4.
+func TestGroupCommitOnlyOnFleet(t *testing.T) {
+	f := scec.PrimeField()
+	// Each engine counts its dispatches in a registry of its own.
+	local, l := deployBackend(t, scec.WithEngineMetrics[uint64](obs.New()))
+	sim, _ := deployBackend(t, scec.WithEngineMetrics[uint64](obs.New()),
+		scec.WithExecutor(scec.SimExecutor[uint64](scec.SimExecutorConfig{Metrics: obs.New()})))
+	localGC, _ := deployBackend(t, scec.WithEngineMetrics[uint64](obs.New()), scec.WithCoalescing[uint64](0, 4))
+	fleetDep, _ := deployBackend(t)
+	served := serveLoopback(t, fleetDep, scec.FleetConfig{Metrics: obs.New()})
+	x := scec.RandomVector(f, rand.New(rand.NewPCG(8, 80)), l)
+	want, err := local.MulVec(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		dep      *scec.Deployment[uint64]
+		maxBatch int // 0: uncoalesced
+	}{
+		{"local", local, 0},
+		{"sim", sim, 0},
+		{"local WithCoalescing(0, 4)", localGC, 4},
+		{"served", served, 16},
+	} {
+		const callers = 16
+		errs := make([]error, callers)
+		var wg sync.WaitGroup
+		for i := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				y, err := tc.dep.MulVec(x)
+				if err == nil && !slices.Equal(y, want) {
+					err = errors.New("answer differs from A·x")
+				}
+				errs[i] = err
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		rec := httptest.NewRecorder()
+		tc.dep.EngineDebugHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/engine", nil))
+		var info struct {
+			DispatchMat int64 `json:"dispatchMat"`
+			Coalescing  *struct {
+				WindowNs int64 `json:"windowNs"`
+				MaxBatch int   `json:"maxBatch"`
+			} `json:"coalescing"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
+			t.Fatalf("%s: /debug/engine: %v", tc.name, err)
+		}
+		switch co := info.Coalescing; {
+		case tc.maxBatch == 0 && (co != nil || info.DispatchMat != 0):
+			t.Errorf("%s: coalescing %+v and %d batch dispatches, want neither", tc.name, co, info.DispatchMat)
+		case tc.maxBatch > 0 && (co == nil || co.WindowNs != 0 || co.MaxBatch != tc.maxBatch):
+			t.Errorf("%s: coalescing %+v, want group commit (windowNs 0) at maxBatch %d", tc.name, co, tc.maxBatch)
+		}
 	}
 }
 

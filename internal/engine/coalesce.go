@@ -26,22 +26,34 @@ type waiter[E comparable] struct {
 	out chan outcome[E]
 	// sp is the caller's engine.coalesce.wait span: opened at submit, closed
 	// when the outcome lands, so the waterfall shows exactly how long each
-	// caller spent parked against the window.
+	// caller spent parked before its round.
 	sp *trace.Span
 }
 
-// cbatch is one open coalescing batch: the waiters collected so far and the
-// window timer that will flush it.
+// cbatch is the coalescer's queue: the waiters collected for the next round
+// and, under a window, the timer that will flush them.
 type cbatch[E comparable] struct {
 	waiters []*waiter[E]
 	timer   *time.Timer
 }
 
-// coalescer merges concurrent MulVec calls into MulMat rounds. The first
-// caller to arrive while no batch is open becomes the leader: it opens a
-// batch and arms the window timer. Followers append themselves. The batch
-// executes when the window elapses or the batch fills, whichever comes
-// first; the executing goroutine stacks the inputs column-wise, runs one
+// coalescer merges concurrent MulVec calls into MulMat rounds. Callers queue
+// in one batch; what sends the batch out is one of two triggers.
+//
+// Group commit (no window): a caller that finds no round in flight runs
+// alone, on the vector path under its own context. Callers that arrive while
+// a round is in flight queue up, and when that round returns up to max of
+// them go out as the next merged round, on a goroutine of its own: the
+// returning caller never serves anyone else's round. That goroutine keeps
+// serving the queue until it finds it empty. A lone caller therefore never
+// waits, and concurrent callers batch as deep as the load makes them.
+//
+// Window (window > 0): the first caller to arrive while no batch is open arms
+// the window timer; the batch executes when the window elapses or the batch
+// fills, whichever comes first, on the timer's goroutine or the filling
+// caller's.
+//
+// Either way the executing goroutine stacks the inputs column-wise, runs one
 // batch round, and fans each decoded column back to its caller.
 type coalescer[E comparable] struct {
 	q      *Query[E]
@@ -56,6 +68,9 @@ type coalescer[E comparable] struct {
 
 	mu  sync.Mutex
 	cur *cbatch[E]
+	// inflight (group commit only) is set while a round runs whose return
+	// sends the queue out next.
+	inflight bool
 }
 
 func newCoalescer[E comparable](q *Query[E], window time.Duration, max int, hist *obs.Histogram) *coalescer[E] {
@@ -72,21 +87,33 @@ func (c *coalescer[E]) occupancy() int {
 	return len(c.cur.waiters)
 }
 
-// submit parks the caller in the current batch (opening one if needed) and
-// blocks until the batch executes or ctx ends. ctx carries the caller's
-// query span; a merged round runs under roundContext.
+// submit runs the caller alone when group commit finds no round in flight;
+// otherwise it parks the caller in the queue (opening it if needed) and
+// blocks until the caller's round executes or ctx ends. ctx carries the
+// caller's query span; a merged round runs under roundContext.
 func (c *coalescer[E]) submit(ctx context.Context, x []E) ([]E, error) {
+	c.mu.Lock()
+	if c.window == 0 && !c.inflight {
+		c.inflight = true
+		c.mu.Unlock()
+		ax, err := c.q.mulVecDirect(ctx, x)
+		if ws := c.next(); ws != nil {
+			go c.serve(ws)
+		}
+		return ax, err
+	}
 	_, wsp := c.q.startSpan(ctx, trace.SpanCoalesceWait)
 	w := &waiter[E]{ctx: ctx, x: x, out: make(chan outcome[E], 1), sp: wsp}
-	c.mu.Lock()
 	if c.cur == nil {
 		b := &cbatch[E]{}
-		b.timer = time.AfterFunc(c.window, func() { c.flush(b) })
+		if c.window > 0 {
+			b.timer = time.AfterFunc(c.window, func() { c.flush(b) })
+		}
 		c.cur = b
 	}
 	b := c.cur
 	b.waiters = append(b.waiters, w)
-	full := len(b.waiters) >= c.max
+	full := c.window > 0 && len(b.waiters) >= c.max
 	if full {
 		c.cur = nil
 	}
@@ -108,6 +135,33 @@ func (c *coalescer[E]) submit(ctx context.Context, x []E) ([]E, error) {
 	}
 }
 
+// next is group commit's trigger, called when the round in flight returns:
+// it takes up to max queued waiters as the next round or, with none queued,
+// records that no round is in flight and returns nil.
+func (c *coalescer[E]) next() []*waiter[E] {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	b := c.cur
+	if b == nil {
+		c.inflight = false
+		return nil
+	}
+	if len(b.waiters) <= c.max {
+		c.cur = nil
+		return b.waiters
+	}
+	ws := b.waiters[:c.max:c.max]
+	b.waiters = b.waiters[c.max:]
+	return ws
+}
+
+// serve runs group-commit rounds back to back until the queue is empty.
+func (c *coalescer[E]) serve(ws []*waiter[E]) {
+	for ; ws != nil; ws = c.next() {
+		c.execute(ws)
+	}
+}
+
 // flush executes a batch whose window elapsed, unless a full-batch flush
 // (or drain) already claimed it.
 func (c *coalescer[E]) flush(b *cbatch[E]) {
@@ -121,8 +175,9 @@ func (c *coalescer[E]) flush(b *cbatch[E]) {
 	c.execute(b.waiters)
 }
 
-// drain flushes any open batch immediately; the Query calls it on Close so
-// no caller is left waiting out a window against a closed executor.
+// drain executes every queued caller at once, max at a time; the Query calls
+// it on Close so no caller is left waiting out a window, or behind a round in
+// flight, against a closed executor.
 func (c *coalescer[E]) drain() {
 	c.mu.Lock()
 	b := c.cur
@@ -131,8 +186,14 @@ func (c *coalescer[E]) drain() {
 	if b == nil {
 		return
 	}
-	b.timer.Stop()
-	c.execute(b.waiters)
+	if b.timer != nil {
+		b.timer.Stop()
+	}
+	for ws := b.waiters; len(ws) > 0; {
+		n := min(len(ws), c.max)
+		c.execute(ws[:n:n])
+		ws = ws[n:]
+	}
 }
 
 // execute runs one coalesced round and fans results back. Waiters whose

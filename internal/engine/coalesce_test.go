@@ -3,7 +3,9 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -20,6 +22,20 @@ func coalesceHist(reg *obs.Registry, backend string) *obs.Histogram {
 	return reg.Histogram(obs.MetricEngineCoalescedBatchSize,
 		"Number of concurrent MulVec callers merged into each coalesced execution round.",
 		batchSizeBuckets, obs.L("backend", backend))
+}
+
+// waitParked waits until n callers are queued in q's coalescer.
+func waitParked[E comparable](t *testing.T, q *Query[E], n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		got := q.co.occupancy()
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d callers parked, want %d", got, n)
+		}
+	}
 }
 
 // TestCoalescingMergesAndMatchesUncoalesced: N concurrent MulVec callers
@@ -170,20 +186,7 @@ func TestCoalescingDrainOnClose(t *testing.T) {
 		}
 		done <- err
 	}()
-	// Wait until the caller has parked in the batch before closing.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		q.co.mu.Lock()
-		parked := q.co.cur != nil && len(q.co.cur.waiters) == 1
-		q.co.mu.Unlock()
-		if parked {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("caller never parked in the batch")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitParked(t, q, 1) // close only once the caller is in the batch
 	if err := q.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -241,23 +244,6 @@ func TestCoalescedLeaderCancelLeavesFollowersExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { _ = q.Close() })
-			parked := func(n int) {
-				t.Helper()
-				for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
-					q.co.mu.Lock()
-					got := 0
-					if q.co.cur != nil {
-						got = len(q.co.cur.waiters)
-					}
-					q.co.mu.Unlock()
-					if got == n {
-						return
-					}
-					if time.Now().After(deadline) {
-						t.Fatalf("%d callers parked, want %d", got, n)
-					}
-				}
-			}
 
 			lctx, cancelLeader := context.WithCancel(t.Context())
 			defer cancelLeader()
@@ -266,7 +252,7 @@ func TestCoalescedLeaderCancelLeavesFollowersExact(t *testing.T) {
 				_, err := q.MulVecContext(lctx, tc.x)
 				leader <- err
 			}()
-			parked(1)
+			waitParked(t, q, 1)
 			if !midRound {
 				cancelLeader()
 				if err := <-leader; !errors.Is(err, context.Canceled) {
@@ -287,7 +273,7 @@ func TestCoalescedLeaderCancelLeavesFollowersExact(t *testing.T) {
 					got[i], errs[i] = q.MulVecContext(t.Context(), xs[i])
 				}()
 				if i < followers-1 {
-					parked(i + 2) // the last follower fills the batch and runs the round
+					waitParked(t, q, i+2) // the last follower fills the batch and runs the round
 				}
 			}
 			<-exec.entered
@@ -315,6 +301,236 @@ func TestCoalescedLeaderCancelLeavesFollowersExact(t *testing.T) {
 				t.Fatalf("rounds=%d callers=%g, want one round of %d", h.Count(), h.Sum(), stacked)
 			}
 		})
+	}
+}
+
+// heldExec holds every vector round until the test releases it, as a slow
+// round in flight would, honouring the round's context meanwhile; batch
+// rounds pass straight through.
+type heldExec[E comparable] struct {
+	Executor[E]
+	entered chan struct{}
+	release chan struct{}
+}
+
+func newHeldExec[E comparable](exec Executor[E]) *heldExec[E] {
+	return &heldExec[E]{Executor: exec, entered: make(chan struct{}, 1), release: make(chan struct{})}
+}
+
+func (h *heldExec[E]) Compute(ctx context.Context, x []E) ([]E, error) {
+	select {
+	case h.entered <- struct{}{}:
+	default:
+	}
+	select {
+	case <-h.release:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	return h.Executor.Compute(ctx, x)
+}
+
+// groupCommit builds a group-commit query over exec, as the facade binds a
+// fleet.
+func groupCommit[E comparable](t *testing.T, tc *testCase[E], exec Executor[E], reg *obs.Registry) *Query[E] {
+	t.Helper()
+	q, err := New(tc.f, tc.enc, exec, Options{GroupCommit: true, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// TestGroupCommitLoneCallerNeverWaits: a sequential stream through a
+// group-commit engine over a fleet never finds a round in flight, so every
+// query runs alone on the vector path at once: no batch dispatch, no merged
+// round.
+func TestGroupCommitLoneCallerNeverWaits(t *testing.T) {
+	f := field.Prime{}
+	tc := newCase[uint64](t, f, f.Rand)
+	reg := obs.New()
+	q := groupCommit(t, tc, serveFleet(t, f, tc.enc), reg)
+	t.Cleanup(func() { _ = q.Close() })
+	const queries = 50
+	for i := range queries {
+		got, err := q.MulVec(tc.x)
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Fatalf("query %d: got %v, want %v", i, got, tc.want)
+		}
+	}
+	if vec, mat := q.vec.Value(), q.mat.Value(); vec != queries || mat != 0 {
+		t.Fatalf("%d vector and %d batch dispatches, want %d and 0", vec, mat, queries)
+	}
+	if h := coalesceHist(reg, "fleet"); h.Count() != 0 {
+		t.Fatalf("%d merged rounds for a sequential stream, want 0", h.Count())
+	}
+}
+
+// TestGroupCommitMergesConcurrentCallers: 16 concurrent callers, each
+// querying its own vectors through a group-commit engine over a fleet, get
+// exactly A·x every time, in fewer rounds than queries.
+func TestGroupCommitMergesConcurrentCallers(t *testing.T) {
+	f := field.Prime{}
+	tc := newCase[uint64](t, f, f.Rand)
+	reg := obs.New()
+	q := groupCommit(t, tc, serveFleet(t, f, tc.enc), reg)
+	t.Cleanup(func() { _ = q.Close() })
+	const callers, rounds = 16, 20
+	errs := make(chan error, callers)
+	var wg sync.WaitGroup
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(uint64(i), 17))
+			for range rounds {
+				x := matrix.RandomVec[uint64](f, rng, len(tc.x))
+				got, err := q.MulVec(x)
+				if err == nil && !slices.Equal(got, matrix.MulVec[uint64](f, tc.a, x)) {
+					err = fmt.Errorf("caller %d: got %v for x=%v", i, got, x)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if dispatches := q.vec.Value() + q.mat.Value(); q.mat.Value() == 0 || dispatches >= callers*rounds {
+		t.Fatalf("%d rounds (%d batch) for %d queries: nothing merged", dispatches, q.mat.Value(), callers*rounds)
+	}
+}
+
+// TestGroupCommitCancelledWaiterLeftOut: a caller that cancels while queued
+// behind a round in flight gets its own context error and is not stacked
+// into the next round; the callers queued with it still get exactly A·x.
+func TestGroupCommitCancelledWaiterLeftOut(t *testing.T) {
+	f := field.Prime{}
+	tc := newCase[uint64](t, f, f.Rand)
+	reg := obs.New()
+	exec := newHeldExec(serveFleet(t, f, tc.enc))
+	q := groupCommit(t, tc, exec, reg)
+	t.Cleanup(func() { _ = q.Close() })
+
+	lone := make(chan error, 1)
+	go func() {
+		got, err := q.MulVec(tc.x)
+		if err == nil && !slices.Equal(got, tc.want) {
+			err = errEntryMismatch
+		}
+		lone <- err
+	}()
+	<-exec.entered
+	ctx, cancel := context.WithCancel(t.Context())
+	defer cancel()
+	cancelled := make(chan error, 1)
+	go func() {
+		_, err := q.MulVecContext(ctx, tc.x)
+		cancelled <- err
+	}()
+	waitParked(t, q, 1)
+
+	rng := rand.New(rand.NewPCG(6, 2))
+	const followers = 2
+	xs := make([][]uint64, followers)
+	got := make([][]uint64, followers)
+	errs := make([]error, followers)
+	var wg sync.WaitGroup
+	for i := range xs {
+		xs[i] = matrix.RandomVec[uint64](f, rng, len(tc.x))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = q.MulVec(xs[i])
+		}()
+		waitParked(t, q, i+2)
+	}
+	cancel()
+	if err := <-cancelled; !errors.Is(err, context.Canceled) {
+		t.Fatalf("queued caller's err = %v, want its own context.Canceled", err)
+	}
+	close(exec.release)
+	if err := <-lone; err != nil {
+		t.Fatalf("round in flight: %v", err)
+	}
+	wg.Wait()
+	for i := range xs {
+		if errs[i] != nil {
+			t.Fatalf("follower %d: %v", i, errs[i])
+		}
+		if want := matrix.MulVec[uint64](f, tc.a, xs[i]); !slices.Equal(got[i], want) {
+			t.Fatalf("follower %d: got %v, want %v", i, got[i], want)
+		}
+	}
+	if h := coalesceHist(reg, "fleet"); h.Count() != 1 || h.Sum() != followers {
+		t.Fatalf("rounds=%d callers=%g, want one round of %d without the cancelled caller", h.Count(), h.Sum(), followers)
+	}
+}
+
+// TestGroupCommitCloseAnswersQueuedCallers: Close with callers queued behind
+// a round in flight answers every one of them at once, exactly, and once the
+// devices are gone no goroutine is left behind.
+func TestGroupCommitCloseAnswersQueuedCallers(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	f := field.Prime{}
+	tc := newCase[uint64](t, f, f.Rand)
+	fleetExec, stopDevices := startFleet(t, f, tc.enc)
+	defer stopDevices()
+	exec := newHeldExec(fleetExec)
+	q := groupCommit(t, tc, exec, obs.New())
+
+	lone := make(chan error, 1)
+	go func() {
+		_, err := q.MulVec(tc.x)
+		lone <- err
+	}()
+	<-exec.entered
+	rng := rand.New(rand.NewPCG(9, 4))
+	const queued = 3
+	answered := make(chan error, queued)
+	for i := range queued {
+		x := matrix.RandomVec[uint64](f, rng, len(tc.x))
+		go func() {
+			got, err := q.MulVec(x)
+			if err == nil && !slices.Equal(got, matrix.MulVec[uint64](f, tc.a, x)) {
+				err = errEntryMismatch
+			}
+			answered <- err
+		}()
+		waitParked(t, q, i+1)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- q.Close() }()
+	timeout := time.After(10 * time.Second)
+	for range queued {
+		select {
+		case err := <-answered:
+			if err != nil {
+				t.Fatalf("queued caller: %v", err)
+			}
+		case <-timeout:
+			t.Fatal("Close left a queued caller waiting behind the round in flight")
+		}
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	close(exec.release)
+	<-lone // its round ends against the closed executor; only its return matters
+	stopDevices()
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after Close, %d before:\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
 

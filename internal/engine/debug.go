@@ -27,13 +27,17 @@ type DebugInfo struct {
 
 // CoalesceDebug is the coalescer's configuration and occupancy.
 type CoalesceDebug struct {
-	// Window and MaxBatch are the configured bounds.
+	// Window is the configured window; 0 means group commit, where the
+	// return of the round in flight sends the queued callers out. MaxBatch
+	// caps a round's width.
 	Window   time.Duration `json:"windowNs"`
 	MaxBatch int           `json:"maxBatch"`
-	// Occupancy is how many callers are parked in the open batch right now.
+	// Occupancy is how many callers are queued for the next round right now.
 	Occupancy int `json:"occupancy"`
-	// Rounds and Merged are lifetime totals: batches executed and the
-	// callers they served (Merged/Rounds is the realized mean batch size).
+	// Rounds and Merged are lifetime totals: rounds run from the queue and
+	// the callers they served (Merged/Rounds is the realized mean batch
+	// size). A group-commit caller that found no round in flight ran alone
+	// and counts in neither.
 	Rounds int64 `json:"rounds"`
 	Merged int64 `json:"merged"`
 }

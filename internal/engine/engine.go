@@ -46,14 +46,20 @@ const DefaultCoalesceMaxBatch = 16
 
 // Options configures the Query layer.
 type Options struct {
-	// CoalesceWindow, when positive, enables request coalescing: the first
-	// MulVec caller to arrive opens a batch and waits up to this window for
-	// concurrent callers before the merged round executes. Zero disables
-	// coalescing (every MulVec dispatches immediately).
+	// CoalesceWindow, when positive, enables request coalescing on a window:
+	// the first MulVec caller to arrive opens a batch and waits up to this
+	// window for concurrent callers before the merged round executes.
 	CoalesceWindow time.Duration
-	// CoalesceMaxBatch caps how many callers one round merges; a full batch
-	// flushes immediately without waiting out the window. Zero means
-	// DefaultCoalesceMaxBatch.
+	// GroupCommit, when CoalesceWindow is not positive, enables request
+	// coalescing by group commit: a caller that finds no round in flight
+	// runs alone, and the callers that arrive while a round is in flight
+	// become the next merged round when it returns. With neither set, every
+	// MulVec dispatches immediately. The facade sets it for fleet-served
+	// deployments, where a merged round saves a round trip per caller.
+	GroupCommit bool
+	// CoalesceMaxBatch caps how many callers one round merges; under a
+	// window a full batch flushes immediately without waiting the window
+	// out. Zero means DefaultCoalesceMaxBatch.
 	CoalesceMaxBatch int
 	// Metrics receives dispatch counters and the coalesced-batch-size
 	// histogram. Nil means obs.Default().
@@ -108,15 +114,15 @@ func New[E comparable](f field.Field[E], enc *coding.Encoding[E], exec Executor[
 		vec:  reg.Counter(obs.MetricEngineDispatchTotal, dispatchHelp, backend, obs.L("kind", "vec")),
 		mat:  reg.Counter(obs.MetricEngineDispatchTotal, dispatchHelp, backend, obs.L("kind", "mat")),
 	}
-	if opts.CoalesceWindow > 0 {
-		max := opts.CoalesceMaxBatch
-		if max <= 0 {
-			max = DefaultCoalesceMaxBatch
+	if opts.CoalesceWindow > 0 || opts.GroupCommit {
+		maxBatch := opts.CoalesceMaxBatch
+		if maxBatch <= 0 {
+			maxBatch = DefaultCoalesceMaxBatch
 		}
 		hist := reg.Histogram(obs.MetricEngineCoalescedBatchSize,
 			"Number of concurrent MulVec callers merged into each coalesced execution round.",
 			batchSizeBuckets, backend)
-		q.co = newCoalescer(q, opts.CoalesceWindow, max, hist)
+		q.co = newCoalescer(q, max(opts.CoalesceWindow, 0), maxBatch, hist)
 	}
 	return q, nil
 }
@@ -138,7 +144,7 @@ func (q *Query[E]) Executor() Executor[E] { return q.exec }
 func (q *Query[E]) Cols() int { return q.cols }
 
 // MulVec computes A·x through the executor and decodes. When coalescing is
-// enabled, concurrent callers within the window share one batch round.
+// enabled, concurrent callers share batch rounds.
 func (q *Query[E]) MulVec(x []E) ([]E, error) {
 	return q.MulVecContext(context.Background(), x)
 }

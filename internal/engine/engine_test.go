@@ -60,8 +60,16 @@ func newCase[E comparable](t *testing.T, f field.Field[E], randE func(*rand.Rand
 }
 
 // serveFleet spins one loopback device server per coded block and returns a
-// fleet executor over them.
+// fleet executor over them; the devices stop when the test ends.
 func serveFleet[E comparable](t *testing.T, f field.Field[E], enc *coding.Encoding[E]) Executor[E] {
+	t.Helper()
+	exec, stop := startFleet(t, f, enc)
+	t.Cleanup(stop)
+	return exec
+}
+
+// startFleet is serveFleet with stopping the devices left to the caller.
+func startFleet[E comparable](t *testing.T, f field.Field[E], enc *coding.Encoding[E]) (Executor[E], func()) {
 	t.Helper()
 	cfg := fleet.Config{
 		Replicas:      make([][]string, len(enc.Blocks)),
@@ -71,19 +79,27 @@ func serveFleet[E comparable](t *testing.T, f field.Field[E], enc *coding.Encodi
 		ProbeInterval: -1,
 		Metrics:       obs.New(),
 	}
+	var servers []*transport.DeviceServer[E]
+	stop := func() {
+		for _, srv := range servers {
+			_ = srv.Close()
+		}
+	}
 	for j := range cfg.Replicas {
 		srv, err := transport.NewDeviceServer(f, "127.0.0.1:0")
 		if err != nil {
+			stop()
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { _ = srv.Close() })
+		servers = append(servers, srv)
 		cfg.Replicas[j] = []string{srv.Addr()}
 	}
 	s, err := fleet.Serve(f, enc, cfg)
 	if err != nil {
+		stop()
 		t.Fatal(err)
 	}
-	return WrapSession(s, true)
+	return WrapSession(s, true), stop
 }
 
 // backends returns a named executor of every kind over the same encoding.

@@ -28,7 +28,7 @@ func FrameBench(n int) (func() error, error) {
 		buf, _ = appendRequestFrame(buf[:0], cod, 1, &req)
 		rd.Reset(buf)
 		br.Reset(&rd)
-		dec, err := readRequestFrame[uint64](br, cod, n)
+		dec, err := readRequestFrame[uint64](br, cod, n, nil)
 		if err != nil {
 			return err
 		}

@@ -63,6 +63,7 @@ func (s *DeviceServer[E]) handleConn(conn net.Conn) {
 	defer s.connsOpen.Add(-1)
 	w := newWireWriter(conn, s.timeout, s.flushHist)
 	defer w.close()
+	free := newSlabs[E](s.cod)
 	var handlers sync.WaitGroup
 	defer handlers.Wait()
 	for {
@@ -74,7 +75,7 @@ func (s *DeviceServer[E]) handleConn(conn net.Conn) {
 			return
 		default:
 		}
-		req, err := readRequestFrame[E](br, s.cod, s.maxElements)
+		req, err := readRequestFrame[E](br, s.cod, s.maxElements, free)
 		if err != nil {
 			var ne net.Error
 			if !errors.Is(err, io.EOF) && !(errors.As(err, &ne) && ne.Timeout()) && !peerClosed(err) {
@@ -90,13 +91,16 @@ func (s *DeviceServer[E]) handleConn(conn net.Conn) {
 		go func() {
 			defer handlers.Done()
 			defer s.streamsOpen.Add(-1)
-			s.handleWire(w, req)
+			s.handleWire(w, free, req)
 		}()
 	}
 }
 
-// handleWire serves one decoded request frame end to end.
-func (s *DeviceServer[E]) handleWire(w *wireWriter, req request[E]) {
+// handleWire serves one decoded request frame end to end. Once its response
+// frame is written (copied into the batcher's buffer, or on the socket), the
+// request's operand and vector reply go back to free for the connection's
+// next requests.
+func (s *DeviceServer[E]) handleWire(w *wireWriter, free *slabs[E], req request[E]) {
 	start := time.Now()
 	kind := opToKind(req.op)
 	ctx, bag, sp := s.startServerSpan(kind, req.tp)
@@ -112,7 +116,7 @@ func (s *DeviceServer[E]) handleWire(w *wireWriter, req request[E]) {
 			s.installBlock(req.m)
 		}
 	case req.op == opCompute:
-		resp.y, resp.err = s.mulVec(ctx, bag, req.x)
+		resp.y, resp.err = s.mulVec(ctx, bag, req.x, free)
 	case req.op == opComputeBatch:
 		resp.m, resp.err = s.mulMat(ctx, bag, req.m)
 	}
@@ -126,7 +130,85 @@ func (s *DeviceServer[E]) handleWire(w *wireWriter, req request[E]) {
 		resp.spans = bag.spans
 	}
 	written, _ := writeResponseFrame(w, s.cod, req.stream, req.op, &resp)
+	free.release(&req, &resp)
 	recordServer(s.metrics, kind, time.Since(start), req.size, written, errored)
+}
+
+// slabs are one connection's free lists of element slabs. A compute's
+// operand (x, or a batch's X) is read into a slab from in and a vector reply
+// is computed into one from out; release hands both back once the response
+// frame is written, so a steady stream of requests decodes and answers
+// without allocating. A store's slab never enters a list: it becomes the
+// device's block. The lists are buffered channels, so taking or returning a
+// slab allocates nothing.
+type slabs[E comparable] struct {
+	in, out chan []E
+	// retain is the largest slab kept, in elements: a wide batch's operand
+	// is not worth holding for the connection's lifetime.
+	retain int
+}
+
+// freeSlabs is each list's capacity: how many of one connection's requests
+// in flight at once keep their slabs for the requests after them. A slab
+// returned to a full list is dropped.
+const freeSlabs = 16
+
+func newSlabs[E comparable](cod elemCodec) *slabs[E] {
+	return &slabs[E]{
+		in:     make(chan []E, freeSlabs),
+		out:    make(chan []E, freeSlabs),
+		retain: wireWriterBuf / cod.size,
+	}
+}
+
+// operand returns a slab of n elements for a compute's input; a nil s (a
+// decoder with no connection behind it) allocates one.
+func (s *slabs[E]) operand(n int) []E {
+	if s == nil {
+		return make([]E, n)
+	}
+	return reuse(s.in, n)
+}
+
+// reply returns a slab of n elements for a vector compute's result.
+func (s *slabs[E]) reply(n int) []E { return reuse(s.out, n) }
+
+// release hands back a served request's operand and vector reply.
+func (s *slabs[E]) release(req *request[E], resp *response[E]) {
+	switch req.op {
+	case opCompute:
+		s.keep(s.in, req.x)
+		s.keep(s.out, resp.y)
+	case opComputeBatch:
+		if req.m != nil {
+			s.keep(s.in, req.m.RowsView(0, req.m.Rows()))
+		}
+	}
+}
+
+// keep returns b to list unless it is empty or too large to hold, or the
+// list is full.
+func (s *slabs[E]) keep(list chan []E, b []E) {
+	if cap(b) == 0 || cap(b) > s.retain {
+		return
+	}
+	select {
+	case list <- b:
+	default:
+	}
+}
+
+// reuse takes a free slab with room for n elements from list, or allocates
+// one; a free slab too small for n is dropped.
+func reuse[E comparable](list chan []E, n int) []E {
+	select {
+	case b := <-list:
+		if cap(b) >= n {
+			return b[:n]
+		}
+	default:
+	}
+	return make([]E, n)
 }
 
 // writeResponseFrame appends one response frame:

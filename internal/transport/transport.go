@@ -334,8 +334,9 @@ func (s *DeviceServer[E]) installBlock(block *matrix.Dense[E]) {
 }
 
 // mulVec validates and executes one vector compute against the stored
-// block, returning the result or the remote-error string.
-func (s *DeviceServer[E]) mulVec(ctx context.Context, bag *spanBag, x []E) ([]E, string) {
+// block, computing into a reply slab from free, and returns the result or
+// the remote-error string.
+func (s *DeviceServer[E]) mulVec(ctx context.Context, bag *spanBag, x []E, free *slabs[E]) ([]E, string) {
 	s.mu.Lock()
 	block := s.block
 	s.mu.Unlock()
@@ -345,9 +346,10 @@ func (s *DeviceServer[E]) mulVec(ctx context.Context, bag *spanBag, x []E) ([]E,
 	if len(x) != block.Cols() {
 		return nil, fmt.Sprintf("compute: x has %d entries, coded rows have %d columns", len(x), block.Cols())
 	}
+	y := free.reply(block.Rows())
 	csp := s.startComputeSpan(ctx, bag, "vec")
 	sp := obs.StartStage(s.metrics, obs.StageCompute)
-	y := matrix.MulVec(s.f, block, x)
+	matrix.MulVecInto(s.f, block, x, y)
 	sp.End()
 	csp.End()
 	bag.add(csp)

@@ -280,8 +280,10 @@ func readServerHello(r io.Reader, wantCode byte) error {
 // io.EOF before the first header byte surfaces unchanged so callers can
 // distinguish clean connection teardown. The request comes back by value:
 // the server hands it to its handler goroutine as a copy, not as a
-// per-frame heap object.
-func readRequestFrame[E comparable](br *bufio.Reader, cod elemCodec, maxElements int) (request[E], error) {
+// per-frame heap object. A compute's operand is read into a slab from free
+// (nil allocates one); a store's block always gets a fresh slab, since it
+// outlives the request.
+func readRequestFrame[E comparable](br *bufio.Reader, cod elemCodec, maxElements int, free *slabs[E]) (request[E], error) {
 	var req request[E]
 	var hdr [frameOverhead]byte
 	if err := readFull(br, hdr[:1]); err != nil {
@@ -348,7 +350,8 @@ func readRequestFrame[E comparable](br *bufio.Reader, cod elemCodec, maxElements
 		return err
 	}
 	// slab validates total elements against the remaining payload and the
-	// device cap, then reads them zero-copy into a fresh slab. what names the
+	// device cap, then reads them zero-copy into a slab: a fresh one for a
+	// store's block, one from free for a compute's operand. what names the
 	// operand ("compute: x") for the over-cap message, which is only built
 	// when the cap is exceeded.
 	slab := func(total uint64, what string) ([]E, error) {
@@ -359,7 +362,12 @@ func readRequestFrame[E comparable](br *bufio.Reader, cod elemCodec, maxElements
 			req.capErr = fmt.Sprintf("%s of %d elements exceeds the device cap of %d", what, total, maxElements)
 			return nil, drain()
 		}
-		dst := make([]E, total)
+		var dst []E
+		if req.op == opStore {
+			dst = make([]E, total)
+		} else {
+			dst = free.operand(int(total))
+		}
 		if err := readElems(br, dst, cod.size); err != nil {
 			return nil, fmt.Errorf("transport: read elements: %w", err)
 		}

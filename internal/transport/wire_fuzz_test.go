@@ -52,10 +52,13 @@ func FuzzWireFrame(f *testing.F) {
 	}
 	cod, _ := codecFor[uint64]()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Request decoder: consume frames until the stream errors or dries up.
+		// Request decoder: consume frames until the stream errors or dries
+		// up, recycling operands through a free list as a device connection
+		// does, so later frames decode into reused slabs.
 		br := bufio.NewReader(bytes.NewReader(data))
+		free := newSlabs[uint64](cod)
 		for i := 0; i < 16; i++ {
-			req, err := readRequestFrame[uint64](br, cod, fuzzMaxElements)
+			req, err := readRequestFrame[uint64](br, cod, fuzzMaxElements, free)
 			if err != nil {
 				break
 			}
@@ -68,6 +71,7 @@ func FuzzWireFrame(f *testing.F) {
 			if req.m != nil && req.m.Rows()*req.m.Cols() > fuzzMaxElements {
 				t.Fatal("matrix over the element cap")
 			}
+			free.release(&req, &response[uint64]{})
 		}
 		// Response decoder over the same bytes.
 		br = bufio.NewReader(bytes.NewReader(data))
