@@ -73,10 +73,9 @@ func (h *collusionFleet[E]) failFirstReplicas() {
 // pin: the same t = 2 deployment inputs must answer identically — and match
 // the plaintext product — over the local kernels, the virtual-clock
 // simulator, and the replicated TCP fleet, including after the first replica
-// of every block is killed mid-session. tier builds the deployment options
-// selecting the collusion code (WithCollusion for the solved tiers, WithCode
-// for a hand-built layout) and wantAlg names the expected plan algorithm.
-func collusionBackendsAgree[E comparable](t *testing.T, f scec.Field[E], tier func() []scec.DeployOption[E], wantAlg string) {
+// of every block is killed mid-session. WithCollusion(2) plans the layout
+// with the TACollusion sweep.
+func collusionBackendsAgree[E comparable](t *testing.T, f scec.Field[E]) {
 	const m, l, tc = 18, 6, 2
 	costs := []float64{1.4, 0.8, 2.1, 1.0, 3.2, 0.9, 1.7, 2.6, 1.2, 1.9, 2.3, 0.95, 3.0, 1.6, 2.8, 1.05, 2.2, 1.8, 0.85, 2.9, 1.35}
 	newRng := func() *rand.Rand { return rand.New(rand.NewPCG(41, 97)) }
@@ -98,8 +97,7 @@ func collusionBackendsAgree[E comparable](t *testing.T, f scec.Field[E], tier fu
 		t.Run(tb.name, func(t *testing.T) {
 			// Same seed stream per backend: identical plan, Cauchy coding,
 			// and random rows, so answers must be bit-identical.
-			opts := append(tier(), scec.WithExecutor(tb.backend))
-			dep, err := scec.Deploy(f, a, costs, newRng(), opts...)
+			dep, err := scec.Deploy(f, a, costs, newRng(), scec.WithCollusion[E](tc), scec.WithExecutor(tb.backend))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,8 +105,8 @@ func collusionBackendsAgree[E comparable](t *testing.T, f scec.Field[E], tier fu
 			if dep.Code.T() != tc || dep.Code.Name() != "collusion" {
 				t.Fatalf("deployed code %q with t = %d, want collusion t = %d", dep.Code.Name(), dep.Code.T(), tc)
 			}
-			if dep.Plan.Algorithm != wantAlg {
-				t.Fatalf("plan algorithm %q, want %q", dep.Plan.Algorithm, wantAlg)
+			if dep.Plan.Algorithm != "TAt" {
+				t.Fatalf("plan algorithm %q, want TAt", dep.Plan.Algorithm)
 			}
 			if dep.Scheme != nil {
 				t.Fatal("collusion deployments must not expose an Eq. (8) scheme")
@@ -154,40 +152,14 @@ func collusionBackendsAgree[E comparable](t *testing.T, f scec.Field[E], tier fu
 	}
 }
 
-// solvedTier deploys through the TACollusion allocator at t = 2.
-func solvedTier[E comparable]() []scec.DeployOption[E] {
-	return []scec.DeployOption[E]{scec.WithCollusion[E](2)}
-}
-
 // TestCollusionBackendsAgreePrime runs the differential over F_{2^61-1}.
 func TestCollusionBackendsAgreePrime(t *testing.T) {
-	collusionBackendsAgree(t, scec.PrimeField(), solvedTier[uint64], "TAt")
+	collusionBackendsAgree(t, scec.PrimeField())
 }
 
 // TestCollusionBackendsAgreeGF256 runs the differential over GF(2^8).
 func TestCollusionBackendsAgreeGF256(t *testing.T) {
-	collusionBackendsAgree(t, scec.GF256Field(), solvedTier[byte], "TAt")
-}
-
-// TestCollusionBackendsAgreeReal runs the differential over float64 through
-// the WithCode tier: the Cauchy coefficient matrix is ill-conditioned in
-// floating point for wide per-device layouts (see DESIGN.md §13), so the
-// real-field deployment hand-picks the w = 1 layout (r = 2, one row per
-// device), which decodes to ~1e-13. The backends share every kernel path, so
-// even floating point stays bit-identical across them.
-func TestCollusionBackendsAgreeReal(t *testing.T) {
-	f := scec.RealField(1e-6)
-	collusionBackendsAgree(t, f, func() []scec.DeployOption[float64] {
-		rows, r, err := scec.CollusionRows(18, 2, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		code, err := scec.NewCollusionScheme(f, 18, r, 2, rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return []scec.DeployOption[float64]{scec.WithCode[float64](code)}
-	}, "custom")
+	collusionBackendsAgree(t, scec.GF256Field())
 }
 
 // TestServeCollusionSurvivesReplicaLoss runs the public fault-tolerant Serve

@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"net/http"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -53,11 +52,11 @@ type Deployment[E comparable] struct {
 	// WithCollusion).
 	Plan Plan
 	// Code is the deployed coding design — the Eq. (8) scheme by default,
-	// the Cauchy t-collusion design under WithCollusion, or whatever
-	// WithCode supplied. Every execution backend decodes through it.
+	// or the Cauchy t-collusion design under WithCollusion. Every execution
+	// backend decodes through it.
 	Code Code[E]
 	// Scheme is the Eq. (8) coding design for (m, Plan.R) when the default
-	// structured tier is deployed; nil under WithCollusion/WithCode. Callers
+	// structured tier is deployed; nil under WithCollusion. Callers
 	// needing scheme-specific introspection should prefer Code.
 	Scheme *Scheme
 	// Encoding holds the coded blocks, in code device order; block j
@@ -90,8 +89,10 @@ type Deployment[E comparable] struct {
 // to run them over the simulator or a real fleet instead, WithChunking to
 // split a wide matrix column-wise over several backend instances,
 // WithCoalescing to merge concurrent MulVec callers into batch rounds, and
-// WithCollusion(t) (or WithCode) to deploy the t-collusion-secure coding
-// tier instead of the single-attacker Eq. (8) scheme.
+// WithCollusion(t) to deploy the t-collusion-secure coding tier instead of
+// the single-attacker Eq. (8) scheme. Only the exact fields leave the host:
+// a RealField deployment runs on the in-process kernels, and DeployQuantized
+// serves float workloads anywhere else.
 func Deploy[E comparable](f Field[E], a *Matrix[E], unitCosts []float64, rng *rand.Rand, opts ...DeployOption[E]) (*Deployment[E], error) {
 	cfg, err := newDeployConfig(opts, false)
 	if err != nil {
@@ -119,13 +120,23 @@ func Deploy[E comparable](f Field[E], a *Matrix[E], unitCosts []float64, rng *ra
 // every executor, fleet session and control loop is created here.
 func bind[E comparable](d *Deployment[E], c deployConfig[E]) (*Deployment[E], error) {
 	// Decided on the bound code, not the option list: Serve of a collusion
-	// deployment carries no WithCollusion, and WithCode may bring any t.
+	// deployment carries no WithCollusion.
 	if c.adaptive != nil && d.Code.T() > 1 {
 		return nil, notApplicable("WithAdaptive", fmt.Sprintf("the control plane re-plans with the t = 1 allocators, and this code is secure against t = %d colluders", d.Code.T()))
 	}
 	var backend ExecutorBackend[E]
 	if c.backend != nil {
 		backend = *c.backend
+	}
+	// Definition 2's one-time pad needs uniform masks, and float64 has no
+	// uniform distribution (RealField draws Gaussian ones): float coded
+	// blocks stay on the host, where nothing is disclosed.
+	if _, float := any(*new(E)).(float64); float && backend != (ExecutorBackend[E]{}) {
+		name := "SimExecutor"
+		if backend.fleet != nil {
+			name = "FleetExecutor"
+		}
+		return nil, notApplicable(name, "a RealField deployment runs on the in-process kernels only; serve float workloads with DeployQuantized, which codes exactly over F_p")
 	}
 	var fc FleetExecutorConfig
 	if backend.fleet != nil {
@@ -261,18 +272,10 @@ func (d *Deployment[E]) bindFleet(enc *Encoding[E], fc FleetExecutorConfig, aCfg
 }
 
 // planAndCode solves the allocation and builds the coding design for the
-// selected security tier: the Eq. (8) scheme under TA1 by default, the
+// selected security tier: the Eq. (8) scheme under TA1 by default, or the
 // Cauchy design under the coalition-aware TACollusion sweep for
-// WithCollusion(t), or a caller-built code mapped onto the cheapest devices
-// for WithCode.
+// WithCollusion(t).
 func planAndCode[E comparable](f Field[E], a *Matrix[E], unitCosts []float64, cfg deployConfig[E]) (Plan, Code[E], error) {
-	if cfg.code != nil {
-		plan, err := customCodePlan(a.Rows(), unitCosts, cfg.code)
-		if err != nil {
-			return Plan{}, nil, err
-		}
-		return plan, cfg.code, nil
-	}
 	allocate := obs.StartStage(nil, obs.StageAllocate)
 	defer allocate.End()
 	if t := cfg.collusionT; t > 0 {
@@ -303,36 +306,6 @@ func planAndCode[E comparable](f Field[E], a *Matrix[E], unitCosts []float64, cf
 		return Plan{}, nil, fmt.Errorf("scec: plan selects %d devices but scheme needs %d", plan.I, code.Devices())
 	}
 	return plan, code, nil
-}
-
-// customCodePlan reports a WithCode deployment as a Plan: coded block j goes
-// to the j-th cheapest device, so the assignment order matches the code's
-// device order exactly as it does for the solved tiers.
-func customCodePlan[E comparable](m int, unitCosts []float64, code Code[E]) (Plan, error) {
-	if code.M() != m {
-		return Plan{}, fmt.Errorf("scec: code expects m = %d rows, matrix has %d", code.M(), m)
-	}
-	n := code.Devices()
-	if n > len(unitCosts) {
-		return Plan{}, fmt.Errorf("scec: code spans %d devices, only %d costs given", n, len(unitCosts))
-	}
-	in := Instance{M: m, Costs: unitCosts}
-	if err := in.Validate(); err != nil {
-		return Plan{}, fmt.Errorf("scec: allocate: %w", err)
-	}
-	order := make([]int, len(unitCosts))
-	for j := range order {
-		order[j] = j
-	}
-	sort.SliceStable(order, func(a, b int) bool { return unitCosts[order[a]] < unitCosts[order[b]] })
-	assignments := make([]Assignment, n)
-	cost := 0.0
-	for j := 0; j < n; j++ {
-		rows := code.RowsOn(j)
-		assignments[j] = Assignment{Device: order[j], Rows: rows}
-		cost += float64(rows) * unitCosts[order[j]]
-	}
-	return Plan{Algorithm: "custom", R: code.R(), I: n, Assignments: assignments, Cost: cost}, nil
 }
 
 // MulVec computes A·x through the deployment's execution engine — the

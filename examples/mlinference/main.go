@@ -2,10 +2,13 @@
 // pre-trained model layer y = W·x is evaluated on edge devices without
 // revealing the weights W to any of them.
 //
-// The example builds a small two-layer network over float64, deploys each
-// layer's weight matrix as a secure coded computation, and runs a batch of
-// inference requests through the fleet, comparing every activation with a
-// local plaintext forward pass.
+// The example builds a small two-layer network over float64 and deploys each
+// layer's weight matrix with DeployQuantized: weights and activations are
+// embedded as fixed-point residues and coded exactly over F_p, so the masks
+// are uniform and Definition 2 holds verbatim. It runs a batch of inference
+// requests through the deployments and checks every secure product against
+// the plaintext float product of the same input, within the quantizer's
+// stated bound; it exits non-zero if any product exceeds it.
 package main
 
 import (
@@ -17,15 +20,20 @@ import (
 	"github.com/scec/scec"
 )
 
+// fracBits is the fixed-point precision of weights and activations.
+const fracBits = 20
+
 // layer is one dense layer with a secure deployment of its weights.
 type layer struct {
-	dep  *scec.Deployment[float64]
-	w    *scec.Matrix[float64] // plaintext copy, used only for verification
-	bias []float64
+	dep   *scec.QuantizedDeployment
+	w     *scec.Matrix[float64] // plaintext copy, used only for verification
+	bias  []float64
+	maxX  float64 // bound on every input entry; a larger one only tightens the check
+	worst float64 // largest |secure − plaintext| over every product so far
 }
 
 func main() {
-	f := scec.RealField(1e-6)
+	f := scec.RealField(0) // the plaintext reference
 	rng := rand.New(rand.NewPCG(42, 7))
 
 	const (
@@ -49,11 +57,13 @@ func main() {
 		{Storage: 0.12, Add: 0.05, Mul: 0.14, Comm: 3.0},
 	}
 
-	l1, err := deployLayer(f, rng, hiddenDim, inputDim, fleet)
+	// Inputs are standard normals; hidden activations are sums of 32
+	// weight·input products plus a bias, comfortably inside ±64.
+	l1, err := deployLayer(f, rng, hiddenDim, inputDim, 8, fleet)
 	if err != nil {
 		log.Fatal(err)
 	}
-	l2, err := deployLayer(f, rng, outputDim, hiddenDim, fleet)
+	l2, err := deployLayer(f, rng, outputDim, hiddenDim, 64, fleet)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,54 +75,55 @@ func main() {
 	for b := 0; b < batch; b++ {
 		x := scec.RandomVector(f, rng, inputDim)
 
-		// Secure forward pass: each layer's mat-vec runs on the fleet.
-		h, err := l1.forward(x)
+		// Secure forward pass: each layer's mat-vec runs on the coded
+		// deployment and is checked against W·x in float64.
+		h, err := l1.forward(f, x)
 		if err != nil {
 			log.Fatal(err)
 		}
 		relu(h)
-		y, err := l2.forward(h)
+		y, err := l2.forward(f, h)
 		if err != nil {
 			log.Fatal(err)
 		}
-
-		// Plaintext reference forward pass.
-		hRef := scec.MulVec(f, l1.w, x)
-		addBias(hRef, l1.bias)
-		relu(hRef)
-		yRef := scec.MulVec(f, l2.w, hRef)
-		addBias(yRef, l2.bias)
-
-		for i := range y {
-			if math.Abs(y[i]-yRef[i]) > 1e-6 {
-				log.Fatalf("request %d: logit %d differs: %g vs %g", b, i, y[i], yRef[i])
-			}
-		}
 		fmt.Printf("request %d: %d logits verified (argmax %d)\n", b, len(y), argmax(y))
 	}
-	fmt.Println("all inference requests matched the plaintext forward pass")
+	for i, l := range []*layer{l1, l2} {
+		fmt.Printf("layer %d: worst |error| %.3g, bound l·((maxA+maxX)·δ + δ²) = %.3g at %d fractional bits\n",
+			i+1, l.worst, l.dep.ErrorBound(l.maxX), fracBits)
+	}
+	fmt.Println("every secure product stayed within the fixed-point bound of the plaintext one")
 }
 
-func deployLayer(f scec.Field[float64], rng *rand.Rand, rows, cols int, fleet []scec.CostComponents) (*layer, error) {
+func deployLayer(f scec.Field[float64], rng *rand.Rand, rows, cols int, maxX float64, fleet []scec.CostComponents) (*layer, error) {
 	costs, err := scec.UnitCosts(cols, fleet)
 	if err != nil {
 		return nil, err
 	}
 	w := scec.RandomMatrix(f, rng, rows, cols)
-	dep, err := scec.Deploy(f, w, costs, rng)
+	dep, err := scec.DeployQuantized(w, fracBits, maxX, costs, rng)
 	if err != nil {
 		return nil, err
 	}
 	bias := scec.RandomVector(f, rng, rows)
-	return &layer{dep: dep, w: w, bias: bias}, nil
+	return &layer{dep: dep, w: w, bias: bias, maxX: maxX}, nil
 }
 
-// forward computes W·x on the fleet, then adds the bias locally (the bias is
-// small and need not be offloaded).
-func (l *layer) forward(x []float64) ([]float64, error) {
+// forward computes W·x on the coded deployment, checks it against the
+// plaintext product of the same input, then adds the bias locally (the bias
+// is small and need not be offloaded).
+func (l *layer) forward(f scec.Field[float64], x []float64) ([]float64, error) {
 	y, err := l.dep.MulVec(x)
 	if err != nil {
 		return nil, err
+	}
+	bound := l.dep.ErrorBound(l.maxX)
+	for i, want := range scec.MulVec(f, l.w, x) {
+		d := math.Abs(y[i] - want)
+		if d > bound {
+			return nil, fmt.Errorf("entry %d: secure %g, plaintext %g: error %g exceeds the bound %g", i, y[i], want, d, bound)
+		}
+		l.worst = max(l.worst, d)
 	}
 	addBias(y, l.bias)
 	return y, nil

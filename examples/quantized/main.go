@@ -73,6 +73,7 @@ func main() {
 	}
 	fmt.Printf("worst |error| over %d queries:\n", queries)
 	fmt.Printf("  float coding:     %.3g (float64 rounding through mask add/subtract)\n", worstFloat)
-	fmt.Printf("  quantized coding: %.3g (pure fixed-point quantization at %d fractional bits)\n", worstQuant, fracBits)
+	fmt.Printf("  quantized coding: %.3g (pure fixed-point quantization at %d fractional bits; bound %.3g)\n",
+		worstQuant, fracBits, quantDep.ErrorBound(8))
 	fmt.Println("the quantized pipeline's coding layer is exact: its only error is the fixed-point embedding")
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/scec/scec/internal/adapt"
-	"github.com/scec/scec/internal/coding"
 	"github.com/scec/scec/internal/engine"
 	"github.com/scec/scec/internal/obs"
 	"github.com/scec/scec/internal/sim"
@@ -82,10 +81,9 @@ func FleetExecutor[E comparable](cfg FleetExecutorConfig) ExecutorBackend[E] {
 type deployConfig[E comparable] struct {
 	backend    *ExecutorBackend[E] // nil until WithExecutor (Deploy defaults to local)
 	opts       engine.Options
-	adaptive   *adapt.Config  // non-nil when WithAdaptive was given (fleet backends only)
-	collusionT int            // > 0 when WithCollusion selected the Cauchy tier
-	code       coding.Code[E] // non-nil when WithCode supplied a prebuilt code
-	chunkCols  *int           // non-nil when WithChunking was given
+	adaptive   *adapt.Config // non-nil when WithAdaptive was given (fleet backends only)
+	collusionT int           // > 0 when WithCollusion selected the Cauchy tier
+	chunkCols  *int          // non-nil when WithChunking was given
 }
 
 // DeployOption customizes how a deployment executes queries.
@@ -164,15 +162,6 @@ func WithCollusion[E comparable](t int) DeployOption[E] {
 	return func(c *deployConfig[E]) { c.collusionT = t }
 }
 
-// WithCode deploys a caller-constructed coding design instead of solving the
-// allocation: the code fixes (m, r, per-device rows), coded block j is
-// assigned to the j-th cheapest device, and the plan is reported with
-// algorithm "custom". Use it to deploy a CollusionScheme with a hand-tuned
-// row layout, or any future Code implementation, through the same facade.
-func WithCode[E comparable](code coding.Code[E]) DeployOption[E] {
-	return func(c *deployConfig[E]) { c.code = code }
-}
-
 // WithAdaptive enables the closed-loop adaptive control plane wherever a
 // fleet is bound — Serve, or Deploy over a FleetExecutor: a background
 // controller learns per-device costs from the fleet's own query traffic,
@@ -208,12 +197,8 @@ func newDeployConfig[E comparable](opts []DeployOption[E], rebind bool) (deployC
 		return c, notApplicable("WithExecutor", "Serve executes over the fleet it is given")
 	case rebind && c.collusionT > 0:
 		return c, notApplicable("WithCollusion", fixed)
-	case rebind && c.code != nil:
-		return c, notApplicable("WithCode", fixed)
 	case rebind && c.chunkCols != nil:
 		return c, notApplicable("WithChunking", fixed+"; deploy with FleetExecutor to chunk over fleets")
-	case c.code != nil && c.collusionT > 0:
-		return c, fmt.Errorf("scec: WithCode and WithCollusion are mutually exclusive (the code fixes its own threshold)")
 	case c.adaptive != nil && !rebind && (c.backend == nil || c.backend.fleet == nil):
 		return c, notApplicable("WithAdaptive", "the control plane needs a live fleet to migrate; deploy over a FleetExecutor or use Serve")
 	case c.adaptive != nil && c.chunkCols != nil:

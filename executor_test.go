@@ -745,14 +745,6 @@ func TestOptionApplicability(t *testing.T) {
 	a := scec.RandomMatrix(f, rand.New(rand.NewPCG(3, 5)), m, l)
 	x := scec.RandomVector(f, rand.New(rand.NewPCG(7, 9)), l)
 	want := scec.MulVec(f, a, x)
-	rows, r, err := scec.CollusionRows(m, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	code, err := scec.NewCollusionScheme(f, m, r, 2, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	type opts = []scec.DeployOption[uint64]
 	entryPoints := []string{"Deploy/local", "Deploy/sim", "Deploy/fleet", "Serve"}
@@ -771,7 +763,6 @@ func TestOptionApplicability(t *testing.T) {
 		{"WithEngineMetrics", nil, opts{scec.WithEngineMetrics[uint64](obs.New())}, "----"},
 		{"WithTracing", nil, opts{scec.WithTracing[uint64](scec.NewTracer(scec.TracerOptions{}))}, "----"},
 		{"WithCollusion", nil, opts{scec.WithCollusion[uint64](2)}, planning},
-		{"WithCode", nil, opts{scec.WithCode[uint64](code)}, planning},
 		{"WithChunking", nil, opts{scec.WithChunking[uint64](4)}, planning},
 		{"WithAdaptive", nil, opts{scec.WithAdaptive[uint64](scec.AdaptiveConfig{})}, fleetOnly},
 		{"WithAdaptive with WithChunking", nil, opts{scec.WithAdaptive[uint64](scec.AdaptiveConfig{}), scec.WithChunking[uint64](4)}, never},
@@ -779,7 +770,6 @@ func TestOptionApplicability(t *testing.T) {
 		// code refuses it at every entry point — Serve included, though the
 		// deployment it re-binds carries no WithCollusion option.
 		{"WithAdaptive with WithCollusion", opts{scec.WithCollusion[uint64](2)}, opts{scec.WithAdaptive[uint64](scec.AdaptiveConfig{})}, never},
-		{"WithAdaptive with WithCode", opts{scec.WithCode[uint64](code)}, opts{scec.WithAdaptive[uint64](scec.AdaptiveConfig{})}, never},
 	}
 	for _, row := range table {
 		for col, entry := range entryPoints {
@@ -836,5 +826,74 @@ func TestOptionApplicability(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRealStaysOnHost is the float64 boundary of the one bind path. A
+// RealField deployment answers on the in-process kernels, plain or chunked,
+// within the field's tolerance. Every backend that would take its
+// Gaussian-masked blocks off the host — the simulator, a fleet, Serve —
+// refuses it with ErrOptionNotApplicable naming DeployQuantized, before
+// provisioning a single device.
+func TestRealStaysOnHost(t *testing.T) {
+	f := scec.RealField(1e-6)
+	rng := rand.New(rand.NewPCG(5, 8))
+	a := scec.RandomMatrix(f, rng, 12, 9)
+	x := scec.RandomVector(f, rng, 9)
+	want := scec.MulVec(f, a, x)
+	costs := []float64{1.2, 0.9, 1.7}
+	type opts = []scec.DeployOption[float64]
+
+	for name, o := range map[string]opts{"plain": nil, "WithChunking": {scec.WithChunking[float64](4)}} {
+		t.Run("Deploy/local/"+name, func(t *testing.T) {
+			dep, err := scec.Deploy(f, a, costs, rand.New(rand.NewPCG(1, 2)), o...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = dep.Close() })
+			if dep.Backend() != "local" {
+				t.Fatalf("backend %q, want local", dep.Backend())
+			}
+			got, err := dep.MulVec(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				if !f.Equal(got[i], want[i]) {
+					t.Fatalf("entry %d: %g, want %g", i, got[i], want[i])
+				}
+			}
+		})
+	}
+
+	local, err := scec.Deploy(f, a, costs, rand.New(rand.NewPCG(1, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = local.Close() })
+	noFleet := scec.FleetExecutorConfig{Provision: func(int) ([][]string, []string, error) {
+		t.Error("a Real deployment provisioned a fleet")
+		return nil, nil, errors.New("no fleet for Real")
+	}}
+	for name, bind := range map[string]func() (*scec.Deployment[float64], error){
+		"Deploy/sim": func() (*scec.Deployment[float64], error) {
+			return scec.Deploy(f, a, costs, rng, scec.WithExecutor(scec.SimExecutor[float64](scec.SimExecutorConfig{Metrics: obs.New()})))
+		},
+		"Deploy/fleet": func() (*scec.Deployment[float64], error) {
+			return scec.Deploy(f, a, costs, rng, scec.WithExecutor(scec.FleetExecutor[float64](noFleet)))
+		},
+		"Serve": func() (*scec.Deployment[float64], error) {
+			return scec.Serve(local, scec.FleetConfig{Replicas: make([][]string, local.Devices())})
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			h, err := bind()
+			if h != nil {
+				_ = h.Close()
+			}
+			if !errors.Is(err, scec.ErrOptionNotApplicable) || !strings.Contains(err.Error(), "DeployQuantized") {
+				t.Fatalf("err = %v, want ErrOptionNotApplicable naming DeployQuantized", err)
+			}
+		})
 	}
 }

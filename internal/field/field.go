@@ -9,8 +9,9 @@
 //   - GF256: the byte field GF(2^8) with the AES reduction polynomial, handy
 //     for compact encodings and for exhaustive security checks over a small
 //     field.
-//   - Real: float64 arithmetic with tolerance-based comparison, used by the
-//     machine-learning flavoured examples where A holds model weights.
+//   - Real: float64 arithmetic with tolerance-based comparison, the plaintext
+//     reference for float workloads. With no uniform distribution it never
+//     leaves the host; served float workloads are quantized into Prime.
 //
 // The abstraction is deliberately value-based (elements are plain comparable
 // values, operations live on the field object) so that dense linear algebra

@@ -16,9 +16,10 @@ const DefaultRealTolerance = 1e-9
 // axioms only up to rounding, and Equal/IsZero compare with an absolute
 // tolerance. The zero value uses DefaultRealTolerance.
 //
-// Real exists for the machine-learning flavoured workloads (A holds model
-// weights); the security-critical paths should prefer Prime, where "uniformly
-// random element" is well defined.
+// Real is the plaintext reference for float workloads (A holds model
+// weights). float64 has no uniform distribution, so Definition 2's masks
+// cannot be drawn over it: Real deployments stay on the host, and served
+// float workloads are quantized into Prime.
 type Real struct {
 	// Tol is the absolute tolerance for Equal and IsZero. Zero means
 	// DefaultRealTolerance.

@@ -431,6 +431,24 @@ func TestNoWireCodecFailsFast(t *testing.T) {
 	}
 }
 
+// TestFloat64HasNoWireCodec: Real deployments never leave the host, so
+// float64 is refused like any element type without a codec — by the server
+// constructor, and by a zero-value client before it dials an address nobody
+// listens on (a dial would surface "connection refused" instead).
+func TestFloat64HasNoWireCodec(t *testing.T) {
+	const want = "transport: element type float64 has no wire codec"
+	srv, err := NewDeviceServer[float64](field.Real{}, "127.0.0.1:0")
+	if err == nil {
+		_ = srv.Close()
+	}
+	if err == nil || err.Error() != want {
+		t.Fatalf("NewDeviceServer[float64] err = %v, want %q", err, want)
+	}
+	if _, err := (Client[float64]{}).Compute(t.Context(), "127.0.0.1:1", []float64{1}); err == nil || err.Error() != want {
+		t.Fatalf("Client[float64].Compute err = %v, want %q", err, want)
+	}
+}
+
 // TestTeardownDeliversEveryCall: calls sent with Go on one pooled connection
 // share one done channel. When the device drops the connection with all of
 // them in flight, teardown must deliver every one — each retried once on a

@@ -100,34 +100,6 @@ func TestEndToEndPrime(t *testing.T) {
 	}
 }
 
-func TestEndToEndReal(t *testing.T) {
-	f := field.Real{Tol: 1e-6}
-	rng := testRNG()
-	const m, l, r = 6, 3, 3
-
-	s, err := coding.New(m, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := matrix.Random[float64](f, rng, m, l)
-	enc, err := coding.Encode[float64](f, s, a, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs, _ := startFleet[float64](t, f, s.Devices())
-	if err := (Cloud[float64]{}).Distribute(t.Context(), addrs, enc); err != nil {
-		t.Fatal(err)
-	}
-	x := matrix.RandomVec[float64](f, rng, l)
-	got, err := userMulVec(t.Context(), Client[float64]{F: f}, coding.BindScheme(f, s), addrs, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := matrix.MulVec[float64](f, a, x); !matrix.VecEqual[float64](f, got, want) {
-		t.Fatal("TCP pipeline (real field) decoded the wrong result")
-	}
-}
-
 func TestComputeBeforeStoreFails(t *testing.T) {
 	f := field.Prime{}
 	s, err := coding.New(4, 2)

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 	"unsafe"
 
@@ -99,10 +98,11 @@ type elemCodec struct {
 	size int  // bytes per element
 }
 
-// codecFor resolves the wire codec for E. The three concrete element
-// types of the repo's fields (Prime → uint64, GF256 → byte, Real →
-// float64) are supported; anything else is an error, reported by the
-// server constructor and by a client's first request before any dial.
+// codecFor resolves the wire codec for E. The element types of the exact
+// fields (Prime → uint64, GF256 → byte) are supported; anything else —
+// float64 included, since Real deployments never leave the host — is an
+// error, reported by the server constructor and by a client's first request
+// before any dial.
 func codecFor[E comparable]() (elemCodec, error) {
 	var z E
 	switch any(z).(type) {
@@ -110,8 +110,6 @@ func codecFor[E comparable]() (elemCodec, error) {
 		return elemCodec{code: 1, size: 8}, nil
 	case byte:
 		return elemCodec{code: 2, size: 1}, nil
-	case float64:
-		return elemCodec{code: 3, size: 8}, nil
 	}
 	return elemCodec{}, fmt.Errorf("transport: element type %T has no wire codec", z)
 }
@@ -142,10 +140,6 @@ func elemWireBytes[E comparable](s []E, size int) []byte {
 		}
 	case []byte:
 		copy(buf, v)
-	case []float64:
-		for i, e := range v {
-			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(e))
-		}
 	}
 	return buf
 }
@@ -172,10 +166,6 @@ func readElems[E comparable](r io.Reader, dst []E, size int) error {
 		}
 	case []byte:
 		copy(v, buf)
-	case []float64:
-		for i := range v {
-			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-		}
 	}
 	return nil
 }

@@ -310,14 +310,12 @@ func diffLoopbackLocal[E comparable](t *testing.T, f field.Field[E]) {
 	sameMat(t, "MulMat", gotM, wantM)
 }
 
-// TestProtocolsBitIdentical covers all three concrete element types; the
-// comparisons are exact (==), not tolerance-based, pinning that the wire
-// moves identical bits end to end. The in-process kernels are the
-// reference.
+// TestProtocolsBitIdentical covers both element types with a wire codec;
+// the comparisons are exact (==), pinning that the wire moves identical bits
+// end to end. The in-process kernels are the reference.
 func TestProtocolsBitIdentical(t *testing.T) {
 	t.Run("prime", func(t *testing.T) { diffLoopbackLocal[uint64](t, field.Prime{}) })
 	t.Run("gf256", func(t *testing.T) { diffLoopbackLocal[byte](t, field.GF256{}) })
-	t.Run("real", func(t *testing.T) { diffLoopbackLocal[float64](t, field.Real{Tol: 1e-9}) })
 }
 
 // TestV3RemoteErrorStrings pins every validation failure a client can see

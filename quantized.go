@@ -3,6 +3,7 @@ package scec
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"github.com/scec/scec/internal/quant"
@@ -55,6 +56,17 @@ func DeployQuantized(a *Matrix[float64], fracBits uint, maxX float64, unitCosts 
 		return nil, err
 	}
 	return &QuantizedDeployment{Deployment: dep, q: q, l: a.Cols(), maxA: maxA}, nil
+}
+
+// ErrorBound is the worst-case |error| of one entry of MulVec or MulMat
+// against the float product, for inputs whose entries are at most maxX in
+// absolute value. Rounding puts every operand within δ = 2^−(fracBits+1) of
+// its value, and the coding adds nothing, so a length-l dot product is off by
+// at most l·((maxA+maxX)·δ + δ²), where maxA is the largest |entry| of A. The
+// float reference's own rounding comes on top.
+func (d *QuantizedDeployment) ErrorBound(maxX float64) float64 {
+	delta := math.Ldexp(1, -int(d.q.FracBits)-1)
+	return float64(d.l) * ((d.maxA+maxX)*delta + delta*delta)
 }
 
 // MulVec computes A·x through the fleet: x is quantized, the exact coded

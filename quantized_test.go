@@ -36,6 +36,37 @@ func TestDeployQuantizedEndToEnd(t *testing.T) {
 	}
 }
 
+// TestQuantizedErrorBound: entries just short of a rounding tie all round
+// the same way, which is the worst case ErrorBound describes — the error
+// lands within 1 % of the bound and never past it.
+func TestQuantizedErrorBound(t *testing.T) {
+	const l, fracBits = 16, 8
+	e := 0.999 * math.Ldexp(1, -fracBits-1) // rounds down to the grid
+	a := NewMatrix[float64](6, l)
+	x := make([]float64, l)
+	for j := range x {
+		x[j] = 2 + e
+		for i := 0; i < a.Rows(); i++ {
+			a.Set(i, j, 1+e)
+		}
+	}
+	dep, err := DeployQuantized(a, fracBits, 2+e, []float64{1, 1, 1}, testRNG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+	got, err := dep.MulVec(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := dep.ErrorBound(2 + e)
+	for i, y := range got {
+		if d := math.Abs(y - l*(1+e)*(2+e)); d > bound || d < 0.99*bound {
+			t.Fatalf("entry %d: error %g against a bound of %g", i, d, bound)
+		}
+	}
+}
+
 func TestDeployQuantizedMulMat(t *testing.T) {
 	rng := testRNG()
 	fR := RealField(0)

@@ -44,8 +44,9 @@ import (
 )
 
 // Field is the arithmetic abstraction all coding runs over. Prime (exact,
-// information-theoretically secure) is the recommended default; Real exists
-// for ML-style workloads and GF256 for compact byte-level coding.
+// information-theoretically secure) is the recommended default and GF256
+// serves compact byte-level coding; both deploy on every backend. Real
+// deployments never leave the host (see RealField).
 type Field[E comparable] = field.Field[E]
 
 // Matrix is a dense row-major matrix over field elements E.
@@ -72,8 +73,7 @@ type Scheme = coding.Scheme
 // design satisfies: encode/decode (vector and batch), the per-device row
 // layout, the recoverability threshold K, and the security level T. The
 // Eq. (8) scheme (T = 1) and the Cauchy collusion design (arbitrary T)
-// both implement it; Deploy selects between them via WithCollusion, and
-// WithCode accepts any implementation.
+// both implement it; Deploy selects between them via WithCollusion.
 type Code[E comparable] = coding.Code[E]
 
 // Encoding holds the per-device coded blocks B_j·T produced by Encode.
@@ -91,7 +91,9 @@ func PrimeField() Field[uint64] { return field.Prime{} }
 func GF256Field() Field[byte] { return field.GF256{} }
 
 // RealField returns float64 arithmetic with tolerance tol for comparisons
-// (0 selects a default of 1e-9).
+// (0 selects a default of 1e-9): the plaintext reference for float
+// workloads. Its masks are not uniform, so a RealField deployment runs on the
+// in-process kernels only; DeployQuantized serves float workloads anywhere.
 func RealField(tol float64) Field[float64] { return field.Real{Tol: tol} }
 
 // NewMatrix returns a zeroed rows×cols matrix.
@@ -182,25 +184,11 @@ func VerifyScheme[E comparable](f Field[E], s *Scheme) error {
 
 // NewCollusionScheme builds the t-collusion-resistant extension for the
 // given per-device row counts (rows must sum to m+r and any t devices may
-// hold at most r rows combined). The result is a Code: pass it to Deploy
-// via WithCode, or let Deploy solve the row layout itself via
-// WithCollusion. See CollusionRows for a feasible uniform layout helper.
+// hold at most r rows combined). The result is a Code to encode and decode
+// with directly; to deploy the tier, pass WithCollusion to Deploy, which
+// solves the row layout itself.
 func NewCollusionScheme[E comparable](f Field[E], m, r, t int, rows []int) (*CollusionScheme[E], error) {
 	return coding.NewCollusion(f, m, r, t, rows)
-}
-
-// NewStructuredCode binds the Eq. (8) scheme for (m, r) to a concrete field
-// as a Code — the same design Deploy uses by default, in the form WithCode
-// and the engine layers accept.
-func NewStructuredCode[E comparable](f Field[E], m, r int) (Code[E], error) {
-	return coding.NewStructured(f, m, r)
-}
-
-// CollusionRows returns a feasible uniform per-device row layout for the
-// collusion design: w rows per device with r = t·w, so any t devices hold
-// at most r rows. It returns the per-device counts and r.
-func CollusionRows(m, t, w int) (rows []int, r int, err error) {
-	return coding.UniformCollusionRows(m, t, w)
 }
 
 // PolyMaskScheme is the polynomial-masking (Shamir-style) comparison design

@@ -47,8 +47,9 @@ type Served[E comparable] = Deployment[E]
 // dep's plan, code and encoding and owns its own engine and session.
 // Options tune the engine layer (WithCoalescing, WithEngineMetrics,
 // WithTracing) or add the control plane (WithAdaptive); those that would
-// have shaped what dep already fixed (WithExecutor, WithCollusion, WithCode,
-// WithChunking) fail with ErrOptionNotApplicable.
+// have shaped what dep already fixed (WithExecutor, WithCollusion,
+// WithChunking) fail with ErrOptionNotApplicable, and so does a RealField
+// deployment, which never leaves the host.
 //
 // Replicating a block does not weaken the paper's Definition 2 security:
 // every replica of block j stores exactly B_j·T, the per-device view already
