@@ -64,7 +64,10 @@ func FuzzPrimeArithmetic(fz *testing.F) {
 // FuzzPrimeDotVec cross-checks the raw-accumulation dot product against the
 // element-wise Mul/Add loop. The input bytes become two vectors of canonical
 // residues (16 bytes per element pair, each word reduced mod p); the seeds
-// are the all-(p−1) vectors at every edge of DotVec's 64-element block.
+// are the all-(p−1) vectors at every edge of DotVec's 64-element block. Both
+// block loops — dotBlock, in assembly on amd64, and the Go dotBlockGeneric —
+// are also checked on the first block, so the Go loop stays fuzzed on hosts
+// that never run it through DotVec.
 func FuzzPrimeDotVec(fz *testing.F) {
 	worst := binary.LittleEndian.AppendUint64(nil, Modulus-1)
 	for _, n := range []int{0, 1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129} {
@@ -83,6 +86,17 @@ func FuzzPrimeDotVec(fz *testing.F) {
 		}
 		if got := f.DotVec(a, x); got != want {
 			t.Fatalf("DotVec(len %d) = %d, want %d", n, got, want)
+		}
+		k := min(n, dotBlockLen)
+		var wantBlock uint64
+		for i := range k {
+			wantBlock = f.Add(wantBlock, f.Mul(a[i], x[i]))
+		}
+		if got := dotBlock(a[:k], x[:k]); got != wantBlock {
+			t.Fatalf("dotBlock(len %d) = %d, want %d", k, got, wantBlock)
+		}
+		if got := dotBlockGeneric(a[:k], x[:k]); got != wantBlock {
+			t.Fatalf("dotBlockGeneric(len %d) = %d, want %d", k, got, wantBlock)
 		}
 	})
 }

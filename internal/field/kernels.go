@@ -13,6 +13,14 @@ import "math/bits"
 // float64 operations in the identical order (no fused multiply-add, no
 // reassociation), so every kernel path is bit-compatible with the generic
 // one.
+//
+// One loop sits below Go: the F_p dot product's 64-element block, which is
+// the multiply-add the paper's cost model prices and most of a device's
+// compute. On amd64 dotBlock runs it in assembly (dot_amd64.s), where each
+// element is one MULQ from memory into the same two 128-bit pairs the Go
+// loop uses; the Go loop, dotBlockGeneric, is the path on every other
+// GOARCH and the reference the assembly is tested against. Both return the
+// same canonical residue.
 
 // reduce128 reduces the 128-bit value hi·2^64 + lo modulo 2^61 − 1 to the
 // canonical representative in [0, p). Because 2^61 ≡ 1 (mod p), the value
@@ -32,10 +40,11 @@ func reduce128(hi, lo uint64) uint64 {
 // canonical residue, so the pair cannot overflow — and reduce once.
 func (Prime) Reduce128(hi, lo uint64) uint64 { return reduce128(hi, lo) }
 
-// dotBlockLen is the most elements dotBlock takes at once. Its two 128-bit
-// (hi, lo) accumulator pairs each absorb every other raw product, so 32 per
-// pair; a product of canonical residues is at most (p−1)² < 2^122, 32 of
-// them sum to less than 2^127, and neither pair can overflow.
+// dotBlockLen is the most elements dotBlock takes at once. A product of
+// canonical residues is at most (p−1)² < 2^122, so a 128-bit (hi, lo) pair
+// overflows only past 64 of them. Both block loops split a block over two
+// pairs — the Go loop 32 and 32, the assembly at most 33 and 31 — so
+// neither pair comes near that.
 const dotBlockLen = 64
 
 // DotVec returns Σ a[i]·x[i] mod p over min(len(a), len(x)) elements of
@@ -57,14 +66,14 @@ func (f Prime) DotVec(a, x []uint64) uint64 {
 	return f.Add(sum, dotBlock(a, x))
 }
 
-// dotBlock returns Σ a[i]·x[i] mod p for equal-length slices of at most
-// dotBlockLen canonical residues. It accumulates the raw 128-bit products —
-// one MULQ, one ADDQ, one ADCQ per element, no per-element fold — into two
-// independent (hi, lo) pairs, which breaks the carry chain; each pair takes
-// every other element and is reduced exactly once. It is a function of its
-// own so the loop's eight live words plus MULQ's fixed AX/DX stay in
-// registers.
-func dotBlock(a, x []uint64) uint64 {
+// dotBlockGeneric returns Σ a[i]·x[i] mod p for equal-length slices of at
+// most dotBlockLen canonical residues; dotBlock is this loop, in assembly on
+// amd64. It accumulates the raw 128-bit products — one MULQ, one ADDQ, one
+// ADCQ per element, no per-element fold — into two independent (hi, lo)
+// pairs, which breaks the carry chain; each pair takes every other element
+// and is reduced exactly once. It is a function of its own so the loop's
+// eight live words plus MULQ's fixed AX/DX stay in registers.
+func dotBlockGeneric(a, x []uint64) uint64 {
 	var h0, l0, h1, l1, c uint64
 	x = x[:len(a)]
 	i := 1

@@ -57,6 +57,32 @@ func TestPrimeDotVecAgainstBigInt(t *testing.T) {
 	}
 }
 
+// TestDotBlockMatchesGeneric checks dotBlock — the assembly loop on amd64 —
+// against the Go loop dotBlockGeneric at every block length, starting 0, 1
+// and 2 elements into a longer slice so the loads are not all 16-byte
+// aligned, on uniform vectors, the all-(p−1) vectors, and one of each.
+func TestDotBlockMatchesGeneric(t *testing.T) {
+	rng := rand.New(rand.NewPCG(13, 17))
+	const pad = 2
+	uniA, uniX := primeVec(rng, dotBlockLen+pad), primeVec(rng, dotBlockLen+pad)
+	worst := worstVec(dotBlockLen + pad)
+	pairs := map[string][2][]uint64{
+		"uniform": {uniA, uniX},
+		"p-1":     {worst, worst},
+		"mixed":   {worst, uniX},
+	}
+	for name, pair := range pairs {
+		for off := 0; off <= pad; off++ {
+			for n := 0; n <= dotBlockLen; n++ {
+				a, x := pair[0][off:off+n], pair[1][off:off+n]
+				if got, want := dotBlock(a, x), dotBlockGeneric(a, x); got != want {
+					t.Fatalf("%s, offset %d, len %d: dotBlock = %d, dotBlockGeneric = %d", name, off, n, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestPrimeKernelsMatchScalarOps checks every Prime vector kernel against
 // the element-wise field methods: identical canonical outputs.
 func TestPrimeKernelsMatchScalarOps(t *testing.T) {

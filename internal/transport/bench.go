@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+
+	"github.com/scec/scec/internal/field"
 )
 
 // FrameBench returns a closure measuring the pure v3 protocol overhead for
-// a compute request carrying n uint64 elements: encode one frame into a
+// a compute request carrying n Prime elements: encode one frame into a
 // reused in-memory buffer and decode it back, with no sockets, goroutines,
 // or reflection involved. The bench harness runs it to pin the
 // serialization floor under the loopback RTT numbers.
@@ -18,7 +20,7 @@ func FrameBench(n int) (func() error, error) {
 	}
 	x := make([]uint64, n)
 	for i := range x {
-		x[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
+		x[i] = (uint64(i)*0x9e3779b97f4a7c15 + 1) % field.Modulus
 	}
 	req := request[uint64]{op: opCompute, x: x}
 	var buf []byte

@@ -106,8 +106,8 @@ func (s *DeviceServer[E]) handleWire(w *wireWriter, free *slabs[E], req request[
 	ctx, bag, sp := s.startServerSpan(kind, req.tp)
 	var resp response[E]
 	switch {
-	case req.capErr != "":
-		resp.err = req.capErr
+	case req.reqErr != "":
+		resp.err = req.reqErr
 	case req.op == opPing:
 	case req.op == opStore:
 		if req.m.Rows() == 0 {

@@ -140,10 +140,10 @@ func TestOverCapRequestReturnsNoSlab(t *testing.T) {
 	}
 	free := newSlabs[uint64](cod)
 	over := decodeCompute(t, free, 9)
-	if over.capErr == "" || over.x != nil {
-		t.Fatalf("9 elements over a cap of 8 decoded as x=%v, capErr=%q", over.x, over.capErr)
+	if over.reqErr == "" || over.x != nil {
+		t.Fatalf("9 elements over a cap of 8 decoded as x=%v, reqErr=%q", over.x, over.reqErr)
 	}
-	free.release(&over, &response[uint64]{err: over.capErr})
+	free.release(&over, &response[uint64]{err: over.reqErr})
 	if n := len(free.in) + len(free.out); n != 0 {
 		t.Fatalf("the refused request returned %d slabs", n)
 	}

@@ -60,11 +60,12 @@ type request[E comparable] struct {
 
 	// The remaining fields are filled by the device-side decoder only.
 	stream uint32
-	// capErr carries a request-level validation failure detected during
-	// decode (an element count over the device cap): the payload was
-	// drained, the connection stays healthy, and the server answers this
-	// error string instead of dispatching.
-	capErr string
+	// reqErr carries a request-level validation failure detected during
+	// decode (an element count over the device cap, or a Prime element
+	// that is not a canonical residue): the payload was consumed, the
+	// connection stays healthy, and the server answers this error string
+	// instead of dispatching.
+	reqErr string
 	// size is the full on-wire frame size in bytes, for byte accounting.
 	size int64
 }

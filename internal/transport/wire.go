@@ -9,6 +9,7 @@ import (
 	"slices"
 	"unsafe"
 
+	"github.com/scec/scec/internal/field"
 	"github.com/scec/scec/internal/matrix"
 )
 
@@ -192,6 +193,20 @@ func readElemsChunked[E comparable](r io.Reader, total int, size int) ([]E, erro
 	return dst, nil
 }
 
+// nonResidue returns the index of the first element of a Prime slab that is
+// not a canonical residue (≥ field.Modulus), or −1. Every byte is a GF(2^8)
+// element, so a byte slab always passes.
+func nonResidue[E comparable](s []E) int {
+	if v, ok := any(s).([]uint64); ok {
+		for i, e := range v {
+			if e >= field.Modulus {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
 // readFull is io.ReadFull for the small fixed-size fields of a frame. It
 // copies out of br's buffer with Peek and Discard, so dst — a local array
 // at every call site — stays on the stack instead of escaping through the
@@ -266,7 +281,8 @@ func readServerHello(r io.Reader, wantCode byte) error {
 // declared dimension against the frame length before allocating, so a
 // forged frame can never allocate more than maxElements field elements;
 // dimension counts over maxElements drain the (bounded) payload and
-// report a request-level capErr rather than poisoning the connection.
+// report a request-level reqErr rather than poisoning the connection, and
+// so does a Prime element that is not a canonical residue.
 // io.EOF before the first header byte surfaces unchanged so callers can
 // distinguish clean connection teardown. The request comes back by value:
 // the server hands it to its handler goroutine as a copy, not as a
@@ -341,15 +357,17 @@ func readRequestFrame[E comparable](br *bufio.Reader, cod elemCodec, maxElements
 	}
 	// slab validates total elements against the remaining payload and the
 	// device cap, then reads them zero-copy into a slab: a fresh one for a
-	// store's block, one from free for a compute's operand. what names the
-	// operand ("compute: x") for the over-cap message, which is only built
-	// when the cap is exceeded.
+	// store's block, one from free for a compute's operand. A slab holding
+	// a non-residue is refused too, since the kernels' lazy reduction
+	// assumes canonical inputs and would answer a wrong y. what names the
+	// operand ("compute: x") for the refusal message, which is only built
+	// on a refusal.
 	slab := func(total uint64, what string) ([]E, error) {
 		if total != uint64(body)/uint64(cod.size) || total*uint64(cod.size) != uint64(body) {
 			return nil, fmt.Errorf("transport: %d elements do not match %d payload bytes", total, body)
 		}
 		if total > uint64(maxElements) {
-			req.capErr = fmt.Sprintf("%s of %d elements exceeds the device cap of %d", what, total, maxElements)
+			req.reqErr = fmt.Sprintf("%s of %d elements exceeds the device cap of %d", what, total, maxElements)
 			return nil, drain()
 		}
 		var dst []E
@@ -362,6 +380,10 @@ func readRequestFrame[E comparable](br *bufio.Reader, cod elemCodec, maxElements
 			return nil, fmt.Errorf("transport: read elements: %w", err)
 		}
 		body = 0
+		if i := nonResidue(dst); i >= 0 {
+			req.reqErr = fmt.Sprintf("%s element %d is %v, not a residue mod %d", what, i, dst[i], field.Modulus)
+			return nil, nil
+		}
 		return dst, nil
 	}
 
@@ -394,7 +416,7 @@ func readRequestFrame[E comparable](br *bufio.Reader, cod elemCodec, maxElements
 		if err != nil {
 			return req, err
 		}
-		if req.capErr == "" {
+		if req.reqErr == "" {
 			req.m = matrix.FromSlice(int(rows), int(cols), data)
 		}
 	default:

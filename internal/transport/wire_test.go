@@ -404,6 +404,70 @@ func TestV3ElementCap(t *testing.T) {
 	}
 }
 
+// TestNonResidueRefused: a Prime element at or above the modulus in a
+// compute, compute-batch or store frame is refused with a remote error.
+// Before the check, a 1×64 block of p−1 times x = 64 × (2^64−1) answered
+// 2305843009213693119 with no error, where the reduced inputs give
+// 2305843009213693503: the kernels' 128-bit accumulators assume canonical
+// inputs and overflowed. The connection stays usable after each refusal.
+func TestNonResidueRefused(t *testing.T) {
+	f := field.Prime{}
+	srv, err := NewDeviceServer[uint64](f, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	pool := NewPool[uint64]()
+	client := Client[uint64]{F: f, Timeout: 2 * time.Second, Pool: pool}
+	cloud := Cloud[uint64]{Timeout: 2 * time.Second, Pool: pool}
+	ctx, addr := t.Context(), srv.Addr()
+	const n = 64
+	fill := func(v uint64) []uint64 {
+		s := make([]uint64, n)
+		for i := range s {
+			s[i] = v
+		}
+		return s
+	}
+	refused := func(what string, err error, want string) {
+		t.Helper()
+		if !errors.Is(err, ErrRemote) {
+			t.Fatalf("%s: err = %v, want ErrRemote", what, err)
+		}
+		if got, want := err.Error(), "transport: remote error: "+addr+": "+want; got != want {
+			t.Fatalf("%s:\n  got:  %s\n  want: %s", what, got, want)
+		}
+	}
+
+	if err := cloud.Store(ctx, addr, matrix.FromSlice(1, n, fill(field.Modulus-1))); err != nil {
+		t.Fatal(err)
+	}
+	y, err := client.Compute(ctx, addr, fill(^uint64(0)))
+	if err == nil {
+		t.Fatalf("compute on non-residues answered y = %v", y)
+	}
+	refused("compute", err, fmt.Sprintf("compute: x element 0 is %d, not a residue mod %d", ^uint64(0), field.Modulus))
+
+	x := fill(1)
+	x[n-1] = field.Modulus
+	_, err = client.ComputeBatch(ctx, addr, matrix.FromSlice(n, 1, x))
+	refused("compute-batch", err, fmt.Sprintf("compute-batch: X element %d is %d, not a residue mod %d", n-1, field.Modulus, field.Modulus))
+
+	err = cloud.Store(ctx, addr, matrix.FromSlice(1, n, x))
+	refused("store", err, fmt.Sprintf("store: block element %d is %d, not a residue mod %d", n-1, field.Modulus, field.Modulus))
+
+	// The refused store left the first block in place, and the reduced
+	// operand gets the reduced answer: 64·(p−1)·(2^64−1 mod p) mod p.
+	red := (^uint64(0)) % field.Modulus
+	y, err = client.Compute(ctx, addr, fill(red))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := f.Mul(f.Mul(n, field.Modulus-1), red); len(y) != 1 || y[0] != want || want != 2305843009213693503 {
+		t.Fatalf("y = %v, want [%d]", y, want)
+	}
+}
+
 // TestV3TracedExchange: the device's spans ride the response trailer into
 // the caller's trace.
 func TestV3TracedExchange(t *testing.T) {
