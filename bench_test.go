@@ -146,6 +146,30 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkCollusionEncode times the t-collusion (Cauchy) encoder at
+// m=1000, l=64, t=2 over ten devices of 125 rows (r=250): each block is its
+// rows of the Cauchy factor times R, plus one row of A per data row.
+func BenchmarkCollusionEncode(b *testing.B) {
+	f := field.Prime{}
+	rng := rand.New(rand.NewPCG(3, 5))
+	rows, r, err := coding.UniformCollusionRows(1000, 2, 125)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := coding.NewCollusion[uint64](f, 1000, r, 2, rows)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a := matrix.Random[uint64](f, rng, 1000, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Encode(a, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDeviceCompute measures one device's share: B_j·T times x.
 func BenchmarkDeviceCompute(b *testing.B) {
 	f, _, _, enc, x := benchEncoding(b)

@@ -27,6 +27,7 @@ type CollusionScheme[E comparable] struct {
 	f       field.Field[E]
 	m, r, t int
 	rows    []int
+	g       *matrix.Dense[E] // the (m+r)×r Cauchy factor: B's last r columns
 	b       *matrix.Dense[E]
 	lu      *matrix.LU[E] // factored once so every Decode is O((m+r)²)
 }
@@ -79,7 +80,7 @@ func NewCollusion[E comparable](f field.Field[E], m, r, t int, rows []int) (*Col
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNotAvailable, err)
 	}
-	return &CollusionScheme[E]{f: f, m: m, r: r, t: t, rows: append([]int(nil), rows...), b: b, lu: lu}, nil
+	return &CollusionScheme[E]{f: f, m: m, r: r, t: t, rows: append([]int(nil), rows...), g: g, b: b, lu: lu}, nil
 }
 
 // UniformCollusionRows returns a feasible per-device allocation for the
@@ -149,17 +150,27 @@ func (s *CollusionScheme[E]) RowRange(j int) (from, to int) {
 	return from, from + s.rows[j]
 }
 
-// Encode produces each device's coded block B_j·T with fresh random rows.
+// Encode produces each device's coded block B_j·T with fresh random rows R.
+// Row i of B is G_i in the random columns plus, for i ≥ r, a single one in
+// data column i−r, so row i of B·T is G_i·R + A_{i−r}: each block is the
+// dense product of its rows of G with R, plus one row of A added to each row
+// at or past r. That costs r multiply-adds per coded element instead of the
+// m+r of multiplying by B's rows.
 func (s *CollusionScheme[E]) Encode(a *matrix.Dense[E], rng *rand.Rand) (*Encoding[E], error) {
 	if a.Rows() != s.m {
 		return nil, fmt.Errorf("coding: data matrix has %d rows, scheme expects m = %d", a.Rows(), s.m)
 	}
 	random := matrix.Random(s.f, rng, s.r, a.Cols())
-	t := matrix.VStack(a, random)
 	blocks := make([]*matrix.Dense[E], len(s.rows))
 	for j := range s.rows {
 		from, to := s.RowRange(j)
-		blocks[j] = matrix.Mul(s.f, matrix.RowSlice(s.b, from, to), t)
+		block := matrix.New[E](to-from, a.Cols())
+		matrix.MulInto(s.f, matrix.FromSlice(to-from, s.r, s.g.RowsView(from, to)), random, block)
+		for i := max(from, s.r); i < to; i++ {
+			row := block.RowView(i - from)
+			matrix.VecAddInto(s.f, row, row, a.RowView(i-s.r))
+		}
+		blocks[j] = block
 	}
 	// Encoding.Scheme stays nil — there is no m-subtraction shortcut — but
 	// the Code handle makes the encoding first-class across every execution

@@ -225,6 +225,41 @@ func TestCollusionEncodeValidation(t *testing.T) {
 	}
 }
 
+// collusionEncodeMatchesDense checks every block Encode produces is == to
+// the product of the device's rows of B with T = [A; R], the definition
+// Encode's G·R-plus-A shortcut must reproduce.
+func collusionEncodeMatchesDense[E comparable](t *testing.T, f field.Field[E]) {
+	rng := testRNG()
+	for _, c := range []struct{ m, l, t, w int }{{20, 7, 2, 5}, {13, 1, 3, 4}, {1, 3, 1, 1}, {30, 16, 2, 8}} {
+		rows, r, err := UniformCollusionRows(c.m, c.t, c.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewCollusion(f, c.m, r, c.t, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := matrix.Random(f, rng, c.m, c.l)
+		enc, err := s.Encode(a, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tm := matrix.VStack(a, enc.Random)
+		for j := range rows {
+			from, to := s.RowRange(j)
+			want := matrix.Mul(f, matrix.RowSlice(s.b, from, to), tm)
+			if !matrix.Equal(f, enc.Blocks[j], want) {
+				t.Fatalf("%s m=%d l=%d t=%d w=%d: block %d differs from B_j·T", f.Name(), c.m, c.l, c.t, c.w, j)
+			}
+		}
+	}
+}
+
+func TestCollusionEncodeMatchesDenseProduct(t *testing.T) {
+	collusionEncodeMatchesDense[uint64](t, field.Prime{})
+	collusionEncodeMatchesDense[byte](t, field.GF256{})
+}
+
 func TestSumOfLargest(t *testing.T) {
 	cases := []struct {
 		rows []int

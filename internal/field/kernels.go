@@ -34,12 +34,6 @@ func reduce128(hi, lo uint64) uint64 {
 	return s
 }
 
-// Reduce128 reduces the 128-bit value hi·2^64 + lo to its canonical
-// representative mod 2^61 − 1. Callers accumulate raw 122-bit products of
-// canonical residues into a 128-bit (hi, lo) pair — at most 32 on top of a
-// canonical residue, so the pair cannot overflow — and reduce once.
-func (Prime) Reduce128(hi, lo uint64) uint64 { return reduce128(hi, lo) }
-
 // dotBlockLen is the most elements dotBlock takes at once. A product of
 // canonical residues is at most (p−1)² < 2^122, so a 128-bit (hi, lo) pair
 // overflows only past 64 of them. Both block loops split a block over two

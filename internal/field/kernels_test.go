@@ -119,7 +119,6 @@ func TestPrimeKernelsMatchScalarOps(t *testing.T) {
 // TestPrimeReduce128 checks the 128-bit reduction against big.Int over
 // boundary values and random pairs.
 func TestPrimeReduce128(t *testing.T) {
-	var f Prime
 	rng := rand.New(rand.NewPCG(13, 17))
 	mod := new(big.Int).SetUint64(Modulus)
 	cases := [][2]uint64{
@@ -134,8 +133,8 @@ func TestPrimeReduce128(t *testing.T) {
 		want := new(big.Int).Lsh(new(big.Int).SetUint64(hi), 64)
 		want.Add(want, new(big.Int).SetUint64(lo))
 		want.Mod(want, mod)
-		if got := f.Reduce128(hi, lo); got != want.Uint64() {
-			t.Fatalf("Reduce128(%d, %d) = %d, want %d", hi, lo, got, want.Uint64())
+		if got := reduce128(hi, lo); got != want.Uint64() {
+			t.Fatalf("reduce128(%d, %d) = %d, want %d", hi, lo, got, want.Uint64())
 		}
 	}
 }

@@ -69,6 +69,30 @@ func BenchmarkMulVariantsPrime(b *testing.B) {
 	})
 }
 
+// BenchmarkMulBatchShapes times the F_p product on the shapes a device
+// multiplies in a batch round — a block of coded rows times a 16-column X —
+// at the default dispatch configuration, and reports ns per multiply-add
+// (the paper's c^m unit). 14 and 20 rows are fleet_small blocks, 1000×256 a
+// fleet_large one (table in EXPERIMENTS.md, "Batch product").
+func BenchmarkMulBatchShapes(b *testing.B) {
+	f := field.Prime{}
+	rng := benchRNG()
+	for _, shape := range []struct{ rows, inner, cols int }{
+		{14, 64, 16}, {20, 64, 16}, {250, 64, 16}, {1000, 256, 16},
+	} {
+		x := Random[uint64](f, rng, shape.rows, shape.inner)
+		y := Random[uint64](f, rng, shape.inner, shape.cols)
+		b.Run(fmt.Sprintf("%dx%dx%d", shape.rows, shape.inner, shape.cols), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = Mul[uint64](f, x, y)
+			}
+			madds := float64(b.N) * float64(shape.rows*shape.inner*shape.cols)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/madds, "ns/madd")
+		})
+	}
+}
+
 // BenchmarkMulVariantsGF256 is the GF(256) table-kernel comparison.
 func BenchmarkMulVariantsGF256(b *testing.B) {
 	f := field.GF256{}

@@ -1,7 +1,6 @@
 package matrix
 
 import (
-	"math/bits"
 	"sync"
 
 	"github.com/scec/scec/internal/field"
@@ -15,6 +14,11 @@ import (
 // package keeps working for any field a caller brings. Every dispatch
 // decision is counted in the process-wide obs registry so the served
 // configuration is visible on /metrics.
+//
+// Over F_p there is one product kernel, Prime.DotVec (its block loop is
+// assembly on amd64): MulVec runs it once per row, and Mul once per output
+// element, over a transpose of B made once per call. GF(256) and Real
+// products accumulate with an AXPY in i-k-j order.
 //
 // The specialized paths are bit-compatible with the generic ones: exact
 // fields produce identical canonical representatives, and the Real kernels
@@ -129,20 +133,12 @@ func mulVecRows[E comparable](f field.Field[E], a *Dense[E], x []E, dst []E, lo,
 	return false
 }
 
-// mulRows computes output rows [lo, hi) of a·b with a field-specialized
-// kernel, reporting false when no kernel applies. out rows must be zero on
-// entry (freshly allocated), matching the generic accumulation loop.
+// mulRows computes output rows [lo, hi) of a·b with the GF(256) or Real
+// AXPY kernel, reporting false when neither applies (F_p products go
+// through mulPrime instead). out rows must be zero on entry, matching the
+// generic accumulation loop.
 func mulRows[E comparable](f field.Field[E], a, b, out *Dense[E], lo, hi int) bool {
 	switch ff := any(f).(type) {
-	case field.Prime:
-		ad, ok1 := any(a.data).([]uint64)
-		bd, ok2 := any(b.data).([]uint64)
-		od, ok3 := any(out.data).([]uint64)
-		if !ok1 || !ok2 || !ok3 {
-			return false
-		}
-		mulRowsPrime(ff, ad, bd, od, a.cols, b.cols, lo, hi)
-		return true
 	case field.GF256:
 		ad, ok1 := any(a.data).([]byte)
 		bd, ok2 := any(b.data).([]byte)
@@ -185,56 +181,53 @@ func mulRows[E comparable](f field.Field[E], a, b, out *Dense[E], lo, hi int) bo
 	return false
 }
 
-// slabProducts is how many raw products a column's 128-bit (accHi, accLo)
-// accumulator may absorb between reductions: each product of canonical
-// residues is below 2^122, and a reduced accumulator restarts below 2^61, so
-// 32 products keep it below 2^61 + 2^127 < 2^128.
-const slabProducts = 32
+// transposeScratch recycles mulPrime's copy of bᵀ across calls. It holds
+// *[]uint64 rather than []uint64 so that putting a slab back allocates
+// nothing, and a warm call allocates no scratch at all.
+var transposeScratch = sync.Pool{New: func() any { return new([]uint64) }}
 
-// mulRowsPrime is the Mersenne-61 matrix-product kernel: per output row it
-// keeps a 128-bit accumulator per column in the (accHi, accLo) slabs, adds
-// each raw 122-bit product into it with no per-element fold, and reduces the
-// slabs in place every slabProducts non-zero k — so a reduction runs once
-// per 32 element-ops instead of twice per element-op.
-func mulRowsPrime(ff field.Prime, ad, bd, od []uint64, acols, bcols, lo, hi int) {
-	if bcols == 0 {
-		return
+// mulPrime is the F_p branch of MulInto: it transposes b once into a pooled
+// scratch slab, before any sharding, so that every output element is one
+// Prime.DotVec over two contiguous rows — the same kernel, and the same
+// canonical residue, as MulVec. The helpers of a sharded call only read the
+// transpose; it returns to the pool after the last of them has finished. It
+// reports whether the call sharded, and false, false when f is not
+// field.Prime.
+func mulPrime[E comparable](f field.Field[E], a, b, out *Dense[E]) (sharded, ok bool) {
+	ff, ok0 := any(f).(field.Prime)
+	ad, ok1 := any(a.data).([]uint64)
+	bd, ok2 := any(b.data).([]uint64)
+	od, ok3 := any(out.data).([]uint64)
+	if !ok0 || !ok1 || !ok2 || !ok3 {
+		return false, false
 	}
-	accHi := make([]uint64, bcols)
-	accLo := make([]uint64, bcols)
-	for i := lo; i < hi; i++ {
-		clear(accHi)
-		clear(accLo)
-		pending := 0
-		for k, aik := range ad[i*acols : (i+1)*acols] {
-			if aik == 0 {
-				continue
-			}
-			if pending == slabProducts {
-				for j, h := range accHi {
-					accHi[j], accLo[j] = 0, ff.Reduce128(h, accLo[j])
-				}
-				pending = 0
-			}
-			mulAddSlabs(accHi, accLo, aik, bd[k*bcols:(k+1)*bcols])
-			pending++
-		}
-		for j := range accHi {
-			od[i*bcols+j] = ff.Reduce128(accHi[j], accLo[j])
-		}
+	m, k, n := a.rows, a.cols, b.cols
+	if m == 0 || n == 0 {
+		return false, true
 	}
+	scratch := transposeScratch.Get().(*[]uint64)
+	bt := transposeInto(*scratch, bd, k, n)
+	if work := m * k * n; shardable(m, work) {
+		sharded = parallelFor(m, work, func(lo, hi int) {
+			dotRowsPrime(ff, ad, bt, od, k, n, lo, hi)
+		})
+	} else {
+		dotRowsPrime(ff, ad, bt, od, k, n, 0, m)
+	}
+	*scratch = bt
+	transposeScratch.Put(scratch)
+	return sharded, true
 }
 
-// mulAddSlabs adds the raw 128-bit products s·src[j] into the per-column
-// accumulators (accHi[j], accLo[j]): one MULQ, one ADDQ, one ADCQ per
-// element. All three slices have equal length.
-func mulAddSlabs(accHi, accLo []uint64, s uint64, src []uint64) {
-	accHi, accLo = accHi[:len(src)], accLo[:len(src)]
-	for j, v := range src {
-		ph, pl := bits.Mul64(s, v)
-		lo, c := bits.Add64(accLo[j], pl, 0)
-		accLo[j] = lo
-		accHi[j], _ = bits.Add64(accHi[j], ph, c)
+// dotRowsPrime computes output rows [lo, hi) of a·b over F_p, given bt =
+// bᵀ: od[i·n+j] = ⟨a_i, (bᵀ)_j⟩.
+func dotRowsPrime(ff field.Prime, ad, bt, od []uint64, k, n, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		arow := ad[i*k : (i+1)*k]
+		orow := od[i*n : (i+1)*n]
+		for j := range orow {
+			orow[j] = ff.DotVec(arow, bt[j*k:(j+1)*k])
+		}
 	}
 }
 

@@ -21,9 +21,11 @@ func restoreKernelConfig(t *testing.T) {
 	})
 }
 
-// kernelShapes covers empty and single-row matrices, odd shapes, and sizes
-// straddling the default parallel threshold (rows×cols around 32Ki element
-// ops at cols 64: rows 511..513).
+// kernelShapes covers empty and single-row matrices, odd shapes, and Mul
+// shapes straddling the default parallel threshold (127..129 rows × 64 ×
+// 16 columns: 130,048, 131,072 and 132,096 element-ops around 128Ki).
+// MulVec, Add and Sub reach the threshold only at 2048 rows of 64, which
+// TestKernelDifferentialAtDefaultThreshold covers.
 var kernelShapes = []struct{ r, k, c int }{
 	{0, 0, 0},
 	{0, 3, 2},
@@ -39,6 +41,9 @@ var kernelShapes = []struct{ r, k, c int }{
 	{511, 64, 2},
 	{512, 64, 2},
 	{513, 64, 2},
+	{127, 64, 16},
+	{128, 64, 16},
+	{129, 64, 16},
 }
 
 // kernelModes are the dispatch configurations compared against the

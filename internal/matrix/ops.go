@@ -52,39 +52,69 @@ func Scale[E comparable](f field.Field[E], s E, a *Dense[E]) *Dense[E] {
 	return out
 }
 
-// Mul returns the matrix product a·b. It panics when a.Cols() != b.Rows().
-// The loop ordering is the standard i-k-j, which walks both operands
-// row-major and is the cache-friendly choice for a dense product; over the
-// concrete fields the inner loop runs a monomorphized AXPY (Mersenne-61
-// lazy reduction, GF(256) table lookups, raw float64), and large products
-// are row-sharded across goroutines.
+// Mul returns the matrix product a·b as a fresh matrix. It panics when
+// a.Cols() != b.Rows().
 func Mul[E comparable](f field.Field[E], a, b *Dense[E]) *Dense[E] {
+	out := New[E](a.rows, b.cols)
+	MulInto(f, a, b, out)
+	return out
+}
+
+// MulInto computes a·b into out, which must be a.Rows()×b.Cols() and must
+// not alias a or b; its previous contents are overwritten. It panics on a
+// shape mismatch. It is the allocation-free variant of Mul that a device
+// runs for every batch compute, into a reply slab its connection recycles.
+// Over F_p every output element is one Prime.DotVec of a row of a against a
+// column of b, read from a transpose of b made once per call; the other
+// concrete fields run a monomorphized AXPY in i-k-j order. Large products are
+// row-sharded across goroutines.
+func MulInto[E comparable](f field.Field[E], a, b, out *Dense[E]) {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("matrix: Mul shape mismatch %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
-	out := New[E](a.rows, b.cols)
+	if out.rows != a.rows || out.cols != b.cols {
+		panic(fmt.Sprintf("matrix: MulInto out is %dx%d, want %dx%d", out.rows, out.cols, a.rows, b.cols))
+	}
 	spec := specializedField(f)
-	par := parallelFor(a.rows, a.rows*a.cols*b.cols, func(lo, hi int) {
-		if spec && mulRows(f, a, b, out, lo, hi) {
+	if spec {
+		if par, ok := mulPrime(f, a, b, out); ok {
+			recordDispatch(opMul, spec, par)
 			return
 		}
-		for i := lo; i < hi; i++ {
-			arow := a.rowView(i)
-			orow := out.rowView(i)
-			for k := 0; k < a.cols; k++ {
-				aik := arow[k]
-				if f.IsZero(aik) {
-					continue
-				}
-				brow := b.rowView(k)
-				for j := 0; j < b.cols; j++ {
-					orow[j] = f.Add(orow[j], f.Mul(aik, brow[j]))
-				}
+	}
+	work := a.rows * a.cols * b.cols
+	par := false
+	if shardable(a.rows, work) {
+		par = parallelFor(a.rows, work, func(lo, hi int) {
+			mulRange(f, a, b, out, spec, lo, hi)
+		})
+	} else {
+		mulRange(f, a, b, out, spec, 0, a.rows)
+	}
+	recordDispatch(opMul, spec, par)
+}
+
+// mulRange computes rows [lo, hi) of a·b into out by accumulation in i-k-j
+// order, through the field-specialized AXPY when spec allows one.
+func mulRange[E comparable](f field.Field[E], a, b, out *Dense[E], spec bool, lo, hi int) {
+	clear(out.data[lo*out.cols : hi*out.cols])
+	if spec && mulRows(f, a, b, out, lo, hi) {
+		return
+	}
+	for i := lo; i < hi; i++ {
+		arow := a.rowView(i)
+		orow := out.rowView(i)
+		for k := 0; k < a.cols; k++ {
+			aik := arow[k]
+			if f.IsZero(aik) {
+				continue
+			}
+			brow := b.rowView(k)
+			for j := 0; j < b.cols; j++ {
+				orow[j] = f.Add(orow[j], f.Mul(aik, brow[j]))
 			}
 		}
-	})
-	recordDispatch(opMul, spec, par)
-	return out
+	}
 }
 
 // MulVec returns the matrix–vector product a·x as a fresh slice. It panics
@@ -141,13 +171,22 @@ func mulVecRange[E comparable](f field.Field[E], a *Dense[E], x, dst []E, spec b
 
 // Transpose returns aᵀ.
 func Transpose[E comparable](a *Dense[E]) *Dense[E] {
-	out := New[E](a.cols, a.rows)
-	for i := 0; i < a.rows; i++ {
-		for j := 0; j < a.cols; j++ {
-			out.data[j*out.cols+i] = a.data[i*a.cols+j]
+	return FromSlice(a.cols, a.rows, transposeInto(nil, a.data, a.rows, a.cols))
+}
+
+// transposeInto writes the transpose of the rows×cols row-major src into
+// dst, growing dst when it is too short, and returns it.
+func transposeInto[E any](dst, src []E, rows, cols int) []E {
+	if cap(dst) < rows*cols {
+		dst = make([]E, rows*cols)
+	}
+	dst = dst[:rows*cols]
+	for i := 0; i < rows; i++ {
+		for j, v := range src[i*cols : (i+1)*cols] {
+			dst[j*rows+i] = v
 		}
 	}
-	return out
+	return dst
 }
 
 // VStack stacks matrices vertically: the result has the rows of each input in

@@ -140,14 +140,14 @@ func TestKernelDifferentialAtDefaultThreshold(t *testing.T) {
 	}
 }
 
-// TestMulPrimeSlabReductionEdges drives mulRowsPrime across its in-place
-// slab reduction (every 32 non-zero k) with the values that would overflow
-// a 128-bit accumulator first: every entry p−1, inner dimensions on both
-// sides of 32 and 64 non-zero entries, and interior zeros that must not
-// count towards the 32. The reference is the per-element Mul/Add loop.
-func TestMulPrimeSlabReductionEdges(t *testing.T) {
+// TestMulPrimeDotKernelEdges drives Mul's F_p kernel — Prime.DotVec over a
+// once-transposed B — with the values that overflow a 128-bit accumulator
+// first: every entry p−1, inner dimensions on both sides of DotVec's 64-
+// element block and of each 32-product accumulator pair, and interior zeros.
+// Each case runs serially and sharded at threshold 1; the reference is the
+// per-element Mul/Add loop.
+func TestMulPrimeDotKernelEdges(t *testing.T) {
 	restoreKernelConfig(t)
-	SetParallelKernels(false)
 	f := field.Prime{}
 	for _, inner := range []int{1, 31, 32, 33, 63, 64, 65, 97, 200} {
 		for _, zeroEvery := range []int{0, 2, 5} {
@@ -161,9 +161,15 @@ func TestMulPrimeSlabReductionEdges(t *testing.T) {
 				b.data[i] = field.Modulus - 1
 			}
 			SetSpecializedKernels(false)
+			SetParallelKernels(false)
 			want := Mul(f, a, b)
 			SetSpecializedKernels(true)
-			checkSame(t, fmt.Sprintf("Mul inner=%d zeroEvery=%d", inner, zeroEvery), want.data, Mul(f, a, b).data)
+			SetParallelThreshold(1)
+			for _, sharded := range []bool{false, true} {
+				SetParallelKernels(sharded)
+				label := fmt.Sprintf("Mul inner=%d zeroEvery=%d sharded=%v", inner, zeroEvery, sharded)
+				checkSame(t, label, want.data, Mul(f, a, b).data)
+			}
 		}
 	}
 }

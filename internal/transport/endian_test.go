@@ -120,11 +120,11 @@ func responseFrame[E comparable](t *testing.T, cod elemCodec, op byte, resp *res
 	defer device.Close()
 	w := newWireWriter(device, time.Second, nil)
 	defer w.close()
-	size, err := writeResponseFrame(w, cod, 1, op, resp)
-	if err != nil {
+	out := newReplyFrame(cod, op, resp)
+	if err := writeReply(w, 1, &out, resp); err != nil {
 		t.Fatal(err)
 	}
-	frame := make([]byte, size)
+	frame := make([]byte, out.size())
 	if _, err := io.ReadFull(client, frame); err != nil {
 		t.Fatal(err)
 	}

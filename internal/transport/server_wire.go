@@ -96,10 +96,12 @@ func (s *DeviceServer[E]) handleConn(conn net.Conn) {
 	}
 }
 
-// handleWire serves one decoded request frame end to end. Once its response
-// frame is written (copied into the batcher's buffer, or on the socket), the
-// request's operand and vector reply go back to free for the connection's
-// next requests.
+// handleWire serves one decoded request frame end to end. The request is
+// recorded in the server metrics before its response frame is queued, so a
+// client that has its reply can already read the request's counters. Once
+// the frame is written (copied into the batcher's buffer, or on the
+// socket), the request's operand and reply go back to free for the
+// connection's next requests.
 func (s *DeviceServer[E]) handleWire(w *wireWriter, free *slabs[E], req request[E]) {
 	start := time.Now()
 	kind := opToKind(req.op)
@@ -118,7 +120,7 @@ func (s *DeviceServer[E]) handleWire(w *wireWriter, free *slabs[E], req request[
 	case req.op == opCompute:
 		resp.y, resp.err = s.mulVec(ctx, bag, req.x, free)
 	case req.op == opComputeBatch:
-		resp.m, resp.err = s.mulMat(ctx, bag, req.m)
+		resp.m, resp.err = s.mulMat(ctx, bag, req.m, free)
 	}
 	errored := resp.err != ""
 	if sp != nil {
@@ -129,14 +131,16 @@ func (s *DeviceServer[E]) handleWire(w *wireWriter, free *slabs[E], req request[
 		bag.add(sp)
 		resp.spans = bag.spans
 	}
-	written, _ := writeResponseFrame(w, s.cod, req.stream, req.op, &resp)
+	frame := newReplyFrame(s.cod, req.op, &resp)
+	recordServer(s.metrics, kind, time.Since(start), req.size, frame.size(), errored)
+	_ = writeReply(w, req.stream, &frame, &resp)
 	free.release(&req, &resp)
-	recordServer(s.metrics, kind, time.Since(start), req.size, written, errored)
 }
 
 // slabs are one connection's free lists of element slabs. A compute's
-// operand (x, or a batch's X) is read into a slab from in and a vector reply
-// is computed into one from out; release hands both back once the response
+// operand (x, or a batch's X) is read into a slab from in and its reply (y,
+// or a batch's Y) is computed into one from out; release hands both back
+// once the response
 // frame is written, so a steady stream of requests decodes and answers
 // without allocating. A store's slab never enters a list: it becomes the
 // device's block. The lists are buffered channels, so taking or returning a
@@ -170,10 +174,10 @@ func (s *slabs[E]) operand(n int) []E {
 	return reuse(s.in, n)
 }
 
-// reply returns a slab of n elements for a vector compute's result.
+// reply returns a slab of n elements for a compute's result.
 func (s *slabs[E]) reply(n int) []E { return reuse(s.out, n) }
 
-// release hands back a served request's operand and vector reply.
+// release hands back a served request's operand and reply.
 func (s *slabs[E]) release(req *request[E], resp *response[E]) {
 	switch req.op {
 	case opCompute:
@@ -182,6 +186,9 @@ func (s *slabs[E]) release(req *request[E], resp *response[E]) {
 	case opComputeBatch:
 		if req.m != nil {
 			s.keep(s.in, req.m.RowsView(0, req.m.Rows()))
+		}
+		if resp.m != nil {
+			s.keep(s.out, resp.m.RowsView(0, resp.m.Rows()))
 		}
 	}
 }
@@ -211,35 +218,51 @@ func reuse[E comparable](list chan []E, n int) []E {
 	return make([]E, n)
 }
 
-// writeResponseFrame appends one response frame:
+// replyFrame is the layout of one response frame before it is queued: the
+// wire image of its element slab, its encoded spans trailer and its payload
+// length, so its size is known before write queues it.
+type replyFrame struct {
+	op          byte
+	slab, spans []byte
+	payload     int
+}
+
+// newReplyFrame lays out the response frame for resp to a request of op:
 //
 //	u32 length | u32 streamID | u8 op|0x80 | u8 status |
 //	  (status!=0: u32 msgLen | msg)
 //	  (status==0, compute: u32 n | elems)
 //	  (status==0, compute-batch: u32 rows | u32 cols | elems)
 //	| u32 spansLen | gob([]trace.SpanData)
-//
-// and returns the frame's full wire size.
-func writeResponseFrame[E comparable](w *wireWriter, cod elemCodec, stream uint32, op byte, resp *response[E]) (int64, error) {
-	spans := encodeSpans(resp.spans)
-	var slab []byte
+func newReplyFrame[E comparable](cod elemCodec, op byte, resp *response[E]) replyFrame {
+	f := replyFrame{op: op, spans: encodeSpans(resp.spans)}
 	switch {
 	case resp.err != "":
 	case op == opCompute:
-		slab = elemWireBytes(resp.y, cod.size)
+		f.slab = elemWireBytes(resp.y, cod.size)
 	case op == opComputeBatch:
-		slab = elemWireBytes(resp.m.RowsView(0, resp.m.Rows()), cod.size)
+		f.slab = elemWireBytes(resp.m.RowsView(0, resp.m.Rows()), cod.size)
 	}
-	payload := 1 + len(slab) + 4 + len(spans) // status, elements, spans trailer
+	f.payload = 1 + len(f.slab) + 4 + len(f.spans) // status, elements, spans trailer
 	switch {
 	case resp.err != "":
-		payload += 4 + len(resp.err)
+		f.payload += 4 + len(resp.err)
 	case op == opCompute:
-		payload += 4
+		f.payload += 4
 	case op == opComputeBatch:
-		payload += 8
+		f.payload += 8
 	}
-	err := w.writeFrame(func(b []byte) []byte {
+	return f
+}
+
+// size is the frame's full wire size.
+func (f *replyFrame) size() int64 { return int64(frameOverhead + f.payload) }
+
+// writeReply queues f, the frame newReplyFrame laid out for resp, on w
+// under stream.
+func writeReply[E comparable](w *wireWriter, stream uint32, f *replyFrame, resp *response[E]) error {
+	op, payload, spans := f.op, f.payload, f.spans
+	return w.writeFrame(func(b []byte) []byte {
 		status := byte(0)
 		if resp.err != "" {
 			status = 1
@@ -256,14 +279,10 @@ func writeResponseFrame[E comparable](w *wireWriter, cod elemCodec, stream uint3
 			b = binary.LittleEndian.AppendUint32(b, uint32(resp.m.Cols()))
 		}
 		return b
-	}, slab, func(b []byte) []byte {
+	}, f.slab, func(b []byte) []byte {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(spans)))
 		return append(b, spans...)
 	})
-	if err != nil {
-		return 0, err
-	}
-	return int64(frameOverhead + payload), nil
 }
 
 // encodeSpans gob-encodes a span batch for the response trailer; spans are

@@ -33,9 +33,10 @@ func storedDevice(t *testing.T, block *matrix.Dense[uint64]) (*DeviceServer[uint
 }
 
 // TestConcurrentComputesOnRecycledSlabs: workers share one pooled
-// connection, each computing with its own x (and now and then its own batch
-// X of varying width), while the device reads operands into and computes
-// replies into slabs the connection recycles: every answer is exact.
+// connection, each computing with its own x (and every fourth round its own
+// batch X, 1 to 16 columns wide), while the device reads operands into and
+// computes vector and batch replies into slabs the connection recycles:
+// every answer is exact.
 func TestConcurrentComputesOnRecycledSlabs(t *testing.T) {
 	f := field.Prime{}
 	const rows, cols = 5, 7
@@ -52,7 +53,7 @@ func TestConcurrentComputesOnRecycledSlabs(t *testing.T) {
 			rng := rand.New(rand.NewPCG(uint64(w), 23))
 			for i := range rounds {
 				if i%4 == 3 {
-					xm := matrix.Random[uint64](f, rng, cols, 1+i%3)
+					xm := matrix.Random[uint64](f, rng, cols, 1+(i/4+w)%16)
 					ym, err := client.ComputeBatch(t.Context(), srv.Addr(), xm)
 					if err == nil && !matrix.Equal[uint64](f, ym, matrix.Mul[uint64](f, block, xm)) {
 						err = fmt.Errorf("worker %d: wrong B·X for a %d-column X", w, xm.Cols())
@@ -154,6 +155,45 @@ func TestOverCapRequestReturnsNoSlab(t *testing.T) {
 	}
 	if next := decodeCompute(t, free, 4); &next.x[0] != &served.x[0] {
 		t.Fatal("the next request's operand did not reuse the returned slab")
+	}
+}
+
+// TestBatchReplySlabRecycled: a served batch compute computes B·X into a
+// reply slab from the connection's free list, release returns that slab
+// (with the operand) once the frame is written, and the next batch computes
+// into the same slab.
+func TestBatchReplySlabRecycled(t *testing.T) {
+	f := field.Prime{}
+	rng := testRNG()
+	block := matrix.Random[uint64](f, rng, 5, 7)
+	srv, _ := storedDevice(t, block)
+	cod, err := codecFor[uint64]()
+	if err != nil {
+		t.Fatal(err)
+	}
+	free := newSlabs[uint64](cod)
+	serve := func() *matrix.Dense[uint64] {
+		t.Helper()
+		x := matrix.FromSlice(7, 4, free.operand(7*4))
+		copy(x.RowsView(0, 7), matrix.Random[uint64](f, rng, 7, 4).RowsView(0, 7))
+		req := request[uint64]{op: opComputeBatch, m: x}
+		var resp response[uint64]
+		resp.m, resp.err = srv.mulMat(t.Context(), nil, x, free)
+		if resp.err != "" {
+			t.Fatal(resp.err)
+		}
+		if !matrix.Equal[uint64](f, resp.m, matrix.Mul[uint64](f, block, x)) {
+			t.Fatal("batch reply is not B·X")
+		}
+		free.release(&req, &resp)
+		return resp.m
+	}
+	first := serve()
+	if len(free.in) != 1 || len(free.out) != 1 {
+		t.Fatalf("a served batch returned %d operand and %d reply slabs, want 1 and 1", len(free.in), len(free.out))
+	}
+	if next := serve(); &next.RowsView(0, 1)[0] != &first.RowsView(0, 1)[0] {
+		t.Fatal("the next batch's reply did not reuse the returned slab")
 	}
 }
 

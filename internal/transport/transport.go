@@ -361,8 +361,9 @@ func (s *DeviceServer[E]) mulVec(ctx context.Context, bag *spanBag, x []E, free 
 	return y, ""
 }
 
-// mulMat is mulVec's batch counterpart; x carries the input rows.
-func (s *DeviceServer[E]) mulMat(ctx context.Context, bag *spanBag, x *matrix.Dense[E]) (*matrix.Dense[E], string) {
+// mulMat is mulVec's batch counterpart; x carries the input rows, and the
+// result is computed into a reply slab from free.
+func (s *DeviceServer[E]) mulMat(ctx context.Context, bag *spanBag, x *matrix.Dense[E], free *slabs[E]) (*matrix.Dense[E], string) {
 	s.mu.Lock()
 	block := s.block
 	s.mu.Unlock()
@@ -375,9 +376,10 @@ func (s *DeviceServer[E]) mulMat(ctx context.Context, bag *spanBag, x *matrix.De
 	if x.Cols() == 0 {
 		return nil, "compute-batch: X has no columns"
 	}
+	y := matrix.FromSlice(block.Rows(), x.Cols(), free.reply(block.Rows()*x.Cols()))
 	csp := s.startComputeSpan(ctx, bag, "mat")
 	sp := obs.StartStage(s.metrics, obs.StageCompute)
-	y := matrix.Mul(s.f, block, x)
+	matrix.MulInto(s.f, block, x, y)
 	sp.End()
 	csp.End()
 	bag.add(csp)
