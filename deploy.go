@@ -317,15 +317,29 @@ func (d *Deployment[E]) MulVec(x []E) ([]E, error) {
 	return d.MulVecContext(context.Background(), x)
 }
 
-// MulVecContext is MulVec bounded by ctx (the fleet backend cancels
-// in-flight replica races when it ends). With WithTracing, each call opens
-// — or, when ctx already carries a span, continues — one end-to-end trace.
+// MulVecContext is MulVec bounded by ctx: MulVecInto on a fresh output.
 func (d *Deployment[E]) MulVecContext(ctx context.Context, x []E) ([]E, error) {
-	y, err := d.q.MulVecContext(ctx, x)
-	if err != nil {
-		return nil, wrapEngineErr(err)
+	y := make([]E, d.Code.M())
+	if err := d.MulVecInto(ctx, y, x); err != nil {
+		return nil, err
 	}
 	return y, nil
+}
+
+// MulVecInto computes A·x into dst, which must hold m entries, bounded by
+// ctx (the fleet backend cancels in-flight replica races when it ends). It
+// allocates nothing of its own on the served path: the devices' results
+// land in recycled staging and decode straight into dst. When concurrent
+// callers share a merged round, this caller's column is copied into dst on
+// its own goroutine, so nothing writes dst once MulVecInto has returned,
+// and a call that fails or is cancelled leaves dst as it was. With
+// WithTracing, each call opens — or, when ctx already
+// carries a span, continues — one end-to-end trace.
+func (d *Deployment[E]) MulVecInto(ctx context.Context, dst, x []E) error {
+	if err := d.q.MulVecInto(ctx, dst, x); err != nil {
+		return wrapEngineErr(err)
+	}
+	return nil
 }
 
 // MulMat computes A·X for an l×n input matrix X (the paper's batch

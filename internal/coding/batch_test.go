@@ -23,13 +23,13 @@ func TestBatchRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		y := enc.ComputeAllBatch(f, x)
-		got, err := DecodeBatch[uint64](f, s, y)
+		got, err := decodeBatch[uint64](BindScheme[uint64](f, s), y)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := matrix.Mul[uint64](f, a, x)
 		if !matrix.Equal[uint64](f, got, want) {
-			t.Fatalf("m=%d l=%d r=%d n=%d: DecodeBatch != A·X", m, l, r, n)
+			t.Fatalf("m=%d l=%d r=%d n=%d: DecodeBatchInto != A·X", m, l, r, n)
 		}
 	}
 	for _, d := range []struct{ m, l, r, n int }{
@@ -57,7 +57,7 @@ func TestBatchAgreesWithColumnwiseDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := DecodeBatch[uint64](f, s, enc.ComputeAllBatch(f, x))
+	batch, err := decodeBatch[uint64](BindScheme[uint64](f, s), enc.ComputeAllBatch(f, x))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,9 +85,24 @@ func TestDecodeBatchValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeBatch[uint64](f, s, matrix.New[uint64](5, 3)); err == nil {
+	if err := DecodeBatchInto[uint64](f, s, matrix.New[uint64](4, 3), matrix.New[uint64](5, 3)); err == nil {
 		t.Fatal("wrong intermediate row count should be rejected")
 	}
+	if err := DecodeBatchInto[uint64](f, s, matrix.New[uint64](4, 2), matrix.New[uint64](6, 3)); err == nil {
+		t.Fatal("an output narrower than the intermediate block should be rejected")
+	}
+	if err := DecodeInto[uint64](f, s, make([]uint64, 3), make([]uint64, 6)); err == nil {
+		t.Fatal("an output shorter than m should be rejected")
+	}
+}
+
+// decodeBatch is DecodeBatchInto on a fresh m×n output.
+func decodeBatch[E comparable](c Code[E], y *matrix.Dense[E]) (*matrix.Dense[E], error) {
+	ax := matrix.New[E](c.M(), y.Cols())
+	if err := c.DecodeBatchInto(ax, y); err != nil {
+		return nil, err
+	}
+	return ax, nil
 }
 
 func TestComputeDeviceBatchShape(t *testing.T) {

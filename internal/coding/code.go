@@ -18,7 +18,7 @@ import (
 // A Code fixes the shape of one deployment: m confidential rows are encoded
 // into m+r coded rows laid out across Devices() devices (device j holds the
 // global row range RowRange(j)), every device multiplies its block by the
-// input, and Decode recovers the exact product from the concatenated
+// input, and DecodeInto recovers the exact product from the concatenated
 // intermediate results. T() is the security level: any coalition of up to
 // T() honest-but-curious devices learns nothing about A (Definition 2
 // generalized to coalitions). K() is the recoverability threshold: the
@@ -51,12 +51,15 @@ type Code[E comparable] interface {
 	// Encode produces every device's coded block with fresh randomness from
 	// rng. The returned Encoding carries this Code in its Code field.
 	Encode(a *matrix.Dense[E], rng *rand.Rand) (*Encoding[E], error)
-	// Decode recovers A·x from the concatenated intermediate results
-	// y = B·T·x (device order, m+r values).
+	// DecodeInto recovers A·x from the concatenated intermediate results
+	// y = B·T·x (device order, m+r values) into dst (m values).
+	DecodeInto(dst, y []E) error
+	// Decode is DecodeInto on a fresh m-element output.
 	Decode(y []E) ([]E, error)
-	// DecodeBatch recovers A·X from the stacked intermediate block
-	// Y = B·T·X ((m+r)×n), the batch generalization of Decode.
-	DecodeBatch(y *matrix.Dense[E]) (*matrix.Dense[E], error)
+	// DecodeBatchInto recovers A·X from the stacked intermediate block
+	// Y = B·T·X ((m+r)×n) into dst (m×n), the batch generalization of
+	// DecodeInto.
+	DecodeBatchInto(dst, y *matrix.Dense[E]) error
 	// Verify re-establishes the availability (Definition 1) and security
 	// (Definition 2, generalized to T-coalitions) conditions for this
 	// concrete code.
@@ -126,14 +129,20 @@ func (c *StructuredCode[E]) Encode(a *matrix.Dense[E], rng *rand.Rand) (*Encodin
 	return Encode(c.f, c.s, a, rng)
 }
 
+// DecodeInto implements Code via the m-subtraction decoder.
+func (c *StructuredCode[E]) DecodeInto(dst, y []E) error {
+	return DecodeInto(c.f, c.s, dst, y)
+}
+
 // Decode implements Code via the m-subtraction decoder.
 func (c *StructuredCode[E]) Decode(y []E) ([]E, error) {
 	return Decode(c.f, c.s, y)
 }
 
-// DecodeBatch implements Code via the column-wise m-subtraction decoder.
-func (c *StructuredCode[E]) DecodeBatch(y *matrix.Dense[E]) (*matrix.Dense[E], error) {
-	return DecodeBatch(c.f, c.s, y)
+// DecodeBatchInto implements Code via the column-wise m-subtraction
+// decoder.
+func (c *StructuredCode[E]) DecodeBatchInto(dst, y *matrix.Dense[E]) error {
+	return DecodeBatchInto(c.f, c.s, dst, y)
 }
 
 // Verify implements Code via the Theorem 3 checks.

@@ -70,16 +70,16 @@ func TestStructuredCodeBitIdenticalToPackageFunctions(t *testing.T) {
 
 	xb := matrix.Random[uint64](f, rand.New(rand.NewPCG(9, 17)), l, 3)
 	yb := encOld.ComputeAllBatch(f, xb)
-	gotBatchOld, err := DecodeBatch[uint64](f, s, yb)
-	if err != nil {
+	gotBatchOld := matrix.New[uint64](m, yb.Cols())
+	if err := DecodeBatchInto[uint64](f, s, gotBatchOld, yb); err != nil {
 		t.Fatal(err)
 	}
-	gotBatchNew, err := code.DecodeBatch(yb)
+	gotBatchNew, err := decodeBatch[uint64](code, yb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !matrix.Equal[uint64](f, gotBatchOld, gotBatchNew) {
-		t.Fatal("DecodeBatch mismatch between package function and StructuredCode")
+		t.Fatal("DecodeBatchInto mismatch between package function and StructuredCode")
 	}
 }
 

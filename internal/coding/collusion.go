@@ -175,34 +175,50 @@ func (s *CollusionScheme[E]) Encode(a *matrix.Dense[E], rng *rand.Rand) (*Encodi
 	// Encoding.Scheme stays nil — there is no m-subtraction shortcut — but
 	// the Code handle makes the encoding first-class across every execution
 	// layer: engine, fleet, sim, and transport decode through it.
-	return &Encoding[E]{Code: s, Blocks: blocks, Random: random}, nil
+	return &Encoding[E]{Code: s, Blocks: blocks, Random: random, offs: blockOffsets(blocks)}, nil
 }
 
-// Decode recovers Ax from the concatenated intermediate results by solving
-// B·(Tx) = y against the LU factorization computed at construction (the
-// Cauchy design has no m-subtraction shortcut, but factor-once/solve-many
-// keeps repeated queries at O((m+r)²)).
-func (s *CollusionScheme[E]) Decode(y []E) ([]E, error) {
+// DecodeInto recovers Ax into dst from the concatenated intermediate
+// results by solving B·(Tx) = y against the LU factorization computed at
+// construction (the Cauchy design has no m-subtraction shortcut, but
+// factor-once/solve-many keeps repeated queries at O((m+r)²)).
+func (s *CollusionScheme[E]) DecodeInto(dst, y []E) error {
 	if len(y) != s.m+s.r {
-		return nil, fmt.Errorf("coding: got %d intermediate values, want m+r = %d", len(y), s.m+s.r)
+		return fmt.Errorf("coding: got %d intermediate values, want m+r = %d", len(y), s.m+s.r)
+	}
+	if len(dst) != s.m {
+		return fmt.Errorf("coding: decode output has %d entries, want m = %d", len(dst), s.m)
 	}
 	tx, err := s.lu.Solve(y)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return tx[:s.m], nil
+	copy(dst, tx[:s.m])
+	return nil
 }
 
-// DecodeBatch recovers A·X from the stacked intermediate block Y = B·T·X by
-// solving each column against the construction-time LU factorization —
-// O((m+r)²) per column, the batch counterpart of Decode.
-func (s *CollusionScheme[E]) DecodeBatch(y *matrix.Dense[E]) (*matrix.Dense[E], error) {
+// Decode is DecodeInto on a fresh m-element output.
+func (s *CollusionScheme[E]) Decode(y []E) ([]E, error) {
+	ax := make([]E, s.m)
+	if err := s.DecodeInto(ax, y); err != nil {
+		return nil, err
+	}
+	return ax, nil
+}
+
+// DecodeBatchInto recovers A·X into dst from the stacked intermediate block
+// Y = B·T·X by solving each column against the construction-time LU
+// factorization — O((m+r)²) per column, the batch counterpart of
+// DecodeInto.
+func (s *CollusionScheme[E]) DecodeBatchInto(dst, y *matrix.Dense[E]) error {
 	n := s.m + s.r
 	if y.Rows() != n {
-		return nil, fmt.Errorf("coding: got %d intermediate rows, want m+r = %d", y.Rows(), n)
+		return fmt.Errorf("coding: got %d intermediate rows, want m+r = %d", y.Rows(), n)
 	}
 	cols := y.Cols()
-	ax := matrix.New[E](s.m, cols)
+	if dst.Rows() != s.m || dst.Cols() != cols {
+		return fmt.Errorf("coding: decode output is %dx%d, want %dx%d", dst.Rows(), dst.Cols(), s.m, cols)
+	}
 	col := make([]E, n)
 	for c := 0; c < cols; c++ {
 		for p := 0; p < n; p++ {
@@ -210,13 +226,13 @@ func (s *CollusionScheme[E]) DecodeBatch(y *matrix.Dense[E]) (*matrix.Dense[E], 
 		}
 		tx, err := s.lu.Solve(col)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for p := 0; p < s.m; p++ {
-			ax.Set(p, c, tx[p])
+			dst.Set(p, c, tx[p])
 		}
 	}
-	return ax, nil
+	return nil
 }
 
 // Verify checks availability and t-collusion security exhaustively through

@@ -9,7 +9,7 @@ import (
 
 // FuzzCollusionDecode throws arbitrary shapes and intermediate vectors at the
 // Cauchy decoder: construction either fails cleanly or yields a scheme whose
-// Decode/DecodeBatch never panic — wrong lengths must error, right lengths
+// Decode/DecodeBatchInto never panic — wrong lengths must error, right lengths
 // must produce m values (garbage in, garbage out — but never a crash).
 // Runs over GF(256) so the fuzzer also exercises Cauchy node exhaustion
 // (m + 2r > 256 must be a clean error).
@@ -61,16 +61,16 @@ func FuzzCollusionDecode(fz *testing.F) {
 		}
 
 		// Batch path: a wrong row count errors, the right one decodes.
-		if _, err := s.DecodeBatch(matrix.New[byte](m+r+1, 1)); err == nil {
-			t.Fatal("DecodeBatch accepted a wrong-shaped block")
+		if _, err := decodeBatch[byte](s, matrix.New[byte](m+r+1, 1)); err == nil {
+			t.Fatal("DecodeBatchInto accepted a wrong-shaped block")
 		}
 		yb := matrix.New[byte](m+r, 2)
 		for i := 0; i < m+r; i++ {
 			yb.Set(i, 0, y[i])
 			yb.Set(i, 1, y[(i+1)%(m+r)])
 		}
-		if _, err := s.DecodeBatch(yb); err != nil {
-			t.Fatalf("DecodeBatch of well-shaped block errored: %v", err)
+		if _, err := decodeBatch[byte](s, yb); err != nil {
+			t.Fatalf("DecodeBatchInto of well-shaped block errored: %v", err)
 		}
 	})
 }

@@ -48,7 +48,7 @@ func TestCollusionPropertyRandomShapes(t *testing.T) {
 		}
 
 		xb := matrix.Random[uint64](f, rng, l, 1+rng.IntN(3))
-		gotB, err := s.DecodeBatch(enc.ComputeAllBatch(f, xb))
+		gotB, err := decodeBatch[uint64](s, enc.ComputeAllBatch(f, xb))
 		if err != nil {
 			t.Fatalf("trial %d: batch decode: %v", trial, err)
 		}

@@ -25,6 +25,31 @@ type Encoding[E comparable] struct {
 	// Random holds the r random rows. Exposed for tests and for the general
 	// Gaussian decoding path; a deployment keeps it inside the cloud.
 	Random *matrix.Dense[E]
+
+	// offs[j] is block j's first row in B·T, offs[len(Blocks)] the total;
+	// the package encoders set it once (see offsets).
+	offs []int
+}
+
+// blockOffsets returns each block's first row in the stacked B·T and, last,
+// the total row count.
+func blockOffsets[E comparable](blocks []*matrix.Dense[E]) []int {
+	offs := make([]int, len(blocks)+1)
+	for j, b := range blocks {
+		offs[j+1] = offs[j] + b.Rows()
+	}
+	return offs
+}
+
+// offsets returns where each block's rows start in the stacked B·T, with
+// the total m+r last. The package encoders compute it once; an Encoding
+// assembled by hand (a column chunk, a test fixture) gets it computed on
+// each call.
+func (e *Encoding[E]) offsets() []int {
+	if len(e.offs) == len(e.Blocks)+1 {
+		return e.offs
+	}
+	return blockOffsets(e.Blocks)
 }
 
 // Encode runs the Coded Data Distribution step of the MCSCEC framework
@@ -104,7 +129,7 @@ func EncodeWithRandom[E comparable](f field.Field[E], s *Scheme, a, random *matr
 			}
 		}
 	})
-	return &Encoding[E]{Code: BindScheme(f, s), Scheme: s, Blocks: blocks, Random: random}, nil
+	return &Encoding[E]{Code: BindScheme(f, s), Scheme: s, Blocks: blocks, Random: random, offs: blockOffsets(blocks)}, nil
 }
 
 // ComputeDevice performs device j's work in the Coded Edge Computing step:
@@ -114,21 +139,25 @@ func (e *Encoding[E]) ComputeDevice(f field.Field[E], j int, x []E) []E {
 	return matrix.MulVec(f, e.Blocks[j], x)
 }
 
-// ComputeAll runs every device and concatenates the intermediate results in
-// device order, i.e. it returns B·T·x. The in-process simulator and tests
-// use it; the transport package does the same over TCP. Devices run in
-// parallel through matrix.ParallelFor, each multiplying directly into its
-// slot of the result (and sharding its own product when it is large enough).
+// ComputeAll is ComputeAllInto on a fresh m+r-element result.
 func (e *Encoding[E]) ComputeAll(f field.Field[E], x []E) []E {
-	offsets := make([]int, len(e.Blocks)+1)
-	for j, b := range e.Blocks {
-		offsets[j+1] = offsets[j] + b.Rows()
-	}
-	out := make([]E, offsets[len(e.Blocks)])
-	matrix.ParallelFor(len(e.Blocks), offsets[len(e.Blocks)]*len(x), func(jlo, jhi int) {
+	offs := e.offsets()
+	y := make([]E, offs[len(offs)-1])
+	e.ComputeAllInto(f, x, y)
+	return y
+}
+
+// ComputeAllInto runs every device and writes the intermediate results into
+// y in device order, i.e. y = B·T·x; y must hold m+r values. The in-process
+// executor and tests use it; the transport package does the same over TCP.
+// Devices run in parallel through matrix.ParallelFor, each multiplying
+// directly into its slot of y (and sharding its own product when it is
+// large enough).
+func (e *Encoding[E]) ComputeAllInto(f field.Field[E], x, y []E) {
+	offs := e.offsets()
+	matrix.ParallelFor(len(e.Blocks), offs[len(offs)-1]*len(x), func(jlo, jhi int) {
 		for j := jlo; j < jhi; j++ {
-			matrix.MulVecInto(f, e.Blocks[j], x, out[offsets[j]:offsets[j+1]])
+			matrix.MulVecInto(f, e.Blocks[j], x, y[offs[j]:offs[j+1]])
 		}
 	})
-	return out
 }

@@ -53,7 +53,7 @@ func pipelineDiff[E comparable](t *testing.T, f field.Field[E]) {
 			t.Fatal(err)
 		}
 		wantYB := wantEnc.ComputeAllBatch(f, xm)
-		wantAxB, err := DecodeBatch(f, s, wantYB)
+		wantAxB, err := decodeBatch(BindScheme(f, s), wantYB)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func pipelineDiff[E comparable](t *testing.T, f field.Field[E]) {
 			for r := 0; r < yb.Rows(); r++ {
 				sameSlice(t, label+" compute-batch", wantYB.Row(r), yb.Row(r))
 			}
-			axb, err := DecodeBatch(f, s, yb)
+			axb, err := decodeBatch(BindScheme(f, s), yb)
 			if err != nil {
 				t.Fatal(err)
 			}

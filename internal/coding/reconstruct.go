@@ -64,7 +64,7 @@ func Reconstruct[E comparable](f field.Field[E], enc *Encoding[E]) (*matrix.Dens
 
 // reconstructGeneric recovers A through the code's own batch decoder: the
 // stacked blocks are exactly Y = B·T (the intermediate result for X = I),
-// and DecodeBatch(Y) returns the first m rows of T, i.e. A.
+// and DecodeBatchInto(Y) yields the first m rows of T, i.e. A.
 func reconstructGeneric[E comparable](enc *Encoding[E]) (*matrix.Dense[E], error) {
 	code := enc.Code
 	if len(enc.Blocks) != code.Devices() {
@@ -75,5 +75,10 @@ func reconstructGeneric[E comparable](enc *Encoding[E]) (*matrix.Dense[E], error
 			return nil, fmt.Errorf("coding: block %d holds %d rows, code expects %d", j, block.Rows(), code.RowsOn(j))
 		}
 	}
-	return code.DecodeBatch(matrix.VStack(enc.Blocks...))
+	y := matrix.VStack(enc.Blocks...)
+	a := matrix.New[E](code.M(), y.Cols())
+	if err := code.DecodeBatchInto(a, y); err != nil {
+		return nil, err
+	}
+	return a, nil
 }

@@ -59,51 +59,60 @@ func NewChunked[E comparable](f field.Field[E], enc *coding.Encoding[E], width i
 // Name implements Executor: chunking keeps the substrate's backend label.
 func (c *chunked[E]) Name() string { return c.parts[0].Name() }
 
-// fanOut calls every part concurrently with its range of an l-entry input,
-// waits for all of them — so no part outlives the round — and folds their
-// raw results with add; the first error in chunk order wins.
-func fanOut[E comparable, T any](c *chunked[E], l int, call func(p Executor[E], from, to int) (T, error), add func(acc, y T) T) (T, error) {
-	ys, errs := make([]T, len(c.parts)), make([]error, len(c.parts))
+// fanOut calls every part concurrently with its chunk index b and range of
+// an l-entry input, waits for all of them — so no part outlives the round —
+// and then sums the parts' raw results, outs[1:], into outs[0]; the first
+// error in chunk order wins.
+func (c *chunked[E]) fanOut(l int, outs [][]E, call func(b int, p Executor[E], from, to int) error) error {
+	errs := make([]error, len(c.parts))
 	var wg sync.WaitGroup
 	for b, p := range c.parts {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			from := b * c.width
-			ys[b], errs[b] = call(p, from, min(from+c.width, l))
+			errs[b] = call(b, p, from, min(from+c.width, l))
 		}()
 	}
 	wg.Wait()
 	for b, err := range errs {
 		if err != nil {
-			var none T
-			return none, fmt.Errorf("engine: chunk %d: %w", b, err)
+			return fmt.Errorf("engine: chunk %d: %w", b, err)
 		}
 	}
-	for _, y := range ys[1:] {
-		ys[0] = add(ys[0], y)
+	for _, out := range outs[1:] {
+		matrix.VecAddInto(c.f, outs[0], outs[0], out)
 	}
-	return ys[0], nil
+	return nil
 }
 
-// Compute fans x's slices out to the parts and sums their raw results.
-func (c *chunked[E]) Compute(ctx context.Context, x []E) ([]E, error) {
-	return fanOut(c, len(x), func(p Executor[E], from, to int) ([]E, error) {
-		return p.Compute(ctx, x[from:to])
-	}, func(acc, y []E) []E {
-		for i := range y {
-			acc[i] = c.f.Add(acc[i], y[i])
-		}
-		return acc
+// outs returns one raw-result buffer per part: y itself for the first, and
+// scratch of y's length for the others.
+func (c *chunked[E]) outs(y []E) [][]E {
+	outs := make([][]E, len(c.parts))
+	outs[0] = y
+	for b := 1; b < len(outs); b++ {
+		outs[b] = make([]E, len(y))
+	}
+	return outs
+}
+
+// Compute fans x's slices out to the parts and sums their raw results into
+// y.
+func (c *chunked[E]) Compute(ctx context.Context, x, y []E) error {
+	outs := c.outs(y)
+	return c.fanOut(len(x), outs, func(b int, p Executor[E], from, to int) error {
+		return p.Compute(ctx, x[from:to], outs[b])
 	})
 }
 
 // ComputeBatch fans X's row slices out to the parts and sums their raw
-// results.
-func (c *chunked[E]) ComputeBatch(ctx context.Context, x *matrix.Dense[E]) (*matrix.Dense[E], error) {
-	return fanOut(c, x.Rows(), func(p Executor[E], from, to int) (*matrix.Dense[E], error) {
-		return p.ComputeBatch(ctx, matrix.RowSlice(x, from, to))
-	}, func(acc, y *matrix.Dense[E]) *matrix.Dense[E] { return matrix.Add(c.f, acc, y) })
+// results into y.
+func (c *chunked[E]) ComputeBatch(ctx context.Context, x, y *matrix.Dense[E]) error {
+	outs := c.outs(y.RowsView(0, y.Rows()))
+	return c.fanOut(x.Rows(), outs, func(b int, p Executor[E], from, to int) error {
+		return p.ComputeBatch(ctx, matrix.RowSlice(x, from, to), matrix.FromSlice(y.Rows(), y.Cols(), outs[b]))
+	})
 }
 
 // Close releases every part's substrate.

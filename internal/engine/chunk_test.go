@@ -56,10 +56,13 @@ func chunkDifferential[E comparable](t *testing.T, f field.Field[E], randE func(
 			t.Fatal(err)
 		}
 		whole := NewLocal(f, enc, obs.New())
-		wantVec, _ := whole.Compute(context.Background(), x)
-		wantMat, _ := whole.ComputeBatch(context.Background(), xm)
-		if len(wantVec) != m+code.R() {
-			t.Fatalf("%s: reference returned %d raw results, want m+r = %d", name, len(wantVec), m+code.R())
+		rows := m + code.R()
+		wantVec, wantMat := make([]E, rows), matrix.New[E](rows, n)
+		if err := whole.Compute(context.Background(), x, wantVec); err != nil {
+			t.Fatal(err)
+		}
+		if err := whole.ComputeBatch(context.Background(), xm, wantMat); err != nil {
+			t.Fatal(err)
 		}
 
 		for _, width := range []int{1, 3, l, 50} { // 3 leaves a ragged 1-column chunk
@@ -74,16 +77,20 @@ func chunkDifferential[E comparable](t *testing.T, f field.Field[E], randE func(
 			if want := (l + min(width, l) - 1) / min(width, l); binds != want || chunks != want {
 				t.Fatalf("%s width %d: bound %d chunks, reported %d, want %d", name, width, binds, chunks, want)
 			}
-			gotVec, err := exec.Compute(context.Background(), x)
-			if err != nil {
+			// Stale staging, as a recycled buffer holds: the executor must
+			// overwrite every entry.
+			gotVec, gotMat := make([]E, rows), matrix.New[E](rows, n)
+			for i := range gotVec {
+				gotVec[i] = randE(rng)
+				for j := 0; j < n; j++ {
+					gotMat.Set(i, j, randE(rng))
+				}
+			}
+			if err := exec.Compute(context.Background(), x, gotVec); err != nil {
 				t.Fatal(err)
 			}
-			gotMat, err := exec.ComputeBatch(context.Background(), xm)
-			if err != nil {
+			if err := exec.ComputeBatch(context.Background(), xm, gotMat); err != nil {
 				t.Fatal(err)
-			}
-			if len(gotVec) != len(wantVec) || gotMat.Rows() != wantMat.Rows() || gotMat.Cols() != n {
-				t.Fatalf("%s width %d: raw result shapes differ from the unchunked executor's", name, width)
 			}
 			for i := range wantVec {
 				if !equal(gotVec[i], wantVec[i]) {
@@ -128,19 +135,18 @@ type stubPart struct {
 
 func (s *stubPart) Name() string { return "stub" }
 func (s *stubPart) Close() error { return nil }
-func (s *stubPart) ComputeBatch(ctx context.Context, x *matrix.Dense[uint64]) (*matrix.Dense[uint64], error) {
-	_, err := s.Compute(ctx, nil)
-	return matrix.New[uint64](1, x.Cols()), err
+func (s *stubPart) ComputeBatch(ctx context.Context, _, _ *matrix.Dense[uint64]) error {
+	return s.Compute(ctx, nil, nil)
 }
-func (s *stubPart) Compute(ctx context.Context, _ []uint64) ([]uint64, error) {
+func (s *stubPart) Compute(ctx context.Context, _, _ []uint64) error {
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
 	s.started.Done()
 	if s.block {
 		<-ctx.Done()
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
-	return []uint64{0}, s.err
+	return s.err
 }
 
 // TestChunkedFirstErrorInChunkOrderNoLeak: a failing chunk or a cancelled
@@ -169,8 +175,10 @@ func TestChunkedFirstErrorInChunkOrderNoLeak(t *testing.T) {
 	// l = 5 at width 2 is three chunks. Chunk 0 succeeds, 1 and 2 fail.
 	exec := build([]*stubPart{{}, {err: errB}, {err: errC}})
 	for _, call := range []func() error{
-		func() error { _, err := exec.Compute(context.Background(), tc.x); return err },
-		func() error { _, err := exec.ComputeBatch(context.Background(), tc.xm); return err },
+		func() error { return exec.Compute(context.Background(), tc.x, make([]uint64, tc.rows())) },
+		func() error {
+			return exec.ComputeBatch(context.Background(), tc.xm, matrix.New[uint64](tc.rows(), tc.xm.Cols()))
+		},
 	} {
 		started.Add(3)
 		err := call()
@@ -190,7 +198,7 @@ func TestChunkedFirstErrorInChunkOrderNoLeak(t *testing.T) {
 		started.Wait()
 		cancel()
 	}()
-	_, err := exec.Compute(ctx, tc.x)
+	err := exec.Compute(ctx, tc.x, make([]uint64, tc.rows()))
 	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "chunk 0") {
 		t.Fatalf("err = %v, want chunk 0's context.Canceled", err)
 	}

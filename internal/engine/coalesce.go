@@ -12,10 +12,11 @@ import (
 	"github.com/scec/scec/internal/obs/trace"
 )
 
-// outcome is what a coalesced waiter receives: its decoded column of A·X,
-// or the round's error.
+// outcome is what a coalesced waiter receives: its decoded column of A·X
+// in a recycled buffer that the waiter copies into its output and hands
+// back, or the round's error.
 type outcome[E comparable] struct {
-	ax  []E
+	ax  *[]E
 	err error
 }
 
@@ -53,8 +54,11 @@ type cbatch[E comparable] struct {
 // fills, whichever comes first, on the timer's goroutine or the filling
 // caller's.
 //
-// Either way the executing goroutine stacks the inputs column-wise, runs one
-// batch round, and fans each decoded column back to its caller.
+// Either way the executing goroutine stacks the inputs column-wise into
+// recycled staging, runs one batch round, and fans each decoded column back
+// to its caller in a recycled buffer. The round never writes a caller's
+// output: a waiter copies its column in itself, so one that has left is
+// never written (its column buffer is simply dropped).
 type coalescer[E comparable] struct {
 	q      *Query[E]
 	window time.Duration
@@ -87,20 +91,21 @@ func (c *coalescer[E]) occupancy() int {
 	return len(c.cur.waiters)
 }
 
-// submit runs the caller alone when group commit finds no round in flight;
-// otherwise it parks the caller in the queue (opening it if needed) and
-// blocks until the caller's round executes or ctx ends. ctx carries the
-// caller's query span; a merged round runs under roundContext.
-func (c *coalescer[E]) submit(ctx context.Context, x []E) ([]E, error) {
+// submit runs the caller alone when group commit finds no round in flight,
+// decoding into dst; otherwise it parks the caller in the queue (opening it
+// if needed) and blocks until the caller's round executes or ctx ends, then
+// copies its column into dst. ctx carries the caller's query span; a merged
+// round runs under roundContext.
+func (c *coalescer[E]) submit(ctx context.Context, x, dst []E) error {
 	c.mu.Lock()
 	if c.window == 0 && !c.inflight {
 		c.inflight = true
 		c.mu.Unlock()
-		ax, err := c.q.mulVecDirect(ctx, x)
+		err := c.q.mulVecDirect(ctx, x, dst)
 		if ws := c.next(); ws != nil {
 			go c.serve(ws)
 		}
-		return ax, err
+		return err
 	}
 	_, wsp := c.q.startSpan(ctx, trace.SpanCoalesceWait)
 	w := &waiter[E]{ctx: ctx, x: x, out: make(chan outcome[E], 1), sp: wsp}
@@ -127,11 +132,15 @@ func (c *coalescer[E]) submit(ctx context.Context, x []E) ([]E, error) {
 	select {
 	case o := <-w.out:
 		wsp.End()
-		return o.ax, o.err
+		if o.err == nil {
+			copy(dst, *o.ax)
+			c.q.columns.Put(o.ax)
+		}
+		return o.err
 	case <-ctx.Done():
 		wsp.SetError(ctx.Err())
 		wsp.End()
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 }
 
@@ -201,9 +210,11 @@ func (c *coalescer[E]) drain() {
 // A lone live waiter takes the plain vector path under its own context; a
 // merged batch stacks inputs as columns of one l×n matrix, runs a single
 // batch dispatch under roundContext, and hands column i of the decoded A·X
-// to caller i. The round carries the leader's (first live waiter's) span;
-// followers from other traces see a "coalesced" event on their wait spans
-// instead, since one round cannot belong to two traces.
+// to caller i. The stacked inputs and the decoded product are recycled
+// staging, since only the columns leave the round. The round carries the
+// leader's (first live waiter's) span; followers from other traces see a
+// "coalesced" event on their wait spans instead, since one round cannot
+// belong to two traces.
 func (c *coalescer[E]) execute(ws []*waiter[E]) {
 	live := ws[:0]
 	for _, w := range ws {
@@ -224,22 +235,31 @@ func (c *coalescer[E]) execute(ws []*waiter[E]) {
 	for _, w := range ws {
 		w.sp.AddEvent(trace.EventCoalesced, trace.A(trace.AttrBatch, batch))
 	}
-	if len(ws) == 1 {
-		ax, err := c.q.mulVecDirect(ws[0].ctx, ws[0].x)
-		ws[0].out <- outcome[E]{ax, err}
+	m, n := c.q.code.M(), len(ws)
+	if n == 1 {
+		ax := c.q.column()
+		if err := c.q.mulVecDirect(ws[0].ctx, ws[0].x, *ax); err != nil {
+			c.q.columns.Put(ax)
+			ws[0].out <- outcome[E]{nil, err}
+			return
+		}
+		ws[0].out <- outcome[E]{ax, nil}
 		return
 	}
 	rctx, cancel := roundContext(ws)
 	defer cancel()
 	rctx, rsp := c.q.startSpan(rctx, trace.SpanEngineRound)
 	rsp.SetAttr(trace.AttrBatch, batch)
-	x := matrix.New[E](c.q.cols, len(ws))
+	xb, axb := c.q.stage(c.q.cols*n), c.q.stage(m*n)
+	defer c.q.putStage(xb)
+	defer c.q.putStage(axb)
+	x, ax := matrix.FromSlice(c.q.cols, n, *xb), matrix.FromSlice(m, n, *axb)
 	for i, w := range ws {
 		for p, v := range w.x {
 			x.Set(p, i, v)
 		}
 	}
-	ax, err := c.q.mulMatDirect(rctx, x)
+	err := c.q.mulMatDirect(rctx, x, ax)
 	rsp.SetError(err)
 	rsp.End()
 	if err != nil {
@@ -249,9 +269,9 @@ func (c *coalescer[E]) execute(ws []*waiter[E]) {
 		return
 	}
 	for i, w := range ws {
-		col := make([]E, ax.Rows())
-		for p := range col {
-			col[p] = ax.At(p, i)
+		col := c.q.column()
+		for p := range *col {
+			(*col)[p] = ax.At(p, i)
 		}
 		w.out <- outcome[E]{col, nil}
 	}

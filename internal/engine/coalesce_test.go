@@ -209,14 +209,14 @@ type gatedExec[E comparable] struct {
 	release chan struct{}
 }
 
-func (g *gatedExec[E]) ComputeBatch(ctx context.Context, x *matrix.Dense[E]) (*matrix.Dense[E], error) {
+func (g *gatedExec[E]) ComputeBatch(ctx context.Context, x, y *matrix.Dense[E]) error {
 	g.entered <- struct{}{}
 	select {
 	case <-g.release:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
-	return g.Executor.ComputeBatch(ctx, x)
+	return g.Executor.ComputeBatch(ctx, x, y)
 }
 
 // TestCoalescedLeaderCancelLeavesFollowersExact: the caller that opened a
@@ -317,7 +317,7 @@ func newHeldExec[E comparable](exec Executor[E]) *heldExec[E] {
 	return &heldExec[E]{Executor: exec, entered: make(chan struct{}, 1), release: make(chan struct{})}
 }
 
-func (h *heldExec[E]) Compute(ctx context.Context, x []E) ([]E, error) {
+func (h *heldExec[E]) Compute(ctx context.Context, x, y []E) error {
 	select {
 	case h.entered <- struct{}{}:
 	default:
@@ -325,9 +325,9 @@ func (h *heldExec[E]) Compute(ctx context.Context, x []E) ([]E, error) {
 	select {
 	case <-h.release:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
-	return h.Executor.Compute(ctx, x)
+	return h.Executor.Compute(ctx, x, y)
 }
 
 // groupCommit builds a group-commit query over exec, as the facade binds a
@@ -472,6 +472,66 @@ func TestGroupCommitCancelledWaiterLeftOut(t *testing.T) {
 	}
 	if h := coalesceHist(reg, "fleet"); h.Count() != 1 || h.Sum() != followers {
 		t.Fatalf("rounds=%d callers=%g, want one round of %d without the cancelled caller", h.Count(), h.Sum(), followers)
+	}
+}
+
+// TestGroupCommitDepartedWaiterDstUntouched: a caller that cancels while
+// its merged round is running gets context.Canceled at once, and the round
+// — which still decodes that caller's column — never writes the dst the
+// caller gave MulVecInto; the caller merged with it still gets exactly A·x.
+func TestGroupCommitDepartedWaiterDstUntouched(t *testing.T) {
+	f := field.Prime{}
+	tc := newCase[uint64](t, f, f.Rand)
+	gate := &gatedExec[uint64]{Executor: serveFleet(t, f, tc.enc), entered: make(chan struct{}, 1), release: make(chan struct{})}
+	held := newHeldExec[uint64](gate)
+	q := groupCommit(t, tc, held, obs.New())
+	t.Cleanup(func() { _ = q.Close() })
+
+	lone := make(chan error, 1)
+	go func() {
+		_, err := q.MulVec(tc.x)
+		lone <- err
+	}()
+	<-held.entered
+	ctx, cancel := context.WithCancel(t.Context())
+	defer cancel()
+	const sentinel = 0xdead
+	dst := make([]uint64, len(tc.want))
+	for i := range dst {
+		dst[i] = sentinel
+	}
+	departed := make(chan error, 1)
+	go func() { departed <- q.MulVecInto(ctx, dst, tc.x) }()
+	waitParked(t, q, 1)
+	x := matrix.RandomVec[uint64](f, rand.New(rand.NewPCG(8, 3)), len(tc.x))
+	follower := make(chan error, 1)
+	go func() {
+		got, err := q.MulVec(x)
+		if err == nil && !slices.Equal(got, matrix.MulVec[uint64](f, tc.a, x)) {
+			err = errEntryMismatch
+		}
+		follower <- err
+	}()
+	waitParked(t, q, 2)
+	close(held.release) // the lone round returns; the merged round starts
+	<-gate.entered
+	cancel()
+	if err := <-departed; !errors.Is(err, context.Canceled) {
+		t.Fatalf("departed caller's err = %v, want context.Canceled", err)
+	}
+	close(gate.release)
+	if err := <-lone; err != nil {
+		t.Fatalf("lone round: %v", err)
+	}
+	// The follower's answer comes from the same fan-out as the departed
+	// caller's column, so the round is done with both by now.
+	if err := <-follower; err != nil {
+		t.Fatalf("follower: %v", err)
+	}
+	for i, v := range dst {
+		if v != sentinel {
+			t.Fatalf("dst[%d] = %d after its caller left: the round wrote a departed caller's output", i, v)
+		}
 	}
 }
 

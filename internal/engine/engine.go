@@ -23,8 +23,9 @@ import (
 )
 
 // Executor evaluates the coded compute round over one execution substrate.
-// Implementations return the raw (undecoded) intermediate results in scheme
-// device order; the Query layer decodes. Executors must be safe for
+// Implementations write the raw (undecoded) intermediate results, in scheme
+// device order, into staging the Query layer owns and decodes from; they
+// hold no reference to it once they return. Executors must be safe for
 // concurrent use. The context bounds one round — the fleet backend cancels
 // in-flight replica races when it ends — and carries the query's trace span,
 // which substrate-side spans parent under.
@@ -32,10 +33,12 @@ type Executor[E comparable] interface {
 	// Name identifies the backend ("local", "sim", "fleet") and becomes the
 	// backend label on the engine's metrics.
 	Name() string
-	// Compute evaluates B·T·x: m+r intermediate values in scheme order.
-	Compute(ctx context.Context, x []E) ([]E, error)
-	// ComputeBatch evaluates B·T·X for an l×n input: an (m+r)×n matrix.
-	ComputeBatch(ctx context.Context, x *matrix.Dense[E]) (*matrix.Dense[E], error)
+	// Compute evaluates B·T·x into y: m+r intermediate values in scheme
+	// order.
+	Compute(ctx context.Context, x, y []E) error
+	// ComputeBatch evaluates B·T·X for an l×n input into y, an (m+r)×n
+	// matrix.
+	ComputeBatch(ctx context.Context, x, y *matrix.Dense[E]) error
 	// Close releases the substrate (no-op for in-process backends).
 	Close() error
 }
@@ -84,6 +87,13 @@ type Query[E comparable] struct {
 	vec *obs.Counter
 	mat *obs.Counter
 	co  *coalescer[E]
+
+	// staging recycles *[]E buffers: each round's raw intermediate
+	// results, and a merged round's stacked inputs and decoded product, so
+	// a warm round allocates none of them. columns recycles the m-element
+	// buffers a merged round hands each waiter its column in.
+	staging sync.Pool
+	columns sync.Pool
 
 	closeOnce sync.Once
 	closeErr  error
@@ -149,15 +159,30 @@ func (q *Query[E]) MulVec(x []E) ([]E, error) {
 	return q.MulVecContext(context.Background(), x)
 }
 
-// MulVecContext is MulVec bounded by ctx. When the engine has a tracer, the
-// query runs under an engine.query.vec span — the root of the end-to-end
-// trace unless ctx already carries a span to continue.
-func (q *Query[E]) MulVecContext(ctx context.Context, x []E) (y []E, err error) {
+// MulVecContext is MulVecInto on a fresh m-element output.
+func (q *Query[E]) MulVecContext(ctx context.Context, x []E) ([]E, error) {
+	ax := make([]E, q.code.M())
+	if err := q.MulVecInto(ctx, ax, x); err != nil {
+		return nil, err
+	}
+	return ax, nil
+}
+
+// MulVecInto computes A·x into dst (m entries), bounded by ctx. When the
+// engine has a tracer, the query runs under an engine.query.vec span — the
+// root of the end-to-end trace unless ctx already carries a span to
+// continue. A lone caller's round decodes straight into dst; a caller served
+// by a merged round gets its column copied into dst on its own goroutine,
+// so nothing writes dst once MulVecInto has returned.
+func (q *Query[E]) MulVecInto(ctx context.Context, dst, x []E) (err error) {
 	if len(x) != q.cols {
-		return nil, fmt.Errorf("engine: input vector has %d entries, want %d", len(x), q.cols)
+		return fmt.Errorf("engine: input vector has %d entries, want %d", len(x), q.cols)
+	}
+	if m := q.code.M(); len(dst) != m {
+		return fmt.Errorf("engine: output vector has %d entries, want %d", len(dst), m)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	ctx, qsp := q.startSpan(ctx, trace.SpanQueryVec)
 	defer func() {
@@ -165,9 +190,9 @@ func (q *Query[E]) MulVecContext(ctx context.Context, x []E) (y []E, err error) 
 		qsp.End()
 	}()
 	if q.co != nil {
-		return q.co.submit(ctx, x)
+		return q.co.submit(ctx, x, dst)
 	}
-	return q.mulVecDirect(ctx, x)
+	return q.mulVecDirect(ctx, x, dst)
 }
 
 // MulMat computes A·X through the executor and decodes. Batch queries are
@@ -195,7 +220,11 @@ func (q *Query[E]) MulMatContext(ctx context.Context, x *matrix.Dense[E]) (y *ma
 		qsp.SetError(err)
 		qsp.End()
 	}()
-	return q.mulMatDirect(ctx, x)
+	ax := matrix.New[E](q.code.M(), x.Cols())
+	if err := q.mulMatDirect(ctx, x, ax); err != nil {
+		return nil, err
+	}
+	return ax, nil
 }
 
 // startSpan opens a query-layer span: a child continuing the trace in ctx
@@ -239,42 +268,73 @@ func (q *Query[E]) beginRound(ctx context.Context) (roundExec[E], error) {
 // captures the type dictionary and allocates a closure on every call.
 func noop() {}
 
-// mulVecDirect runs one uncoalesced vector round: dispatch, then decode
-// under a stage span.
-func (q *Query[E]) mulVecDirect(ctx context.Context, x []E) ([]E, error) {
+// stage returns a recycled buffer of n elements; putStage hands it back.
+// Its contents are stale: every user overwrites all n before reading.
+func (q *Query[E]) stage(n int) *[]E {
+	b, _ := q.staging.Get().(*[]E)
+	if b == nil {
+		b = new([]E)
+	}
+	if cap(*b) < n {
+		*b = make([]E, n)
+	}
+	*b = (*b)[:n]
+	return b
+}
+
+func (q *Query[E]) putStage(b *[]E) { q.staging.Put(b) }
+
+// column returns a recycled m-element buffer for a coalesced waiter's
+// column; the waiter puts it back into q.columns once copied out.
+func (q *Query[E]) column() *[]E {
+	if b, ok := q.columns.Get().(*[]E); ok {
+		return b
+	}
+	b := make([]E, q.code.M())
+	return &b
+}
+
+// mulVecDirect runs one uncoalesced vector round: dispatch into recycled
+// staging, then decode into dst under a stage span. The staging goes back
+// once decoded: an executor holds no reference to it after Compute returns.
+func (q *Query[E]) mulVecDirect(ctx context.Context, x, dst []E) error {
 	r, err := q.beginRound(ctx)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer r.release()
 	q.vec.Inc()
-	y, err := r.exec.Compute(ctx, x)
-	if err != nil {
-		return nil, err
+	y := q.stage(r.code.M() + r.code.R())
+	defer q.putStage(y)
+	if err := r.exec.Compute(ctx, x, *y); err != nil {
+		return err
 	}
 	_, dsp := q.startSpan(ctx, trace.SpanDecode)
 	defer dsp.End()
 	defer obs.StartStage(q.reg, obs.StageDecode).End()
-	return r.code.Decode(y)
+	return r.code.DecodeInto(dst, *y)
 }
 
-// mulMatDirect runs one batch round: dispatch, then decode under a stage
-// span.
-func (q *Query[E]) mulMatDirect(ctx context.Context, x *matrix.Dense[E]) (*matrix.Dense[E], error) {
+// mulMatDirect runs one batch round: dispatch into recycled staging, then
+// decode into dst (m×n) under a stage span.
+func (q *Query[E]) mulMatDirect(ctx context.Context, x, dst *matrix.Dense[E]) error {
 	r, err := q.beginRound(ctx)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer r.release()
 	q.mat.Inc()
-	y, err := r.exec.ComputeBatch(ctx, x)
-	if err != nil {
-		return nil, err
+	rows := r.code.M() + r.code.R()
+	y := q.stage(rows * x.Cols())
+	defer q.putStage(y)
+	ym := matrix.FromSlice(rows, x.Cols(), *y)
+	if err := r.exec.ComputeBatch(ctx, x, ym); err != nil {
+		return err
 	}
 	_, dsp := q.startSpan(ctx, trace.SpanDecode)
 	defer dsp.End()
 	defer obs.StartStage(q.reg, obs.StageDecode).End()
-	return r.code.DecodeBatch(y)
+	return r.code.DecodeBatchInto(dst, ym)
 }
 
 // Close flushes any pending coalesced batch and closes the executor. It is

@@ -59,6 +59,9 @@ func newCase[E comparable](t *testing.T, f field.Field[E], randE func(*rand.Rand
 	return tc
 }
 
+// rows is the case's m+r: the length of a raw intermediate result.
+func (tc *testCase[E]) rows() int { return tc.enc.Code.M() + tc.enc.Code.R() }
+
 // serveFleet spins one loopback device server per coded block and returns a
 // fleet executor over them; the devices stop when the test ends.
 func serveFleet[E comparable](t *testing.T, f field.Field[E], enc *coding.Encoding[E]) Executor[E] {

@@ -11,8 +11,8 @@ import (
 )
 
 // LocalExecutor evaluates the compute round in-process with the
-// field-specialized parallel kernels (Encoding.ComputeAll and
-// ComputeAllBatch). It is the zero-infrastructure backend and the engine's
+// field-specialized parallel kernels (Encoding.ComputeAllInto and
+// ComputeAllBatchInto). It is the zero-infrastructure backend and the engine's
 // default.
 type LocalExecutor[E comparable] struct {
 	f   field.Field[E]
@@ -31,27 +31,29 @@ func (e *LocalExecutor[E]) Name() string { return "local" }
 
 // Compute runs every device's B_j·T·x in-process under a compute-stage
 // span (and a device.compute trace span when ctx carries a trace).
-func (e *LocalExecutor[E]) Compute(ctx context.Context, x []E) ([]E, error) {
+func (e *LocalExecutor[E]) Compute(ctx context.Context, x, y []E) error {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	_, csp := traceSpan(ctx, trace.SpanDeviceCompute, trace.A(trace.AttrKind, "vec"))
 	defer csp.End()
 	defer obs.StartStage(e.reg, obs.StageCompute).End()
-	return e.enc.ComputeAll(e.f, x), nil
+	e.enc.ComputeAllInto(e.f, x, y)
+	return nil
 }
 
 // ComputeBatch runs every device's B_j·T·X in-process under a
 // compute-stage span (and a device.compute trace span when ctx carries a
 // trace).
-func (e *LocalExecutor[E]) ComputeBatch(ctx context.Context, x *matrix.Dense[E]) (*matrix.Dense[E], error) {
+func (e *LocalExecutor[E]) ComputeBatch(ctx context.Context, x, y *matrix.Dense[E]) error {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	_, csp := traceSpan(ctx, trace.SpanDeviceCompute, trace.A(trace.AttrKind, "mat"))
 	defer csp.End()
 	defer obs.StartStage(e.reg, obs.StageCompute).End()
-	return e.enc.ComputeAllBatch(e.f, x), nil
+	e.enc.ComputeAllBatchInto(e.f, x, y)
+	return nil
 }
 
 // traceSpan opens a child span when ctx carries one; otherwise it no-ops.

@@ -88,25 +88,25 @@ func (s *Swappable[E]) acquire(ctx context.Context) (*epoch[E], func(), error) {
 	}
 }
 
-// Compute runs one vector round against whichever epoch is current when the
-// round starts.
-func (s *Swappable[E]) Compute(ctx context.Context, x []E) ([]E, error) {
+// Compute runs one vector round into y against whichever epoch is current
+// when the round starts.
+func (s *Swappable[E]) Compute(ctx context.Context, x, y []E) error {
 	ep, release, err := s.acquire(ctx)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer release()
-	return ep.exec.Compute(ctx, x)
+	return ep.exec.Compute(ctx, x, y)
 }
 
-// ComputeBatch runs one batch round against the current epoch.
-func (s *Swappable[E]) ComputeBatch(ctx context.Context, x *matrix.Dense[E]) (*matrix.Dense[E], error) {
+// ComputeBatch runs one batch round into y against the current epoch.
+func (s *Swappable[E]) ComputeBatch(ctx context.Context, x, y *matrix.Dense[E]) error {
 	ep, release, err := s.acquire(ctx)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer release()
-	return ep.exec.ComputeBatch(ctx, x)
+	return ep.exec.ComputeBatch(ctx, x, y)
 }
 
 // SwapDrained performs a full drain-and-swap: new rounds park on the gate

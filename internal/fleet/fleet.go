@@ -211,6 +211,7 @@ type blockState[E comparable] struct {
 	index int
 	rows  *matrix.Dense[E] // retained for standby repair pushes
 	want  int              // expected intermediate-result length
+	off   int              // the block's first row in B·T
 	// target is the provisioned replica count; self-repair keeps the
 	// healthy count at or above it while standbys last.
 	target int
@@ -324,10 +325,12 @@ func Serve[E comparable](f field.Field[E], enc *coding.Encoding[E], cfg Config) 
 
 	s.blocks = make([]*blockState[E], len(enc.Blocks))
 	for j, group := range cfg.Replicas {
+		from, to := code.RowRange(j)
 		b := &blockState[E]{
 			index:  j,
 			rows:   enc.Blocks[j],
-			want:   code.RowsOn(j),
+			want:   to - from,
+			off:    from,
 			target: len(group),
 		}
 		for _, addr := range group {

@@ -139,6 +139,15 @@ func mulVec(s *Session[uint64], x []uint64) ([]uint64, error) {
 	return s.Code().Decode(y)
 }
 
+// gatherBatch is GatherBatchInto on a fresh (m+r)×n result.
+func gatherBatch(s *Session[uint64], xm *matrix.Dense[uint64]) (*matrix.Dense[uint64], error) {
+	y := matrix.New[uint64](s.Code().M()+s.Code().R(), xm.Cols())
+	if err := s.GatherBatchInto(context.Background(), xm, y); err != nil {
+		return nil, err
+	}
+	return y, nil
+}
+
 // counterValue reads one counter series from the registry snapshot.
 func counterValue(t *testing.T, reg *obs.Registry, name string, labels map[string]string) float64 {
 	t.Helper()
@@ -203,12 +212,12 @@ func TestFaultOneReplicaOfEachBlockDown(t *testing.T) {
 			xm.Set(i, j, env.f.Rand(rng))
 		}
 	}
-	gm, err := s.GatherBatchContext(t.Context(), xm)
+	gm, err := gatherBatch(s, xm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ym, err := s.Code().DecodeBatch(gm)
-	if err != nil {
+	ym := matrix.New[uint64](s.Code().M(), n)
+	if err := s.Code().DecodeBatchInto(ym, gm); err != nil {
 		t.Fatal(err)
 	}
 	for c := 0; c < n; c++ {
@@ -486,8 +495,8 @@ func TestServeValidation(t *testing.T) {
 	}
 	// A zero-column batch is refused before any replica sees it: a device's
 	// refusal would count against its breaker.
-	if _, err := s.GatherBatchContext(t.Context(), matrix.New[uint64](env.a.Cols(), 0)); err == nil {
-		t.Fatal("GatherBatchContext accepted a zero-column input")
+	if _, err := gatherBatch(s, matrix.New[uint64](env.a.Cols(), 0)); err == nil {
+		t.Fatal("GatherBatchInto accepted a zero-column input")
 	}
 	if v := counterValue(t, env.reg, obs.MetricFleetQueriesTotal, map[string]string{"kind": "mat"}); v != 0 {
 		t.Fatalf("mat queries counter = %g after a rejected input, want 0", v)

@@ -133,13 +133,16 @@ func TestLateLoserNeverFeedsNextQuery(t *testing.T) {
 	if testing.Short() {
 		rounds = 40
 	}
+	// One result buffer serves every query, as the engine's recycled
+	// staging does, while the losers' late replies hand their slabs back
+	// for the next query's replies to land in.
+	y := make([]uint64, s.Code().M()+s.Code().R())
 	query := func(ctx context.Context) error {
 		x := make([]uint64, len(env.x))
 		for i := range x {
 			x[i] = env.f.Rand(rng)
 		}
-		y, err := s.GatherContext(ctx, x)
-		if err != nil {
+		if err := s.GatherInto(ctx, x, y); err != nil {
 			return err
 		}
 		got, err := s.Code().Decode(y)

@@ -66,7 +66,7 @@ func TestFleetMetricsBoundedCardinality(t *testing.T) {
 		if _, err := mulVec(s, env.x); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.GatherBatchContext(t.Context(), xm); err != nil {
+		if _, err := gatherBatch(s, xm); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -35,63 +35,63 @@ var (
 	errNoAdmissible  = errors.New("no admissible replicas (every breaker open)")
 )
 
-// GatherContext fetches the full intermediate result B·T·x from the fleet
-// without decoding it: every logical block is fetched from its replica set
-// at once (racing, hedging, and retrying as needed) and the parts
-// concatenate in code device order, m+r values total — bit-identical to the
-// unreplicated pipeline, since every replica of block j returns the same
-// B_j·T·x. Decoding is owned by the caller (the execution engine's query
-// layer). The gather is bounded by ctx in addition to the session's query
-// timeout: cancelling ctx withdraws the requests in flight. A span carried
-// in ctx parents the fleet.gather span (else the session's tracer, if any,
-// starts a fresh trace).
+// GatherContext is GatherInto on a fresh m+r-element result.
 func (s *Session[E]) GatherContext(ctx context.Context, x []E) ([]E, error) {
-	if len(x) != s.cols {
-		return nil, fmt.Errorf("fleet: input vector has %d entries, want %d", len(x), s.cols)
-	}
-	q := s.acquire(ctx, kindVec)
-	defer s.release(q)
-	q.x = x
-	if err := q.run(); err != nil {
+	y := make([]E, s.code.M()+s.code.R())
+	if err := s.GatherInto(ctx, x, y); err != nil {
 		return nil, err
-	}
-	y := make([]E, 0, s.code.M()+s.code.R())
-	for j := range q.blocks {
-		y = append(y, q.blocks[j].y...)
 	}
 	return y, nil
 }
 
-// GatherBatchContext is GatherContext for an l×n input matrix: it returns
+// GatherInto fetches the full intermediate result B·T·x from the fleet into
+// y (m+r values) without decoding it: every logical block is fetched from
+// its replica set at once (racing, hedging, and retrying as needed) and
+// each block's winning reply is copied into its rows of y, in code device
+// order — bit-identical to the unreplicated pipeline, since every replica
+// of block j returns the same B_j·T·x. Decoding is owned by the caller (the
+// execution engine's query layer). The copies happen on the caller's
+// goroutine, and nothing writes y once GatherInto has returned; on an error
+// y holds no meaningful result. The gather is bounded by ctx in addition to
+// the session's query timeout: cancelling ctx withdraws the requests in
+// flight. A span carried in ctx parents the fleet.gather span (else the
+// session's tracer, if any, starts a fresh trace).
+func (s *Session[E]) GatherInto(ctx context.Context, x, y []E) error {
+	if len(x) != s.cols {
+		return fmt.Errorf("fleet: input vector has %d entries, want %d", len(x), s.cols)
+	}
+	if n := s.code.M() + s.code.R(); len(y) != n {
+		return fmt.Errorf("fleet: result vector has %d entries, want %d", len(y), n)
+	}
+	q := s.acquire(ctx, kindVec)
+	defer s.release(q)
+	q.x, q.y = x, y
+	return q.run()
+}
+
+// GatherBatchInto is GatherInto for an l×n input matrix: it fills y with
 // the stacked (m+r)×n intermediate result B·T·X, undecoded, with the same
-// per-block fault tolerance. X goes on the wire uncopied by the fleet: every
-// request frame is on its way before its send returns (see
-// transport.Client.Go), and a request still waiting for its dial is
-// withdrawn before the gather returns, so the caller may reuse x as soon as
-// it does. Each
-// replica's block comes back as one contiguous matrix, stacked with no
-// row-slice round trip.
-func (s *Session[E]) GatherBatchContext(ctx context.Context, x *matrix.Dense[E]) (*matrix.Dense[E], error) {
+// per-block fault tolerance, each block's winning reply copied into its
+// rows. X goes on the wire uncopied by the fleet: every request frame is on
+// its way before its send returns (see transport.Client.Go), and a request
+// still waiting for its dial is withdrawn before the gather returns, so the
+// caller may reuse x as soon as it does.
+func (s *Session[E]) GatherBatchInto(ctx context.Context, x, y *matrix.Dense[E]) error {
 	if x.Rows() != s.cols {
-		return nil, fmt.Errorf("fleet: input matrix has %d rows, want %d", x.Rows(), s.cols)
+		return fmt.Errorf("fleet: input matrix has %d rows, want %d", x.Rows(), s.cols)
 	}
 	// A device refuses a zero-column batch, and that refusal would count
 	// against every replica's breaker; refuse it here instead.
 	if x.Cols() < 1 {
-		return nil, fmt.Errorf("fleet: input matrix has %d columns, want at least 1", x.Cols())
+		return fmt.Errorf("fleet: input matrix has %d columns, want at least 1", x.Cols())
+	}
+	if n := s.code.M() + s.code.R(); y.Rows() != n || y.Cols() != x.Cols() {
+		return fmt.Errorf("fleet: result matrix is %dx%d, want %dx%d", y.Rows(), y.Cols(), n, x.Cols())
 	}
 	q := s.acquire(ctx, kindMat)
 	defer s.release(q)
-	q.xm = x
-	if err := q.run(); err != nil {
-		return nil, err
-	}
-	parts := q.parts[:0]
-	for j := range q.blocks {
-		parts = append(parts, q.blocks[j].m)
-	}
-	q.parts = parts
-	return matrix.VStack(parts...), nil
+	q.xm, q.ym = x, y
+	return q.run()
 }
 
 // query is one gather's state: the whole fan-out runs as one loop on the
@@ -107,6 +107,9 @@ type query[E comparable] struct {
 	kind string
 	x    []E              // a vector query's input
 	xm   *matrix.Dense[E] // a batch query's input
+	// y or ym receives each block's winning reply: the caller's result.
+	y  []E
+	ym *matrix.Dense[E]
 
 	blocks []fetch[E]
 	// atts holds every attempt this state ever made, indexed by the Tag of
@@ -119,7 +122,6 @@ type query[E comparable] struct {
 	// budget), so the transport never blocks delivering into it.
 	ch    chan *transport.Call[E]
 	timer *time.Timer
-	parts []*matrix.Dense[E]
 
 	deadline time.Time
 	open     int   // blocks neither won nor failed
@@ -147,8 +149,6 @@ type fetch[E comparable] struct {
 	// block's armed deadlines (zero: none).
 	roundStart, hedgeAt, retryAt time.Time
 	done                         bool
-	y                            []E
-	m                            *matrix.Dense[E]
 }
 
 // attempt is one replica request of a query.
@@ -185,11 +185,10 @@ func (s *Session[E]) acquire(ctx context.Context, kind string) *query[E] {
 // keeps the state for the next query. run has withdrawn or received every
 // call, so nothing can still arrive on the channel.
 func (s *Session[E]) release(q *query[E]) {
-	q.ctx, q.x, q.xm = nil, nil, nil
+	q.ctx, q.x, q.xm, q.y, q.ym = nil, nil, nil, nil, nil
 	for j := range q.blocks {
 		q.blocks[j] = fetch[E]{}
 	}
-	clear(q.parts)
 	s.queries.Put(q)
 }
 
@@ -428,8 +427,8 @@ func (q *query[E]) arrive(c *transport.Call[E]) {
 	a.lat = now.Sub(a.launched)
 	err := c.Err
 	if err == nil {
-		if q.xm != nil && c.M.Rows() != f.b.want {
-			err = fmt.Errorf("fleet: replica %s returned %d rows for block %d, want %d", a.d.addr, c.M.Rows(), f.b.index, f.b.want)
+		if q.xm != nil && (c.M.Rows() != f.b.want || c.M.Cols() != q.xm.Cols()) {
+			err = fmt.Errorf("fleet: replica %s returned a %dx%d block %d, want %dx%d", a.d.addr, c.M.Rows(), c.M.Cols(), f.b.index, f.b.want, q.xm.Cols())
 		} else if q.xm == nil && len(c.Y) != f.b.want {
 			err = fmt.Errorf("fleet: replica %s returned %d values for block %d, want %d", a.d.addr, len(c.Y), f.b.index, f.b.want)
 		}
@@ -446,11 +445,16 @@ func (q *query[E]) arrive(c *transport.Call[E]) {
 	}
 }
 
-// win files the block's first success and withdraws its other attempts.
+// win files the block's first success, copies its reply into the block's
+// rows of the caller's result, and withdraws the block's other attempts.
 func (q *query[E]) win(f *fetch[E], a *attempt[E], now time.Time) {
 	f.done = true
 	q.open--
-	f.y, f.m = a.call.Y, a.call.M
+	if q.ym != nil {
+		copy(q.ym.RowsView(f.b.off, f.b.off+f.b.want), a.call.M.RowsView(0, f.b.want))
+	} else {
+		copy(q.y[f.b.off:f.b.off+f.b.want], a.call.Y)
+	}
 	q.won(f, a, now.Sub(f.roundStart))
 	for i := 0; i < len(q.live); {
 		l := q.live[i]
@@ -575,8 +579,9 @@ func (q *query[E]) finish() {
 }
 
 // settle files the attempt's outcome on its device's straggler record, ends
-// its span and frees its slot. Every launched attempt is settled exactly
-// once.
+// its span, hands its reply slab back to the transport — a winner's after
+// win copied it out, a loser's unread — and frees its slot. Every launched
+// attempt is settled exactly once.
 func (q *query[E]) settle(a *attempt[E], o attemptOutcome) {
 	if o == attemptWin {
 		a.sp.SetAttr(trace.AttrWin, "true")
@@ -584,7 +589,8 @@ func (q *query[E]) settle(a *attempt[E], o attemptOutcome) {
 	a.d.recordAttempt(o, a.hedged, a.lat)
 	a.sp.End()
 	a.d, a.sp = nil, nil
-	a.call.Y, a.call.M, a.call.Err = nil, nil, nil
+	a.call.Release()
+	a.call.Err = nil
 	q.free = append(q.free, a.call.Tag)
 }
 

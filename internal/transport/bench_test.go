@@ -2,12 +2,15 @@ package transport
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/scec/scec/internal/field"
+	"github.com/scec/scec/internal/matrix"
 	"github.com/scec/scec/internal/testenv"
 )
 
@@ -38,6 +41,50 @@ func BenchmarkMuxPing(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkInlineVsSpawn times one device compute of each shape (rows of
+// the block × l × batch columns) served the two ways handleConn can serve
+// it. inline calls the kernel on the calling goroutine, as the read loop
+// does below inlineWork. spawn starts a goroutine for it and waits for it
+// to finish, as a read loop hands a request off: spawn − inline is what the
+// hand-off costs at that size, and inline is how long a request queued
+// behind an inline compute waits for the read loop. EXPERIMENTS.md
+// ("Inline device computes") reads inlineWork off this table.
+func BenchmarkInlineVsSpawn(b *testing.B) {
+	f := field.Prime{}
+	rng := testRNG()
+	for _, sh := range []struct{ rows, l, cols int }{
+		{14, 64, 1}, {64, 64, 1}, {14, 64, 16}, {64, 64, 4}, {64, 64, 8}, {64, 64, 16}, {1000, 256, 1},
+	} {
+		block := matrix.Random[uint64](f, rng, sh.rows, sh.l)
+		x := matrix.Random[uint64](f, rng, sh.l, sh.cols)
+		y := matrix.New[uint64](sh.rows, sh.cols)
+		compute := func() {
+			if sh.cols == 1 {
+				matrix.MulVecInto[uint64](f, block, x.RowsView(0, sh.l), y.RowsView(0, sh.rows))
+			} else {
+				matrix.MulInto[uint64](f, block, x, y)
+			}
+		}
+		name := fmt.Sprintf("madds=%d", sh.rows*sh.l*sh.cols)
+		b.Run(name+"/inline", func(b *testing.B) {
+			for b.Loop() {
+				compute()
+			}
+		})
+		b.Run(name+"/spawn", func(b *testing.B) {
+			var wg sync.WaitGroup
+			for b.Loop() {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					compute()
+				}()
+				wg.Wait()
+			}
+		})
+	}
 }
 
 // TestFrameRoundTripAllocs pins the allocation count of one in-memory v3

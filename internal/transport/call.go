@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/scec/scec/internal/field"
 	"github.com/scec/scec/internal/matrix"
 	"github.com/scec/scec/internal/obs"
 	"github.com/scec/scec/internal/obs/trace"
@@ -24,6 +25,11 @@ import (
 // finished or Cancel withdrew it: the transport keeps no reference to a
 // finished call, and a dial still running for a withdrawn one never touches
 // it again.
+//
+// A reply's Y or M may sit in a slab from its connection's reply list. An
+// owner done with them calls Release, which hands the slab back for a later
+// reply on that connection; until then the transport never writes it, and
+// an owner that never releases keeps the slab for good.
 type Call[E comparable] struct {
 	// Tag is the owner's label for the call; the transport never reads it.
 	Tag int
@@ -31,6 +37,8 @@ type Call[E comparable] struct {
 	// once Receive finished the call with a nil Err.
 	Y []E
 	M *matrix.Dense[E]
+	// free is the reply list Y or M was read from, for Release.
+	free *slabs[E]
 	// Err is the call's outcome, set when Receive finishes it or Cancel
 	// withdraws it.
 	Err error
@@ -74,7 +82,7 @@ type Call[E comparable] struct {
 // span, which carries the traceparent on the wire.
 func (c *Call[E]) prepare(ctx context.Context, p *Pool[E], addr string, timeout time.Duration, reg *obs.Registry, req request[E], done chan *Call[E]) {
 	c.gen++
-	c.Y, c.M, c.Err = nil, nil, nil
+	c.Y, c.M, c.Err, c.free = nil, nil, nil, nil
 	c.ctx, c.pool, c.reg, c.addr, c.timeout, c.done = ctx, p, reg, addr, timeout, done
 	c.req, c.resp, c.lost = req, response[E]{}, false
 	c.mux, c.stream, c.dialErr, c.fresh, c.final, c.sent = nil, 0, nil, false, false, 0
@@ -154,9 +162,21 @@ func (c *Call[E]) Receive() bool {
 		err = fmt.Errorf("%w: receive from %s", errConnBroken, c.addr)
 	default:
 		err = verdict(c.addr, c.req.op, &c.resp)
+		if err == nil {
+			err = residues(c.addr, &c.resp)
+		}
 	}
 	c.complete(err, sent, c.resp.size)
 	return true
+}
+
+// Release hands Y's or M's slab back to the connection that read it, for a
+// later reply there to reuse, and clears both. The owner calls it once done
+// with them and must not touch them afterwards; it is a no-op on a call
+// with no reply slab.
+func (c *Call[E]) Release() {
+	c.free.give(c.Y, c.M)
+	c.Y, c.M, c.free = nil, nil, nil
 }
 
 // Cancel withdraws an outstanding call with cause as its error. It reports
@@ -185,11 +205,14 @@ func (c *Call[E]) Cancel(cause error) bool {
 
 // complete settles the call with err: its result, one client observation
 // (count, latency, bytes, outcome) and, inside a trace, the end of its
-// rpc.client span with the device's spans adopted. It drops the request
-// and response so a Call kept for reuse holds no slab alive.
+// rpc.client span with the device's spans adopted. A reply the call fails
+// goes straight back to its list. It drops the request and response so a
+// Call kept for reuse holds no slab alive.
 func (c *Call[E]) complete(err error, sent, recv int64) {
 	if err == nil {
-		c.Y, c.M = c.resp.y, c.resp.m
+		c.Y, c.M, c.free = c.resp.y, c.resp.m, c.resp.free
+	} else {
+		c.resp.free.give(c.resp.y, c.resp.m)
 	}
 	c.Err = err
 	if c.reg != nil {
@@ -252,6 +275,21 @@ func acquireTimer(d time.Duration) *time.Timer {
 func releaseTimer(t *time.Timer) {
 	t.Stop()
 	timers.Put(t)
+}
+
+// residues fails a compute reply that carries a Prime element that is not
+// a canonical residue (≥ field.Modulus): no honest device computes one, and
+// the decode would turn it into a wrong A·x. It is a remote failure like
+// any other, so the fleet fails over and strikes the device's breaker.
+func residues[E comparable](addr string, r *response[E]) error {
+	y := r.y
+	if r.m != nil {
+		y = r.m.RowsView(0, r.m.Rows())
+	}
+	if i := nonResidue(y); i >= 0 {
+		return fmt.Errorf("%w: %s: reply element %d is %v, not a residue mod %d", ErrRemote, addr, i, y[i], field.Modulus)
+	}
+	return nil
 }
 
 // verdict turns a decoded response into the request's error: the device's

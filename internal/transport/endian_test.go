@@ -88,11 +88,11 @@ func endianPaths[E comparable](t *testing.T, vals []E, appendLE func([]byte, E) 
 					t.Fatalf("decode path %v, frames of path %d: op %d request decoded to other elements", little, i, req.op)
 				}
 			}
-			_, resp, err := readResponseFrame[E](bufio.NewReader(bytes.NewReader(fr.computeResp)), cod)
+			_, resp, err := readResponseFrame[E](bufio.NewReader(bytes.NewReader(fr.computeResp)), cod, nil)
 			if err != nil || !slices.Equal(resp.y, vals) {
 				t.Fatalf("decode path %v, frames of path %d: compute response = %v, %v", little, i, resp.y, err)
 			}
-			_, resp, err = readResponseFrame[E](bufio.NewReader(bytes.NewReader(fr.batchResp)), cod)
+			_, resp, err = readResponseFrame[E](bufio.NewReader(bytes.NewReader(fr.batchResp)), cod, nil)
 			if err != nil || !sameMatrix(resp.m, m) {
 				t.Fatalf("decode path %v, frames of path %d: batch response decoded to other elements (%v)", little, i, err)
 			}

@@ -309,6 +309,7 @@ func (p *Pool[E]) dialMux(ctx context.Context, addr string, timeout time.Duratio
 		conn:    conn,
 		timeout: timeout,
 		streams: make(map[uint32]*Call[E]),
+		free:    newSlabs[E](cod),
 		done:    make(chan struct{}),
 	}
 	role := obs.L("role", "client")
@@ -352,6 +353,12 @@ type muxConn[E comparable] struct {
 	nextID  uint32
 	closed  bool
 
+	// free is the connection's reply list (see slabs). The read loop reads
+	// a reply into a slab taken from it, or into a fresh one, and a slab
+	// enters it only once its owner is done with it, so no reply lands in
+	// anything an owner still holds.
+	free *slabs[E]
+
 	lastIn  atomic.Int64 // unixnano of the last inbound frame
 	lastOut atomic.Int64 // unixnano of the last outbound frame
 	rtt     atomic.Int64 // last measured round-trip time, nanoseconds
@@ -368,7 +375,7 @@ func (m *muxConn[E]) alive() bool {
 func (m *muxConn[E]) readLoop(br *bufio.Reader) {
 	defer m.wg.Done()
 	for {
-		stream, r, err := readResponseFrame[E](br, m.cod)
+		stream, r, err := readResponseFrame[E](br, m.cod, m.free)
 		if err != nil {
 			m.teardown()
 			return
@@ -382,9 +389,12 @@ func (m *muxConn[E]) readLoop(br *bufio.Reader) {
 			c.deliver()
 		}
 		m.mu.Unlock()
-		if c != nil {
-			m.inflight.Add(-1)
+		if c == nil {
+			// The call was withdrawn: nobody will read this reply.
+			r.free.give(r.y, r.m)
+			continue
 		}
+		m.inflight.Add(-1)
 	}
 }
 

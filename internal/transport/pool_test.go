@@ -256,7 +256,11 @@ func startDelayProxy(t *testing.T, addr string, max time.Duration) string {
 // each with its own x. A cancelled request's response still arrives, late;
 // the stream channel it was meant for must never be handed to a later
 // request, so every answer that comes back — fresh or from a request that
-// beat its own cancel — is exactly B·x for the x that was sent.
+// beat its own cancel — is exactly B·x for the x that was sent. The
+// connection's reply list is in play throughout: late replies go back to it
+// from the read loop, fresh replies go back once checked (Call.Release), and
+// a reply Client.Compute returned is never reused, so it stays exact while
+// later replies land in recycled slabs.
 func TestCancelledStreamNeverFeedsNextRequest(t *testing.T) {
 	f := field.Prime{}
 	srv, err := NewDeviceServer[uint64](f, "127.0.0.1:0")
@@ -291,6 +295,11 @@ func TestCancelledStreamNeverFeedsNextRequest(t *testing.T) {
 				}
 				return nil
 			}
+			var (
+				call        Call[uint64]
+				done        = make(chan *Call[uint64], 1)
+				kept, keptX []uint64
+			)
 			for range rounds {
 				x := matrix.RandomVec[uint64](f, rng, cols)
 				ctx, cancel := context.WithTimeout(t.Context(), time.Duration(rng.Int64N(int64(2*maxDelay))))
@@ -302,6 +311,7 @@ func TestCancelledStreamNeverFeedsNextRequest(t *testing.T) {
 						errs <- err
 						return
 					}
+					kept, keptX = y, x
 				case errors.Is(err, context.DeadlineExceeded):
 					cancelled.Add(1)
 				default:
@@ -309,9 +319,18 @@ func TestCancelledStreamNeverFeedsNextRequest(t *testing.T) {
 					return
 				}
 				x = matrix.RandomVec[uint64](f, rng, cols)
-				y, err = client.Compute(t.Context(), addr, x)
+				client.Go(t.Context(), addr, x, &call, done)
+				for !(<-done).Receive() {
+				}
+				err = call.Err
 				if err == nil {
-					err = exact(x, y)
+					err = exact(x, call.Y)
+				}
+				call.Release()
+				if err == nil && kept != nil {
+					if err = exact(keptX, kept); err != nil {
+						err = fmt.Errorf("a reply its owner kept was overwritten: %w", err)
+					}
 				}
 				if err != nil {
 					errs <- err

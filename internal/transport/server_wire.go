@@ -24,12 +24,13 @@ const (
 )
 
 // handleConn serves one accepted connection: it completes the hello
-// handshake, then reads request frames and dispatches each to its own
-// goroutine, so slow computes do not block the stream — responses
+// handshake, then reads request frames. A compute of at most inlineWork
+// multiply-adds is served on the read loop itself; every other request gets
+// its own goroutine, so slow computes do not block the stream — responses
 // multiplex back through the shared write batcher in completion order,
-// matched by stream ID. A connection that does not open with a valid hello
-// within the timeout (an idle peer, garbage, another protocol or wire
-// version) is counted kind="malformed" and closed.
+// matched by stream ID. A connection that does
+// not open with a valid hello within the timeout (an idle peer, garbage,
+// another protocol or wire version) is counted kind="malformed" and closed.
 func (s *DeviceServer[E]) handleConn(conn net.Conn) {
 	defer conn.Close()
 	tuneConn(conn)
@@ -84,16 +85,56 @@ func (s *DeviceServer[E]) handleConn(conn net.Conn) {
 			}
 			return
 		}
-		handlers.Add(1)
 		s.streamsOpen.Add(1)
-		// req is captured by value: the goroutine's closure is the request's
-		// only heap copy.
-		go func() {
-			defer handlers.Done()
-			defer s.streamsOpen.Add(-1)
+		if s.inline(&req) {
 			s.handleWire(w, free, req)
-		}()
+			s.streamsOpen.Add(-1)
+			continue
+		}
+		s.spawn(&handlers, w, free, req)
 	}
+}
+
+// spawn serves req on a goroutine of its own. It is a function of its own
+// so that only a spawned request's copy escapes to the heap: captured in
+// handleConn's loop, every request read there would.
+func (s *DeviceServer[E]) spawn(handlers *sync.WaitGroup, w *wireWriter, free *slabs[E], req request[E]) {
+	handlers.Add(1)
+	go func() {
+		defer handlers.Done()
+		defer s.streamsOpen.Add(-1)
+		s.handleWire(w, free, req)
+	}()
+}
+
+// inlineWork is the most multiply-adds (rows·l·cols) a compute may cost
+// and still run on its connection's read loop. Handing a request to a
+// goroutine of its own costs a heap allocation and about 3 µs of scheduler
+// hand-off whatever its size, which is most of a small compute's time; but
+// a request queued behind an inline compute waits for all of it. The
+// spawn-vs-inline table in EXPERIMENTS.md ("Inline device computes",
+// BenchmarkInlineVsSpawn) sizes it: at 16Ki multiply-adds the hand-off is
+// still a sixth or more of the compute and the wait about 18 µs, a quarter
+// of a loopback query; at 32Ki the wait is a loopback round trip's worth.
+const inlineWork = 16 << 10
+
+// inline reports whether req is a compute or batch compute small enough to
+// serve on the read loop. Any other request, or a compute the device has no
+// block for, is not (the latter answers at once either way).
+func (s *DeviceServer[E]) inline(req *request[E]) bool {
+	var l, cols int
+	switch {
+	case req.op == opCompute:
+		l, cols = len(req.x), 1
+	case req.op == opComputeBatch && req.m != nil:
+		l, cols = req.m.Rows(), req.m.Cols()
+	default:
+		return false
+	}
+	s.mu.Lock()
+	block := s.block
+	s.mu.Unlock()
+	return block != nil && block.Rows()*l*cols <= inlineWork
 }
 
 // handleWire serves one decoded request frame end to end. The request is
@@ -137,14 +178,16 @@ func (s *DeviceServer[E]) handleWire(w *wireWriter, free *slabs[E], req request[
 	free.release(&req, &resp)
 }
 
-// slabs are one connection's free lists of element slabs. A compute's
-// operand (x, or a batch's X) is read into a slab from in and its reply (y,
-// or a batch's Y) is computed into one from out; release hands both back
-// once the response
-// frame is written, so a steady stream of requests decodes and answers
-// without allocating. A store's slab never enters a list: it becomes the
-// device's block. The lists are buffered channels, so taking or returning a
-// slab allocates nothing.
+// slabs are one connection's free lists of element slabs. On a device, a
+// compute's operand (x, or a batch's X) is read into a slab from in and its
+// reply (y, or a batch's Y) is computed into one from out; release hands
+// both back once the response frame is written, so a steady stream of
+// requests decodes and answers without allocating. A store's slab never
+// enters a list: it becomes the device's block. On a client connection, in
+// is the reply list: a compute reply is read into a slab from it, and the
+// slab comes back when the call's owner releases it (Call.Release) or, for
+// a withdrawn call, straight from the read loop; out stays empty. The lists
+// are buffered channels, so taking or returning a slab allocates nothing.
 type slabs[E comparable] struct {
 	in, out chan []E
 	// retain is the largest slab kept, in elements: a wide batch's operand
@@ -165,9 +208,10 @@ func newSlabs[E comparable](cod elemCodec) *slabs[E] {
 	}
 }
 
-// operand returns a slab of n elements for a compute's input; a nil s (a
-// decoder with no connection behind it) allocates one.
-func (s *slabs[E]) operand(n int) []E {
+// read returns a slab of n elements to read a frame's elements into: a
+// device's compute operand or a client's compute reply. A nil s (a decoder
+// with no connection behind it) allocates one.
+func (s *slabs[E]) read(n int) []E {
 	if s == nil {
 		return make([]E, n)
 	}
@@ -191,6 +235,18 @@ func (s *slabs[E]) release(req *request[E], resp *response[E]) {
 			s.keep(s.out, resp.m.RowsView(0, resp.m.Rows()))
 		}
 	}
+}
+
+// give hands back a client reply slab holding y or, for a batch, m (at most
+// one is set); a nil s keeps nothing.
+func (s *slabs[E]) give(y []E, m *matrix.Dense[E]) {
+	if s == nil {
+		return
+	}
+	if m != nil {
+		y = m.RowsView(0, m.Rows())
+	}
+	s.keep(s.in, y)
 }
 
 // keep returns b to list unless it is empty or too large to hold, or the
@@ -375,9 +431,25 @@ func appendRequestHead[E comparable](b []byte, cod elemCodec, stream uint32, req
 
 // readResponseFrame decodes one response frame, returning its stream ID
 // for mux dispatch. The response comes back by value, the shape the stream
-// channels carry it in.
-func readResponseFrame[E comparable](br *bufio.Reader, cod elemCodec) (uint32, response[E], error) {
+// channels carry it in. A compute reply of at most free.retain elements is
+// read into a slab from free, recorded in the response's free field; a
+// larger one grows in bounded chunks (readElemsChunked), so a forged header
+// cannot provoke a large allocation.
+func readResponseFrame[E comparable](br *bufio.Reader, cod elemCodec, free *slabs[E]) (uint32, response[E], error) {
 	var wr response[E]
+	// elems reads a reply's total elements, which the frame length has
+	// already bounded.
+	elems := func(total int) ([]E, error) {
+		if free == nil || total > free.retain {
+			return readElemsChunked[E](br, total, cod.size)
+		}
+		dst := free.read(total)
+		if err := readElems(br, dst, cod.size); err != nil {
+			return nil, err
+		}
+		wr.free = free
+		return dst, nil
+	}
 	var hdr [frameOverhead]byte
 	if err := readFull(br, hdr[:]); err != nil {
 		return 0, wr, err
@@ -438,7 +510,7 @@ func readResponseFrame[E comparable](br *bufio.Reader, cod elemCodec) (uint32, r
 			if body < 4 || n*cod.size > body-4 {
 				return 0, wr, fmt.Errorf("transport: %d response elements do not fit frame", n)
 			}
-			if wr.y, err = readElemsChunked[E](br, n, cod.size); err != nil {
+			if wr.y, err = elems(n); err != nil {
 				return 0, wr, err
 			}
 			body -= n * cod.size
@@ -457,7 +529,7 @@ func readResponseFrame[E comparable](br *bufio.Reader, cod elemCodec) (uint32, r
 			if body < 4 || rows < 0 || cols < 0 || total > uint64(body-4)/uint64(cod.size) {
 				return 0, wr, fmt.Errorf("transport: %dx%d response does not fit frame", rows, cols)
 			}
-			data, err := readElemsChunked[E](br, int(total), cod.size)
+			data, err := elems(int(total))
 			if err != nil {
 				return 0, wr, err
 			}

@@ -174,7 +174,7 @@ func TestBatchReplySlabRecycled(t *testing.T) {
 	free := newSlabs[uint64](cod)
 	serve := func() *matrix.Dense[uint64] {
 		t.Helper()
-		x := matrix.FromSlice(7, 4, free.operand(7*4))
+		x := matrix.FromSlice(7, 4, free.read(7*4))
 		copy(x.RowsView(0, 7), matrix.Random[uint64](f, rng, 7, 4).RowsView(0, 7))
 		req := request[uint64]{op: opComputeBatch, m: x}
 		var resp response[uint64]
@@ -209,7 +209,7 @@ func TestSlabRecycleAllocs(t *testing.T) {
 	free.keep(free.in, make([]uint64, 64))
 	free.keep(free.out, make([]uint64, 20))
 	if got := testing.AllocsPerRun(200, func() {
-		free.keep(free.in, free.operand(64))
+		free.keep(free.in, free.read(64))
 		free.keep(free.out, free.reply(20))
 	}); got != 0 {
 		t.Fatalf("slab take and return = %v allocs, want 0", got)

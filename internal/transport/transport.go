@@ -85,6 +85,9 @@ type response[E comparable] struct {
 	// (request op | opResponseBit) and its full on-wire size.
 	op   byte
 	size int64
+	// free is the client connection's reply list y or m was read into from,
+	// nil when the reply's slab is not the list's to take back.
+	free *slabs[E]
 }
 
 // DefaultMaxElements bounds the number of field elements a device accepts
@@ -580,6 +583,7 @@ func (c Client[E]) Gather(ctx context.Context, addrs []string, rowsOn []int, x [
 			default:
 				copy(part, call.Y)
 			}
+			call.Release()
 		case <-ctxDone:
 			withdraw(ctxErr(ctx, fmt.Errorf("transport: gather: %w", ctx.Err())))
 		case <-expired:

@@ -62,7 +62,16 @@ func userMulMat[E comparable](ctx context.Context, c Client[E], code coding.Code
 		}
 		parts[j] = part
 	}
-	return code.DecodeBatch(matrix.VStack(parts...))
+	return decodeBatch(code, matrix.VStack(parts...))
+}
+
+// decodeBatch is DecodeBatchInto on a fresh m×n output.
+func decodeBatch[E comparable](code coding.Code[E], y *matrix.Dense[E]) (*matrix.Dense[E], error) {
+	ax := matrix.New[E](code.M(), y.Cols())
+	if err := code.DecodeBatchInto(ax, y); err != nil {
+		return nil, err
+	}
+	return ax, nil
 }
 
 func TestEndToEndPrime(t *testing.T) {

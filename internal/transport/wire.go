@@ -374,7 +374,7 @@ func readRequestFrame[E comparable](br *bufio.Reader, cod elemCodec, maxElements
 		if req.op == opStore {
 			dst = make([]E, total)
 		} else {
-			dst = free.operand(int(total))
+			dst = free.read(int(total))
 		}
 		if err := readElems(br, dst, cod.size); err != nil {
 			return nil, fmt.Errorf("transport: read elements: %w", err)

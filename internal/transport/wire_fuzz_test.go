@@ -73,16 +73,18 @@ func FuzzWireFrame(f *testing.F) {
 			}
 			free.release(&req, &response[uint64]{})
 		}
-		// Response decoder over the same bytes.
+		// Response decoder over the same bytes, recycling replies through
+		// the list as a client connection does.
 		br = bufio.NewReader(bytes.NewReader(data))
 		for i := 0; i < 16; i++ {
-			_, wr, err := readResponseFrame[uint64](br, cod)
+			_, wr, err := readResponseFrame[uint64](br, cod, free)
 			if err != nil {
 				break
 			}
 			if wr.op&opResponseBit == 0 {
 				t.Fatalf("decoded response carries op %#x", wr.op)
 			}
+			wr.free.give(wr.y, wr.m)
 		}
 	})
 }

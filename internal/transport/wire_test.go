@@ -303,7 +303,7 @@ func diffLoopbackLocal[E comparable](t *testing.T, f field.Field[E]) {
 	if err != nil {
 		t.Fatalf("MulMat: %v", err)
 	}
-	wantM, err := code.DecodeBatch(matrix.VStack(local...))
+	wantM, err := decodeBatch(code, matrix.VStack(local...))
 	if err != nil {
 		t.Fatal(err)
 	}
