@@ -284,7 +284,7 @@ func (c *coalescer[E]) execute(ws []*waiter[E]) {
 // batch, or none when some waiter has none, since that waiter would wait
 // out any bound.
 func roundContext[E comparable](ws []*waiter[E]) (context.Context, context.CancelFunc) {
-	ctx := context.WithoutCancel(ws[0].ctx)
+	ctx := context.Context(&detachedCtx{ws[0].ctx})
 	var latest time.Time
 	for _, w := range ws {
 		d, ok := w.ctx.Deadline()
@@ -297,3 +297,17 @@ func roundContext[E comparable](ws []*waiter[E]) (context.Context, context.Cance
 	}
 	return context.WithDeadline(ctx, latest)
 }
+
+// detachedCtx is context.WithoutCancel with a pointer receiver: parent's
+// values, no deadline, never done. The standard library's type has a value
+// receiver on Value, so each lookup made on it directly boxes a copy — one
+// allocation per span every layer below a merged round opens. This one is
+// allocated once per round. The only observable difference is
+// context.Cause, which would see the leader's cause through it; nothing in
+// the module calls Cause.
+type detachedCtx struct{ parent context.Context }
+
+func (*detachedCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (*detachedCtx) Done() <-chan struct{}       { return nil }
+func (*detachedCtx) Err() error                  { return nil }
+func (c *detachedCtx) Value(key any) any         { return c.parent.Value(key) }

@@ -14,6 +14,7 @@ import (
 	"github.com/scec/scec/internal/field"
 	"github.com/scec/scec/internal/matrix"
 	"github.com/scec/scec/internal/obs"
+	"github.com/scec/scec/internal/testenv"
 )
 
 // coalesceHist reads the engine's coalesced-batch-size histogram for a
@@ -599,3 +600,54 @@ var errEntryMismatch = errMismatch{}
 type errMismatch struct{}
 
 func (errMismatch) Error() string { return "coalesced result diverges from reference" }
+
+// TestGroupCommitMergedRoundAllocs counts the allocations of one warm merged
+// round of four callers, run directly on the coalescer over the Local
+// executor, beyond those of the executor's own batch compute: the round's
+// context, once, and the three matrix headers over its recycled staging.
+// The span lookups every layer below makes through the context allocate
+// nothing; context.WithoutCancel's value-receiver Value boxed a copy on
+// each, 3 more per round here.
+func TestGroupCommitMergedRoundAllocs(t *testing.T) {
+	testenv.SkipAllocsUnderRace(t)
+	f := field.Prime{}
+	tc := newCase[uint64](t, f, f.Rand)
+	reg := obs.New()
+	exec := NewLocal(f, tc.enc, reg)
+	q, err := New(f, tc.enc, exec, Options{GroupCommit: true, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = q.Close() })
+	ws := make([]*waiter[uint64], 4)
+	for i := range ws {
+		ws[i] = &waiter[uint64]{ctx: context.Background(), x: tc.x, out: make(chan outcome[uint64], 1)}
+	}
+	round := func() {
+		q.co.execute(ws)
+		for _, w := range ws {
+			o := <-w.out
+			if o.err != nil {
+				t.Fatal(o.err)
+			}
+			if !slices.Equal(*o.ax, tc.want) {
+				t.Fatalf("merged round column = %v, want %v", *o.ax, tc.want)
+			}
+			q.columns.Put(o.ax)
+		}
+	}
+	x := matrix.New[uint64](len(tc.x), len(ws))
+	y := matrix.New[uint64](tc.enc.Code.M()+tc.enc.Code.R(), len(ws))
+	compute := func() {
+		if err := exec.ComputeBatch(context.Background(), x, y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round()
+	compute()
+	roundAllocs, computeAllocs := testing.AllocsPerRun(100, round), testing.AllocsPerRun(100, compute)
+	t.Logf("one merged round of %d callers: %v allocations, %v of them the executor's", len(ws), roundAllocs, computeAllocs)
+	if got := roundAllocs - computeAllocs; got > 4 {
+		t.Fatalf("merged round = %v allocs beyond the executor's, want at most 4 (its context, 3 matrix headers)", got)
+	}
+}

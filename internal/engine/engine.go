@@ -81,12 +81,12 @@ type Query[E comparable] struct {
 	code coding.Code[E]
 	exec Executor[E]
 	cols int
-	reg  *obs.Registry
 	trc  *trace.Tracer
 
-	vec *obs.Counter
-	mat *obs.Counter
-	co  *coalescer[E]
+	vec    *obs.Counter
+	mat    *obs.Counter
+	stages *obs.StageRecorder
+	co     *coalescer[E]
 
 	// staging recycles *[]E buffers: each round's raw intermediate
 	// results, and a merged round's stacked inputs and decoded product, so
@@ -119,10 +119,11 @@ func New[E comparable](f field.Field[E], enc *coding.Encoding[E], exec Executor[
 		code: enc.Code,
 		exec: exec,
 		cols: enc.Blocks[0].Cols(),
-		reg:  reg,
 		trc:  opts.Tracer,
 		vec:  reg.Counter(obs.MetricEngineDispatchTotal, dispatchHelp, backend, obs.L("kind", "vec")),
 		mat:  reg.Counter(obs.MetricEngineDispatchTotal, dispatchHelp, backend, obs.L("kind", "mat")),
+
+		stages: obs.NewStageRecorder(reg),
 	}
 	if opts.CoalesceWindow > 0 || opts.GroupCommit {
 		maxBatch := opts.CoalesceMaxBatch
@@ -311,7 +312,7 @@ func (q *Query[E]) mulVecDirect(ctx context.Context, x, dst []E) error {
 	}
 	_, dsp := q.startSpan(ctx, trace.SpanDecode)
 	defer dsp.End()
-	defer obs.StartStage(q.reg, obs.StageDecode).End()
+	defer q.stages.Start(obs.StageDecode).End()
 	return r.code.DecodeInto(dst, *y)
 }
 
@@ -333,7 +334,7 @@ func (q *Query[E]) mulMatDirect(ctx context.Context, x, dst *matrix.Dense[E]) er
 	}
 	_, dsp := q.startSpan(ctx, trace.SpanDecode)
 	defer dsp.End()
-	defer obs.StartStage(q.reg, obs.StageDecode).End()
+	defer q.stages.Start(obs.StageDecode).End()
 	return r.code.DecodeBatchInto(dst, ym)
 }
 

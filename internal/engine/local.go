@@ -15,15 +15,15 @@ import (
 // ComputeAllBatchInto). It is the zero-infrastructure backend and the engine's
 // default.
 type LocalExecutor[E comparable] struct {
-	f   field.Field[E]
-	enc *coding.Encoding[E]
-	reg *obs.Registry
+	f      field.Field[E]
+	enc    *coding.Encoding[E]
+	stages *obs.StageRecorder
 }
 
 // NewLocal builds a local executor over an encoding. A nil registry records
 // stage timings into obs.Default().
 func NewLocal[E comparable](f field.Field[E], enc *coding.Encoding[E], reg *obs.Registry) *LocalExecutor[E] {
-	return &LocalExecutor[E]{f: f, enc: enc, reg: reg}
+	return &LocalExecutor[E]{f: f, enc: enc, stages: obs.NewStageRecorder(reg)}
 }
 
 // Name implements Executor.
@@ -37,7 +37,7 @@ func (e *LocalExecutor[E]) Compute(ctx context.Context, x, y []E) error {
 	}
 	_, csp := traceSpan(ctx, trace.SpanDeviceCompute, trace.A(trace.AttrKind, "vec"))
 	defer csp.End()
-	defer obs.StartStage(e.reg, obs.StageCompute).End()
+	defer e.stages.Start(obs.StageCompute).End()
 	e.enc.ComputeAllInto(e.f, x, y)
 	return nil
 }
@@ -51,7 +51,7 @@ func (e *LocalExecutor[E]) ComputeBatch(ctx context.Context, x, y *matrix.Dense[
 	}
 	_, csp := traceSpan(ctx, trace.SpanDeviceCompute, trace.A(trace.AttrKind, "mat"))
 	defer csp.End()
-	defer obs.StartStage(e.reg, obs.StageCompute).End()
+	defer e.stages.Start(obs.StageCompute).End()
 	e.enc.ComputeAllBatchInto(e.f, x, y)
 	return nil
 }

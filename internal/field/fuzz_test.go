@@ -64,13 +64,15 @@ func FuzzPrimeArithmetic(fz *testing.F) {
 // FuzzPrimeDotVec cross-checks the raw-accumulation dot product against the
 // element-wise Mul/Add loop. The input bytes become two vectors of canonical
 // residues (16 bytes per element pair, each word reduced mod p); the seeds
-// are the all-(p−1) vectors at every edge of DotVec's 64-element block. Both
-// block loops — dotBlock, in assembly on amd64, and the Go dotBlockGeneric —
-// are also checked on the first block, so the Go loop stays fuzzed on hosts
+// are the all-(p−1) vectors at every edge of DotVec's 8-lane pass,
+// 64-element block and 1024-element IFMA chunk. DotVec runs on each path the
+// host has (the block loop, and the IFMA kernel where hasIFMA). Both block
+// loops — dotBlock, in assembly on amd64, and the Go dotBlockGeneric — are
+// also checked on the first block, so the Go loop stays fuzzed on hosts
 // that never run it through DotVec.
 func FuzzPrimeDotVec(fz *testing.F) {
 	worst := binary.LittleEndian.AppendUint64(nil, Modulus-1)
-	for _, n := range []int{0, 1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129} {
+	for _, n := range []int{0, 1, 2, 7, 8, 9, 31, 32, 33, 63, 64, 65, 127, 128, 129, 1023, 1024, 1025} {
 		fz.Add(bytes.Repeat(worst, 2*n))
 	}
 	fz.Add([]byte("an odd-length tail is ignored"))
@@ -84,8 +86,16 @@ func FuzzPrimeDotVec(fz *testing.F) {
 			x[i] = binary.LittleEndian.Uint64(data[16*i+8:]) % Modulus
 			want = f.Add(want, f.Mul(a[i], x[i]))
 		}
-		if got := f.DotVec(a, x); got != want {
-			t.Fatalf("DotVec(len %d) = %d, want %d", n, got, want)
+		saved := useIFMA
+		defer func() { useIFMA = saved }()
+		for _, ifma := range []bool{false, true} {
+			if ifma && !hasIFMA() {
+				continue
+			}
+			useIFMA = ifma
+			if got := f.DotVec(a, x); got != want {
+				t.Fatalf("DotVec(len %d, ifma %v) = %d, want %d", n, ifma, got, want)
+			}
 		}
 		k := min(n, dotBlockLen)
 		var wantBlock uint64

@@ -14,12 +14,15 @@ import "math/bits"
 // reassociation), so every kernel path is bit-compatible with the generic
 // one.
 //
-// One loop sits below Go: the F_p dot product's 64-element block, which is
-// the multiply-add the paper's cost model prices and most of a device's
-// compute. On amd64 dotBlock runs it in assembly (dot_amd64.s), where each
-// element is one MULQ from memory into the same two 128-bit pairs the Go
-// loop uses; the Go loop, dotBlockGeneric, is the path on every other
-// GOARCH and the reference the assembly is tested against. Both return the
+// Two loops sit below Go, both for the F_p dot product, which is the
+// multiply-add the paper's cost model prices and most of a device's compute.
+// On amd64 dotBlock runs a 64-element block in assembly (dot_amd64.s), where
+// each element is one MULQ from memory into the same two 128-bit pairs the
+// Go loop uses; the Go loop, dotBlockGeneric, is the path on every other
+// GOARCH and the reference the assembly is tested against. On an amd64 CPU
+// with AVX-512 IFMA, DotVec instead runs chunks of up to 1024 elements
+// through dotIFMA, eight 52-bit multiply-adds per instruction, and leaves
+// only a tail of under eight elements to dotBlock. Every path returns the
 // same canonical residue.
 
 // reduce128 reduces the 128-bit value hi·2^64 + lo modulo 2^61 − 1 to the
@@ -34,6 +37,18 @@ func reduce128(hi, lo uint64) uint64 {
 	return s
 }
 
+// reduceIFMA reduces dotIFMA's weight sums, w0 + w52·2⁵² + w104·2¹⁰⁴, to
+// the canonical residue. Since 2¹⁰⁴ = 2⁶¹·2⁴³ ≡ 2⁴³ (mod p), the value is
+// congruent to w0 + w52·2⁵² + w104·2⁴³, which is below 2¹¹⁷ and so fits the
+// 128-bit pair reduce128 takes.
+func reduceIFMA(w0, w52, w104 uint64) uint64 {
+	lo, c := bits.Add64(w0, w52<<52, 0)
+	hi := w52>>12 + c
+	lo, c = bits.Add64(lo, w104<<43, 0)
+	hi += w104>>21 + c
+	return reduce128(hi, lo)
+}
+
 // dotBlockLen is the most elements dotBlock takes at once. A product of
 // canonical residues is at most (p−1)² < 2^122, so a 128-bit (hi, lo) pair
 // overflows only past 64 of them. Both block loops split a block over two
@@ -41,18 +56,42 @@ func reduce128(hi, lo uint64) uint64 {
 // neither pair comes near that.
 const dotBlockLen = 64
 
+// useIFMA selects the IFMA kernel in DotVec. It is set once, from CPUID, and
+// only the package's tests change it.
+var useIFMA = hasIFMA()
+
+// ifmaLanes is the element count of one IFMA pass, and ifmaChunkLen the
+// most elements one dotIFMA call takes: its three weight sums stay below
+// 3·n·2⁵², under 2⁶⁴ up to n = 1365 (dot_amd64.s).
+const (
+	ifmaLanes    = 8
+	ifmaChunkLen = 1024
+)
+
 // DotVec returns Σ a[i]·x[i] mod p over min(len(a), len(x)) elements of
 // canonical residues. It walks the vectors in blocks of at most dotBlockLen
-// elements and combines the blocks' canonical partial sums with a
-// conditional subtract, so the loop performs one reduction per accumulator
-// pair per block instead of one per element. The result is the same
-// canonical residue the element-wise Mul/Add loop produces.
+// elements — chunks of up to ifmaChunkLen under IFMA — and combines the
+// blocks' canonical partial sums with a conditional subtract, so the loop
+// performs one reduction per accumulator per block instead of one per
+// element. The result is the same canonical residue the element-wise
+// Mul/Add loop produces.
 func (f Prime) DotVec(a, x []uint64) uint64 {
 	if len(x) < len(a) {
 		a = a[:len(x)]
 	}
 	x = x[:len(a)]
 	var sum uint64
+	if useIFMA {
+		for len(a) >= ifmaLanes {
+			n := min(len(a), ifmaChunkLen) &^ (ifmaLanes - 1)
+			sum = f.Add(sum, reduceIFMA(dotIFMA(a[:n], x[:n])))
+			a, x = a[n:], x[n:]
+		}
+		if len(a) == 0 {
+			return sum
+		}
+		return f.Add(sum, dotBlock(a, x))
+	}
 	for len(a) > dotBlockLen {
 		sum = f.Add(sum, dotBlock(a[:dotBlockLen], x[:dotBlockLen]))
 		a, x = a[dotBlockLen:], x[dotBlockLen:]

@@ -2,7 +2,9 @@ package field
 
 import (
 	"math/big"
+	"math/bits"
 	"math/rand/v2"
+	"runtime"
 	"strconv"
 	"testing"
 )
@@ -31,48 +33,91 @@ func primeVec(rng *rand.Rand, n int) []uint64 {
 	return v
 }
 
-// TestPrimeDotVecAgainstBigInt checks the raw-accumulation dot product
-// against an exact big.Int evaluation, on uniform vectors and on the
-// adversarial all-(p−1) vectors that maximize every intermediate value (and
-// would overflow a 128-bit pair that took more than its share of a block).
-func TestPrimeDotVecAgainstBigInt(t *testing.T) {
-	var f Prime
-	rng := rand.New(rand.NewPCG(3, 5))
-	mod := new(big.Int).SetUint64(Modulus)
-	check := func(a, x []uint64) {
-		t.Helper()
-		want := new(big.Int)
-		for i := range a {
-			term := new(big.Int).Mul(new(big.Int).SetUint64(a[i]), new(big.Int).SetUint64(x[i]))
-			want.Add(want, term)
-		}
-		want.Mod(want, mod)
-		if got := f.DotVec(a, x); got != want.Uint64() {
-			t.Fatalf("DotVec(len %d) = %d, want %d", len(a), got, want.Uint64())
-		}
+// dotLenMax is the longest vector the DotVec path tests take: past two
+// IFMA chunks (2·ifmaChunkLen) plus a tail, so every length from 0 crosses
+// the 8-lane, 64-element-block and 1024-element-chunk edges.
+const dotLenMax = 2100
+
+// forEachDotPath runs check once per DotVec path this host can run, toggling
+// useIFMA and restoring it after: the block loop ("block": the assembly MULQ
+// loop on amd64, the Go loop elsewhere), then the IFMA kernel ("ifma") if
+// hasIFMA.
+func forEachDotPath(t *testing.T, check func(t *testing.T)) {
+	t.Helper()
+	saved := useIFMA
+	defer func() { useIFMA = saved }()
+	useIFMA = false
+	t.Run("block", check)
+	if !hasIFMA() {
+		t.Log("ifma: skipped, hasIFMA is false on this host")
+		return
 	}
-	for _, n := range kernelLens {
-		check(primeVec(rng, n), primeVec(rng, n))
-		check(worstVec(n), worstVec(n))
-	}
+	useIFMA = true
+	t.Run("ifma", check)
 }
 
-// TestDotBlockMatchesGeneric checks dotBlock — the assembly loop on amd64 —
-// against the Go loop dotBlockGeneric at every block length, starting 0, 1
-// and 2 elements into a longer slice so the loads are not all 16-byte
-// aligned, on uniform vectors, the all-(p−1) vectors, and one of each.
-func TestDotBlockMatchesGeneric(t *testing.T) {
-	rng := rand.New(rand.NewPCG(13, 17))
-	const pad = 2
-	uniA, uniX := primeVec(rng, dotBlockLen+pad), primeVec(rng, dotBlockLen+pad)
-	worst := worstVec(dotBlockLen + pad)
-	pairs := map[string][2][]uint64{
+// dotOperands returns the operand pairs the DotVec path tests use, each
+// dotLenMax+pad long: uniform, the all-(p−1) vectors that maximize every
+// intermediate value, and one of each.
+func dotOperands(rng *rand.Rand, pad int) map[string][2][]uint64 {
+	uniA, uniX := primeVec(rng, dotLenMax+pad), primeVec(rng, dotLenMax+pad)
+	worst := worstVec(dotLenMax + pad)
+	return map[string][2][]uint64{
 		"uniform": {uniA, uniX},
 		"p-1":     {worst, worst},
 		"mixed":   {worst, uniX},
 	}
-	for name, pair := range pairs {
-		for off := 0; off <= pad; off++ {
+}
+
+// TestPrimeDotVecAgainstBigInt checks DotVec on each path against an exact
+// big.Int evaluation at every length 0..dotLenMax, starting 0, 1 and 2
+// elements into a longer slice with x one element longer than a, on
+// uniform vectors and on the adversarial all-(p−1) vectors (which would
+// overflow a 128-bit pair that took more than its share of a block, or an
+// IFMA chunk past its bound).
+func TestPrimeDotVecAgainstBigInt(t *testing.T) {
+	var f Prime
+	const pad = 3
+	operands := dotOperands(rand.New(rand.NewPCG(3, 5)), pad)
+	mod := new(big.Int).SetUint64(Modulus)
+	forEachDotPath(t, func(t *testing.T) {
+		for name, pair := range operands {
+			for off := 0; off < pad; off++ {
+				a, x := pair[0][off:], pair[1][off:]
+				want, term := new(big.Int), new(big.Int)
+				for n := 0; n <= dotLenMax; n++ {
+					if got := f.DotVec(a[:n], x[:n+1]); got != new(big.Int).Mod(want, mod).Uint64() {
+						t.Fatalf("%s, offset %d: DotVec(len %d) = %d, want %d", name, off, n, got, new(big.Int).Mod(want, mod).Uint64())
+					}
+					term.SetUint64(a[n]).Mul(term, new(big.Int).SetUint64(x[n]))
+					want.Add(want, term)
+				}
+			}
+		}
+	})
+}
+
+// dotVecGeneric is DotVec built on the Go block loop alone: the reference
+// for every assembly path.
+func dotVecGeneric(a, x []uint64) uint64 {
+	var sum uint64
+	for len(a) > dotBlockLen {
+		sum = Prime{}.Add(sum, dotBlockGeneric(a[:dotBlockLen], x[:dotBlockLen]))
+		a, x = a[dotBlockLen:], x[dotBlockLen:]
+	}
+	return Prime{}.Add(sum, dotBlockGeneric(a, x))
+}
+
+// TestDotBlockMatchesGeneric checks the assembly against the Go loop
+// dotBlockGeneric, starting 0, 1 and 2 elements into a longer slice so the
+// loads are not all aligned, on uniform vectors, the all-(p−1) vectors, and
+// one of each: dotBlock at every block length, and DotVec on each path at
+// every length 0..dotLenMax with x longer than a.
+func TestDotBlockMatchesGeneric(t *testing.T) {
+	const pad = 3
+	operands := dotOperands(rand.New(rand.NewPCG(13, 17)), pad)
+	for name, pair := range operands {
+		for off := 0; off < pad; off++ {
 			for n := 0; n <= dotBlockLen; n++ {
 				a, x := pair[0][off:off+n], pair[1][off:off+n]
 				if got, want := dotBlock(a, x), dotBlockGeneric(a, x); got != want {
@@ -81,6 +126,79 @@ func TestDotBlockMatchesGeneric(t *testing.T) {
 			}
 		}
 	}
+	forEachDotPath(t, func(t *testing.T) {
+		var f Prime
+		for name, pair := range operands {
+			for off := 0; off < pad; off++ {
+				for n := 0; n <= dotLenMax; n++ {
+					a, x := pair[0][off:off+n], pair[1][off:off+n+1]
+					if got, want := f.DotVec(a, x), dotVecGeneric(a, x); got != want {
+						t.Fatalf("%s, offset %d, len %d: DotVec = %d, Go loop = %d", name, off, n, got, want)
+					}
+				}
+			}
+		}
+	})
+}
+
+// dotIFMAModel is dotIFMA in Go: the same seven 52-bit limb products summed
+// into the same three weights, wrapping at 2⁶⁴ as the lanes would.
+func dotIFMAModel(a, x []uint64) (w0, w52, w104 uint64) {
+	const mask = 1<<52 - 1
+	lo := func(u, v uint64) uint64 { _, l := bits.Mul64(u, v); return l & mask }
+	hi := func(u, v uint64) uint64 { h, l := bits.Mul64(u, v); return h<<12 | l>>52 }
+	for i, av := range a {
+		a0, a1, x0, x1 := av&mask, av>>52, x[i]&mask, x[i]>>52
+		w0 += lo(a0, x0)
+		w52 += hi(a0, x0) + lo(a0, x1) + lo(a1, x0)
+		w104 += hi(a0, x1) + hi(a1, x0) + lo(a1, x1)
+	}
+	return w0, w52, w104
+}
+
+// TestReduceIFMA checks the IFMA weighting on any host: the model's three
+// weights, reduced by reduceIFMA, equal the element-wise Mul/Add loop at
+// every chunk length, up to ifmaChunkLen of all-(p−1) — the bound's worst
+// case. Where the CPU has IFMA, the assembly's weights must also equal the
+// model's exactly, from unaligned starts.
+func TestReduceIFMA(t *testing.T) {
+	var f Prime
+	const pad = 2
+	operands := dotOperands(rand.New(rand.NewPCG(19, 23)), pad)
+	for name, pair := range operands {
+		for off := 0; off <= pad; off++ {
+			a, x := pair[0][off:], pair[1][off:]
+			var want uint64
+			for n := 0; n <= ifmaChunkLen; n++ {
+				if n%ifmaLanes == 0 {
+					m0, m52, m104 := dotIFMAModel(a[:n], x[:n])
+					if got := reduceIFMA(m0, m52, m104); got != want {
+						t.Fatalf("%s, offset %d, len %d: reduceIFMA(model) = %d, want %d", name, off, n, got, want)
+					}
+					if hasIFMA() {
+						if w0, w52, w104 := dotIFMA(a[:n], x[:n]); w0 != m0 || w52 != m52 || w104 != m104 {
+							t.Fatalf("%s, offset %d, len %d: dotIFMA = (%d, %d, %d), model = (%d, %d, %d)", name, off, n, w0, w52, w104, m0, m52, m104)
+						}
+					}
+				}
+				want = f.Add(want, f.Mul(a[n], x[n]))
+			}
+		}
+	}
+}
+
+// TestPrimeKernelPath logs which DotVec path this host runs, so a CI log
+// says whether the IFMA kernel was exercised, and checks that the choice is
+// the CPUID result.
+func TestPrimeKernelPath(t *testing.T) {
+	if useIFMA != hasIFMA() {
+		t.Fatalf("useIFMA = %v, hasIFMA() = %v", useIFMA, hasIFMA())
+	}
+	if useIFMA {
+		t.Log("DotVec path: AVX-512 IFMA (dotIFMA), MULQ block loop for tails under 8")
+		return
+	}
+	t.Logf("DotVec path: block loop (%s); AVX-512 IFMA absent, so the IFMA half of the path tests is skipped", runtime.GOARCH)
 }
 
 // TestPrimeKernelsMatchScalarOps checks every Prime vector kernel against

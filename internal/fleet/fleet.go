@@ -230,6 +230,9 @@ type Session[E comparable] struct {
 	trc  *trace.Tracer
 	cols int
 
+	// stages records the gather stage of every query.
+	stages *obs.StageRecorder
+
 	client transport.Client[E]
 	probe  transport.Client[E]
 	cloud  transport.Cloud[E]
@@ -311,6 +314,7 @@ func Serve[E comparable](f field.Field[E], enc *coding.Encoding[E], cfg Config) 
 		code:    code,
 		cfg:     cfg,
 		reg:     reg,
+		stages:  obs.NewStageRecorder(reg),
 		cols:    enc.Blocks[0].Cols(),
 		client:  transport.Client[E]{F: f, Timeout: cfg.RPCTimeout, Metrics: reg},
 		probe:   transport.Client[E]{F: f, Timeout: cfg.ProbeTimeout, Metrics: reg},

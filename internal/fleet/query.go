@@ -200,7 +200,7 @@ func (q *query[E]) run() error {
 	ctx, gsp := s.startSpan(q.ctx, trace.SpanFleetGather,
 		trace.A(trace.AttrKind, q.kind), trace.A("blocks", strconv.Itoa(len(s.blocks))))
 	defer gsp.End()
-	stage := obs.StartStage(s.reg, obs.StageGather)
+	stage := s.stages.Start(obs.StageGather)
 	now := time.Now()
 	q.deadline = now.Add(s.cfg.QueryTimeout)
 	need := 0

@@ -81,14 +81,20 @@ func PoolSize() int { return runtime.GOMAXPROCS(0) }
 // measurable.
 const chunksPerWorker = 4
 
-// shardState is the one allocation of a sharded call: the chunk cursor the
-// caller and its helpers claim from, and the group the caller waits on.
+// shardState is a sharded call's shared state: the chunk cursor the caller
+// and its helpers claim from, and the group the caller waits on. It comes
+// from shardPool and goes back once wg.Wait returns. That is safe because
+// wg.Done is the last thing a helper does with it, so after Wait no
+// goroutine holds it. What a sharded call still allocates is one closure
+// per helper goroutine it starts.
 type shardState struct {
 	next     atomic.Int64 // start of the next unclaimed chunk
 	wg       sync.WaitGroup
 	n, chunk int
 	fn       func(lo, hi int)
 }
+
+var shardPool = sync.Pool{New: func() any { return new(shardState) }}
 
 // run claims chunks from the cursor and runs fn on each until none is left.
 func (s *shardState) run() {
@@ -157,13 +163,17 @@ func parallelFor(n int, work int, fn func(lo, hi int)) (sharded bool) {
 		return false
 	}
 	chunks := min(chunksPerWorker*workers, n)
-	s := &shardState{n: n, chunk: (n + chunks - 1) / chunks, fn: fn}
+	s := shardPool.Get().(*shardState)
+	s.next.Store(0)
+	s.n, s.chunk, s.fn = n, (n+chunks-1)/chunks, fn
 	s.wg.Add(helpers)
 	for i := 0; i < helpers; i++ {
 		go s.help()
 	}
 	s.run()
 	s.wg.Wait()
+	s.fn = nil
+	shardPool.Put(s)
 	return true
 }
 

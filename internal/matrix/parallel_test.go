@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/scec/scec/internal/field"
+	"github.com/scec/scec/internal/testenv"
 )
 
 // TestParallelForNestedSaturated is the guard on the class of bug the worker
@@ -109,6 +110,36 @@ func TestParallelForSaturatedRunsSerial(t *testing.T) {
 	})
 	if sharded || calls != 1 {
 		t.Fatalf("saturated call: sharded=%v after %d calls of fn, want false after 1", sharded, calls)
+	}
+}
+
+// TestParallelForAllocs: a sharded call allocates only its helper
+// goroutine's closure. The shard state comes from a pool and goes back after
+// the wait. testing.AllocsPerRun runs at GOMAXPROCS 1, where nothing
+// shards, so the count is read from the memory statistics around the calls.
+func TestParallelForAllocs(t *testing.T) {
+	testenv.SkipAllocsUnderRace(t)
+	restoreKernelConfig(t)
+	SetParallelKernels(true)
+	SetParallelThreshold(1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const calls = 200
+	sharded := 0
+	fn := func(lo, hi int) {}
+	parallelFor(1024, 1024, fn) // warm the pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range calls {
+		if parallelFor(1024, 1024, fn) {
+			sharded++
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if sharded == 0 {
+		t.Fatal("no call sharded with a helper slot free")
+	}
+	if got := float64(after.Mallocs-before.Mallocs) / calls; got > 1.05 {
+		t.Fatalf("parallelFor = %.2f allocs per call (%d of %d sharded), want at most 1 (the helper closure)", got, sharded, calls)
 	}
 }
 

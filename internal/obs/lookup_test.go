@@ -85,6 +85,17 @@ func canonicalReference(labels []Label) string {
 	return b.String()
 }
 
+// TestStageRecorderAllocs: a warm stage span through a StageRecorder, the
+// form the query path uses, allocates nothing.
+func TestStageRecorderAllocs(t *testing.T) {
+	testenv.SkipAllocsUnderRace(t)
+	rec := NewStageRecorder(New())
+	rec.Start(StageGather).End()
+	if n := testing.AllocsPerRun(100, func() { rec.Start(StageGather).End() }); n != 0 {
+		t.Fatalf("warm StageRecorder span = %v allocs, want 0", n)
+	}
+}
+
 // TestAppendKeyMatchesReference: random label sets (distinct keys, any
 // order), including more labels than the stack copy holds and a value longer
 // than the stack key buffer, render exactly as the reference does and leave

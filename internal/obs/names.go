@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"io"
+	"slices"
+	"sync/atomic"
 	"time"
 )
 
@@ -194,7 +196,10 @@ const (
 var Stages = []string{StageAllocate, StageEncode, StageStore, StageCompute, StageGather, StageDecode}
 
 // stageHelp documents the stage histogram family.
-const stageHelp = "Pipeline stage duration in seconds (wall clock for real runs, virtual clock for simulated runs)."
+const (
+	stageHelp     = "Pipeline stage duration in seconds (wall clock for real runs, virtual clock for simulated runs)."
+	stageLastHelp = "Most recent duration of each pipeline stage in seconds."
+)
 
 // ObserveStage records one stage duration (histogram + last-value gauge).
 // A nil registry records into Default().
@@ -204,12 +209,60 @@ func ObserveStage(r *Registry, stage string, d time.Duration) {
 	}
 	l := L("stage", stage)
 	r.Histogram(MetricStageSeconds, stageHelp, DefLatencyBuckets, l).ObserveDuration(d)
-	r.Gauge(MetricStageLastSeconds, "Most recent duration of each pipeline stage in seconds.", l).Set(d.Seconds())
+	r.Gauge(MetricStageLastSeconds, stageLastHelp, l).Set(d.Seconds())
 }
 
-// Span is an in-flight stage timing started by StartStage.
+// StageRecorder records stage durations into one registry, as ObserveStage
+// does, through series handles it resolves on each stage's first record. A
+// component on a hot path keeps one, so a stage costs no family or series
+// lookup by label string; as with ObserveStage, nothing is minted before a
+// stage records.
+type StageRecorder struct {
+	reg    *Registry
+	stages []atomic.Pointer[stageSeries] // indexed like Stages
+}
+
+// stageSeries is one stage's histogram and last-value gauge.
+type stageSeries struct {
+	hist *Histogram
+	last *Gauge
+}
+
+// NewStageRecorder returns a recorder for r; a nil r records into Default().
+func NewStageRecorder(r *Registry) *StageRecorder {
+	if r == nil {
+		r = Default()
+	}
+	return &StageRecorder{reg: r, stages: make([]atomic.Pointer[stageSeries], len(Stages))}
+}
+
+// Observe records one stage duration (histogram + last-value gauge).
+func (s *StageRecorder) Observe(stage string, d time.Duration) {
+	i := slices.Index(Stages, stage)
+	if i < 0 {
+		ObserveStage(s.reg, stage, d)
+		return
+	}
+	ss := s.stages[i].Load()
+	if ss == nil {
+		ss = &stageSeries{hist: s.reg.Histogram(MetricStageSeconds, stageHelp, DefLatencyBuckets, L("stage", stage))}
+		ss.last = s.reg.Gauge(MetricStageLastSeconds, stageLastHelp, L("stage", stage))
+		s.stages[i].Store(ss)
+	}
+	ss.hist.ObserveDuration(d)
+	ss.last.Set(d.Seconds())
+}
+
+// Start starts timing a stage against the wall clock; End records it here.
+func (s *StageRecorder) Start(stage string) Span {
+	return Span{rec: s, stage: stage, start: time.Now()}
+}
+
+// Span is an in-flight stage timing started by StartStage or
+// StageRecorder.Start.
 type Span struct {
 	reg   *Registry
+	rec   *StageRecorder
 	stage string
 	start time.Time
 }
@@ -223,7 +276,11 @@ func StartStage(r *Registry, stage string) Span {
 // End records the elapsed time and returns it.
 func (s Span) End() time.Duration {
 	d := time.Since(s.start)
-	ObserveStage(s.reg, s.stage, d)
+	if s.rec != nil {
+		s.rec.Observe(s.stage, d)
+	} else {
+		ObserveStage(s.reg, s.stage, d)
+	}
 	return d
 }
 

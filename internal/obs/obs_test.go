@@ -242,3 +242,30 @@ func TestObserveStageConcurrent(t *testing.T) {
 		t.Fatalf("stage histogram count mismatch, got %+v", s)
 	}
 }
+
+// TestStageRecorderMatchesObserveStage: the same stage durations recorded
+// through a StageRecorder and through ObserveStage export the same
+// Prometheus text — names, help, labels, buckets and values — and the
+// recorder mints nothing for a stage before it records.
+func TestStageRecorderMatchesObserveStage(t *testing.T) {
+	viaRecorder, viaLookup := New(), New()
+	rec := NewStageRecorder(viaRecorder)
+	for i, stage := range []string{StageGather, StageCompute, StageGather, StageDecode, "custom"} {
+		d := time.Duration(i+1) * time.Millisecond
+		rec.Observe(stage, d)
+		ObserveStage(viaLookup, stage, d)
+		if i == 0 && viaRecorder.find(MetricStageSeconds, []Label{L("stage", StageCompute)}) != nil {
+			t.Fatal("recording one stage minted another's series")
+		}
+	}
+	var got, want strings.Builder
+	if err := viaRecorder.WritePrometheus(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := viaLookup.WritePrometheus(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("StageRecorder export:\n%s\nObserveStage export:\n%s", got.String(), want.String())
+	}
+}

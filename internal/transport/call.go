@@ -152,7 +152,7 @@ func (c *Call[E]) Receive() bool {
 		c.mu.Unlock()
 		return false
 	}
-	sent, dialErr := c.sent, c.dialErr
+	m, sent, dialErr := c.mux, c.sent, c.dialErr
 	c.mu.Unlock()
 	var err error
 	switch {
@@ -166,7 +166,7 @@ func (c *Call[E]) Receive() bool {
 			err = residues(c.addr, &c.resp)
 		}
 	}
-	c.complete(err, sent, c.resp.size)
+	c.complete(err, m, sent, c.resp.size)
 	return true
 }
 
@@ -191,7 +191,7 @@ func (c *Call[E]) Cancel(cause error) bool {
 		sent := c.sent
 		c.mu.Unlock()
 		stop()
-		c.complete(cause, sent, 0)
+		c.complete(cause, nil, sent, 0)
 		return true
 	}
 	m, id, sent := c.mux, c.stream, c.sent
@@ -199,16 +199,18 @@ func (c *Call[E]) Cancel(cause error) bool {
 	if m == nil || !m.unregister(id, c) {
 		return false
 	}
-	c.complete(cause, sent, 0)
+	c.complete(cause, m, sent, 0)
 	return true
 }
 
 // complete settles the call with err: its result, one client observation
 // (count, latency, bytes, outcome) and, inside a trace, the end of its
-// rpc.client span with the device's spans adopted. A reply the call fails
-// goes straight back to its list. It drops the request and response so a
-// Call kept for reuse holds no slab alive.
-func (c *Call[E]) complete(err error, sent, recv int64) {
+// rpc.client span with the device's spans adopted. The observation goes
+// through m's handles when m, the connection the call was sent on, was
+// dialed with the call's registry. A reply the call fails goes straight
+// back to its list. It drops the request and response so a Call kept for
+// reuse holds no slab alive.
+func (c *Call[E]) complete(err error, m *muxConn[E], sent, recv int64) {
 	if err == nil {
 		c.Y, c.M, c.free = c.resp.y, c.resp.m, c.resp.free
 	} else {
@@ -216,7 +218,7 @@ func (c *Call[E]) complete(err error, sent, recv int64) {
 	}
 	c.Err = err
 	if c.reg != nil {
-		recordClient(c.reg, opToKind(c.req.op), time.Since(c.start), sent, recv, err)
+		m.clientRPC(c.reg).record(opToKind(c.req.op), time.Since(c.start), sent, recv, err != nil)
 	}
 	if c.finish != nil {
 		c.finish(c.resp.spans, err)

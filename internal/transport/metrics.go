@@ -2,6 +2,8 @@ package transport
 
 import (
 	"net"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"github.com/scec/scec/internal/obs"
@@ -34,30 +36,93 @@ func metricsOrDefault(r *obs.Registry) *obs.Registry {
 	return r
 }
 
-// recordClient accounts one user/cloud-side round trip; kind comes from
-// opToKind, so the label set is bounded.
-func recordClient(reg *obs.Registry, kind string, d time.Duration, sent, received int64, err error) {
-	reg = metricsOrDefault(reg)
-	l := obs.L("kind", kind)
-	reg.Counter(obs.MetricRPCClientRequests, "RPC round trips issued by the user/cloud role, by request kind.", l).Inc()
-	if err != nil {
-		reg.Counter(obs.MetricRPCClientErrors, "Failed RPC round trips (dial, deadline, transport, or remote errors), by request kind.", l).Inc()
-	}
-	reg.Histogram(obs.MetricRPCClientSeconds, "RPC round-trip latency in seconds as seen by the user/cloud role, by request kind.", obs.DefLatencyBuckets, l).ObserveDuration(d)
-	reg.Counter(obs.MetricRPCClientSent, "Bytes written to the wire by the user/cloud role, by request kind.", l).Add(sent)
-	reg.Counter(obs.MetricRPCClientReceived, "Bytes read from the wire by the user/cloud role, by request kind.", l).Add(received)
+// rpcKinds is every kind label an RPC series carries: opToKind's values and
+// the device server's "malformed".
+var rpcKinds = [...]string{"ping", "store", "compute", "compute-batch", "unknown", "malformed"}
+
+// rpcFamily is one RPC metric family's name and help string.
+type rpcFamily struct{ name, help string }
+
+// rpcSide names one side's RPC families: the request and error counts, the
+// latency histogram, and two byte counters, in the order a request records
+// them (client: sent, received; server: read, written).
+type rpcSide struct {
+	requests, errors, seconds, bytes1, bytes2 rpcFamily
 }
 
-// recordServer accounts one device-server-side request. Requests that never
-// decode are labelled kind="malformed".
-func recordServer(reg *obs.Registry, kind string, d time.Duration, read, written int64, errored bool) {
-	reg = metricsOrDefault(reg)
+var clientRPC = &rpcSide{
+	requests: rpcFamily{obs.MetricRPCClientRequests, "RPC round trips issued by the user/cloud role, by request kind."},
+	errors:   rpcFamily{obs.MetricRPCClientErrors, "Failed RPC round trips (dial, deadline, transport, or remote errors), by request kind."},
+	seconds:  rpcFamily{obs.MetricRPCClientSeconds, "RPC round-trip latency in seconds as seen by the user/cloud role, by request kind."},
+	bytes1:   rpcFamily{obs.MetricRPCClientSent, "Bytes written to the wire by the user/cloud role, by request kind."},
+	bytes2:   rpcFamily{obs.MetricRPCClientReceived, "Bytes read from the wire by the user/cloud role, by request kind."},
+}
+
+var serverRPC = &rpcSide{
+	requests: rpcFamily{obs.MetricRPCServerRequests, "Requests handled by the device server, by request kind (malformed = undecodable)."},
+	errors:   rpcFamily{obs.MetricRPCServerErrors, "Requests the device server rejected or failed to parse, by request kind."},
+	seconds:  rpcFamily{obs.MetricRPCServerSeconds, "Request handling latency in seconds on the device server, by request kind."},
+	bytes1:   rpcFamily{obs.MetricRPCServerRead, "Bytes read from the wire by the device server, by request kind."},
+	bytes2:   rpcFamily{obs.MetricRPCServerWritten, "Bytes written to the wire by the device server, by request kind."},
+}
+
+// rpcSeries is one kind's series on one side, minus the error count.
+type rpcSeries struct {
+	requests, bytes1, bytes2 *obs.Counter
+	seconds                  *obs.Histogram
+}
+
+// rpcMetrics records one side's RPC series into one registry through
+// handles resolved on each kind's first request, so a request costs no
+// family or series lookup by label string. A device server keeps one, and
+// so does each client connection, for the registry it was dialed with. The
+// error count is looked up only when a request fails, so, as before, it is
+// minted by the first failure.
+type rpcMetrics struct {
+	reg   *obs.Registry
+	side  *rpcSide
+	kinds [len(rpcKinds)]atomic.Pointer[rpcSeries]
+}
+
+func newRPCMetrics(reg *obs.Registry, side *rpcSide) *rpcMetrics {
+	return &rpcMetrics{reg: reg, side: side}
+}
+
+// record accounts one request of kind: its count, its latency d, its bytes
+// in the side's two byte counters, and, if it failed, the error count.
+func (m *rpcMetrics) record(kind string, d time.Duration, bytes1, bytes2 int64, failed bool) {
 	l := obs.L("kind", kind)
-	reg.Counter(obs.MetricRPCServerRequests, "Requests handled by the device server, by request kind (malformed = undecodable).", l).Inc()
-	if errored {
-		reg.Counter(obs.MetricRPCServerErrors, "Requests the device server rejected or failed to parse, by request kind.", l).Inc()
+	i := slices.Index(rpcKinds[:], kind)
+	var s *rpcSeries
+	if i >= 0 {
+		s = m.kinds[i].Load()
 	}
-	reg.Histogram(obs.MetricRPCServerSeconds, "Request handling latency in seconds on the device server, by request kind.", obs.DefLatencyBuckets, l).ObserveDuration(d)
-	reg.Counter(obs.MetricRPCServerRead, "Bytes read from the wire by the device server, by request kind.", l).Add(read)
-	reg.Counter(obs.MetricRPCServerWritten, "Bytes written to the wire by the device server, by request kind.", l).Add(written)
+	if s == nil {
+		sd := m.side
+		s = &rpcSeries{requests: m.reg.Counter(sd.requests.name, sd.requests.help, l)}
+		s.seconds = m.reg.Histogram(sd.seconds.name, sd.seconds.help, obs.DefLatencyBuckets, l)
+		s.bytes1 = m.reg.Counter(sd.bytes1.name, sd.bytes1.help, l)
+		s.bytes2 = m.reg.Counter(sd.bytes2.name, sd.bytes2.help, l)
+		if i >= 0 {
+			m.kinds[i].Store(s)
+		}
+	}
+	s.requests.Inc()
+	if failed {
+		m.reg.Counter(m.side.errors.name, m.side.errors.help, l).Inc()
+	}
+	s.seconds.ObserveDuration(d)
+	s.bytes1.Add(bytes1)
+	s.bytes2.Add(bytes2)
+}
+
+// clientRPC returns m's RPC handles when m, possibly nil, was dialed with
+// reg, and otherwise handles for reg that last only for this request: a
+// call that never reached a connection, or one sharing a pooled connection
+// with a client that records elsewhere.
+func (m *muxConn[E]) clientRPC(reg *obs.Registry) *rpcMetrics {
+	if m != nil && m.rpc.reg == reg {
+		return m.rpc
+	}
+	return newRPCMetrics(reg, clientRPC)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -203,5 +204,46 @@ func TestDeviceServerOptionsValidation(t *testing.T) {
 	t.Cleanup(func() { _ = srv.Close() })
 	if srv.timeout != DefaultTimeout || srv.maxElements != DefaultMaxElements {
 		t.Fatalf("zero options resolved to timeout=%v cap=%d, want defaults", srv.timeout, srv.maxElements)
+	}
+}
+
+// TestRPCMetricsMatchRegistryLookups: requests recorded through the cached
+// rpcMetrics handles export the same Prometheus text as the same requests
+// recorded by looking every series up in the registry by name and label,
+// for both sides, with and without failures and for every kind, so the
+// handles change no series name, label or help string. The error count is
+// minted only by a failure.
+func TestRPCMetricsMatchRegistryLookups(t *testing.T) {
+	lookup := func(reg *obs.Registry, sd *rpcSide, kind string, d time.Duration, b1, b2 int64, failed bool) {
+		l := obs.L("kind", kind)
+		reg.Counter(sd.requests.name, sd.requests.help, l).Inc()
+		if failed {
+			reg.Counter(sd.errors.name, sd.errors.help, l).Inc()
+		}
+		reg.Histogram(sd.seconds.name, sd.seconds.help, obs.DefLatencyBuckets, l).ObserveDuration(d)
+		reg.Counter(sd.bytes1.name, sd.bytes1.help, l).Add(b1)
+		reg.Counter(sd.bytes2.name, sd.bytes2.help, l).Add(b2)
+	}
+	viaHandles, viaLookup := obs.New(), obs.New()
+	client, server := newRPCMetrics(viaHandles, clientRPC), newRPCMetrics(viaHandles, serverRPC)
+	for i, kind := range append(rpcKinds[:], "compute", "compute", "not-a-kind") {
+		d, failed := time.Duration(i+1)*time.Microsecond, i == 7
+		client.record(kind, d, int64(10*i), int64(i), failed)
+		lookup(viaLookup, clientRPC, kind, d, int64(10*i), int64(i), failed)
+		server.record(kind, 2*d, int64(i), int64(20*i), failed)
+		lookup(viaLookup, serverRPC, kind, 2*d, int64(i), int64(20*i), failed)
+		if i == 0 && snapshotValue(viaHandles.Snapshot(), obs.MetricRPCClientErrors) >= 0 {
+			t.Fatal("a clean request minted an error series")
+		}
+	}
+	var got, want strings.Builder
+	if err := viaHandles.WritePrometheus(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := viaLookup.WritePrometheus(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("handles export:\n%s\nlookup export:\n%s", got.String(), want.String())
 	}
 }

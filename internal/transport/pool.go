@@ -319,6 +319,7 @@ func (p *Pool[E]) dialMux(ctx context.Context, addr string, timeout time.Duratio
 	m.hbCounterOK = reg.Counter(obs.MetricTransportHeartbeats, heartbeatHelp, obs.L("outcome", "ok"))
 	m.hbCounterFail = reg.Counter(obs.MetricTransportHeartbeats, heartbeatHelp, obs.L("outcome", "failed"))
 	m.w = newWireWriter(conn, timeout, reg.Histogram(obs.MetricTransportFlushFrames, flushHelp, flushBuckets, role))
+	m.rpc = newRPCMetrics(reg, clientRPC)
 	m.lastIn.Store(time.Now().UnixNano()) // the hello counts as contact
 	m.rtt.Store(int64(time.Since(helloStart)))
 	m.conns.Add(1)
@@ -344,6 +345,7 @@ type muxConn[E comparable] struct {
 	inflight      *obs.Gauge
 	hbCounterOK   *obs.Counter
 	hbCounterFail *obs.Counter
+	rpc           *rpcMetrics // client RPC series in the registry m was dialed with
 
 	// mu guards the stream table. A call leaves it exactly once: delivered
 	// by readLoop or teardown, or withdrawn by unregister, so after

@@ -46,14 +46,14 @@ func (s *DeviceServer[E]) handleConn(conn net.Conn) {
 	}
 	code, err := readClientHello(br)
 	if err != nil {
-		recordServer(s.metrics, "malformed", time.Since(start), cc.read, cc.written, true)
+		s.rpc.record("malformed", time.Since(start), cc.read, cc.written, true)
 		return
 	}
 	_ = conn.SetWriteDeadline(time.Now().Add(s.timeout))
 	if code != s.cod.code {
 		h := serverHello(s.cod.code, helloRejectElem)
 		_, _ = conn.Write(h[:])
-		recordServer(s.metrics, "malformed", time.Since(start), cc.read, cc.written, true)
+		s.rpc.record("malformed", time.Since(start), cc.read, cc.written, true)
 		return
 	}
 	h := serverHello(s.cod.code, helloOK)
@@ -81,7 +81,7 @@ func (s *DeviceServer[E]) handleConn(conn net.Conn) {
 			var ne net.Error
 			if !errors.Is(err, io.EOF) && !(errors.As(err, &ne) && ne.Timeout()) && !peerClosed(err) {
 				// Broken framing mid-stream: count it, drop the connection.
-				recordServer(s.metrics, "malformed", 0, cc.read, cc.written, true)
+				s.rpc.record("malformed", 0, cc.read, cc.written, true)
 			}
 			return
 		}
@@ -173,7 +173,7 @@ func (s *DeviceServer[E]) handleWire(w *wireWriter, free *slabs[E], req request[
 		resp.spans = bag.spans
 	}
 	frame := newReplyFrame(s.cod, req.op, &resp)
-	recordServer(s.metrics, kind, time.Since(start), req.size, frame.size(), errored)
+	s.rpc.record(kind, time.Since(start), req.size, frame.size(), errored)
 	_ = writeReply(w, req.stream, &frame, &resp)
 	free.release(&req, &resp)
 }

@@ -102,8 +102,11 @@ type DeviceServer[E comparable] struct {
 	timeout     time.Duration
 	maxElements int
 	cod         elemCodec
-	metrics     *obs.Registry
 	tracer      *trace.Tracer
+	// stages and rpc record each request's compute stage and RPC series
+	// through handles resolved once per series.
+	stages *obs.StageRecorder
+	rpc    *rpcMetrics
 
 	ln        net.Listener
 	wg        sync.WaitGroup
@@ -187,17 +190,19 @@ func NewDeviceServerOptions[E comparable](f field.Field[E], addr string, opts Op
 		timeout:     opts.Timeout,
 		maxElements: opts.MaxElements,
 		cod:         cod,
-		metrics:     metricsOrDefault(opts.Metrics),
 		tracer:      opts.Tracer,
 		ln:          ln,
 		done:        make(chan struct{}),
 		conns:       make(map[net.Conn]struct{}),
 	}
+	reg := metricsOrDefault(opts.Metrics)
+	s.stages = obs.NewStageRecorder(reg)
+	s.rpc = newRPCMetrics(reg, serverRPC)
 	role := obs.L("role", "server")
 	dev := obs.L("device", s.Addr())
-	s.flushHist = s.metrics.Histogram(obs.MetricTransportFlushFrames, flushHelp, flushBuckets, role)
-	s.connsOpen = s.metrics.Gauge(obs.MetricTransportConnsOpen, connsHelp, role, dev)
-	s.streamsOpen = s.metrics.Gauge(obs.MetricTransportStreamsInflight, streamsHelp, role, dev)
+	s.flushHist = reg.Histogram(obs.MetricTransportFlushFrames, flushHelp, flushBuckets, role)
+	s.connsOpen = reg.Gauge(obs.MetricTransportConnsOpen, connsHelp, role, dev)
+	s.streamsOpen = reg.Gauge(obs.MetricTransportStreamsInflight, streamsHelp, role, dev)
 	s.wg.Add(1)
 	go s.serve()
 	return s, nil
@@ -352,7 +357,7 @@ func (s *DeviceServer[E]) mulVec(ctx context.Context, bag *spanBag, x []E, free 
 	}
 	y := free.reply(block.Rows())
 	csp := s.startComputeSpan(ctx, bag, "vec")
-	sp := obs.StartStage(s.metrics, obs.StageCompute)
+	sp := s.stages.Start(obs.StageCompute)
 	matrix.MulVecInto(s.f, block, x, y)
 	sp.End()
 	csp.End()
@@ -381,7 +386,7 @@ func (s *DeviceServer[E]) mulMat(ctx context.Context, bag *spanBag, x *matrix.De
 	}
 	y := matrix.FromSlice(block.Rows(), x.Cols(), free.reply(block.Rows()*x.Cols()))
 	csp := s.startComputeSpan(ctx, bag, "mat")
-	sp := obs.StartStage(s.metrics, obs.StageCompute)
+	sp := s.stages.Start(obs.StageCompute)
 	matrix.MulInto(s.f, block, x, y)
 	sp.End()
 	csp.End()
