@@ -2,6 +2,7 @@ package coding
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -10,19 +11,17 @@ import (
 )
 
 // pipelineDiff runs the full encode → compute → decode pipeline (vector and
-// batch) under every kernel dispatch configuration and checks each stage's
-// output is bit-identical to the generic serial path. Shapes include m not
-// divisible by r (a short last device) and single-row data.
+// batch) sharded — at threshold 1 and at the default — and checks each
+// stage's output is bit-identical to a serial run (threshold math.MaxInt).
+// The serial decode must also equal A·x and A·X computed in the test, one
+// Field Add/Mul per element (under Field.Equal, which is == on the exact
+// fields and Real's tolerance on floats, whose masks cancel only to
+// rounding). Shapes include m not divisible by r (a short last device) and
+// single-row data.
 func pipelineDiff[E comparable](t *testing.T, f field.Field[E]) {
 	t.Helper()
-	prevSpec := matrix.SetSpecializedKernels(true)
-	prevPar := matrix.SetParallelKernels(true)
-	prevThr := matrix.SetParallelThreshold(matrix.DefaultParallelThreshold)
-	t.Cleanup(func() {
-		matrix.SetSpecializedKernels(prevSpec)
-		matrix.SetParallelKernels(prevPar)
-		matrix.SetParallelThreshold(prevThr)
-	})
+	prevThr := matrix.SetParallelThreshold(math.MaxInt)
+	t.Cleanup(func() { matrix.SetParallelThreshold(prevThr) })
 
 	rng := rand.New(rand.NewPCG(101, 103))
 	shapes := []struct{ m, r, l, n int }{
@@ -41,8 +40,7 @@ func pipelineDiff[E comparable](t *testing.T, f field.Field[E]) {
 		x := matrix.RandomVec(f, rng, sh.l)
 		xm := matrix.Random(f, rng, sh.l, sh.n)
 
-		matrix.SetSpecializedKernels(false)
-		matrix.SetParallelKernels(false)
+		matrix.SetParallelThreshold(math.MaxInt)
 		wantEnc, err := EncodeWithRandom(f, s, a, random)
 		if err != nil {
 			t.Fatal(err)
@@ -57,20 +55,32 @@ func pipelineDiff[E comparable](t *testing.T, f field.Field[E]) {
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		modes := []struct {
-			name      string
-			spec, par bool
-		}{
-			{"specialized-serial", true, false},
-			{"generic-parallel", false, true},
-			{"specialized-parallel", true, true},
+		shape := fmt.Sprintf("m=%d r=%d l=%d", sh.m, sh.r, sh.l)
+		if ref := elementwiseMulVec(f, a, x); !matrix.VecEqual(f, ref, wantAx) {
+			t.Fatalf("serial %s: decoded Ax = %v, per-element A·x = %v", shape, wantAx, ref)
 		}
-		for _, mode := range modes {
-			matrix.SetSpecializedKernels(mode.spec)
-			matrix.SetParallelKernels(mode.par)
-			matrix.SetParallelThreshold(1)
-			label := fmt.Sprintf("%s m=%d r=%d l=%d", mode.name, sh.m, sh.r, sh.l)
+		for c := 0; c < sh.n; c++ {
+			col := make([]E, sh.l)
+			for k := range col {
+				col[k] = xm.At(k, c)
+			}
+			ref := elementwiseMulVec(f, a, col)
+			for i := range ref {
+				if !f.Equal(ref[i], wantAxB.At(i, c)) {
+					t.Fatalf("serial %s: decoded AX[%d][%d] = %v, per-element = %v", shape, i, c, wantAxB.At(i, c), ref[i])
+				}
+			}
+		}
+
+		for _, mode := range []struct {
+			name      string
+			threshold int
+		}{
+			{"sharded", 1},
+			{"default-threshold", matrix.DefaultParallelThreshold},
+		} {
+			matrix.SetParallelThreshold(mode.threshold)
+			label := mode.name + " " + shape
 
 			enc, err := EncodeWithRandom(f, s, a, random)
 			if err != nil {
@@ -102,6 +112,20 @@ func pipelineDiff[E comparable](t *testing.T, f field.Field[E]) {
 			}
 		}
 	}
+}
+
+// elementwiseMulVec is A·x with one Field Add/Mul per element, independent
+// of every matrix kernel.
+func elementwiseMulVec[E comparable](f field.Field[E], a *matrix.Dense[E], x []E) []E {
+	out := make([]E, a.Rows())
+	for i := range out {
+		acc := f.Zero()
+		for k, xv := range x {
+			acc = f.Add(acc, f.Mul(a.At(i, k), xv))
+		}
+		out[i] = acc
+	}
+	return out
 }
 
 func sameSlice[E comparable](t *testing.T, label string, want, got []E) {

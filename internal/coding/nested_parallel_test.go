@@ -1,6 +1,7 @@
 package coding
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -13,20 +14,15 @@ import (
 // loop over the five devices clears the parallel threshold and so does each
 // device's 1000×256 product, so the per-device kernel shards from inside an
 // already sharded call — the shape that hung the old worker pool on every
-// multicore host. The results must be bit-identical to the serial path.
+// multicore host. The results must be bit-identical to a serial run
+// (threshold math.MaxInt).
 func TestComputeAllNestedShardingLargeShape(t *testing.T) {
 	const m, l, r, n = 4000, 256, 1000, 4
 	if r*l < matrix.DefaultParallelThreshold {
 		t.Fatalf("per-device product of %d ops is below the threshold %d: the test no longer nests", r*l, matrix.DefaultParallelThreshold)
 	}
-	prevSpec := matrix.SetSpecializedKernels(true)
-	prevPar := matrix.SetParallelKernels(false)
-	prevThr := matrix.SetParallelThreshold(matrix.DefaultParallelThreshold)
-	t.Cleanup(func() {
-		matrix.SetSpecializedKernels(prevSpec)
-		matrix.SetParallelKernels(prevPar)
-		matrix.SetParallelThreshold(prevThr)
-	})
+	prevThr := matrix.SetParallelThreshold(math.MaxInt)
+	t.Cleanup(func() { matrix.SetParallelThreshold(prevThr) })
 
 	f := field.Prime{}
 	rng := rand.New(rand.NewPCG(107, 109))
@@ -44,7 +40,7 @@ func TestComputeAllNestedShardingLargeShape(t *testing.T) {
 	wantY := enc.ComputeAll(f, x)
 	wantYB := enc.ComputeAllBatch(f, xm)
 
-	matrix.SetParallelKernels(true)
+	matrix.SetParallelThreshold(matrix.DefaultParallelThreshold)
 	for round := 0; round < 3; round++ {
 		sameSlice(t, "ComputeAll m=4000 l=256 r=1000", wantY, enc.ComputeAll(f, x))
 		yb := enc.ComputeAllBatch(f, xm)

@@ -60,6 +60,15 @@ type Field[E comparable] interface {
 	Equal(a, b E) bool
 	// IsZero reports whether a is (approximately, for Real) zero.
 	IsZero(a E) bool
+	// DotRows sets dst[i] = Σ_k a[i·len(x)+k]·x[k]: a is row-major with
+	// len(dst) rows of len(x) elements. It is the product kernel package
+	// matrix runs, each row one dot product of the field's own.
+	DotRows(dst, a, x []E)
+	// AddVecInto sets dst[i] = a[i] + b[i] over the shortest of the three
+	// lengths; dst may alias a or b.
+	AddVecInto(dst, a, b []E)
+	// SubVecInto sets dst[i] = a[i] − b[i] like AddVecInto.
+	SubVecInto(dst, a, b []E)
 	// Rand returns an element drawn uniformly at random from the field. For
 	// Real it draws from a continuous distribution instead; see Real.Rand.
 	Rand(rng *rand.Rand) E

@@ -4,15 +4,18 @@ import "math/bits"
 
 // Vector kernels: monomorphized inner loops for the three concrete fields.
 //
-// The generic matrix code pays one dynamic dispatch per element; for the hot
-// paths (dot product, AXPY, element-wise add/sub) that cost dominates the
-// arithmetic. Each concrete field therefore exposes slice kernels that
-// package matrix selects by type switch. The kernels are semantically exact:
-// over Prime and GF256 they produce the identical canonical representatives
-// the element-wise methods produce, and over Real they perform the identical
+// A per-element loop over the Field interface pays one dynamic call per
+// element; for the hot paths (dot product, AXPY, element-wise add/sub) that
+// cost dominates the arithmetic. Each field therefore carries slice kernels.
+// DotRows, AddVecInto and SubVecInto are part of Field, so package matrix
+// makes one interface call per row range and each row's DotVec is a static
+// call; AXPYVec, which only GF256 and Real have, matrix finds by one
+// interface assertion per product. The kernels are semantically exact: over
+// Prime and GF256 they produce the identical canonical representatives the
+// element-wise methods produce, and over Real they perform the identical
 // float64 operations in the identical order (no fused multiply-add, no
-// reassociation), so every kernel path is bit-compatible with the generic
-// one.
+// reassociation), so every kernel is bit-compatible with the per-element
+// Add/Mul loop.
 //
 // Two loops sit below Go, both for the F_p dot product, which is the
 // multiply-add the paper's cost model prices and most of a device's compute.
@@ -99,6 +102,14 @@ func (f Prime) DotVec(a, x []uint64) uint64 {
 	return f.Add(sum, dotBlock(a, x))
 }
 
+// DotRows implements Field: dst[i] is DotVec of row i of a against x.
+func (f Prime) DotRows(dst, a, x []uint64) {
+	n := len(x)
+	for i := range dst {
+		dst[i] = f.DotVec(a[i*n:(i+1)*n], x)
+	}
+}
+
 // dotBlockGeneric returns Σ a[i]·x[i] mod p for equal-length slices of at
 // most dotBlockLen canonical residues; dotBlock is this loop, in assembly on
 // amd64. It accumulates the raw 128-bit products — one MULQ, one ADDQ, one
@@ -126,9 +137,12 @@ func dotBlockGeneric(a, x []uint64) uint64 {
 	return Prime{}.Add(reduce128(h0, l0), reduce128(h1, l1))
 }
 
-// AddVecInto sets dst[i] = a[i] + b[i] mod p. All three slices must share a
-// length (enforced by truncation to the shortest; package matrix always
-// passes equal lengths).
+// Prime has no AXPYVec on purpose: matrix.MulInto takes the i-k-j AXPY
+// route for any field that has one, and F_p products run faster as DotRows
+// over a transposed b (matrix's TestMulIntoRoutePinned holds this).
+
+// AddVecInto sets dst[i] = a[i] + b[i] mod p over the shortest of the three
+// lengths (package matrix always passes equal ones).
 func (Prime) AddVecInto(dst, a, b []uint64) {
 	n := min(len(dst), len(a), len(b))
 	dst, a, b = dst[:n], a[:n], b[:n]
@@ -187,6 +201,14 @@ func (GF256) DotVec(a, x []byte) byte {
 	return acc
 }
 
+// DotRows implements Field: dst[i] is DotVec of row i of a against x.
+func (f GF256) DotRows(dst, a, x []byte) {
+	n := len(x)
+	for i := range dst {
+		dst[i] = f.DotVec(a[i*n:(i+1)*n], x)
+	}
+}
+
 // AXPYVec performs dst[i] ^= s·src[i] over GF(2^8) using the s-row of the
 // multiplication table.
 func (GF256) AXPYVec(dst []byte, s byte, src []byte) {
@@ -203,8 +225,7 @@ func (GF256) AXPYVec(dst []byte, s byte, src []byte) {
 	}
 }
 
-// AddVecInto sets dst[i] = a[i] + b[i] = a[i] XOR b[i]. Subtraction is the
-// same operation in characteristic 2, so no SubVecInto exists.
+// AddVecInto sets dst[i] = a[i] + b[i] = a[i] XOR b[i].
 func (GF256) AddVecInto(dst, a, b []byte) {
 	n := min(len(dst), len(a), len(b))
 	dst, a, b = dst[:n], a[:n], b[:n]
@@ -213,10 +234,13 @@ func (GF256) AddVecInto(dst, a, b []byte) {
 	}
 }
 
+// SubVecInto is AddVecInto: subtraction is addition in characteristic 2.
+func (f GF256) SubVecInto(dst, a, b []byte) { f.AddVecInto(dst, a, b) }
+
 // DotVec returns Σ a[i]·x[i] over float64, accumulating left to right with
 // each product explicitly rounded to float64 (the conversion forbids the
 // compiler from fusing into FMA), so the result is bit-identical to the
-// generic Add/Mul sequence on every architecture.
+// element-wise Add/Mul sequence on every architecture.
 func (Real) DotVec(a, x []float64) float64 {
 	if len(x) < len(a) {
 		a = a[:len(x)]
@@ -229,8 +253,17 @@ func (Real) DotVec(a, x []float64) float64 {
 	return acc
 }
 
+// DotRows implements Field: dst[i] is DotVec of row i of a against x.
+func (f Real) DotRows(dst, a, x []float64) {
+	n := len(x)
+	for i := range dst {
+		dst[i] = f.DotVec(a[i*n:(i+1)*n], x)
+	}
+}
+
 // AXPYVec performs dst[i] += s·src[i] over float64, with the product
-// explicitly rounded (no FMA) to stay bit-identical to the generic path.
+// explicitly rounded (no FMA) to stay bit-identical to the element-wise
+// Add/Mul loop.
 func (Real) AXPYVec(dst []float64, s float64, src []float64) {
 	if len(src) < len(dst) {
 		dst = dst[:len(src)]

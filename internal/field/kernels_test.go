@@ -234,6 +234,72 @@ func TestPrimeKernelsMatchScalarOps(t *testing.T) {
 	}
 }
 
+// dotRowsField is a Field together with the DotVec its DotRows is built on.
+type dotRowsField[E comparable] interface {
+	Field[E]
+	DotVec(a, x []E) E
+}
+
+// checkDotRows checks f.DotRows over rows rows of a, each len(x) long,
+// against DotVec per row and the element-wise Mul/Add loop, with ==.
+func checkDotRows[E comparable](t *testing.T, f dotRowsField[E], rows int, a, x []E) {
+	t.Helper()
+	n := len(x)
+	dst := make([]E, rows)
+	f.DotRows(dst, a, x)
+	for i, got := range dst {
+		row := a[i*n : (i+1)*n]
+		want := f.Zero()
+		for k, xv := range x {
+			want = f.Add(want, f.Mul(row[k], xv))
+		}
+		if dot := f.DotVec(row, x); got != dot || got != want {
+			t.Fatalf("%s DotRows %dx%d: row %d = %v, DotVec = %v, element-wise = %v", f.Name(), rows, n, i, got, dot, want)
+		}
+	}
+}
+
+// dotRowsShapes covers an empty dst, rows of length 0, and row lengths on
+// both sides of the 64-element block and the 1024-element IFMA chunk.
+var dotRowsShapes = []struct{ rows, cols int }{
+	{0, 0}, {0, 5}, {3, 0}, {1, 1}, {4, 7},
+	{3, 63}, {3, 64}, {3, 65}, {2, 1023}, {2, 1024}, {2, 1025}, {2, 2049},
+}
+
+// TestDotRows checks each field's DotRows against per-row DotVec and the
+// element-wise loop: Prime on each DotVec path this host can run, on
+// uniform and all-(p−1) rows.
+func TestDotRows(t *testing.T) {
+	rng := rand.New(rand.NewPCG(53, 59))
+	forEachDotPath(t, func(t *testing.T) {
+		for _, sh := range dotRowsShapes {
+			checkDotRows[uint64](t, Prime{}, sh.rows, primeVec(rng, sh.rows*sh.cols), primeVec(rng, sh.cols))
+			checkDotRows[uint64](t, Prime{}, sh.rows, worstVec(sh.rows*sh.cols), worstVec(sh.cols))
+		}
+	})
+	for _, sh := range dotRowsShapes {
+		var g GF256
+		ga, gx := make([]byte, sh.rows*sh.cols), make([]byte, sh.cols)
+		for i := range ga {
+			ga[i] = g.Rand(rng)
+		}
+		for i := range gx {
+			gx[i] = g.Rand(rng)
+		}
+		checkDotRows[byte](t, g, sh.rows, ga, gx)
+
+		var r Real
+		ra, rx := make([]float64, sh.rows*sh.cols), make([]float64, sh.cols)
+		for i := range ra {
+			ra[i] = r.Rand(rng)
+		}
+		for i := range rx {
+			rx[i] = r.Rand(rng)
+		}
+		checkDotRows[float64](t, r, sh.rows, ra, rx)
+	}
+}
+
 // TestPrimeReduce128 checks the 128-bit reduction against big.Int over
 // boundary values and random pairs.
 func TestPrimeReduce128(t *testing.T) {
@@ -302,11 +368,15 @@ func TestGF256KernelsMatchScalarOps(t *testing.T) {
 			}
 		}
 
-		sum := make([]byte, n)
+		sum, diff := make([]byte, n), make([]byte, n)
 		f.AddVecInto(sum, a, b)
+		f.SubVecInto(diff, a, b)
 		for i := range a {
 			if want := a[i] ^ b[i]; sum[i] != want {
 				t.Fatalf("AddVecInto[%d] = %#x, want %#x", i, sum[i], want)
+			}
+			if diff[i] != sum[i] || diff[i] != f.Sub(a[i], b[i]) {
+				t.Fatalf("SubVecInto[%d] = %#x, want AddVecInto's %#x", i, diff[i], sum[i])
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -20,33 +21,26 @@ const (
 
 func benchRNG() *rand.Rand { return rand.New(rand.NewPCG(99, 101)) }
 
-// withKernelConfig pins the dispatch knobs for one sub-benchmark and
-// restores them afterwards.
-func withKernelConfig(b *testing.B, spec, par bool, fn func(b *testing.B)) {
-	prevSpec := SetSpecializedKernels(spec)
-	prevPar := SetParallelKernels(par)
-	defer func() {
-		SetSpecializedKernels(prevSpec)
-		SetParallelKernels(prevPar)
-	}()
+// withThreshold pins the parallel threshold for one sub-benchmark and
+// restores it afterwards.
+func withThreshold(b *testing.B, threshold int, fn func(b *testing.B)) {
+	defer SetParallelThreshold(SetParallelThreshold(threshold))
 	fn(b)
 }
 
-// kernelVariants runs fn under the four dispatch configurations so
-// generic-vs-specialized and serial-vs-parallel are directly comparable in
-// one `go test -bench` run.
+// kernelVariants runs fn serially (threshold math.MaxInt) and at the
+// default threshold, so serial-vs-parallel is directly comparable in one
+// `go test -bench` run.
 func kernelVariants(b *testing.B, fn func(b *testing.B)) {
 	for _, v := range []struct {
 		name      string
-		spec, par bool
+		threshold int
 	}{
-		{"generic-serial", false, false},
-		{"specialized-serial", true, false},
-		{"generic-parallel", false, true},
-		{"specialized-parallel", true, true},
+		{"serial", math.MaxInt},
+		{"parallel", DefaultParallelThreshold},
 	} {
 		b.Run(v.name, func(b *testing.B) {
-			withKernelConfig(b, v.spec, v.par, func(b *testing.B) {
+			withThreshold(b, v.threshold, func(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				fn(b)
@@ -55,8 +49,8 @@ func kernelVariants(b *testing.B, fn func(b *testing.B)) {
 	}
 }
 
-// BenchmarkMulVariantsPrime compares the dense product across every
-// dispatch configuration at a parallel-eligible size.
+// BenchmarkMulVariantsPrime compares the dense product serial and parallel
+// at a parallel-eligible size.
 func BenchmarkMulVariantsPrime(b *testing.B) {
 	f := field.Prime{}
 	rng := benchRNG()
@@ -120,7 +114,7 @@ func BenchmarkMulVariantsReal(b *testing.B) {
 }
 
 // BenchmarkMulVecVariantsPrime compares the matrix–vector hot path (the
-// per-device compute kernel) across dispatch configurations.
+// per-device compute kernel) serial and parallel.
 func BenchmarkMulVecVariantsPrime(b *testing.B) {
 	f := field.Prime{}
 	rng := benchRNG()
@@ -134,7 +128,7 @@ func BenchmarkMulVecVariantsPrime(b *testing.B) {
 }
 
 // BenchmarkAddVariantsPrime compares the element-wise kernels (the encode
-// inner loop) across dispatch configurations.
+// inner loop) serial and parallel.
 func BenchmarkAddVariantsPrime(b *testing.B) {
 	f := field.Prime{}
 	rng := benchRNG()
@@ -257,8 +251,7 @@ func BenchmarkSolvePrime(b *testing.B) {
 // empty fn at threshold 1, so everything measured is the state allocation,
 // the helper start and wake-up, the chunk claims, and the wait.
 func BenchmarkParallelForOverhead(b *testing.B) {
-	defer SetParallelThreshold(SetParallelThreshold(1))
-	withKernelConfig(b, true, true, func(b *testing.B) {
+	withThreshold(b, 1, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			ParallelFor(1024, 1024, func(lo, hi int) {})
@@ -273,17 +266,16 @@ func BenchmarkParallelForOverhead(b *testing.B) {
 // running at once, where sharding competes with the other devices for the
 // same cores.
 func BenchmarkMulVecCrossover(b *testing.B) {
-	defer SetParallelThreshold(SetParallelThreshold(1))
 	f := field.Prime{}
 	rng := benchRNG()
 	// run times fn serial and sharded as two sub-benchmarks of name.
 	run := func(name string, fn func()) {
 		for _, mode := range []struct {
-			name string
-			par  bool
-		}{{"serial", false}, {"sharded", true}} {
+			name      string
+			threshold int
+		}{{"serial", math.MaxInt}, {"sharded", 1}} {
 			b.Run(name+"/"+mode.name, func(b *testing.B) {
-				withKernelConfig(b, true, mode.par, func(b *testing.B) {
+				withThreshold(b, mode.threshold, func(b *testing.B) {
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {

@@ -8,9 +8,9 @@ import (
 	"github.com/scec/scec/internal/obs"
 )
 
-// TestKernelDispatchMetricsBoundedCardinality drives every op across every
-// dispatch configuration and checks the kernel metrics stay within their
-// fixed label sets: at most 4 ops × 2 impls × 2 modes = 16 counter series,
+// TestKernelDispatchMetricsBoundedCardinality drives every op serially and
+// sharded and checks the kernel metrics carry exactly the labels op and
+// mode, within their fixed sets: at most 4 ops × 2 modes = 8 counter series,
 // no matter how many operations run. This matches
 // the PR-1 convention of collapsing labels to bounded sets so hot paths can
 // never explode /metrics.
@@ -22,23 +22,18 @@ func TestKernelDispatchMetricsBoundedCardinality(t *testing.T) {
 	b := Random(f, rng, 40, 40)
 	x := RandomVec(f, rng, 40)
 
-	for _, spec := range []bool{false, true} {
-		for _, par := range []bool{false, true} {
-			SetSpecializedKernels(spec)
-			SetParallelKernels(par)
-			SetParallelThreshold(1)
-			for i := 0; i < 3; i++ {
-				_ = Mul(f, a, b)
-				_ = MulVec(f, a, x)
-				_ = Add(f, a, b)
-				_ = Sub(f, a, b)
-			}
+	for _, mode := range serialAndSharded {
+		SetParallelThreshold(mode.threshold)
+		for i := 0; i < 3; i++ {
+			_ = Mul(f, a, b)
+			_ = MulVec(f, a, x)
+			_ = Add(f, a, b)
+			_ = Sub(f, a, b)
 		}
 	}
 
 	allowed := map[string]map[string]bool{
 		"op":   {"mul": true, "mulvec": true, "add": true, "sub": true},
-		"impl": {"specialized": true, "generic": true},
 		"mode": {"serial": true, "parallel": true},
 	}
 	snap := obs.Default().Snapshot()
@@ -46,13 +41,13 @@ func TestKernelDispatchMetricsBoundedCardinality(t *testing.T) {
 	for _, fam := range snap.Metrics {
 		if fam.Name == obs.MetricKernelDispatchTotal {
 			foundDispatch = true
-			if len(fam.Series) > 16 {
-				t.Fatalf("%s has %d series, want <= 16", fam.Name, len(fam.Series))
+			if len(fam.Series) > 8 {
+				t.Fatalf("%s has %d series, want <= 8", fam.Name, len(fam.Series))
 			}
 			var total float64
 			for _, s := range fam.Series {
-				if len(s.Labels) != 3 {
-					t.Fatalf("dispatch series has labels %v, want op/impl/mode", s.Labels)
+				if len(s.Labels) != len(allowed) {
+					t.Fatalf("dispatch series has labels %v, want exactly op/mode", s.Labels)
 				}
 				for key, vals := range allowed {
 					if !vals[s.Labels[key]] {
@@ -61,8 +56,8 @@ func TestKernelDispatchMetricsBoundedCardinality(t *testing.T) {
 				}
 				total += s.Value
 			}
-			if total < 4*4*3 { // 4 configs × 4 ops × 3 reps, plus whatever other tests recorded
-				t.Fatalf("dispatch counters sum to %g, want >= 48", total)
+			if total < 2*4*3 { // 2 modes × 4 ops × 3 reps, plus whatever other tests recorded
+				t.Fatalf("dispatch counters sum to %g, want >= 24", total)
 			}
 		}
 	}

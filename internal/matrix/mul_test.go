@@ -11,20 +11,19 @@ import (
 )
 
 // mulIntoDirty checks that MulInto over an out full of stale values — a
-// recycled reply slab — gives exactly Mul's fresh result, serially and
-// sharded, for one field.
+// recycled reply slab — gives exactly the per-element reference product,
+// serially and sharded, for one field.
 func mulIntoDirty[E comparable](t *testing.T, f field.Field[E]) {
 	rng := rand.New(rand.NewPCG(61, 67))
 	for _, shape := range []struct{ r, k, c int }{{1, 1, 1}, {14, 64, 16}, {9, 70, 3}, {5, 0, 4}} {
 		a := Random(f, rng, shape.r, shape.k)
 		b := Random(f, rng, shape.k, shape.c)
-		want := Mul(f, a, b)
-		for _, sharded := range []bool{false, true} {
-			SetParallelKernels(sharded)
-			SetParallelThreshold(1)
+		want := refMul(f, a, b)
+		for _, mode := range serialAndSharded {
+			SetParallelThreshold(mode.threshold)
 			out := Random(f, rng, shape.r, shape.c)
 			MulInto(f, a, b, out)
-			checkSame(t, fmt.Sprintf("%s MulInto %dx%dx%d sharded=%v", f.Name(), shape.r, shape.k, shape.c, sharded), want.data, out.data)
+			checkSame(t, fmt.Sprintf("%s MulInto %dx%dx%d %s", f.Name(), shape.r, shape.k, shape.c, mode.name), want.data, out.data)
 		}
 	}
 }
@@ -34,8 +33,6 @@ func TestMulIntoOverwritesOut(t *testing.T) {
 	mulIntoDirty[uint64](t, field.Prime{})
 	mulIntoDirty[byte](t, field.GF256{})
 	mulIntoDirty[float64](t, field.Real{})
-	SetSpecializedKernels(false)
-	mulIntoDirty[uint64](t, field.Prime{})
 }
 
 func TestMulIntoShapePanics(t *testing.T) {
@@ -58,8 +55,6 @@ func TestMulIntoShapePanics(t *testing.T) {
 func TestMulIntoAllocs(t *testing.T) {
 	testenv.SkipAllocsUnderRace(t)
 	restoreKernelConfig(t)
-	SetSpecializedKernels(true)
-	SetParallelKernels(true)
 	SetParallelThreshold(DefaultParallelThreshold)
 	f := field.Prime{}
 	rng := rand.New(rand.NewPCG(71, 73))
@@ -72,8 +67,8 @@ func TestMulIntoAllocs(t *testing.T) {
 
 // FuzzPrimeMul checks Mul's F_p kernel on small random shapes — inner
 // dimensions across DotVec's 64-element block — with entries drawn from 0,
-// p−1 and uniform residues: specialized serial and specialized sharded must
-// each be == to the generic per-element loop.
+// p−1 and uniform residues: serial and sharded must each be == to the
+// per-element reference.
 func FuzzPrimeMul(fz *testing.F) {
 	worst := bytes.Repeat([]byte{1}, 2*8*130)
 	for _, k := range []uint8{0, 1, 31, 32, 33, 63, 64, 65, 127, 128, 129, 130} {
@@ -107,14 +102,10 @@ func FuzzPrimeMul(fz *testing.F) {
 		fill(a.data, special)
 		fill(b.data, special[min(len(special), len(a.data)):])
 
-		SetSpecializedKernels(false)
-		SetParallelKernels(false)
-		want := Mul(f, a, b)
-		SetSpecializedKernels(true)
-		SetParallelThreshold(1)
-		for _, sharded := range []bool{false, true} {
-			SetParallelKernels(sharded)
-			checkSame(t, fmt.Sprintf("Mul %dx%dx%d sharded=%v", m, k, n, sharded), want.data, Mul(f, a, b).data)
+		want := refMul[uint64](f, a, b)
+		for _, mode := range serialAndSharded {
+			SetParallelThreshold(mode.threshold)
+			checkSame(t, fmt.Sprintf("Mul %dx%dx%d %s", m, k, n, mode.name), want.data, Mul(f, a, b).data)
 		}
 	})
 }

@@ -7,22 +7,16 @@ import (
 	"github.com/scec/scec/internal/field"
 )
 
-// Add returns a + b. It panics on shape mismatch. Large matrices over the
-// concrete fields run the specialized vector kernels, sharded across
-// goroutines (see parallel.go).
+// Add returns a + b. It panics on shape mismatch. Large matrices are
+// sharded across goroutines (see parallel.go), each range one call of the
+// field's AddVecInto.
 func Add[E comparable](f field.Field[E], a, b *Dense[E]) *Dense[E] {
 	shapeMatch("Add", a, b)
 	out := New[E](a.rows, a.cols)
-	spec := specializedField(f)
 	par := parallelFor(len(a.data), len(a.data), func(lo, hi int) {
-		if spec && vecAddSpecialized(f, out.data[lo:hi], a.data[lo:hi], b.data[lo:hi]) {
-			return
-		}
-		for i := lo; i < hi; i++ {
-			out.data[i] = f.Add(a.data[i], b.data[i])
-		}
+		f.AddVecInto(out.data[lo:hi], a.data[lo:hi], b.data[lo:hi])
 	})
-	recordDispatch(opAdd, spec, par)
+	recordDispatch(opAdd, par)
 	return out
 }
 
@@ -30,16 +24,10 @@ func Add[E comparable](f field.Field[E], a, b *Dense[E]) *Dense[E] {
 func Sub[E comparable](f field.Field[E], a, b *Dense[E]) *Dense[E] {
 	shapeMatch("Sub", a, b)
 	out := New[E](a.rows, a.cols)
-	spec := specializedField(f)
 	par := parallelFor(len(a.data), len(a.data), func(lo, hi int) {
-		if spec && vecSubSpecialized(f, out.data[lo:hi], a.data[lo:hi], b.data[lo:hi]) {
-			return
-		}
-		for i := lo; i < hi; i++ {
-			out.data[i] = f.Sub(a.data[i], b.data[i])
-		}
+		f.SubVecInto(out.data[lo:hi], a.data[lo:hi], b.data[lo:hi])
 	})
-	recordDispatch(opSub, spec, par)
+	recordDispatch(opSub, par)
 	return out
 }
 
@@ -64,10 +52,10 @@ func Mul[E comparable](f field.Field[E], a, b *Dense[E]) *Dense[E] {
 // not alias a or b; its previous contents are overwritten. It panics on a
 // shape mismatch. It is the allocation-free variant of Mul that a device
 // runs for every batch compute, into a reply slab its connection recycles.
-// Over F_p every output element is one Prime.DotVec of a row of a against a
-// column of b, read from a transpose of b made once per call; the other
-// concrete fields run a monomorphized AXPY in i-k-j order. Large products are
-// row-sharded across goroutines.
+// A field with AXPYVec (GF(256), Real) accumulates in i-k-j order; over any
+// other (F_p) every output row is one DotRows of a transpose of b, made once
+// per call, against a row of a. Large products are row-sharded across
+// goroutines.
 func MulInto[E comparable](f field.Field[E], a, b, out *Dense[E]) {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("matrix: Mul shape mismatch %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
@@ -75,46 +63,24 @@ func MulInto[E comparable](f field.Field[E], a, b, out *Dense[E]) {
 	if out.rows != a.rows || out.cols != b.cols {
 		panic(fmt.Sprintf("matrix: MulInto out is %dx%d, want %dx%d", out.rows, out.cols, a.rows, b.cols))
 	}
-	spec := specializedField(f)
-	if spec {
-		if par, ok := mulPrime(f, a, b, out); ok {
-			recordDispatch(opMul, spec, par)
-			return
-		}
+	ax, ok := f.(axpyField[E])
+	if !ok {
+		recordDispatch(opMul, mulTransposed(f, a, b, out))
+		return
 	}
+	// The sharding closure is built only when the call may shard: it escapes
+	// to the helpers, so building it on the serial path would allocate per
+	// call.
 	work := a.rows * a.cols * b.cols
 	par := false
 	if shardable(a.rows, work) {
 		par = parallelFor(a.rows, work, func(lo, hi int) {
-			mulRange(f, a, b, out, spec, lo, hi)
+			mulAXPY(f, ax, a, b, out, lo, hi)
 		})
 	} else {
-		mulRange(f, a, b, out, spec, 0, a.rows)
+		mulAXPY(f, ax, a, b, out, 0, a.rows)
 	}
-	recordDispatch(opMul, spec, par)
-}
-
-// mulRange computes rows [lo, hi) of a·b into out by accumulation in i-k-j
-// order, through the field-specialized AXPY when spec allows one.
-func mulRange[E comparable](f field.Field[E], a, b, out *Dense[E], spec bool, lo, hi int) {
-	clear(out.data[lo*out.cols : hi*out.cols])
-	if spec && mulRows(f, a, b, out, lo, hi) {
-		return
-	}
-	for i := lo; i < hi; i++ {
-		arow := a.rowView(i)
-		orow := out.rowView(i)
-		for k := 0; k < a.cols; k++ {
-			aik := arow[k]
-			if f.IsZero(aik) {
-				continue
-			}
-			brow := b.rowView(k)
-			for j := 0; j < b.cols; j++ {
-				orow[j] = f.Add(orow[j], f.Mul(aik, brow[j]))
-			}
-		}
-	}
+	recordDispatch(opMul, par)
 }
 
 // MulVec returns the matrix–vector product a·x as a fresh slice. It panics
@@ -129,7 +95,7 @@ func MulVec[E comparable](f field.Field[E], a *Dense[E], x []E) []E {
 // MulVecInto computes a·x into dst, which must have length a.Rows(). It is
 // the allocation-free variant of MulVec that coding.ComputeAll uses to run
 // every device's product directly into its slot of the gathered result.
-// Rows are dispatched to the field-specialized dot-product kernels and
+// Each row range is one call of the field's DotRows, and the rows are
 // sharded across goroutines above the parallel threshold.
 func MulVecInto[E comparable](f field.Field[E], a *Dense[E], x []E, dst []E) {
 	if len(x) != a.cols {
@@ -138,35 +104,16 @@ func MulVecInto[E comparable](f field.Field[E], a *Dense[E], x []E, dst []E) {
 	if len(dst) != a.rows {
 		panic(fmt.Sprintf("matrix: MulVecInto dst length %d != rows %d", len(dst), a.rows))
 	}
-	spec := specializedField(f)
-	// The sharding closure is built only when the call may shard: it escapes
-	// to the helpers, so building it on the serial path would allocate per
-	// call.
+	// As in MulInto, the sharding closure exists only on the sharded branch.
 	par := false
-	if shardable(a.rows, a.rows*a.cols) {
-		par = parallelFor(a.rows, a.rows*a.cols, func(lo, hi int) {
-			mulVecRange(f, a, x, dst, spec, lo, hi)
+	if work := a.rows * a.cols; shardable(a.rows, work) {
+		par = parallelFor(a.rows, work, func(lo, hi int) {
+			f.DotRows(dst[lo:hi], a.data[lo*a.cols:hi*a.cols], x)
 		})
 	} else {
-		mulVecRange(f, a, x, dst, spec, 0, a.rows)
+		f.DotRows(dst, a.data, x)
 	}
-	recordDispatch(opMulVec, spec, par)
-}
-
-// mulVecRange computes rows [lo, hi) of a·x into dst, through the
-// field-specialized kernel when spec allows one.
-func mulVecRange[E comparable](f field.Field[E], a *Dense[E], x, dst []E, spec bool, lo, hi int) {
-	if spec && mulVecRows(f, a, x, dst, lo, hi) {
-		return
-	}
-	for i := lo; i < hi; i++ {
-		arow := a.rowView(i)
-		acc := f.Zero()
-		for j, xv := range x {
-			acc = f.Add(acc, f.Mul(arow[j], xv))
-		}
-		dst[i] = acc
-	}
+	recordDispatch(opMulVec, par)
 }
 
 // Transpose returns aᵀ.

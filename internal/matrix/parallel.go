@@ -31,9 +31,7 @@ import (
 const DefaultParallelThreshold = 128 * 1024
 
 var (
-	parallelEnabled    atomic.Bool
-	specializedEnabled atomic.Bool
-	parallelThreshold  atomic.Int64
+	parallelThreshold atomic.Int64
 
 	// helpersInFlight counts the helper goroutines of every sharded call in
 	// the process; parallelFor keeps it at or below GOMAXPROCS−1.
@@ -41,26 +39,15 @@ var (
 )
 
 func init() {
-	parallelEnabled.Store(true)
-	specializedEnabled.Store(true)
 	parallelThreshold.Store(DefaultParallelThreshold)
 }
 
-// SetParallelKernels enables or disables the parallel execution paths and
-// returns the previous setting. Benchmarks and differential tests use it to
-// pin a configuration; production code leaves it on.
-func SetParallelKernels(on bool) (prev bool) { return parallelEnabled.Swap(on) }
-
-// SetSpecializedKernels enables or disables the field-specialized kernels
-// and returns the previous setting. With specialization off every operation
-// runs the generic per-element loops, which is the reference behaviour the
-// differential tests compare against.
-func SetSpecializedKernels(on bool) (prev bool) { return specializedEnabled.Swap(on) }
-
 // SetParallelThreshold sets the element-operation count at or above which
 // Mul, MulVec, Add, Sub, and ParallelFor shard work across goroutines, and
-// returns the previous threshold. Values below 1 are clamped to 1 (always
-// shard when the parallel paths are enabled and there are at least two
+// returns the previous threshold. It is the one kernel knob: tests and
+// benchmarks pin a configuration with it, math.MaxInt keeping every call
+// serial, and production code leaves it at DefaultParallelThreshold. Values
+// below 1 are clamped to 1 (always shard when there are at least two
 // items).
 func SetParallelThreshold(ops int) (prev int) {
 	if ops < 1 {
@@ -134,19 +121,18 @@ func acquireHelpers(want, limit int) int {
 }
 
 // shardable reports whether a call over n items with the given work
-// estimate may shard: the parallel paths are on, there is more than one
-// item, and the work meets the threshold. A caller whose range function is
-// a closure can test it first and build the closure only when it may shard.
+// estimate may shard: there is more than one item, and the work meets the
+// threshold. A caller whose range function is a closure can test it first
+// and build the closure only when it may shard.
 func shardable(n int, work int) bool {
-	return n > 1 && parallelEnabled.Load() && int64(work) >= parallelThreshold.Load()
+	return n > 1 && int64(work) >= parallelThreshold.Load()
 }
 
 // parallelFor runs fn over half-open index ranges that partition [0, n),
-// on several goroutines when the parallel paths are on, work (an
-// element-operation estimate for the whole call) meets the threshold, there
-// is more than one item, and a helper slot is free. It reports whether the
-// call actually sharded; either way every index has been processed when it
-// returns.
+// on several goroutines when work (an element-operation estimate for the
+// whole call) meets the threshold, there is more than one item, and a
+// helper slot is free. It reports whether the call actually sharded; either
+// way every index has been processed when it returns.
 func parallelFor(n int, work int, fn func(lo, hi int)) (sharded bool) {
 	if n <= 0 {
 		return false
@@ -182,8 +168,8 @@ func parallelFor(n int, work int, fn func(lo, hi int)) (sharded bool) {
 // estimate (total element operations for the call) clear the parallel
 // threshold, serially otherwise. fn must be safe to run concurrently on
 // disjoint ranges, and may itself call ParallelFor. Sibling packages
-// (coding) use it to parallelize across devices with the same helper cap,
-// threshold, and tuning knobs as the in-package kernels.
+// (coding) use it to parallelize across devices with the same helper cap
+// and threshold as the in-package kernels.
 func ParallelFor(n int, work int, fn func(lo, hi int)) {
 	parallelFor(n, work, fn)
 }

@@ -25,9 +25,7 @@ func TestParallelForNestedSaturated(t *testing.T) {
 	rng := rand.New(rand.NewPCG(83, 89))
 	a := Random(f, rng, 48, 32)
 	x := RandomVec(f, rng, 32)
-	SetParallelKernels(false)
-	want := MulVec(f, a, x)
-	SetParallelKernels(true)
+	want := refMulVec(f, a, x)
 	SetParallelThreshold(1)
 
 	const outer, inner, rounds = 6, 12, 3
@@ -94,7 +92,6 @@ func TestParallelForNestedSaturated(t *testing.T) {
 // piece, and reports that it did not shard.
 func TestParallelForSaturatedRunsSerial(t *testing.T) {
 	restoreKernelConfig(t)
-	SetParallelKernels(true)
 	SetParallelThreshold(1)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	if got := acquireHelpers(100, 3); got != 3 {
@@ -120,7 +117,6 @@ func TestParallelForSaturatedRunsSerial(t *testing.T) {
 func TestParallelForAllocs(t *testing.T) {
 	testenv.SkipAllocsUnderRace(t)
 	restoreKernelConfig(t)
-	SetParallelKernels(true)
 	SetParallelThreshold(1)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const calls = 200
@@ -146,10 +142,11 @@ func TestParallelForAllocs(t *testing.T) {
 // TestKernelDifferentialAtDefaultThreshold runs the shapes that straddle
 // DefaultParallelThreshold (2047..2049 rows of 64 columns around 128 Ki
 // element-ops) through the default configuration and compares against the
-// generic serial reference, so the serial/sharded switch itself is covered
-// at the value it ships with.
+// per-element reference, so the serial/sharded switch itself is covered at
+// the value it ships with.
 func TestKernelDifferentialAtDefaultThreshold(t *testing.T) {
 	restoreKernelConfig(t)
+	SetParallelThreshold(DefaultParallelThreshold)
 	f := field.Prime{}
 	rng := rand.New(rand.NewPCG(97, 101))
 	for _, rows := range []int{2047, 2048, 2049} {
@@ -157,21 +154,14 @@ func TestKernelDifferentialAtDefaultThreshold(t *testing.T) {
 		a2 := Random(f, rng, rows, 64)
 		x := RandomVec(f, rng, 64)
 
-		SetSpecializedKernels(false)
-		SetParallelKernels(false)
-		wantVec, wantAdd, wantSub := MulVec(f, a, x), Add(f, a, a2), Sub(f, a, a2)
-
-		SetSpecializedKernels(true)
-		SetParallelKernels(true)
-		SetParallelThreshold(DefaultParallelThreshold)
 		label := fmt.Sprintf("default config %dx64", rows)
-		checkSame(t, label+" MulVec", wantVec, MulVec(f, a, x))
-		checkSame(t, label+" Add", wantAdd.data, Add(f, a, a2).data)
-		checkSame(t, label+" Sub", wantSub.data, Sub(f, a, a2).data)
+		checkSame(t, label+" MulVec", refMulVec[uint64](f, a, x), MulVec(f, a, x))
+		checkSame(t, label+" Add", refElementwise(a.data, a2.data, f.Add), Add(f, a, a2).data)
+		checkSame(t, label+" Sub", refElementwise(a.data, a2.data, f.Sub), Sub(f, a, a2).data)
 	}
 }
 
-// TestMulPrimeDotKernelEdges drives Mul's F_p kernel — Prime.DotVec over a
+// TestMulPrimeDotKernelEdges drives Mul's F_p kernel — DotRows over a
 // once-transposed B — with the values that overflow a 128-bit accumulator
 // first: every entry p−1, inner dimensions on both sides of DotVec's 64-
 // element block and of each 32-product accumulator pair, and interior zeros.
@@ -191,14 +181,10 @@ func TestMulPrimeDotKernelEdges(t *testing.T) {
 			for i := range b.data {
 				b.data[i] = field.Modulus - 1
 			}
-			SetSpecializedKernels(false)
-			SetParallelKernels(false)
-			want := Mul(f, a, b)
-			SetSpecializedKernels(true)
-			SetParallelThreshold(1)
-			for _, sharded := range []bool{false, true} {
-				SetParallelKernels(sharded)
-				label := fmt.Sprintf("Mul inner=%d zeroEvery=%d sharded=%v", inner, zeroEvery, sharded)
+			want := refMul[uint64](f, a, b)
+			for _, mode := range serialAndSharded {
+				SetParallelThreshold(mode.threshold)
+				label := fmt.Sprintf("Mul inner=%d zeroEvery=%d %s", inner, zeroEvery, mode.name)
 				checkSame(t, label, want.data, Mul(f, a, b).data)
 			}
 		}

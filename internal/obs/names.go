@@ -37,11 +37,10 @@ const (
 	MetricRPCServerWritten  = "scec_rpc_server_written_bytes_total"
 
 	// MetricKernelDispatchTotal counts dense-kernel executions in
-	// internal/matrix, labelled op=mul|mulvec|add|sub,
-	// impl=specialized|generic, and mode=serial|parallel — at most 16
-	// series, so the dispatch decisions the kernel layer makes (fast
-	// monomorphized code vs. the generic Field fallback, sharded vs.
-	// single-core) are directly observable on /metrics.
+	// internal/matrix, labelled op=mul|mulvec|add|sub and
+	// mode=serial|parallel — at most 8 series, so the one decision the
+	// kernel layer makes per call (sharded vs. single-core) is directly
+	// observable on /metrics.
 	MetricKernelDispatchTotal = "scec_kernel_dispatch_total"
 
 	// Fleet-runtime (internal/fleet) metrics. Label sets are bounded by
