@@ -118,6 +118,7 @@ adapt-check:
 fuzz:
 	$(GO) test -fuzz FuzzPrimeArithmetic -fuzztime 10s ./internal/field/
 	$(GO) test -fuzz FuzzPrimeDotVec -fuzztime 10s ./internal/field/
+	$(GO) test -fuzz FuzzPrimeDotRows -fuzztime 10s ./internal/field/
 	$(GO) test -fuzz FuzzPrimeMul -fuzztime 10s ./internal/matrix/
 	$(GO) test -fuzz FuzzGF256Arithmetic -fuzztime 10s ./internal/field/
 	$(GO) test -fuzz FuzzTA1TA2Agreement -fuzztime 10s ./internal/alloc/

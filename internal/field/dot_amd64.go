@@ -23,6 +23,21 @@ func dotBlock(a, x []uint64) uint64 {
 //go:noescape
 func dotIFMA(a, x []uint64) (w0, w52, w104 uint64)
 
+// dotRows8IFMA sets dst[r] = Σ a[r·stride+c]·x[c] mod p over c < len(x)
+// for the eight rows r < 8, in AVX-512 IFMA (dot_amd64.s). len(a) must be at
+// least 7·stride + len(x), len(x) at most ifmaChunkLen, and the CPU must
+// pass hasIFMA.
+//
+//go:noescape
+func dotRows8IFMA(dst *[ifmaRows]uint64, a []uint64, stride int, x []uint64)
+
+// dotRows8 is dotRows8IFMA behind the bounds check that keeps the assembly
+// inside a: row 7 of the block must end within it.
+func dotRows8(dst *[ifmaRows]uint64, a []uint64, stride int, x []uint64) {
+	_ = a[(ifmaRows-1)*stride:][:len(x)]
+	dotRows8IFMA(dst, a, stride, x)
+}
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax uint32)

@@ -12,3 +12,8 @@ func hasIFMA() bool { return false }
 func dotIFMA(a, x []uint64) (w0, w52, w104 uint64) {
 	panic("field: no IFMA kernel on this GOARCH")
 }
+
+// dotRows8 is never called here, because useIFMA is false.
+func dotRows8(dst *[ifmaRows]uint64, a []uint64, stride int, x []uint64) {
+	panic("field: no IFMA kernel on this GOARCH")
+}

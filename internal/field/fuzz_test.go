@@ -111,6 +111,53 @@ func FuzzPrimeDotVec(fz *testing.F) {
 	})
 }
 
+// FuzzPrimeDotRows cross-checks Prime.DotRows, on each path the host has,
+// against dotVecGeneric per row. The fuzzer picks the row count (up to 40),
+// the column count (up to 2100, so past two IFMA chunks), how many elements
+// into its slice the matrix starts, and the operand words: element i of the
+// matrix and of x is word i of data, cycled and reduced mod p. The seeds
+// are all-(p−1) operands at the shapes where the eight-row kernel's blocks,
+// masked tail and chunks begin and end.
+func FuzzPrimeDotRows(fz *testing.F) {
+	worst := binary.LittleEndian.AppendUint64(nil, Modulus-1)
+	for _, sh := range [][2]uint16{{1, 1}, {7, 8}, {8, 8}, {8, 13}, {9, 64}, {16, 1023}, {17, 1024}, {8, 1025}, {24, 2049}, {33, 7}} {
+		fz.Add(sh[0], sh[1], uint8(0), bytes.Repeat(worst, 3))
+	}
+	fz.Add(uint16(9), uint16(100), uint8(1), []byte("uniform-looking words, cycled over the matrix"))
+	fz.Fuzz(func(t *testing.T, rows, cols uint16, off uint8, data []byte) {
+		r, n, o := int(rows%41), int(cols%2101), int(off%8)
+		words := len(data) / 8
+		elem := func(i int) uint64 {
+			if words == 0 {
+				return Modulus - 1
+			}
+			return binary.LittleEndian.Uint64(data[8*(i%words):]) % Modulus
+		}
+		a, x := make([]uint64, o+r*n)[o:], make([]uint64, n)
+		for i := range a {
+			a[i] = elem(i)
+		}
+		for i := range x {
+			x[i] = elem(r*n + i)
+		}
+		saved := useIFMA
+		defer func() { useIFMA = saved }()
+		for _, ifma := range []bool{false, true} {
+			if ifma && !hasIFMA() {
+				continue
+			}
+			useIFMA = ifma
+			dst := make([]uint64, r)
+			Prime{}.DotRows(dst, a, x)
+			for i, got := range dst {
+				if want := dotVecGeneric(a[i*n:(i+1)*n], x); got != want {
+					t.Fatalf("DotRows %dx%d (offset %d, ifma %v): row %d = %d, dotVecGeneric = %d", r, n, o, ifma, i, got, want)
+				}
+			}
+		}
+	})
+}
+
 // FuzzGF256Arithmetic exercises the byte field's table-based operations on
 // arbitrary pairs.
 func FuzzGF256Arithmetic(fz *testing.F) {

@@ -25,8 +25,10 @@ import "math/bits"
 // GOARCH and the reference the assembly is tested against. On an amd64 CPU
 // with AVX-512 IFMA, DotVec instead runs chunks of up to 1024 elements
 // through dotIFMA, eight 52-bit multiply-adds per instruction, and leaves
-// only a tail of under eight elements to dotBlock. Every path returns the
-// same canonical residue.
+// only a tail of under eight elements to dotBlock; there DotRows also runs
+// eight rows at a time through dotRows8, which loads x once for all eight
+// and reduces their residues together. Every path returns the same
+// canonical residue.
 
 // reduce128 reduces the 128-bit value hi·2^64 + lo modulo 2^61 − 1 to the
 // canonical representative in [0, p). Because 2^61 ≡ 1 (mod p), the value
@@ -63,12 +65,14 @@ const dotBlockLen = 64
 // only the package's tests change it.
 var useIFMA = hasIFMA()
 
-// ifmaLanes is the element count of one IFMA pass, and ifmaChunkLen the
-// most elements one dotIFMA call takes: its three weight sums stay below
-// 3·n·2⁵², under 2⁶⁴ up to n = 1365 (dot_amd64.s).
+// ifmaLanes is the element count of one IFMA pass, ifmaChunkLen the most
+// elements one dotIFMA or dotRows8 call takes (its weight sums stay below
+// 3·n·2⁵², under 2⁶⁴ up to n = 1365; dot_amd64.s), and ifmaRows the rows
+// one dotRows8 call computes.
 const (
 	ifmaLanes    = 8
 	ifmaChunkLen = 1024
+	ifmaRows     = 8
 )
 
 // DotVec returns Σ a[i]·x[i] mod p over min(len(a), len(x)) elements of
@@ -103,10 +107,37 @@ func (f Prime) DotVec(a, x []uint64) uint64 {
 }
 
 // DotRows implements Field: dst[i] is DotVec of row i of a against x.
+// Under IFMA it runs blocks of ifmaRows rows through dotRows8, which loads
+// each chunk of x once per block and reduces the block's residues together,
+// and leaves the last len(dst) mod ifmaRows rows to DotVec.
 func (f Prime) DotRows(dst, a, x []uint64) {
 	n := len(x)
+	if useIFMA {
+		for len(dst) >= ifmaRows {
+			f.dotRowsBlock((*[ifmaRows]uint64)(dst), a[:ifmaRows*n], x)
+			dst, a = dst[ifmaRows:], a[ifmaRows*n:]
+		}
+	}
 	for i := range dst {
 		dst[i] = f.DotVec(a[i*n:(i+1)*n], x)
+	}
+}
+
+// dotRowsBlock sets dst[r] to DotVec of row r of the ifmaRows×len(x) block
+// a against x: one dotRows8 call per chunk of at most ifmaChunkLen columns,
+// with the chunks' residues added mod p.
+func (f Prime) dotRowsBlock(dst *[ifmaRows]uint64, a, x []uint64) {
+	n := len(x)
+	c := min(n, ifmaChunkLen)
+	dotRows8(dst, a, n, x[:c])
+	for c < n {
+		m := min(n-c, ifmaChunkLen)
+		var part [ifmaRows]uint64
+		dotRows8(&part, a[c:], n, x[c:c+m])
+		for r, v := range part {
+			dst[r] = f.Add(dst[r], v)
+		}
+		c += m
 	}
 }
 
@@ -142,30 +173,28 @@ func dotBlockGeneric(a, x []uint64) uint64 {
 // over a transposed b (matrix's TestMulIntoRoutePinned holds this).
 
 // AddVecInto sets dst[i] = a[i] + b[i] mod p over the shortest of the three
-// lengths (package matrix always passes equal ones).
+// lengths (package matrix always passes equal ones). The sum s is below 2p;
+// s − p borrows exactly when s < p, and the borrow, spread to a mask, adds p
+// back.
 func (Prime) AddVecInto(dst, a, b []uint64) {
 	n := min(len(dst), len(a), len(b))
 	dst, a, b = dst[:n], a[:n], b[:n]
 	for i, av := range a {
-		s := av + b[i]
-		if s >= Modulus {
-			s -= Modulus
-		}
-		dst[i] = s
+		d, borrow := bits.Sub64(av+b[i], Modulus, 0)
+		dst[i] = d + Modulus&-borrow
 	}
 }
 
-// SubVecInto sets dst[i] = a[i] − b[i] mod p.
+// SubVecInto sets dst[i] = a[i] − b[i] mod p. Like AddVecInto it has no
+// branch: on random residues a compare-and-subtract mispredicts half the
+// time, and the borrow of the subtraction already says whether p is to be
+// added back.
 func (Prime) SubVecInto(dst, a, b []uint64) {
 	n := min(len(dst), len(a), len(b))
 	dst, a, b = dst[:n], a[:n], b[:n]
 	for i, av := range a {
-		bv := b[i]
-		if av >= bv {
-			dst[i] = av - bv
-		} else {
-			dst[i] = av + Modulus - bv
-		}
+		d, borrow := bits.Sub64(av, b[i], 0)
+		dst[i] = d + Modulus&-borrow
 	}
 }
 

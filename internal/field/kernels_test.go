@@ -195,10 +195,11 @@ func TestPrimeKernelPath(t *testing.T) {
 		t.Fatalf("useIFMA = %v, hasIFMA() = %v", useIFMA, hasIFMA())
 	}
 	if useIFMA {
+		t.Log("DotRows path: AVX-512 IFMA, eight rows per pass (dotRows8IFMA), the last rows under 8 by DotVec")
 		t.Log("DotVec path: AVX-512 IFMA (dotIFMA), MULQ block loop for tails under 8")
 		return
 	}
-	t.Logf("DotVec path: block loop (%s); AVX-512 IFMA absent, so the IFMA half of the path tests is skipped", runtime.GOARCH)
+	t.Logf("DotRows path: DotVec per row; DotVec path: block loop (%s); AVX-512 IFMA absent, so the IFMA half of the path tests is skipped", runtime.GOARCH)
 }
 
 // TestPrimeKernelsMatchScalarOps checks every Prime vector kernel against
@@ -234,6 +235,34 @@ func TestPrimeKernelsMatchScalarOps(t *testing.T) {
 	}
 }
 
+// TestPrimeAddSubVecBoundaries checks the branchless AddVecInto and
+// SubVecInto against Add and Sub on the pairs where the borrow flips: equal
+// operands, 0 − (p−1), (p−1) + (p−1), 0 + 0, and the sums and differences
+// one either side of p and 0.
+func TestPrimeAddSubVecBoundaries(t *testing.T) {
+	var f Prime
+	pairs := [][2]uint64{
+		{0, 0}, {1, 1}, {Modulus - 1, Modulus - 1}, {0, Modulus - 1}, {Modulus - 1, 0},
+		{1, Modulus - 1}, {Modulus - 1, 1}, {1, Modulus - 2}, {Modulus - 2, 1},
+		{2, Modulus - 1}, {0, 1}, {1, 0}, {1 << 60, 1 << 60}, {1<<60 - 1, 1 << 60},
+	}
+	a, b := make([]uint64, len(pairs)), make([]uint64, len(pairs))
+	for i, pr := range pairs {
+		a[i], b[i] = pr[0], pr[1]
+	}
+	sum, diff := make([]uint64, len(pairs)), make([]uint64, len(pairs))
+	f.AddVecInto(sum, a, b)
+	f.SubVecInto(diff, a, b)
+	for i := range pairs {
+		if want := f.Add(a[i], b[i]); sum[i] != want {
+			t.Errorf("AddVecInto(%d, %d) = %d, want %d", a[i], b[i], sum[i], want)
+		}
+		if want := f.Sub(a[i], b[i]); diff[i] != want {
+			t.Errorf("SubVecInto(%d, %d) = %d, want %d", a[i], b[i], diff[i], want)
+		}
+	}
+}
+
 // dotRowsField is a Field together with the DotVec its DotRows is built on.
 type dotRowsField[E comparable] interface {
 	Field[E]
@@ -260,21 +289,40 @@ func checkDotRows[E comparable](t *testing.T, f dotRowsField[E], rows int, a, x 
 }
 
 // dotRowsShapes covers an empty dst, rows of length 0, and row lengths on
-// both sides of the 64-element block and the 1024-element IFMA chunk.
-var dotRowsShapes = []struct{ rows, cols int }{
-	{0, 0}, {0, 5}, {3, 0}, {1, 1}, {4, 7},
-	{3, 63}, {3, 64}, {3, 65}, {2, 1023}, {2, 1024}, {2, 1025}, {2, 2049},
-}
+// both sides of the 64-element block and the 1024-element IFMA chunk. Then,
+// for Prime's eight-row kernel, every row count from 0 to 17 (no block, one
+// block with and without leftover rows, two blocks) and 250 (31 blocks and
+// 2 rows), at no columns, at column counts on both sides of a multiple of 8
+// and of the 1024-column chunk, and past two chunks.
+var dotRowsShapes = func() []struct{ rows, cols int } {
+	shapes := []struct{ rows, cols int }{
+		{0, 0}, {0, 5}, {3, 0}, {1, 1}, {4, 7},
+		{3, 63}, {3, 64}, {3, 65}, {2, 1023}, {2, 1024}, {2, 1025}, {2, 2049},
+	}
+	for _, cols := range []int{0, 1, 5, 8, 13, 64, 256, 1023, 1024, 1025, 2049} {
+		for rows := range 18 {
+			shapes = append(shapes, struct{ rows, cols int }{rows, cols})
+		}
+		shapes = append(shapes, struct{ rows, cols int }{250, cols})
+	}
+	return shapes
+}()
 
 // TestDotRows checks each field's DotRows against per-row DotVec and the
 // element-wise loop: Prime on each DotVec path this host can run, on
-// uniform and all-(p−1) rows.
+// uniform and all-(p−1) rows, with a and x starting 0, 1 and 3 elements
+// into their slices so row starts are not all 64-byte aligned. a ends
+// exactly at its last row, so a kernel that read past it would read another
+// allocation.
 func TestDotRows(t *testing.T) {
 	rng := rand.New(rand.NewPCG(53, 59))
 	forEachDotPath(t, func(t *testing.T) {
 		for _, sh := range dotRowsShapes {
-			checkDotRows[uint64](t, Prime{}, sh.rows, primeVec(rng, sh.rows*sh.cols), primeVec(rng, sh.cols))
-			checkDotRows[uint64](t, Prime{}, sh.rows, worstVec(sh.rows*sh.cols), worstVec(sh.cols))
+			for _, off := range []int{0, 1, 3} {
+				n := sh.rows * sh.cols
+				checkDotRows[uint64](t, Prime{}, sh.rows, primeVec(rng, off+n)[off:], primeVec(rng, off+sh.cols)[off:])
+				checkDotRows[uint64](t, Prime{}, sh.rows, worstVec(off + n)[off:], worstVec(off + sh.cols)[off:])
+			}
 		}
 	})
 	for _, sh := range dotRowsShapes {
@@ -297,6 +345,169 @@ func TestDotRows(t *testing.T) {
 			rx[i] = r.Rand(rng)
 		}
 		checkDotRows[float64](t, r, sh.rows, ra, rx)
+	}
+}
+
+// zmm is one 512-bit register as eight 64-bit lanes, for the Go model of
+// dotRows8IFMA.
+type zmm = [8]uint64
+
+// unpackLo and unpackHi model VPUNPCK{L,H}QDQ: in each 128-bit lane, the
+// low (high) qword of u, then that of v.
+func unpackLo(u, v zmm) (z zmm) {
+	for j := 0; j < 8; j += 2 {
+		z[j], z[j+1] = u[j], v[j]
+	}
+	return z
+}
+
+func unpackHi(u, v zmm) (z zmm) {
+	for j := 0; j < 8; j += 2 {
+		z[j], z[j+1] = u[j+1], v[j+1]
+	}
+	return z
+}
+
+// shufI64x2 models VSHUFI64X2: 128-bit lanes 0 and 1 of the result are the
+// lanes of u that imm's bit pairs 0 and 1 name, lanes 2 and 3 those of v
+// that bit pairs 2 and 3 name.
+func shufI64x2(imm uint8, u, v zmm) (z zmm) {
+	for i := range 4 {
+		src, sel := u, int(imm>>(2*i)&3)
+		if i >= 2 {
+			src = v
+		}
+		z[2*i], z[2*i+1] = src[2*sel], src[2*sel+1]
+	}
+	return z
+}
+
+func addLanes(u, v zmm) (z zmm) {
+	for j := range z {
+		z[j] = u[j] + v[j]
+	}
+	return z
+}
+
+// fold8Model is FOLD8: the transpose-add that leaves row i's lane sum of
+// one weight in lane i, by the same unpacks and shuffles, wrapping at 2⁶⁴
+// as the lanes would.
+func fold8Model(r [ifmaRows]zmm) zmm {
+	var t [4]zmm
+	for j := range t {
+		t[j] = addLanes(unpackLo(r[2*j], r[2*j+1]), unpackHi(r[2*j], r[2*j+1]))
+	}
+	u := addLanes(shufI64x2(0x88, t[0], t[1]), shufI64x2(0xDD, t[0], t[1]))
+	v := addLanes(shufI64x2(0x88, t[2], t[3]), shufI64x2(0xDD, t[2], t[3]))
+	return addLanes(shufI64x2(0x88, u, v), shufI64x2(0xDD, u, v))
+}
+
+// reduceLanesModel is dotRows8IFMA's lane reduction: with 2⁶¹ ≡ 1, each
+// lane's w0 + w52·2⁵² + w104·2¹⁰⁴ folds to s < 2⁶³, one more fold leaves
+// s < 2p, and min(s, s−p) is the canonical residue.
+func reduceLanesModel(w0, w52, w104 zmm) (out zmm) {
+	for j := range out {
+		s := w0[j]&Modulus + w0[j]>>61 + (w52[j]&0x1FF)<<52 + w52[j]>>9 + (w104[j]&0x3FFFF)<<43 + w104[j]>>18
+		s = s&Modulus + s>>61
+		out[j] = min(s, s-Modulus)
+	}
+	return out
+}
+
+// dotRows8Model is dotRows8IFMA in Go: each row's three weight
+// accumulators lane by lane, column c in lane c mod 8 (the masked tail
+// pass leaves the other lanes as they were), then FOLD8 per weight and the
+// lane reduction. It also returns the folded weights.
+func dotRows8Model(a []uint64, stride int, x []uint64) (out zmm, w [3]zmm) {
+	const mask = 1<<52 - 1
+	lo := func(u, v uint64) uint64 { _, l := bits.Mul64(u, v); return l & mask }
+	hi := func(u, v uint64) uint64 { h, l := bits.Mul64(u, v); return h<<12 | l>>52 }
+	var acc [3][ifmaRows]zmm // weight, row, lane
+	for c, xv := range x {
+		x0, x1, lane := xv&mask, xv>>52, c%ifmaLanes
+		for r := range ifmaRows {
+			av := a[r*stride+c]
+			a0, a1 := av&mask, av>>52
+			acc[0][r][lane] += lo(a0, x0)
+			acc[1][r][lane] += hi(a0, x0) + lo(a0, x1) + lo(a1, x0)
+			acc[2][r][lane] += hi(a0, x1) + hi(a1, x0) + lo(a1, x1)
+		}
+	}
+	for k := range w {
+		w[k] = fold8Model(acc[k])
+	}
+	return reduceLanesModel(w[0], w[1], w[2]), w
+}
+
+// TestDotRows8Model checks the model of the eight-row kernel on any host:
+// at every column count up to ifmaChunkLen, on uniform, all-(p−1) (the
+// bound's worst case at 1024) and near-p operands, and on rows whose dot
+// product is exactly p (the case only the final min corrects), each row's
+// folded weights equal dotIFMAModel's with the tail zero-padded to a
+// multiple of 8, and each row's residue equals reduceIFMA of them and the
+// element-wise Mul/Add loop. Where the CPU has IFMA, dotRows8IFMA's eight
+// outputs must equal the model's exactly, with rows at a stride longer
+// than the columns and starting one element into the slice.
+func TestDotRows8Model(t *testing.T) {
+	var f Prime
+	rng := rand.New(rand.NewPCG(71, 73))
+	const n = ifmaChunkLen
+	stride := n + 3
+	near := make([]uint64, 1+ifmaRows*stride)
+	for i := range near {
+		near[i] = Modulus - 1 - rng.Uint64N(1<<10)
+	}
+	exactP := make([]uint64, 1+ifmaRows*stride) // rows of 1, p−1, 0, 0, ...
+	for r := range ifmaRows {
+		exactP[1+r*stride], exactP[2+r*stride] = 1, Modulus-1
+	}
+	ones := make([]uint64, n+1)
+	for i := range ones {
+		ones[i] = 1
+	}
+	operands := map[string][2][]uint64{
+		"uniform": {primeVec(rng, 1+ifmaRows*stride), primeVec(rng, n+1)},
+		"p-1":     {worstVec(1 + ifmaRows*stride), worstVec(n + 1)},
+		"near-p":  {near, near[:n+1]},
+		"exact-p": {exactP, ones},
+	}
+	if !hasIFMA() {
+		t.Log("dotRows8IFMA: skipped, hasIFMA is false on this host; the model is still checked")
+	}
+	for name, pair := range operands {
+		a, x := pair[0][1:], pair[1][1:]
+		for cols := 0; cols <= n; cols++ {
+			model, w := dotRows8Model(a, stride, x[:cols])
+			padded := (cols + ifmaLanes - 1) &^ (ifmaLanes - 1)
+			xp := append(append([]uint64(nil), x[:cols]...), make([]uint64, padded-cols)...)
+			for r := range ifmaRows {
+				row := a[r*stride : r*stride+cols]
+				rp := append(append([]uint64(nil), row...), make([]uint64, padded-cols)...)
+				m0, m52, m104 := dotIFMAModel(rp, xp)
+				if w[0][r] != m0 || w[1][r] != m52 || w[2][r] != m104 {
+					t.Fatalf("%s, cols %d, row %d: folded weights (%d, %d, %d), dotIFMAModel (%d, %d, %d)", name, cols, r, w[0][r], w[1][r], w[2][r], m0, m52, m104)
+				}
+				if want := reduceIFMA(m0, m52, m104); model[r] != want {
+					t.Fatalf("%s, cols %d, row %d: model = %d, reduceIFMA = %d", name, cols, r, model[r], want)
+				}
+				if cols == n || cols%61 == 0 {
+					var want uint64
+					for k, xv := range x[:cols] {
+						want = f.Add(want, f.Mul(row[k], xv))
+					}
+					if model[r] != want {
+						t.Fatalf("%s, cols %d, row %d: model = %d, element-wise = %d", name, cols, r, model[r], want)
+					}
+				}
+			}
+			if hasIFMA() {
+				var got [ifmaRows]uint64
+				dotRows8(&got, a, stride, x[:cols])
+				if got != model {
+					t.Fatalf("%s, cols %d: dotRows8IFMA = %v, model = %v", name, cols, got, model)
+				}
+			}
+		}
 	}
 }
 
@@ -439,6 +650,37 @@ func BenchmarkPrimeDotVec(b *testing.B) {
 				sink += f.DotVec(a, x)
 			}
 			dotSink = sink
+		})
+	}
+}
+
+// BenchmarkPrimeDotRows times Prime.DotRows, the product kernel a device
+// and matrix.MulVecInto run, at a device's 250×64 share of local_paper_seq,
+// a 20×64 block and a 1000×256 block of fleet_large_seq. On an IFMA host the
+// "rows8" case is the eight-row kernel and "rows1" the same product with
+// useIFMA's DotRows forced to one DotVec per row, which is the kernel before
+// the eight-row pass; elsewhere both are the block loop.
+func BenchmarkPrimeDotRows(b *testing.B) {
+	var f Prime
+	rng := rand.New(rand.NewPCG(79, 83))
+	for _, sh := range []struct{ rows, cols int }{{250, 64}, {20, 64}, {1000, 256}} {
+		a, x := primeVec(rng, sh.rows*sh.cols), primeVec(rng, sh.cols)
+		dst := make([]uint64, sh.rows)
+		shape := strconv.Itoa(sh.rows) + "x" + strconv.Itoa(sh.cols)
+		b.Run(shape+"/rows1", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for r := range dst {
+					dst[r] = f.DotVec(a[r*sh.cols:(r+1)*sh.cols], x)
+				}
+			}
+			dotSink = dst[0]
+		})
+		b.Run(shape+"/rows8", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f.DotRows(dst, a, x)
+			}
+			dotSink = dst[0]
 		})
 	}
 }
