@@ -111,16 +111,16 @@ const (
 	benchR = 128
 )
 
-func benchEncoding(b *testing.B) (field.Prime, *coding.Scheme, *matrix.Dense[uint64], *coding.Encoding[uint64], []uint64) {
+func benchEncoding(b *testing.B) (field.Prime, *coding.Systematic[uint64], *matrix.Dense[uint64], *coding.Encoding[uint64], []uint64) {
 	b.Helper()
 	f := field.Prime{}
 	rng := rand.New(rand.NewPCG(3, 5))
-	s, err := coding.New(benchM, benchR)
+	s, err := coding.NewStructured(f, benchM, benchR)
 	if err != nil {
 		b.Fatal(err)
 	}
 	a := matrix.Random[uint64](f, rng, benchM, benchL)
-	enc, err := coding.Encode[uint64](f, s, a, rng)
+	enc, err := s.Encode(a, rng)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func benchEncoding(b *testing.B) (field.Prime, *coding.Scheme, *matrix.Dense[uin
 func BenchmarkEncode(b *testing.B) {
 	f := field.Prime{}
 	rng := rand.New(rand.NewPCG(3, 5))
-	s, err := coding.New(benchM, benchR)
+	s, err := coding.NewStructured(f, benchM, benchR)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -140,15 +140,16 @@ func BenchmarkEncode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := coding.Encode[uint64](f, s, a, rng); err != nil {
+		if _, err := s.Encode(a, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkCollusionEncode times the t-collusion (Cauchy) encoder at
-// m=1000, l=64, t=2 over ten devices of 125 rows (r=250): each block is its
-// rows of the Cauchy factor times R, plus one row of A per data row.
+// m=1000, l=64, t=2 over ten devices of 125 rows (r=250): the first r coded
+// rows copy R, and every later row is its row of the Cauchy block C times R
+// plus one row of A.
 func BenchmarkCollusionEncode(b *testing.B) {
 	f := field.Prime{}
 	rng := rand.New(rand.NewPCG(3, 5))
@@ -187,7 +188,7 @@ func BenchmarkDecodeStructured(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := coding.Decode[uint64](f, s, y); err != nil {
+		if _, err := s.Decode(y); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -199,7 +200,7 @@ func BenchmarkDecodeStructured(b *testing.B) {
 func BenchmarkDecodeGaussian(b *testing.B) {
 	f, s, _, enc, x := benchEncoding(b)
 	y := enc.ComputeAll(f, x)
-	bm := coding.CoefficientMatrix[uint64](f, s)
+	bm := s.CoefficientMatrix()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -294,8 +295,9 @@ func BenchmarkHEPaillierMatVec(b *testing.B) {
 	}
 }
 
-// BenchmarkCollusionDecode measures the Cauchy scheme's Gaussian decoder —
-// the price of collusion resistance relative to BenchmarkDecodeStructured.
+// BenchmarkCollusionDecode measures the Cauchy code's decode, one m×r
+// row-kernel product C·y[:r] and one vector subtraction — the price of
+// collusion resistance relative to BenchmarkDecodeStructured.
 func BenchmarkCollusionDecode(b *testing.B) {
 	f := field.Prime{}
 	rng := rand.New(rand.NewPCG(17, 23))
@@ -371,14 +373,14 @@ func BenchmarkPolyMaskDevice(b *testing.B) {
 // shipping blocks: rank-based per-device leakage checks.
 func BenchmarkSecurityAudit(b *testing.B) {
 	f := field.Prime{}
-	s, err := coding.New(64, 16)
+	s, err := coding.NewStructured(f, 64, 16)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := coding.Verify[uint64](f, s); err != nil {
+		if err := s.Verify(); err != nil {
 			b.Fatal(err)
 		}
 	}

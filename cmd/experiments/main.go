@@ -100,7 +100,7 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "%-4s %-10s %6s %8s %12s %14s %14s\n", "t", "scheme", "r", "devices", "plan-cost", "encode-ns", "decode-ns")
 			for _, p := range rep.Points {
 				fmt.Fprintf(out, "%-4d %-10s %6d %8d %12.2f %14.0f %14.0f\n",
-					p.T, p.Scheme, p.R, p.Devices, p.PlanCost, p.EncodeNs, p.DecodeNs)
+					p.T, p.Code, p.R, p.Devices, p.PlanCost, p.EncodeNs, p.DecodeNs)
 			}
 			if *check {
 				if err := experiments.CheckCollusion(rep); err != nil {

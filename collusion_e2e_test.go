@@ -108,9 +108,6 @@ func collusionBackendsAgree[E comparable](t *testing.T, f scec.Field[E]) {
 			if dep.Plan.Algorithm != "TAt" {
 				t.Fatalf("plan algorithm %q, want TAt", dep.Plan.Algorithm)
 			}
-			if dep.Scheme != nil {
-				t.Fatal("collusion deployments must not expose an Eq. (8) scheme")
-			}
 			for j, leak := range dep.Audit() {
 				if leak != 0 {
 					t.Fatalf("device %d leaks %d dimensions", j, leak)

@@ -55,10 +55,6 @@ type Deployment[E comparable] struct {
 	// or the Cauchy t-collusion design under WithCollusion. Every execution
 	// backend decodes through it.
 	Code Code[E]
-	// Scheme is the Eq. (8) coding design for (m, Plan.R) when the default
-	// structured tier is deployed; nil under WithCollusion. Callers
-	// needing scheme-specific introspection should prefer Code.
-	Scheme *Scheme
 	// Encoding holds the coded blocks, in code device order; block j
 	// belongs to the device with index Plan.Assignments[j].Device in the
 	// caller's cost slice.
@@ -111,7 +107,7 @@ func Deploy[E comparable](f Field[E], a *Matrix[E], unitCosts []float64, rng *ra
 	if err != nil {
 		return nil, fmt.Errorf("scec: encode: %w", err)
 	}
-	return bind(&Deployment[E]{F: f, Plan: plan, Code: code, Scheme: enc.Scheme, Encoding: enc}, cfg)
+	return bind(&Deployment[E]{F: f, Plan: plan, Code: code, Encoding: enc}, cfg)
 }
 
 // bind turns d's encoding into a live query engine. It is the facade's one

@@ -51,8 +51,8 @@ func main() {
 
 	// Devices 0 and 1 pool their coefficient rows and coded rows.
 	pooledCoeffs := matrix.VStack(
-		coding.DeviceMatrix(f, s, 0),
-		coding.DeviceMatrix(f, s, 1),
+		enc.Code.DeviceCoefficients(0),
+		enc.Code.DeviceCoefficients(1),
 	)
 	pooledCoded := matrix.VStack(enc.Blocks[0], enc.Blocks[1])
 	alpha, combo, ok := attack.Exploit(f, pooledCoeffs, m)

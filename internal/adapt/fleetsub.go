@@ -127,12 +127,12 @@ func (a *FleetAdapter[E]) Rehost(ctx context.Context, block int, from, to string
 // self-repair and later rehosts keep working.
 func (a *FleetAdapter[E]) Reshape(ctx context.Context, target []string, r int) error {
 	a.dataOnce.Do(func() {
-		a.data, a.dataErr = coding.Reconstruct(a.f, a.enc0)
+		a.data, a.dataErr = coding.Reconstruct(a.enc0)
 	})
 	if a.dataErr != nil {
 		return fmt.Errorf("adapt: reshape: reconstruct data matrix: %w", a.dataErr)
 	}
-	code, err := coding.Reshaped(a.f, a.enc0.Code, a.data.Rows(), r, len(target))
+	code, err := coding.Reshaped(a.enc0.Code, a.data.Rows(), r, len(target))
 	if err != nil {
 		return fmt.Errorf("adapt: reshape: %w", err)
 	}

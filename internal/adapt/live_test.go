@@ -23,7 +23,7 @@ import (
 // bound through a FleetAdapter — the full production wiring, in-process.
 type liveEnv struct {
 	f      field.Prime
-	scheme *coding.Scheme
+	scheme *coding.Systematic[uint64]
 	enc    *coding.Encoding[uint64]
 	a      *matrix.Dense[uint64]
 	x      []uint64
@@ -44,7 +44,7 @@ func newLiveEnv(t *testing.T, standbys int) *liveEnv {
 	env := &liveEnv{}
 	rng := rand.New(rand.NewPCG(5, 17))
 	const m, l, r = 8, 5, 4
-	scheme, err := coding.New(m, r)
+	scheme, err := coding.NewStructured(env.f, m, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func newLiveEnv(t *testing.T, standbys int) *liveEnv {
 			env.a.Set(i, j, env.f.Rand(rng))
 		}
 	}
-	env.enc, err = coding.Encode[uint64](env.f, scheme, env.a, rng)
+	env.enc, err = scheme.Encode(env.a, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

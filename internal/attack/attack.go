@@ -96,12 +96,16 @@ func VerifyExploit[E comparable](f field.Field[E], codedBlock, a *matrix.Dense[E
 }
 
 // AuditScheme runs Leakage against every device of the structured Eq. (8)
-// scheme and returns the per-device leak dimensions (all zeros for a sound
-// construction). It is the attack-side mirror of coding.Verify.
+// scheme over f and returns the per-device leak dimensions (all zeros for a
+// sound construction). It is the attack-side mirror of the code's Verify.
 func AuditScheme[E comparable](f field.Field[E], s *coding.Scheme) []int {
-	leaks := make([]int, s.Devices())
+	code, err := coding.NewStructured(f, s.M(), s.R())
+	if err != nil {
+		panic(err) // s came from coding.New, so its shape is admissible
+	}
+	leaks := make([]int, code.Devices())
 	for j := range leaks {
-		leaks[j] = Leakage(f, coding.DeviceMatrix(f, s, j), s.M())
+		leaks[j] = Leakage(f, code.DeviceCoefficients(j), code.M())
 	}
 	return leaks
 }

@@ -76,12 +76,12 @@ func TestExploitAgainstBrokenScheme(t *testing.T) {
 
 func TestExploitFailsAgainstSoundScheme(t *testing.T) {
 	f := field.Prime{}
-	s, err := coding.New(8, 3)
+	s, err := coding.NewStructured(f, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for j := 0; j < s.Devices(); j++ {
-		if _, _, ok := Exploit(f, coding.DeviceMatrix(f, s, j), s.M()); ok {
+		if _, _, ok := Exploit(f, s.DeviceCoefficients(j), s.M()); ok {
 			t.Fatalf("device %d exploited despite Theorem 3", j)
 		}
 	}
@@ -112,11 +112,11 @@ func TestVerifyExploitRejectsBogusClaims(t *testing.T) {
 
 func TestExhaustiveITSSoundScheme(t *testing.T) {
 	f := field.GF256{}
-	s, err := coding.New(1, 1)
+	s, err := coding.NewStructured(f, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := coding.CoefficientMatrix(f, s)
+	b := s.CoefficientMatrix()
 	rows := []int{1, 1}
 	if err := ExhaustiveITS(b, 1, rows); err != nil {
 		t.Fatalf("m=1 r=1: %v", err)
@@ -128,11 +128,11 @@ func TestExhaustiveITSSoundSchemeWide(t *testing.T) {
 		t.Skip("16.7M-case enumeration")
 	}
 	f := field.GF256{}
-	s, err := coding.New(2, 1)
+	s, err := coding.NewStructured(f, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := coding.CoefficientMatrix(f, s)
+	b := s.CoefficientMatrix()
 	if err := ExhaustiveITS(b, 2, []int{1, 1, 1}); err != nil {
 		t.Fatalf("m=2 r=1: %v", err)
 	}

@@ -13,7 +13,7 @@ import (
 // with different input vectors". Both reduce to the same mechanics: the
 // input becomes an l×n matrix X whose columns are the n input vectors, each
 // device returns B_j·T·X (a V(B_j)×n block), and the user decodes every
-// column with the same m subtractions. Nothing about the security argument
+// column with the same decode. Nothing about the security argument
 // changes — the devices' coefficient rows are identical.
 
 // ComputeDeviceBatch performs device j's share of A·X: its coded block times
@@ -46,23 +46,30 @@ func (e *Encoding[E]) ComputeAllBatchInto(f field.Field[E], x, y *matrix.Dense[E
 }
 
 // DecodeBatchInto recovers A·X from the stacked intermediate block
-// Y = B·T·X into dst (m×n): m·n subtractions, the column-wise
-// generalization of DecodeInto. Each output row is one vector subtraction
-// over row views (no per-element index arithmetic or bounds-checked At
-// calls), with the random-row index carried as a counter instead of a
-// per-row modulo.
-func DecodeBatchInto[E comparable](f field.Field[E], s *Scheme, dst, y *matrix.Dense[E]) error {
-	if y.Rows() != s.m+s.r {
-		return fmt.Errorf("coding: got %d intermediate rows, want m+r = %d", y.Rows(), s.m+s.r)
+// Y = B·T·X into dst (m×n) as Y[r:] − C·Y[:r], the column-wise
+// generalization of DecodeInto. For the Eq. (8) identity stack each output
+// row is one vector subtraction over row views, with the random-row index
+// carried as a counter instead of a per-row modulo; for a Cauchy C it is one
+// MulInto and one vector subtraction over the whole block.
+func (c *Systematic[E]) DecodeBatchInto(dst, y *matrix.Dense[E]) error {
+	m, r := c.m, c.r
+	if y.Rows() != m+r {
+		return fmt.Errorf("coding: got %d intermediate rows, want m+r = %d", y.Rows(), m+r)
 	}
-	if dst.Rows() != s.m || dst.Cols() != y.Cols() {
-		return fmt.Errorf("coding: decode output is %dx%d, want %dx%d", dst.Rows(), dst.Cols(), s.m, y.Cols())
+	if dst.Rows() != m || dst.Cols() != y.Cols() {
+		return fmt.Errorf("coding: decode output is %dx%d, want %dx%d", dst.Rows(), dst.Cols(), m, y.Cols())
 	}
-	q := 0 // p mod s.r, maintained incrementally
-	for p := 0; p < s.m; p++ {
-		matrix.VecSubInto(f, dst.RowView(p), y.RowView(s.r+p), y.RowView(q))
+	if c.c != nil {
+		matrix.MulInto(c.f, c.c, matrix.FromSlice(r, y.Cols(), y.RowsView(0, r)), dst)
+		out := dst.RowsView(0, m)
+		matrix.VecSubInto(c.f, out, y.RowsView(r, m+r), out)
+		return nil
+	}
+	q := 0 // p mod r, maintained incrementally
+	for p := 0; p < m; p++ {
+		matrix.VecSubInto(c.f, dst.RowView(p), y.RowView(r+p), y.RowView(q))
 		q++
-		if q == s.r {
+		if q == r {
 			q = 0
 		}
 	}

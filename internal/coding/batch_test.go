@@ -12,18 +12,18 @@ func TestBatchRoundTrip(t *testing.T) {
 		t.Helper()
 		f := field.Prime{}
 		rng := testRNG()
-		s, err := New(m, r)
+		s, err := NewStructured(f, m, r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		a := matrix.Random[uint64](f, rng, m, l)
 		x := matrix.Random[uint64](f, rng, l, n)
-		enc, err := Encode[uint64](f, s, a, rng)
+		enc, err := s.Encode(a, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
 		y := enc.ComputeAllBatch(f, x)
-		got, err := decodeBatch[uint64](BindScheme[uint64](f, s), y)
+		got, err := decodeBatch[uint64](s, y)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,17 +47,17 @@ func TestBatchRoundTrip(t *testing.T) {
 func TestBatchAgreesWithColumnwiseDecode(t *testing.T) {
 	f := field.Prime{}
 	rng := testRNG()
-	s, err := New(7, 3)
+	s, err := NewStructured(f, 7, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := matrix.Random[uint64](f, rng, 7, 5)
 	x := matrix.Random[uint64](f, rng, 5, 3)
-	enc, err := Encode[uint64](f, s, a, rng)
+	enc, err := s.Encode(a, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := decodeBatch[uint64](BindScheme[uint64](f, s), enc.ComputeAllBatch(f, x))
+	batch, err := decodeBatch[uint64](s, enc.ComputeAllBatch(f, x))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestBatchAgreesWithColumnwiseDecode(t *testing.T) {
 			col[i] = x.At(i, c)
 		}
 		y := enc.ComputeAll(f, col)
-		single, err := Decode[uint64](f, s, y)
+		single, err := s.Decode(y)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,17 +81,17 @@ func TestBatchAgreesWithColumnwiseDecode(t *testing.T) {
 
 func TestDecodeBatchValidation(t *testing.T) {
 	f := field.Prime{}
-	s, err := New(4, 2)
+	s, err := NewStructured(f, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := DecodeBatchInto[uint64](f, s, matrix.New[uint64](4, 3), matrix.New[uint64](5, 3)); err == nil {
+	if err := s.DecodeBatchInto(matrix.New[uint64](4, 3), matrix.New[uint64](5, 3)); err == nil {
 		t.Fatal("wrong intermediate row count should be rejected")
 	}
-	if err := DecodeBatchInto[uint64](f, s, matrix.New[uint64](4, 2), matrix.New[uint64](6, 3)); err == nil {
+	if err := s.DecodeBatchInto(matrix.New[uint64](4, 2), matrix.New[uint64](6, 3)); err == nil {
 		t.Fatal("an output narrower than the intermediate block should be rejected")
 	}
-	if err := DecodeInto[uint64](f, s, make([]uint64, 3), make([]uint64, 6)); err == nil {
+	if err := s.DecodeInto(make([]uint64, 3), make([]uint64, 6)); err == nil {
 		t.Fatal("an output shorter than m should be rejected")
 	}
 }
@@ -108,13 +108,13 @@ func decodeBatch[E comparable](c Code[E], y *matrix.Dense[E]) (*matrix.Dense[E],
 func TestComputeDeviceBatchShape(t *testing.T) {
 	f := field.GF256{}
 	rng := testRNG()
-	s, err := New(6, 2)
+	s, err := NewStructured(f, 6, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := matrix.Random[byte](f, rng, 6, 4)
 	x := matrix.Random[byte](f, rng, 4, 5)
-	enc, err := Encode[byte](f, s, a, rng)
+	enc, err := s.Encode(a, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,9 @@ import (
 // Code is the scheme-agnostic contract every engine-selectable coding design
 // satisfies. The execution layers (engine, fleet, sim, transport, the scec
 // facades) traffic only in this interface, so the structured Eq. (8) design
-// and the t-collusion Cauchy design — and any future scheme — plug into the
-// same query, provisioning, repair, and reshape paths.
+// and the t-collusion Cauchy design — both a Systematic code — and any
+// future scheme plug into the same query, provisioning, repair, and reshape
+// paths.
 //
 // A Code fixes the shape of one deployment: m confidential rows are encoded
 // into m+r coded rows laid out across Devices() devices (device j holds the
@@ -22,8 +23,8 @@ import (
 // intermediate results. T() is the security level: any coalition of up to
 // T() honest-but-curious devices learns nothing about A (Definition 2
 // generalized to coalitions). K() is the recoverability threshold: the
-// minimum number of devices whose responses suffice to decode. Both designs
-// here use a square coefficient matrix, so every device is needed
+// minimum number of devices whose responses suffice to decode. Systematic
+// codes use a square coefficient matrix, so every device is needed
 // (K() == Devices()); a future rateless/staircase design would return less.
 type Code[E comparable] interface {
 	// Name identifies the design ("eq8", "collusion") for metrics and logs.
@@ -66,139 +67,149 @@ type Code[E comparable] interface {
 	Verify() error
 }
 
-// StructuredCode binds the field-independent Eq. (8) Scheme to a concrete
-// field, satisfying Code. It delegates every operation to the structured
-// package functions, so its numerics are bit-identical to the pre-interface
-// paths: encode is O((m+r)·l) additions, decode is m subtractions.
-type StructuredCode[E comparable] struct {
-	f field.Field[E]
-	s *Scheme
+// Systematic is the one coding design of this package: m data rows and r
+// uniformly random rows R, coded by
+//
+//	B = ⎡ O_{r,m}  E_r ⎤   ← rows below r: the random rows themselves
+//	    ⎣ E_m      C   ⎦   ← row r+p: A_p + C_p·R
+//
+// so the random part of B, G = [E_r; C], is systematic. C is the only thing
+// that differs between the two designs, and only the constructor picks it:
+//
+//   - NewStructured: C = E_{m,r}, the stack of copies of E_r (row p of C is
+//     the unit vector e_{p mod r}). This is the paper's Eq. (8), secure
+//     against single devices (t = 1), encoded with one addition per coded
+//     element and decoded with m subtractions.
+//   - NewCollusion: C is an m×r Cauchy matrix, secure against coalitions of
+//     up to t devices (§VI). Every square submatrix of a Cauchy matrix is
+//     non-singular, so any s ≤ r rows of G are independent — the systematic
+//     MDS criterion — and a coalition holding at most r rows sees its data
+//     rows masked by a full-rank mix of R.
+//
+// B is block-triangular with identity diagonal blocks, so it is invertible
+// whatever C is (Definition 1 holds by construction), and A·x is recovered
+// from y = B·T·x as y[r:] − C·y[:r] with no elimination. The code never
+// stores B; CoefficientMatrix and DeviceCoefficients build its rows on
+// demand.
+type Systematic[E comparable] struct {
+	f       field.Field[E]
+	m, r, t int
+	// offs[j] is device j's first global row of B; the last entry is m+r.
+	offs []int
+	// c is the dense m×r Cauchy block, or nil for the Eq. (8) identity
+	// stack, whose product with R is a copy of R's rows and is never formed.
+	c *matrix.Dense[E]
 }
 
 // NewStructured builds the Eq. (8) code over f for m data rows and r random
-// rows; see New for the admissible range.
-func NewStructured[E comparable](f field.Field[E], m, r int) (*StructuredCode[E], error) {
+// rows; see New for the admissible range and the device layout.
+func NewStructured[E comparable](f field.Field[E], m, r int) (*Systematic[E], error) {
 	s, err := New(m, r)
 	if err != nil {
 		return nil, err
 	}
-	return &StructuredCode[E]{f: f, s: s}, nil
+	offs := make([]int, s.i+1)
+	for j := 0; j < s.i; j++ {
+		_, offs[j+1] = s.RowRange(j)
+	}
+	return &Systematic[E]{f: f, m: m, r: r, t: 1, offs: offs}, nil
 }
 
-// BindScheme wraps an existing structured Scheme as a Code over f.
-func BindScheme[E comparable](f field.Field[E], s *Scheme) *StructuredCode[E] {
-	return &StructuredCode[E]{f: f, s: s}
+// Name implements Code: "eq8" for the identity stack, "collusion" for a
+// Cauchy C.
+func (c *Systematic[E]) Name() string {
+	if c.c == nil {
+		return "eq8"
+	}
+	return "collusion"
 }
-
-// Name implements Code.
-func (c *StructuredCode[E]) Name() string { return "eq8" }
 
 // M implements Code.
-func (c *StructuredCode[E]) M() int { return c.s.M() }
+func (c *Systematic[E]) M() int { return c.m }
 
 // R implements Code.
-func (c *StructuredCode[E]) R() int { return c.s.R() }
+func (c *Systematic[E]) R() int { return c.r }
 
-// T implements Code: the Eq. (8) structure defends against single devices.
-func (c *StructuredCode[E]) T() int { return 1 }
+// T implements Code: 1 for Eq. (8), the constructor's t for a Cauchy C.
+func (c *Systematic[E]) T() int { return c.t }
 
 // K implements Code: B is square, every device's rows are needed.
-func (c *StructuredCode[E]) K() int { return c.s.Devices() }
+func (c *Systematic[E]) K() int { return c.Devices() }
 
 // Devices implements Code.
-func (c *StructuredCode[E]) Devices() int { return c.s.Devices() }
+func (c *Systematic[E]) Devices() int { return len(c.offs) - 1 }
 
 // RowRange implements Code.
-func (c *StructuredCode[E]) RowRange(j int) (from, to int) { return c.s.RowRange(j) }
+func (c *Systematic[E]) RowRange(j int) (from, to int) {
+	if j < 0 || j >= c.Devices() {
+		panic(fmt.Sprintf("coding: device %d out of range [0, %d)", j, c.Devices()))
+	}
+	return c.offs[j], c.offs[j+1]
+}
 
 // RowsOn implements Code.
-func (c *StructuredCode[E]) RowsOn(j int) int { return c.s.RowsOn(j) }
-
-// Scheme exposes the underlying structured scheme for callers that need the
-// Eq. (8)-specific fast paths (Reconstruct's subtraction shortcut, the CLI
-// reports).
-func (c *StructuredCode[E]) Scheme() *Scheme { return c.s }
-
-// DeviceCoefficients implements Code.
-func (c *StructuredCode[E]) DeviceCoefficients(j int) *matrix.Dense[E] {
-	return DeviceMatrix(c.f, c.s, j)
+func (c *Systematic[E]) RowsOn(j int) int {
+	from, to := c.RowRange(j)
+	return to - from
 }
 
-// Encode implements Code via the structured encoder.
-func (c *StructuredCode[E]) Encode(a *matrix.Dense[E], rng *rand.Rand) (*Encoding[E], error) {
-	return Encode(c.f, c.s, a, rng)
+// DeviceCoefficients implements Code: device j's rows of B.
+func (c *Systematic[E]) DeviceCoefficients(j int) *matrix.Dense[E] {
+	return c.coefficients(c.RowRange(j))
 }
 
-// DecodeInto implements Code via the m-subtraction decoder.
-func (c *StructuredCode[E]) DecodeInto(dst, y []E) error {
-	return DecodeInto(c.f, c.s, dst, y)
-}
+// CoefficientMatrix materializes the full (m+r)×(m+r) matrix B. The
+// computing path never needs it; it exists for the verifiers, the attack
+// harness, and tests.
+func (c *Systematic[E]) CoefficientMatrix() *matrix.Dense[E] { return c.coefficients(0, c.m+c.r) }
 
-// Decode implements Code via the m-subtraction decoder.
-func (c *StructuredCode[E]) Decode(y []E) ([]E, error) {
-	return Decode(c.f, c.s, y)
-}
-
-// DecodeBatchInto implements Code via the column-wise m-subtraction
-// decoder.
-func (c *StructuredCode[E]) DecodeBatchInto(dst, y *matrix.Dense[E]) error {
-	return DecodeBatchInto(c.f, c.s, dst, y)
-}
-
-// Verify implements Code via the Theorem 3 checks.
-func (c *StructuredCode[E]) Verify() error { return Verify(c.f, c.s) }
-
-// BalancedCollusionRows spreads m+r coded rows over n devices as evenly as
-// possible and checks the t-collusion capacity condition (the t largest
-// per-device counts must sum to at most r). It is the row layout a reshape
-// uses when the adaptive control plane re-deploys a collusion code at a new
-// r over a fixed device count.
-func BalancedCollusionRows(m, r, t, n int) ([]int, error) {
-	if m < 1 || r < 1 || t < 1 || n < 1 {
-		return nil, fmt.Errorf("coding: invalid collusion layout m=%d r=%d t=%d n=%d", m, r, t, n)
-	}
-	total := m + r
-	if n > total {
-		return nil, fmt.Errorf("coding: %d devices for %d coded rows (every device needs a row)", n, total)
-	}
-	rows := make([]int, n)
-	base, extra := total/n, total%n
-	for j := range rows {
-		rows[j] = base
-		if j < extra {
-			rows[j]++
+// coefficients builds rows [from, to) of B.
+func (c *Systematic[E]) coefficients(from, to int) *matrix.Dense[E] {
+	b := matrix.New[E](to-from, c.m+c.r)
+	one := c.f.One()
+	for g := from; g < to; g++ {
+		row := b.RowView(g - from)
+		if g < c.r {
+			row[c.m+g] = one
+			continue
+		}
+		p := g - c.r
+		row[p] = one
+		if c.c == nil {
+			row[c.m+p%c.r] = one
+		} else {
+			copy(row[c.m:], c.c.RowView(p))
 		}
 	}
-	if cap := sumOfLargest(rows, t); cap > r {
-		return nil, fmt.Errorf("coding: balanced layout infeasible: %d colluding devices hold %d rows > r = %d", t, cap, r)
-	}
-	return rows, nil
+	return b
 }
 
-// Reshaped builds a code of the same kind as proto for a new (m, r, device
-// count) — the adaptive control plane's reshape primitive. The structured
-// code's device count is implied by (m, r) and must match devices; the
-// collusion code keeps proto's threshold t and re-balances the row layout,
-// failing (so the swap degrades to a pause) when no t-secure layout exists
-// at the requested shape.
-func Reshaped[E comparable](f field.Field[E], proto Code[E], m, r, devices int) (Code[E], error) {
-	switch c := proto.(type) {
-	case *StructuredCode[E]:
-		code, err := NewStructured[E](f, m, r)
-		if err != nil {
-			return nil, err
-		}
-		if code.Devices() != devices {
-			return nil, fmt.Errorf("coding: structured reshape at r=%d needs %d devices, have %d", r, code.Devices(), devices)
-		}
-		return code, nil
-	case *CollusionScheme[E]:
-		rows, err := BalancedCollusionRows(m, r, c.T(), devices)
-		if err != nil {
-			return nil, err
-		}
-		return NewCollusion(f, m, r, c.T(), rows)
-	default:
+// Reshaped builds a code with proto's field, C kind and threshold for a new
+// (m, r, device count) — the adaptive control plane's reshape primitive.
+// Eq. (8)'s device count is implied by (m, r) and must match devices; a
+// Cauchy code re-balances its rows over the devices, failing (so the swap
+// degrades to a pause) when no t-secure layout exists at the requested
+// shape.
+func Reshaped[E comparable](proto Code[E], m, r, devices int) (Code[E], error) {
+	p, ok := proto.(*Systematic[E])
+	if !ok {
 		return nil, errors.New("coding: cannot reshape an unknown code kind")
 	}
+	var code *Systematic[E]
+	var err error
+	if p.c != nil {
+		var rows []int
+		if rows, err = BalancedCollusionRows(m, r, p.t, devices); err == nil {
+			code, err = NewCollusion(p.f, m, r, p.t, rows)
+		}
+	} else {
+		code, err = NewStructured(p.f, m, r)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if code.Devices() != devices {
+		return nil, fmt.Errorf("coding: structured reshape at r=%d needs %d devices, have %d", r, code.Devices(), devices)
+	}
+	return code, nil
 }

@@ -5,16 +5,16 @@
 // the availability (Definition 1) and information-theoretic security
 // (Definition 2) conditions.
 //
-// It also contains the paper's future-work extension (§VI): a Cauchy-based
-// coding design that remains secure when up to t devices collude.
+// The paper's future-work extension (§VI), a code that stays secure when up
+// to t devices collude, is the same systematic code with a different block:
+// both are B = [[0, E_r], [E_m, C]], with C the identity stack E_{m,r} for
+// Eq. (8) and an m×r Cauchy matrix for colluders. One type, Systematic,
+// implements both.
 package coding
 
 import (
 	"errors"
 	"fmt"
-
-	"github.com/scec/scec/internal/field"
-	"github.com/scec/scec/internal/matrix"
 )
 
 // Errors reported by scheme construction and verification.
@@ -27,8 +27,10 @@ var (
 	ErrNotSecure = errors.New("coding: security condition violated")
 )
 
-// Scheme is the structured (m+r)-dimensional LCEC of Eq. (8). It fixes the
-// row layout
+// Scheme is the field-free shape of the structured (m+r)-dimensional LCEC of
+// Eq. (8), for callers that have no field (planners, the adaptive scenario,
+// the attack audit); NewStructured binds the same shape to a field. It fixes
+// the row layout
 //
 //	B = ⎡ O_{r,m}  E_r     ⎤   ← device 1: pure random combinations
 //	    ⎣ E_m      E_{m,r} ⎦   ← devices 2…i: one data row + one random row each
@@ -82,43 +84,4 @@ func (s *Scheme) RowRange(j int) (from, to int) {
 func (s *Scheme) RowsOn(j int) int {
 	from, to := s.RowRange(j)
 	return to - from
-}
-
-// CoefficientMatrix materializes the full (m+r)×(m+r) matrix B over f.
-// The computing path never needs it (encoding and decoding exploit the
-// structure); it exists for the verifiers, the attack harness, and tests.
-func CoefficientMatrix[E comparable](f field.Field[E], s *Scheme) *matrix.Dense[E] {
-	n := s.m + s.r
-	b := matrix.New[E](n, n)
-	one := f.One()
-	// Top block [O_{r,m} | E_r].
-	for p := 0; p < s.r; p++ {
-		b.Set(p, s.m+p, one)
-	}
-	// Bottom block [E_m | E_{m,r}].
-	for p := 0; p < s.m; p++ {
-		b.Set(s.r+p, p, one)
-		b.Set(s.r+p, s.m+p%s.r, one)
-	}
-	return b
-}
-
-// DeviceMatrix materializes B_j, the coded-row coefficient block of 0-based
-// device j.
-func DeviceMatrix[E comparable](f field.Field[E], s *Scheme, j int) *matrix.Dense[E] {
-	from, to := s.RowRange(j)
-	n := s.m + s.r
-	b := matrix.New[E](to-from, n)
-	one := f.One()
-	for g := from; g < to; g++ {
-		row := g - from
-		if g < s.r {
-			b.Set(row, s.m+g, one)
-			continue
-		}
-		p := g - s.r
-		b.Set(row, p, one)
-		b.Set(row, s.m+p%s.r, one)
-	}
-	return b
 }

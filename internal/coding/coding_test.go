@@ -79,7 +79,7 @@ func TestCoefficientMatrixKnownExample(t *testing.T) {
 	//     [ 0 0 1 0 | 1 0 ]   device 3 (rows 4-5)
 	//     [ 0 0 0 1 | 0 1 ]
 	f := field.Prime{}
-	s, err := New(4, 2)
+	s, err := NewStructured(f, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestCoefficientMatrixKnownExample(t *testing.T) {
 		{0, 0, 1, 0, 1, 0},
 		{0, 0, 0, 1, 0, 1},
 	})
-	got := CoefficientMatrix(f, s)
+	got := s.CoefficientMatrix()
 	if !matrix.Equal[uint64](f, got, want) {
 		t.Fatalf("B =\n%v\nwant\n%v", got, want)
 	}
@@ -100,16 +100,16 @@ func TestCoefficientMatrixKnownExample(t *testing.T) {
 func TestDeviceMatrixSlicesCoefficientMatrix(t *testing.T) {
 	f := field.Prime{}
 	for _, dims := range [][2]int{{4, 2}, {7, 3}, {5, 5}, {1, 1}, {9, 4}} {
-		s, err := New(dims[0], dims[1])
+		s, err := NewStructured(f, dims[0], dims[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := CoefficientMatrix(f, s)
+		b := s.CoefficientMatrix()
 		for j := 0; j < s.Devices(); j++ {
 			from, to := s.RowRange(j)
 			want := matrix.RowSlice(b, from, to)
-			if got := DeviceMatrix(f, s, j); !matrix.Equal[uint64](f, got, want) {
-				t.Fatalf("m=%d r=%d device %d: DeviceMatrix != B slice", dims[0], dims[1], j)
+			if got := s.DeviceCoefficients(j); !matrix.Equal[uint64](f, got, want) {
+				t.Fatalf("m=%d r=%d device %d: DeviceCoefficients != B slice", dims[0], dims[1], j)
 			}
 		}
 	}
@@ -120,38 +120,44 @@ func TestDeviceMatrixSlicesCoefficientMatrix(t *testing.T) {
 func TestTheorem3(t *testing.T) {
 	for m := 1; m <= 18; m++ {
 		for r := 1; r <= m; r++ {
-			s, err := New(m, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := Verify[uint64](field.Prime{}, s); err != nil {
-				t.Fatalf("prime m=%d r=%d: %v", m, r, err)
-			}
-			if err := Verify[byte](field.GF256{}, s); err != nil {
-				t.Fatalf("gf256 m=%d r=%d: %v", m, r, err)
-			}
-			if err := Verify[float64](field.Real{}, s); err != nil {
-				t.Fatalf("real m=%d r=%d: %v", m, r, err)
+			for name, verify := range map[string]func() error{
+				"prime": verifyStructured[uint64](field.Prime{}, m, r),
+				"gf256": verifyStructured[byte](field.GF256{}, m, r),
+				"real":  verifyStructured[float64](field.Real{}, m, r),
+			} {
+				if err := verify(); err != nil {
+					t.Fatalf("%s m=%d r=%d: %v", name, m, r, err)
+				}
 			}
 		}
 	}
 }
 
+// verifyStructured returns the Verify of the Eq. (8) code over f, or the
+// construction error.
+func verifyStructured[E comparable](f field.Field[E], m, r int) func() error {
+	s, err := NewStructured(f, m, r)
+	if err != nil {
+		return func() error { return err }
+	}
+	return s.Verify
+}
+
 func roundTrip[E comparable](t *testing.T, f field.Field[E], m, l, r int) {
 	t.Helper()
 	rng := testRNG()
-	s, err := New(m, r)
+	s, err := NewStructured(f, m, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := matrix.Random(f, rng, m, l)
 	x := matrix.RandomVec(f, rng, l)
-	enc, err := Encode(f, s, a, rng)
+	enc, err := s.Encode(a, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	y := enc.ComputeAll(f, x)
-	got, err := Decode(f, s, y)
+	got, err := s.Decode(y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,19 +184,19 @@ func TestStructuredEncodeMatchesMatrixProduct(t *testing.T) {
 	f := field.Prime{}
 	rng := testRNG()
 	for _, d := range []struct{ m, l, r int }{{4, 3, 2}, {9, 5, 4}, {6, 2, 6}} {
-		s, err := New(d.m, d.r)
+		s, err := NewStructured(f, d.m, d.r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		a := matrix.Random(f, rng, d.m, d.l)
 		random := matrix.Random(f, rng, d.r, d.l)
-		enc, err := EncodeWithRandom(f, s, a, random)
+		enc, err := s.EncodeWithRandom(a, random)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tm := matrix.VStack(a, random)
 		for j := 0; j < s.Devices(); j++ {
-			want := matrix.Mul(f, DeviceMatrix(f, s, j), tm)
+			want := matrix.Mul(f, s.DeviceCoefficients(j), tm)
 			if !matrix.Equal[uint64](f, enc.Blocks[j], want) {
 				t.Fatalf("m=%d r=%d device %d: structured encode != B_j·T", d.m, d.r, j)
 			}
@@ -203,23 +209,23 @@ func TestStructuredEncodeMatchesMatrixProduct(t *testing.T) {
 func TestDecodeMatchesGaussian(t *testing.T) {
 	f := field.Prime{}
 	rng := testRNG()
-	s, err := New(9, 4)
+	s, err := NewStructured(f, 9, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := matrix.Random(f, rng, 9, 6)
 	x := matrix.RandomVec(f, rng, 6)
-	enc, err := Encode(f, s, a, rng)
+	enc, err := s.Encode(a, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	y := enc.ComputeAll(f, x)
 
-	fast, err := Decode(f, s, y)
+	fast, err := s.Decode(y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := DecodeGaussian(f, CoefficientMatrix(f, s), s.M(), y)
+	slow, err := DecodeGaussian(f, s.CoefficientMatrix(), s.M(), y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,28 +237,28 @@ func TestDecodeMatchesGaussian(t *testing.T) {
 func TestEncodeValidation(t *testing.T) {
 	f := field.Prime{}
 	rng := testRNG()
-	s, _ := New(4, 2)
+	s, _ := NewStructured(f, 4, 2)
 	wrongRows := matrix.New[uint64](3, 5)
-	if _, err := Encode(f, s, wrongRows, rng); err == nil {
+	if _, err := s.Encode(wrongRows, rng); err == nil {
 		t.Error("Encode should reject a data matrix with the wrong row count")
 	}
-	if _, err := Encode(f, s, matrix.New[uint64](4, 0), rng); err == nil {
+	if _, err := s.Encode(matrix.New[uint64](4, 0), rng); err == nil {
 		t.Error("Encode should reject a data matrix with no columns")
 	}
 	a := matrix.Random(f, rng, 4, 5)
 	badRandom := matrix.Random(f, rng, 1, 5)
-	if _, err := EncodeWithRandom(f, s, a, badRandom); err == nil {
+	if _, err := s.EncodeWithRandom(a, badRandom); err == nil {
 		t.Error("EncodeWithRandom should reject a random block with the wrong shape")
 	}
 }
 
 func TestDecodeValidation(t *testing.T) {
 	f := field.Prime{}
-	s, _ := New(4, 2)
-	if _, err := Decode(f, s, make([]uint64, 5)); err == nil {
+	s, _ := NewStructured(f, 4, 2)
+	if _, err := s.Decode(make([]uint64, 5)); err == nil {
 		t.Error("Decode should reject a short intermediate vector")
 	}
-	b := CoefficientMatrix(f, s)
+	b := s.CoefficientMatrix()
 	if _, err := DecodeGaussian(f, b, 0, make([]uint64, 6)); err == nil {
 		t.Error("DecodeGaussian should reject m = 0")
 	}
@@ -295,8 +301,8 @@ func TestCheckSecurityFlagsInsecureDesigns(t *testing.T) {
 	}
 
 	// A device holding both A_p + R_q and R_q: their difference is A_p.
-	s, _ := New(4, 2)
-	b := CoefficientMatrix(f, s)
+	s, _ := NewStructured(f, 4, 2)
+	b := s.CoefficientMatrix()
 	// Rows 0..1 are the pure-random rows; row 2 is A_1 + R_1. Give one
 	// device rows {0, 2} by regrouping counts: device 0 takes 3 rows.
 	if err := CheckSecurity[uint64](f, b, 4, []int{3, 2, 1}); !errors.Is(err, ErrNotSecure) {
@@ -328,13 +334,13 @@ func TestCheckSecurityFlagsInsecureDesigns(t *testing.T) {
 // standard basis vector of the data subspace.
 func TestSecurityIsDecodeDual(t *testing.T) {
 	f := field.GF256{}
-	s, err := New(6, 3)
+	s, err := NewStructured(f, 6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lambda := DataSubspace(f, 6, 3)
 	for j := 0; j < s.Devices(); j++ {
-		bj := DeviceMatrix(f, s, j)
+		bj := s.DeviceCoefficients(j)
 		for p := 0; p < 6; p++ {
 			target := matrix.RowSlice(lambda, p, p+1)
 			if matrix.SpanIntersectionDim(f, bj, target) != 0 {

@@ -69,7 +69,7 @@ func TestNewCollusionValidation(t *testing.T) {
 }
 
 func TestNewCollusionSmallFieldNodeExhaustion(t *testing.T) {
-	// GF(256) runs out of distinct Cauchy nodes when m + 2r > 256.
+	// GF(256) runs out of distinct Cauchy nodes when m + r > 256.
 	f := field.GF256{}
 	rows, r, err := UniformCollusionRows(250, 2, 10)
 	if err != nil {
@@ -85,6 +85,19 @@ func TestNewCollusionSmallFieldNodeExhaustion(t *testing.T) {
 	}
 	if _, err := NewCollusion[byte](f, 20, r, 2, rows); err != nil {
 		t.Fatalf("small GF(256) instance rejected: %v", err)
+	}
+	// C takes m + r nodes, so the boundary is m + r = 256.
+	for _, c := range []struct {
+		m  int
+		ok bool
+	}{{236, true}, {237, false}} {
+		rows, r, err := UniformCollusionRows(c.m, 2, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewCollusion[byte](f, c.m, r, 2, rows); (err == nil) != c.ok {
+			t.Errorf("GF(256) m=%d r=%d: err = %v, want ok=%v", c.m, r, err, c.ok)
+		}
 	}
 }
 
@@ -156,6 +169,37 @@ func TestCollusionVerifyAndRoundTrip(t *testing.T) {
 			return nil
 		})
 	})
+
+	// Over floating point the decode has no pivots, only C·y[:r] and a
+	// subtraction, so it stays within Real's tolerance up to r = m. Verify's
+	// rank test is tolerance-limited over Real and is not run here.
+	t.Run("real", func(t *testing.T) {
+		f := field.Real{Tol: 1e-9}
+		for _, w := range []int{2, 3, 8, 32} {
+			rng := testRNG()
+			rows, r, err := UniformCollusionRows(64, 2, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := NewCollusion[float64](f, 64, r, 2, rows)
+			if err != nil {
+				t.Fatalf("r=%d: %v", r, err)
+			}
+			a := matrix.Random(f, rng, 64, 16)
+			x := matrix.RandomVec(f, rng, 16)
+			enc, err := s.Encode(a, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.Decode(enc.ComputeAll(f, x))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !matrix.VecEqual(f, got, matrix.MulVec(f, a, x)) {
+				t.Fatalf("r=%d: decoded A·x outside the tolerance", r)
+			}
+		}
+	})
 }
 
 // TestStructuredSchemeFailsUnderCollusion demonstrates why the extension
@@ -164,11 +208,11 @@ func TestCollusionVerifyAndRoundTrip(t *testing.T) {
 // design survives the same pooling.
 func TestStructuredSchemeFailsUnderCollusion(t *testing.T) {
 	f := field.Prime{}
-	s, err := New(6, 3)
+	s, err := NewStructured(f, 6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := CoefficientMatrix(f, s)
+	b := s.CoefficientMatrix()
 	lambda := DataSubspace(f, 6, 3)
 
 	from0, to0 := s.RowRange(0)
@@ -246,8 +290,7 @@ func collusionEncodeMatchesDense[E comparable](t *testing.T, f field.Field[E]) {
 		}
 		tm := matrix.VStack(a, enc.Random)
 		for j := range rows {
-			from, to := s.RowRange(j)
-			want := matrix.Mul(f, matrix.RowSlice(s.b, from, to), tm)
+			want := matrix.Mul(f, s.DeviceCoefficients(j), tm)
 			if !matrix.Equal(f, enc.Blocks[j], want) {
 				t.Fatalf("%s m=%d l=%d t=%d w=%d: block %d differs from B_j·T", f.Name(), c.m, c.l, c.t, c.w, j)
 			}

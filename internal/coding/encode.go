@@ -12,22 +12,17 @@ import (
 // device coded blocks B_j·T ready for distribution, plus the random rows R
 // (retained only by the cloud; they never leave it).
 type Encoding[E comparable] struct {
-	// Code is the coding design the blocks follow — the scheme-agnostic
-	// handle every execution layer decodes through. Always set by the
-	// package encoders.
+	// Code is the coding design the blocks follow — the handle every
+	// execution layer decodes through. Always set by Encode.
 	Code Code[E]
-	// Scheme is the structured Eq. (8) design when the encoding was produced
-	// by one; nil for other code kinds (e.g. CollusionScheme). It exists for
-	// the structure-exploiting fast paths; generic callers use Code.
-	Scheme *Scheme
 	// Blocks[j] holds device j's coded rows B_j·T, a V(B_j)×l matrix.
 	Blocks []*matrix.Dense[E]
-	// Random holds the r random rows. Exposed for tests and for the general
-	// Gaussian decoding path; a deployment keeps it inside the cloud.
+	// Random holds the r random rows. Exposed for tests; a deployment keeps
+	// it inside the cloud.
 	Random *matrix.Dense[E]
 
 	// offs[j] is block j's first row in B·T, offs[len(Blocks)] the total;
-	// the package encoders set it once (see offsets).
+	// Encode sets it to the code's layout (see offsets).
 	offs []int
 }
 
@@ -42,9 +37,8 @@ func blockOffsets[E comparable](blocks []*matrix.Dense[E]) []int {
 }
 
 // offsets returns where each block's rows start in the stacked B·T, with
-// the total m+r last. The package encoders compute it once; an Encoding
-// assembled by hand (a column chunk, a test fixture) gets it computed on
-// each call.
+// the total m+r last. Encode sets it once; an Encoding assembled by hand
+// (a column chunk, a test fixture) gets it computed on each call.
 func (e *Encoding[E]) offsets() []int {
 	if len(e.offs) == len(e.Blocks)+1 {
 		return e.offs
@@ -54,82 +48,86 @@ func (e *Encoding[E]) offsets() []int {
 
 // Encode runs the Coded Data Distribution step of the MCSCEC framework
 // (§II-D): it draws r random rows over f and produces every device's coded
-// block. The structure of Eq. (8) lets it avoid forming B or T:
+// block. It never forms B or T:
 //
-//   - device 0 (the paper's s_1) receives the random rows themselves, and
-//   - global data row p becomes the coded row A_p + R_{p mod r}.
-//
-// so encoding costs O((m+r)·l) field additions instead of a dense
-// (m+r)×(m+r) by (m+r)×l product.
-func Encode[E comparable](f field.Field[E], s *Scheme, a *matrix.Dense[E], rng *rand.Rand) (*Encoding[E], error) {
-	if a.Rows() != s.m {
-		return nil, fmt.Errorf("coding: data matrix has %d rows, scheme expects m = %d", a.Rows(), s.m)
+//   - the global rows below r (device 0, the paper's s_1, under Eq. (8))
+//     are the random rows themselves, and
+//   - global row r+p is A_p + C_p·R: A_p + R_{p mod r} for the Eq. (8)
+//     identity stack, one addition per element, or one dense product with
+//     R's r rows for a Cauchy C.
+func (c *Systematic[E]) Encode(a *matrix.Dense[E], rng *rand.Rand) (*Encoding[E], error) {
+	if a.Rows() != c.m {
+		return nil, fmt.Errorf("coding: data matrix has %d rows, code expects m = %d", a.Rows(), c.m)
 	}
 	if a.Cols() < 1 {
 		return nil, fmt.Errorf("coding: data matrix has %d columns, need at least 1", a.Cols())
 	}
-	random := matrix.Random(f, rng, s.r, a.Cols())
-	enc, err := EncodeWithRandom(f, s, a, random)
-	if err != nil {
-		return nil, err
-	}
-	return enc, nil
+	return c.EncodeWithRandom(a, matrix.Random(c.f, rng, c.r, a.Cols()))
 }
 
 // EncodeWithRandom is Encode with caller-supplied random rows; the test
 // suite uses it for reproducibility, and a broken caller passing low-entropy
 // rows is exactly the failure mode the attack harness demonstrates.
-func EncodeWithRandom[E comparable](f field.Field[E], s *Scheme, a, random *matrix.Dense[E]) (*Encoding[E], error) {
-	if a.Rows() != s.m {
-		return nil, fmt.Errorf("coding: data matrix has %d rows, scheme expects m = %d", a.Rows(), s.m)
+func (c *Systematic[E]) EncodeWithRandom(a, random *matrix.Dense[E]) (*Encoding[E], error) {
+	if a.Rows() != c.m {
+		return nil, fmt.Errorf("coding: data matrix has %d rows, code expects m = %d", a.Rows(), c.m)
 	}
-	if random.Rows() != s.r || random.Cols() != a.Cols() {
+	if random.Rows() != c.r || random.Cols() != a.Cols() {
 		return nil, fmt.Errorf("coding: random block is %dx%d, want %dx%d",
-			random.Rows(), random.Cols(), s.r, a.Cols())
+			random.Rows(), random.Cols(), c.r, a.Cols())
 	}
-	l := a.Cols()
+	f, m, r, l := c.f, c.m, c.r, a.Cols()
 	// All blocks share one backing slab: one allocation per encoding instead
 	// of one per device, and consecutive devices stay adjacent in memory.
-	blocks := make([]*matrix.Dense[E], s.i)
-	slab := make([]E, (s.m+s.r)*l)
-	off := 0
-	for j := 0; j < s.i; j++ {
-		from, to := s.RowRange(j)
-		n := (to - from) * l
-		blocks[j] = matrix.FromSlice(to-from, l, slab[off:off+n:off+n])
-		off += n
+	n := c.Devices()
+	blocks := make([]*matrix.Dense[E], n)
+	slab := make([]E, (m+r)*l)
+	for j := range blocks {
+		from, to := c.RowRange(j)
+		blocks[j] = matrix.FromSlice(to-from, l, slab[from*l:to*l:to*l])
 	}
-	// Devices are independent: shard the fleet with matrix.ParallelFor
-	// (total work is one vector add per coded row). Within a device,
-	// consecutive global rows map to consecutive data rows and — until
-	// p mod r wraps — consecutive random rows, so each run of rows is one
-	// contiguous vector-add (or copy, for the raw random rows) instead of
-	// a call per row.
-	matrix.ParallelFor(s.i, (s.m+s.r)*l, func(jlo, jhi int) {
+	work := (m + r) * l
+	if c.c != nil {
+		work *= r
+	}
+	// Devices are independent: shard the fleet with matrix.ParallelFor.
+	// Within a device, each run of rows is one contiguous copy, vector add
+	// or product instead of a call per row.
+	matrix.ParallelFor(n, work, func(jlo, jhi int) {
 		for j := jlo; j < jhi; j++ {
-			from, to := s.RowRange(j)
+			from, to := c.RowRange(j)
 			block := blocks[j]
 			g := from
 			// Global rows below r are the random rows themselves.
-			if cut := min(to, s.r); g < cut {
+			if cut := min(to, r); g < cut {
 				copy(block.RowsView(0, cut-from), random.RowsView(g, cut))
 				g = cut
 			}
-			// Row g ≥ r carries A_p + R_{p mod r} with p = g - r; chunks
-			// break where p mod r wraps back to 0.
+			if g == to {
+				continue
+			}
+			if c.c != nil {
+				// Rows g..to carry A_p + C_p·R with p = g − r.
+				out := block.RowsView(g-from, to-from)
+				matrix.MulInto(f, matrix.FromSlice(to-g, r, c.c.RowsView(g-r, to-r)), random, matrix.FromSlice(to-g, l, out))
+				matrix.VecAddInto(f, out, out, a.RowsView(g-r, to-r))
+				continue
+			}
+			// Row g carries A_p + R_{p mod r}; consecutive rows map to
+			// consecutive random rows until p mod r wraps back to 0.
 			for g < to {
-				p := g - s.r
-				q := p % s.r
-				n := min(to-g, s.r-q)
+				p := g - r
+				q := p % r
+				k := min(to-g, r-q)
 				matrix.VecAddInto(f,
-					block.RowsView(g-from, g-from+n),
-					a.RowsView(p, p+n),
-					random.RowsView(q, q+n))
-				g += n
+					block.RowsView(g-from, g-from+k),
+					a.RowsView(p, p+k),
+					random.RowsView(q, q+k))
+				g += k
 			}
 		}
 	})
-	return &Encoding[E]{Code: BindScheme(f, s), Scheme: s, Blocks: blocks, Random: random, offs: blockOffsets(blocks)}, nil
+	return &Encoding[E]{Code: c, Blocks: blocks, Random: random, offs: c.offs}, nil
 }
 
 // ComputeDevice performs device j's work in the Coded Edge Computing step:

@@ -19,21 +19,21 @@ func FuzzEncodeDecodeGF256(fz *testing.F) {
 		m := 1 + int(mRaw)%16
 		r := 1 + int(rRaw)%m
 		l := 1 + int(lRaw)%8
-		s, err := New(m, r)
+		s, err := NewStructured(f, m, r)
 		if err != nil {
 			t.Fatalf("New(%d, %d): %v", m, r, err)
 		}
-		if err := Verify[byte](f, s); err != nil {
+		if err := s.Verify(); err != nil {
 			t.Fatalf("Theorem 3 violated at m=%d r=%d: %v", m, r, err)
 		}
 		rng := rand.New(rand.NewPCG(seed, 0xf022))
 		a := matrix.Random[byte](f, rng, m, l)
 		x := matrix.RandomVec[byte](f, rng, l)
-		enc, err := Encode[byte](f, s, a, rng)
+		enc, err := s.Encode(a, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Decode[byte](f, s, enc.ComputeAll(f, x))
+		got, err := s.Decode(enc.ComputeAll(f, x))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,11 +55,11 @@ func FuzzDecodeNeverPanics(fz *testing.F) {
 		f := field.GF256{}
 		m := 1 + int(mRaw)%16
 		r := 1 + int(rRaw)%m
-		s, err := New(m, r)
+		s, err := NewStructured(f, m, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := Decode[byte](f, s, yBytes)
+		out, err := s.Decode(yBytes)
 		if len(yBytes) != m+r {
 			if err == nil {
 				t.Fatalf("Decode accepted %d values for m+r=%d", len(yBytes), m+r)

@@ -31,7 +31,7 @@ func pipelineDiff[E comparable](t *testing.T, f field.Field[E]) {
 		{40, 7, 16, 3},
 	}
 	for _, sh := range shapes {
-		s, err := New(sh.m, sh.r)
+		s, err := NewStructured(f, sh.m, sh.r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,17 +41,17 @@ func pipelineDiff[E comparable](t *testing.T, f field.Field[E]) {
 		xm := matrix.Random(f, rng, sh.l, sh.n)
 
 		matrix.SetParallelThreshold(math.MaxInt)
-		wantEnc, err := EncodeWithRandom(f, s, a, random)
+		wantEnc, err := s.EncodeWithRandom(a, random)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantY := wantEnc.ComputeAll(f, x)
-		wantAx, err := Decode(f, s, wantY)
+		wantAx, err := s.Decode(wantY)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantYB := wantEnc.ComputeAllBatch(f, xm)
-		wantAxB, err := decodeBatch(BindScheme(f, s), wantYB)
+		wantAxB, err := decodeBatch(s, wantYB)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func pipelineDiff[E comparable](t *testing.T, f field.Field[E]) {
 			matrix.SetParallelThreshold(mode.threshold)
 			label := mode.name + " " + shape
 
-			enc, err := EncodeWithRandom(f, s, a, random)
+			enc, err := s.EncodeWithRandom(a, random)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +93,7 @@ func pipelineDiff[E comparable](t *testing.T, f field.Field[E]) {
 			}
 			y := enc.ComputeAll(f, x)
 			sameSlice(t, label+" compute", wantY, y)
-			ax, err := Decode(f, s, y)
+			ax, err := s.Decode(y)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +103,7 @@ func pipelineDiff[E comparable](t *testing.T, f field.Field[E]) {
 			for r := 0; r < yb.Rows(); r++ {
 				sameSlice(t, label+" compute-batch", wantYB.Row(r), yb.Row(r))
 			}
-			axb, err := decodeBatch(BindScheme(f, s), yb)
+			axb, err := decodeBatch(s, yb)
 			if err != nil {
 				t.Fatal(err)
 			}

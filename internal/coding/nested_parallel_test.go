@@ -26,11 +26,11 @@ func TestComputeAllNestedShardingLargeShape(t *testing.T) {
 
 	f := field.Prime{}
 	rng := rand.New(rand.NewPCG(107, 109))
-	s, err := New(m, r)
+	s, err := NewStructured(f, m, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := Encode[uint64](f, s, matrix.Random(f, rng, m, l), rng)
+	enc, err := s.Encode(matrix.Random(f, rng, m, l), rng)
 	if err != nil {
 		t.Fatal(err)
 	}

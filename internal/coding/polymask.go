@@ -79,8 +79,7 @@ func (s *PolyMaskScheme[E]) TotalRows() int { return s.n * s.m }
 
 // PolyMaskEncoding holds every device's share F(α_j).
 type PolyMaskEncoding[E comparable] struct {
-	// Scheme is the generating scheme.
-	Scheme *PolyMaskScheme[E]
+	f field.Field[E]
 	// Shares[j] is device j's m×l evaluation F(α_j).
 	Shares []*matrix.Dense[E]
 }
@@ -108,12 +107,12 @@ func (s *PolyMaskScheme[E]) Encode(a *matrix.Dense[E], rng *rand.Rand) (*PolyMas
 		share = matrix.Add(f, matrix.Scale(f, s.alphas[j], share), a)
 		shares[j] = share
 	}
-	return &PolyMaskEncoding[E]{Scheme: s, Shares: shares}, nil
+	return &PolyMaskEncoding[E]{f: f, Shares: shares}, nil
 }
 
 // ComputeDevice performs device j's work: F(α_j)·x, m values.
 func (e *PolyMaskEncoding[E]) ComputeDevice(j int, x []E) []E {
-	return matrix.MulVec(e.Scheme.f, e.Shares[j], x)
+	return matrix.MulVec(e.f, e.Shares[j], x)
 }
 
 // Decode recovers A·x from the responses of the device subset devices
@@ -187,7 +186,7 @@ func (s *PolyMaskScheme[E]) Verify() error {
 	for p := 0; p < s.m; p++ {
 		lambda.Set(p, p, one)
 	}
-	// The shared coalition walk (also behind CollusionScheme.Verify and
+	// The shared coalition walk (also behind Systematic.Verify and
 	// CheckSecurityT) does the enumeration; this scheme only supplies its
 	// per-device coefficient representation.
 	return checkCoalitions(f, s.n, s.t, lambda, func(j int) *matrix.Dense[E] {

@@ -13,7 +13,7 @@ func TestReconstructRoundTrip(t *testing.T) {
 	for _, shape := range []struct{ m, l, r int }{
 		{4, 3, 2}, {8, 5, 4}, {9, 2, 3}, {16, 7, 5}, {5, 4, 5},
 	} {
-		scheme, err := New(shape.m, shape.r)
+		scheme, err := NewStructured(f, shape.m, shape.r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -23,11 +23,11 @@ func TestReconstructRoundTrip(t *testing.T) {
 				a.Set(i, j, f.Rand(rng))
 			}
 		}
-		enc, err := Encode[uint64](f, scheme, a, rng)
+		enc, err := scheme.Encode(a, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Reconstruct[uint64](f, enc)
+		got, err := Reconstruct[uint64](enc)
 		if err != nil {
 			t.Fatalf("m=%d r=%d: %v", shape.m, shape.r, err)
 		}
@@ -47,29 +47,29 @@ func TestReconstructRoundTrip(t *testing.T) {
 func TestReconstructRejectsIncompleteEncodings(t *testing.T) {
 	f := field.Prime{}
 	rng := testRNG()
-	scheme, _ := New(8, 4)
+	scheme, _ := NewStructured(f, 8, 4)
 	a := matrix.New[uint64](8, 3)
 	for i := 0; i < 8; i++ {
 		for j := 0; j < 3; j++ {
 			a.Set(i, j, f.Rand(rng))
 		}
 	}
-	enc, err := Encode[uint64](f, scheme, a, rng)
+	enc, err := scheme.Encode(a, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if _, err := Reconstruct[uint64](f, nil); err == nil {
+	if _, err := Reconstruct[uint64](nil); err == nil {
 		t.Error("nil encoding accepted")
 	}
-	noRandom := *enc
-	noRandom.Random = nil
-	if _, err := Reconstruct[uint64](f, &noRandom); err == nil {
-		t.Error("encoding without its random rows accepted")
+	noCode := *enc
+	noCode.Code = nil
+	if _, err := Reconstruct[uint64](&noCode); err == nil {
+		t.Error("encoding without its code accepted")
 	}
 	short := *enc
 	short.Blocks = short.Blocks[:len(short.Blocks)-1]
-	if _, err := Reconstruct[uint64](f, &short); err == nil {
+	if _, err := Reconstruct[uint64](&short); err == nil {
 		t.Error("encoding missing a block accepted")
 	}
 }

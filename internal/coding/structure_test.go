@@ -20,11 +20,11 @@ func TestCoefficientMatrixStructure(t *testing.T) {
 	f := field.Prime{}
 	for _, dims := range [][2]int{{1, 1}, {5, 2}, {8, 3}, {9, 9}, {12, 5}} {
 		m, r := dims[0], dims[1]
-		s, err := New(m, r)
+		s, err := NewStructured(f, m, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := CoefficientMatrix(f, s)
+		b := s.CoefficientMatrix()
 		for row := 0; row < m+r; row++ {
 			dataNZ, randNZ := 0, 0
 			for col := 0; col < m+r; col++ {

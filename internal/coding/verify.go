@@ -107,7 +107,7 @@ func CheckSecurityT[E comparable](f field.Field[E], b *matrix.Dense[E], m int, r
 // checkCoalitions enumerates every coalition of 1..t of the n devices and
 // checks that the pooled coefficient block blockOf(j₁)‖…‖blockOf(jₛ)
 // intersects lambda trivially. It is the shared security walk behind the
-// collusion and polynomial-masking verifiers (and CheckSecurityT); each
+// Systematic and polynomial-masking verifiers (and CheckSecurityT); each
 // scheme supplies only its per-device coefficient representation.
 func checkCoalitions[E comparable](f field.Field[E], n, t int, lambda *matrix.Dense[E], blockOf func(j int) *matrix.Dense[E]) error {
 	coalition := make([]int, 0, t)
@@ -138,19 +138,21 @@ func checkCoalitions[E comparable](f field.Field[E], n, t int, lambda *matrix.De
 	return walk(0)
 }
 
-// Verify runs both Theorem 3 checks on the structured scheme: it
-// materializes B from Eq. (8) over f and confirms availability and
-// per-device security. The construction guarantees both (Theorem 3); this
-// function exists so deployments and tests can re-establish the guarantee
-// for any concrete (m, r).
-func Verify[E comparable](f field.Field[E], s *Scheme) error {
-	b := CoefficientMatrix(f, s)
-	if err := CheckAvailability(f, b); err != nil {
+// Verify implements Code: it materializes B and re-establishes availability
+// (Definition 1) and security against every coalition of up to T devices
+// (Definition 2; for Eq. (8), T = 1, these are the Theorem 3 checks). The
+// construction guarantees both; Verify exists so deployments and tests can
+// re-establish the guarantee for a concrete code. It enumerates coalitions,
+// so at T ≥ 2 it is meant for the small fleets where collusion codes are
+// configured; the Cauchy argument on Systematic is the general guarantee.
+func (c *Systematic[E]) Verify() error {
+	b := c.CoefficientMatrix()
+	if err := CheckAvailability(c.f, b); err != nil {
 		return err
 	}
-	rows := make([]int, s.i)
+	rows := make([]int, c.Devices())
 	for j := range rows {
-		rows[j] = s.RowsOn(j)
+		rows[j] = c.RowsOn(j)
 	}
-	return CheckSecurity(f, b, s.m, rows)
+	return CheckSecurityT(c.f, b, c.m, rows, c.t)
 }

@@ -42,7 +42,7 @@ func NewChunked[E comparable](f field.Field[E], enc *coding.Encoding[E], width i
 	c := &chunked[E]{f: f, width: width}
 	for from := 0; from < l; from += width {
 		to := min(from+width, l)
-		part := &coding.Encoding[E]{Code: enc.Code, Scheme: enc.Scheme, Blocks: make([]*matrix.Dense[E], len(enc.Blocks))}
+		part := &coding.Encoding[E]{Code: enc.Code, Blocks: make([]*matrix.Dense[E], len(enc.Blocks))}
 		for j, block := range enc.Blocks {
 			part.Blocks[j] = matrix.RowSliceCols(block, from, to)
 		}

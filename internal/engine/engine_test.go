@@ -32,7 +32,7 @@ func newCase[E comparable](t *testing.T, f field.Field[E], randE func(*rand.Rand
 	t.Helper()
 	const m, l, r = 9, 5, 4
 	rng := rand.New(rand.NewPCG(77, 5))
-	scheme, err := coding.New(m, r)
+	scheme, err := coding.NewStructured(f, m, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func newCase[E comparable](t *testing.T, f field.Field[E], randE func(*rand.Rand
 			a.Set(i, j, randE(rng))
 		}
 	}
-	enc, err := coding.Encode(f, scheme, a, rng)
+	enc, err := scheme.Encode(a, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,61 +276,89 @@ func TestSimExecutorFailurePropagates(t *testing.T) {
 // TestSimExecutorReportAccounting: the retained report carries the virtual
 // decode cost — completion is the last consumed arrival plus DecodeOps at
 // 1e9 ops/s — the engine records the one decode stage, and batch queries
-// scale the traffic totals by the width.
+// scale the traffic totals by the width. The decode is priced from the
+// code: m subtractions per column for Eq. (8), plus the m·r multiply-adds
+// of C·y[:r] for a Cauchy C.
 func TestSimExecutorReportAccounting(t *testing.T) {
 	f := field.Prime{}
-	tc := newCase[uint64](t, f, func(rng *rand.Rand) uint64 { return f.Rand(rng) })
-	reg := obs.New()
-	exec, err := NewSim(f, tc.enc, SimConfig{Metrics: reg})
+	eq8 := newCase[uint64](t, f, func(rng *rand.Rand) uint64 { return f.Rand(rng) })
+	m, r := eq8.enc.Code.M(), eq8.enc.Code.R()
+	rows, rc, err := coding.UniformCollusionRows(m, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := New[uint64](f, tc.enc, exec, Options{Metrics: reg})
+	code, err := coding.NewCollusion[uint64](f, m, rc, 2, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = q.Close() })
+	cenc, err := code.Encode(eq8.a, rand.New(rand.NewPCG(78, 6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cauchy := *eq8
+	cauchy.enc = cenc
+	for _, c := range []struct {
+		name string
+		tc   *testCase[uint64]
+		r    int
+		ops  int // per result column
+	}{
+		{"eq8", eq8, r, m},
+		{"cauchy-t2", &cauchy, rc, m*rc + m},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tc, r, ops := c.tc, c.r, c.ops
+			reg := obs.New()
+			exec, err := NewSim(f, tc.enc, SimConfig{Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := New[uint64](f, tc.enc, exec, Options{Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = q.Close() })
 
-	if _, ok := exec.LastReport(); ok {
-		t.Fatal("report retained before any run")
-	}
-	if _, err := q.MulVec(tc.x); err != nil {
-		t.Fatal(err)
-	}
-	rep, ok := exec.LastReport()
-	if !ok {
-		t.Fatal("no report after MulVec")
-	}
-	m := tc.enc.Scheme.M()
-	r := tc.enc.Scheme.R()
-	if rep.DecodeOps != int64(m) {
-		t.Fatalf("vector DecodeOps = %d, want %d", rep.DecodeOps, m)
-	}
-	if rep.TotalValuesSent != m+r {
-		t.Fatalf("vector TotalValuesSent = %d, want %d", rep.TotalValuesSent, m+r)
-	}
-	var lastArrival time.Duration
-	for _, d := range rep.Devices {
-		if d.Used {
-			lastArrival = max(lastArrival, d.ResultArrives)
-		}
-	}
-	if want := lastArrival + time.Duration(float64(m)/1e9*float64(time.Second)); rep.CompletionTime != want {
-		t.Fatalf("vector CompletionTime = %v, want the last arrival %v plus %d decode ops at 1e9/s", rep.CompletionTime, lastArrival, m)
-	}
-	if got := stageCount(reg, obs.StageDecode); got != 1 {
-		t.Fatalf("decode stage observed %d times after one query, want 1 (the engine's)", got)
-	}
-	if _, err := q.MulMat(tc.xm); err != nil {
-		t.Fatal(err)
-	}
-	rep, _ = exec.LastReport()
-	n := tc.xm.Cols()
-	if rep.DecodeOps != int64(m*n) {
-		t.Fatalf("batch DecodeOps = %d, want %d", rep.DecodeOps, m*n)
-	}
-	if rep.TotalValuesSent != (m+r)*n {
-		t.Fatalf("batch TotalValuesSent = %d, want %d", rep.TotalValuesSent, (m+r)*n)
+			if _, ok := exec.LastReport(); ok {
+				t.Fatal("report retained before any run")
+			}
+			if _, err := q.MulVec(tc.x); err != nil {
+				t.Fatal(err)
+			}
+			rep, ok := exec.LastReport()
+			if !ok {
+				t.Fatal("no report after MulVec")
+			}
+			if rep.DecodeOps != int64(ops) {
+				t.Fatalf("vector DecodeOps = %d, want %d", rep.DecodeOps, ops)
+			}
+			if rep.TotalValuesSent != m+r {
+				t.Fatalf("vector TotalValuesSent = %d, want %d", rep.TotalValuesSent, m+r)
+			}
+			var lastArrival time.Duration
+			for _, d := range rep.Devices {
+				if d.Used {
+					lastArrival = max(lastArrival, d.ResultArrives)
+				}
+			}
+			if want := lastArrival + time.Duration(float64(ops)/1e9*float64(time.Second)); rep.CompletionTime != want {
+				t.Fatalf("vector CompletionTime = %v, want the last arrival %v plus %d decode ops at 1e9/s", rep.CompletionTime, lastArrival, ops)
+			}
+			if got := stageCount(reg, obs.StageDecode); got != 1 {
+				t.Fatalf("decode stage observed %d times after one query, want 1 (the engine's)", got)
+			}
+			if _, err := q.MulMat(tc.xm); err != nil {
+				t.Fatal(err)
+			}
+			rep, _ = exec.LastReport()
+			n := tc.xm.Cols()
+			if rep.DecodeOps != int64(ops*n) {
+				t.Fatalf("batch DecodeOps = %d, want %d", rep.DecodeOps, ops*n)
+			}
+			if rep.TotalValuesSent != (m+r)*n {
+				t.Fatalf("batch TotalValuesSent = %d, want %d", rep.TotalValuesSent, (m+r)*n)
+			}
+		})
 	}
 }
 

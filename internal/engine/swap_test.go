@@ -18,11 +18,11 @@ import (
 // adaptive control plane does on a reshape.
 func reencode(t *testing.T, tc *testCase[uint64], r int) (*coding.Encoding[uint64], coding.Code[uint64]) {
 	t.Helper()
-	scheme, err := coding.New(tc.a.Rows(), r)
+	scheme, err := coding.NewStructured(tc.f, tc.a.Rows(), r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := coding.Encode(tc.f, scheme, tc.a, rand.New(rand.NewPCG(3, 14)))
+	enc, err := scheme.Encode(tc.a, rand.New(rand.NewPCG(3, 14)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,8 +22,8 @@ import (
 // against.
 type CollusionPoint struct {
 	T int `json:"t"`
-	// Scheme names the coding design measured ("eq8" or "collusion").
-	Scheme string `json:"scheme"`
+	// Code is the measured code's Name ("eq8" or "collusion").
+	Code string `json:"scheme"`
 	// R is the random-row count the plan selected; Devices its fleet size.
 	R       int `json:"r"`
 	Devices int `json:"devices"`
@@ -50,8 +50,8 @@ type CollusionReport struct {
 // CollusionSweep measures allocation cost and encode/decode latency as the
 // collusion threshold t rises from 1 (with the Eq. (8) scheme as the t = 1
 // baseline) on one deterministic fleet. Shapes are kept moderate (m ≈ 400)
-// so the sweep runs in CI time while the LU-decode cost difference between
-// the tiers is still visible.
+// so the sweep runs in CI time while the decode cost difference between
+// the identity stack and a dense Cauchy C is still visible.
 func CollusionSweep(cfg Config) (CollusionReport, error) {
 	const m, l, k, tMax = 400, 64, 24, 4
 	f := field.Prime{}
@@ -62,7 +62,7 @@ func CollusionSweep(cfg Config) (CollusionReport, error) {
 
 	rep := CollusionReport{M: m, L: l, K: k, Seed: cfg.Seed, Version: 1}
 
-	measure := func(t int, scheme string, plan alloc.Plan, code coding.Code[uint64]) error {
+	measure := func(t int, plan alloc.Plan, code coding.Code[uint64]) error {
 		enc, err := code.Encode(a, rand.New(rand.NewPCG(cfg.Seed, 0xe11c)))
 		if err != nil {
 			return err
@@ -75,7 +75,7 @@ func CollusionSweep(cfg Config) (CollusionReport, error) {
 			_, _ = code.Decode(y)
 		})
 		rep.Points = append(rep.Points, CollusionPoint{
-			T: t, Scheme: scheme, R: plan.R, Devices: code.Devices(),
+			T: t, Code: code.Name(), R: plan.R, Devices: code.Devices(),
 			PlanCost: plan.Cost, EncodeNs: encodeNs, DecodeNs: decodeNs,
 		})
 		return nil
@@ -90,7 +90,7 @@ func CollusionSweep(cfg Config) (CollusionReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	if err := measure(1, "eq8", ta1, eq8); err != nil {
+	if err := measure(1, ta1, eq8); err != nil {
 		return rep, err
 	}
 
@@ -107,7 +107,7 @@ func CollusionSweep(cfg Config) (CollusionReport, error) {
 		if err != nil {
 			return rep, err
 		}
-		if err := measure(t, "collusion", plan, code); err != nil {
+		if err := measure(t, plan, code); err != nil {
 			return rep, err
 		}
 	}
@@ -150,9 +150,9 @@ func CheckCollusion(rep CollusionReport) error {
 	for i := range rep.Points {
 		p := &rep.Points[i]
 		if p.EncodeNs <= 0 || p.DecodeNs <= 0 || p.PlanCost <= 0 || p.R < 1 || p.Devices < 2 {
-			return fmt.Errorf("collusion point t=%d/%s is degenerate: %+v", p.T, p.Scheme, *p)
+			return fmt.Errorf("collusion point t=%d/%s is degenerate: %+v", p.T, p.Code, *p)
 		}
-		switch p.Scheme {
+		switch p.Code {
 		case "eq8":
 			base = p
 		case "collusion":
@@ -164,7 +164,7 @@ func CheckCollusion(rep CollusionReport) error {
 			}
 			prevCost = p.PlanCost
 		default:
-			return fmt.Errorf("unknown scheme %q in sweep", p.Scheme)
+			return fmt.Errorf("unknown code %q in sweep", p.Code)
 		}
 	}
 	if base == nil || firstCauchy == nil {

@@ -11,8 +11,8 @@ import (
 
 // ComparisonRow is one scheme in the related-work cost comparison.
 type ComparisonRow struct {
-	// Scheme names the design.
-	Scheme string
+	// Name names the design.
+	Name string
 	// TotalRows is the fleet-wide number of coded rows provisioned.
 	TotalRows int
 	// Devices is how many devices participate.
@@ -115,7 +115,7 @@ func Comparison(cfg Config) (ComparisonResult, error) {
 	for _, key := range order {
 		a := accs[key]
 		res.Rows = append(res.Rows, ComparisonRow{
-			Scheme: key, TotalRows: a.rows, Devices: a.devs,
+			Name: key, TotalRows: a.rows, Devices: a.devs,
 			MeanCost: a.cost, Stragglers: a.strag, Collusion: a.coll,
 		})
 	}
@@ -134,7 +134,7 @@ func WriteComparisonMarkdown(w io.Writer, res ComparisonResult) error {
 	base := res.Rows[0].MeanCost
 	for _, r := range res.Rows {
 		if _, err := fmt.Fprintf(w, "| %s | %d | %d | %.0f | %+.0f%% | %d | %d |\n",
-			r.Scheme, r.TotalRows, r.Devices, r.MeanCost, 100*(r.MeanCost-base)/base, r.Stragglers, r.Collusion); err != nil {
+			r.Name, r.TotalRows, r.Devices, r.MeanCost, 100*(r.MeanCost-base)/base, r.Stragglers, r.Collusion); err != nil {
 			return err
 		}
 	}

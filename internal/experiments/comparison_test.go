@@ -16,7 +16,7 @@ func TestComparisonShape(t *testing.T) {
 	}
 	byName := map[string]ComparisonRow{}
 	for _, r := range res.Rows {
-		byName[r.Scheme] = r
+		byName[r.Name] = r
 	}
 	opt := byName["MCSCEC (this paper)"]
 	woS := byName["TAw/oS (no security)"]

@@ -65,12 +65,12 @@ func DelaySweep(cfg Config) (DelayResult, error) {
 	if err != nil {
 		return DelayResult{}, err
 	}
-	scheme, err := coding.New(delayM, plan.R)
+	code, err := coding.NewStructured(f, delayM, plan.R)
 	if err != nil {
 		return DelayResult{}, err
 	}
 	a := matrix.Random(f, rng, delayM, delayL)
-	enc, err := coding.Encode(f, scheme, a, rng)
+	enc, err := code.Encode(a, rng)
 	if err != nil {
 		return DelayResult{}, err
 	}
@@ -87,7 +87,7 @@ func DelaySweep(cfg Config) (DelayResult, error) {
 			for trial := 0; trial < delayTrialCount; trial++ {
 				trialRNG := workload.RNG(cfg.Seed^saltDelay, replicas*1000+int(pStraggle*10), trial)
 				seed := trialRNG.Uint64()
-				groups := make([][]sim.DeviceProfile, scheme.Devices())
+				groups := make([][]sim.DeviceProfile, code.Devices())
 				for j := range groups {
 					groups[j] = make([]sim.DeviceProfile, replicas)
 					for r := range groups[j] {

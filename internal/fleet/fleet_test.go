@@ -23,7 +23,7 @@ import (
 // themselves stay honest.
 type testEnv struct {
 	f      field.Prime
-	scheme *coding.Scheme
+	scheme *coding.Systematic[uint64]
 	enc    *coding.Encoding[uint64]
 	a      *matrix.Dense[uint64]
 	x      []uint64
@@ -47,7 +47,7 @@ func newTestEnv(t *testing.T, replicas, standbys int) *testEnv {
 	env := &testEnv{reg: obs.New()}
 	rng := rand.New(rand.NewPCG(42, 99))
 	const m, l, r = 8, 5, 4
-	scheme, err := coding.New(m, r)
+	scheme, err := coding.NewStructured(env.f, m, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func newTestEnv(t *testing.T, replicas, standbys int) *testEnv {
 			env.a.Set(i, j, env.f.Rand(rng))
 		}
 	}
-	env.enc, err = coding.Encode[uint64](env.f, scheme, env.a, rng)
+	env.enc, err = scheme.Encode(env.a, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

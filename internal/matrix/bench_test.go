@@ -15,7 +15,7 @@ import (
 // these pin what our from-scratch kernels deliver).
 
 const (
-	benchN = 128 // square dimension for Mul/Rank/LU
+	benchN = 128 // square dimension for Mul/Rank/Solve
 	benchL = 512 // row length for MulVec
 )
 
@@ -197,39 +197,6 @@ func BenchmarkRankPrime(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = Rank[uint64](f, a)
-	}
-}
-
-func BenchmarkLUFactorPrime(b *testing.B) {
-	f := field.Prime{}
-	rng := benchRNG()
-	a := Random[uint64](f, rng, benchN, benchN)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Factor[uint64](f, a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLUSolvePrime measures the per-solve cost after factoring —
-// compare with BenchmarkSolvePrime (fresh elimination per solve).
-func BenchmarkLUSolvePrime(b *testing.B) {
-	f := field.Prime{}
-	rng := benchRNG()
-	a := Random[uint64](f, rng, benchN, benchN)
-	lu, err := Factor[uint64](f, a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rhs := RandomVec[uint64](f, rng, benchN)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := lu.Solve(rhs); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -172,15 +172,15 @@ func TestQuantizedSecurePipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := coding.New(m, r)
+	s, err := coding.NewStructured(fP, m, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := coding.Encode[uint64](fP, s, aQ, rng)
+	enc, err := s.Encode(aQ, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	yQ, err := coding.Decode[uint64](fP, s, enc.ComputeAll(fP, xQ))
+	yQ, err := s.Decode(enc.ComputeAll(fP, xQ))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,12 +19,12 @@ func TestRunRecordsStageMetrics(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 9))
 	const m, l, r = 12, 8, 6
 
-	s, err := coding.New(m, r)
+	s, err := coding.NewStructured(f, m, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := matrix.Random[uint64](f, rng, m, l)
-	enc, err := coding.Encode[uint64](f, s, a, rng)
+	enc, err := s.Encode(a, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,12 +87,12 @@ func TestRunRecordsStageMetrics(t *testing.T) {
 func TestFailedRunSkipsAggregateStages(t *testing.T) {
 	f := field.Prime{}
 	rng := rand.New(rand.NewPCG(7, 9))
-	s, err := coding.New(6, 3)
+	s, err := coding.NewStructured(f, 6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := matrix.Random[uint64](f, rng, 6, 4)
-	enc, err := coding.Encode[uint64](f, s, a, rng)
+	enc, err := s.Encode(a, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -252,15 +252,14 @@ func (cfg Config) registry() *obs.Registry {
 }
 
 // DecodeOps prices the user-side decode of one result column under the
-// encoding's code: m subtractions for the structured Eq. (8) scheme,
-// (m+r)² operations for codes that solve against a factored coefficient
-// matrix (e.g. the t-collusion Cauchy design).
+// encoding's code, A·x = y[r:] − C·y[:r]: m subtractions for the Eq. (8)
+// identity stack, plus the m·r multiply-adds of C·y[:r] for a Cauchy C.
 func DecodeOps[E comparable](enc *coding.Encoding[E]) int64 {
-	if enc.Scheme != nil {
-		return int64(enc.Scheme.M())
+	m := int64(enc.Code.M())
+	if enc.Code.Name() == "eq8" {
+		return m
 	}
-	n := int64(enc.Code.M() + enc.Code.R())
-	return n * n
+	return m*int64(enc.Code.R()) + m
 }
 
 // DeviceRoundTime prices one device's full round trip for a width-n query

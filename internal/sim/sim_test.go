@@ -19,12 +19,12 @@ func setup(t *testing.T) (field.Prime, *coding.Encoding[uint64], *matrix.Dense[u
 	t.Helper()
 	f := field.Prime{}
 	rng := testRNG()
-	s, err := coding.New(6, 2)
+	s, err := coding.NewStructured(f, 6, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := matrix.Random[uint64](f, rng, 6, 4)
-	enc, err := coding.Encode[uint64](f, s, a, rng)
+	enc, err := s.Encode(a, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +63,8 @@ func bothCodes(t *testing.T, check func(t *testing.T, f field.Prime, enc *coding
 	})
 	t.Run("cauchy-t2", func(t *testing.T) {
 		f, enc, a, x := setupCollusion(t)
-		if enc.Scheme != nil {
-			t.Fatal("the collusion encoding should carry no structured scheme")
+		if name := enc.Code.Name(); name != "collusion" {
+			t.Fatalf("the collusion encoding carries a %q code", name)
 		}
 		check(t, f, enc, a, x)
 	})

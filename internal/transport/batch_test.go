@@ -16,12 +16,12 @@ func TestMulMatEndToEnd(t *testing.T) {
 	rng := testRNG()
 	const m, l, r, n = 10, 6, 4, 3
 
-	s, err := coding.New(m, r)
+	s, err := coding.NewStructured(f, m, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := matrix.Random[uint64](f, rng, m, l)
-	enc, err := coding.Encode[uint64](f, s, a, rng)
+	enc, err := s.Encode(a, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestMulMatEndToEnd(t *testing.T) {
 	}
 
 	x := matrix.Random[uint64](f, rng, l, n)
-	got, err := userMulMat(t.Context(), Client[uint64]{F: f}, coding.BindScheme(f, s), addrs, x)
+	got, err := userMulMat(t.Context(), Client[uint64]{F: f}, s, addrs, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,12 +44,12 @@ func TestMulMatEndToEnd(t *testing.T) {
 func TestMulMatRemoteValidation(t *testing.T) {
 	f := field.Prime{}
 	rng := testRNG()
-	s, err := coding.New(4, 2)
+	s, err := coding.NewStructured(f, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := matrix.Random[uint64](f, rng, 4, 5)
-	enc, err := coding.Encode[uint64](f, s, a, rng)
+	enc, err := s.Encode(a, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestMulMatRemoteValidation(t *testing.T) {
 	if err := (Cloud[uint64]{}).Distribute(t.Context(), addrs, enc); err != nil {
 		t.Fatal(err)
 	}
-	client, code := Client[uint64]{F: f}, coding.BindScheme(f, s)
+	client, code := Client[uint64]{F: f}, s
 	// Wrong X row count (needs l = 5 rows).
 	if _, err := userMulMat(t.Context(), client, code, addrs, matrix.New[uint64](3, 2)); !errors.Is(err, ErrRemote) {
 		t.Fatalf("err = %v, want ErrRemote", err)
@@ -70,12 +70,12 @@ func TestMulMatRemoteValidation(t *testing.T) {
 
 func TestMulMatBeforeStore(t *testing.T) {
 	f := field.Prime{}
-	s, err := coding.New(4, 2)
+	s, err := coding.NewStructured(f, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	addrs, _ := startFleet[uint64](t, f, s.Devices())
-	if _, err := userMulMat(t.Context(), Client[uint64]{F: f}, coding.BindScheme(f, s), addrs, matrix.New[uint64](5, 2)); !errors.Is(err, ErrRemote) {
+	if _, err := userMulMat(t.Context(), Client[uint64]{F: f}, s, addrs, matrix.New[uint64](5, 2)); !errors.Is(err, ErrRemote) {
 		t.Fatalf("err = %v, want ErrRemote", err)
 	}
 }
@@ -126,12 +126,12 @@ func TestGatherRawForCollusionScheme(t *testing.T) {
 func TestDeviceStats(t *testing.T) {
 	f := field.Prime{}
 	rng := testRNG()
-	s, err := coding.New(4, 2)
+	s, err := coding.NewStructured(f, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := matrix.Random[uint64](f, rng, 4, 3)
-	enc, err := coding.Encode[uint64](f, s, a, rng)
+	enc, err := s.Encode(a, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestDeviceStats(t *testing.T) {
 	if err := (Cloud[uint64]{}).Distribute(t.Context(), addrs, enc); err != nil {
 		t.Fatal(err)
 	}
-	client, code := Client[uint64]{F: f}, coding.BindScheme(f, s)
+	client, code := Client[uint64]{F: f}, s
 	x := matrix.RandomVec[uint64](f, rng, 3)
 	if _, err := userMulVec(t.Context(), client, code, addrs, x); err != nil {
 		t.Fatal(err)

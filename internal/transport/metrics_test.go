@@ -41,12 +41,12 @@ func TestMetricsWired(t *testing.T) {
 	reg := obs.New()
 	const m, l, r = 10, 6, 5
 
-	s, err := coding.New(m, r)
+	s, err := coding.NewStructured(f, m, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := matrix.Random[uint64](f, rng, m, l)
-	enc, err := coding.Encode[uint64](f, s, a, rng)
+	enc, err := s.Encode(a, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestMetricsWired(t *testing.T) {
 	}
 	client := Client[uint64]{F: f, Metrics: reg}
 	x := matrix.RandomVec[uint64](f, rng, l)
-	if _, err := userMulVec(t.Context(), client, coding.BindScheme(f, s), addrs, x); err != nil {
+	if _, err := userMulVec(t.Context(), client, s, addrs, x); err != nil {
 		t.Fatal(err)
 	}
 
@@ -118,12 +118,12 @@ func TestRemoteErrorPropagation(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = srv.Close() })
 
-	s, err := coding.New(4, 4) // 2 devices
+	s, err := coding.NewStructured(f, 4, 4) // 2 devices
 	if err != nil {
 		t.Fatal(err)
 	}
 	client := Client[uint64]{F: f, Metrics: reg}
-	_, err = userMulVec(t.Context(), client, coding.BindScheme(f, s), []string{srv.Addr(), srv.Addr()}, []uint64{1, 2, 3})
+	_, err = userMulVec(t.Context(), client, s, []string{srv.Addr(), srv.Addr()}, []uint64{1, 2, 3})
 	if !errors.Is(err, ErrRemote) {
 		t.Fatalf("MulVec against an unprovisioned device: err = %v, want ErrRemote", err)
 	}

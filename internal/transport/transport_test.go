@@ -79,12 +79,12 @@ func TestEndToEndPrime(t *testing.T) {
 	rng := testRNG()
 	const m, l, r = 10, 6, 4
 
-	s, err := coding.New(m, r)
+	s, err := coding.NewStructured(f, m, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := matrix.Random[uint64](f, rng, m, l)
-	enc, err := coding.Encode[uint64](f, s, a, rng)
+	enc, err := s.Encode(a, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestEndToEndPrime(t *testing.T) {
 	}
 
 	x := matrix.RandomVec[uint64](f, rng, l)
-	got, err := userMulVec(t.Context(), Client[uint64]{F: f}, coding.BindScheme(f, s), addrs, x)
+	got, err := userMulVec(t.Context(), Client[uint64]{F: f}, s, addrs, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +111,12 @@ func TestEndToEndPrime(t *testing.T) {
 
 func TestComputeBeforeStoreFails(t *testing.T) {
 	f := field.Prime{}
-	s, err := coding.New(4, 2)
+	s, err := coding.NewStructured(f, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	addrs, _ := startFleet[uint64](t, f, s.Devices())
-	if _, err := userMulVec(t.Context(), Client[uint64]{F: f}, coding.BindScheme(f, s), addrs, make([]uint64, 3)); !errors.Is(err, ErrRemote) {
+	if _, err := userMulVec(t.Context(), Client[uint64]{F: f}, s, addrs, make([]uint64, 3)); !errors.Is(err, ErrRemote) {
 		t.Fatalf("err = %v, want ErrRemote (no block stored)", err)
 	}
 }
@@ -124,12 +124,12 @@ func TestComputeBeforeStoreFails(t *testing.T) {
 func TestWrongInputLengthRejectedRemotely(t *testing.T) {
 	f := field.Prime{}
 	rng := testRNG()
-	s, err := coding.New(4, 2)
+	s, err := coding.NewStructured(f, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := matrix.Random[uint64](f, rng, 4, 5)
-	enc, err := coding.Encode[uint64](f, s, a, rng)
+	enc, err := s.Encode(a, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,14 +137,14 @@ func TestWrongInputLengthRejectedRemotely(t *testing.T) {
 	if err := (Cloud[uint64]{}).Distribute(t.Context(), addrs, enc); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := userMulVec(t.Context(), Client[uint64]{F: f}, coding.BindScheme(f, s), addrs, make([]uint64, 2)); !errors.Is(err, ErrRemote) {
+	if _, err := userMulVec(t.Context(), Client[uint64]{F: f}, s, addrs, make([]uint64, 2)); !errors.Is(err, ErrRemote) {
 		t.Fatalf("err = %v, want ErrRemote (bad x length)", err)
 	}
 }
 
 func TestUnreachableDevice(t *testing.T) {
 	f := field.Prime{}
-	s, err := coding.New(4, 2)
+	s, err := coding.NewStructured(f, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestUnreachableDevice(t *testing.T) {
 	for _, srv := range servers {
 		_ = srv.Close()
 	}
-	if _, err := userMulVec(t.Context(), client, coding.BindScheme(f, s), addrs, make([]uint64, 3)); err == nil {
+	if _, err := userMulVec(t.Context(), client, s, addrs, make([]uint64, 3)); err == nil {
 		t.Fatal("expected a dial error against a closed fleet")
 	}
 }
@@ -162,12 +162,12 @@ func TestUnreachableDevice(t *testing.T) {
 func TestDistributeValidation(t *testing.T) {
 	f := field.Prime{}
 	rng := testRNG()
-	s, err := coding.New(4, 2)
+	s, err := coding.NewStructured(f, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := matrix.Random[uint64](f, rng, 4, 5)
-	enc, err := coding.Encode[uint64](f, s, a, rng)
+	enc, err := s.Encode(a, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,12 +178,12 @@ func TestDistributeValidation(t *testing.T) {
 
 func TestClientValidation(t *testing.T) {
 	f := field.Prime{}
-	s, err := coding.New(4, 2)
+	s, err := coding.NewStructured(f, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := Client[uint64]{F: f}
-	if _, err := userMulVec(t.Context(), c, coding.BindScheme(f, s), []string{"127.0.0.1:1"}, make([]uint64, 3)); err == nil {
+	if _, err := userMulVec(t.Context(), c, s, []string{"127.0.0.1:1"}, make([]uint64, 3)); err == nil {
 		t.Fatal("address count mismatch should error")
 	}
 	// The client never decodes, so it needs no code: an empty gather is an
@@ -249,12 +249,12 @@ func TestConcurrentClients(t *testing.T) {
 	f := field.Prime{}
 	rng := testRNG()
 	const m, l, r = 8, 4, 4
-	s, err := coding.New(m, r)
+	s, err := coding.NewStructured(f, m, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := matrix.Random[uint64](f, rng, m, l)
-	enc, err := coding.Encode[uint64](f, s, a, rng)
+	enc, err := s.Encode(a, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	client := Client[uint64]{F: f}
-	code := coding.BindScheme(f, s)
+	code := s
 
 	const parallel = 8
 	xs := make([][]uint64, parallel)
@@ -346,12 +346,12 @@ func TestContextCancelAbortsRoundTrip(t *testing.T) {
 func TestDistributeParallelCollectsIndexedErrors(t *testing.T) {
 	f := field.Prime{}
 	rng := testRNG()
-	s, err := coding.New(6, 2) // 4 devices
+	s, err := coding.NewStructured(f, 6, 2) // 4 devices
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := matrix.Random[uint64](f, rng, 6, 3)
-	enc, err := coding.Encode[uint64](f, s, a, rng)
+	enc, err := s.Encode(a, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -252,12 +252,12 @@ func sameMat[E comparable](t *testing.T, label string, got, want *matrix.Dense[E
 func diffLoopbackLocal[E comparable](t *testing.T, f field.Field[E]) {
 	rng := testRNG()
 	const m, l, r = 8, 5, 4
-	s, err := coding.New(m, r)
+	s, err := coding.NewStructured(f, m, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := matrix.Random[E](f, rng, m, l)
-	enc, err := coding.Encode[E](f, s, a, rng)
+	enc, err := s.Encode(a, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func diffLoopbackLocal[E comparable](t *testing.T, f field.Field[E]) {
 		t.Fatalf("distribute: %v", err)
 	}
 	client := Client[E]{F: f, Timeout: 2 * time.Second, Pool: pool}
-	code := coding.BindScheme(f, s)
+	code := s
 	// Undecoded: every device's B_j·T·x and B_j·T·X must equal the local
 	// kernel on its block.
 	local := make([]*matrix.Dense[E], len(addrs))

@@ -28,7 +28,8 @@
 //   - task allocation & lower bound (Allocate, AllocateExhaustive,
 //     LowerBound, the Baseline* functions),
 //   - coding design (NewScheme, Encode, Decode, VerifyScheme),
-//   - the collusion-resistant extension (NewCollusionScheme),
+//   - the collusion-resistant extension (NewCollusionScheme): the same
+//     systematic Code with a Cauchy block in place of Eq. (8)'s identities,
 //   - the attack harness (AuditDevice),
 //   - fields and dense matrices (PrimeField, GF256Field, RealField, Matrix).
 package scec
@@ -64,24 +65,22 @@ type Plan = alloc.Plan
 // Assignment is one device's share of a Plan.
 type Assignment = alloc.Assignment
 
-// Scheme is the structured linear coding design (Eq. (8) of the paper) for
-// a given (m, r): availability and per-device security hold by construction
-// (Theorem 3) and decoding costs m subtractions.
+// Scheme is the shape (m, r) of the structured linear coding design (Eq. (8)
+// of the paper): availability and per-device security hold by construction
+// (Theorem 3) and decoding costs m subtractions. Encode, Decode,
+// VerifyScheme and AuditDevice run the design over a field.
 type Scheme = coding.Scheme
 
-// Code is the scheme-agnostic coding contract every engine-selectable
-// design satisfies: encode/decode (vector and batch), the per-device row
-// layout, the recoverability threshold K, and the security level T. The
-// Eq. (8) scheme (T = 1) and the Cauchy collusion design (arbitrary T)
-// both implement it; Deploy selects between them via WithCollusion.
+// Code is the coding contract every engine-selectable design satisfies:
+// encode/decode (vector and batch), the per-device row layout, the
+// recoverability threshold K, and the security level T. One systematic code
+// implements it, B = [[0, E_r], [E_m, C]]: the Eq. (8) design (T = 1) when
+// C stacks identities, the collusion design (arbitrary T) when C is a
+// Cauchy matrix; Deploy selects between them via WithCollusion.
 type Code[E comparable] = coding.Code[E]
 
 // Encoding holds the per-device coded blocks B_j·T produced by Encode.
 type Encoding[E comparable] = coding.Encoding[E]
-
-// CollusionScheme is the future-work extension: a Cauchy-based design that
-// stays secure when up to t devices pool their coded rows.
-type CollusionScheme[E comparable] = coding.CollusionScheme[E]
 
 // PrimeField returns arithmetic over F_p with p = 2^61 − 1, the recommended
 // exact field for secure coded computing.
@@ -163,32 +162,54 @@ var (
 // random rows (use the R of a Plan from Allocate).
 func NewScheme(m, r int) (*Scheme, error) { return coding.New(m, r) }
 
+// eq8 is the Eq. (8) code over f with s's shape.
+func eq8[E comparable](f Field[E], s *Scheme) (*coding.Systematic[E], error) {
+	return coding.NewStructured(f, s.M(), s.R())
+}
+
 // Encode runs the cloud-side pre-processing: draw r random rows and produce
 // every device's coded block B_j·T.
 func Encode[E comparable](f Field[E], s *Scheme, a *Matrix[E], rng *rand.Rand) (*Encoding[E], error) {
-	return coding.Encode(f, s, a, rng)
+	code, err := eq8(f, s)
+	if err != nil {
+		return nil, err
+	}
+	return code.Encode(a, rng)
 }
 
 // Decode recovers A·x from the concatenated device results with m
 // subtractions.
 func Decode[E comparable](f Field[E], s *Scheme, y []E) ([]E, error) {
-	return coding.Decode(f, s, y)
+	code, err := eq8(f, s)
+	if err != nil {
+		return nil, err
+	}
+	return code.Decode(y)
 }
 
 // VerifyScheme re-establishes Theorem 3 for a concrete scheme over f: the
 // coefficient matrix is full rank (the user can decode) and every device's
 // rows intersect the data subspace trivially (no device learns anything).
 func VerifyScheme[E comparable](f Field[E], s *Scheme) error {
-	return coding.Verify(f, s)
+	code, err := eq8(f, s)
+	if err != nil {
+		return err
+	}
+	return code.Verify()
 }
 
-// NewCollusionScheme builds the t-collusion-resistant extension for the
-// given per-device row counts (rows must sum to m+r and any t devices may
-// hold at most r rows combined). The result is a Code to encode and decode
-// with directly; to deploy the tier, pass WithCollusion to Deploy, which
-// solves the row layout itself.
-func NewCollusionScheme[E comparable](f Field[E], m, r, t int, rows []int) (*CollusionScheme[E], error) {
-	return coding.NewCollusion(f, m, r, t, rows)
+// NewCollusionScheme builds the t-collusion-resistant extension, the
+// systematic code with a Cauchy C, for the given per-device row counts
+// (rows must sum to m+r and any t devices may hold at most r rows
+// combined). The result is a Code to encode and decode with directly; to
+// deploy the tier, pass WithCollusion to Deploy, which solves the row
+// layout itself.
+func NewCollusionScheme[E comparable](f Field[E], m, r, t int, rows []int) (Code[E], error) {
+	code, err := coding.NewCollusion(f, m, r, t, rows)
+	if err != nil {
+		return nil, err
+	}
+	return code, nil
 }
 
 // PolyMaskScheme is the polynomial-masking (Shamir-style) comparison design
@@ -208,7 +229,11 @@ func NewPolyMaskScheme[E comparable](f Field[E], m, t, n int) (*PolyMaskScheme[E
 // a device holding the scheme's j-th coefficient block could compute; 0
 // means information-theoretically blind.
 func AuditDevice[E comparable](f Field[E], s *Scheme, j int) int {
-	return attack.Leakage(f, coding.DeviceMatrix(f, s, j), s.M())
+	code, err := eq8(f, s)
+	if err != nil {
+		panic(err) // s came from NewScheme, so its shape is admissible
+	}
+	return AuditCode(f, code, j)
 }
 
 // AuditCode is AuditDevice for any Code (structured or collusion): the leak

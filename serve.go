@@ -62,7 +62,7 @@ func Serve[E comparable](dep *Deployment[E], cfg FleetConfig, opts ...DeployOpti
 		return nil, err
 	}
 	c.backend = &ExecutorBackend[E]{fleet: &FleetExecutorConfig{Session: cfg}}
-	return bind(&Deployment[E]{F: dep.F, Plan: dep.Plan, Code: dep.Code, Scheme: dep.Scheme, Encoding: dep.Encoding}, c)
+	return bind(&Deployment[E]{F: dep.F, Plan: dep.Plan, Code: dep.Code, Encoding: dep.Encoding}, c)
 }
 
 // Session exposes the underlying fleet runtime: nil off-fleet, and nil under
