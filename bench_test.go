@@ -171,13 +171,31 @@ func BenchmarkCollusionEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkNewCollusion times building the t = 2 Cauchy code of
+// BenchmarkCollusionEncode (m=1000, r=250): almost all of it is the m·r
+// Cauchy block, whose m+r−1 distinct node differences are each inverted
+// once.
+func BenchmarkNewCollusion(b *testing.B) {
+	f := field.Prime{}
+	rows, r, err := coding.UniformCollusionRows(1000, 2, 125)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := coding.NewCollusion[uint64](f, 1000, r, 2, rows); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDeviceCompute measures one device's share: B_j·T times x.
 func BenchmarkDeviceCompute(b *testing.B) {
 	f, _, _, enc, x := benchEncoding(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = enc.ComputeDevice(f, 0, x)
+		_ = matrix.MulVec(f, enc.Blocks[0], x)
 	}
 }
 

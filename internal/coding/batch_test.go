@@ -1,6 +1,7 @@
 package coding
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/scec/scec/internal/field"
@@ -85,27 +86,39 @@ func TestDecodeBatchValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.DecodeBatchInto(matrix.New[uint64](4, 3), matrix.New[uint64](5, 3)); err == nil {
+	if err := s.DecodeInto(matrix.New[uint64](4, 3), matrix.New[uint64](5, 3)); err == nil {
 		t.Fatal("wrong intermediate row count should be rejected")
 	}
-	if err := s.DecodeBatchInto(matrix.New[uint64](4, 2), matrix.New[uint64](6, 3)); err == nil {
+	if err := s.DecodeInto(matrix.New[uint64](4, 2), matrix.New[uint64](6, 3)); err == nil {
 		t.Fatal("an output narrower than the intermediate block should be rejected")
 	}
-	if err := s.DecodeInto(make([]uint64, 3), make([]uint64, 6)); err == nil {
+	if err := s.DecodeInto(matrix.New[uint64](3, 1), matrix.New[uint64](6, 1)); err == nil {
 		t.Fatal("an output shorter than m should be rejected")
 	}
 }
 
-// decodeBatch is DecodeBatchInto on a fresh m×n output.
+// decodeBatch is DecodeInto on a fresh m×n output.
 func decodeBatch[E comparable](c Code[E], y *matrix.Dense[E]) (*matrix.Dense[E], error) {
 	ax := matrix.New[E](c.M(), y.Cols())
-	if err := c.DecodeBatchInto(ax, y); err != nil {
+	if err := c.DecodeInto(ax, y); err != nil {
 		return nil, err
 	}
 	return ax, nil
 }
 
-func TestComputeDeviceBatchShape(t *testing.T) {
+// ComputeAllBatch is ComputeAllInto on a fresh (m+r)×n result. It is a
+// test helper: the golden and differential tests call it by the name of the
+// batch-only method ComputeAllInto replaced, so they read unchanged.
+func (e *Encoding[E]) ComputeAllBatch(f field.Field[E], x *matrix.Dense[E]) *matrix.Dense[E] {
+	offs := e.offsets()
+	y := matrix.New[E](offs[len(offs)-1], x.Cols())
+	e.ComputeAllInto(f, x, y)
+	return y
+}
+
+// TestComputeAllIntoDeviceRows: each device's rows of a width-n
+// ComputeAllInto are its own block times X.
+func TestComputeAllIntoDeviceRows(t *testing.T) {
 	f := field.GF256{}
 	rng := testRNG()
 	s, err := NewStructured(f, 6, 2)
@@ -118,10 +131,12 @@ func TestComputeDeviceBatchShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	y := enc.ComputeAllBatch(f, x)
 	for j := 0; j < s.Devices(); j++ {
-		out := enc.ComputeDeviceBatch(f, j, x)
-		if out.Rows() != s.RowsOn(j) || out.Cols() != 5 {
-			t.Fatalf("device %d batch result is %dx%d, want %dx5", j, out.Rows(), out.Cols(), s.RowsOn(j))
+		from, to := s.RowRange(j)
+		want := matrix.Mul(f, enc.Blocks[j], x)
+		if want.Rows() != s.RowsOn(j) || !slices.Equal(y.RowsView(from, to), want.RowsView(0, want.Rows())) {
+			t.Fatalf("device %d: rows [%d,%d) of ComputeAllInto differ from its block times X", j, from, to)
 		}
 	}
 }

@@ -52,15 +52,13 @@ type Code[E comparable] interface {
 	// Encode produces every device's coded block with fresh randomness from
 	// rng. The returned Encoding carries this Code in its Code field.
 	Encode(a *matrix.Dense[E], rng *rand.Rand) (*Encoding[E], error)
-	// DecodeInto recovers A·x from the concatenated intermediate results
-	// y = B·T·x (device order, m+r values) into dst (m values).
-	DecodeInto(dst, y []E) error
-	// Decode is DecodeInto on a fresh m-element output.
+	// DecodeInto recovers A·X from the stacked intermediate results
+	// Y = B·T·X (device order, (m+r)×n; n = 1 for a vector query) into dst
+	// (m×n).
+	DecodeInto(dst, y *matrix.Dense[E]) error
+	// Decode is DecodeInto for one intermediate vector y (m+r values), on a
+	// fresh m-element output.
 	Decode(y []E) ([]E, error)
-	// DecodeBatchInto recovers A·X from the stacked intermediate block
-	// Y = B·T·X ((m+r)×n) into dst (m×n), the batch generalization of
-	// DecodeInto.
-	DecodeBatchInto(dst, y *matrix.Dense[E]) error
 	// Verify re-establishes the availability (Definition 1) and security
 	// (Definition 2, generalized to T-coalitions) conditions for this
 	// concrete code.

@@ -98,7 +98,10 @@ func BalancedCollusionRows(m, r, t, n int) ([]int, error) {
 // cauchy builds an n×c Cauchy matrix over f with nodes x_i = i and
 // y_j = n + j: C[i][j] = 1 / (x_i − y_j). It errors when the field cannot
 // represent n+c distinct nodes (every square Cauchy submatrix is invertible
-// exactly when all nodes are distinct).
+// exactly when all nodes are distinct). The n·c differences take few
+// distinct values — at most n+c−1 over F_p and Real, where they are the
+// integers 1−n−c…−1, and at most 256 over GF(256), where they are XORs —
+// so each distinct difference is inverted once, keyed by its value.
 func cauchy[E comparable](f field.Field[E], n, c int) (*matrix.Dense[E], error) {
 	nodes := make([]E, n+c)
 	seen := make(map[E]bool, n+c)
@@ -109,15 +112,21 @@ func cauchy[E comparable](f field.Field[E], n, c int) (*matrix.Dense[E], error) 
 		}
 		seen[nodes[v]] = true
 	}
+	inv := make(map[E]E, n+c)
 	g := matrix.New[E](n, c)
 	for i := 0; i < n; i++ {
-		for j := 0; j < c; j++ {
+		row := g.RowView(i)
+		for j := range row {
 			d := f.Sub(nodes[i], nodes[n+j])
-			inv, err := f.Inv(d)
-			if err != nil {
-				return nil, fmt.Errorf("coding: degenerate Cauchy node pair (%d, %d): %w", i, j, err)
+			v, ok := inv[d]
+			if !ok {
+				var err error
+				if v, err = f.Inv(d); err != nil {
+					return nil, fmt.Errorf("coding: degenerate Cauchy node pair (%d, %d): %w", i, j, err)
+				}
+				inv[d] = v
 			}
-			g.Set(i, j, inv)
+			row[j] = v
 		}
 	}
 	return g, nil

@@ -320,3 +320,34 @@ func TestSumOfLargest(t *testing.T) {
 		}
 	}
 }
+
+// TestCauchyMatchesPerEntryInverse: cauchy inverts each distinct node
+// difference once and reuses it; C must be exactly the matrix of per-entry
+// inverses 1/(i − (m+j)), in every field, up to GF(256)'s largest m + r.
+func TestCauchyMatchesPerEntryInverse(t *testing.T) {
+	shapes := [][2]int{{12, 5}, {40, 7}}
+	cauchyMatchesInverse[uint64](t, field.Prime{}, shapes)
+	cauchyMatchesInverse[byte](t, field.GF256{}, append(shapes, [2]int{236, 20}))
+	cauchyMatchesInverse[float64](t, field.Real{}, shapes)
+}
+
+func cauchyMatchesInverse[E comparable](t *testing.T, f field.Field[E], shapes [][2]int) {
+	for _, s := range shapes {
+		m, r := s[0], s[1]
+		c, err := cauchy(f, m, r)
+		if err != nil {
+			t.Fatalf("%s m=%d r=%d: %v", f.Name(), m, r, err)
+		}
+		for i := 0; i < m; i++ {
+			for j := 0; j < r; j++ {
+				want, err := f.Inv(f.Sub(f.FromInt64(int64(i)), f.FromInt64(int64(m+j))))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := c.At(i, j); got != want {
+					t.Fatalf("%s m=%d r=%d: C[%d][%d] = %v, per-entry inverse %v", f.Name(), m, r, i, j, got, want)
+				}
+			}
+		}
+	}
+}

@@ -8,46 +8,54 @@ import (
 )
 
 // DecodeInto is the Original Result Recovery step (§IV-B): given the
-// concatenated intermediate results y = B·T·x (device order, so the first r
-// values are the random projections R·x), it recovers Ax into dst (m
-// values) as
+// stacked intermediate results Y = B·T·X (device order, so the first r
+// rows are the random projections R·X; n = 1 column for a vector query),
+// it recovers A·X into dst (m×n) as
 //
-//	A·x = y[r:] − C·y[:r]
+//	A·X = Y[r:] − C·Y[:r]
 //
-// For the Eq. (8) identity stack that is exactly m subtractions,
-// (Ax)_p = y_{r+p} − y_{p mod r} (0-based p), the paper's 1-based identity
+// For the Eq. (8) identity stack that is exactly m subtractions per column,
+// (AX)_p = Y_{r+p} − Y_{p mod r} (0-based p), the paper's 1-based identity
 // A_p·x = (BTx)_{r+p} − (BTx)_{p−(⌈p/r⌉−1)r}. For a Cauchy C it is one
-// row-kernel product of C with y[:r] and one vector subtraction. Neither
-// needs elimination, nor any buffer beyond y and dst.
-func (c *Systematic[E]) DecodeInto(dst, y []E) error {
-	if len(y) != c.m+c.r {
-		return fmt.Errorf("coding: got %d intermediate values, want m+r = %d", len(y), c.m+c.r)
+// MulInto of C with Y[:r] and one vector subtraction. Neither needs
+// elimination, nor any buffer beyond Y and dst.
+func (c *Systematic[E]) DecodeInto(dst, y *matrix.Dense[E]) error {
+	m, r, n := c.m, c.r, y.Cols()
+	if y.Rows() != m+r {
+		return fmt.Errorf("coding: got %d intermediate rows, want m+r = %d", y.Rows(), m+r)
 	}
-	if len(dst) != c.m {
-		return fmt.Errorf("coding: decode output has %d entries, want m = %d", len(dst), c.m)
+	if dst.Rows() != m || dst.Cols() != n {
+		return fmt.Errorf("coding: decode output is %dx%d, want %dx%d", dst.Rows(), dst.Cols(), m, n)
 	}
+	out, data, rnd := dst.RowsView(0, m), y.RowsView(r, m+r), y.RowsView(0, r)
 	if c.c != nil {
-		matrix.MulVecInto(c.f, c.c, y[:c.r], dst)
-		matrix.VecSubInto(c.f, dst, y[c.r:], dst)
+		var yr matrix.Dense[E]
+		yr.Wrap(r, n, rnd)
+		matrix.MulInto(c.f, c.c, &yr, dst)
+		matrix.VecSubInto(c.f, out, data, out)
 		return nil
 	}
-	// For p in [b, b+r) with b a multiple of r, p mod r = p − b, so the m
-	// subtractions decompose into ⌈m/r⌉ vector subtractions of y's random
-	// prefix from r-sized chunks of its data suffix — no per-element modulo,
-	// and each chunk runs the field-specialized subtract kernel. Decode is
-	// pure subtraction; this keeps it memory-bound.
-	data := y[c.r:]
-	for b := 0; b < c.m; b += c.r {
-		n := min(c.r, c.m-b)
-		matrix.VecSubInto(c.f, dst[b:b+n], data[b:b+n], y[:n])
+	// For p in [b, b+r) with b a multiple of r, p mod r = p − b, and rows
+	// [b, b+k) of a row-major block are k·n contiguous elements, so the m
+	// row subtractions decompose into ⌈m/r⌉ vector subtractions of Y's
+	// random rows from r-row chunks of its data rows — no per-element
+	// modulo, and each chunk runs the field-specialized subtract kernel.
+	// Decode is pure subtraction; this keeps it memory-bound.
+	for b := 0; b < m; b += r {
+		k := min(r, m-b)
+		matrix.VecSubInto(c.f, out[b*n:(b+k)*n], data[b*n:(b+k)*n], rnd[:k*n])
 	}
 	return nil
 }
 
-// Decode is DecodeInto on a fresh m-element output.
+// Decode is DecodeInto for one intermediate vector y (m+r values), on a
+// fresh m-element output.
 func (c *Systematic[E]) Decode(y []E) ([]E, error) {
 	ax := make([]E, c.m)
-	if err := c.DecodeInto(ax, y); err != nil {
+	var ym, dm matrix.Dense[E]
+	ym.Wrap(len(y), 1, y)
+	dm.Wrap(c.m, 1, ax)
+	if err := c.DecodeInto(&dm, &ym); err != nil {
 		return nil, err
 	}
 	return ax, nil

@@ -130,32 +130,34 @@ func (c *Systematic[E]) EncodeWithRandom(a, random *matrix.Dense[E]) (*Encoding[
 	return &Encoding[E]{Code: c, Blocks: blocks, Random: random, offs: c.offs}, nil
 }
 
-// ComputeDevice performs device j's work in the Coded Edge Computing step:
-// multiply its coded block by the input vector x, yielding the V(B_j)
-// intermediate values it returns to the user.
-func (e *Encoding[E]) ComputeDevice(f field.Field[E], j int, x []E) []E {
-	return matrix.MulVec(f, e.Blocks[j], x)
-}
-
-// ComputeAll is ComputeAllInto on a fresh m+r-element result.
+// ComputeAll is ComputeAllInto for one input vector x, the l×1 case, on a
+// fresh m+r-element result.
 func (e *Encoding[E]) ComputeAll(f field.Field[E], x []E) []E {
 	offs := e.offsets()
 	y := make([]E, offs[len(offs)-1])
-	e.ComputeAllInto(f, x, y)
+	e.ComputeAllInto(f, matrix.FromSlice(len(x), 1, x), matrix.FromSlice(len(y), 1, y))
 	return y
 }
 
-// ComputeAllInto runs every device and writes the intermediate results into
-// y in device order, i.e. y = B·T·x; y must hold m+r values. The in-process
-// executor and tests use it; the transport package does the same over TCP.
-// Devices run in parallel through matrix.ParallelFor, each multiplying
-// directly into its slot of y (and sharding its own product when it is
-// large enough).
-func (e *Encoding[E]) ComputeAllInto(f field.Field[E], x, y []E) {
+// ComputeAllInto runs the Coded Edge Computing step of every device for
+// the l×n input X, whose columns are n input vectors (n = 1 is the vector
+// query), and writes the intermediate results into y in device order, so
+// y = B·T·X ((m+r)×n). The paper's system model (§II-A) notes the scheme
+// "can also be applied to more general cases that require multiplication
+// of two matrices and/or multiplication of a data matrix with different
+// input vectors": each device returns B_j·T·X, the user decodes every
+// column the same way, and the security argument is unchanged, since the
+// devices' coefficient rows are. Devices run in parallel through
+// matrix.ParallelFor, each product writing straight into its rows of y
+// (and sharding itself when it is large enough).
+func (e *Encoding[E]) ComputeAllInto(f field.Field[E], x, y *matrix.Dense[E]) {
 	offs := e.offsets()
-	matrix.ParallelFor(len(e.Blocks), offs[len(offs)-1]*len(x), func(jlo, jhi int) {
+	n := x.Cols()
+	matrix.ParallelFor(len(e.Blocks), offs[len(offs)-1]*x.Rows()*n, func(jlo, jhi int) {
 		for j := jlo; j < jhi; j++ {
-			matrix.MulVecInto(f, e.Blocks[j], x, y[offs[j]:offs[j+1]])
+			var out matrix.Dense[E] // MulInto keeps it on the stack
+			out.Wrap(offs[j+1]-offs[j], n, y.RowsView(offs[j], offs[j+1]))
+			matrix.MulInto(f, e.Blocks[j], x, &out)
 		}
 	})
 }

@@ -9,7 +9,7 @@ import (
 
 // Reconstruct inverts Encode: it recovers the data matrix A from an
 // encoding's coded blocks. The stacked blocks are exactly Y = B·T, the
-// intermediate result for X = I, so the code's own batch decoder yields the
+// intermediate result for X = I, so the code's own decoder yields the
 // first m rows of T, i.e. A — one subtraction per element under Eq. (8),
 // where it undoes A_p + R_{p mod r} exactly as Encode built it.
 //
@@ -34,7 +34,7 @@ func Reconstruct[E comparable](enc *Encoding[E]) (*matrix.Dense[E], error) {
 	}
 	y := matrix.VStack(enc.Blocks...)
 	a := matrix.New[E](code.M(), y.Cols())
-	if err := code.DecodeBatchInto(a, y); err != nil {
+	if err := code.DecodeInto(a, y); err != nil {
 		return nil, err
 	}
 	return a, nil

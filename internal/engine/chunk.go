@@ -59,19 +59,31 @@ func NewChunked[E comparable](f field.Field[E], enc *coding.Encoding[E], width i
 // Name implements Executor: chunking keeps the substrate's backend label.
 func (c *chunked[E]) Name() string { return c.parts[0].Name() }
 
-// fanOut calls every part concurrently with its chunk index b and range of
-// an l-entry input, waits for all of them — so no part outlives the round —
-// and then sums the parts' raw results, outs[1:], into outs[0]; the first
-// error in chunk order wins.
-func (c *chunked[E]) fanOut(l int, outs [][]E, call func(b int, p Executor[E], from, to int) error) error {
+// Compute hands every part its view of X — rows [b·width, (b+1)·width),
+// contiguous in a row-major matrix, so no row is copied — concurrently,
+// waits for all of them, so no part outlives the round, and sums the parts'
+// raw results into y: the first part computes into y itself, the others
+// into scratch. The first error in chunk order wins.
+func (c *chunked[E]) Compute(ctx context.Context, x, y *matrix.Dense[E]) error {
+	n, rows := x.Cols(), y.Rows()
+	// Every part's input view and output, in one allocation.
+	views := make([]matrix.Dense[E], 2*len(c.parts))
 	errs := make([]error, len(c.parts))
 	var wg sync.WaitGroup
 	for b, p := range c.parts {
+		from := b * c.width
+		to := min(from+c.width, x.Rows())
+		xv, yv := &views[2*b], &views[2*b+1]
+		xv.Wrap(to-from, n, x.RowsView(from, to))
+		out := y.RowsView(0, rows)
+		if b > 0 {
+			out = make([]E, len(out))
+		}
+		yv.Wrap(rows, n, out)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			from := b * c.width
-			errs[b] = call(b, p, from, min(from+c.width, l))
+			errs[b] = p.Compute(ctx, xv, yv)
 		}()
 	}
 	wg.Wait()
@@ -80,39 +92,11 @@ func (c *chunked[E]) fanOut(l int, outs [][]E, call func(b int, p Executor[E], f
 			return fmt.Errorf("engine: chunk %d: %w", b, err)
 		}
 	}
-	for _, out := range outs[1:] {
-		matrix.VecAddInto(c.f, outs[0], outs[0], out)
+	sum := y.RowsView(0, rows)
+	for b := 1; b < len(c.parts); b++ {
+		matrix.VecAddInto(c.f, sum, sum, views[2*b+1].RowsView(0, rows))
 	}
 	return nil
-}
-
-// outs returns one raw-result buffer per part: y itself for the first, and
-// scratch of y's length for the others.
-func (c *chunked[E]) outs(y []E) [][]E {
-	outs := make([][]E, len(c.parts))
-	outs[0] = y
-	for b := 1; b < len(outs); b++ {
-		outs[b] = make([]E, len(y))
-	}
-	return outs
-}
-
-// Compute fans x's slices out to the parts and sums their raw results into
-// y.
-func (c *chunked[E]) Compute(ctx context.Context, x, y []E) error {
-	outs := c.outs(y)
-	return c.fanOut(len(x), outs, func(b int, p Executor[E], from, to int) error {
-		return p.Compute(ctx, x[from:to], outs[b])
-	})
-}
-
-// ComputeBatch fans X's row slices out to the parts and sums their raw
-// results into y.
-func (c *chunked[E]) ComputeBatch(ctx context.Context, x, y *matrix.Dense[E]) error {
-	outs := c.outs(y.RowsView(0, y.Rows()))
-	return c.fanOut(x.Rows(), outs, func(b int, p Executor[E], from, to int) error {
-		return p.ComputeBatch(ctx, matrix.RowSlice(x, from, to), matrix.FromSlice(y.Rows(), y.Cols(), outs[b]))
-	})
 }
 
 // Close releases every part's substrate.

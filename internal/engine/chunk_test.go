@@ -58,10 +58,10 @@ func chunkDifferential[E comparable](t *testing.T, f field.Field[E], randE func(
 		whole := NewLocal(f, enc, obs.New())
 		rows := m + code.R()
 		wantVec, wantMat := make([]E, rows), matrix.New[E](rows, n)
-		if err := whole.Compute(context.Background(), x, wantVec); err != nil {
+		if err := whole.Compute(context.Background(), vec(x), vec(wantVec)); err != nil {
 			t.Fatal(err)
 		}
-		if err := whole.ComputeBatch(context.Background(), xm, wantMat); err != nil {
+		if err := whole.Compute(context.Background(), xm, wantMat); err != nil {
 			t.Fatal(err)
 		}
 
@@ -86,10 +86,10 @@ func chunkDifferential[E comparable](t *testing.T, f field.Field[E], randE func(
 					gotMat.Set(i, j, randE(rng))
 				}
 			}
-			if err := exec.Compute(context.Background(), x, gotVec); err != nil {
+			if err := exec.Compute(context.Background(), vec(x), vec(gotVec)); err != nil {
 				t.Fatal(err)
 			}
-			if err := exec.ComputeBatch(context.Background(), xm, gotMat); err != nil {
+			if err := exec.Compute(context.Background(), xm, gotMat); err != nil {
 				t.Fatal(err)
 			}
 			for i := range wantVec {
@@ -98,7 +98,7 @@ func chunkDifferential[E comparable](t *testing.T, f field.Field[E], randE func(
 				}
 				for j := 0; j < n; j++ {
 					if !equal(gotMat.At(i, j), wantMat.At(i, j)) {
-						t.Fatalf("%s width %d: ComputeBatch[%d,%d] = %v, unchunked %v", name, width, i, j, gotMat.At(i, j), wantMat.At(i, j))
+						t.Fatalf("%s width %d: Compute l×%d [%d,%d] = %v, unchunked %v", name, width, n, i, j, gotMat.At(i, j), wantMat.At(i, j))
 					}
 				}
 			}
@@ -135,10 +135,7 @@ type stubPart struct {
 
 func (s *stubPart) Name() string { return "stub" }
 func (s *stubPart) Close() error { return nil }
-func (s *stubPart) ComputeBatch(ctx context.Context, _, _ *matrix.Dense[uint64]) error {
-	return s.Compute(ctx, nil, nil)
-}
-func (s *stubPart) Compute(ctx context.Context, _, _ []uint64) error {
+func (s *stubPart) Compute(ctx context.Context, _, _ *matrix.Dense[uint64]) error {
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
 	s.started.Done()
@@ -151,7 +148,8 @@ func (s *stubPart) Compute(ctx context.Context, _, _ []uint64) error {
 
 // TestChunkedFirstErrorInChunkOrderNoLeak: a failing chunk or a cancelled
 // context surfaces as the first error in chunk order, and
-// Compute/ComputeBatch return only once every chunk's goroutine has.
+// Compute returns, at one column or several, only once every chunk's
+// goroutine has.
 func TestChunkedFirstErrorInChunkOrderNoLeak(t *testing.T) {
 	f := field.Prime{}
 	tc := newCase[uint64](t, f, f.Rand)
@@ -175,9 +173,9 @@ func TestChunkedFirstErrorInChunkOrderNoLeak(t *testing.T) {
 	// l = 5 at width 2 is three chunks. Chunk 0 succeeds, 1 and 2 fail.
 	exec := build([]*stubPart{{}, {err: errB}, {err: errC}})
 	for _, call := range []func() error{
-		func() error { return exec.Compute(context.Background(), tc.x, make([]uint64, tc.rows())) },
+		func() error { return exec.Compute(context.Background(), vec(tc.x), matrix.New[uint64](tc.rows(), 1)) },
 		func() error {
-			return exec.ComputeBatch(context.Background(), tc.xm, matrix.New[uint64](tc.rows(), tc.xm.Cols()))
+			return exec.Compute(context.Background(), tc.xm, matrix.New[uint64](tc.rows(), tc.xm.Cols()))
 		},
 	} {
 		started.Add(3)
@@ -198,7 +196,7 @@ func TestChunkedFirstErrorInChunkOrderNoLeak(t *testing.T) {
 		started.Wait()
 		cancel()
 	}()
-	err := exec.Compute(ctx, tc.x, make([]uint64, tc.rows()))
+	err := exec.Compute(ctx, vec(tc.x), matrix.New[uint64](tc.rows(), 1))
 	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "chunk 0") {
 		t.Fatalf("err = %v, want chunk 0's context.Canceled", err)
 	}
@@ -258,3 +256,6 @@ func TestChunkedCoalescedRoundsCountedOnce(t *testing.T) {
 		t.Fatalf("%d coalesced rounds but %d dispatches", h.Count(), dispatches)
 	}
 }
+
+// vec wraps a vector as the l×1 matrix every executor computes on.
+func vec[E comparable](x []E) *matrix.Dense[E] { return matrix.FromSlice(len(x), 1, x) }

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/scec/scec/internal/matrix"
 	"github.com/scec/scec/internal/obs"
 	"github.com/scec/scec/internal/obs/trace"
 )
@@ -101,7 +100,7 @@ func (c *coalescer[E]) submit(ctx context.Context, x, dst []E) error {
 	if c.window == 0 && !c.inflight {
 		c.inflight = true
 		c.mu.Unlock()
-		err := c.q.mulVecDirect(ctx, x, dst)
+		err := c.q.mulVec(ctx, x, dst)
 		if ws := c.next(); ws != nil {
 			go c.serve(ws)
 		}
@@ -238,7 +237,7 @@ func (c *coalescer[E]) execute(ws []*waiter[E]) {
 	m, n := c.q.code.M(), len(ws)
 	if n == 1 {
 		ax := c.q.column()
-		if err := c.q.mulVecDirect(ws[0].ctx, ws[0].x, *ax); err != nil {
+		if err := c.q.mulVec(ws[0].ctx, ws[0].x, *ax); err != nil {
 			c.q.columns.Put(ax)
 			ws[0].out <- outcome[E]{nil, err}
 			return
@@ -250,16 +249,17 @@ func (c *coalescer[E]) execute(ws []*waiter[E]) {
 	defer cancel()
 	rctx, rsp := c.q.startSpan(rctx, trace.SpanEngineRound)
 	rsp.SetAttr(trace.AttrBatch, batch)
-	xb, axb := c.q.stage(c.q.cols*n), c.q.stage(m*n)
-	defer c.q.putStage(xb)
-	defer c.q.putStage(axb)
-	x, ax := matrix.FromSlice(c.q.cols, n, *xb), matrix.FromSlice(m, n, *axb)
+	st := c.q.stage()
+	defer c.q.putStage(st)
+	x, ax := &st.xm, &st.axm
+	x.Wrap(c.q.cols, n, grow(&st.x, c.q.cols*n))
+	ax.Wrap(m, n, grow(&st.ax, m*n))
 	for i, w := range ws {
 		for p, v := range w.x {
 			x.Set(p, i, v)
 		}
 	}
-	err := c.q.mulMatDirect(rctx, x, ax)
+	err := c.q.round(rctx, c.q.mat, st, x, ax)
 	rsp.SetError(err)
 	rsp.End()
 	if err != nil {

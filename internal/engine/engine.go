@@ -1,11 +1,14 @@
 // Package engine unifies the repository's execution paths behind one
 // pluggable Executor interface. An Executor knows how to evaluate the coded
-// compute round — B·T·x for a vector query, B·T·X for the paper's batch
-// generalization — over some substrate: the in-process kernels (Local), the
-// virtual-clock simulator (Sim), or the fault-tolerant TCP fleet (Fleet).
-// The Query layer on top owns everything the substrates share: input
-// validation, dispatch accounting, the decode stage, and adaptive request
-// coalescing that merges concurrent MulVec callers into one MulMat round.
+// compute round B·T·X for an l×n input X — the paper's batch
+// generalization, of which a vector query is the l×1 case — over some
+// substrate: the in-process kernels (Local), the virtual-clock simulator
+// (Sim), or the fault-tolerant TCP fleet (Fleet). The Query layer on top
+// owns everything the substrates share: input validation, dispatch
+// accounting, the decode stage, and adaptive request coalescing that merges
+// concurrent MulVec callers into one MulMat round. MulVec and MulMat are
+// the only places a query's shape is told apart; below them every layer has
+// one compute path.
 package engine
 
 import (
@@ -33,12 +36,9 @@ type Executor[E comparable] interface {
 	// Name identifies the backend ("local", "sim", "fleet") and becomes the
 	// backend label on the engine's metrics.
 	Name() string
-	// Compute evaluates B·T·x into y: m+r intermediate values in scheme
-	// order.
-	Compute(ctx context.Context, x, y []E) error
-	// ComputeBatch evaluates B·T·X for an l×n input into y, an (m+r)×n
-	// matrix.
-	ComputeBatch(ctx context.Context, x, y *matrix.Dense[E]) error
+	// Compute evaluates B·T·X for an l×n input X (n = 1 for a vector
+	// query) into y, an (m+r)×n matrix in scheme order.
+	Compute(ctx context.Context, x, y *matrix.Dense[E]) error
 	// Close releases the substrate (no-op for in-process backends).
 	Close() error
 }
@@ -88,9 +88,8 @@ type Query[E comparable] struct {
 	stages *obs.StageRecorder
 	co     *coalescer[E]
 
-	// staging recycles *[]E buffers: each round's raw intermediate
-	// results, and a merged round's stacked inputs and decoded product, so
-	// a warm round allocates none of them. columns recycles the m-element
+	// staging recycles *stage values, so a warm round allocates neither
+	// its buffers nor its matrix headers. columns recycles the m-element
 	// buffers a merged round hands each waiter its column in.
 	staging sync.Pool
 	columns sync.Pool
@@ -193,7 +192,7 @@ func (q *Query[E]) MulVecInto(ctx context.Context, dst, x []E) (err error) {
 	if q.co != nil {
 		return q.co.submit(ctx, x, dst)
 	}
-	return q.mulVecDirect(ctx, x, dst)
+	return q.mulVec(ctx, x, dst)
 }
 
 // MulMat computes A·X through the executor and decodes. Batch queries are
@@ -222,7 +221,9 @@ func (q *Query[E]) MulMatContext(ctx context.Context, x *matrix.Dense[E]) (y *ma
 		qsp.End()
 	}()
 	ax := matrix.New[E](q.code.M(), x.Cols())
-	if err := q.mulMatDirect(ctx, x, ax); err != nil {
+	st := q.stage()
+	defer q.putStage(st)
+	if err := q.round(ctx, q.mat, st, x, ax); err != nil {
 		return nil, err
 	}
 	return ax, nil
@@ -269,21 +270,41 @@ func (q *Query[E]) beginRound(ctx context.Context) (roundExec[E], error) {
 // captures the type dictionary and allocates a closure on every call.
 func noop() {}
 
-// stage returns a recycled buffer of n elements; putStage hands it back.
-// Its contents are stale: every user overwrites all n before reading.
-func (q *Query[E]) stage(n int) *[]E {
-	b, _ := q.staging.Get().(*[]E)
-	if b == nil {
-		b = new([]E)
+// stage is one round's recycled state: the buffers for its raw
+// intermediate results and, in a merged round, its stacked inputs and
+// decoded product, plus the matrix headers over them. A vector round wraps
+// the caller's x and dst in xm and axm, so a query of either shape reaches
+// the executor as a matrix without allocating a header.
+type stage[E comparable] struct {
+	y, x, ax    []E
+	ym, xm, axm matrix.Dense[E]
+}
+
+// stage returns a recycled round state; putStage hands it back. Its
+// buffers' contents are stale: every user overwrites them before reading.
+func (q *Query[E]) stage() *stage[E] {
+	if st, ok := q.staging.Get().(*stage[E]); ok {
+		return st
 	}
+	return new(stage[E])
+}
+
+// putStage drops the headers' references to a caller's memory and keeps
+// the state for the next round.
+func (q *Query[E]) putStage(st *stage[E]) {
+	st.xm, st.axm = matrix.Dense[E]{}, matrix.Dense[E]{}
+	q.staging.Put(st)
+}
+
+// grow returns *b resized to n elements, reallocating only when it is too
+// short; the contents are stale.
+func grow[E any](b *[]E, n int) []E {
 	if cap(*b) < n {
 		*b = make([]E, n)
 	}
 	*b = (*b)[:n]
-	return b
+	return *b
 }
-
-func (q *Query[E]) putStage(b *[]E) { q.staging.Put(b) }
 
 // column returns a recycled m-element buffer for a coalesced waiter's
 // column; the waiter puts it back into q.columns once copied out.
@@ -295,47 +316,37 @@ func (q *Query[E]) column() *[]E {
 	return &b
 }
 
-// mulVecDirect runs one uncoalesced vector round: dispatch into recycled
-// staging, then decode into dst under a stage span. The staging goes back
-// once decoded: an executor holds no reference to it after Compute returns.
-func (q *Query[E]) mulVecDirect(ctx context.Context, x, dst []E) error {
-	r, err := q.beginRound(ctx)
-	if err != nil {
-		return err
-	}
-	defer r.release()
-	q.vec.Inc()
-	y := q.stage(r.code.M() + r.code.R())
-	defer q.putStage(y)
-	if err := r.exec.Compute(ctx, x, *y); err != nil {
-		return err
-	}
-	_, dsp := q.startSpan(ctx, trace.SpanDecode)
-	defer dsp.End()
-	defer q.stages.Start(obs.StageDecode).End()
-	return r.code.DecodeInto(dst, *y)
+// mulVec runs one uncoalesced vector round: x and dst travel as l×1 and
+// m×1 matrices over the headers in the round's staging.
+func (q *Query[E]) mulVec(ctx context.Context, x, dst []E) error {
+	st := q.stage()
+	defer q.putStage(st)
+	st.xm.Wrap(len(x), 1, x)
+	st.axm.Wrap(len(dst), 1, dst)
+	return q.round(ctx, q.vec, st, &st.xm, &st.axm)
 }
 
-// mulMatDirect runs one batch round: dispatch into recycled staging, then
-// decode into dst (m×n) under a stage span.
-func (q *Query[E]) mulMatDirect(ctx context.Context, x, dst *matrix.Dense[E]) error {
+// round runs one dispatch+decode round of the l×n input x into dst (m×n):
+// dispatch into st's raw-result staging, then decode into dst under a stage
+// span. kind counts the dispatch under the caller's entry point (vec or
+// mat). An executor holds no reference to the staging once Compute returns,
+// so the caller hands st back as soon as round does.
+func (q *Query[E]) round(ctx context.Context, kind *obs.Counter, st *stage[E], x, dst *matrix.Dense[E]) error {
 	r, err := q.beginRound(ctx)
 	if err != nil {
 		return err
 	}
 	defer r.release()
-	q.mat.Inc()
+	kind.Inc()
 	rows := r.code.M() + r.code.R()
-	y := q.stage(rows * x.Cols())
-	defer q.putStage(y)
-	ym := matrix.FromSlice(rows, x.Cols(), *y)
-	if err := r.exec.ComputeBatch(ctx, x, ym); err != nil {
+	st.ym.Wrap(rows, x.Cols(), grow(&st.y, rows*x.Cols()))
+	if err := r.exec.Compute(ctx, x, &st.ym); err != nil {
 		return err
 	}
 	_, dsp := q.startSpan(ctx, trace.SpanDecode)
 	defer dsp.End()
 	defer q.stages.Start(obs.StageDecode).End()
-	return r.code.DecodeBatchInto(dst, ym)
+	return r.code.DecodeInto(dst, &st.ym)
 }
 
 // Close flushes any pending coalesced batch and closes the executor. It is

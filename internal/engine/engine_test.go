@@ -26,13 +26,32 @@ type testCase[E comparable] struct {
 	want []E // A·x
 }
 
-// newCase encodes a random m×l matrix over the r-row scheme and draws a
-// vector and an l×3 batch input.
+// newCase encodes a random m×l matrix over the r-row Eq. (8) scheme and
+// draws a vector and an l×3 batch input.
 func newCase[E comparable](t *testing.T, f field.Field[E], randE func(*rand.Rand) E) *testCase[E] {
 	t.Helper()
-	const m, l, r = 9, 5, 4
+	return newCaseWith(t, f, randE, func(m int) (coding.Code[E], error) { return coding.NewStructured(f, m, 4) })
+}
+
+// newCollusionCase is newCase over a Cauchy code secure against two
+// colluding devices, two rows per device.
+func newCollusionCase[E comparable](t *testing.T, f field.Field[E], randE func(*rand.Rand) E) *testCase[E] {
+	t.Helper()
+	return newCaseWith(t, f, randE, func(m int) (coding.Code[E], error) {
+		rows, r, err := coding.UniformCollusionRows(m, 2, 2)
+		if err != nil {
+			return nil, err
+		}
+		return coding.NewCollusion(f, m, r, 2, rows)
+	})
+}
+
+// newCaseWith is newCase over the code build makes for m data rows.
+func newCaseWith[E comparable](t *testing.T, f field.Field[E], randE func(*rand.Rand) E, build func(m int) (coding.Code[E], error)) *testCase[E] {
+	t.Helper()
+	const m, l = 9, 5
 	rng := rand.New(rand.NewPCG(77, 5))
-	scheme, err := coding.NewStructured(f, m, r)
+	scheme, err := build(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +139,13 @@ func backends[E comparable](t *testing.T, tc *testCase[E]) map[string]Executor[E
 }
 
 // runDifferential asserts MulVec and MulMat agree exactly with the
-// plaintext reference over every executor in execs.
+// plaintext reference over every executor in execs, and that the vector
+// as an l×1 MulMat — the one compute shape below the query layer — answers
+// == what MulVec did and, over the exact fields, == the plaintext A·x.
 func runDifferential[E comparable](t *testing.T, tc *testCase[E], execs map[string]Executor[E]) {
 	t.Helper()
 	wantMat := matrix.Mul(tc.f, tc.a, tc.xm)
+	_, approx := any(tc.f).(field.Real)
 	for name, exec := range execs {
 		t.Run(name, func(t *testing.T) {
 			q, err := New(tc.f, tc.enc, exec, Options{Metrics: obs.New()})
@@ -141,6 +163,18 @@ func runDifferential[E comparable](t *testing.T, tc *testCase[E], execs map[stri
 			for i := range got {
 				if !tc.f.Equal(got[i], tc.want[i]) {
 					t.Fatalf("MulVec[%d] = %v, want %v", i, got[i], tc.want[i])
+				}
+			}
+			col, err := q.MulMat(matrix.FromSlice(len(tc.x), 1, tc.x))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if col.Rows() != len(got) || col.Cols() != 1 {
+				t.Fatalf("l×1 MulMat shape %dx%d, want %dx1", col.Rows(), col.Cols(), len(got))
+			}
+			for i := range got {
+				if v := col.At(i, 0); v != got[i] || !approx && v != tc.want[i] {
+					t.Fatalf("l×1 MulMat[%d] = %v, MulVec %v, A·x %v", i, v, got[i], tc.want[i])
 				}
 			}
 			gotM, err := q.MulMat(tc.xm)
@@ -163,8 +197,9 @@ func runDifferential[E comparable](t *testing.T, tc *testCase[E], execs map[stri
 
 // TestDifferentialAcrossBackends: the same encoding answers bit-identically
 // over Local, Sim, and Fleet executors for the exact fields, both query
-// shapes. Real deployments never leave the host, so Real runs the local
-// executor only, within the field's tolerance.
+// shapes, under the Eq. (8) code and a t = 2 Cauchy code. Real deployments
+// never leave the host, so Real runs the local executor only, within the
+// field's tolerance.
 func TestDifferentialAcrossBackends(t *testing.T) {
 	t.Run("prime", func(t *testing.T) {
 		f := field.Prime{}
@@ -180,6 +215,15 @@ func TestDifferentialAcrossBackends(t *testing.T) {
 			return float64(rng.IntN(2000)-1000) / 16
 		})
 		runDifferential(t, tc, map[string]Executor[float64]{"local": NewLocal(tc.f, tc.enc, obs.New())})
+	})
+	t.Run("prime-t2", func(t *testing.T) {
+		f := field.Prime{}
+		tc := newCollusionCase[uint64](t, f, func(rng *rand.Rand) uint64 { return f.Rand(rng) })
+		runDifferential(t, tc, backends(t, tc))
+	})
+	t.Run("gf256-t2", func(t *testing.T) {
+		tc := newCollusionCase[byte](t, field.GF256{}, func(rng *rand.Rand) byte { return byte(rng.UintN(256)) })
+		runDifferential(t, tc, backends(t, tc))
 	})
 }
 

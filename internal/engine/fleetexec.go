@@ -22,16 +22,11 @@ func WrapSession[E comparable](s *fleet.Session[E], owned bool) Executor[E] {
 // Name implements Executor.
 func (e *fleetExecutor[E]) Name() string { return "fleet" }
 
-// Compute gathers B·T·x into y from the replicated fleet (racing, hedging,
-// and retrying per block as configured), under the caller's context and
-// trace.
-func (e *fleetExecutor[E]) Compute(ctx context.Context, x, y []E) error {
+// Compute gathers B·T·X into y from the replicated fleet (racing,
+// hedging, and retrying per block as configured), under the caller's
+// context and trace.
+func (e *fleetExecutor[E]) Compute(ctx context.Context, x, y *matrix.Dense[E]) error {
 	return e.s.GatherInto(ctx, x, y)
-}
-
-// ComputeBatch gathers B·T·X into y from the replicated fleet.
-func (e *fleetExecutor[E]) ComputeBatch(ctx context.Context, x, y *matrix.Dense[E]) error {
-	return e.s.GatherBatchInto(ctx, x, y)
 }
 
 // Close shuts the session down if this executor owns it.

@@ -11,9 +11,8 @@ import (
 )
 
 // LocalExecutor evaluates the compute round in-process with the
-// field-specialized parallel kernels (Encoding.ComputeAllInto and
-// ComputeAllBatchInto). It is the zero-infrastructure backend and the engine's
-// default.
+// field-specialized parallel kernels (Encoding.ComputeAllInto). It is the
+// zero-infrastructure backend and the engine's default.
 type LocalExecutor[E comparable] struct {
 	f      field.Field[E]
 	enc    *coding.Encoding[E]
@@ -29,30 +28,21 @@ func NewLocal[E comparable](f field.Field[E], enc *coding.Encoding[E], reg *obs.
 // Name implements Executor.
 func (e *LocalExecutor[E]) Name() string { return "local" }
 
-// Compute runs every device's B_j·T·x in-process under a compute-stage
-// span (and a device.compute trace span when ctx carries a trace).
-func (e *LocalExecutor[E]) Compute(ctx context.Context, x, y []E) error {
+// Compute runs every device's B_j·T·X in-process under a compute-stage
+// span (and a device.compute trace span, kind vec or mat by X's width, when
+// ctx carries a trace).
+func (e *LocalExecutor[E]) Compute(ctx context.Context, x, y *matrix.Dense[E]) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	_, csp := traceSpan(ctx, trace.SpanDeviceCompute, trace.A(trace.AttrKind, "vec"))
+	kind := "vec"
+	if x.Cols() > 1 {
+		kind = "mat"
+	}
+	_, csp := traceSpan(ctx, trace.SpanDeviceCompute, trace.A(trace.AttrKind, kind))
 	defer csp.End()
 	defer e.stages.Start(obs.StageCompute).End()
 	e.enc.ComputeAllInto(e.f, x, y)
-	return nil
-}
-
-// ComputeBatch runs every device's B_j·T·X in-process under a
-// compute-stage span (and a device.compute trace span when ctx carries a
-// trace).
-func (e *LocalExecutor[E]) ComputeBatch(ctx context.Context, x, y *matrix.Dense[E]) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	_, csp := traceSpan(ctx, trace.SpanDeviceCompute, trace.A(trace.AttrKind, "mat"))
-	defer csp.End()
-	defer e.stages.Start(obs.StageCompute).End()
-	e.enc.ComputeAllBatchInto(e.f, x, y)
 	return nil
 }
 

@@ -71,27 +71,11 @@ func NewSim[E comparable](f field.Field[E], enc *coding.Encoding[E], cfg SimConf
 // Name implements Executor.
 func (e *SimExecutor[E]) Name() string { return "sim" }
 
-// Compute runs one simulated vector round, copies its result into y and
-// retains its report.
-func (e *SimExecutor[E]) Compute(ctx context.Context, x, y []E) error {
-	out, rep, err := sim.GatherContext(ctx, e.f, e.enc, x, e.cfg)
-	e.retain(rep, err, 1)
-	e.emitTrace(ctx, rep, err)
-	if err == nil {
-		copy(y, out)
-	}
-	return err
-}
-
-// ComputeBatch runs one simulated width-n batch round, copies its result
-// into y and retains its report.
-func (e *SimExecutor[E]) ComputeBatch(ctx context.Context, x, y *matrix.Dense[E]) error {
-	out, rep, err := sim.GatherBatchContext(ctx, e.f, e.enc, x, e.cfg)
+// Compute runs one simulated width-n round into y and retains its report.
+func (e *SimExecutor[E]) Compute(ctx context.Context, x, y *matrix.Dense[E]) error {
+	rep, err := sim.GatherContext(ctx, e.f, e.enc, x, y, e.cfg)
 	e.retain(rep, err, x.Cols())
 	e.emitTrace(ctx, rep, err)
-	if err == nil {
-		copy(y.RowsView(0, y.Rows()), out.RowsView(0, out.Rows()))
-	}
 	return err
 }
 

@@ -139,10 +139,10 @@ func mulVec(s *Session[uint64], x []uint64) ([]uint64, error) {
 	return s.Code().Decode(y)
 }
 
-// gatherBatch is GatherBatchInto on a fresh (m+r)×n result.
+// gatherBatch is GatherInto on a fresh (m+r)×n result.
 func gatherBatch(s *Session[uint64], xm *matrix.Dense[uint64]) (*matrix.Dense[uint64], error) {
 	y := matrix.New[uint64](s.Code().M()+s.Code().R(), xm.Cols())
-	if err := s.GatherBatchInto(context.Background(), xm, y); err != nil {
+	if err := s.GatherInto(context.Background(), xm, y); err != nil {
 		return nil, err
 	}
 	return y, nil
@@ -217,7 +217,7 @@ func TestFaultOneReplicaOfEachBlockDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	ym := matrix.New[uint64](s.Code().M(), n)
-	if err := s.Code().DecodeBatchInto(ym, gm); err != nil {
+	if err := s.Code().DecodeInto(ym, gm); err != nil {
 		t.Fatal(err)
 	}
 	for c := 0; c < n; c++ {
@@ -496,7 +496,7 @@ func TestServeValidation(t *testing.T) {
 	// A zero-column batch is refused before any replica sees it: a device's
 	// refusal would count against its breaker.
 	if _, err := gatherBatch(s, matrix.New[uint64](env.a.Cols(), 0)); err == nil {
-		t.Fatal("GatherBatchInto accepted a zero-column input")
+		t.Fatal("GatherInto accepted a zero-column input")
 	}
 	if v := counterValue(t, env.reg, obs.MetricFleetQueriesTotal, map[string]string{"kind": "mat"}); v != 0 {
 		t.Fatalf("mat queries counter = %g after a rejected input, want 0", v)

@@ -275,7 +275,7 @@ func (s *Session[E]) probeOnce() {
 			defer wg.Done()
 			// Piggyback on the persistent connection's traffic: a device
 			// heard from within the probe period (a response or heartbeat
-			// frame on its pooled v3 connection) is demonstrably alive, so
+			// frame on its pooled v4 connection) is demonstrably alive, so
 			// skip the explicit ping RPC.
 			// Export the multiplexed connection's latest heartbeat RTT so
 			// /metrics carries the same per-device signal the adaptive

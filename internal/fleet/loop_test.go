@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/scec/scec/internal/matrix"
 	"github.com/scec/scec/internal/obs"
 )
 
@@ -142,7 +143,7 @@ func TestLateLoserNeverFeedsNextQuery(t *testing.T) {
 		for i := range x {
 			x[i] = env.f.Rand(rng)
 		}
-		if err := s.GatherInto(ctx, x, y); err != nil {
+		if err := s.GatherInto(ctx, matrix.FromSlice(len(x), 1, x), matrix.FromSlice(len(y), 1, y)); err != nil {
 			return err
 		}
 		got, err := s.Code().Decode(y)

@@ -35,63 +35,41 @@ var (
 	errNoAdmissible  = errors.New("no admissible replicas (every breaker open)")
 )
 
-// GatherContext is GatherInto on a fresh m+r-element result.
+// GatherContext is GatherInto for one input vector x, the l×1 case, on a
+// fresh m+r-element result. The headers over x and the result are the
+// query state's own, so it allocates only the result.
 func (s *Session[E]) GatherContext(ctx context.Context, x []E) ([]E, error) {
 	y := make([]E, s.code.M()+s.code.R())
-	if err := s.GatherInto(ctx, x, y); err != nil {
+	q := s.acquire(ctx)
+	defer s.release(q)
+	q.xh.Wrap(len(x), 1, x)
+	q.yh.Wrap(len(y), 1, y)
+	if err := q.run(&q.xh, &q.yh); err != nil {
 		return nil, err
 	}
 	return y, nil
 }
 
-// GatherInto fetches the full intermediate result B·T·x from the fleet into
-// y (m+r values) without decoding it: every logical block is fetched from
-// its replica set at once (racing, hedging, and retrying as needed) and
-// each block's winning reply is copied into its rows of y, in code device
-// order — bit-identical to the unreplicated pipeline, since every replica
-// of block j returns the same B_j·T·x. Decoding is owned by the caller (the
-// execution engine's query layer). The copies happen on the caller's
-// goroutine, and nothing writes y once GatherInto has returned; on an error
-// y holds no meaningful result. The gather is bounded by ctx in addition to
-// the session's query timeout: cancelling ctx withdraws the requests in
-// flight. A span carried in ctx parents the fleet.gather span (else the
-// session's tracer, if any, starts a fresh trace).
-func (s *Session[E]) GatherInto(ctx context.Context, x, y []E) error {
-	if len(x) != s.cols {
-		return fmt.Errorf("fleet: input vector has %d entries, want %d", len(x), s.cols)
-	}
-	if n := s.code.M() + s.code.R(); len(y) != n {
-		return fmt.Errorf("fleet: result vector has %d entries, want %d", len(y), n)
-	}
-	q := s.acquire(ctx, kindVec)
+// GatherInto fetches the full intermediate result B·T·X for an l×n input X
+// (n = 1 is the vector query) from the fleet into y ((m+r)×n) without
+// decoding it: every logical block is fetched from its replica set at once
+// (racing, hedging, and retrying as needed) and each block's winning reply
+// is copied into its rows of y, in code device order — bit-identical to the
+// unreplicated pipeline, since every replica of block j returns the same
+// B_j·T·X. Decoding is owned by the caller (the execution engine's query
+// layer). The copies happen on the caller's goroutine, and nothing writes y
+// once GatherInto has returned; on an error y holds no meaningful result. X
+// goes on the wire uncopied by the fleet: every request frame is on its way
+// before its send returns (see transport.Client.Go), and a request still
+// waiting for its dial is withdrawn before the gather returns, so the
+// caller may reuse X as soon as it does. The gather is bounded by ctx in
+// addition to the session's query timeout: cancelling ctx withdraws the
+// requests in flight. A span carried in ctx parents the fleet.gather span
+// (else the session's tracer, if any, starts a fresh trace).
+func (s *Session[E]) GatherInto(ctx context.Context, x, y *matrix.Dense[E]) error {
+	q := s.acquire(ctx)
 	defer s.release(q)
-	q.x, q.y = x, y
-	return q.run()
-}
-
-// GatherBatchInto is GatherInto for an l×n input matrix: it fills y with
-// the stacked (m+r)×n intermediate result B·T·X, undecoded, with the same
-// per-block fault tolerance, each block's winning reply copied into its
-// rows. X goes on the wire uncopied by the fleet: every request frame is on
-// its way before its send returns (see transport.Client.Go), and a request
-// still waiting for its dial is withdrawn before the gather returns, so the
-// caller may reuse x as soon as it does.
-func (s *Session[E]) GatherBatchInto(ctx context.Context, x, y *matrix.Dense[E]) error {
-	if x.Rows() != s.cols {
-		return fmt.Errorf("fleet: input matrix has %d rows, want %d", x.Rows(), s.cols)
-	}
-	// A device refuses a zero-column batch, and that refusal would count
-	// against every replica's breaker; refuse it here instead.
-	if x.Cols() < 1 {
-		return fmt.Errorf("fleet: input matrix has %d columns, want at least 1", x.Cols())
-	}
-	if n := s.code.M() + s.code.R(); y.Rows() != n || y.Cols() != x.Cols() {
-		return fmt.Errorf("fleet: result matrix is %dx%d, want %dx%d", y.Rows(), y.Cols(), n, x.Cols())
-	}
-	q := s.acquire(ctx, kindMat)
-	defer s.release(q)
-	q.xm, q.ym = x, y
-	return q.run()
+	return q.run(x, y)
 }
 
 // query is one gather's state: the whole fan-out runs as one loop on the
@@ -102,14 +80,13 @@ func (s *Session[E]) GatherBatchInto(ctx context.Context, x, y *matrix.Dense[E])
 // the session's contexts. Sessions recycle query states, so a warm query
 // allocates none of this.
 type query[E comparable] struct {
-	s    *Session[E]
-	ctx  context.Context
-	kind string
-	x    []E              // a vector query's input
-	xm   *matrix.Dense[E] // a batch query's input
-	// y or ym receives each block's winning reply: the caller's result.
-	y  []E
-	ym *matrix.Dense[E]
+	s   *Session[E]
+	ctx context.Context
+	// x is the l×n input; y receives each block's winning reply, the
+	// caller's result. xh and yh are the headers GatherContext wraps a
+	// vector and its result in.
+	x, y   *matrix.Dense[E]
+	xh, yh matrix.Dense[E]
 
 	blocks []fetch[E]
 	// atts holds every attempt this state ever made, indexed by the Tag of
@@ -168,7 +145,7 @@ type attempt[E comparable] struct {
 }
 
 // acquire takes a recycled query state, or builds one.
-func (s *Session[E]) acquire(ctx context.Context, kind string) *query[E] {
+func (s *Session[E]) acquire(ctx context.Context) *query[E] {
 	q, _ := s.queries.Get().(*query[E])
 	if q == nil {
 		q = &query[E]{s: s, blocks: make([]fetch[E], len(s.blocks)), timer: time.NewTimer(time.Hour)}
@@ -177,7 +154,7 @@ func (s *Session[E]) acquire(ctx context.Context, kind string) *query[E] {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	q.ctx, q.kind, q.err, q.open = ctx, kind, nil, 0
+	q.ctx, q.err, q.open = ctx, nil, 0
 	return q
 }
 
@@ -185,20 +162,39 @@ func (s *Session[E]) acquire(ctx context.Context, kind string) *query[E] {
 // keeps the state for the next query. run has withdrawn or received every
 // call, so nothing can still arrive on the channel.
 func (s *Session[E]) release(q *query[E]) {
-	q.ctx, q.x, q.xm, q.y, q.ym = nil, nil, nil, nil, nil
+	q.ctx, q.x, q.y = nil, nil, nil
+	q.xh, q.yh = matrix.Dense[E]{}, matrix.Dense[E]{}
 	for j := range q.blocks {
 		q.blocks[j] = fetch[E]{}
 	}
 	s.queries.Put(q)
 }
 
-// run executes the query's gather. Every failure path returns a
-// *BlockUnavailableError for the first failed block.
-func (q *query[E]) run() error {
+// run validates the shapes and executes the query's gather of x into y.
+// Every failure after validation returns a *BlockUnavailableError for the
+// first failed block. The kind label is taken from the width: vec for one
+// column, mat for more.
+func (q *query[E]) run(x, y *matrix.Dense[E]) error {
 	s := q.s
-	s.met.queries(q.kind).Inc()
+	if x.Rows() != s.cols {
+		return fmt.Errorf("fleet: input has %d rows, want %d", x.Rows(), s.cols)
+	}
+	// A device refuses a zero-column input, and that refusal would count
+	// against every replica's breaker; refuse it here instead.
+	if x.Cols() < 1 {
+		return fmt.Errorf("fleet: input has %d columns, want at least 1", x.Cols())
+	}
+	if n := s.code.M() + s.code.R(); y.Rows() != n || y.Cols() != x.Cols() {
+		return fmt.Errorf("fleet: result is %dx%d, want %dx%d", y.Rows(), y.Cols(), n, x.Cols())
+	}
+	q.x, q.y = x, y
+	kind := kindVec
+	if x.Cols() > 1 {
+		kind = kindMat
+	}
+	s.met.queries(kind).Inc()
 	ctx, gsp := s.startSpan(q.ctx, trace.SpanFleetGather,
-		trace.A(trace.AttrKind, q.kind), trace.A("blocks", strconv.Itoa(len(s.blocks))))
+		trace.A(trace.AttrKind, kind), trace.A("blocks", strconv.Itoa(len(s.blocks))))
 	defer gsp.End()
 	stage := s.stages.Start(obs.StageGather)
 	now := time.Now()
@@ -242,7 +238,7 @@ func (q *query[E]) run() error {
 	q.finish()
 	stage.End()
 	if q.err != nil {
-		s.met.queryErrors(q.kind).Inc()
+		s.met.queryErrors(kind).Inc()
 		s.jr.PublishDetail(flight.KindQueryError, "", q.err.Error(), 0, 0)
 		gsp.SetError(q.err)
 		return q.err
@@ -310,11 +306,7 @@ func (q *query[E]) launch(f *fetch[E], hedged bool, now time.Time) {
 		trace.A(trace.AttrDevice, d.addr), trace.A(trace.AttrHedged, strconv.FormatBool(hedged)))
 	f.pending++
 	q.live = append(q.live, a)
-	if q.xm != nil {
-		s.client.GoBatch(actx, d.addr, q.xm, &a.call, q.ch)
-	} else {
-		s.client.Go(actx, d.addr, q.x, &a.call, q.ch)
-	}
+	s.client.Go(actx, d.addr, q.x, &a.call, q.ch)
 }
 
 // slot returns an idle attempt, making one when every attempt is busy.
@@ -426,12 +418,8 @@ func (q *query[E]) arrive(c *transport.Call[E]) {
 	now := time.Now()
 	a.lat = now.Sub(a.launched)
 	err := c.Err
-	if err == nil {
-		if q.xm != nil && (c.M.Rows() != f.b.want || c.M.Cols() != q.xm.Cols()) {
-			err = fmt.Errorf("fleet: replica %s returned a %dx%d block %d, want %dx%d", a.d.addr, c.M.Rows(), c.M.Cols(), f.b.index, f.b.want, q.xm.Cols())
-		} else if q.xm == nil && len(c.Y) != f.b.want {
-			err = fmt.Errorf("fleet: replica %s returned %d values for block %d, want %d", a.d.addr, len(c.Y), f.b.index, f.b.want)
-		}
+	if err == nil && (c.Y.Rows() != f.b.want || c.Y.Cols() != q.x.Cols()) {
+		err = fmt.Errorf("fleet: replica %s returned a %dx%d block %d, want %dx%d", a.d.addr, c.Y.Rows(), c.Y.Cols(), f.b.index, f.b.want, q.x.Cols())
 	}
 	switch {
 	case err != nil:
@@ -450,11 +438,7 @@ func (q *query[E]) arrive(c *transport.Call[E]) {
 func (q *query[E]) win(f *fetch[E], a *attempt[E], now time.Time) {
 	f.done = true
 	q.open--
-	if q.ym != nil {
-		copy(q.ym.RowsView(f.b.off, f.b.off+f.b.want), a.call.M.RowsView(0, f.b.want))
-	} else {
-		copy(q.y[f.b.off:f.b.off+f.b.want], a.call.Y)
-	}
+	copy(q.y.RowsView(f.b.off, f.b.off+f.b.want), a.call.Y.RowsView(0, f.b.want))
 	q.won(f, a, now.Sub(f.roundStart))
 	for i := 0; i < len(q.live); {
 		l := q.live[i]

@@ -14,7 +14,7 @@ import (
 	"github.com/scec/scec/internal/matrix"
 )
 
-// startForgingDevice speaks the v3 wire protocol (internal/transport's
+// startForgingDevice speaks the v4 wire protocol (internal/transport's
 // wire.go) like a device, except that every compute reply carries
 // p = field.Modulus as its first element: a well-formed frame holding a
 // value no honest device computes. It answers hellos, pings and stores
@@ -75,15 +75,13 @@ func startForgingDevice(t *testing.T) string {
 				switch op {
 				case 2: // store: u32 rows | u32 cols
 					rows = int(le.Uint32(dims[0:4]))
-				case 3: // compute: reply u32 n | n elements
-					body = le.AppendUint32(body, uint32(rows))
-				case 4: // batch compute: reply u32 rows | u32 cols | elements
+				case 4: // compute: reply u32 rows | u32 cols | elements
 					cols := le.Uint32(dims[4:8])
 					body = le.AppendUint32(body, uint32(rows))
 					body = le.AppendUint32(body, cols)
 					n = rows * int(cols)
 				}
-				if op == 3 || op == 4 {
+				if op == 4 {
 					body = le.AppendUint64(body, field.Modulus)
 					body = append(body, make([]byte, 8*(n-1))...)
 				}
@@ -141,7 +139,7 @@ func TestNonResidueReplyFailsOver(t *testing.T) {
 		t.Fatalf("batch query with a healthy replica behind the forger: %v", err)
 	}
 	axm := matrix.New[uint64](env.a.Rows(), xm.Cols())
-	if err := s.Code().DecodeBatchInto(axm, ym); err != nil {
+	if err := s.Code().DecodeInto(axm, ym); err != nil {
 		t.Fatal(err)
 	}
 	if !matrix.Equal[uint64](env.f, axm, matrix.Mul[uint64](env.f, env.a, xm)) {

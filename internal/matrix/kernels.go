@@ -14,12 +14,13 @@ import (
 // by op and by whether it sharded, so the served configuration is visible on
 // /metrics.
 //
-// MulVec is one DotRows over the matrix. Mul takes one of two routes. A
-// field with AXPYVec (GF(256), Real) accumulates in i-k-j order, skipping
-// every a_ik the field calls zero, as the per-element product does. Any
-// other field (F_p) gets a transpose of B made once per call, and each
-// output row is one DotRows of Bᵀ against a row of A: the same kernel, and
-// the same canonical residue, as MulVec.
+// MulVec is one DotRows over the matrix, and so is a Mul whose B has one
+// column: a vector query is the l×1 case of the product. Any wider Mul
+// takes one of two routes. A field with AXPYVec (GF(256), Real)
+// accumulates in i-k-j order, skipping every a_ik the field calls zero, as
+// the per-element product does. Any other field (F_p) gets a transpose of
+// B made once per call, and each output row is one DotRows of Bᵀ against a
+// row of A: the same kernel, and the same canonical residue, as MulVec.
 //
 // Every kernel is bit-compatible with the per-element Add/Mul loops: exact
 // fields produce identical canonical representatives, and the Real kernels
@@ -77,7 +78,7 @@ type axpyField[E comparable] interface {
 // i-k-j order, skipping each a_ik that f.IsZero calls zero (for Real that
 // is the tolerance, so float results match the per-element product bit for
 // bit).
-func mulAXPY[E comparable](f field.Field[E], ax axpyField[E], a, b, out *Dense[E], lo, hi int) {
+func mulAXPY[E comparable](f field.Field[E], ax axpyField[E], a, b, out Dense[E], lo, hi int) {
 	clear(out.data[lo*out.cols : hi*out.cols])
 	for i := lo; i < hi; i++ {
 		orow := out.rowView(i)
@@ -101,7 +102,7 @@ var transposeScratch sync.Pool
 // i is one DotRows of bᵀ against row i of a. The helpers of a sharded call
 // only read the transpose; it returns to the pool after the last of them
 // has finished. It reports whether the call sharded.
-func mulTransposed[E comparable](f field.Field[E], a, b, out *Dense[E]) (sharded bool) {
+func mulTransposed[E comparable](f field.Field[E], a, b, out Dense[E]) (sharded bool) {
 	m, k, n := a.rows, a.cols, b.cols
 	if m == 0 || n == 0 {
 		return false
@@ -111,15 +112,17 @@ func mulTransposed[E comparable](f field.Field[E], a, b, out *Dense[E]) (sharded
 		scratch = new([]E)
 	}
 	bt := transposeInto(*scratch, b.data, k, n)
+	// Rows are sliced out of data directly: a rowView call takes a header's
+	// address, and the sharding closure would then move it to the heap.
 	if work := m * k * n; shardable(m, work) {
 		sharded = parallelFor(m, work, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				f.DotRows(out.rowView(i), bt, a.rowView(i))
+				f.DotRows(out.data[i*n:(i+1)*n], bt, a.data[i*k:(i+1)*k])
 			}
 		})
 	} else {
 		for i := 0; i < m; i++ {
-			f.DotRows(out.rowView(i), bt, a.rowView(i))
+			f.DotRows(out.data[i*n:(i+1)*n], bt, a.data[i*k:(i+1)*k])
 		}
 	}
 	*scratch = bt

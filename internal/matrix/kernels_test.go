@@ -188,12 +188,17 @@ func TestKernelDifferentialRealTolerance(t *testing.T) {
 	}
 }
 
-// TestMulIntoRoutePinned pins which MulInto route each field takes. Both
-// routes give == results, so no differential test would notice a field
-// moving between them: F_p must stay on the transposed DotRows route (a
-// Prime.AXPYVec would move it back onto the slower i-k-j loop), while
-// GF(256) and Real must keep the i-k-j AXPY accumulation.
+// TestMulIntoRoutePinned pins which MulInto route each field and shape
+// takes. The routes give == results, so no differential test would notice a
+// product moving between them: F_p must stay on the transposed DotRows
+// route (a Prime.AXPYVec would move it back onto the slower i-k-j loop),
+// GF(256) and Real must keep the i-k-j AXPY accumulation, and a one-column
+// b — a vector query — must run MulVecInto's row kernel in every field,
+// not one DotVec per row of a or one AXPY pass per element.
 func TestMulIntoRoutePinned(t *testing.T) {
+	mulIntoWidthOneIsMulVec[uint64](t, field.Prime{})
+	mulIntoWidthOneIsMulVec[byte](t, field.GF256{})
+	mulIntoWidthOneIsMulVec[float64](t, field.Real{})
 	if _, ok := any(field.Prime{}).(axpyField[uint64]); ok {
 		t.Error("field.Prime has AXPYVec: MulInto would run F_p products in i-k-j order instead of over a transposed b")
 	}
@@ -267,4 +272,24 @@ func TestKernelKnobsRoundTrip(t *testing.T) {
 	if PoolSize() < 1 {
 		t.Fatalf("PoolSize() = %d, want >= 1", PoolSize())
 	}
+}
+
+// mulIntoWidthOneIsMulVec checks that a serial MulInto with a one-column b
+// is counted as one MulVec dispatch and no Mul dispatch.
+func mulIntoWidthOneIsMulVec[E comparable](t *testing.T, f field.Field[E]) {
+	restoreKernelConfig(t)
+	SetParallelThreshold(DefaultParallelThreshold)
+	rng := rand.New(rand.NewPCG(83, 89))
+	a, b := Random(f, rng, 14, 64), Random(f, rng, 64, 1)
+	out := New[E](14, 1)
+	initCounters()
+	mul, mulvec := kernelCounters[opMul][0].Value(), kernelCounters[opMulVec][0].Value()
+	MulInto(f, a, b, out)
+	if d := kernelCounters[opMul][0].Value() - mul; d != 0 {
+		t.Errorf("%s: a width-1 MulInto ran %d Mul dispatches, want 0", f.Name(), d)
+	}
+	if d := kernelCounters[opMulVec][0].Value() - mulvec; d != 1 {
+		t.Errorf("%s: a width-1 MulInto ran %d MulVec dispatches, want 1", f.Name(), d)
+	}
+	checkSame(t, f.Name()+" width-1 MulInto", refMul(f, a, b).data, out.data)
 }

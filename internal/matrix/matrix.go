@@ -149,13 +149,25 @@ func (m *Dense[E]) RowsView(from, to int) []E {
 // len(data) == rows*cols. Package coding uses it to carve one encoding's
 // device blocks out of a single allocation.
 func FromSlice[E comparable](rows, cols int, data []E) *Dense[E] {
+	m := new(Dense[E])
+	m.Wrap(rows, cols, data)
+	return m
+}
+
+// Wrap points m at data as a rows×cols matrix without copying: FromSlice
+// on a header the caller already holds. The per-query paths keep their
+// headers in recycled state (engine staging, a fleet query, a transport
+// Call) or on the stack and re-wrap them each round, so a vector query
+// travels as an l×1 matrix without allocating a header. It panics unless
+// len(data) == rows*cols.
+func (m *Dense[E]) Wrap(rows, cols int, data []E) {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("matrix: negative dimension %dx%d", rows, cols))
 	}
 	if len(data) != rows*cols {
 		panic(fmt.Sprintf("matrix: FromSlice data length %d != %d*%d", len(data), rows, cols))
 	}
-	return &Dense[E]{rows: rows, cols: cols, data: data}
+	m.rows, m.cols, m.data = rows, cols, data
 }
 
 // Clone returns a deep copy.

@@ -51,11 +51,13 @@ func Mul[E comparable](f field.Field[E], a, b *Dense[E]) *Dense[E] {
 // MulInto computes a·b into out, which must be a.Rows()×b.Cols() and must
 // not alias a or b; its previous contents are overwritten. It panics on a
 // shape mismatch. It is the allocation-free variant of Mul that a device
-// runs for every batch compute, into a reply slab its connection recycles.
-// A field with AXPYVec (GF(256), Real) accumulates in i-k-j order; over any
-// other (F_p) every output row is one DotRows of a transpose of b, made once
-// per call, against a row of a. Large products are row-sharded across
-// goroutines.
+// runs for every compute, into a reply slab its connection recycles. The
+// route is chosen from the shapes and the field: a one-column b (a vector
+// query) is MulVecInto on b's and out's data; otherwise a field with
+// AXPYVec (GF(256), Real) accumulates in i-k-j order, and any other (F_p)
+// makes every output row one DotRows of a transpose of b, made once per
+// call, against a row of a. Large products are row-sharded across
+// goroutines. No header escapes: callers may pass headers on the stack.
 func MulInto[E comparable](f field.Field[E], a, b, out *Dense[E]) {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("matrix: Mul shape mismatch %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
@@ -63,22 +65,27 @@ func MulInto[E comparable](f field.Field[E], a, b, out *Dense[E]) {
 	if out.rows != a.rows || out.cols != b.cols {
 		panic(fmt.Sprintf("matrix: MulInto out is %dx%d, want %dx%d", out.rows, out.cols, a.rows, b.cols))
 	}
+	if b.cols == 1 {
+		MulVecInto(f, a, b.data, out.data)
+		return
+	}
 	ax, ok := f.(axpyField[E])
 	if !ok {
-		recordDispatch(opMul, mulTransposed(f, a, b, out))
+		recordDispatch(opMul, mulTransposed(f, *a, *b, *out))
 		return
 	}
 	// The sharding closure is built only when the call may shard: it escapes
 	// to the helpers, so building it on the serial path would allocate per
-	// call.
+	// call. It captures header copies, never the caller's headers.
 	work := a.rows * a.cols * b.cols
 	par := false
 	if shardable(a.rows, work) {
+		a, b, out := *a, *b, *out
 		par = parallelFor(a.rows, work, func(lo, hi int) {
 			mulAXPY(f, ax, a, b, out, lo, hi)
 		})
 	} else {
-		mulAXPY(f, ax, a, b, out, 0, a.rows)
+		mulAXPY(f, ax, *a, *b, *out, 0, a.rows)
 	}
 	recordDispatch(opMul, par)
 }

@@ -69,10 +69,10 @@ const (
 	// plan / held the incumbent. Detail carries the planner's reason.
 	KindReplanAdopt
 	KindReplanHold
-	// KindNegotiateV3 / KindNegotiateError: the hello handshake on a freshly
+	// KindNegotiateV4 / KindNegotiateError: the hello handshake on a freshly
 	// dialed transport connection succeeded or failed. Actor is the peer
 	// address.
-	KindNegotiateV3
+	KindNegotiateV4
 	KindNegotiateError
 	// KindShed: the load generator's MaxInFlight backstop refused a launch.
 	// A is the in-flight count at refusal.
@@ -108,7 +108,7 @@ var kindNames = [numKinds]string{
 	KindReshapeFailed:   "reshape-failed",
 	KindReplanAdopt:     "replan-adopt",
 	KindReplanHold:      "replan-hold",
-	KindNegotiateV3:     "negotiate-v3",
+	KindNegotiateV4:     "negotiate-v4",
 	KindNegotiateError:  "negotiate-error",
 	KindShed:            "shed",
 	KindTimeout:         "timeout",

@@ -143,7 +143,7 @@ const (
 	// registered by the telemetry Handler.
 	MetricBuildInfo = "scec_build_info"
 
-	// Wire-protocol (internal/transport v3) metrics. Device labels range over
+	// Wire-protocol (internal/transport v4) metrics. Device labels range over
 	// the fixed fleet (the MetricFleetBreakerState convention), role over
 	// {client, server}, and outcome over small fixed sets, so cardinality
 	// stays bounded.
@@ -151,7 +151,7 @@ const (
 	// MetricTransportConnsOpen is a gauge of currently open transport
 	// connections, labelled role=client|server and device=<addr>.
 	MetricTransportConnsOpen = "scec_transport_conns_open"
-	// MetricTransportStreamsInflight is a gauge of v3 streams currently
+	// MetricTransportStreamsInflight is a gauge of v4 streams currently
 	// awaiting a response, labelled role=client|server and device=<addr>.
 	MetricTransportStreamsInflight = "scec_transport_streams_inflight"
 	// MetricTransportFlushFrames is a histogram of how many frames each
@@ -160,7 +160,7 @@ const (
 	// are the group-commit effect under concurrent streams.
 	MetricTransportFlushFrames = "scec_transport_flush_frames"
 	// MetricTransportNegotiations counts hello handshakes on freshly dialed
-	// connections, labelled outcome=v3|error.
+	// connections, labelled outcome=v4|error.
 	MetricTransportNegotiations = "scec_transport_negotiations_total"
 	// MetricTransportHeartbeats counts piggybacked heartbeat pings sent on
 	// idle multiplexed connections, labelled outcome=ok|failed.

@@ -34,7 +34,7 @@ func TestRunRecordsStageMetrics(t *testing.T) {
 		reg := obs.New()
 		cfg := groupConfig(s.Devices(), replicas)
 		cfg.Metrics = reg
-		_, rep, err := GatherContext(t.Context(), f, enc, x, cfg)
+		_, rep, err := gather(t, f, enc, x, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestFailedRunSkipsAggregateStages(t *testing.T) {
 	cfg := groupConfig(s.Devices(), 1)
 	cfg.Metrics = reg
 	cfg.Profiles[0][0].FailProb = 1
-	if _, _, err := GatherContext(t.Context(), f, enc, matrix.RandomVec[uint64](f, rng, 4), cfg); err == nil {
+	if _, _, err := gather(t, f, enc, matrix.RandomVec[uint64](f, rng, 4), cfg); err == nil {
 		t.Fatal("run with a guaranteed failure succeeded")
 	}
 	for _, fam := range reg.Snapshot().Metrics {

@@ -2,9 +2,11 @@
 // network. It executes the real encoding and compute code paths from package
 // coding, while modelling — on a virtual clock, deterministically — the
 // performance dimensions the cost model abstracts away: compute rates,
-// up/downlink rates, network latency, stragglers, and device failures. It
-// never decodes: every simulated query runs through the execution engine's
-// SimExecutor (internal/engine), which decodes like any other backend.
+// up/downlink rates, network latency, stragglers, and device failures. A
+// round has one shape, an l×n input of which a vector query is the l×1
+// case, and one gather prices it. It never decodes: every simulated query
+// runs through the execution engine's SimExecutor (internal/engine), which
+// decodes like any other backend.
 //
 // The paper assumes every selected device responds correctly and in time
 // (§II-A) and remarks (Remark 1) that because Lemma 1 caps per-device work
@@ -177,50 +179,34 @@ type Report struct {
 }
 
 // GatherContext simulates one compute round up to the user holding every
-// intermediate result: broadcast x to every replica, per-replica compute on
-// the virtual clock, and collect each block's earliest surviving B_j·T·x in
-// scheme order. It performs no decoding — the execution engine owns that —
-// so the report's CompletionTime covers only the last consumed arrival and
-// DecodeOps is zero. The loop checks ctx between blocks, so a caller
-// abandoning a large simulated round (thousands of devices, wide batches)
-// gets control back promptly with ctx.Err().
-func GatherContext[E comparable](ctx context.Context, f field.Field[E], enc *coding.Encoding[E], x []E, cfg Config) ([]E, Report, error) {
-	l := len(x)
-	if err := checkRun(enc, l, cfg); err != nil {
-		return nil, Report{}, err
+// intermediate result, for an l×n input X whose columns are n input vectors
+// (n = 1 is the vector query): X broadcast to every replica, per-replica
+// compute on the virtual clock, and each block's earliest surviving
+// B_j·T·X collected in scheme order into y ((m+r)×n). Device timelines
+// scale with n: every replica receives l·n input values, performs n times
+// the field operations, and returns V(B_j)·n intermediate values. It
+// performs no decoding — the execution engine owns that — so the report's
+// CompletionTime covers only the last consumed arrival and DecodeOps is
+// zero. The loop checks ctx between blocks, so a caller abandoning a large
+// simulated round (thousands of devices, wide batches) gets control back
+// promptly with ctx.Err(). Every replica of a block holds the same rows,
+// so once each block has a survivor y is filled by one
+// Encoding.ComputeAllInto; on an error y holds no meaningful result.
+func GatherContext[E comparable](ctx context.Context, f field.Field[E], enc *coding.Encoding[E], x, y *matrix.Dense[E], cfg Config) (Report, error) {
+	if err := checkRun(enc, x, y, cfg); err != nil {
+		return Report{}, err
 	}
-	y := make([]E, 0, enc.Code.M()+enc.Code.R())
-	rep, err := gatherCore(ctx, enc, l, 1, cfg, func(j int) {
-		y = append(y, enc.ComputeDevice(f, j, x)...)
-	})
+	rep, err := gatherCore(ctx, enc, x.Rows(), x.Cols(), cfg)
 	if err != nil {
-		return nil, rep, err
+		return rep, err
 	}
-	return y, rep, nil
+	enc.ComputeAllInto(f, x, y)
+	return rep, nil
 }
 
-// GatherBatchContext is GatherContext for the paper's batch generalization:
-// the input is an l×n matrix X and the result is the stacked B·T·X
-// ((m+r)×n). Device timelines scale with n: every replica receives l·n input
-// values, performs n times the field operations, and returns V(B_j)·n
-// intermediate values.
-func GatherBatchContext[E comparable](ctx context.Context, f field.Field[E], enc *coding.Encoding[E], x *matrix.Dense[E], cfg Config) (*matrix.Dense[E], Report, error) {
-	if err := checkRun(enc, x.Rows(), cfg); err != nil {
-		return nil, Report{}, err
-	}
-	blocks := make([]*matrix.Dense[E], len(enc.Blocks))
-	rep, err := gatherCore(ctx, enc, x.Rows(), x.Cols(), cfg, func(j int) {
-		blocks[j] = enc.ComputeDeviceBatch(f, j, x)
-	})
-	if err != nil {
-		return nil, rep, err
-	}
-	return matrix.VStack(blocks...), rep, nil
-}
-
-// checkRun validates the configuration against the encoding and the input
-// width (the vector length, or the batch matrix's row count).
-func checkRun[E comparable](enc *coding.Encoding[E], l int, cfg Config) error {
+// checkRun validates the configuration against the encoding, and the
+// input X and result y against the code's shape.
+func checkRun[E comparable](enc *coding.Encoding[E], x, y *matrix.Dense[E], cfg Config) error {
 	if enc.Code == nil {
 		return errors.New("sim: encoding has no code attached")
 	}
@@ -237,8 +223,11 @@ func checkRun[E comparable](enc *coding.Encoding[E], l int, cfg Config) error {
 			}
 		}
 	}
-	if l != enc.Blocks[0].Cols() {
-		return fmt.Errorf("sim: input has %d rows, coded rows have %d columns", l, enc.Blocks[0].Cols())
+	if x.Rows() != enc.Blocks[0].Cols() {
+		return fmt.Errorf("sim: input has %d rows, coded rows have %d columns", x.Rows(), enc.Blocks[0].Cols())
+	}
+	if rows := enc.Code.M() + enc.Code.R(); y.Rows() != rows || y.Cols() != x.Cols() {
+		return fmt.Errorf("sim: result is %dx%d, want %dx%d", y.Rows(), y.Cols(), rows, x.Cols())
 	}
 	return nil
 }
@@ -341,12 +330,12 @@ func deviceTimeline(j, rows, l, n int, p DeviceProfile) (DeviceReport, time.Dura
 	return d, compute
 }
 
-// gatherCore runs the virtual-clock round every simulated query shares: it
-// prices every replica of every block, consumes each block's earliest
-// surviving replica — calling emit(j) for it, in scheme order — and records
-// the store/compute/gather stage metrics. A block with no survivor yields
-// ErrDeviceFailed with the partial report's Failed flags set.
-func gatherCore[E comparable](ctx context.Context, enc *coding.Encoding[E], l, n int, cfg Config, emit func(j int)) (Report, error) {
+// gatherCore runs a round's virtual clock: it prices every replica of
+// every block, consumes each block's earliest surviving replica, in scheme
+// order, and records the store/compute/gather stage metrics. A block with
+// no survivor yields ErrDeviceFailed with the partial report's Failed flags
+// set.
+func gatherCore[E comparable](ctx context.Context, enc *coding.Encoding[E], l, n int, cfg Config) (Report, error) {
 	reg := cfg.registry()
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x3e911ca))
 	rep := Report{Devices: make([]DeviceReport, 0, len(enc.Blocks))}
@@ -386,7 +375,6 @@ func gatherCore[E comparable](ctx context.Context, enc *coding.Encoding[E], l, n
 		reg.Gauge(obs.MetricSimDeviceResultSeconds,
 			"Virtual time at which each simulated device's results reached the user, in seconds.",
 			obs.L("device", strconv.Itoa(j))).Set(d.ResultArrives.Seconds())
-		emit(j)
 		rep.CompletionTime = max(rep.CompletionTime, d.ResultArrives)
 	}
 	rep.StorageOverhead = float64(provisioned) / float64(enc.Code.M()+enc.Code.R())

@@ -82,9 +82,19 @@ func groupConfig(blocks, replicas int) Config {
 	return Config{Profiles: groups, Seed: 1}
 }
 
-// gather runs one simulated vector round.
+// gather runs one simulated vector round: x as an l×1 input into a fresh
+// (m+r)×1 result.
 func gather(t *testing.T, f field.Prime, enc *coding.Encoding[uint64], x []uint64, cfg Config) ([]uint64, Report, error) {
-	return GatherContext(t.Context(), f, enc, x, cfg)
+	rows := 0
+	for _, b := range enc.Blocks {
+		rows += b.Rows()
+	}
+	y := make([]uint64, rows)
+	rep, err := GatherContext(t.Context(), f, enc, matrix.FromSlice(len(x), 1, x), matrix.FromSlice(len(y), 1, y), cfg)
+	if err != nil {
+		return nil, rep, err
+	}
+	return y, rep, nil
 }
 
 // checkDecodes decodes the gathered results the way the engine does and

@@ -149,7 +149,7 @@ func TestDeviceStats(t *testing.T) {
 	}
 	for j, srv := range servers {
 		st := srv.Stats()
-		if st.Stores != 1 || st.Computes != 1 || st.BatchComputes != 1 {
+		if st.Stores != 1 || st.Computes != 2 {
 			t.Fatalf("device %d stats = %+v", j, st)
 		}
 		wantValues := s.RowsOn(j) + s.RowsOn(j)*2
@@ -159,7 +159,7 @@ func TestDeviceStats(t *testing.T) {
 	}
 }
 
-// TestDeviceElementCap drives the store and compute-batch caps with raw
+// TestDeviceElementCap drives the store and compute caps with raw
 // frames: an over-cap request is answered with the cap error on its own
 // stream, its payload is drained, and the same connection keeps serving.
 func TestDeviceElementCap(t *testing.T) {
@@ -169,9 +169,9 @@ func TestDeviceElementCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	conn := rawV3Conn(t, srv.Addr(), 1)
+	conn := rawV4Conn(t, srv.Addr(), 1)
 
-	// matFrame builds a store (op 2) or compute-batch (op 4) request frame
+	// matFrame builds a store (op 2) or compute (op 4) request frame
 	// carrying a rows×cols all-zero matrix.
 	matFrame := func(stream, op byte, rows, cols int) []byte {
 		payload := 1 + 8 + rows*cols*8 // tpLen | rows | cols | slab
@@ -212,12 +212,22 @@ func TestDeviceElementCap(t *testing.T) {
 		t.Fatalf("stored rows = %d, want 2", got)
 	}
 	// An oversized batch request is rejected too.
-	if st, msg := exchange(matFrame(3, opComputeBatch, 3, 4)); st == 0 || msg != "compute-batch: X of 12 elements exceeds the device cap of 8" {
+	if st, msg := exchange(matFrame(3, opCompute, 3, 4)); st == 0 || msg != "compute: X of 12 elements exceeds the device cap of 8" {
 		t.Fatalf("oversized batch: status %d, message %q", st, msg)
 	}
 	// And an in-cap one is served: a 3×2 X against the stored 2×3 block.
-	if st, msg := exchange(matFrame(4, opComputeBatch, 3, 2)); st != 0 {
+	if st, msg := exchange(matFrame(4, opCompute, 3, 2)); st != 0 {
 		t.Fatalf("in-cap batch rejected: %q", msg)
+	}
+	// A 2^31+1 × 0 store carries no elements, but its row count is past the
+	// cap, and past an int on a 32-bit host, where it once panicked the
+	// device in matrix.FromSlice: refused, and the connection keeps serving.
+	huge := []byte{14, 0, 0, 0, 5, 0, 0, 0, opStore, 0, 1, 0, 0, 0x80, 0, 0, 0, 0}
+	if st, msg := exchange(huge); st == 0 || msg != "store: block of 2147483649x0 exceeds the device cap of 8 elements" {
+		t.Fatalf("store of 2^31+1 empty rows: status %d, message %q", st, msg)
+	}
+	if st, msg := exchange(matFrame(6, opCompute, 3, 1)); st != 0 {
+		t.Fatalf("compute after the refused store: %q", msg)
 	}
 
 	if _, err := NewDeviceServerOptions(f, "127.0.0.1:0", Options{MaxElements: -1}); err == nil {

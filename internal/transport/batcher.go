@@ -24,7 +24,7 @@ const (
 // powers of two covering one frame (idle) through deep group commits.
 var flushBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
-// wireWriter serializes v3 frames onto one connection with group-commit
+// wireWriter serializes v4 frames onto one connection with group-commit
 // flushing: each writer appends its frame to a shared buffer under the
 // lock and kicks the flusher goroutine, which swaps the buffer out and
 // pushes everything pending in one syscall. A lone writer gets its frame

@@ -8,8 +8,8 @@ import (
 	"github.com/scec/scec/internal/field"
 )
 
-// FrameBench returns a closure measuring the pure v3 protocol overhead for
-// a compute request carrying n Prime elements: encode one frame into a
+// FrameBench returns a closure measuring the pure v4 protocol overhead for
+// a vector compute request (an n×1 X) carrying n Prime elements: encode one frame into a
 // reused in-memory buffer and decode it back, with no sockets, goroutines,
 // or reflection involved. The bench harness runs it to pin the
 // serialization floor under the loopback RTT numbers.
@@ -22,7 +22,7 @@ func FrameBench(n int) (func() error, error) {
 	for i := range x {
 		x[i] = (uint64(i)*0x9e3779b97f4a7c15 + 1) % field.Modulus
 	}
-	req := request[uint64]{op: opCompute, x: x}
+	req := request[uint64]{op: opCompute, x: x, rows: n, cols: 1}
 	var buf []byte
 	var rd bytes.Reader
 	br := bufio.NewReaderSize(&rd, wireWriterBuf)

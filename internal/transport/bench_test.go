@@ -87,7 +87,7 @@ func BenchmarkInlineVsSpawn(b *testing.B) {
 	}
 }
 
-// TestFrameRoundTripAllocs pins the allocation count of one in-memory v3
+// TestFrameRoundTripAllocs pins the allocation count of one in-memory v4
 // compute-frame encode + decode at exactly one: the decoded x slab, which
 // leaves the codec with the request. Headers, dimensions and the request
 // itself are written into and read out of the buffered reader and writer
@@ -118,7 +118,7 @@ func TestFrameRoundTripAllocs(t *testing.T) {
 }
 
 // TestReadElemsChunkedAllocs: a result over one read chunk (a 1000×256
-// ComputeBatch answer is four) is read straight into the destination's
+// compute answer is four) is read straight into the destination's
 // tail, so the read allocates once per growth step of the destination and
 // nowhere else — no bounce buffer beside it.
 func TestReadElemsChunkedAllocs(t *testing.T) {

@@ -14,30 +14,31 @@ import (
 )
 
 // Call is one request in flight toward one device: the send half of a round
-// trip, in the shape of net/rpc's Client.Go. Client.Go or Client.GoBatch
-// sends it and returns at once; the call arrives on its done channel when
-// the device answers, the connection breaks under it, or its dial fails, and
-// its owner then calls Receive to finish it. Many calls may share one done
-// channel, so one goroutine can collect the replies of a whole fan-out, each
-// told apart by its Tag.
+// trip, in the shape of net/rpc's Client.Go. Client.Go sends it and returns
+// at once; the call arrives on its done channel when the device answers,
+// the connection breaks under it, or its dial fails, and its owner then
+// calls Receive to finish it. Many calls may share one done channel, so one
+// goroutine can collect the replies of a whole fan-out, each told apart by
+// its Tag.
 //
 // The owner allocates a Call and may reuse it once Receive reported it
 // finished or Cancel withdrew it: the transport keeps no reference to a
 // finished call, and a dial still running for a withdrawn one never touches
 // it again.
 //
-// A reply's Y or M may sit in a slab from its connection's reply list. An
-// owner done with them calls Release, which hands the slab back for a later
-// reply on that connection; until then the transport never writes it, and
-// an owner that never releases keeps the slab for good.
+// A reply's Y may sit in a slab from its connection's reply list. An owner
+// done with it calls Release, which hands the slab back for a later reply
+// on that connection; until then the transport never writes it, and an
+// owner that never releases keeps the slab for good.
 type Call[E comparable] struct {
 	// Tag is the owner's label for the call; the transport never reads it.
 	Tag int
-	// Y is a compute call's intermediate result and M a batch compute's,
-	// once Receive finished the call with a nil Err.
-	Y []E
-	M *matrix.Dense[E]
-	// free is the reply list Y or M was read from, for Release.
+	// Y is a compute call's intermediate result B_j·T·X, a V(B_j)×n block
+	// (n = 1 for a vector query), once Receive finished the call with a nil
+	// Err. The header is the Call's own, so a recycled Call receives
+	// without allocating one.
+	Y matrix.Dense[E]
+	// free is the reply list Y's data was read from, for Release.
 	free *slabs[E]
 	// Err is the call's outcome, set when Receive finishes it or Cancel
 	// withdraws it.
@@ -82,14 +83,14 @@ type Call[E comparable] struct {
 // span, which carries the traceparent on the wire.
 func (c *Call[E]) prepare(ctx context.Context, p *Pool[E], addr string, timeout time.Duration, reg *obs.Registry, req request[E], done chan *Call[E]) {
 	c.gen++
-	c.Y, c.M, c.Err, c.free = nil, nil, nil, nil
+	c.Y, c.Err, c.free = matrix.Dense[E]{}, nil, nil
 	c.ctx, c.pool, c.reg, c.addr, c.timeout, c.done = ctx, p, reg, addr, timeout, done
 	c.req, c.resp, c.lost = req, response[E]{}, false
 	c.mux, c.stream, c.dialErr, c.fresh, c.final, c.sent = nil, 0, nil, false, false, 0
 	c.finish = nil
 	c.start = time.Now()
 	if reg != nil {
-		_, c.finish = startClientSpan(ctx, addr, opToKind(req.op), &c.req)
+		_, c.finish = startClientSpan(ctx, addr, req.kind(), &c.req)
 	}
 }
 
@@ -139,8 +140,8 @@ func (c *Call[E]) deliver() {
 	}
 }
 
-// Receive finishes a call its owner received from done, filling Y or M and
-// Err and recording the round trip. It reports false when instead the call
+// Receive finishes a call its owner received from done, filling Y and Err
+// and recording the round trip. It reports false when instead the call
 // was sent again and will arrive on done once more: a request on a reused
 // connection that died under it is retried once on a fresh connection, as
 // every protocol request is idempotent.
@@ -161,7 +162,7 @@ func (c *Call[E]) Receive() bool {
 	case c.lost:
 		err = fmt.Errorf("%w: receive from %s", errConnBroken, c.addr)
 	default:
-		err = verdict(c.addr, c.req.op, &c.resp)
+		err = verdict(c.addr, &c.req, &c.resp)
 		if err == nil {
 			err = residues(c.addr, &c.resp)
 		}
@@ -170,13 +171,13 @@ func (c *Call[E]) Receive() bool {
 	return true
 }
 
-// Release hands Y's or M's slab back to the connection that read it, for a
-// later reply there to reuse, and clears both. The owner calls it once done
-// with them and must not touch them afterwards; it is a no-op on a call
-// with no reply slab.
+// Release hands Y's slab back to the connection that read it, for a later
+// reply there to reuse, and clears Y. The owner calls it once done with Y
+// and must not touch its data afterwards; it is a no-op on a call with no
+// reply slab.
 func (c *Call[E]) Release() {
-	c.free.give(c.Y, c.M)
-	c.Y, c.M, c.free = nil, nil, nil
+	c.free.give(c.Y.RowsView(0, c.Y.Rows()))
+	c.Y, c.free = matrix.Dense[E]{}, nil
 }
 
 // Cancel withdraws an outstanding call with cause as its error. It reports
@@ -212,20 +213,21 @@ func (c *Call[E]) Cancel(cause error) bool {
 // reuse holds no slab alive.
 func (c *Call[E]) complete(err error, m *muxConn[E], sent, recv int64) {
 	if err == nil {
-		c.Y, c.M, c.free = c.resp.y, c.resp.m, c.resp.free
+		c.Y.Wrap(c.resp.rows, c.resp.cols, c.resp.y)
+		c.free = c.resp.free
 	} else {
-		c.resp.free.give(c.resp.y, c.resp.m)
+		c.resp.free.give(c.resp.y)
 	}
 	c.Err = err
 	if c.reg != nil {
-		m.clientRPC(c.reg).record(opToKind(c.req.op), time.Since(c.start), sent, recv, err != nil)
+		m.clientRPC(c.reg).record(c.req.kind(), time.Since(c.start), sent, recv, err != nil)
 	}
 	if c.finish != nil {
 		c.finish(c.resp.spans, err)
 		c.finish = nil
 	}
 	c.resp = response[E]{}
-	c.req.x, c.req.m = nil, nil
+	c.req.x = nil
 }
 
 // await is the receive half of a blocking round trip: it waits on the
@@ -284,26 +286,22 @@ func releaseTimer(t *time.Timer) {
 // the decode would turn it into a wrong A·x. It is a remote failure like
 // any other, so the fleet fails over and strikes the device's breaker.
 func residues[E comparable](addr string, r *response[E]) error {
-	y := r.y
-	if r.m != nil {
-		y = r.m.RowsView(0, r.m.Rows())
-	}
-	if i := nonResidue(y); i >= 0 {
-		return fmt.Errorf("%w: %s: reply element %d is %v, not a residue mod %d", ErrRemote, addr, i, y[i], field.Modulus)
+	if i := nonResidue(r.y); i >= 0 {
+		return fmt.Errorf("%w: %s: reply element %d is %v, not a residue mod %d", ErrRemote, addr, i, r.y[i], field.Modulus)
 	}
 	return nil
 }
 
 // verdict turns a decoded response into the request's error: the device's
 // own failure as ErrRemote, or a protocol error when the device answered a
-// different op than it was asked (the callers read Y or M by the op they
-// sent). The response's spans still reach the trace with either error.
-func verdict[E comparable](addr string, op byte, r *response[E]) error {
+// different op than it was asked (the callers read Y by the op they sent).
+// The response's spans still reach the trace with either error.
+func verdict[E comparable](addr string, req *request[E], r *response[E]) error {
 	if r.err != "" {
 		return fmt.Errorf("%w: %s: %s", ErrRemote, addr, r.err)
 	}
-	if r.op != op|opResponseBit {
-		return fmt.Errorf("transport: %s answered op %#x to a %s request", addr, r.op, opToKind(op))
+	if r.op != req.op|opResponseBit {
+		return fmt.Errorf("transport: %s answered op %#x to a %s request", addr, r.op, req.kind())
 	}
 	return nil
 }

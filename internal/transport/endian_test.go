@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/scec/scec/internal/field"
-	"github.com/scec/scec/internal/matrix"
 )
 
 // TestBigEndianWirePath drives the frame codecs through the per-element
@@ -46,7 +45,7 @@ func endianPaths[E comparable](t *testing.T, vals []E, appendLE func([]byte, E) 
 	for _, v := range vals {
 		image = appendLE(image, v)
 	}
-	m := matrix.FromSlice(2, len(vals)/2, vals)
+	rows, cols := 2, len(vals)/2
 
 	native := hostLittleEndian
 	t.Cleanup(func() { hostLittleEndian = native })
@@ -58,11 +57,11 @@ func endianPaths[E comparable](t *testing.T, vals []E, appendLE func([]byte, E) 
 	for i, little := range paths {
 		hostLittleEndian = little
 		fr := &encoded[i]
-		fr.compute, _ = appendRequestFrame(nil, cod, 1, &request[E]{op: opCompute, x: vals})
-		fr.store, _ = appendRequestFrame(nil, cod, 2, &request[E]{op: opStore, m: m})
-		fr.batch, _ = appendRequestFrame(nil, cod, 3, &request[E]{op: opComputeBatch, m: m})
-		fr.computeResp = responseFrame(t, cod, opCompute, &response[E]{y: vals})
-		fr.batchResp = responseFrame(t, cod, opComputeBatch, &response[E]{m: m})
+		fr.compute, _ = appendRequestFrame(nil, cod, 1, &request[E]{op: opCompute, x: vals, rows: len(vals), cols: 1})
+		fr.store, _ = appendRequestFrame(nil, cod, 2, &request[E]{op: opStore, x: vals, rows: rows, cols: cols})
+		fr.batch, _ = appendRequestFrame(nil, cod, 3, &request[E]{op: opCompute, x: vals, rows: rows, cols: cols})
+		fr.computeResp = responseFrame(t, cod, opCompute, &response[E]{y: vals, rows: len(vals), cols: 1})
+		fr.batchResp = responseFrame(t, cod, opCompute, &response[E]{y: vals, rows: rows, cols: cols})
 		for _, f := range [][]byte{fr.compute, fr.store, fr.batch, fr.computeResp, fr.batchResp} {
 			if !bytes.Contains(f, image) {
 				t.Fatalf("little-endian path %v: frame % x does not carry the elements' little-endian image % x", little, f, image)
@@ -77,33 +76,29 @@ func endianPaths[E comparable](t *testing.T, vals []E, appendLE func([]byte, E) 
 		hostLittleEndian = little
 		for i, fr := range encoded {
 			for _, req := range []struct {
-				frame []byte
-				op    byte
-			}{{fr.compute, opCompute}, {fr.store, opStore}, {fr.batch, opComputeBatch}} {
+				frame      []byte
+				op         byte
+				rows, cols int
+			}{{fr.compute, opCompute, len(vals), 1}, {fr.store, opStore, rows, cols}, {fr.batch, opCompute, rows, cols}} {
 				got, err := readRequestFrame[E](bufio.NewReader(bytes.NewReader(req.frame)), cod, len(vals), nil)
 				if err != nil {
 					t.Fatalf("decode path %v, frames of path %d, op %d: %v", little, i, req.op, err)
 				}
-				if req.op == opCompute && !slices.Equal(got.x, vals) || req.op != opCompute && !sameMatrix(got.m, m) {
-					t.Fatalf("decode path %v, frames of path %d: op %d request decoded to other elements", little, i, req.op)
+				if got.op != req.op || got.rows != req.rows || got.cols != req.cols || !slices.Equal(got.x, vals) {
+					t.Fatalf("decode path %v, frames of path %d: op %d %dx%d request decoded to other elements", little, i, req.op, req.rows, req.cols)
 				}
 			}
-			_, resp, err := readResponseFrame[E](bufio.NewReader(bytes.NewReader(fr.computeResp)), cod, nil)
-			if err != nil || !slices.Equal(resp.y, vals) {
-				t.Fatalf("decode path %v, frames of path %d: compute response = %v, %v", little, i, resp.y, err)
-			}
-			_, resp, err = readResponseFrame[E](bufio.NewReader(bytes.NewReader(fr.batchResp)), cod, nil)
-			if err != nil || !sameMatrix(resp.m, m) {
-				t.Fatalf("decode path %v, frames of path %d: batch response decoded to other elements (%v)", little, i, err)
+			for _, r := range []struct {
+				frame      []byte
+				rows, cols int
+			}{{fr.computeResp, len(vals), 1}, {fr.batchResp, rows, cols}} {
+				_, resp, err := readResponseFrame[E](bufio.NewReader(bytes.NewReader(r.frame)), cod, nil)
+				if err != nil || resp.rows != r.rows || resp.cols != r.cols || !slices.Equal(resp.y, vals) {
+					t.Fatalf("decode path %v, frames of path %d: %dx%d compute response = %dx%d %v, %v", little, i, r.rows, r.cols, resp.rows, resp.cols, resp.y, err)
+				}
 			}
 		}
 	}
-}
-
-// sameMatrix reports whether a holds exactly b's shape and elements.
-func sameMatrix[E comparable](a, b *matrix.Dense[E]) bool {
-	return a != nil && a.Rows() == b.Rows() && a.Cols() == b.Cols() &&
-		slices.Equal(a.RowsView(0, a.Rows()), b.RowsView(0, b.Rows()))
 }
 
 func sameFrames(a, b endianFrames) bool {

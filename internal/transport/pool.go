@@ -158,14 +158,14 @@ func (p *Pool[E]) Debug(addr string) ConnDebug {
 }
 
 // roundTrip sends one request to addr on the device's persistent
-// connection (dialing it on first use) and waits for the matching response,
-// recording the round trip (count, latency, bytes, outcome) into reg and,
+// connection (dialing it on first use), waits for the matching response and
+// returns a compute's reply slab, flat, recording the round trip (count, latency, bytes, outcome) into reg and,
 // inside a trace, an rpc.client span. It is Call's send and receive halves
 // back to back on a recycled Call: the exchange is bounded by both timeout
 // and ctx, and cancelling ctx aborts an in-flight dial or wait promptly, the
 // returned error then wrapping ctx.Err(). A remote failure returns an
 // ErrRemote error.
-func (p *Pool[E]) roundTrip(ctx context.Context, addr string, timeout time.Duration, reg *obs.Registry, req request[E]) ([]E, *matrix.Dense[E], error) {
+func (p *Pool[E]) roundTrip(ctx context.Context, addr string, timeout time.Duration, reg *obs.Registry, req request[E]) ([]E, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -175,9 +175,9 @@ func (p *Pool[E]) roundTrip(ctx context.Context, addr string, timeout time.Durat
 	c.launch()
 	c.mu.Unlock()
 	err := c.await(timeout)
-	y, m := c.Y, c.M
+	y := c.Y.RowsView(0, c.Y.Rows())
 	p.release(c)
-	return y, m, err
+	return y, err
 }
 
 // call returns a Call for one blocking round trip, recycled from earlier
@@ -193,7 +193,7 @@ func (p *Pool[E]) call() *Call[E] {
 // reusable once finished or withdrawn (see Call), and await always drains
 // the private channel before it returns.
 func (p *Pool[E]) release(c *Call[E]) {
-	c.Y, c.M, c.Err = nil, nil, nil
+	c.Y, c.Err = matrix.Dense[E]{}, nil
 	p.calls.Put(c)
 }
 
@@ -281,8 +281,8 @@ func (p *Pool[E]) dialMux(ctx context.Context, addr string, timeout time.Duratio
 	defer func() {
 		reg.Counter(obs.MetricTransportNegotiations, "Hello handshakes on freshly dialed connections, by outcome.", obs.L("outcome", outcome)).Inc()
 		kind := flight.KindNegotiateError
-		if outcome == "v3" {
-			kind = flight.KindNegotiateV3
+		if outcome == "v4" {
+			kind = flight.KindNegotiateV4
 		}
 		flight.Default().Publish(kind, addr, 0, 0)
 	}()
@@ -301,7 +301,7 @@ func (p *Pool[E]) dialMux(ctx context.Context, addr string, timeout time.Duratio
 	negotiating = false
 	watchMu.Unlock()
 	_ = conn.SetDeadline(time.Time{})
-	outcome = "v3"
+	outcome = "v4"
 	m := &muxConn[E]{
 		pool:    p,
 		addr:    addr,
@@ -393,7 +393,7 @@ func (m *muxConn[E]) readLoop(br *bufio.Reader) {
 		m.mu.Unlock()
 		if c == nil {
 			// The call was withdrawn: nobody will read this reply.
-			r.free.give(r.y, r.m)
+			r.free.give(r.y)
 			continue
 		}
 		m.inflight.Add(-1)

@@ -20,7 +20,7 @@ import (
 
 // TestMuxManyStreamsOneConnection fires 64 concurrent computes through one
 // pool and asserts they all multiplex onto a single server-side connection
-// — the tentpole property of the v3 transport.
+// — the tentpole property of the v4 transport.
 func TestMuxManyStreamsOneConnection(t *testing.T) {
 	f := field.Prime{}
 	reg := obs.New()
@@ -96,8 +96,8 @@ func TestHeartbeatKeepsConnectionAlive(t *testing.T) {
 	if err := client.Ping(t.Context(), srv.Addr()); err != nil {
 		t.Fatalf("ping after idle window: %v", err)
 	}
-	if n := reg.Counter(obs.MetricTransportNegotiations, "", obs.L("outcome", "v3")).Value(); n != 1 {
-		t.Fatalf("v3 negotiations = %d, want 1 (connection must have survived idle)", n)
+	if n := reg.Counter(obs.MetricTransportNegotiations, "", obs.L("outcome", "v4")).Value(); n != 1 {
+		t.Fatalf("v4 negotiations = %d, want 1 (connection must have survived idle)", n)
 	}
 	if hb := reg.Counter(obs.MetricTransportHeartbeats, "", obs.L("outcome", "ok")).Value(); hb < 3 {
 		t.Fatalf("ok heartbeats = %d, want several over the idle window", hb)
@@ -150,7 +150,7 @@ func TestPooledContextCancelPrompt(t *testing.T) {
 			}
 			go func() {
 				defer conn.Close()
-				// Speak just enough v3 to pass negotiation, then go silent.
+				// Speak just enough v4 to pass negotiation, then go silent.
 				buf := make([]byte, helloLen)
 				if _, err := io.ReadFull(conn, buf); err != nil {
 					return
@@ -319,12 +319,12 @@ func TestCancelledStreamNeverFeedsNextRequest(t *testing.T) {
 					return
 				}
 				x = matrix.RandomVec[uint64](f, rng, cols)
-				client.Go(t.Context(), addr, x, &call, done)
+				client.Go(t.Context(), addr, vec(x), &call, done)
 				for !(<-done).Receive() {
 				}
 				err = call.Err
 				if err == nil {
-					err = exact(x, call.Y)
+					err = exact(x, flat(&call.Y))
 				}
 				call.Release()
 				if err == nil && kept != nil {
@@ -434,7 +434,7 @@ func TestNoWireCodecFailsFast(t *testing.T) {
 		}},
 		{"ping", func() error { return client.Ping(t.Context(), addr) }},
 		{"compute", func() error { _, err := client.Compute(t.Context(), addr, []noCodec{{1}}); return err }},
-		{"compute-batch", func() error { _, err := client.ComputeBatch(t.Context(), addr, x); return err }},
+		{"compute-batch", func() error { _, err := computeMat(t.Context(), client, addr, x); return err }},
 		{"store", func() error { return cloud.Store(t.Context(), addr, x) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -517,7 +517,7 @@ func TestTeardownDeliversEveryCall(t *testing.T) {
 	done := make(chan *Call[uint64], n)
 	for i := range calls {
 		calls[i].Tag = i
-		client.Go(t.Context(), addr, []uint64{uint64(i)}, &calls[i], done)
+		client.Go(t.Context(), addr, vec([]uint64{uint64(i)}), &calls[i], done)
 	}
 	for deadline := time.Now().Add(5 * time.Second); pool.Debug(addr).InFlight != n; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {

@@ -20,7 +20,7 @@ import (
 func roundTripGo(t *testing.T, client Client[uint64], addr string, x []uint64, call *Call[uint64]) {
 	t.Helper()
 	done := make(chan *Call[uint64], 1)
-	client.Go(t.Context(), addr, x, call, done)
+	client.Go(t.Context(), addr, vec(x), call, done)
 	for !(<-done).Receive() {
 	}
 	if call.Err != nil {
@@ -42,21 +42,21 @@ func TestReplySlabRecycled(t *testing.T) {
 	var call Call[uint64]
 	x := matrix.RandomVec[uint64](f, rng, cols)
 	roundTripGo(t, client, srv.Addr(), x, &call)
-	if !slices.Equal(call.Y, matrix.MulVec[uint64](f, block, x)) {
+	if !slices.Equal(flat(&call.Y), matrix.MulVec[uint64](f, block, x)) {
 		t.Fatal("first reply differs from B·x")
 	}
-	released := &call.Y[0]
+	released := &flat(&call.Y)[0]
 	call.Release()
-	if call.Y != nil {
+	if call.Y.Rows() != 0 || flat(&call.Y) != nil {
 		t.Fatal("Release left Y set")
 	}
 
 	x = matrix.RandomVec[uint64](f, rng, cols)
 	roundTripGo(t, client, srv.Addr(), x, &call)
-	if !slices.Equal(call.Y, matrix.MulVec[uint64](f, block, x)) {
+	if !slices.Equal(flat(&call.Y), matrix.MulVec[uint64](f, block, x)) {
 		t.Fatal("reply read into a recycled slab differs from B·x")
 	}
-	if &call.Y[0] != released {
+	if &flat(&call.Y)[0] != released {
 		t.Fatal("the next reply did not reuse the released slab")
 	}
 
@@ -70,7 +70,7 @@ func TestReplySlabRecycled(t *testing.T) {
 	call.Release()
 	for range 4 {
 		roundTripGo(t, client, srv.Addr(), matrix.RandomVec[uint64](f, rng, cols), &call)
-		if &call.Y[0] == &kept[0] {
+		if &flat(&call.Y)[0] == &kept[0] {
 			t.Fatal("a later reply landed in a slab its owner still holds")
 		}
 		call.Release()
@@ -80,7 +80,7 @@ func TestReplySlabRecycled(t *testing.T) {
 	}
 }
 
-// startForgingDevice serves the v3 protocol like a device holding a
+// startForgingDevice serves the v4 protocol like a device holding a
 // rows-row block, except that every compute reply carries p =
 // field.Modulus as its first element: well formed, but a value no honest
 // device computes. It stops when the test ends.
@@ -126,13 +126,9 @@ func startForgingDevice(t *testing.T, rows int) string {
 				return
 			}
 			var resp response[uint64]
-			switch req.op {
-			case opCompute:
-				resp.y = make([]uint64, rows)
+			if req.op == opCompute {
+				resp.y, resp.rows, resp.cols = make([]uint64, rows*req.cols), rows, req.cols
 				resp.y[0] = field.Modulus
-			case opComputeBatch:
-				resp.m = matrix.New[uint64](rows, req.m.Cols())
-				resp.m.Set(0, 0, field.Modulus)
 			}
 			frame := newReplyFrame(cod, req.op, &resp)
 			if writeReply(w, req.stream, &frame, &resp) != nil {
@@ -175,7 +171,7 @@ func TestNonResidueReplyFails(t *testing.T) {
 		t.Fatalf("compute returned %v alongside its failure", y)
 	}
 	check("compute", err)
-	_, err = client.ComputeBatch(t.Context(), addr, matrix.New[uint64](2, 3))
+	_, err = computeMat(t.Context(), client, addr, matrix.New[uint64](2, 3))
 	check("compute-batch", err)
 }
 
@@ -195,8 +191,8 @@ func TestSmallComputeOvertakesSpawnedCompute(t *testing.T) {
 	var large, small Call[uint64]
 	large.Tag, small.Tag = 1, 2
 	done := make(chan *Call[uint64], 2)
-	client.GoBatch(t.Context(), srv.Addr(), xm, &large, done)
-	client.Go(t.Context(), srv.Addr(), x, &small, done)
+	client.Go(t.Context(), srv.Addr(), xm, &large, done)
+	client.Go(t.Context(), srv.Addr(), vec(x), &small, done)
 	var order []int
 	for len(order) < 2 {
 		c := <-done
@@ -211,7 +207,7 @@ func TestSmallComputeOvertakesSpawnedCompute(t *testing.T) {
 	if order[0] != small.Tag {
 		t.Fatal("the small compute was answered after the large one: the large compute blocked the read loop")
 	}
-	if !slices.Equal(small.Y, matrix.MulVec[uint64](f, block, x)) || !matrix.Equal[uint64](f, large.M, matrix.Mul[uint64](f, block, xm)) {
+	if !slices.Equal(flat(&small.Y), matrix.MulVec[uint64](f, block, x)) || !matrix.Equal[uint64](f, &large.Y, matrix.Mul[uint64](f, block, xm)) {
 		t.Fatal("wrong answer")
 	}
 	if n := srv.connsOpen.Value(); n != 1 {
@@ -233,10 +229,11 @@ func TestInlineAtThreshold(t *testing.T) {
 	if rows*l*cols != inlineWork || cols > 1<<10 {
 		t.Fatalf("inlineWork %d is not a whole number of %d×%d batch columns, at most 1Ki of them", inlineWork, rows, l)
 	}
-	vec := &request[uint64]{op: opCompute, x: make([]uint64, l)}
-	at := &request[uint64]{op: opComputeBatch, m: matrix.New[uint64](l, cols)}
-	above := &request[uint64]{op: opComputeBatch, m: matrix.New[uint64](l, cols+1)}
-	if srv.inline(vec) {
+	compute := func(n int) *request[uint64] {
+		return &request[uint64]{op: opCompute, x: make([]uint64, l*n), rows: l, cols: n}
+	}
+	vector, at, above := compute(1), compute(cols), compute(cols+1)
+	if srv.inline(vector) {
 		t.Fatal("a compute with no stored block ran inline")
 	}
 	srv.installBlock(matrix.New[uint64](rows, l))
@@ -245,12 +242,12 @@ func TestInlineAtThreshold(t *testing.T) {
 		req  *request[uint64]
 		want bool
 	}{
-		{"vector compute", vec, true},
+		{"vector compute", vector, true},
 		{"batch at the threshold", at, true},
 		{"batch one column above", above, false},
-		{"store", &request[uint64]{op: opStore, m: matrix.New[uint64](rows, l)}, false},
+		{"store", &request[uint64]{op: opStore, x: make([]uint64, rows*l), rows: rows, cols: l}, false},
 		{"ping", &request[uint64]{op: opPing}, false},
-		{"refused batch", &request[uint64]{op: opComputeBatch, reqErr: "over cap"}, false},
+		{"refused batch", &request[uint64]{op: opCompute, rows: l, cols: cols, reqErr: "over cap"}, false},
 	} {
 		if got := srv.inline(tc.req); got != tc.want {
 			t.Errorf("%s: inline = %v, want %v", tc.name, got, tc.want)
@@ -280,7 +277,7 @@ func TestDeviceCloseLeavesNoGoroutines(t *testing.T) {
 		if _, err := client.Compute(t.Context(), srv.Addr(), matrix.RandomVec[uint64](f, rng, cols)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := client.ComputeBatch(t.Context(), srv.Addr(), matrix.Random[uint64](f, rng, cols, 1+i*2)); err != nil {
+		if _, err := computeMat(t.Context(), client, srv.Addr(), matrix.Random[uint64](f, rng, cols, 1+i*2)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -118,23 +118,17 @@ func (s *DeviceServer[E]) spawn(handlers *sync.WaitGroup, w *wireWriter, free *s
 // of a loopback query; at 32Ki the wait is a loopback round trip's worth.
 const inlineWork = 16 << 10
 
-// inline reports whether req is a compute or batch compute small enough to
-// serve on the read loop. Any other request, or a compute the device has no
-// block for, is not (the latter answers at once either way).
+// inline reports whether req is a compute small enough to serve on the
+// read loop. Any other request, a refused one, or a compute the device has
+// no block for, is not (the last two answer at once either way).
 func (s *DeviceServer[E]) inline(req *request[E]) bool {
-	var l, cols int
-	switch {
-	case req.op == opCompute:
-		l, cols = len(req.x), 1
-	case req.op == opComputeBatch && req.m != nil:
-		l, cols = req.m.Rows(), req.m.Cols()
-	default:
+	if req.op != opCompute || req.reqErr != "" {
 		return false
 	}
 	s.mu.Lock()
 	block := s.block
 	s.mu.Unlock()
-	return block != nil && block.Rows()*l*cols <= inlineWork
+	return block != nil && block.Rows()*len(req.x) <= inlineWork
 }
 
 // handleWire serves one decoded request frame end to end. The request is
@@ -145,7 +139,7 @@ func (s *DeviceServer[E]) inline(req *request[E]) bool {
 // connection's next requests.
 func (s *DeviceServer[E]) handleWire(w *wireWriter, free *slabs[E], req request[E]) {
 	start := time.Now()
-	kind := opToKind(req.op)
+	kind := req.kind()
 	ctx, bag, sp := s.startServerSpan(kind, req.tp)
 	var resp response[E]
 	switch {
@@ -153,15 +147,13 @@ func (s *DeviceServer[E]) handleWire(w *wireWriter, free *slabs[E], req request[
 		resp.err = req.reqErr
 	case req.op == opPing:
 	case req.op == opStore:
-		if req.m.Rows() == 0 {
+		if req.rows == 0 {
 			resp.err = "store: empty coded block"
 		} else {
-			s.installBlock(req.m)
+			s.installBlock(matrix.FromSlice(req.rows, req.cols, req.x))
 		}
 	case req.op == opCompute:
-		resp.y, resp.err = s.mulVec(ctx, bag, req.x, free)
-	case req.op == opComputeBatch:
-		resp.m, resp.err = s.mulMat(ctx, bag, req.m, free)
+		s.compute(ctx, bag, &req, &resp, free)
 	}
 	errored := resp.err != ""
 	if sp != nil {
@@ -179,19 +171,19 @@ func (s *DeviceServer[E]) handleWire(w *wireWriter, free *slabs[E], req request[
 }
 
 // slabs are one connection's free lists of element slabs. On a device, a
-// compute's operand (x, or a batch's X) is read into a slab from in and its
-// reply (y, or a batch's Y) is computed into one from out; release hands
-// both back once the response frame is written, so a steady stream of
-// requests decodes and answers without allocating. A store's slab never
-// enters a list: it becomes the device's block. On a client connection, in
-// is the reply list: a compute reply is read into a slab from it, and the
-// slab comes back when the call's owner releases it (Call.Release) or, for
-// a withdrawn call, straight from the read loop; out stays empty. The lists
-// are buffered channels, so taking or returning a slab allocates nothing.
+// compute's operand X is read into a slab from in and its reply Y is
+// computed into one from out; release hands both back once the response
+// frame is written, so a steady stream of requests decodes and answers
+// without allocating. A store's slab never enters a list: it becomes the
+// device's block. On a client connection, in is the reply list: a compute
+// reply is read into a slab from it, and the slab comes back when the
+// call's owner releases it (Call.Release) or, for a withdrawn call,
+// straight from the read loop; out stays empty. The lists are buffered
+// channels, so taking or returning a slab allocates nothing.
 type slabs[E comparable] struct {
 	in, out chan []E
-	// retain is the largest slab kept, in elements: a wide batch's operand
-	// is not worth holding for the connection's lifetime.
+	// retain is the largest slab kept, in elements: a wide operand is not
+	// worth holding for the connection's lifetime.
 	retain int
 }
 
@@ -221,30 +213,18 @@ func (s *slabs[E]) read(n int) []E {
 // reply returns a slab of n elements for a compute's result.
 func (s *slabs[E]) reply(n int) []E { return reuse(s.out, n) }
 
-// release hands back a served request's operand and reply.
+// release hands back a served compute's operand and reply.
 func (s *slabs[E]) release(req *request[E], resp *response[E]) {
-	switch req.op {
-	case opCompute:
+	if req.op == opCompute {
 		s.keep(s.in, req.x)
 		s.keep(s.out, resp.y)
-	case opComputeBatch:
-		if req.m != nil {
-			s.keep(s.in, req.m.RowsView(0, req.m.Rows()))
-		}
-		if resp.m != nil {
-			s.keep(s.out, resp.m.RowsView(0, resp.m.Rows()))
-		}
 	}
 }
 
-// give hands back a client reply slab holding y or, for a batch, m (at most
-// one is set); a nil s keeps nothing.
-func (s *slabs[E]) give(y []E, m *matrix.Dense[E]) {
+// give hands back a client reply slab; a nil s keeps nothing.
+func (s *slabs[E]) give(y []E) {
 	if s == nil {
 		return
-	}
-	if m != nil {
-		y = m.RowsView(0, m.Rows())
 	}
 	s.keep(s.in, y)
 }
@@ -287,26 +267,17 @@ type replyFrame struct {
 //
 //	u32 length | u32 streamID | u8 op|0x80 | u8 status |
 //	  (status!=0: u32 msgLen | msg)
-//	  (status==0, compute: u32 n | elems)
-//	  (status==0, compute-batch: u32 rows | u32 cols | elems)
+//	  (status==0, compute: u32 rows | u32 cols | elems)
 //	| u32 spansLen | gob([]trace.SpanData)
 func newReplyFrame[E comparable](cod elemCodec, op byte, resp *response[E]) replyFrame {
 	f := replyFrame{op: op, spans: encodeSpans(resp.spans)}
-	switch {
-	case resp.err != "":
-	case op == opCompute:
-		f.slab = elemWireBytes(resp.y, cod.size)
-	case op == opComputeBatch:
-		f.slab = elemWireBytes(resp.m.RowsView(0, resp.m.Rows()), cod.size)
-	}
-	f.payload = 1 + len(f.slab) + 4 + len(f.spans) // status, elements, spans trailer
+	f.payload = 1 + 4 + len(f.spans) // status, spans trailer
 	switch {
 	case resp.err != "":
 		f.payload += 4 + len(resp.err)
 	case op == opCompute:
-		f.payload += 4
-	case op == opComputeBatch:
-		f.payload += 8
+		f.slab = elemWireBytes(resp.y, cod.size)
+		f.payload += 8 + len(f.slab)
 	}
 	return f
 }
@@ -329,10 +300,8 @@ func writeReply[E comparable](w *wireWriter, stream uint32, f *replyFrame, resp 
 			b = binary.LittleEndian.AppendUint32(b, uint32(len(resp.err)))
 			b = append(b, resp.err...)
 		case op == opCompute:
-			b = binary.LittleEndian.AppendUint32(b, uint32(len(resp.y)))
-		case op == opComputeBatch:
-			b = binary.LittleEndian.AppendUint32(b, uint32(resp.m.Rows()))
-			b = binary.LittleEndian.AppendUint32(b, uint32(resp.m.Cols()))
+			b = binary.LittleEndian.AppendUint32(b, uint32(resp.rows))
+			b = binary.LittleEndian.AppendUint32(b, uint32(resp.cols))
 		}
 		return b
 	}, f.slab, func(b []byte) []byte {
@@ -370,7 +339,7 @@ func decodeSpans(b []byte) []trace.SpanData {
 // little-endian element slab) and returns its full wire size.
 func writeRequestFrame[E comparable](w *wireWriter, cod elemCodec, stream uint32, req *request[E]) (int64, error) {
 	var size int64
-	slab := requestSlab(cod, req)
+	slab := elemWireBytes(req.x, cod.size)
 	err := w.writeFrame(func(b []byte) []byte {
 		b, size = appendRequestHead(b, cod, stream, req, len(slab))
 		return b
@@ -385,21 +354,9 @@ func writeRequestFrame[E comparable](w *wireWriter, cod elemCodec, stream uint32
 // extended buffer and the frame's on-wire size: the bench harness's pure
 // encode cost against an in-memory buffer.
 func appendRequestFrame[E comparable](b []byte, cod elemCodec, stream uint32, req *request[E]) ([]byte, int64) {
-	slab := requestSlab(cod, req)
+	slab := elemWireBytes(req.x, cod.size)
 	b, size := appendRequestHead(b, cod, stream, req, len(slab))
 	return append(b, slab...), size
-}
-
-// requestSlab is the wire image of a request's element slab: x for a
-// compute, the matrix for a store or batch compute, nothing for a ping.
-func requestSlab[E comparable](cod elemCodec, req *request[E]) []byte {
-	switch req.op {
-	case opCompute:
-		return elemWireBytes(req.x, cod.size)
-	case opStore, opComputeBatch:
-		return elemWireBytes(req.m.RowsView(0, req.m.Rows()), cod.size)
-	}
-	return nil
 }
 
 // appendRequestHead appends everything of a request frame that precedes its
@@ -411,20 +368,14 @@ func appendRequestHead[E comparable](b []byte, cod elemCodec, stream uint32, req
 		tp = "" // cannot happen with W3C traceparents; degrade to untraced
 	}
 	payload := 1 + len(tp) + slabLen
-	switch op {
-	case opCompute:
-		payload += 4
-	case opStore, opComputeBatch:
+	if op != opPing {
 		payload += 8
 	}
 	b = appendFrameHeader(b, uint32(5+payload), stream, op, byte(len(tp)))
 	b = append(b, tp...)
-	switch op {
-	case opCompute:
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(req.x)))
-	case opStore, opComputeBatch:
-		b = binary.LittleEndian.AppendUint32(b, uint32(req.m.Rows()))
-		b = binary.LittleEndian.AppendUint32(b, uint32(req.m.Cols()))
+	if op != opPing {
+		b = binary.LittleEndian.AppendUint32(b, uint32(req.rows))
+		b = binary.LittleEndian.AppendUint32(b, uint32(req.cols))
 	}
 	return b, int64(frameOverhead + payload)
 }
@@ -501,20 +452,6 @@ func readResponseFrame[E comparable](br *bufio.Reader, cod elemCodec, free *slab
 		switch wr.op &^ opResponseBit {
 		case opPing, opStore:
 		case opCompute:
-			n, err := readU32()
-			if err != nil {
-				return 0, wr, err
-			}
-			// The spans trailer still follows (≥ 4 bytes), bounding the
-			// element count — and with it the allocation — by the frame.
-			if body < 4 || n*cod.size > body-4 {
-				return 0, wr, fmt.Errorf("transport: %d response elements do not fit frame", n)
-			}
-			if wr.y, err = elems(n); err != nil {
-				return 0, wr, err
-			}
-			body -= n * cod.size
-		case opComputeBatch:
 			rows, err := readU32()
 			if err != nil {
 				return 0, wr, err
@@ -523,18 +460,19 @@ func readResponseFrame[E comparable](br *bufio.Reader, cod elemCodec, free *slab
 			if err != nil {
 				return 0, wr, err
 			}
+			// The spans trailer still follows (≥ 4 bytes), bounding the
+			// element count — and with it the allocation — by the frame.
 			// Division, not multiplication: rows·cols·size can overflow
 			// uint64 on forged dimensions and sneak past a product check.
 			total := uint64(rows) * uint64(cols)
 			if body < 4 || rows < 0 || cols < 0 || total > uint64(body-4)/uint64(cod.size) {
 				return 0, wr, fmt.Errorf("transport: %dx%d response does not fit frame", rows, cols)
 			}
-			data, err := elems(int(total))
-			if err != nil {
+			if wr.y, err = elems(int(total)); err != nil {
 				return 0, wr, err
 			}
 			body -= int(total) * cod.size
-			wr.m = matrix.FromSlice(rows, cols, data)
+			wr.rows, wr.cols = rows, cols
 		default:
 			return 0, wr, fmt.Errorf("transport: unknown response op %#x", wr.op)
 		}

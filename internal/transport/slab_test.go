@@ -54,7 +54,7 @@ func TestConcurrentComputesOnRecycledSlabs(t *testing.T) {
 			for i := range rounds {
 				if i%4 == 3 {
 					xm := matrix.Random[uint64](f, rng, cols, 1+(i/4+w)%16)
-					ym, err := client.ComputeBatch(t.Context(), srv.Addr(), xm)
+					ym, err := computeMat(t.Context(), client, srv.Addr(), xm)
 					if err == nil && !matrix.Equal[uint64](f, ym, matrix.Mul[uint64](f, block, xm)) {
 						err = fmt.Errorf("worker %d: wrong B·X for a %d-column X", w, xm.Cols())
 					}
@@ -105,7 +105,7 @@ func TestStoredBlockNeverRecycled(t *testing.T) {
 		}
 	}
 	xm := matrix.Random[uint64](f, rng, 4, 2)
-	ym, err := client.ComputeBatch(t.Context(), srv.Addr(), xm)
+	ym, err := computeMat(t.Context(), client, srv.Addr(), xm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func decodeCompute(t *testing.T, free *slabs[uint64], n int) request[uint64] {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, _ := appendRequestFrame(nil, cod, 1, &request[uint64]{op: opCompute, x: make([]uint64, n)})
+	frame, _ := appendRequestFrame(nil, cod, 1, &request[uint64]{op: opCompute, x: make([]uint64, n), rows: n, cols: 1})
 	req, err := readRequestFrame[uint64](bufio.NewReader(bytes.NewReader(frame)), cod, 8, free)
 	if err != nil {
 		t.Fatal(err)
@@ -172,27 +172,27 @@ func TestBatchReplySlabRecycled(t *testing.T) {
 		t.Fatal(err)
 	}
 	free := newSlabs[uint64](cod)
-	serve := func() *matrix.Dense[uint64] {
+	serve := func() []uint64 {
 		t.Helper()
 		x := matrix.FromSlice(7, 4, free.read(7*4))
 		copy(x.RowsView(0, 7), matrix.Random[uint64](f, rng, 7, 4).RowsView(0, 7))
-		req := request[uint64]{op: opComputeBatch, m: x}
+		req := request[uint64]{op: opCompute, x: x.RowsView(0, 7), rows: 7, cols: 4}
 		var resp response[uint64]
-		resp.m, resp.err = srv.mulMat(t.Context(), nil, x, free)
+		srv.compute(t.Context(), nil, &req, &resp, free)
 		if resp.err != "" {
 			t.Fatal(resp.err)
 		}
-		if !matrix.Equal[uint64](f, resp.m, matrix.Mul[uint64](f, block, x)) {
+		if !matrix.Equal[uint64](f, matrix.FromSlice(resp.rows, resp.cols, resp.y), matrix.Mul[uint64](f, block, x)) {
 			t.Fatal("batch reply is not B·X")
 		}
 		free.release(&req, &resp)
-		return resp.m
+		return resp.y
 	}
 	first := serve()
 	if len(free.in) != 1 || len(free.out) != 1 {
 		t.Fatalf("a served batch returned %d operand and %d reply slabs, want 1 and 1", len(free.in), len(free.out))
 	}
-	if next := serve(); &next.RowsView(0, 1)[0] != &first.RowsView(0, 1)[0] {
+	if next := serve(); &next[0] != &first[0] {
 		t.Fatal("the next batch's reply did not reuse the returned slab")
 	}
 }

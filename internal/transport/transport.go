@@ -11,7 +11,7 @@
 //     races replicas with Client.Go, collecting every reply of a query on
 //     one channel, and the engine above it decodes).
 //
-// The package speaks one wire protocol (v3, see wire.go) and is generic
+// The package speaks one wire protocol (v4, see wire.go) and is generic
 // over the field element type: one persistent connection per device
 // multiplexes many in-flight requests as length-prefixed binary frames with
 // stream IDs; field-element slabs travel as raw little-endian bytes (zero
@@ -47,16 +47,16 @@ var ErrRemote = errors.New("transport: remote error")
 // request is the protocol's one request envelope: what a client hands the
 // frame encoder and what the device's frame decoder yields.
 type request[E comparable] struct {
-	// op selects the operation (opPing, opStore, opCompute, opComputeBatch).
+	// op selects the operation (opPing, opStore, opCompute).
 	op byte
 	// tp carries the caller's span context in the W3C traceparent shape
 	// when the request is part of a trace; empty otherwise.
 	tp string
-	// x is the input vector of a compute request.
-	x []E
-	// m is the coded block of a store request or the input matrix X of a
-	// batch compute; its backing slab goes on the wire uncopied.
-	m *matrix.Dense[E]
+	// x is the operand, rows×cols row-major: a compute's l×n input X (n = 1
+	// for a vector query) or a store's coded block. It goes on the wire
+	// uncopied.
+	x          []E
+	rows, cols int
 
 	// The remaining fields are filled by the device-side decoder only.
 	stream uint32
@@ -70,13 +70,13 @@ type request[E comparable] struct {
 	size int64
 }
 
-// response is the device's answer: y for a compute, m for a batch compute,
-// neither for ping and store.
+// response is the device's answer: for a compute, y is B_j·T·X, rows×cols
+// row-major; ping and store carry none.
 type response[E comparable] struct {
 	// err is non-empty when the request failed remotely.
-	err string
-	y   []E
-	m   *matrix.Dense[E]
+	err        string
+	y          []E
+	rows, cols int
 	// spans carries the device's finished server-side spans for a traced
 	// request, re-emitted into the caller's trace so one user query
 	// assembles into a single cross-process waterfall.
@@ -85,13 +85,13 @@ type response[E comparable] struct {
 	// (request op | opResponseBit) and its full on-wire size.
 	op   byte
 	size int64
-	// free is the client connection's reply list y or m was read into from,
-	// nil when the reply's slab is not the list's to take back.
+	// free is the client connection's reply list y was read into from, nil
+	// when the reply's slab is not the list's to take back.
 	free *slabs[E]
 }
 
 // DefaultMaxElements bounds the number of field elements a device accepts
-// in a single store or batch-compute request (64 Mi elements ≈ 512 MB of
+// in a single store or compute request (64 Mi elements ≈ 512 MB of
 // uint64), so a misbehaving peer cannot exhaust device memory.
 const DefaultMaxElements = 1 << 26
 
@@ -131,10 +131,8 @@ type DeviceServer[E comparable] struct {
 type Stats struct {
 	// Stores counts coded-block installations.
 	Stores int
-	// Computes counts vector compute requests served.
+	// Computes counts compute requests served, of any width.
 	Computes int
-	// BatchComputes counts batch (matrix) compute requests served.
-	BatchComputes int
 	// ValuesReturned totals the intermediate values sent back to users.
 	ValuesReturned int
 }
@@ -143,8 +141,8 @@ type Stats struct {
 type Options struct {
 	// Timeout bounds each request exchange; zero means DefaultTimeout.
 	Timeout time.Duration
-	// MaxElements caps the field elements accepted per store or
-	// batch-compute request; zero means DefaultMaxElements.
+	// MaxElements caps the field elements accepted per store or compute
+	// request; zero means DefaultMaxElements.
 	MaxElements int
 	// Metrics receives the server's RPC and compute-stage telemetry; nil
 	// means obs.Default().
@@ -342,60 +340,44 @@ func (s *DeviceServer[E]) installBlock(block *matrix.Dense[E]) {
 	s.mu.Unlock()
 }
 
-// mulVec validates and executes one vector compute against the stored
-// block, computing into a reply slab from free, and returns the result or
-// the remote-error string.
-func (s *DeviceServer[E]) mulVec(ctx context.Context, bag *spanBag, x []E, free *slabs[E]) ([]E, string) {
+// compute validates and executes one compute of the l×n input X in req
+// (n = 1 for a vector query) against the stored block, computing B_j·T·X
+// into a reply slab from free, and fills resp with the result or the
+// remote-error string. Both matrix headers live on the stack: MulInto
+// keeps them there.
+func (s *DeviceServer[E]) compute(ctx context.Context, bag *spanBag, req *request[E], resp *response[E], free *slabs[E]) {
 	s.mu.Lock()
 	block := s.block
 	s.mu.Unlock()
-	if block == nil {
-		return nil, "compute: no coded block stored"
+	switch {
+	case block == nil:
+		resp.err = "compute: no coded block stored"
+		return
+	case req.rows != block.Cols():
+		resp.err = fmt.Sprintf("compute: X has %d rows, coded rows have %d columns", req.rows, block.Cols())
+		return
+	case req.cols == 0:
+		resp.err = "compute: X has no columns"
+		return
 	}
-	if len(x) != block.Cols() {
-		return nil, fmt.Sprintf("compute: x has %d entries, coded rows have %d columns", len(x), block.Cols())
+	var x, y matrix.Dense[E]
+	x.Wrap(req.rows, req.cols, req.x)
+	y.Wrap(block.Rows(), req.cols, free.reply(block.Rows()*req.cols))
+	kind := "vec"
+	if req.cols > 1 {
+		kind = "mat"
 	}
-	y := free.reply(block.Rows())
-	csp := s.startComputeSpan(ctx, bag, "vec")
+	csp := s.startComputeSpan(ctx, bag, kind)
 	sp := s.stages.Start(obs.StageCompute)
-	matrix.MulVecInto(s.f, block, x, y)
+	matrix.MulInto(s.f, block, &x, &y)
 	sp.End()
 	csp.End()
 	bag.add(csp)
+	resp.y, resp.rows, resp.cols = y.RowsView(0, y.Rows()), y.Rows(), y.Cols()
 	s.mu.Lock()
 	s.stats.Computes++
-	s.stats.ValuesReturned += len(y)
+	s.stats.ValuesReturned += len(resp.y)
 	s.mu.Unlock()
-	return y, ""
-}
-
-// mulMat is mulVec's batch counterpart; x carries the input rows, and the
-// result is computed into a reply slab from free.
-func (s *DeviceServer[E]) mulMat(ctx context.Context, bag *spanBag, x *matrix.Dense[E], free *slabs[E]) (*matrix.Dense[E], string) {
-	s.mu.Lock()
-	block := s.block
-	s.mu.Unlock()
-	if block == nil {
-		return nil, "compute-batch: no coded block stored"
-	}
-	if x.Rows() != block.Cols() {
-		return nil, fmt.Sprintf("compute-batch: X has %d rows, coded rows have %d columns", x.Rows(), block.Cols())
-	}
-	if x.Cols() == 0 {
-		return nil, "compute-batch: X has no columns"
-	}
-	y := matrix.FromSlice(block.Rows(), x.Cols(), free.reply(block.Rows()*x.Cols()))
-	csp := s.startComputeSpan(ctx, bag, "mat")
-	sp := s.stages.Start(obs.StageCompute)
-	matrix.MulInto(s.f, block, x, y)
-	sp.End()
-	csp.End()
-	bag.add(csp)
-	s.mu.Lock()
-	s.stats.BatchComputes++
-	s.stats.ValuesReturned += y.Rows() * y.Cols()
-	s.mu.Unlock()
-	return y, ""
 }
 
 // ctxErr attributes an I/O error provoked by context cancellation back to
@@ -468,7 +450,8 @@ func (c Cloud[E]) Store(ctx context.Context, addr string, block *matrix.Dense[E]
 }
 
 func (c Cloud[E]) store(ctx context.Context, addr string, block *matrix.Dense[E], timeout time.Duration, reg *obs.Registry) error {
-	_, _, err := c.pool().roundTrip(ctx, addr, timeout, reg, request[E]{op: opStore, m: block})
+	req := request[E]{op: opStore, x: block.RowsView(0, block.Rows()), rows: block.Rows(), cols: block.Cols()}
+	_, err := c.pool().roundTrip(ctx, addr, timeout, reg, req)
 	return err
 }
 
@@ -545,11 +528,12 @@ func (c Client[E]) Gather(ctx context.Context, addrs []string, rowsOn []int, x [
 		offs[j+1] = offs[j] + n
 	}
 	y := make([]E, offs[len(addrs)])
+	xm := matrix.FromSlice(len(x), 1, x)
 	calls := make([]Call[E], len(addrs))
 	done := make(chan *Call[E], len(addrs))
 	for j, addr := range addrs {
 		calls[j].Tag = j
-		c.Go(ctx, addr, x, &calls[j], done)
+		c.Go(ctx, addr, xm, &calls[j], done)
 	}
 	timer := time.NewTimer(c.timeout())
 	defer timer.Stop()
@@ -583,10 +567,10 @@ func (c Client[E]) Gather(ctx context.Context, addrs []string, rowsOn []int, x [
 			case err != nil:
 			case call.Err != nil:
 				withdraw(call.Err)
-			case len(call.Y) != len(part):
-				withdraw(fmt.Errorf("transport: device %d returned %d values, want %d", j, len(call.Y), len(part)))
+			case call.Y.Rows() != len(part) || call.Y.Cols() != 1:
+				withdraw(fmt.Errorf("transport: device %d returned a %dx%d result, want %dx1", j, call.Y.Rows(), call.Y.Cols(), len(part)))
 			default:
-				copy(part, call.Y)
+				copy(part, call.Y.RowsView(0, len(part)))
 			}
 			call.Release()
 		case <-ctxDone:
@@ -601,23 +585,18 @@ func (c Client[E]) Gather(ctx context.Context, addrs []string, rowsOn []int, x [
 	return y, nil
 }
 
-// Go sends x to addr as one compute request and returns at once: call
-// arrives on done when the device answers, the connection breaks or the
-// dial fails, and the caller then finishes it with call.Receive (see Call).
-// done must have room for every call sent on it and not yet received. The
-// request frame is written — copied into the connection's buffer, or to the
-// socket when large — before Go returns or, when the connection is still
-// being dialed, before the dial delivers or Cancel withdraws the call, so x
-// may be reused once the call is finished or withdrawn. A trace
-// span in ctx parents the request's rpc.client span; ctx ending aborts a
-// dial in flight.
-func (c Client[E]) Go(ctx context.Context, addr string, x []E, call *Call[E], done chan *Call[E]) {
-	c.send(ctx, addr, request[E]{op: opCompute, x: x}, call, done)
-}
-
-// GoBatch is Go for a batch compute of the l×n input matrix X.
-func (c Client[E]) GoBatch(ctx context.Context, addr string, x *matrix.Dense[E], call *Call[E], done chan *Call[E]) {
-	c.send(ctx, addr, request[E]{op: opComputeBatch, m: x}, call, done)
+// Go sends the l×n input X to addr as one compute request (n = 1 for a
+// vector query) and returns at once: call arrives on done when the device
+// answers, the connection breaks or the dial fails, and the caller then
+// finishes it with call.Receive (see Call). done must have room for every
+// call sent on it and not yet received. The request frame is written —
+// copied into the connection's buffer, or to the socket when large —
+// before Go returns or, when the connection is still being dialed, before
+// the dial delivers or Cancel withdraws the call, so X may be reused once
+// the call is finished or withdrawn. A trace span in ctx parents the
+// request's rpc.client span; ctx ending aborts a dial in flight.
+func (c Client[E]) Go(ctx context.Context, addr string, x *matrix.Dense[E], call *Call[E], done chan *Call[E]) {
+	c.send(ctx, addr, request[E]{op: opCompute, x: x.RowsView(0, x.Rows()), rows: x.Rows(), cols: x.Cols()}, call, done)
 }
 
 func (c Client[E]) send(ctx context.Context, addr string, req request[E], call *Call[E], done chan *Call[E]) {
@@ -630,25 +609,16 @@ func (c Client[E]) send(ctx context.Context, addr string, req request[E], call *
 	call.mu.Unlock()
 }
 
-// Compute sends x to one device and returns its intermediate result B_j·T·x
-// without validation against a scheme: Go and its receive back to back.
-// Scheme-order callers use Gather instead.
+// Compute sends the vector x to one device and returns its intermediate
+// result B_j·T·x without validation against a scheme: Go and its receive
+// back to back. Scheme-order callers use Gather instead.
 func (c Client[E]) Compute(ctx context.Context, addr string, x []E) ([]E, error) {
-	y, _, err := c.pool().roundTrip(ctx, addr, c.timeout(), c.Metrics, request[E]{op: opCompute, x: x})
-	return y, err
-}
-
-// ComputeBatch sends the l×n input matrix X to one device and returns its
-// intermediate result B_j·T·X — the batch counterpart of Compute. X is
-// copied onto the wire before the call returns.
-func (c Client[E]) ComputeBatch(ctx context.Context, addr string, x *matrix.Dense[E]) (*matrix.Dense[E], error) {
-	_, m, err := c.pool().roundTrip(ctx, addr, c.timeout(), c.Metrics, request[E]{op: opComputeBatch, m: x})
-	return m, err
+	return c.pool().roundTrip(ctx, addr, c.timeout(), c.Metrics, request[E]{op: opCompute, x: x, rows: len(x), cols: 1})
 }
 
 // Ping checks a device is reachable using the client's timeout and metrics
 // registry.
 func (c Client[E]) Ping(ctx context.Context, addr string) error {
-	_, _, err := c.pool().roundTrip(ctx, addr, c.timeout(), c.Metrics, request[E]{op: opPing})
+	_, err := c.pool().roundTrip(ctx, addr, c.timeout(), c.Metrics, request[E]{op: opPing})
 	return err
 }

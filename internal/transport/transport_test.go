@@ -51,12 +51,12 @@ func userMulVec[E comparable](ctx context.Context, c Client[E], code coding.Code
 	return code.Decode(y)
 }
 
-// userMulMat is userMulVec's batch counterpart: ComputeBatch on every device,
+// userMulMat is userMulVec's batch counterpart: computeMat on every device,
 // stack the V(B_j)×n parts in device order, decode A·X.
 func userMulMat[E comparable](ctx context.Context, c Client[E], code coding.Code[E], addrs []string, x *matrix.Dense[E]) (*matrix.Dense[E], error) {
 	parts := make([]*matrix.Dense[E], len(addrs))
 	for j, addr := range addrs {
-		part, err := c.ComputeBatch(ctx, addr, x)
+		part, err := computeMat(ctx, c, addr, x)
 		if err != nil {
 			return nil, err
 		}
@@ -65,14 +65,31 @@ func userMulMat[E comparable](ctx context.Context, c Client[E], code coding.Code
 	return decodeBatch(code, matrix.VStack(parts...))
 }
 
-// decodeBatch is DecodeBatchInto on a fresh m×n output.
+// decodeBatch is DecodeInto on a fresh m×n output.
 func decodeBatch[E comparable](code coding.Code[E], y *matrix.Dense[E]) (*matrix.Dense[E], error) {
 	ax := matrix.New[E](code.M(), y.Cols())
-	if err := code.DecodeBatchInto(ax, y); err != nil {
+	if err := code.DecodeInto(ax, y); err != nil {
 		return nil, err
 	}
 	return ax, nil
 }
+
+// computeMat is Client.Compute for an l×n input X: one blocking compute
+// round trip to one device, its V(B_j)×n reply returned as a matrix.
+func computeMat[E comparable](ctx context.Context, c Client[E], addr string, x *matrix.Dense[E]) (*matrix.Dense[E], error) {
+	req := request[E]{op: opCompute, x: x.RowsView(0, x.Rows()), rows: x.Rows(), cols: x.Cols()}
+	y, err := c.pool().roundTrip(ctx, addr, c.timeout(), c.Metrics, req)
+	if err != nil {
+		return nil, err
+	}
+	return matrix.FromSlice(len(y)/x.Cols(), x.Cols(), y), nil
+}
+
+// vec wraps a vector as the l×1 matrix Client.Go sends.
+func vec[E comparable](x []E) *matrix.Dense[E] { return matrix.FromSlice(len(x), 1, x) }
+
+// flat is a finished call's reply data, row-major.
+func flat[E comparable](y *matrix.Dense[E]) []E { return y.RowsView(0, y.Rows()) }
 
 func TestEndToEndPrime(t *testing.T) {
 	f := field.Prime{}
@@ -214,7 +231,7 @@ func TestPingAndUnknownKind(t *testing.T) {
 		t.Fatalf("empty store err = %v, want ErrRemote (empty coded block)", err)
 	}
 
-	conn := rawV3Conn(t, srv.Addr(), 1)
+	conn := rawV4Conn(t, srv.Addr(), 1)
 	// Op 9 on stream 1: length=6 | stream=1 | op=9 | tpLen=0.
 	if _, err := conn.Write([]byte{6, 0, 0, 0, 1, 0, 0, 0, 9, 0}); err != nil {
 		t.Fatal(err)

@@ -10,20 +10,20 @@ import (
 	"unsafe"
 
 	"github.com/scec/scec/internal/field"
-	"github.com/scec/scec/internal/matrix"
 )
 
-// The v3 wire format.
+// The v4 wire format.
 //
 // Connections open with a 12-byte hello in each direction:
 //
 //	client: magic[8] | version | elemCode | reserved[2]
 //	server: magic[8] | version | elemCode | status | reserved[1]
 //
-// where magic is {0x00, 'S', 'C', 'E', 'C', 'v', '3', '\n'}. The hello is
-// the whole negotiation: a server closes on a wrong magic or version byte,
-// answers an element-type mismatch with an explicit rejection status, and
-// a client treats anything but an accepting hello as a failed dial.
+// where magic is {0x00, 'S', 'C', 'E', 'C', 'v', '4', '\n'}. The hello is
+// the whole negotiation: a server closes on a wrong magic or version byte
+// (a v3 peer included), answers an element-type mismatch with an explicit
+// rejection status, and a client treats anything but an accepting hello as
+// a failed dial.
 //
 // After the handshake both directions carry frames:
 //
@@ -31,11 +31,14 @@ import (
 //
 // (all integers little-endian; length counts streamID+op+payload, i.e.
 // 5+len(payload)). Responses echo the request's streamID with op|0x80,
-// so many requests can be in flight on one connection at once.
-var v3Magic = [8]byte{0x00, 'S', 'C', 'E', 'C', 'v', '3', '\n'}
+// so many requests can be in flight on one connection at once. There is
+// one compute op: its operand is an l×n matrix X, u32 rows | u32 cols +
+// slab, and a vector query is the case cols = 1. Op 3, v3's vector
+// compute, is not an op of v4.
+var v4Magic = [8]byte{0x00, 'S', 'C', 'E', 'C', 'v', '4', '\n'}
 
 const (
-	wireVersion = 3
+	wireVersion = 4
 	helloLen    = 12
 
 	helloOK         = 0 // server hello status: accepted
@@ -44,11 +47,10 @@ const (
 
 // Frame ops. A response frame carries the request op with opResponseBit set.
 const (
-	opPing         byte = 1
-	opStore        byte = 2
-	opCompute      byte = 3
-	opComputeBatch byte = 4
-	opResponseBit  byte = 0x80
+	opPing        byte = 1
+	opStore       byte = 2
+	opCompute     byte = 4
+	opResponseBit byte = 0x80
 )
 
 // frameOverhead is the per-frame byte count besides the payload: the u32
@@ -76,18 +78,21 @@ const maxFrameLen = 1<<31 - 1
 // connection when they were issued on a reused one.
 var errConnBroken = errors.New("transport: connection broken")
 
-// opToKind names an op for metric and span labels; anything outside the
-// protocol collapses to "unknown", so a misbehaving peer cannot explode
-// label cardinality.
-func opToKind(op byte) string {
-	switch op &^ opResponseBit {
+// kind names a request for metric and span labels: its op and, for a
+// compute, its width — "compute" for one column (a vector query),
+// "compute-batch" for more, the labels v3's two compute ops carried.
+// Anything outside the protocol collapses to "unknown", so a misbehaving
+// peer cannot explode label cardinality.
+func (r *request[E]) kind() string {
+	switch r.op {
 	case opPing:
 		return "ping"
 	case opStore:
 		return "store"
 	case opCompute:
-		return "compute"
-	case opComputeBatch:
+		if r.cols == 1 {
+			return "compute"
+		}
 		return "compute-batch"
 	}
 	return "unknown"
@@ -228,7 +233,7 @@ func readFull(br *bufio.Reader, dst []byte) error {
 
 func clientHello(code byte) [helloLen]byte {
 	var h [helloLen]byte
-	copy(h[:], v3Magic[:])
+	copy(h[:], v4Magic[:])
 	h[8] = wireVersion
 	h[9] = code
 	return h
@@ -236,7 +241,7 @@ func clientHello(code byte) [helloLen]byte {
 
 func serverHello(code, status byte) [helloLen]byte {
 	var h [helloLen]byte
-	copy(h[:], v3Magic[:])
+	copy(h[:], v4Magic[:])
 	h[8] = wireVersion
 	h[9] = code
 	h[10] = status
@@ -248,10 +253,10 @@ func serverHello(code, status byte) [helloLen]byte {
 func readClientHello(r io.Reader) (code byte, err error) {
 	var h [helloLen]byte
 	if _, err := io.ReadFull(r, h[:]); err != nil {
-		return 0, fmt.Errorf("transport: read v3 hello: %w", err)
+		return 0, fmt.Errorf("transport: read v4 hello: %w", err)
 	}
-	if [8]byte(h[:8]) != v3Magic {
-		return 0, errors.New("transport: bad v3 hello magic")
+	if [8]byte(h[:8]) != v4Magic {
+		return 0, errors.New("transport: bad v4 hello magic")
 	}
 	if h[8] != wireVersion {
 		return 0, fmt.Errorf("transport: unsupported wire version %d", h[8])
@@ -263,13 +268,13 @@ func readClientHello(r io.Reader) (code byte, err error) {
 func readServerHello(r io.Reader, wantCode byte) error {
 	var h [helloLen]byte
 	if _, err := io.ReadFull(r, h[:]); err != nil {
-		return fmt.Errorf("transport: read v3 server hello: %w", err)
+		return fmt.Errorf("transport: read v4 server hello: %w", err)
 	}
-	if [8]byte(h[:8]) != v3Magic || h[8] != wireVersion {
-		return errors.New("transport: peer does not speak v3")
+	if [8]byte(h[:8]) != v4Magic || h[8] != wireVersion {
+		return errors.New("transport: peer does not speak v4")
 	}
 	if h[10] != helloOK {
-		return fmt.Errorf("transport: device rejected v3 handshake (status %d, element code %d, ours %d)", h[10], h[9], wantCode)
+		return fmt.Errorf("transport: device rejected v4 handshake (status %d, element code %d, ours %d)", h[10], h[9], wantCode)
 	}
 	if h[9] != wantCode {
 		return fmt.Errorf("transport: device speaks element code %d, client speaks %d", h[9], wantCode)
@@ -288,7 +293,7 @@ func readServerHello(r io.Reader, wantCode byte) error {
 // the server hands it to its handler goroutine as a copy, not as a
 // per-frame heap object. A compute's operand is read into a slab from free
 // (nil allocates one); a store's block always gets a fresh slab, since it
-// outlives the request.
+// outlives the request. Either stays a flat slab with its dimensions.
 func readRequestFrame[E comparable](br *bufio.Reader, cod elemCodec, maxElements int, free *slabs[E]) (request[E], error) {
 	var req request[E]
 	var hdr [frameOverhead]byte
@@ -360,7 +365,7 @@ func readRequestFrame[E comparable](br *bufio.Reader, cod elemCodec, maxElements
 	// store's block, one from free for a compute's operand. A slab holding
 	// a non-residue is refused too, since the kernels' lazy reduction
 	// assumes canonical inputs and would answer a wrong y. what names the
-	// operand ("compute: x") for the refusal message, which is only built
+	// operand ("compute: X") for the refusal message, which is only built
 	// on a refusal.
 	slab := func(total uint64, what string) ([]E, error) {
 		if total != uint64(body)/uint64(cod.size) || total*uint64(cod.size) != uint64(body) {
@@ -392,32 +397,23 @@ func readRequestFrame[E comparable](br *bufio.Reader, cod elemCodec, maxElements
 		if body != 0 {
 			return req, fmt.Errorf("transport: ping frame carries %d payload bytes", body)
 		}
-	case opCompute:
-		dims, err := readDims(1)
-		if err != nil {
-			return req, err
-		}
-		x, err := slab(uint64(dims[0]), "compute: x")
-		if err != nil {
-			return req, err
-		}
-		req.x = x
-	case opStore, opComputeBatch:
+	case opStore, opCompute:
 		dims, err := readDims(2)
 		if err != nil {
 			return req, err
 		}
-		rows, cols := uint64(dims[0]), uint64(dims[1])
+		req.rows, req.cols = int(dims[0]), int(dims[1])
 		what := "store: block"
-		if req.op == opComputeBatch {
-			what = "compute-batch: X"
+		if req.op == opCompute {
+			what = "compute: X"
 		}
-		data, err := slab(rows*cols, what)
-		if err != nil {
+		if req.x, err = slab(uint64(dims[0])*uint64(dims[1]), what); err != nil {
 			return req, err
 		}
-		if req.reqErr == "" {
-			req.m = matrix.FromSlice(int(rows), int(cols), data)
+		// An empty slab passes the cap whatever its other dimension, which
+		// past 2^31 is a negative int on a 32-bit host: refuse it too.
+		if req.reqErr == "" && uint64(max(dims[0], dims[1])) > uint64(maxElements) {
+			req.reqErr = fmt.Sprintf("%s of %dx%d exceeds the device cap of %d elements", what, dims[0], dims[1], maxElements)
 		}
 	default:
 		return req, fmt.Errorf("transport: unknown request op %#x", req.op)

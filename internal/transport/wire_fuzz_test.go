@@ -12,14 +12,16 @@ import (
 // allocating, so no input may allocate more than this many elements.
 const fuzzMaxElements = 1 << 12
 
-// FuzzWireFrame throws arbitrary bytes at both v3 frame decoders. The
+// FuzzWireFrame throws arbitrary bytes at both v4 frame decoders. The
 // invariants: they never panic, never allocate beyond the declared caps,
 // and on malformed input they return an error (a decoded frame always
 // carries a request or response op).
 func FuzzWireFrame(f *testing.F) {
-	// A valid ping, compute, store, and compute-batch frame, plus broken
-	// variants: truncated payload, oversized length prefix, response bit in
-	// a request, dimension/length mismatch, and over-cap dimensions.
+	// A valid ping, store, and compute frame (one column wide, a vector
+	// query, and two rows wide), plus broken variants: v3's op-3 vector
+	// compute, which v4 does not know, truncated payload, oversized length
+	// prefix, response bit in a request, dimension/length mismatch, and
+	// over-cap dimensions.
 	le64 := func(vals ...uint64) []byte {
 		var b []byte
 		for _, v := range vals {
@@ -28,7 +30,7 @@ func FuzzWireFrame(f *testing.F) {
 		return b
 	}
 	ping := []byte{6, 0, 0, 0, 7, 0, 0, 0, 1, 0}
-	compute := append([]byte{26, 0, 0, 0, 2, 0, 0, 0, 3, 0, 2, 0, 0, 0}, le64(5, 7)...)
+	compute := append([]byte{26, 0, 0, 0, 2, 0, 0, 0, 3, 0, 2, 0, 0, 0}, le64(5, 7)...) // v3's op 3
 	store := append([]byte{30, 0, 0, 0, 1, 0, 0, 0, 2, 0, 1, 0, 0, 0, 2, 0, 0, 0}, le64(2, 3)...)
 	batch := append([]byte{30, 0, 0, 0, 1, 0, 0, 0, 4, 0, 2, 0, 0, 0, 1, 0, 0, 0}, le64(8, 9)...)
 	pingResp := []byte{10, 0, 0, 0, 7, 0, 0, 0, 0x81, 0, 0, 0, 0, 0}
@@ -46,6 +48,10 @@ func FuzzWireFrame(f *testing.F) {
 		// Batch response whose rows*cols*size overflows uint64: the length
 		// check must use division so the product cannot wrap past it.
 		{22, 0, 0, 0, 1, 0, 0, 0, 0x84, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1, 2, 3},
+		// The v4 vector query: compute X = [5 7]ᵀ, rows=2 | cols=1, and its
+		// 1×1 reply.
+		append([]byte{30, 0, 0, 0, 2, 0, 0, 0, 4, 0, 2, 0, 0, 0, 1, 0, 0, 0}, le64(5, 7)...),
+		append(append([]byte{26, 0, 0, 0, 2, 0, 0, 0, 0x84, 0, 1, 0, 0, 0, 1, 0, 0, 0}, le64(31)...), 0, 0, 0, 0),
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -68,8 +74,8 @@ func FuzzWireFrame(f *testing.F) {
 			if len(req.x) > fuzzMaxElements {
 				t.Fatalf("decoder allocated %d elements over the %d cap", len(req.x), fuzzMaxElements)
 			}
-			if req.m != nil && req.m.Rows()*req.m.Cols() > fuzzMaxElements {
-				t.Fatal("matrix over the element cap")
+			if req.reqErr == "" && req.op != opPing && req.rows*req.cols != len(req.x) {
+				t.Fatalf("decoded a %dx%d operand over %d elements", req.rows, req.cols, len(req.x))
 			}
 			free.release(&req, &response[uint64]{})
 		}
@@ -84,7 +90,10 @@ func FuzzWireFrame(f *testing.F) {
 			if wr.op&opResponseBit == 0 {
 				t.Fatalf("decoded response carries op %#x", wr.op)
 			}
-			wr.free.give(wr.y, wr.m)
+			if wr.rows*wr.cols != len(wr.y) {
+				t.Fatalf("decoded a %dx%d reply over %d elements", wr.rows, wr.cols, len(wr.y))
+			}
+			wr.free.give(wr.y)
 		}
 	})
 }

@@ -19,10 +19,10 @@ import (
 	"github.com/scec/scec/internal/obs/trace"
 )
 
-// rawV3Conn dials a device server and completes the v3 handshake with raw
+// rawV4Conn dials a device server and completes the v4 handshake with raw
 // bytes, so the tests below pin the exact wire layout rather than trusting
 // the encoder and decoder to agree with each other.
-func rawV3Conn(t *testing.T, addr string, elemCode byte) net.Conn {
+func rawV4Conn(t *testing.T, addr string, elemCode byte) net.Conn {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -30,7 +30,7 @@ func rawV3Conn(t *testing.T, addr string, elemCode byte) net.Conn {
 	}
 	t.Cleanup(func() { _ = conn.Close() })
 	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	hello := []byte{0x00, 'S', 'C', 'E', 'C', 'v', '3', '\n', 3, elemCode, 0, 0}
+	hello := []byte{0x00, 'S', 'C', 'E', 'C', 'v', '4', '\n', 4, elemCode, 0, 0}
 	if _, err := conn.Write(hello); err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func rawV3Conn(t *testing.T, addr string, elemCode byte) net.Conn {
 	if _, err := io.ReadFull(conn, got); err != nil {
 		t.Fatalf("read server hello: %v", err)
 	}
-	want := []byte{0x00, 'S', 'C', 'E', 'C', 'v', '3', '\n', 3, elemCode, 0, 0}
+	want := []byte{0x00, 'S', 'C', 'E', 'C', 'v', '4', '\n', 4, elemCode, 0, 0}
 	if string(got) != string(want) {
 		t.Fatalf("server hello = % x, want % x", got, want)
 	}
@@ -60,16 +60,16 @@ func readRawFrame(t *testing.T, conn net.Conn) []byte {
 	return append(lenb[:], rest...)
 }
 
-// TestWireV3PingFrameBytes pins the hello handshake and the ping exchange
+// TestWireV4PingFrameBytes pins the hello handshake and the ping exchange
 // byte for byte: a wire-format change that breaks deployed peers must fail
 // here, not in production.
-func TestWireV3PingFrameBytes(t *testing.T) {
+func TestWireV4PingFrameBytes(t *testing.T) {
 	srv, err := NewDeviceServer[uint64](field.Prime{}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	conn := rawV3Conn(t, srv.Addr(), 1)
+	conn := rawV4Conn(t, srv.Addr(), 1)
 
 	// Ping on stream 7: length=6 | stream=7 | opPing | tpLen=0.
 	ping := []byte{6, 0, 0, 0, 7, 0, 0, 0, 1, 0}
@@ -83,15 +83,17 @@ func TestWireV3PingFrameBytes(t *testing.T) {
 	}
 }
 
-// TestWireV3ComputeFrameBytes pins the store and compute frame layouts,
-// including the raw little-endian element slabs, against a real server.
-func TestWireV3ComputeFrameBytes(t *testing.T) {
+// TestWireV4ComputeFrameBytes pins the store and compute frame layouts,
+// including the raw little-endian element slabs, against a real server: a
+// vector query is the compute op with cols = 1, and v3's vector compute op
+// 3 is an unknown op that drops the connection.
+func TestWireV4ComputeFrameBytes(t *testing.T) {
 	srv, err := NewDeviceServer[uint64](field.Prime{}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	conn := rawV3Conn(t, srv.Addr(), 1)
+	conn := rawV4Conn(t, srv.Addr(), 1)
 
 	le64 := func(vals ...uint64) []byte {
 		b := make([]byte, 0, 8*len(vals))
@@ -111,27 +113,52 @@ func TestWireV3ComputeFrameBytes(t *testing.T) {
 		t.Fatalf("store response = % x, want % x", got, wantStore)
 	}
 
-	// Compute x=[5 7] on stream 2: tpLen=0 | n=2 | slab. y = 2·5+3·7 = 31.
-	comp := []byte{26, 0, 0, 0, 2, 0, 0, 0, 3, 0, 2, 0, 0, 0}
+	// Compute x=[5 7] on stream 2: tpLen=0 | rows=2 | cols=1 | slab.
+	// y = 2·5+3·7 = 31, answered as a 1×1 block.
+	comp := []byte{30, 0, 0, 0, 2, 0, 0, 0, 4, 0, 2, 0, 0, 0, 1, 0, 0, 0}
 	comp = append(comp, le64(5, 7)...)
 	if _, err := conn.Write(comp); err != nil {
 		t.Fatal(err)
 	}
-	wantComp := []byte{22, 0, 0, 0, 2, 0, 0, 0, 0x83, 0, 1, 0, 0, 0}
+	wantComp := []byte{26, 0, 0, 0, 2, 0, 0, 0, 0x84, 0, 1, 0, 0, 0, 1, 0, 0, 0}
 	wantComp = append(wantComp, le64(31)...)
 	wantComp = append(wantComp, 0, 0, 0, 0)
 	if got := readRawFrame(t, conn); string(got) != string(wantComp) {
 		t.Fatalf("compute response = % x, want % x", got, wantComp)
 	}
 
-	if got := srv.Stats(); got.Stores != 1 || got.Computes != 1 {
+	// X=[[5 1] [7 2]] on stream 3: rows=2 | cols=2. Y = [[31 8]].
+	batch := []byte{46, 0, 0, 0, 3, 0, 0, 0, 4, 0, 2, 0, 0, 0, 2, 0, 0, 0}
+	batch = append(batch, le64(5, 1, 7, 2)...)
+	if _, err := conn.Write(batch); err != nil {
+		t.Fatal(err)
+	}
+	wantBatch := []byte{34, 0, 0, 0, 3, 0, 0, 0, 0x84, 0, 1, 0, 0, 0, 2, 0, 0, 0}
+	wantBatch = append(wantBatch, le64(31, 8)...)
+	wantBatch = append(wantBatch, 0, 0, 0, 0)
+	if got := readRawFrame(t, conn); string(got) != string(wantBatch) {
+		t.Fatalf("batch compute response = % x, want % x", got, wantBatch)
+	}
+
+	if got := srv.Stats(); got.Stores != 1 || got.Computes != 2 {
 		t.Fatalf("server stats = %+v after raw exchanges", got)
+	}
+
+	// v3's vector compute frame (op 3 | n=2 | slab) is an unknown op: the
+	// device drops the connection without answering.
+	v3 := []byte{26, 0, 0, 0, 4, 0, 0, 0, 3, 0, 2, 0, 0, 0}
+	v3 = append(v3, le64(5, 7)...)
+	if _, err := conn.Write(v3); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := io.ReadAll(conn); len(got) != 0 || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("device answered % x (%v) to an op-3 frame, want the connection closed", got, err)
 	}
 }
 
-// TestWireV3RejectsWrongElemCode: a hello with a mismatched element code
+// TestWireV4RejectsWrongElemCode: a hello with a mismatched element code
 // must be answered with an explicit rejection status, not silence.
-func TestWireV3RejectsWrongElemCode(t *testing.T) {
+func TestWireV4RejectsWrongElemCode(t *testing.T) {
 	srv, err := NewDeviceServer[uint64](field.Prime{}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +170,7 @@ func TestWireV3RejectsWrongElemCode(t *testing.T) {
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	hello := []byte{0x00, 'S', 'C', 'E', 'C', 'v', '3', '\n', 3, 2 /* byte, not uint64 */, 0, 0}
+	hello := []byte{0x00, 'S', 'C', 'E', 'C', 'v', '4', '\n', 4, 2 /* byte, not uint64 */, 0, 0}
 	if _, err := conn.Write(hello); err != nil {
 		t.Fatal(err)
 	}
@@ -180,9 +207,10 @@ func badHello(t *testing.T, addr string, first []byte) {
 }
 
 // TestHandshakeRejectsOtherProtocols: a first byte that is not the magic
-// (what a gob client of the deleted protocol sends) and a hello whose
-// version byte is not 3 are both closed within the server timeout, counted
-// kind="malformed", never served, and never hang the listener.
+// (what a gob client of the deleted protocol sends), a real v3 hello (v3
+// magic, version 3) and a hello whose version byte is not 4 are all closed
+// within the server timeout, counted kind="malformed", never served, and
+// never hang the listener.
 func TestHandshakeRejectsOtherProtocols(t *testing.T) {
 	f := field.Prime{}
 	reg := obs.New()
@@ -197,9 +225,11 @@ func TestHandshakeRejectsOtherProtocols(t *testing.T) {
 	gobish := []byte{0x2f, 0xff, 0x81, 0x03, 0x01, 0x01, 0x07, 'r', 'e', 'q', 'u', 'e', 's', 't'}
 	// A short non-magic prefix is cut by the read deadline instead.
 	short := []byte{0x2f, 0xff}
-	v2 := []byte{0x00, 'S', 'C', 'E', 'C', 'v', '3', '\n', 2, 1, 0, 0}
-	v4 := []byte{0x00, 'S', 'C', 'E', 'C', 'v', '3', '\n', 4, 1, 0, 0}
-	cases := [][]byte{gobish, short, v2, v4}
+	// A v3 peer's hello, and the v4 magic with a version byte other than 4.
+	v3 := []byte{0x00, 'S', 'C', 'E', 'C', 'v', '3', '\n', 3, 1, 0, 0}
+	version3 := []byte{0x00, 'S', 'C', 'E', 'C', 'v', '4', '\n', 3, 1, 0, 0}
+	version5 := []byte{0x00, 'S', 'C', 'E', 'C', 'v', '4', '\n', 5, 1, 0, 0}
+	cases := [][]byte{gobish, short, v3, version3, version5}
 	for _, first := range cases {
 		start := time.Now()
 		badHello(t, srv.Addr(), first)
@@ -281,12 +311,12 @@ func diffLoopbackLocal[E comparable](t *testing.T, f field.Field[E]) {
 			t.Fatalf("Compute[%d]: %v", j, err)
 		}
 		sameVec(t, fmt.Sprintf("Compute[%d]", j), y, matrix.MulVec(f, enc.Blocks[j], x))
-		ym, err := client.ComputeBatch(t.Context(), addr, xm)
+		ym, err := computeMat(t.Context(), client, addr, xm)
 		if err != nil {
-			t.Fatalf("ComputeBatch[%d]: %v", j, err)
+			t.Fatalf("compute X[%d]: %v", j, err)
 		}
 		local[j] = matrix.Mul(f, enc.Blocks[j], xm)
-		sameMat(t, fmt.Sprintf("ComputeBatch[%d]", j), ym, local[j])
+		sameMat(t, fmt.Sprintf("compute X[%d]", j), ym, local[j])
 	}
 	// Decoded: the pipeline over the wire equals decoding the local
 	// executor's intermediate results.
@@ -336,7 +366,7 @@ func TestV3RemoteErrorStrings(t *testing.T) {
 		return func() error { _, err := client.Compute(ctx, addr, make([]uint64, n)); return err }
 	}
 	batch := func(rows, cols int) func() error {
-		return func() error { _, err := client.ComputeBatch(ctx, addr, matrix.New[uint64](rows, cols)); return err }
+		return func() error { _, err := computeMat(ctx, client, addr, matrix.New[uint64](rows, cols)); return err }
 	}
 	store := func(rows, cols int) func() error {
 		return func() error { return cloud.Store(ctx, addr, matrix.New[uint64](rows, cols)) }
@@ -346,15 +376,15 @@ func TestV3RemoteErrorStrings(t *testing.T) {
 		want string // "" = must succeed
 	}{
 		{compute(1), "compute: no coded block stored"},
-		{batch(1, 1), "compute-batch: no coded block stored"},
+		{batch(1, 2), "compute: no coded block stored"},
 		{store(0, 0), "store: empty coded block"},
 		{store(3, 3), "store: block of 9 elements exceeds the device cap of 8"},
 		{store(2, 3), ""},
-		{compute(2), "compute: x has 2 entries, coded rows have 3 columns"},
-		{compute(9), "compute: x of 9 elements exceeds the device cap of 8"},
-		{batch(2, 2), "compute-batch: X has 2 rows, coded rows have 3 columns"},
-		{batch(3, 0), "compute-batch: X has no columns"},
-		{batch(3, 3), "compute-batch: X of 9 elements exceeds the device cap of 8"},
+		{compute(2), "compute: X has 2 rows, coded rows have 3 columns"},
+		{compute(9), "compute: X of 9 elements exceeds the device cap of 8"},
+		{batch(2, 2), "compute: X has 2 rows, coded rows have 3 columns"},
+		{batch(3, 0), "compute: X has no columns"},
+		{batch(3, 3), "compute: X of 9 elements exceeds the device cap of 8"},
 		{compute(3), ""},
 		{batch(3, 2), ""},
 	} {
@@ -446,12 +476,12 @@ func TestNonResidueRefused(t *testing.T) {
 	if err == nil {
 		t.Fatalf("compute on non-residues answered y = %v", y)
 	}
-	refused("compute", err, fmt.Sprintf("compute: x element 0 is %d, not a residue mod %d", ^uint64(0), field.Modulus))
+	refused("compute", err, fmt.Sprintf("compute: X element 0 is %d, not a residue mod %d", ^uint64(0), field.Modulus))
 
 	x := fill(1)
 	x[n-1] = field.Modulus
-	_, err = client.ComputeBatch(ctx, addr, matrix.FromSlice(n, 1, x))
-	refused("compute-batch", err, fmt.Sprintf("compute-batch: X element %d is %d, not a residue mod %d", n-1, field.Modulus, field.Modulus))
+	_, err = computeMat(ctx, client, addr, matrix.FromSlice(n, 1, x))
+	refused("compute-batch", err, fmt.Sprintf("compute: X element %d is %d, not a residue mod %d", n-1, field.Modulus, field.Modulus))
 
 	err = cloud.Store(ctx, addr, matrix.FromSlice(1, n, x))
 	refused("store", err, fmt.Sprintf("store: block element %d is %d, not a residue mod %d", n-1, field.Modulus, field.Modulus))
@@ -495,6 +525,6 @@ func TestV3TracedExchange(t *testing.T) {
 		names[sd.Name]++
 	}
 	if names[trace.SpanRPCServer] != 1 || names[trace.SpanDeviceCompute] != 1 {
-		t.Fatalf("v3 exchange did not adopt device spans: %v", names)
+		t.Fatalf("v4 exchange did not adopt device spans: %v", names)
 	}
 }
