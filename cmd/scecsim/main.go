@@ -57,7 +57,7 @@ func run(args []string, out io.Writer) error {
 		replicas  = fs.Int("replicas", 1, "copies of each coded block (replication masks stragglers/failures)")
 		backend   = fs.String("backend", "sim", "execution backend: sim (virtual clock) or local (in-process kernels)")
 		metrics   = fs.String("metrics-json", "", "write the run's telemetry snapshot as JSON to this path (- for stdout)")
-		traceFile = fs.String("trace-export", "", "export the query's trace as JSON: the wall-clock engine spans plus the linked virtual-clock sim.run/sim.device timeline")
+		traceFile = fs.String("trace-export", "", "export the query's trace as JSON: the wall-clock engine spans plus the linked virtual-clock fleet.gather/block/attempt timeline")
 
 		load        = fs.Bool("load", false, "run the open-loop heavy-traffic sweep on the virtual clock instead of one pipeline run")
 		loadDevices = fs.Int("load-devices", 0, "virtual fleet size for -load (0 uses the deployment plan's device count)")
@@ -353,23 +353,20 @@ func finish(out io.Writer, metricsPath string) error {
 }
 
 func printReport(out io.Writer, rep sim.Report) {
-	fmt.Fprintln(out, "device  copy  rows  field-ops      sent  storage  result-at")
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+	fmt.Fprintln(out, "device  copy  round  rows  field-ops      sent  storage   launched  outcome")
 	for _, d := range rep.Devices {
-		status := fmt.Sprintf("%9.3fms", float64(d.ResultArrives.Microseconds())/1000)
-		switch {
-		case d.Failed:
-			status = "   FAILED"
-		case !d.Used:
-			status += " (unused)"
+		outcome := strings.ToUpper(d.Outcome.String())
+		if d.Outcome == sim.Won {
+			outcome += fmt.Sprintf(" at %.3fms", ms(d.ResultArrives))
 		}
-		fmt.Fprintf(out, "%6d %5d %5d %10d %9d %8d %s\n",
-			d.Device, d.Replica, d.Rows, d.FieldOps, d.ValuesSent, d.StorageValues, status)
+		fmt.Fprintf(out, "%6d %5d %6d %5d %10d %9d %8d %8.3fms  %s\n",
+			d.Device, d.Replica, d.Round, d.Rows, d.FieldOps, d.ValuesSent, d.StorageValues, ms(d.Launched), outcome)
 	}
 	fmt.Fprintf(out, "totals: %d field ops, %d values sent, %d values stored\n",
 		rep.TotalFieldOps, rep.TotalValuesSent, rep.TotalStorageValues)
 	if rep.CompletionTime > 0 {
-		fmt.Fprintf(out, "completion (incl. %d decode ops): %.3fms\n",
-			rep.DecodeOps, float64(rep.CompletionTime.Microseconds())/1000)
+		fmt.Fprintf(out, "completion (incl. %d decode ops): %.3fms\n", rep.DecodeOps, ms(rep.CompletionTime))
 	}
 }
 

@@ -46,13 +46,13 @@ func TestMetricsJSONSnapshot(t *testing.T) {
 	// Identical names to a real run: every pipeline stage appears under
 	// obs.MetricStageSeconds with observations (allocate/encode recorded by
 	// Deploy on the wall clock, store/compute/gather/decode by the
-	// simulator on the virtual clock).
+	// simulated fleet session on the virtual clock).
 	for _, stage := range obs.Stages {
 		if stages[stage] == 0 {
 			t.Errorf("snapshot missing observations for stage %q (got %v)", stage, stages)
 		}
 	}
-	for _, name := range []string{obs.MetricStageLastSeconds, obs.MetricSimDeviceResultSeconds, obs.MetricSimRuns} {
+	for _, name := range []string{obs.MetricStageLastSeconds, obs.MetricFleetQueriesTotal} {
 		if !names[name] {
 			t.Errorf("snapshot missing %s", name)
 		}

@@ -35,8 +35,8 @@ type SimProfile = sim.DeviceProfile
 func DefaultSimProfile() SimProfile { return sim.DefaultProfile() }
 
 // SimExecutorConfig configures a simulator-backed executor: the replica
-// group of device profiles hosting each coded block, the failure-sampling
-// seed, and the registry receiving virtual-clock telemetry.
+// group of device profiles hosting each coded block, the seed of the failure
+// draws and retry jitter, and the registry receiving virtual-clock telemetry.
 type SimExecutorConfig = engine.SimConfig
 
 // FleetExecutorConfig configures a fleet-backed executor: the fleet session
@@ -59,10 +59,10 @@ type FleetExecutorConfig struct {
 // given.
 func LocalExecutor[E comparable]() ExecutorBackend[E] { return ExecutorBackend[E]{} }
 
-// SimExecutor returns a backend that evaluates queries on internal/sim's
-// virtual clock: results are computed by the same coding code paths as the
-// local backend while device timelines follow cfg's profiles. Retrieve the
-// per-round report via the deployment's Executor() — it is a
+// SimExecutor returns a backend that serves queries from a simulated fleet:
+// the fleet's own gather races devices modelled by cfg's profiles on a
+// virtual clock, and they answer with the local backend's kernels. Retrieve
+// each gather's report via the deployment's Executor() — it is a
 // *engine.SimExecutor.
 func SimExecutor[E comparable](cfg SimExecutorConfig) ExecutorBackend[E] {
 	return ExecutorBackend[E]{sim: &cfg}

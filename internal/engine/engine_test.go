@@ -282,8 +282,9 @@ func TestQueryValidation(t *testing.T) {
 }
 
 // TestSimExecutorFailurePropagates: a sim profile with FailProb=1 surfaces
-// sim.ErrDeviceFailed through the engine, and the failed run's report is
-// still retained.
+// fleet.ErrBlockUnavailable through the engine once the fleet's retries run
+// out, and the failed gather's report is still retained, block 0's attempts
+// failed by their deadlines.
 func TestSimExecutorFailurePropagates(t *testing.T) {
 	f := field.Prime{}
 	tc := newCase[uint64](t, f, func(rng *rand.Rand) uint64 { return f.Rand(rng) })
@@ -305,20 +306,22 @@ func TestSimExecutorFailurePropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = q.Close() })
-	if _, err := q.MulVec(tc.x); !errors.Is(err, sim.ErrDeviceFailed) {
-		t.Fatalf("err = %v, want sim.ErrDeviceFailed", err)
+	if _, err := q.MulVec(tc.x); !errors.Is(err, fleet.ErrBlockUnavailable) {
+		t.Fatalf("err = %v, want fleet.ErrBlockUnavailable", err)
 	}
 	rep, ok := exec.LastReport()
 	if !ok {
 		t.Fatal("failed run retained no report")
 	}
-	if !rep.Devices[0].Failed {
-		t.Fatal("retained report does not mark device 0 failed")
+	for _, d := range rep.Devices {
+		if d.Device == 0 && d.Outcome != sim.Failed {
+			t.Fatalf("block 0 attempt in round %d ended %v, want failed", d.Round, d.Outcome)
+		}
 	}
 }
 
 // TestSimExecutorReportAccounting: the retained report carries the virtual
-// decode cost — completion is the last consumed arrival plus DecodeOps at
+// decode cost — completion is the last winning arrival plus DecodeOps at
 // 1e9 ops/s — the engine records the one decode stage, and batch queries
 // scale the traffic totals by the width. The decode is priced from the
 // code: m subtractions per column for Eq. (8), plus the m·r multiply-adds
@@ -381,7 +384,7 @@ func TestSimExecutorReportAccounting(t *testing.T) {
 			}
 			var lastArrival time.Duration
 			for _, d := range rep.Devices {
-				if d.Used {
+				if d.Outcome == sim.Won {
 					lastArrival = max(lastArrival, d.ResultArrives)
 				}
 			}
@@ -421,10 +424,13 @@ func stageCount(reg *obs.Registry, stage string) int64 {
 	return 0
 }
 
-// TestSimExecutorTrace: a traced query over 2-replica blocks, one replica of
-// block 0 failing, fabricates one sim.run trace with a sim.device span per
-// replica — each naming its replica, the failed one marked as an error — and
-// the query span links to it through its sim-trace event.
+// TestSimExecutorTrace: a traced query over 2-replica blocks, replica 0 of
+// block 0 failing, runs the fleet's gather as its own trace on the virtual
+// clock: one fleet.gather root once the provisioning pushes are done, a
+// fleet.block per block, and a
+// fleet.attempt per launched attempt. Block 0's hedge launches at the hedge
+// delay and wins, and the query span names the trace in its virtual-trace
+// event.
 func TestSimExecutorTrace(t *testing.T) {
 	f := field.Prime{}
 	tc := newCase[uint64](t, f, func(rng *rand.Rand) uint64 { return f.Rand(rng) })
@@ -457,43 +463,40 @@ func TestSimExecutorTrace(t *testing.T) {
 		}
 	}
 
-	var runs, devices []trace.SpanData
+	byName := map[string][]trace.SpanData{}
 	var linked string
 	for _, sd := range tr.Snapshot() {
-		switch sd.Name {
-		case trace.SpanSimRun:
-			runs = append(runs, sd)
-		case trace.SpanSimDevice:
-			devices = append(devices, sd)
-		case trace.SpanQueryVec:
-			for _, ev := range sd.Events {
-				if ev.Name == "sim-trace" && len(ev.Attrs) == 1 {
-					linked = ev.Attrs[0].Value
-				}
+		byName[sd.Name] = append(byName[sd.Name], sd)
+		for _, ev := range sd.Events {
+			if sd.Name == trace.SpanQueryVec && ev.Name == trace.EventVirtualTrace && len(ev.Attrs) == 1 {
+				linked = ev.Attrs[0].Value
 			}
 		}
 	}
-	if len(runs) != 1 {
-		t.Fatalf("%d sim.run spans, want 1", len(runs))
+	gathers, blocks, attempts := byName[trace.SpanFleetGather], byName[trace.SpanFleetBlock], byName[trace.SpanFleetAttempt]
+	if len(gathers) != 1 {
+		t.Fatalf("%d fleet.gather spans, want 1", len(gathers))
 	}
-	if linked != runs[0].TraceID {
-		t.Fatalf("query span's sim-trace event carries %q, want the sim.run trace %q", linked, runs[0].TraceID)
+	root := gathers[0]
+	if linked != root.TraceID || root.ParentID != "" {
+		t.Fatalf("query span links %q; the gather is in trace %q with parent %q, want a linked root", linked, root.TraceID, root.ParentID)
 	}
-	if want := 2 * len(tc.enc.Blocks); len(devices) != want {
-		t.Fatalf("%d sim.device spans, want one per replica (%d)", len(devices), want)
+	if rep, _ := exec.LastReport(); !root.Start.Equal(time.Unix(0, 0).Add(rep.StoreTime)) {
+		t.Fatalf("virtual trace starts at %v, want the epoch plus the store time %v", root.Start, rep.StoreTime)
 	}
-	for _, sd := range devices {
-		if sd.TraceID != runs[0].TraceID {
-			t.Fatalf("sim.device span in trace %s, want %s", sd.TraceID, runs[0].TraceID)
+	if len(blocks) != len(tc.enc.Blocks) || len(attempts) != len(tc.enc.Blocks)+1 {
+		t.Fatalf("%d block and %d attempt spans, want %d and %d (one hedge)", len(blocks), len(attempts), len(tc.enc.Blocks), len(tc.enc.Blocks)+1)
+	}
+	for _, sd := range attempts {
+		if sd.TraceID != root.TraceID {
+			t.Fatalf("attempt span in trace %s, want %s", sd.TraceID, root.TraceID)
 		}
-		replica := sd.Attr(trace.AttrReplica)
-		if replica != "0" && replica != "1" {
-			t.Fatalf("sim.device span replica attribute %q, want 0 or 1", replica)
+		hedge := sd.Attr(trace.AttrHedged) == "true"
+		if hedge != (sd.Attr(trace.AttrDevice) == "sim/0/1") {
+			t.Fatalf("attempt on %s hedged=%v, want only block 0's replica 1 hedged", sd.Attr(trace.AttrDevice), hedge)
 		}
-		failed := sd.Attr(trace.AttrDevice) == "0" && replica == "0"
-		if failed != (sd.Error != "") {
-			t.Fatalf("device %s replica %s: error %q, want an error only on the failed replica",
-				sd.Attr(trace.AttrDevice), replica, sd.Error)
+		if hedge && (sd.Start.Sub(root.Start) != fleet.DefaultHedgeAfter || sd.Attr(trace.AttrWin) != "true") {
+			t.Fatalf("hedge launched at %v, win=%q; want %v and a win", sd.Start.Sub(root.Start), sd.Attr(trace.AttrWin), fleet.DefaultHedgeAfter)
 		}
 	}
 }

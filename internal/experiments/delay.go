@@ -10,6 +10,7 @@ import (
 	"github.com/scec/scec/internal/coding"
 	"github.com/scec/scec/internal/engine"
 	"github.com/scec/scec/internal/field"
+	"github.com/scec/scec/internal/fleet"
 	"github.com/scec/scec/internal/matrix"
 	"github.com/scec/scec/internal/obs"
 	"github.com/scec/scec/internal/sim"
@@ -24,7 +25,7 @@ type DelayPoint struct {
 	// StragglerProb is the per-replica probability of a 10× slowdown.
 	StragglerProb float64
 	// SuccessRate is the fraction of trials where every block had at least
-	// one surviving replica.
+	// one surviving replica, so the gather could reach it.
 	SuccessRate float64
 	// MeanCompletion averages completion time over successful trials.
 	MeanCompletion time.Duration
@@ -51,11 +52,11 @@ const (
 	saltDelay       = 0xde1a
 )
 
-// DelaySweep quantifies Remark 1 and the §II-A availability assumption on
-// the event-level simulator: how replication of coded blocks trades storage
-// for completion-time stability and success rate under stragglers and
-// failures. For each replication factor 1–3 and straggler probability in
-// {0, 0.2, 0.5}, it runs many seeded trials of the full protocol.
+// DelaySweep quantifies Remark 1 and the §II-A availability assumption on a
+// simulated fleet session, whose own gather races the replicas: how
+// replication of coded blocks trades storage for completion time and success
+// rate under stragglers and failures. For each replication factor 1–3 and
+// straggler probability in {0, 0.2, 0.5}, it runs many seeded trials.
 func DelaySweep(cfg Config) (DelayResult, error) {
 	f := field.Prime{}
 	rng := workload.RNG(cfg.Seed^saltDelay, 0, 0)
@@ -104,7 +105,7 @@ func DelaySweep(cfg Config) (DelayResult, error) {
 					Seed:     seed,
 					Metrics:  reg,
 				})
-				if errors.Is(err, sim.ErrDeviceFailed) {
+				if errors.Is(err, fleet.ErrBlockUnavailable) {
 					continue // all replicas of some block failed
 				}
 				if err != nil {

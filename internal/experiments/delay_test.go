@@ -4,6 +4,9 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
+
+	"github.com/scec/scec/internal/fleet"
 )
 
 func TestDelaySweepShape(t *testing.T) {
@@ -32,11 +35,18 @@ func TestDelaySweepShape(t *testing.T) {
 	if byCell[[2]int{3, 0}].SuccessRate < 0.99 {
 		t.Fatalf("3-way replication success rate = %g, want ≥ 0.99", byCell[[2]int{3, 0}].SuccessRate)
 	}
-	// With a 50% straggler rate, replication should shorten mean completion
-	// (the user consumes the fastest replica).
-	r1, r3 := byCell[[2]int{1, 5}], byCell[[2]int{3, 5}]
-	if r1.SuccessRate > 0 && r3.SuccessRate > 0 && r3.MeanCompletion >= r1.MeanCompletion {
-		t.Fatalf("replication should mask stragglers: %v (x1) vs %v (x3)", r1.MeanCompletion, r3.MeanCompletion)
+	// Every cell is a mean over cold sessions, which hedge at the 50 ms
+	// DefaultHedgeAfter: no trial beats an unstraggled round (the
+	// replicas = 1, no-straggler cell, whose trials all take that long),
+	// and none outlasts a 10× round — at most delayStraggle times an
+	// unstraggled one, since a straggler slows only its compute — after
+	// the hedges to its last replica.
+	nominal := byCell[[2]int{1, 0}].MeanCompletion
+	for _, p := range res.Points {
+		hi := time.Duration(delayStraggle*float64(nominal)) + time.Duration(p.Replicas-1)*fleet.DefaultHedgeAfter
+		if p.MeanCompletion < nominal || p.MeanCompletion > hi {
+			t.Fatalf("x%d straggle=%g: mean completion %v, want in [%v, %v]", p.Replicas, p.StragglerProb, p.MeanCompletion, nominal, hi)
+		}
 	}
 	// Storage overhead equals the replication factor.
 	for _, p := range res.Points {

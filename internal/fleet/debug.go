@@ -109,7 +109,7 @@ func (s *Session[E]) Debug() DebugInfo {
 			if st == BreakerClosed {
 				bd.Healthy++
 			}
-			bd.Replicas = append(bd.Replicas, DeviceDebug{Addr: d.addr, Breaker: st.String(), Block: d.bound(), Conn: s.client.ConnDebug(d.addr)})
+			bd.Replicas = append(bd.Replicas, DeviceDebug{Addr: d.addr, Breaker: st.String(), Block: d.bound(), Conn: s.link.ConnDebug(d.addr)})
 		}
 		info.Blocks = append(info.Blocks, bd)
 	}
@@ -118,7 +118,7 @@ func (s *Session[E]) Debug() DebugInfo {
 	copy(standbys, s.standbys)
 	s.standbyMu.Unlock()
 	for _, d := range standbys {
-		info.Standbys = append(info.Standbys, DeviceDebug{Addr: d.addr, Breaker: d.State().String(), Block: d.bound(), Conn: s.client.ConnDebug(d.addr)})
+		info.Standbys = append(info.Standbys, DeviceDebug{Addr: d.addr, Breaker: d.State().String(), Block: d.bound(), Conn: s.link.ConnDebug(d.addr)})
 	}
 	return info
 }

@@ -1,6 +1,7 @@
 // Package fleet is a fault-tolerant, long-lived client-side runtime for the
-// SCEC protocol over the real transport: the production counterpart of the
-// virtual-clock replica groups internal/sim prices.
+// SCEC protocol over the real transport (Serve), or over modelled devices on
+// a virtual clock (Simulate): one query loop, the replica race below, serves
+// both, so the simulator prices the policy production runs.
 //
 // The paper's §VI and Remark 1 leave stragglers and faults to future work;
 // the mechanism productionized here is block replication, which leaves the
@@ -40,6 +41,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"time"
 
@@ -233,9 +235,9 @@ type Session[E comparable] struct {
 	// stages records the gather stage of every query.
 	stages *obs.StageRecorder
 
-	client transport.Client[E]
-	probe  transport.Client[E]
-	cloud  transport.Cloud[E]
+	link  link[E]
+	clk   clock
+	model *model[E] // non-nil for a simulated session
 
 	blocks []*blockState[E]
 
@@ -261,6 +263,57 @@ type Session[E comparable] struct {
 	closeOnce sync.Once
 }
 
+// link is every transport call a session makes: the wire for a served
+// session, Simulate's model for a simulated one.
+type link[E comparable] interface {
+	Go(ctx context.Context, addr string, x *matrix.Dense[E], call *transport.Call[E], done chan *transport.Call[E])
+	Receive(call *transport.Call[E]) bool
+	Cancel(call *transport.Call[E], cause error) bool
+	Release(call *transport.Call[E])
+	Ping(ctx context.Context, addr string) error
+	LastContact(addr string) (time.Time, bool)
+	LastRTT(addr string) (time.Duration, bool)
+	ConnDebug(addr string) transport.ConnDebug
+	Store(ctx context.Context, addr string, block *matrix.Dense[E]) error
+}
+
+// clock is the session's time. wait is the one step a query loop blocks on,
+// a channel that fires at t: the wall clock arms *timer, which the caller
+// keeps for the next wait, and the virtual clock jumps to the next event.
+// randN draws the retry jitter, uniform in [0, n), from the clock's stream.
+type clock interface {
+	trace.Clock
+	wait(t time.Time, timer **time.Timer) <-chan time.Time
+	randN(n time.Duration) time.Duration
+}
+
+// wire is a served session's link: the client's compute requests, the
+// cloud's pushes, and pings on a client of their own with the ProbeTimeout.
+type wire[E comparable] struct {
+	transport.Client[E]
+	transport.Cloud[E]
+	probe transport.Client[E]
+}
+
+func (*wire[E]) Receive(call *transport.Call[E]) bool             { return call.Receive() }
+func (*wire[E]) Cancel(call *transport.Call[E], cause error) bool { return call.Cancel(cause) }
+func (*wire[E]) Release(call *transport.Call[E])                  { call.Release() }
+func (w *wire[E]) Ping(ctx context.Context, addr string) error    { return w.probe.Ping(ctx, addr) }
+
+// wallClock is a served session's clock.
+type wallClock struct{}
+
+func (wallClock) Now() time.Time                      { return time.Now() }
+func (wallClock) randN(n time.Duration) time.Duration { return rand.N(n) }
+
+func (wallClock) wait(t time.Time, timer **time.Timer) <-chan time.Time {
+	if *timer == nil {
+		*timer = time.NewTimer(0)
+	}
+	(*timer).Reset(time.Until(t))
+	return (*timer).C
+}
+
 // Serve provisions the replica fleet with enc's blocks and starts the
 // runtime: blocks are pushed to every replica concurrently (recorded as the
 // pipeline's store stage), the health prober starts, and the returned
@@ -268,6 +321,12 @@ type Session[E comparable] struct {
 // push aborts Serve — because at provisioning time every configured device
 // is expected alive; tolerance of faults begins with the first query.
 func Serve[E comparable](f field.Field[E], enc *coding.Encoding[E], cfg Config) (*Session[E], error) {
+	return serve(f, enc, cfg, nil)
+}
+
+// serve is Serve over the wire, or over m's modelled devices with no
+// journal: a simulation is not the process's history.
+func serve[E comparable](f field.Field[E], enc *coding.Encoding[E], cfg Config, m *model[E]) (*Session[E], error) {
 	if enc == nil || enc.Code == nil {
 		return nil, errors.New("fleet: encoding has no code attached")
 	}
@@ -305,7 +364,7 @@ func Serve[E comparable](f field.Field[E], enc *coding.Encoding[E], cfg Config) 
 		reg = obs.Default()
 	}
 	jr := cfg.Journal
-	if jr == nil {
+	if jr == nil && m == nil {
 		jr = flight.Default()
 	}
 
@@ -316,13 +375,19 @@ func Serve[E comparable](f field.Field[E], enc *coding.Encoding[E], cfg Config) 
 		reg:     reg,
 		stages:  obs.NewStageRecorder(reg),
 		cols:    enc.Blocks[0].Cols(),
-		client:  transport.Client[E]{F: f, Timeout: cfg.RPCTimeout, Metrics: reg},
-		probe:   transport.Client[E]{F: f, Timeout: cfg.ProbeTimeout, Metrics: reg},
-		cloud:   transport.Cloud[E]{Timeout: cfg.RPCTimeout, Metrics: reg},
 		devices: make(map[string]*device),
 		lat:     newLatencyRing(),
 		trc:     cfg.Tracer,
 		jr:      jr,
+	}
+	if m != nil {
+		s.link, s.clk, s.model = m, m, m
+	} else {
+		s.link, s.clk = &wire[E]{
+			Client: transport.Client[E]{F: f, Timeout: cfg.RPCTimeout, Metrics: reg},
+			Cloud:  transport.Cloud[E]{Timeout: cfg.RPCTimeout, Metrics: reg},
+			probe:  transport.Client[E]{F: f, Timeout: cfg.ProbeTimeout, Metrics: reg},
+		}, wallClock{}
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.met.init(reg)
@@ -384,7 +449,7 @@ func (s *Session[E]) newDevice(addr string) *device {
 
 // provision pushes every block to its full replica set concurrently.
 func (s *Session[E]) provision(enc *coding.Encoding[E]) error {
-	defer obs.StartStage(s.reg, obs.StageStore).End()
+	defer func(start time.Time) { obs.ObserveStage(s.reg, obs.StageStore, s.clk.Now().Sub(start)) }(s.clk.Now())
 	type push struct {
 		block int
 		addr  string
@@ -403,7 +468,7 @@ func (s *Session[E]) provision(enc *coding.Encoding[E]) error {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(s.ctx, s.cfg.RPCTimeout)
 			defer cancel()
-			if err := s.cloud.Store(ctx, p.addr, enc.Blocks[p.block]); err != nil {
+			if err := s.link.Store(ctx, p.addr, enc.Blocks[p.block]); err != nil {
 				errs[i] = fmt.Errorf("fleet: provision block %d on %s: %w", p.block, p.addr, err)
 			}
 		}()

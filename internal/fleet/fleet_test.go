@@ -509,12 +509,12 @@ func TestBreakerLifecycle(t *testing.T) {
 	reg := obs.New()
 	d := &device{addr: "test", gauge: reg.Gauge(obs.MetricFleetBreakerState, breakerHelp, obs.L("device", "test"))}
 	const threshold = 3
-	d.recordFailure(threshold)
-	d.recordFailure(threshold)
+	d.recordFailure(threshold, time.Now())
+	d.recordFailure(threshold, time.Now())
 	if got := d.State(); got != BreakerClosed {
 		t.Fatalf("state after 2/3 failures = %v, want closed", got)
 	}
-	d.recordFailure(threshold)
+	d.recordFailure(threshold, time.Now())
 	if got := d.State(); got != BreakerOpen {
 		t.Fatalf("state after %d failures = %v, want open", threshold, got)
 	}
@@ -528,7 +528,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if got := d.State(); got != BreakerHalfOpen {
 		t.Fatalf("state after cooldown trial = %v, want half-open", got)
 	}
-	d.recordFailure(threshold)
+	d.recordFailure(threshold, time.Now())
 	if got := d.State(); got != BreakerOpen {
 		t.Fatalf("state after failed half-open trial = %v, want open (single strike)", got)
 	}

@@ -112,15 +112,15 @@ func (d *device) recordSuccess() {
 	}
 }
 
-// recordFailure counts a consecutive failure and opens the breaker at the
-// threshold (immediately, for a failed half-open trial).
-func (d *device) recordFailure(threshold int) {
+// recordFailure counts a consecutive failure at now and opens the breaker at
+// the threshold (immediately, for a failed half-open trial).
+func (d *device) recordFailure(threshold int, now time.Time) {
 	d.mu.Lock()
 	d.fails++
 	opened := false
 	if d.state == BreakerHalfOpen || (d.state == BreakerClosed && d.fails >= threshold) {
 		d.state = BreakerOpen
-		d.openedAt = time.Now()
+		d.openedAt = now
 		d.gauge.Set(float64(BreakerOpen))
 		opened = true
 	}
@@ -248,13 +248,18 @@ func (b *blockState[E]) candidates(now time.Time, cooldown time.Duration, buf []
 // triggering self-repair of degraded blocks.
 func (s *Session[E]) probeLoop() {
 	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.ProbeInterval)
-	defer t.Stop()
-	for {
+	var t *time.Timer
+	for next := s.clk.Now(); ; {
+		// A ticker's fixed rate: each deadline counts from the last, not
+		// from the end of the round; a round that overruns it probes again.
+		if next = next.Add(s.cfg.ProbeInterval); next.Before(s.clk.Now()) {
+			next = s.clk.Now()
+		}
 		select {
 		case <-s.ctx.Done():
+			t.Stop()
 			return
-		case <-t.C:
+		case <-s.clk.wait(next, &t):
 			s.probeOnce()
 		}
 	}
@@ -280,23 +285,23 @@ func (s *Session[E]) probeOnce() {
 			// Export the multiplexed connection's latest heartbeat RTT so
 			// /metrics carries the same per-device signal the adaptive
 			// estimator consumes.
-			if rtt, ok := s.client.LastRTT(d.addr); ok {
+			if rtt, ok := s.link.LastRTT(d.addr); ok {
 				d.rtt.Set(rtt.Seconds())
 			}
-			if t, ok := s.client.LastContact(d.addr); ok && time.Since(t) < s.cfg.ProbeInterval {
+			if t, ok := s.link.LastContact(d.addr); ok && s.clk.Now().Sub(t) < s.cfg.ProbeInterval {
 				d.recordSuccess()
 				return
 			}
 			ctx, cancel := context.WithTimeout(s.ctx, s.cfg.ProbeTimeout)
 			defer cancel()
-			err := s.probe.Ping(ctx, d.addr)
+			err := s.link.Ping(ctx, d.addr)
 			switch {
 			case err == nil:
 				d.recordSuccess()
 			case s.ctx.Err() != nil:
 				// Session shutdown, not a device verdict.
 			default:
-				d.recordFailure(s.cfg.BreakerThreshold)
+				d.recordFailure(s.cfg.BreakerThreshold, s.clk.Now())
 			}
 		}()
 	}

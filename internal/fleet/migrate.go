@@ -92,7 +92,7 @@ func (s *Session[E]) DeviceHealthy(addr string) bool {
 // (negotiation handshake or timed idle heartbeat), the estimator's network
 // signal.
 func (s *Session[E]) DeviceRTT(addr string) (time.Duration, bool) {
-	return s.client.LastRTT(addr)
+	return s.link.LastRTT(addr)
 }
 
 const rehostHelp = "Live block migrations (adaptive rehost pushes), by outcome."

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"os"
 	"strconv"
 	"time"
@@ -98,7 +97,9 @@ type query[E comparable] struct {
 	// have in flight (each block's round launches at most its replica
 	// budget), so the transport never blocks delivering into it.
 	ch    chan *transport.Call[E]
-	timer *time.Timer
+	timer *time.Timer // the wall clock's, made on the first wait
+	// trc roots the gather's span when the caller's context carries none.
+	trc *trace.Tracer
 
 	deadline time.Time
 	open     int   // blocks neither won nor failed
@@ -148,13 +149,12 @@ type attempt[E comparable] struct {
 func (s *Session[E]) acquire(ctx context.Context) *query[E] {
 	q, _ := s.queries.Get().(*query[E])
 	if q == nil {
-		q = &query[E]{s: s, blocks: make([]fetch[E], len(s.blocks)), timer: time.NewTimer(time.Hour)}
-		q.timer.Stop()
+		q = &query[E]{s: s, blocks: make([]fetch[E], len(s.blocks))}
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	q.ctx, q.err, q.open = ctx, nil, 0
+	q.ctx, q.trc, q.err, q.open = ctx, s.trc, nil, 0
 	return q
 }
 
@@ -188,16 +188,18 @@ func (q *query[E]) run(x, y *matrix.Dense[E]) error {
 		return fmt.Errorf("fleet: result is %dx%d, want %dx%d", y.Rows(), y.Cols(), n, x.Cols())
 	}
 	q.x, q.y = x, y
+	if m := s.model; m != nil {
+		defer m.gather(q)()
+	}
 	kind := kindVec
-	if x.Cols() > 1 {
+	if q.x.Cols() > 1 {
 		kind = kindMat
 	}
 	s.met.queries(kind).Inc()
-	ctx, gsp := s.startSpan(q.ctx, trace.SpanFleetGather,
+	ctx, gsp := q.startSpan(q.ctx, trace.SpanFleetGather,
 		trace.A(trace.AttrKind, kind), trace.A("blocks", strconv.Itoa(len(s.blocks))))
 	defer gsp.End()
-	stage := s.stages.Start(obs.StageGather)
-	now := time.Now()
+	now := s.clk.Now()
 	q.deadline = now.Add(s.cfg.QueryTimeout)
 	need := 0
 	for j, b := range s.blocks {
@@ -210,7 +212,7 @@ func (q *query[E]) run(x, y *matrix.Dense[E]) error {
 	for j, b := range s.blocks {
 		f := &q.blocks[j]
 		f.b, f.backoff = b, s.cfg.RetryBackoff
-		f.ctx, f.sp = s.startSpan(ctx, trace.SpanFleetBlock, trace.A(trace.AttrBlock, strconv.Itoa(b.index)))
+		f.ctx, f.sp = q.startSpan(ctx, trace.SpanFleetBlock, trace.A(trace.AttrBlock, strconv.Itoa(b.index)))
 		q.open++
 		q.startRound(f, now)
 		if q.err != nil {
@@ -219,24 +221,25 @@ func (q *query[E]) run(x, y *matrix.Dense[E]) error {
 	}
 	callerDone := q.ctx.Done()
 	for q.open > 0 && q.err == nil {
-		next := q.tick(time.Now())
+		next := q.tick(s.clk.Now())
 		if q.open == 0 || q.err != nil {
 			break
 		}
-		q.timer.Reset(time.Until(next))
 		select {
 		case c := <-q.ch:
 			q.arrive(c)
-		case <-q.timer.C:
+		case <-s.clk.wait(next, &q.timer):
 		case <-callerDone:
 			q.abort(q.ctx.Err())
 		case <-s.ctx.Done():
 			q.abort(errSessionClosed)
 		}
 	}
-	q.timer.Stop()
+	if q.timer != nil {
+		q.timer.Stop()
+	}
 	q.finish()
-	stage.End()
+	s.stages.Observe(obs.StageGather, s.clk.Now().Sub(now))
 	if q.err != nil {
 		s.met.queryErrors(kind).Inc()
 		s.jr.PublishDetail(flight.KindQueryError, "", q.err.Error(), 0, 0)
@@ -248,12 +251,12 @@ func (q *query[E]) run(x, y *matrix.Dense[E]) error {
 
 // startSpan opens a fleet-side span: a child when ctx carries a span (on
 // that span's tracer, so engine-owned traces continue seamlessly), else a
-// fresh root on the session's tracer, else a nil no-op span.
-func (s *Session[E]) startSpan(ctx context.Context, name string, attrs ...trace.Attr) (context.Context, *trace.Span) {
+// fresh root on the query's tracer, else a nil no-op span.
+func (q *query[E]) startSpan(ctx context.Context, name string, attrs ...trace.Attr) (context.Context, *trace.Span) {
 	if parent := trace.SpanFromContext(ctx); parent != nil {
 		return parent.Tracer().StartSpan(ctx, name, attrs...)
 	}
-	return s.trc.StartRoot(ctx, name, attrs...)
+	return q.trc.StartRoot(ctx, name, attrs...)
 }
 
 // startRound snapshots the block's admissible replicas and launches the
@@ -302,11 +305,11 @@ func (q *query[E]) launch(f *fetch[E], hedged bool, now time.Time) {
 	a.block, a.d, a.hedged = f.b.index, d, hedged
 	a.launched, a.deadline, a.lat = now, now.Add(s.cfg.RPCTimeout), 0
 	var actx context.Context
-	actx, a.sp = s.startSpan(f.ctx, trace.SpanFleetAttempt,
+	actx, a.sp = q.startSpan(f.ctx, trace.SpanFleetAttempt,
 		trace.A(trace.AttrDevice, d.addr), trace.A(trace.AttrHedged, strconv.FormatBool(hedged)))
 	f.pending++
 	q.live = append(q.live, a)
-	s.client.Go(actx, d.addr, q.x, &a.call, q.ch)
+	s.link.Go(actx, d.addr, q.x, &a.call, q.ch)
 }
 
 // slot returns an idle attempt, making one when every attempt is busy.
@@ -353,7 +356,7 @@ func (q *query[E]) tick(now time.Time) time.Time {
 			continue
 		}
 		err := fmt.Errorf("fleet: replica %s: no answer within RPCTimeout %v: %w", a.d.addr, s.cfg.RPCTimeout, context.DeadlineExceeded)
-		if !a.call.Cancel(err) {
+		if !s.link.Cancel(&a.call, err) {
 			// The answer is already queued: take it when it arrives.
 			a.deadline = q.deadline
 			i++
@@ -408,14 +411,14 @@ func earliest(a, b time.Time) time.Time {
 
 // arrive handles one call the transport delivered.
 func (q *query[E]) arrive(c *transport.Call[E]) {
-	if !c.Receive() {
+	if !q.s.link.Receive(c) {
 		return // sent again on a fresh connection
 	}
 	a := q.atts[c.Tag]
 	q.unlive(a)
 	f := &q.blocks[a.block]
 	f.pending--
-	now := time.Now()
+	now := q.s.clk.Now()
 	a.lat = now.Sub(a.launched)
 	err := c.Err
 	if err == nil && (c.Y.Rows() != f.b.want || c.Y.Cols() != q.x.Cols()) {
@@ -442,7 +445,7 @@ func (q *query[E]) win(f *fetch[E], a *attempt[E], now time.Time) {
 	q.won(f, a, now.Sub(f.roundStart))
 	for i := 0; i < len(q.live); {
 		l := q.live[i]
-		if l.block != f.b.index || !l.call.Cancel(errQueryOver) {
+		if l.block != f.b.index || !q.s.link.Cancel(&l.call, errQueryOver) {
 			i++
 			continue
 		}
@@ -492,7 +495,7 @@ func (q *query[E]) roundFailed(f *fetch[E], now time.Time) {
 	s.jr.Publish(flight.KindRetry, "", int64(f.b.index), int64(f.round))
 	f.sp.AddEvent(trace.EventRetry, trace.A(trace.AttrRound, strconv.Itoa(f.round)))
 	f.hedgeAt = time.Time{}
-	f.retryAt = now.Add(jitter(f.backoff))
+	f.retryAt = now.Add(s.jitter(f.backoff))
 	if f.backoff *= 2; f.backoff > time.Second {
 		f.backoff = time.Second
 	}
@@ -518,7 +521,7 @@ func (q *query[E]) abort(cause error) {
 	loss := errors.Is(cause, context.Canceled)
 	for i := 0; i < len(q.live); {
 		a := q.live[i]
-		if !a.call.Cancel(cause) {
+		if !q.s.link.Cancel(&a.call, cause) {
 			i++
 			continue
 		}
@@ -550,7 +553,7 @@ func (q *query[E]) finish() {
 	}
 	for i := 0; i < len(q.live); {
 		a := q.live[i]
-		if !a.call.Cancel(errQueryOver) {
+		if !q.s.link.Cancel(&a.call, errQueryOver) {
 			i++
 			continue
 		}
@@ -573,7 +576,7 @@ func (q *query[E]) settle(a *attempt[E], o attemptOutcome) {
 	a.d.recordAttempt(o, a.hedged, a.lat)
 	a.sp.End()
 	a.d, a.sp = nil, nil
-	a.call.Release()
+	q.s.link.Release(&a.call)
 	a.call.Err = nil
 	q.free = append(q.free, a.call.Tag)
 }
@@ -607,7 +610,7 @@ func (q *query[E]) failed(a *attempt[E], err error) {
 		return
 	}
 	s := q.s
-	a.d.recordFailure(s.cfg.BreakerThreshold)
+	a.d.recordFailure(s.cfg.BreakerThreshold, s.clk.Now())
 	a.sp.SetError(err)
 	if isTimeout(err) {
 		s.jr.Publish(flight.KindTimeout, a.d.addr, int64(a.block), 0)
@@ -647,10 +650,10 @@ func (s *Session[E]) hedgeDelay() (d time.Duration, ok bool) {
 	return min(max(d, time.Millisecond), s.cfg.RPCTimeout), true
 }
 
-// jitter draws a full-jitter delay: uniform in [d/2, d].
-func jitter(d time.Duration) time.Duration {
+// jitter draws a full-jitter delay, uniform in [d/2, d], from the clock.
+func (s *Session[E]) jitter(d time.Duration) time.Duration {
 	if d <= 1 {
 		return d
 	}
-	return d/2 + rand.N(d/2)
+	return d/2 + s.clk.randN(d/2)
 }

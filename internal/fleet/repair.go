@@ -70,12 +70,12 @@ func (s *Session[E]) promote(ctx context.Context, b *blockState[E], d *device, f
 	push, cancel := context.WithTimeout(s.ctx, s.cfg.RPCTimeout)
 	defer cancel()
 	defer context.AfterFunc(ctx, cancel)()
-	sp := obs.StartStage(s.reg, obs.StageStore) // a promotion re-runs the pipeline's store stage
-	err := s.cloud.Store(push, d.addr, b.rows)
-	sp.End()
+	start := s.clk.Now()
+	err := s.link.Store(push, d.addr, b.rows)
+	obs.ObserveStage(s.reg, obs.StageStore, s.clk.Now().Sub(start)) // a promotion re-runs the pipeline's store stage
 	if err != nil {
 		if s.ctx.Err() == nil {
-			d.recordFailure(s.cfg.BreakerThreshold)
+			d.recordFailure(s.cfg.BreakerThreshold, s.clk.Now())
 		}
 		s.returnStandby(d)
 		return err

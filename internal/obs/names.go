@@ -117,13 +117,6 @@ const (
 	// callers served through the coalescer.
 	MetricEngineCoalescedBatchSize = "scec_engine_coalesced_batch_size"
 
-	// MetricSimDeviceResultSeconds is a per-device gauge (label device="j",
-	// scheme order) of the virtual time at which device j's intermediate
-	// results reached the user in the most recent simulated run.
-	MetricSimDeviceResultSeconds = "scec_sim_device_result_seconds"
-	// MetricSimRuns counts completed simulator runs.
-	MetricSimRuns = "scec_sim_runs_total"
-
 	// Load-generator (internal/loadgen) metrics. The harness keeps its exact
 	// quantiles in its own log-bucketed recorder; these series surface the
 	// generator's activity on /metrics while a sweep runs.

@@ -36,11 +36,6 @@ const (
 	SpanRPCServer     = "rpc.server"
 	SpanDeviceCompute = "device.compute"
 
-	// SpanSimRun / SpanSimDevice are the simulator's virtual-clock trace:
-	// one run root and one span per simulated replica timeline.
-	SpanSimRun    = "sim.run"
-	SpanSimDevice = "sim.device"
-
 	// SpanAdaptReplan is one adaptive control cycle: estimator snapshot →
 	// TA2 on learned costs → hysteresis verdict. Its EventAdopt/EventHold
 	// records the decision; an adopted cycle parents a SpanAdaptMigrate.
@@ -52,13 +47,10 @@ const (
 
 // Shared attribute keys.
 const (
-	// AttrDevice is a device address (real runs) or index (simulated).
+	// AttrDevice is a device address (sim/<block>/<replica> if simulated).
 	AttrDevice = "device"
 	// AttrBlock is a logical coded-block index in scheme order.
 	AttrBlock = "block"
-	// AttrReplica is a simulated device's copy index within its block's
-	// replica group.
-	AttrReplica = "replica"
 	// AttrKind is a transport request kind (store|compute|compute-batch|ping)
 	// or a query kind (vec|mat).
 	AttrKind = "kind"
@@ -88,6 +80,9 @@ const (
 	// EventBreakerSkip fires when a replica was excluded because its
 	// circuit breaker is open.
 	EventBreakerSkip = "breaker-skip"
+	// EventVirtualTrace names, in its traceId attribute, the separate trace a
+	// simulated fleet session ran the caller's gather in, on its clock.
+	EventVirtualTrace = "virtual-trace"
 	// EventCoalesced fires on a wait span when its round executes.
 	EventCoalesced = "coalesced"
 	// EventAdopt / EventHold fire on an adapt.replan span when the candidate

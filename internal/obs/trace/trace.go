@@ -66,13 +66,6 @@ func newSpanID() SpanID {
 	return s
 }
 
-// NewTraceID mints a random trace ID in wire form, for callers fabricating
-// SpanData directly (the simulator's virtual-clock trace mode).
-func NewTraceID() string { return newTraceID().String() }
-
-// NewSpanID mints a random span ID in wire form; see NewTraceID.
-func NewSpanID() string { return newSpanID().String() }
-
 // SpanContext is the propagated slice of a span: enough to parent remote
 // children and to stitch re-emitted spans into the same trace.
 type SpanContext struct {
@@ -187,18 +180,16 @@ func (wallClock) Now() time.Time { return time.Now() }
 // WallClock returns the real-time clock.
 func WallClock() Clock { return wallClock{} }
 
-// VirtualClock is a manually advanced clock for simulator traces: spans
-// stamped from it carry the simulation's virtual timeline instead of wall
-// time. The zero base is the Unix epoch, so exported virtual traces read as
-// offsets from t=0.
+// VirtualClock is a manually advanced clock, a simulated fleet session's:
+// spans stamped from it carry the simulation's virtual timeline instead of
+// wall time.
 type VirtualClock struct {
 	mu   sync.Mutex
 	base time.Time
 	off  time.Duration
 }
 
-// NewVirtualClock returns a virtual clock starting at base (use
-// time.Unix(0,0) for offset-from-zero traces).
+// NewVirtualClock returns a virtual clock standing at base.
 func NewVirtualClock(base time.Time) *VirtualClock { return &VirtualClock{base: base} }
 
 // Now returns the current virtual instant.
@@ -208,20 +199,11 @@ func (v *VirtualClock) Now() time.Time {
 	return v.base.Add(v.off)
 }
 
-// Set moves the clock to the given offset from base; rewinding is allowed
-// (the simulator walks device timelines out of order).
+// Set moves the clock to the given offset from base.
 func (v *VirtualClock) Set(off time.Duration) {
 	v.mu.Lock()
 	v.off = off
 	v.mu.Unlock()
-}
-
-// At returns the instant at the given offset from base without moving the
-// clock — the simulator stamps most spans analytically.
-func (v *VirtualClock) At(off time.Duration) time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.base.Add(off)
 }
 
 // ctxKey keys the active span in a context.Context.

@@ -130,8 +130,8 @@ func (t *Tracer) start(ctx context.Context, parent SpanContext, name string, att
 }
 
 // Record adopts a fully formed finished span into the tracer's buffer —
-// spans re-emitted by a device server over the transport, or fabricated on
-// a virtual clock by the simulator.
+// spans re-emitted by a device server over the transport, or a simulated
+// fleet session's spans on its virtual clock.
 func (t *Tracer) Record(sd SpanData) {
 	if t == nil {
 		return

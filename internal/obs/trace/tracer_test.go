@@ -178,7 +178,7 @@ func TestSpanRingUnderConcurrentExport(t *testing.T) {
 				}
 				child.End()
 				root.End()
-				tr.Record(SpanData{TraceID: NewTraceID(), SpanID: NewSpanID(), Name: "adopted"})
+				tr.Record(SpanData{TraceID: newTraceID().String(), SpanID: newSpanID().String(), Name: "adopted"})
 			}
 		}(w)
 	}

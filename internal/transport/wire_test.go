@@ -348,10 +348,10 @@ func TestProtocolsBitIdentical(t *testing.T) {
 	t.Run("gf256", func(t *testing.T) { diffLoopbackLocal[byte](t, field.GF256{}) })
 }
 
-// TestV3RemoteErrorStrings pins every validation failure a client can see
+// TestWireV4RemoteErrorStrings pins every validation failure a client can see
 // to its literal text, so remote error strings stay stable for callers that
 // match on them.
-func TestV3RemoteErrorStrings(t *testing.T) {
+func TestWireV4RemoteErrorStrings(t *testing.T) {
 	f := field.Prime{}
 	srv, err := NewDeviceServerOptions[uint64](f, "127.0.0.1:0", Options{MaxElements: 8})
 	if err != nil {
@@ -404,9 +404,9 @@ func TestV3RemoteErrorStrings(t *testing.T) {
 	}
 }
 
-// TestV3ElementCap: an over-cap store must fail with the cap message and
+// TestWireV4ElementCap: an over-cap store must fail with the cap message and
 // leave the connection healthy for the next request.
-func TestV3ElementCap(t *testing.T) {
+func TestWireV4ElementCap(t *testing.T) {
 	f := field.Prime{}
 	srv, err := NewDeviceServerOptions[uint64](f, "127.0.0.1:0", Options{MaxElements: 4})
 	if err != nil {
@@ -498,9 +498,9 @@ func TestNonResidueRefused(t *testing.T) {
 	}
 }
 
-// TestV3TracedExchange: the device's spans ride the response trailer into
+// TestWireV4TracedExchange: the device's spans ride the response trailer into
 // the caller's trace.
-func TestV3TracedExchange(t *testing.T) {
+func TestWireV4TracedExchange(t *testing.T) {
 	f := field.Prime{}
 	devTr := trace.New(trace.Options{Service: "device"})
 	srv, err := NewDeviceServerOptions[uint64](f, "127.0.0.1:0", Options{Tracer: devTr})
