@@ -88,18 +88,21 @@ bench-e2e:
 collusion-check:
 	$(GO) run ./cmd/experiments -fig collusion -check -out results
 
-# Heavy-traffic SLO regression guard: one open-loop, coordinated-omission-
-# safe sweep of a real-socket 3-device loopback fleet plus a 1000-virtual-
-# device simulation with churn, writing the latency-vs-load curves and
-# saturation knees to results/load.{json,md}. The declared SLOs carry large
-# slack over the observed tails (p99 ≈ 5ms / 12ms respectively), so only a
-# real latency regression — not CI jitter — makes this exit non-zero.
+# Heavy-traffic SLO regression guard, in two steps. First the virtual-clock
+# load study: open-loop, coordinated-omission-safe sweeps of a 1000-device
+# fleet and of the t = 2 plan's layout under churn, writing the latency-vs-
+# load curves and saturation knees to results/load.{json,md} and failing on
+# a violation of the declared SLO p99<=100ms@1000 (observed ≈ 12 ms / 28 ms).
+# The report is bit-reproducible (CI follows this target with `git diff
+# --exit-code results/load.json results/load.md`). Then the real-socket gate:
+# a 3-device loopback fleet swept on the wall clock against p99<=250ms@100
+# (observed ≈ 2–5 ms), printing its table and writing no file, since its
+# numbers move on every run. The slack means only a real latency regression
+# — not CI jitter — makes this exit non-zero.
 load-check:
+	$(GO) run ./cmd/experiments -fig load -check -out results
 	$(GO) run ./cmd/scecnet load -rates 50,100,200 -step-requests 200 \
-		-slo "p99<=250ms@100" \
-		-sim-devices 1000 -sim-rates 500,1000,2000,4000 -sim-step-requests 2000 \
-		-sim-slo "p99<=100ms@1000" \
-		-out results/load.json -md results/load.md
+		-slo "p99<=250ms@100"
 
 # Closed-loop recovery guard: the deterministic virtual-clock scenario (a
 # 1000-device fleet hit by a chronic 5x straggler and an 8s outage) served
@@ -112,7 +115,7 @@ load-check:
 # with `git diff --exit-code results/adapt.json`;
 # TestScenarioMatchesCommittedReport pins it in go test).
 adapt-check:
-	$(GO) run ./cmd/scecsim -adaptive -adapt-check -adapt-out results/adapt.json
+	$(GO) run ./cmd/experiments -fig adapt -check -out results
 
 # Short fuzzing passes over every fuzz target (CI-friendly budgets).
 fuzz:
@@ -134,6 +137,8 @@ reproduce:
 	$(GO) run ./cmd/experiments -fig delay -out results
 	$(GO) run ./cmd/experiments -fig comparison -out results
 	$(GO) run ./cmd/experiments -fig dist -out results
+	$(GO) run ./cmd/experiments -fig load -out results
+	$(GO) run ./cmd/experiments -fig adapt -out results
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -1,12 +1,17 @@
-// Command experiments regenerates the paper's evaluation: the five panels
-// of Fig. 2 and the headline-claims table. Results are printed as markdown
-// and, with -out, also written as CSV + markdown files.
+// Command experiments regenerates the paper's evaluation and every
+// committed study: the five panels of Fig. 2 and the headline-claims table,
+// the rsweep, delay, comparison, dist and collusion studies, and the two
+// virtual-clock studies — the 1000-device load sweep (results/load.json,
+// load.md) and the closed-loop recovery scenario (results/adapt.json).
+// Results are printed and, with -out, also written as files; -check enforces
+// a study's acceptance bounds (collusion, load, adapt).
 //
 // Examples:
 //
 //	experiments -fig all -out results              # full reproduction
 //	experiments -fig 2d -instances 100             # one quick panel
-//	experiments -fig all -claims                   # figures + claims table
+//	experiments -fig load -check -out results      # load sweep + SLO gate
+//	experiments -fig adapt -check -out results     # recovery scenario + bounds
 package main
 
 import (
@@ -18,6 +23,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/scec/scec/internal/adapt"
 	"github.com/scec/scec/internal/experiments"
 )
 
@@ -31,12 +37,12 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		fig       = fs.String("fig", "all", "figure to regenerate: 2a|2b|2c|2d|2e|all|rsweep|delay|comparison|dist|collusion")
+		fig       = fs.String("fig", "all", "figure or study to regenerate: 2a|2b|2c|2d|2e|all|rsweep|delay|comparison|dist|collusion|load|adapt")
 		claims    = fs.Bool("claims", true, "also evaluate the headline claims (requires -fig all)")
-		outDir    = fs.String("out", "", "directory for CSV + markdown output (empty: stdout only)")
+		outDir    = fs.String("out", "", "directory for the output files (empty: stdout only)")
 		instances = fs.Int("instances", 0, "instances per sweep point (0: paper default of 1000)")
-		seed      = fs.Uint64("seed", 0, "random seed (0: fixed default)")
-		check     = fs.Bool("check", false, "with -fig collusion: fail unless plan cost is monotone in t and t=1 matches the TA1 baseline")
+		seed      = fs.Uint64("seed", 0, "random seed (0: fixed default; 1 for -fig load and adapt, the seed their committed reports record)")
+		check     = fs.Bool("check", false, "enforce the study's acceptance bounds, exiting non-zero on a violation: collusion (plan cost monotone in t, t=1 matches the TA1 baseline), load (the declared SLO p99<=100ms@1000), adapt (recovery within 1.5x oracle, >=2x better than frozen, no failed query or migration)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -46,96 +52,34 @@ func run(args []string, out io.Writer) error {
 	if *instances > 0 {
 		cfg.Defaults.Instances = *instances
 	}
+	if *fig == "load" || *fig == "adapt" {
+		cfg.Seed = experiments.VirtualSeed
+	}
 	if *seed != 0 {
 		cfg.Seed = *seed
 	}
 
 	start := time.Now()
-	// The special (non-Fig.-2) studies share one render-to-stdout +
-	// optional-file pattern.
-	specials := map[string]struct {
-		file string
-		// summarises: render prints its own summary to out and writes only
-		// the file's content to w; the others render identical content to
-		// stdout and to the file.
-		summarises bool
-		render     func(io.Writer) error
-	}{
-		"comparison": {"comparison.md", false, func(w io.Writer) error {
-			res, err := experiments.Comparison(cfg)
-			if err != nil {
-				return err
-			}
-			return experiments.WriteComparisonMarkdown(w, res)
-		}},
-		"delay": {"delay.md", false, func(w io.Writer) error {
-			res, err := experiments.DelaySweep(cfg)
-			if err != nil {
-				return err
-			}
-			return experiments.WriteDelayMarkdown(w, res)
-		}},
-		"dist": {"dist.md", false, func(w io.Writer) error {
-			res, err := experiments.DistSweep(cfg)
-			if err != nil {
-				return err
-			}
-			return experiments.WriteDistMarkdown(w, res)
-		}},
-		"rsweep": {"rsweep.csv", true, func(w io.Writer) error {
-			res, err := experiments.RSweep(cfg)
-			if err != nil {
-				return err
-			}
-			if err := experiments.WriteRSweepMarkdown(out, res); err != nil {
-				return err
-			}
-			return experiments.WriteRSweepCSV(w, res)
-		}},
-		"collusion": {"collusion.json", true, func(w io.Writer) error {
-			rep, err := experiments.CollusionSweep(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "%-4s %-10s %6s %8s %12s %14s %14s\n", "t", "scheme", "r", "devices", "plan-cost", "encode-ns", "decode-ns")
-			for _, p := range rep.Points {
-				fmt.Fprintf(out, "%-4d %-10s %6d %8d %12.2f %14.0f %14.0f\n",
-					p.T, p.Code, p.R, p.Devices, p.PlanCost, p.EncodeNs, p.DecodeNs)
-			}
-			if *check {
-				if err := experiments.CheckCollusion(rep); err != nil {
-					return err
-				}
-				fmt.Fprintf(out, "collusion check ok: cost monotone in t, t=1 Cauchy matches the TA1 baseline\n")
-			}
-			return experiments.WriteCollusionJSON(w, rep)
-		}},
-	}
-	if sp, special := specials[*fig]; special {
-		if !sp.summarises {
-			if err := sp.render(out); err != nil {
-				return err
-			}
+	if study, ok := studies[*fig]; ok {
+		files, accept, err := study(cfg, out)
+		if err != nil {
+			return err
 		}
 		if *outDir != "" {
 			if err := os.MkdirAll(*outDir, 0o755); err != nil {
 				return err
 			}
-			f, err := os.Create(filepath.Join(*outDir, sp.file))
-			if err != nil {
+			for _, file := range files {
+				if err := writeFile(filepath.Join(*outDir, file.name), file.write); err != nil {
+					return err
+				}
+			}
+		}
+		if *check && accept != nil {
+			if err := accept(); err != nil {
 				return err
 			}
-			werr := sp.render(f)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				return werr
-			}
-		} else if sp.summarises {
-			if err := sp.render(io.Discard); err != nil {
-				return err
-			}
+			fmt.Fprintf(out, "%s check ok\n", *fig)
 		}
 		fmt.Fprintf(out, "done in %s (%d instances, seed %d)\n",
 			time.Since(start).Round(time.Millisecond), cfg.Defaults.Instances, cfg.Seed)
@@ -164,7 +108,13 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		if *outDir != "" {
-			if err := writeFiles(*outDir, r); err != nil {
+			if err := os.MkdirAll(*outDir, 0o755); err != nil {
+				return err
+			}
+			if err := writeFile(filepath.Join(*outDir, r.ID+".csv"), func(w io.Writer) error { return experiments.WriteCSV(w, r) }); err != nil {
+				return err
+			}
+			if err := writeFile(filepath.Join(*outDir, r.ID+".md"), func(w io.Writer) error { return experiments.WriteMarkdown(w, r) }); err != nil {
 				return err
 			}
 		}
@@ -179,17 +129,8 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		if *outDir != "" {
-			f, err := os.Create(filepath.Join(*outDir, "claims.md"))
-			if err != nil {
+			if err := writeFile(filepath.Join(*outDir, "claims.md"), func(w io.Writer) error { return experiments.WriteClaims(w, rep) }); err != nil {
 				return err
-			}
-			werr := experiments.WriteClaims(f, rep)
-			cerr := f.Close()
-			if werr != nil {
-				return werr
-			}
-			if cerr != nil {
-				return cerr
 			}
 		}
 	}
@@ -198,29 +139,91 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// writeFiles emits <id>.csv and <id>.md under dir.
-func writeFiles(dir string, r experiments.Result) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	csvFile, err := os.Create(filepath.Join(dir, r.ID+".csv"))
-	if err != nil {
-		return err
-	}
-	werr := experiments.WriteCSV(csvFile, r)
-	if cerr := csvFile.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return werr
-	}
+// file is one output a study writes under -out.
+type file struct {
+	name  string
+	write func(io.Writer) error
+}
 
-	mdFile, err := os.Create(filepath.Join(dir, r.ID+".md"))
+// A study runs once, prints its summary to out, and returns the files -out
+// writes and the acceptance check -check runs (nil when it has none).
+type study func(cfg experiments.Config, out io.Writer) ([]file, func() error, error)
+
+// studies are the -fig values beyond Fig. 2.
+var studies = map[string]study{
+	"comparison": func(cfg experiments.Config, out io.Writer) ([]file, func() error, error) {
+		res, err := experiments.Comparison(cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		write := func(w io.Writer) error { return experiments.WriteComparisonMarkdown(w, res) }
+		return []file{{"comparison.md", write}}, nil, write(out)
+	},
+	"delay": func(cfg experiments.Config, out io.Writer) ([]file, func() error, error) {
+		res, err := experiments.DelaySweep(cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		write := func(w io.Writer) error { return experiments.WriteDelayMarkdown(w, res) }
+		return []file{{"delay.md", write}}, nil, write(out)
+	},
+	"dist": func(cfg experiments.Config, out io.Writer) ([]file, func() error, error) {
+		res, err := experiments.DistSweep(cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		write := func(w io.Writer) error { return experiments.WriteDistMarkdown(w, res) }
+		return []file{{"dist.md", write}}, nil, write(out)
+	},
+	"rsweep": func(cfg experiments.Config, out io.Writer) ([]file, func() error, error) {
+		res, err := experiments.RSweep(cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		write := func(w io.Writer) error { return experiments.WriteRSweepCSV(w, res) }
+		return []file{{"rsweep.csv", write}}, nil, experiments.WriteRSweepMarkdown(out, res)
+	},
+	"collusion": func(cfg experiments.Config, out io.Writer) ([]file, func() error, error) {
+		rep, err := experiments.CollusionSweep(cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		fmt.Fprintf(out, "%-4s %-10s %6s %8s %12s %14s %14s\n", "t", "scheme", "r", "devices", "plan-cost", "encode-ns", "decode-ns")
+		for _, p := range rep.Points {
+			fmt.Fprintf(out, "%-4d %-10s %6d %8d %12.2f %14.0f %14.0f\n",
+				p.T, p.Code, p.R, p.Devices, p.PlanCost, p.EncodeNs, p.DecodeNs)
+		}
+		write := func(w io.Writer) error { return experiments.WriteCollusionJSON(w, rep) }
+		return []file{{"collusion.json", write}}, func() error { return experiments.CheckCollusion(rep) }, nil
+	},
+	"load": func(cfg experiments.Config, out io.Writer) ([]file, func() error, error) {
+		rep, err := experiments.LoadSweep(cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, sc := range rep.Scenarios {
+			sc.WriteText(out)
+		}
+		return []file{{"load.json", rep.WriteJSON}, {"load.md", rep.WriteMarkdown}}, rep.Check, nil
+	},
+	"adapt": func(cfg experiments.Config, out io.Writer) ([]file, func() error, error) {
+		rep, err := adapt.RunScenario(adapt.ScenarioConfig{Seed: cfg.Seed})
+		if err != nil {
+			return nil, nil, err
+		}
+		rep.WriteText(out)
+		return []file{{"adapt.json", rep.WriteJSON}}, func() error { return adapt.CheckRecovery(rep) }, nil
+	},
+}
+
+// writeFile creates path and renders its content with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	werr = experiments.WriteMarkdown(mdFile, r)
-	if cerr := mdFile.Close(); werr == nil {
+	werr := write(f)
+	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
 	return werr

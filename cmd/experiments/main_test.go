@@ -137,3 +137,49 @@ func TestRunCustomSeedChangesOutput(t *testing.T) {
 		t.Fatal("different seeds should change the sampled fleets")
 	}
 }
+
+// TestRunLoadMatchesCommittedReport: -fig load -check prints both scenarios'
+// curves and SLO verdicts, writes the committed results/load.json and
+// load.md byte for byte, and the declared SLO holds.
+func TestRunLoadMatchesCommittedReport(t *testing.T) {
+	runMatchesCommitted(t, "load", []string{"load.json", "load.md"},
+		"sim-1000dev-churn: knee at 1000 QPS", "sim-t2-6dev-churn: knee at 1000 QPS", "SLO p99<=100ms@1000: measured")
+}
+
+// TestRunAdaptMatchesCommittedReport: -fig adapt -check prints the three
+// arms and the adaptive arm's migrations, writes the committed
+// results/adapt.json byte for byte, and the recovery bounds hold.
+func TestRunAdaptMatchesCommittedReport(t *testing.T) {
+	runMatchesCommitted(t, "adapt", []string{"adapt.json"},
+		"recovery scenario:", "frozen", "adaptive", "oracle", "rehost block")
+}
+
+// runMatchesCommitted runs -fig fig -check -out into a temporary directory,
+// checks the printed summary holds every phrase in summary, and compares
+// each named file with its committed copy under results/.
+func runMatchesCommitted(t *testing.T, fig string, files []string, summary ...string) {
+	t.Helper()
+	dir := t.TempDir()
+	var out strings.Builder
+	if err := run([]string{"-fig", fig, "-check", "-out", dir}, &out); err != nil {
+		t.Fatalf("-fig %s -check: %v\n%s", fig, err, out.String())
+	}
+	for _, want := range append(summary, fig+" check ok", "seed 1)") {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("-fig %s output missing %q:\n%s", fig, want, out.String())
+		}
+	}
+	for _, name := range files {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("..", "..", "results", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("-fig %s no longer reproduces results/%s:\n%s", fig, name, got)
+		}
+	}
+}

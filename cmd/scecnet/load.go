@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand/v2"
-	"os"
-	"path/filepath"
 	"time"
 
 	"github.com/scec/scec"
@@ -16,13 +14,13 @@ import (
 	"github.com/scec/scec/internal/transport"
 )
 
-// runLoad is the heavy-traffic SLO harness: an open-loop, coordinated-
-// omission-safe offered-load sweep against (1) a real-socket loopback fleet
-// of exactly three devices and (2) a virtual-clock simulation of thousands
-// of devices with churn. Both scenarios land in one results/load.json +
-// load.md report with per-step p50/p99/p999, the detected saturation knee,
-// and declared-SLO verdicts; any SLO violation makes the command exit
-// non-zero, which is what lets `make load-check` gate regressions.
+// runLoad is the real-socket SLO gate: an open-loop, coordinated-omission-
+// safe offered-load sweep against a loopback fleet of exactly three devices.
+// It prints per-step p50/p99/p999, the detected saturation knee and the
+// declared-SLO verdicts, and any SLO violation makes the command exit
+// non-zero, which is what lets `make load-check` gate regressions. Its
+// wall-clock numbers move on every run, so it writes no report file; the
+// reproducible virtual-clock sweep is `experiments -fig load`.
 func runLoad(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("scecnet load", flag.ContinueOnError)
 	var (
@@ -37,14 +35,7 @@ func runLoad(args []string, out io.Writer) error {
 		timeout     = fs.Duration("timeout", transport.DefaultTimeout, "per-request deadline")
 		maxInFlight = fs.Int("max-inflight", 0, "outstanding-request backstop (0 for the generator default)")
 		sloSpec     = fs.String("slo", "", "comma-separated SLOs for the fleet sweep, e.g. p99<=50ms@100")
-		simDevices  = fs.Int("sim-devices", 1000, "virtual fleet size for the simulated scenario (0 skips it)")
-		simRates    = fs.String("sim-rates", "500,1000,2000,4000", "offered-load steps (QPS) for the virtual sweep")
-		simChurn    = fs.Duration("sim-churn", 200*time.Millisecond, "mean virtual interval between churn events (0 disables churn)")
-		simReqs     = fs.Int("sim-step-requests", 2000, "requests per virtual sweep step")
-		simSloSpec  = fs.String("sim-slo", "", "comma-separated SLOs for the virtual sweep")
-		outPath     = fs.String("out", "results/load.json", "JSON report path (empty to skip)")
-		mdPath      = fs.String("md", "results/load.md", "markdown report path (empty to skip)")
-		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /debug/engine and /debug/fleet on this address while the sweeps run")
+		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /debug/engine and /debug/fleet on this address while the sweep runs")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -61,17 +52,10 @@ func runLoad(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	simSLOs, err := loadgen.ParseSLOs(*simSloSpec)
-	if err != nil {
-		return err
-	}
 	if *m%2 != 0 || *m <= 0 {
 		return fmt.Errorf("-m must be positive and even (uniform costs then yield r=m/2 and a 3-device fleet), got %d", *m)
 	}
 
-	report := loadgen.Report{Version: loadgen.ReportVersion}
-
-	// --- Scenario 1: real-socket loopback fleet, exactly three devices. ---
 	// With k=3 candidates at uniform unit cost, TA1's optimum is r=m/2, so
 	// i=⌈(m+r)/r⌉=3: every candidate serves, deterministically.
 	f := scec.PrimeField()
@@ -140,65 +124,6 @@ func runLoad(args []string, out io.Writer) error {
 	fleetScenario.Steps = steps
 	fleetScenario.KneeQPS = loadgen.DetectKnee(steps)
 	sloErr := fleetScenario.CheckSLOs(fleetSLOs)
-	report.Scenarios = append(report.Scenarios, fleetScenario)
 	fleetScenario.WriteText(out)
-
-	// --- Scenario 2: virtual-clock simulation at fleet scale with churn. ---
-	if *simDevices > 0 {
-		vRates, err := loadgen.ParseRates(*simRates)
-		if err != nil {
-			return err
-		}
-		// The virtual schedule draws fresh arrivals; bursty state must not
-		// leak between scenarios, so parse a fresh instance.
-		vArrival, _ := loadgen.ParseArrival(*arrivalSpec)
-		rows := (*m + dep.Plan.R + *simDevices - 1) / *simDevices
-		simScenario := loadgen.Scenario{
-			Name:    fmt.Sprintf("sim-%ddev-churn", *simDevices),
-			Backend: "sim",
-			Clock:   "virtual",
-			Arrival: vArrival.Name(),
-			Devices: *simDevices,
-		}
-		fmt.Fprintf(out, "sweeping %d virtual devices at %s QPS (churn every ~%v)...\n", *simDevices, *simRates, *simChurn)
-		vSteps, stats, err := loadgen.VirtualSweep(loadgen.VirtualOptions{
-			Devices:         *simDevices,
-			RowsPerDevice:   max(rows, 1),
-			Cols:            *l,
-			ChurnEvery:      *simChurn,
-			Rates:           vRates,
-			RequestsPerStep: *simReqs,
-			Arrival:         vArrival,
-			Seed:            *seed,
-		})
-		if err != nil {
-			return err
-		}
-		simScenario.Steps = vSteps
-		simScenario.KneeQPS = stats.KneeQPS
-		simScenario.ChurnEvents = stats.ChurnEvents
-		simScenario.Outages = stats.Outages
-		if err := simScenario.CheckSLOs(simSLOs); err != nil && sloErr == nil {
-			sloErr = err
-		}
-		report.Scenarios = append(report.Scenarios, simScenario)
-		simScenario.WriteText(out)
-	}
-
-	if *outPath != "" {
-		if err := os.MkdirAll(filepath.Dir(*outPath), 0o755); err != nil {
-			return err
-		}
-	}
-	if err := report.WriteFiles(*outPath, *mdPath); err != nil {
-		return err
-	}
-	if *outPath != "" {
-		fmt.Fprintf(out, "report written to %s", *outPath)
-		if *mdPath != "" {
-			fmt.Fprintf(out, " and %s", *mdPath)
-		}
-		fmt.Fprintln(out)
-	}
 	return sloErr
 }

@@ -24,13 +24,13 @@
 //	    dump, heap profile), the same files an incident bundle holds
 //
 //	scecnet load -rates 50,100,200 -slo p99<=250ms@100
-//	    heavy-traffic SLO harness: open-loop, coordinated-omission-safe
-//	    offered-load sweeps against a 3-device real-socket fleet and a
-//	    thousand-device virtual-clock simulation with churn, writing the
-//	    latency-vs-load curves, saturation knees, and SLO verdicts to
-//	    results/load.json + load.md (non-zero exit on any SLO violation);
-//	    the sweep in flight shows on /metrics as scec_load_offered_qps,
-//	    scec_load_inflight and scec_load_requests_total
+//	    real-socket SLO gate: an open-loop, coordinated-omission-safe
+//	    offered-load sweep against a 3-device loopback fleet, printing the
+//	    latency-vs-load curve, saturation knee, and SLO verdicts (non-zero
+//	    exit on any SLO violation; no report file, since wall-clock numbers
+//	    move run to run — the reproducible 1000-device virtual sweep is
+//	    `experiments -fig load`); the sweep in flight shows on /metrics as
+//	    scec_load_offered_qps, scec_load_inflight and scec_load_requests_total
 //
 // Every role accepts -metrics-addr to serve the telemetry bundle
 // (/metrics, /metrics.json, /healthz, /debug/pprof/*, /debug/vars) while it

@@ -2,13 +2,14 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
 
 func TestRunVerifiesPipeline(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-m", "100", "-l", "16", "-k", "6", "-seed", "2"}, &out); err != nil {
+	if err := run([]string{"-m", "100", "-l", "16", "-k", "6", "-seed", "2"}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -21,7 +22,7 @@ func TestRunVerifiesPipeline(t *testing.T) {
 
 func TestRunWithStraggler(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-m", "60", "-l", "8", "-k", "5", "-straggler", "0=100"}, &out); err != nil {
+	if err := run([]string{"-m", "60", "-l", "8", "-k", "5", "-straggler", "0=100"}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "decoded result verified") {
@@ -31,7 +32,7 @@ func TestRunWithStraggler(t *testing.T) {
 
 func TestRunWithForcedFailure(t *testing.T) {
 	var out strings.Builder
-	err := run([]string{"-m", "60", "-l", "8", "-k", "5", "-fail", "0"}, &out)
+	err := run([]string{"-m", "60", "-l", "8", "-k", "5", "-fail", "0"}, &out, io.Discard)
 	if err == nil {
 		t.Fatal("forced failure should abort the run")
 	}
@@ -42,7 +43,7 @@ func TestRunWithForcedFailure(t *testing.T) {
 
 func TestRunWithReplication(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-m", "60", "-l", "8", "-k", "5", "-replicas", "3", "-straggler", "0=100"}, &out); err != nil {
+	if err := run([]string{"-m", "60", "-l", "8", "-k", "5", "-replicas", "3", "-straggler", "0=100"}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -58,7 +59,7 @@ func TestRunWithReplication(t *testing.T) {
 // hold the same B_j·T whatever the code, so the Cauchy tier replicates too.
 func TestRunWithReplicationUnderCollusion(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-m", "60", "-l", "8", "-k", "6", "-t", "2", "-replicas", "2"}, &out); err != nil {
+	if err := run([]string{"-m", "60", "-l", "8", "-k", "6", "-t", "2", "-replicas", "2"}, &out, io.Discard); err != nil {
 		t.Fatalf("%v\n%s", err, out.String())
 	}
 	got := out.String()
@@ -80,10 +81,13 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-m", "60", "-l", "8", "-k", "5", "-straggler", "0=+Inf"},
 		{"-m", "60", "-l", "8", "-k", "5", "-replicas", "0"},
 		{"-m", "60", "-l", "8", "-k", "5", "-replicas", "-3"},
+		// The load sweep and the recovery scenario run from cmd/experiments.
+		{"-load"},
+		{"-adaptive"},
 	}
 	for _, args := range cases {
 		var out strings.Builder
-		if err := run(args, &out); err == nil {
+		if err := run(args, &out, io.Discard); err == nil {
 			t.Errorf("args %v: expected error", args)
 		}
 	}
@@ -95,10 +99,10 @@ func TestRunFlagErrors(t *testing.T) {
 func TestApplyStragglers(t *testing.T) {
 	base := []string{"-m", "60", "-l", "8", "-k", "5", "-seed", "3"}
 	var plain, slowed strings.Builder
-	if err := run(base, &plain); err != nil {
+	if err := run(base, &plain, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(append(base, "-straggler", "1=4.5"), &slowed); err != nil {
+	if err := run(append(base, "-straggler", "1=4.5"), &slowed, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(slowed.String(), "decoded result verified") {
@@ -118,7 +122,7 @@ func TestApplyStragglers(t *testing.T) {
 		t.Fatalf("-straggler 1=4.5 should slow device 1 only:\n%s\n%s", plain.String(), slowed.String())
 	}
 	var out strings.Builder
-	err := run(append(base, "-straggler", "99=2"), &out)
+	err := run(append(base, "-straggler", "99=2"), &out, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "straggler device 99 out of range") {
 		t.Fatalf("out-of-range straggler: err = %v", err)
 	}

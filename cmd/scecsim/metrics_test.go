@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,7 +18,7 @@ import (
 func TestMetricsJSONSnapshot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.json")
 	var out strings.Builder
-	if err := run([]string{"-m", "100", "-l", "16", "-k", "6", "-seed", "2", "-metrics-json", path}, &out); err != nil {
+	if err := run([]string{"-m", "100", "-l", "16", "-k", "6", "-seed", "2", "-metrics-json", path}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "stage timings") {

@@ -2,7 +2,9 @@ package adapt
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -247,6 +249,75 @@ func runScenario(cfg ScenarioConfig, wrap func(Substrate) Substrate) (*RecoveryR
 		rep.FrozenOverAdaptiveP99 = rep.Frozen.SteadyP99Ms / rep.Adaptive.SteadyP99Ms
 	}
 	return rep, nil
+}
+
+// The recovery study's acceptance bounds (results/adapt.json): the adaptive
+// arm's steady-state p99 recovers to within 1.5× the instant-replanning
+// oracle, and the frozen baseline stays at least 2× worse than adaptive.
+const (
+	scenarioMaxOverOracle   = 1.5
+	scenarioMinFrozenFactor = 2.0
+)
+
+// CheckRecovery enforces the recovery study's acceptance bounds: no arm
+// fails a query, adaptive is within scenarioMaxOverOracle of the oracle and
+// scenarioMinFrozenFactor better than frozen, and over the whole adaptive
+// run no device is sent two blocks of one encoding and no migration the
+// controller attempted fails.
+func CheckRecovery(rep *RecoveryReport) error {
+	for _, a := range []ArmResult{rep.Frozen, rep.Adaptive, rep.Oracle} {
+		if a.FailedQueries != 0 {
+			return fmt.Errorf("adapt check: %s arm failed %d queries; migrations must drop none", a.Name, a.FailedQueries)
+		}
+	}
+	if rep.AdaptiveOverOracleP99 > scenarioMaxOverOracle {
+		return fmt.Errorf("adapt check: adaptive steady p99 is %.2fx the oracle's (bound %.1fx)",
+			rep.AdaptiveOverOracleP99, scenarioMaxOverOracle)
+	}
+	if rep.MaxBlocksPerDevice != 1 {
+		return fmt.Errorf("adapt check: a device was sent %d different blocks of one encoding; Def. 2 covers one",
+			rep.MaxBlocksPerDevice)
+	}
+	if rep.FailedMigrations != 0 {
+		return fmt.Errorf("adapt check: %d migration(s) the controller attempted failed; the model substrate refuses none", rep.FailedMigrations)
+	}
+	if rep.FrozenOverAdaptiveP99 < scenarioMinFrozenFactor {
+		return fmt.Errorf("adapt check: frozen baseline is only %.2fx worse than adaptive (bound %.1fx): the control plane bought too little",
+			rep.FrozenOverAdaptiveP99, scenarioMinFrozenFactor)
+	}
+	return nil
+}
+
+// WriteText renders the report as a console summary: one row per arm, the
+// ratios against their bounds, and the adaptive arm's event log.
+func (rep *RecoveryReport) WriteText(w io.Writer) {
+	fmt.Fprintf(w, "recovery scenario: %d devices, m=%d, %.0f QPS for %s (seed %d)\n",
+		rep.Devices, rep.M, rep.QPS, time.Duration(rep.DurationMs)*time.Millisecond, rep.Seed)
+	fmt.Fprintf(w, "faults: chronic straggler on device %d, outage on device %d\n",
+		rep.StragglerDevice, rep.OutageDevice)
+	fmt.Fprintln(w, "arm       steady-p50   steady-p95   steady-p99   overall-p99  final-r  replans  adopts  moved")
+	for _, a := range []ArmResult{rep.Frozen, rep.Adaptive, rep.Oracle} {
+		fmt.Fprintf(w, "%-8s %9.2fms  %9.2fms  %9.2fms  %9.2fms  %7d  %7d  %6d  %5d\n",
+			a.Name, a.SteadyP50Ms, a.SteadyP95Ms, a.SteadyP99Ms, a.OverallP99Ms,
+			a.FinalR, a.Replans, a.Adopts, a.BlocksMoved)
+	}
+	fmt.Fprintf(w, "adaptive/oracle steady p99 = %.2fx (bound ≤ %.1fx); frozen/adaptive = %.2fx (bound ≥ %.1fx)\n",
+		rep.AdaptiveOverOracleP99, scenarioMaxOverOracle, rep.FrozenOverAdaptiveP99, scenarioMinFrozenFactor)
+	fmt.Fprintf(w, "most blocks any device was sent under one encoding: %d (bound = 1); failed migrations: %d (bound = 0)\n",
+		rep.MaxBlocksPerDevice, rep.FailedMigrations)
+	for _, ev := range rep.Events {
+		fmt.Fprintf(w, "  %s\n", ev)
+	}
+}
+
+// WriteJSON renders the report as the indented JSON of results/adapt.json.
+func (rep *RecoveryReport) WriteJSON(w io.Writer) error {
+	data, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(data, '\n'))
+	return err
 }
 
 // arm is one serving regime's simulation state. The adaptive arm is also the

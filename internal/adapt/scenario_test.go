@@ -270,3 +270,17 @@ func TestScenarioRunsController(t *testing.T) {
 		t.Errorf("after the retry: %.2f× oracle, %d blocks per device", rep.AdaptiveOverOracleP99, rep.MaxBlocksPerDevice)
 	}
 }
+
+// TestAdaptCheckRejectsFailedMigration: a report that is otherwise within
+// every bound still fails the recovery check when the controller recorded a
+// failed migration.
+func TestAdaptCheckRejectsFailedMigration(t *testing.T) {
+	rep := &RecoveryReport{AdaptiveOverOracleP99: 1, FrozenOverAdaptiveP99: 10, MaxBlocksPerDevice: 1}
+	if err := CheckRecovery(rep); err != nil {
+		t.Fatalf("clean report rejected: %v", err)
+	}
+	rep.FailedMigrations = 1
+	if err := CheckRecovery(rep); err == nil || !strings.Contains(err.Error(), "migration") {
+		t.Fatalf("a failed migration passed the recovery check: %v", err)
+	}
+}

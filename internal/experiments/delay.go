@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"github.com/scec/scec/internal/alloc"
@@ -27,8 +28,14 @@ type DelayPoint struct {
 	// SuccessRate is the fraction of trials where every block had at least
 	// one surviving replica, so the gather could reach it.
 	SuccessRate float64
-	// MeanCompletion averages completion time over successful trials.
-	MeanCompletion time.Duration
+	// MeanCompletion averages completion time over successful trials, and
+	// MedianCompletion is their median.
+	MeanCompletion, MedianCompletion time.Duration
+	// RescuedShare is the fraction of successful trials in which some block
+	// was won by an attempt launched after the gather began (a hedge, a
+	// failover or a retry): the trials only replication or a retry saved,
+	// which also carry its longest completions.
+	RescuedShare float64
 	// StorageOverhead is provisioned rows / (m+r).
 	StorageOverhead float64
 }
@@ -83,8 +90,8 @@ func DelaySweep(cfg Config) (DelayResult, error) {
 	for _, replicas := range []int{1, 2, 3} {
 		for _, pStraggle := range []float64{0, 0.2, 0.5} {
 			pt := DelayPoint{Replicas: replicas, StragglerProb: pStraggle}
-			successes := 0
-			var totalCompletion time.Duration
+			var completions []time.Duration
+			rescued := 0
 			for trial := 0; trial < delayTrialCount; trial++ {
 				trialRNG := workload.RNG(cfg.Seed^saltDelay, replicas*1000+int(pStraggle*10), trial)
 				seed := trialRNG.Uint64()
@@ -111,13 +118,24 @@ func DelaySweep(cfg Config) (DelayResult, error) {
 				if err != nil {
 					return DelayResult{}, err
 				}
-				successes++
-				totalCompletion += rep.CompletionTime
+				completions = append(completions, rep.CompletionTime)
+				if slices.ContainsFunc(rep.Devices, func(d sim.DeviceReport) bool {
+					return d.Outcome == sim.Won && d.Launched > 0
+				}) {
+					rescued++
+				}
 				pt.StorageOverhead = rep.StorageOverhead
 			}
-			pt.SuccessRate = float64(successes) / float64(delayTrialCount)
-			if successes > 0 {
-				pt.MeanCompletion = totalCompletion / time.Duration(successes)
+			pt.SuccessRate = float64(len(completions)) / float64(delayTrialCount)
+			if n := len(completions); n > 0 {
+				var total time.Duration
+				for _, c := range completions {
+					total += c
+				}
+				slices.Sort(completions)
+				pt.MeanCompletion = total / time.Duration(n)
+				pt.MedianCompletion = (completions[(n-1)/2] + completions[n/2]) / 2
+				pt.RescuedShare = float64(rescued) / float64(n)
 			}
 			res.Points = append(res.Points, pt)
 		}
@@ -155,13 +173,14 @@ func WriteDelayMarkdown(w io.Writer, res DelayResult) error {
 		res.M, res.L, res.R, delayTrialCount); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintln(w, "| replicas | straggler prob | success rate | mean completion | storage overhead |\n|---|---|---|---|---|"); err != nil {
+	if _, err := fmt.Fprintln(w, "| replicas | straggler prob | success rate | mean completion | median completion | rescued | storage overhead |\n|---|---|---|---|---|---|---|"); err != nil {
 		return err
 	}
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 	for _, p := range res.Points {
-		if _, err := fmt.Fprintf(w, "| %d | %.1f | %.1f%% | %.3fms | %.1fx |\n",
+		if _, err := fmt.Fprintf(w, "| %d | %.1f | %.1f%% | %.3fms | %.3fms | %.1f%% | %.1fx |\n",
 			p.Replicas, p.StragglerProb, 100*p.SuccessRate,
-			float64(p.MeanCompletion.Microseconds())/1000, p.StorageOverhead); err != nil {
+			ms(p.MeanCompletion), ms(p.MedianCompletion), 100*p.RescuedShare, p.StorageOverhead); err != nil {
 			return err
 		}
 	}

@@ -29,6 +29,11 @@ func TestDelaySweepShape(t *testing.T) {
 		if r3.SuccessRate < r1.SuccessRate {
 			t.Fatalf("straggle=%d: success rate fell with replication: %g -> %g", ps, r1.SuccessRate, r3.SuccessRate)
 		}
+		// The trials it lifts are rescued by a later attempt, which is what
+		// raises the mean; the typical (median) trial is no slower.
+		if r3.RescuedShare <= 0 || r3.MedianCompletion > r1.MedianCompletion {
+			t.Fatalf("straggle=%d: x3 rescued %g of trials at median %v, x1 median %v", ps, r3.RescuedShare, r3.MedianCompletion, r1.MedianCompletion)
+		}
 	}
 	// Triple replication should be near-perfect at 3% per-replica failures:
 	// the per-block failure probability is (0.03)³ ≈ 3e-5.

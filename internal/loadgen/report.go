@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"time"
 
@@ -88,8 +87,8 @@ func (s *Scenario) WriteText(w io.Writer) {
 	}
 }
 
-// Report is the results/load.json document: every scenario swept by one
-// harness invocation.
+// Report is the results/load.json document: every scenario the load study
+// (`experiments -fig load`) sweeps.
 type Report struct {
 	Version   int        `json:"version"`
 	Scenarios []Scenario `json:"scenarios"`
@@ -152,38 +151,6 @@ func (r *Report) WriteMarkdown(w io.Writer) error {
 			}
 			fmt.Fprintf(w, "- SLO `%s`: measured %v at %g QPS — **%s**\n",
 				res.SLO, res.Measured.Round(time.Microsecond), res.MeasuredAtQPS, verdict)
-		}
-	}
-	return nil
-}
-
-// WriteFiles writes the JSON report to jsonPath and, when mdPath is
-// non-empty, the markdown companion to mdPath.
-func (r *Report) WriteFiles(jsonPath, mdPath string) error {
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		werr := r.WriteJSON(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
-		}
-	}
-	if mdPath != "" {
-		f, err := os.Create(mdPath)
-		if err != nil {
-			return err
-		}
-		werr := r.WriteMarkdown(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
 		}
 	}
 	return nil
