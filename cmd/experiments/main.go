@@ -4,7 +4,8 @@
 // virtual-clock studies — the 1000-device load sweep (results/load.json,
 // load.md) and the closed-loop recovery scenario (results/adapt.json).
 // Results are printed and, with -out, also written as files; -check enforces
-// a study's acceptance bounds (collusion, load, adapt).
+// a study's acceptance bounds (collusion, load, adapt) and refuses any other
+// -fig.
 //
 // Examples:
 //
@@ -20,6 +21,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -59,9 +61,21 @@ func run(args []string, out io.Writer) error {
 		cfg.Seed = *seed
 	}
 
+	st, isStudy := studies[*fig]
+	if *check && !st.checked {
+		var names []string
+		for name, s := range studies {
+			if s.checked {
+				names = append(names, name)
+			}
+		}
+		slices.Sort(names)
+		return fmt.Errorf("-check: -fig %s has no acceptance check; the studies with one are %s", *fig, strings.Join(names, ", "))
+	}
+
 	start := time.Now()
-	if study, ok := studies[*fig]; ok {
-		files, accept, err := study(cfg, out)
+	if isStudy {
+		files, accept, err := st.run(cfg, out)
 		if err != nil {
 			return err
 		}
@@ -75,14 +89,18 @@ func run(args []string, out io.Writer) error {
 				}
 			}
 		}
-		if *check && accept != nil {
+		if *check {
 			if err := accept(); err != nil {
 				return err
 			}
 			fmt.Fprintf(out, "%s check ok\n", *fig)
 		}
-		fmt.Fprintf(out, "done in %s (%d instances, seed %d)\n",
-			time.Since(start).Round(time.Millisecond), cfg.Defaults.Instances, cfg.Seed)
+		if st.instances {
+			fmt.Fprintf(out, "done in %s (%d instances, seed %d)\n",
+				time.Since(start).Round(time.Millisecond), cfg.Defaults.Instances, cfg.Seed)
+		} else {
+			fmt.Fprintf(out, "done in %s (seed %d)\n", time.Since(start).Round(time.Millisecond), cfg.Seed)
+		}
 		return nil
 	}
 
@@ -145,45 +163,49 @@ type file struct {
 	write func(io.Writer) error
 }
 
-// A study runs once, prints its summary to out, and returns the files -out
-// writes and the acceptance check -check runs (nil when it has none).
-type study func(cfg experiments.Config, out io.Writer) ([]file, func() error, error)
+// A study is a -fig value beyond Fig. 2. run runs it once, prints its
+// summary to out, and returns the files -out writes and, for a checked
+// study, the acceptance check -check runs (nil for the others, which -check
+// refuses before running). instances marks a study that reads -instances.
+type study struct {
+	run                func(cfg experiments.Config, out io.Writer) ([]file, func() error, error)
+	checked, instances bool
+}
 
-// studies are the -fig values beyond Fig. 2.
 var studies = map[string]study{
-	"comparison": func(cfg experiments.Config, out io.Writer) ([]file, func() error, error) {
+	"comparison": {instances: true, run: func(cfg experiments.Config, out io.Writer) ([]file, func() error, error) {
 		res, err := experiments.Comparison(cfg)
 		if err != nil {
 			return nil, nil, err
 		}
 		write := func(w io.Writer) error { return experiments.WriteComparisonMarkdown(w, res) }
 		return []file{{"comparison.md", write}}, nil, write(out)
-	},
-	"delay": func(cfg experiments.Config, out io.Writer) ([]file, func() error, error) {
+	}},
+	"delay": {run: func(cfg experiments.Config, out io.Writer) ([]file, func() error, error) {
 		res, err := experiments.DelaySweep(cfg)
 		if err != nil {
 			return nil, nil, err
 		}
 		write := func(w io.Writer) error { return experiments.WriteDelayMarkdown(w, res) }
 		return []file{{"delay.md", write}}, nil, write(out)
-	},
-	"dist": func(cfg experiments.Config, out io.Writer) ([]file, func() error, error) {
+	}},
+	"dist": {instances: true, run: func(cfg experiments.Config, out io.Writer) ([]file, func() error, error) {
 		res, err := experiments.DistSweep(cfg)
 		if err != nil {
 			return nil, nil, err
 		}
 		write := func(w io.Writer) error { return experiments.WriteDistMarkdown(w, res) }
 		return []file{{"dist.md", write}}, nil, write(out)
-	},
-	"rsweep": func(cfg experiments.Config, out io.Writer) ([]file, func() error, error) {
+	}},
+	"rsweep": {instances: true, run: func(cfg experiments.Config, out io.Writer) ([]file, func() error, error) {
 		res, err := experiments.RSweep(cfg)
 		if err != nil {
 			return nil, nil, err
 		}
 		write := func(w io.Writer) error { return experiments.WriteRSweepCSV(w, res) }
 		return []file{{"rsweep.csv", write}}, nil, experiments.WriteRSweepMarkdown(out, res)
-	},
-	"collusion": func(cfg experiments.Config, out io.Writer) ([]file, func() error, error) {
+	}},
+	"collusion": {checked: true, run: func(cfg experiments.Config, out io.Writer) ([]file, func() error, error) {
 		rep, err := experiments.CollusionSweep(cfg)
 		if err != nil {
 			return nil, nil, err
@@ -195,8 +217,8 @@ var studies = map[string]study{
 		}
 		write := func(w io.Writer) error { return experiments.WriteCollusionJSON(w, rep) }
 		return []file{{"collusion.json", write}}, func() error { return experiments.CheckCollusion(rep) }, nil
-	},
-	"load": func(cfg experiments.Config, out io.Writer) ([]file, func() error, error) {
+	}},
+	"load": {checked: true, run: func(cfg experiments.Config, out io.Writer) ([]file, func() error, error) {
 		rep, err := experiments.LoadSweep(cfg)
 		if err != nil {
 			return nil, nil, err
@@ -205,15 +227,15 @@ var studies = map[string]study{
 			sc.WriteText(out)
 		}
 		return []file{{"load.json", rep.WriteJSON}, {"load.md", rep.WriteMarkdown}}, rep.Check, nil
-	},
-	"adapt": func(cfg experiments.Config, out io.Writer) ([]file, func() error, error) {
+	}},
+	"adapt": {checked: true, run: func(cfg experiments.Config, out io.Writer) ([]file, func() error, error) {
 		rep, err := adapt.RunScenario(adapt.ScenarioConfig{Seed: cfg.Seed})
 		if err != nil {
 			return nil, nil, err
 		}
 		rep.WriteText(out)
 		return []file{{"adapt.json", rep.WriteJSON}}, func() error { return adapt.CheckRecovery(rep) }, nil
-	},
+	}},
 }
 
 // writeFile creates path and renders its content with write.

@@ -52,6 +52,9 @@ func TestRunRSweep(t *testing.T) {
 	if !strings.Contains(out.String(), "rsweep") {
 		t.Fatal("rsweep summary missing")
 	}
+	if !strings.Contains(out.String(), "(3 instances, seed") {
+		t.Errorf("rsweep summary does not name the 3 instances it ran:\n%s", out.String())
+	}
 	if _, err := os.Stat(filepath.Join(dir, "rsweep.csv")); err != nil {
 		t.Errorf("missing rsweep.csv: %v", err)
 	}
@@ -65,6 +68,11 @@ func TestRunDelay(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "replication vs stragglers") {
 		t.Fatal("delay table missing")
+	}
+	// The delay study never reads -instances, so its summary must not
+	// claim a count.
+	if strings.Contains(out.String(), "instances") {
+		t.Errorf("delay summary names an instance count it never used:\n%s", out.String())
 	}
 	if _, err := os.Stat(filepath.Join(dir, "delay.md")); err != nil {
 		t.Errorf("missing delay.md: %v", err)
@@ -107,6 +115,9 @@ func TestRunRSweepWithoutOutDir(t *testing.T) {
 	if !strings.Contains(out.String(), "rsweep") {
 		t.Fatal("rsweep summary missing")
 	}
+	if !strings.Contains(out.String(), "(3 instances, seed") {
+		t.Errorf("rsweep summary does not name the 3 instances it ran:\n%s", out.String())
+	}
 }
 
 func TestRunUnknownFigure(t *testing.T) {
@@ -116,6 +127,22 @@ func TestRunUnknownFigure(t *testing.T) {
 		var out strings.Builder
 		if err := run([]string{"-fig", fig, "-instances", "3"}, &out); err == nil {
 			t.Errorf("-fig %s should error as an unknown figure", fig)
+		}
+	}
+}
+
+// TestRunCheckWithoutCheckRefused: -check on a -fig with no acceptance
+// check must fail before running anything, naming the studies that have one,
+// rather than exit 0 having checked nothing.
+func TestRunCheckWithoutCheckRefused(t *testing.T) {
+	for _, fig := range []string{"delay", "2e", "all"} {
+		var out strings.Builder
+		err := run([]string{"-fig", fig, "-check", "-instances", "3"}, &out)
+		if err == nil || !strings.Contains(err.Error(), "adapt, collusion, load") {
+			t.Errorf("-fig %s -check: err = %v, want a refusal naming adapt, collusion, load", fig, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-fig %s -check ran before refusing:\n%s", fig, out.String())
 		}
 	}
 }

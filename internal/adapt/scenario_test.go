@@ -180,9 +180,10 @@ func TestScenarioRejectsInvalidReplay(t *testing.T) {
 }
 
 // TestScenarioMatchesCommittedReport pins results/adapt.json in tier-1: the
-// default scenario, marshalled exactly as `scecsim -adapt-out` writes it, is
-// the committed file byte for byte (make adapt-check overwrites the file, so
-// only a test can notice it moving).
+// default scenario, marshalled exactly as RecoveryReport.WriteJSON writes it
+// for `experiments -fig adapt -out results`, is the committed file byte for
+// byte (make adapt-check overwrites the file; CI's git diff after it catches
+// a move there, and this test catches it in tier-1).
 func TestScenarioMatchesCommittedReport(t *testing.T) {
 	rep, err := RunScenario(ScenarioConfig{})
 	if err != nil {

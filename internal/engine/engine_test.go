@@ -495,8 +495,9 @@ func TestSimExecutorTrace(t *testing.T) {
 		if hedge != (sd.Attr(trace.AttrDevice) == "sim/0/1") {
 			t.Fatalf("attempt on %s hedged=%v, want only block 0's replica 1 hedged", sd.Attr(trace.AttrDevice), hedge)
 		}
-		if hedge && (sd.Start.Sub(root.Start) != fleet.DefaultHedgeAfter || sd.Attr(trace.AttrWin) != "true") {
-			t.Fatalf("hedge launched at %v, win=%q; want %v and a win", sd.Start.Sub(root.Start), sd.Attr(trace.AttrWin), fleet.DefaultHedgeAfter)
+		// A cold leader hedges at twice its modelled round trip, 2·Latency.
+		if prior := 2 * 2 * sim.DefaultProfile().Latency; hedge && (sd.Start.Sub(root.Start) != prior || sd.Attr(trace.AttrWin) != "true") {
+			t.Fatalf("hedge launched at %v, win=%q; want %v and a win", sd.Start.Sub(root.Start), sd.Attr(trace.AttrWin), prior)
 		}
 	}
 }

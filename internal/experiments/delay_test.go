@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/scec/scec/internal/fleet"
+	"github.com/scec/scec/internal/sim"
 )
 
 func TestDelaySweepShape(t *testing.T) {
@@ -40,15 +40,16 @@ func TestDelaySweepShape(t *testing.T) {
 	if byCell[[2]int{3, 0}].SuccessRate < 0.99 {
 		t.Fatalf("3-way replication success rate = %g, want ≥ 0.99", byCell[[2]int{3, 0}].SuccessRate)
 	}
-	// Every cell is a mean over cold sessions, which hedge at the 50 ms
-	// DefaultHedgeAfter: no trial beats an unstraggled round (the
-	// replicas = 1, no-straggler cell, whose trials all take that long),
-	// and none outlasts a 10× round — at most delayStraggle times an
-	// unstraggled one, since a straggler slows only its compute — after
-	// the hedges to its last replica.
+	// Every cell is a mean over cold sessions, whose leaders hedge at their
+	// cold prior, twice the modelled round trip 2·Latency: no trial beats an
+	// unstraggled round (the replicas = 1, no-straggler cell, whose trials
+	// all take that long), and none outlasts a 10× round — at most
+	// delayStraggle times an unstraggled one, since a straggler slows only
+	// its compute — after the hedges to its last replica.
 	nominal := byCell[[2]int{1, 0}].MeanCompletion
+	prior := 2 * 2 * sim.DefaultProfile().Latency
 	for _, p := range res.Points {
-		hi := time.Duration(delayStraggle*float64(nominal)) + time.Duration(p.Replicas-1)*fleet.DefaultHedgeAfter
+		hi := time.Duration(delayStraggle*float64(nominal)) + time.Duration(p.Replicas-1)*prior
 		if p.MeanCompletion < nominal || p.MeanCompletion > hi {
 			t.Fatalf("x%d straggle=%g: mean completion %v, want in [%v, %v]", p.Replicas, p.StragglerProb, p.MeanCompletion, nominal, hi)
 		}

@@ -16,13 +16,15 @@
 //
 //   - provisioning pushes each coded block to its whole replica set
 //     concurrently, and keeps warm standbys unprovisioned until needed;
-//   - each query races a block's replicas: first winner is consumed, a
-//     hedged second request launches if the leader outlives the hedge delay
-//     (fixed, or adaptive from a winner-latency percentile), failures fail
-//     over to the next replica, and whole rounds retry with exponential
-//     backoff plus jitter — all under one query deadline, as one loop on the
-//     caller's goroutine that collects every reply on one channel, with
-//     losers cancelled by unregistering their transport streams;
+//   - each query races a block's replicas: the leader is the replica of
+//     least expected completion by its own recent attempt latencies, the
+//     first winner is consumed, a hedged second request launches if the
+//     leader outlives the hedge delay (fixed, or the leader's own p95),
+//     failures fail over to the next replica, and whole rounds retry with
+//     exponential backoff plus jitter — all under one query deadline, as
+//     one loop on the caller's goroutine that collects every reply on one
+//     channel, with losers cancelled by unregistering their transport
+//     streams;
 //   - a ping prober feeds a per-device circuit breaker
 //     (closed → open → half-open) so queries stop routing to dead replicas
 //     and notice recoveries;
@@ -58,7 +60,6 @@ import (
 const (
 	DefaultQueryTimeout     = 30 * time.Second
 	DefaultRPCTimeout       = transport.DefaultTimeout
-	DefaultHedgeAfter       = 50 * time.Millisecond // pre-warmup adaptive fallback
 	DefaultMaxRetries       = 2
 	DefaultRetryBackoff     = 25 * time.Millisecond
 	DefaultProbeInterval    = time.Second
@@ -109,9 +110,11 @@ type Config struct {
 	// RPCTimeout bounds each replica round trip (and each repair push).
 	RPCTimeout time.Duration
 	// HedgeAfter is how long the leading replica attempt may run before a
-	// speculative second attempt launches. Zero selects an adaptive delay:
-	// the p95 of recent winner latencies (DefaultHedgeAfter until enough
-	// samples accumulate). Negative disables hedging.
+	// speculative second attempt launches. Zero selects an adaptive delay
+	// per block and round: the p95 of the leader's own last winning attempt
+	// latencies (launch → answer), clamped to [1ms, RPCTimeout]; until the
+	// leader has won 8 races, twice its connection's last measured round
+	// trip (RPCTimeout with none). Negative disables hedging.
 	HedgeAfter time.Duration
 	// MaxRetries is how many extra replica-selection rounds a block fetch
 	// may run after the first, each separated by exponential backoff with
@@ -142,7 +145,8 @@ type Config struct {
 	// are kept either way.
 	Tracer *trace.Tracer
 	// OnWin, when non-nil, is called for every winning replica attempt with
-	// the device address, logical block index, and attempt latency. The
+	// the device address, logical block index, and the attempt's own latency
+	// (its launch → answer, a hedge's wait before launch excluded). The
 	// adaptive control plane's cost estimator feeds from it without needing
 	// a tracer. The callback runs on the query path and must be fast.
 	OnWin func(device string, block int, latency time.Duration)
@@ -250,7 +254,6 @@ type Session[E comparable] struct {
 	standbyMu sync.Mutex
 	standbys  []*device
 
-	lat *latencyRing
 	met sessionMetrics
 	jr  *flight.Journal
 
@@ -376,7 +379,6 @@ func serve[E comparable](f field.Field[E], enc *coding.Encoding[E], cfg Config, 
 		stages:  obs.NewStageRecorder(reg),
 		cols:    enc.Blocks[0].Cols(),
 		devices: make(map[string]*device),
-		lat:     newLatencyRing(),
 		trc:     cfg.Tracer,
 		jr:      jr,
 	}

@@ -44,10 +44,11 @@ func TestSlowDialDoesNotDelayHedge(t *testing.T) {
 }
 
 // startDelayProxy fronts addr with a proxy that holds each chunk of the
-// device's response stream for a random delay below max, so answers land
-// after their race was decided — or after their query returned. Closing the
-// test severs every proxied connection.
-func startDelayProxy(t *testing.T, addr string, max time.Duration) string {
+// device's response stream for least plus a random delay below spread, so
+// answers land after their race was decided — or after their query
+// returned — while the device stays alive and its heartbeats flow. Closing
+// the test severs every proxied connection.
+func startDelayProxy(t *testing.T, addr string, least, spread time.Duration) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -95,7 +96,11 @@ func startDelayProxy(t *testing.T, addr string, max time.Duration) string {
 				for {
 					n, err := up.Read(buf)
 					if n > 0 {
-						time.Sleep(time.Duration(rng.Int64N(int64(max))))
+						hold := least
+						if spread > 0 {
+							hold += time.Duration(rng.Int64N(int64(spread)))
+						}
+						time.Sleep(hold)
 						if _, err := down.Write(buf[:n]); err != nil {
 							return
 						}
@@ -108,6 +113,43 @@ func startDelayProxy(t *testing.T, addr string, max time.Duration) string {
 		}
 	}()
 	return ln.Addr().String()
+}
+
+// TestFaultSlowLiveReplicaLosesTheLead: block 0's replica 0 answers every
+// chunk 20 ms late but stays alive — its heartbeats flow and its breaker
+// stays closed. Under the default adaptive hedge the block must route by the
+// replicas' own attempt latencies: once replica 0's record shows it slow,
+// its healthy peer leads, so after warm-up a query costs a healthy round and
+// the slow replica wins none of the block's rounds.
+func TestFaultSlowLiveReplicaLosesTheLead(t *testing.T) {
+	env := newTestEnv(t, 2, 0)
+	env.cfg.HedgeAfter = 0
+	env.cfg.ProbeInterval = 100 * time.Millisecond
+	slow := startDelayProxy(t, env.cfg.Replicas[0][0], 20*time.Millisecond, 0)
+	env.cfg.Replicas[0][0] = slow
+	s := env.serve(t)
+	var lat []time.Duration
+	var slowWins int64
+	for i := range 60 {
+		if i == 20 {
+			slowWins = s.devices[slow].wins.Load()
+		}
+		start := time.Now()
+		got, err := mulVec(s, env.x)
+		lat = append(lat, time.Since(start))
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		checkResult(t, env.want, got)
+	}
+	late := slices.Clone(lat[20:])
+	slices.Sort(late)
+	if med := late[len(late)/2]; med > 2*time.Millisecond {
+		t.Errorf("median of queries 21-60 is %v, want <= 2ms; latencies %v", med, lat)
+	}
+	if n := s.devices[slow].wins.Load() - slowWins; n != 0 {
+		t.Errorf("the slow replica won %d of block 0's last 40 rounds, want none; debug %+v", n, s.Debug().Blocks[0])
+	}
 }
 
 // TestLateLoserNeverFeedsNextQuery is the query-level twin of the
@@ -126,7 +168,7 @@ func TestLateLoserNeverFeedsNextQuery(t *testing.T) {
 	env.cfg.BreakerThreshold = 1 << 30
 	const maxDelay = 2 * time.Millisecond
 	for j := range env.proxies {
-		env.cfg.Replicas[j][0] = startDelayProxy(t, env.proxies[j][0].Addr(), maxDelay)
+		env.cfg.Replicas[j][0] = startDelayProxy(t, env.proxies[j][0].Addr(), 0, maxDelay)
 	}
 	s := env.serve(t)
 	rng := rand.New(rand.NewPCG(3, 31))

@@ -29,14 +29,17 @@ var simEpoch = time.Unix(0, 0).UTC()
 // replicas. profiles[j] is block j's replica group; the rest of the Config is
 // default. A replica stores its block in sim.PushTime and answers with the
 // device kernel sim.DeviceRoundTime after each launch, unless drawn failed:
-// once per replica per gather, block by block, from a stream seeded by seed,
-// as is the retry jitter. When the loop blocks, the clock jumps to the next
-// answer (ties in launch order) or the armed deadline. A simulated session
+// once per replica per gather, block by block, from one stream per session
+// seeded by seed, so successive gathers draw afresh; the retry jitter has a
+// stream of its own. A replica's LastRTT is its modelled network round trip,
+// 2·Latency, which prices it until it has won enough races to be measured.
+// When the loop blocks, the clock jumps to the next answer (ties in launch
+// order) or the armed deadline. A simulated session
 // has no prober, repair or journal and serves one gather at a time, which
 // SimReport describes; a traced one links its own virtual trace from the
 // caller's span by a trace.EventVirtualTrace event.
 func Simulate[E comparable](f field.Field[E], enc *coding.Encoding[E], profiles [][]sim.DeviceProfile, seed uint64, reg *obs.Registry) (*Session[E], error) {
-	m := &model[E]{VirtualClock: trace.NewVirtualClock(simEpoch), seed: seed, jit: rand.New(rand.NewPCG(seed, 0x717e5)),
+	m := &model[E]{VirtualClock: trace.NewVirtualClock(simEpoch), draws: rand.New(rand.NewPCG(seed, 0x3e911ca)), jit: rand.New(rand.NewPCG(seed, 0x717e5)),
 		devs: make(map[string]*simDevice[E]), fired: make(chan time.Time)}
 	close(m.fired)
 	cfg := Config{Replicas: make([][]string, len(profiles)), ProbeInterval: -1, DisableRepair: true, Metrics: reg}
@@ -78,7 +81,7 @@ func (s *Session[E]) SimReport() (rep sim.Report, ok bool) {
 type model[E comparable] struct {
 	*trace.VirtualClock
 	s     *Session[E]
-	seed  uint64
+	draws *rand.Rand // failure draws
 	jit   *rand.Rand // retry jitter
 	devs  map[string]*simDevice[E]
 	fired chan time.Time // closed: a due deadline
@@ -113,11 +116,10 @@ func (m *model[E]) now() time.Duration { return m.Now().Sub(simEpoch) }
 // finishes its report, and moves a traced one's spans, once the loop is done.
 func (m *model[E]) gather(q *query[E]) (done func()) {
 	m.mu.Lock()
-	draws := rand.New(rand.NewPCG(m.seed, 0x3e911ca))
 	for _, group := range m.s.cfg.Replicas {
 		for _, addr := range group {
 			d := m.devs[addr]
-			d.failed, d.tries = draws.Float64() < d.p.FailProb, 0
+			d.failed, d.tries = m.draws.Float64() < d.p.FailProb, 0
 		}
 	}
 	m.start, m.last = m.now(), sim.Report{StoreTime: m.last.StoreTime, StorageOverhead: m.last.StorageOverhead}
@@ -214,8 +216,13 @@ func (m *model[E]) Store(_ context.Context, addr string, block *matrix.Dense[E])
 	return nil
 }
 
+// LastRTT is the replica's modelled network round trip, never its priced
+// round: a straggler's slowness is for the race to find out.
+func (m *model[E]) LastRTT(addr string) (time.Duration, bool) {
+	return 2 * m.devs[addr].p.Latency, true
+}
+
 // A modelled device has no connection to ping or report on.
 func (m *model[E]) Ping(context.Context, string) error       { return nil }
 func (m *model[E]) LastContact(string) (time.Time, bool)     { return time.Time{}, false }
-func (m *model[E]) LastRTT(string) (time.Duration, bool)     { return 0, false }
 func (m *model[E]) ConnDebug(string) (c transport.ConnDebug) { return c }

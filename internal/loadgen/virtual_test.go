@@ -113,7 +113,8 @@ func TestVirtualSweepValidation(t *testing.T) {
 // TestVirtualSweepMatchesCommittedLoadReport pins the virtual half of `make
 // load-check` in tier-1: the same options must reproduce the
 // sim-1000dev-churn scenario of results/load.json exactly (the make target
-// overwrites the file, so only a test can notice it moving).
+// overwrites the file; CI's git diff after it catches a move there, and this
+// test catches it in tier-1).
 func TestVirtualSweepMatchesCommittedLoadReport(t *testing.T) {
 	data, err := os.ReadFile("../../results/load.json")
 	if err != nil {

@@ -310,7 +310,8 @@ func TestRunReplicatedDecodes(t *testing.T) {
 }
 
 // TestRunReplicatedMasksStraggler: a leader slower than the hedge delay is
-// overtaken by the hedge to its replica, which launches at the hedge delay.
+// overtaken by the hedge to its replica, which launches at the cold leader's
+// hedge delay: twice its modelled round trip, 2·Latency.
 func TestRunReplicatedMasksStraggler(t *testing.T) {
 	f, enc, _, x := setup(t)
 	slow := groups(len(enc.Blocks), 1)
@@ -328,12 +329,13 @@ func TestRunReplicatedMasksStraggler(t *testing.T) {
 	if fastRep.CompletionTime >= slowRep.CompletionTime {
 		t.Fatalf("replication should mask the straggler: %v vs %v", fastRep.CompletionTime, slowRep.CompletionTime)
 	}
+	prior := 2 * 2 * g[0][0].Latency
 	for _, d := range fastRep.Devices {
 		if d.Device == 0 && (d.Replica == 0) != (d.Outcome == sim.Withdrawn) {
 			t.Fatalf("block 0 replica %d ended %v; want the straggler withdrawn and the hedge winning", d.Replica, d.Outcome)
 		}
-		if d.Device == 0 && d.Replica == 1 && d.Launched != fleet.DefaultHedgeAfter {
-			t.Fatalf("hedge launched at %v, want %v", d.Launched, fleet.DefaultHedgeAfter)
+		if d.Device == 0 && d.Replica == 1 && d.Launched != prior {
+			t.Fatalf("hedge launched at %v, want %v", d.Launched, prior)
 		}
 	}
 }

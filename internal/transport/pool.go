@@ -113,8 +113,10 @@ func (p *Pool[E]) LastContact(addr string) (time.Time, bool) {
 
 // LastRTT reports the most recent round-trip time measured on addr's live
 // multiplexed connection: the negotiation handshake at dial, refreshed by
-// every timed idle heartbeat. It is the estimator's cheap per-device
-// network-health signal — no extra RPCs are spent on it.
+// every timed idle heartbeat and every Ping over it. It is the cheap
+// per-device network signal the adaptive estimator reads and the fleet
+// prices a replica by until it has answered enough queries — no extra RPCs
+// are spent on it.
 func (p *Pool[E]) LastRTT(addr string) (time.Duration, bool) {
 	m := p.liveMux(addr)
 	if m == nil {

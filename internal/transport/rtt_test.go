@@ -52,3 +52,28 @@ func TestLastRTTMeasured(t *testing.T) {
 		t.Fatal("ConnDebug reports no contact on a live connection")
 	}
 }
+
+// TestPingRefreshesLastRTT: a ping over a pooled connection is a timed round
+// trip like a heartbeat, so it replaces a stale measurement — a prober that
+// pings more often than the heartbeat interval never lets a heartbeat run.
+func TestPingRefreshesLastRTT(t *testing.T) {
+	f := field.Prime{}
+	srv, err := NewDeviceServer[uint64](f, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	pool := NewPool[uint64]()
+	pool.heartbeat = time.Hour
+	client := Client[uint64]{F: f, Timeout: 2 * time.Second, Metrics: obs.New(), Pool: pool}
+	if err := client.Ping(t.Context(), srv.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	pool.liveMux(srv.Addr()).rtt.Store(int64(time.Hour)) // a handshake slowed by a busy host
+	if err := client.Ping(t.Context(), srv.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if rtt, ok := client.LastRTT(srv.Addr()); !ok || rtt <= 0 || rtt >= time.Second {
+		t.Fatalf("LastRTT after a ping = %v, %v; want the ping's loopback round trip", rtt, ok)
+	}
+}

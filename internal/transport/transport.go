@@ -617,8 +617,17 @@ func (c Client[E]) Compute(ctx context.Context, addr string, x []E) ([]E, error)
 }
 
 // Ping checks a device is reachable using the client's timeout and metrics
-// registry.
+// registry. A ping over a connection already pooled is timed end to end and
+// refreshes its LastRTT, as a heartbeat does: a prober that pings more often
+// than the heartbeat interval keeps the connection from idling, and would
+// otherwise freeze LastRTT at the handshake.
 func (c Client[E]) Ping(ctx context.Context, addr string) error {
-	_, err := c.pool().roundTrip(ctx, addr, c.timeout(), c.Metrics, request[E]{op: opPing})
+	p := c.pool()
+	m := p.live(addr)
+	start := time.Now()
+	_, err := p.roundTrip(ctx, addr, c.timeout(), c.Metrics, request[E]{op: opPing})
+	if err == nil && m != nil && p.live(addr) == m {
+		m.rtt.Store(int64(time.Since(start)))
+	}
 	return err
 }
