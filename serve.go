@@ -30,8 +30,9 @@ var ErrBlockUnavailable = fleet.ErrBlockUnavailable
 type BlockUnavailableError = fleet.BlockUnavailableError
 
 // DeviceStats is one device's straggler record — attempt outcomes, hedge
-// wins and the p50/p95/p99 of its last 64 winning latencies — as returned by
-// Session.Stragglers, traced or not.
+// wins and the p50/p95/p99 of its last 64 attempt latencies (wins, and
+// lower bounds for overtaken losses) — as returned by Session.Stragglers,
+// traced or not.
 type DeviceStats = fleet.DeviceStats
 
 // Served is the handle Serve returns: the same type as Deployment, named
