@@ -7,8 +7,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"net/http"
-	"sync/atomic"
-	"time"
 
 	"github.com/scec/scec/internal/adapt"
 	"github.com/scec/scec/internal/alloc"
@@ -201,10 +199,10 @@ func shareDefault[T comparable](a, b *T) {
 }
 
 // bindFleet provisions one fleet session for enc and returns the executor
-// that owns it. Under WithAdaptive the session feeds winning-attempt
-// latencies into the controller through OnWin, and the executor is a
-// Swappable so a reshape can replace the whole session behind a drain; bind
-// starts the control loop once the engine exists.
+// that owns it. Under WithAdaptive the executor is a Swappable, so a reshape
+// can replace the whole session behind a drain, and the controller prices
+// devices from the session's straggler record; bind starts the control loop
+// once the engine exists.
 func (d *Deployment[E]) bindFleet(enc *Encoding[E], fc FleetExecutorConfig, aCfg *adapt.Config) (engine.Executor[E], error) {
 	cfg := fc.Session
 	if fc.Provision != nil {
@@ -213,21 +211,6 @@ func (d *Deployment[E]) bindFleet(enc *Encoding[E], fc FleetExecutorConfig, aCfg
 			return nil, err
 		}
 		cfg.Replicas, cfg.Standbys = replicas, standbys
-	}
-	// The controller does not exist yet when the session starts serving, so
-	// OnWin routes through an atomic pointer; a caller-provided OnWin still
-	// sees every win.
-	var ctrl atomic.Pointer[adapt.Controller]
-	if aCfg != nil {
-		userOnWin := cfg.OnWin
-		cfg.OnWin = func(device string, block int, latency time.Duration) {
-			if cc := ctrl.Load(); cc != nil {
-				cc.ObserveWin(device, block, latency)
-			}
-			if userOnWin != nil {
-				userOnWin(device, block, latency)
-			}
-		}
 	}
 	s, err := fleet.Serve(d.F, enc, cfg)
 	if err != nil {
@@ -262,7 +245,6 @@ func (d *Deployment[E]) bindFleet(enc *Encoding[E], fc FleetExecutorConfig, aCfg
 		_ = sw.Close()
 		return nil, err
 	}
-	ctrl.Store(controller)
 	d.adapter, d.ctrl = adapter, controller
 	return sw, nil
 }

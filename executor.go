@@ -139,14 +139,16 @@ func WithEngineMetrics[E comparable](reg *obs.Registry) DeployOption[E] {
 }
 
 // AdaptiveConfig tunes the closed-loop adaptive control plane enabled by
-// WithAdaptive: the control period, the EWMA cost-learning parameters, the
-// hysteresis margin and cooldown, and the migration timeout. The zero value
-// selects sensible defaults for every field. See internal/adapt.Config.
+// WithAdaptive: the control period, the outage penalty, the hysteresis
+// margin and cooldown, and the migration timeout. Devices are priced from
+// the fleet's straggler record, the same one the gather routes by, so there
+// is no separate learning knob. The zero value selects sensible defaults for
+// every field. See internal/adapt.Config.
 type AdaptiveConfig = adapt.Config
 
 // AdaptiveController is the running control loop behind an adaptive Served
-// handle: it learns per-device costs from winning-attempt latencies and
-// heartbeat RTTs, periodically re-runs the paper's TA2 allocation on the
+// handle: it prices devices from the fleet's per-device attempt latencies
+// and connection RTTs, periodically re-runs the paper's TA2 allocation on the
 // learned costs, and migrates coded blocks live when a re-plan clears the
 // hysteresis margin. See internal/adapt.Controller.
 type AdaptiveController = adapt.Controller

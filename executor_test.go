@@ -13,7 +13,6 @@ import (
 
 	"github.com/scec/scec"
 	"github.com/scec/scec/internal/fleet"
-	"github.com/scec/scec/internal/loadgen"
 	"github.com/scec/scec/internal/obs"
 	"github.com/scec/scec/internal/transport"
 )
@@ -89,49 +88,6 @@ func (h *fleetHarness) groupCount() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return len(h.groups)
-}
-
-// TestReplayFromUntracedFleet: an untraced fleet's straggler records are
-// enough to replay its straggler on the virtual clock. FaultDelay holds a
-// new connection, so the delayed replica straggles on the one query that
-// dials it; with one winning sample per device, every healthy device's p95
-// is at most the fleet-median p50 and only the straggler's factor exceeds 1.
-func TestReplayFromUntracedFleet(t *testing.T) {
-	f := scec.PrimeField()
-	rng := rand.New(rand.NewPCG(13, 4))
-	a := scec.RandomMatrix(f, rng, 24, 6)
-	h := newFleetHarness(t, 1)
-	dep, err := scec.Deploy(f, a, []float64{1, 1, 1}, rng, scec.WithExecutor(scec.FleetExecutor[uint64](h.config())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = dep.Close() })
-	if dep.Devices() != 3 {
-		t.Fatalf("deployment has %d coded blocks, want 3", dep.Devices())
-	}
-	const delay = 50 * time.Millisecond
-	slow := h.groups[0][1][0]
-	slow.SetDelay(delay)
-	slow.SetMode(fleet.FaultDelay)
-	if _, err := dep.MulVec(scec.RandomVector(f, rng, 6)); err != nil {
-		t.Fatal(err)
-	}
-
-	stats := dep.Session().Stragglers()
-	replay := loadgen.ReplayFromStragglers(stats)
-	for j, st := range stats {
-		if st.Wins != 1 {
-			t.Fatalf("device %s: %+v, want one win", st.Device, st)
-		}
-		factor := replay.FactorAt(j, 0)
-		if st.Device == slow.Addr() {
-			if st.P95 < delay || factor <= 1 {
-				t.Errorf("delayed device %s: p95 %v, replay factor %g; want >= %v and > 1", st.Device, st.P95, factor, delay)
-			}
-		} else if factor != 1 {
-			t.Errorf("healthy device %s: replay factor %g, want 1", st.Device, factor)
-		}
-	}
 }
 
 // TestDeployBackendsAgree: the same deployment inputs answer identically

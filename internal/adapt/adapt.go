@@ -10,9 +10,10 @@
 // its optimality or security arguments — the loop only changes *which*
 // instance is solved and *where* blocks live, never how they are coded:
 //
-//   - an Estimator folds the fleet's straggler digest (winning-attempt
-//     latencies) and the transport's heartbeat round trips into per-device
-//     EWMA cost multipliers over the provisioning-time base costs;
+//   - each control cycle prices every device from the fleet's straggler
+//     record — the same per-device attempt latencies the gather ranks
+//     replicas by, normalised per coded row — and the transport's last
+//     round trip: a cost multiplier over its provisioning-time base cost;
 //   - a Planner periodically re-runs TA2 on the learned costs and applies
 //     hysteresis — a candidate plan is adopted only when it beats the
 //     incumbent, evaluated at the same learned costs, by a configurable
@@ -51,9 +52,6 @@ import (
 // Defaults for zero Config fields.
 const (
 	DefaultReplanEvery    = 2 * time.Second
-	DefaultAlpha          = 0.3
-	DefaultMinSamples     = 3
-	DefaultMaxFactor      = 64.0
 	DefaultOutageFactor   = 256.0
 	DefaultMinImprovement = 0.05
 	DefaultMigrateTimeout = 30 * time.Second
@@ -63,17 +61,9 @@ const (
 // Config tunes the adaptive control plane. The zero value of every field
 // selects the package default.
 type Config struct {
-	// ReplanEvery is the control period: how often the estimator snapshot is
-	// taken and TA2 re-runs on the learned costs.
+	// ReplanEvery is the control period: how often the devices are priced
+	// and TA2 re-runs on the learned costs.
 	ReplanEvery time.Duration
-	// Alpha is the EWMA weight of a new latency/RTT sample (0 < Alpha ≤ 1).
-	Alpha float64
-	// MinSamples is how many winning-attempt samples a device needs before
-	// its learned factor is trusted; below it the device is assumed nominal
-	// (factor 1), so fresh standbys are attractive migration targets.
-	MinSamples int
-	// MaxFactor clamps a device's learned cost multiplier.
-	MaxFactor float64
 	// OutageFactor is the multiplier assigned to a device whose circuit
 	// breaker is open. It is large but finite: the allocation problem
 	// requires finite positive costs, and a finite penalty still lets TA2
@@ -110,15 +100,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.ReplanEvery <= 0 {
 		c.ReplanEvery = DefaultReplanEvery
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = DefaultAlpha
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = DefaultMinSamples
-	}
-	if c.MaxFactor <= 1 {
-		c.MaxFactor = DefaultMaxFactor
 	}
 	if c.OutageFactor <= 1 {
 		c.OutageFactor = DefaultOutageFactor

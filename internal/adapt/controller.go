@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/scec/scec/internal/obs"
@@ -15,7 +14,8 @@ import (
 
 // Substrate is what the controller drives: the live placement, the devices
 // eligible to receive a block, which block each used device is bound to,
-// health and network signals, and the two migration mechanisms.
+// the latency record, health and network signals, and the two migration
+// mechanisms.
 // internal/adapt ships the fleet-backed implementation (FleetAdapter); tests
 // and the virtual-clock scenario substitute models.
 type Substrate interface {
@@ -29,9 +29,14 @@ type Substrate interface {
 	// encoding — current hosts, vacated hosts, failed pushes — to that block.
 	// An address is bound to at most one block until the next Reshape.
 	Bindings() map[string]int
+	// RowLatencies reports, for every device whose straggler record holds at
+	// least fleet.MinAdaptiveSamples samples, its p50 attempt latency in
+	// seconds per coded row of the block it is bound to. A device missing
+	// from the map is unmeasured, and the planner prices it nominal.
+	RowLatencies() map[string]float64
 	// Healthy reports whether the device's breaker is closed.
 	Healthy(addr string) bool
-	// RTT reports the last transport heartbeat round trip toward addr.
+	// RTT reports the last round trip measured on addr's connection.
 	RTT(addr string) (time.Duration, bool)
 	// Rehost moves one block, without interrupting queries, to a device that
 	// is unbound or bound to that block; it refuses any other destination.
@@ -61,18 +66,17 @@ const (
 	factorHelp     = "Learned per-device cost multiplier (1 = nominal)."
 )
 
-// Controller closes the loop: every ReplanEvery it snapshots the estimator,
-// asks the planner for a verdict, and executes adopted plans against the
-// substrate. Step is exported so tests and the virtual-clock scenario can
-// drive the cycle deterministically; Start runs it on a wall-clock ticker.
+// Controller closes the loop: every ReplanEvery it prices the devices from
+// the substrate's latency record, asks the planner for a verdict, and
+// executes adopted plans against the substrate. Step is exported so tests
+// and the virtual-clock scenario can drive the cycle deterministically;
+// Start runs it on a wall-clock ticker.
 type Controller struct {
 	cfg     Config
-	est     *Estimator
 	planner *Planner
 	sub     Substrate
 
 	start time.Time
-	rows  atomic.Pointer[[]int] // per-block row counts for ObserveWin
 
 	mu        sync.Mutex
 	decisions []Decision
@@ -98,7 +102,6 @@ func New(cfg Config, sub Substrate) (*Controller, error) {
 		return nil, fmt.Errorf("adapt: substrate serves no blocks")
 	}
 	m := 0
-	rows := make([]int, len(placements))
 	var hosts []Host
 	seen := make(map[string]bool)
 	add := func(addr string) {
@@ -114,7 +117,6 @@ func New(cfg Config, sub Substrate) (*Controller, error) {
 	}
 	for _, b := range placements {
 		m += b.Rows
-		rows[b.Block] = b.Rows
 		add(b.Addr)
 	}
 	for _, addr := range sub.Free() {
@@ -135,32 +137,16 @@ func New(cfg Config, sub Substrate) (*Controller, error) {
 	}
 	c := &Controller{
 		cfg:     cfg,
-		est:     NewEstimator(cfg.Alpha, cfg.MinSamples, cfg.MaxFactor),
 		planner: planner,
 		sub:     sub,
 		start:   time.Now(),
 	}
-	c.rows.Store(&rows)
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	return c, nil
 }
 
-// Estimator exposes the cost estimator (e.g. to feed recorded observations).
-func (c *Controller) Estimator() *Estimator { return c.est }
-
 // Now is the controller's clock: elapsed time since construction.
 func (c *Controller) Now() time.Duration { return time.Since(c.start) }
-
-// ObserveWin feeds one winning replica attempt; wire it to
-// fleet.Config.OnWin. It is on the query path: one atomic load and one
-// short-locked EWMA fold.
-func (c *Controller) ObserveWin(device string, block int, latency time.Duration) {
-	rows := *c.rows.Load()
-	if block < 0 || block >= len(rows) {
-		return
-	}
-	c.est.ObserveLatency(device, c.Now(), latency, rows[block])
-}
 
 // Start runs the control loop until Stop.
 func (c *Controller) Start() {
@@ -188,20 +174,18 @@ func (c *Controller) Stop() {
 	})
 }
 
-// Step runs one control cycle at caller-clock time now: poll heartbeat RTTs,
-// snapshot learned factors (unhealthy devices pinned to the outage factor),
-// decide, and execute an adopted plan. It returns the decision for
-// introspection; execution errors are recorded as migration events and
-// metrics, not returned, because a failed move leaves the fleet serving from
-// wherever blocks actually are.
+// Step runs one control cycle at caller-clock time now: price the devices
+// (see estimate; unhealthy devices pinned to the outage factor), decide, and
+// execute an adopted plan. It returns the decision for introspection;
+// execution errors are recorded as migration events and metrics, not
+// returned, because a failed move leaves the fleet serving from wherever
+// blocks actually are.
 func (c *Controller) Step(ctx context.Context, now time.Duration) (Decision, error) {
 	reg := c.cfg.Metrics
-	for _, h := range c.planner.Hosts() {
-		if rtt, ok := c.sub.RTT(h.Addr); ok {
-			c.est.ObserveRTT(h.Addr, now, rtt)
-		}
+	factors := make(map[string]float64)
+	for _, e := range estimate(c.sub, c.planner.Hosts()) {
+		factors[e.Device] = e.Factor
 	}
-	factors := c.est.Factors()
 	for _, h := range c.planner.Hosts() {
 		if !c.sub.Healthy(h.Addr) {
 			if factors[h.Addr] < c.cfg.OutageFactor {
@@ -212,11 +196,6 @@ func (c *Controller) Step(ctx context.Context, now time.Duration) (Decision, err
 	}
 
 	current := c.sub.Placements()
-	rows := make([]int, len(current))
-	for _, b := range current {
-		rows[b.Block] = b.Rows
-	}
-	c.rows.Store(&rows)
 	urgent := false
 	for _, b := range current {
 		if !c.sub.Healthy(b.Addr) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -15,8 +16,8 @@ import (
 	"github.com/scec/scec/internal/obs"
 )
 
-// fakeSub is an in-memory Substrate: a placement, a free list, health and RTT
-// maps, and scripted failures. It is safe for concurrent use so Start/Stop
+// fakeSub is an in-memory Substrate: a placement, a free list, per-row
+// latency, health and RTT maps, and scripted failures. It is safe for concurrent use so Start/Stop
 // can run against it. It records every block sent to every address per
 // encoding epoch and refuses nothing, so a controller that breaks the
 // one-block-per-device rule shows up in audit rather than as an error.
@@ -26,6 +27,7 @@ type fakeSub struct {
 	free      []string
 	epochs    []views // epochs[len-1] is the current encoding's history
 	epochR    []int   // the r each epoch was encoded at
+	perRow    map[string]float64
 	unhealthy map[string]bool
 	rtt       map[string]time.Duration
 	rehostErr map[int]error
@@ -71,6 +73,20 @@ func (f *fakeSub) audit(t *testing.T) {
 		}
 		v.audit(t, code)
 	}
+}
+
+func (f *fakeSub) RowLatencies() map[string]float64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return maps.Clone(f.perRow)
+}
+
+// measure records a device as the fleet's straggler record would once it
+// holds enough samples: at perRow per coded row.
+func (f *fakeSub) measure(device string, perRow time.Duration) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.perRow[device] = perRow.Seconds()
 }
 
 func (f *fakeSub) Healthy(addr string) bool {
@@ -136,6 +152,7 @@ func newFakeSub() *fakeSub {
 			{Block: 2, Addr: "c", Rows: 2},
 		},
 		free:      []string{"d"},
+		perRow:    map[string]float64{},
 		unhealthy: map[string]bool{},
 		rtt:       map[string]time.Duration{"a": time.Millisecond, "b": time.Millisecond, "c": time.Millisecond, "d": time.Millisecond},
 	}
@@ -143,18 +160,9 @@ func newFakeSub() *fakeSub {
 
 func testConfig() Config {
 	return Config{
-		MinSamples:     3,
 		MinImprovement: 0.05,
 		Cooldown:       time.Second,
 		Metrics:        obs.New(),
-	}
-}
-
-// observe feeds n winning attempts at the given per-row latency.
-func observe(c *Controller, device string, block, n int, perRow time.Duration) {
-	rows := (*c.rows.Load())[block]
-	for i := 0; i < n; i++ {
-		c.ObserveWin(device, block, perRow*time.Duration(rows))
 	}
 }
 
@@ -181,9 +189,9 @@ func TestControllerEvictsStraggler(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Stop()
-	observe(c, "a", 0, 5, 100*time.Millisecond) // 10× the fleet median
-	observe(c, "b", 1, 5, 10*time.Millisecond)
-	observe(c, "c", 2, 5, 10*time.Millisecond)
+	sub.measure("a", 100*time.Millisecond) // 10× the fleet median
+	sub.measure("b", 10*time.Millisecond)
+	sub.measure("c", 10*time.Millisecond)
 
 	d, err := c.Step(context.Background(), 10*time.Second)
 	if err != nil {
@@ -244,9 +252,9 @@ func TestControllerRehostFailureIsRecordedNotFatal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Stop()
-	observe(c, "a", 0, 5, 100*time.Millisecond)
-	observe(c, "b", 1, 5, 10*time.Millisecond)
-	observe(c, "c", 2, 5, 10*time.Millisecond)
+	sub.measure("a", 100*time.Millisecond)
+	sub.measure("b", 10*time.Millisecond)
+	sub.measure("c", 10*time.Millisecond)
 
 	d, err := c.Step(context.Background(), 10*time.Second)
 	if err != nil {
@@ -274,19 +282,6 @@ func TestControllerRehostFailureIsRecordedNotFatal(t *testing.T) {
 	}
 }
 
-func TestControllerObserveWinBounds(t *testing.T) {
-	c, err := New(testConfig(), newFakeSub())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
-	c.ObserveWin("a", -1, time.Millisecond) // must not panic
-	c.ObserveWin("a", 99, time.Millisecond)
-	if snap := c.Estimator().Snapshot(); len(snap) != 0 {
-		t.Fatalf("out-of-range blocks were folded in: %+v", snap)
-	}
-}
-
 func TestControllerStartStop(t *testing.T) {
 	cfg := testConfig()
 	cfg.ReplanEvery = 5 * time.Millisecond
@@ -311,9 +306,9 @@ func TestDebugHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Stop()
-	observe(c, "a", 0, 5, 100*time.Millisecond)
-	observe(c, "b", 1, 5, 10*time.Millisecond)
-	observe(c, "c", 2, 5, 10*time.Millisecond)
+	sub.measure("a", 100*time.Millisecond)
+	sub.measure("b", 10*time.Millisecond)
+	sub.measure("c", 10*time.Millisecond)
 	if _, err := c.Step(context.Background(), 10*time.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,8 @@ type DebugInfo struct {
 	Replans     int `json:"replans"`
 	Adopts      int `json:"adopts"`
 	BlocksMoved int `json:"blocksMoved"`
-	// Estimates is the estimator's per-device state, sorted by address.
+	// Estimates prices every device with a latency or RTT reading, sorted by
+	// address (see estimate).
 	Estimates []DeviceEstimate `json:"estimates"`
 	// Placements is the live block → device assignment.
 	Placements []BlockHost `json:"placements"`
@@ -32,7 +33,7 @@ type DebugInfo struct {
 func (c *Controller) Debug() DebugInfo {
 	info := DebugInfo{
 		NowMs:      c.Now().Milliseconds(),
-		Estimates:  c.est.Snapshot(),
+		Estimates:  estimate(c.sub, c.planner.Hosts()),
 		Placements: c.sub.Placements(),
 		Free:       c.sub.Free(),
 	}

@@ -48,7 +48,10 @@ type FleetAdapter[E comparable] struct {
 
 	mu  sync.Mutex
 	cur *fleet.Session[E]
-	rng *rand.Rand
+	// carry is the replaced sessions' last RowLatencies reading; see
+	// RowLatencies.
+	carry map[string]float64
+	rng   *rand.Rand
 }
 
 // NewFleetAdapter wraps a live session. template is the fleet policy reused
@@ -110,10 +113,45 @@ func (a *FleetAdapter[E]) Free() []string { return a.Session().StandbyAddrs() }
 // installs a new session, which starts with only its provisioned hosts bound.
 func (a *FleetAdapter[E]) Bindings() map[string]int { return a.Session().Bindings() }
 
+// RowLatencies reads the serving session's straggler record (see
+// rowLatencies). A reshape starts a session whose records are empty, so a
+// device the new session has not yet measured is answered from the replaced
+// session's last reading: without it a straggler just evicted would look
+// nominal again, and TA2 at base costs would move a block back onto it.
+func (a *FleetAdapter[E]) RowLatencies() map[string]float64 {
+	a.mu.Lock()
+	s, carry := a.cur, a.carry
+	a.mu.Unlock()
+	out := rowLatencies(s.Stragglers(), s.Bindings(), s.Code().RowsOn)
+	for addr, v := range carry {
+		if _, ok := out[addr]; !ok {
+			out[addr] = v
+		}
+	}
+	return out
+}
+
+// rowLatencies is one session's per-row reading of its straggler record:
+// every device with at least fleet.MinAdaptiveSamples samples that is bound
+// to a block, at its p50 in seconds over that block's coded rows.
+func rowLatencies(stats []fleet.DeviceStats, bound map[string]int, rowsOn func(int) int) map[string]float64 {
+	out := make(map[string]float64, len(stats))
+	for _, st := range stats {
+		j, ok := bound[st.Device]
+		if !ok || st.Samples < fleet.MinAdaptiveSamples {
+			continue
+		}
+		if rows := rowsOn(j); rows > 0 {
+			out[st.Device] = st.P50.Seconds() / float64(rows)
+		}
+	}
+	return out
+}
+
 // Healthy reports the device's breaker state.
 func (a *FleetAdapter[E]) Healthy(addr string) bool { return a.Session().DeviceHealthy(addr) }
 
-// RTT reports the device's last transport heartbeat round trip.
+// RTT reports the last round trip measured on the device's connection.
 func (a *FleetAdapter[E]) RTT(addr string) (time.Duration, bool) { return a.Session().DeviceRTT(addr) }
 
 // Rehost moves one block live; see fleet.Session.Rehost.
@@ -170,8 +208,9 @@ func (a *FleetAdapter[E]) Reshape(ctx context.Context, target []string, r int) e
 	if err != nil {
 		return err
 	}
+	carry := a.RowLatencies() // the drained session's last reading
 	a.mu.Lock()
-	a.cur = next
+	a.cur, a.carry = next, carry
 	a.mu.Unlock()
 	return nil
 }

@@ -14,7 +14,6 @@ import (
 
 	"github.com/scec/scec/internal/alloc"
 	"github.com/scec/scec/internal/coding"
-	"github.com/scec/scec/internal/loadgen"
 	"github.com/scec/scec/internal/obs"
 	"github.com/scec/scec/internal/obs/flight"
 	"github.com/scec/scec/internal/sim"
@@ -48,10 +47,6 @@ type ScenarioConfig struct {
 	// OutageAt takes the device hosting block 1 down for
 	// scenarioOutageDuration (default 20s); negative disables.
 	OutageAt time.Duration
-	// Replay, when non-nil, replaces the built-in chronic straggler with a
-	// recorded per-device factor timeline (loadgen.ReplayFromStragglers);
-	// Devices[j] follows pool device j.
-	Replay *loadgen.Replay
 
 	// InitialR forces the starting deployment to the (suboptimal) plan
 	// PlanForR(base, InitialR) instead of the TA2 optimum — a way to watch
@@ -83,12 +78,10 @@ const (
 	// fraction of Duration — after both faults and the recovery transient.
 	scenarioMeasureFrom = 0.6
 	// The control loop runs tighter than the wall-clock defaults to match the
-	// virtual timescale; MinSamples, MaxFactor and OutageFactor stay at the
-	// adapt defaults.
+	// virtual timescale; OutageFactor stays at the adapt default.
 	scenarioReplanEvery    = 500 * time.Millisecond
 	scenarioMinImprovement = 0.03
 	scenarioCooldown       = 2 * time.Second
-	scenarioAlpha          = 0.35
 )
 
 // scenarioProfile is the nominal device: 1 MF/s compute, 10M values/s links,
@@ -191,9 +184,6 @@ func RunScenario(cfg ScenarioConfig) (*RecoveryReport, error) {
 // so a test can interpose on the model substrate.
 func runScenario(cfg ScenarioConfig, wrap func(Substrate) Substrate) (*RecoveryReport, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Replay.Validate(); err != nil {
-		return nil, err
-	}
 	base := make([]float64, cfg.Devices)
 	hosts := make([]Host, cfg.Devices)
 	for j := range base {
@@ -335,6 +325,9 @@ type arm struct {
 	ctl      *Controller
 	now      time.Duration // virtual time of the control cycle in progress
 	nextTick time.Duration
+	// rowLat is the model's straggler record (RowLatencies): each device's
+	// per-row latency as last priced while it served.
+	rowLat map[string]float64
 	// pending is the placement a migration in flight installs at pendingAt
 	// (nil when none); the controller is not stepped until it lands.
 	pending   []BlockHost
@@ -365,21 +358,15 @@ func newArm(cfg ScenarioConfig, name string, hosts []Host, plan0 alloc.Plan) *ar
 	switch name {
 	case "adaptive":
 		a.sent = make(map[string][]int)
+		a.rowLat = make(map[string]float64)
 		a.store(a.placement)
 		a.nextTick = scenarioReplanEvery
 	case "oracle":
-		if cfg.StragglerAt >= 0 && cfg.Replay == nil {
+		if cfg.StragglerAt >= 0 {
 			a.oracleAt = append(a.oracleAt, cfg.StragglerAt)
 		}
 		if cfg.OutageAt >= 0 {
 			a.oracleAt = append(a.oracleAt, cfg.OutageAt, cfg.OutageAt+scenarioOutageDuration)
-		}
-		if cfg.Replay != nil {
-			for _, steps := range cfg.Replay.Devices {
-				for _, s := range steps {
-					a.oracleAt = append(a.oracleAt, s.At)
-				}
-			}
 		}
 		sort.Slice(a.oracleAt, func(i, j int) bool { return a.oracleAt[i] < a.oracleAt[j] })
 	}
@@ -395,7 +382,6 @@ func (a *arm) control(sub Substrate) (err error) {
 	}
 	a.ctl, err = New(Config{
 		ReplanEvery:    scenarioReplanEvery,
-		Alpha:          scenarioAlpha,
 		MinImprovement: scenarioMinImprovement,
 		Cooldown:       scenarioCooldown,
 		// step reads a cycle's events back: at most one per device.
@@ -428,9 +414,6 @@ func (a *arm) store(blocks []BlockHost) {
 
 // trueFactor is the device's real slowdown at virtual time t.
 func (a *arm) trueFactor(dev int, t time.Duration) float64 {
-	if a.cfg.Replay != nil {
-		return a.cfg.Replay.FactorAt(dev, t)
-	}
 	if dev == a.sDev && a.cfg.StragglerAt >= 0 && t >= a.cfg.StragglerAt {
 		return scenarioStragglerFactor
 	}
@@ -508,17 +491,21 @@ func (a *arm) oracleReplan(t time.Duration) {
 	a.placement = placementOf(plan, a.hosts)
 }
 
-// step is one control period at virtual time t: feed the estimator, then —
-// unless a migration is in flight — run the controller's cycle and log it.
+// step is one control period at virtual time t: update the model's record,
+// then — unless a migration is in flight — run the controller's cycle and
+// log it.
 func (a *arm) step(t time.Duration) {
-	// Feed the estimator what the straggler digest would have seen: each
-	// participating device's winning-attempt latency at its true speed.
+	// Each placed device that is up is recorded at its true speed one
+	// control period back: at the scenario's rate a 64-sample window's p50
+	// turns about that long after a change, so a tick may not yet see a
+	// fault that began since the last one.
+	at := t - scenarioReplanEvery
 	for _, b := range a.placement {
 		dev := a.devOf[b.Addr]
-		if a.downUntil(dev, t) > t {
+		if a.downUntil(dev, at) > at {
 			continue // a down device wins no attempts
 		}
-		a.ctl.Estimator().ObserveLatency(b.Addr, t, a.contribution(dev, b.Rows, t), b.Rows)
+		a.rowLat[b.Addr] = a.contribution(dev, b.Rows, at).Seconds() / float64(b.Rows)
 	}
 	if a.pending != nil {
 		return // one migration at a time
@@ -571,6 +558,10 @@ func (a *arm) Bindings() map[string]int {
 	}
 	return bound
 }
+
+// RowLatencies implements Substrate; a device keeps its last value once it
+// stops serving.
+func (a *arm) RowLatencies() map[string]float64 { return a.rowLat }
 
 // Healthy implements Substrate: a device in its outage window is not.
 func (a *arm) Healthy(addr string) bool { return a.downUntil(a.devOf[addr], a.now) <= a.now }

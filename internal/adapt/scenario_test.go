@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/scec/scec/internal/alloc"
-	"github.com/scec/scec/internal/loadgen"
 )
 
 // TestScenarioRecovery is the acceptance guard for the adaptive control
@@ -139,43 +138,30 @@ func TestScenarioReshape(t *testing.T) {
 	}
 }
 
-// TestScenarioReplay drives the straggler from a recorded per-device
-// timeline (satellite of loadgen.Replay) instead of the built-in fault:
-// the control plane must still find and evict the replayed straggler.
-func TestScenarioReplay(t *testing.T) {
-	replay := &loadgen.Replay{Devices: [][]loadgen.ReplayStep{
-		0: {{At: 5 * time.Second, Factor: 6}},
-	}}
+// TestScenarioEarlyStraggler moves the chronic straggler to 5s on a smaller
+// fleet with no outage: the control plane must still find and evict it, to
+// the same bounds as the default run.
+func TestScenarioEarlyStraggler(t *testing.T) {
 	cfg := ScenarioConfig{
 		Devices: 200, M: 1024, Duration: 30 * time.Second, QPS: 50,
-		OutageAt: -1,
-		Replay:   replay,
+		StragglerAt: 5 * time.Second, OutageAt: -1,
 	}
 	rep, err := RunScenario(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Adaptive.FailedQueries+rep.Frozen.FailedQueries+rep.Oracle.FailedQueries != 0 {
-		t.Error("replayed scenario dropped queries")
+		t.Error("early-straggler scenario dropped queries")
 	}
 	if rep.Adaptive.Adopts < 1 || rep.Adaptive.BlocksMoved < 1 {
-		t.Errorf("replayed straggler never evicted: adopts=%d moved=%d events:\n%s",
+		t.Errorf("early straggler never evicted: adopts=%d moved=%d events:\n%s",
 			rep.Adaptive.Adopts, rep.Adaptive.BlocksMoved, strings.Join(rep.Events, "\n"))
 	}
 	if rep.AdaptiveOverOracleP99 > 1.5 {
-		t.Errorf("adaptive steady p99 is %.2f× oracle under replay, want ≤ 1.5×", rep.AdaptiveOverOracleP99)
+		t.Errorf("adaptive steady p99 is %.2f× oracle, want ≤ 1.5×", rep.AdaptiveOverOracleP99)
 	}
 	if rep.FrozenOverAdaptiveP99 < 2 {
-		t.Errorf("frozen steady p99 is only %.2f× adaptive under replay, want ≥ 2×", rep.FrozenOverAdaptiveP99)
-	}
-}
-
-func TestScenarioRejectsInvalidReplay(t *testing.T) {
-	_, err := RunScenario(ScenarioConfig{Replay: &loadgen.Replay{Devices: [][]loadgen.ReplayStep{
-		{{At: time.Second, Factor: 1}, {At: 0, Factor: 2}}, // out of order
-	}}})
-	if err == nil {
-		t.Error("out-of-order replay accepted")
+		t.Errorf("frozen steady p99 is only %.2f× adaptive, want ≥ 2×", rep.FrozenOverAdaptiveP99)
 	}
 }
 

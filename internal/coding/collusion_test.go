@@ -2,6 +2,7 @@ package coding
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"github.com/scec/scec/internal/field"
@@ -200,6 +201,41 @@ func TestCollusionVerifyAndRoundTrip(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestRealCollusionVerifyRefuses: over field.Real a t = 2 code's Cauchy
+// minors are too ill-conditioned for the tolerance-based rank test, so
+// Verify says it cannot certify the code instead of naming a secure
+// coalition as leaking; the same shape over the exact fields verifies.
+func TestRealCollusionVerifyRefuses(t *testing.T) {
+	rows, r, err := UniformCollusionRows(64, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r != 4 {
+		t.Fatalf("r = %d, want 4", r)
+	}
+	real, err := NewCollusion[float64](field.Real{Tol: 1e-9}, 64, r, 2, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := real.Verify(); err == nil || errors.Is(err, ErrNotSecure) || !strings.Contains(err.Error(), "cannot certify") {
+		t.Errorf("Real Verify = %v, want the rank test's refusal to certify", err)
+	}
+	prime, err := NewCollusion[uint64](field.Prime{}, 64, r, 2, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := prime.Verify(); err != nil {
+		t.Errorf("Prime Verify: %v", err)
+	}
+	gf, err := NewCollusion[uint8](field.GF256{}, 64, r, 2, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gf.Verify(); err != nil {
+		t.Errorf("GF(256) Verify: %v", err)
+	}
 }
 
 // TestStructuredSchemeFailsUnderCollusion demonstrates why the extension

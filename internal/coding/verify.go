@@ -76,6 +76,9 @@ func CheckSecurity[E comparable](f field.Field[E], b *matrix.Dense[E], m int, ro
 // intersects λ̄ trivially. t = 1 is exactly Definition 2. The check
 // enumerates coalitions, so it is meant for the small fleets where collusion
 // codes are configured; the Cauchy rank argument is the general guarantee.
+// Over field.Real at t ≥ 2 it refuses rather than answers: the pooled
+// coefficients carry Cauchy minors too ill-conditioned for a tolerance-based
+// rank, which would name secure coalitions as leaking.
 func CheckSecurityT[E comparable](f field.Field[E], b *matrix.Dense[E], m int, rows []int, t int) error {
 	n := b.Rows()
 	r := b.Cols() - m
@@ -84,6 +87,9 @@ func CheckSecurityT[E comparable](f field.Field[E], b *matrix.Dense[E], m int, r
 	}
 	if t < 1 {
 		return fmt.Errorf("coding: t = %d, need t >= 1", t)
+	}
+	if _, float := any(f).(field.Real); float && t >= 2 {
+		return fmt.Errorf("coding: the tolerance-based rank test over field.Real cannot certify t = %d security; verify the same shape over an exact field (Prime, GF(256))", t)
 	}
 	sum := 0
 	for _, v := range rows {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"io"
+	"math/rand/v2"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -24,8 +25,9 @@ const (
 	// FaultBlackhole accepts connections, swallows whatever arrives, and
 	// never answers — the client's deadline has to fire.
 	FaultBlackhole
-	// FaultDelay forwards traffic after holding each new connection for the
-	// configured delay — a straggler, not a failure.
+	// FaultDelay forwards traffic but holds each chunk of the device's
+	// replies — the hello's included — for the configured hold plus a random
+	// amount below the configured jitter: a straggler, not a failure.
 	FaultDelay
 	// FaultTruncate forwards the request upstream but cuts the response off
 	// after TruncateAfter bytes — the client sees a mid-message error.
@@ -39,8 +41,10 @@ type FaultProxy struct {
 	ln     net.Listener
 
 	mode     atomic.Int32
-	delay    atomic.Int64 // nanoseconds, for FaultDelay
-	truncate atomic.Int64 // bytes, for FaultTruncate
+	delay    atomic.Int64  // nanoseconds, for FaultDelay
+	jitter   atomic.Int64  // nanoseconds, for FaultDelay
+	seed     atomic.Uint64 // seeds each held connection's jitter stream
+	truncate atomic.Int64  // bytes, for FaultTruncate
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
@@ -86,8 +90,13 @@ func (p *FaultProxy) SetMode(m FaultMode) {
 	p.mu.Unlock()
 }
 
-// SetDelay sets the per-connection hold time used by FaultDelay.
-func (p *FaultProxy) SetDelay(d time.Duration) { p.delay.Store(int64(d)) }
+// SetDelay sets how long FaultDelay holds each reply chunk: hold plus a
+// random amount below jitter (none when jitter is zero), drawn from a stream
+// seeded per connection in the order the proxy accepted them.
+func (p *FaultProxy) SetDelay(hold, jitter time.Duration) {
+	p.delay.Store(int64(hold))
+	p.jitter.Store(int64(jitter))
+}
 
 // SetTruncate sets how many response bytes FaultTruncate lets through.
 func (p *FaultProxy) SetTruncate(n int64) { p.truncate.Store(n) }
@@ -155,31 +164,24 @@ func (p *FaultProxy) handle(conn net.Conn) {
 		return
 	}
 	defer p.untrack(conn)
-	switch FaultMode(p.mode.Load()) {
+	mode := FaultMode(p.mode.Load())
+	switch mode {
 	case FaultDrop:
 		return
 	case FaultBlackhole:
 		_, _ = io.Copy(io.Discard, conn) // until the peer gives up or Close severs us
 		return
-	case FaultDelay:
-		t := time.NewTimer(time.Duration(p.delay.Load()))
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-p.done:
-			return
-		}
-		p.pipe(conn, -1)
 	case FaultTruncate:
-		p.pipe(conn, p.truncate.Load())
+		p.pipe(conn, mode, p.truncate.Load())
 	default:
-		p.pipe(conn, -1)
+		p.pipe(conn, mode, -1)
 	}
 }
 
-// pipe forwards bidirectionally to the target; respLimit >= 0 truncates the
-// response stream after that many bytes.
-func (p *FaultProxy) pipe(conn net.Conn, respLimit int64) {
+// pipe forwards bidirectionally to the target. Under FaultDelay the response
+// stream is held chunk by chunk; respLimit >= 0 truncates it after that many
+// bytes.
+func (p *FaultProxy) pipe(conn net.Conn, mode FaultMode, respLimit int64) {
 	up, err := net.Dial("tcp", p.target)
 	if err != nil {
 		return
@@ -195,9 +197,12 @@ func (p *FaultProxy) pipe(conn net.Conn, respLimit int64) {
 		done <- struct{}{}
 	}()
 	go func() {
-		if respLimit >= 0 {
+		switch {
+		case mode == FaultDelay:
+			p.copyHeld(conn, up)
+		case respLimit >= 0:
 			_, _ = io.CopyN(conn, up, respLimit)
-		} else {
+		default:
 			_, _ = io.Copy(conn, up)
 		}
 		// Sever both sides so the copier in the other direction unblocks.
@@ -207,4 +212,33 @@ func (p *FaultProxy) pipe(conn net.Conn, respLimit int64) {
 	}()
 	<-done
 	<-done
+}
+
+// copyHeld forwards up's bytes to down, holding each chunk it reads for the
+// delay plus its jitter draw, until either side closes or the proxy does.
+func (p *FaultProxy) copyHeld(down io.Writer, up io.Reader) {
+	rng := rand.New(rand.NewPCG(p.seed.Add(1), 13))
+	buf := make([]byte, 32<<10)
+	for {
+		n, err := up.Read(buf)
+		if n > 0 {
+			hold := time.Duration(p.delay.Load())
+			if j := p.jitter.Load(); j > 0 {
+				hold += time.Duration(rng.Int64N(j))
+			}
+			t := time.NewTimer(hold)
+			select {
+			case <-t.C:
+			case <-p.done:
+				t.Stop()
+				return
+			}
+			if _, err := down.Write(buf[:n]); err != nil {
+				return
+			}
+		}
+		if err != nil {
+			return
+		}
+	}
 }

@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/scec/scec/internal/coding"
@@ -144,12 +145,6 @@ type Config struct {
 	// fleet tracing; the per-device straggler records (Session.Stragglers)
 	// are kept either way.
 	Tracer *trace.Tracer
-	// OnWin, when non-nil, is called for every winning replica attempt with
-	// the device address, logical block index, and the attempt's own latency
-	// (its launch → answer, a hedge's wait before launch excluded). The
-	// adaptive control plane's cost estimator feeds from it without needing
-	// a tracer. The callback runs on the query path and must be fast.
-	OnWin func(device string, block int, latency time.Duration)
 	// Journal receives the session's flight-recorder events (breaker
 	// transitions, hedge wins, retries, repairs, rehosts); nil means
 	// flight.Default().
@@ -225,6 +220,10 @@ type blockState[E comparable] struct {
 	mu        sync.Mutex
 	replicas  []*device
 	repairing bool
+
+	// leader is the replica the last ranked round asked first, so a
+	// demotion is journaled once per change, not once per round.
+	leader atomic.Pointer[device]
 }
 
 // Session is a live fleet runtime serving queries for one deployment.

@@ -314,7 +314,7 @@ func TestFaultDelayedLeaderHedgeStillCorrect(t *testing.T) {
 	env := newTestEnv(t, 2, 0)
 	env.cfg.HedgeAfter = 5 * time.Millisecond
 	s := env.serve(t)
-	env.proxies[0][0].SetDelay(60 * time.Millisecond)
+	env.proxies[0][0].SetDelay(60*time.Millisecond, 0)
 	env.proxies[0][0].SetMode(FaultDelay)
 	for i := 0; i < 3; i++ {
 		got, err := mulVec(s, env.x)
@@ -614,7 +614,7 @@ func TestSingleCandidateRaceNeverHedges(t *testing.T) {
 	env.cfg.HedgeAfter = time.Millisecond
 	s := env.serve(t)
 	for _, ps := range env.proxies {
-		ps[0].SetDelay(20 * time.Millisecond)
+		ps[0].SetDelay(20*time.Millisecond, 0)
 		ps[0].SetMode(FaultDelay)
 	}
 	got, err := mulVec(s, env.x)
@@ -647,7 +647,7 @@ func win(d *device, n int, lat time.Duration) {
 
 // TestHedgeDelayPolicy covers the three HedgeAfter regimes: fixed, disabled,
 // and adaptive — the leader's cold prior (twice its last round trip, or
-// RPCTimeout with none) until it has won minAdaptiveSamples races, then its
+// RPCTimeout with none) until it has won MinAdaptiveSamples races, then its
 // own p95, clamped to [1ms, RPCTimeout] either way.
 func TestHedgeDelayPolicy(t *testing.T) {
 	s := &Session[uint64]{link: rttLink{rtt: map[string]time.Duration{"a": 3 * time.Millisecond, "near": 100 * time.Microsecond}}}
@@ -670,7 +670,7 @@ func TestHedgeDelayPolicy(t *testing.T) {
 			t.Fatalf("cold adaptive delay for %s = %v, %v, want %v", tc.d.addr, got, ok, tc.want)
 		}
 	}
-	win(a, minAdaptiveSamples-1, 20*time.Millisecond)
+	win(a, MinAdaptiveSamples-1, 20*time.Millisecond)
 	if got, ok := delay(a); !ok || got != 6*time.Millisecond {
 		t.Fatalf("adaptive delay below warmup = %v, %v, want the 6ms prior", got, ok)
 	}

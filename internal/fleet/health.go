@@ -258,7 +258,7 @@ func (b *blockState[E]) candidates(now time.Time, cooldown time.Duration, buf []
 	return out[:t], h
 }
 
-// coldRTTs prices a device that has not yet won minAdaptiveSamples races:
+// coldRTTs prices a device that has not yet won MinAdaptiveSamples races:
 // one round trip for the request and its answer, and one more for the
 // device's compute, which has not been seen yet.
 const coldRTTs = 2
@@ -271,11 +271,11 @@ type estimate struct {
 
 // expected estimates d from its straggler record: the p50 and p95 of its
 // window — its wins, and the overtaken losses that warmed it — once it holds
-// minAdaptiveSamples, and until then a prior for both of coldRTTs times its
+// MinAdaptiveSamples, and until then a prior for both of coldRTTs times its
 // connection's last measured round trip — the handshake at dial, or a
 // heartbeat or probe ping since — or RPCTimeout when there is none.
 func (s *Session[E]) expected(d *device) estimate {
-	if p50, p95, _, n := d.winLat.percentiles(); n >= minAdaptiveSamples {
+	if p50, p95, _, n := d.winLat.percentiles(); n >= MinAdaptiveSamples {
 		return estimate{p50, p95, true}
 	}
 	prior := s.cfg.RPCTimeout
@@ -366,7 +366,7 @@ func (s *Session[E]) probeOnce() {
 			// skip the explicit ping RPC.
 			// Export the multiplexed connection's latest heartbeat RTT so
 			// /metrics carries the same per-device signal the adaptive
-			// estimator consumes.
+			// planner prices the network by.
 			if rtt, ok := s.link.LastRTT(d.addr); ok {
 				d.rtt.Set(rtt.Seconds())
 			}

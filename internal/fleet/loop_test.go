@@ -4,17 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand/v2"
-	"net"
 	"runtime"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
 	"github.com/scec/scec/internal/matrix"
 	"github.com/scec/scec/internal/obs"
+	"github.com/scec/scec/internal/obs/flight"
 )
 
 // TestSlowDialDoesNotDelayHedge: a query's sends share one loop, so a leader
@@ -26,7 +24,7 @@ func TestSlowDialDoesNotDelayHedge(t *testing.T) {
 	env.cfg.HedgeAfter = 5 * time.Millisecond
 	s := env.serve(t)
 	const hold = 300 * time.Millisecond
-	env.proxies[0][0].SetDelay(hold)
+	env.proxies[0][0].SetDelay(hold, 0)
 	env.proxies[0][0].SetMode(FaultDelay) // severs the pooled connection: the next send redials
 	start := time.Now()
 	got, err := mulVec(s, env.x)
@@ -43,90 +41,26 @@ func TestSlowDialDoesNotDelayHedge(t *testing.T) {
 	}
 }
 
-// startDelayProxy fronts addr with a proxy that holds each chunk of the
-// device's response stream for least plus a random delay below spread, so
-// answers land after their race was decided — or after their query
-// returned — while the device stays alive and its heartbeats flow. Closing
-// the test severs every proxied connection.
-func startDelayProxy(t *testing.T, addr string, least, spread time.Duration) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var conns []net.Conn
-	var wg sync.WaitGroup
-	t.Cleanup(func() {
-		_ = ln.Close()
-		mu.Lock()
-		for _, c := range conns {
-			_ = c.Close()
-		}
-		mu.Unlock()
-		wg.Wait()
-	})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for seed := uint64(1); ; seed++ {
-			down, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			up, err := net.Dial("tcp", addr)
-			if err != nil {
-				_ = down.Close()
-				continue
-			}
-			mu.Lock()
-			conns = append(conns, down, up)
-			mu.Unlock()
-			wg.Add(2)
-			go func() {
-				defer wg.Done()
-				_, _ = io.Copy(up, down)
-				_ = up.Close()
-			}()
-			go func() {
-				defer wg.Done()
-				defer down.Close()
-				rng := rand.New(rand.NewPCG(seed, 13))
-				buf := make([]byte, 4096)
-				for {
-					n, err := up.Read(buf)
-					if n > 0 {
-						hold := least
-						if spread > 0 {
-							hold += time.Duration(rng.Int64N(int64(spread)))
-						}
-						time.Sleep(hold)
-						if _, err := down.Write(buf[:n]); err != nil {
-							return
-						}
-					}
-					if err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String()
-}
-
 // TestFaultSlowLiveReplicaLosesTheLead: block 0's replica 0 answers every
 // chunk 20 ms late but stays alive — its heartbeats flow and its breaker
 // stays closed. Under the default adaptive hedge the block must route by the
 // replicas' own attempt latencies: once replica 0's record shows it slow,
 // its healthy peer leads, so after warm-up a query costs a healthy round and
-// the slow replica wins none of the block's rounds.
+// the slow replica wins none of the block's rounds. The demotion is
+// journaled once, not once per round: one straggler event for block 0
+// naming the slow replica. A healthy block may trade its lead when a
+// leader's first measured p50 exceeds a cold peer's prior (a slow build,
+// such as -race, does that), but each of its events then records a change —
+// it undoes the one before — and none names the slow replica.
 func TestFaultSlowLiveReplicaLosesTheLead(t *testing.T) {
 	env := newTestEnv(t, 2, 0)
 	env.cfg.HedgeAfter = 0
 	env.cfg.ProbeInterval = 100 * time.Millisecond
-	slow := startDelayProxy(t, env.cfg.Replicas[0][0], 20*time.Millisecond, 0)
-	env.cfg.Replicas[0][0] = slow
+	jr := flight.New(flight.Options{Capacity: 1024})
+	env.cfg.Journal = jr
+	slow := env.cfg.Replicas[0][0]
+	env.proxies[0][0].SetDelay(20*time.Millisecond, 0)
+	env.proxies[0][0].SetMode(FaultDelay)
 	s := env.serve(t)
 	var lat []time.Duration
 	var slowWins int64
@@ -150,6 +84,25 @@ func TestFaultSlowLiveReplicaLosesTheLead(t *testing.T) {
 	if n := s.devices[slow].wins.Load() - slowWins; n != 0 {
 		t.Errorf("the slow replica won %d of block 0's last 40 rounds, want none; debug %+v", n, s.Debug().Blocks[0])
 	}
+	var block0 []flight.Event
+	last := map[int64]flight.Event{}
+	for _, ev := range jr.Snapshot() {
+		switch {
+		case ev.Kind != flight.KindStraggler:
+		case ev.A == 0:
+			block0 = append(block0, ev)
+		case ev.Actor == slow || ev.Detail == slow:
+			t.Errorf("block %d's straggler event %+v names block 0's slow replica", ev.A, ev)
+		default:
+			if prev, ok := last[ev.A]; ok && prev.Detail != ev.Actor {
+				t.Errorf("block %d journaled %+v after %+v: not one event per change of leader", ev.A, ev, prev)
+			}
+			last[ev.A] = ev
+		}
+	}
+	if len(block0) != 1 || block0[0].Actor != slow || block0[0].Detail != env.cfg.Replicas[0][1] {
+		t.Errorf("block 0 straggler events %+v, want one demoting %s in favour of %s", block0, slow, env.cfg.Replicas[0][1])
+	}
 }
 
 // TestLateLoserNeverFeedsNextQuery is the query-level twin of the
@@ -167,8 +120,9 @@ func TestLateLoserNeverFeedsNextQuery(t *testing.T) {
 	// closed so each query races both replicas.
 	env.cfg.BreakerThreshold = 1 << 30
 	const maxDelay = 2 * time.Millisecond
-	for j := range env.proxies {
-		env.cfg.Replicas[j][0] = startDelayProxy(t, env.proxies[j][0].Addr(), 0, maxDelay)
+	for _, group := range env.proxies {
+		group[0].SetDelay(0, maxDelay)
+		group[0].SetMode(FaultDelay)
 	}
 	s := env.serve(t)
 	rng := rand.New(rand.NewPCG(3, 31))
@@ -245,7 +199,7 @@ func TestSessionCloseLeavesNoGoroutines(t *testing.T) {
 		checkResult(t, env.want, got)
 	}
 	mustServe("healthy")
-	env.proxies[0][0].SetDelay(100 * time.Millisecond)
+	env.proxies[0][0].SetDelay(100*time.Millisecond, 0)
 	env.proxies[0][0].SetMode(FaultDelay)
 	mustServe("hedged")
 	env.proxies[1][0].SetMode(FaultDrop)

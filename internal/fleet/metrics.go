@@ -108,10 +108,11 @@ type latencyRing struct {
 	synced int                                       // samples the sorted copy reflects
 }
 
-// minAdaptiveSamples is how many samples make a device's window its
-// estimate; below it the device is priced by the cold prior (see
-// Session.expected).
-const minAdaptiveSamples = 8
+// MinAdaptiveSamples is how many samples make a device's window its
+// estimate: the one trust threshold, read by the router (below it a device
+// is priced by the cold prior, see Session.expected) and by the adaptive
+// planner (below it a device is nominal).
+const MinAdaptiveSamples = 8
 
 func (r *latencyRing) observe(d time.Duration) {
 	r.mu.Lock()
@@ -120,12 +121,12 @@ func (r *latencyRing) observe(d time.Duration) {
 	r.mu.Unlock()
 }
 
-// warmUp files d only while the ring holds fewer than minAdaptiveSamples: a
+// warmUp files d only while the ring holds fewer than MinAdaptiveSamples: a
 // lower bound may price a device that has no estimate of its own, but never
 // moves a measured one.
 func (r *latencyRing) warmUp(d time.Duration) {
 	r.mu.Lock()
-	if r.seen < minAdaptiveSamples {
+	if r.seen < MinAdaptiveSamples {
 		r.buf[r.seen%len(r.buf)] = d
 		r.seen++
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"time"
 
@@ -276,6 +277,11 @@ func (q *query[E]) startRound(f *fetch[E], now time.Time) {
 	if len(f.cands) > 1 {
 		// Rank the healthy replicas; a round of trials keeps its order.
 		f.hedge, _ = s.hedgeDelay(s.rank(f.cands[:max(healthy, 1)]))
+		if healthy > 1 {
+			if prev := f.b.leader.Load(); prev != f.cands[0] {
+				s.newLeader(f.b, prev, f.cands[0], f.cands[1:healthy])
+			}
+		}
 	}
 	if len(f.cands) > f.budget {
 		f.cands = f.cands[:f.budget]
@@ -291,6 +297,17 @@ func (q *query[E]) startRound(f *fetch[E], now time.Time) {
 	f.roundStart = now
 	q.launch(f, false, now)
 	q.armHedge(f, now)
+}
+
+// newLeader records lead in place of prev as the block's first-asked
+// replica, and journals prev as demoted when ranking put it behind lead —
+// when it is among the round's other healthy replicas, not gone behind an
+// open breaker. Of concurrent rounds that see the same change, one records
+// and journals it.
+func (s *Session[E]) newLeader(b *blockState[E], prev, lead *device, peers []*device) {
+	if b.leader.CompareAndSwap(prev, lead) && prev != nil && slices.Contains(peers, prev) {
+		s.jr.PublishDetail(flight.KindStraggler, prev.addr, lead.addr, int64(b.index), 0)
+	}
 }
 
 // armHedge sets the block's hedge deadline while a candidate is left to
@@ -599,15 +616,12 @@ func (q *query[E]) settle(a *attempt[E], o attemptOutcome) {
 // won files a block's winning attempt at now: the round's latency (round
 // start to verdict) feeds the block's winner histogram with the trace ID +
 // device as its bucket exemplar (so a tail bucket on /metrics.json links
-// straight to /debug/traces/{id}); the attempt's own latency feeds OnWin and,
-// as it settles as the win, the device's straggler record; and a hedge win
-// is journaled.
+// straight to /debug/traces/{id}); the attempt's own latency feeds, as it
+// settles as the win, the device's straggler record; and a hedge win is
+// journaled.
 func (q *query[E]) won(f *fetch[E], a *attempt[E], now time.Time) {
 	s := q.s
 	s.met.winner(f.b.index).ObserveDurationExemplar(now.Sub(f.roundStart), traceIDOf(f.sp), a.d.addr)
-	if s.cfg.OnWin != nil {
-		s.cfg.OnWin(a.d.addr, f.b.index, a.lat)
-	}
 	if a.hedged {
 		s.jr.Publish(flight.KindHedgeWin, a.d.addr, int64(f.b.index), 0)
 	}

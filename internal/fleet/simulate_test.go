@@ -58,7 +58,7 @@ func (c simCase) groups(replicas int, mut func(j, r int, p *sim.DeviceProfile)) 
 }
 
 // coldPrior is the hedge delay of a simulated leader that has not yet won
-// minAdaptiveSamples races: coldRTTs times its modelled round trip,
+// MinAdaptiveSamples races: coldRTTs times its modelled round trip,
 // 2·Latency.
 func coldPrior(p sim.DeviceProfile) time.Duration { return coldRTTs * 2 * p.Latency }
 
@@ -218,7 +218,7 @@ func TestSimulatedRunIsDeterministic(t *testing.T) {
 // cold prior: a hedge delay fed by the hedged rounds it caused would climb
 // gather after gather. Each of those gathers files the withdrawn leader's
 // time so far as a lower bound on its latency, so once it holds
-// minAdaptiveSamples of them it is measured slower than its live peer and
+// MinAdaptiveSamples of them it is measured slower than its live peer and
 // demoted: from then on block 0 asks the live replica alone.
 func TestSimulatedHedgeDelayHoldsAcrossGathers(t *testing.T) {
 	c := newSimCase(t)
@@ -240,7 +240,7 @@ func TestSimulatedHedgeDelayHoldsAcrossGathers(t *testing.T) {
 			}
 		}
 		switch {
-		case i < minAdaptiveSamples:
+		case i < MinAdaptiveSamples:
 			if len(block0) != 2 || block0[0].Replica != 0 || block0[1].Replica != 1 || block0[1].Launched != prior {
 				t.Fatalf("gather %d: block 0's attempts %+v, want the dead leader, then its hedge at the cold prior %v", i, block0, prior)
 			}
@@ -255,7 +255,7 @@ func TestSimulatedHedgeDelayHoldsAcrossGathers(t *testing.T) {
 // cold prior prices it below replica 0's measured round and it takes the
 // lead once replica 0 is warm. Losing every round it leads to replica 0's
 // hedge, it files each overtaken attempt as a lower bound on its latency;
-// once it holds minAdaptiveSamples of them it is measured slower and
+// once it holds MinAdaptiveSamples of them it is measured slower and
 // replica 0 leads again, unhedged, for the rest of the session. Replica 0
 // wins block 0 every time.
 func TestSimulatedSlowPeerDoesNotTakeTheLead(t *testing.T) {
@@ -287,7 +287,7 @@ func TestSimulatedSlowPeerDoesNotTakeTheLead(t *testing.T) {
 				}
 			}
 		}
-		if i >= 2*minAdaptiveSamples && (len(block0) != 1 || block0[0].Replica != 0 || block0[0].Outcome != sim.Won) {
+		if i >= 2*MinAdaptiveSamples && (len(block0) != 1 || block0[0].Replica != 0 || block0[0].Outcome != sim.Won) {
 			t.Fatalf("gather %d, after warm-up: block 0's attempts %+v, want replica 0 alone, won", i, block0)
 		}
 	}

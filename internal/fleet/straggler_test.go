@@ -6,7 +6,6 @@ import (
 	"errors"
 	"net/http/httptest"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -16,7 +15,7 @@ import (
 
 // TestStragglerAttribution drives the device record directly: one outcome
 // per attempt, hedge wins credited, and only wins — and overtaken losses
-// while the device has fewer than minAdaptiveSamples samples — entering the
+// while the device has fewer than MinAdaptiveSamples samples — entering the
 // latency window, which keeps the last latencyWindow of them.
 func TestStragglerAttribution(t *testing.T) {
 	a, b := &device{addr: "a"}, &device{addr: "b"}
@@ -73,7 +72,7 @@ func TestRaceSettlesLateLoser(t *testing.T) {
 	s := env.serve(t)
 	// Held far longer than the hedge needs, so the hedge wins even on a
 	// loaded host.
-	env.proxies[0][0].SetDelay(time.Second)
+	env.proxies[0][0].SetDelay(time.Second, 0)
 	env.proxies[0][0].SetMode(FaultDelay)
 
 	got, err := mulVec(s, env.x)
@@ -122,26 +121,17 @@ func TestRaceSettlesLateLoser(t *testing.T) {
 	}
 }
 
-// TestOnWinGetsAttemptLatency: OnWin is passed the winning attempt's own
-// latency, launch to answer. Block 0's leader is held at its dial, so its
-// hedge, launched 100 ms into the round, wins in a loopback round trip: the
-// latency OnWin sees for it must be below the hedge delay it waited out.
-func TestOnWinGetsAttemptLatency(t *testing.T) {
+// TestStragglersGetAttemptLatency: a win files the attempt's own latency,
+// launch to answer, on its device's record. Block 0's leader is held on
+// every reply, so its hedge, launched 100 ms into the round, wins in a
+// loopback round trip: the one sample on the hedge's record must be below
+// the hedge delay it waited out.
+func TestStragglersGetAttemptLatency(t *testing.T) {
 	env := newTestEnv(t, 2, 0)
 	const hedge = 100 * time.Millisecond
 	env.cfg.HedgeAfter = hedge
-	var mu sync.Mutex
-	wins := map[int][]time.Duration{}
-	env.cfg.OnWin = func(device string, block int, latency time.Duration) {
-		if block == 0 && device != env.cfg.Replicas[0][1] {
-			t.Errorf("block 0 won by %s, want the hedge on %s", device, env.cfg.Replicas[0][1])
-		}
-		mu.Lock()
-		wins[block] = append(wins[block], latency)
-		mu.Unlock()
-	}
 	s := env.serve(t)
-	env.proxies[0][0].SetDelay(10 * time.Second)
+	env.proxies[0][0].SetDelay(10*time.Second, 0)
 	env.proxies[0][0].SetMode(FaultDelay)
 	start := time.Now()
 	got, err := mulVec(s, env.x)
@@ -152,11 +142,16 @@ func TestOnWinGetsAttemptLatency(t *testing.T) {
 	if took := time.Since(start); took < hedge {
 		t.Fatalf("the query took %v, less than the %v hedge: block 0 did not hedge", took, hedge)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if lat := wins[0]; len(lat) != 1 || lat[0] <= 0 || lat[0] >= hedge {
-		t.Fatalf("OnWin latencies for block 0 = %v, want one in (0, %v): the hedge's own round trip", lat, hedge)
+	for _, st := range s.Stragglers() {
+		if st.Device != env.cfg.Replicas[0][1] {
+			continue
+		}
+		if st.Wins != 1 || st.HedgeWins != 1 || st.Samples != 1 || st.P50 <= 0 || st.P50 >= hedge {
+			t.Fatalf("block 0's hedge record %+v, want one hedge win sampled in (0, %v): its own round trip", st, hedge)
+		}
+		return
 	}
+	t.Fatalf("no record for block 0's hedge %s", env.cfg.Replicas[0][1])
 }
 
 // TestSingleReplicaAttemptSettlesOnce: a block with one replica has nothing
@@ -166,46 +161,34 @@ func TestOnWinGetsAttemptLatency(t *testing.T) {
 // caller's cancel. Block 0's proxy decides the outcome; blocks 1 and 2
 // answer normally.
 func TestSingleReplicaAttemptSettlesOnce(t *testing.T) {
-	type win struct {
-		device string
-		block  int
-	}
 	type fixture struct {
-		s    *Session[uint64]
-		env  *testEnv
-		d    *device
-		tr   *trace.Tracer
-		jr   *flight.Journal
-		wins *[]win
+		s   *Session[uint64]
+		env *testEnv
+		d   *device
+		tr  *trace.Tracer
+		jr  *flight.Journal
 	}
 	setup := func(t *testing.T, mode FaultMode, tune func(*Config)) fixture {
 		env := newTestEnv(t, 1, 0)
 		tr := trace.New(trace.Options{Service: "fleet-test"})
 		jr := flight.New(flight.Options{Capacity: 64})
-		var mu sync.Mutex
-		var wins []win
 		env.cfg.Tracer, env.cfg.Journal = tr, jr
 		env.cfg.MaxRetries = -1 // one round: one attempt per block
-		env.cfg.OnWin = func(device string, block int, latency time.Duration) {
-			if latency <= 0 {
-				t.Errorf("OnWin latency %v, want > 0", latency)
-			}
-			mu.Lock()
-			wins = append(wins, win{device, block})
-			mu.Unlock()
-		}
 		if tune != nil {
 			tune(&env.cfg)
 		}
 		s := env.serve(t)
 		env.proxies[0][0].SetMode(mode)
-		return fixture{s, env, s.devices[env.cfg.Replicas[0][0]], tr, jr, &wins}
+		return fixture{s, env, s.devices[env.cfg.Replicas[0][0]], tr, jr}
 	}
 	check := func(t *testing.T, f fixture, want DeviceStats, fails int) {
 		t.Helper()
 		st := f.d.stats()
-		if st.Attempts != want.Attempts || st.Wins != want.Wins || st.Losses != want.Losses || st.Errors != want.Errors {
-			t.Errorf("record %+v, want attempts=%d wins=%d losses=%d errors=%d", st, want.Attempts, want.Wins, want.Losses, want.Errors)
+		// Only a win files a latency: a failed or cancelled attempt adds
+		// no sample.
+		if st.Attempts != want.Attempts || st.Wins != want.Wins || st.Losses != want.Losses || st.Errors != want.Errors ||
+			st.Samples != int(want.Wins) {
+			t.Errorf("record %+v, want attempts=%d wins=%d losses=%d errors=%d and a sample per win", st, want.Attempts, want.Wins, want.Losses, want.Errors)
 		}
 		f.d.mu.Lock()
 		got := f.d.fails
@@ -215,11 +198,6 @@ func TestSingleReplicaAttemptSettlesOnce(t *testing.T) {
 		}
 		if spans := attemptSpans(f.tr)[f.d.addr]; len(spans) != 1 {
 			t.Errorf("%d attempt spans ended for block 0, want 1", len(spans))
-		}
-		for _, w := range *f.wins {
-			if w.block == 0 && want.Wins == 0 {
-				t.Errorf("OnWin fired for block 0's failed attempt: %+v", w)
-			}
 		}
 	}
 	timeouts := func(t *testing.T, f fixture) int {
@@ -247,13 +225,9 @@ func TestSingleReplicaAttemptSettlesOnce(t *testing.T) {
 		if spans := attemptSpans(f.tr)[f.d.addr]; len(spans) != 1 || spans[0].Attr(trace.AttrWin) != "true" || spans[0].Error != "" {
 			t.Errorf("attempt spans %+v, want one ended with win=true", spans)
 		}
-		perBlock := map[int][]string{}
-		for _, w := range *f.wins {
-			perBlock[w.block] = append(perBlock[w.block], w.device)
-		}
-		for j := range f.env.proxies {
-			if got := perBlock[j]; len(got) != 1 || got[0] != f.env.cfg.Replicas[j][0] {
-				t.Errorf("OnWin calls for block %d: %v, want one for %s", j, got, f.env.cfg.Replicas[j][0])
+		for _, st := range f.s.Stragglers() {
+			if st.Wins != 1 || st.Samples != 1 || st.P50 <= 0 {
+				t.Errorf("record %+v, want every block's one replica to have won once, sampled above 0", st)
 			}
 		}
 	})

@@ -149,7 +149,7 @@ func TestTraceHedgeWinAttribution(t *testing.T) {
 	env.cfg.HedgeAfter = 20 * time.Millisecond
 	s := env.serve(t)
 
-	env.proxies[0][0].SetDelay(400 * time.Millisecond)
+	env.proxies[0][0].SetDelay(400*time.Millisecond, 0)
 	env.proxies[0][0].SetMode(FaultDelay)
 	got, err := mulVec(s, env.x)
 	if err != nil {

@@ -39,10 +39,6 @@ type VirtualOptions struct {
 	// device leaves and its replacement must receive the coded block before
 	// rounds can complete. The rest are slowdowns. Zero means 0.25.
 	OutageFrac float64
-	// Replay, when non-nil, drives per-device straggler factors from a
-	// recorded timeline (e.g. ReplayFromStragglers over a live fleet's
-	// straggler records) instead of — or on top of — random churn.
-	Replay *Replay
 
 	// Rates, RequestsPerStep, Arrival, and Seed mirror SweepOptions on the
 	// virtual clock.
@@ -96,7 +92,7 @@ func (o *VirtualOptions) validate() error {
 	if len(o.Rates) == 0 {
 		return fmt.Errorf("loadgen: virtual sweep needs at least one rate step")
 	}
-	return o.Replay.Validate()
+	return nil
 }
 
 // rowsOn returns device j's coded row count under either layout.
@@ -190,16 +186,15 @@ func (o *VirtualOptions) runStep(rate float64, arrival Arrival, seed uint64, sta
 	}
 
 	// service prices one round starting at virtual time t: churn caught up to
-	// t, then the slowest device's contribution given its state at t (a
-	// replayed factor composes multiplicatively with a churn slowdown).
+	// t, then the slowest device's contribution given its state at t.
 	service := func(t time.Duration) time.Duration {
 		churn(t)
 		worst := nominal
 		for j := range states {
 			st := &states[j]
-			factor := o.Replay.FactorAt(j, t)
+			factor := 1.0
 			if st.slowUntil > t {
-				factor *= st.slowFactor
+				factor = st.slowFactor
 			}
 			if factor > 1 || st.outageUntil > t {
 				worst = max(worst, sim.PerturbedRoundTime(o.rowsOn(j), o.Cols, base, factor, st.outageUntil, t))

@@ -89,6 +89,10 @@ const (
 	// KindIncident: the watchdog captured an incident bundle. Actor is the
 	// rule name, Detail the bundle directory.
 	KindIncident
+	// KindStraggler: a block's ranking demoted its leader — the replica a
+	// round asks first changed to a peer its straggler record prices faster.
+	// Actor is the demoted device, A the block, Detail the new leader.
+	KindStraggler
 
 	numKinds int = iota
 )
@@ -115,6 +119,7 @@ var kindNames = [numKinds]string{
 	KindQueryError:      "query-error",
 	KindSLOBreach:       "slo-breach",
 	KindIncident:        "incident",
+	KindStraggler:       "straggler",
 }
 
 // String returns the kind's stable wire name (the form trigger rules and

@@ -184,11 +184,11 @@ func TestPooledContextCancelPrompt(t *testing.T) {
 	}
 }
 
-// startDelayProxy fronts addr with a proxy that holds each chunk of the
+// startHoldingProxy fronts addr with a proxy that holds each chunk of the
 // device's response stream for a random delay below max, so responses land
 // after the contexts of the requests they answer have ended. Closing the
 // test severs every proxied connection.
-func startDelayProxy(t *testing.T, addr string, max time.Duration) string {
+func startHoldingProxy(t *testing.T, addr string, max time.Duration) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -272,7 +272,7 @@ func TestCancelledStreamNeverFeedsNextRequest(t *testing.T) {
 	rng := testRNG()
 	block := matrix.Random[uint64](f, rng, rows, cols)
 	const maxDelay = 300 * time.Microsecond
-	addr := startDelayProxy(t, srv.Addr(), maxDelay)
+	addr := startHoldingProxy(t, srv.Addr(), maxDelay)
 	// The store dials the pooled connection every request below shares.
 	pool := NewPool[uint64]()
 	if err := (Cloud[uint64]{Timeout: 5 * time.Second, Pool: pool}).Store(t.Context(), addr, block); err != nil {
