@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"github.com/scec/scec"
-	"github.com/scec/scec/internal/fleet"
+	"github.com/scec/scec/internal/faultproxy"
 	"github.com/scec/scec/internal/obs"
 	"github.com/scec/scec/internal/obs/flight"
 	"github.com/scec/scec/internal/obs/trace"
@@ -143,19 +143,19 @@ func runFleet(args []string, out io.Writer) error {
 		// Physical fleet: replicas per block plus the standby pool, every
 		// device behind a fault proxy so -inject-faults can kill replicas on
 		// command.
-		newProxied := func() (*fleet.FaultProxy, error) {
+		newProxied := func() (*faultproxy.Proxy, error) {
 			srv, err := transport.NewDeviceServerOptions[uint64](f, "127.0.0.1:0", transport.Options{Timeout: *timeout, Tracer: devTr})
 			if err != nil {
 				return nil, err
 			}
-			p, err := fleet.NewFaultProxy(srv.Addr())
+			p, err := faultproxy.New(srv.Addr())
 			if err != nil {
 				_ = srv.Close()
 				return nil, err
 			}
 			return p, nil
 		}
-		proxies := make([][]*fleet.FaultProxy, dep.Devices())
+		proxies := make([][]*faultproxy.Proxy, dep.Devices())
 		cfg := scec.FleetConfig{
 			Replicas:   make([][]string, dep.Devices()),
 			RPCTimeout: *timeout,
@@ -218,14 +218,14 @@ func runFleet(args []string, out io.Writer) error {
 			outageAddrs = append(outageAddrs, cfg.Replicas[0]...)
 			injectNow = func() {
 				for _, p := range proxies[0] {
-					p.SetMode(fleet.FaultDrop)
+					p.SetMode(faultproxy.Drop)
 				}
 				fmt.Fprintf(out, "injected outage: killed all %d replica(s) of block 0\n", len(proxies[0]))
 			}
 		} else {
 			injectNow = func() {
 				for j := range proxies {
-					proxies[j][0].SetMode(fleet.FaultDrop)
+					proxies[j][0].SetMode(faultproxy.Drop)
 				}
 				fmt.Fprintf(out, "injected faults: killed the first replica of all %d blocks\n", dep.Devices())
 			}

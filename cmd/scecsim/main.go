@@ -69,14 +69,15 @@ func run(args []string, out, errOut io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// Every replica of block j carries device j's straggler and failure.
+	// Every replica of block j carries device j's slowdown and failure, for
+	// the whole run.
 	profiles := func(j int) []sim.DeviceProfile {
 		p := sim.DefaultProfile()
 		if fac, ok := strag[j]; ok {
-			p.StragglerFactor = fac
+			p.Faults = append(p.Faults, sim.Fault{Slow: fac})
 		}
 		if j == *failDev {
-			p.FailProb = 1
+			p.Faults = append(p.Faults, sim.Fault{Fail: 1})
 		}
 		group := make([]sim.DeviceProfile, *replicas)
 		for r := range group {
@@ -243,6 +244,9 @@ func parseStragglers(spec string) (map[int]float64, error) {
 		fac, err := strconv.ParseFloat(facStr, 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad straggler factor %q: %w", facStr, err)
+		}
+		if !(fac >= 1) {
+			return nil, fmt.Errorf("straggler factor %g: a slowdown is at least 1", fac)
 		}
 		if dev < 0 {
 			return nil, fmt.Errorf("straggler device %d out of range", dev)

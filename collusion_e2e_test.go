@@ -7,12 +7,12 @@ import (
 	"time"
 
 	"github.com/scec/scec"
-	"github.com/scec/scec/internal/fleet"
+	"github.com/scec/scec/internal/faultproxy"
 	"github.com/scec/scec/internal/obs"
 	"github.com/scec/scec/internal/transport"
 )
 
-// collusionFleet provisions FaultProxy-fronted loopback devices for one
+// collusionFleet provisions faultproxy.Proxy-fronted loopback devices for one
 // field's fleet-backed collusion deployment, so the test can kill replicas
 // mid-session.
 type collusionFleet[E comparable] struct {
@@ -21,7 +21,7 @@ type collusionFleet[E comparable] struct {
 	replicas int
 
 	mu      sync.Mutex
-	proxies [][]*fleet.FaultProxy
+	proxies [][]*faultproxy.Proxy
 }
 
 func (h *collusionFleet[E]) config() scec.FleetExecutorConfig {
@@ -34,7 +34,7 @@ func (h *collusionFleet[E]) config() scec.FleetExecutorConfig {
 			Metrics:       obs.New(),
 		},
 		Provision: func(blocks int) ([][]string, []string, error) {
-			group := make([][]*fleet.FaultProxy, blocks)
+			group := make([][]*faultproxy.Proxy, blocks)
 			addrs := make([][]string, blocks)
 			for j := 0; j < blocks; j++ {
 				for k := 0; k < h.replicas; k++ {
@@ -43,7 +43,7 @@ func (h *collusionFleet[E]) config() scec.FleetExecutorConfig {
 						return nil, nil, err
 					}
 					h.t.Cleanup(func() { _ = srv.Close() })
-					p, err := fleet.NewFaultProxy(srv.Addr())
+					p, err := faultproxy.New(srv.Addr())
 					if err != nil {
 						return nil, nil, err
 					}
@@ -65,7 +65,7 @@ func (h *collusionFleet[E]) failFirstReplicas() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for _, replicas := range h.proxies {
-		replicas[0].SetMode(fleet.FaultDrop)
+		replicas[0].SetMode(faultproxy.Drop)
 	}
 }
 

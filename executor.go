@@ -28,7 +28,8 @@ type ExecutorBackend[E comparable] struct {
 }
 
 // SimProfile models one simulated edge device's performance (compute rate,
-// link rates, latency, straggling, failure probability).
+// link rates, latency) and its faults over the virtual clock (slowdowns,
+// per-gather failure probabilities, outages).
 type SimProfile = sim.DeviceProfile
 
 // DefaultSimProfile is a nominal simulated edge device.

@@ -12,22 +12,22 @@ import (
 	"time"
 
 	"github.com/scec/scec"
-	"github.com/scec/scec/internal/fleet"
+	"github.com/scec/scec/internal/faultproxy"
 	"github.com/scec/scec/internal/obs"
 	"github.com/scec/scec/internal/transport"
 )
 
-// fleetHarness provisions FaultProxy-fronted loopback device fleets for the
-// fleet executor's Provision hook. A chunked deploy calls it once per chunk;
-// each call's proxies are recorded as one group so tests can fail specific
-// chunks.
+// fleetHarness provisions faultproxy.Proxy-fronted loopback device fleets
+// for the fleet executor's Provision hook. A chunked deploy calls it once per
+// chunk; each call's proxies are recorded as one group so tests can fail
+// specific chunks.
 type fleetHarness struct {
 	t        *testing.T
 	f        scec.Field[uint64]
 	replicas int
 
 	mu     sync.Mutex
-	groups [][][]*fleet.FaultProxy // groups[call][block][replica]
+	groups [][][]*faultproxy.Proxy // groups[call][block][replica]
 }
 
 func newFleetHarness(t *testing.T, replicas int) *fleetHarness {
@@ -50,7 +50,7 @@ func (h *fleetHarness) config() scec.FleetExecutorConfig {
 }
 
 func (h *fleetHarness) provision(blocks int) ([][]string, []string, error) {
-	group := make([][]*fleet.FaultProxy, blocks)
+	group := make([][]*faultproxy.Proxy, blocks)
 	addrs := make([][]string, blocks)
 	for j := 0; j < blocks; j++ {
 		for k := 0; k < h.replicas; k++ {
@@ -59,7 +59,7 @@ func (h *fleetHarness) provision(blocks int) ([][]string, []string, error) {
 				return nil, nil, err
 			}
 			h.t.Cleanup(func() { _ = srv.Close() })
-			p, err := fleet.NewFaultProxy(srv.Addr())
+			p, err := faultproxy.New(srv.Addr())
 			if err != nil {
 				return nil, nil, err
 			}
@@ -80,7 +80,7 @@ func (h *fleetHarness) failFirstReplicas(g int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for _, replicas := range h.groups[g] {
-		replicas[0].SetMode(fleet.FaultDrop)
+		replicas[0].SetMode(faultproxy.Drop)
 	}
 }
 

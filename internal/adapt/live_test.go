@@ -10,6 +10,7 @@ import (
 
 	"github.com/scec/scec/internal/coding"
 	"github.com/scec/scec/internal/engine"
+	"github.com/scec/scec/internal/faultproxy"
 	"github.com/scec/scec/internal/field"
 	"github.com/scec/scec/internal/fleet"
 	"github.com/scec/scec/internal/matrix"
@@ -28,8 +29,8 @@ type liveEnv struct {
 	x      []uint64
 	want   []uint64
 
-	proxies  []*fleet.FaultProxy // proxies[j] fronts block j's device
-	standbys []*fleet.FaultProxy
+	proxies  []*faultproxy.Proxy // proxies[j] fronts block j's device
+	standbys []*faultproxy.Proxy
 
 	session *fleet.Session[uint64]
 	swap    *engine.Swappable[uint64]
@@ -71,13 +72,13 @@ func newLiveEnv(t *testing.T, standbys int) *liveEnv {
 		env.want[i] = s
 	}
 
-	newProxied := func() *fleet.FaultProxy {
+	newProxied := func() *faultproxy.Proxy {
 		srv, err := transport.NewDeviceServer[uint64](env.f, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = srv.Close() })
-		p, err := fleet.NewFaultProxy(srv.Addr())
+		p, err := faultproxy.New(srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +175,7 @@ func TestLiveControllerEvictsDelayedDevice(t *testing.T) {
 	env := newLiveEnv(t, 2)
 	slowAddr := env.proxies[0].Addr()
 	env.proxies[0].SetDelay(60*time.Millisecond, 0)
-	env.proxies[0].SetMode(fleet.FaultDelay)
+	env.proxies[0].SetMode(faultproxy.Delay)
 
 	// Each query files one attempt per device (blocks are unreplicated):
 	// enough of them make every device's record trusted.
@@ -285,7 +286,7 @@ func TestLiveReshapeCarriesRecord(t *testing.T) {
 	env := newLiveEnv(t, 2)
 	slowAddr := env.proxies[0].Addr()
 	env.proxies[0].SetDelay(20*time.Millisecond, 0)
-	env.proxies[0].SetMode(fleet.FaultDelay)
+	env.proxies[0].SetMode(faultproxy.Delay)
 	for range fleet.MinAdaptiveSamples {
 		env.checkAnswer(t)
 	}
@@ -325,7 +326,7 @@ func TestLiveReshapeCarriesRecord(t *testing.T) {
 	}
 
 	// Healed, and measured by the new session: its own reading wins.
-	env.proxies[0].SetMode(fleet.FaultNone)
+	env.proxies[0].SetMode(faultproxy.None)
 	for range fleet.MinAdaptiveSamples {
 		env.checkAnswer(t)
 	}

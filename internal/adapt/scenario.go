@@ -60,9 +60,6 @@ const (
 	// scenarioCols is the data matrix's column count: a 91-row block of 256
 	// columns is ~46k field operations, so a round is compute-dominated.
 	scenarioCols = 256
-	// scenarioConcurrency is how many rounds the user keeps in flight — the
-	// virtual load sweep's default, so the two studies queue alike.
-	scenarioConcurrency = 16
 	// scenarioCostSpread shapes base costs: device j costs
 	// 1 + spread·j/(k−1), so TA2 uses a cheap prefix and leaves the expensive
 	// tail as migration headroom.
@@ -87,11 +84,10 @@ const (
 // scenarioProfile is the nominal device: 1 MF/s compute, 10M values/s links,
 // 2 ms latency — compute-dominated, so straggling is visible.
 var scenarioProfile = sim.DeviceProfile{
-	ComputeRate:     1e6,
-	UplinkRate:      10e6,
-	DownlinkRate:    10e6,
-	Latency:         2 * time.Millisecond,
-	StragglerFactor: 1,
+	ComputeRate:  1e6,
+	UplinkRate:   10e6,
+	DownlinkRate: 10e6,
+	Latency:      2 * time.Millisecond,
 }
 
 func (c ScenarioConfig) withDefaults() ScenarioConfig {
@@ -222,12 +218,23 @@ func runScenario(cfg ScenarioConfig, wrap func(Substrate) Substrate) (*RecoveryR
 		StragglerDevice: plan0.Assignments[0].Device,
 		OutageDevice:    plan0.Assignments[1].Device,
 	}
-	adaptive := newArm(cfg, "adaptive", hosts, plan0)
+	// The two faults, on the devices of plan blocks 0 and 1.
+	devs := make([]sim.DeviceProfile, cfg.Devices)
+	for j := range devs {
+		devs[j] = scenarioProfile
+	}
+	if cfg.StragglerAt >= 0 {
+		devs[rep.StragglerDevice].Faults = []sim.Fault{{From: cfg.StragglerAt, Slow: scenarioStragglerFactor}}
+	}
+	if cfg.OutageAt >= 0 {
+		devs[rep.OutageDevice].Faults = []sim.Fault{{From: cfg.OutageAt, Until: cfg.OutageAt + scenarioOutageDuration, Down: true}}
+	}
+	adaptive := newArm(cfg, "adaptive", hosts, devs, plan0)
 	if err := adaptive.control(wrap(adaptive)); err != nil {
 		return nil, err
 	}
-	rep.Frozen = newArm(cfg, "frozen", hosts, plan0).run(arrivals, measureFrom)
-	rep.Oracle = newArm(cfg, "oracle", hosts, plan0).run(arrivals, measureFrom)
+	rep.Frozen = newArm(cfg, "frozen", hosts, devs, plan0).run(arrivals, measureFrom)
+	rep.Oracle = newArm(cfg, "oracle", hosts, devs, plan0).run(arrivals, measureFrom)
 	rep.Adaptive = adaptive.run(arrivals, measureFrom)
 	rep.Events = adaptive.events
 	rep.MaxBlocksPerDevice = adaptive.maxSent
@@ -313,10 +320,10 @@ func (rep *RecoveryReport) WriteJSON(w io.Writer) error {
 // arm is one serving regime's simulation state. The adaptive arm is also the
 // model Substrate its controller drives.
 type arm struct {
-	cfg        ScenarioConfig
-	name       string
-	hosts      []Host
-	sDev, oDev int
+	cfg   ScenarioConfig
+	name  string
+	hosts []Host
+	devs  []sim.DeviceProfile // hosts' devices, faults included
 
 	placement []BlockHost // live assignment, scheme block order
 	devOf     map[string]int
@@ -339,17 +346,15 @@ type arm struct {
 	failed  int // controller migration events that carried an error
 	events  []string
 
-	// oracle state: when the true factors change, and how many were handled
-	oracleAt []time.Duration
-	oracleIx int
+	// edges are the fault edges the oracle has yet to re-plan at, in order.
+	edges []time.Duration
 }
 
 var _ Substrate = (*arm)(nil)
 
-func newArm(cfg ScenarioConfig, name string, hosts []Host, plan0 alloc.Plan) *arm {
+func newArm(cfg ScenarioConfig, name string, hosts []Host, devs []sim.DeviceProfile, plan0 alloc.Plan) *arm {
 	a := &arm{
-		cfg: cfg, name: name, hosts: hosts, placement: placementOf(plan0, hosts),
-		sDev: plan0.Assignments[0].Device, oDev: plan0.Assignments[1].Device,
+		cfg: cfg, name: name, hosts: hosts, devs: devs, placement: placementOf(plan0, hosts),
 		devOf: make(map[string]int, len(hosts)),
 	}
 	for j, h := range hosts {
@@ -362,13 +367,15 @@ func newArm(cfg ScenarioConfig, name string, hosts []Host, plan0 alloc.Plan) *ar
 		a.store(a.placement)
 		a.nextTick = scenarioReplanEvery
 	case "oracle":
-		if cfg.StragglerAt >= 0 {
-			a.oracleAt = append(a.oracleAt, cfg.StragglerAt)
+		for _, p := range devs {
+			for _, f := range p.Faults {
+				a.edges = append(a.edges, f.From)
+				if f.Until != 0 {
+					a.edges = append(a.edges, f.Until)
+				}
+			}
 		}
-		if cfg.OutageAt >= 0 {
-			a.oracleAt = append(a.oracleAt, cfg.OutageAt, cfg.OutageAt+scenarioOutageDuration)
-		}
-		sort.Slice(a.oracleAt, func(i, j int) bool { return a.oracleAt[i] < a.oracleAt[j] })
+		slices.Sort(a.edges)
 	}
 	return a
 }
@@ -412,29 +419,15 @@ func (a *arm) store(blocks []BlockHost) {
 	}
 }
 
-// trueFactor is the device's real slowdown at virtual time t.
-func (a *arm) trueFactor(dev int, t time.Duration) float64 {
-	if dev == a.sDev && a.cfg.StragglerAt >= 0 && t >= a.cfg.StragglerAt {
-		return scenarioStragglerFactor
-	}
-	return 1
-}
-
-// downUntil returns when the device recovers, or 0 if it is up at t.
-func (a *arm) downUntil(dev int, t time.Duration) time.Duration {
-	if a.cfg.OutageAt < 0 || dev != a.oDev {
-		return 0
-	}
-	end := a.cfg.OutageAt + scenarioOutageDuration
-	if t >= a.cfg.OutageAt && t < end {
-		return end
-	}
-	return 0
-}
-
 // contribution prices one device's share of a round starting at t.
 func (a *arm) contribution(dev, rows int, t time.Duration) time.Duration {
-	return sim.PerturbedRoundTime(rows, scenarioCols, scenarioProfile, a.trueFactor(dev, t), a.downUntil(dev, t), t)
+	return sim.DeviceRoundTime(rows, scenarioCols, a.devs[dev], t)
+}
+
+// down reports whether the device is out at t.
+func (a *arm) down(dev int, t time.Duration) bool {
+	_, _, upAt := a.devs[dev].At(t)
+	return upAt > t
 }
 
 // service prices one round at t — the slowest participating device — after
@@ -452,9 +445,9 @@ func (a *arm) service(t time.Duration) time.Duration {
 func (a *arm) advance(t time.Duration) {
 	switch a.name {
 	case "oracle":
-		for a.oracleIx < len(a.oracleAt) && a.oracleAt[a.oracleIx] <= t {
-			a.oracleReplan(a.oracleAt[a.oracleIx])
-			a.oracleIx++
+		for len(a.edges) > 0 && a.edges[0] <= t {
+			a.oracleReplan(a.edges[0])
+			a.edges = a.edges[1:]
 		}
 	case "adaptive":
 		for {
@@ -474,12 +467,13 @@ func (a *arm) advance(t time.Duration) {
 	}
 }
 
-// oracleReplan re-runs TA2 on the true factors, applied instantly and free.
+// oracleReplan re-runs TA2 on the devices' faults at t, applied instantly
+// and free.
 func (a *arm) oracleReplan(t time.Duration) {
 	costs := make([]float64, len(a.hosts))
 	for j, h := range a.hosts {
-		f := a.trueFactor(j, t)
-		if a.downUntil(j, t) > t {
+		f, _, upAt := a.devs[j].At(t)
+		if upAt > t {
 			f = math.Max(f, DefaultOutageFactor)
 		}
 		costs[j] = h.Base * f
@@ -502,7 +496,7 @@ func (a *arm) step(t time.Duration) {
 	at := t - scenarioReplanEvery
 	for _, b := range a.placement {
 		dev := a.devOf[b.Addr]
-		if a.downUntil(dev, at) > at {
+		if a.down(dev, at) {
 			continue // a down device wins no attempts
 		}
 		a.rowLat[b.Addr] = a.contribution(dev, b.Rows, at).Seconds() / float64(b.Rows)
@@ -564,7 +558,7 @@ func (a *arm) Bindings() map[string]int {
 func (a *arm) RowLatencies() map[string]float64 { return a.rowLat }
 
 // Healthy implements Substrate: a device in its outage window is not.
-func (a *arm) Healthy(addr string) bool { return a.downUntil(a.devOf[addr], a.now) <= a.now }
+func (a *arm) Healthy(addr string) bool { return !a.down(a.devOf[addr], a.now) }
 
 // RTT implements Substrate; the model has no heartbeat signal.
 func (a *arm) RTT(string) (time.Duration, bool) { return 0, false }
@@ -606,7 +600,7 @@ func (a *arm) Reshape(_ context.Context, target []string, r int) error {
 // run drives the arrival schedule through the arm and summarizes it; the
 // steady-state window opens at measureFrom.
 func (a *arm) run(arrivals []time.Duration, measureFrom time.Duration) ArmResult {
-	queue := sim.NewRoundQueue(scenarioConcurrency)
+	queue := sim.NewRoundQueue(sim.RoundsInFlight)
 	var overall, steady []time.Duration
 	for _, arrive := range arrivals {
 		finish := queue.Serve(arrive, a.service)

@@ -30,7 +30,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		}
 		want := matrix.Mul[uint64](f, a, x)
 		if !matrix.Equal[uint64](f, got, want) {
-			t.Fatalf("m=%d l=%d r=%d n=%d: DecodeBatchInto != A·X", m, l, r, n)
+			t.Fatalf("m=%d l=%d r=%d n=%d: DecodeInto != A·X", m, l, r, n)
 		}
 	}
 	for _, d := range []struct{ m, l, r, n int }{

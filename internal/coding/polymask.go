@@ -69,12 +69,9 @@ func (s *PolyMaskScheme[E]) T() int { return s.t }
 // Devices returns n, the number of provisioned devices.
 func (s *PolyMaskScheme[E]) Devices() int { return s.n }
 
-// RowsPerDevice returns the coded rows each device stores: always m — the
-// whole (masked) matrix. This is the resource-usage contrast with the
-// MCSCEC design, where devices hold at most r rows.
-func (s *PolyMaskScheme[E]) RowsPerDevice() int { return s.m }
-
-// TotalRows returns the fleet-wide row count n·m (vs MCSCEC's m+r).
+// TotalRows returns the fleet-wide row count n·m (vs MCSCEC's m+r): every
+// device stores the whole (masked) matrix, m rows, where an MCSCEC device
+// holds at most r.
 func (s *PolyMaskScheme[E]) TotalRows() int { return s.n * s.m }
 
 // PolyMaskEncoding holds every device's share F(α_j).

@@ -202,8 +202,8 @@ func TestPolyMaskResourceContrast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pm.RowsPerDevice() != m || pm.TotalRows() != n*m {
-		t.Fatalf("rows/device = %d total = %d", pm.RowsPerDevice(), pm.TotalRows())
+	if pm.TotalRows() != n*m {
+		t.Fatalf("total rows = %d, want n·m = %d", pm.TotalRows(), n*m)
 	}
 	sc, err := New(m, 25) // r = 25 → 5 devices of 25 rows
 	if err != nil {

@@ -281,10 +281,10 @@ func TestQueryValidation(t *testing.T) {
 	}
 }
 
-// TestSimExecutorFailurePropagates: a sim profile with FailProb=1 surfaces
-// fleet.ErrBlockUnavailable through the engine once the fleet's retries run
-// out, and the failed gather's report is still retained, block 0's attempts
-// failed by their deadlines.
+// TestSimExecutorFailurePropagates: a sim profile failing with probability 1
+// surfaces fleet.ErrBlockUnavailable through the engine once the fleet's
+// retries run out, and the failed gather's report is still retained, block
+// 0's attempts failed by their deadlines.
 func TestSimExecutorFailurePropagates(t *testing.T) {
 	f := field.Prime{}
 	tc := newCase[uint64](t, f, func(rng *rand.Rand) uint64 { return f.Rand(rng) })
@@ -292,7 +292,7 @@ func TestSimExecutorFailurePropagates(t *testing.T) {
 		Profiles: func(j int) []sim.DeviceProfile {
 			p := sim.DefaultProfile()
 			if j == 0 {
-				p.FailProb = 1
+				p.Faults = []sim.Fault{{Fail: 1}}
 			}
 			return []sim.DeviceProfile{p}
 		},
@@ -438,7 +438,7 @@ func TestSimExecutorTrace(t *testing.T) {
 		Profiles: func(j int) []sim.DeviceProfile {
 			group := []sim.DeviceProfile{sim.DefaultProfile(), sim.DefaultProfile()}
 			if j == 0 {
-				group[0].FailProb = 1
+				group[0].Faults = []sim.Fault{{Fail: 1}}
 			}
 			return group
 		},

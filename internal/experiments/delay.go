@@ -100,9 +100,9 @@ func DelaySweep(cfg Config) (DelayResult, error) {
 					groups[j] = make([]sim.DeviceProfile, replicas)
 					for r := range groups[j] {
 						p := sim.DefaultProfile()
-						p.FailProb = delayFailProb
+						p.Faults = []sim.Fault{{Fail: delayFailProb}}
 						if trialRNG.Float64() < pStraggle {
-							p.StragglerFactor = delayStraggle
+							p.Faults = append(p.Faults, sim.Fault{Slow: delayStraggle})
 						}
 						groups[j][r] = p
 					}

@@ -18,13 +18,12 @@ const VirtualSeed = 1
 // The load study's fixed shape. Both scenarios sweep the same offered-load
 // steps under the same churn and are held to the same declared SLO.
 const (
-	// loadDevices × loadRowsPerDevice is the fleet-scale scenario: 1000
-	// devices holding one coded row each.
-	loadDevices       = 1000
-	loadRowsPerDevice = 1
-	loadCols          = 64
-	loadChurnEvery    = 200 * time.Millisecond
-	loadRequests      = 2000
+	// loadDevices is the fleet-scale scenario: 1000 devices holding one
+	// coded row each.
+	loadDevices    = 1000
+	loadCols       = 64
+	loadChurnEvery = 200 * time.Millisecond
+	loadRequests   = 2000
 	// loadSLO carries ~8× slack over the fleet-scale scenario's observed p99
 	// (12 ms at 1000 QPS), so only a real latency regression violates it.
 	loadSLO = "p99<=100ms@1000"
@@ -59,25 +58,25 @@ func LoadSweep(cfg Config) (loadgen.Report, error) {
 	for j, as := range plan.Assignments {
 		planRows[j] = as.Rows
 	}
+	oneRowEach := make([]int, loadDevices)
+	for j := range oneRowEach {
+		oneRowEach[j] = 1
+	}
 
 	rep := loadgen.Report{Version: loadgen.ReportVersion}
 	for _, sc := range []struct {
 		name       string
-		devices    int
 		deviceRows []int
 	}{
-		{fmt.Sprintf("sim-%ddev-churn", loadDevices), loadDevices, nil},
-		{fmt.Sprintf("sim-t%d-%ddev-churn", loadT, len(planRows)), len(planRows), planRows},
+		{fmt.Sprintf("sim-%ddev-churn", loadDevices), oneRowEach},
+		{fmt.Sprintf("sim-t%d-%ddev-churn", loadT, len(planRows)), planRows},
 	} {
 		steps, stats, err := loadgen.VirtualSweep(loadgen.VirtualOptions{
-			Devices:         sc.devices,
-			RowsPerDevice:   loadRowsPerDevice,
 			DeviceRows:      sc.deviceRows,
 			Cols:            loadCols,
 			ChurnEvery:      loadChurnEvery,
 			Rates:           loadRates,
 			RequestsPerStep: loadRequests,
-			Arrival:         loadgen.Poisson{},
 			Seed:            cfg.Seed,
 		})
 		if err != nil {
@@ -85,7 +84,7 @@ func LoadSweep(cfg Config) (loadgen.Report, error) {
 		}
 		s := loadgen.Scenario{
 			Name: sc.name, Backend: "sim", Clock: "virtual", Arrival: loadgen.Poisson{}.Name(),
-			Devices: sc.devices, Steps: steps,
+			Devices: len(sc.deviceRows), Steps: steps,
 			KneeQPS: stats.KneeQPS, ChurnEvents: stats.ChurnEvents, Outages: stats.Outages,
 		}
 		for _, slo := range slos {

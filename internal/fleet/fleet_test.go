@@ -12,15 +12,16 @@ import (
 	"time"
 
 	"github.com/scec/scec/internal/coding"
+	"github.com/scec/scec/internal/faultproxy"
 	"github.com/scec/scec/internal/field"
 	"github.com/scec/scec/internal/matrix"
 	"github.com/scec/scec/internal/obs"
 	"github.com/scec/scec/internal/transport"
 )
 
-// testEnv is a replicated loopback fleet with a FaultProxy in front of every
-// device, so tests can fail any replica on command while the device servers
-// themselves stay honest.
+// testEnv is a replicated loopback fleet with a faultproxy.Proxy in front of
+// every device, so tests can fail any replica on command while the device
+// servers themselves stay honest.
 type testEnv struct {
 	f      field.Prime
 	scheme *coding.Systematic[uint64]
@@ -31,8 +32,8 @@ type testEnv struct {
 	reg    *obs.Registry
 
 	// proxies[j][k] fronts replica k of block j; standbys[k] fronts standby k.
-	proxies  [][]*FaultProxy
-	standbys []*FaultProxy
+	proxies  [][]*faultproxy.Proxy
+	standbys []*faultproxy.Proxy
 	// servers are the honest devices behind the proxies.
 	servers []*transport.DeviceServer[uint64]
 
@@ -68,14 +69,14 @@ func newTestEnv(t testing.TB, replicas, standbys int) *testEnv {
 	}
 	env.want = env.mulVec(env.x)
 
-	newProxied := func() *FaultProxy {
+	newProxied := func() *faultproxy.Proxy {
 		srv, err := transport.NewDeviceServer[uint64](env.f, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = srv.Close() })
 		env.servers = append(env.servers, srv)
-		p, err := NewFaultProxy(srv.Addr())
+		p, err := faultproxy.New(srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +91,7 @@ func newTestEnv(t testing.TB, replicas, standbys int) *testEnv {
 		ProbeInterval: -1, // probing off by default; health tests override
 		Metrics:       env.reg,
 	}
-	env.proxies = make([][]*FaultProxy, scheme.Devices())
+	env.proxies = make([][]*faultproxy.Proxy, scheme.Devices())
 	for j := range env.proxies {
 		for k := 0; k < replicas; k++ {
 			p := newProxied()
@@ -189,7 +190,7 @@ func TestFaultOneReplicaOfEachBlockDown(t *testing.T) {
 	env := newTestEnv(t, 2, 0)
 	s := env.serve(t)
 	for j := range env.proxies {
-		env.proxies[j][0].SetMode(FaultDrop)
+		env.proxies[j][0].SetMode(faultproxy.Drop)
 	}
 	got, err := mulVec(s, env.x)
 	if err != nil {
@@ -240,7 +241,7 @@ func TestFaultTruncatedResponseFailsOver(t *testing.T) {
 	env := newTestEnv(t, 2, 0)
 	s := env.serve(t)
 	env.proxies[0][0].SetTruncate(10)
-	env.proxies[0][0].SetMode(FaultTruncate)
+	env.proxies[0][0].SetMode(faultproxy.Truncate)
 	got, err := mulVec(s, env.x)
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +259,7 @@ func TestFaultAllReplicasDownTypedError(t *testing.T) {
 	env.cfg.RetryBackoff = 5 * time.Millisecond
 	s := env.serve(t)
 	for _, p := range env.proxies[1] {
-		p.SetMode(FaultDrop)
+		p.SetMode(faultproxy.Drop)
 	}
 	start := time.Now()
 	_, err := mulVec(s, env.x)
@@ -292,7 +293,7 @@ func TestFaultBlackholeHedgedRequestWins(t *testing.T) {
 	env.cfg.HedgeAfter = 10 * time.Millisecond
 	env.cfg.RPCTimeout = 5 * time.Second
 	s := env.serve(t)
-	env.proxies[0][0].SetMode(FaultBlackhole)
+	env.proxies[0][0].SetMode(faultproxy.Blackhole)
 	start := time.Now()
 	got, err := mulVec(s, env.x)
 	elapsed := time.Since(start)
@@ -315,7 +316,7 @@ func TestFaultDelayedLeaderHedgeStillCorrect(t *testing.T) {
 	env.cfg.HedgeAfter = 5 * time.Millisecond
 	s := env.serve(t)
 	env.proxies[0][0].SetDelay(60*time.Millisecond, 0)
-	env.proxies[0][0].SetMode(FaultDelay)
+	env.proxies[0][0].SetMode(faultproxy.Delay)
 	for i := 0; i < 3; i++ {
 		got, err := mulVec(s, env.x)
 		if err != nil {
@@ -336,7 +337,7 @@ func TestFaultProbeOpensBreakerAndStandbyRepairs(t *testing.T) {
 	env.cfg.BreakerThreshold = 1
 	env.cfg.BreakerCooldown = time.Minute // dead replica stays quarantined
 	s := env.serve(t)
-	env.proxies[0][0].SetMode(FaultDrop)
+	env.proxies[0][0].SetMode(faultproxy.Drop)
 
 	deadline := time.Now().Add(10 * time.Second)
 	for s.ReplicaCount(0) < 2 {
@@ -398,7 +399,7 @@ func TestFaultConcurrentQueriesSurviveKillAndRepair(t *testing.T) {
 		}()
 	}
 	time.Sleep(20 * time.Millisecond) // let the stream start, then kill a replica
-	env.proxies[0][0].SetMode(FaultDrop)
+	env.proxies[0][0].SetMode(faultproxy.Drop)
 	wg.Wait()
 	for w, err := range errs {
 		if err != nil {
@@ -615,7 +616,7 @@ func TestSingleCandidateRaceNeverHedges(t *testing.T) {
 	s := env.serve(t)
 	for _, ps := range env.proxies {
 		ps[0].SetDelay(20*time.Millisecond, 0)
-		ps[0].SetMode(FaultDelay)
+		ps[0].SetMode(faultproxy.Delay)
 	}
 	got, err := mulVec(s, env.x)
 	if err != nil {

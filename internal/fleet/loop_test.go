@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/scec/scec/internal/faultproxy"
 	"github.com/scec/scec/internal/matrix"
 	"github.com/scec/scec/internal/obs"
 	"github.com/scec/scec/internal/obs/flight"
@@ -25,7 +26,7 @@ func TestSlowDialDoesNotDelayHedge(t *testing.T) {
 	s := env.serve(t)
 	const hold = 300 * time.Millisecond
 	env.proxies[0][0].SetDelay(hold, 0)
-	env.proxies[0][0].SetMode(FaultDelay) // severs the pooled connection: the next send redials
+	env.proxies[0][0].SetMode(faultproxy.Delay) // severs the pooled connection: the next send redials
 	start := time.Now()
 	got, err := mulVec(s, env.x)
 	elapsed := time.Since(start)
@@ -60,7 +61,7 @@ func TestFaultSlowLiveReplicaLosesTheLead(t *testing.T) {
 	env.cfg.Journal = jr
 	slow := env.cfg.Replicas[0][0]
 	env.proxies[0][0].SetDelay(20*time.Millisecond, 0)
-	env.proxies[0][0].SetMode(FaultDelay)
+	env.proxies[0][0].SetMode(faultproxy.Delay)
 	s := env.serve(t)
 	var lat []time.Duration
 	var slowWins int64
@@ -122,7 +123,7 @@ func TestLateLoserNeverFeedsNextQuery(t *testing.T) {
 	const maxDelay = 2 * time.Millisecond
 	for _, group := range env.proxies {
 		group[0].SetDelay(0, maxDelay)
-		group[0].SetMode(FaultDelay)
+		group[0].SetMode(faultproxy.Delay)
 	}
 	s := env.serve(t)
 	rng := rand.New(rand.NewPCG(3, 31))
@@ -200,12 +201,12 @@ func TestSessionCloseLeavesNoGoroutines(t *testing.T) {
 	}
 	mustServe("healthy")
 	env.proxies[0][0].SetDelay(100*time.Millisecond, 0)
-	env.proxies[0][0].SetMode(FaultDelay)
+	env.proxies[0][0].SetMode(faultproxy.Delay)
 	mustServe("hedged")
-	env.proxies[1][0].SetMode(FaultDrop)
+	env.proxies[1][0].SetMode(faultproxy.Drop)
 	mustServe("failed-over")
 	for _, p := range env.proxies[2] {
-		p.SetMode(FaultBlackhole)
+		p.SetMode(faultproxy.Blackhole)
 	}
 	ctx, cancel := context.WithCancel(t.Context())
 	time.AfterFunc(10*time.Millisecond, cancel)

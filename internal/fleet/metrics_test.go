@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/scec/scec/internal/faultproxy"
 	"github.com/scec/scec/internal/matrix"
 	"github.com/scec/scec/internal/obs"
 	"github.com/scec/scec/internal/testenv"
@@ -53,7 +54,7 @@ func TestFleetMetricsEagerlyRegistered(t *testing.T) {
 func TestFleetMetricsBoundedCardinality(t *testing.T) {
 	env := newTestEnv(t, 2, 0)
 	s := env.serve(t)
-	env.proxies[2][0].SetMode(FaultDrop) // exercise the failover counter too
+	env.proxies[2][0].SetMode(faultproxy.Drop) // exercise the failover counter too
 
 	rng := rand.New(rand.NewPCG(8, 9))
 	xm := matrix.New[uint64](env.a.Cols(), 2)

@@ -12,6 +12,7 @@ import (
 
 	"github.com/scec/scec/internal/attack"
 	"github.com/scec/scec/internal/coding"
+	"github.com/scec/scec/internal/faultproxy"
 	"github.com/scec/scec/internal/field"
 	"github.com/scec/scec/internal/matrix"
 	"github.com/scec/scec/internal/obs"
@@ -71,7 +72,7 @@ type lifetimeFleet[E comparable] struct {
 	f       field.Field[E]
 	code    coding.Code[E]
 	s       *Session[E]
-	proxies map[string]*FaultProxy
+	proxies map[string]*faultproxy.Proxy
 	hosts   []string // block j's provisioned host
 	standby string
 	// sent[addr] is every block the address has been observed serving: its
@@ -86,7 +87,7 @@ func newLifetimeFleet[E comparable](t *testing.T, f field.Field[E], code coding.
 	if err != nil {
 		t.Fatal(err)
 	}
-	lf := &lifetimeFleet[E]{f: f, code: code, proxies: map[string]*FaultProxy{}, sent: map[string]map[int]bool{}}
+	lf := &lifetimeFleet[E]{f: f, code: code, proxies: map[string]*faultproxy.Proxy{}, sent: map[string]map[int]bool{}}
 	cfg := Config{
 		RPCTimeout:       150 * time.Millisecond,
 		HedgeAfter:       -1,
@@ -118,7 +119,7 @@ func (lf *lifetimeFleet[E]) device(t *testing.T) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	p, err := NewFaultProxy(srv.Addr())
+	p, err := faultproxy.New(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func testDeviceBoundToOneBlock[E comparable](t *testing.T, f field.Field[E], cod
 
 	// Block 1 loses its only replica and the vacated device is the only
 	// standby: self-repair must leave the block degraded rather than use it.
-	lf.proxies[lf.hosts[1]].SetMode(FaultDrop)
+	lf.proxies[lf.hosts[1]].SetMode(faultproxy.Drop)
 	for i := 0; i < 3; i++ {
 		s.probeOnce()
 	}
@@ -192,7 +193,7 @@ func testDeviceBoundToOneBlock[E comparable](t *testing.T, f field.Field[E], cod
 	if n := s.Standbys(); n != 1 {
 		t.Errorf("standby pool has %d devices, want the vacated host still in it", n)
 	}
-	lf.proxies[lf.hosts[1]].SetMode(FaultNone)
+	lf.proxies[lf.hosts[1]].SetMode(faultproxy.None)
 
 	// Its own block may come back: same rows, same view.
 	if err := s.Rehost(ctx, 0, sb, a); err != nil {
@@ -201,11 +202,11 @@ func testDeviceBoundToOneBlock[E comparable](t *testing.T, f field.Field[E], cod
 
 	// A failed push may have landed, so it binds too.
 	x := lf.device(t)
-	lf.proxies[x].SetMode(FaultDrop)
+	lf.proxies[x].SetMode(faultproxy.Drop)
 	if err := s.Rehost(ctx, 1, lf.hosts[1], x); err == nil {
 		t.Fatal("rehost through a dropping proxy should fail")
 	}
-	lf.proxies[x].SetMode(FaultNone)
+	lf.proxies[x].SetMode(faultproxy.None)
 	if got := s.Bindings()[x]; got != 1 {
 		t.Errorf("after a failed push of block 1, %s is bound to %d, want 1", x, got)
 	}
@@ -281,7 +282,7 @@ func TestRehostFailedPushLeavesPlacementIntact(t *testing.T) {
 	env := newTestEnv(t, 1, 1)
 	s := env.serve(t)
 
-	env.standbys[0].SetMode(FaultDrop) // the push to the standby will fail
+	env.standbys[0].SetMode(faultproxy.Drop) // the push to the standby will fail
 	from := env.cfg.Replicas[0][0]
 	if err := s.Rehost(context.Background(), 0, from, env.cfg.Standbys[0]); err == nil {
 		t.Fatal("rehost should surface the failed push")

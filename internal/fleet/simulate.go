@@ -27,17 +27,20 @@ var simEpoch = time.Unix(0, 0).UTC()
 // Simulate serves enc from modelled devices on a virtual clock: the session's
 // own query loop (leader, hedge, failover, retries, breakers) races their
 // replicas. profiles[j] is block j's replica group; the rest of the Config is
-// default. A replica stores its block in sim.PushTime and answers with the
-// device kernel sim.DeviceRoundTime after each launch, unless drawn failed:
-// once per replica per gather, block by block, from one stream per session
-// seeded by seed, so successive gathers draw afresh; the retry jitter has a
-// stream of its own. A replica's LastRTT is its modelled network round trip,
-// 2·Latency, which prices it until it has won enough races to be measured.
-// When the loop blocks, the clock jumps to the next answer (ties in launch
-// order) or the armed deadline. A simulated session
-// has no prober, repair or journal and serves one gather at a time, which
-// SimReport describes; a traced one links its own virtual trace from the
-// caller's span by a trace.EventVirtualTrace event.
+// default. A replica stores its block in sim.PushTime and answers each
+// launch after the round sim.PriceRound prices from its faults in force
+// (an attempt launched inside an outage is held until it ends, and does not
+// fail), unless drawn failed: once per replica per gather, block by block,
+// against the failure probability in force at the gather's start, from one
+// stream per session seeded by seed, so successive gathers draw afresh; the
+// retry jitter has a stream of its own. Faults run on the session's clock,
+// whose zero is the start of the provisioning push. A replica's LastRTT is
+// its modelled network round trip, 2·Latency, which prices it until it has
+// won enough races to be measured. When the loop blocks, the clock jumps to
+// the next answer (ties in launch order) or the armed deadline. A simulated
+// session has no prober, repair or journal and serves one gather at a time,
+// which SimReport describes; a traced one links its own virtual trace from
+// the caller's span by a trace.EventVirtualTrace event.
 func Simulate[E comparable](f field.Field[E], enc *coding.Encoding[E], profiles [][]sim.DeviceProfile, seed uint64, reg *obs.Registry) (*Session[E], error) {
 	m := &model[E]{VirtualClock: trace.NewVirtualClock(simEpoch), draws: rand.New(rand.NewPCG(seed, 0x3e911ca)), jit: rand.New(rand.NewPCG(seed, 0x717e5)),
 		devs: make(map[string]*simDevice[E]), fired: make(chan time.Time)}
@@ -119,7 +122,8 @@ func (m *model[E]) gather(q *query[E]) (done func()) {
 	for _, group := range m.s.cfg.Replicas {
 		for _, addr := range group {
 			d := m.devs[addr]
-			d.failed, d.tries = m.draws.Float64() < d.p.FailProb, 0
+			_, fail, _ := d.p.At(m.now())
+			d.failed, d.tries = m.draws.Float64() < fail, 0
 		}
 	}
 	m.start, m.last = m.now(), sim.Report{StoreTime: m.last.StoreTime, StorageOverhead: m.last.StorageOverhead}
@@ -171,7 +175,12 @@ func (m *model[E]) wait(t time.Time, _ **time.Timer) <-chan time.Time {
 // Go prices the attempt and, on a live replica, computes its answer.
 func (m *model[E]) Go(_ context.Context, addr string, x *matrix.Dense[E], call *transport.Call[E], done chan *transport.Call[E]) {
 	d := m.devs[addr]
-	row := sim.PriceRound(d.rows.Rows(), x.Rows(), x.Cols(), d.p, m.now()-m.start)
+	row := sim.PriceRound(d.rows.Rows(), x.Rows(), x.Cols(), d.p, m.now())
+	// The faults run on the session's clock, the report on the gather's.
+	arrives := row.ResultArrives
+	for _, t := range [...]*time.Duration{&row.Launched, &row.XArrives, &row.ComputeDone, &row.ResultArrives} {
+		*t -= m.start
+	}
 	row.Device, row.Replica, row.Round = d.block, d.replica, d.tries
 	d.tries++
 	if call.Err = nil; !d.failed {
@@ -179,7 +188,7 @@ func (m *model[E]) Go(_ context.Context, addr string, x *matrix.Dense[E], call *
 		matrix.MulInto(m.s.f, d.rows, x, &call.Y)
 	}
 	rep := &m.last
-	m.flight = append(m.flight, inFlight[E]{call: call, done: done, at: m.start + row.ResultArrives, row: len(rep.Devices), failed: d.failed})
+	m.flight = append(m.flight, inFlight[E]{call: call, done: done, at: arrives, row: len(rep.Devices), failed: d.failed})
 	rep.Devices = append(rep.Devices, row)
 	rep.TotalFieldOps += row.FieldOps
 	rep.TotalValuesSent += row.ValuesSent

@@ -106,7 +106,7 @@ func TestSimulatedHedgeReplacesFailedLeader(t *testing.T) {
 	c := newSimCase(t)
 	rep, err := c.run(t, c.groups(2, func(j, r int, p *sim.DeviceProfile) {
 		if j == 0 && r == 0 {
-			p.FailProb = 1
+			p.Faults = []sim.Fault{{Fail: 1}}
 		}
 	}), 1)
 	if err != nil {
@@ -123,7 +123,7 @@ func TestSimulatedHedgeReplacesFailedLeader(t *testing.T) {
 		t.Fatalf("TotalFieldOps = %d, want the launched attempts' %d", rep.TotalFieldOps, ops)
 	}
 	rows := c.enc.Blocks[0].Rows()
-	round := sim.DeviceRoundTime(rows, 5, 1, sim.DefaultProfile())
+	round := sim.DeviceRoundTime(rows, 5, sim.DefaultProfile(), 0)
 	leader, hedge := rep.Devices[0], rep.Devices[len(rep.Devices)-1]
 	if leader.Device != 0 || leader.Replica != 0 || leader.Outcome != sim.Withdrawn {
 		t.Fatalf("first attempt: block %d replica %d %v, want block 0's leader withdrawn", leader.Device, leader.Replica, leader.Outcome)
@@ -139,14 +139,43 @@ func TestSimulatedHedgeReplacesFailedLeader(t *testing.T) {
 	}
 }
 
+// TestSimulatedOutageHoldsAttempt: block 0's only replica is down from the
+// start of the session until 50 ms in, past the provisioning push. The
+// gather's attempt on it is held until the outage ends, then answers one
+// priced round later; it is won, not failed.
+func TestSimulatedOutageHoldsAttempt(t *testing.T) {
+	c := newSimCase(t)
+	const up = 50 * time.Millisecond
+	rep, err := c.run(t, c.groups(1, func(j, _ int, p *sim.DeviceProfile) {
+		if j == 0 {
+			p.Faults = []sim.Fault{{Until: up, Down: true}}
+		}
+	}), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.StoreTime >= up {
+		t.Fatalf("the push ends at %v, after the outage: nothing is held", rep.StoreTime)
+	}
+	held := rep.Devices[0]
+	round := sim.DeviceRoundTime(c.enc.Blocks[0].Rows(), 5, sim.DefaultProfile(), 0)
+	if want := up - rep.StoreTime + round; held.Device != 0 || held.Launched != 0 || held.ResultArrives != want || held.Outcome != sim.Won {
+		t.Fatalf("block 0's attempt: block %d launched at %v, answered at %v, %v; want block 0 launched at 0, answered at %v, won",
+			held.Device, held.Launched, held.ResultArrives, held.Outcome, want)
+	}
+	if len(rep.Devices) != len(c.enc.Blocks) {
+		t.Fatalf("%d attempts, want one per block", len(rep.Devices))
+	}
+}
+
 // TestSimulatedStragglerIsOvertaken: a leader whose round outlasts the hedge
 // delay loses its block to the hedge on replica 1.
 func TestSimulatedStragglerIsOvertaken(t *testing.T) {
 	c := newSimCase(t)
 	slow := sim.DefaultProfile()
-	slow.StragglerFactor = 1e6
+	slow.Faults = []sim.Fault{{Slow: 1e6}}
 	rows := c.enc.Blocks[0].Rows()
-	if sim.DeviceRoundTime(rows, 5, 1, slow) <= coldPrior(slow)+sim.DeviceRoundTime(rows, 5, 1, sim.DefaultProfile()) {
+	if sim.DeviceRoundTime(rows, 5, slow, 0) <= coldPrior(slow)+sim.DeviceRoundTime(rows, 5, sim.DefaultProfile(), 0) {
 		t.Fatal("the straggler is not slow enough to be overtaken")
 	}
 	rep, err := c.run(t, c.groups(2, func(j, r int, p *sim.DeviceProfile) {
@@ -174,7 +203,7 @@ func TestSimulatedBlockUnavailable(t *testing.T) {
 	c := newSimCase(t)
 	rep, err := c.run(t, c.groups(2, func(j, r int, p *sim.DeviceProfile) {
 		if j == 1 {
-			p.FailProb = 1
+			p.Faults = []sim.Fault{{Fail: 1}}
 		}
 	}), 1)
 	var be *BlockUnavailableError
@@ -201,8 +230,7 @@ func TestSimulatedBlockUnavailable(t *testing.T) {
 func TestSimulatedRunIsDeterministic(t *testing.T) {
 	c := newSimCase(t)
 	g := c.groups(2, func(j, r int, p *sim.DeviceProfile) {
-		p.FailProb = 0.5
-		p.StragglerFactor = float64(1 + 4*r)
+		p.Faults = []sim.Fault{{Fail: 0.5}, {Slow: float64(1 + 4*r)}}
 	})
 	for seed := uint64(1); seed <= 8; seed++ {
 		rep1, err1 := c.run(t, g, seed)
@@ -224,7 +252,7 @@ func TestSimulatedHedgeDelayHoldsAcrossGathers(t *testing.T) {
 	c := newSimCase(t)
 	s := c.session(t, c.groups(2, func(j, r int, p *sim.DeviceProfile) {
 		if j == 0 && r == 0 {
-			p.FailProb = 1
+			p.Faults = []sim.Fault{{Fail: 1}}
 		}
 	}), 7)
 	prior := coldPrior(sim.DefaultProfile())
@@ -264,13 +292,13 @@ func TestSimulatedSlowPeerDoesNotTakeTheLead(t *testing.T) {
 		p.Latency = time.Millisecond
 		p.ComputeRate = 1e4
 		if r == 1 {
-			p.StragglerFactor = 10
+			p.Faults = []sim.Fault{{Slow: 10}}
 		}
 	}), 1)
 	rows := c.enc.Blocks[0].Rows()
 	p := sim.DefaultProfile()
 	p.Latency, p.ComputeRate = time.Millisecond, 1e4
-	if round := sim.DeviceRoundTime(rows, 5, 1, p); round <= coldPrior(p) {
+	if round := sim.DeviceRoundTime(rows, 5, p, 0); round <= coldPrior(p) {
 		t.Fatalf("replica 0's round %v is inside the cold prior %v: nothing would demote it", round, coldPrior(p))
 	}
 	for i := range 30 {
@@ -303,11 +331,11 @@ func TestSimulatedFlakyLeaderHedgeHolds(t *testing.T) {
 	c := newSimCase(t)
 	s := c.session(t, c.groups(2, func(j, r int, p *sim.DeviceProfile) {
 		if j == 0 && r == 0 {
-			p.FailProb = 0.3
+			p.Faults = []sim.Fault{{Fail: 0.3}}
 		}
 	}), 3)
 	p := sim.DefaultProfile()
-	bound := coldPrior(p) + sim.DeviceRoundTime(c.enc.Blocks[0].Rows(), 5, 1, p)
+	bound := coldPrior(p) + sim.DeviceRoundTime(c.enc.Blocks[0].Rows(), 5, p, 0)
 	hedges := 0
 	for i := range 200 {
 		rep, err := c.gather(t, s)
@@ -352,11 +380,11 @@ func TestDebugHedgeDelayFollowsAdmission(t *testing.T) {
 }
 
 // TestSimulatedFailureDrawsAdvance: a session's failure draws come from one
-// stream, so successive gathers at FailProb 0.5 do not all fail the same
-// replicas.
+// stream, so successive gathers at failure probability 0.5 do not all fail
+// the same replicas.
 func TestSimulatedFailureDrawsAdvance(t *testing.T) {
 	c := newSimCase(t)
-	s := c.session(t, c.groups(2, func(_, _ int, p *sim.DeviceProfile) { p.FailProb = 0.5 }), 1)
+	s := c.session(t, c.groups(2, func(_, _ int, p *sim.DeviceProfile) { p.Faults = []sim.Fault{{Fail: 0.5}} }), 1)
 	patterns := map[string]bool{}
 	for range 20 {
 		_, _ = c.gather(t, s) // a gather may fail: every replica of a block can draw failed
@@ -369,6 +397,6 @@ func TestSimulatedFailureDrawsAdvance(t *testing.T) {
 		patterns[string(pattern)] = true
 	}
 	if len(patterns) < 2 {
-		t.Fatalf("20 gathers at FailProb 0.5 drew %d failure pattern(s), want more than one", len(patterns))
+		t.Fatalf("20 gathers at failure probability 0.5 drew %d failure pattern(s), want more than one", len(patterns))
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/scec/scec/internal/faultproxy"
 	"github.com/scec/scec/internal/obs/flight"
 	"github.com/scec/scec/internal/obs/trace"
 )
@@ -73,7 +74,7 @@ func TestRaceSettlesLateLoser(t *testing.T) {
 	// Held far longer than the hedge needs, so the hedge wins even on a
 	// loaded host.
 	env.proxies[0][0].SetDelay(time.Second, 0)
-	env.proxies[0][0].SetMode(FaultDelay)
+	env.proxies[0][0].SetMode(faultproxy.Delay)
 
 	got, err := mulVec(s, env.x)
 	if err != nil {
@@ -132,7 +133,7 @@ func TestStragglersGetAttemptLatency(t *testing.T) {
 	env.cfg.HedgeAfter = hedge
 	s := env.serve(t)
 	env.proxies[0][0].SetDelay(10*time.Second, 0)
-	env.proxies[0][0].SetMode(FaultDelay)
+	env.proxies[0][0].SetMode(faultproxy.Delay)
 	start := time.Now()
 	got, err := mulVec(s, env.x)
 	if err != nil {
@@ -168,7 +169,7 @@ func TestSingleReplicaAttemptSettlesOnce(t *testing.T) {
 		tr  *trace.Tracer
 		jr  *flight.Journal
 	}
-	setup := func(t *testing.T, mode FaultMode, tune func(*Config)) fixture {
+	setup := func(t *testing.T, mode faultproxy.Mode, tune func(*Config)) fixture {
 		env := newTestEnv(t, 1, 0)
 		tr := trace.New(trace.Options{Service: "fleet-test"})
 		jr := flight.New(flight.Options{Capacity: 64})
@@ -215,7 +216,7 @@ func TestSingleReplicaAttemptSettlesOnce(t *testing.T) {
 	}
 
 	t.Run("win", func(t *testing.T) {
-		f := setup(t, FaultNone, nil)
+		f := setup(t, faultproxy.None, nil)
 		got, err := mulVec(f.s, f.env.x)
 		if err != nil {
 			t.Fatal(err)
@@ -232,7 +233,7 @@ func TestSingleReplicaAttemptSettlesOnce(t *testing.T) {
 		}
 	})
 	t.Run("device error", func(t *testing.T) {
-		f := setup(t, FaultDrop, nil)
+		f := setup(t, faultproxy.Drop, nil)
 		if _, err := mulVec(f.s, f.env.x); !errors.Is(err, ErrBlockUnavailable) {
 			t.Fatalf("err = %v, want ErrBlockUnavailable over a failing replica", err)
 		}
@@ -242,7 +243,7 @@ func TestSingleReplicaAttemptSettlesOnce(t *testing.T) {
 		}
 	})
 	t.Run("caller cancel", func(t *testing.T) {
-		f := setup(t, FaultBlackhole, nil)
+		f := setup(t, faultproxy.Blackhole, nil)
 		ctx, cancel := context.WithCancel(t.Context())
 		time.AfterFunc(20*time.Millisecond, cancel) // the caller leaves while block 0 is in flight
 		if _, err := f.s.GatherContext(ctx, f.env.x); !errors.Is(err, context.Canceled) {
@@ -254,7 +255,7 @@ func TestSingleReplicaAttemptSettlesOnce(t *testing.T) {
 		}
 	})
 	t.Run("deadline", func(t *testing.T) {
-		f := setup(t, FaultBlackhole, nil)
+		f := setup(t, faultproxy.Blackhole, nil)
 		ctx, cancel := context.WithTimeout(t.Context(), 100*time.Millisecond)
 		defer cancel()
 		if _, err := f.s.GatherContext(ctx, f.env.x); !errors.Is(err, context.DeadlineExceeded) {
@@ -266,7 +267,7 @@ func TestSingleReplicaAttemptSettlesOnce(t *testing.T) {
 		}
 	})
 	t.Run("rpc timeout", func(t *testing.T) {
-		f := setup(t, FaultBlackhole, func(c *Config) { c.RPCTimeout = 100 * time.Millisecond })
+		f := setup(t, faultproxy.Blackhole, func(c *Config) { c.RPCTimeout = 100 * time.Millisecond })
 		_, err := mulVec(f.s, f.env.x)
 		if !errors.Is(err, ErrBlockUnavailable) || !isTimeout(err) {
 			t.Fatalf("err = %v, want ErrBlockUnavailable wrapping a deadline", err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/scec/scec/internal/faultproxy"
 	"github.com/scec/scec/internal/obs/trace"
 )
 
@@ -69,7 +70,7 @@ func TestTraceFaultInjectionFailover(t *testing.T) {
 	s := env.serve(t)
 
 	for j := range env.proxies {
-		env.proxies[j][0].SetMode(FaultDrop)
+		env.proxies[j][0].SetMode(faultproxy.Drop)
 	}
 	got, err := mulVec(s, env.x)
 	if err != nil {
@@ -150,7 +151,7 @@ func TestTraceHedgeWinAttribution(t *testing.T) {
 	s := env.serve(t)
 
 	env.proxies[0][0].SetDelay(400*time.Millisecond, 0)
-	env.proxies[0][0].SetMode(FaultDelay)
+	env.proxies[0][0].SetMode(faultproxy.Delay)
 	got, err := mulVec(s, env.x)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +203,7 @@ func TestTraceRetryEvents(t *testing.T) {
 	s := env.serve(t)
 
 	for k := range env.proxies[0] {
-		env.proxies[0][k].SetMode(FaultDrop)
+		env.proxies[0][k].SetMode(faultproxy.Drop)
 	}
 	_, err := mulVec(s, env.x)
 	if !errors.Is(err, ErrBlockUnavailable) {
@@ -245,7 +246,7 @@ func TestDebugSnapshotLive(t *testing.T) {
 	s := env.serve(t)
 
 	for j := range env.proxies {
-		env.proxies[j][0].SetMode(FaultDrop)
+		env.proxies[j][0].SetMode(faultproxy.Drop)
 	}
 	if _, err := mulVec(s, env.x); err != nil {
 		t.Fatal(err)

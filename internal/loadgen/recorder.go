@@ -166,38 +166,6 @@ func (r *Recorder) Quantile(q float64) time.Duration {
 	return time.Duration(r.max.Load())
 }
 
-// Merge folds other's samples into r. Both recorders may keep recording
-// concurrently; the merged view is then a best-effort snapshot.
-func (r *Recorder) Merge(other *Recorder) {
-	if other == nil {
-		return
-	}
-	var added int64
-	for i := range other.counts {
-		if c := other.counts[i].Load(); c > 0 {
-			r.counts[i].Add(c)
-			added += c
-		}
-	}
-	if added == 0 {
-		return
-	}
-	r.count.Add(added)
-	r.sum.Add(other.sum.Load())
-	for {
-		om, cm := other.min.Load(), r.min.Load()
-		if om >= cm || r.min.CompareAndSwap(cm, om) {
-			break
-		}
-	}
-	for {
-		om, cm := other.max.Load(), r.max.Load()
-		if om <= cm || r.max.CompareAndSwap(cm, om) {
-			break
-		}
-	}
-}
-
 // String summarizes the recorder for logs and test failures.
 func (r *Recorder) String() string {
 	return fmt.Sprintf("n=%d p50=%v p99=%v p999=%v max=%v",

@@ -105,33 +105,6 @@ func TestRecorderMinMaxMean(t *testing.T) {
 	}
 }
 
-func TestRecorderMerge(t *testing.T) {
-	a, b, both := NewRecorder(), NewRecorder(), NewRecorder()
-	rng := rand.New(rand.NewPCG(3, 9))
-	for i := 0; i < 5000; i++ {
-		d := time.Duration(rng.Int64N(int64(time.Second)))
-		if i%2 == 0 {
-			a.Record(d)
-		} else {
-			b.Record(d)
-		}
-		both.Record(d)
-	}
-	a.Merge(b)
-	a.Merge(nil) // no-op
-	if a.Count() != both.Count() {
-		t.Fatalf("merged count %d != %d", a.Count(), both.Count())
-	}
-	for _, q := range []float64{0.5, 0.99, 0.999} {
-		if a.Quantile(q) != both.Quantile(q) {
-			t.Errorf("Quantile(%g): merged %v != direct %v", q, a.Quantile(q), both.Quantile(q))
-		}
-	}
-	if a.Min() != both.Min() || a.Max() != both.Max() || a.Mean() != both.Mean() {
-		t.Errorf("merged summary %v != direct %v", a, both)
-	}
-}
-
 func TestRecorderConcurrent(t *testing.T) {
 	r := NewRecorder()
 	const workers, per = 8, 2000

@@ -9,14 +9,21 @@ import (
 	"time"
 )
 
+// rowsEach lays out n devices holding rows coded rows each.
+func rowsEach(n, rows int) []int {
+	layout := make([]int, n)
+	for j := range layout {
+		layout[j] = rows
+	}
+	return layout
+}
+
 func thousandDeviceOpts() VirtualOptions {
 	return VirtualOptions{
-		Devices:       1000,
-		RowsPerDevice: 2,
-		Cols:          64,
-		Concurrency:   16,
-		ChurnEvery:    200 * time.Millisecond,
-		Rates:         []float64{500, 1000, 2000, 4000},
+		DeviceRows: rowsEach(1000, 2),
+		Cols:       64,
+		ChurnEvery: 200 * time.Millisecond,
+		Rates:      []float64{500, 1000, 2000, 4000},
 		// Small step budget keeps the test fast; determinism makes it exact.
 		RequestsPerStep: 400,
 		Seed:            11,
@@ -79,7 +86,6 @@ func TestVirtualSweepChurnLengthensTail(t *testing.T) {
 	churny := thousandDeviceOpts()
 	churny.Rates = []float64{500}
 	churny.ChurnEvery = 50 * time.Millisecond
-	churny.OutageFrac = 0.5
 
 	a, _, err := VirtualSweep(calm)
 	if err != nil {
@@ -90,7 +96,7 @@ func TestVirtualSweepChurnLengthensTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.Outages == 0 {
-		t.Fatal("expected outages at OutageFrac=0.5")
+		t.Fatal("expected outages among the churn events")
 	}
 	if b[0].P999 <= a[0].P999 {
 		t.Fatalf("churn must lengthen the tail: calm p999 %v, churny p999 %v", a[0].P999, b[0].P999)
@@ -99,9 +105,14 @@ func TestVirtualSweepChurnLengthensTail(t *testing.T) {
 
 func TestVirtualSweepValidation(t *testing.T) {
 	bad := thousandDeviceOpts()
-	bad.Devices = 0
-	if _, _, err := VirtualSweep(bad); err == nil || !strings.Contains(err.Error(), "positive devices") {
+	bad.DeviceRows = nil
+	if _, _, err := VirtualSweep(bad); err == nil || !strings.Contains(err.Error(), "needs devices") {
 		t.Fatalf("zero devices accepted: %v", err)
+	}
+	bad = thousandDeviceOpts()
+	bad.DeviceRows[3] = 0
+	if _, _, err := VirtualSweep(bad); err == nil || !strings.Contains(err.Error(), "DeviceRows[3]") {
+		t.Fatalf("a device without rows accepted: %v", err)
 	}
 	bad = thousandDeviceOpts()
 	bad.Rates = nil
@@ -134,13 +145,11 @@ func TestVirtualSweepMatchesCommittedLoadReport(t *testing.T) {
 		t.Fatal("results/load.json has no sim-1000dev-churn scenario")
 	}
 	steps, stats, err := VirtualSweep(VirtualOptions{
-		Devices:         1000,
-		RowsPerDevice:   1,
+		DeviceRows:      rowsEach(1000, 1),
 		Cols:            64,
 		ChurnEvery:      200 * time.Millisecond,
 		Rates:           []float64{500, 1000, 2000, 4000},
 		RequestsPerStep: 2000,
-		Arrival:         Poisson{},
 		Seed:            1,
 	})
 	if err != nil {

@@ -187,7 +187,7 @@ func TestCompletionTimeIsMaxOverDevices(t *testing.T) {
 	f, enc, _, x := setup(t)
 	for _, replicas := range []int{1, 2} {
 		g := groups(len(enc.Blocks), replicas)
-		g[0][0].StragglerFactor = 20
+		g[0][0].Faults = []sim.Fault{{Slow: 20}}
 		_, rep, err := gather(t, f, enc, x, g)
 		if err != nil {
 			t.Fatal(err)
@@ -208,7 +208,7 @@ func TestStragglerDelaysCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	slow := groups(len(enc.Blocks), 1)
-	slow[0][0].StragglerFactor = 50
+	slow[0][0].Faults = []sim.Fault{{Slow: 50}}
 	_, delayed, err := gather(t, f, enc, x, slow)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestStragglerDelaysCompletion(t *testing.T) {
 func TestDeviceFailureAborts(t *testing.T) {
 	f, enc, _, x := setup(t)
 	g := groups(len(enc.Blocks), 1)
-	g[1][0].FailProb = 1
+	g[1][0].Faults = []sim.Fault{{Fail: 1}}
 	_, rep, err := gather(t, f, enc, x, g)
 	if !errors.Is(err, fleet.ErrBlockUnavailable) {
 		t.Fatalf("err = %v, want fleet.ErrBlockUnavailable", err)
@@ -253,7 +253,7 @@ func TestFailureSamplingIsSeeded(t *testing.T) {
 	g := groups(len(enc.Blocks), 2)
 	for j := range g {
 		for r := range g[j] {
-			g[j][r].FailProb = 0.5
+			g[j][r].Faults = []sim.Fault{{Fail: 0.5}}
 		}
 	}
 	_, rep1, err1 := gather(t, f, enc, x, g)
@@ -315,13 +315,13 @@ func TestRunReplicatedDecodes(t *testing.T) {
 func TestRunReplicatedMasksStraggler(t *testing.T) {
 	f, enc, _, x := setup(t)
 	slow := groups(len(enc.Blocks), 1)
-	slow[0][0].StragglerFactor = 1e6
+	slow[0][0].Faults = []sim.Fault{{Slow: 1e6}}
 	_, slowRep, err := gather(t, f, enc, x, slow)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := groups(len(enc.Blocks), 2)
-	g[0][0].StragglerFactor = 1e6
+	g[0][0].Faults = []sim.Fault{{Slow: 1e6}}
 	_, fastRep, err := gather(t, f, enc, x, g)
 	if err != nil {
 		t.Fatal(err)
@@ -346,7 +346,7 @@ func TestRunReplicatedSurvivesFailures(t *testing.T) {
 	f, enc, a, x := setup(t)
 	g := groups(len(enc.Blocks), 2)
 	for j := range g {
-		g[j][0].FailProb = 1
+		g[j][0].Faults = []sim.Fault{{Fail: 1}}
 	}
 	y, rep, err := gather(t, f, enc, x, g)
 	if err != nil {
@@ -368,7 +368,7 @@ func TestRunReplicatedAllReplicasFail(t *testing.T) {
 	f, enc, _, x := setup(t)
 	g := groups(len(enc.Blocks), 2)
 	for r := range g[1] {
-		g[1][r].FailProb = 1
+		g[1][r].Faults = []sim.Fault{{Fail: 1}}
 	}
 	if _, _, err := gather(t, f, enc, x, g); !errors.Is(err, fleet.ErrBlockUnavailable) {
 		t.Fatalf("err = %v, want fleet.ErrBlockUnavailable", err)
@@ -420,7 +420,7 @@ func TestRunRecordsStageMetrics(t *testing.T) {
 		reg := obs.New()
 		g := groups(len(enc.Blocks), replicas)
 		if replicas == 2 {
-			g[0][0].StragglerFactor = 1e6
+			g[0][0].Faults = []sim.Fault{{Slow: 1e6}}
 		}
 		_, rep, err := gatherOn(t, f, enc, x, g, reg)
 		if err != nil {
@@ -446,7 +446,7 @@ func TestFailedRunSkipsAggregateStages(t *testing.T) {
 	f, enc, _, x := setup(t)
 	reg := obs.New()
 	g := groups(len(enc.Blocks), 1)
-	g[0][0].FailProb = 1
+	g[0][0].Faults = []sim.Fault{{Fail: 1}}
 	_, rep, err := gatherOn(t, f, enc, x, g, reg)
 	if err == nil {
 		t.Fatal("run with a guaranteed failure succeeded")

@@ -1,23 +1,26 @@
 // Package sim prices and queues the virtual edge fleet: compute rates,
-// up/downlink rates, network latency, stragglers and device failures — the
-// dimensions the cost model abstracts away — as deterministic functions of a
-// device profile. It holds no replica race of its own: fleet.Simulate runs
-// the fleet's query loop over devices priced here, on a virtual clock, and
-// fills in this package's Report. That makes the paper's availability
-// assumption (§II-A) and Remark 1's bounded completion time measurable under
-// the policy production runs.
+// up/downlink rates, network latency, and each device's faults over time —
+// slowdowns, failures and outages, the dimensions the cost model abstracts
+// away — as deterministic functions of a device profile. It holds no replica
+// race of its own: fleet.Simulate runs the fleet's query loop over devices
+// priced here, on a virtual clock, and fills in this package's Report. That
+// makes the paper's availability assumption (§II-A) and Remark 1's bounded
+// completion time measurable under the policy production runs.
 //
-// Each of Eq. (1)'s unit costs has one function to calibrate:
+// What goes wrong with a device is one time-ordered list of Faults on its
+// profile, read through one function, DeviceProfile.At: fleet.Simulate's
+// failure draws and held attempts, loadgen.VirtualSweep's churn and the
+// recovery scenario's straggler and outage (adapt.RunScenario) are all
+// entries of it. Each of Eq. (1)'s unit costs has one function to calibrate:
 //
-//   - DeviceRoundTime (PriceRound) — x delivery + compute + result return
-//     (c^m, c^d): every simulated attempt, and PerturbedRoundTime;
+//   - PriceRound (DeviceRoundTime) — x delivery + compute + result return
+//     (c^m, c^d), slowed and held by the faults in force at launch: every
+//     simulated attempt, and every round of the two virtual studies;
 //   - PushTime — a coded block delivered to a device (c^s): a simulated
-//     session's provisioning, loadgen.VirtualSweep's churn, and the rehost
-//     and reshape of the recovery scenario (adapt.RunScenario);
-//   - PerturbedRoundTime — a round under a slowdown and an outage:
-//     VirtualSweep's churned devices, the scenario's straggler and outage;
-//   - RoundQueue — the G/G/c queue of rounds in flight: VirtualSweep's steps
-//     and every arm of the scenario.
+//     session's provisioning, VirtualSweep's churn, and the scenario's
+//     rehost and reshape;
+//   - RoundQueue — the G/G/c queue of RoundsInFlight rounds: VirtualSweep's
+//     steps and every arm of the scenario.
 package sim
 
 import (
@@ -39,19 +42,69 @@ type DeviceProfile struct {
 	DownlinkRate float64
 	// Latency is the one-way network latency between user and device.
 	Latency time.Duration
-	// StragglerFactor multiplies compute time; 1 is nominal, 3 models a
-	// device that is transiently three times slower. Must be >= 1.
-	StragglerFactor float64
-	// FailProb is the probability the device never responds. Drawn once per
-	// gather from the simulated session's seeded stream.
-	FailProb float64
+	// Faults is what goes wrong with the device over virtual time, ordered
+	// by From; At reads it. None is a nominal device that always answers.
+	Faults []Fault
+}
+
+// Fault is one thing wrong with a device on [From, Until) of the virtual
+// clock; Until 0 means for good. A fault sets any of three values:
+//
+//   - Slow multiplies compute time (3 is a device three times slower); a
+//     later slowdown replaces an earlier one, even one that would have
+//     lasted longer.
+//   - Fail is the probability the device never answers a gather, drawn once
+//     per gather at its start; a later one replaces an earlier one too.
+//   - Down takes the device out until Until, which it must set: a round
+//     launched inside an outage waits until the latest end of every outage
+//     begun by then, and then runs.
+type Fault struct {
+	From, Until time.Duration
+	Slow, Fail  float64
+	Down        bool
+}
+
+// inForce reports whether f holds at t.
+func (f *Fault) inForce(t time.Duration) bool {
+	return f.From <= t && (f.Until == 0 || t < f.Until)
+}
+
+// At reads the device's faults at virtual time t: its compute slowdown (1
+// when none), its per-gather failure probability, and when it is next up —
+// t itself when it is up now.
+func (p DeviceProfile) At(t time.Duration) (slow, fail float64, upAt time.Duration) {
+	var lastSlow, lastFail *Fault
+	upAt = t
+	for i := range p.Faults {
+		f := &p.Faults[i]
+		if f.From > t {
+			break
+		}
+		if f.Slow != 0 {
+			lastSlow = f
+		}
+		if f.Fail != 0 {
+			lastFail = f
+		}
+		if f.Down {
+			upAt = max(upAt, f.Until)
+		}
+	}
+	slow = 1
+	if lastSlow != nil && lastSlow.inForce(t) {
+		slow = lastSlow.Slow
+	}
+	if lastFail != nil && lastFail.inForce(t) {
+		fail = lastFail.Fail
+	}
+	return slow, fail, upAt
 }
 
 // Validate reports whether the profile is usable.
 func (p DeviceProfile) Validate() error {
-	for _, v := range [...]float64{p.ComputeRate, p.UplinkRate, p.DownlinkRate, p.StragglerFactor, p.FailProb} {
+	for _, v := range [...]float64{p.ComputeRate, p.UplinkRate, p.DownlinkRate} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("sim: profile fields must be finite, got %+v", p)
+			return fmt.Errorf("sim: profile rates must be finite, got %+v", p)
 		}
 	}
 	if p.ComputeRate <= 0 || p.UplinkRate <= 0 || p.DownlinkRate <= 0 {
@@ -60,24 +113,33 @@ func (p DeviceProfile) Validate() error {
 	if p.Latency < 0 {
 		return fmt.Errorf("sim: negative latency %v", p.Latency)
 	}
-	if p.StragglerFactor < 1 {
-		return fmt.Errorf("sim: straggler factor %g < 1", p.StragglerFactor)
-	}
-	if p.FailProb < 0 || p.FailProb > 1 {
-		return fmt.Errorf("sim: failure probability %g outside [0, 1]", p.FailProb)
+	for i, f := range p.Faults {
+		switch {
+		case math.IsNaN(f.Slow) || math.IsInf(f.Slow, 0) || math.IsNaN(f.Fail) || math.IsInf(f.Fail, 0):
+			return fmt.Errorf("sim: fault %d: values must be finite, got %+v", i, f)
+		case f.Slow != 0 && f.Slow < 1:
+			return fmt.Errorf("sim: fault %d: slowdown %g < 1", i, f.Slow)
+		case f.Fail < 0 || f.Fail > 1:
+			return fmt.Errorf("sim: fault %d: failure probability %g outside [0, 1]", i, f.Fail)
+		case f.From < 0 || f.Until != 0 && f.Until < f.From:
+			return fmt.Errorf("sim: fault %d: window [%v, %v) is not a span of the virtual clock", i, f.From, f.Until)
+		case f.Down && f.Until == 0:
+			return fmt.Errorf("sim: fault %d: an outage must end; a device that never answers has Fail 1", i)
+		case i > 0 && f.From < p.Faults[i-1].From:
+			return fmt.Errorf("sim: fault %d starts at %v, before fault %d at %v; faults run in time order", i, f.From, i-1, p.Faults[i-1].From)
+		}
 	}
 	return nil
 }
 
 // DefaultProfile is a nominal edge device: 100 MF/s compute, 1M values/s
-// links, 5 ms latency, no straggling, no failures.
+// links, 5 ms latency, no faults.
 func DefaultProfile() DeviceProfile {
 	return DeviceProfile{
-		ComputeRate:     100e6,
-		UplinkRate:      1e6,
-		DownlinkRate:    1e6,
-		Latency:         5 * time.Millisecond,
-		StragglerFactor: 1,
+		ComputeRate:  100e6,
+		UplinkRate:   1e6,
+		DownlinkRate: 1e6,
+		Latency:      5 * time.Millisecond,
 	}
 }
 
@@ -149,11 +211,11 @@ func DecodeOps(m, r int, dense bool) int64 {
 	return int64(m)*int64(r) + int64(m)
 }
 
-// DeviceRoundTime prices one device's full round trip for a width-n query
-// (n = 1 is the vector query): PriceRound's ResultArrives, for schedulers
-// and load models (internal/loadgen) that need no more.
-func DeviceRoundTime(rows, l, n int, p DeviceProfile) time.Duration {
-	return PriceRound(rows, l, n, p, 0).ResultArrives
+// DeviceRoundTime prices one device's full round trip for a vector query
+// launched at `at`, an outage's wait included: PriceRound's ResultArrives
+// less the launch, for the load models that need no more.
+func DeviceRoundTime(rows, l int, p DeviceProfile, at time.Duration) time.Duration {
+	return PriceRound(rows, l, 1, p, at).ResultArrives - at
 }
 
 // PushTime prices delivering one rows×l coded block to a device: provisioning,
@@ -163,20 +225,9 @@ func PushTime(rows, l int, p DeviceProfile) time.Duration {
 	return p.Latency + seconds(float64(rows*l)/p.UplinkRate)
 }
 
-// PerturbedRoundTime prices a device's vector-query round starting at t when
-// its compute runs factor× slower than p says (factor ≤ 1 is nominal) and it
-// is unreachable until outageUntil: the round waits out the rest of the
-// outage, then runs at the slowed rate.
-func PerturbedRoundTime(rows, l int, p DeviceProfile, factor float64, outageUntil, t time.Duration) time.Duration {
-	if factor > 1 {
-		p.StragglerFactor *= factor
-	}
-	d := DeviceRoundTime(rows, l, 1, p)
-	if outageUntil > t {
-		d += outageUntil - t
-	}
-	return d
-}
+// RoundsInFlight is how many rounds the user of a virtual study keeps in
+// flight: the load sweep and every arm of the recovery scenario queue alike.
+const RoundsInFlight = 16
 
 // RoundQueue is the G/G/c queue the virtual studies serve rounds through: the
 // user keeps a fixed number of rounds in flight, so offered load beyond
@@ -213,14 +264,16 @@ func (h *slotHeap) Pop() any          { old := *h; n := len(old); v := old[n-1];
 // PriceRound prices one device's share of a width-n round launched at
 // `launched` on the virtual clock: rows·l·n multiplications plus
 // rows·(l−1)·n additions, l·n values up, rows·n values down (n = 1 is the
-// vector query).
+// vector query). The faults in force at launch slow its compute, and a round
+// launched inside an outage is held until the device is up again.
 func PriceRound(rows, l, n int, p DeviceProfile, launched time.Duration) DeviceReport {
+	slow, _, upAt := p.At(launched)
 	d := DeviceReport{Rows: rows, Launched: launched}
 	d.FieldOps = int64(rows) * int64(2*l-1) * int64(n)
 	d.ValuesSent = rows * n
 	d.StorageValues = rows*l + l*n + rows*n
-	d.XArrives = launched + p.Latency + seconds(float64(l*n)/p.UplinkRate)
-	d.ComputeDone = d.XArrives + seconds(float64(d.FieldOps)/p.ComputeRate*p.StragglerFactor)
+	d.XArrives = upAt + p.Latency + seconds(float64(l*n)/p.UplinkRate)
+	d.ComputeDone = d.XArrives + seconds(float64(d.FieldOps)/p.ComputeRate*slow)
 	d.ResultArrives = d.ComputeDone + p.Latency + seconds(float64(rows*n)/p.DownlinkRate)
 	return d
 }

@@ -17,22 +17,67 @@ func TestProfileValidate(t *testing.T) {
 		{"zero uplink", func(p *DeviceProfile) { p.UplinkRate = 0 }, false},
 		{"zero downlink", func(p *DeviceProfile) { p.DownlinkRate = 0 }, false},
 		{"negative latency", func(p *DeviceProfile) { p.Latency = -time.Second }, false},
-		{"sub-one straggler", func(p *DeviceProfile) { p.StragglerFactor = 0.5 }, false},
-		{"fail prob above one", func(p *DeviceProfile) { p.FailProb = 1.5 }, false},
-		{"fail prob one", func(p *DeviceProfile) { p.FailProb = 1 }, true},
 		{"NaN compute", func(p *DeviceProfile) { p.ComputeRate = math.NaN() }, false},
 		{"infinite compute", func(p *DeviceProfile) { p.ComputeRate = math.Inf(1) }, false},
 		{"infinite uplink", func(p *DeviceProfile) { p.UplinkRate = math.Inf(1) }, false},
 		{"NaN downlink", func(p *DeviceProfile) { p.DownlinkRate = math.NaN() }, false},
-		{"NaN straggler", func(p *DeviceProfile) { p.StragglerFactor = math.NaN() }, false},
-		{"infinite straggler", func(p *DeviceProfile) { p.StragglerFactor = math.Inf(1) }, false},
-		{"NaN fail prob", func(p *DeviceProfile) { p.FailProb = math.NaN() }, false},
+		{"slowdown", fault(Fault{Slow: 4}), true},
+		{"fail prob one", fault(Fault{Fail: 1}), true},
+		{"ending outage", fault(Fault{From: time.Second, Until: 2 * time.Second, Down: true}), true},
+		{"sub-one slowdown", fault(Fault{Slow: 0.5}), false},
+		{"NaN slowdown", fault(Fault{Slow: math.NaN()}), false},
+		{"infinite slowdown", fault(Fault{Slow: math.Inf(1)}), false},
+		{"NaN fail prob", fault(Fault{Fail: math.NaN()}), false},
+		{"infinite fail prob", fault(Fault{Fail: math.Inf(1)}), false},
+		{"fail prob above one", fault(Fault{Fail: 1.5}), false},
+		{"negative fail prob", fault(Fault{Fail: -0.1}), false},
+		{"until before from", fault(Fault{From: 2 * time.Second, Until: time.Second, Slow: 2}), false},
+		{"endless outage", fault(Fault{From: time.Second, Down: true}), false},
+		{"out of order", fault(Fault{From: time.Second, Slow: 2}, Fault{Slow: 3}), false},
 	}
 	for _, tc := range cases {
 		p := DefaultProfile()
 		tc.mut(&p)
 		if err := p.Validate(); (err == nil) != tc.ok {
 			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+// fault returns a mutation that gives a profile the faults fs.
+func fault(fs ...Fault) func(*DeviceProfile) {
+	return func(p *DeviceProfile) { p.Faults = fs }
+}
+
+// TestAt pins the fault vocabulary's one read.
+func TestAt(t *testing.T) {
+	const s = time.Second
+	cases := []struct {
+		name   string
+		faults []Fault
+		at     time.Duration
+		slow   float64
+		fail   float64
+		upAt   time.Duration
+	}{
+		// A later slowdown replaces an earlier one, even one that would
+		// still be in force: the churn model overwrites a device's slowdown.
+		{"later slowdown replaces longer", []Fault{{From: 0, Until: 10 * s, Slow: 8}, {From: 2 * s, Until: 4 * s, Slow: 3}}, 3 * s, 3, 0, 3 * s},
+		{"replaced slowdown stays gone", []Fault{{From: 0, Until: 10 * s, Slow: 8}, {From: 2 * s, Until: 4 * s, Slow: 3}}, 5 * s, 1, 0, 5 * s},
+		// Overlapping outages hold the device until the later end.
+		{"overlapping outages", []Fault{{From: 0, Until: 5 * s, Down: true}, {From: 1 * s, Until: 3 * s, Down: true}}, 2 * s, 1, 0, 5 * s},
+		{"outage ends at its Until", []Fault{{From: 0, Until: 5 * s, Down: true}}, 5 * s, 1, 0, 5 * s},
+		// A fault holds on [From, Until) only.
+		{"before From", []Fault{{From: 2 * s, Until: 4 * s, Slow: 5, Fail: 0.5}}, 2*s - 1, 1, 0, 2*s - 1},
+		{"at From", []Fault{{From: 2 * s, Until: 4 * s, Slow: 5, Fail: 0.5}}, 2 * s, 5, 0.5, 2 * s},
+		{"at Until", []Fault{{From: 2 * s, Until: 4 * s, Slow: 5, Fail: 0.5}}, 4 * s, 1, 0, 4 * s},
+		{"for good", []Fault{{From: 2 * s, Slow: 5}}, 1000 * s, 5, 0, 1000 * s},
+	}
+	for _, tc := range cases {
+		p := DefaultProfile()
+		p.Faults = tc.faults
+		if slow, fail, upAt := p.At(tc.at); slow != tc.slow || fail != tc.fail || upAt != tc.upAt {
+			t.Errorf("%s: At(%v) = (%g, %g, %v), want (%g, %g, %v)", tc.name, tc.at, slow, fail, upAt, tc.slow, tc.fail, tc.upAt)
 		}
 	}
 }
@@ -57,31 +102,37 @@ func TestRoundQueueTwoSlotSchedule(t *testing.T) {
 	}
 }
 
-// TestPushAndPerturbedRoundTime pins the two price functions the virtual
-// studies share against the default profile by hand: a 10×64 block is 640
-// values over a 1M values/s uplink plus 5 ms latency; a perturbed round is
-// the nominal round with compute scaled by the factor, plus whatever is left
-// of the outage.
-func TestPushAndPerturbedRoundTime(t *testing.T) {
+// TestPushAndPriceRound pins the two price functions the virtual studies
+// share against the default profile by hand: a 10×64 block is 640 values
+// over a 1M values/s uplink plus 5 ms latency; a round under a fault is the
+// nominal round with compute scaled by the slowdown in force at launch, plus
+// whatever is left of an outage.
+func TestPushAndPriceRound(t *testing.T) {
 	p := DefaultProfile()
 	if got, want := PushTime(10, 64, p), 5*time.Millisecond+640*time.Microsecond; got != want {
 		t.Errorf("PushTime = %v, want %v", got, want)
 	}
-	nominal := DeviceRoundTime(10, 64, 1, p)
-	for _, factor := range []float64{0, 0.5, 1} {
-		if got := PerturbedRoundTime(10, 64, p, factor, 0, time.Second); got != nominal {
-			t.Errorf("factor %g: %v, want the nominal %v", factor, got, nominal)
-		}
+	// 64 values up, 10·(2·64−1) field ops at 100 MF/s, 10 values down.
+	compute := func(slow float64) time.Duration { return seconds(1270 / 100e6 * slow) }
+	nominal := DeviceRoundTime(10, 64, p, 0)
+	if want := 5*time.Millisecond + seconds(64/1e6) + compute(1) + 5*time.Millisecond + seconds(10/1e6); nominal != want {
+		t.Errorf("nominal round = %v, want %v", nominal, want)
 	}
-	slow := p
-	slow.StragglerFactor = 4
-	if got, want := PerturbedRoundTime(10, 64, p, 4, 0, time.Second), DeviceRoundTime(10, 64, 1, slow); got != want {
-		t.Errorf("factor 4: %v, want %v", got, want)
+	at := func(faults ...Fault) time.Duration {
+		q := p
+		q.Faults = faults
+		return DeviceRoundTime(10, 64, q, time.Second)
 	}
-	if got, want := PerturbedRoundTime(10, 64, p, 1, 3*time.Second, time.Second), nominal+2*time.Second; got != want {
+	if got := at(Fault{Slow: 1}); got != nominal {
+		t.Errorf("slowdown 1: %v, want the nominal %v", got, nominal)
+	}
+	if got, want := at(Fault{Slow: 4}), nominal-compute(1)+compute(4); got != want {
+		t.Errorf("slowdown 4: %v, want %v", got, want)
+	}
+	if got, want := at(Fault{Until: 3 * time.Second, Down: true}), nominal+2*time.Second; got != want {
 		t.Errorf("outage until 3s at t=1s: %v, want %v", got, want)
 	}
-	if got := PerturbedRoundTime(10, 64, p, 1, time.Second, time.Second); got != nominal {
+	if got := at(Fault{Until: time.Second, Down: true}); got != nominal {
 		t.Errorf("outage already over: %v, want %v", got, nominal)
 	}
 }

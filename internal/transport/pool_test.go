@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/scec/scec/internal/faultproxy"
 	"github.com/scec/scec/internal/field"
 	"github.com/scec/scec/internal/matrix"
 	"github.com/scec/scec/internal/obs"
@@ -184,73 +185,6 @@ func TestPooledContextCancelPrompt(t *testing.T) {
 	}
 }
 
-// startHoldingProxy fronts addr with a proxy that holds each chunk of the
-// device's response stream for a random delay below max, so responses land
-// after the contexts of the requests they answer have ended. Closing the
-// test severs every proxied connection.
-func startHoldingProxy(t *testing.T, addr string, max time.Duration) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var conns []net.Conn
-	var wg sync.WaitGroup
-	t.Cleanup(func() {
-		_ = ln.Close()
-		mu.Lock()
-		for _, c := range conns {
-			_ = c.Close()
-		}
-		mu.Unlock()
-		wg.Wait()
-	})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for seed := uint64(1); ; seed++ {
-			down, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			up, err := net.Dial("tcp", addr)
-			if err != nil {
-				_ = down.Close()
-				continue
-			}
-			mu.Lock()
-			conns = append(conns, down, up)
-			mu.Unlock()
-			wg.Add(2)
-			go func() {
-				defer wg.Done()
-				_, _ = io.Copy(up, down)
-				_ = up.Close()
-			}()
-			go func() {
-				defer wg.Done()
-				defer down.Close()
-				rng := rand.New(rand.NewPCG(seed, 7))
-				buf := make([]byte, 4096)
-				for {
-					n, err := up.Read(buf)
-					if n > 0 {
-						time.Sleep(time.Duration(rng.Int64N(int64(max))))
-						if _, err := down.Write(buf[:n]); err != nil {
-							return
-						}
-					}
-					if err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String()
-}
-
 // TestCancelledStreamNeverFeedsNextRequest: over one pooled connection to a
 // slow device, requests cancelled mid-flight interleave with fresh requests,
 // each with its own x. A cancelled request's response still arrives, late;
@@ -271,8 +205,18 @@ func TestCancelledStreamNeverFeedsNextRequest(t *testing.T) {
 	const rows, cols = 3, 4
 	rng := testRNG()
 	block := matrix.Random[uint64](f, rng, rows, cols)
+	// The proxy holds each chunk of the device's replies for a random delay
+	// below maxDelay, so replies land after the contexts of the requests
+	// they answer have ended.
 	const maxDelay = 300 * time.Microsecond
-	addr := startHoldingProxy(t, srv.Addr(), maxDelay)
+	proxy, err := faultproxy.New(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = proxy.Close() })
+	proxy.SetDelay(0, maxDelay)
+	proxy.SetMode(faultproxy.Delay)
+	addr := proxy.Addr()
 	// The store dials the pooled connection every request below shares.
 	pool := NewPool[uint64]()
 	if err := (Cloud[uint64]{Timeout: 5 * time.Second, Pool: pool}).Store(t.Context(), addr, block); err != nil {

@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"github.com/scec/scec"
-	"github.com/scec/scec/internal/fleet"
+	"github.com/scec/scec/internal/faultproxy"
 	"github.com/scec/scec/internal/obs"
 	"github.com/scec/scec/internal/obs/trace"
 	"github.com/scec/scec/internal/transport"
@@ -25,14 +25,14 @@ type tracedFleet struct {
 	dep     *scec.Deployment[uint64]
 	served  *scec.Served[uint64]
 	tr      *scec.Tracer
-	proxies [][]*fleet.FaultProxy
+	proxies [][]*faultproxy.Proxy
 	x       []uint64
 	want    []uint64
 }
 
 // newTracedFleet deploys a 40×10 matrix over three coded blocks, two real
-// device servers per block (each behind a FaultProxy), with coalescing on
-// so single queries still traverse the batching layer.
+// device servers per block (each behind a faultproxy.Proxy), with coalescing
+// on so single queries still traverse the batching layer.
 func newTracedFleet(t *testing.T) *tracedFleet {
 	t.Helper()
 	f := scec.PrimeField()
@@ -54,7 +54,7 @@ func newTracedFleet(t *testing.T) *tracedFleet {
 		HedgeAfter:    -1, // hedging off; failover comes from injected faults
 		Tracer:        tr,
 	}
-	proxies := make([][]*fleet.FaultProxy, dep.Devices())
+	proxies := make([][]*faultproxy.Proxy, dep.Devices())
 	for j := range cfg.Replicas {
 		for k := 0; k < 2; k++ {
 			srv, err := transport.NewDeviceServerOptions[uint64](f, "127.0.0.1:0",
@@ -63,7 +63,7 @@ func newTracedFleet(t *testing.T) *tracedFleet {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { _ = srv.Close() })
-			px, err := fleet.NewFaultProxy(srv.Addr())
+			px, err := faultproxy.New(srv.Addr())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +103,7 @@ func (e *tracedFleet) checkAnswer(t *testing.T, got []uint64) {
 func TestTraceEndToEndFleet(t *testing.T) {
 	e := newTracedFleet(t)
 	dead, live := e.proxies[0][0], e.proxies[0][1]
-	dead.SetMode(fleet.FaultDrop)
+	dead.SetMode(faultproxy.Drop)
 
 	got, err := e.served.MulVec(e.x)
 	if err != nil {
@@ -227,7 +227,7 @@ func TestTraceEndToEndFleet(t *testing.T) {
 // -race this doubles as the concurrent-introspection safety check.
 func TestTraceDebugEndpointsLiveJSON(t *testing.T) {
 	e := newTracedFleet(t)
-	e.proxies[1][0].SetMode(fleet.FaultDrop) // keep failovers happening mid-flight
+	e.proxies[1][0].SetMode(faultproxy.Drop) // keep failovers happening mid-flight
 
 	h := trace.DebugHandler(e.tr)
 	srv := httptest.NewServer(obs.New().Handler(
