@@ -15,10 +15,9 @@ import (
 )
 
 // adaptiveEnv provisions a real loopback fleet (one device per block plus two
-// standbys) and binds it with the adaptive control plane enabled, through
-// either entry point of the one fleet bind: Serve on a local deployment, or
-// Deploy over a FleetExecutor.
-func adaptiveEnv(t *testing.T, viaDeploy bool, aCfg scec.AdaptiveConfig) (*scec.Served[uint64], []uint64, []uint64) {
+// standbys) and serves a local deployment on it with the adaptive control
+// plane enabled.
+func adaptiveEnv(t *testing.T, aCfg scec.AdaptiveConfig) (*scec.Served[uint64], []uint64, []uint64) {
 	t.Helper()
 	f := scec.PrimeField()
 	rng := rand.New(rand.NewPCG(29, 31))
@@ -33,28 +32,19 @@ func adaptiveEnv(t *testing.T, viaDeploy bool, aCfg scec.AdaptiveConfig) (*scec.
 		t.Cleanup(func() { _ = srv.Close() })
 		return srv.Addr()
 	}
-	provision := func(blocks int) ([][]string, []string, error) {
-		replicas := make([][]string, blocks)
-		for j := range replicas {
-			replicas[j] = []string{newSrv()}
-		}
-		return replicas, []string{newSrv(), newSrv()}, nil
+	dep, err := scec.Deploy(f, a, costs, rng)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cfg := scec.FleetConfig{ProbeInterval: -1}
-
-	var s *scec.Served[uint64]
-	var err error
-	if viaDeploy {
-		s, err = scec.Deploy(f, a, costs, rng, scec.WithAdaptive[uint64](aCfg),
-			scec.WithExecutor(scec.FleetExecutor[uint64](scec.FleetExecutorConfig{Session: cfg, Provision: provision})))
-	} else {
-		var dep *scec.Deployment[uint64]
-		if dep, err = scec.Deploy(f, a, costs, rng); err != nil {
-			t.Fatal(err)
-		}
-		cfg.Replicas, cfg.Standbys, _ = provision(dep.Devices())
-		s, err = scec.Serve(dep, cfg, scec.WithAdaptive[uint64](aCfg))
+	cfg := scec.FleetConfig{
+		Replicas:      make([][]string, dep.Devices()),
+		Standbys:      []string{newSrv(), newSrv()},
+		ProbeInterval: -1,
 	}
+	for j := range cfg.Replicas {
+		cfg.Replicas[j] = []string{newSrv()}
+	}
+	s, err := scec.Serve(dep, cfg, scec.WithAdaptive[uint64](aCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,17 +90,16 @@ func auditLifetime(t *testing.T, s *scec.Session[uint64]) {
 	}
 }
 
-// TestServeAdaptiveEndToEnd exercises the public adaptive path through both
-// entry points: queries stay exact while the background control loop runs,
-// the controller is reachable through the handle, and /debug/adapt serves
-// the live snapshot.
+// TestServeAdaptiveEndToEnd exercises the public adaptive path through
+// Serve, its one entry point: queries stay exact while the background
+// control loop runs, the controller is reachable through the handle, and
+// /debug/adapt serves the live snapshot.
 func TestServeAdaptiveEndToEnd(t *testing.T) {
-	t.Run("Serve", func(t *testing.T) { testAdaptiveEndToEnd(t, false) })
-	t.Run("DeployFleet", func(t *testing.T) { testAdaptiveEndToEnd(t, true) })
+	t.Run("Serve", testAdaptiveEndToEnd)
 }
 
-func testAdaptiveEndToEnd(t *testing.T, viaDeploy bool) {
-	s, x, want := adaptiveEnv(t, viaDeploy, scec.AdaptiveConfig{ReplanEvery: 10 * time.Millisecond})
+func testAdaptiveEndToEnd(t *testing.T) {
+	s, x, want := adaptiveEnv(t, scec.AdaptiveConfig{ReplanEvery: 10 * time.Millisecond})
 
 	ctrl := s.Adaptive()
 	if ctrl == nil {

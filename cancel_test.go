@@ -104,7 +104,7 @@ func TestCancellationLocalBackendCoalescing(t *testing.T) {
 }
 
 func TestCancellationSimBackend(t *testing.T) {
-	dep, l := deployBackend(t, scec.WithExecutor(scec.SimExecutor[uint64](scec.SimExecutorConfig{})))
+	dep, l := deployBackend(t, scec.WithSimulator[uint64](scec.SimExecutorConfig{}))
 	checkCancellation(t, dep, l)
 }
 

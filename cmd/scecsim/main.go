@@ -96,10 +96,10 @@ func run(args []string, out, errOut io.Writer) error {
 	}
 	switch *backend {
 	case "sim":
-		opts = append(opts, scec.WithExecutor(scec.SimExecutor[uint64](scec.SimExecutorConfig{
+		opts = append(opts, scec.WithSimulator[uint64](scec.SimExecutorConfig{
 			Profiles: profiles,
 			Seed:     *seed,
-		})))
+		}))
 	case "local":
 		if *straggler != "" || *failDev >= 0 || *replicas > 1 {
 			return fmt.Errorf("-backend local models no devices; -straggler, -fail, and -replicas need -backend sim")

@@ -4,7 +4,6 @@ import (
 	"context"
 	crand "crypto/rand"
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"net/http"
 
@@ -42,7 +41,7 @@ func AmortizedUnitCosts(l, queries int, comps []CostComponents) ([]float64, erro
 // confidential matrix: the optimal plan, the coding design it induces, every
 // device's coded block, and the query engine bound to an execution backend.
 // Deploy and Serve both return it (Served is an alias); its fleet accessors
-// (serve.go) report nil/zero when no single fleet session is bound.
+// (serve.go) report nil/zero off-fleet.
 type Deployment[E comparable] struct {
 	// F is the arithmetic field.
 	F Field[E]
@@ -58,12 +57,10 @@ type Deployment[E comparable] struct {
 	// caller's cost slice.
 	Encoding *Encoding[E]
 
-	q      *engine.Query[E]
-	chunks int
+	q *engine.Query[E]
 
-	// s is the provisioning-time session when one serves the whole encoding
-	// (nil off-fleet and under WithChunking); adapter and ctrl are
-	// WithAdaptive's.
+	// s is the provisioning-time session (nil off-fleet); adapter and ctrl
+	// are WithAdaptive's.
 	s       *fleet.Session[E]
 	adapter *adapt.FleetAdapter[E]
 	ctrl    *adapt.Controller
@@ -79,14 +76,14 @@ type Deployment[E comparable] struct {
 // crypto/rand — what a deployment whose secrecy matters should use; pass a
 // seeded generator only to reproduce a run.
 //
-// Queries execute over the in-process kernels by default; pass WithExecutor
-// to run them over the simulator or a real fleet instead, WithChunking to
-// split a wide matrix column-wise over several backend instances,
-// WithCoalescing to merge concurrent MulVec callers into batch rounds, and
-// WithCollusion(t) to deploy the t-collusion-secure coding tier instead of
-// the single-attacker Eq. (8) scheme. Only the exact fields leave the host:
-// a RealField deployment runs on the in-process kernels, and DeployQuantized
-// serves float workloads anywhere else.
+// Queries execute over the in-process kernels by default; pass
+// WithSimulator to run them over a simulated fleet instead, WithCoalescing
+// to merge concurrent MulVec callers into batch rounds, and WithCollusion(t)
+// to deploy the t-collusion-secure coding tier instead of the
+// single-attacker Eq. (8) scheme. Serve re-binds the deployment onto a real
+// fleet. Only the exact fields are coded: a float64 matrix is refused with
+// ErrOptionNotApplicable before planning, and DeployQuantized serves float
+// workloads over F_p.
 func Deploy[E comparable](f Field[E], a *Matrix[E], unitCosts []float64, rng *rand.Rand, opts ...DeployOption[E]) (*Deployment[E], error) {
 	cfg, err := newDeployConfig(opts, false)
 	if err != nil {
@@ -118,54 +115,30 @@ func bind[E comparable](d *Deployment[E], c deployConfig[E]) (*Deployment[E], er
 	if c.adaptive != nil && d.Code.T() > 1 {
 		return nil, notApplicable("WithAdaptive", fmt.Sprintf("the control plane re-plans with the t = 1 allocators, and this code is secure against t = %d colluders", d.Code.T()))
 	}
-	var backend ExecutorBackend[E]
-	if c.backend != nil {
-		backend = *c.backend
-	}
-	// Definition 2's one-time pad needs uniform masks, and float64 has no
-	// uniform distribution (RealField draws Gaussian ones): float coded
-	// blocks stay on the host, where nothing is disclosed.
-	if _, float := any(*new(E)).(float64); float && backend != (ExecutorBackend[E]{}) {
-		name := "SimExecutor"
-		if backend.fleet != nil {
-			name = "FleetExecutor"
-		}
-		return nil, notApplicable(name, "a RealField deployment runs on the in-process kernels only; serve float workloads with DeployQuantized, which codes exactly over F_p")
-	}
-	var fc FleetExecutorConfig
-	if backend.fleet != nil {
+	var exec engine.Executor[E]
+	var err error
+	switch {
+	case c.fleet != nil:
 		// A merged round saves every caller's round trip but one, so
 		// fleet-served queries group-commit by default. The in-process
 		// backends have no round trip to save, and a batch kernel costs
 		// more per query than parallel MulVecs: they coalesce only under
 		// WithCoalescing.
 		c.opts.GroupCommit = true
-		fc = *backend.fleet
 		// One WithTracing (or one FleetConfig.Tracer) is enough: engine and
 		// fleet layers share whichever tracer was provided. Likewise the
 		// registry, so one handle's series never split across two.
-		shareDefault(&c.opts.Tracer, &fc.Session.Tracer)
-		shareDefault(&c.opts.Metrics, &fc.Session.Metrics)
+		shareDefault(&c.opts.Tracer, &c.fleet.Tracer)
+		shareDefault(&c.opts.Metrics, &c.fleet.Metrics)
+		exec, err = d.bindFleet(*c.fleet, c.adaptive)
+	case c.sim != nil:
+		exec, err = engine.NewSim(d.F, d.Encoding, *c.sim)
+	default:
+		exec = engine.NewLocal(d.F, d.Encoding, c.opts.Metrics)
 	}
-	bindOne := func(enc *Encoding[E]) (engine.Executor[E], error) {
-		switch {
-		case backend.fleet != nil:
-			return d.bindFleet(enc, fc, c.adaptive)
-		case backend.sim != nil:
-			return engine.NewSim(d.F, enc, *backend.sim)
-		}
-		return engine.NewLocal(d.F, enc, c.opts.Metrics), nil
-	}
-
-	width := math.MaxInt // one chunk
-	if c.chunkCols != nil {
-		width = *c.chunkCols
-	}
-	exec, chunks, err := engine.NewChunked(d.F, d.Encoding, width, bindOne)
 	if err != nil {
 		return nil, fmt.Errorf("scec: bind executor: %w", err)
 	}
-	d.chunks = chunks
 	d.q, err = engine.New(d.F, d.Encoding, exec, c.opts)
 	if err != nil {
 		_ = exec.Close()
@@ -198,28 +171,18 @@ func shareDefault[T comparable](a, b *T) {
 	}
 }
 
-// bindFleet provisions one fleet session for enc and returns the executor
-// that owns it. Under WithAdaptive the executor is a Swappable, so a reshape
-// can replace the whole session behind a drain, and the controller prices
-// devices from the session's straggler record; bind starts the control loop
-// once the engine exists.
-func (d *Deployment[E]) bindFleet(enc *Encoding[E], fc FleetExecutorConfig, aCfg *adapt.Config) (engine.Executor[E], error) {
-	cfg := fc.Session
-	if fc.Provision != nil {
-		replicas, standbys, err := fc.Provision(len(enc.Blocks))
-		if err != nil {
-			return nil, err
-		}
-		cfg.Replicas, cfg.Standbys = replicas, standbys
-	}
-	s, err := fleet.Serve(d.F, enc, cfg)
+// bindFleet provisions one fleet session for d's encoding and returns the
+// executor that owns it. Under WithAdaptive the executor is a Swappable, so
+// a reshape can replace the whole session behind a drain, and the controller
+// prices devices from the session's straggler record; bind starts the
+// control loop once the engine exists.
+func (d *Deployment[E]) bindFleet(cfg FleetConfig, aCfg *adapt.Config) (engine.Executor[E], error) {
+	s, err := fleet.Serve(d.F, d.Encoding, cfg)
 	if err != nil {
 		return nil, err
 	}
 	exec := engine.WrapSession(s, true)
-	if enc == d.Encoding { // not a chunk's column slice: s speaks for the deployment
-		d.s = s
-	}
+	d.s = s
 	if aCfg == nil {
 		return exec, nil
 	}
@@ -237,7 +200,7 @@ func (d *Deployment[E]) bindFleet(enc *Encoding[E], fc FleetExecutorConfig, aCfg
 		ac.Metrics = cfg.Metrics
 	}
 	var controller *adapt.Controller
-	adapter, err := adapt.NewFleetAdapter(d.F, enc, s, sw, cfg, secureRand())
+	adapter, err := adapt.NewFleetAdapter(d.F, d.Encoding, s, sw, cfg, secureRand())
 	if err == nil {
 		controller, err = adapt.New(ac, adapter)
 	}
@@ -287,10 +250,10 @@ func planAndCode[E comparable](f Field[E], a *Matrix[E], unitCosts []float64, cf
 }
 
 // MulVec computes A·x through the deployment's execution engine — the
-// in-process kernels by default, or whatever backend WithExecutor selected
-// — and decodes. The engine validates the input, counts the dispatch, and
-// (when coalescing is on) may serve this call as one column of a merged
-// batch round.
+// in-process kernels by default, the simulator under WithSimulator, or the
+// fleet Serve bound — and decodes. The engine validates the input, counts
+// the dispatch, and (when coalescing is on) may serve this call as one
+// column of a merged batch round.
 func (d *Deployment[E]) MulVec(x []E) ([]E, error) {
 	return d.MulVecContext(context.Background(), x)
 }
@@ -378,20 +341,15 @@ func wrapEngineErr(err error) error {
 // Cost returns the plan's variable cost Σ_j V(B_j)·c_j.
 func (d *Deployment[E]) Cost() float64 { return d.Plan.Cost }
 
-// Devices returns the number of logical coded blocks served. Under
-// WithAdaptive this tracks the current plan: a reshape to a different r
-// changes it. Under WithChunking every chunk's backend instance hosts this
-// many blocks (a chunked fleet runs Chunks()·Devices() device slots).
+// Devices returns the number of coded blocks served, one per device (or per
+// replica set on a fleet). Under WithAdaptive this tracks the current plan:
+// a reshape to a different r changes it.
 func (d *Deployment[E]) Devices() int {
 	if s := d.Session(); s != nil {
 		return s.Devices()
 	}
 	return d.Code.Devices()
 }
-
-// Chunks returns the number of column chunks the deployment is split into:
-// 1 unless WithChunking chose a width narrower than the matrix.
-func (d *Deployment[E]) Chunks() int { return d.chunks }
 
 // Audit runs the attack harness against every device and returns the
 // per-device leak dimensions (all zero for this construction).

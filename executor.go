@@ -17,16 +17,6 @@ import (
 // simulator, or the fault-tolerant TCP fleet. See internal/engine.
 type Executor[E comparable] = engine.Executor[E]
 
-// ExecutorBackend names the execution substrate a deployment binds its
-// encoding to, as data: the zero value is the in-process kernels, SimExecutor
-// and FleetExecutor carry their configuration. Pass one to Deploy with
-// WithExecutor; the facade's single bind step turns it into a running
-// Executor, so every backend composes with every option the same way.
-type ExecutorBackend[E comparable] struct {
-	sim   *SimExecutorConfig   // non-nil: the virtual-clock simulator
-	fleet *FleetExecutorConfig // non-nil: a replicated device fleet
-}
-
 // SimProfile models one simulated edge device's performance (compute rate,
 // link rates, latency) and its faults over the virtual clock (slowdowns,
 // per-gather failure probabilities, outages).
@@ -40,77 +30,26 @@ func DefaultSimProfile() SimProfile { return sim.DefaultProfile() }
 // draws and retry jitter, and the registry receiving virtual-clock telemetry.
 type SimExecutorConfig = engine.SimConfig
 
-// FleetExecutorConfig configures a fleet-backed executor: the fleet session
-// policy plus an optional Provision hook that supplies replica addresses
-// once the deployment's block count is known.
-type FleetExecutorConfig struct {
-	// Session is the fleet runtime configuration. Its Replicas (and
-	// optionally Standbys) must be set unless Provision is non-nil.
-	Session FleetConfig
-	// Provision, when non-nil, is called at bind time with the encoding's
-	// block count and must return the replica address sets (and optional
-	// standbys) to provision. It lets one backend value serve deployments
-	// whose device counts aren't known up front; under WithChunking it is
-	// called once per chunk, since every chunk runs its own fleet session.
-	Provision func(blocks int) (replicas [][]string, standbys []string, err error)
-}
-
-// LocalExecutor returns the default backend: the in-process
-// field-specialized kernels. Deploy uses it when no WithExecutor option is
-// given.
-func LocalExecutor[E comparable]() ExecutorBackend[E] { return ExecutorBackend[E]{} }
-
-// SimExecutor returns a backend that serves queries from a simulated fleet:
-// the fleet's own gather races devices modelled by cfg's profiles on a
-// virtual clock, and they answer with the local backend's kernels. Retrieve
-// each gather's report via the deployment's Executor() — it is a
-// *engine.SimExecutor.
-func SimExecutor[E comparable](cfg SimExecutorConfig) ExecutorBackend[E] {
-	return ExecutorBackend[E]{sim: &cfg}
-}
-
-// FleetExecutor returns a backend that serves queries from the replicated,
-// hedged, self-repairing device fleet described by cfg. Deploy binds it
-// through the same path as Serve, so the handle exposes the same fleet
-// accessors and accepts WithAdaptive.
-func FleetExecutor[E comparable](cfg FleetExecutorConfig) ExecutorBackend[E] {
-	return ExecutorBackend[E]{fleet: &cfg}
-}
-
 // deployConfig collects the facade options shared by Deploy,
 // DeployQuantized and Serve.
 type deployConfig[E comparable] struct {
-	backend    *ExecutorBackend[E] // nil until WithExecutor (Deploy defaults to local)
+	sim        *SimExecutorConfig // non-nil when WithSimulator was given
+	fleet      *FleetConfig       // non-nil when Serve binds a fleet
 	opts       engine.Options
-	adaptive   *adapt.Config // non-nil when WithAdaptive was given (fleet backends only)
+	adaptive   *adapt.Config // non-nil when WithAdaptive was given (Serve only)
 	collusionT int           // > 0 when WithCollusion selected the Cauchy tier
-	chunkCols  *int          // non-nil when WithChunking was given
 }
 
 // DeployOption customizes how a deployment executes queries.
 type DeployOption[E comparable] func(*deployConfig[E])
 
-// WithExecutor selects the execution backend for a deployment's queries.
-// The default is LocalExecutor.
-func WithExecutor[E comparable](b ExecutorBackend[E]) DeployOption[E] {
-	return func(c *deployConfig[E]) { c.backend = &b }
-}
-
-// WithChunking splits the deployment column-wise into chunks at most n
-// columns wide: A = [A_1 | … | A_c] is planned and encoded once, each
-// column slice of the coded blocks is bound to its own instance of the
-// chosen backend (a FleetExecutor provisions one fleet per chunk through its
-// Provision hook), and a query fans x's slices out and sums the raw coded
-// results before the single decode — exact, because every code is linear.
-// Use it for matrices so wide that full-width coded rows exceed per-device
-// storage: each device then holds V(B_j)×n values instead of V(B_j)×l.
-//
-// Chunking does not loosen DeployQuantized's fixed-point overflow bound: the
-// partial sums are added in F_p before decode, so the bound still scales
-// with the full dot-product length l. A per-chunk dequantize that would is
-// future work.
-func WithChunking[E comparable](n int) DeployOption[E] {
-	return func(c *deployConfig[E]) { c.chunkCols = &n }
+// WithSimulator serves a deployment's queries from a simulated fleet
+// instead of the in-process kernels: the fleet's own gather races devices
+// modelled by cfg's profiles on a virtual clock, and they answer with the
+// local kernels. Each gather's report is on the deployment's Executor(), a
+// *engine.SimExecutor. A real fleet is bound with Serve.
+func WithSimulator[E comparable](cfg SimExecutorConfig) DeployOption[E] {
+	return func(c *deployConfig[E]) { c.sim = &cfg }
 }
 
 // WithCoalescing sets request coalescing on the deployment's query engine:
@@ -165,12 +104,11 @@ func WithCollusion[E comparable](t int) DeployOption[E] {
 	return func(c *deployConfig[E]) { c.collusionT = t }
 }
 
-// WithAdaptive enables the closed-loop adaptive control plane wherever a
-// fleet is bound — Serve, or Deploy over a FleetExecutor: a background
-// controller learns per-device costs from the fleet's own query traffic,
-// re-plans with TA2, and rehosts or reshapes the deployment live — without
-// failing a single query. The in-process backends have nothing to adapt and
-// reject it, and so does a chunked deployment (see newDeployConfig) and one
+// WithAdaptive enables the closed-loop adaptive control plane on a fleet
+// bound by Serve: a background controller learns per-device costs from the
+// fleet's own query traffic, re-plans with TA2, and rehosts or reshapes the
+// deployment live — without failing a single query. Deploy, whose backends
+// have no fleet to migrate, rejects it, and so does Serve of a deployment
 // whose code guards against t >= 2 colluders (see bind): the control plane
 // re-plans with the t = 1 allocators.
 func WithAdaptive[E comparable](cfg AdaptiveConfig) DeployOption[E] {
@@ -194,20 +132,19 @@ func newDeployConfig[E comparable](opts []DeployOption[E], rebind bool) (deployC
 	for _, o := range opts {
 		o(&c)
 	}
-	const fixed = "Serve re-binds an existing deployment, whose plan, code and encoding are already fixed"
+	// Definition 2's one-time pad needs uniform masks, and float64 has no
+	// uniform distribution (RealField draws Gaussian ones), so no float
+	// matrix is coded at all.
+	_, float := any(*new(E)).(float64)
 	switch {
-	case rebind && c.backend != nil:
-		return c, notApplicable("WithExecutor", "Serve executes over the fleet it is given")
+	case float:
+		return c, notApplicable("RealField", "a float64 matrix has no uniform masks; deploy float workloads with DeployQuantized, which codes exactly over F_p")
+	case rebind && c.sim != nil:
+		return c, notApplicable("WithSimulator", "Serve executes over the fleet it is given")
 	case rebind && c.collusionT > 0:
-		return c, notApplicable("WithCollusion", fixed)
-	case rebind && c.chunkCols != nil:
-		return c, notApplicable("WithChunking", fixed+"; deploy with FleetExecutor to chunk over fleets")
-	case c.adaptive != nil && !rebind && (c.backend == nil || c.backend.fleet == nil):
-		return c, notApplicable("WithAdaptive", "the control plane needs a live fleet to migrate; deploy over a FleetExecutor or use Serve")
-	case c.adaptive != nil && c.chunkCols != nil:
-		// Summing raw coded results needs every chunk to share one code; a
-		// per-chunk reshape would change r under the sum.
-		return c, notApplicable("WithAdaptive with WithChunking", "chunks must share one code, and a reshape would change one chunk's")
+		return c, notApplicable("WithCollusion", "Serve re-binds an existing deployment, whose plan, code and encoding are already fixed")
+	case c.adaptive != nil && !rebind:
+		return c, notApplicable("WithAdaptive", "the control plane needs a live fleet to migrate, and WithAdaptive applies to Serve only")
 	}
 	return c, nil
 }

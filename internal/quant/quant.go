@@ -133,7 +133,7 @@ func (q Quantizer) CheckMatVec(l int, maxA, maxX float64) error {
 	}
 	bound := float64(l) * math.Ceil(maxA*q.Scale()) * math.Ceil(maxX*q.Scale())
 	if bound >= float64(half) {
-		return fmt.Errorf("%w: worst-case |A·x| entry %.3g exceeds p/2 ≈ %.3g (reduce fracBits or scale the operands down; column chunking does not help, partial sums are added in F_p)",
+		return fmt.Errorf("%w: worst-case |A·x| entry %.3g exceeds p/2 ≈ %.3g (reduce fracBits or scale the operands down)",
 			ErrOverflow, bound, float64(half))
 	}
 	return nil

@@ -35,9 +35,10 @@ type QuantizedDeployment struct {
 // and deploys it over the prime field. maxX must bound the absolute value
 // of every future input entry; it is checked now (against the static
 // overflow bound of the 61-bit modulus) and again on every query. Options
-// are forwarded to the underlying exact Deploy, so every backend and
-// WithChunking compose with it — though chunking does not loosen the
-// overflow bound, which is always checked against the full row length.
+// are forwarded to the underlying exact Deploy. To serve it from a fleet,
+// re-bind the exact deployment, which every query goes through:
+//
+//	qd.Deployment, err = scec.Serve(qd.Deployment, cfg, opts...)
 func DeployQuantized(a *Matrix[float64], fracBits uint, maxX float64, unitCosts []float64, rng *rand.Rand, opts ...DeployOption[uint64]) (*QuantizedDeployment, error) {
 	q, err := quant.NewQuantizer(fracBits)
 	if err != nil {

@@ -46,8 +46,8 @@ import (
 
 // Field is the arithmetic abstraction all coding runs over. Prime (exact,
 // information-theoretically secure) is the recommended default and GF256
-// serves compact byte-level coding; both deploy on every backend. Real
-// deployments never leave the host (see RealField).
+// serves compact byte-level coding; both deploy on every backend. Real is
+// the plaintext reference only: Deploy refuses it (see RealField).
 type Field[E comparable] = field.Field[E]
 
 // Matrix is a dense row-major matrix over field elements E.
@@ -91,8 +91,9 @@ func GF256Field() Field[byte] { return field.GF256{} }
 
 // RealField returns float64 arithmetic with tolerance tol for comparisons
 // (0 selects a default of 1e-9): the plaintext reference for float
-// workloads. Its masks are not uniform, so a RealField deployment runs on the
-// in-process kernels only; DeployQuantized serves float workloads anywhere.
+// workloads (MulVec over it is the exact float product). A float64 matrix has
+// no uniform masks, so Deploy and Serve refuse it with
+// ErrOptionNotApplicable; DeployQuantized serves float workloads over F_p.
 func RealField(tol float64) Field[float64] { return field.Real{Tol: tol} }
 
 // NewMatrix returns a zeroed rows×cols matrix.

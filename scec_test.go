@@ -1,7 +1,9 @@
 package scec
 
 import (
+	"errors"
 	"math/rand/v2"
+	"strings"
 	"testing"
 )
 
@@ -76,24 +78,17 @@ func TestDeployNilRandDrawsFreshMasks(t *testing.T) {
 	t.Fatalf("two nil-rng deployments drew the same masking row %v", masks[0])
 }
 
+// TestDeployRealField: a float64 matrix has no uniform masks, so Deploy
+// refuses it with ErrOptionNotApplicable naming DeployQuantized — before
+// planning, since one device is no fleet at all and still gets that error.
 func TestDeployRealField(t *testing.T) {
 	f := RealField(1e-6)
 	rng := testRNG()
 	a := RandomMatrix(f, rng, 20, 8)
-	costs := []float64{1, 1, 1, 1}
-	dep, err := Deploy(f, a, costs, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := RandomVector(f, rng, 8)
-	got, err := dep.MulVec(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := MulVec(f, a, x)
-	for i := range got {
-		if d := got[i] - want[i]; d > 1e-6 || d < -1e-6 {
-			t.Fatalf("entry %d: %g != %g", i, got[i], want[i])
+	for _, costs := range [][]float64{{1, 1, 1, 1}, {1}} {
+		dep, err := Deploy(f, a, costs, rng)
+		if dep != nil || !errors.Is(err, ErrOptionNotApplicable) || !strings.Contains(err.Error(), "DeployQuantized") {
+			t.Fatalf("%d devices: Deploy = %v, %v; want ErrOptionNotApplicable naming DeployQuantized", len(costs), dep, err)
 		}
 	}
 }

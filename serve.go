@@ -36,21 +36,22 @@ type BlockUnavailableError = fleet.BlockUnavailableError
 type DeviceStats = fleet.DeviceStats
 
 // Served is the handle Serve returns: the same type as Deployment, named
-// for the case where the bound backend is a fault-tolerant fleet session.
-// With WithAdaptive the session underneath may be replaced live by a
-// reshape — the accessors below always reflect the current one.
+// for its bound backend, a fault-tolerant fleet session — Serve is the only
+// bind that creates one. With WithAdaptive the session underneath may be
+// replaced live by a reshape — the accessors below always reflect the
+// current one.
 type Served[E comparable] = Deployment[E]
 
 // Serve re-binds dep's coded blocks onto the replicated device fleet
-// described by cfg — Deploy's bind step run again, so it reaches the same
-// code as Deploy over a FleetExecutor — and returns a handle answering
-// MulVec/MulMat queries with per-query fault tolerance. The handle shares
-// dep's plan, code and encoding and owns its own engine and session.
+// described by cfg — Deploy's bind step run again over a fleet, the only
+// way a deployment reaches one — and returns a handle answering
+// MulVec/MulMat queries with per-query fault tolerance. cfg.Replicas holds
+// one replica set per coded block (dep.Devices() of them). The handle
+// shares dep's plan, code and encoding and owns its own engine and session.
 // Options tune the engine layer (WithCoalescing, WithEngineMetrics,
 // WithTracing) or add the control plane (WithAdaptive); those that would
-// have shaped what dep already fixed (WithExecutor, WithCollusion,
-// WithChunking) fail with ErrOptionNotApplicable, and so does a RealField
-// deployment, which never leaves the host.
+// have shaped what dep already fixed (WithSimulator, WithCollusion) fail
+// with ErrOptionNotApplicable, and so does a float64 deployment.
 //
 // Replicating a block does not weaken the paper's Definition 2 security:
 // every replica of block j stores exactly B_j·T, the per-device view already
@@ -62,15 +63,13 @@ func Serve[E comparable](dep *Deployment[E], cfg FleetConfig, opts ...DeployOpti
 	if err != nil {
 		return nil, err
 	}
-	c.backend = &ExecutorBackend[E]{fleet: &FleetExecutorConfig{Session: cfg}}
+	c.fleet = &cfg
 	return bind(&Deployment[E]{F: dep.F, Plan: dep.Plan, Code: dep.Code, Encoding: dep.Encoding}, c)
 }
 
-// Session exposes the underlying fleet runtime: nil off-fleet, and nil under
-// WithChunking, where every chunk runs its own session and none speaks for
-// the deployment. Under WithAdaptive it is the session currently serving
-// queries — a reshape replaces it, so do not cache the pointer across
-// control cycles.
+// Session exposes the underlying fleet runtime: nil off-fleet. Under
+// WithAdaptive it is the session currently serving queries — a reshape
+// replaces it, so do not cache the pointer across control cycles.
 func (d *Deployment[E]) Session() *Session[E] {
 	if d.adapter != nil {
 		return d.adapter.Session()

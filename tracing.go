@@ -23,8 +23,8 @@ func NewTracer(o TracerOptions) *Tracer { return trace.New(o) }
 
 // WithTracing routes the deployment engine's query/coalesce/round/decode
 // spans (and, through context propagation, every substrate span below them)
-// to t. Every fleet bind (Serve, or Deploy over a FleetExecutor) shares it
-// with the session when FleetConfig.Tracer is unset — and vice versa — so
+// to t. Serve shares it with the fleet session when FleetConfig.Tracer is
+// unset — and vice versa — so
 // one of the two is enough for the race/hedge spans. The session's
 // per-device straggler records (Session.Stragglers) need no tracer.
 func WithTracing[E comparable](t *Tracer) DeployOption[E] {
