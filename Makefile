@@ -42,13 +42,14 @@ test-fault:
 	$(GO) test -race -run Fault ./internal/fleet/ ./cmd/scecnet/
 
 # Traced end-to-end demo: a replicated loopback fleet with injected faults
-# and request coalescing, exporting every trace (engine → coalescer →
-# replica races → transport → device compute) to results/trace.json. See
+# and a concurrent query stream under group commit, exporting every trace
+# (engine → coalescer → replica races → transport → device compute) to
+# results/trace.json. See
 # README §Observability for reading the waterfall and EXPERIMENTS.md for
 # the per-device tail-latency recipe built on it.
 trace-demo:
 	$(GO) run ./cmd/scecnet fleet -m 40 -l 16 -k 6 -replicas 2 -standbys 1 \
-		-inject-faults -queries 6 -coalesce-window 5ms \
+		-inject-faults -queries 6 -coalesce-max 8 \
 		-trace-export results/trace.json
 
 # Anomaly-triggered incident capture, end to end: a 3-device loopback fleet

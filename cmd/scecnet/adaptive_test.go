@@ -25,10 +25,3 @@ func TestFleetAdaptiveEndToEnd(t *testing.T) {
 		}
 	}
 }
-
-func TestFleetAdaptiveNeedsFleetBackend(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"fleet", "-backend", "local", "-adaptive"}, &out); err == nil {
-		t.Error("local backend with -adaptive should error")
-	}
-}

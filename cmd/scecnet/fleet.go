@@ -42,9 +42,7 @@ func runFleet(args []string, out io.Writer) error {
 		seed         = fs.Uint64("seed", 1, "workload seed (costs, A, x); the masking rows R come from it only when -seed is given, otherwise from crypto/rand")
 		metricsAddr  = fs.String("metrics-addr", "", "serve /metrics, /healthz, and /debug endpoints on this address")
 		timeout      = fs.Duration("timeout", transport.DefaultTimeout, "per-round-trip bound for store and compute requests")
-		backend      = fs.String("backend", "fleet", "execution backend: fleet (replicated TCP devices) or local (in-process engine baseline)")
-		coalesceWin  = fs.Duration("coalesce-window", 0, "merge concurrent MulVec queries arriving within this window into one batch round (0: group commit, which the fleet backend always runs: queries that arrive while a round is in flight share the next one); the query stream runs concurrently when this or -coalesce-max is set")
-		coalesceMax  = fs.Int("coalesce-max", 0, "max queries per coalesced round, windowed or group commit (0 for the engine default); on the local backend it turns group commit on")
+		coalesceMax  = fs.Int("coalesce-max", 0, "max queries per group-commit round (queries that arrive while a round is in flight share the next one; 0 for the engine default); setting it runs the query stream concurrently")
 		traceFile    = fs.String("trace-export", "", "record a distributed trace per query and write the JSON export here on completion")
 		adaptive     = fs.Bool("adaptive", false, "run the closed-loop adaptive control plane: learn per-device costs from live traffic, re-plan with TA2, and migrate blocks without dropping queries")
 		replanEvery  = fs.Duration("replan-every", 500*time.Millisecond, "adaptive control period (with -adaptive)")
@@ -70,36 +68,21 @@ func runFleet(args []string, out io.Writer) error {
 		}
 		*k = len(addrs)
 	}
-	switch *backend {
-	case "fleet":
-	case "local":
-		if *injectFaults {
-			return fmt.Errorf("-inject-faults needs -backend fleet (the local engine has no replicas to kill)")
-		}
-		if *injectOne {
-			return fmt.Errorf("-inject-one needs -backend fleet (the local engine has no replicas to kill)")
-		}
-		if *adaptive {
-			return fmt.Errorf("-adaptive needs -backend fleet (the local engine has no devices to migrate)")
-		}
-	default:
-		return fmt.Errorf("unknown -backend %q (want fleet or local)", *backend)
-	}
 	if *injectOne && *injectFaults {
 		return fmt.Errorf("-inject-one and -inject-faults are mutually exclusive")
 	}
-	// Either coalescing flag runs the query stream concurrently: coalescing
-	// only merges queries that are in flight together.
-	coalesce := *coalesceWin > 0 || *coalesceMax > 0
+	// -coalesce-max runs the query stream concurrently: group commit only
+	// merges queries that are in flight together.
+	coalesce := *coalesceMax > 0
 	if *injectOne && coalesce {
-		return fmt.Errorf("-inject-one needs the sequential query stream (drop -coalesce-window and -coalesce-max)")
+		return fmt.Errorf("-inject-one needs the sequential query stream (drop -coalesce-max)")
 	}
 	if *incidentSum != "" && *incidentDir == "" {
 		return fmt.Errorf("-incident-summary needs -incident-dir")
 	}
-	var engineOpts []scec.DeployOption[uint64]
+	var serveOpts []scec.DeployOption[uint64]
 	if coalesce {
-		engineOpts = append(engineOpts, scec.WithCoalescing[uint64](*coalesceWin, *coalesceMax))
+		serveOpts = append(serveOpts, scec.WithCoalescing[uint64](0, *coalesceMax))
 	}
 	var tr, devTr *trace.Tracer
 	if *traceFile != "" || *incidentDir != "" {
@@ -109,7 +92,7 @@ func runFleet(args []string, out io.Writer) error {
 		// Devices trace into their own buffer; the session adopts their
 		// compute spans from the response frames, as over a real network.
 		devTr = trace.New(trace.Options{Service: "scecnet-device"})
-		engineOpts = append(engineOpts, scec.WithTracing[uint64](tr))
+		serveOpts = append(serveOpts, scec.WithTracing[uint64](tr))
 	}
 	// The telemetry mux is built after the session is up so /debug/fleet
 	// and /debug/engine can snapshot the live runtime.
@@ -119,11 +102,6 @@ func runFleet(args []string, out io.Writer) error {
 	in := workload.Instance(rng, *m, *k, workload.Uniform{Max: 5})
 	a := scec.RandomMatrix(f, rng, *m, *l)
 	var deployOpts []scec.DeployOption[uint64]
-	if *backend == "local" {
-		// The local baseline binds the engine options at deploy time; the
-		// fleet path binds them to the serving session below instead.
-		deployOpts = engineOpts
-	}
 	if *tFlag >= 2 {
 		deployOpts = append(deployOpts, scec.WithCollusion[uint64](*tFlag))
 	}
@@ -135,119 +113,104 @@ func runFleet(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "plan: %s r=%d t=%d, %d coded blocks, cost %.2f\n",
 		dep.Plan.Algorithm, dep.Plan.R, dep.Code.T(), dep.Devices(), dep.Cost())
 
-	query, queryMat := dep.MulVec, dep.MulMat
-	injectNow := func() {}
-	var served *scec.Served[uint64]
-	var outageAddrs []string
-	if *backend == "fleet" {
-		// Physical fleet: replicas per block plus the standby pool, every
-		// device behind a fault proxy so -inject-faults can kill replicas on
-		// command.
-		newProxied := func() (*faultproxy.Proxy, error) {
-			srv, err := transport.NewDeviceServerOptions[uint64](f, "127.0.0.1:0", transport.Options{Timeout: *timeout, Tracer: devTr})
-			if err != nil {
-				return nil, err
-			}
-			p, err := faultproxy.New(srv.Addr())
-			if err != nil {
-				_ = srv.Close()
-				return nil, err
-			}
-			return p, nil
+	// Physical fleet: replicas per block plus the standby pool, every
+	// device behind a fault proxy so -inject-faults can kill replicas on
+	// command.
+	newProxied := func() (*faultproxy.Proxy, error) {
+		srv, err := transport.NewDeviceServerOptions[uint64](f, "127.0.0.1:0", transport.Options{Timeout: *timeout, Tracer: devTr})
+		if err != nil {
+			return nil, err
 		}
-		proxies := make([][]*faultproxy.Proxy, dep.Devices())
-		cfg := scec.FleetConfig{
-			Replicas:   make([][]string, dep.Devices()),
-			RPCTimeout: *timeout,
-			Tracer:     tr,
-			// Demo-paced health policy: notice a dead replica within a few
-			// hundred milliseconds and keep it quarantined for the whole run.
-			ProbeInterval:    150 * time.Millisecond,
-			BreakerThreshold: 2,
-			BreakerCooldown:  time.Minute,
-			DisableRepair:    *noRepair,
+		p, err := faultproxy.New(srv.Addr())
+		if err != nil {
+			_ = srv.Close()
+			return nil, err
 		}
-		if len(addrs) > 0 {
-			// The plan's assignments are cheapest-first indexes into addrs.
-			for j, as := range dep.Plan.Assignments {
-				cfg.Replicas[j] = []string{addrs[as.Device]}
-			}
-			fmt.Fprintf(out, "serving on %d of %d external devices (one replica per block)\n", dep.Devices(), len(addrs))
-		} else {
-			for j := range proxies {
-				for range *replicas {
-					p, err := newProxied()
-					if err != nil {
-						return err
-					}
-					defer p.Close()
-					proxies[j] = append(proxies[j], p)
-					cfg.Replicas[j] = append(cfg.Replicas[j], p.Addr())
-				}
-			}
-			for range *standbys {
+		return p, nil
+	}
+	proxies := make([][]*faultproxy.Proxy, dep.Devices())
+	cfg := scec.FleetConfig{
+		Replicas:   make([][]string, dep.Devices()),
+		RPCTimeout: *timeout,
+		Tracer:     tr,
+		// Demo-paced health policy: notice a dead replica within a few
+		// hundred milliseconds and keep it quarantined for the whole run.
+		ProbeInterval:    150 * time.Millisecond,
+		BreakerThreshold: 2,
+		BreakerCooldown:  time.Minute,
+		DisableRepair:    *noRepair,
+	}
+	if len(addrs) > 0 {
+		// The plan's assignments are cheapest-first indexes into addrs.
+		for j, as := range dep.Plan.Assignments {
+			cfg.Replicas[j] = []string{addrs[as.Device]}
+		}
+		fmt.Fprintf(out, "serving on %d of %d external devices (one replica per block)\n", dep.Devices(), len(addrs))
+	} else {
+		for j := range proxies {
+			for range *replicas {
 				p, err := newProxied()
 				if err != nil {
 					return err
 				}
 				defer p.Close()
-				cfg.Standbys = append(cfg.Standbys, p.Addr())
-			}
-			fmt.Fprintf(out, "launched %d loopback devices (%d replicas per block + %d standbys)\n",
-				dep.Devices()**replicas+*standbys, *replicas, *standbys)
-		}
-
-		serveOpts := engineOpts
-		if *adaptive {
-			serveOpts = append(serveOpts, scec.WithAdaptive[uint64](scec.AdaptiveConfig{
-				ReplanEvery: *replanEvery,
-				Tracer:      tr,
-			}))
-		}
-		s, err := scec.Serve(dep, cfg, serveOpts...)
-		if err != nil {
-			return err
-		}
-		defer s.Close()
-		served = s
-		query, queryMat = s.MulVec, s.MulMat
-		if *injectOne {
-			// A full outage of one block: every replica of block 0 dies, so
-			// no failover target remains and recovery needs a rehost (standby
-			// self-repair, or the adaptive control plane with -no-repair).
-			outageAddrs = append(outageAddrs, cfg.Replicas[0]...)
-			injectNow = func() {
-				for _, p := range proxies[0] {
-					p.SetMode(faultproxy.Drop)
-				}
-				fmt.Fprintf(out, "injected outage: killed all %d replica(s) of block 0\n", len(proxies[0]))
-			}
-		} else {
-			injectNow = func() {
-				for j := range proxies {
-					proxies[j][0].SetMode(faultproxy.Drop)
-				}
-				fmt.Fprintf(out, "injected faults: killed the first replica of all %d blocks\n", dep.Devices())
+				proxies[j] = append(proxies[j], p)
+				cfg.Replicas[j] = append(cfg.Replicas[j], p.Addr())
 			}
 		}
-	} else {
-		fmt.Fprintf(out, "backend local: queries run on the in-process engine (no devices launched)\n")
+		for range *standbys {
+			p, err := newProxied()
+			if err != nil {
+				return err
+			}
+			defer p.Close()
+			cfg.Standbys = append(cfg.Standbys, p.Addr())
+		}
+		fmt.Fprintf(out, "launched %d loopback devices (%d replicas per block + %d standbys)\n",
+			dep.Devices()**replicas+*standbys, *replicas, *standbys)
 	}
 
-	// Telemetry + live introspection: /debug/engine and (fleet backend)
-	// /debug/fleet and /debug/adapt join /metrics and /debug/pprof on one
-	// mux; the tracer adds /debug/traces, and the flight recorder adds
-	// /debug/journal (+ /debug/incidents when armed). The mux is served only
-	// with -metrics-addr; an armed watchdog captures it in-process.
+	if *adaptive {
+		serveOpts = append(serveOpts, scec.WithAdaptive[uint64](scec.AdaptiveConfig{
+			ReplanEvery: *replanEvery,
+			Tracer:      tr,
+		}))
+	}
+	served, err := scec.Serve(dep, cfg, serveOpts...)
+	if err != nil {
+		return err
+	}
+	defer served.Close()
+	var outageAddrs []string
+	injectNow := func() {
+		for j := range proxies {
+			proxies[j][0].SetMode(faultproxy.Drop)
+		}
+		fmt.Fprintf(out, "injected faults: killed the first replica of all %d blocks\n", dep.Devices())
+	}
+	if *injectOne {
+		// A full outage of one block: every replica of block 0 dies, so
+		// no failover target remains and recovery needs a rehost (standby
+		// self-repair, or the adaptive control plane with -no-repair).
+		outageAddrs = append(outageAddrs, cfg.Replicas[0]...)
+		injectNow = func() {
+			for _, p := range proxies[0] {
+				p.SetMode(faultproxy.Drop)
+			}
+			fmt.Fprintf(out, "injected outage: killed all %d replica(s) of block 0\n", len(proxies[0]))
+		}
+	}
+
+	// Telemetry + live introspection: /debug/engine, /debug/fleet and
+	// /debug/adapt join /metrics and /debug/pprof on one mux; the tracer
+	// adds /debug/traces, and the flight recorder adds /debug/journal (+
+	// /debug/incidents when armed). The mux is served only with
+	// -metrics-addr; an armed watchdog captures it in-process.
 	var routes []obs.Route
 	if tr != nil {
 		routes = traceRoutes(tr)
 	}
-	if served != nil {
-		routes = append(routes, servedRoutes(served)...)
-	} else {
-		routes = append(routes, engineRoute(dep))
-	}
+	routes = append(routes, servedRoutes(served)...)
 	routes = append(routes, flight.Routes(flight.Default(), *incidentDir)...)
 	mux := obs.Default().Handler(routes...)
 
@@ -316,7 +279,7 @@ func runFleet(args []string, out io.Writer) error {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				results[q], errs[q] = query(xs[q])
+				results[q], errs[q] = served.MulVec(xs[q])
 			}()
 		}
 		wg.Wait()
@@ -331,7 +294,7 @@ func runFleet(args []string, out io.Writer) error {
 			if (*injectFaults || *injectOne) && q == faultAt {
 				injectNow()
 			}
-			got, err := query(xs[q])
+			got, err := served.MulVec(xs[q])
 			if err != nil && *injectOne && q >= faultAt {
 				// Block 0 has no live replica until a rehost lands; these
 				// failures are the incident under demonstration.
@@ -343,14 +306,14 @@ func runFleet(args []string, out io.Writer) error {
 			}
 		}
 	}
-	if *injectOne && served != nil {
+	if *injectOne {
 		// Recovery proof: keep retrying one query until the fleet heals
 		// (standby self-repair, or an adaptive rehost with -no-repair).
 		deadline := time.Now().Add(20 * time.Second)
 		var got []uint64
 		var qerr error
 		for {
-			got, qerr = query(xs[0])
+			got, qerr = served.MulVec(xs[0])
 			if qerr == nil || time.Now().After(deadline) {
 				break
 			}
@@ -373,7 +336,7 @@ func runFleet(args []string, out io.Writer) error {
 	}
 
 	if xm != nil {
-		got, err := queryMat(xm)
+		got, err := served.MulMat(xm)
 		if err != nil {
 			return fmt.Errorf("batch query: %w", err)
 		}
@@ -383,7 +346,7 @@ func runFleet(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "verified the batch A·X (%d columns) exactly\n", *batch)
 	}
 
-	if served != nil && *injectFaults && *replicas > 1 && *standbys > 0 {
+	if *injectFaults && *replicas > 1 && *standbys > 0 {
 		// Give the prober a moment to open the dead replicas' breakers and
 		// promote standbys, then show the repaired replica sets.
 		deadline := time.Now().Add(5 * time.Second)
@@ -394,12 +357,10 @@ func runFleet(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "block %d: %d replicas after self-repair\n", j, served.ReplicaCount(j))
 		}
 	}
-	if *backend == "fleet" {
-		if err := writeFleetSummary(out); err != nil {
-			return err
-		}
+	if err := writeFleetSummary(out); err != nil {
+		return err
 	}
-	if *adaptive && served != nil {
+	if *adaptive {
 		replans, adopts, moved := served.Adaptive().Stats()
 		fmt.Fprintf(out, "adaptive summary: replans=%d adopts=%d blocksMoved=%d\n", replans, adopts, moved)
 	}
@@ -511,9 +472,6 @@ func checkExternal(fs *flag.FlagSet, addrs []string) error {
 		if set[c.flag] {
 			return fmt.Errorf("-%s does not apply with -devices: %s", c.flag, c.why)
 		}
-	}
-	if fs.Lookup("backend").Value.String() == "local" {
-		return fmt.Errorf("-backend local does not apply with -devices: the local engine serves no devices")
 	}
 	return nil
 }

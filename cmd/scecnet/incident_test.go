@@ -62,9 +62,8 @@ func TestFleetIncidentDemo(t *testing.T) {
 // demo relies on.
 func TestFleetIncidentFlagValidation(t *testing.T) {
 	cases := [][]string{
-		{"fleet", "-backend", "local", "-inject-one"},
 		{"fleet", "-inject-one", "-inject-faults"},
-		{"fleet", "-inject-one", "-coalesce-window", "5ms"},
+		{"fleet", "-inject-one", "-coalesce-max", "8"},
 		{"fleet", "-inject-one", "-coalesce-max", "4"},
 		{"fleet", "-incident-summary", "x.json"},
 		{"fleet", "-incident-dir", "/tmp/x", "-watch", "journal:bogus>=1/10s", "-m", "10", "-l", "4", "-k", "2", "-queries", "0"},

@@ -83,7 +83,6 @@ func TestFleetDevicesFlagConflicts(t *testing.T) {
 		{[]string{"-standbys", "0"}},
 		{[]string{"-inject-faults"}},
 		{[]string{"-inject-one"}},
-		{[]string{"-backend", "local"}},
 	} {
 		var out strings.Builder
 		err := run(append([]string{"fleet", "-devices", devices}, tc.args...), &out)
@@ -184,26 +183,6 @@ func TestSplitAddrs(t *testing.T) {
 	}
 }
 
-func TestFleetLocalBackendWithCoalescing(t *testing.T) {
-	var out strings.Builder
-	args := []string{"fleet", "-backend", "local", "-m", "24", "-l", "6", "-k", "4",
-		"-queries", "6", "-coalesce-window", "50ms", "-seed", "7"}
-	if err := run(args, &out); err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	for _, want := range []string{
-		"backend local: queries run on the in-process engine",
-		"served 6 queries; every decoded A·x verified exactly",
-		"engine summary:",
-		"coalescing:",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
-		}
-	}
-}
-
 // TestFleetCoalesceMaxAppliesToGroupCommit: -coalesce-max without a window
 // is no longer dropped: it bounds the fleet's group commit and runs the
 // query stream concurrently, and every answer still verifies.
@@ -219,12 +198,15 @@ func TestFleetCoalesceMaxAppliesToGroupCommit(t *testing.T) {
 	}
 }
 
-func TestFleetBackendValidation(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"fleet", "-backend", "bogus"}, &out); err == nil {
-		t.Error("unknown backend should error")
-	}
-	if err := run([]string{"fleet", "-backend", "local", "-inject-faults"}, &out); err == nil {
-		t.Error("local backend with fault injection should error")
+// TestFleetRetiredFlags: the fleet role always serves a fleet and always
+// group-commits, so its in-process backend and its coalescing window are
+// gone as flags, not ignored.
+func TestFleetRetiredFlags(t *testing.T) {
+	for _, args := range [][]string{{"-backend", "local"}, {"-coalesce-window", "5ms"}} {
+		var out strings.Builder
+		err := run(append([]string{"fleet"}, args...), &out)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("fleet %v: err = %v, want an undefined flag", args, err)
+		}
 	}
 }

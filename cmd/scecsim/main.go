@@ -2,8 +2,8 @@
 // event-level simulator: allocate, encode, distribute, compute on every
 // simulated device, decode, and verify against the plaintext product. It
 // prints the per-device timeline and the resource accounting that Eq. (1)
-// prices. Under -backend sim (the default) a seeded run's stdout is
-// reproducible: the stage timings measured on the wall clock go to stderr.
+// prices. A seeded run's stdout is reproducible: the stage timings measured
+// on the wall clock go to stderr.
 // The virtual-clock load sweep and recovery scenario are studies of
 // cmd/experiments (-fig load, -fig adapt).
 //
@@ -49,7 +49,6 @@ func run(args []string, out, errOut io.Writer) error {
 		straggler = fs.String("straggler", "", "per-device slowdowns, e.g. 0=10,2=3")
 		failDev   = fs.Int("fail", -1, "force this device (scheme order) to fail")
 		replicas  = fs.Int("replicas", 1, "copies of each coded block (replication masks stragglers/failures)")
-		backend   = fs.String("backend", "sim", "execution backend: sim (virtual clock) or local (in-process kernels)")
 		metrics   = fs.String("metrics-json", "", "write the run's telemetry snapshot as JSON to this path (- for stdout)")
 		traceFile = fs.String("trace-export", "", "export the query's trace as JSON: the wall-clock engine spans plus the linked virtual-clock fleet.gather/block/attempt timeline")
 	)
@@ -94,19 +93,10 @@ func run(args []string, out, errOut io.Writer) error {
 		tr = trace.New(trace.Options{Service: "scecsim"})
 		opts = append(opts, scec.WithTracing[uint64](tr))
 	}
-	switch *backend {
-	case "sim":
-		opts = append(opts, scec.WithSimulator[uint64](scec.SimExecutorConfig{
-			Profiles: profiles,
-			Seed:     *seed,
-		}))
-	case "local":
-		if *straggler != "" || *failDev >= 0 || *replicas > 1 {
-			return fmt.Errorf("-backend local models no devices; -straggler, -fail, and -replicas need -backend sim")
-		}
-	default:
-		return fmt.Errorf("unknown -backend %q (want sim or local)", *backend)
-	}
+	opts = append(opts, scec.WithSimulator[uint64](scec.SimExecutorConfig{
+		Profiles: profiles,
+		Seed:     *seed,
+	}))
 
 	f := scec.PrimeField()
 	rng := rand.New(rand.NewPCG(*seed, 0x51ec))
@@ -158,15 +148,14 @@ func run(args []string, out, errOut io.Writer) error {
 		_, _, _, retained := tr.Stats()
 		fmt.Fprintf(out, "exported %d retained spans to %s\n", retained, *traceFile)
 	}
-	return finish(out, errOut, *backend == "sim", *metrics)
+	return finish(out, errOut, *metrics)
 }
 
 // finish prints the registry-backed stage timing table and optionally dumps
 // the full telemetry snapshot as JSON. The rows the simulator prices on its
-// virtual clock (store, compute and gather, when simulated) go to out; the
-// rows measured on the wall clock go to errOut, so two seeded simulated runs
-// print the same stdout.
-func finish(out, errOut io.Writer, simulated bool, metricsPath string) error {
+// virtual clock (store, compute and gather) go to out; the rows measured on
+// the wall clock go to errOut, so two seeded runs print the same stdout.
+func finish(out, errOut io.Writer, metricsPath string) error {
 	var table strings.Builder
 	if err := obs.WriteStageTable(&table, nil); err != nil {
 		return err
@@ -176,7 +165,7 @@ func finish(out, errOut io.Writer, simulated bool, metricsPath string) error {
 	for _, row := range strings.SplitAfter(rows, "\n") {
 		switch stage, _, _ := strings.Cut(row, " "); {
 		case row == "":
-		case simulated && (stage == obs.StageStore || stage == obs.StageCompute || stage == obs.StageGather):
+		case stage == obs.StageStore || stage == obs.StageCompute || stage == obs.StageGather:
 			virtual.WriteString(row)
 		default:
 			wall.WriteString(row)

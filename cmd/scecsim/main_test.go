@@ -81,14 +81,20 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-m", "60", "-l", "8", "-k", "5", "-straggler", "0=+Inf"},
 		{"-m", "60", "-l", "8", "-k", "5", "-replicas", "0"},
 		{"-m", "60", "-l", "8", "-k", "5", "-replicas", "-3"},
-		// The load sweep and the recovery scenario run from cmd/experiments.
-		{"-load"},
-		{"-adaptive"},
 	}
 	for _, args := range cases {
 		var out strings.Builder
 		if err := run(args, &out, io.Discard); err == nil {
 			t.Errorf("args %v: expected error", args)
+		}
+	}
+	// The load sweep and the recovery scenario run from cmd/experiments,
+	// and every run is simulated: there is no in-process backend to pick.
+	for _, args := range [][]string{{"-load"}, {"-adaptive"}, {"-backend", "local"}} {
+		var out strings.Builder
+		err := run(args, &out, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("args %v: err = %v, want an undefined flag", args, err)
 		}
 	}
 }

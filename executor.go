@@ -79,8 +79,9 @@ func WithEngineMetrics[E comparable](reg *obs.Registry) DeployOption[E] {
 }
 
 // AdaptiveConfig tunes the closed-loop adaptive control plane enabled by
-// WithAdaptive: the control period, the outage penalty, the hysteresis
-// margin and cooldown, and the migration timeout. Devices are priced from
+// WithAdaptive: the control period, the hysteresis margin and cooldown, the
+// decision history and the base unit costs; the outage penalty and the
+// migration timeout are fixed. Devices are priced from
 // the fleet's straggler record, the same one the gather routes by, so there
 // is no separate learning knob. The zero value selects sensible defaults for
 // every field. See internal/adapt.Config.

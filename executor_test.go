@@ -31,7 +31,6 @@ func (h *fleetHarness[E]) serve(t *testing.T, dep *scec.Deployment[E], opts ...s
 	t.Helper()
 	cfg := scec.FleetConfig{
 		Replicas:      make([][]string, dep.Devices()),
-		QueryTimeout:  10 * time.Second,
 		RPCTimeout:    2 * time.Second,
 		HedgeAfter:    -1, // deterministic failover, no speculation
 		ProbeInterval: -1, // no background probing

@@ -52,23 +52,30 @@ import (
 // Defaults for zero Config fields.
 const (
 	DefaultReplanEvery    = 2 * time.Second
-	DefaultOutageFactor   = 256.0
 	DefaultMinImprovement = 0.05
-	DefaultMigrateTimeout = 30 * time.Second
 	DefaultHistory        = 64
 )
 
+// The controller's fixed outage price and migration bound.
+const (
+	// DefaultOutageFactor is the multiplier assigned to a device whose
+	// circuit breaker is open. It is large but finite: the allocation
+	// problem requires finite positive costs, and a finite penalty still
+	// lets TA2 use a dead-but-cheap device if literally nothing else can
+	// serve.
+	DefaultOutageFactor = 256.0
+	// DefaultMigrateTimeout bounds the execution of one adopted plan end to
+	// end.
+	DefaultMigrateTimeout = 30 * time.Second
+)
+
 // Config tunes the adaptive control plane. The zero value of every field
-// selects the package default.
+// selects the package default. The outage price and the migration bound are
+// not settings but fixed package constants.
 type Config struct {
 	// ReplanEvery is the control period: how often the devices are priced
 	// and TA2 re-runs on the learned costs.
 	ReplanEvery time.Duration
-	// OutageFactor is the multiplier assigned to a device whose circuit
-	// breaker is open. It is large but finite: the allocation problem
-	// requires finite positive costs, and a finite penalty still lets TA2
-	// use a dead-but-cheap device if literally nothing else can serve.
-	OutageFactor float64
 	// MinImprovement is the hysteresis margin: a candidate plan is adopted
 	// only if its cost is at least this fraction below the incumbent's cost
 	// at the same learned prices.
@@ -77,8 +84,6 @@ type Config struct {
 	// 3×ReplanEvery. An unhealthy incumbent device bypasses the cooldown
 	// (but never the improvement margin).
 	Cooldown time.Duration
-	// MigrateTimeout bounds the execution of one adopted plan end to end.
-	MigrateTimeout time.Duration
 	// History is how many decisions and migration events the controller
 	// retains for /debug/adapt.
 	History int
@@ -101,17 +106,11 @@ func (c Config) withDefaults() Config {
 	if c.ReplanEvery <= 0 {
 		c.ReplanEvery = DefaultReplanEvery
 	}
-	if c.OutageFactor <= 1 {
-		c.OutageFactor = DefaultOutageFactor
-	}
 	if c.MinImprovement <= 0 {
 		c.MinImprovement = DefaultMinImprovement
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 3 * c.ReplanEvery
-	}
-	if c.MigrateTimeout <= 0 {
-		c.MigrateTimeout = DefaultMigrateTimeout
 	}
 	if c.History <= 0 {
 		c.History = DefaultHistory

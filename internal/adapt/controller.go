@@ -188,8 +188,8 @@ func (c *Controller) Step(ctx context.Context, now time.Duration) (Decision, err
 	}
 	for _, h := range c.planner.Hosts() {
 		if !c.sub.Healthy(h.Addr) {
-			if factors[h.Addr] < c.cfg.OutageFactor {
-				factors[h.Addr] = c.cfg.OutageFactor
+			if factors[h.Addr] < DefaultOutageFactor {
+				factors[h.Addr] = DefaultOutageFactor
 			}
 		}
 		reg.Gauge(obs.MetricAdaptDeviceFactor, factorHelp, obs.L("device", h.Addr)).Set(factorOr1(factors, h.Addr))
@@ -263,7 +263,7 @@ func factorOr1(factors map[string]float64, addr string) float64 {
 // another move's source — and a failed one is left for a later cycle to
 // re-decide.
 func (c *Controller) execute(ctx context.Context, now time.Duration, d Decision) {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.MigrateTimeout)
+	ctx, cancel := context.WithTimeout(ctx, DefaultMigrateTimeout)
 	defer cancel()
 	if c.cfg.Tracer != nil {
 		var span *trace.Span

@@ -88,7 +88,6 @@ func newLiveEnv(t *testing.T, standbys int) *liveEnv {
 
 	cfg := fleet.Config{
 		Replicas:      make([][]string, scheme.Devices()),
-		QueryTimeout:  10 * time.Second,
 		RPCTimeout:    2 * time.Second,
 		HedgeAfter:    -1,
 		ProbeInterval: -1,

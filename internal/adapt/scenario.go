@@ -75,7 +75,7 @@ const (
 	// fraction of Duration — after both faults and the recovery transient.
 	scenarioMeasureFrom = 0.6
 	// The control loop runs tighter than the wall-clock defaults to match the
-	// virtual timescale; OutageFactor stays at the adapt default.
+	// virtual timescale; the outage price is the adapt DefaultOutageFactor.
 	scenarioReplanEvery    = 500 * time.Millisecond
 	scenarioMinImprovement = 0.03
 	scenarioCooldown       = 2 * time.Second
@@ -560,7 +560,7 @@ func (a *arm) RowLatencies() map[string]float64 { return a.rowLat }
 // Healthy implements Substrate: a device in its outage window is not.
 func (a *arm) Healthy(addr string) bool { return !a.down(a.devOf[addr], a.now) }
 
-// RTT implements Substrate; the model has no heartbeat signal.
+// RTT implements Substrate; the model measures no round trip.
 func (a *arm) RTT(string) (time.Duration, bool) { return 0, false }
 
 // Rehost implements Substrate. The controller's pushes run one after another,

@@ -95,7 +95,6 @@ func startFleet[E comparable](t *testing.T, f field.Field[E], enc *coding.Encodi
 	t.Helper()
 	cfg := fleet.Config{
 		Replicas:      make([][]string, len(enc.Blocks)),
-		QueryTimeout:  10 * time.Second,
 		RPCTimeout:    2 * time.Second,
 		HedgeAfter:    -1,
 		ProbeInterval: -1,

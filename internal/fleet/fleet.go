@@ -59,14 +59,27 @@ import (
 
 // Defaults for the zero Config values.
 const (
-	DefaultQueryTimeout     = 30 * time.Second
 	DefaultRPCTimeout       = transport.DefaultTimeout
-	DefaultMaxRetries       = 2
-	DefaultRetryBackoff     = 25 * time.Millisecond
 	DefaultProbeInterval    = time.Second
-	DefaultProbeTimeout     = time.Second
 	DefaultBreakerThreshold = 3
 	DefaultBreakerCooldown  = 5 * time.Second
+)
+
+// The session's fixed retry and deadline policy. A caller bounds one query
+// with its context (MulVecContext, GatherInto); DefaultQueryTimeout is the
+// session's backstop behind it.
+const (
+	// DefaultQueryTimeout bounds one gather end to end.
+	DefaultQueryTimeout = 30 * time.Second
+	// DefaultMaxRetries is how many extra replica-selection rounds a block
+	// fetch may run after the first.
+	DefaultMaxRetries = 2
+	// DefaultRetryBackoff is the base backoff between rounds: before round
+	// n a block waits between half and all of 2^(n-1) times this, capped
+	// at one second.
+	DefaultRetryBackoff = 25 * time.Millisecond
+	// DefaultProbeTimeout bounds one health ping.
+	DefaultProbeTimeout = time.Second
 )
 
 // ErrBlockUnavailable reports that a query exhausted every replica, hedge,
@@ -97,7 +110,8 @@ func (e *BlockUnavailableError) Unwrap() error { return e.Err }
 func (e *BlockUnavailableError) Is(target error) bool { return target == ErrBlockUnavailable }
 
 // Config tunes a fleet session. Replicas is mandatory; every other zero
-// value selects the package default.
+// value selects the package default. The query deadline, the retry policy
+// and the probe timeout are fixed package constants, not settings.
 type Config struct {
 	// Replicas[j] lists the device addresses hosting copies of coded block
 	// j, in scheme device order. Every block needs at least one address and
@@ -106,8 +120,6 @@ type Config struct {
 	// Standbys lists warm standby devices: running, reachable, holding no
 	// block until self-repair promotes them into a degraded replica set.
 	Standbys []string
-	// QueryTimeout bounds one MulVec/MulMat end to end.
-	QueryTimeout time.Duration
 	// RPCTimeout bounds each replica round trip (and each repair push).
 	RPCTimeout time.Duration
 	// HedgeAfter is how long the leading replica attempt may run before a
@@ -117,18 +129,9 @@ type Config struct {
 	// leader has won 8 races, twice its connection's last measured round
 	// trip (RPCTimeout with none). Negative disables hedging.
 	HedgeAfter time.Duration
-	// MaxRetries is how many extra replica-selection rounds a block fetch
-	// may run after the first, each separated by exponential backoff with
-	// jitter. Negative means no retries.
-	MaxRetries int
-	// RetryBackoff is the base backoff; round n sleeps up to 2^n times this
-	// (full jitter), capped at one second.
-	RetryBackoff time.Duration
 	// ProbeInterval is the health-probe period. Negative disables probing
 	// (and with it breaker recovery and self-repair).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health ping.
-	ProbeTimeout time.Duration
 	// BreakerThreshold is the consecutive-failure count that opens a
 	// device's circuit breaker.
 	BreakerThreshold int
@@ -152,18 +155,15 @@ type Config struct {
 }
 
 // validate rejects the negative values that have no meaning. A negative
-// timeout, backoff or cooldown would fail or mistime every query and strike
-// healthy devices' breakers for it; HedgeAfter, MaxRetries and
-// ProbeInterval give negative values a documented meaning instead.
+// timeout or cooldown would fail or mistime every query and strike healthy
+// devices' breakers for it; HedgeAfter and ProbeInterval give negative
+// values a documented meaning instead.
 func (c Config) validate() error {
 	for _, d := range []struct {
 		name string
 		v    time.Duration
 	}{
-		{"QueryTimeout", c.QueryTimeout},
 		{"RPCTimeout", c.RPCTimeout},
-		{"RetryBackoff", c.RetryBackoff},
-		{"ProbeTimeout", c.ProbeTimeout},
 		{"BreakerCooldown", c.BreakerCooldown},
 	} {
 		if d.v < 0 {
@@ -178,25 +178,11 @@ func (c Config) validate() error {
 
 // withDefaults resolves zero values.
 func (c Config) withDefaults() Config {
-	if c.QueryTimeout == 0 {
-		c.QueryTimeout = DefaultQueryTimeout
-	}
 	if c.RPCTimeout == 0 {
 		c.RPCTimeout = DefaultRPCTimeout
 	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = DefaultMaxRetries
-	} else if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = DefaultRetryBackoff
-	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = DefaultProbeInterval
-	}
-	if c.ProbeTimeout == 0 {
-		c.ProbeTimeout = DefaultProbeTimeout
 	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = DefaultBreakerThreshold
@@ -290,7 +276,7 @@ type clock interface {
 }
 
 // wire is a served session's link: the client's compute requests, the
-// cloud's pushes, and pings on a client of their own with the ProbeTimeout.
+// cloud's pushes, and pings on a client of their own with DefaultProbeTimeout.
 type wire[E comparable] struct {
 	transport.Client[E]
 	transport.Cloud[E]
@@ -387,7 +373,7 @@ func serve[E comparable](f field.Field[E], enc *coding.Encoding[E], cfg Config, 
 		s.link, s.clk = &wire[E]{
 			Client: transport.Client[E]{F: f, Timeout: cfg.RPCTimeout, Metrics: reg},
 			Cloud:  transport.Cloud[E]{Timeout: cfg.RPCTimeout, Metrics: reg},
-			probe:  transport.Client[E]{F: f, Timeout: cfg.ProbeTimeout, Metrics: reg},
+			probe:  transport.Client[E]{F: f, Timeout: DefaultProbeTimeout, Metrics: reg},
 		}, wallClock{}
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
@@ -439,7 +425,7 @@ func (s *Session[E]) newDevice(addr string) *device {
 		block: -1,
 		gauge: s.reg.Gauge(obs.MetricFleetBreakerState, breakerHelp, obs.L("device", addr)),
 		rtt: s.reg.Gauge(obs.MetricTransportHeartbeatRTT,
-			"Most recent heartbeat round-trip time per device in seconds (transport.Client.LastRTT).",
+			"Most recent round-trip time per device in seconds: the connection's handshake or the latest probe ping (transport.Client.LastRTT).",
 			obs.L("device", addr)),
 		jr: s.jr,
 	}

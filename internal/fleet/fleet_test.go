@@ -85,7 +85,6 @@ func newTestEnv(t testing.TB, replicas, standbys int) *testEnv {
 	}
 	env.cfg = Config{
 		Replicas:      make([][]string, scheme.Devices()),
-		QueryTimeout:  10 * time.Second,
 		RPCTimeout:    2 * time.Second,
 		HedgeAfter:    -1, // deterministic by default; hedge tests override
 		ProbeInterval: -1, // probing off by default; health tests override
@@ -254,9 +253,6 @@ func TestFaultTruncatedResponseFailsOver(t *testing.T) {
 // return well before the query deadline rather than hang.
 func TestFaultAllReplicasDownTypedError(t *testing.T) {
 	env := newTestEnv(t, 2, 0)
-	env.cfg.QueryTimeout = 5 * time.Second
-	env.cfg.MaxRetries = 1
-	env.cfg.RetryBackoff = 5 * time.Millisecond
 	s := env.serve(t)
 	for _, p := range env.proxies[1] {
 		p.SetMode(faultproxy.Drop)
@@ -274,11 +270,11 @@ func TestFaultAllReplicasDownTypedError(t *testing.T) {
 	if be.Block != 1 {
 		t.Fatalf("failed block = %d, want 1", be.Block)
 	}
-	if be.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2 (initial round + 1 retry)", be.Attempts)
+	if be.Attempts != DefaultMaxRetries+1 {
+		t.Fatalf("attempts = %d, want %d (initial round + %d retries)", be.Attempts, DefaultMaxRetries+1, DefaultMaxRetries)
 	}
-	if elapsed >= env.cfg.QueryTimeout {
-		t.Fatalf("query took %v, must fail before the %v deadline", elapsed, env.cfg.QueryTimeout)
+	if elapsed >= DefaultQueryTimeout {
+		t.Fatalf("query took %v, must fail before the %v deadline", elapsed, DefaultQueryTimeout)
 	}
 	if v := counterValue(t, env.reg, obs.MetricFleetQueryErrorsTotal, map[string]string{"kind": "vec"}); v != 1 {
 		t.Fatalf("vec query-errors counter = %g, want 1", v)
@@ -333,7 +329,6 @@ func TestFaultDelayedLeaderHedgeStillCorrect(t *testing.T) {
 func TestFaultProbeOpensBreakerAndStandbyRepairs(t *testing.T) {
 	env := newTestEnv(t, 1, 1)
 	env.cfg.ProbeInterval = 20 * time.Millisecond
-	env.cfg.ProbeTimeout = 500 * time.Millisecond
 	env.cfg.BreakerThreshold = 1
 	env.cfg.BreakerCooldown = time.Minute // dead replica stays quarantined
 	s := env.serve(t)
@@ -362,6 +357,53 @@ func TestFaultProbeOpensBreakerAndStandbyRepairs(t *testing.T) {
 	}
 }
 
+// TestProbeKeepsIdleConnectionsAlive: the prober is the one liveness loop.
+// Devices whose idle deadline (250 ms) is far shorter than the idle window
+// must keep the session's pooled connections through it, because a probe
+// finds each connection's contact older than ProbeInterval and pings it: no
+// connection is renegotiated, no breaker opens, and every device was heard
+// from recently.
+func TestProbeKeepsIdleConnectionsAlive(t *testing.T) {
+	env := newTestEnv(t, 1, 0)
+	for j := range env.cfg.Replicas {
+		srv, err := transport.NewDeviceServerOptions[uint64](env.f, "127.0.0.1:0", transport.Options{Timeout: 250 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = srv.Close() })
+		env.cfg.Replicas[j] = []string{srv.Addr()}
+	}
+	env.cfg.ProbeInterval = 50 * time.Millisecond
+	s := env.serve(t)
+	got, err := mulVec(s, env.x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkResult(t, env.want, got)
+
+	time.Sleep(700 * time.Millisecond) // several device idle deadlines
+
+	for _, group := range env.cfg.Replicas {
+		addr := group[0]
+		if st := s.devices[addr].State(); st != BreakerClosed {
+			t.Errorf("device %s breaker = %v after the idle window, want closed", addr, st)
+		}
+		last, ok := s.link.LastContact(addr)
+		if !ok {
+			t.Errorf("device %s has no live connection after the idle window", addr)
+		} else if age := time.Since(last); age > 300*time.Millisecond {
+			t.Errorf("device %s last heard from %v ago, want under 300ms: the prober is not pinging", addr, age)
+		}
+	}
+	if got, err = mulVec(s, env.x); err != nil {
+		t.Fatalf("query after the idle window: %v", err)
+	}
+	checkResult(t, env.want, got)
+	if n := counterValue(t, env.reg, obs.MetricTransportNegotiations, map[string]string{"outcome": "v4"}); n != float64(len(env.cfg.Replicas)) {
+		t.Fatalf("v4 negotiations = %g, want %d: one per device, every connection surviving the idle window", n, len(env.cfg.Replicas))
+	}
+}
+
 // TestFaultConcurrentQueriesSurviveKillAndRepair is the -race integration
 // scenario: many goroutines stream queries through one Session while a
 // replica is killed mid-stream and a standby is promoted in the background.
@@ -369,7 +411,6 @@ func TestFaultProbeOpensBreakerAndStandbyRepairs(t *testing.T) {
 func TestFaultConcurrentQueriesSurviveKillAndRepair(t *testing.T) {
 	env := newTestEnv(t, 2, 1)
 	env.cfg.ProbeInterval = 25 * time.Millisecond
-	env.cfg.ProbeTimeout = 500 * time.Millisecond
 	env.cfg.HedgeAfter = 0 // adaptive
 	env.cfg.BreakerThreshold = 2
 	env.cfg.BreakerCooldown = time.Minute
@@ -457,16 +498,13 @@ func TestServeValidation(t *testing.T) {
 
 	// Negative durations and thresholds would fail or mistime every query
 	// and open healthy devices' breakers for it: Serve refuses them, naming
-	// the field. Negative HedgeAfter, MaxRetries and ProbeInterval keep
-	// their documented meanings.
+	// the field. Negative HedgeAfter and ProbeInterval keep their
+	// documented meanings.
 	for _, tc := range []struct {
 		field string
 		set   func(*Config)
 	}{
-		{"QueryTimeout", func(c *Config) { c.QueryTimeout = -1 }},
 		{"RPCTimeout", func(c *Config) { c.RPCTimeout = -time.Second }},
-		{"RetryBackoff", func(c *Config) { c.RetryBackoff = -time.Millisecond }},
-		{"ProbeTimeout", func(c *Config) { c.ProbeTimeout = -1 }},
 		{"BreakerCooldown", func(c *Config) { c.BreakerCooldown = -time.Minute }},
 		{"BreakerThreshold", func(c *Config) { c.BreakerThreshold = -3 }},
 	} {
@@ -478,10 +516,10 @@ func TestServeValidation(t *testing.T) {
 		}
 	}
 	cfg = base
-	cfg.HedgeAfter, cfg.MaxRetries, cfg.ProbeInterval = -1, -1, -1
+	cfg.HedgeAfter, cfg.ProbeInterval = -1, -1
 	neg, err := Serve[uint64](env.f, env.enc, cfg)
 	if err != nil {
-		t.Fatalf("Serve refused the documented negative HedgeAfter/MaxRetries/ProbeInterval: %v", err)
+		t.Fatalf("Serve refused the documented negative HedgeAfter/ProbeInterval: %v", err)
 	}
 	got, err := mulVec(neg, env.x)
 	if err != nil {
@@ -652,7 +690,7 @@ func win(d *device, n int, lat time.Duration) {
 // own p95, clamped to [1ms, RPCTimeout] either way.
 func TestHedgeDelayPolicy(t *testing.T) {
 	s := &Session[uint64]{link: rttLink{rtt: map[string]time.Duration{"a": 3 * time.Millisecond, "near": 100 * time.Microsecond}}}
-	s.cfg = Config{HedgeAfter: 7 * time.Millisecond, RPCTimeout: time.Second, QueryTimeout: time.Minute}
+	s.cfg = Config{HedgeAfter: 7 * time.Millisecond, RPCTimeout: time.Second}
 	a, unmeasured, near := &device{addr: "a"}, &device{addr: "b"}, &device{addr: "near"}
 	delay := func(d *device) (time.Duration, bool) { return s.hedgeDelay(s.expected(d)) }
 	if got, ok := delay(a); !ok || got != 7*time.Millisecond {

@@ -43,7 +43,7 @@ const breakerHelp = "Per-device circuit breaker state: 0 closed, 1 half-open, 2 
 type device struct {
 	addr  string
 	gauge *obs.Gauge
-	// rtt is the per-device heartbeat round-trip gauge the prober refreshes.
+	// rtt is the per-device round-trip gauge the prober refreshes.
 	rtt *obs.Gauge
 	// jr receives breaker-transition events (nil-safe).
 	jr *flight.Journal
@@ -273,7 +273,7 @@ type estimate struct {
 // window — its wins, and the overtaken losses that warmed it — once it holds
 // MinAdaptiveSamples, and until then a prior for both of coldRTTs times its
 // connection's last measured round trip — the handshake at dial, or a
-// heartbeat or probe ping since — or RPCTimeout when there is none.
+// probe ping since — or RPCTimeout when there is none.
 func (s *Session[E]) expected(d *device) estimate {
 	if p50, p95, _, n := d.winLat.percentiles(); n >= MinAdaptiveSamples {
 		return estimate{p50, p95, true}
@@ -361,12 +361,13 @@ func (s *Session[E]) probeOnce() {
 		go func() {
 			defer wg.Done()
 			// Piggyback on the persistent connection's traffic: a device
-			// heard from within the probe period (a response or heartbeat
-			// frame on its pooled v4 connection) is demonstrably alive, so
-			// skip the explicit ping RPC.
-			// Export the multiplexed connection's latest heartbeat RTT so
-			// /metrics carries the same per-device signal the adaptive
-			// planner prices the network by.
+			// heard from within the probe period (a response frame on its
+			// pooled v4 connection) is demonstrably alive, so skip the
+			// explicit ping RPC. An idle connection gets the ping, which
+			// also keeps the device's idle deadline from cutting it.
+			// Export the multiplexed connection's latest RTT so /metrics
+			// carries the same per-device signal the adaptive planner
+			// prices the network by.
 			if rtt, ok := s.link.LastRTT(d.addr); ok {
 				d.rtt.Set(rtt.Seconds())
 			}
@@ -374,7 +375,7 @@ func (s *Session[E]) probeOnce() {
 				d.recordSuccess()
 				return
 			}
-			ctx, cancel := context.WithTimeout(s.ctx, s.cfg.ProbeTimeout)
+			ctx, cancel := context.WithTimeout(s.ctx, DefaultProbeTimeout)
 			defer cancel()
 			err := s.link.Ping(ctx, d.addr)
 			switch {

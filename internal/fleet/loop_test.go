@@ -43,8 +43,8 @@ func TestSlowDialDoesNotDelayHedge(t *testing.T) {
 }
 
 // TestFaultSlowLiveReplicaLosesTheLead: block 0's replica 0 answers every
-// chunk 20 ms late but stays alive — its heartbeats flow and its breaker
-// stays closed. Under the default adaptive hedge the block must route by the
+// chunk 20 ms late but stays alive — nothing fails, so its breaker stays
+// closed. Under the default adaptive hedge the block must route by the
 // replicas' own attempt latencies: once replica 0's record shows it slow,
 // its healthy peer leads, so after warm-up a query costs a healthy round and
 // the slow replica wins none of the block's rounds. The demotion is
@@ -183,13 +183,12 @@ func TestLateLoserNeverFeedsNextQuery(t *testing.T) {
 // TestSessionCloseLeavesNoGoroutines: a session that served hedged,
 // failed-over, caller-cancelled and timed-out queries leaves nothing
 // running once it is closed and its devices are gone — no query loop, dial,
-// connection reader, heartbeat or flusher outlives them.
+// connection reader or flusher outlives them.
 func TestSessionCloseLeavesNoGoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	env := newTestEnv(t, 2, 0)
 	env.cfg.HedgeAfter = 2 * time.Millisecond
 	env.cfg.RPCTimeout = 200 * time.Millisecond
-	env.cfg.MaxRetries = -1
 	s := env.serve(t)
 	mustServe := func(what string) {
 		t.Helper()

@@ -89,7 +89,7 @@ func (s *Session[E]) DeviceHealthy(addr string) bool {
 }
 
 // DeviceRTT reports the last measured transport round trip toward addr
-// (negotiation handshake, timed idle heartbeat or probe ping): the cold
+// (negotiation handshake or probe ping): the cold
 // prior's input, and the adaptive planner's network signal.
 func (s *Session[E]) DeviceRTT(addr string) (time.Duration, bool) {
 	return s.link.LastRTT(addr)

@@ -92,7 +92,6 @@ func newLifetimeFleet[E comparable](t *testing.T, f field.Field[E], code coding.
 		RPCTimeout:       150 * time.Millisecond,
 		HedgeAfter:       -1,
 		ProbeInterval:    -1, // the test drives probeOnce itself
-		ProbeTimeout:     150 * time.Millisecond,
 		BreakerThreshold: 1,
 		BreakerCooldown:  time.Minute,
 		Metrics:          obs.New(),

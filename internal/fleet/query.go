@@ -31,7 +31,7 @@ func traceIDOf(sp *trace.Span) string {
 var (
 	errQueryOver     = fmt.Errorf("fleet: query over: %w", context.Canceled)
 	errSessionClosed = fmt.Errorf("fleet: session closed: %w", context.Canceled)
-	errQueryTimeout  = fmt.Errorf("fleet: QueryTimeout elapsed: %w", context.DeadlineExceeded)
+	errQueryTimeout  = fmt.Errorf("fleet: query timeout elapsed: %w", context.DeadlineExceeded)
 	errNoAdmissible  = errors.New("no admissible replicas (every breaker open)")
 )
 
@@ -76,7 +76,7 @@ func (s *Session[E]) GatherInto(ctx context.Context, x, y *matrix.Dense[E]) erro
 // caller's goroutine. It sends every block's leader, then waits on one
 // channel, where the transport delivers each reply tagged with its attempt,
 // on one timer armed to the earliest deadline (a hedge, a retry backoff, an
-// attempt's RPCTimeout, the query's QueryTimeout), and on the caller's and
+// attempt's RPCTimeout, the query's DefaultQueryTimeout), and on the caller's and
 // the session's contexts. Sessions recycle query states, so a warm query
 // allocates none of this.
 type query[E comparable] struct {
@@ -203,7 +203,7 @@ func (q *query[E]) run(x, y *matrix.Dense[E]) error {
 		trace.A(trace.AttrKind, kind), trace.A("blocks", strconv.Itoa(len(s.blocks))))
 	defer gsp.End()
 	now := s.clk.Now()
-	q.deadline = now.Add(s.cfg.QueryTimeout)
+	q.deadline = now.Add(DefaultQueryTimeout)
 	need := 0
 	for j, b := range s.blocks {
 		q.blocks[j].budget = b.replicaCount()
@@ -214,7 +214,7 @@ func (q *query[E]) run(x, y *matrix.Dense[E]) error {
 	}
 	for j, b := range s.blocks {
 		f := &q.blocks[j]
-		f.b, f.backoff = b, s.cfg.RetryBackoff
+		f.b, f.backoff = b, DefaultRetryBackoff
 		f.ctx, f.sp = q.startSpan(ctx, trace.SpanFleetBlock, trace.A(trace.AttrBlock, strconv.Itoa(b.index)))
 		q.open++
 		q.startRound(f, now)
@@ -514,11 +514,11 @@ func (q *query[E]) fail(f *fetch[E], a *attempt[E], err error, now time.Time) {
 	}
 }
 
-// roundFailed starts the backoff before the block's next round, with full
-// jitter, or fails the block once MaxRetries extra rounds have run.
+// roundFailed starts the backoff before the block's next round, with
+// jitter, or fails the block once DefaultMaxRetries extra rounds have run.
 func (q *query[E]) roundFailed(f *fetch[E], now time.Time) {
 	s := q.s
-	if f.round >= s.cfg.MaxRetries {
+	if f.round >= DefaultMaxRetries {
 		q.blockFailed(f, &BlockUnavailableError{Block: f.b.index, Attempts: f.round + 1, Err: f.lastErr})
 		return
 	}

@@ -157,7 +157,6 @@ func TestNonResidueReplyFailsOver(t *testing.T) {
 
 	env = newTestEnv(t, 1, 0)
 	env.cfg.Replicas[0] = []string{startForgingDevice(t)}
-	env.cfg.MaxRetries = 1
 	s = env.serve(t)
 	var unavailable *BlockUnavailableError
 	got, err := mulVec(s, env.x)

@@ -156,11 +156,12 @@ func TestStragglersGetAttemptLatency(t *testing.T) {
 }
 
 // TestSingleReplicaAttemptSettlesOnce: a block with one replica has nothing
-// to hedge or fail over to, and its one attempt must be filed exactly as a
-// raced one — one settlement, the win's bookkeeping on a win, the breaker
-// and a timeout event on a device failure or deadline, and neither on a
-// caller's cancel. Block 0's proxy decides the outcome; blocks 1 and 2
-// answer normally.
+// to hedge or fail over to, and each round's one attempt must be filed
+// exactly as a raced one — one settlement, the win's bookkeeping on a win,
+// the breaker and a timeout event on a device failure or deadline, and
+// neither on a caller's cancel. A failing device is asked once per round,
+// DefaultMaxRetries+1 times. Block 0's proxy decides the outcome; blocks 1
+// and 2 answer normally.
 func TestSingleReplicaAttemptSettlesOnce(t *testing.T) {
 	type fixture struct {
 		s   *Session[uint64]
@@ -174,7 +175,6 @@ func TestSingleReplicaAttemptSettlesOnce(t *testing.T) {
 		tr := trace.New(trace.Options{Service: "fleet-test"})
 		jr := flight.New(flight.Options{Capacity: 64})
 		env.cfg.Tracer, env.cfg.Journal = tr, jr
-		env.cfg.MaxRetries = -1 // one round: one attempt per block
 		if tune != nil {
 			tune(&env.cfg)
 		}
@@ -197,10 +197,11 @@ func TestSingleReplicaAttemptSettlesOnce(t *testing.T) {
 		if got != fails {
 			t.Errorf("breaker counted %d failures, want %d", got, fails)
 		}
-		if spans := attemptSpans(f.tr)[f.d.addr]; len(spans) != 1 {
-			t.Errorf("%d attempt spans ended for block 0, want 1", len(spans))
+		if spans := attemptSpans(f.tr)[f.d.addr]; int64(len(spans)) != want.Attempts {
+			t.Errorf("%d attempt spans ended for block 0, want %d", len(spans), want.Attempts)
 		}
 	}
+	const rounds = DefaultMaxRetries + 1
 	timeouts := func(t *testing.T, f fixture) int {
 		t.Helper()
 		n := 0
@@ -237,9 +238,11 @@ func TestSingleReplicaAttemptSettlesOnce(t *testing.T) {
 		if _, err := mulVec(f.s, f.env.x); !errors.Is(err, ErrBlockUnavailable) {
 			t.Fatalf("err = %v, want ErrBlockUnavailable over a failing replica", err)
 		}
-		check(t, f, DeviceStats{Attempts: 1, Errors: 1}, 1)
-		if spans := attemptSpans(f.tr)[f.d.addr]; len(spans) != 1 || spans[0].Error == "" || spans[0].Attr(trace.AttrWin) != "" {
-			t.Errorf("attempt spans %+v, want one ended with the device error", spans)
+		check(t, f, DeviceStats{Attempts: rounds, Errors: rounds}, rounds)
+		for _, sp := range attemptSpans(f.tr)[f.d.addr] {
+			if sp.Error == "" || sp.Attr(trace.AttrWin) != "" {
+				t.Errorf("attempt span %+v, want it ended with the device error", sp)
+			}
 		}
 	})
 	t.Run("caller cancel", func(t *testing.T) {
@@ -272,9 +275,9 @@ func TestSingleReplicaAttemptSettlesOnce(t *testing.T) {
 		if !errors.Is(err, ErrBlockUnavailable) || !isTimeout(err) {
 			t.Fatalf("err = %v, want ErrBlockUnavailable wrapping a deadline", err)
 		}
-		check(t, f, DeviceStats{Attempts: 1, Errors: 1}, 1)
-		if n := timeouts(t, f); n != 1 {
-			t.Errorf("%d timeout events, want 1", n)
+		check(t, f, DeviceStats{Attempts: rounds, Errors: rounds}, rounds)
+		if n := timeouts(t, f); n != rounds {
+			t.Errorf("%d timeout events, want %d", n, rounds)
 		}
 	})
 }

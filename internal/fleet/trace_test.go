@@ -198,8 +198,6 @@ func TestTraceRetryEvents(t *testing.T) {
 	env := newTestEnv(t, 2, 0)
 	tr := trace.New(trace.Options{Service: "fleet-test"})
 	env.cfg.Tracer = tr
-	env.cfg.MaxRetries = 1
-	env.cfg.RetryBackoff = 2 * time.Millisecond
 	s := env.serve(t)
 
 	for k := range env.proxies[0] {

@@ -197,9 +197,9 @@ const DefaultCapacity = 8192
 type Options struct {
 	// Capacity is the ring size; DefaultCapacity when zero or negative.
 	Capacity int
-	// Clock stamps events; trace.WallClock() when nil. Simulations pass the
-	// same *trace.VirtualClock that stamps their spans, so journal and trace
-	// timelines align.
+	// Clock stamps events; trace.WallClock() when nil. Only tests set it,
+	// to a *trace.VirtualClock they advance by hand; a simulated fleet
+	// session (fleet.Simulate) publishes to no journal.
 	Clock trace.Clock
 	// Metrics receives the per-kind scec_flight_events_total counters; nil
 	// disables them (the Default journal uses obs.Default()).

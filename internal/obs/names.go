@@ -155,13 +155,11 @@ const (
 	// MetricTransportNegotiations counts hello handshakes on freshly dialed
 	// connections, labelled outcome=v4|error.
 	MetricTransportNegotiations = "scec_transport_negotiations_total"
-	// MetricTransportHeartbeats counts piggybacked heartbeat pings sent on
-	// idle multiplexed connections, labelled outcome=ok|failed.
-	MetricTransportHeartbeats = "scec_transport_heartbeats_total"
 	// MetricTransportHeartbeatRTT is a per-device gauge (label device=<addr>)
-	// of the most recent heartbeat round-trip time in seconds, as measured by
-	// the fleet prober via transport.Client.LastRTT — the same signal the
-	// adaptive control plane blends into its learned cost factors.
+	// of the connection's most recent round-trip time in seconds — its
+	// negotiation handshake or the fleet prober's latest ping, read through
+	// transport.Client.LastRTT. The adaptive control plane prices a device's
+	// network by the same signal.
 	MetricTransportHeartbeatRTT = "scec_transport_heartbeat_rtt_seconds"
 
 	// Flight-recorder (internal/obs/flight) metrics. The kind label ranges

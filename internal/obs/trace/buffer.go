@@ -57,7 +57,7 @@ func (r *ring) snapshot(dst []SpanData) []SpanData {
 //     healthy traffic cannot evict the evidence of a fault.
 type buffer struct {
 	tail *ring
-	errs *ring // nil when error retention is disabled
+	errs *ring
 
 	headKeep int
 	headN    atomic.Int64
@@ -66,22 +66,19 @@ type buffer struct {
 }
 
 func newBuffer(capacity, headKeep, errorKeep int) *buffer {
-	b := &buffer{tail: newRing(capacity)}
-	if headKeep > 0 {
-		b.headKeep = headKeep
-		b.head = make([]SpanData, 0, headKeep)
+	return &buffer{
+		tail:     newRing(capacity),
+		errs:     newRing(errorKeep),
+		headKeep: headKeep,
+		head:     make([]SpanData, 0, headKeep),
 	}
-	if errorKeep > 0 {
-		b.errs = newRing(errorKeep)
-	}
-	return b
 }
 
 // put retains one finished span under every class that wants it.
 func (b *buffer) put(sd SpanData) {
 	// Head: an atomic pre-check keeps the steady state lock-free; only the
 	// first headKeep spans ever take the mutex.
-	if b.headKeep > 0 && b.headN.Load() < int64(b.headKeep) {
+	if b.headN.Load() < int64(b.headKeep) {
 		b.headMu.Lock()
 		if len(b.head) < b.headKeep {
 			b.head = append(b.head, sd)
@@ -89,7 +86,7 @@ func (b *buffer) put(sd SpanData) {
 		}
 		b.headMu.Unlock()
 	}
-	if sd.Error != "" && b.errs != nil {
+	if sd.Error != "" {
 		b.errs.put(sd)
 	}
 	b.tail.put(sd)
@@ -99,14 +96,10 @@ func (b *buffer) put(sd SpanData) {
 // sit in several classes at once), oldest classes first.
 func (b *buffer) snapshot() []SpanData {
 	var all []SpanData
-	if b.headKeep > 0 {
-		b.headMu.Lock()
-		all = append(all, b.head...)
-		b.headMu.Unlock()
-	}
-	if b.errs != nil {
-		all = b.errs.snapshot(all)
-	}
+	b.headMu.Lock()
+	all = append(all, b.head...)
+	b.headMu.Unlock()
+	all = b.errs.snapshot(all)
 	all = b.tail.snapshot(all)
 	seen := make(map[string]bool, len(all))
 	out := all[:0]

@@ -12,24 +12,20 @@ type Options struct {
 	// Service names the process role stamped on every span this tracer
 	// emits ("user", "device", "sim", ...). Empty means "proc".
 	Service string
-	// Capacity is the recent-span ring size; zero means DefaultCapacity.
-	Capacity int
-	// HeadKeep is how many of the first spans since start are pinned
-	// regardless of ring churn; zero means DefaultHeadKeep, negative
-	// disables head retention.
-	HeadKeep int
-	// ErrorKeep is the error-biased reserve ring size; zero means
-	// DefaultErrorKeep, negative disables it.
-	ErrorKeep int
 	// Clock stamps span start/end times; nil means the wall clock.
 	Clock Clock
 }
 
-// Default buffer sizes. The three retention classes together bound tracer
-// memory at a few thousand spans regardless of traffic.
+// Buffer sizes, fixed for every tracer. The three retention classes
+// together bound tracer memory at a few thousand spans regardless of
+// traffic.
 const (
-	DefaultCapacity  = 4096
-	DefaultHeadKeep  = 256
+	// DefaultCapacity is the recent-span ring size.
+	DefaultCapacity = 4096
+	// DefaultHeadKeep is how many of the first spans since start are pinned
+	// regardless of ring churn.
+	DefaultHeadKeep = 256
+	// DefaultErrorKeep is the error-biased reserve ring size.
 	DefaultErrorKeep = 512
 )
 
@@ -51,22 +47,13 @@ func New(o Options) *Tracer {
 	if o.Service == "" {
 		o.Service = "proc"
 	}
-	if o.Capacity == 0 {
-		o.Capacity = DefaultCapacity
-	}
-	if o.HeadKeep == 0 {
-		o.HeadKeep = DefaultHeadKeep
-	}
-	if o.ErrorKeep == 0 {
-		o.ErrorKeep = DefaultErrorKeep
-	}
 	if o.Clock == nil {
 		o.Clock = WallClock()
 	}
 	return &Tracer{
 		service: o.Service,
 		clock:   o.Clock,
-		buf:     newBuffer(o.Capacity, o.HeadKeep, o.ErrorKeep),
+		buf:     newBuffer(DefaultCapacity, DefaultHeadKeep, DefaultErrorKeep),
 	}
 }
 

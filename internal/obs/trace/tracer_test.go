@@ -121,7 +121,8 @@ func TestSpanOwnsItsAttrs(t *testing.T) {
 }
 
 func TestBufferRetainsHeadTailAndErrors(t *testing.T) {
-	tr := New(Options{Service: "t", Capacity: 8, HeadKeep: 2, ErrorKeep: 4})
+	tr := New(Options{Service: "t"})
+	tr.buf = newBuffer(8, 2, 4)
 	mk := func(i int, fail bool) {
 		_, sp := tr.StartRoot(context.Background(), fmt.Sprintf("s%d", i))
 		if fail {
@@ -153,7 +154,8 @@ func TestBufferRetainsHeadTailAndErrors(t *testing.T) {
 // goroutines while exporters and the debug endpoint drain it concurrently.
 // Run with -race; correctness here is "no data race, no torn span".
 func TestSpanRingUnderConcurrentExport(t *testing.T) {
-	tr := New(Options{Service: "hammer", Capacity: 64, HeadKeep: 8, ErrorKeep: 8})
+	tr := New(Options{Service: "hammer"})
+	tr.buf = newBuffer(64, 8, 8)
 	h := DebugHandler(tr)
 
 	var wg sync.WaitGroup

@@ -47,7 +47,7 @@ type Call[E comparable] struct {
 	// Set by prepare and read only by the owner.
 	ctx     context.Context
 	pool    *Pool[E]
-	reg     *obs.Registry // nil records no client observation (heartbeats)
+	reg     *obs.Registry
 	addr    string
 	timeout time.Duration // bounds a dial
 	finish  func([]trace.SpanData, error)
@@ -89,9 +89,7 @@ func (c *Call[E]) prepare(ctx context.Context, p *Pool[E], addr string, timeout 
 	c.mux, c.stream, c.dialErr, c.fresh, c.final, c.sent = nil, 0, nil, false, false, 0
 	c.finish = nil
 	c.start = time.Now()
-	if reg != nil {
-		_, c.finish = startClientSpan(ctx, addr, req.kind(), &c.req)
-	}
+	_, c.finish = startClientSpan(ctx, addr, req.kind(), &c.req)
 }
 
 // launch sends the prepared call on addr's live connection, or hands the
@@ -105,7 +103,7 @@ func (c *Call[E]) launch() {
 	}
 	ctx, stop := context.WithCancel(c.ctx)
 	c.stopDial = stop
-	go c.dial(ctx, c.gen, c.addr, c.timeout, metricsOrDefault(c.reg))
+	go c.dial(ctx, c.gen, c.addr, c.timeout, c.reg)
 }
 
 // dial negotiates addr's connection for the call's generation gen and sends
@@ -219,9 +217,7 @@ func (c *Call[E]) complete(err error, m *muxConn[E], sent, recv int64) {
 		c.resp.free.give(c.resp.y)
 	}
 	c.Err = err
-	if c.reg != nil {
-		m.clientRPC(c.reg).record(c.req.kind(), time.Since(c.start), sent, recv, err != nil)
-	}
+	m.clientRPC(c.reg).record(c.req.kind(), time.Since(c.start), sent, recv, err != nil)
 	if c.finish != nil {
 		c.finish(c.resp.spans, err)
 		c.finish = nil

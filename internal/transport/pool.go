@@ -15,20 +15,11 @@ import (
 	"github.com/scec/scec/internal/obs/trace"
 )
 
-// DefaultHeartbeatEvery is the idle interval after which a pooled
-// connection sends a piggybacked heartbeat ping. It is well under the
-// device's default request timeout, so idle pooled connections stay alive,
-// and under the fleet's probe interval, so the prober can trust LastContact
-// instead of dialing its own pings.
-const DefaultHeartbeatEvery = time.Second
-
 // Pool owns the persistent client-side connections to a set of devices:
 // one multiplexed connection per address, shared by every in-flight
 // request. Clients share the per-element-type package pool by default;
 // tests that need connection isolation set Client.Pool.
 type Pool[E comparable] struct {
-	heartbeat time.Duration
-
 	mu      sync.Mutex
 	entries map[string]*poolEntry[E]
 
@@ -38,10 +29,7 @@ type Pool[E comparable] struct {
 
 // NewPool returns an empty pool with default tuning.
 func NewPool[E comparable]() *Pool[E] {
-	return &Pool[E]{
-		heartbeat: DefaultHeartbeatEvery,
-		entries:   make(map[string]*poolEntry[E]),
-	}
+	return &Pool[E]{entries: make(map[string]*poolEntry[E])}
 }
 
 var (
@@ -97,8 +85,10 @@ func (p *Pool[E]) liveMux(addr string) *muxConn[E] {
 }
 
 // LastContact reports when addr was last heard from on a live multiplexed
-// connection (a response or heartbeat frame). The fleet prober treats a
-// recent LastContact as a successful health check and skips its ping.
+// connection (its hello or a response frame). The fleet prober treats a
+// recent LastContact as a successful health check and skips its ping; an
+// idle connection's contact ages, so the prober pings it, and that ping is
+// what keeps the device's idle deadline from cutting the connection.
 func (p *Pool[E]) LastContact(addr string) (time.Time, bool) {
 	m := p.liveMux(addr)
 	if m == nil {
@@ -113,7 +103,7 @@ func (p *Pool[E]) LastContact(addr string) (time.Time, bool) {
 
 // LastRTT reports the most recent round-trip time measured on addr's live
 // multiplexed connection: the negotiation handshake at dial, refreshed by
-// every timed idle heartbeat and every Ping over it. It is the cheap
+// every Ping over it (the fleet prober's). It is the cheap
 // per-device network signal the adaptive estimator reads and the fleet
 // prices a replica by until it has answered enough queries — no extra RPCs
 // are spent on it.
@@ -138,7 +128,7 @@ type ConnDebug struct {
 	// connection is pooled.
 	LastContact time.Time `json:"last_contact,omitzero"`
 	// RTT is the last measured round trip on the connection (handshake or
-	// timed heartbeat); zero when nothing has been measured.
+	// ping); zero when nothing has been measured.
 	RTT time.Duration `json:"rtt_ns,omitempty"`
 }
 
@@ -309,45 +299,34 @@ func (p *Pool[E]) dialMux(ctx context.Context, addr string, timeout time.Duratio
 		addr:    addr,
 		cod:     cod,
 		conn:    conn,
-		timeout: timeout,
 		streams: make(map[uint32]*Call[E]),
 		free:    newSlabs[E](cod),
-		done:    make(chan struct{}),
 	}
 	role := obs.L("role", "client")
 	dev := obs.L("device", addr)
 	m.conns = reg.Gauge(obs.MetricTransportConnsOpen, connsHelp, role, dev)
 	m.inflight = reg.Gauge(obs.MetricTransportStreamsInflight, streamsHelp, role, dev)
-	m.hbCounterOK = reg.Counter(obs.MetricTransportHeartbeats, heartbeatHelp, obs.L("outcome", "ok"))
-	m.hbCounterFail = reg.Counter(obs.MetricTransportHeartbeats, heartbeatHelp, obs.L("outcome", "failed"))
 	m.w = newWireWriter(conn, timeout, reg.Histogram(obs.MetricTransportFlushFrames, flushHelp, flushBuckets, role))
 	m.rpc = newRPCMetrics(reg, clientRPC)
 	m.lastIn.Store(time.Now().UnixNano()) // the hello counts as contact
 	m.rtt.Store(int64(time.Since(helloStart)))
 	m.conns.Add(1)
-	m.wg.Add(2)
 	go m.readLoop(br)
-	go m.heartbeatLoop(p.heartbeat)
 	return m, nil
 }
-
-const heartbeatHelp = "Piggybacked heartbeat pings on idle multiplexed connections, by outcome."
 
 // muxConn is one live multiplexed connection: many in-flight requests
 // share it, matched to responses by stream ID.
 type muxConn[E comparable] struct {
-	pool    *Pool[E]
-	addr    string
-	cod     elemCodec
-	conn    net.Conn
-	w       *wireWriter
-	timeout time.Duration
+	pool *Pool[E]
+	addr string
+	cod  elemCodec
+	conn net.Conn
+	w    *wireWriter
 
-	conns         *obs.Gauge
-	inflight      *obs.Gauge
-	hbCounterOK   *obs.Counter
-	hbCounterFail *obs.Counter
-	rpc           *rpcMetrics // client RPC series in the registry m was dialed with
+	conns    *obs.Gauge
+	inflight *obs.Gauge
+	rpc      *rpcMetrics // client RPC series in the registry m was dialed with
 
 	// mu guards the stream table. A call leaves it exactly once: delivered
 	// by readLoop or teardown, or withdrawn by unregister, so after
@@ -363,11 +342,8 @@ type muxConn[E comparable] struct {
 	// anything an owner still holds.
 	free *slabs[E]
 
-	lastIn  atomic.Int64 // unixnano of the last inbound frame
-	lastOut atomic.Int64 // unixnano of the last outbound frame
-	rtt     atomic.Int64 // last measured round-trip time, nanoseconds
-	done    chan struct{}
-	wg      sync.WaitGroup
+	lastIn atomic.Int64 // unixnano of the last inbound frame
+	rtt    atomic.Int64 // last measured round-trip time, nanoseconds
 }
 
 func (m *muxConn[E]) alive() bool {
@@ -377,7 +353,6 @@ func (m *muxConn[E]) alive() bool {
 }
 
 func (m *muxConn[E]) readLoop(br *bufio.Reader) {
-	defer m.wg.Done()
 	for {
 		stream, r, err := readResponseFrame[E](br, m.cod, m.free)
 		if err != nil {
@@ -418,7 +393,6 @@ func (m *muxConn[E]) teardown() {
 		m.inflight.Add(-1)
 	}
 	m.mu.Unlock()
-	close(m.done)
 	_ = m.conn.Close()
 	m.w.close()
 	m.conns.Add(-1)
@@ -459,7 +433,6 @@ func (m *muxConn[E]) send(c *Call[E]) {
 		return
 	}
 	c.sent += sent
-	m.lastOut.Store(time.Now().UnixNano())
 }
 
 // unregister withdraws c from stream id, reporting whether it was still
@@ -475,59 +448,6 @@ func (m *muxConn[E]) unregister(id uint32, c *Call[E]) bool {
 		m.inflight.Add(-1)
 	}
 	return ok
-}
-
-// do is a round trip on this one connection: send, then the receive half
-// waiting on the call's private channel, bounded by timeout. It records no
-// client observation and never retries elsewhere, since it judges this
-// connection (the heartbeat's use).
-func (m *muxConn[E]) do(timeout time.Duration, req request[E]) error {
-	c := m.pool.call()
-	c.mu.Lock()
-	c.prepare(context.Background(), m.pool, m.addr, timeout, nil, req, c.private)
-	c.final = true
-	m.send(c)
-	c.mu.Unlock()
-	err := c.await(timeout)
-	m.pool.release(c)
-	return err
-}
-
-// heartbeatLoop pings the device whenever the connection has been idle
-// for a full interval, keeping the server's idle deadline from cutting
-// the pooled connection and feeding LastContact for the fleet's breaker
-// prober. Each heartbeat is timed end to end and refreshes the
-// connection's round-trip estimate (LastRTT), giving cost estimators a
-// free per-device network signal. A failed heartbeat tears the connection
-// down: the next request redials rather than discovering the corpse
-// itself.
-func (m *muxConn[E]) heartbeatLoop(every time.Duration) {
-	defer m.wg.Done()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.done:
-			return
-		case <-t.C:
-			last := m.lastIn.Load()
-			if out := m.lastOut.Load(); out > last {
-				last = out
-			}
-			if time.Since(time.Unix(0, last)) < every {
-				continue
-			}
-			sentAt := time.Now()
-			err := m.do(m.timeout, request[E]{op: opPing})
-			if err != nil {
-				m.hbCounterFail.Inc()
-				m.teardown()
-				return
-			}
-			m.rtt.Store(int64(time.Since(sentAt)))
-			m.hbCounterOK.Inc()
-		}
-	}
 }
 
 // startClientSpan opens the rpc.client span when the caller is tracing,

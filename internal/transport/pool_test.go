@@ -68,43 +68,6 @@ func TestMuxManyStreamsOneConnection(t *testing.T) {
 	}
 }
 
-// TestHeartbeatKeepsConnectionAlive: with a server idle timeout shorter
-// than the test's idle window, only the pool's piggybacked heartbeats can
-// keep the negotiated connection open — no re-negotiation may occur.
-func TestHeartbeatKeepsConnectionAlive(t *testing.T) {
-	f := field.Prime{}
-	srv, err := NewDeviceServerOptions[uint64](f, "127.0.0.1:0", Options{Timeout: 250 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	pool := NewPool[uint64]()
-	pool.heartbeat = 50 * time.Millisecond
-	reg := obs.New()
-	client := Client[uint64]{F: f, Timeout: 2 * time.Second, Metrics: reg, Pool: pool}
-	if err := client.Ping(t.Context(), srv.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(700 * time.Millisecond) // several server idle timeouts
-	last, ok := client.LastContact(srv.Addr())
-	if !ok {
-		t.Fatal("no LastContact despite heartbeats")
-	}
-	if age := time.Since(last); age > 300*time.Millisecond {
-		t.Fatalf("LastContact is %v old, heartbeats are not flowing", age)
-	}
-	if err := client.Ping(t.Context(), srv.Addr()); err != nil {
-		t.Fatalf("ping after idle window: %v", err)
-	}
-	if n := reg.Counter(obs.MetricTransportNegotiations, "", obs.L("outcome", "v4")).Value(); n != 1 {
-		t.Fatalf("v4 negotiations = %d, want 1 (connection must have survived idle)", n)
-	}
-	if hb := reg.Counter(obs.MetricTransportHeartbeats, "", obs.L("outcome", "ok")).Value(); hb < 3 {
-		t.Fatalf("ok heartbeats = %d, want several over the idle window", hb)
-	}
-}
-
 // TestPoolReconnectsAfterServerRestart kills the device mid-lifetime and
 // restarts it on the same address: the pooled connection dies, and the
 // next request must transparently redial instead of failing.

@@ -9,8 +9,8 @@ import (
 )
 
 // TestLastRTTMeasured pins the estimator's network signal: the handshake
-// seeds an RTT for the pooled connection, idle heartbeats keep refreshing
-// it, and ConnDebug surfaces the same number.
+// seeds an RTT for the pooled connection, and ConnDebug surfaces the same
+// number.
 func TestLastRTTMeasured(t *testing.T) {
 	f := field.Prime{}
 	srv, err := NewDeviceServer[uint64](f, "127.0.0.1:0")
@@ -20,7 +20,6 @@ func TestLastRTTMeasured(t *testing.T) {
 	defer srv.Close()
 
 	pool := NewPool[uint64]()
-	pool.heartbeat = 30 * time.Millisecond
 	client := Client[uint64]{F: f, Timeout: 2 * time.Second, Metrics: obs.New(), Pool: pool}
 
 	if _, ok := client.LastRTT(srv.Addr()); ok {
@@ -37,16 +36,9 @@ func TestLastRTTMeasured(t *testing.T) {
 		t.Fatalf("loopback handshake RTT = %v, implausible", rtt)
 	}
 
-	// Idle heartbeats refresh the measurement without any caller RPCs.
-	time.Sleep(150 * time.Millisecond)
-	rtt2, ok := client.LastRTT(srv.Addr())
-	if !ok || rtt2 <= 0 {
-		t.Fatalf("RTT lost after idle heartbeats: %v %v", rtt2, ok)
-	}
-
 	dbg := pool.Debug(srv.Addr())
-	if dbg.RTT != rtt2 {
-		t.Fatalf("ConnDebug.RTT = %v, LastRTT = %v; must agree", dbg.RTT, rtt2)
+	if dbg.RTT != rtt {
+		t.Fatalf("ConnDebug.RTT = %v, LastRTT = %v; must agree", dbg.RTT, rtt)
 	}
 	if dbg.LastContact.IsZero() {
 		t.Fatal("ConnDebug reports no contact on a live connection")
@@ -54,8 +46,8 @@ func TestLastRTTMeasured(t *testing.T) {
 }
 
 // TestPingRefreshesLastRTT: a ping over a pooled connection is a timed round
-// trip like a heartbeat, so it replaces a stale measurement — a prober that
-// pings more often than the heartbeat interval never lets a heartbeat run.
+// trip, so it replaces a stale measurement — the fleet prober's pings keep
+// LastRTT current on an idle connection.
 func TestPingRefreshesLastRTT(t *testing.T) {
 	f := field.Prime{}
 	srv, err := NewDeviceServer[uint64](f, "127.0.0.1:0")
@@ -64,7 +56,6 @@ func TestPingRefreshesLastRTT(t *testing.T) {
 	}
 	defer srv.Close()
 	pool := NewPool[uint64]()
-	pool.heartbeat = time.Hour
 	client := Client[uint64]{F: f, Timeout: 2 * time.Second, Metrics: obs.New(), Pool: pool}
 	if err := client.Ping(t.Context(), srv.Addr()); err != nil {
 		t.Fatal(err)

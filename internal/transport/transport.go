@@ -15,11 +15,12 @@
 // over the field element type: one persistent connection per device
 // multiplexes many in-flight requests as length-prefixed binary frames with
 // stream IDs; field-element slabs travel as raw little-endian bytes (zero
-// copy on little-endian hosts), small writes batch through a group-commit
-// flusher, and idle connections carry piggybacked heartbeats that the fleet
-// runtime reads instead of dialing separate pings. A connection opens with
-// a 12-byte versioned hello in each direction; a peer that does not answer
-// it is a dial error like any other.
+// copy on little-endian hosts), and small writes batch through a
+// group-commit flusher. A connection's hello and every reply on it refresh
+// its LastContact, which the fleet runtime reads before it spends a probe
+// ping on the device. A connection opens with a 12-byte versioned hello in
+// each direction; a peer that does not answer it is a dial error like any
+// other.
 package transport
 
 import (
@@ -489,7 +490,7 @@ func (c Client[E]) LastContact(addr string) (time.Time, bool) {
 
 // LastRTT reports the most recent round-trip time measured on this
 // client's pooled multiplexed connection to addr (negotiation handshake,
-// refreshed by timed idle heartbeats); see Pool.LastRTT.
+// refreshed by every Ping); see Pool.LastRTT.
 func (c Client[E]) LastRTT(addr string) (time.Duration, bool) {
 	return c.pool().LastRTT(addr)
 }
@@ -618,9 +619,7 @@ func (c Client[E]) Compute(ctx context.Context, addr string, x []E) ([]E, error)
 
 // Ping checks a device is reachable using the client's timeout and metrics
 // registry. A ping over a connection already pooled is timed end to end and
-// refreshes its LastRTT, as a heartbeat does: a prober that pings more often
-// than the heartbeat interval keeps the connection from idling, and would
-// otherwise freeze LastRTT at the handshake.
+// refreshes its LastRTT, which would otherwise stay at the handshake's.
 func (c Client[E]) Ping(ctx context.Context, addr string) error {
 	p := c.pool()
 	m := p.live(addr)

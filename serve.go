@@ -8,8 +8,10 @@ import (
 
 // FleetConfig tunes a fault-tolerant serving session: the replica topology
 // (which device addresses host copies of each coded block, plus warm
-// standbys), the hedging/retry/deadline policy, and the health-probe and
-// circuit-breaker parameters. See internal/fleet.Config for field docs.
+// standbys), the per-attempt timeout and hedge delay, and the health-probe
+// and circuit-breaker parameters. The query deadline, retry rounds and
+// backoff, and probe timeout are fixed package constants; a caller bounds
+// one query with its context. See internal/fleet.Config for field docs.
 type FleetConfig = fleet.Config
 
 // Session is the raw fault-tolerant fleet runtime for one deployment: it

@@ -11,8 +11,8 @@ import (
 // no-op everywhere it is accepted. See internal/obs/trace.
 type Tracer = trace.Tracer
 
-// TracerOptions tunes a Tracer (service name, retention buffer sizes,
-// clock). The zero value selects every default.
+// TracerOptions tunes a Tracer (service name, clock). The retention buffer
+// sizes are fixed. The zero value selects every default.
 type TracerOptions = trace.Options
 
 // NewTracer builds a tracer. Wire it into a deployment with WithTracing (or
