@@ -393,7 +393,8 @@ func runFleet(args []string, out io.Writer) error {
 
 // writeEngineSummary prints the execution engine's dispatch counters and —
 // when coalescing ran — the merged-round accounting from the default
-// registry.
+// registry. It names only the backends that dispatched: the deployment's
+// local bind mints zero-valued series before Serve re-binds it to the fleet.
 func writeEngineSummary(out io.Writer) error {
 	vec, mat := 0.0, 0.0
 	rounds, callers := int64(0), 0.0
@@ -407,7 +408,7 @@ func writeEngineSummary(out io.Writer) error {
 				} else {
 					mat += sr.Value
 				}
-				if b := sr.Labels["backend"]; b != "" {
+				if b := sr.Labels["backend"]; b != "" && sr.Value > 0 {
 					backends[b] = true
 				}
 			}

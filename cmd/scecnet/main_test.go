@@ -1,7 +1,10 @@
 package main
 
 import (
+	"flag"
 	"fmt"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -208,5 +211,32 @@ func TestFleetRetiredFlags(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("fleet %v: err = %v, want an undefined flag", args, err)
 		}
+	}
+}
+
+// engineSummaryChild is the positional argument that makes the test binary
+// run TestFleetEngineSummaryNamesServingBackends's fleet in a fresh process.
+const engineSummaryChild = "engine-summary-child"
+
+// TestFleetEngineSummaryNamesServingBackends checks the engine summary names
+// the fleet alone: the local bind Deploy makes before Serve never
+// dispatches. The summary reads the process-wide registry, which the other
+// tests of this package also record into, so the run happens in a fresh
+// copy of the test binary, as one `scecnet fleet` process would.
+func TestFleetEngineSummaryNamesServingBackends(t *testing.T) {
+	args := []string{"fleet", "-replicas", "1", "-standbys", "0", "-queries", "1", "-batch", "2",
+		"-m", "20", "-l", "4", "-k", "4", "-seed", "6"}
+	if flag.Arg(0) == engineSummaryChild {
+		if err := run(args, os.Stdout); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	out, err := exec.Command(os.Args[0], "-test.run=^TestFleetEngineSummaryNamesServingBackends$", engineSummaryChild).CombinedOutput()
+	if err != nil {
+		t.Fatalf("%v:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "engine summary: backends=fleet ") {
+		t.Errorf("engine summary should name only the fleet backend:\n%s", out)
 	}
 }

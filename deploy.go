@@ -28,15 +28,6 @@ func UnitCost(l int, c CostComponents) float64 { return c.Unit(l) }
 // UnitCosts maps a fleet of component prices to unit costs.
 func UnitCosts(l int, comps []CostComponents) ([]float64, error) { return cost.Units(l, comps) }
 
-// AmortizedUnitCosts maps component prices to the unit costs of a session
-// serving `queries` input vectors from one provisioned deployment: storage
-// is paid once, compute and communication per query. Feed the result to
-// Allocate to plan long-lived deployments (the device ranking can differ
-// from the one-shot case when storage and compute prices diverge).
-func AmortizedUnitCosts(l, queries int, comps []CostComponents) ([]float64, error) {
-	return cost.AmortizedUnits(l, queries, comps)
-}
-
 // Deployment is a fully provisioned secure multiplication service for one
 // confidential matrix: the optimal plan, the coding design it induces, every
 // device's coded block, and the query engine bound to an execution backend.

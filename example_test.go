@@ -57,28 +57,28 @@ func ExampleAllocate() {
 	// r=1 devices=5 cost=5 lb=5
 }
 
-// ExampleNewScheme shows the coding layer without the allocation layer.
-func ExampleNewScheme() {
+// ExampleNewCode shows the coding layer without the allocation layer.
+func ExampleNewCode() {
 	f := scec.GF256Field()
 	rng := rand.New(rand.NewPCG(3, 4))
 
-	s, err := scec.NewScheme(4, 2)
+	s, err := scec.NewCode(f, 4, 2)
 	if err != nil {
-		fmt.Println("scheme:", err)
+		fmt.Println("code:", err)
 		return
 	}
-	if err := scec.VerifyScheme(f, s); err != nil {
+	if err := s.Verify(); err != nil {
 		fmt.Println("verify:", err)
 		return
 	}
 	a := scec.RandomMatrix(f, rng, 4, 3)
-	enc, err := scec.Encode(f, s, a, rng)
+	enc, err := s.Encode(a, rng)
 	if err != nil {
 		fmt.Println("encode:", err)
 		return
 	}
 	x := []byte{1, 2, 3}
-	y, err := scec.Decode(f, s, enc.ComputeAll(f, x))
+	y, err := s.Decode(enc.ComputeAll(f, x))
 	if err != nil {
 		fmt.Println("decode:", err)
 		return

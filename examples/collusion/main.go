@@ -31,19 +31,19 @@ func main() {
 	)
 
 	// --- Part 1: break the single-attacker design with two devices. ---
-	s, err := scec.NewScheme(m, 4)
+	s, err := scec.NewCode(f, m, 4)
 	if err != nil {
 		log.Fatal(err)
 	}
 	a := scec.RandomMatrix(f, rng, m, l)
-	enc, err := scec.Encode(f, s, a, rng)
+	enc, err := s.Encode(a, rng)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Each device alone is blind.
 	for j := 0; j < s.Devices(); j++ {
-		if leak := scec.AuditDevice(f, s, j); leak != 0 {
+		if leak := scec.AuditCode(f, s, j); leak != 0 {
 			log.Fatalf("device %d should be blind, leaks %d", j, leak)
 		}
 	}
@@ -51,8 +51,8 @@ func main() {
 
 	// Devices 0 and 1 pool their coefficient rows and coded rows.
 	pooledCoeffs := matrix.VStack(
-		enc.Code.DeviceCoefficients(0),
-		enc.Code.DeviceCoefficients(1),
+		s.DeviceCoefficients(0),
+		s.DeviceCoefficients(1),
 	)
 	pooledCoded := matrix.VStack(enc.Blocks[0], enc.Blocks[1])
 	alpha, combo, ok := attack.Exploit(f, pooledCoeffs, m)

@@ -22,9 +22,6 @@ type Executor[E comparable] = engine.Executor[E]
 // per-gather failure probabilities, outages).
 type SimProfile = sim.DeviceProfile
 
-// DefaultSimProfile is a nominal simulated edge device.
-func DefaultSimProfile() SimProfile { return sim.DefaultProfile() }
-
 // SimExecutorConfig configures a simulator-backed executor: the replica
 // group of device profiles hosting each coded block, the seed of the failure
 // draws and retry jitter, and the registry receiving virtual-clock telemetry.

@@ -742,11 +742,11 @@ func TestRealStaysOnHost(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 8))
 	a := scec.RandomMatrix(f, rng, 12, 9)
 	costs := []float64{1.2, 0.9, 1.7}
-	scheme, err := scec.NewScheme(12, 4)
+	code, err := scec.NewCode(f, 12, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := scec.Encode(f, scheme, a, rng)
+	enc, err := code.Encode(a, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

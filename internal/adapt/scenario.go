@@ -14,6 +14,7 @@ import (
 
 	"github.com/scec/scec/internal/alloc"
 	"github.com/scec/scec/internal/coding"
+	"github.com/scec/scec/internal/field"
 	"github.com/scec/scec/internal/obs"
 	"github.com/scec/scec/internal/obs/flight"
 	"github.com/scec/scec/internal/sim"
@@ -578,7 +579,7 @@ func (a *arm) Rehost(_ context.Context, block int, _, to string) error {
 // Reshape implements Substrate: every block of the fresh encoding is pushed
 // in parallel, and the new epoch starts with nothing bound.
 func (a *arm) Reshape(_ context.Context, target []string, r int) error {
-	scheme, err := coding.New(a.cfg.M, r)
+	scheme, err := coding.NewStructured(field.Prime{}, a.cfg.M, r)
 	if err != nil {
 		return err
 	}

@@ -94,18 +94,3 @@ func VerifyExploit[E comparable](f field.Field[E], codedBlock, a *matrix.Dense[E
 	}
 	return nil
 }
-
-// AuditScheme runs Leakage against every device of the structured Eq. (8)
-// scheme over f and returns the per-device leak dimensions (all zeros for a
-// sound construction). It is the attack-side mirror of the code's Verify.
-func AuditScheme[E comparable](f field.Field[E], s *coding.Scheme) []int {
-	code, err := coding.NewStructured(f, s.M(), s.R())
-	if err != nil {
-		panic(err) // s came from coding.New, so its shape is admissible
-	}
-	leaks := make([]int, code.Devices())
-	for j := range leaks {
-		leaks[j] = Leakage(f, code.DeviceCoefficients(j), code.M())
-	}
-	return leaks
-}

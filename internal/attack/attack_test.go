@@ -15,12 +15,12 @@ func TestAuditSchemeFindsNoLeaks(t *testing.T) {
 	f := field.Prime{}
 	for m := 1; m <= 15; m++ {
 		for r := 1; r <= m; r++ {
-			s, err := coding.New(m, r)
+			code, err := coding.NewStructured(f, m, r)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for j, leak := range AuditScheme[uint64](f, s) {
-				if leak != 0 {
+			for j := range code.Devices() {
+				if leak := Leakage(f, code.DeviceCoefficients(j), m); leak != 0 {
 					t.Fatalf("m=%d r=%d: device %d leaks %d dimensions", m, r, j, leak)
 				}
 			}

@@ -100,15 +100,26 @@ type Systematic[E comparable] struct {
 }
 
 // NewStructured builds the Eq. (8) code over f for m data rows and r random
-// rows; see New for the admissible range and the device layout.
+// rows. It requires m ≥ 1 and 1 ≤ r ≤ m (Theorem 2's admissible range at k
+// unlimited; callers that already ran task allocation pass the plan's r).
+// The number of participating devices is i = ⌈(m+r)/r⌉, and device j
+// (0-based) holds the global rows [j·r, min((j+1)·r, m+r)) of
+//
+//	B = ⎡ O_{r,m}  E_r     ⎤   ← device 1: pure random combinations
+//	    ⎣ E_m      E_{m,r} ⎦   ← devices 2…i: one data row + one random row each
+//
+// which reproduces the Lemma 2 shape: the first i−1 devices hold r rows, the
+// last holds m−(i−2)·r.
 func NewStructured[E comparable](f field.Field[E], m, r int) (*Systematic[E], error) {
-	s, err := New(m, r)
-	if err != nil {
-		return nil, err
+	if m < 1 {
+		return nil, fmt.Errorf("coding: m = %d, need m >= 1", m)
 	}
-	offs := make([]int, s.i+1)
-	for j := 0; j < s.i; j++ {
-		_, offs[j+1] = s.RowRange(j)
+	if r < 1 || r > m {
+		return nil, fmt.Errorf("coding: r = %d outside [1, m] = [1, %d]", r, m)
+	}
+	offs := make([]int, (m+2*r-1)/r+1)
+	for j := 1; j < len(offs); j++ {
+		offs[j] = min(j*r, m+r)
 	}
 	return &Systematic[E]{f: f, m: m, r: r, t: 1, offs: offs}, nil
 }

@@ -25,9 +25,9 @@ func TestNewValidation(t *testing.T) {
 		{-3, 1, false},
 	}
 	for _, tc := range cases {
-		_, err := New(tc.m, tc.r)
+		_, err := NewStructured(field.Prime{}, tc.m, tc.r)
 		if (err == nil) != tc.ok {
-			t.Errorf("New(%d, %d) err = %v, want ok=%v", tc.m, tc.r, err, tc.ok)
+			t.Errorf("NewStructured(%d, %d) err = %v, want ok=%v", tc.m, tc.r, err, tc.ok)
 		}
 	}
 }
@@ -35,7 +35,7 @@ func TestNewValidation(t *testing.T) {
 func TestRowRangesMatchLemma2Shape(t *testing.T) {
 	for m := 1; m <= 25; m++ {
 		for r := 1; r <= m; r++ {
-			s, err := New(m, r)
+			s, err := NewStructured(field.Prime{}, m, r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,7 +61,7 @@ func TestRowRangesMatchLemma2Shape(t *testing.T) {
 }
 
 func TestRowRangePanics(t *testing.T) {
-	s, _ := New(4, 2)
+	s, _ := NewStructured(field.Prime{}, 4, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for out-of-range device")

@@ -21,7 +21,7 @@ func FuzzEncodeDecodeGF256(fz *testing.F) {
 		l := 1 + int(lRaw)%8
 		s, err := NewStructured(f, m, r)
 		if err != nil {
-			t.Fatalf("New(%d, %d): %v", m, r, err)
+			t.Fatalf("NewStructured(%d, %d): %v", m, r, err)
 		}
 		if err := s.Verify(); err != nil {
 			t.Fatalf("Theorem 3 violated at m=%d r=%d: %v", m, r, err)

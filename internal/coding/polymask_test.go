@@ -205,7 +205,7 @@ func TestPolyMaskResourceContrast(t *testing.T) {
 	if pm.TotalRows() != n*m {
 		t.Fatalf("total rows = %d, want n·m = %d", pm.TotalRows(), n*m)
 	}
-	sc, err := New(m, 25) // r = 25 → 5 devices of 25 rows
+	sc, err := NewStructured(f, m, 25) // r = 25 → 5 devices of 25 rows
 	if err != nil {
 		t.Fatal(err)
 	}

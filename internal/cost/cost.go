@@ -59,43 +59,6 @@ func (c Components) FixedPerDevice(l int) float64 {
 	return float64(l) * c.Storage
 }
 
-// AmortizedUnit returns the per-row cost of serving `queries` input vectors
-// from one provisioned deployment: the coded row is stored once, while
-// computation, result storage, and communication recur per query:
-//
-//	(l+1)·c^s + q·(l·c^m + (l−1)·c^a + c^d)
-//
-// AmortizedUnit(l, 1) equals Unit(l). The paper's one-shot objective
-// generalizes directly: running task allocation on amortized unit costs
-// yields the plan that is optimal for a q-query session — as q grows,
-// storage prices stop mattering and compute/communication prices dominate
-// the device ranking.
-func (c Components) AmortizedUnit(l, queries int) float64 {
-	if l < 1 {
-		panic(fmt.Sprintf("cost: row length %d < 1", l))
-	}
-	if queries < 1 {
-		panic(fmt.Sprintf("cost: query count %d < 1", queries))
-	}
-	perQuery := float64(l)*c.Mul + float64(l-1)*c.Add + c.Comm
-	return float64(l+1)*c.Storage + float64(queries)*perQuery
-}
-
-// AmortizedUnits maps a fleet to amortized unit costs for a q-query session.
-func AmortizedUnits(l, queries int, comps []Components) ([]float64, error) {
-	if len(comps) == 0 {
-		return nil, ErrNoDevices
-	}
-	units := make([]float64, len(comps))
-	for j, c := range comps {
-		if err := c.Validate(); err != nil {
-			return nil, fmt.Errorf("device %d: %w", j, err)
-		}
-		units[j] = c.AmortizedUnit(l, queries)
-	}
-	return units, nil
-}
-
 // ErrNoDevices is returned when a cost computation receives no devices.
 var ErrNoDevices = errors.New("cost: no devices")
 

@@ -127,69 +127,6 @@ func TestVariableTotal(t *testing.T) {
 	}
 }
 
-func TestAmortizedUnitSingleQueryEqualsUnit(t *testing.T) {
-	c := Components{Storage: 2, Add: 3, Mul: 5, Comm: 7}
-	for _, l := range []int{1, 4, 100} {
-		if got, want := c.AmortizedUnit(l, 1), c.Unit(l); got != want {
-			t.Fatalf("l=%d: AmortizedUnit(l,1) = %g, want Unit(l) = %g", l, got, want)
-		}
-	}
-}
-
-func TestAmortizedUnitScalesWithQueries(t *testing.T) {
-	c := Components{Storage: 2, Add: 1, Mul: 3, Comm: 4}
-	l := 10
-	perQuery := float64(l)*c.Mul + float64(l-1)*c.Add + c.Comm
-	storage := float64(l+1) * c.Storage
-	for _, q := range []int{1, 5, 100} {
-		want := storage + float64(q)*perQuery
-		if got := c.AmortizedUnit(l, q); got != want {
-			t.Fatalf("q=%d: AmortizedUnit = %g, want %g", q, got, want)
-		}
-	}
-}
-
-// TestAmortizedRankingShift shows why amortization changes allocation: a
-// device with cheap storage but expensive compute wins one-shot sessions
-// and loses long ones.
-func TestAmortizedRankingShift(t *testing.T) {
-	cheapStorage := Components{Storage: 0.1, Add: 1, Mul: 5, Comm: 1}
-	cheapCompute := Components{Storage: 5, Add: 0.1, Mul: 0.5, Comm: 1}
-	l := 8
-	if cheapStorage.AmortizedUnit(l, 1) >= cheapCompute.AmortizedUnit(l, 1) {
-		t.Fatal("cheap-storage device should win the one-shot session")
-	}
-	if cheapStorage.AmortizedUnit(l, 1000) <= cheapCompute.AmortizedUnit(l, 1000) {
-		t.Fatal("cheap-compute device should win the long session")
-	}
-}
-
-func TestAmortizedUnitsErrors(t *testing.T) {
-	if _, err := AmortizedUnits(4, 2, nil); err == nil {
-		t.Error("no devices should error")
-	}
-	if _, err := AmortizedUnits(4, 2, []Components{{Add: 2, Mul: 1}}); err == nil {
-		t.Error("invalid components should error")
-	}
-	units, err := AmortizedUnits(4, 3, []Components{{Mul: 1}})
-	if err != nil || len(units) != 1 {
-		t.Fatalf("units = %v, err = %v", units, err)
-	}
-	for _, fn := range []func(){
-		func() { Components{}.AmortizedUnit(0, 1) },
-		func() { Components{}.AmortizedUnit(1, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 // TestTotalDecomposition checks the paper's reduction: Eq. (1) equals the
 // variable objective plus the fixed storage sum, for arbitrary component
 // prices.

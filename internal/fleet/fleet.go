@@ -424,7 +424,7 @@ func (s *Session[E]) newDevice(addr string) *device {
 		addr:  addr,
 		block: -1,
 		gauge: s.reg.Gauge(obs.MetricFleetBreakerState, breakerHelp, obs.L("device", addr)),
-		rtt: s.reg.Gauge(obs.MetricTransportHeartbeatRTT,
+		rtt: s.reg.Gauge(obs.MetricFleetDeviceRTT,
 			"Most recent round-trip time per device in seconds: the connection's handshake or the latest probe ping (transport.Client.LastRTT).",
 			obs.L("device", addr)),
 		jr: s.jr,

@@ -68,6 +68,12 @@ const (
 	// MetricFleetBreakerState is a per-device gauge (label device=<addr>) of
 	// the circuit-breaker state: 0 closed, 1 half-open, 2 open.
 	MetricFleetBreakerState = "scec_fleet_breaker_state"
+	// MetricFleetDeviceRTT is a per-device gauge (label device=<addr>) of the
+	// session's most recent round-trip time to the device in seconds — the
+	// connection's negotiation handshake or the fleet prober's latest ping,
+	// read through transport.Client.LastRTT. The adaptive control plane
+	// prices a device's network by the same signal.
+	MetricFleetDeviceRTT = "scec_fleet_device_rtt_seconds"
 	// MetricFleetBlockWinnerSeconds is a per-block histogram (label
 	// block="j", scheme order) of the latency of the winning replica
 	// attempt for each served block fetch.
@@ -155,12 +161,6 @@ const (
 	// MetricTransportNegotiations counts hello handshakes on freshly dialed
 	// connections, labelled outcome=v4|error.
 	MetricTransportNegotiations = "scec_transport_negotiations_total"
-	// MetricTransportHeartbeatRTT is a per-device gauge (label device=<addr>)
-	// of the connection's most recent round-trip time in seconds — its
-	// negotiation handshake or the fleet prober's latest ping, read through
-	// transport.Client.LastRTT. The adaptive control plane prices a device's
-	// network by the same signal.
-	MetricTransportHeartbeatRTT = "scec_transport_heartbeat_rtt_seconds"
 
 	// Flight-recorder (internal/obs/flight) metrics. The kind label ranges
 	// over the fixed event-kind enumeration, so cardinality is bounded.
@@ -272,26 +272,6 @@ func (s Span) End() time.Duration {
 		ObserveStage(s.reg, s.stage, d)
 	}
 	return d
-}
-
-// StageTails returns the interpolated p50/p95/p99 latency summary (in
-// seconds) of every pipeline stage that has recorded at least one
-// observation, keyed by stage name. A nil registry reads Default().
-func StageTails(r *Registry) map[string]Tails {
-	if r == nil {
-		r = Default()
-	}
-	out := make(map[string]Tails)
-	for _, stage := range Stages {
-		s := r.find(MetricStageSeconds, []Label{L("stage", stage)})
-		if s == nil || s.hist == nil {
-			continue
-		}
-		if tails, ok := s.hist.Tails(); ok {
-			out[stage] = tails
-		}
-	}
-	return out
 }
 
 // WriteStageTable renders a human-readable per-stage timing table from the

@@ -9,14 +9,6 @@ import (
 	"github.com/scec/scec/internal/quant"
 )
 
-// Quantizer converts between float64 values and exact fixed-point residues
-// in the prime field. See DeployQuantized for the high-level path.
-type Quantizer = quant.Quantizer
-
-// NewQuantizer builds a fixed-point quantizer with the given number of
-// fractional bits (1–28).
-func NewQuantizer(fracBits uint) (Quantizer, error) { return quant.NewQuantizer(fracBits) }
-
 // QuantizedDeployment wraps a prime-field Deployment of a quantized float
 // matrix: callers keep working in float64 while the fleet computes exactly
 // in F_p — so the coded rows are uniform field elements and Definition 2's
@@ -26,7 +18,7 @@ type QuantizedDeployment struct {
 	// Deployment is the underlying exact deployment; its Plan, Audit, and
 	// Cost describe this workload.
 	*Deployment[uint64]
-	q    Quantizer
+	q    quant.Quantizer
 	l    int
 	maxA float64
 }

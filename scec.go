@@ -25,12 +25,13 @@
 //
 // The subsystems are individually importable through this façade:
 //
-//   - task allocation & lower bound (Allocate, AllocateExhaustive,
-//     LowerBound, the Baseline* functions),
-//   - coding design (NewScheme, Encode, Decode, VerifyScheme),
+//   - task allocation & lower bound (Allocate, LowerBound, the Baseline*
+//     functions),
+//   - coding design (NewCode, whose Code encodes, decodes and verifies
+//     itself),
 //   - the collusion-resistant extension (NewCollusionScheme): the same
 //     systematic Code with a Cauchy block in place of Eq. (8)'s identities,
-//   - the attack harness (AuditDevice),
+//   - the attack harness (AuditCode),
 //   - fields and dense matrices (PrimeField, GF256Field, RealField, Matrix).
 package scec
 
@@ -65,12 +66,6 @@ type Plan = alloc.Plan
 // Assignment is one device's share of a Plan.
 type Assignment = alloc.Assignment
 
-// Scheme is the shape (m, r) of the structured linear coding design (Eq. (8)
-// of the paper): availability and per-device security hold by construction
-// (Theorem 3) and decoding costs m subtractions. Encode, Decode,
-// VerifyScheme and AuditDevice run the design over a field.
-type Scheme = coding.Scheme
-
 // Code is the coding contract every engine-selectable design satisfies:
 // encode/decode (vector and batch), the per-device row layout, the
 // recoverability threshold K, and the security level T. One systematic code
@@ -79,7 +74,7 @@ type Scheme = coding.Scheme
 // Cauchy matrix; Deploy selects between them via WithCollusion.
 type Code[E comparable] = coding.Code[E]
 
-// Encoding holds the per-device coded blocks B_j·T produced by Encode.
+// Encoding holds the per-device coded blocks B_j·T produced by Code.Encode.
 type Encoding[E comparable] = coding.Encoding[E]
 
 // PrimeField returns arithmetic over F_p with p = 2^61 − 1, the recommended
@@ -135,13 +130,6 @@ func Allocate(m int, unitCosts []float64) (Plan, error) {
 	return alloc.TA1(Instance{M: m, Costs: unitCosts})
 }
 
-// AllocateExhaustive solves the same problem with the O(m+k) TA2 algorithm
-// (Theorem 5); it always matches Allocate's cost and exists mainly for
-// cross-validation and for fleets where k ≫ m.
-func AllocateExhaustive(m int, unitCosts []float64) (Plan, error) {
-	return alloc.TA2(Instance{M: m, Costs: unitCosts})
-}
-
 // LowerBound returns the Theorem 1 lower bound on any secure allocation's
 // cost; Allocate attains it whenever (i*−1) divides m.
 func LowerBound(m int, unitCosts []float64) (float64, error) {
@@ -159,44 +147,17 @@ var (
 	BaselineMinNode = alloc.MinNode
 )
 
-// NewScheme builds the structured coding design for m data rows and r
-// random rows (use the R of a Plan from Allocate).
-func NewScheme(m, r int) (*Scheme, error) { return coding.New(m, r) }
-
-// eq8 is the Eq. (8) code over f with s's shape.
-func eq8[E comparable](f Field[E], s *Scheme) (*coding.Systematic[E], error) {
-	return coding.NewStructured(f, s.M(), s.R())
-}
-
-// Encode runs the cloud-side pre-processing: draw r random rows and produce
-// every device's coded block B_j·T.
-func Encode[E comparable](f Field[E], s *Scheme, a *Matrix[E], rng *rand.Rand) (*Encoding[E], error) {
-	code, err := eq8(f, s)
+// NewCode builds the structured coding design of Eq. (8) over f for m data
+// rows and r random rows (use the R of a Plan from Allocate): availability
+// and per-device security hold by construction (Theorem 3), and the Code's
+// own Encode, Decode and Verify run the cloud-side pre-processing, the
+// m-subtraction decode and the Theorem 3 check.
+func NewCode[E comparable](f Field[E], m, r int) (Code[E], error) {
+	code, err := coding.NewStructured(f, m, r)
 	if err != nil {
 		return nil, err
 	}
-	return code.Encode(a, rng)
-}
-
-// Decode recovers A·x from the concatenated device results with m
-// subtractions.
-func Decode[E comparable](f Field[E], s *Scheme, y []E) ([]E, error) {
-	code, err := eq8(f, s)
-	if err != nil {
-		return nil, err
-	}
-	return code.Decode(y)
-}
-
-// VerifyScheme re-establishes Theorem 3 for a concrete scheme over f: the
-// coefficient matrix is full rank (the user can decode) and every device's
-// rows intersect the data subspace trivially (no device learns anything).
-func VerifyScheme[E comparable](f Field[E], s *Scheme) error {
-	code, err := eq8(f, s)
-	if err != nil {
-		return err
-	}
-	return code.Verify()
+	return code, nil
 }
 
 // NewCollusionScheme builds the t-collusion-resistant extension, the
@@ -213,32 +174,9 @@ func NewCollusionScheme[E comparable](f Field[E], m, r, t int, rows []int) (Code
 	return code, nil
 }
 
-// PolyMaskScheme is the polynomial-masking (Shamir-style) comparison design
-// from the paper's related work ([8]–[10]): every device stores the whole
-// masked matrix, any t may collude, any t+1 responses decode. Included as
-// the related-work baseline the MCSCEC cost optimization is measured
-// against (see experiments' comparison table).
-type PolyMaskScheme[E comparable] = coding.PolyMaskScheme[E]
-
-// NewPolyMaskScheme builds a polynomial-masking scheme for m data rows on n
-// devices with collusion/straggler threshold t.
-func NewPolyMaskScheme[E comparable](f Field[E], m, t, n int) (*PolyMaskScheme[E], error) {
-	return coding.NewPolyMask(f, m, t, n)
-}
-
-// AuditDevice measures how many independent linear combinations of A's rows
-// a device holding the scheme's j-th coefficient block could compute; 0
-// means information-theoretically blind.
-func AuditDevice[E comparable](f Field[E], s *Scheme, j int) int {
-	code, err := eq8(f, s)
-	if err != nil {
-		panic(err) // s came from NewScheme, so its shape is admissible
-	}
-	return AuditCode(f, code, j)
-}
-
-// AuditCode is AuditDevice for any Code (structured or collusion): the leak
-// dimension of the j-th device's coefficient block.
+// AuditCode measures how many independent linear combinations of A's rows
+// a device holding the j-th coefficient block of c (structured or
+// collusion) could compute; 0 means information-theoretically blind.
 func AuditCode[E comparable](f Field[E], c Code[E], j int) int {
 	return attack.Leakage(f, c.DeviceCoefficients(j), c.M())
 }

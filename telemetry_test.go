@@ -3,15 +3,15 @@ package scec_test
 import (
 	"io"
 	"math/rand/v2"
-	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"github.com/scec/scec"
 )
 
-// TestTelemetryFacade drives the reference pipeline and checks the façade
-// accessors expose the recorded stage spans in both exposition formats.
+// TestTelemetryFacade drives the reference pipeline and checks that
+// MetricsHandler exposes the recorded stage spans in both exposition formats.
 func TestTelemetryFacade(t *testing.T) {
 	f := scec.PrimeField()
 	rng := rand.New(rand.NewPCG(3, 5))
@@ -25,70 +25,37 @@ func TestTelemetryFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var prom strings.Builder
-	if err := scec.WriteMetrics(&prom); err != nil {
-		t.Fatal(err)
+	get := func(path string) string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		scec.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		body, err := io.ReadAll(rec.Result().Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Code != 200 {
+			t.Fatalf("%s: code %d body %q", path, rec.Code, body)
+		}
+		return string(body)
 	}
+
+	prom := get("/metrics")
 	for _, want := range []string{
 		`scec_stage_duration_seconds_count{stage="allocate"}`,
 		`scec_stage_duration_seconds_count{stage="encode"}`,
 		`scec_stage_duration_seconds_count{stage="compute"}`,
 		`scec_stage_duration_seconds_count{stage="decode"}`,
 	} {
-		if !strings.Contains(prom.String(), want) {
+		if !strings.Contains(prom, want) {
 			t.Errorf("Prometheus exposition missing %q", want)
 		}
 	}
 
-	var jsonOut strings.Builder
-	if err := scec.WriteMetricsJSON(&jsonOut); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(jsonOut.String(), `"scec_stage_duration_seconds"`) {
+	snapshot := get("/metrics.json")
+	if !strings.Contains(snapshot, `"scec_stage_duration_seconds"`) {
 		t.Error("JSON snapshot missing the stage histogram")
 	}
-
-	var table strings.Builder
-	if err := scec.WriteStageTable(&table); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(table.String(), "allocate") || !strings.Contains(table.String(), "decode") {
-		t.Errorf("stage table incomplete:\n%s", table.String())
-	}
-}
-
-// TestServeMetrics exercises the façade's HTTP bundle end to end.
-func TestServeMetrics(t *testing.T) {
-	// Run one deployment so the default registry is non-empty even when
-	// this test runs alone.
-	f := scec.PrimeField()
-	rng := rand.New(rand.NewPCG(3, 5))
-	a := scec.RandomMatrix(f, rng, 10, 4)
-	if _, err := scec.Deploy(f, a, []float64{1, 2, 3}, rng); err != nil {
-		t.Fatal(err)
-	}
-
-	addr, closer, err := scec.ServeMetrics("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer.Close()
-
-	for path, want := range map[string]string{
-		"/healthz": "ok",
-		"/metrics": "# TYPE",
-	} {
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != 200 || !strings.Contains(string(body), want) {
-			t.Errorf("%s: code %d body %q, want %q", path, resp.StatusCode, body, want)
-		}
+	if !strings.Contains(snapshot, `"p99"`) {
+		t.Error("JSON snapshot missing the stage tail quantiles")
 	}
 }
