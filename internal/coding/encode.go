@@ -149,15 +149,26 @@ func (e *Encoding[E]) ComputeAll(f field.Field[E], x []E) []E {
 // column the same way, and the security argument is unchanged, since the
 // devices' coefficient rows are. Devices run in parallel through
 // matrix.ParallelFor, each product writing straight into its rows of y
-// (and sharding itself when it is large enough).
+// (and sharding itself when it is large enough). The sharding closure is
+// built only when the call may shard, so a serial call allocates nothing.
 func (e *Encoding[E]) ComputeAllInto(f field.Field[E], x, y *matrix.Dense[E]) {
 	offs := e.offsets()
-	n := x.Cols()
-	matrix.ParallelFor(len(e.Blocks), offs[len(offs)-1]*x.Rows()*n, func(jlo, jhi int) {
-		for j := jlo; j < jhi; j++ {
-			var out matrix.Dense[E] // MulInto keeps it on the stack
-			out.Wrap(offs[j+1]-offs[j], n, y.RowsView(offs[j], offs[j+1]))
-			matrix.MulInto(f, e.Blocks[j], x, &out)
-		}
+	n, work := len(e.Blocks), offs[len(offs)-1]*x.Rows()*x.Cols()
+	if !matrix.Shardable(n, work) {
+		e.computeRange(f, offs, x, y, 0, n)
+		return
+	}
+	matrix.ParallelFor(n, work, func(jlo, jhi int) {
+		e.computeRange(f, offs, x, y, jlo, jhi)
 	})
+}
+
+// computeRange runs devices jlo..jhi-1 of ComputeAllInto, whose results
+// start at the offsets offs into y.
+func (e *Encoding[E]) computeRange(f field.Field[E], offs []int, x, y *matrix.Dense[E], jlo, jhi int) {
+	for j := jlo; j < jhi; j++ {
+		var out matrix.Dense[E] // MulInto keeps it on the stack
+		out.Wrap(offs[j+1]-offs[j], x.Cols(), y.RowsView(offs[j], offs[j+1]))
+		matrix.MulInto(f, e.Blocks[j], x, &out)
+	}
 }

@@ -19,7 +19,11 @@ type outcome[E comparable] struct {
 	err error
 }
 
-// waiter is one MulVec caller parked in a coalescing batch.
+// waiter is one MulVec caller parked in a coalescing batch. Waiters are
+// recycled, each keeping its channel: submit takes one from the
+// coalescer's free list and gives it back once it has received the
+// outcome, so no round can still send to it. A waiter whose caller left on
+// its context is never given back, because its round may yet send.
 type waiter[E comparable] struct {
 	ctx context.Context
 	x   []E
@@ -58,6 +62,12 @@ type cbatch[E comparable] struct {
 // to its caller in a recycled buffer. The round never writes a caller's
 // output: a waiter copies its column in itself, so one that has left is
 // never written (its column buffer is simply dropped).
+//
+// A parked caller allocates nothing: its waiter comes from the free list,
+// and the queue's slice is an executed round's, handed back through spare.
+// Group commit queues in one batch for the coalescer's life; a window
+// opens a batch per round, because its timer's callback tells its batch
+// from a later one by identity, and recycles only the batch's slice.
 type coalescer[E comparable] struct {
 	q      *Query[E]
 	window time.Duration
@@ -71,6 +81,14 @@ type coalescer[E comparable] struct {
 
 	mu  sync.Mutex
 	cur *cbatch[E]
+	// queue is group commit's one batch; cur points at it while a caller
+	// is queued.
+	queue cbatch[E]
+	// spare is an executed round's waiter slice, cleared, kept as the
+	// backing array of the next batch to open.
+	spare []*waiter[E]
+	// free holds the waiters whose callers have received their outcomes.
+	free []*waiter[E]
 	// inflight (group commit only) is set while a round runs whose return
 	// sends the queue out next.
 	inflight bool
@@ -101,19 +119,16 @@ func (c *coalescer[E]) submit(ctx context.Context, x, dst []E) error {
 		c.inflight = true
 		c.mu.Unlock()
 		err := c.q.mulVec(ctx, x, dst)
-		if ws := c.next(); ws != nil {
+		if ws := c.next(nil); ws != nil {
 			go c.serve(ws)
 		}
 		return err
 	}
 	_, wsp := c.q.startSpan(ctx, trace.SpanCoalesceWait)
-	w := &waiter[E]{ctx: ctx, x: x, out: make(chan outcome[E], 1), sp: wsp}
+	w := c.getWaiter()
+	w.ctx, w.x, w.sp = ctx, x, wsp
 	if c.cur == nil {
-		b := &cbatch[E]{}
-		if c.window > 0 {
-			b.timer = time.AfterFunc(c.window, func() { c.flush(b) })
-		}
-		c.cur = b
+		c.open()
 	}
 	b := c.cur
 	b.waiters = append(b.waiters, w)
@@ -125,6 +140,7 @@ func (c *coalescer[E]) submit(ctx context.Context, x, dst []E) error {
 	if full {
 		b.timer.Stop()
 		c.execute(b.waiters)
+		c.recycle(b.waiters)
 	}
 	// w.out is buffered (size 1), so abandoning the wait on cancellation
 	// never blocks the executing goroutine's send.
@@ -135,6 +151,7 @@ func (c *coalescer[E]) submit(ctx context.Context, x, dst []E) error {
 			copy(dst, *o.ax)
 			c.q.columns.Put(o.ax)
 		}
+		c.putWaiter(w)
 		return o.err
 	case <-ctx.Done():
 		wsp.SetError(ctx.Err())
@@ -143,30 +160,97 @@ func (c *coalescer[E]) submit(ctx context.Context, x, dst []E) error {
 	}
 }
 
-// next is group commit's trigger, called when the round in flight returns:
-// it takes up to max queued waiters as the next round or, with none queued,
-// records that no round is in flight and returns nil.
-func (c *coalescer[E]) next() []*waiter[E] {
+// getWaiter takes a waiter from the free list, or makes one with its buffered
+// channel. c.mu is held.
+func (c *coalescer[E]) getWaiter() *waiter[E] {
+	if n := len(c.free); n > 0 {
+		w := c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+		return w
+	}
+	return &waiter[E]{out: make(chan outcome[E], 1)}
+}
+
+// putWaiter returns a waiter whose outcome its caller has received to the
+// free list, dropping its references to the caller's context, input and
+// span.
+func (c *coalescer[E]) putWaiter(w *waiter[E]) {
+	w.ctx, w.x, w.sp = nil, nil, nil
+	c.mu.Lock()
+	c.free = append(c.free, w)
+	c.mu.Unlock()
+}
+
+// open makes a batch current: group commit's queue, on the slice next left
+// in it, or a fresh window batch on the spare slice, with its timer armed.
+// c.mu is held.
+func (c *coalescer[E]) open() {
+	if c.window == 0 {
+		c.cur = &c.queue
+		return
+	}
+	b := &cbatch[E]{waiters: c.spare}
+	c.spare = nil
+	b.timer = time.AfterFunc(c.window, func() { c.flush(b) })
+	c.cur = b
+}
+
+// recycle keeps a window round's executed waiter slice as spare.
+func (c *coalescer[E]) recycle(ws []*waiter[E]) {
+	c.mu.Lock()
+	c.keepSpare(ws)
+	c.mu.Unlock()
+}
+
+// keepSpare keeps an executed round's waiter slice as spare, cleared,
+// unless a spare is already kept. c.mu is held.
+func (c *coalescer[E]) keepSpare(ws []*waiter[E]) {
+	if c.spare == nil {
+		clear(ws)
+		c.spare = ws[:0]
+	}
+}
+
+// next is group commit's trigger, called when the round in flight returns
+// with done, the waiter slice it executed (nil for a lone caller's round).
+// It keeps done as spare, then takes up to max queued waiters as the next
+// round or, with none queued, records that no round is in flight and
+// returns nil. A round that takes the whole queue leaves the spare slice in
+// its place, so group commit rotates two slices. Beyond max, the round
+// takes the first max into the spare slice and the rest move to the front
+// of the queue: a round's slice never shares a backing array with the
+// queue.
+func (c *coalescer[E]) next(done []*waiter[E]) []*waiter[E] {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if done != nil {
+		c.keepSpare(done)
+	}
 	b := c.cur
 	if b == nil {
 		c.inflight = false
 		return nil
 	}
-	if len(b.waiters) <= c.max {
+	ws := b.waiters
+	if len(ws) <= c.max {
 		c.cur = nil
-		return b.waiters
+		b.waiters, c.spare = c.spare, nil
+		return ws
 	}
-	ws := b.waiters[:c.max:c.max]
-	b.waiters = b.waiters[c.max:]
+	ws = append(c.spare, ws[:c.max]...)
+	c.spare = nil
+	n := copy(b.waiters, b.waiters[c.max:])
+	clear(b.waiters[n:])
+	b.waiters = b.waiters[:n]
 	return ws
 }
 
 // serve runs group-commit rounds back to back until the queue is empty.
 func (c *coalescer[E]) serve(ws []*waiter[E]) {
-	for ; ws != nil; ws = c.next() {
+	for ws != nil {
 		c.execute(ws)
+		ws = c.next(ws)
 	}
 }
 
@@ -181,6 +265,7 @@ func (c *coalescer[E]) flush(b *cbatch[E]) {
 	c.cur = nil
 	c.mu.Unlock()
 	c.execute(b.waiters)
+	c.recycle(b.waiters)
 }
 
 // drain executes every queued caller at once, max at a time; the Query calls
@@ -190,6 +275,10 @@ func (c *coalescer[E]) drain() {
 	c.mu.Lock()
 	b := c.cur
 	c.cur = nil
+	var ws []*waiter[E]
+	if b != nil {
+		ws, b.waiters = b.waiters, nil
+	}
 	c.mu.Unlock()
 	if b == nil {
 		return
@@ -197,7 +286,7 @@ func (c *coalescer[E]) drain() {
 	if b.timer != nil {
 		b.timer.Stop()
 	}
-	for ws := b.waiters; len(ws) > 0; {
+	for len(ws) > 0 {
 		n := min(len(ws), c.max)
 		c.execute(ws[:n:n])
 		ws = ws[n:]

@@ -543,6 +543,157 @@ func TestGroupCommitDepartedWaiterDstUntouched(t *testing.T) {
 	}
 }
 
+// TestGroupCommitRecycledWaiterIsolated: waiters are recycled, but never
+// one whose caller left while it was queued, since its round still sends
+// to it. A caller that cancels while queued and submits again at once
+// parks on a different waiter from the one its first call left behind, and
+// gets exactly A·x for its new vector; so does every caller queued with
+// it. The second subtest interleaves such cancellations with concurrent
+// callers, each on its own vectors, over a slowed executor whose queue
+// outgrows a round.
+func TestGroupCommitRecycledWaiterIsolated(t *testing.T) {
+	f := field.Prime{}
+	tc := newCase[uint64](t, f, f.Rand)
+	mulVec := func(q *Query[uint64], ctx context.Context, x []uint64) error {
+		got, err := q.MulVecContext(ctx, x)
+		if err == nil && !slices.Equal(got, matrix.MulVec[uint64](f, tc.a, x)) {
+			err = fmt.Errorf("got %v for x=%v: another caller's column", got, x)
+		}
+		return err
+	}
+
+	t.Run("cancel then resubmit", func(t *testing.T) {
+		exec := newHeldExec(NewLocal(f, tc.enc, obs.New()))
+		// Closed only on success: Close would drain a queue holding one
+		// waiter twice, and the second send to it blocks for good.
+		q := groupCommit(t, tc, exec, obs.New())
+		rng := rand.New(rand.NewPCG(10, 5))
+		// call starts a caller on a fresh vector; its answer is checked.
+		call := func(ctx context.Context) chan error {
+			x := matrix.RandomVec[uint64](f, rng, len(tc.x))
+			done := make(chan error, 1)
+			go func() { done <- mulVec(q, ctx, x) }()
+			return done
+		}
+		// A round held in flight with two callers queued behind it; both
+		// are answered by one merged round and leave their waiters on the
+		// free list.
+		lone := call(t.Context())
+		<-exec.entered
+		first := call(t.Context())
+		waitParked(t, q, 1)
+		second := call(t.Context())
+		waitParked(t, q, 2)
+		exec.release <- struct{}{}
+		for _, done := range []chan error{lone, first, second} {
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		// Hold the next round; queue a caller that then cancels, a
+		// follower, and the cancelled caller again at once.
+		lone = call(t.Context())
+		<-exec.entered
+		ctx, cancel := context.WithCancel(t.Context())
+		departed := call(ctx)
+		waitParked(t, q, 1)
+		follower := call(t.Context())
+		waitParked(t, q, 2)
+		cancel()
+		if err := <-departed; !errors.Is(err, context.Canceled) {
+			t.Fatalf("queued caller's err = %v, want context.Canceled", err)
+		}
+		again := call(t.Context())
+		waitParked(t, q, 3)
+		q.co.mu.Lock()
+		queued := slices.Clone(q.co.cur.waiters)
+		q.co.mu.Unlock()
+		for i, w := range queued {
+			if slices.Index(queued, w) != i {
+				t.Fatalf("waiter %d is queued twice: a departed caller's waiter was recycled", i)
+			}
+		}
+		exec.release <- struct{}{}
+		for name, done := range map[string]chan error{"lone": lone, "follower": follower, "resubmitted": again} {
+			if err := <-done; err != nil {
+				t.Fatalf("%s caller: %v", name, err)
+			}
+		}
+		if err := q.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("interleaved", func(t *testing.T) {
+		// Rounds of at most three, so a queue longer than a round is
+		// split, its tail moving to the front of the queue.
+		exec := &slowExec[uint64]{Executor: NewLocal(f, tc.enc, obs.New()), delay: 50 * time.Microsecond}
+		q, err := New(f, tc.enc, Executor[uint64](exec), Options{GroupCommit: true, CoalesceMaxBatch: 3, Metrics: obs.New()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = q.Close() })
+		const callers, queries = 8, 150
+		errs := make(chan error, callers)
+		var wg sync.WaitGroup
+		for c := range callers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewPCG(uint64(c), 11))
+				for range queries {
+					x := matrix.RandomVec[uint64](f, rng, len(tc.x))
+					ctx, cancel := t.Context(), context.CancelFunc(noop)
+					if c%2 == 0 && rng.IntN(3) == 0 {
+						// Leave after up to two rounds' time, often while
+						// queued, and go straight on to the next vector.
+						ctx, cancel = context.WithTimeout(ctx, time.Duration(rng.IntN(100))*time.Microsecond)
+					}
+					err := mulVec(q, ctx, x)
+					cancel()
+					// A deadline error is this caller's only once its own
+					// deadline has passed; otherwise it is another's
+					// outcome. (A merged round bounded by this deadline can
+					// report it before the caller's own timer fires.)
+					d, ok := ctx.Deadline()
+					left := ok && !time.Now().Before(d)
+					if err != nil && !(left && errors.Is(err, context.DeadlineExceeded)) {
+						errs <- fmt.Errorf("caller %d: %w", c, err)
+						return
+					}
+				}
+			}()
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatal("callers still waiting after 30 s: a round is blocked sending to a waiter")
+		}
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		if q.mat.Value() == 0 {
+			t.Fatal("no merged round: the callers never queued")
+		}
+	})
+}
+
+// slowExec delays every round by a fixed time before computing it, so that
+// concurrent callers queue behind the round in flight.
+type slowExec[E comparable] struct {
+	Executor[E]
+	delay time.Duration
+}
+
+func (s *slowExec[E]) Compute(ctx context.Context, x, y *matrix.Dense[E]) error {
+	time.Sleep(s.delay)
+	return s.Executor.Compute(ctx, x, y)
+}
+
 // TestGroupCommitCloseAnswersQueuedCallers: Close with callers queued behind
 // a round in flight answers every one of them at once, exactly, and once the
 // devices are gone no goroutine is left behind.

@@ -114,7 +114,7 @@ func mulTransposed[E comparable](f field.Field[E], a, b, out Dense[E]) (sharded 
 	bt := transposeInto(*scratch, b.data, k, n)
 	// Rows are sliced out of data directly: a rowView call takes a header's
 	// address, and the sharding closure would then move it to the heap.
-	if work := m * k * n; shardable(m, work) {
+	if work := m * k * n; Shardable(m, work) {
 		sharded = parallelFor(m, work, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				f.DotRows(out.data[i*n:(i+1)*n], bt, a.data[i*k:(i+1)*k])

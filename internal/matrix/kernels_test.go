@@ -260,7 +260,7 @@ func TestKernelKnobsRoundTrip(t *testing.T) {
 	if prev := SetParallelThreshold(math.MaxInt); prev != 1 {
 		t.Fatalf("negative threshold clamped to %d, want 1", prev)
 	}
-	if shardable(1<<20, 1<<30) {
+	if Shardable(1<<20, 1<<30) {
 		t.Fatal("a call shards at threshold math.MaxInt")
 	}
 	if sharded := parallelFor(1024, 1<<30, func(lo, hi int) {}); sharded {

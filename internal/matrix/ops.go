@@ -79,7 +79,7 @@ func MulInto[E comparable](f field.Field[E], a, b, out *Dense[E]) {
 	// call. It captures header copies, never the caller's headers.
 	work := a.rows * a.cols * b.cols
 	par := false
-	if shardable(a.rows, work) {
+	if Shardable(a.rows, work) {
 		a, b, out := *a, *b, *out
 		par = parallelFor(a.rows, work, func(lo, hi int) {
 			mulAXPY(f, ax, a, b, out, lo, hi)
@@ -99,11 +99,19 @@ func MulVec[E comparable](f field.Field[E], a *Dense[E], x []E) []E {
 	return out
 }
 
+// rowGroup is the row count a sharded MulVecInto hands out at a time: the
+// eight rows of Prime.DotRows's block kernel under IFMA, which takes the
+// rows of a range eight at a time and leaves the rest to the one-row
+// DotVec. Sharding on whole groups leaves that tail only to the last range,
+// and only when the row count is not a multiple of eight.
+const rowGroup = 8
+
 // MulVecInto computes a·x into dst, which must have length a.Rows(). It is
 // the allocation-free variant of MulVec that coding.ComputeAll uses to run
 // every device's product directly into its slot of the gathered result.
 // Each row range is one call of the field's DotRows, and the rows are
-// sharded across goroutines above the parallel threshold.
+// sharded across goroutines above the parallel threshold, in groups of
+// rowGroup rows.
 func MulVecInto[E comparable](f field.Field[E], a *Dense[E], x []E, dst []E) {
 	if len(x) != a.cols {
 		panic(fmt.Sprintf("matrix: MulVec shape mismatch %dx%d · %d", a.rows, a.cols, len(x)))
@@ -113,8 +121,10 @@ func MulVecInto[E comparable](f field.Field[E], a *Dense[E], x []E, dst []E) {
 	}
 	// As in MulInto, the sharding closure exists only on the sharded branch.
 	par := false
-	if work := a.rows * a.cols; shardable(a.rows, work) {
-		par = parallelFor(a.rows, work, func(lo, hi int) {
+	groups := (a.rows + rowGroup - 1) / rowGroup
+	if work := a.rows * a.cols; Shardable(groups, work) {
+		par = parallelFor(groups, work, func(lo, hi int) {
+			lo, hi = lo*rowGroup, min(hi*rowGroup, a.rows)
 			f.DotRows(dst[lo:hi], a.data[lo*a.cols:hi*a.cols], x)
 		})
 	} else {

@@ -22,12 +22,16 @@ import (
 // the threshold) cannot deadlock.
 
 // DefaultParallelThreshold is the element-operation count below which an
-// operation stays serial. It is the measured crossover, not a guess: in the
-// serial-vs-sharded table in EXPERIMENTS.md ("Parallel-kernel crossover",
-// GOMAXPROCS 2) sharding loses at 80 K element-ops and below, because one
-// helper wake-up costs as much as tens of thousands of ~1 ns multiply-adds,
-// wins at 147 K and above, and 131,072 falls on either side with the load
-// on the host.
+// operation stays serial. It is a measured crossover, not a guess, but one
+// measured before the eight-row kernel: in the serial-vs-sharded tables in
+// EXPERIMENTS.md ("Parallel-kernel crossover", GOMAXPROCS 2) sharding lost
+// at 80 K element-ops and below, because one helper wake-up costs as much
+// as tens of thousands of ~1 ns multiply-adds, and won from 131,072 up.
+// With Prime.DotRows running eight rows at a time under IFMA, a row costs
+// about a third of that, and the latest table has serial ahead or level up
+// to 160,000, sharding ahead from 262,144, and 256,000 (the 1000×256
+// device block) changing sign between runs. Where the crossover now lies
+// is unresolved, so the threshold has not moved.
 const DefaultParallelThreshold = 128 * 1024
 
 var (
@@ -120,11 +124,12 @@ func acquireHelpers(want, limit int) int {
 	}
 }
 
-// shardable reports whether a call over n items with the given work
+// Shardable reports whether a call over n items with the given work
 // estimate may shard: there is more than one item, and the work meets the
-// threshold. A caller whose range function is a closure can test it first
-// and build the closure only when it may shard.
-func shardable(n int, work int) bool {
+// threshold. A caller whose range function is a closure tests it first and
+// builds the closure only when the call may shard: the closure escapes to
+// the helpers, so building it on the serial path would allocate per call.
+func Shardable(n int, work int) bool {
 	return n > 1 && int64(work) >= parallelThreshold.Load()
 }
 
@@ -137,7 +142,7 @@ func parallelFor(n int, work int, fn func(lo, hi int)) (sharded bool) {
 	if n <= 0 {
 		return false
 	}
-	if !shardable(n, work) {
+	if !Shardable(n, work) {
 		fn(0, n)
 		return false
 	}

@@ -190,3 +190,49 @@ func TestMulPrimeDotKernelEdges(t *testing.T) {
 		}
 	}
 }
+
+// rowRecorder is field.Prime recording the row count of every DotRows call.
+type rowRecorder struct {
+	field.Prime
+	mu   sync.Mutex
+	rows []int
+}
+
+func (r *rowRecorder) DotRows(dst, a, x []uint64) {
+	r.mu.Lock()
+	r.rows = append(r.rows, len(dst))
+	r.mu.Unlock()
+	r.Prime.DotRows(dst, a, x)
+}
+
+// TestMulVecShardsOnRowGroups: a sharded MulVecInto hands each goroutine
+// whole groups of rowGroup rows, so only the range ending at the last row
+// reaches DotRows with a row count off a multiple of eight (the one-row
+// tail of the eight-row kernel), and the product stays exact.
+func TestMulVecShardsOnRowGroups(t *testing.T) {
+	restoreKernelConfig(t)
+	SetParallelThreshold(1)
+	rng := rand.New(rand.NewPCG(8, 8))
+	for _, rows := range []int{9, 125, 1000, 1003} {
+		f := &rowRecorder{}
+		a := Random[uint64](f, rng, rows, 16)
+		x := RandomVec[uint64](f, rng, 16)
+		want := refMulVec[uint64](f, a, x)
+		f.rows = nil
+		got := MulVec[uint64](f, a, x)
+		checkSame(t, fmt.Sprintf("%dx16 sharded", rows), want, got)
+		total, ragged, wantRagged := 0, 0, 0
+		for _, n := range f.rows {
+			total += n
+			if n%rowGroup != 0 {
+				ragged++
+			}
+		}
+		if rows%rowGroup != 0 {
+			wantRagged = 1
+		}
+		if total != rows || ragged > wantRagged {
+			t.Fatalf("%d rows went to DotRows as %v: want whole groups of %d but for one range", rows, f.rows, rowGroup)
+		}
+	}
+}
